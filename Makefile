@@ -5,7 +5,7 @@ GO ?= go
 # (make fuzz FUZZTIME=60s).
 FUZZTIME ?= 3s
 
-.PHONY: all check fmt vet build test fuzz lint race chaos calibrate bench bench-diff par-diff federate-night autoscale-night livefed-night
+.PHONY: all check fmt vet build test fuzz lint race chaos calibrate bench bench-diff benchmark-smoke par-diff federate-night autoscale-night livefed-night
 
 all: check
 
@@ -41,12 +41,9 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadSSE$$' -fuzztime $(FUZZTIME) ./internal/openaiapi
 
 # race runs the tier-1 suite under the race detector — the gate for the
-# sharded gateway front-end's parallel stress tests. The experiments package
-# regenerates the full bench suite here (TestBenchRecordRoundTrip), which
-# under the detector's ~10× slowdown outgrew go test's default 10-minute
-# package budget; 25m fits the CI race job's 30-minute ceiling.
+# sharded gateway front-end's parallel stress tests.
 race:
-	$(GO) test -race -timeout 25m ./...
+	$(GO) test -race ./...
 
 # chaos drives the short livefed storm — chaosnet fault transport, endpoint
 # fault bursts, a kill + cold restart mid-run — through the live stack under
@@ -67,6 +64,15 @@ bench:
 # with a notice and exits 0.
 bench-diff:
 	$(GO) run ./cmd/first-bench -diff
+
+# benchmark-smoke covers the benchmark/ module, which is a module of its own
+# that imports internal/ and which `./...` at the root therefore neither
+# builds nor tests: vet, its short tests, and firstlint, so that a signature
+# change under internal/ cannot break BENCHMARK.json's command unnoticed.
+benchmark-smoke:
+	$(GO) vet -C benchmark ./...
+	$(GO) test -C benchmark -short ./...
+	$(GO) run ./cmd/firstlint -C benchmark ./...
 
 # par-diff runs the parallel-kernel byte-identity suite on the short
 # families: federate, autoscale (including the predictive/cordon cell, so

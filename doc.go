@@ -242,6 +242,40 @@
 // success, failover-success, shed, or a typed client error, never a hang
 // or an untyped failure (make chaos gates this under the race detector).
 //
+// Scaled-clock precision. Every wait on the live path — hub submit,
+// dispatch and relay, endpoint pickup, the deployment control loop, engine
+// iterations, scheduler timers, the gateway's processing overhead — goes
+// through the clock.Clock the layer was built with, and on clock.Scaled a
+// modelled delay costs the wall time it says, to the clock's slack: a wait
+// never returns early and returns at the first multiple of 56 µs (on the
+// clock's own wall timeline) at or after delay/factor, where a raw
+// time.Sleep of anything under a millisecond takes ≈ 1.1 ms on Linux. One
+// goroutine per clock, the pump, owns a deadline queue shared by Sleep and
+// After; it sleeps on a runtime timer until 1.2 ms (the host's timer
+// granularity) before the nearest deadline, polls the wall clock from
+// there, yielding its processor after every wake-up and at least every
+// 20 µs, and exits when no waiter is left. Waits of 10 ms of wall or more
+// never enter the queue — a millisecond is at most a tenth of them — and
+// use the runtime timer alone. There is exactly one spinner however many
+// goroutines wait, so the cost is bounded at one core and the gateway
+// stress tests do not put hundreds of spinners on the run queue; an idle
+// clock costs nothing. The slack is there for repeatability, not for
+// speed. With exact deadlines the live stack at 20000× is CPU-bound —
+// ~100 µs of gateway, fabric and client code per request against ~35 µs of
+// modelled waiting — and its wall time per request follows the shared
+// host's speed drift one to one. With every wait ending on the grid, the
+// tens of microseconds of code between two waits stop adding up: a request
+// takes a whole number of slack periods (five, on the benchmark's live-chat
+// workload) for as long as each stretch of code stays inside the periods
+// it takes now, at a mean cost of 28 µs per wait. On that workload the
+// deployments' control loops re-arm a 250 µs wait without pause, so the
+// pump never leaves its spin window: host.cpu_busy_share reads ~0.6 where
+// it read ~0.18, and the difference is an otherwise idle core polling the
+// clock, not work (clock.cpu_share names it in the profile). The hub's two
+// lanes pace against an absolute virtual deadline, as LiveEngine.loop does,
+// so a backlogged lane drains at the 1/DispatchCost the Fig. 4 model states
+// instead of 1/(DispatchCost + overshoot), slack included.
+//
 // Calibration methodology. Each live cell executes a single serializable
 // churn plan — a chaosnet.Schedule: endpoint kills, cold restarts, and
 // background GPU claims/releases keyed by request index, plus the fault
@@ -300,8 +334,10 @@
 // the tier-1 suite under the race detector; `make chaos` races the short
 // livefed storm; `make calibrate` enforces the sim-vs-real tolerance gate
 // on the same cell; `make par-diff` pins the parallel kernel byte-identical
-// to its reference; `make check` includes a brief fuzz pass over the
-// openaiapi request and SSE parsers. All of these run as required CI jobs
+// to its reference; `make benchmark-smoke` vets, short-tests and lints the
+// benchmark/ module, which the root's ./... does not reach; `make check`
+// includes a brief fuzz pass over the openaiapi request and SSE parsers.
+// All of these run as required CI jobs
 // (.github/workflows/ci.yml) — check on an {oldstable, stable} Go matrix
 // with module/build caching, bench records and the race/chaos/calibrate/
 // par-diff logs uploaded as artifacts; PR pushes cancel superseded runs of

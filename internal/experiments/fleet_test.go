@@ -81,25 +81,18 @@ func TestNextBenchPath(t *testing.T) {
 	}
 }
 
-// TestBenchRecordRoundTrip validates the machine-readable perf record:
-// every experiment present, positive wall times, valid JSON on disk.
+// TestBenchRecordRoundTrip validates the machine-readable perf record's
+// encoding: what WriteBench puts on disk reads back as the record it was
+// given. Regenerating the suite to fill a real record is `make bench`'s job.
 func TestBenchRecordRoundTrip(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs every experiment")
-	}
-	rec := CollectBench(Parallel, DefaultSeed)
-	if rec.Schema != BenchSchema {
-		t.Errorf("schema = %q", rec.Schema)
-	}
-	for _, name := range []string{"fig3", "fig4", "fig5", "table1", "batch", "opt1", "opt2", "opt3", "routing", "storm"} {
-		exp, ok := rec.Experiments[name]
-		if !ok {
-			t.Errorf("missing experiment %q", name)
-			continue
-		}
-		if exp.WallMS < 0 || len(exp.Metrics) == 0 {
-			t.Errorf("experiment %q: wall=%v metrics=%v", name, exp.WallMS, exp.Metrics)
-		}
+	rec := BenchRecord{
+		Schema: BenchSchema, UnixTime: 1760486400, GoVersion: "go1.24.0", GOOS: "linux", GOARCH: "amd64",
+		MaxProcs: 2, Seed: DefaultSeed, Workers: 4, WallMS: 12.5,
+		Experiments: map[string]BenchExperiment{
+			"fig3":  {WallMS: 7.25, Metrics: map[string]float64{"first_70b_tok_s": 1677.5, "direct_8b_req_s": 0}},
+			"storm": {WallMS: 5.25, Metrics: map[string]float64{"shards16_p50_us": 29}},
+		},
+		Micro: map[string]MicroBench{"kernel_event": {NsPerOp: 10.6, AllocsPerOp: 0, BytesPerOp: 0}},
 	}
 	path := filepath.Join(t.TempDir(), "BENCH_1.json")
 	if err := WriteBench(rec, path); err != nil {
@@ -113,8 +106,8 @@ func TestBenchRecordRoundTrip(t *testing.T) {
 	if err := json.Unmarshal(data, &back); err != nil {
 		t.Fatalf("written record is not valid JSON: %v", err)
 	}
-	if back.Seed != DefaultSeed || len(back.Experiments) != len(rec.Experiments) {
-		t.Errorf("round trip mismatch: %+v", back)
+	if !reflect.DeepEqual(back, rec) {
+		t.Errorf("round trip mismatch:\n got %+v\nwant %+v", back, rec)
 	}
 }
 

@@ -83,12 +83,14 @@ type Hub struct {
 type dispatchItem struct {
 	task   *Task
 	future *Future
+	at     time.Time // arrival at the lane
 }
 
 type relayItem struct {
 	future *Future
 	result []byte
 	err    error
+	at     time.Time // arrival at the lane
 }
 
 // NewHub creates a hub bound to the administrators' confidential client.
@@ -202,7 +204,7 @@ func (h *Hub) submit(creds Credentials, endpointID, function string, payload []b
 	}
 	h.met.Counter("hub_tasks_submitted").Inc()
 	select {
-	case h.dispatchCh <- &dispatchItem{task: task, future: future}:
+	case h.dispatchCh <- &dispatchItem{task: task, future: future, at: h.clk.Now()}:
 	default:
 		h.mu.Lock()
 		h.queued--
@@ -216,14 +218,13 @@ func (h *Hub) submit(creds Credentials, endpointID, function string, payload []b
 // fabric-wide ceiling ("our overall scaling is currently limited by the
 // ability of Globus Compute to scale and route requests", §5.3.2).
 func (h *Hub) dispatchLoop() {
+	var free time.Time
 	for {
 		select {
 		case <-h.stop:
 			return
 		case item := <-h.dispatchCh:
-			if h.cfg.DispatchCost > 0 {
-				h.clk.Sleep(h.cfg.DispatchCost)
-			}
+			h.serve(&free, item.at, h.cfg.DispatchCost)
 			h.mu.Lock()
 			ep := h.endpoints[item.task.EndpointID]
 			h.queued--
@@ -242,24 +243,41 @@ func (h *Hub) dispatchLoop() {
 	}
 }
 
+// serve charges one item's cost on a serialized lane. free is when the lane
+// finishes the item before it; this one starts then, or on arrival if the
+// lane stood idle, and the lane sleeps toward that absolute finish. A sleep
+// that returns late therefore shortens the next one, and a backlogged lane
+// drains at the 1/cost the model states rather than 1/(cost + overshoot).
+func (h *Hub) serve(free *time.Time, arrived time.Time, cost time.Duration) {
+	if cost <= 0 {
+		return
+	}
+	if free.Before(arrived) {
+		*free = arrived
+	}
+	*free = free.Add(cost)
+	if wait := free.Sub(h.clk.Now()); wait > 0 {
+		h.clk.Sleep(wait)
+	}
+}
+
 // finish routes a result through the serialized relay lane.
 func (h *Hub) finish(fut *Future, result []byte, err error) {
 	select {
-	case h.relayCh <- &relayItem{future: fut, result: result, err: err}:
+	case h.relayCh <- &relayItem{future: fut, result: result, err: err, at: h.clk.Now()}:
 	case <-h.stop:
 		fut.resolve(nil, ErrEndpointShutdown)
 	}
 }
 
 func (h *Hub) relayLoop() {
+	var free time.Time
 	for {
 		select {
 		case <-h.stop:
 			return
 		case item := <-h.relayCh:
-			if h.cfg.RelayCost > 0 {
-				h.clk.Sleep(h.cfg.RelayCost)
-			}
+			h.serve(&free, item.at, h.cfg.RelayCost)
 			if item.err != nil {
 				h.met.Counter("hub_tasks_failed").Inc()
 			} else {

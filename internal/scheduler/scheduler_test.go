@@ -136,7 +136,9 @@ func TestCancelRunningReleasesNodes(t *testing.T) {
 
 func TestWalltimeTimeout(t *testing.T) {
 	s, cl := newTestScheduler(t, 1, 8, Config{})
-	j, _ := s.Submit(JobSpec{Name: "w", GPUs: 4, Walltime: 30 * time.Second})
+	// Long enough at 20000× (15 ms) for waitState's millisecond poll to see
+	// the job running before the walltime ends it.
+	j, _ := s.Submit(JobSpec{Name: "w", GPUs: 4, Walltime: 5 * time.Minute})
 	waitState(t, j, Running)
 	waitState(t, j, TimedOut)
 	if cl.Status().FreeGPUs != 8 {
