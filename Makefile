@@ -5,7 +5,7 @@ GO ?= go
 # (make fuzz FUZZTIME=60s).
 FUZZTIME ?= 3s
 
-.PHONY: all check fmt vet build test fuzz lint race chaos calibrate bench bench-diff benchmark-smoke par-diff federate-night autoscale-night livefed-night
+.PHONY: all check fmt vet build test fuzz lint race chaos calibrate bench bench-diff benchmark-smoke federate-night autoscale-night livefed-night
 
 all: check
 
@@ -33,12 +33,15 @@ test:
 lint:
 	$(GO) run ./cmd/firstlint ./...
 
-# fuzz mutates the committed openaiapi seed corpora (testdata/fuzz) for
-# FUZZTIME each (3s in `make check`; the nightly CI job runs 60s): the
-# request parser and the SSE stream reader (truncation / malformed frames).
+# fuzz runs every decoder of external bytes for FUZZTIME each (3s in `make
+# check`; the nightly CI job runs 60s): the openaiapi request parser and SSE
+# stream reader (seed corpora under testdata/fuzz; truncation / malformed
+# frames), the gateway config file, and the chaosnet.Schedule JSON.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseRequest$$' -fuzztime $(FUZZTIME) ./internal/openaiapi
 	$(GO) test -run '^$$' -fuzz '^FuzzReadSSE$$' -fuzztime $(FUZZTIME) ./internal/openaiapi
+	$(GO) test -run '^$$' -fuzz '^FuzzLoadConfig$$' -fuzztime $(FUZZTIME) ./internal/core
+	$(GO) test -run '^$$' -fuzz '^FuzzSchedule$$' -fuzztime $(FUZZTIME) ./internal/chaosnet
 
 # race runs the tier-1 suite under the race detector — the gate for the
 # sharded gateway front-end's parallel stress tests.
@@ -74,20 +77,9 @@ benchmark-smoke:
 	$(GO) test -C benchmark -short ./...
 	$(GO) run ./cmd/firstlint -C benchmark ./...
 
-# par-diff runs the parallel-kernel byte-identity suite on the short
-# families: federate, autoscale (including the predictive/cordon cell, so
-# the forecast and drain-aware-routing paths are pinned per-PR), and the
-# livefed calibration twin must be byte-identical across -par worker counts
-# (1/2/8) and queue kinds against the Par=1 zero-goroutine reference.
-# Required per-PR CI job; the nightly matrix legs run the full-scale
-# versions (TestFederateFullScalePar, TestAutoScaleFullScalePar).
-par-diff:
-	$(GO) test -run '^TestParDiff|^TestParFederateCompletes$$' -v ./internal/experiments
-
 # federate-night runs the full-scale federation determinism suite — 10⁶
 # open-loop requests + 10⁴ WebUI sessions, byte-identical across worker
-# counts and queue kinds, plus the parallel-kernel gate (FullScalePar).
-# Too slow for per-PR CI; the nightly job runs it.
+# counts and queue kinds. Too slow for per-PR CI; the nightly job runs it.
 federate-night:
 	FIRST_FEDERATE_FULL=1 $(GO) test -run '^TestFederateFullScale' -v -timeout 30m ./internal/experiments
 

@@ -20,7 +20,6 @@ func main() {
 	exp := flag.String("exp", "all", "experiment: fig3|fig4|fig5|table1|batch|opt1|opt2|opt3|routing|storm|federate|autoscale|livefed|all")
 	seed := flag.Int64("seed", experiments.DefaultSeed, "workload seed")
 	workers := flag.Int("workers", 0, "fleet goroutines (0 = GOMAXPROCS, 1 = sequential)")
-	par := flag.Int("par", 0, "window executors for the sharded conservative-lookahead kernel on the federation families (0 = sequential kernel; 1 = parallel reference)")
 	queue := flag.String("queue", "calendar", "kernel event queue: calendar|heap (heap is the reference; outputs must be byte-identical)")
 	emitJSON := flag.Bool("json", false, "also write a BENCH_<n>.json perf record (always regenerates the full suite, regardless of -exp)")
 	jsonOut := flag.String("json-out", "", "explicit path for the JSON record (implies -json)")
@@ -56,7 +55,7 @@ func main() {
 		os.Exit(1)
 	}
 
-	fleet := experiments.Fleet{Workers: *workers, Par: *par}
+	fleet := experiments.Fleet{Workers: *workers}
 	switch *queue {
 	case "", "calendar":
 		fleet.Queue = sim.QueueCalendar

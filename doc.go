@@ -158,50 +158,23 @@
 // advertised count). All of it is zero-value-off: with Predictive and
 // CordonLead unset, every decision is byte-identical to the reactive
 // policy, pinned by the differential families (the autoscale short family
-// carries one predictive cell through make check and make par-diff, and the
-// full family's predictive twins run reactive-vs-predictive on identical
+// carries one predictive cell through make check, and the full family's predictive twins run reactive-vs-predictive on identical
 // traces in the nightly suite and the BENCH record).
 //
-// # Parallel DES
+// # Why one kernel
 //
-// The federation families can run each cell on a sharded kernel
-// (first-bench -par N, experiments.Fleet.Par, desmodel.NewParFederation):
-// the gateway/router side lives on shard 0 and each cluster — scheduler,
-// deployment pools, engines, background churn, auto-scaler — on its own
-// sim.Kernel shard, advanced together by sim.ShardSet under conservative
-// (Chandy–Misra–Bryant-style) synchronization. The contract has three
-// parts. Window: every round computes W = min over shards of the next
-// pending event time and executes all events in [W, W+L) on every shard,
-// where L is the lookahead; shards within a window run concurrently on up
-// to Par window executors (Par=1 is the zero-goroutine reference the
-// par-diff suite pins against). Lookahead: L is the minimum cross-shard
-// interaction latency — the federation funds it with ParParams.CrossLatency
-// (default 50 ms), charged on every router↔cluster hop (request delivery,
-// migration return, completion callback) — so a message sent during the
-// current window can only land at or after W+L, never inside an interval a
-// peer shard has already executed. Mailboxes: cross-shard sends enqueue
-// into per-(src,dst) ordered mailboxes; at the window barrier the
-// coordinator drains them in fixed (destination, source, FIFO) order,
-// assigning destination sequence numbers deterministically, so identical
-// configurations replay identical event interleavings regardless of
-// executor count or queue kind. Zero lookahead would force W+L = W —
-// every barrier re-synchronizes at the very next event and the "parallel"
-// run degrades to the sequential kernel with extra coordination; that is
-// why sim.MinLookahead exists and why the parallel mode is a *model
-// variant* (snapshot-based routing reads, explicit cross-shard latency)
-// rather than a byte-identical replacement for Par=0: router decisions
-// read cluster state snapshots published at barriers instead of live
-// fields mid-window. Within the parallel mode, byte-identity is total:
-// `make par-diff` (a required CI job) pins federate, autoscale, and the
-// livefed calibration twin identical across Par 1/2/8 × calendar/heap
-// against the Par=1 reference, with full-scale versions in the nightly
-// matrix; randomized-topology property tests (2–8 clusters, random
-// lookahead, kill/migration/BG schedules) assert conservation,
-// exactly-once completion, and digest equality. Wall-clock speedup
-// requires GOMAXPROCS > 1; on a single-core host the executors serialize
-// and the federate_par BENCH series records coordination overhead, not
-// parallelism. The per-hop mailbox cost is pinned at 0 allocs/op steady
-// state (shard_mailbox micro).
+// A federation cell runs on one sim.Kernel: router, clusters, schedulers and
+// engines share a timeline, so routing reads cluster state exactly. PR 9's
+// sharded conservative-lookahead variant (one kernel per cluster, barrier
+// mailboxes, snapshot routing) was deleted after three measurements: on one
+// core its four executors bought nothing (BENCH_9 federate_par, c4/10⁶
+// cell: par1 1744 ms, par4 1724 ms; BENCH_10: par1 253 ms, par4 293 ms); on
+// two real cores the second executor cost 1.4–1.8× (whole federate family,
+// two alternating reps: Par=1 2.52/2.48 s, Par=2 3.56/4.41 s); and no
+// BENCHMARK.json workload ran it. The DES parallelism that is kept is
+// experiments.Fleet: independent cells fan out over Workers goroutines,
+// each with a private kernel, arena and seed, byte-identical to the
+// sequential run (TestFleetDeterminism*, first-bench -workers).
 //
 // # Resilience & failover
 //
@@ -333,20 +306,19 @@
 // being deterministic, are exempt from both defenses). `make race` runs
 // the tier-1 suite under the race detector; `make chaos` races the short
 // livefed storm; `make calibrate` enforces the sim-vs-real tolerance gate
-// on the same cell; `make par-diff` pins the parallel kernel byte-identical
-// to its reference; `make benchmark-smoke` vets, short-tests and lints the
+// on the same cell; `make benchmark-smoke` vets, short-tests and lints the
 // benchmark/ module, which the root's ./... does not reach; `make check`
-// includes a brief fuzz pass over the openaiapi request and SSE parsers.
-// All of these run as required CI jobs
-// (.github/workflows/ci.yml) — check on an {oldstable, stable} Go matrix
-// with module/build caching, bench records and the race/chaos/calibrate/
-// par-diff logs uploaded as artifacts; PR pushes cancel superseded runs of
-// the same ref and every job carries a timeout — and a scheduled nightly
-// matrix runs what is too slow per-PR as independent legs with per-leg log
-// artifacts: govulncheck + 60 s of parser fuzzing, the full-scale federate
-// and autoscale determinism suites (sequential and sharded-parallel
-// kernels), and the full livefed chaos sweep, which fails on any
-// calibration-gate trip and uploads divergent schedules.
+// includes a brief fuzz pass over the openaiapi request and SSE parsers,
+// the gateway config file and the chaosnet.Schedule JSON. All of these run
+// as required CI jobs (.github/workflows/ci.yml) — check on an {oldstable,
+// stable} Go matrix with module/build caching, bench records and the
+// race/chaos/calibrate logs uploaded as artifacts; PR pushes cancel
+// superseded runs of the same ref and every job carries a timeout — and a
+// scheduled nightly matrix runs what is too slow per-PR as independent legs
+// with per-leg log artifacts: govulncheck + 60 s of fuzzing per target, the
+// full-scale federate and autoscale determinism suites, and the full
+// livefed chaos sweep, which fails on any calibration-gate trip and uploads
+// divergent schedules.
 //
 // # Static analysis
 //

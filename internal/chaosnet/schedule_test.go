@@ -2,6 +2,8 @@ package chaosnet
 
 import (
 	"bytes"
+	"encoding/json"
+	"math"
 	"path/filepath"
 	"reflect"
 	"testing"
@@ -96,4 +98,51 @@ func TestMixMatchesDraw(t *testing.T) {
 	if draw(1, 2, 3, 4) != draw(1, 2, 3, 4) {
 		t.Fatal("draw is not deterministic")
 	}
+}
+
+// FuzzSchedule feeds arbitrary bytes through the schedule decoder
+// (ReadSchedule's Unmarshal): whatever decodes must sort, fire every event
+// exactly once in index order under a cursor advanced across all of its
+// indices, and survive a canonical encode/decode round trip unchanged.
+func FuzzSchedule(f *testing.F) {
+	f.Add(testSchedule().Canonical())
+	for _, s := range []string{
+		``, `{}`, `null`, `[]`, `{broken`,
+		`{"events":[{"at":-5,"kind":"kill","endpoint":-1},{"at":-5,"kind":"nonsense","endpoint":9}]}`,
+		`{"seed":18446744073709551615,"endpoints":0,"requests":-1,"windows":{"BurstEvery":-3,"BurstLen":7,"PFault":2,"PBackground":-1},"events":null}`,
+		`{"events":[{"at":9223372036854775807,"kind":"bg-claim","endpoint":0,"gpus":-4},{"at":0,"kind":"bg-release","endpoint":0}]}`,
+	} {
+		f.Add([]byte(s))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var s Schedule
+		if err := json.Unmarshal(data, &s); err != nil {
+			return
+		}
+		s.Sort()
+		cu := s.Cursor()
+		fired, last := 0, math.MinInt
+		fire := func(ev Event) {
+			if ev.AtIndex < last {
+				t.Fatalf("event at index %d fired after index %d", ev.AtIndex, last)
+			}
+			fired, last = fired+1, ev.AtIndex
+			s.Windows.Faulty(s.Seed, ev.AtIndex, ev.Endpoint, s.Endpoints, fired)
+		}
+		for _, ev := range s.Events {
+			cu.Advance(ev.AtIndex, fire)
+		}
+		cu.Advance(math.MaxInt, fire)
+		if fired != len(s.Events) {
+			t.Fatalf("cursor fired %d of %d events", fired, len(s.Events))
+		}
+		enc := s.Canonical()
+		var back Schedule
+		if err := json.Unmarshal(enc, &back); err != nil {
+			t.Fatalf("canonical encoding does not decode: %v", err)
+		}
+		if again := back.Canonical(); !bytes.Equal(enc, again) {
+			t.Fatalf("canonical encoding does not round-trip:\n%s\nvs\n%s", enc, again)
+		}
+	})
 }

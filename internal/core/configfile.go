@@ -1,8 +1,10 @@
 package core
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
@@ -57,12 +59,28 @@ func LoadConfig(path string) (FileConfig, error) {
 	if err != nil {
 		return FileConfig{}, err
 	}
-	var fc FileConfig
-	if err := json.Unmarshal(raw, &fc); err != nil {
+	fc, err := parseConfig(raw)
+	if err != nil {
 		return FileConfig{}, fmt.Errorf("core: parsing %s: %w", path, err)
 	}
 	if err := fc.Validate(); err != nil {
 		return FileConfig{}, err
+	}
+	return fc, nil
+}
+
+// parseConfig decodes exactly one FileConfig object. Unknown keys are an
+// error: a misspelt tunable would otherwise be dropped silently and the
+// gateway would boot with the default.
+func parseConfig(raw []byte) (FileConfig, error) {
+	dec := json.NewDecoder(bytes.NewReader(raw))
+	dec.DisallowUnknownFields()
+	var fc FileConfig
+	if err := dec.Decode(&fc); err != nil {
+		return FileConfig{}, err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return FileConfig{}, fmt.Errorf("trailing data after the config object")
 	}
 	return fc, nil
 }
@@ -93,11 +111,17 @@ func (fc FileConfig) Validate() error {
 		if len(m.Clusters) == 0 {
 			return fmt.Errorf("core: model %s lists no clusters", m.Model)
 		}
+		if m.MinInstances < 0 || m.MaxInstances < 0 {
+			return fmt.Errorf("core: model %s has a negative min_instances or max_instances", m.Model)
+		}
 		for _, cl := range m.Clusters {
 			if !names[cl] {
 				return fmt.Errorf("core: model %s references unknown cluster %q", m.Model, cl)
 			}
 		}
+	}
+	if g := fc.Gateway; g.Shards < 0 || g.InFlightLimit < 0 || g.CacheTTLS < 0 {
+		return fmt.Errorf("core: gateway shards, in_flight_limit and cache_ttl_s must not be negative")
 	}
 	return nil
 }

@@ -75,15 +75,36 @@ func TestLoadConfigAndBuildSystem(t *testing.T) {
 	}
 }
 
+// validConfigWith returns a minimal valid config with extra members spliced
+// into its one model entry and its gateway object (either may be empty).
+func validConfigWith(modelExtra, gatewayExtra string) string {
+	if modelExtra != "" {
+		modelExtra = ", " + modelExtra
+	}
+	return `{"clusters":[{"name":"a","nodes":1,"gpus_per_node":1}], "models":[{"model":"m","clusters":["a"]` +
+		modelExtra + `}], "gateway":{` + gatewayExtra + `}}`
+}
+
 func TestConfigValidationErrors(t *testing.T) {
+	if _, err := LoadConfig(writeConfig(t, validConfigWith(``, ``))); err != nil {
+		t.Fatalf("base config of the splice rows rejected: %v", err)
+	}
 	cases := map[string]string{
-		"no clusters":     `{"models":[{"model":"m","clusters":["x"]}]}`,
-		"bad cluster":     `{"clusters":[{"name":"", "nodes":0, "gpus_per_node":0}], "models":[{"model":"m","clusters":["x"]}]}`,
-		"dup cluster":     `{"clusters":[{"name":"a","nodes":1,"gpus_per_node":1},{"name":"a","nodes":1,"gpus_per_node":1}], "models":[{"model":"m","clusters":["a"]}]}`,
-		"no models":       `{"clusters":[{"name":"a","nodes":1,"gpus_per_node":1}]}`,
-		"unknown cluster": `{"clusters":[{"name":"a","nodes":1,"gpus_per_node":1}], "models":[{"model":"m","clusters":["zzz"]}]}`,
-		"nameless model":  `{"clusters":[{"name":"a","nodes":1,"gpus_per_node":1}], "models":[{"model":"","clusters":["a"]}]}`,
-		"not json":        `{nope`,
+		"no clusters":      `{"models":[{"model":"m","clusters":["x"]}]}`,
+		"bad cluster":      `{"clusters":[{"name":"", "nodes":0, "gpus_per_node":0}], "models":[{"model":"m","clusters":["x"]}]}`,
+		"dup cluster":      `{"clusters":[{"name":"a","nodes":1,"gpus_per_node":1},{"name":"a","nodes":1,"gpus_per_node":1}], "models":[{"model":"m","clusters":["a"]}]}`,
+		"no models":        `{"clusters":[{"name":"a","nodes":1,"gpus_per_node":1}]}`,
+		"unknown cluster":  `{"clusters":[{"name":"a","nodes":1,"gpus_per_node":1}], "models":[{"model":"m","clusters":["zzz"]}]}`,
+		"nameless model":   `{"clusters":[{"name":"a","nodes":1,"gpus_per_node":1}], "models":[{"model":"","clusters":["a"]}]}`,
+		"not json":         `{nope`,
+		"trailing data":    validConfigWith(``, ``) + `{}`,
+		"typo gateway key": validConfigWith(``, `"in_flight_limt": 256`),
+		"typo model key":   validConfigWith(`"max_instance": 2`, ``),
+		"negative shards":  validConfigWith(``, `"shards": -1`),
+		"negative limit":   validConfigWith(``, `"in_flight_limit": -1`),
+		"negative ttl":     validConfigWith(``, `"cache_ttl_s": -60`),
+		"negative min":     validConfigWith(`"min_instances": -1`, ``),
+		"negative max":     validConfigWith(`"max_instances": -2`, ``),
 	}
 	for name, content := range cases {
 		t.Run(name, func(t *testing.T) {
@@ -120,4 +141,33 @@ func TestConfigGatewayTunables(t *testing.T) {
 	if cfg.Clusters[0].Prologue != 10*time.Second || !cfg.Clusters[1].Backfill {
 		t.Errorf("cluster tunables = %+v", cfg.Clusters)
 	}
+}
+
+// FuzzLoadConfig feeds arbitrary bytes through the config-file decoder:
+// whatever parses and validates must convert to a system config without
+// panicking, and must carry no negative tunable into it.
+func FuzzLoadConfig(f *testing.F) {
+	for _, s := range []string{
+		sampleConfig, validConfigWith(``, ``), ``, `{}`, `null`, `[]`, `{nope`,
+		validConfigWith(`"max_instance": 2`, `"in_flight_limt": 256`),
+		validConfigWith(`"min_instances": -1, "hot_idle_timeout_s": -9223372036854775808`, `"shards": -1, "user_rate_per_sec": -1e308`),
+		`{"clusters":[{"name":"a","nodes":9223372036854775807,"gpus_per_node":1,"prologue_s":-1}],"models":[{"model":"m","clusters":["a","a"]}]}`,
+	} {
+		f.Add([]byte(s))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		fc, err := parseConfig(data)
+		if err != nil || fc.Validate() != nil {
+			return
+		}
+		cfg, _ := fc.ToSystemConfig()
+		if g := cfg.Gateway; g.Shards < 0 || g.InFlightLimit < 0 || g.CacheTTL < 0 {
+			t.Fatalf("validated config carries a negative gateway tunable: %+v", g)
+		}
+		for _, d := range cfg.Deployments {
+			if d.Config.MinInstances < 0 || d.Config.MaxInstances < 0 {
+				t.Fatalf("validated config carries a negative instance count: %+v", d)
+			}
+		}
+	})
 }

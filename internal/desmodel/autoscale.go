@@ -125,9 +125,9 @@ func (c *fedCluster) armScaler() {
 		for _, d := range c.deps {
 			d.scaleTick()
 		}
-		c.k.Schedule(interval, tick)
+		c.f.k.Schedule(interval, tick)
 	}
-	c.k.Schedule(interval, tick)
+	c.f.k.Schedule(interval, tick)
 }
 
 // liveCount is the pool's accepting-traffic membership: queued, loading, or

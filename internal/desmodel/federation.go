@@ -241,9 +241,8 @@ type fedDep struct {
 	// Predictive-scaler state (autoscale.go, forecast.go): the Holt
 	// arrival forecaster, the service-rate EWMA, the per-tick sample
 	// accumulators they consume, and the deployment's cached cold-start
-	// duration (prologue + weights load — the forecast horizon). All
-	// cluster-shard-owned: samples are counted where offer/onServed run,
-	// so the parallel mode never shares forecast state across shards.
+	// duration (prologue + weights load — the forecast horizon). Samples
+	// are counted where offer/onServed run.
 	fcArrive    Forecast
 	fcServe     Forecast
 	arrivedTick int
@@ -252,24 +251,16 @@ type fedDep struct {
 }
 
 // fedCluster is one simulated cluster: real inventory, real scheduler, one
-// deployment pool per model.
-//
-// k is the kernel the cluster's events run on: the federation kernel
-// sequentially, the cluster's own shard under the parallel mode (par.go) —
-// instance lifecycle, scheduler timers, engine stepping, background churn,
-// and the scaler all schedule here, never on the router's kernel. All
-// per-cluster counters are single-writer: routed is written router-side
-// (the routing decision), everything else cluster-side.
+// deployment pool per model. Its events — instance lifecycle, scheduler
+// timers, engine stepping, background churn, the scaler — run on the
+// federation's kernel, f.k.
 type fedCluster struct {
 	f     *Federation
 	idx   int
-	k     *sim.Kernel
-	shard int // this cluster's ShardSet index (idx+1; router is shard 0)
 	name  string
 	cl    *cluster.Cluster
 	sched *scheduler.Scheduler
 	deps  []*fedDep
-	snap  fedSnap
 
 	routed, served     int64
 	coldStarts, drains int
@@ -289,14 +280,13 @@ type fedCluster struct {
 // churning through the full Queued→Starting→Running→drain/kill lifecycle and
 // the auto-scaler growing and shrinking them with demand.
 type Federation struct {
-	// k is the router kernel: gateway admission, routing decisions, rung and
-	// migration counters, and the replay cursor all run here. Sequentially it
-	// is the run's only kernel; under the parallel mode it is shard 0 of the
-	// ShardSet and every cluster owns its own shard (par.go).
+	// k is the run's only kernel: gateway admission, routing, and every
+	// cluster's events share one timeline, so the router's reads of cluster
+	// state are exact.
 	k *sim.Kernel
 	p FederationParams
 
-	newEngine func(c *fedCluster, m perfmodel.ModelSpec, onComplete func(*serving.Sequence)) *EngineSim
+	newEngine func(m perfmodel.ModelSpec, onComplete func(*serving.Sequence)) *EngineSim
 	// recycle, when set, returns a dead incarnation's inner engine to the
 	// arena pool so the next cold restart reuses it.
 	recycle func(*serving.Engine)
@@ -309,17 +299,12 @@ type Federation struct {
 
 	replay *fedReplay
 
-	// par, when set, is the conservative-window sharding state; nil keeps
-	// the sequential single-kernel behaviour byte-for-byte.
-	par *parState
-
 	rungs      FedRungs
 	migrations int64
-	// arrivals is half of the conservation invariant the property suite
-	// checks (the other half, completions, is Σ clusters' served — written
-	// cluster-side so the parallel mode keeps every counter single-writer):
-	// every request that arrives completes exactly once, across any number
-	// of drains, kills, cancels, and scale-downs.
+	// arrivals is half of the conservation invariant (the other half,
+	// completions, is Σ clusters' served): every request that arrives
+	// completes exactly once, across any number of drains, kills, cancels,
+	// and scale-downs.
 	arrivals int64
 }
 
@@ -390,9 +375,9 @@ func (p FederationParams) withDefaults() FederationParams {
 // NewFederation builds the scenario on a bare kernel (unit tests).
 func NewFederation(k *sim.Kernel, p FederationParams, done func(*Req)) *Federation {
 	p = p.withDefaults()
-	return newFederation(k, p, func(c *fedCluster, m perfmodel.ModelSpec, onC func(*serving.Sequence)) *EngineSim {
-		return MustEngineSim(c.k, m, p.GPU, 0, onC)
-	}, done, nil)
+	return newFederation(k, p, func(m perfmodel.ModelSpec, onC func(*serving.Sequence)) *EngineSim {
+		return MustEngineSim(k, m, p.GPU, 0, onC)
+	}, done)
 }
 
 // NewFederationIn builds the scenario drawing kernel and engines from an
@@ -401,35 +386,30 @@ func NewFederation(k *sim.Kernel, p FederationParams, done func(*Req)) *Federati
 // dies and the pool recycles its engine for the next cold start.
 func NewFederationIn(a *Arena, p FederationParams, done func(*Req)) *Federation {
 	p = p.withDefaults()
-	f := newFederation(a.k, p, func(c *fedCluster, m perfmodel.ModelSpec, onC func(*serving.Sequence)) *EngineSim {
+	f := newFederation(a.k, p, func(m perfmodel.ModelSpec, onC func(*serving.Sequence)) *EngineSim {
 		return a.EngineSimIn(m, p.GPU, 0, onC)
-	}, done, nil)
+	}, done)
 	f.recycle = a.Reclaim
 	return f
 }
 
-func newFederation(k *sim.Kernel, p FederationParams, newEngine func(*fedCluster, perfmodel.ModelSpec, func(*serving.Sequence)) *EngineSim, done func(*Req), par *parState) *Federation {
+func newFederation(k *sim.Kernel, p FederationParams, newEngine func(perfmodel.ModelSpec, func(*serving.Sequence)) *EngineSim, done func(*Req)) *Federation {
 	f := &Federation{
 		k:         k,
 		p:         p,
 		newEngine: newEngine,
 		done:      done,
-		par:       par,
 		fe:        newShardFE(k, p.Shards, p.CritSection),
 		scratch:   make([]federation.EndpointInfo, 0, p.Clusters),
 	}
 	for i := 0; i < p.Clusters; i++ {
-		c := &fedCluster{f: f, idx: i, k: k}
-		if par != nil {
-			c.shard = i + 1
-			c.k = par.ss.Shard(c.shard)
-		}
+		c := &fedCluster{f: f, idx: i}
 		c.cl = cluster.New(fmt.Sprintf("fed-%d", i), p.NodesPerCluster, p.GPUsPerNode, p.GPU)
 		c.name = c.cl.Name()
-		c.sched = scheduler.New(c.cl, kernelClock{c.k}, scheduler.Config{
+		c.sched = scheduler.New(c.cl, kernelClock{k}, scheduler.Config{
 			Prologue: p.Prologue,
 			Backfill: true,
-			Timer:    c.k.Schedule,
+			Timer:    k.Schedule,
 		})
 		for m := range p.Models {
 			c.deps = append(c.deps, &fedDep{
@@ -439,7 +419,6 @@ func newFederation(k *sim.Kernel, p FederationParams, newEngine func(*fedCluster
 				fcServe:   NewForecast(p.Scale.ForecastAlpha, 0),
 			})
 		}
-		c.snap.deps = make([]fedDepSnap, len(p.Models))
 		f.clusters = append(f.clusters, c)
 		if p.BGPeriod > 0 && p.BGGPUs > 0 {
 			// Background jobs self-schedule forever; open-loop drivers end
@@ -447,9 +426,9 @@ func newFederation(k *sim.Kernel, p FederationParams, newEngine func(*fedCluster
 			var bg func()
 			bg = func() {
 				c.submitBG()
-				c.k.Schedule(p.BGPeriod, bg)
+				k.Schedule(p.BGPeriod, bg)
 			}
-			c.k.Schedule(p.BGStagger*time.Duration(i)+p.BGPeriod/2, bg)
+			k.Schedule(p.BGStagger*time.Duration(i)+p.BGPeriod/2, bg)
 		}
 		if p.Scale.MaxInstances > 1 {
 			// The scaler ticks per cluster, evaluating every deployment pool
@@ -536,28 +515,12 @@ func (f *Federation) route(r *Req) {
 	}
 	target := f.clusters[(m+idx)%n]
 	target.routed++
-	f.deliver(target, m, r)
+	target.deps[m].offer(r)
 }
 
-// endpointInfo is one cluster's routing-ladder candidate row. Sequentially
-// it reads the cluster's live state (the router and the cluster share a
-// kernel, so "live" is exact); under the parallel mode it reads the snapshot
-// published at the last window barrier — the same staleness a live
-// federation's status poller has, bounded by the lookahead.
+// endpointInfo is one cluster's routing-ladder candidate row, read from the
+// cluster's live state at the routing instant.
 func (c *fedCluster) endpointInfo(m int, spec *perfmodel.ModelSpec) federation.EndpointInfo {
-	if c.f.par != nil {
-		s := &c.snap.deps[m]
-		return federation.EndpointInfo{
-			ID:         c.name,
-			ModelState: s.state,
-			FreeGPUs:   c.snap.freeGPUs,
-			NeededGPUs: spec.TensorParallel,
-			Depth:      s.depth,
-			Instances:  s.serving,
-			Cordoned:   s.cordoned,
-			DrainingAt: s.drainingAt,
-		}
-	}
 	d := c.deps[m]
 	serving, cordoned, drainingAt := d.routingView()
 	return federation.EndpointInfo{
@@ -596,40 +559,18 @@ func (d *fedDep) routingView() (serving int, cordoned bool, drainingAt time.Dura
 	}
 	cordoned = total > 0 && serving == 0
 	if soonest >= 0 {
-		if dt := soonest - d.c.k.Now(); dt > 0 {
+		if dt := soonest - d.f.k.Now(); dt > 0 {
 			drainingAt = time.Duration(dt)
 		}
 	}
 	return serving, cordoned, drainingAt
 }
 
-// deliver hands a routed request to its target deployment: directly when
-// router and cluster share a kernel, through the target shard's mailbox
-// (paying the cross-shard latency that funds the lookahead) under the
-// parallel mode.
-func (f *Federation) deliver(c *fedCluster, m int, r *Req) {
-	if f.par == nil {
-		c.deps[m].offer(r)
-		return
-	}
-	f.par.send(0, c.shard, func() { c.deps[m].offer(r) })
-}
-
-// migrateFrom re-routes a request whose placement on this cluster died. The
-// routing decision is router state, so under the parallel mode the request
-// rides the cluster→router mailbox before re-entering route.
+// migrateFrom re-routes a request whose placement on this cluster died.
 func (c *fedCluster) migrateFrom(r *Req) {
 	r.Migrations++
-	f := c.f
-	if f.par == nil {
-		f.migrations++
-		f.route(r)
-		return
-	}
-	f.par.send(c.shard, 0, func() {
-		f.migrations++
-		f.route(r)
-	})
+	c.f.migrations++
+	c.f.route(r)
 }
 
 // modelState aggregates the pool's lifecycle onto the paper's §4.3 states:
@@ -684,7 +625,7 @@ func (d *fedDep) depth() int {
 func (d *fedDep) offer(r *Req) {
 	d.arrivedTick++ // forecast sample: arrivals since the last scaler tick
 	if in := d.pickServing(); in != nil {
-		r.EngineAt = d.c.k.Now()
+		r.EngineAt = d.f.k.Now()
 		in.eng.Submit(r.PromptTok, r.OutputTok, r)
 		return
 	}
@@ -731,7 +672,7 @@ func (in *fedInstance) onJobRunning(j *scheduler.Job, load time.Duration) {
 		return
 	}
 	in.state = instLoading
-	in.d.c.k.Schedule(load, func() { in.onLoaded(j) })
+	in.d.f.k.Schedule(load, func() { in.onLoaded(j) })
 }
 
 // onLoaded opens the instance for traffic: the engine incarnation is
@@ -745,10 +686,10 @@ func (in *fedInstance) onLoaded(j *scheduler.Job) {
 	f := d.f
 	spec := f.p.Models[d.model]
 	in.state = instServing
-	in.eng = f.newEngine(d.c, spec, func(seq *serving.Sequence) { in.onServed(j, seq) })
+	in.eng = f.newEngine(spec, func(seq *serving.Sequence) { in.onServed(j, seq) })
 	pend := d.pending
 	d.pending = nil
-	now := d.c.k.Now()
+	now := f.k.Now()
 	for _, r := range pend {
 		// Flush least-loaded across the pool: sibling instances may have
 		// come up at the same instant.
@@ -757,12 +698,12 @@ func (in *fedInstance) onLoaded(j *scheduler.Job) {
 		t.eng.Submit(r.PromptTok, r.OutputTok, r)
 	}
 	in.drainAt = now + f.p.ServeWalltime
-	d.c.k.Schedule(f.p.ServeWalltime, func() { in.beginDrain(j, false) })
+	f.k.Schedule(f.p.ServeWalltime, func() { in.beginDrain(j, false) })
 	if lead := f.p.CordonLead; lead > 0 {
 		// Cordon one lead ahead of the drain: selection and the routing
 		// ladder stop sending new work here while the remaining walltime
 		// is too short to be worth queueing behind.
-		d.c.k.Schedule(f.p.ServeWalltime-lead, func() {
+		f.k.Schedule(f.p.ServeWalltime-lead, func() {
 			if in.job == j && in.state == instServing {
 				in.cordoned = true
 			}
@@ -775,7 +716,7 @@ func (in *fedInstance) onLoaded(j *scheduler.Job) {
 		if lead > f.p.ServeWalltime {
 			lead = f.p.ServeWalltime
 		}
-		d.c.k.Schedule(f.p.ServeWalltime-lead, func() { d.preWarmReplacement(j, in) })
+		f.k.Schedule(f.p.ServeWalltime-lead, func() { d.preWarmReplacement(j, in) })
 	}
 }
 
@@ -785,20 +726,13 @@ func (in *fedInstance) onServed(j *scheduler.Job, seq *serving.Sequence) {
 	r := seq.Ctx.(*Req)
 	d := in.d
 	f := d.f
-	now := d.c.k.Now()
+	now := f.k.Now()
 	r.CompletedAt = now
 	r.ObservedAt = now
 	d.c.served++
 	d.servedTick++ // forecast sample: completions since the last scaler tick
 	if f.done != nil {
-		if f.par != nil {
-			// The completion callback drives router-side state (closed-loop
-			// re-issue, open-loop stop accounting): hop it home through the
-			// cluster→router mailbox.
-			f.par.send(d.c.shard, 0, func() { f.done(r) })
-		} else {
-			f.done(r)
-		}
+		f.done(r)
 	}
 	if in.state == instDraining && in.job == j {
 		in.maybeFinishDrain(j)
@@ -815,7 +749,7 @@ func (in *fedInstance) maybeFinishDrain(j *scheduler.Job) {
 		return
 	}
 	in.drainDone = true
-	in.d.c.k.Schedule(0, func() { in.finishDrain(j) })
+	in.d.f.k.Schedule(0, func() { in.finishDrain(j) })
 }
 
 // beginDrain stops the instance accepting work: its engine-waiting requests
@@ -942,10 +876,8 @@ func (f *Federation) Migrations() int64 { return f.migrations }
 func (f *Federation) Arrivals() int64 { return f.arrivals }
 
 // Completions returns how many requests were completed and delivered — the
-// conservation invariant's other half (no request lost, none double-done).
-// It sums the per-cluster served counters, which are cluster-side state:
-// under the parallel mode, read it only between runs or from a window
-// barrier (StopWhen / OnBarrier), never inside a router event.
+// conservation invariant's other half (no request lost, none double-done):
+// the sum of the per-cluster served counters.
 func (f *Federation) Completions() int64 {
 	var n int64
 	for _, c := range f.clusters {

@@ -101,20 +101,6 @@ func (f *Federation) ReplayAdvance(idx int) {
 		return
 	}
 	rp.nowIdx = idx
-	if f.par != nil {
-		// Churn events mutate cluster state (scheduler kills, restarts, GPU
-		// claims), so under the parallel mode each fires on its cluster's
-		// shard, one cross-shard latency after the cursor reaches it — the
-		// same propagation delay any live control-plane command pays.
-		rp.cur.Advance(idx, func(ev chaosnet.Event) {
-			if ev.Endpoint < 0 || ev.Endpoint >= len(f.clusters) {
-				return
-			}
-			c := f.clusters[ev.Endpoint]
-			f.par.send(0, c.shard, func() { rp.fire(ev) })
-		})
-		return
-	}
 	rp.cur.Advance(idx, rp.fire)
 }
 
@@ -217,7 +203,7 @@ func (f *Federation) routeReplay(r *Req) {
 			// on the first-configured cluster to complete once that pool
 			// revives — also without a rung count.
 			rp.sheds++
-			f.deliver(f.clusters[m%n], m, r)
+			f.clusters[m%n].deps[m].offer(r)
 			return
 		}
 		sel, reason, err := federation.Select(infos)
@@ -243,20 +229,11 @@ func (f *Federation) routeReplay(r *Req) {
 		attempt := rp.attempt(idx, ci)
 		faulty := idx >= 0 &&
 			rp.p.Schedule.Windows.Faulty(rp.p.Schedule.Seed, idx, ci, n, attempt)
-		// "Does the pool exist" is cluster state: live sequentially, the
-		// barrier snapshot under the parallel mode (the same staleness the
-		// routing ladder's candidate rows carry).
-		var pool int
-		if f.par != nil {
-			pool = c.snap.deps[m].pool
-		} else {
-			pool = len(c.deps[m].insts)
-		}
-		placed := pool > 0 && !faulty
+		placed := len(c.deps[m].insts) > 0 && !faulty
 		rp.breakers[ci].Record(now, placed)
 		if placed {
 			c.routed++
-			f.deliver(c, m, r)
+			c.deps[m].offer(r)
 			return
 		}
 		attempts++
@@ -267,7 +244,7 @@ func (f *Federation) routeReplay(r *Req) {
 			// when the pool revives) and stops counting, like the live
 			// census stops routing it.
 			rp.exhausted++
-			f.deliver(c, m, r)
+			c.deps[m].offer(r)
 			return
 		}
 		// The live gateway's failover re-route.

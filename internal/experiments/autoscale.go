@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"fmt"
 	"math"
 	"time"
 
@@ -110,12 +111,11 @@ var AutoScaleCellsShort = []AutoScaleCell{
 		ServeWalltimeS: 60, DrainGraceS: 20, BGPeriodS: 90, ScaleIntervalS: 5},
 	{Shape: "bursty", Clusters: 4, Reqs: 30_000, BaseRatePerSec: 160, PeriodS: 120, MaxInstances: 4,
 		ServeWalltimeS: 60, DrainGraceS: 20, BGPeriodS: 90, ScaleIntervalS: 5},
-	// One predictive cell rides in the per-PR family so make check and
-	// make par-diff pin the forecast/cordon path byte-identical across
-	// worker counts, window executors, and queue kinds on every PR. One
-	// extra instance of headroom over the reactive cell: replacement
-	// pre-warms respect the MaxInstances cap, and the 60 s walltime keeps
-	// churning pools pinned at a cap of 3.
+	// One predictive cell rides in the per-PR family so make check pins the
+	// forecast/cordon path byte-identical across worker counts and queue
+	// kinds on every PR. One extra instance of headroom over the reactive
+	// cell: replacement pre-warms respect the MaxInstances cap, and the
+	// 60 s walltime keeps churning pools pinned at a cap of 3.
 	{Shape: "diurnal", Clusters: 2, Reqs: 25_000, BaseRatePerSec: 120, PeriodS: 150, MaxInstances: 4,
 		ServeWalltimeS: 60, DrainGraceS: 20, BGPeriodS: 90, ScaleIntervalS: 5, Predictive: true},
 }
@@ -161,12 +161,6 @@ func RunAutoScaleOn(f Fleet, seed int64) []AutoScaleRow {
 // across worker counts and queue kinds.
 func RunAutoScaleCellsOn(f Fleet, seed int64, cells []AutoScaleCell) []AutoScaleRow {
 	rows := make([]AutoScaleRow, len(cells))
-	if f.Par > 0 {
-		f.Run(len(cells), func(i int) {
-			rows[i] = autoScaleRunPar(f, cells[i], seed)
-		})
-		return rows
-	}
 	f.RunArena(len(cells), func(i int, a *desmodel.Arena) {
 		rows[i] = autoScaleRun(a, cells[i], seed)
 	})
@@ -237,7 +231,8 @@ func autoScaleRun(a *desmodel.Arena, c AutoScaleCell, seed int64) AutoScaleRow {
 		}
 	}
 	k.Schedule(time.Duration(rng.Exp(baseGap)), step)
-	end := k.Run(0)
+	end := k.Run(openLoopHorizon(n, c.BaseRatePerSec))
+	auditConservation(fmt.Sprintf("autoscale %s cell c%d predictive=%v", c.Shape, c.Clusters, c.Predictive), sys, n, 0)
 	return autoScaleRow(sys, c, n, reqs, end)
 }
 

@@ -124,26 +124,6 @@ func TestAutoScaleFullScale(t *testing.T) {
 	}
 }
 
-// TestAutoScaleFullScalePar is the nightly parallel gate: the full family on
-// the sharded conservative-window kernel, byte-identical across window
-// executor counts and queue kinds against the Par=1 reference.
-func TestAutoScaleFullScalePar(t *testing.T) {
-	if !autoScaleFullEnabled() {
-		t.Skip("set FIRST_AUTOSCALE_FULL=1 for the full autoscale suite (nightly CI)")
-	}
-	ref := RunAutoScaleOn(Fleet{Par: 1}, DefaultSeed)
-	assertAutoScaleElasticity(t, ref)
-	for _, f := range []Fleet{
-		{Par: 1, Queue: sim.QueueHeap},
-		{Par: 4},
-		{Par: 8, Queue: sim.QueueHeap},
-	} {
-		if got := RunAutoScaleOn(f, DefaultSeed); !reflect.DeepEqual(got, ref) {
-			t.Errorf("full-scale autoscale diverges at par=%d queue=%v", f.Par, f.Queue)
-		}
-	}
-}
-
 // TestAutoScaleFullScalePredictiveVsReactive is the nightly
 // predictive-vs-reactive sweep: every predictive cell is a twin of a
 // reactive cell on the identical trace, and the forecast-driven scaler must

@@ -188,45 +188,6 @@ func CollectBench(f Fleet, seed int64) BenchRecord {
 		}
 		return m
 	})
-	// federate_par races the sequential kernel against the sharded
-	// conservative-window kernel on the headline c4/10⁶ cell. Walls are
-	// best-of-3 (the cell alone dominates a repetition, so fewer reps than
-	// benchReps keep the record's runtime bounded); par walls only reflect
-	// real goroutine parallelism when GOMAXPROCS > 1 — on a single-core
-	// recording host they measure the windowed mode's coordination overhead.
-	{
-		cell := []FederateCell{FederateCells[1]}
-		m := map[string]float64{}
-		var seqBest float64
-		parFleet := func(name string, fl Fleet) float64 {
-			var best float64
-			for rep := 0; rep < 3; rep++ {
-				t0 := time.Now() //firstlint:allow det wall-clock benchmark timing is the product this file exists to measure
-				rows := RunFederateCellsOn(fl, seed, cell)
-				//firstlint:allow det wall-clock benchmark timing is the product this file exists to measure
-				if wall := float64(time.Since(t0).Microseconds()) / 1000; rep == 0 || wall < best {
-					best = wall
-				}
-				if rep == 0 {
-					m[name+"_req_s"] = rows[0].M.ReqPerSec
-				}
-			}
-			m[name+"_wall_ms"] = best
-			return best
-		}
-		t0 := time.Now() //firstlint:allow det wall-clock benchmark timing is the product this file exists to measure
-		seqBest = parFleet("seq", Fleet{Workers: 1})
-		parFleet("par1", Fleet{Workers: 1, Par: 1})
-		parBest := parFleet("par4", Fleet{Workers: 1, Par: 4})
-		if parBest > 0 {
-			m["speedup_seq_over_par4"] = seqBest / parBest
-		}
-		rec.Experiments["federate_par"] = BenchExperiment{
-			//firstlint:allow det wall-clock benchmark timing is the product this file exists to measure
-			WallMS:  float64(time.Since(t0).Microseconds()) / 1000,
-			Metrics: m,
-		}
-	}
 	// The bench record runs the short livefed cell — the full nightly storm
 	// takes minutes per repetition and its walls are sleep-bound rather than
 	// substrate-bound; the short cell tracks the same calibration metrics.

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"fmt"
 	"sort"
 	"time"
 
@@ -153,6 +154,29 @@ type FederateRow struct {
 // silently instead of failing loudly.
 const federateEventBudget = 400_000_000
 
+// openLoopHorizon bounds an open-loop cell's virtual time at four times the
+// trace's nominal length plus half a day. Background jobs and the scaler
+// self-schedule forever, so without it a lost request would keep the last
+// completion from ever stopping the run and spin the kernel to the event
+// budget instead of reaching auditConservation. A healthy run stops at the
+// last completion with that instance's walltime timer still queued, so the
+// horizon never moves the end time Run reports.
+func openLoopHorizon(n int, ratePerSec float64) sim.Time {
+	return sim.Seconds(4*float64(n)/ratePerSec) + 12*time.Hour
+}
+
+// auditConservation aborts a cell whose federation lost or double-counted a
+// request: every offered request must have arrived, and at most maxInFlight
+// of them (0 for the open-loop drivers, which stop on the last completion)
+// may be unfinished when the run ends.
+func auditConservation(cell string, sys *desmodel.Federation, offered, maxInFlight int) {
+	arr, comp := sys.Arrivals(), sys.Completions()
+	if arr != int64(offered) || comp > arr || arr-comp > int64(maxInFlight) {
+		panic(fmt.Sprintf("experiments: %s: conservation violated (offered %d, arrivals %d, completions %d, at most %d may be in flight)",
+			cell, offered, arr, comp, maxInFlight))
+	}
+}
+
 // RunFederate regenerates the full family on the default parallel fleet.
 func RunFederate(seed int64) []FederateRow { return RunFederateOn(Parallel, seed) }
 
@@ -166,19 +190,6 @@ func RunFederateOn(f Fleet, seed int64) []FederateRow {
 // across worker counts and queue kinds.
 func RunFederateCellsOn(f Fleet, seed int64, cells []FederateCell) []FederateRow {
 	rows := make([]FederateRow, len(cells))
-	if f.Par > 0 {
-		// Sharded conservative-window mode: each cell builds its own shard
-		// set (no arena — shards own their kernels), traces unchanged.
-		f.Run(len(cells), func(i int) {
-			c := cells[i]
-			if c.OpenLoopReqs > 0 {
-				rows[i] = federateOpenPar(f, c, seed)
-			} else {
-				rows[i] = federateWebUIPar(f, c, seed)
-			}
-		})
-		return rows
-	}
 	f.RunArena(len(cells), func(i int, a *desmodel.Arena) {
 		c := cells[i]
 		if c.OpenLoopReqs > 0 {
@@ -228,7 +239,8 @@ func federateOpen(a *desmodel.Arena, c FederateCell, seed int64) FederateRow {
 		}
 	}
 	k.Schedule(time.Duration(rng.Exp(gapMean)), step)
-	end := k.Run(0)
+	end := k.Run(openLoopHorizon(n, c.RatePerSec))
+	auditConservation(fmt.Sprintf("federate %s cell c%d", openMode(c), c.Clusters), sys, n, 0)
 	return federateRow(sys, c, openMode(c), n, reqs, end)
 }
 
@@ -257,6 +269,7 @@ func federateWebUI(a *desmodel.Arena, c FederateCell, seed int64) FederateRow {
 	loop.start(sys)
 	window := time.Duration(c.WindowS) * time.Second
 	end := k.Run(window)
+	auditConservation(fmt.Sprintf("federate webui cell c%d", c.Clusters), sys, loop.issued, c.Sessions)
 	return federateRow(sys, c, "webui", loop.issued, loop.finished, end)
 }
 

@@ -142,24 +142,3 @@ func TestFederateFullScale(t *testing.T) {
 			cordon.MigratedMedianS, open.MigratedMedianS)
 	}
 }
-
-// TestFederateFullScalePar is the nightly parallel gate: the full family on
-// the sharded conservative-window kernel, byte-identical across window
-// executor counts and queue kinds. Par=1 (zero goroutines) is the reference;
-// any divergence at higher counts isolates a synchronization bug.
-func TestFederateFullScalePar(t *testing.T) {
-	if !federateFullEnabled() {
-		t.Skip("set FIRST_FEDERATE_FULL=1 for the full 10⁶-request suite (nightly CI)")
-	}
-	ref := RunFederateOn(Fleet{Par: 1}, DefaultSeed)
-	assertFederateChurn(t, ref)
-	for _, f := range []Fleet{
-		{Par: 1, Queue: sim.QueueHeap},
-		{Par: 4},
-		{Par: 8, Queue: sim.QueueHeap},
-	} {
-		if got := RunFederateOn(f, DefaultSeed); !reflect.DeepEqual(got, ref) {
-			t.Errorf("full-scale federate diverges at par=%d queue=%v", f.Par, f.Queue)
-		}
-	}
-}

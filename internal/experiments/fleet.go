@@ -29,13 +29,6 @@ type Fleet struct {
 	// the calendar queue by default, the 4-ary heap reference for the
 	// differential determinism suite.
 	Queue sim.QueueKind
-	// Par, when positive, runs the federation families' cells on the
-	// sharded conservative-window kernel (desmodel.NewParFederation) with
-	// Par window executors per cell, instead of the sequential single
-	// kernel. Par=1 is the parallel reference (identical model, zero
-	// goroutines); the par-diff suite pins every Par/Queue combination
-	// byte-identical to it. Families without a parallel driver ignore Par.
-	Par int
 }
 
 // Sequential is the single-goroutine reference fleet.

@@ -140,11 +140,6 @@ func CollectMicro() map[string]MicroBench {
 	})
 	_ = fsink
 
-	// Sharded kernel: one cross-shard mailbox round trip (enqueue, ordered
-	// drain, delivery) — the per-hop cost the parallel DES pays at every
-	// window barrier, pinned at 0 allocs/op steady state.
-	out["shard_mailbox"] = measureMicro(200000, sim.MailboxMicro())
-
 	// Metrics: one striped counter increment (the per-request metric cost).
 	var ctr metrics.Counter
 	out["counter_inc"] = measureMicro(1000000, ctr.Inc)

@@ -222,45 +222,6 @@ func (k *Kernel) calNarrow(b *calBucket) {
 	k.calRehash(rehashNarrow, shift)
 }
 
-// calFindNext is NextAt's calendar-mode peek: the same find phase runCal
-// runs — cursor advance over empty slots, overflow migration into the ring
-// window, lazy bucket sorts, and the calMaxScan re-tune — stopping at the
-// earliest event instead of dispatching it. Every structural mutation it
-// performs is one Run would perform anyway, and none reorders events.
-func (k *Kernel) calFindNext() (Time, bool) {
-	c := &k.cal
-	if c.hasOne {
-		return c.one.at, true
-	}
-	if c.n == 0 && len(k.heap) == 0 {
-		return 0, false
-	}
-	scanned := 0
-	for {
-		if c.n == 0 {
-			c.cur = c.slotOf(k.heap[0].at) // ring empty: jump to the overflow's min
-		}
-		if len(k.heap) > 0 {
-			limit := c.cur + uint64(len(c.buckets))
-			for len(k.heap) > 0 && c.slotOf(k.heap[0].at) < limit {
-				c.bucketInsert(k.heapPop())
-			}
-		}
-		b := &c.buckets[int(c.cur)&(len(c.buckets)-1)]
-		if b.dirty {
-			b.sort()
-		}
-		if b.head < len(b.ev) && c.slotOf(b.ev[b.head].at) == c.cur {
-			return b.ev[b.head].at, true
-		}
-		c.cur++
-		if scanned++; scanned >= calMaxScan {
-			k.calRehash(rehashWiden, 0)
-			scanned = 0
-		}
-	}
-}
-
 // rehashMode says how calRehash may move the bucket width.
 type rehashMode int
 

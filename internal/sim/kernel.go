@@ -310,23 +310,6 @@ func (k *Kernel) runCal(until Time) {
 	}
 }
 
-// NextAt peeks the earliest pending event's timestamp without executing
-// anything. ok is false when the queue is empty. In calendar mode the peek
-// advances the scan cursor exactly the way Run's find phase would (lazy
-// bucket sorts, overflow pull-in, scan-triggered rehash) — those mutations
-// never reorder events, so a NextAt immediately before Run leaves the
-// dispatch sequence byte-identical. ShardSet uses it to compute the
-// conservative window bound across shards.
-func (k *Kernel) NextAt() (Time, bool) {
-	if k.useHeap {
-		if len(k.heap) == 0 {
-			return 0, false
-		}
-		return k.heap[0].at, true
-	}
-	return k.calFindNext()
-}
-
 // Seconds converts a float seconds value to virtual time. Non-finite and
 // out-of-range inputs clamp: NaN to zero, ±Inf (and magnitudes past 1e12
 // seconds, which would overflow the nanosecond representation) to the
