@@ -1,11 +1,11 @@
-# FIRST reproduction — build/verify/perf-record targets.
+# FIRST reproduction — build/verify targets.
 
 GO ?= go
 # FUZZTIME is the fuzzing budget: 3s in the per-PR gate, 60s nightly
 # (make fuzz FUZZTIME=60s).
 FUZZTIME ?= 3s
 
-.PHONY: all check fmt vet build test fuzz lint race chaos calibrate bench bench-diff benchmark-smoke federate-night autoscale-night livefed-night
+.PHONY: all check fmt vet build test fuzz lint race chaos calibrate benchmark-smoke federate-night autoscale-night livefed-night
 
 all: check
 
@@ -55,26 +55,15 @@ race:
 chaos:
 	$(GO) test -race -short -run '^TestLiveFed' -v ./internal/experiments
 
-# bench runs the micro/figure benchmarks and appends a BENCH_<n>.json perf
-# record so every PR extends the substrate's performance trajectory.
-bench:
-	$(GO) test -bench=. -benchmem -run '^$$' .
-	$(GO) run ./cmd/first-bench -exp fig3 -json
-
-# bench-diff gates the trajectory: compares the two newest BENCH_<n>.json
-# records and fails on >20% ns/op (or wall) regressions or any allocs/op
-# increase. With fewer than two records (fork/shallow checkouts) it skips
-# with a notice and exits 0.
-bench-diff:
-	$(GO) run ./cmd/first-bench -diff
-
 # benchmark-smoke covers the benchmark/ module, which is a module of its own
 # that imports internal/ and which `./...` at the root therefore neither
-# builds nor tests: vet, its short tests, and firstlint, so that a signature
-# change under internal/ cannot break BENCHMARK.json's command unnoticed.
+# builds nor tests: vet, its tests (including the full-size cross-check of
+# the model numbers committed in benchmark/des.go), and firstlint, so that a
+# signature change under internal/ cannot break BENCHMARK.json's command
+# unnoticed.
 benchmark-smoke:
 	$(GO) vet -C benchmark ./...
-	$(GO) test -C benchmark -short ./...
+	$(GO) test -C benchmark ./...
 	$(GO) run ./cmd/firstlint -C benchmark ./...
 
 # federate-night runs the full-scale federation determinism suite — 10⁶

@@ -109,8 +109,8 @@
 // federation.EndpointInfo carries the live instance count and Select
 // tie-breaks active endpoints on depth per instance (cross-multiplied, so
 // ties stay exact), while inside a pool requests go to the least-loaded
-// serving instance — both hot paths pinned at 0 allocs/op (scaler_tick /
-// scaler_pick in the BENCH record, plus AllocsPerRun tests).
+// serving instance — both hot paths pinned at 0 allocs/op by AllocsPerRun
+// tests.
 //
 // The autoscale scenario family (first-bench -exp autoscale) is Fig4 beyond
 // paper size: open-loop traces whose offered rate and hot model are
@@ -132,8 +132,8 @@
 // forecast-driven pre-warm paths on top of the reactive policy (which keeps
 // running unchanged beneath them). Each deployment feeds a desmodel.Forecast
 // — a Holt double-exponential smoother (level + trend, fixed-size value
-// state, 0 allocs/op on observe and predict; forecast_observe in the BENCH
-// record) — with per-tick arrival and completion counts. At each tick the
+// state, 0 allocs/op on observe and predict, pinned by an AllocsPerRun
+// test) — with per-tick arrival and completion counts. At each tick the
 // scaler projects depth one cold start ahead (PredictSum of arrivals minus
 // the completion level over the horizon): when the projection crosses
 // HiWater×live while current depth has not, the incarnation starts now, so
@@ -158,8 +158,9 @@
 // advertised count). All of it is zero-value-off: with Predictive and
 // CordonLead unset, every decision is byte-identical to the reactive
 // policy, pinned by the differential families (the autoscale short family
-// carries one predictive cell through make check, and the full family's predictive twins run reactive-vs-predictive on identical
-// traces in the nightly suite and the BENCH record).
+// carries one predictive cell through make check, and the full family's
+// predictive twins run reactive-vs-predictive on identical traces in the
+// nightly suite).
 //
 // # Why one kernel
 //
@@ -171,10 +172,11 @@
 // cell: par1 1744 ms, par4 1724 ms; BENCH_10: par1 253 ms, par4 293 ms); on
 // two real cores the second executor cost 1.4–1.8× (whole federate family,
 // two alternating reps: Par=1 2.52/2.48 s, Par=2 3.56/4.41 s); and no
-// BENCHMARK.json workload ran it. The DES parallelism that is kept is
-// experiments.Fleet: independent cells fan out over Workers goroutines,
-// each with a private kernel, arena and seed, byte-identical to the
-// sequential run (TestFleetDeterminism*, first-bench -workers).
+// BENCHMARK.json workload ran it (the BENCH_<n>.json records were retired
+// with their instrument and live in git history). The DES parallelism that
+// is kept is experiments.Fleet: independent cells fan out over Workers
+// goroutines, each with a private kernel, arena and seed, byte-identical to
+// the sequential run (TestFleetDeterminism*, first-bench -workers).
 //
 // # Resilience & failover
 //
@@ -266,13 +268,12 @@
 // eyeballed: every cell's live-vs-twin routing-rung shares must agree
 // within ±5 percentage points and the failover-vs-migration rates within a
 // 2× ratio (experiments.Calibrate; both sides under 0.01/req is vacuously
-// calibrated). The BENCH_<n>.json livefed block records the verdict
-// (c<N>_calib_pass, _calib_rung_gap_pts, _calib_rate_ratio) next to the
-// share columns, `make calibrate` enforces the gate per-PR on the short
-// cell, and `make livefed-night` fails the nightly sweep on any trip,
-// preserving the divergent cell's executed schedule under calib-artifacts/
-// — the schedule is the complete reproduction recipe, so the twin can be
-// re-run against it offline byte-for-byte.
+// calibrated). The livefed report's calibration table prints the verdict
+// next to the share columns, `make calibrate` enforces the gate per-PR on
+// the short cell, and `make livefed-night` fails the nightly sweep on any
+// trip, preserving the divergent cell's executed schedule under
+// calib-artifacts/ — the schedule is the complete reproduction recipe, so
+// the twin can be re-run against it offline byte-for-byte.
 //
 // Experiments fan out: internal/experiments.Fleet runs the independent
 // cells of each figure/table (rate points, concurrency×window cells,
@@ -287,38 +288,24 @@
 // no fresh closure per event.
 //
 // cmd/first-bench renders the paper-vs-measured report (-workers selects
-// the fleet size) and, with -json (or -json-out PATH), appends a
-// machine-readable BENCH_<n>.json perf record — wall time plus headline
-// metrics per experiment, plus substrate micro-benchmarks (ns/op and
-// allocs/op) — so the substrate's performance trajectory accumulates
-// across PRs. `make bench` does the same via the Makefile, and `make
-// bench-diff` (first-bench -diff) compares the two newest records,
-// failing on >20% slowdowns or any extra allocations per op (experiment
-// walls and micro series record the fastest of three repetitions, so host
-// noise cannot fake a regression; with fewer than two records, e.g. a fork
-// checkout, the diff skips cleanly instead of failing). Records accumulate
-// one per session on whatever machine that session got, so thresholds are
-// normalized by per-class host-drift medians — experiment walls and micro
-// ns/op drift apart when a contended host inflates multi-ms walls without
-// slowing tight loops — and a timing series that regressed only against
-// the newest record, not the one before it, is treated as that record's
-// per-series outlier rather than a code regression (allocation counts,
-// being deterministic, are exempt from both defenses). `make race` runs
-// the tier-1 suite under the race detector; `make chaos` races the short
-// livefed storm; `make calibrate` enforces the sim-vs-real tolerance gate
-// on the same cell; `make benchmark-smoke` vets, short-tests and lints the
+// the fleet size, -exp one experiment). Performance is recorded by `bash
+// benchmark/run.sh` against BENCHMARK.json (see benchmark/README.md), and
+// zero-allocation hot paths are pinned by AllocsPerRun tests. `make race`
+// runs the tier-1 suite under the race detector; `make chaos` races the
+// short livefed storm; `make calibrate` enforces the sim-vs-real tolerance
+// gate on the same cell; `make benchmark-smoke` vets, tests and lints the
 // benchmark/ module, which the root's ./... does not reach; `make check`
 // includes a brief fuzz pass over the openaiapi request and SSE parsers,
 // the gateway config file and the chaosnet.Schedule JSON. All of these run
-// as required CI jobs (.github/workflows/ci.yml) — check on an {oldstable,
-// stable} Go matrix with module/build caching, bench records and the
-// race/chaos/calibrate logs uploaded as artifacts; PR pushes cancel
-// superseded runs of the same ref and every job carries a timeout — and a
-// scheduled nightly matrix runs what is too slow per-PR as independent legs
-// with per-leg log artifacts: govulncheck + 60 s of fuzzing per target, the
-// full-scale federate and autoscale determinism suites, and the full
-// livefed chaos sweep, which fails on any calibration-gate trip and uploads
-// divergent schedules.
+// as the six required CI jobs (.github/workflows/ci.yml: check, lint,
+// benchmark-smoke, race, chaos, calibrate) — check on an {oldstable,
+// stable} Go matrix with module/build caching, the race/chaos/calibrate
+// logs uploaded as artifacts; PR pushes cancel superseded runs of the same
+// ref and every job carries a timeout — and a scheduled nightly matrix runs
+// what is too slow per-PR as independent legs with per-leg log artifacts:
+// govulncheck + 60 s of fuzzing per target, the full-scale federate and
+// autoscale determinism suites, and the full livefed chaos sweep, which
+// fails on any calibration-gate trip and uploads divergent schedules.
 //
 // # Static analysis
 //
@@ -330,7 +317,7 @@
 //
 //   - det — in the deterministic packages (internal/sim, desmodel,
 //     federation, scheduler, cluster, serving, and the experiments
-//     report/benchjson files) flags wall-clock reads (time.Now/Since),
+//     report file) flags wall-clock reads (time.Now/Since),
 //     draws from the global math/rand source, goroutine launches, and map
 //     ranges whose iteration order is not visibly sorted before it can
 //     escape into reports or event schedules.

@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"github.com/argonne-first/first/internal/scheduler"
-	"github.com/argonne-first/first/internal/sim"
 )
 
 // AutoScaleParams tune the Fig4-style auto-scaler: each (cluster, model)
@@ -391,29 +390,4 @@ func (d *fedDep) tryScaleDown() bool {
 	}
 	victim.beginDrain(victim.job, true)
 	return true
-}
-
-// ScalerMicro builds a steady-state deployment (one serving instance, queue
-// depth pinned between the watermarks so ticks decide but never act) and
-// returns the scaler's two hot-path operations — one policy evaluation and
-// one instance selection — for the substrate micro-benchmark record.
-// first-bench emits them into BENCH_<n>.json as scaler_tick / scaler_pick,
-// where `make bench-diff` pins both at 0 allocs/op.
-func ScalerMicro() (tick, pick func()) {
-	k := sim.NewKernel()
-	p := FederationParams{
-		Clusters:      1,
-		ServeWalltime: 1e6 * time.Second, // no walltime churn while measuring
-		Scale:         AutoScaleParams{MaxInstances: 4},
-	}
-	f := NewFederation(k, p, nil)
-	// Eight requests with effectively endless generation: depth holds at 8,
-	// between LoWater (2) and HiWater (16), so every tick takes the
-	// no-action decision path.
-	for i := 0; i < 8; i++ {
-		f.Arrive(&Req{ID: i + 1, Model: 0, PromptTok: 64, OutputTok: 1 << 20})
-	}
-	k.Run(10 * time.Minute) // past prologue + weights load; batch decoding
-	d := f.clusters[0].deps[0]
-	return d.scaleTick, func() { d.pickServing() }
 }

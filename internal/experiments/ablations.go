@@ -16,12 +16,9 @@ type AblationRow struct {
 	HubQueuePeak int
 }
 
-// RunOpt1Polling reproduces Optimization 1 (§5.3.1): 2 s status polling vs
-// concurrent futures at a moderate request rate; polling re-adds up to 2 s
-// of observation delay per request.
-func RunOpt1Polling(seed int64) []AblationRow { return RunOpt1PollingOn(Parallel, seed) }
-
-// RunOpt1PollingOn runs the Optimization 1 ablation, one fleet cell per arm.
+// RunOpt1PollingOn reproduces Optimization 1 (§5.3.1), one fleet cell per
+// arm: 2 s status polling vs concurrent futures at a moderate request rate;
+// polling re-adds up to 2 s of observation delay per request.
 func RunOpt1PollingOn(f Fleet, seed int64) []AblationRow {
 	model := perfmodel.Default.MustLookup(perfmodel.Llama70B)
 	polling := desmodel.DefaultFirstParams()
@@ -63,12 +60,9 @@ func runAblationArms(f Fleet, arms []ablationArm, genTrace func() []workload.Req
 	return rows
 }
 
-// RunOpt2AuthCache reproduces Optimization 2: per-request Globus token
-// introspection + connection setup (≈2 s, and rate-limited service-side)
-// versus cached credentials.
-func RunOpt2AuthCache(seed int64) []AblationRow { return RunOpt2AuthCacheOn(Parallel, seed) }
-
-// RunOpt2AuthCacheOn runs the Optimization 2 ablation, one fleet cell per arm.
+// RunOpt2AuthCacheOn reproduces Optimization 2, one fleet cell per arm:
+// per-request Globus token introspection + connection setup (≈2 s, and
+// rate-limited service-side) versus cached credentials.
 func RunOpt2AuthCacheOn(f Fleet, seed int64) []AblationRow {
 	model := perfmodel.Default.MustLookup(perfmodel.Llama70B)
 	uncached := desmodel.DefaultFirstParams()
@@ -83,18 +77,15 @@ func RunOpt2AuthCacheOn(f Fleet, seed int64) []AblationRow {
 	}, model, 0)
 }
 
-// RunOpt3AsyncGateway reproduces Optimization 3's Artillery experiment:
-// 100 incoming req/s for 300 s against (a) the legacy synchronous gateway
-// with nine workers and (b) the async gateway, which keeps offloading tasks
-// to the fabric (">8000 inference tasks could be queued at Globus") and
-// raises response throughput by roughly a factor of 20 on a single node.
-func RunOpt3AsyncGateway(seed int64) []AblationRow { return RunOpt3AsyncGatewayOn(Parallel, seed) }
-
-// RunOpt3AsyncGatewayOn runs the Optimization 3 ablation, one fleet cell per
-// arm. The run is bounded to the Artillery window — the sync gateway would
-// take hours to drain its backlog — and tasks in flight past the gateway at
-// window end are "queued at Globus" (the sync gateway instead queues them in
-// its own backlog).
+// RunOpt3AsyncGatewayOn reproduces Optimization 3's Artillery experiment,
+// one fleet cell per arm: 100 incoming req/s for 300 s against (a) the
+// legacy synchronous gateway with nine workers and (b) the async gateway,
+// which keeps offloading tasks to the fabric (">8000 inference tasks could
+// be queued at Globus") and raises response throughput by roughly a factor
+// of 20 on a single node. The run is bounded to the Artillery window — the
+// sync gateway would take hours to drain its backlog — and tasks in flight
+// past the gateway at window end are "queued at Globus" (the sync gateway
+// instead queues them in its own backlog).
 func RunOpt3AsyncGatewayOn(f Fleet, seed int64) []AblationRow {
 	model := perfmodel.Default.MustLookup(perfmodel.Llama8B)
 	const (

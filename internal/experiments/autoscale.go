@@ -148,9 +148,6 @@ type AutoScaleRow struct {
 	UtilMaxPct    float64
 }
 
-// RunAutoScale regenerates the full family on the default parallel fleet.
-func RunAutoScale(seed int64) []AutoScaleRow { return RunAutoScaleOn(Parallel, seed) }
-
 // RunAutoScaleOn regenerates the full family on f.
 func RunAutoScaleOn(f Fleet, seed int64) []AutoScaleRow {
 	return RunAutoScaleCellsOn(f, seed, AutoScaleCells)

@@ -53,14 +53,9 @@ type AmortizationPoint struct {
 	LoadShare    float64 // fraction of total time spent loading
 }
 
-// RunBatchAmortization sweeps batch sizes to show cold-start amortization
-// (§5.3.1: loading dominates small batches; >10k requests amortize it).
-func RunBatchAmortization(seed int64) []AmortizationPoint {
-	return RunBatchAmortizationOn(Parallel, seed)
-}
-
-// RunBatchAmortizationOn runs the amortization sweep, one fleet cell per
-// batch size.
+// RunBatchAmortizationOn sweeps batch sizes, one fleet cell per size, to show
+// cold-start amortization (§5.3.1: loading dominates small batches; >10k
+// requests amortize it).
 func RunBatchAmortizationOn(f Fleet, seed int64) []AmortizationPoint {
 	model := perfmodel.Default.MustLookup(perfmodel.Llama70B)
 	sizes := []int{10, 100, 1000, 10000}

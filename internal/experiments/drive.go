@@ -1,7 +1,7 @@
 // Package experiments contains one runner per table/figure in the paper's
 // evaluation (§5) plus the optimization ablations, each returning structured
-// paper-vs-measured results. bench_test.go and cmd/first-bench are thin
-// wrappers over these runners.
+// paper-vs-measured results. cmd/first-bench is a thin wrapper over these
+// runners.
 package experiments
 
 import (

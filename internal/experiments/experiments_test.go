@@ -5,6 +5,7 @@ package experiments
 // calibration drift that would break the reproduction fails CI.
 
 import (
+	"strings"
 	"testing"
 )
 
@@ -21,7 +22,7 @@ func TestFig3Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment runs are long")
 	}
-	rows := RunFig3(DefaultSeed)
+	rows := RunFig3On(Parallel, DefaultSeed)
 	if len(rows) != 10 {
 		t.Fatalf("rows = %d, want 10 (5 rates × 2 systems)", len(rows))
 	}
@@ -70,7 +71,7 @@ func TestFig4Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment runs are long")
 	}
-	rows := RunFig4(DefaultSeed)
+	rows := RunFig4On(Parallel, DefaultSeed)
 	if len(rows) != 4 {
 		t.Fatalf("rows = %d", len(rows))
 	}
@@ -113,7 +114,7 @@ func TestFig5Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment runs are long")
 	}
-	rows := RunFig5(DefaultSeed)
+	rows := RunFig5On(Parallel, DefaultSeed)
 	if len(rows) != 2 {
 		t.Fatalf("rows = %d", len(rows))
 	}
@@ -140,7 +141,7 @@ func TestTable1Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment runs are long")
 	}
-	cells := RunTable1(DefaultSeed)
+	cells := RunTable1On(Parallel, DefaultSeed)
 	if len(cells) != 30 {
 		t.Fatalf("cells = %d, want 30 (3 models × 5 conc × 2 windows)", len(cells))
 	}
@@ -197,7 +198,7 @@ func TestBatchShape(t *testing.T) {
 	if b.TotalTimeS < 310 || b.TotalTimeS > 520 {
 		t.Errorf("total = %.0fs, want 409±25%%", b.TotalTimeS)
 	}
-	amort := RunBatchAmortization(DefaultSeed)
+	amort := RunBatchAmortizationOn(Parallel, DefaultSeed)
 	if len(amort) != 4 {
 		t.Fatalf("amortization points = %d", len(amort))
 	}
@@ -221,7 +222,7 @@ func TestOpt1Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment runs are long")
 	}
-	rows := RunOpt1Polling(DefaultSeed)
+	rows := RunOpt1PollingOn(Parallel, DefaultSeed)
 	before, after := rows[0], rows[1]
 	delta := before.M.MedianLatS - after.M.MedianLatS
 	// Polling on a 2s grid adds ~1s median observation delay.
@@ -234,7 +235,7 @@ func TestOpt2Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment runs are long")
 	}
-	rows := RunOpt2AuthCache(DefaultSeed)
+	rows := RunOpt2AuthCacheOn(Parallel, DefaultSeed)
 	before, after := rows[0], rows[1]
 	if before.M.MedianLatS < after.M.MedianLatS+2 {
 		t.Errorf("uncached introspection penalty too small: %.1f vs %.1f",
@@ -250,7 +251,7 @@ func TestOpt3Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment runs are long")
 	}
-	rows := RunOpt3AsyncGateway(DefaultSeed)
+	rows := RunOpt3AsyncGatewayOn(Parallel, DefaultSeed)
 	sync, async := rows[0], rows[1]
 	ratio := async.M.ReqPerSec / sync.M.ReqPerSec
 	// Paper: "response throughput rates could be increased by a factor of 20".
@@ -267,7 +268,7 @@ func TestRoutingAblationConverges(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment runs are long")
 	}
-	rows := RunAblationRouting(DefaultSeed)
+	rows := RunAblationRoutingOn(Parallel, DefaultSeed)
 	if len(rows) != 3 {
 		t.Fatalf("rows = %d", len(rows))
 	}
@@ -287,14 +288,20 @@ func TestReportRendersAllExperiments(t *testing.T) {
 		t.Skip("experiment runs are long")
 	}
 	var sink discard
-	if err := Report(&sink, "batch", DefaultSeed); err != nil {
+	if err := ReportOn(&sink, "batch", DefaultSeed, Parallel); err != nil {
 		t.Fatal(err)
 	}
 	if sink == 0 {
 		t.Error("report wrote nothing")
 	}
-	if err := Report(&sink, "nonsense", DefaultSeed); err == nil {
-		t.Error("unknown experiment accepted")
+	err := ReportOn(&sink, "nonsense", DefaultSeed, Parallel)
+	if err == nil {
+		t.Fatal("unknown experiment accepted")
+	}
+	for _, e := range experimentTable {
+		if !strings.Contains(err.Error(), e.name) {
+			t.Errorf("unknown-experiment error %q does not offer %q", err, e.name)
+		}
 	}
 }
 

@@ -177,9 +177,6 @@ func auditConservation(cell string, sys *desmodel.Federation, offered, maxInFlig
 	}
 }
 
-// RunFederate regenerates the full family on the default parallel fleet.
-func RunFederate(seed int64) []FederateRow { return RunFederateOn(Parallel, seed) }
-
 // RunFederateOn regenerates the full family on f.
 func RunFederateOn(f Fleet, seed int64) []FederateRow {
 	return RunFederateCellsOn(f, seed, FederateCells)

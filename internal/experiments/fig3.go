@@ -23,9 +23,6 @@ type Fig3Row struct {
 // Fig3Requests is the paper's benchmark size.
 const Fig3Requests = 1000
 
-// RunFig3 regenerates Figure 3 on the default parallel fleet.
-func RunFig3(seed int64) []Fig3Row { return RunFig3On(Parallel, seed) }
-
 // RunFig3On regenerates Figure 3, fanning the ten (rate, system) cells out
 // over f. Each cell regenerates its own trace from the seed so no state is
 // shared between goroutines.

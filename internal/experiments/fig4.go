@@ -24,9 +24,6 @@ type Fig4Row struct {
 // saturated long enough to measure steady state.
 const Fig4Requests = 2000
 
-// RunFig4 regenerates Figure 4 on the default parallel fleet.
-func RunFig4(seed int64) []Fig4Row { return RunFig4On(Parallel, seed) }
-
 // RunFig4On regenerates Figure 4, one fleet cell per instance count.
 func RunFig4On(f Fleet, seed int64) []Fig4Row {
 	paper := map[int]Fig4Row{

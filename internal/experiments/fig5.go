@@ -21,9 +21,6 @@ type Fig5Row struct {
 // Fig5Requests is the benchmark size.
 const Fig5Requests = 1000
 
-// RunFig5 regenerates Figure 5 on the default parallel fleet.
-func RunFig5(seed int64) []Fig5Row { return RunFig5On(Parallel, seed) }
-
 // RunFig5On regenerates Figure 5 with one fleet cell per system. The FIRST
 // side is the open-loop infinite burst; the OpenAI side runs closed-loop at
 // the concurrency the provider's rate limits allow (the paper notes its

@@ -34,7 +34,7 @@ type Fleet struct {
 // Sequential is the single-goroutine reference fleet.
 var Sequential = Fleet{Workers: 1}
 
-// Parallel is the default fleet used by Run* entry points.
+// Parallel is the default fleet: GOMAXPROCS workers.
 var Parallel = Fleet{}
 
 // Run invokes cell(i) for every i in [0, n), fanning out across the fleet's

@@ -175,11 +175,8 @@ func liveFedIndex(prompt string) int {
 	return n
 }
 
-// RunLiveFed runs the nightly family (live cells are inherently sequential;
-// the fleet only accelerates the sim twins).
-func RunLiveFed(seed int64) []LiveFedRow { return RunLiveFedOn(Parallel, seed) }
-
-// RunLiveFedOn runs the full family on f.
+// RunLiveFedOn runs the nightly family on f (live cells are inherently
+// sequential; the fleet only accelerates the sim twins).
 func RunLiveFedOn(f Fleet, seed int64) []LiveFedRow {
 	return RunLiveFedCellsOn(f, seed, LiveFedCells)
 }

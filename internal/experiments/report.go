@@ -3,79 +3,76 @@ package experiments
 import (
 	"fmt"
 	"io"
+	"strings"
 )
 
-// Report renders every experiment to w in the paper's row/series layout
-// with paper-vs-measured columns on the default parallel fleet;
-// cmd/first-bench drives it.
-func Report(w io.Writer, which string, seed int64) error {
-	return ReportOn(w, which, seed, Parallel)
+// experiment is one row of the report: the name -exp selects it by and the
+// function that runs it on a fleet and renders it.
+type experiment struct {
+	name  string
+	run   func(w io.Writer, f Fleet, seed int64)
+	inAll bool
 }
 
-// ReportOn is Report with an explicit fleet (workers=1 reproduces the
-// sequential reference run byte for byte).
-func ReportOn(w io.Writer, which string, seed int64, f Fleet) error {
-	all := which == "" || which == "all"
-	ran := false
-	if all || which == "fig3" {
-		ReportFig3(w, RunFig3On(f, seed))
-		ran = true
-	}
-	if all || which == "fig4" {
-		ReportFig4(w, RunFig4On(f, seed))
-		ran = true
-	}
-	if all || which == "fig5" {
-		ReportFig5(w, RunFig5On(f, seed))
-		ran = true
-	}
-	if all || which == "table1" {
-		ReportTable1(w, RunTable1On(f, seed))
-		ran = true
-	}
-	if all || which == "batch" {
+// experimentTable lists every experiment in report order; ReportOn, its
+// error string and first-bench's -exp usage all derive from it.
+var experimentTable = []experiment{
+	{"fig3", func(w io.Writer, f Fleet, seed int64) { ReportFig3(w, RunFig3On(f, seed)) }, true},
+	{"fig4", func(w io.Writer, f Fleet, seed int64) { ReportFig4(w, RunFig4On(f, seed)) }, true},
+	{"fig5", func(w io.Writer, f Fleet, seed int64) { ReportFig5(w, RunFig5On(f, seed)) }, true},
+	{"table1", func(w io.Writer, f Fleet, seed int64) { ReportTable1(w, RunTable1On(f, seed)) }, true},
+	{"batch", func(w io.Writer, f Fleet, seed int64) {
 		ReportBatch(w, RunBatch(seed), RunBatchAmortizationOn(f, seed))
-		ran = true
-	}
-	if all || which == "opt1" {
+	}, true},
+	{"opt1", func(w io.Writer, f Fleet, seed int64) {
 		ReportAblation(w, "Optimization 1: result polling vs futures", RunOpt1PollingOn(f, seed), false)
-		ran = true
-	}
-	if all || which == "opt2" {
+	}, true},
+	{"opt2", func(w io.Writer, f Fleet, seed int64) {
 		ReportAblation(w, "Optimization 2: per-request introspection vs token cache", RunOpt2AuthCacheOn(f, seed), false)
-		ran = true
-	}
-	if all || which == "opt3" {
+	}, true},
+	{"opt3", func(w io.Writer, f Fleet, seed int64) {
 		ReportAblation(w, "Optimization 3: sync (9 workers) vs async gateway — Artillery 100 req/s × 300 s", RunOpt3AsyncGatewayOn(f, seed), true)
-		ran = true
-	}
-	if all || which == "routing" {
-		ReportRouting(w, RunAblationRoutingOn(f, seed))
-		ran = true
-	}
-	if all || which == "storm" {
-		ReportStorm(w, RunStormOn(f, seed))
-		ran = true
-	}
-	if all || which == "federate" {
-		ReportFederate(w, RunFederateOn(f, seed))
-		ran = true
-	}
-	if all || which == "autoscale" {
-		ReportAutoScale(w, RunAutoScaleOn(f, seed))
-		ran = true
-	}
+	}, true},
+	{"routing", func(w io.Writer, f Fleet, seed int64) { ReportRouting(w, RunAblationRoutingOn(f, seed)) }, true},
+	{"storm", func(w io.Writer, f Fleet, seed int64) { ReportStorm(w, RunStormOn(f, seed)) }, true},
+	{"federate", func(w io.Writer, f Fleet, seed int64) { ReportFederate(w, RunFederateOn(f, seed)) }, true},
+	{"autoscale", func(w io.Writer, f Fleet, seed int64) { ReportAutoScale(w, RunAutoScaleOn(f, seed)) }, true},
 	// livefed is explicit-only: its live cells run on the scaled wall
 	// clock, so the latency columns are not byte-identical across runs and
 	// would break the rendered-report determinism suites that pin "all".
-	if which == "livefed" {
-		ReportLiveFed(w, RunLiveFedOn(f, seed))
-		ran = true
+	{"livefed", func(w io.Writer, f Fleet, seed int64) { ReportLiveFed(w, RunLiveFedOn(f, seed)) }, false},
+}
+
+// ExperimentNames returns every value ReportOn accepts, "|"-separated in
+// report order with "all" last: the -exp usage string.
+func ExperimentNames() string {
+	names := make([]string, 0, len(experimentTable)+1)
+	for _, e := range experimentTable {
+		names = append(names, e.name)
 	}
-	if !ran {
-		return fmt.Errorf("unknown experiment %q (want fig3|fig4|fig5|table1|batch|opt1|opt2|opt3|routing|storm|federate|autoscale|livefed|all)", which)
+	return strings.Join(append(names, "all"), "|")
+}
+
+// ReportOn renders the experiment named which ("all" or "": every one but
+// livefed) to w in the paper's row/series layout with paper-vs-measured
+// columns; cmd/first-bench drives it. Workers=1 reproduces the sequential
+// reference run byte for byte.
+func ReportOn(w io.Writer, which string, seed int64, f Fleet) error {
+	if which == "" || which == "all" {
+		for _, e := range experimentTable {
+			if e.inAll {
+				e.run(w, f, seed)
+			}
+		}
+		return nil
 	}
-	return nil
+	for _, e := range experimentTable {
+		if e.name == which {
+			e.run(w, f, seed)
+			return nil
+		}
+	}
+	return fmt.Errorf("unknown experiment %q (want %s)", which, ExperimentNames())
 }
 
 // ReportLiveFed prints the live-stack chaos family and its sim-vs-real

@@ -13,15 +13,11 @@ type RoutingRow struct {
 	M      desmodel.Metrics
 }
 
-// RunAblationRouting reruns the 4-instance Fig. 4 scenario under each
-// routing policy. Under homogeneous load the policies converge; the
-// interesting separation appears with heavy-tailed outputs, where random
-// and round-robin strand short requests behind long ones — so the ablation
-// uses the heavy-tailed WebUI marginals.
-func RunAblationRouting(seed int64) []RoutingRow { return RunAblationRoutingOn(Parallel, seed) }
-
-// RunAblationRoutingOn runs the routing ablation with one fleet cell per
-// policy.
+// RunAblationRoutingOn reruns the 4-instance Fig. 4 scenario under each
+// routing policy, one fleet cell per policy. Under homogeneous load the
+// policies converge; the interesting separation appears with heavy-tailed
+// outputs, where random and round-robin strand short requests behind long
+// ones — so the ablation uses the heavy-tailed WebUI marginals.
 func RunAblationRoutingOn(f Fleet, seed int64) []RoutingRow {
 	model := perfmodel.Default.MustLookup(perfmodel.Llama70B)
 	spec := workload.WebUI()

@@ -32,12 +32,10 @@ var StormShardCounts = []int{1, 16}
 // StormUserCounts are the storm sizes (distinct one-shot users).
 var StormUserCounts = []int{100_000, 1_000_000}
 
-// RunStorm regenerates the arrival-storm study on the default fleet.
-func RunStorm(seed int64) []StormRow { return RunStormOn(Parallel, seed) }
-
-// RunStormOn fans the (users × shards) cells over f. Arrival times depend
-// only on (seed, users), so the shard arms of one storm size face an
-// identical storm and differ purely in front-end sharding.
+// RunStormOn regenerates the arrival-storm study, fanning the (users ×
+// shards) cells over f. Arrival times depend only on (seed, users), so the
+// shard arms of one storm size face an identical storm and differ purely in
+// front-end sharding.
 func RunStormOn(f Fleet, seed int64) []StormRow {
 	type cell struct{ users, shards int }
 	var cells []cell

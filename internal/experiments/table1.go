@@ -71,9 +71,6 @@ var paperTable1 = map[string]map[int]map[int][2]float64{
 	},
 }
 
-// RunTable1 regenerates Table 1 on the default parallel fleet.
-func RunTable1(seed int64) []Table1Cell { return RunTable1On(Parallel, seed) }
-
 // RunTable1On regenerates Table 1 with one fleet cell per
 // (model, concurrency, window) combination — 30 independent simulations,
 // each seeded from the experiment seed plus its cell coordinates.

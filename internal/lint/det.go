@@ -18,13 +18,10 @@ var detPackages = map[string]bool{
 	"internal/serving":    true,
 }
 
-// detExperimentFiles are the internal/experiments files in scope: report
-// and BENCH-record assembly, where map-iteration order would leak straight
-// into committed artifacts.
-var detExperimentFiles = map[string]bool{
-	"report.go":    true,
-	"benchjson.go": true,
-}
+// detExperimentFile is the one internal/experiments file in scope: report
+// assembly, where map-iteration order would leak straight into the rendered
+// bytes the determinism suites pin.
+const detExperimentFile = "report.go"
 
 // Det flags nondeterminism sources in deterministic packages: wall-clock
 // reads (time.Now/Since), global math/rand draws, goroutine launches, and
@@ -42,7 +39,7 @@ func detInScope(path, filename string) bool {
 		return true
 	}
 	if rel == "internal/experiments" {
-		return detExperimentFiles[filepath.Base(filename)]
+		return filepath.Base(filename) == detExperimentFile
 	}
 	return false
 }

@@ -416,7 +416,7 @@ func TestEngineCompletedScratchReused(t *testing.T) {
 }
 
 // TestEngineStepZeroAlloc pins the saturated Step loop at zero allocations
-// per iteration (the BenchmarkEngineStep regression).
+// per iteration.
 func TestEngineStepZeroAlloc(t *testing.T) {
 	eng := newTestEngine(t, perfmodel.Llama8B, 0)
 	for i := 0; i < 512; i++ {

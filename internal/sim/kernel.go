@@ -16,7 +16,7 @@
 // Events live by value inside bucket slices and the heap's backing array, so
 // Schedule performs no per-event allocation and no interface boxing; popped
 // slots are recycled by later pushes, which keeps the Schedule/Run loop
-// allocation-free at steady state (see BenchmarkKernelEvents).
+// allocation-free at steady state (see TestKernelScheduleRunZeroAlloc).
 //
 // Run dispatches same-instant events as one batch: once the scan cursor
 // lands on a bucket, every queued event carrying the same timestamp is

@@ -315,7 +315,7 @@ func TestKernelHeapStressVsReference(t *testing.T) {
 }
 
 // TestKernelScheduleRunZeroAlloc pins the steady-state Schedule/Run loop at
-// zero allocations per event (the BenchmarkKernelEvents regression).
+// zero allocations per event.
 func TestKernelScheduleRunZeroAlloc(t *testing.T) {
 	k := NewKernel()
 	var fn func()
