@@ -32,8 +32,14 @@
 //   - internal/metrics shards its hot instruments: Histogram observations
 //     scatter over independently locked slots (one shared bucket-bounds
 //     table for all histograms) and Counter increments scatter over
-//     cache-line-padded atomic stripes, so neither ever serializes the data
-//     plane on a single mutex or contended cache line.
+//     cache-line-padded atomic stripes, so an instrument in hand never
+//     serializes the data plane on a single mutex or contended cache line.
+//     Getting it in hand does: Registry.Counter/Histogram(name) takes the
+//     registry's one lock and a map look-up, so it is for set-up and tests.
+//     The gateway resolves the request path's constant-name instruments
+//     once, at construction (gateway.New), and only its two computed names
+//     (route_<reason>, requests_<kind>) are looked up per request, on the
+//     cache-miss path.
 //
 // # Sharded gateway front-end
 //
@@ -53,8 +59,34 @@
 // lock admits ~250k req/s with seconds of queueing delay while 16 shards
 // absorb the full storm at microsecond latency. go test -race exercises
 // the sharded paths with parallel stress tests, and AllocsPerRun
-// regression tests pin the admission hot path (limiter check + cache hit)
-// at zero allocations.
+// regression tests pin the admission hot path (limiter check, key hash +
+// cache hit) at zero allocations and a whole response-cache hit through
+// Server.ServeHTTP at one (the buffer the body is read into).
+//
+// A chat request (POST /v1/chat/completions) is decided from its bytes
+// first. In order: bearer check → token introspection (cached) → per-user
+// limiter → in-flight admission (these four in withAuth, for every route)
+// → read the body once, into one buffer that begins with sub ‖ 0x00, and
+// hash that buffer in place — the response-cache key, sha256(sub ‖ 0x00 ‖
+// raw body) → probe the cache → on a hit: authorize (who, the model stored
+// with the entry), count it, write the stored bytes; on a miss: decode →
+// validate → authorize → route → infer → (non-streaming only) put. With
+// the cache off (CacheTTL 0, the default) no key is derived at all. The
+// buffer is sized from Content-Length but pre-sized by at most 64 KiB and
+// grown as bytes arrive, so a declared length never reserves memory the
+// client has not sent; the 32 MiB body cap is unchanged.
+//
+// Answering a hit without decoding the body skips no check. cachePut has
+// one call site, after decode + Validate + Authorize on the non-streaming
+// arm, so an entry exists only if a byte-identical body from the same sub
+// already passed all three; whether a body decodes, validates, streams, and
+// what max_tokens it asks for are pure functions of those bytes, so they
+// cannot come out differently the second time (and a streaming or invalid
+// body, never stored, can never hit). The one input that can change between
+// put and hit — policy and group membership — is not a function of the
+// bytes, and is checked on every hit against the stored model name.
+// Everything that depends on who is asking and when (token validity, rate,
+// admission) runs in withAuth before the handler, hit or miss.
 //
 // # Federation at scale
 //
@@ -330,10 +362,12 @@
 //     NewSource streams, fnv hashing never finalized through the shared
 //     splitmix64 Mix, and xor-folds of two or more variables without a Mix
 //     in the chain — the PR 7 cell-seed collision class.
-//   - hotpath — cross-checks //first:hotpath annotations three ways: every
+//   - hotpath — cross-checks //first:hotpath annotations four ways: every
 //     function called directly from a 0-alloc AllocsPerRun pin must carry
 //     the annotation, every annotation must be reachable from some pin
-//     through the package's static call graph, and the compiler's escape
+//     through the package's static call graph, an annotation whose note
+//     says "pinned by TestXxx" must name a test the package declares (a
+//     renamed test cannot leave the note behind), and the compiler's escape
 //     analysis (go build -gcflags=-m, parsed by the driver) must show no
 //     heap escapes inside an annotated body.
 //

@@ -11,6 +11,7 @@ package gateway
 // front-end.
 
 import (
+	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
 	"sync"
@@ -25,10 +26,28 @@ import (
 // the hot path and makes the map key a comparable value type.
 type respKey [32]byte
 
+// keyPrefixLen is how many bytes of a keyed buffer precede the raw body.
+func keyPrefixLen(sub string) int { return len(sub) + 1 }
+
+// keyInPlace is the one definition of the key. buf holds the raw body behind
+// keyPrefixLen(sub) bytes the caller left free (handleChat reads the body
+// straight into such a buffer); the prefix is written and the whole buffer
+// hashed in place, so deriving a key copies and allocates nothing.
+//
+//first:hotpath pinned by TestFrontendHotPathAllocs (frontend_test.go)
+func keyInPlace(buf []byte, sub string) respKey {
+	copy(buf, sub)
+	buf[len(sub)] = 0
+	return sha256.Sum256(buf)
+}
+
 // lruEntry is one cached response on a shard's intrusive LRU list.
-// Insertion allocates; hits only splice pointers.
+// Insertion allocates; hits only splice pointers. model is the request's
+// model name: a hit is served without decoding the body, and authorization
+// — the one check whose answer can change between put and hit — needs it.
 type lruEntry struct {
 	key        respKey
+	model      string
 	body       []byte
 	expires    time.Time
 	prev, next *lruEntry
@@ -130,33 +149,33 @@ func (f *frontend) nextID(prefix string) string {
 	return fmt.Sprintf("%s-%08d", prefix, f.next.Add(1))
 }
 
-// cacheGet returns a fresh cached body, promoting the entry to MRU. The hit
-// path performs no allocation.
+// cacheGet returns a fresh cached body and the model it answered for,
+// promoting the entry to MRU. The hit path performs no allocation.
 //
-//first:hotpath pinned by TestFrontendZeroAllocHotPaths (frontend_test.go)
-func (f *frontend) cacheGet(key respKey) ([]byte, bool) {
+//first:hotpath pinned by TestFrontendHotPathAllocs (frontend_test.go)
+func (f *frontend) cacheGet(key respKey) (body []byte, model string, ok bool) {
 	if f.cacheTTL <= 0 {
-		return nil, false
+		return nil, "", false
 	}
 	sh := f.cacheShard(key)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	e, ok := sh.entries[key]
 	if !ok {
-		return nil, false
+		return nil, "", false
 	}
 	if f.clk.Now().After(e.expires) {
 		sh.unlink(e)
 		delete(sh.entries, key)
-		return nil, false
+		return nil, "", false
 	}
 	sh.toFront(e)
-	return e.body, true
+	return e.body, e.model, true
 }
 
 // cachePut inserts or refreshes an entry, evicting the shard's LRU tail when
 // the per-shard bound is exceeded — hot entries survive insertion churn.
-func (f *frontend) cachePut(key respKey, body []byte) {
+func (f *frontend) cachePut(key respKey, model string, body []byte) {
 	if f.cacheTTL <= 0 {
 		return
 	}
@@ -165,12 +184,12 @@ func (f *frontend) cachePut(key respKey, body []byte) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	if e, ok := sh.entries[key]; ok {
-		e.body = body
+		e.model, e.body = model, body
 		e.expires = expires
 		sh.toFront(e)
 		return
 	}
-	e := &lruEntry{key: key, body: body, expires: expires}
+	e := &lruEntry{key: key, model: model, body: body, expires: expires}
 	sh.entries[key] = e
 	sh.pushFront(e)
 	for len(sh.entries) > sh.capEntries && sh.tail != nil {
@@ -235,7 +254,7 @@ func (sh *frontShard) toFront(e *lruEntry) {
 // goroutine to manage). The steady-state path (existing bucket, no sweep
 // due) allocates nothing.
 //
-//first:hotpath pinned by TestFrontendZeroAllocHotPaths (frontend_test.go)
+//first:hotpath pinned by TestFrontendHotPathAllocs (frontend_test.go)
 func (f *frontend) allowUser(sub string) bool {
 	sh := f.userShard(sub)
 	sh.mu.Lock()

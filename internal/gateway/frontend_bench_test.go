@@ -35,8 +35,8 @@ func BenchmarkGatewayFrontend(b *testing.B) {
 			resp := []byte(`{"object":"chat.completion","cached":true}`)
 			for i := range subs {
 				subs[i] = "user-" + strconv.Itoa(i)
-				keys[i] = cacheKey(subs[i], []byte("the shared prompt"))
-				fe.cachePut(keys[i], resp)
+				keys[i] = keyFor(subs[i], []byte("the shared prompt"))
+				fe.cachePut(keys[i], "m", resp)
 			}
 
 			var lane atomic.Int64
@@ -51,7 +51,7 @@ func BenchmarkGatewayFrontend(b *testing.B) {
 						b.Error("limiter rejected under infinite refill")
 						return
 					}
-					if _, ok := fe.cacheGet(keys[i]); !ok {
+					if _, _, ok := fe.cacheGet(keys[i]); !ok {
 						b.Error("cache miss on warm key")
 						return
 					}

@@ -1,6 +1,7 @@
 package gateway
 
 import (
+	"crypto/sha256"
 	"strconv"
 	"sync"
 	"testing"
@@ -14,8 +15,37 @@ func testFrontend(cfg Config, clk clock.Clock) *frontend {
 	return newFrontend(cfg, clk)
 }
 
+// keyedBuf lays body out the way handleChat reads it: behind the free prefix
+// keyInPlace fills in.
+func keyedBuf(sub string, body []byte) []byte {
+	return append(make([]byte, keyPrefixLen(sub), keyPrefixLen(sub)+len(body)), body...)
+}
+
+// keyFor derives a key through the handler's own helper.
+func keyFor(sub string, body []byte) respKey { return keyInPlace(keyedBuf(sub, body), sub) }
+
 func keyOf(i int) respKey {
-	return cacheKey("sub", []byte("body-"+strconv.Itoa(i)))
+	return keyFor("sub", []byte("body-"+strconv.Itoa(i)))
+}
+
+// CacheLen exposes the response cache's population to the handler-level
+// tests, which live in package gateway_test because they boot a core.System.
+func (s *Server) CacheLen() int { return s.fe.cacheLen() }
+
+// TestCacheKeyDefinition pins the key as sha256(sub ‖ 0x00 ‖ body) — the
+// definition the copying helper this one replaced had — and the separator's
+// job: no (sub, body) pair shares a key with a shifted split of its bytes.
+func TestCacheKeyDefinition(t *testing.T) {
+	body := []byte(`{"model":"m"}`)
+	if got, want := keyFor("alice", body), sha256.Sum256(append([]byte("alice\x00"), body...)); got != want {
+		t.Errorf("key = %x, want sha256(sub ‖ 0 ‖ body) = %x", got, want)
+	}
+	if keyFor("ab", []byte("c")) == keyFor("a", []byte("bc")) {
+		t.Error("shifting a byte from sub to body kept the key")
+	}
+	if keyFor("alice", body) == keyFor("bob", body) {
+		t.Error("two users share a key for the same body")
+	}
 }
 
 // TestCacheHotEntriesSurviveChurn is the eviction-bug regression test: the
@@ -26,18 +56,18 @@ func TestCacheHotEntriesSurviveChurn(t *testing.T) {
 	clk := clock.NewManual(time.Unix(0, 0))
 	fe := testFrontend(Config{CacheTTL: time.Hour, Shards: 1}, clk)
 
-	hot := cacheKey("sub", []byte("the hot request"))
-	fe.cachePut(hot, []byte("hot response"))
+	hot := keyFor("sub", []byte("the hot request"))
+	fe.cachePut(hot, "hot-model", []byte("hot response"))
 	for i := 0; i < 20000; i++ {
-		fe.cachePut(keyOf(i), []byte("cold"))
+		fe.cachePut(keyOf(i), "m", []byte("cold"))
 		if i%100 == 0 {
-			if _, ok := fe.cacheGet(hot); !ok {
+			if _, _, ok := fe.cacheGet(hot); !ok {
 				t.Fatalf("hot entry evicted after %d cold inserts", i)
 			}
 		}
 	}
-	if body, ok := fe.cacheGet(hot); !ok || string(body) != "hot response" {
-		t.Errorf("hot entry lost after churn: ok=%v body=%q", ok, body)
+	if body, model, ok := fe.cacheGet(hot); !ok || string(body) != "hot response" || model != "hot-model" {
+		t.Errorf("hot entry lost after churn: ok=%v body=%q model=%q", ok, body, model)
 	}
 	if n := fe.cacheLen(); n > 4096 {
 		t.Errorf("cache grew to %d entries, want ≤ 4096", n)
@@ -50,7 +80,7 @@ func TestCacheBoundHoldsAcrossShards(t *testing.T) {
 	clk := clock.NewManual(time.Unix(0, 0))
 	fe := testFrontend(Config{CacheTTL: time.Hour, Shards: 8, CacheEntries: 1024}, clk)
 	for i := 0; i < 10000; i++ {
-		fe.cachePut(keyOf(i), []byte("x"))
+		fe.cachePut(keyOf(i), "m", []byte("x"))
 	}
 	if n := fe.cacheLen(); n > 1024 {
 		t.Errorf("cache holds %d entries, want ≤ 1024", n)
@@ -62,12 +92,12 @@ func TestCacheTTLExpiry(t *testing.T) {
 	clk := clock.NewManual(time.Unix(0, 0))
 	fe := testFrontend(Config{CacheTTL: time.Minute, Shards: 2}, clk)
 	k := keyOf(1)
-	fe.cachePut(k, []byte("fresh"))
-	if _, ok := fe.cacheGet(k); !ok {
+	fe.cachePut(k, "m", []byte("fresh"))
+	if _, _, ok := fe.cacheGet(k); !ok {
 		t.Fatal("fresh entry missing")
 	}
 	clk.Advance(2 * time.Minute)
-	if _, ok := fe.cacheGet(k); ok {
+	if _, _, ok := fe.cacheGet(k); ok {
 		t.Error("expired entry served")
 	}
 	if n := fe.cacheLen(); n != 0 {
@@ -199,9 +229,10 @@ func TestNextIDUniqueUnderConcurrency(t *testing.T) {
 }
 
 // TestFrontendHotPathAllocs pins the sharded hot path's allocation budget,
-// matching the engine/kernel alloc regression tests: the limiter check and a
-// cache hit allocate nothing; the full cache path (key hash included) stays
-// at one allocation — the digest buffer.
+// matching the engine/kernel alloc regression tests: the limiter check, a
+// cache hit, and the full cache path (key hash included) on a caller-owned
+// buffer — what handleChat does with the buffer it read the body into — all
+// allocate nothing.
 func TestFrontendHotPathAllocs(t *testing.T) {
 	fe := testFrontend(Config{
 		CacheTTL:       time.Hour,
@@ -217,10 +248,11 @@ func TestFrontendHotPathAllocs(t *testing.T) {
 	}
 
 	body := []byte(`{"model":"m","messages":[{"role":"user","content":"hi"}]}`)
-	key := cacheKey("hot-user", body)
-	fe.cachePut(key, []byte("cached response"))
+	buf := keyedBuf("hot-user", body)
+	key := keyInPlace(buf, "hot-user")
+	fe.cachePut(key, "m", []byte("cached response"))
 	if got := testing.AllocsPerRun(1000, func() {
-		if _, ok := fe.cacheGet(key); !ok {
+		if _, _, ok := fe.cacheGet(key); !ok {
 			t.Fatal("cache miss on warm key")
 		}
 	}); got != 0 {
@@ -228,12 +260,11 @@ func TestFrontendHotPathAllocs(t *testing.T) {
 	}
 
 	if got := testing.AllocsPerRun(1000, func() {
-		k := cacheKey("hot-user", body)
-		if _, ok := fe.cacheGet(k); !ok {
+		if _, _, ok := fe.cacheGet(keyInPlace(buf, "hot-user")); !ok {
 			t.Fatal("cache miss on warm key")
 		}
-	}); got > 1 {
-		t.Errorf("cacheKey+cacheGet allocates %.1f/op, want ≤ 1 (the digest buffer)", got)
+	}); got != 0 {
+		t.Errorf("keyInPlace+cacheGet allocates %.1f/op, want 0 (hashed in place)", got)
 	}
 }
 
@@ -256,7 +287,7 @@ func TestFrontendConcurrentMixedOps(t *testing.T) {
 				k := keyOf(i % 64)
 				switch i % 4 {
 				case 0:
-					fe.cachePut(k, []byte("v"))
+					fe.cachePut(k, "m", []byte("v"))
 				case 1:
 					fe.cacheGet(k)
 				case 2:

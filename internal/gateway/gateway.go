@@ -13,7 +13,6 @@
 package gateway
 
 import (
-	"crypto/sha256"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -156,6 +155,7 @@ type Server struct {
 	st      *store.Store
 	catalog *perfmodel.Catalog
 	met     *metrics.Registry
+	ins     instruments
 
 	mux *http.ServeMux
 	// Async admission window: a lock-free in-flight counter. The previous
@@ -178,6 +178,39 @@ type Server struct {
 	// always callable (cfg.BreakerClock or the gateway clock).
 	breakers   *resilience.Set
 	breakerNow func() time.Time
+}
+
+// instruments are the request path's constant-name metrics, resolved once in
+// New: Registry.Counter(name) takes the registry's one mutex and a map
+// look-up per call, which every request would otherwise pay three times. The
+// two computed names ("route_"+reason, "requests_"+kind) stay look-ups on
+// the miss path, and the pull-on-read gauges stay with their refresh
+// functions.
+type instruments struct {
+	httpRequests, authRejected, rateLimited, overloaded *metrics.Counter
+	cacheHits, inferAttempts, outputTokens              *metrics.Counter
+	failoverAttempts, failoverSuccess, authRechecks     *metrics.Counter
+	loadShed, streamAborts, toolCalls                   *metrics.Counter
+	requestSeconds                                      *metrics.Histogram
+}
+
+func newInstruments(reg *metrics.Registry) instruments {
+	return instruments{
+		httpRequests:     reg.Counter("http_requests"),
+		authRejected:     reg.Counter("auth_rejected"),
+		rateLimited:      reg.Counter("rate_limited"),
+		overloaded:       reg.Counter("overloaded"),
+		cacheHits:        reg.Counter("cache_hits"),
+		inferAttempts:    reg.Counter("infer_attempts"),
+		outputTokens:     reg.Counter("output_tokens"),
+		failoverAttempts: reg.Counter("failover_attempts"),
+		failoverSuccess:  reg.Counter("failover_success"),
+		authRechecks:     reg.Counter("auth_rechecks"),
+		loadShed:         reg.Counter("load_shed"),
+		streamAborts:     reg.Counter("stream_aborts"),
+		toolCalls:        reg.Counter("tool_calls"),
+		requestSeconds:   reg.Histogram("http_request_seconds"),
+	}
 }
 
 // Deps bundles the gateway's collaborators.
@@ -219,6 +252,7 @@ func New(cfg Config, deps Deps) (*Server, error) {
 		st:      deps.Store,
 		catalog: deps.Catalog,
 		met:     deps.Metrics,
+		ins:     newInstruments(deps.Metrics),
 		mux:     http.NewServeMux(),
 		fe:      newFrontend(cfg, deps.Clock),
 	}
@@ -287,7 +321,7 @@ func (s *Server) withAuth(h authedHandler) http.HandlerFunc {
 		token := strings.TrimPrefix(authz, "Bearer ")
 		info, err := s.tokens.Introspect(token)
 		if err != nil || !info.Active {
-			s.met.Counter("auth_rejected").Inc()
+			s.ins.authRejected.Inc()
 			status := http.StatusUnauthorized
 			if errors.Is(err, auth.ErrRateLimited) {
 				status = http.StatusTooManyRequests
@@ -295,8 +329,8 @@ func (s *Server) withAuth(h authedHandler) http.HandlerFunc {
 			s.writeError(w, status, "invalid_request_error", "token rejected: "+errString(err))
 			return
 		}
-		if s.cfg.UserRatePerSec > 0 && !s.allowUser(info.Sub) {
-			s.met.Counter("rate_limited").Inc()
+		if s.cfg.UserRatePerSec > 0 && !s.fe.allowUser(info.Sub) {
+			s.ins.rateLimited.Inc()
 			s.writeError(w, http.StatusTooManyRequests, "rate_limit_error", "user rate limit exceeded")
 			return
 		}
@@ -309,7 +343,7 @@ func (s *Server) withAuth(h authedHandler) http.HandlerFunc {
 		} else {
 			if s.inFlight.Add(1) > s.inFlightLimit {
 				s.inFlight.Add(-1)
-				s.met.Counter("overloaded").Inc()
+				s.ins.overloaded.Inc()
 				s.writeError(w, http.StatusServiceUnavailable, "overloaded_error", "gateway at capacity")
 				return
 			}
@@ -318,9 +352,9 @@ func (s *Server) withAuth(h authedHandler) http.HandlerFunc {
 		if s.cfg.ProcessingOverhead > 0 {
 			s.clk.Sleep(s.cfg.ProcessingOverhead)
 		}
-		s.met.Counter("http_requests").Inc()
+		s.ins.httpRequests.Inc()
 		h(w, r, info)
-		s.met.Histogram("http_request_seconds").Observe(s.clk.Since(start))
+		s.ins.requestSeconds.Observe(s.clk.Since(start))
 	}
 }
 
@@ -330,9 +364,6 @@ func errString(err error) string {
 	}
 	return err.Error()
 }
-
-//first:hotpath legacy delegate to the pinned frontend.allowUser
-func (s *Server) allowUser(sub string) bool { return s.fe.allowUser(sub) }
 
 func (s *Server) writeError(w http.ResponseWriter, status int, typ, msg string) {
 	w.Header().Set("Content-Type", "application/json")
@@ -345,20 +376,3 @@ func (s *Server) writeJSON(w http.ResponseWriter, status int, v interface{}) {
 	w.WriteHeader(status)
 	_ = json.NewEncoder(w).Encode(v)
 }
-
-// cacheKey hashes user+body for the response cache. One buffer allocation;
-// the digest itself is the map key.
-func cacheKey(sub string, body []byte) respKey {
-	buf := make([]byte, 0, len(sub)+1+len(body))
-	buf = append(buf, sub...)
-	buf = append(buf, 0)
-	buf = append(buf, body...)
-	return sha256.Sum256(buf)
-}
-
-//first:hotpath legacy delegate to the pinned frontend.cacheGet
-func (s *Server) cacheGet(key respKey) ([]byte, bool) { return s.fe.cacheGet(key) }
-
-func (s *Server) cachePut(key respKey, body []byte) { s.fe.cachePut(key, body) }
-
-func (s *Server) nextID(prefix string) string { return s.fe.nextID(prefix) }

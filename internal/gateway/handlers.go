@@ -1,12 +1,12 @@
 package gateway
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"io"
 	"net/http"
-	"sort"
 	"strconv"
 	"strings"
 	"time"
@@ -20,25 +20,81 @@ import (
 	"github.com/argonne-first/first/internal/workload"
 )
 
-const maxBodyBytes = 32 << 20
+const (
+	maxBodyBytes = 32 << 20
+	// bodyPresize caps how much of a declared Content-Length readBody
+	// allocates up front; a longer body grows the buffer as its bytes
+	// arrive, so a header alone cannot make the gateway reserve memory.
+	bodyPresize = 64 << 10
+)
 
-func (s *Server) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxBodyBytes))
-	if err != nil {
-		s.writeError(w, http.StatusBadRequest, "invalid_request_error", "cannot read body")
-		return nil, false
+// Header values of a response-cache hit, shared by every hit: read-only.
+var (
+	jsonContentType = []string{"application/json"}
+	cacheHit        = []string{"hit"}
+)
+
+// readBody reads the request body (its first maxBodyBytes) once into a
+// single buffer, behind pre bytes left zeroed for the caller.
+func (s *Server) readBody(w http.ResponseWriter, r *http.Request, pre int) ([]byte, bool) {
+	size := r.ContentLength
+	if size < 0 {
+		size = bytes.MinRead // unknown (chunked): start where io.ReadAll does
+	} else if size > bodyPresize {
+		size = bodyPresize
 	}
-	return body, true
+	// One spare byte: the Read that reports io.EOF after an exactly sized
+	// body must not find the buffer full and grow it.
+	buf := make([]byte, pre, pre+int(size)+1)
+	lr := io.LimitedReader{R: r.Body, N: maxBodyBytes}
+	for {
+		if len(buf) == cap(buf) {
+			buf = append(buf, 0)[:len(buf)]
+		}
+		n, err := lr.Read(buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+n]
+		if err == io.EOF {
+			return buf, true
+		}
+		if err != nil {
+			s.writeError(w, http.StatusBadRequest, "invalid_request_error", "cannot read body")
+			return nil, false
+		}
+	}
 }
 
-// handleChat serves POST /v1/chat/completions.
+// handleChat serves POST /v1/chat/completions. It decides from bytes first:
+// the response-cache key is a hash of sub and the raw body, so a repeat is
+// recognised — and answered — before the body is decoded (see doc.go,
+// "Sharded gateway front-end", for why that skips no check).
 func (s *Server) handleChat(w http.ResponseWriter, r *http.Request, who auth.TokenInfo) {
-	body, ok := s.readBody(w, r)
+	pre := 0
+	if s.fe.cacheTTL > 0 {
+		pre = keyPrefixLen(who.Sub)
+	}
+	buf, ok := s.readBody(w, r, pre)
 	if !ok {
 		return
 	}
+	var key respKey
+	if pre > 0 {
+		key = keyInPlace(buf, who.Sub)
+		if cached, model, ok := s.fe.cacheGet(key); ok {
+			if err := s.policy.Authorize(who, model); err != nil {
+				s.writeError(w, http.StatusForbidden, "permission_error", err.Error())
+				return
+			}
+			s.ins.cacheHits.Inc()
+			h := w.Header()
+			h["Content-Type"] = jsonContentType
+			h["X-First-Cache"] = cacheHit
+			w.WriteHeader(http.StatusOK)
+			_, _ = w.Write(cached)
+			return
+		}
+	}
 	var req openaiapi.ChatCompletionRequest
-	if err := json.Unmarshal(body, &req); err != nil {
+	if err := json.Unmarshal(buf[pre:], &req); err != nil {
 		s.writeError(w, http.StatusBadRequest, "invalid_request_error", "malformed JSON: "+err.Error())
 		return
 	}
@@ -64,18 +120,6 @@ func (s *Server) handleChat(w http.ResponseWriter, r *http.Request, who auth.Tok
 		maxTok = s.cfg.DefaultMaxTokens
 	}
 
-	key := cacheKey(who.Sub, body)
-	if !req.Stream {
-		if cached, ok := s.cacheGet(key); ok {
-			s.met.Counter("cache_hits").Inc()
-			w.Header().Set("Content-Type", "application/json")
-			w.Header().Set("X-First-Cache", "hit")
-			w.WriteHeader(http.StatusOK)
-			_, _ = w.Write(cached)
-			return
-		}
-	}
-
 	res, meta, err := s.infer(r, who, req.Model, fabric.InferRequest{
 		Model:     req.Model,
 		PromptTok: promptTok,
@@ -91,7 +135,7 @@ func (s *Server) handleChat(w http.ResponseWriter, r *http.Request, who auth.Tok
 	s.logRequest(who, req.Model, meta, store.KindChat, res.PromptTok, res.OutputTok, "ok")
 
 	resp := openaiapi.ChatCompletionResponse{
-		ID:      s.nextID("chatcmpl"),
+		ID:      s.fe.nextID("chatcmpl"),
 		Object:  "chat.completion",
 		Created: s.clk.Now().Unix(),
 		Model:   req.Model,
@@ -111,7 +155,7 @@ func (s *Server) handleChat(w http.ResponseWriter, r *http.Request, who auth.Tok
 		return
 	}
 	out, _ := json.Marshal(resp)
-	s.cachePut(key, out)
+	s.fe.cachePut(key, req.Model, out)
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusOK)
 	_, _ = w.Write(out)
@@ -150,7 +194,7 @@ func (s *Server) streamChat(w http.ResponseWriter, resp openaiapi.ChatCompletion
 		if err := openaiapi.WriteSSE(w, chunk); err != nil {
 			// The client went away mid-stream; the missing [DONE] lets the
 			// reader detect the truncation as a typed error.
-			s.met.Counter("stream_aborts").Inc()
+			s.ins.streamAborts.Inc()
 			return
 		}
 		if flusher != nil {
@@ -170,7 +214,7 @@ func (s *Server) streamChat(w http.ResponseWriter, resp openaiapi.ChatCompletion
 
 // handleCompletion serves POST /v1/completions.
 func (s *Server) handleCompletion(w http.ResponseWriter, r *http.Request, who auth.TokenInfo) {
-	body, ok := s.readBody(w, r)
+	body, ok := s.readBody(w, r, 0)
 	if !ok {
 		return
 	}
@@ -206,7 +250,7 @@ func (s *Server) handleCompletion(w http.ResponseWriter, r *http.Request, who au
 	}
 	s.logRequest(who, req.Model, meta, store.KindCompletion, res.PromptTok, res.OutputTok, "ok")
 	s.writeJSON(w, http.StatusOK, openaiapi.CompletionResponse{
-		ID:      s.nextID("cmpl"),
+		ID:      s.fe.nextID("cmpl"),
 		Object:  "text_completion",
 		Created: s.clk.Now().Unix(),
 		Model:   req.Model,
@@ -251,7 +295,7 @@ func (s *Server) routeAndRun(r *http.Request, model string, run func(ctx context
 	)
 	for attempt := 0; attempt < s.cfg.Retry.Attempts(); attempt++ {
 		if attempt > 0 {
-			s.met.Counter("failover_attempts").Inc()
+			s.ins.failoverAttempts.Inc()
 			if d := s.cfg.Retry.Delay(attempt-1, 0); d > 0 {
 				s.clk.Sleep(d)
 			}
@@ -277,7 +321,7 @@ func (s *Server) routeAndRun(r *http.Request, model string, run func(ctx context
 		}
 		meta = routeMeta{endpoint: id, cluster: decision.Endpoint.ClusterName(), reason: string(decision.Reason)}
 		s.met.Counter("route_" + string(decision.Reason)).Inc()
-		s.met.Counter("infer_attempts").Inc()
+		s.ins.inferAttempts.Inc()
 		ctx := r.Context()
 		var cancel context.CancelFunc
 		if s.cfg.Retry.AttemptTimeout > 0 {
@@ -296,7 +340,7 @@ func (s *Server) routeAndRun(r *http.Request, model string, run func(ctx context
 		}
 		if err == nil {
 			if attempt > 0 {
-				s.met.Counter("failover_success").Inc()
+				s.ins.failoverSuccess.Inc()
 			}
 			return meta, nil
 		}
@@ -306,7 +350,7 @@ func (s *Server) routeAndRun(r *http.Request, model string, run func(ctx context
 				return meta, err
 			}
 			rechecked = true
-			s.met.Counter("auth_rechecks").Inc()
+			s.ins.authRechecks.Inc()
 			token := strings.TrimPrefix(r.Header.Get("Authorization"), "Bearer ")
 			if info, rerr := s.tokens.Recheck(token); rerr == nil && info.Active {
 				attempt-- // token still valid: replay, endpoint stays eligible
@@ -331,7 +375,7 @@ func (s *Server) writeInferError(w http.ResponseWriter, err error) {
 	var allOpen *federation.AllOpenError
 	switch {
 	case errors.As(err, &allOpen):
-		s.met.Counter("load_shed").Inc()
+		s.ins.loadShed.Inc()
 		secs := int((allOpen.RetryAfter + time.Second - 1) / time.Second)
 		if secs < 1 {
 			secs = 1
@@ -364,14 +408,14 @@ func (s *Server) logRequest(who auth.TokenInfo, model string, meta routeMeta, ki
 		CreatedAt: s.clk.Now(),
 	})
 	if outputTok > 0 {
-		s.met.Counter("output_tokens").Add(int64(outputTok))
+		s.ins.outputTokens.Add(int64(outputTok))
 	}
 	s.met.Counter("requests_" + string(kind)).Inc()
 }
 
 // handleEmbeddings serves POST /v1/embeddings.
 func (s *Server) handleEmbeddings(w http.ResponseWriter, r *http.Request, who auth.TokenInfo) {
-	body, ok := s.readBody(w, r)
+	body, ok := s.readBody(w, r, 0)
 	if !ok {
 		return
 	}
@@ -430,7 +474,6 @@ func (s *Server) handleEmbeddings(w http.ResponseWriter, r *http.Request, who au
 // handleModels serves GET /v1/models: the federated model registry.
 func (s *Server) handleModels(w http.ResponseWriter, r *http.Request, who auth.TokenInfo) {
 	names := s.router.Models()
-	sort.Strings(names)
 	list := openaiapi.ModelList{Object: "list"}
 	for _, n := range names {
 		entry := openaiapi.Model{ID: n, Object: "model", OwnedBy: "first"}
@@ -446,7 +489,6 @@ func (s *Server) handleModels(w http.ResponseWriter, r *http.Request, who auth.T
 func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request, who auth.TokenInfo) {
 	var resp openaiapi.JobsResponse
 	names := s.router.Models()
-	sort.Strings(names)
 	for _, model := range names {
 		for _, ep := range s.router.Endpoints(model) {
 			if d, ok := ep.Deployment(model); ok {
@@ -471,7 +513,7 @@ func (s *Server) handleCreateBatch(w http.ResponseWriter, r *http.Request, who a
 		s.writeError(w, http.StatusNotImplemented, "api_error", "batch mode not configured")
 		return
 	}
-	body, ok := s.readBody(w, r)
+	body, ok := s.readBody(w, r, 0)
 	if !ok {
 		return
 	}
@@ -626,7 +668,6 @@ func (s *Server) handleDashboard(w http.ResponseWriter, r *http.Request) {
 		Metrics:     s.met.Snapshot(),
 	}
 	names := s.router.Models()
-	sort.Strings(names)
 	for _, model := range names {
 		for _, ep := range s.router.Endpoints(model) {
 			if dpl, ok := ep.Deployment(model); ok {

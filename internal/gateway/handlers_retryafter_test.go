@@ -15,7 +15,7 @@ import (
 // advertise at least one second — "Retry-After: 0" invites an immediate
 // hammer-loop and some clients reject it outright.
 func TestWriteInferErrorRetryAfterFloor(t *testing.T) {
-	s := &Server{met: metrics.NewRegistry()}
+	s := &Server{ins: newInstruments(metrics.NewRegistry())}
 	cases := []struct {
 		name  string
 		after time.Duration

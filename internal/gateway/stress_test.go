@@ -1,9 +1,11 @@
 package gateway_test
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -127,6 +129,60 @@ func TestGatewayParallelStress(t *testing.T) {
 		}
 		if got := sys.Gateway.Metrics().Counter("cache_hits").Value(); got < int64(hits) {
 			t.Errorf("cache_hits counter %d < observed hits %d", got, hits)
+		}
+	})
+
+	// Hits, misses and streams of different lengths interleave across 16
+	// users, all of whom send the same byte strings. Every request reads its
+	// body into a buffer of its own and every hit writes a stored reply, so
+	// a reply served from memory another request has since reused, or from
+	// another user's entry, shows as a 200 that differs from the reply first
+	// recorded for that (user, body).
+	t.Run("hits-repeat-the-first-reply", func(t *testing.T) {
+		const users, rounds, bodies = 16, 4, 6
+		sys, tokens := stressFixture(t, gateway.Config{CacheTTL: 40 * time.Hour, Shards: 8}, 2000, users)
+		var wg sync.WaitGroup
+		wg.Add(users)
+		for u := 0; u < users; u++ {
+			go func(u int) {
+				defer wg.Done()
+				first := make(map[string][]byte)
+				for round := 0; round < rounds; round++ {
+					for b := 0; b < bodies; b++ {
+						content, extra := fmt.Sprintf("body %d%s", b, strings.Repeat(" pad", b*b*8)), ""
+						switch b % 3 {
+						case 1: // new bytes every round: always a miss
+							content += fmt.Sprintf(" round %d", round)
+						case 2:
+							extra = `,"stream":true`
+						}
+						body := fmt.Sprintf(`{"model":"%s","messages":[{"role":"user","content":"%s"}],"max_tokens":4%s}`, perfmodel.Llama8B, content, extra)
+						rec := doRaw(t, sys, "POST", "/v1/chat/completions", tokens[u], body)
+						hit := rec.Header().Get("X-First-Cache") == "hit"
+						want, seen := first[body]
+						switch {
+						case rec.Code != http.StatusOK:
+							t.Errorf("user %d round %d body %d: code %d", u, round, b, rec.Code)
+						case extra != "":
+							if hit || !strings.HasSuffix(rec.Body.String(), "data: [DONE]\n\n") {
+								t.Errorf("user %d round %d body %d: stream hit=%v, tail %q", u, round, b, hit, rec.Body.String())
+							}
+						case !seen:
+							if hit {
+								t.Errorf("user %d round %d body %d: hit on bytes this user never sent", u, round, b)
+							}
+							first[body] = rec.Body.Bytes()
+						case !hit || !bytes.Equal(rec.Body.Bytes(), want):
+							t.Errorf("user %d round %d body %d: hit=%v\n got %s\nwant %s", u, round, b, hit, rec.Body, want)
+						}
+					}
+				}
+			}(u)
+		}
+		wg.Wait()
+		// Per user, bodies 0 and 3 repeat: one miss, then a hit per round.
+		if got, want := sys.Gateway.Metrics().Counter("cache_hits").Value(), int64(users*2*(rounds-1)); got != want {
+			t.Errorf("cache_hits = %d, want %d", got, want)
 		}
 	})
 

@@ -68,7 +68,7 @@ func (s *Server) handleTool(w http.ResponseWriter, r *http.Request, who auth.Tok
 		s.writeError(w, http.StatusNotFound, "invalid_request_error", "unknown tool: "+name)
 		return
 	}
-	body, ok := s.readBody(w, r)
+	body, ok := s.readBody(w, r, 0)
 	if !ok {
 		return
 	}
@@ -103,7 +103,7 @@ func (s *Server) handleTool(w http.ResponseWriter, r *http.Request, who auth.Tok
 			return
 		}
 	}
-	s.met.Counter("tool_calls").Inc()
+	s.ins.toolCalls.Inc()
 	result, err := s.client.Run(r.Context(), route.Endpoint.ID(), name, req.Payload)
 	s.st.LogRequest(store.RequestLog{
 		User:      who.Sub,

@@ -36,6 +36,7 @@ type allowRec struct {
 // HotpathAnn is one //first:hotpath annotation bound to a function.
 type HotpathAnn struct {
 	FuncName  string
+	Note      string // free text after the directive word
 	File      string
 	Pos       token.Position
 	BodyStart int // first line of the body
@@ -148,6 +149,7 @@ func scanDirectives(pkg *Package) *Directives {
 					}
 					d.hotpaths = append(d.hotpaths, HotpathAnn{
 						FuncName:  fd.Name.Name,
+						Note:      strings.TrimSpace(strings.TrimPrefix(rest, word)),
 						File:      pos.Filename,
 						Pos:       pos,
 						BodyStart: pkg.Fset.Position(body.Lbrace).Line,

@@ -3,6 +3,8 @@ package lint
 import (
 	"go/ast"
 	"go/token"
+	"regexp"
+	"strings"
 )
 
 // HotPath cross-checks //first:hotpath annotations against the package's
@@ -13,7 +15,10 @@ import (
 //     function is a finding);
 //   - forward: every annotated function must be reachable, through the
 //     package's static call graph, from some 0-alloc pin closure
-//     (annotating a function nothing pins is a finding).
+//     (annotating a function nothing pins is a finding);
+//   - by name: an annotation whose note says "pinned by TestXxx" must name
+//     functions the package's test files declare (a renamed or deleted
+//     test leaves the note pointing nowhere).
 //
 // The second half of the contract — the compiler's escape analysis showing
 // no heap escapes inside annotated bodies — runs in the driver (see
@@ -84,7 +89,32 @@ func runHotPath(pass *Pass) {
 			pass.Reportf(posOf(pass, ann), "%s is annotated //first:hotpath but no 0-alloc AllocsPerRun pin reaches it: add the pin or drop the annotation", ann.FuncName)
 		}
 	}
+
+	// Name check: "pinned by TestXxx" must name a declared test function.
+	tests := make(map[string]bool)
+	for _, tf := range pass.TestFiles {
+		for _, d := range tf.Decls {
+			if fd, ok := d.(*ast.FuncDecl); ok && fd.Recv == nil {
+				tests[fd.Name.Name] = true
+			}
+		}
+	}
+	for _, ann := range pass.Dirs.Hotpaths() {
+		i := strings.Index(ann.Note, "pinned by Test")
+		if i < 0 {
+			continue // no claim, or a suite named in prose ("pinned by the stripe suite")
+		}
+		for _, name := range testNameRe.FindAllString(ann.Note[i:], -1) {
+			if !tests[name] {
+				pass.Reportf(posOf(pass, ann), "//first:hotpath on %s says it is pinned by %s, but the package's test files declare no func %s: name the test that pins it", ann.FuncName, name, name)
+			}
+		}
+	}
 }
+
+// testNameRe picks out every test a "pinned by TestA (a_test.go) and TestB"
+// note names.
+var testNameRe = regexp.MustCompile(`\bTest\w+`)
 
 // posOf recovers a token.Pos inside the annotated function so Reportf can
 // consult allow directives; annotations store resolved positions.

@@ -11,8 +11,9 @@
 //     splitmix64 Mix; ad-hoc hashes and xor-folded seeds are the
 //     PR 7 collision bug class, caught at analysis time.
 //   - hotpath: //first:hotpath annotations and 0-alloc AllocsPerRun pins
-//     are cross-checked both ways, and (driver-level) the compiler's
-//     escape analysis must show no heap escapes inside annotated bodies.
+//     are cross-checked both ways, a test an annotation names as its pin
+//     must exist, and (driver-level) the compiler's escape analysis must
+//     show no heap escapes inside annotated bodies.
 //
 // The framework deliberately mirrors the golang.org/x/tools/go/analysis
 // shape (Analyzer, Pass, Reportf) so the analyzers can migrate to the real

@@ -6,6 +6,8 @@ func TestZeroAlloc(t *testing.T) {
 	if got := testing.AllocsPerRun(100, func() {
 		Pinned()
 		Missing()
+		Renamed()
+		Prose()
 	}); got != 0 {
 		t.Fatalf("allocs: %v", got)
 	}

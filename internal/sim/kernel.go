@@ -114,7 +114,7 @@ func (k *Kernel) Now() Time { return k.now }
 // Schedule runs fn after delay. Negative delays are clamped to zero (the
 // event still sorts after already-scheduled events at the same instant).
 //
-//first:hotpath pinned by TestKernelSteadyStateAllocs (sim_test.go)
+//first:hotpath pinned by TestKernelScheduleRunZeroAlloc (sim_test.go) and TestKernelDeepQueueZeroAlloc (kernel_diff_test.go)
 func (k *Kernel) Schedule(delay time.Duration, fn func()) {
 	if fn == nil {
 		return
@@ -172,7 +172,7 @@ func (k *Kernel) Reset() {
 // as one batch: the run loop drains every event carrying the current
 // timestamp from its bucket before re-scanning the queue.
 //
-//first:hotpath pinned by TestKernelSteadyStateAllocs (sim_test.go)
+//first:hotpath pinned by TestKernelScheduleRunZeroAlloc (sim_test.go) and TestKernelDeepQueueZeroAlloc (kernel_diff_test.go)
 func (k *Kernel) Run(until Time) Time {
 	// A Stop issued before Run (previously lost — Run cleared the flag on
 	// entry) skips the loop entirely; the flag is consumed either way.

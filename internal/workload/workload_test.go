@@ -2,6 +2,7 @@ package workload
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -144,6 +145,52 @@ func TestEstimateTokensEdgeCases(t *testing.T) {
 	}
 	if EstimateTokens("one two three") != 3 {
 		t.Error("word counting broken")
+	}
+}
+
+// TestEstimateTokensMatchesFields holds the in-place count equal to the
+// len(strings.Fields(s)) it replaced (the 0 → 1 clamp for non-empty text
+// included) over the inputs where a hand-rolled scanner and strings.Fields
+// could part ways — ASCII and Unicode spaces, U+0085 and U+00A0 (spaces whose
+// UTF-8 forms share a lead byte with letters), invalid UTF-8 — over seeded
+// random mixes of those, and over the prompts the benchmarks send; and pins
+// it at zero allocations, which is the point of not calling Fields.
+func TestEstimateTokensMatchesFields(t *testing.T) {
+	want := func(s string) int {
+		if n := len(strings.Fields(s)); n > 0 || s == "" {
+			return n
+		}
+		return 1
+	}
+	pieces := []string{
+		"a", "word", "x,y", " ", "  ", "\t", "\n", "\v", "\f", "\r", "\u0085", "\u00a0", "\u2003", "\u3000",
+		"é", "日本語", "\u200b", "\xff", "\xc2", "\xe2\x80", "\x85", "\xa0", "\xc2\x85x", "\x00",
+	}
+	cases := append([]string{"", "one two three", " lead", "trail ", "a\u00a0b", "a\xc2", "\xc2\xa0"}, pieces...)
+	rng := sim.NewRNG(18)
+	for i := 0; i < 2000; i++ {
+		var b strings.Builder
+		for j := rng.Intn(12); j > 0; j-- {
+			b.WriteString(pieces[rng.Intn(len(pieces))])
+		}
+		cases = append(cases, b.String())
+	}
+	for i := 0; i < 50; i++ {
+		cases = append(cases, SyntheticPrompt(rng, rng.Intn(200)))
+	}
+	for _, s := range cases {
+		if got := EstimateTokens(s); got != want(s) {
+			t.Errorf("EstimateTokens(%q) = %d, strings.Fields counts %d", s, got, want(s))
+		}
+	}
+
+	prompt := SyntheticPrompt(rng, 64) + "\u3000tail\xff"
+	if got := testing.AllocsPerRun(100, func() {
+		if EstimateTokens(prompt) == 0 {
+			t.Fatal("no tokens in a prompt")
+		}
+	}); got != 0 {
+		t.Errorf("EstimateTokens allocates %.1f/op, want 0", got)
 	}
 }
 
