@@ -28,7 +28,31 @@
 //     (never re-slicing a pinned backing array), reuses one scratch buffer
 //     for StepResult.Completed across iterations, recycles Sequence objects
 //     through Release/Submit, and resolves Abort by binary search over the
-//     ID-ordered ring plus a lazy tombstone instead of an O(n) scan.
+//     ID-ordered ring plus a lazy tombstone instead of an O(n) scan. Decode
+//     is event-driven: a sequence's last iteration is known when it is
+//     admitted, so the running batch is a min-heap on it and Step costs
+//     O(1) + O(log batch) per completion — it never visits the sequences
+//     that merely keep decoding. When an iteration completes nothing and
+//     nothing can be admitted before the next completion (the queue is
+//     empty, or its head is held by the batch cap or by KV headroom — never
+//     by the prefill budget), Step makes an offer: StepResult.Quiet further
+//     iterations of StepResult.Each are certain to change nothing. A driver
+//     that ignores the offer and steps at the end of Duration gets exactly
+//     the per-iteration engine; LiveEngine does. A driver that takes it
+//     steps next at Duration + Quiet·Each and owes the engine a
+//     Settle(now) before every Submit, Abort, Step and read of Stats or KV
+//     occupancy: Settle books the skipped iterations that began before now
+//     (Iterations, BusyTime, KV tokens, one KVRejection each while the head
+//     is refused) and returns when Step is next due. A Submit into an empty
+//     queue below the batch cap, or an Abort while the head is KV-blocked,
+//     cuts the run at the first iteration boundary at or after the settled
+//     instant — Settle's return value moves up to it and the driver steps
+//     there. Same-nanosecond rule: an arrival on the exact instant of a
+//     skipped boundary is taken before it and joins the iteration starting
+//     there (a per-iteration driver would order the two by event sequence).
+//     A reference engine in engine_test.go keeps the old per-sequence loop;
+//     a differential sweep, directed cases and FuzzEngineOffer hold the two
+//     equal at every instant.
 //   - internal/metrics shards its hot instruments: Histogram observations
 //     scatter over independently locked slots (one shared bucket-bounds
 //     table for all histograms) and Counter increments scatter over
@@ -317,7 +341,22 @@
 // behaviourally identical to fresh ones, so arena reuse never perturbs
 // determinism. The desmodel drivers (engine iteration loop, hub lanes)
 // run on closures bound once at construction, so saturated loops schedule
-// no fresh closure per event.
+// no fresh closure per event. desmodel.EngineSim takes the engine's offer:
+// it schedules its one delivery event at the end of the quiet run, settles
+// the engine to the kernel's Now before every Submit, Abort, Stats read and
+// step (so Depth, BusyGPUSeconds and a hard kill's orphan harvest read the
+// same at any instant), and when a Submit or Abort cuts the run it
+// schedules a new delivery at the boundary Settle returns; the event it
+// superseded fires later, finds it is not the delivery awaited, and does
+// nothing. The iteration that completes a sequence is always an event of
+// its own, so the step→deliver window (DeliveryPending, EachUndelivered)
+// is unchanged. EmittedBy reads one {first, each, count, tokens} record per
+// delivery event, kept only where it is read (FirstSystem, DirectSystem,
+// stand-alone sims — not Federation's instances). Tests flip an unexported
+// hook to ignore the offer and require identical rows from every short
+// experiment family, and internal/experiments/testdata/report_all.golden
+// pins the full rendered report across commits (regenerate only with
+// `go test ./internal/experiments -run TestQueueDifferentialReport -update`).
 //
 // cmd/first-bench renders the paper-vs-measured report (-workers selects
 // the fleet size, -exp one experiment). Performance is recorded by `bash
@@ -328,7 +367,8 @@
 // gate on the same cell; `make benchmark-smoke` vets, tests and lints the
 // benchmark/ module, which the root's ./... does not reach; `make check`
 // includes a brief fuzz pass over the openaiapi request and SSE parsers,
-// the gateway config file and the chaosnet.Schedule JSON. All of these run
+// the gateway config file, the chaosnet.Schedule JSON and the serving
+// engine's offer/settle state machine (FuzzEngineOffer). All of these run
 // as the six required CI jobs (.github/workflows/ci.yml: check, lint,
 // benchmark-smoke, race, chaos, calibrate) — check on an {oldstable,
 // stable} Go matrix with module/build caching, the race/chaos/calibrate

@@ -1,13 +1,21 @@
 package desmodel
 
 import (
+	"sort"
+	"time"
+
 	"github.com/argonne-first/first/internal/perfmodel"
 	"github.com/argonne-first/first/internal/serving"
 	"github.com/argonne-first/first/internal/sim"
 )
 
-// EngineSim steps a serving.Engine on the event kernel: one event per
-// continuous-batching iteration, completions delivered at iteration ends.
+// EngineSim steps a serving.Engine on the event kernel, one event per
+// iteration that can change something: it takes the quiet runs Step offers
+// (serving.StepResult.Quiet), scheduling its one delivery event at the run's
+// end, and keeps the engine's Settle contract, so at any instant the engine
+// reads as if every iteration had been an event. When a Submit or Abort cuts
+// a run, delivery is re-scheduled at the boundary Settle names; the event it
+// supersedes fires later, finds it is not the one awaited, and returns.
 //
 // The iteration loop runs on two closures bound once at construction
 // (stepFn, deliverFn) with the pending StepResult parked on the struct, so
@@ -24,14 +32,31 @@ type EngineSim struct {
 	pending serving.StepResult // iteration awaiting delivery
 	// deliverPending is true from the moment an iteration's end event is
 	// scheduled until deliver consumes it; EachUndelivered/DeliveryPending
-	// let drivers see the completions trapped in that window.
+	// let drivers see the completions trapped in that window. deliverAt is
+	// when that event fires: one firing at any other instant is superseded.
 	deliverPending bool
+	deliverAt      sim.Time
 	stepFn         func()
 	deliverFn      func()
 
-	emitTimes []sim.Time
-	emitCum   []int64 // cumulative emitted tokens at emitTimes[i]
+	emitLog   []emitRun // one record per delivery event, unless noEmitLog
+	noEmitLog bool
 }
+
+// emitRun is the emissions one delivery event stands for: count iterations
+// of tokens each, the first ending at first and the others every each after
+// it; cumBefore tokens were emitted before the run.
+type emitRun struct {
+	first     sim.Time
+	each      time.Duration
+	count     int64
+	tokens    int64
+	cumBefore int64
+}
+
+// ignoreOffer makes every EngineSim step once per iteration, as if Step never
+// offered a quiet run. Only tests set it, to show the offer changes no result.
+var ignoreOffer bool
 
 // NewEngineSim builds a kernel-driven engine instance.
 func NewEngineSim(k *sim.Kernel, cfg serving.Config, onComplete func(*serving.Sequence)) (*EngineSim, error) {
@@ -60,12 +85,35 @@ func MustEngineSim(k *sim.Kernel, model perfmodel.ModelSpec, gpu perfmodel.GPUSp
 	return e
 }
 
+// withoutEmitLog turns the emission log off, for callers that never ask EmittedBy.
+func (e *EngineSim) withoutEmitLog() *EngineSim {
+	e.noEmitLog = true
+	return e
+}
+
 // Submit enqueues a sequence and kicks the iteration loop if idle.
+//
+//first:hotpath pinned by TestEngineSimOfferZeroAlloc (offer_test.go)
 func (e *EngineSim) Submit(promptTok, outputTok int, ctx interface{}) {
-	e.eng.Submit(e.k.Now(), promptTok, outputTok, ctx)
+	now := e.k.Now()
+	e.eng.Settle(now)
+	e.eng.Submit(now, promptTok, outputTok, ctx)
 	if !e.running {
 		e.running = true
 		e.k.Schedule(0, e.stepFn)
+		return
+	}
+	e.resync()
+}
+
+// resync moves the delivery event up to the boundary the engine names when
+// the Submit or Abort just made cut the promised run short.
+func (e *EngineSim) resync() {
+	now := e.k.Now()
+	if due := e.eng.Settle(now); e.deliverPending && due < e.deliverAt {
+		e.deliverAt = due
+		e.k.Schedule(due-now, e.deliverFn)
+		e.trimEmitLog(due)
 	}
 }
 
@@ -73,7 +121,10 @@ func (e *EngineSim) Submit(promptTok, outputTok int, ctx interface{}) {
 func (e *EngineSim) Depth() int { return e.eng.Depth() }
 
 // Stats exposes the wrapped engine's counters.
-func (e *EngineSim) Stats() serving.Stats { return e.eng.Stats() }
+func (e *EngineSim) Stats() serving.Stats {
+	e.eng.Settle(e.k.Now())
+	return e.eng.Stats()
+}
 
 // EachRunning visits the running batch (see serving.Engine.EachRunning).
 func (e *EngineSim) EachRunning(f func(*serving.Sequence)) { e.eng.EachRunning(f) }
@@ -83,7 +134,12 @@ func (e *EngineSim) EachWaiting(f func(*serving.Sequence)) { e.eng.EachWaiting(f
 
 // Abort tombstones a waiting sequence by ID (drain: unadmitted work is
 // pulled back and migrated rather than served on a dying instance).
-func (e *EngineSim) Abort(id int64) bool { return e.eng.Abort(id) }
+func (e *EngineSim) Abort(id int64) bool {
+	e.eng.Settle(e.k.Now())
+	ok := e.eng.Abort(id)
+	e.resync()
+	return ok
+}
 
 // DeliveryPending reports whether an iteration has stepped but not yet
 // delivered: its completions are out of the engine's running batch (so
@@ -109,34 +165,53 @@ func (e *EngineSim) EachUndelivered(f func(*serving.Sequence)) {
 // hard-kill tears the instance down with a batch still in flight — the
 // wrapped engine is abandoned to its arena (reclaimed and reset at the next
 // cell) or to the GC.
-func (e *EngineSim) Halt() { e.halted = true }
+func (e *EngineSim) Halt() {
+	e.halted = true
+	if e.deliverPending {
+		e.trimEmitLog(e.k.Now() - 1) // what the dead node had not yet emitted, it never will
+	}
+}
 
 func (e *EngineSim) step() {
 	if e.halted {
 		return
 	}
-	res := e.eng.Step(e.k.Now())
+	now := e.k.Now()
+	e.eng.Settle(now)
+	res := e.eng.Step(now)
 	if !res.Busy {
 		e.running = false
 		return
+	}
+	if ignoreOffer {
+		res.Quiet = 0
 	}
 	// Park the result for deliverFn: this engine is stepped only by its own
 	// loop, so pending (and the engine scratch its Completed aliases) is
 	// consumed before the next Step can overwrite either.
 	e.pending = res
 	e.deliverPending = true
-	e.k.Schedule(res.Duration, e.deliverFn)
+	wait := res.Duration + time.Duration(res.Quiet)*res.Each
+	e.deliverAt = now + wait
+	e.k.Schedule(wait, e.deliverFn)
+	if !e.noEmitLog {
+		// each is at least 1 so a single iteration needs no case in countBy.
+		run := emitRun{first: now + res.Duration, each: max(res.Each, 1), count: int64(res.Quiet) + 1, tokens: int64(res.EmittedTokens)}
+		if n := len(e.emitLog); n > 0 {
+			run.cumBefore = e.emitLog[n-1].cumBefore + e.emitLog[n-1].count*e.emitLog[n-1].tokens
+		}
+		e.emitLog = append(e.emitLog, run)
+	}
 }
 
-// deliver ends the iteration parked in pending: emissions recorded at the
-// iteration boundary, completions handed to the driver, sequences recycled.
+// deliver ends the iteration (or quiet run) parked in pending: completions
+// handed to the driver, sequences recycled, the next iteration stepped.
 func (e *EngineSim) deliver() {
-	if e.halted {
-		return
+	if e.halted || !e.deliverPending || e.k.Now() != e.deliverAt {
+		return // halted, or superseded by a cut
 	}
 	e.deliverPending = false
 	res := e.pending
-	e.recordEmission(int64(res.EmittedTokens))
 	for _, seq := range res.Completed {
 		e.onComplete(seq)
 	}
@@ -147,31 +222,31 @@ func (e *EngineSim) deliver() {
 	e.step()
 }
 
-func (e *EngineSim) recordEmission(n int64) {
-	var cum int64
-	if len(e.emitCum) > 0 {
-		cum = e.emitCum[len(e.emitCum)-1]
+// trimEmitLog drops from the newest record the emissions due after end: the
+// run was cut there, or the instance died.
+func (e *EngineSim) trimEmitLog(end sim.Time) {
+	if n := len(e.emitLog); n > 0 {
+		e.emitLog[n-1].count = e.emitLog[n-1].countBy(end)
 	}
-	e.emitTimes = append(e.emitTimes, e.k.Now())
-	e.emitCum = append(e.emitCum, cum+n)
+}
+
+// countBy is how many of the run's emissions happen at or before t.
+func (r *emitRun) countBy(t sim.Time) int64 {
+	if t < r.first {
+		return 0
+	}
+	return min(r.count, int64((t-r.first)/r.each)+1)
 }
 
 // EmittedBy returns cumulative output tokens generated up to time t —
 // the streaming view of throughput (a WebUI session sees tokens as they
 // stream, not at request completion).
 func (e *EngineSim) EmittedBy(t sim.Time) int64 {
-	// Binary search over the emission log.
-	lo, hi := 0, len(e.emitTimes)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if e.emitTimes[mid] <= t {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo == 0 {
+	// The last record whose first emission is at or before t.
+	i := sort.Search(len(e.emitLog), func(i int) bool { return e.emitLog[i].first > t })
+	if i == 0 {
 		return 0
 	}
-	return e.emitCum[lo-1]
+	r := &e.emitLog[i-1]
+	return r.cumBefore + r.countBy(t)*r.tokens
 }

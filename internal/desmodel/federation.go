@@ -376,7 +376,7 @@ func (p FederationParams) withDefaults() FederationParams {
 func NewFederation(k *sim.Kernel, p FederationParams, done func(*Req)) *Federation {
 	p = p.withDefaults()
 	return newFederation(k, p, func(m perfmodel.ModelSpec, onC func(*serving.Sequence)) *EngineSim {
-		return MustEngineSim(k, m, p.GPU, 0, onC)
+		return MustEngineSim(k, m, p.GPU, 0, onC).withoutEmitLog() // no Federation caller reads EmittedBy
 	}, done)
 }
 
@@ -387,7 +387,7 @@ func NewFederation(k *sim.Kernel, p FederationParams, done func(*Req)) *Federati
 func NewFederationIn(a *Arena, p FederationParams, done func(*Req)) *Federation {
 	p = p.withDefaults()
 	f := newFederation(a.k, p, func(m perfmodel.ModelSpec, onC func(*serving.Sequence)) *EngineSim {
-		return a.EngineSimIn(m, p.GPU, 0, onC)
+		return a.EngineSimIn(m, p.GPU, 0, onC).withoutEmitLog()
 	}, done)
 	f.recycle = a.Reclaim
 	return f

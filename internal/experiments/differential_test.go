@@ -7,6 +7,8 @@ package experiments
 
 import (
 	"bytes"
+	"flag"
+	"os"
 	"reflect"
 	"testing"
 
@@ -14,6 +16,11 @@ import (
 )
 
 var heapRef = Fleet{Workers: 1, Queue: sim.QueueHeap}
+
+// updateGolden rewrites testdata/report_all.golden from this tree's report.
+// Only a change that means to move a reported number passes it, and the
+// golden's diff is then that change's review surface.
+var updateGolden = flag.Bool("update", false, "rewrite testdata/report_all.golden")
 
 func TestQueueDifferentialFig3(t *testing.T) {
 	if testing.Short() {
@@ -50,7 +57,9 @@ func TestQueueDifferentialStorm(t *testing.T) {
 
 // TestQueueDifferentialReport renders the full paper report on both kernels
 // (and with the heap side fanned out in parallel, so arena recycling and
-// worker scheduling are exercised too): the bytes must be identical.
+// worker scheduling are exercised too): the bytes must be identical — to
+// each other and to the committed golden, which pins every reported number
+// across commits.
 func TestQueueDifferentialReport(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full report is slow")
@@ -64,5 +73,19 @@ func TestQueueDifferentialReport(t *testing.T) {
 	}
 	if !bytes.Equal(cal.Bytes(), heap.Bytes()) {
 		t.Error("rendered report differs between calendar and heap kernels")
+	}
+	const golden = "testdata/report_all.golden"
+	if *updateGolden {
+		if err := os.WriteFile(golden, cal.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(cal.Bytes(), want) {
+		t.Errorf("rendered report differs from %s (the previous commit's numbers); if the change is meant, "+
+			"regenerate with `go test ./internal/experiments -run TestQueueDifferentialReport -update` and review the diff\ngot:\n%s", golden, cal.Bytes())
 	}
 }

@@ -85,6 +85,7 @@ func FuzzReadSSE(f *testing.F) {
 		": comment only\n\n",                    // heartbeat-only stream, then cut
 		"event: ping\ndata: {}",                 // wrong event framing, cut before blank line
 		"data: [DONE]\n\ndata: ",                // trailing garbage after sentinel
+		"data:[DONE]\r",                         // CRLF-framed sentinel, cut after the CR
 	}
 	for _, s := range seeds {
 		f.Add([]byte(s))
@@ -92,6 +93,7 @@ func FuzzReadSSE(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var sawDone bool
 		for _, line := range strings.Split(string(data), "\n") {
+			line = strings.TrimSuffix(line, "\r") // CRLF framing: the scanner drops one, as SSE allows
 			if !strings.HasPrefix(line, "data:") {
 				continue
 			}

@@ -10,6 +10,11 @@
 // exact same batching logic power both the real HTTP stack and the paper's
 // figure reproductions.
 //
+// A sequence's completion iteration is known the moment it is admitted, so the
+// running batch is a min-heap on it and Step costs O(1) plus O(log batch) per
+// completion; and Step can tell when the iterations after it are certain to
+// change nothing, and offers to skip them (StepResult.Quiet; see Settle).
+//
 // The engine's hot path is allocation-free at steady state: the waiting
 // queue is a ring buffer (so admission never re-slices and pins a backing
 // array), StepResult.Completed aliases a scratch buffer reused across
@@ -31,7 +36,7 @@ type Sequence struct {
 	ID        int64
 	PromptTok int
 	OutputTok int // target output length
-	Emitted   int // tokens generated so far
+	Emitted   int // tokens generated; stamped at completion, zero until then
 
 	SubmitAt time.Duration // engine-relative submission time
 	StartAt  time.Duration // admission into the running batch
@@ -118,6 +123,28 @@ type StepResult struct {
 	Completed []*Sequence
 	// EmittedTokens is the number of output tokens produced this iteration.
 	EmittedTokens int
+	// Quiet and Each are an offer the driver may ignore. When the iteration
+	// completed nothing and nothing can be admitted before the next
+	// completion (the queue is empty, or its head is held back by the batch
+	// cap or by KV headroom), the next Quiet iterations are certain to admit
+	// and complete nothing and to last Each apiece. A driver that takes the
+	// offer steps next at now+Duration+Quiet·Each and keeps the Settle
+	// contract; one that ignores it steps at now+Duration as always.
+	Quiet int
+	Each  time.Duration
+}
+
+// runEntry is one running sequence keyed by the iteration that emits its last
+// token, fixed at admission (the admitting iteration emits the first). id
+// breaks ties: same-iteration completions stay in admission order.
+type runEntry struct {
+	finish int64
+	id     int64
+	seq    *Sequence
+}
+
+func (a *runEntry) before(b *runEntry) bool {
+	return a.finish < b.finish || (a.finish == b.finish && a.id < b.id)
 }
 
 // seqRing is a FIFO of waiting sequences backed by a power-of-two ring
@@ -180,7 +207,17 @@ type Engine struct {
 	nextID  int64
 	now     time.Duration
 	waiting seqRing
-	running []*Sequence
+	// running is a min-heap on (finish, id): Step pops the sequences whose
+	// last token this iteration emits and never touches the rest.
+	running []runEntry
+	// decode[b]: an iteration's decode time at batch b, filled in on first use.
+	decode []time.Duration
+	// quiet is what remains of the run Step last offered: that many iterations
+	// of decode[len(running)] each from now on, none of them on the books yet.
+	quiet int64
+	// kvBlocked: the last admission pass ended with the queue head refused
+	// for KV headroom, as will every pass until a completion or an Abort.
+	kvBlocked bool
 	// abortedWaiting counts tombstoned entries still sitting in the ring.
 	abortedWaiting int
 	// completedScratch backs StepResult.Completed across iterations.
@@ -194,8 +231,11 @@ type Engine struct {
 	// the same steady-state batching behaviour without a recompute path.)
 	kvUsed     int
 	kvReserved int
-	kvCap      int
-	stats      Stats
+	// The config's limits, resolved once: its accessors copy all of Config.
+	kvCap         int
+	maxBatch      int
+	prefillBudget int
+	stats         Stats
 	// lastBusy is the last time the engine had work; hot-node reapers use it.
 	lastBusy time.Duration
 }
@@ -216,7 +256,7 @@ func NewEngine(cfg Config) (*Engine, error) {
 		return nil, fmt.Errorf("serving: %s does not fit on %d×%s (no KV room)",
 			cfg.Model.Name, cfg.Model.TensorParallel, cfg.GPU.Name)
 	}
-	return &Engine{cfg: cfg, kvCap: kv}, nil
+	return &Engine{cfg: cfg, kvCap: kv, maxBatch: cfg.maxBatch(), prefillBudget: cfg.maxPrefillPerIter()}, nil
 }
 
 // Model returns the configured model spec.
@@ -266,6 +306,9 @@ func (e *Engine) LastBusyAt() time.Duration { return e.lastBusy }
 func (e *Engine) Submit(now time.Duration, promptTok, outputTok int, ctx interface{}) *Sequence {
 	if now > e.now && len(e.running) == 0 && e.waiting.len() == 0 {
 		e.now = now
+	}
+	if e.waiting.len() == 0 && len(e.running) < e.maxBatch {
+		e.quiet = 0 // the newcomer is first in line for the next iteration
 	}
 	if promptTok < 1 {
 		promptTok = 1
@@ -335,12 +378,13 @@ func (e *Engine) Reset() {
 		*s = Sequence{}
 		e.free = append(e.free, s)
 	}
-	for i, s := range e.running {
-		*s = Sequence{}
-		e.free = append(e.free, s)
-		e.running[i] = nil
+	for i, r := range e.running {
+		*r.seq = Sequence{}
+		e.free = append(e.free, r.seq)
+		e.running[i] = runEntry{}
 	}
 	e.running = e.running[:0]
+	e.quiet, e.kvBlocked = 0, false
 	for i := range e.completedScratch {
 		e.completedScratch[i] = nil
 	}
@@ -358,68 +402,119 @@ func (e *Engine) Reset() {
 // The iteration spans [now, now+Duration]; completions are stamped at its
 // end. When there is no work, Busy is false and the driver should sleep
 // until the next Submit. The returned Completed slice is reused by the next
-// Step call (see StepResult).
+// Step call (see StepResult). What is left of a run the previous Step
+// offered is void.
 //
 //first:hotpath pinned by TestEngineStepZeroAlloc (engine_test.go)
 func (e *Engine) Step(now time.Duration) StepResult {
+	e.quiet = 0
 	if now > e.now {
 		e.now = now
 	}
-	prefillTok := e.admit()
-	if len(e.running) == 0 {
+	prefillTok, budgetSpent := e.admit()
+	batch := len(e.running)
+	if batch == 0 {
 		return StepResult{}
 	}
 
-	iter := e.cfg.Model.DecodeIter(len(e.running), e.cfg.GPU)
+	iter := e.decodeIter(batch)
 	if prefillTok > 0 {
 		iter += e.cfg.Model.PrefillTime(prefillTok, e.cfg.GPU)
 	}
 	end := e.now + iter
 
-	for i := range e.completedScratch {
-		e.completedScratch[i] = nil
-	}
+	clear(e.completedScratch)
 	e.completedScratch = e.completedScratch[:0]
-
-	res := StepResult{Duration: iter, Busy: true, EmittedTokens: len(e.running)}
-	kept := e.running[:0]
-	for _, seq := range e.running {
-		seq.Emitted++
-		e.kvUsed++
-		if seq.Emitted >= seq.OutputTok {
-			seq.FinishAt = end
-			e.kvUsed -= seq.PromptTok + seq.Emitted
-			e.kvReserved -= seq.PromptTok + seq.OutputTok
-			e.completedScratch = append(e.completedScratch, seq)
-			e.stats.Completed++
-			e.stats.OutputTokens += int64(seq.Emitted)
-		} else {
-			kept = append(kept, seq)
-		}
-	}
-	e.running = kept
-	res.Completed = e.completedScratch
 
 	e.stats.Iterations++
 	e.stats.BusyTime += iter
-	if len(e.running) > e.stats.PeakBatch {
-		e.stats.PeakBatch = len(e.running)
+	e.kvUsed += batch // one token per running sequence
+	for len(e.running) > 0 && e.running[0].finish == e.stats.Iterations {
+		seq := e.popRunning()
+		seq.Emitted = seq.OutputTok
+		seq.FinishAt = end
+		held := seq.PromptTok + seq.OutputTok
+		e.kvUsed -= held
+		e.kvReserved -= held
+		e.completedScratch = append(e.completedScratch, seq)
+		e.stats.Completed++
+		e.stats.OutputTokens += int64(seq.OutputTok)
 	}
 	e.now = end
 	e.lastBusy = end
+
+	res := StepResult{Duration: iter, Busy: true, Completed: e.completedScratch, EmittedTokens: batch}
+	if len(res.Completed) == 0 && !budgetSpent {
+		// Nothing left and nothing can join before the earliest completion:
+		// every iteration short of that one repeats this one without prefill.
+		if q := e.running[0].finish - e.stats.Iterations - 1; q > 0 {
+			e.quiet = q
+			res.Quiet, res.Each = int(q), e.decodeIter(batch)
+		}
+	}
 	return res
+}
+
+// Settle puts on the books every offered quiet iteration that began before
+// now — Iterations, BusyTime, KV occupancy, one KVRejection each while the
+// queue head is refused, Now and LastBusyAt — so the engine reads exactly as
+// if each had been stepped, and returns when Step is next due. A driver that
+// takes StepResult.Quiet must settle to its clock before every Submit, Abort,
+// Step and read of Stats, KVUsedTokens, Now or LastBusyAt. A Submit or Abort
+// that could let a sequence in sooner than the offer assumed cuts the run at
+// the first iteration boundary at or after the settled time: Settle's return
+// value moves up to that boundary and the driver must step there. An arrival
+// on the very nanosecond of a boundary is thus taken before it and joins the
+// iteration that starts there. A driver that ignores the offer never needs to
+// call Settle, and one that does gets a no-op.
+//
+//first:hotpath pinned by TestEngineSettleZeroAlloc (offer_test.go)
+func (e *Engine) Settle(now time.Duration) time.Duration {
+	if e.quiet == 0 {
+		return e.now // the common case, kept small enough to inline
+	}
+	return e.settleRun(now)
+}
+
+//first:hotpath pinned by TestEngineSettleZeroAlloc (offer_test.go)
+func (e *Engine) settleRun(now time.Duration) time.Duration {
+	each := e.decode[len(e.running)] // the batch does not change during a run
+	if now > e.now {
+		k := int64((now - e.now + each - 1) / each)
+		if k > e.quiet {
+			k = e.quiet
+		}
+		span := time.Duration(k) * each
+		e.quiet -= k
+		e.stats.Iterations += k
+		e.stats.BusyTime += span
+		e.kvUsed += int(k) * len(e.running)
+		if e.kvBlocked {
+			e.stats.KVRejections += k
+		}
+		e.now += span
+		e.lastBusy = e.now
+	}
+	return e.now + time.Duration(e.quiet)*each
+}
+
+// decodeIter reads Model.DecodeIter(b, GPU) from a table: no ModelSpec copy.
+func (e *Engine) decodeIter(b int) time.Duration {
+	for len(e.decode) <= b {
+		e.decode = append(e.decode, e.cfg.Model.DecodeIter(len(e.decode), e.cfg.GPU))
+	}
+	return e.decode[b]
 }
 
 // admit moves waiting sequences into the running batch subject to the batch
 // cap, the per-iteration prefill budget, and KV headroom. It returns the
-// total prompt tokens admitted this iteration. Tombstoned (aborted)
-// sequences are dropped as they surface at the queue head.
-func (e *Engine) admit() int {
-	budget := e.cfg.maxPrefillPerIter()
-	maxBatch := e.cfg.maxBatch()
-	var admittedPrefill int
+// total prompt tokens admitted this iteration and whether the prefill budget
+// is what stopped it (the one stop the next iteration lifts by itself).
+// Tombstoned (aborted) sequences are dropped as they surface at the queue head.
+func (e *Engine) admit() (admittedPrefill int, budgetSpent bool) {
+	e.kvBlocked = false
 	for e.waiting.len() > 0 {
-		if len(e.running) >= maxBatch {
+		if len(e.running) >= e.maxBatch {
 			break
 		}
 		seq := e.waiting.at(0)
@@ -428,36 +523,74 @@ func (e *Engine) admit() int {
 			e.abortedWaiting--
 			continue
 		}
-		if admittedPrefill > 0 && admittedPrefill+seq.PromptTok > budget {
-			break // prefill budget exhausted this iteration
+		if admittedPrefill > 0 && admittedPrefill+seq.PromptTok > e.prefillBudget {
+			budgetSpent = true
+			break
 		}
 		// Require room for the prompt plus a full generation reservation so
 		// running sequences never overflow KV mid-flight.
 		need := seq.PromptTok + seq.OutputTok
 		if e.kvReserved+need > e.kvCap {
 			e.stats.KVRejections++
+			e.kvBlocked = true
 			break
 		}
 		e.waiting.popFront()
 		e.kvReserved += need
 		e.kvUsed += seq.PromptTok
 		seq.StartAt = e.now
-		e.running = append(e.running, seq)
+		e.pushRunning(runEntry{finish: e.stats.Iterations + int64(seq.OutputTok), id: seq.ID, seq: seq})
 		admittedPrefill += seq.PromptTok
 		e.stats.PrefillTokens += int64(seq.PromptTok)
 	}
 	if len(e.running) > e.stats.PeakBatch {
 		e.stats.PeakBatch = len(e.running)
 	}
-	return admittedPrefill
+	return admittedPrefill, budgetSpent
+}
+
+func (e *Engine) pushRunning(r runEntry) {
+	e.running = append(e.running, r)
+	h := e.running
+	for i := len(h) - 1; i > 0; {
+		p := (i - 1) / 2
+		if !h[i].before(&h[p]) {
+			break
+		}
+		h[i], h[p] = h[p], h[i]
+		i = p
+	}
+}
+
+func (e *Engine) popRunning() *Sequence {
+	h := e.running
+	n := len(h) - 1
+	top := h[0].seq
+	h[0], h[n] = h[n], runEntry{}
+	h = h[:n]
+	for i := 0; ; {
+		c := 2*i + 1
+		if c+1 < n && h[c+1].before(&h[c]) {
+			c++
+		}
+		if c >= n || !h[c].before(&h[i]) {
+			break
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
+	e.running = h
+	return top
 }
 
 // EachRunning calls f for every sequence currently in the running batch, in
-// admission order. The callback must not mutate engine state; drivers use it
-// to identify work lost when an instance's walltime hard-kills it mid-batch.
+// admission order (by ID). The callback must not mutate engine state; drivers
+// use it to identify work lost when an instance's walltime hard-kills it.
 func (e *Engine) EachRunning(f func(*Sequence)) {
-	for _, s := range e.running {
-		f(s)
+	byID := append([]runEntry(nil), e.running...)
+	sort.Slice(byID, func(i, j int) bool { return byID[i].id < byID[j].id })
+	for _, r := range byID {
+		f(r.seq)
 	}
 }
 
@@ -492,6 +625,9 @@ func (e *Engine) Abort(id int64) bool {
 	seq.aborted = true
 	e.abortedWaiting++
 	e.stats.Aborted++
+	if e.kvBlocked {
+		e.quiet = 0 // the next in line may fit where the refused head did not
+	}
 	// Trim tombstones reachable from either end so a fully-aborted queue
 	// drains to empty without waiting for the next admission pass.
 	for e.waiting.len() > 0 && e.waiting.at(0).aborted {
@@ -517,8 +653,8 @@ func (e *Engine) CheckInvariants() error {
 	if e.kvReserved > e.kvCap {
 		return fmt.Errorf("serving: KV reservation over capacity: %d > %d", e.kvReserved, e.kvCap)
 	}
-	if len(e.running) > e.cfg.maxBatch() {
-		return fmt.Errorf("serving: batch %d exceeds cap %d", len(e.running), e.cfg.maxBatch())
+	if len(e.running) > e.maxBatch {
+		return fmt.Errorf("serving: batch %d exceeds cap %d", len(e.running), e.maxBatch)
 	}
 	if e.abortedWaiting < 0 || e.abortedWaiting > e.waiting.len() {
 		return fmt.Errorf("serving: tombstone count %d out of range (queue %d)", e.abortedWaiting, e.waiting.len())
@@ -534,11 +670,18 @@ func (e *Engine) CheckInvariants() error {
 			e.stats.Submitted, e.stats.Completed, e.stats.Aborted, inFlight)
 	}
 	var kv int
-	for _, s := range e.running {
-		kv += s.PromptTok + s.Emitted
+	for i := range e.running {
+		r := &e.running[i]
+		if i > 0 && r.before(&e.running[(i-1)/2]) {
+			return fmt.Errorf("serving: running heap out of order at %d", i)
+		}
+		kv += r.seq.PromptTok + r.seq.OutputTok - int(r.finish-e.stats.Iterations) // prompt + emitted so far
 	}
 	if kv != e.kvUsed {
 		return fmt.Errorf("serving: KV accounting drift: computed=%d tracked=%d", kv, e.kvUsed)
+	}
+	if e.quiet > 0 && (len(e.running) == 0 || e.quiet >= e.running[0].finish-e.stats.Iterations) {
+		return fmt.Errorf("serving: %d quiet iterations promised past a completion", e.quiet)
 	}
 	return nil
 }

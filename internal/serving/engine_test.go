@@ -495,3 +495,93 @@ func TestEngineEachRunningEachWaiting(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// refEngine is the engine as it was before decode became event-driven: Step
+// walks every running sequence every iteration, and nothing is ever offered
+// or settled. It is the oracle the heap-and-offer engine is compared against
+// (offer_test.go); aborts remove the entry outright, which no observer can
+// tell from a tombstone.
+type refEngine struct {
+	cfg               Config
+	now, lastBusy     time.Duration
+	nextID            int64
+	waiting, running  []*Sequence
+	kvUsed, kvReserve int
+	stats             Stats
+}
+
+func (r *refEngine) submit(now time.Duration, promptTok, outputTok int) *Sequence {
+	if now > r.now && len(r.running) == 0 && len(r.waiting) == 0 {
+		r.now = now
+	}
+	r.nextID++
+	seq := &Sequence{ID: r.nextID, PromptTok: max(promptTok, 1), OutputTok: max(outputTok, 1), SubmitAt: max(now, 0)}
+	r.waiting = append(r.waiting, seq)
+	r.stats.Submitted++
+	r.lastBusy = max(r.lastBusy, r.now, now)
+	return seq
+}
+
+func (r *refEngine) abort(id int64) bool {
+	for i, s := range r.waiting {
+		if s.ID == id {
+			r.waiting = append(r.waiting[:i], r.waiting[i+1:]...)
+			r.stats.Aborted++
+			return true
+		}
+	}
+	return false
+}
+
+func (r *refEngine) step(now time.Duration) StepResult {
+	r.now = max(r.now, now)
+	var prefill int
+	for len(r.waiting) > 0 && len(r.running) < r.cfg.maxBatch() {
+		seq := r.waiting[0]
+		if prefill > 0 && prefill+seq.PromptTok > r.cfg.maxPrefillPerIter() {
+			break
+		}
+		need := seq.PromptTok + seq.OutputTok
+		if r.kvReserve+need > r.cfg.kvCapacity() {
+			r.stats.KVRejections++
+			break
+		}
+		r.waiting = r.waiting[1:]
+		r.kvReserve += need
+		r.kvUsed += seq.PromptTok
+		seq.StartAt = r.now
+		r.running = append(r.running, seq)
+		prefill += seq.PromptTok
+		r.stats.PrefillTokens += int64(seq.PromptTok)
+	}
+	r.stats.PeakBatch = max(r.stats.PeakBatch, len(r.running))
+	if len(r.running) == 0 {
+		return StepResult{}
+	}
+	iter := r.cfg.Model.DecodeIter(len(r.running), r.cfg.GPU)
+	if prefill > 0 {
+		iter += r.cfg.Model.PrefillTime(prefill, r.cfg.GPU)
+	}
+	res := StepResult{Duration: iter, Busy: true, EmittedTokens: len(r.running)}
+	kept := r.running[:0:0]
+	for _, seq := range r.running {
+		seq.Emitted++
+		r.kvUsed++
+		if seq.Emitted < seq.OutputTok {
+			kept = append(kept, seq)
+			continue
+		}
+		seq.FinishAt = r.now + iter
+		r.kvUsed -= seq.PromptTok + seq.Emitted
+		r.kvReserve -= seq.PromptTok + seq.OutputTok
+		res.Completed = append(res.Completed, seq)
+		r.stats.Completed++
+		r.stats.OutputTokens += int64(seq.Emitted)
+	}
+	r.running = kept
+	r.stats.Iterations++
+	r.stats.BusyTime += iter
+	r.now += iter
+	r.lastBusy = r.now
+	return res
+}

@@ -72,7 +72,9 @@ func RunOffline(cfg OfflineConfig, reqs []workload.Request) (OfflineResult, erro
 		if !step.Busy {
 			break
 		}
-		now += step.Duration
+		// Nothing arrives mid-run: every offered quiet stretch is taken whole.
+		now += step.Duration + time.Duration(step.Quiet)*step.Each
+		eng.Settle(now)
 		for _, seq := range step.Completed {
 			latencies = append(latencies, seq.FinishAt-start)
 			res.OutputTokens += int64(seq.Emitted)

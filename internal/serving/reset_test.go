@@ -63,15 +63,22 @@ func TestEngineResetBehavesLikeFresh(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Dirty the engine: an unrelated workload left mid-flight (waiting and
-	// running sequences alive), then Reset.
+	// running sequences alive, a promised quiet run half settled), then Reset.
 	for i := 0; i < 300; i++ {
 		reused.Submit(0, 80, 40, nil)
 	}
-	reused.Step(0)
-	reused.Step(0)
+	res := reused.Step(0)
+	for i := 0; i < 3; i++ { // the prefill budget fills the batch over three iterations
+		res = reused.Step(reused.Now())
+	}
+	if res.Quiet < 10 {
+		t.Fatalf("a full batch of 40-token outputs offered %d quiet iterations", res.Quiet)
+	}
+	reused.Settle(reused.Now() + 5*res.Each)
 	reused.Reset()
-	if reused.Depth() != 0 || reused.KVUsedTokens() != 0 || reused.Now() != 0 {
-		t.Fatalf("Reset left depth=%d kv=%d now=%v", reused.Depth(), reused.KVUsedTokens(), reused.Now())
+	// Settling a reset engine far ahead must find no run to account.
+	if due := reused.Settle(time.Hour); due != 0 || reused.Depth() != 0 || reused.KVUsedTokens() != 0 || reused.Now() != 0 {
+		t.Fatalf("Reset left due=%v depth=%d kv=%d now=%v", due, reused.Depth(), reused.KVUsedTokens(), reused.Now())
 	}
 	if st := reused.Stats(); st != (Stats{}) {
 		t.Fatalf("Reset left stats %+v", st)
