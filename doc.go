@@ -13,17 +13,26 @@
 // The evaluation data plane is allocation-free at steady state:
 //
 //   - internal/sim.Kernel schedules through a self-tuning calendar queue: a
-//     power-of-two ring of time buckets (lazy-sorted, width and count
-//     re-tuned from the observed schedule) with a single-event fast slot
-//     for the ping-pong regime and a 4-ary min-heap as the far-future
-//     overflow — O(1) amortized per event on the near-uniform schedules the
-//     figure runs produce, versus O(log n) for the heap. Same-instant
+//     power-of-two ring of time buckets (width and count re-tuned from the
+//     observed schedule) with a single-event fast slot for the ping-pong
+//     regime and a 4-ary min-heap as the far-future overflow — O(1)
+//     amortized per event on the near-uniform schedules the figure runs
+//     produce, versus O(log n) for the heap. A bucket is sorted by (time,
+//     seq) at all times and order is paid for once, at insert: an append
+//     that lands in order costs nothing, any other is binary-searched into
+//     place and moved there with one copy, so the scan never sorts. That is
+//     what the federation runs need: a few far-out timers (walltime expiry,
+//     scaler ticks) stretch the width until every live event shares the
+//     cursor's bucket and half the inserts land ahead of its tail. Same-instant
 //     events dispatch as one batch (one cursor position, no re-scan between
 //     callbacks), which is what the saturated open-loop runs hit hardest.
 //     The heap survives as a reference kernel (sim.QueueHeap, first-bench
 //     -queue heap): a differential suite proves both queues produce
 //     byte-identical results on Fig3, Table1, the storm, and the full
-//     rendered report, plus randomized schedule/pop property tests.
+//     rendered report, plus randomized schedule/pop property tests and
+//     three directed shapes (stretched, late insert ahead of a same-instant
+//     flood across two ring rotations, every kind of rebuild under
+//     disorder).
 //   - internal/serving.Engine keeps its waiting queue in a ring buffer
 //     (never re-slicing a pinned backing array), reuses one scratch buffer
 //     for StepResult.Completed across iterations, recycles Sequence objects
@@ -121,7 +130,10 @@
 // are routed by the real federation.Select priority ladder (§4.5: active →
 // capacity → first-configured) over live snapshots, and land on 2-8
 // simulated clusters. Each cluster pairs a real inventory
-// (cluster.Cluster) with a real PBS-like scheduler — scheduler.Scheduler
+// (cluster.Cluster — whose Status, the §4.5 "publicly available status"
+// both routers read once per candidate per request, is one atomic load of
+// counts kept current where GPUs are granted and released, not a walk over
+// the nodes under the mutex) with a real PBS-like scheduler — scheduler.Scheduler
 // gained a deterministic Config.Timer hook so the DES kernel drives its
 // Queued→Starting→Running prologue and walltime machinery with no
 // goroutines — and serves three models on continuous-batching engine

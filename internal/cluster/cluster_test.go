@@ -2,6 +2,8 @@ package cluster
 
 import (
 	"errors"
+	"math/rand"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -192,5 +194,123 @@ func TestGPUSpecExposed(t *testing.T) {
 	empty := New("empty", 0, 0, perfmodel.A100_40)
 	if empty.GPU().Name != "" {
 		t.Error("empty cluster should report zero GPU spec")
+	}
+}
+
+// recount is Status computed the slow way, from the nodes.
+func recount(c *Cluster) Status {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	st := Status{Name: c.name, TotalNodes: len(c.nodes)}
+	for _, n := range c.nodes {
+		st.TotalGPUs += n.GPUCount
+		st.FreeGPUs += n.free
+		if n.free == n.GPUCount {
+			st.FreeNodes++
+		}
+	}
+	return st
+}
+
+// TestStatusMatchesRecountUnderRandomOps drives the counters behind Status
+// through every path that moves them — best-fit single-node grants, whole-node
+// multi-node grants, refusals, releases, double releases, release of nil — and
+// requires Status to equal a from-scratch recount after every step.
+func TestStatusMatchesRecountUnderRandomOps(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	c := New("prop", 6, 8, perfmodel.A100_40)
+	var live, released []*Allocation
+	var single, multi, refused, doubles int
+	for step := 0; step < 20000; step++ {
+		switch op := rng.Intn(10); {
+		case op < 4: // one node's worth or less
+			if a, err := c.Allocate(1 + rng.Intn(8)); err == nil {
+				live = append(live, a)
+				single++
+			} else if errors.As(err, new(ErrInsufficient)) {
+				refused++
+			} else {
+				t.Fatal(err)
+			}
+		case op < 5: // two to four whole nodes
+			if a, err := c.Allocate(9 + rng.Intn(24)); err == nil {
+				live = append(live, a)
+				multi++
+			} else if errors.As(err, new(ErrInsufficient)) {
+				refused++
+			} else {
+				t.Fatal(err)
+			}
+		case op < 8:
+			if len(live) > 0 {
+				i := rng.Intn(len(live))
+				c.Release(live[i])
+				released = append(released, live[i])
+				live = append(live[:i], live[i+1:]...)
+			}
+		case op < 9:
+			if len(released) > 0 {
+				c.Release(released[rng.Intn(len(released))])
+				doubles++
+			}
+		default:
+			c.Release(nil)
+		}
+		if got, want := c.Status(), recount(c); got != want {
+			t.Fatalf("step %d: Status() = %+v, recount = %+v", step, got, want)
+		}
+		if err := c.CheckInvariants(); err != nil {
+			t.Fatalf("step %d: %v", step, err)
+		}
+	}
+	if single == 0 || multi == 0 || refused == 0 || doubles == 0 {
+		t.Fatalf("shape lost a path: %d single-node grants, %d multi-node, %d refusals, %d double releases",
+			single, multi, refused, doubles)
+	}
+}
+
+// TestStatusConcurrentReaders runs Status readers against an allocating
+// writer (the live router against the scheduler): under -race this is the
+// data-race check, and because the writer only takes and returns two or four
+// whole nodes at a time, a reader that ever sees an odd number of free nodes,
+// or a partly used one, has seen a grant or a release half applied.
+func TestStatusConcurrentReaders(t *testing.T) {
+	const nodes, perNode = 6, 8
+	c := New("race", nodes, perNode, perfmodel.A100_40)
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for r := 0; r < 4; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				st := c.Status()
+				if st.TotalGPUs != nodes*perNode || st.FreeNodes%2 != 0 || st.FreeGPUs != st.FreeNodes*perNode {
+					t.Errorf("half-applied snapshot: %+v", st)
+					return
+				}
+			}
+		}()
+	}
+	rng := rand.New(rand.NewSource(22))
+	var live []*Allocation
+	for step := 0; step < 20000; step++ {
+		if rng.Intn(2) == 0 && len(live) > 0 {
+			i := rng.Intn(len(live))
+			c.Release(live[i])
+			live = append(live[:i], live[i+1:]...)
+		} else if a, err := c.Allocate((2 + 2*rng.Intn(2)) * perNode); err == nil {
+			live = append(live, a)
+		}
+	}
+	close(stop)
+	wg.Wait()
+	if err := c.CheckInvariants(); err != nil {
+		t.Error(err)
 	}
 }

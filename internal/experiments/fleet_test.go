@@ -47,29 +47,24 @@ func TestFleetDeterminismTable1(t *testing.T) {
 	}
 }
 
-// TestFleetDeterminismReport drives the full rendered report both ways; the
-// text output (what first-bench prints) must be byte-identical. The parallel
-// leg renders experiment by experiment, which also pins "all" as the table
-// in order minus livefed.
+// TestFleetDeterminismReport renders the full report on the sequential
+// reference fleet; the text output (what first-bench prints) must be the
+// golden the parallel fleet is held to, byte for byte. It renders experiment
+// by experiment, which also pins "all" as the table in order minus livefed.
 func TestFleetDeterminismReport(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full report is slow")
 	}
-	var seq, par bytes.Buffer
-	if err := ReportOn(&seq, "all", DefaultSeed, Sequential); err != nil {
-		t.Fatal(err)
-	}
+	var seq bytes.Buffer
 	for _, e := range experimentTable {
 		if e.name == "livefed" {
 			continue
 		}
-		if err := ReportOn(&par, e.name, DefaultSeed, Parallel); err != nil {
+		if err := ReportOn(&seq, e.name, DefaultSeed, Sequential); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if !bytes.Equal(seq.Bytes(), par.Bytes()) {
-		t.Error("sequential \"all\" differs from the parallel fleet's experiments rendered one by one")
-	}
+	checkGoldenReport(t, "Fleet{Workers: 1}, one experiment at a time", seq.Bytes())
 }
 
 // TestFleetPanicPropagates checks a cell panic surfaces on the caller's

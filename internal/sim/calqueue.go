@@ -16,18 +16,14 @@ const (
 	calInitShift = 12
 	// calMaxShift caps the bucket width so slot arithmetic stays exact.
 	calMaxShift = 55
-	// calCrowdLen is the bucket occupancy past which an insert attempts a
-	// width narrowing (attempted only at power-of-two occupancies, so a
-	// same-instant flood costs O(n log n) re-tune attempts total, not one
-	// per insert).
+	// calCrowdLen is the bucket occupancy above which an insert attempts a
+	// width narrowing — at power-of-two occupancies only, so the first
+	// attempt comes at 32 events and a same-instant flood costs O(log n)
+	// attempts in total, not one per insert.
 	calCrowdLen = 16
 	// calMaxScan bounds empty slots scanned per pop before re-tuning the
 	// width and jumping the cursor to the earliest event.
 	calMaxScan = 256
-	// calShiftMax bounds the in-place ordered-insert shift; deeper
-	// displacements defer to the scan's lazy bucket sort instead of moving
-	// (and write-barriering) long runs of events on every insert.
-	calShiftMax = 8
 )
 
 // calBucket is one slot-width of the ring. Events are popped off the front
@@ -35,54 +31,30 @@ const (
 // array is recycled by later inserts (no per-event allocation at steady
 // state).
 //
-// Ordering is hybrid: appends that land in (time, seq) order — the common
-// case, since sequence numbers only grow and near-uniform delays arrive in
-// time order — cost nothing; small displacements shift in place (bounded by
-// calShiftMax); anything deeper marks the bucket dirty and the scan sorts
-// the live region once when the cursor reaches the bucket.
+// The live region is always sorted by (time, seq), so the scan reads the
+// earliest event at head and order is paid for once, at insert: an append
+// that lands in order — the common case, since sequence numbers only grow
+// and near-uniform delays arrive in time order — costs nothing more; any
+// other is moved to its place by placeAppended.
 type calBucket struct {
-	ev    []event // from head: sorted by (time, seq) unless dirty
-	head  int
-	dirty bool
+	ev   []event // from head: sorted by (time, seq)
+	head int
 }
 
-// sort restores (time, seq) order over the live region.
-func (b *calBucket) sort() {
-	slices.SortFunc(b.ev[b.head:], func(x, y event) int {
-		if x.at != y.at {
-			if x.at < y.at {
-				return -1
-			}
-			return 1
-		}
-		if x.seq < y.seq {
-			return -1
-		}
-		return 1
-	})
-	b.dirty = false
-}
-
-// placeAppended restores order after an out-of-order append at index i,
-// shifting at most calShiftMax predecessors; on deeper displacement it
-// leaves the event at the tail and marks the bucket dirty for the scan's
-// lazy sort.
+// placeAppended restores order after an out-of-order append at index i:
+// binary search over the live region, then one copy.
 func (b *calBucket) placeAppended(i int) {
 	ev := b.ev[i]
-	lo := i - calShiftMax
-	if lo < b.head {
-		lo = b.head
+	lo, hi := b.head, i-1 // ev sorts before b.ev[i-1]
+	for lo < hi {
+		if m := int(uint(lo+hi) >> 1); ev.before(&b.ev[m]) {
+			hi = m
+		} else {
+			lo = m + 1
+		}
 	}
-	j := i
-	for j > lo && ev.before(&b.ev[j-1]) {
-		j--
-	}
-	if j == lo && j > b.head && ev.before(&b.ev[j-1]) {
-		b.dirty = true
-		return
-	}
-	copy(b.ev[j+1:i+1], b.ev[j:i])
-	b.ev[j] = ev
+	copy(b.ev[lo+1:i+1], b.ev[lo:i])
+	b.ev[lo] = ev
 }
 
 // calQueue is the bucketed ring. Far-future events (one full ring rotation
@@ -119,7 +91,6 @@ func (c *calQueue) reset() {
 		}
 		b.ev = b.ev[:0]
 		b.head = 0
-		b.dirty = false
 	}
 	c.cur = 0
 	c.n = 0
@@ -127,17 +98,16 @@ func (c *calQueue) reset() {
 	c.hasOne = false
 }
 
-// bucketInsert places ev into its slot's bucket. Used off the hot path
-// (overflow migration, rehash); calInsert inlines the same logic for
-// Schedule.
-func (c *calQueue) bucketInsert(ev event) {
+// bucketInsert places ev into its slot's bucket, which it returns.
+func (c *calQueue) bucketInsert(ev event) *calBucket {
 	b := &c.buckets[int(c.slotOf(ev.at))&(len(c.buckets)-1)]
 	n := len(b.ev)
 	b.ev = append(b.ev, ev)
-	if n > b.head && !b.dirty && ev.before(&b.ev[n-1]) {
+	if n > b.head && ev.before(&b.ev[n-1]) {
 		b.placeAppended(n)
 	}
 	c.n++
+	return b
 }
 
 // calInsert parks the event in the fast slot when the queue is empty,
@@ -177,14 +147,8 @@ func (k *Kernel) calInsertRing(ev event) {
 	if s >= c.cur+uint64(len(c.buckets)) {
 		k.heapPush(ev) // far future: a full ring rotation away or more
 	} else {
-		b := &c.buckets[int(s)&(len(c.buckets)-1)]
-		n := len(b.ev)
-		b.ev = append(b.ev, ev)
-		c.n++
-		if n > b.head && !b.dirty && ev.before(&b.ev[n-1]) {
-			b.placeAppended(n)
-		}
-		if occ := n + 1 - b.head; occ > calCrowdLen && occ&(occ-1) == 0 {
+		b := c.bucketInsert(ev)
+		if occ := len(b.ev) - b.head; occ > calCrowdLen && occ&(occ-1) == 0 {
 			k.calNarrow(b) // crowding: the local density outruns the width
 			return
 		}
@@ -202,15 +166,7 @@ func (k *Kernel) calInsertRing(ev event) {
 func (k *Kernel) calNarrow(b *calBucket) {
 	c := &k.cal
 	live := b.ev[b.head:]
-	lo, hi := live[0].at, live[0].at
-	for i := 1; i < len(live); i++ {
-		if live[i].at < lo {
-			lo = live[i].at
-		}
-		if live[i].at > hi {
-			hi = live[i].at
-		}
-	}
+	lo, hi := live[0].at, live[len(live)-1].at // sorted: first and last
 	if hi == lo {
 		return // same-instant flood: no width separates it, batching eats it
 	}
@@ -237,9 +193,9 @@ const (
 )
 
 // calRehash rebuilds the ring: bucket count sized to the population, width
-// per mode, cursor on the earliest event. O(n + buckets); triggered only
-// when the structure has drifted, so the cost amortizes over the inserts
-// and scans that caused it.
+// per mode, cursor on the earliest event. One sort of events gathered in
+// sorted runs, plus O(buckets); triggered only when the structure has
+// drifted, so the cost amortizes over the inserts and scans that caused it.
 func (k *Kernel) calRehash(mode rehashMode, forcedShift uint) {
 	c := &k.cal
 	total := c.n + len(k.heap)
@@ -255,23 +211,21 @@ func (k *Kernel) calRehash(mode rehashMode, forcedShift uint) {
 		}
 		b.ev = b.ev[:0]
 		b.head = 0
-		b.dirty = false
 	}
 	sc = append(sc, k.heap...)
 	for i := range k.heap {
 		k.heap[i] = event{}
 	}
 	k.heap = k.heap[:0]
-
-	minAt, maxAt := sc[0].at, sc[0].at
-	for i := 1; i < len(sc); i++ {
-		if sc[i].at < minAt {
-			minAt = sc[i].at
+	// One sort pays for the whole rebuild: the span is read off the ends, and
+	// re-insertion below only ever appends to a bucket or to the heap's tail.
+	slices.SortFunc(sc, func(x, y event) int {
+		if x.before(&y) {
+			return -1
 		}
-		if sc[i].at > maxAt {
-			maxAt = sc[i].at
-		}
-	}
+		return 1
+	})
+	minAt, maxAt := sc[0].at, sc[len(sc)-1].at
 	// The ring only grows (high-water semantics, like the heap's backing
 	// array): shrinking would discard every bucket's warmed backing array
 	// and break the steady-state zero-allocation pin; a sparse wide ring

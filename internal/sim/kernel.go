@@ -3,11 +3,15 @@
 // (time, sequence number) so identical seeds always produce identical runs.
 //
 // The default event queue is a calendar queue (Brown 1988): a power-of-two
-// ring of time buckets, each holding the events of exactly one bucket-width
-// slot of virtual time, sorted by (time, seq). For the near-uniform schedules
-// the figure runs produce, Schedule and the next-event scan are O(1)
-// amortized — versus O(log n) per event for a heap — and the bucket width
-// and bucket count resize themselves from the observed event-time span.
+// ring of time buckets, each holding the events of one bucket-width slot of
+// virtual time, kept sorted by (time, seq) at every insert — an in-order
+// append is free, anything else is binary-searched into place — so the scan
+// never sorts. For the near-uniform schedules the figure runs produce,
+// Schedule and the next-event scan are O(1) amortized — versus O(log n) per
+// event for a heap — and the bucket width and bucket count resize themselves
+// from the observed event-time span; when a few far-out timers stretch that
+// span and every live event shares the cursor's bucket (the federation
+// runs), an insert degrades to the search plus one copy, never to a re-sort.
 // Far-future events (beyond one full ring rotation) fall back to a sorted
 // overflow structure, a 4-ary min-heap, and migrate into the ring as the
 // scan cursor approaches their slot. The same heap doubles as the reference
@@ -154,6 +158,8 @@ func (k *Kernel) Pending() int {
 // keeping the queue kind and the allocated bucket/heap capacity, so fleet
 // arenas can recycle one kernel across experiment cells. Queued closures are
 // released. MaxEvents is preserved (it is configuration, not run state).
+//
+//first:hotpath pinned by TestKernelStretchedZeroAlloc (kernel_diff_test.go)
 func (k *Kernel) Reset() {
 	k.now = 0
 	k.seq = 0
@@ -253,9 +259,6 @@ func (k *Kernel) runCal(until Time) {
 				}
 			}
 			b = &c.buckets[int(c.cur)&(len(c.buckets)-1)]
-			if b.dirty {
-				b.sort() // lazy ordering: one sort per bucket per rotation
-			}
 			// The slot check skips entries of a later ring rotation (they
 			// can appear after the cursor backs up for a late insert).
 			if b.head < len(b.ev) && c.slotOf(b.ev[b.head].at) == c.cur {
