@@ -36,15 +36,17 @@ lint:
 # fuzz runs every decoder of external bytes for FUZZTIME each (3s in `make
 # check`; the nightly CI job runs 60s): the openaiapi request parser and SSE
 # stream reader (seed corpora under testdata/fuzz; truncation / malformed
-# frames), the gateway config file, and the chaosnet.Schedule JSON — and one
-# state machine: FuzzEngineOffer decodes bytes into a submit/abort/wait
-# schedule and checks serving.Engine's offer/settle path against the
-# per-iteration reference engine.
+# frames), the gateway config file, the chaosnet.Schedule JSON, and the
+# fabric's task/result payloads (FuzzUnmarshalPayload: no panic, and what
+# decodes survives a re-marshal) — and one state machine: FuzzEngineOffer
+# decodes bytes into a submit/abort/wait schedule and checks serving.Engine's
+# offer/settle path against the per-iteration reference engine.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseRequest$$' -fuzztime $(FUZZTIME) ./internal/openaiapi
 	$(GO) test -run '^$$' -fuzz '^FuzzReadSSE$$' -fuzztime $(FUZZTIME) ./internal/openaiapi
 	$(GO) test -run '^$$' -fuzz '^FuzzLoadConfig$$' -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzSchedule$$' -fuzztime $(FUZZTIME) ./internal/chaosnet
+	$(GO) test -run '^$$' -fuzz '^FuzzUnmarshalPayload$$' -fuzztime $(FUZZTIME) ./internal/fabric
 	$(GO) test -run '^$$' -fuzz '^FuzzEngineOffer$$' -fuzztime $(FUZZTIME) ./internal/serving
 
 # race runs the tier-1 suite under the race detector — the gate for the

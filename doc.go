@@ -62,6 +62,22 @@
 //     A reference engine in engine_test.go keeps the old per-sequence loop;
 //     a differential sweep, directed cases and FuzzEngineOffer hold the two
 //     equal at every instant.
+//   - internal/desmodel moves a request through a modelled path without
+//     allocating: every hop is a lane (a serialized server) or a pipe (a
+//     constant delay), both FIFO, both queueing *Req on a power-of-two ring
+//     that doubles when full and both wired once, at construction, to the
+//     next stage's entry point (stage.go). A request is its own event: the
+//     kernel is handed the stage's one bound callback and the ring's head
+//     says whose firing it is — right because the delay is constant and the
+//     kernel orders by (time, seq); pipe.pop checks the head's due instant
+//     against Now on every firing and panics on a mismatch, and a
+//     differential test holds a pipe to the per-request closures it replaced
+//     on both queue kinds. Per-request stage state (the due instant, the
+//     engine instance the dispatch lane picked) rides on Req. Only the two
+//     waits whose length differs per request, and so are not FIFO, keep a
+//     closure: the Opt1-off poll grid and ExtAPISystem's service time.
+//     AllocsPerRun pins carry pre-allocated requests through FirstSystem,
+//     GatewayFE, DirectSystem and Federation at zero allocations.
 //   - internal/metrics shards its hot instruments: Histogram observations
 //     scatter over independently locked slots (one shared bucket-bounds
 //     table for all histograms) and Counter increments scatter over
@@ -348,12 +364,16 @@
 // ablation arms) on parallel goroutines. Every cell owns a private kernel
 // and deterministic seeds, so fleet runs are byte-identical to the
 // sequential reference (workers=1) at any worker count. Each worker owns a
-// desmodel.Arena that recycles its kernel and serving engines across the
-// cells it executes (Reset, not reallocate) — reset structures are
-// behaviourally identical to fresh ones, so arena reuse never perturbs
-// determinism. The desmodel drivers (engine iteration loop, hub lanes)
-// run on closures bound once at construction, so saturated loops schedule
-// no fresh closure per event. desmodel.EngineSim takes the engine's offer:
+// desmodel.Arena that recycles its kernel, serving engines and emission
+// logs across the cells it executes (Reset, not reallocate), and a finished
+// call's arenas wait in a pool for the next call, so Fig. 4 runs on what
+// Fig. 3 grew — reset structures are behaviourally identical to fresh ones,
+// so arena reuse never perturbs determinism (the report is rendered twice in
+// one process against the golden), and an arena whose cell panicked is not
+// kept. Everything the desmodel hands the kernel — the engine iteration
+// loop, every lane and pipe of every path, the open-loop driver's arrivals —
+// is a callback bound once at construction, so neither a saturated loop nor
+// a request in flight schedules a fresh closure. desmodel.EngineSim takes the engine's offer:
 // it schedules its one delivery event at the end of the quiet run, settles
 // the engine to the kernel's Now before every Submit, Abort, Stats read and
 // step (so Depth, BusyGPUSeconds and a hard kill's orphan harvest read the

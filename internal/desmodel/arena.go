@@ -7,11 +7,12 @@ import (
 )
 
 // Arena recycles the expensive per-cell structures of an experiment fleet —
-// the event kernel and the serving engines — across the cells one worker
-// executes. Each fleet worker owns one Arena; Begin starts a new cell by
-// resetting the kernel and reclaiming every engine the previous cell
-// borrowed, so steady-state cell execution allocates no fresh kernel heaps,
-// calendar buckets, waiting rings, or Sequence objects. Reset structures are
+// the event kernel, the serving engines and the engines' emission logs —
+// across the cells one worker executes. Each fleet worker owns one Arena;
+// Begin starts a new cell by resetting the kernel and reclaiming every engine
+// and log the previous cell borrowed, so steady-state cell execution
+// allocates no fresh kernel heaps, calendar buckets, waiting rings, Sequence
+// objects, or emission records. Reset structures are
 // behaviourally identical to fresh ones, which keeps fleet runs byte-equal
 // to the sequential reference regardless of which worker (and therefore
 // which recycled arena) executes a cell.
@@ -24,6 +25,10 @@ type Arena struct {
 	// reclaimed engines keyed by their (comparable) config.
 	lent []*serving.Engine
 	free map[serving.Config][]*serving.Engine
+	// sims are the EngineSims built since the last Begin; Begin moves their
+	// emission logs (emptied, capacity kept) to logs for EngineSimIn to reuse.
+	sims []*EngineSim
+	logs [][]emitRun
 }
 
 // NewArena returns an empty arena whose kernels use queue kind q.
@@ -32,9 +37,18 @@ func NewArena(q sim.QueueKind) *Arena {
 }
 
 // Begin starts a new experiment cell: every engine the previous cell
-// borrowed is reset and returned to the free pool, and the kernel is reset
+// borrowed is reset and returned to the free pool, its emission log taken
+// back (so EmittedBy is for the cell still running), and the kernel is reset
 // and returned for the new cell to build on.
 func (a *Arena) Begin() *sim.Kernel {
+	for _, e := range a.sims {
+		if cap(e.emitLog) > 0 {
+			a.logs = append(a.logs, e.emitLog[:0])
+		}
+		e.emitLog = nil
+	}
+	clear(a.sims)
+	a.sims = a.sims[:0]
 	for i, eng := range a.lent {
 		eng.Reset()
 		cfg := eng.Config()
@@ -107,6 +121,11 @@ func (a *Arena) EngineSimIn(model perfmodel.ModelSpec, gpu perfmodel.GPUSpec, ma
 	}
 	e := &EngineSim{k: a.k, eng: eng, onComplete: onComplete}
 	e.bind()
+	if n := len(a.logs); n > 0 {
+		e.emitLog, a.logs[n-1] = a.logs[n-1], nil
+		a.logs = a.logs[:n-1]
+	}
+	a.sims = append(a.sims, e)
 	return e
 }
 
@@ -126,7 +145,7 @@ func NewFirstSystemIn(a *Arena, p FirstParams, model perfmodel.ModelSpec, gpu pe
 // NewDirectSystemIn is NewDirectSystem drawing its kernel and engine from
 // the arena.
 func NewDirectSystemIn(a *Arena, p DirectParams, model perfmodel.ModelSpec, gpu perfmodel.GPUSpec, done func(*Req)) *DirectSystem {
-	s := &DirectSystem{k: a.k, p: p, admission: newLane(a.k, p.APIOverhead), done: done}
+	s := newDirectSystemBase(a.k, p, done)
 	s.engine = a.EngineSimIn(model, gpu, 0, s.onEngineComplete)
 	return s
 }

@@ -14,6 +14,11 @@
 //     the §5.3.1 bottleneck) → engine.
 //   - ExtAPI: client → rate/concurrency-limited external cloud API (Fig. 5).
 //
+// Every path is a chain of two FIFO stage kinds over *Req wired at
+// construction (stage.go): a lane serializes, a pipe delays by a constant, a
+// request's place in a stage's ring is all the state a hop keeps, and no hop
+// allocates.
+//
 // All scenarios consume workload traces from internal/workload and report
 // the paper's §5.1 metrics.
 package desmodel
@@ -48,10 +53,25 @@ type Req struct {
 	ObservedAt  sim.Time // client saw the result (poll grid)
 
 	Failed bool
+
+	// due is when the pipe the request is riding hands it on, and inst the
+	// engine instance the hub's dispatch lane chose for it (see stage.go,
+	// first.go): per-request stage state lives on the request.
+	due  sim.Time
+	inst *EngineSim
 }
 
 // Latency returns the client-observed end-to-end latency.
 func (r *Req) Latency() time.Duration { return r.ObservedAt - r.ArrivalAt }
+
+// finish ends a path: r is complete, observed in the same instant, reported.
+func finish(k *sim.Kernel, r *Req, done func(*Req)) {
+	r.CompletedAt = k.Now()
+	r.ObservedAt = r.CompletedAt
+	if done != nil {
+		done(r)
+	}
+}
 
 // Metrics are the paper's §5.1 evaluation metrics for one run.
 type Metrics struct {
@@ -72,7 +92,7 @@ type Metrics struct {
 func Collect(reqs []*Req) Metrics {
 	var m Metrics
 	m.Requests = len(reqs)
-	var latencies []float64
+	latencies := make([]float64, 0, len(reqs))
 	var last sim.Time
 	var sumLat float64
 	for _, r := range reqs {
@@ -107,70 +127,3 @@ func Collect(reqs []*Req) Metrics {
 	m.P99LatS = latencies[p99]
 	return m
 }
-
-// lane is a serialized single-server queue: every item charges `cost`
-// before delivery. It models the hub's routing and relay lanes and the
-// direct path's single-threaded API admission.
-//
-// The service loop runs on two closures bound once at construction
-// (serveFn, doneFn) with the in-service item parked on the struct, so a
-// lane schedules no fresh closure per item — at hub saturation the lanes
-// are the kernel's densest event source. The queue pops by head index
-// (reset when drained) so its backing array is recycled instead of
-// re-sliced away.
-type lane struct {
-	k    *sim.Kernel
-	cost time.Duration
-	busy bool
-
-	queue []func()
-	head  int
-
-	inService func()
-	serveFn   func()
-	doneFn    func()
-
-	// depth diagnostics
-	maxDepth int
-}
-
-func newLane(k *sim.Kernel, cost time.Duration) *lane {
-	l := &lane{k: k, cost: cost}
-	l.serveFn = l.serve
-	l.doneFn = l.done
-	return l
-}
-
-func (l *lane) enqueue(fn func()) {
-	l.queue = append(l.queue, fn)
-	if d := len(l.queue) - l.head; d > l.maxDepth {
-		l.maxDepth = d
-	}
-	if !l.busy {
-		l.busy = true
-		l.k.Schedule(0, l.serveFn)
-	}
-}
-
-func (l *lane) serve() {
-	if l.head == len(l.queue) {
-		l.queue = l.queue[:0]
-		l.head = 0
-		l.busy = false
-		return
-	}
-	l.inService = l.queue[l.head]
-	l.queue[l.head] = nil
-	l.head++
-	l.k.Schedule(l.cost, l.doneFn)
-}
-
-func (l *lane) done() {
-	fn := l.inService
-	l.inService = nil
-	fn()
-	l.serve()
-}
-
-// Depth returns the current queue length (excluding the in-service item).
-func (l *lane) Depth() int { return len(l.queue) - l.head }

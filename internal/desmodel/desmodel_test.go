@@ -12,10 +12,15 @@ import (
 
 func TestLaneSerializesAtCost(t *testing.T) {
 	k := sim.NewKernel()
-	l := newLane(k, 100*time.Millisecond)
+	var order []*Req
 	var completions []sim.Time
-	for i := 0; i < 10; i++ {
-		l.enqueue(func() { completions = append(completions, k.Now()) })
+	l := newLane(k, 100*time.Millisecond, func(r *Req) {
+		order = append(order, r)
+		completions = append(completions, k.Now())
+	})
+	reqs := make([]Req, 10)
+	for i := range reqs {
+		l.enqueue(&reqs[i])
 	}
 	k.Run(0)
 	if len(completions) != 10 {
@@ -26,14 +31,18 @@ func TestLaneSerializesAtCost(t *testing.T) {
 		if at != want {
 			t.Errorf("item %d at %v, want %v", i, at, want)
 		}
+		if order[i] != &reqs[i] {
+			t.Errorf("item %d is not the %d-th request enqueued", i, i)
+		}
 	}
 }
 
 func TestLaneDepthTracking(t *testing.T) {
 	k := sim.NewKernel()
-	l := newLane(k, time.Second)
-	for i := 0; i < 5; i++ {
-		l.enqueue(func() {})
+	l := newLane(k, time.Second, func(*Req) {})
+	reqs := make([]Req, 5)
+	for i := range reqs {
+		l.enqueue(&reqs[i])
 	}
 	if l.Depth() != 5 { // service starts only when the kernel runs
 		t.Errorf("depth = %d, want 5", l.Depth())
@@ -45,6 +54,9 @@ func TestLaneDepthTracking(t *testing.T) {
 	k.Run(0)
 	if l.Depth() != 0 {
 		t.Errorf("depth after drain = %d", l.Depth())
+	}
+	if l.maxDepth != 5 {
+		t.Errorf("maxDepth = %d, want 5", l.maxDepth)
 	}
 }
 

@@ -30,42 +30,50 @@ func DefaultDirectParams() DirectParams {
 	}
 }
 
-// DirectSystem is the vLLM-direct path on a kernel.
+// DirectSystem is the vLLM-direct path on a kernel: admission lane → engine
+// → response pipe.
 type DirectSystem struct {
 	k         *sim.Kernel
-	p         DirectParams
 	admission *lane
+	resp      *pipe // ResponseOverhead
 	engine    *EngineSim
 	done      func(*Req)
 }
 
 // NewDirectSystem builds a single-instance direct serving path.
 func NewDirectSystem(k *sim.Kernel, p DirectParams, model perfmodel.ModelSpec, gpu perfmodel.GPUSpec, done func(*Req)) *DirectSystem {
-	s := &DirectSystem{k: k, p: p, admission: newLane(k, p.APIOverhead), done: done}
+	s := newDirectSystemBase(k, p, done)
 	s.engine = MustEngineSim(k, model, gpu, 0, s.onEngineComplete)
 	return s
 }
 
+// newDirectSystemBase wires the stages; the caller supplies the engine.
+func newDirectSystemBase(k *sim.Kernel, p DirectParams, done func(*Req)) *DirectSystem {
+	s := &DirectSystem{k: k, done: done}
+	s.admission = newLane(k, p.APIOverhead, s.admitted)
+	s.resp = newPipe(k, p.ResponseOverhead, s.complete)
+	return s
+}
+
 // Arrive is the client sending a request.
+//
+//first:hotpath pinned by TestSystemsCarryZeroAlloc (stage_test.go)
 func (s *DirectSystem) Arrive(r *Req) {
 	r.ArrivalAt = s.k.Now()
-	s.admission.enqueue(func() {
-		r.GatewayAt = s.k.Now()
-		r.EngineAt = r.GatewayAt
-		s.engine.Submit(r.PromptTok, r.OutputTok, r)
-	})
+	s.admission.enqueue(r)
+}
+
+func (s *DirectSystem) admitted(r *Req) {
+	r.GatewayAt = s.k.Now()
+	r.EngineAt = r.GatewayAt
+	s.engine.Submit(r.PromptTok, r.OutputTok, r)
 }
 
 func (s *DirectSystem) onEngineComplete(seq *serving.Sequence) {
-	r := seq.Ctx.(*Req)
-	s.k.Schedule(s.p.ResponseOverhead, func() {
-		r.CompletedAt = s.k.Now()
-		r.ObservedAt = r.CompletedAt
-		if s.done != nil {
-			s.done(r)
-		}
-	})
+	s.resp.push(seq.Ctx.(*Req))
 }
+
+func (s *DirectSystem) complete(r *Req) { finish(s.k, r, s.done) }
 
 // PeakBatch reports the engine's largest running batch.
 func (s *DirectSystem) PeakBatch() int { return s.engine.Stats().PeakBatch }
@@ -79,38 +87,42 @@ type ExtAPISystem struct {
 	m     serving.ExtAPIModel
 	gap   *lane
 	inSvc int
-	queue []*Req
+	queue reqRing
 	done  func(*Req)
 }
 
 // NewExtAPISystem builds the external comparator.
 func NewExtAPISystem(k *sim.Kernel, m serving.ExtAPIModel, done func(*Req)) *ExtAPISystem {
-	return &ExtAPISystem{k: k, m: m, gap: newLane(k, m.AdmissionGap()), done: done}
+	s := &ExtAPISystem{k: k, m: m, done: done}
+	s.gap = newLane(k, m.AdmissionGap(), s.tryServe)
+	return s
 }
 
 // Arrive is the client sending a request.
+//
+//first:hotpath shares the Arrive pin (stage_test.go); its own path is not pinned: see tryServe
 func (s *ExtAPISystem) Arrive(r *Req) {
 	r.ArrivalAt = s.k.Now()
-	s.gap.enqueue(func() { s.tryServe(r) })
+	s.gap.enqueue(r)
 }
 
 func (s *ExtAPISystem) tryServe(r *Req) {
 	if s.m.MaxConcurrent > 0 && s.inSvc >= s.m.MaxConcurrent {
-		s.queue = append(s.queue, r)
+		s.queue.push(r)
 		return
 	}
 	s.inSvc++
 	r.GatewayAt = s.k.Now()
 	r.EngineAt = r.GatewayAt
 	r.OutputTok = s.m.ScaledOutput(r.OutputTok)
+	// The service time follows the request's own output length, so this
+	// wait is not FIFO and keeps a closure per request.
 	s.k.Schedule(s.m.ServiceTime(r.OutputTok), func() {
 		r.CompletedAt = s.k.Now()
 		r.ObservedAt = r.CompletedAt
 		s.inSvc--
-		if len(s.queue) > 0 {
-			next := s.queue[0]
-			s.queue = s.queue[1:]
-			s.tryServe(next)
+		if s.queue.n > 0 {
+			s.tryServe(s.queue.pop())
 		}
 		if s.done != nil {
 			s.done(r)

@@ -399,9 +399,9 @@ func newFederation(k *sim.Kernel, p FederationParams, newEngine func(perfmodel.M
 		p:         p,
 		newEngine: newEngine,
 		done:      done,
-		fe:        newShardFE(k, p.Shards, p.CritSection),
 		scratch:   make([]federation.EndpointInfo, 0, p.Clusters),
 	}
+	f.fe = newShardFE(k, p.Shards, p.CritSection, p.PostWork, f.route)
 	for i := 0; i < p.Clusters; i++ {
 		c := &fedCluster{f: f, idx: i}
 		c.cl = cluster.New(fmt.Sprintf("fed-%d", i), p.NodesPerCluster, p.GPUsPerNode, p.GPU)
@@ -476,13 +476,12 @@ func (c *fedCluster) noteQueued() {
 // Arrive is a client request hitting the federation gateway: shard-lane
 // admission (serialized critical section), PostWork, then the routing
 // decision.
+//
+//first:hotpath pinned by TestSystemsCarryZeroAlloc (stage_test.go)
 func (f *Federation) Arrive(r *Req) {
 	r.ArrivalAt = f.k.Now()
 	f.arrivals++
-	f.fe.admit(uint64(r.ID), func() {
-		r.GatewayAt = f.k.Now()
-		f.k.Schedule(f.p.PostWork, func() { f.route(r) })
-	})
+	f.fe.admit(r)
 }
 
 // route applies the real federation.Select priority ladder over live

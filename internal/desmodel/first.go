@@ -100,18 +100,26 @@ func (p FirstParams) window() int {
 	return p.Window
 }
 
-// FirstSystem is the FIRST path wired onto a kernel.
+// FirstSystem is the FIRST path wired onto a kernel, as a chain of stages
+// (stage.go) a request walks in order: worker window → [auth lane →] auth
+// pipe → submit pipe → dispatch lane → pick → pickup pipe → engine → relay
+// lane → return pipe → observe pipe.
 type FirstSystem struct {
 	k *sim.Kernel
 	p FirstParams
 
 	engines  []*EngineSim
-	authLane *lane
+	authLane *lane // nil unless AuthRatePerSec caps introspections
+	auth     *pipe // AuthIntrospect
+	submit   *pipe // GatewayOverhead + HubSubmit
 	dispatch *lane
+	pickup   *pipe // EndpointPickup
 	relay    *lane
+	ret      *pipe // ResultReturn
+	observe  *pipe // zero delay: the client sees the result in its own event
 
 	inFlight int
-	backlog  []*Req
+	backlog  reqRing
 	done     func(*Req)
 
 	maxBacklog int
@@ -132,19 +140,19 @@ func NewFirstSystem(k *sim.Kernel, p FirstParams, model perfmodel.ModelSpec, gpu
 	return s
 }
 
-// newFirstSystemBase wires everything but the engines (NewFirstSystem
-// allocates them fresh; NewFirstSystemIn draws them from an arena).
+// newFirstSystemBase wires every stage to the next but builds no engines
+// (NewFirstSystem allocates them; NewFirstSystemIn draws them from an arena).
 func newFirstSystemBase(k *sim.Kernel, p FirstParams, done func(*Req)) *FirstSystem {
-	s := &FirstSystem{
-		k:        k,
-		p:        p,
-		dispatch: newLane(k, p.HubDispatchCost),
-		relay:    newLane(k, p.HubRelayCost),
-		done:     done,
-		rng:      sim.NewRNG(1),
-	}
+	s := &FirstSystem{k: k, p: p, done: done, rng: sim.NewRNG(1)}
+	s.observe = newPipe(k, 0, s.observed)
+	s.ret = newPipe(k, p.ResultReturn, s.complete)
+	s.relay = newLane(k, p.HubRelayCost, s.ret.push)
+	s.pickup = newPipe(k, p.EndpointPickup, s.submitToEngine)
+	s.dispatch = newLane(k, p.HubDispatchCost, s.dispatched)
+	s.submit = newPipe(k, p.GatewayOverhead+p.HubSubmit, s.dispatch.enqueue)
+	s.auth = newPipe(k, p.AuthIntrospect, s.submit.push)
 	if p.AuthRatePerSec > 0 {
-		s.authLane = newLane(k, time.Duration(float64(time.Second)/p.AuthRatePerSec))
+		s.authLane = newLane(k, time.Duration(float64(time.Second)/p.AuthRatePerSec), s.auth.push)
 	}
 	return s
 }
@@ -154,12 +162,14 @@ func newFirstSystemBase(k *sim.Kernel, p FirstParams, done func(*Req)) *FirstSys
 // the client's connection pool; per the benchmark script's convention,
 // end-to-end latency is measured from the actual send (ArrivalAt), while
 // benchmark duration covers the whole run.
+//
+//first:hotpath pinned by TestSystemsCarryZeroAlloc (stage_test.go)
 func (s *FirstSystem) Arrive(r *Req) {
 	w := s.p.window()
 	if w > 0 && s.inFlight >= w {
-		s.backlog = append(s.backlog, r)
-		if len(s.backlog) > s.maxBacklog {
-			s.maxBacklog = len(s.backlog)
+		s.backlog.push(r)
+		if s.backlog.n > s.maxBacklog {
+			s.maxBacklog = s.backlog.n
 		}
 		return
 	}
@@ -169,31 +179,27 @@ func (s *FirstSystem) Arrive(r *Req) {
 func (s *FirstSystem) admit(r *Req) {
 	s.inFlight++
 	r.ArrivalAt = s.k.Now()
-	r.GatewayAt = s.k.Now()
-	afterAuth := func() {
-		s.k.Schedule(s.p.GatewayOverhead+s.p.HubSubmit, func() { s.dispatchTask(r) })
+	r.GatewayAt = r.ArrivalAt
+	switch {
+	case s.p.AuthIntrospect <= 0:
+		s.submit.push(r)
+	case s.authLane != nil:
+		s.authLane.enqueue(r)
+	default:
+		s.auth.push(r)
 	}
-	if s.p.AuthIntrospect > 0 {
-		if s.authLane != nil {
-			s.authLane.enqueue(func() {
-				s.k.Schedule(s.p.AuthIntrospect, afterAuth)
-			})
-		} else {
-			s.k.Schedule(s.p.AuthIntrospect, afterAuth)
-		}
-		return
-	}
-	afterAuth()
 }
 
-func (s *FirstSystem) dispatchTask(r *Req) {
-	s.dispatch.enqueue(func() {
-		eng := s.pick()
-		s.k.Schedule(s.p.EndpointPickup, func() {
-			r.EngineAt = s.k.Now()
-			eng.Submit(r.PromptTok, r.OutputTok, r)
-		})
-	})
+// dispatched is the hub routing a task: the instance chosen as it leaves the
+// dispatch lane rides on the request until the endpoint has picked it up.
+func (s *FirstSystem) dispatched(r *Req) {
+	r.inst = s.pick()
+	s.pickup.push(r)
+}
+
+func (s *FirstSystem) submitToEngine(r *Req) {
+	r.EngineAt = s.k.Now()
+	r.inst.Submit(r.PromptTok, r.OutputTok, r)
 }
 
 func (s *FirstSystem) pick() *EngineSim {
@@ -216,10 +222,7 @@ func (s *FirstSystem) pick() *EngineSim {
 }
 
 func (s *FirstSystem) onEngineComplete(seq *serving.Sequence) {
-	r := seq.Ctx.(*Req)
-	s.relay.enqueue(func() {
-		s.k.Schedule(s.p.ResultReturn, func() { s.complete(r) })
-	})
+	s.relay.enqueue(seq.Ctx.(*Req))
 }
 
 func (s *FirstSystem) complete(r *Req) {
@@ -227,22 +230,27 @@ func (s *FirstSystem) complete(r *Req) {
 	r.ObservedAt = r.CompletedAt
 	if s.p.PollInterval > 0 {
 		// The poller anchored at gateway admission only notices the
-		// result on the next grid point.
+		// result on the next grid point. Each request has its own grid,
+		// so this wait is not FIFO and keeps a closure (Opt1-off only).
 		elapsed := r.CompletedAt - r.GatewayAt
 		ticks := elapsed/s.p.PollInterval + 1
 		r.ObservedAt = r.GatewayAt + ticks*s.p.PollInterval
+		s.k.At(r.ObservedAt, func() { s.observed(r) })
+		return
 	}
-	s.k.At(r.ObservedAt, func() {
-		s.inFlight--
-		if len(s.backlog) > 0 {
-			next := s.backlog[0]
-			s.backlog = s.backlog[1:]
-			s.admit(next)
-		}
-		if s.done != nil {
-			s.done(r)
-		}
-	})
+	s.observe.push(r)
+}
+
+// observed is the client seeing the result: the worker slot frees and the
+// longest-waiting backlogged request takes it.
+func (s *FirstSystem) observed(r *Req) {
+	s.inFlight--
+	if s.backlog.n > 0 {
+		s.admit(s.backlog.pop())
+	}
+	if s.done != nil {
+		s.done(r)
+	}
 }
 
 // HubQueueDepth reports tasks queued at the hub's dispatch lane (the

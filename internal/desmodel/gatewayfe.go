@@ -36,31 +36,37 @@ func DefaultGatewayFEParams(shards int) GatewayFEParams {
 
 // shardFE is the sharded admission front-end shared by the storm and
 // federation scenarios: requests hash onto one of a power-of-two set of
-// serialized lanes, each charging a critical section per item, and continue
-// off-lane from there. Shard count is rounded up to a power of two so the
-// hash is a mask, mirroring the live gateway.
+// serialized lanes, each charging a critical section per request, are
+// stamped admitted as they leave it, and reach out after PostWork off the
+// lock (one pipe serves every shard: the delay is the same). Shard count is
+// rounded up to a power of two so the hash is a mask, as in the live gateway.
 type shardFE struct {
 	k      *sim.Kernel
 	shards []*lane
 	mask   uint64
+	post   *pipe
 }
 
-func newShardFE(k *sim.Kernel, shards int, critSection time.Duration) *shardFE {
+func newShardFE(k *sim.Kernel, shards int, critSection, postWork time.Duration, out func(*Req)) *shardFE {
 	n := 1
 	for n < shards {
 		n <<= 1
 	}
-	fe := &shardFE{k: k, mask: uint64(n - 1)}
+	fe := &shardFE{k: k, mask: uint64(n - 1), post: newPipe(k, postWork, out)}
 	for i := 0; i < n; i++ {
-		fe.shards = append(fe.shards, newLane(k, critSection))
+		fe.shards = append(fe.shards, newLane(k, critSection, fe.admitted))
 	}
 	return fe
 }
 
-// admit hashes an identity onto its shard lane and runs then once the lane
-// has charged the critical section.
-func (fe *shardFE) admit(id uint64, then func()) {
-	fe.shards[splitmix64(id)&fe.mask].enqueue(then)
+// admit hashes the request's identity onto its shard lane.
+func (fe *shardFE) admit(r *Req) {
+	fe.shards[splitmix64(uint64(r.ID))&fe.mask].enqueue(r)
+}
+
+func (fe *shardFE) admitted(r *Req) {
+	r.GatewayAt = fe.k.Now()
+	fe.post.push(r)
 }
 
 // peakShardQueue reports the deepest backlog any shard lane reached — the
@@ -77,18 +83,20 @@ func (fe *shardFE) peakShardQueue() int {
 }
 
 // GatewayFE is the front-end-only path on a kernel: requests hash to a
-// shard lane (a serialized queue charging CritSection per item) and complete
-// after PostWork. No engine sits behind it — the scenario isolates admission.
+// shard lane (a serialized queue charging CritSection per request) and
+// complete after PostWork. No engine sits behind it — the scenario isolates
+// admission.
 type GatewayFE struct {
 	k    *sim.Kernel
-	p    GatewayFEParams
 	fe   *shardFE
 	done func(*Req)
 }
 
 // NewGatewayFE builds the front-end model.
 func NewGatewayFE(k *sim.Kernel, p GatewayFEParams, done func(*Req)) *GatewayFE {
-	return &GatewayFE{k: k, p: p, fe: newShardFE(k, p.Shards, p.CritSection), done: done}
+	s := &GatewayFE{k: k, done: done}
+	s.fe = newShardFE(k, p.Shards, p.CritSection, p.PostWork, s.complete)
+	return s
 }
 
 // splitmix64 spreads sequential user IDs uniformly over shards.
@@ -102,19 +110,14 @@ func splitmix64(x uint64) uint64 {
 // Arrive is one user's request hitting the front-end. The request's ID is
 // its user identity: an arrival storm is distinct one-shot users, so every
 // request hashes independently.
+//
+//first:hotpath pinned by TestSystemsCarryZeroAlloc (stage_test.go)
 func (s *GatewayFE) Arrive(r *Req) {
 	r.ArrivalAt = s.k.Now()
-	s.fe.admit(uint64(r.ID), func() {
-		r.GatewayAt = s.k.Now()
-		s.k.Schedule(s.p.PostWork, func() {
-			r.CompletedAt = s.k.Now()
-			r.ObservedAt = r.CompletedAt
-			if s.done != nil {
-				s.done(r)
-			}
-		})
-	})
+	s.fe.admit(r)
 }
+
+func (s *GatewayFE) complete(r *Req) { finish(s.k, r, s.done) }
 
 // PeakShardQueue exposes the front-end's congestion high-water mark (the
 // storm experiment's headline observable).

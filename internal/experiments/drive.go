@@ -22,14 +22,23 @@ type arriver interface {
 
 // driveOpenLoop schedules a trace's arrivals onto a system (the vLLM
 // benchmark script's open-loop mode: fixed request rate, or everything at
-// t=0 for the "infinite" rate).
+// t=0 for the "infinite" rate). The trace must be in arrival order: the n
+// events then fire in index order and share one callback and one block.
 func driveOpenLoop(k *sim.Kernel, trace []workload.Request, sys arriver) []*desmodel.Req {
+	block := make([]desmodel.Req, len(trace))
 	reqs := make([]*desmodel.Req, len(trace))
-	for i := range trace {
-		t := trace[i]
-		r := &desmodel.Req{ID: t.ID, PromptTok: t.PromptTok, OutputTok: t.OutputTok}
-		reqs[i] = r
-		k.Schedule(t.ArrivalAt, func() { sys.Arrive(r) })
+	next := 0
+	send := func() {
+		sys.Arrive(reqs[next])
+		next++
+	}
+	for i, t := range trace {
+		if i > 0 && t.ArrivalAt < trace[i-1].ArrivalAt {
+			panic("experiments: open-loop trace is not in arrival order")
+		}
+		block[i] = desmodel.Req{ID: t.ID, PromptTok: t.PromptTok, OutputTok: t.OutputTok}
+		reqs[i] = &block[i]
+		k.Schedule(t.ArrivalAt, send)
 	}
 	return reqs
 }
@@ -52,6 +61,7 @@ type closedLoop struct {
 	sys       arriver
 	issued    int
 	finished  []*desmodel.Req
+	slab      []desmodel.Req // requests not yet issued, 256 to an allocation
 
 	// Chat-session mode (Table 1): WebUI resends the full conversation on
 	// every turn, so a session's prompt grows by the previous turn's
@@ -95,7 +105,12 @@ func (c *closedLoop) issue(session int) {
 		}
 	}
 	c.issued++
-	r := &desmodel.Req{ID: c.issued, PromptTok: p, OutputTok: o, Session: session}
+	if len(c.slab) == 0 {
+		c.slab = make([]desmodel.Req, 256)
+	}
+	r := &c.slab[0]
+	c.slab = c.slab[1:]
+	*r = desmodel.Req{ID: c.issued, PromptTok: p, OutputTok: o, Session: session}
 	if c.assign != nil {
 		c.assign(r)
 	}

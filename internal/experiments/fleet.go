@@ -18,9 +18,10 @@ import (
 // pre-sized result slots indexed by cell, never append under a lock.
 //
 // Each worker owns a desmodel.Arena recycling its kernel and serving-engine
-// structures across the cells it executes (reset, not reallocated), so a
-// fleet run's steady-state allocation cost is one arena per worker rather
-// than one kernel+engines per cell.
+// structures across the cells it executes (reset, not reallocated), and the
+// arenas themselves outlive the call (arenaFree), so a process's
+// steady-state allocation cost is one arena per concurrent worker rather
+// than one kernel+engines per cell or per experiment.
 type Fleet struct {
 	// Workers is the goroutine count: 0 means GOMAXPROCS, 1 forces the
 	// sequential path (used by the determinism tests as the reference).
@@ -36,6 +37,37 @@ var Sequential = Fleet{Workers: 1}
 
 // Parallel is the default fleet: GOMAXPROCS workers.
 var Parallel = Fleet{}
+
+// arenaFree keeps the arenas of finished RunArena calls, by queue kind, for
+// the next call to start warm: Fig. 4 runs on the calendar buckets, engines
+// and emission logs Fig. 3 grew. A recycled arena behaves as a fresh one
+// (Arena.Begin), so results do not depend on what is kept, which is never
+// more arenas than the most workers that ran at once.
+var (
+	arenaMu   sync.Mutex
+	arenaFree = map[sim.QueueKind][]*desmodel.Arena{}
+)
+
+func takeArena(q sim.QueueKind) *desmodel.Arena {
+	arenaMu.Lock()
+	defer arenaMu.Unlock()
+	free := arenaFree[q]
+	if len(free) == 0 {
+		return desmodel.NewArena(q)
+	}
+	a := free[len(free)-1]
+	free[len(free)-1] = nil // taken: a poisoned arena must not stay reachable from here
+	arenaFree[q] = free[:len(free)-1]
+	return a
+}
+
+// giveArena keeps an arena whose last cell ran to its end. One whose cell
+// panicked is in an unknown state and is left to the collector instead.
+func giveArena(q sim.QueueKind, a *desmodel.Arena) {
+	arenaMu.Lock()
+	defer arenaMu.Unlock()
+	arenaFree[q] = append(arenaFree[q], a)
+}
 
 // Run invokes cell(i) for every i in [0, n), fanning out across the fleet's
 // workers. It returns after every cell completes. Cells must be independent:
@@ -59,10 +91,11 @@ func (f Fleet) RunArena(n int, cell func(i int, a *desmodel.Arena)) {
 		w = n
 	}
 	if w <= 1 {
-		a := desmodel.NewArena(f.Queue)
+		a := takeArena(f.Queue)
 		for i := 0; i < n; i++ {
 			cell(i, a)
 		}
+		giveArena(f.Queue, a)
 		return
 	}
 	var next atomic.Int64
@@ -82,10 +115,11 @@ func (f Fleet) RunArena(n int, cell func(i int, a *desmodel.Arena)) {
 					panicOnce.Do(func() { panicked = r })
 				}
 			}()
-			a := desmodel.NewArena(f.Queue)
+			a := takeArena(f.Queue)
 			for {
 				i := int(next.Add(1)) - 1
 				if i >= n {
+					giveArena(f.Queue, a)
 					return
 				}
 				cell(i, a)
