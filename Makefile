@@ -5,7 +5,7 @@ GO ?= go
 # (make fuzz FUZZTIME=60s).
 FUZZTIME ?= 3s
 
-.PHONY: all check fmt vet build test fuzz lint race chaos calibrate benchmark-smoke pairs federate-night autoscale-night livefed-night
+.PHONY: all check fmt vet build test fuzz lint race chaos calibrate benchmark-smoke pairs loc federate-night autoscale-night livefed-night
 
 all: check
 
@@ -84,6 +84,12 @@ pairs:
 	@test -n "$(PARENT)" -a -n "$(WORKLOAD)" -a -n "$(SEEDS)" || { \
 		echo 'usage: make pairs PARENT=<checkout> WORKLOAD=<name> SEEDS="<n> <n> ..."'; exit 2; }
 	bash scripts/pairs.sh "$(PARENT)" "$(WORKLOAD)" $(SEEDS)
+
+# loc prints the line count every size bound in ROADMAP.md quotes: non-test
+# and test Go lines per internal/* package (scripts/loc.sh). The check CI job
+# prints it beside the tests; nothing gates on it.
+loc:
+	@bash scripts/loc.sh
 
 # federate-night runs the full-scale federation determinism suite — 10⁶
 # open-loop requests + 10⁴ WebUI sessions, byte-identical across worker

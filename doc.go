@@ -3,9 +3,9 @@
 // (Tanikanti et al., SC 2025): an Inference-as-a-Service stack for HPC with
 // an OpenAI-compatible gateway, a Globus-Compute-style function fabric,
 // PBS-like schedulers over simulated GPU clusters, vLLM-style continuous-
-// batching serving engines, federation-aware routing, batch mode, and a
-// WebUI backend — plus a discrete-event harness that regenerates every
-// table and figure in the paper's evaluation. See README.md, DESIGN.md and
+// batching serving engines, federation-aware routing and batch mode — plus
+// a discrete-event harness that regenerates every table and figure in the
+// paper's evaluation. See README.md, DESIGN.md and
 // EXPERIMENTS.md.
 //
 // # Simulation substrate
@@ -76,8 +76,16 @@
 //     engine instance the dispatch lane picked) rides on Req. Only the two
 //     waits whose length differs per request, and so are not FIFO, keep a
 //     closure: the Opt1-off poll grid and ExtAPISystem's service time.
-//     AllocsPerRun pins carry pre-allocated requests through FirstSystem,
-//     GatewayFE, DirectSystem and Federation at zero allocations.
+//     There is one request path: desmodel.Federation — shard front-end,
+//     the real federation.Select, scheduler-backed pools — and the paper's
+//     own system is a configuration of it (FirstPathParams: one cluster,
+//     hot instances, FederationParams.First wiring the fabric's worker
+//     window, hub lanes, pickup and relay around the router and the pool),
+//     so Fig. 3/4/5, Table 1 and the ablations route and place like every
+//     federate cell, and every cell audits arrivals = completions.
+//     AllocsPerRun pins carry pre-allocated requests through that FIRST
+//     configuration (with and without the auth lane), GatewayFE,
+//     DirectSystem and a churn-free Federation at zero allocations.
 //   - internal/metrics shards its hot instruments: Histogram observations
 //     scatter over independently locked slots (one shared bucket-bounds
 //     table for all histograms) and Counter increments scatter over
@@ -383,8 +391,10 @@
 // nothing. The iteration that completes a sequence is always an event of
 // its own, so the step→deliver window (DeliveryPending, EachUndelivered)
 // is unchanged. EmittedBy reads one {first, each, count, tokens} record per
-// delivery event, kept only where it is read (FirstSystem, DirectSystem,
-// stand-alone sims — not Federation's instances). Tests flip an unexported
+// delivery event, kept only where it can be read: by a Federation's hot
+// instances (Table 1's EmittedTokensBy), DirectSystem and stand-alone sims —
+// not by an incarnation the scheduler started, whose log would die with it.
+// Tests flip an unexported
 // hook to ignore the offer and require identical rows from every short
 // experiment family, and internal/experiments/testdata/report_all.golden
 // pins the full rendered report across commits (regenerate only with

@@ -64,9 +64,6 @@ func (a *Arena) Begin() *sim.Kernel {
 	return a.k
 }
 
-// Kernel returns the current cell's kernel (Begin must have been called).
-func (a *Arena) Kernel() *sim.Kernel { return a.k }
-
 // engine borrows an engine for cfg: a reset one from the pool when
 // available, a fresh one otherwise. The engine returns to the pool at the
 // next Begin.
@@ -127,25 +124,4 @@ func (a *Arena) EngineSimIn(model perfmodel.ModelSpec, gpu perfmodel.GPUSpec, ma
 	}
 	a.sims = append(a.sims, e)
 	return e
-}
-
-// NewFirstSystemIn is NewFirstSystem drawing its kernel and engines from the
-// arena.
-func NewFirstSystemIn(a *Arena, p FirstParams, model perfmodel.ModelSpec, gpu perfmodel.GPUSpec, instances int, done func(*Req)) *FirstSystem {
-	if instances < 1 {
-		instances = 1
-	}
-	s := newFirstSystemBase(a.k, p, done)
-	for i := 0; i < instances; i++ {
-		s.engines = append(s.engines, a.EngineSimIn(model, gpu, 0, s.onEngineComplete))
-	}
-	return s
-}
-
-// NewDirectSystemIn is NewDirectSystem drawing its kernel and engine from
-// the arena.
-func NewDirectSystemIn(a *Arena, p DirectParams, model perfmodel.ModelSpec, gpu perfmodel.GPUSpec, done func(*Req)) *DirectSystem {
-	s := newDirectSystemBase(a.k, p, done)
-	s.engine = a.EngineSimIn(model, gpu, 0, s.onEngineComplete)
-	return s
 }

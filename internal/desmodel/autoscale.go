@@ -141,22 +141,8 @@ func (d *fedDep) liveCount() int {
 	return n
 }
 
-// servingCount counts instances actually accepting work — the capacity the
-// routing layer may advertise (EndpointInfo.Instances): a queued or loading
-// incarnation is minutes of prologue+load away from helping, and counting
-// it would steer the ladder onto a still-backed-up pool.
-func (d *fedDep) servingCount() int {
-	n := 0
-	for _, in := range d.insts {
-		if in.state == instServing {
-			n++
-		}
-	}
-	return n
-}
-
-// pickServing returns the least-loaded serving instance (earliest pool
-// member wins ties), or nil when nothing serves. A cordoned instance —
+// pickServing is the one instance picker: the least-loaded serving instance
+// (earliest pool member wins ties), or nil when nothing serves. A cordoned instance —
 // one flagged ahead of its imminent walltime drain (CordonLead) — is
 // passed over while any uncordoned sibling serves, and used only as the
 // last resort: capacity that exists must never park a request. With no
@@ -165,6 +151,15 @@ func (d *fedDep) servingCount() int {
 //
 //first:hotpath pinned by the scaler AllocsPerRun sweep (autoscale_test.go)
 func (d *fedDep) pickServing() *fedInstance {
+	switch d.f.p.First.Routing {
+	// The ablations of least-loaded dispatch. Only a wired fabric hop sets
+	// one, and its pools are hot instances (mustBeBuildable): all serve.
+	case RouteRoundRobin:
+		d.rrNext++
+		return d.insts[(d.rrNext-1)%len(d.insts)]
+	case RouteRandom:
+		return d.insts[d.rng.Intn(len(d.insts))]
+	}
 	var best, cordoned *fedInstance
 	for _, in := range d.insts {
 		if in.state != instServing {
@@ -197,8 +192,8 @@ func (d *fedDep) notePool() {
 	for _, dep := range d.c.deps {
 		total += len(dep.insts)
 	}
-	if total > d.c.peakInstances {
-		d.c.peakInstances = total
+	if total > d.c.stats.PeakInstances {
+		d.c.stats.PeakInstances = total
 	}
 }
 
@@ -249,7 +244,7 @@ func (d *fedDep) scaleTick() {
 				// dip a capped pool below MaxInstances mid-peak, and the
 				// refill that follows is the same standing episode, not a
 				// new one. Only the condition breaking ends the episode.
-				d.c.scaleUps++
+				d.c.stats.ScaleUps++
 				d.startInstance()
 			} else if !d.hiRefused {
 				// One refusal per sustained episode: the pool is pinned at
@@ -260,7 +255,7 @@ func (d *fedDep) scaleTick() {
 				// pool churn at the cap nor a one-tick flap of the
 				// watermark ends the episode.
 				d.hiRefused = true
-				d.c.scaleRefused++
+				d.c.stats.ScaleRefused++
 			}
 		}
 		return
@@ -279,7 +274,7 @@ func (d *fedDep) scaleTick() {
 		// cold-start ahead says it will: start the incarnation now so it is
 		// serving — not queued behind a prologue — when the backlog lands.
 		d.loStreak = 0
-		d.c.preWarms++
+		d.c.stats.PreWarms++
 		d.startInstance()
 		return
 	}
@@ -348,7 +343,7 @@ func (d *fedDep) preWarmReplacement(j *scheduler.Job, in *fedInstance) {
 	if d.depth() == 0 || len(d.insts) >= d.f.p.Scale.MaxInstances {
 		return
 	}
-	d.c.preWarms++
+	d.c.stats.PreWarms++
 	d.startInstance()
 }
 
@@ -372,7 +367,7 @@ func (d *fedDep) tryScaleDown() bool {
 			// one that reached Starting holds its allocation and is about to
 			// serve — killing it would forfeit the prologue already paid
 			// (and, under a thrashing config, could starve the model).
-			d.c.scaleDowns++
+			d.c.stats.ScaleDowns++
 			// Cancel ends the job synchronously: onJobEnd detaches the
 			// incarnation before this returns.
 			d.c.sched.Cancel(in.job.ID)

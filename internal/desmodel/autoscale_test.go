@@ -43,13 +43,13 @@ func floodModel(k *sim.Kernel, f *Federation, model, n, outputTok int) []*Req {
 // backlog past the high-water mark must add instances through the real
 // scheduler cold-start path, and every added instance must serve.
 func TestAutoScaleUpOnSustainedBacklog(t *testing.T) {
-	k := sim.NewKernel()
+	a, k := testArena(sim.QueueCalendar)
 	p := scaleTestParams(2, 3)
 	n := 120
 	done := 0
 	// Scaler ticks self-schedule forever: stop at the last completion, like
 	// the open-loop experiment drivers.
-	f := NewFederation(k, p, func(*Req) {
+	f := NewFederationIn(a, p, func(*Req) {
 		if done++; done == n {
 			k.Stop()
 		}
@@ -84,10 +84,10 @@ func TestAutoScaleUpOnSustainedBacklog(t *testing.T) {
 // TestAutoScaleDownWhenIdle pins the shrink direction: once the wave passes,
 // the scaler must drain the pool back — but never below one instance.
 func TestAutoScaleDownWhenIdle(t *testing.T) {
-	k := sim.NewKernel()
+	a, k := testArena(sim.QueueCalendar)
 	p := scaleTestParams(2, 3)
 	done := 0
-	f := NewFederation(k, p, func(*Req) { done++ })
+	f := NewFederationIn(a, p, func(*Req) { done++ })
 	n := 120
 	floodModel(k, f, 0, n, 400)
 	// The burst ends; ticks keep firing, so bound the run by wall instead of
@@ -106,10 +106,10 @@ func TestAutoScaleDownWhenIdle(t *testing.T) {
 	for _, c := range f.clusters {
 		for _, d := range c.deps {
 			if live := d.liveCount(); live > 1 {
-				t.Errorf("cluster %d model %d still holds %d live instances after idling", c.idx, d.model, live)
+				t.Errorf("cluster %s model %d still holds %d live instances after idling", c.name, d.model, live)
 			}
 			if d.peakPool > p.Scale.MaxInstances {
-				t.Errorf("cluster %d model %d peak pool %d exceeds MaxInstances %d", c.idx, d.model, d.peakPool, p.Scale.MaxInstances)
+				t.Errorf("cluster %s model %d peak pool %d exceeds MaxInstances %d", c.name, d.model, d.peakPool, p.Scale.MaxInstances)
 			}
 		}
 	}
@@ -119,11 +119,11 @@ func TestAutoScaleDownWhenIdle(t *testing.T) {
 // backlog and a pool of 2, further scale-up decisions must be refused and
 // the pool must never exceed the cap.
 func TestAutoScaleRefusedAtCap(t *testing.T) {
-	k := sim.NewKernel()
+	a, k := testArena(sim.QueueCalendar)
 	p := scaleTestParams(1, 2)
 	n := 200
 	done := 0
-	f := NewFederation(k, p, func(*Req) {
+	f := NewFederationIn(a, p, func(*Req) {
 		if done++; done == n {
 			k.Stop()
 		}
@@ -151,12 +151,12 @@ func TestAutoScaleRefusedAtCap(t *testing.T) {
 // instance holds waiting work is never scaled down, no matter how far under
 // the low-water mark it sits.
 func TestScaleDownNeverTargetsOnlyInstance(t *testing.T) {
-	k := sim.NewKernel()
+	a, k := testArena(sim.QueueCalendar)
 	p := scaleTestParams(1, 3)
 	p.Scale.HiWater = 1000 // never grow
 	p.Scale.LoWater = 1000 // always "underused" — the floor must still hold
 	done := 0
-	f := NewFederation(k, p, func(*Req) { done++; k.Stop() })
+	f := NewFederationIn(a, p, func(*Req) { done++; k.Stop() })
 	// A single long request keeps one instance busy with work for many
 	// scaler intervals.
 	r := &Req{ID: 1, Model: 0, PromptTok: 64, OutputTok: 20000}
@@ -178,10 +178,10 @@ func TestScaleDownNeverTargetsOnlyInstance(t *testing.T) {
 // steady-state policy decision and the least-loaded instance selection must
 // not allocate, including with a multi-instance pool.
 func TestScalerAllocs(t *testing.T) {
-	k := sim.NewKernel()
+	a, k := testArena(sim.QueueCalendar)
 	p := scaleTestParams(2, 3)
 	p.Scale.HiWater = 50 // wide band: the warm-up backlog stays inside it
-	f := NewFederation(k, p, nil)
+	f := NewFederationIn(a, p, nil)
 	// Two serving instances with standing work: grow the pool by hand (the
 	// test owns the kernel, so startInstance runs the real cold-start path),
 	// then park a steady batch on it.
@@ -211,7 +211,7 @@ func TestScalerAllocs(t *testing.T) {
 // report stable stats — the draining incarnation's busy time counts exactly
 // once, it is not a live pool member, and repeated snapshots are identical.
 func TestClusterStatsMidDrainStable(t *testing.T) {
-	k := sim.NewKernel()
+	a, k := testArena(sim.QueueCalendar)
 	k.MaxEvents = 20_000_000
 	p := scaleTestParams(1, 2)
 	// A short serve walltime with a roomy grace: the drain catches a busy
@@ -222,7 +222,7 @@ func TestClusterStatsMidDrainStable(t *testing.T) {
 	n := 80
 	done := 0
 	var f *Federation
-	f = NewFederation(k, p, func(*Req) {
+	f = NewFederationIn(a, p, func(*Req) {
 		if done++; done == n {
 			k.Stop() // backstop: surfaces a missed mid-drain as a Fatal below
 		}
@@ -320,12 +320,12 @@ func TestAutoScalePropertyRandomConfigs(t *testing.T) {
 			HiSustain:    1 + rng.Intn(3),
 			LoSustain:    1 + rng.Intn(3),
 		}
-		k := sim.NewKernel()
+		a, k := testArena(sim.QueueCalendar)
 		k.MaxEvents = 30_000_000
 		n := 100 + rng.Intn(300)
 		counts := make(map[*Req]int, n)
 		done := 0
-		f := NewFederation(k, p, func(r *Req) {
+		f := NewFederationIn(a, p, func(r *Req) {
 			counts[r]++
 			if done++; done == n {
 				k.Stop()

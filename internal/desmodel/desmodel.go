@@ -3,13 +3,19 @@
 // paper's evaluation (Figures 3-5, Table 1, the batch-mode numbers, and the
 // three optimization ablations) in virtual time.
 //
-// Three request paths are modeled (§5.2.3):
+// FIRST is one request path (§3, §4.5, §5.2.3) and one model, Federation:
+// client → gateway (shard front-end; worker window, processing overhead,
+// optional per-request auth introspection) → Globus-Compute hub (submit
+// latency, serialized dispatch lane) → the real federation.Select ladder over
+// N clusters → the chosen deployment's pool (instances started through a
+// real scheduler, or hot) → endpoint pickup → least-loaded engine instance →
+// result relay back (optionally observed on a polling grid — Optimization
+// 1's ablation). FederationParams says which stages exist: the paper's own
+// deployment (FirstPathParams — one cluster, hot instances, the fabric hop
+// of first.go) and the federate/autoscale families (many clusters, churn, a
+// scaler, no fabric hop yet) are configurations of it. Two other systems
+// are modeled beside it:
 //
-//   - FIRST: client → gateway (worker window, processing overhead, optional
-//     per-request auth introspection) → Globus-Compute hub (submit latency,
-//     serialized dispatch/relay lanes) → endpoint pickup → least-loaded
-//     engine instance → result relay back (optionally observed on a polling
-//     grid — Optimization 1's ablation).
 //   - Direct: client → vLLM's own API front-end (single-threaded admission,
 //     the §5.3.1 bottleneck) → engine.
 //   - ExtAPI: client → rate/concurrency-limited external cloud API (Fig. 5).
@@ -75,17 +81,19 @@ func finish(k *sim.Kernel, r *Req, done func(*Req)) {
 
 // Metrics are the paper's §5.1 evaluation metrics for one run.
 type Metrics struct {
-	Requests      int
-	Completed     int
-	Failed        int
-	DurationS     float64 // benchmark duration: first arrival → last observed
-	ReqPerSec     float64 // request throughput
-	TokPerSec     float64 // output token throughput
-	MedianLatS    float64 // median end-to-end latency
-	MeanLatS      float64
-	P99LatS       float64
-	OutputTokens  int64
-	PeakObservedB int // peak engine batch across instances
+	Requests     int
+	Completed    int
+	Failed       int
+	DurationS    float64 // benchmark duration: first arrival → last observed
+	ReqPerSec    float64 // request throughput
+	TokPerSec    float64 // output token throughput
+	MedianLatS   float64 // median end-to-end latency
+	MeanLatS     float64
+	P99LatS      float64
+	OutputTokens int64
+	// PeakObservedB is never written or read; it goes with the next PR allowed
+	// to edit benchmark/, whose digests render Metrics with %+v, names and all.
+	PeakObservedB int
 }
 
 // Collect computes metrics over finished requests.

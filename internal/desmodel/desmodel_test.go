@@ -44,16 +44,16 @@ func TestLaneDepthTracking(t *testing.T) {
 	for i := range reqs {
 		l.enqueue(&reqs[i])
 	}
-	if l.Depth() != 5 { // service starts only when the kernel runs
-		t.Errorf("depth = %d, want 5", l.Depth())
+	if l.q.n != 5 { // service starts only when the kernel runs
+		t.Errorf("depth = %d, want 5", l.q.n)
 	}
 	k.Run(500 * time.Millisecond) // first item mid-service
-	if l.Depth() != 4 {
-		t.Errorf("depth mid-service = %d, want 4", l.Depth())
+	if l.q.n != 4 {
+		t.Errorf("depth mid-service = %d, want 4", l.q.n)
 	}
 	k.Run(0)
-	if l.Depth() != 0 {
-		t.Errorf("depth after drain = %d", l.Depth())
+	if l.q.n != 0 {
+		t.Errorf("depth after drain = %d", l.q.n)
 	}
 	if l.maxDepth != 5 {
 		t.Errorf("maxDepth = %d, want 5", l.maxDepth)
@@ -98,11 +98,11 @@ func TestEngineSimEmissionLog(t *testing.T) {
 func TestFirstSystemLowLoadLatency(t *testing.T) {
 	// A single request's end-to-end latency must be the engine cost plus
 	// the calibrated pipelined overheads (Fig. 3's 9.2 s vs 3.0 s gap).
-	k := sim.NewKernel()
+	a, k := testArena(sim.QueueCalendar)
 	model := perfmodel.Default.MustLookup(perfmodel.Llama70B)
 	p := DefaultFirstParams()
 	var got *Req
-	sys := NewFirstSystem(k, p, model, perfmodel.A100_40, 1, func(r *Req) { got = r })
+	sys := NewFederationIn(a, FirstPathParams(p, model, perfmodel.A100_40, 1), func(r *Req) { got = r })
 	r := &Req{ID: 1, PromptTok: 220, OutputTok: 182}
 	k.Schedule(0, func() { sys.Arrive(r) })
 	k.Run(0)
@@ -121,11 +121,11 @@ func TestFirstSystemLowLoadLatency(t *testing.T) {
 }
 
 func TestFirstSystemWindowBindsInFlight(t *testing.T) {
-	k := sim.NewKernel()
+	a, k := testArena(sim.QueueCalendar)
 	model := perfmodel.Default.MustLookup(perfmodel.Llama8B)
 	p := DefaultFirstParams()
 	p.Window = 10
-	sys := NewFirstSystem(k, p, model, perfmodel.A100_40, 1, nil)
+	sys := NewFederationIn(a, FirstPathParams(p, model, perfmodel.A100_40, 1), nil)
 	for i := 0; i < 50; i++ {
 		r := &Req{ID: i, PromptTok: 10, OutputTok: 20}
 		k.Schedule(0, func() { sys.Arrive(r) })
@@ -142,12 +142,12 @@ func TestFirstSystemWindowBindsInFlight(t *testing.T) {
 }
 
 func TestFirstSystemPollingGrid(t *testing.T) {
-	k := sim.NewKernel()
+	a, k := testArena(sim.QueueCalendar)
 	model := perfmodel.Default.MustLookup(perfmodel.Llama8B)
 	p := DefaultFirstParams()
 	p.PollInterval = 2 * time.Second
 	var got *Req
-	sys := NewFirstSystem(k, p, model, perfmodel.A100_40, 1, func(r *Req) { got = r })
+	sys := NewFederationIn(a, FirstPathParams(p, model, perfmodel.A100_40, 1), func(r *Req) { got = r })
 	r := &Req{ID: 1, PromptTok: 10, OutputTok: 20}
 	k.Schedule(0, func() { sys.Arrive(r) })
 	k.Run(0)
@@ -175,11 +175,11 @@ func TestFirstSystemSyncWorkersOverrideWindow(t *testing.T) {
 func TestDirectSystemAdmissionCap(t *testing.T) {
 	// The single-threaded API server caps request throughput at
 	// 1/APIOverhead regardless of engine capacity (§5.3.1).
-	k := sim.NewKernel()
+	a, k := testArena(sim.QueueCalendar)
 	model := perfmodel.Default.MustLookup(perfmodel.Llama8B) // engine far faster than admission
 	p := DefaultDirectParams()
 	var done []*Req
-	sys := NewDirectSystem(k, p, model, perfmodel.A100_40, func(r *Req) { done = append(done, r) })
+	sys := NewDirectSystemIn(a, p, model, perfmodel.A100_40, func(r *Req) { done = append(done, r) })
 	const n = 400
 	for i := 0; i < n; i++ {
 		r := &Req{ID: i, PromptTok: 10, OutputTok: 8}
@@ -260,20 +260,21 @@ func TestCollectEmpty(t *testing.T) {
 }
 
 func TestLeastLoadedRouting(t *testing.T) {
-	k := sim.NewKernel()
+	a, k := testArena(sim.QueueCalendar)
 	model := perfmodel.Default.MustLookup(perfmodel.Llama8B)
 	p := DefaultFirstParams()
 	p.Window = 0
-	sys := NewFirstSystem(k, p, model, perfmodel.A100_40, 4, nil)
+	sys := NewFederationIn(a, FirstPathParams(p, model, perfmodel.A100_40, 4), nil)
 	for i := 0; i < 200; i++ {
 		r := &Req{ID: i, PromptTok: 10, OutputTok: 400}
 		k.Schedule(0, func() { sys.Arrive(r) })
 	}
 	// After dispatch settles, instances should hold balanced loads.
 	k.Schedule(20*time.Second, func() {
-		depths := make([]int, len(sys.engines))
-		for i, e := range sys.engines {
-			depths[i] = e.Depth()
+		insts := sys.clusters[0].deps[0].insts
+		depths := make([]int, len(insts))
+		for i, in := range insts {
+			depths[i] = in.eng.Depth()
 		}
 		min, max := depths[0], depths[0]
 		for _, d := range depths {

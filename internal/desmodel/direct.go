@@ -40,18 +40,13 @@ type DirectSystem struct {
 	done      func(*Req)
 }
 
-// NewDirectSystem builds a single-instance direct serving path.
-func NewDirectSystem(k *sim.Kernel, p DirectParams, model perfmodel.ModelSpec, gpu perfmodel.GPUSpec, done func(*Req)) *DirectSystem {
-	s := newDirectSystemBase(k, p, done)
-	s.engine = MustEngineSim(k, model, gpu, 0, s.onEngineComplete)
-	return s
-}
-
-// newDirectSystemBase wires the stages; the caller supplies the engine.
-func newDirectSystemBase(k *sim.Kernel, p DirectParams, done func(*Req)) *DirectSystem {
-	s := &DirectSystem{k: k, done: done}
-	s.admission = newLane(k, p.APIOverhead, s.admitted)
-	s.resp = newPipe(k, p.ResponseOverhead, s.complete)
+// NewDirectSystemIn builds a single-instance direct serving path on the
+// arena's kernel, its engine drawn from the arena.
+func NewDirectSystemIn(a *Arena, p DirectParams, model perfmodel.ModelSpec, gpu perfmodel.GPUSpec, done func(*Req)) *DirectSystem {
+	s := &DirectSystem{k: a.k, done: done}
+	s.admission = newLane(a.k, p.APIOverhead, s.admitted)
+	s.resp = newPipe(a.k, p.ResponseOverhead, s.complete)
+	s.engine = a.EngineSimIn(model, gpu, 0, s.onEngineComplete)
 	return s
 }
 
@@ -74,9 +69,6 @@ func (s *DirectSystem) onEngineComplete(seq *serving.Sequence) {
 }
 
 func (s *DirectSystem) complete(r *Req) { finish(s.k, r, s.done) }
-
-// PeakBatch reports the engine's largest running batch.
-func (s *DirectSystem) PeakBatch() int { return s.engine.Stats().PeakBatch }
 
 // ExtAPISystem is the Fig. 5 external cloud API: admissions are spaced by
 // the service-side rate limit and served with a low, load-independent

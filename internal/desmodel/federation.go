@@ -54,6 +54,7 @@ type FederationParams struct {
 
 	// Gateway front-end: requests hash onto Shards serialized lanes charging
 	// CritSection each, then PostWork off-lock before the routing decision.
+	// Zero Shards means no front-end stage, as for every FirstParams cost.
 	Shards      int
 	CritSection time.Duration
 	PostWork    time.Duration
@@ -83,6 +84,15 @@ type FederationParams struct {
 	// deployment's instance pool with demand. The zero value (MaxInstances
 	// ≤ 1) pins every pool at one instance — the pre-autoscaler behaviour.
 	Scale AutoScaleParams
+
+	// First is the fabric hop around the router and the pools (first.go). The
+	// zero value wires none of it: a routed request enters its engine at the
+	// routing instant and is observed as the engine completes it.
+	First FirstParams
+	// Hot is how many instances of every deployment serve from t = 0 outside
+	// the scheduler — §3.2.2's hot nodes: no job, no walltime, and no place in
+	// the inventory (a standing reservation).
+	Hot int
 
 	// Background science jobs compete with serving jobs for GPUs: each
 	// cluster submits one every BGPeriod (offset by BGStagger×cluster) that
@@ -118,23 +128,28 @@ func DefaultFederationModels() []perfmodel.ModelSpec {
 // with 2-minute drain grace, and background churn on a ~7.5-minute cadence.
 // Auto-scaling is off (MaxInstances 1); scenarios opt in via Scale.
 func DefaultFederationParams(clusters int) FederationParams {
-	return FederationParams{
-		Clusters:        clusters,
-		NodesPerCluster: 2,
-		GPUsPerNode:     4,
-		GPU:             perfmodel.A100_40,
-		Models:          DefaultFederationModels(),
-		Shards:          16,
-		CritSection:     4 * time.Microsecond,
-		PostWork:        25 * time.Microsecond,
-		Prologue:        30 * time.Second,
-		ServeWalltime:   600 * time.Second,
-		DrainGrace:      120 * time.Second,
-		BGPeriod:        450 * time.Second,
-		BGStagger:       80 * time.Second,
-		BGWalltime:      300 * time.Second,
-		BGGPUs:          4,
-	}
+	p := fedDefaults
+	p.Clusters = clusters
+	p.Models = DefaultFederationModels()
+	return p
+}
+
+// fedDefaults is DefaultFederationParams less the cluster count and the model
+// mix, which allocates: withDefaults reads it for every cell built.
+var fedDefaults = FederationParams{
+	NodesPerCluster: 2,
+	GPUsPerNode:     4,
+	GPU:             perfmodel.A100_40,
+	Shards:          16,
+	CritSection:     4 * time.Microsecond,
+	PostWork:        25 * time.Microsecond,
+	Prologue:        30 * time.Second,
+	ServeWalltime:   600 * time.Second,
+	DrainGrace:      120 * time.Second,
+	BGPeriod:        450 * time.Second,
+	BGStagger:       80 * time.Second,
+	BGWalltime:      300 * time.Second,
+	BGGPUs:          4,
 }
 
 // FedRungs counts routing decisions per priority rung.
@@ -221,6 +236,9 @@ type fedDep struct {
 
 	insts   []*fedInstance // pool members (dead incarnations are removed)
 	pending []*Req         // parked until an instance serves
+	// RouteRoundRobin's cursor and RouteRandom's draws (pickServing).
+	rrNext int
+	rng    *sim.RNG
 
 	// Auto-scaler hysteresis state (see autoscale.go).
 	hiStreak int
@@ -256,22 +274,15 @@ type fedDep struct {
 // federation's kernel, f.k.
 type fedCluster struct {
 	f     *Federation
-	idx   int
 	name  string
 	cl    *cluster.Cluster
 	sched *scheduler.Scheduler
 	deps  []*fedDep
 
-	routed, served     int64
-	coldStarts, drains int
-	hardKills          int
-	scaleUps           int
-	scaleDowns         int
-	scaleRefused       int
-	preWarms           int
-	peakInstances      int
-	busyGPU            time.Duration
-	queuedPeak         int
+	// stats holds the counters, each kept where it happens; ClusterStats
+	// completes a copy. busyGPU is the dead incarnations' BusyGPUSeconds.
+	stats   FedClusterStats
+	busyGPU time.Duration
 }
 
 // Federation is the multi-cluster DES scenario: the sharded gateway
@@ -285,14 +296,17 @@ type Federation struct {
 	// state are exact.
 	k *sim.Kernel
 	p FederationParams
+	// a lends every incarnation its engine and takes a dead one's back, so
+	// the next cold restart reuses it.
+	a    *Arena
+	done func(*Req)
 
-	newEngine func(m perfmodel.ModelSpec, onComplete func(*serving.Sequence)) *EngineSim
-	// recycle, when set, returns a dead incarnation's inner engine to the
-	// arena pool so the next cold restart reuses it.
-	recycle func(*serving.Engine)
-	done    func(*Req)
-
-	fe *shardFE
+	// arrive is the path's first stage, bound once: the shard front-end,
+	// else the fabric's worker window, else route itself — fe is nil and
+	// first unwired when their params are zero.
+	arrive func(*Req)
+	fe     *shardFE
+	first  firstPath
 
 	clusters []*fedCluster
 	scratch  []federation.EndpointInfo
@@ -309,7 +323,7 @@ type Federation struct {
 }
 
 func (p FederationParams) withDefaults() FederationParams {
-	d := DefaultFederationParams(p.Clusters)
+	d := &fedDefaults
 	if p.Clusters <= 0 {
 		p.Clusters = 4
 	}
@@ -338,16 +352,7 @@ func (p FederationParams) withDefaults() FederationParams {
 		p.GPU = d.GPU
 	}
 	if len(p.Models) == 0 {
-		p.Models = d.Models
-	}
-	if p.Shards <= 0 {
-		p.Shards = d.Shards
-	}
-	if p.CritSection <= 0 {
-		p.CritSection = d.CritSection
-	}
-	if p.PostWork <= 0 {
-		p.PostWork = d.PostWork
+		p.Models = DefaultFederationModels()
 	}
 	if p.Prologue <= 0 {
 		p.Prologue = d.Prologue
@@ -372,38 +377,37 @@ func (p FederationParams) withDefaults() FederationParams {
 	return p
 }
 
-// NewFederation builds the scenario on a bare kernel (unit tests).
-func NewFederation(k *sim.Kernel, p FederationParams, done func(*Req)) *Federation {
-	p = p.withDefaults()
-	return newFederation(k, p, func(m perfmodel.ModelSpec, onC func(*serving.Sequence)) *EngineSim {
-		return MustEngineSim(k, m, p.GPU, 0, onC).withoutEmitLog() // no Federation caller reads EmittedBy
-	}, done)
+// mustBeBuildable refuses what ROADMAP 2(ii) has yet to define. A request
+// riding the pickup pipe has nowhere to go if its instance drains or dies, so
+// the fabric hop needs instances that never do; and a hot instance has no
+// scheduler job for a scaler to drain or a replayed kill to fail.
+func (p FederationParams) mustBeBuildable() {
+	fabric := p.First != FirstParams{}
+	if (fabric && p.Hot < 1) || ((fabric || p.Hot > 0) && (p.Scale.MaxInstances > 1 || p.Replay != nil)) {
+		panic("desmodel: FederationParams.First needs Hot >= 1, and neither combines with a scaler or a replay yet")
+	}
 }
 
-// NewFederationIn builds the scenario drawing kernel and engines from an
-// experiment-fleet arena. Engines are borrowed per deployment incarnation
-// and reclaimed (reset) at the next cell — or mid-cell, when an incarnation
-// dies and the pool recycles its engine for the next cold start.
+// NewFederationIn builds the scenario on an experiment-fleet arena's kernel.
+// Engines are borrowed from the arena per deployment incarnation and
+// reclaimed (reset) at the next cell — or mid-cell, when an incarnation dies
+// and the pool recycles its engine for the next cold start.
 func NewFederationIn(a *Arena, p FederationParams, done func(*Req)) *Federation {
 	p = p.withDefaults()
-	f := newFederation(a.k, p, func(m perfmodel.ModelSpec, onC func(*serving.Sequence)) *EngineSim {
-		return a.EngineSimIn(m, p.GPU, 0, onC).withoutEmitLog()
-	}, done)
-	f.recycle = a.Reclaim
-	return f
-}
-
-func newFederation(k *sim.Kernel, p FederationParams, newEngine func(perfmodel.ModelSpec, func(*serving.Sequence)) *EngineSim, done func(*Req)) *Federation {
-	f := &Federation{
-		k:         k,
-		p:         p,
-		newEngine: newEngine,
-		done:      done,
-		scratch:   make([]federation.EndpointInfo, 0, p.Clusters),
+	p.mustBeBuildable()
+	k := a.k
+	f := &Federation{k: k, p: p, a: a, done: done, scratch: make([]federation.EndpointInfo, 0, p.Clusters)}
+	f.arrive = f.route
+	if p.First != (FirstParams{}) {
+		f.first.wire(k, p.First, f.route, done)
+		f.arrive = f.first.arrive
 	}
-	f.fe = newShardFE(k, p.Shards, p.CritSection, p.PostWork, f.route)
+	if p.Shards > 0 {
+		f.fe = newShardFE(k, p.Shards, p.CritSection, p.PostWork, f.arrive)
+		f.arrive = f.fe.admit
+	}
 	for i := 0; i < p.Clusters; i++ {
-		c := &fedCluster{f: f, idx: i}
+		c := &fedCluster{f: f}
 		c.cl = cluster.New(fmt.Sprintf("fed-%d", i), p.NodesPerCluster, p.GPUsPerNode, p.GPU)
 		c.name = c.cl.Name()
 		c.sched = scheduler.New(c.cl, kernelClock{k}, scheduler.Config{
@@ -412,12 +416,19 @@ func newFederation(k *sim.Kernel, p FederationParams, newEngine func(perfmodel.M
 			Timer:    k.Schedule,
 		})
 		for m := range p.Models {
-			c.deps = append(c.deps, &fedDep{
+			d := &fedDep{
 				f: f, c: c, model: m,
 				coldStart: p.Prologue + p.Models[m].LoadTime(p.GPU),
 				fcArrive:  NewForecast(p.Scale.ForecastAlpha, p.Scale.ForecastBeta),
 				fcServe:   NewForecast(p.Scale.ForecastAlpha, 0),
-			})
+			}
+			if p.First.Routing == RouteRandom {
+				d.rng = sim.NewRNG(1)
+			}
+			c.deps = append(c.deps, d)
+			for h := 0; h < p.Hot; h++ {
+				d.startHot()
+			}
 		}
 		f.clusters = append(f.clusters, c)
 		if p.BGPeriod > 0 && p.BGGPUs > 0 {
@@ -468,20 +479,21 @@ func (c *fedCluster) submitBG() {
 }
 
 func (c *fedCluster) noteQueued() {
-	if q := c.sched.QueuedCount(); q > c.queuedPeak {
-		c.queuedPeak = q
+	if q := c.sched.QueuedCount(); q > c.stats.SchedQueuedPeak {
+		c.stats.SchedQueuedPeak = q
 	}
 }
 
-// Arrive is a client request hitting the federation gateway: shard-lane
-// admission (serialized critical section), PostWork, then the routing
-// decision.
+// Arrive is a client request hitting the federation gateway: stamped,
+// counted, and handed to the path's first stage — shard-lane admission
+// (serialized critical section) and PostWork, the fabric's worker window,
+// or the routing decision itself.
 //
 //first:hotpath pinned by TestSystemsCarryZeroAlloc (stage_test.go)
 func (f *Federation) Arrive(r *Req) {
 	r.ArrivalAt = f.k.Now()
 	f.arrivals++
-	f.fe.admit(r)
+	f.arrive(r)
 }
 
 // route applies the real federation.Select priority ladder over live
@@ -513,7 +525,7 @@ func (f *Federation) route(r *Req) {
 		f.rungs.FirstConf++
 	}
 	target := f.clusters[(m+idx)%n]
-	target.routed++
+	target.stats.Routed++
 	target.deps[m].offer(r)
 }
 
@@ -535,11 +547,12 @@ func (c *fedCluster) endpointInfo(m int, spec *perfmodel.ModelSpec) federation.E
 }
 
 // routingView is one pass over the pool collecting what the routing ladder
-// is told: the uncordoned serving count (the capacity worth advertising),
-// whether serving capacity exists but all of it is cordoned ahead of an
-// imminent drain, and how far away the soonest cordoned drain is. With
-// CordonLead unset no instance ever cordons, so the view reduces exactly
-// to servingCount / false / 0 — the drain-blind ladder inputs.
+// is told: the uncordoned serving count (the capacity worth advertising — a
+// queued or loading incarnation is minutes of prologue and load away from
+// helping), whether serving capacity exists but all of it is cordoned ahead
+// of an imminent drain, and how far away the soonest cordoned drain is. With
+// CordonLead unset no instance ever cordons, so the view reduces exactly to
+// the serving count / false / 0 — the drain-blind ladder inputs.
 func (d *fedDep) routingView() (serving int, cordoned bool, drainingAt time.Duration) {
 	total := 0
 	var soonest sim.Time = -1
@@ -624,8 +637,7 @@ func (d *fedDep) depth() int {
 func (d *fedDep) offer(r *Req) {
 	d.arrivedTick++ // forecast sample: arrivals since the last scaler tick
 	if in := d.pickServing(); in != nil {
-		r.EngineAt = d.f.k.Now()
-		in.eng.Submit(r.PromptTok, r.OutputTok, r)
+		d.f.place(in, r)
 		return
 	}
 	d.pending = append(d.pending, r)
@@ -635,6 +647,29 @@ func (d *fedDep) offer(r *Req) {
 		// than the live system it is calibrated against.
 		d.startInstance()
 	}
+}
+
+// place is the one way a request enters an engine pool: onto the fabric's
+// pickup pipe, the picked instance riding on it, or straight into the engine.
+func (f *Federation) place(in *fedInstance, r *Req) {
+	if f.first.wired() {
+		r.inst = in.eng
+		f.first.pickup.push(r)
+		return
+	}
+	r.EngineAt = f.k.Now()
+	in.eng.Submit(r.PromptTok, r.OutputTok, r)
+}
+
+// startHot opens one instance that serves from t = 0 outside the scheduler.
+// An incarnation's emission log dies with it, so only these, which never
+// die, keep one (EmittedTokensBy reads them).
+func (d *fedDep) startHot() {
+	f := d.f
+	in := &fedInstance{d: d, state: instServing}
+	in.eng = f.a.EngineSimIn(f.p.Models[d.model], f.p.GPU, 0, func(seq *serving.Sequence) { in.onServed(nil, seq) })
+	d.insts = append(d.insts, in)
+	d.notePool()
 }
 
 // startInstance submits one serving job: the incarnation enters the
@@ -647,7 +682,7 @@ func (d *fedDep) startInstance() {
 	load := spec.LoadTime(f.p.GPU)
 	in := &fedInstance{d: d, state: instQueued}
 	d.insts = append(d.insts, in)
-	d.c.coldStarts++
+	d.c.stats.ColdStarts++
 	d.notePool()
 	job, err := d.c.sched.Submit(scheduler.JobSpec{
 		Name:      spec.Name,
@@ -685,18 +720,15 @@ func (in *fedInstance) onLoaded(j *scheduler.Job) {
 	f := d.f
 	spec := f.p.Models[d.model]
 	in.state = instServing
-	in.eng = f.newEngine(spec, func(seq *serving.Sequence) { in.onServed(j, seq) })
+	in.eng = f.a.EngineSimIn(spec, f.p.GPU, 0, func(seq *serving.Sequence) { in.onServed(j, seq) }).withoutEmitLog()
 	pend := d.pending
 	d.pending = nil
-	now := f.k.Now()
 	for _, r := range pend {
 		// Flush least-loaded across the pool: sibling instances may have
 		// come up at the same instant.
-		t := d.pickServing()
-		r.EngineAt = now
-		t.eng.Submit(r.PromptTok, r.OutputTok, r)
+		f.place(d.pickServing(), r)
 	}
-	in.drainAt = now + f.p.ServeWalltime
+	in.drainAt = f.k.Now() + f.p.ServeWalltime
 	f.k.Schedule(f.p.ServeWalltime, func() { in.beginDrain(j, false) })
 	if lead := f.p.CordonLead; lead > 0 {
 		// Cordon one lead ahead of the drain: selection and the routing
@@ -719,19 +751,19 @@ func (in *fedInstance) onLoaded(j *scheduler.Job) {
 	}
 }
 
-// onServed completes one request and, while draining, watches for the batch
-// to empty.
+// onServed counts one request served and sends it on — into the fabric's
+// relay lane (it is complete and observed only at the far end), or complete
+// and observed now — and, while draining, watches for the batch to empty.
 func (in *fedInstance) onServed(j *scheduler.Job, seq *serving.Sequence) {
 	r := seq.Ctx.(*Req)
 	d := in.d
 	f := d.f
-	now := f.k.Now()
-	r.CompletedAt = now
-	r.ObservedAt = now
-	d.c.served++
+	d.c.stats.Served++
 	d.servedTick++ // forecast sample: completions since the last scaler tick
-	if f.done != nil {
-		f.done(r)
+	if f.first.wired() {
+		f.first.relay.enqueue(r)
+	} else {
+		finish(f.k, r, f.done)
 	}
 	if in.state == instDraining && in.job == j {
 		in.maybeFinishDrain(j)
@@ -764,9 +796,9 @@ func (in *fedInstance) beginDrain(j *scheduler.Job, scaleDown bool) {
 	d := in.d
 	in.state = instDraining
 	if scaleDown {
-		d.c.scaleDowns++
+		d.c.stats.ScaleDowns++
 	} else {
-		d.c.drains++
+		d.c.stats.Drains++
 	}
 	// Pull engine-waiting sequences back: collect first (Abort mutates the
 	// ring), then tombstone, then re-route. With sibling instances still
@@ -826,16 +858,14 @@ func (in *fedInstance) onJobEnd(j *scheduler.Job, terminal scheduler.State) {
 			// to both iterators above (Step already removed them from the
 			// batch, Halt will drop their delivery).
 			in.eng.EachUndelivered(func(s *serving.Sequence) { orphans = append(orphans, s.Ctx.(*Req)) })
-			d.c.hardKills++
+			d.c.stats.HardKills++
 		}
 		in.eng.Halt()
 		// The halted sim's remaining events are no-ops that never touch the
 		// inner engine, and every live sequence has been harvested above, so
 		// the engine itself can go back to the arena pool for the next
 		// incarnation instead of waiting for cell teardown.
-		if f.recycle != nil {
-			f.recycle(in.eng.eng)
-		}
+		f.a.Reclaim(in.eng.eng)
 		in.eng = nil
 	}
 	d.removeInstance(in)
@@ -874,15 +904,38 @@ func (f *Federation) Migrations() int64 { return f.migrations }
 // Arrivals returns how many requests entered the federation gateway.
 func (f *Federation) Arrivals() int64 { return f.arrivals }
 
-// Completions returns how many requests were completed and delivered — the
-// conservation invariant's other half (no request lost, none double-done):
-// the sum of the per-cluster served counters.
+// Completions returns how many requests an engine finished and handed on —
+// the conservation invariant's other half (no request lost, none
+// double-done): the sum of the per-cluster served counters.
 func (f *Federation) Completions() int64 {
 	var n int64
 	for _, c := range f.clusters {
-		n += c.served
+		n += c.stats.Served
 	}
 	return n
+}
+
+// InFlight reports requests admitted through the fabric's worker window and
+// not yet observed, and MaxBacklog the high-water mark of those waiting for a
+// slot in it; both are zero when FederationParams.First is.
+func (f *Federation) InFlight() int { return f.first.inFlight }
+
+func (f *Federation) MaxBacklog() int { return f.first.maxBacklog }
+
+// EmittedTokensBy returns output tokens generated by the hot instances up to
+// virtual time t (the streaming view); other incarnations keep no log.
+func (f *Federation) EmittedTokensBy(t sim.Time) int64 {
+	var sum int64
+	for _, c := range f.clusters {
+		for _, d := range c.deps {
+			for _, in := range d.insts {
+				if in.eng != nil {
+					sum += in.eng.EmittedBy(t)
+				}
+			}
+		}
+	}
+	return sum
 }
 
 // ClusterStats snapshots per-cluster accounting, folding in any still-live
@@ -903,23 +956,11 @@ func (f *Federation) ClusterStats() []FedClusterStats {
 				}
 			}
 		}
-		out[i] = FedClusterStats{
-			Name:            c.cl.Name(),
-			Routed:          c.routed,
-			Served:          c.served,
-			ColdStarts:      c.coldStarts,
-			Drains:          c.drains,
-			HardKills:       c.hardKills,
-			LiveInstances:   live,
-			PeakInstances:   c.peakInstances,
-			ScaleUps:        c.scaleUps,
-			ScaleDowns:      c.scaleDowns,
-			ScaleRefused:    c.scaleRefused,
-			PreWarms:        c.preWarms,
-			BusyGPUSeconds:  busy.Seconds(),
-			TotalGPUs:       f.p.NodesPerCluster * f.p.GPUsPerNode,
-			SchedQueuedPeak: c.queuedPeak,
-		}
+		out[i] = c.stats
+		out[i].Name = c.name
+		out[i].LiveInstances = live
+		out[i].BusyGPUSeconds = busy.Seconds()
+		out[i].TotalGPUs = f.p.NodesPerCluster * f.p.GPUsPerNode
 	}
 	return out
 }

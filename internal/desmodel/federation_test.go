@@ -23,6 +23,13 @@ func fedTestParams(clusters int) FederationParams {
 	return p
 }
 
+// testArena is what a fleet worker hands a cell: an arena begun on queue kind
+// q, and its kernel.
+func testArena(q sim.QueueKind) (*Arena, *sim.Kernel) {
+	a := NewArena(q)
+	return a, a.Begin()
+}
+
 func fedReq(id, model, prompt, output int) *Req {
 	return &Req{ID: id, Model: model, PromptTok: prompt, OutputTok: output}
 }
@@ -31,9 +38,9 @@ func fedReq(id, model, prompt, output int) *Req {
 // Queued→Starting→Running lifecycle: the cold start must charge prologue +
 // weights load before the request is served.
 func TestFederationColdStartLifecycle(t *testing.T) {
-	k := sim.NewKernel()
+	a, k := testArena(sim.QueueCalendar)
 	var got []*Req
-	f := NewFederation(k, fedTestParams(2), func(r *Req) { got = append(got, r) })
+	f := NewFederationIn(a, fedTestParams(2), func(r *Req) { got = append(got, r) })
 	r := fedReq(1, 0, 32, 8)
 	k.Schedule(0, func() { f.Arrive(r) })
 	k.Run(0)
@@ -58,9 +65,9 @@ func TestFederationColdStartLifecycle(t *testing.T) {
 // is active somewhere, later requests join it instead of cold-starting
 // another cluster.
 func TestFederationActiveRouting(t *testing.T) {
-	k := sim.NewKernel()
+	a, k := testArena(sim.QueueCalendar)
 	done := 0
-	f := NewFederation(k, fedTestParams(4), func(*Req) { done++ })
+	f := NewFederationIn(a, fedTestParams(4), func(*Req) { done++ })
 	for i := 0; i < 50; i++ {
 		r := fedReq(i+1, 0, 32, 8)
 		k.Schedule(time.Duration(i)*time.Second, func() { f.Arrive(r) })
@@ -89,12 +96,12 @@ func TestFederationActiveRouting(t *testing.T) {
 // deployment must drain and unserved requests must migrate to another
 // cluster (counted, stamped, and eventually completed).
 func TestFederationDrainMigration(t *testing.T) {
-	k := sim.NewKernel()
+	a, k := testArena(sim.QueueCalendar)
 	p := fedTestParams(2)
 	p.ServeWalltime = 20 * time.Second
 	var reqs []*Req
 	completed := 0
-	f := NewFederation(k, p, func(*Req) { completed++ })
+	f := NewFederationIn(a, p, func(*Req) { completed++ })
 	// A saturating burst: more generation work than one walltime can serve,
 	// so the drain always catches waiting requests, which must migrate.
 	n := 300
@@ -135,11 +142,11 @@ func TestFederationDrainMigration(t *testing.T) {
 // scheduler's real walltime timer must TimedOut the job and the surviving
 // requests must migrate and still complete.
 func TestFederationHardKill(t *testing.T) {
-	k := sim.NewKernel()
+	a, k := testArena(sim.QueueCalendar)
 	p := fedTestParams(2)
 	p.DrainGrace = 5 * time.Second
 	completed := 0
-	f := NewFederation(k, p, func(*Req) { completed++ })
+	f := NewFederationIn(a, p, func(*Req) { completed++ })
 	// A warm-up request cold-starts the deployment; a ~30s generation then
 	// arrives late in the walltime, so it cannot drain within the 5s grace
 	// (killed, migrated) but does complete on the fresh incarnation it
@@ -170,7 +177,7 @@ func TestFederationHardKill(t *testing.T) {
 // differential suite scales up.
 func TestFederationDeterministicRerun(t *testing.T) {
 	run := func(q sim.QueueKind) ([]sim.Time, FedRungs, int64) {
-		k := sim.NewKernelWith(q)
+		a, k := testArena(q)
 		k.MaxEvents = 50_000_000
 		p := fedTestParams(3)
 		p.BGPeriod = 40 * time.Second
@@ -181,7 +188,7 @@ func TestFederationDeterministicRerun(t *testing.T) {
 		done := 0
 		// Background jobs self-schedule forever: stop at the last completion
 		// like the open-loop experiment driver does.
-		f := NewFederation(k, p, func(*Req) {
+		f := NewFederationIn(a, p, func(*Req) {
 			if done++; done == n {
 				k.Stop()
 			}
@@ -227,6 +234,8 @@ func makeFedTrial(seed int64, withReplay bool) fedTrial {
 	t := fedTrial{n: 400 + rng.Intn(400)}
 	t.p = FederationParams{
 		Clusters: clusters,
+		// withDefaults fills no front-end in: zero Shards is no shard lane.
+		Shards: 16, CritSection: 4 * time.Microsecond, PostWork: 25 * time.Microsecond,
 		// Walltimes shorter than the trace (2-4 minutes of arrivals, below)
 		// force drains; a tight grace against generations of up to 1500
 		// tokens forces hard kills mid-batch; both generate migrations.
@@ -466,5 +475,31 @@ func TestFederationParamsDefaultsBGChurn(t *testing.T) {
 	// Off stays off.
 	if p := (FederationParams{Clusters: 2}).withDefaults(); p.BGPeriod != 0 {
 		t.Errorf("BGPeriod defaulted on: %v", p.BGPeriod)
+	}
+}
+
+// TestFederationZeroShardsBuildsNoShardLane: withDefaults fills no front-end
+// in — like every cost of the fabric hop, zero means the stage is absent, and
+// Arrive is then the routing decision itself.
+func TestFederationZeroShardsBuildsNoShardLane(t *testing.T) {
+	if p := (FederationParams{Clusters: 2}).withDefaults(); p.Shards != 0 || p.CritSection != 0 || p.PostWork != 0 {
+		t.Errorf("withDefaults filled a front-end in: %d shards, %v, %v", p.Shards, p.CritSection, p.PostWork)
+	}
+	a, k := testArena(sim.QueueCalendar)
+	p := fedTestParams(2)
+	p.Shards = 0
+	var got *Req
+	f := NewFederationIn(a, p, func(r *Req) { got = r })
+	if f.fe != nil || f.first.wired() {
+		t.Fatalf("zero Shards and zero First built a front-end (%v) or a fabric hop (%v)", f.fe != nil, f.first.wired())
+	}
+	r := fedReq(1, 0, 32, 8)
+	k.Schedule(time.Second, func() { f.Arrive(r) })
+	k.Run(0)
+	if got != r || f.Rungs().Capacity != 1 || r.GatewayAt != 0 || r.ArrivalAt != time.Second {
+		t.Errorf("request %+v, rungs %+v: want it routed at its arrival with no admission stamp", r, f.Rungs())
+	}
+	if with := NewFederationIn(a, fedTestParams(2), nil); with.fe == nil || len(with.fe.shards) != 16 {
+		t.Error("DefaultFederationParams' 16 shards built no front-end")
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"github.com/argonne-first/first/internal/perfmodel"
-	"github.com/argonne-first/first/internal/serving"
 	"github.com/argonne-first/first/internal/sim"
 )
 
@@ -100,186 +99,129 @@ func (p FirstParams) window() int {
 	return p.Window
 }
 
-// FirstSystem is the FIRST path wired onto a kernel, as a chain of stages
-// (stage.go) a request walks in order: worker window → [auth lane →] auth
-// pipe → submit pipe → dispatch lane → pick → pickup pipe → engine → relay
-// lane → return pipe → observe pipe.
-type FirstSystem struct {
-	k *sim.Kernel
-	p FirstParams
+// FirstPathParams is the paper's own deployment as a Federation: one cluster
+// serving one model on `instances` hot instances (Fig. 4 runs 1..4) behind the
+// fabric hop p, with one idle Sophia node of inventory nothing asks for.
+func FirstPathParams(p FirstParams, model perfmodel.ModelSpec, gpu perfmodel.GPUSpec, instances int) FederationParams {
+	return FederationParams{
+		Clusters: 1, NodesPerCluster: 1, GPUsPerNode: 8, GPU: gpu,
+		Models: []perfmodel.ModelSpec{model},
+		Hot:    max(instances, 1),
+		First:  p,
+	}
+}
 
-	engines  []*EngineSim
+// firstPath is the fabric's half of the FIRST request path (§5.2.3): the
+// stages (stage.go) on either side of the router and the engine pool, which
+// belong to the Federation that wires it and hands served requests to relay —
+//
+//	worker window + backlog → [auth lane → auth pipe] → submit pipe →
+//	dispatch lane → route → pickup pipe → engine → relay lane → return pipe
+//	→ poll grid | observe pipe → release the window → done
+type firstPath struct {
+	k      *sim.Kernel
+	window int
+	poll   time.Duration // PollInterval
+
 	authLane *lane // nil unless AuthRatePerSec caps introspections
-	auth     *pipe // AuthIntrospect
-	submit   *pipe // GatewayOverhead + HubSubmit
-	dispatch *lane
-	pickup   *pipe // EndpointPickup
-	relay    *lane
-	ret      *pipe // ResultReturn
-	observe  *pipe // zero delay: the client sees the result in its own event
+	auth     *pipe // AuthIntrospect; nil while the token cache absorbs it
+	submit   pipe  // GatewayOverhead + HubSubmit
+	dispatch lane  // HubDispatchCost, then route
+	pickup   pipe  // EndpointPickup, then the engine Federation.place chose
+	relay    lane  // HubRelayCost
+	ret      pipe  // ResultReturn
+	observe  pipe  // zero delay: the client sees the result in its own event
 
-	inFlight int
-	backlog  reqRing
-	done     func(*Req)
-
+	inFlight   int
+	backlog    reqRing
 	maxBacklog int
-	rrNext     int
-	rng        *sim.RNG
+	done       func(*Req)
 }
 
-// NewFirstSystem builds the path with `instances` engine instances of the
-// model (Fig. 4's auto-scaled configurations are instances=1..4).
-func NewFirstSystem(k *sim.Kernel, p FirstParams, model perfmodel.ModelSpec, gpu perfmodel.GPUSpec, instances int, done func(*Req)) *FirstSystem {
-	if instances < 1 {
-		instances = 1
+// wire builds every stage in place, last stage first.
+func (fp *firstPath) wire(k *sim.Kernel, p FirstParams, route, done func(*Req)) {
+	fp.k, fp.window, fp.poll, fp.done = k, p.window(), p.PollInterval, done
+	fp.observe.init(k, 0, fp.observed)
+	fp.ret.init(k, p.ResultReturn, fp.complete)
+	fp.relay.init(k, p.HubRelayCost, fp.ret.push)
+	fp.pickup.init(k, p.EndpointPickup, fp.toEngine)
+	fp.dispatch.init(k, p.HubDispatchCost, route)
+	fp.submit.init(k, p.GatewayOverhead+p.HubSubmit, fp.dispatch.enqueue)
+	if p.AuthIntrospect > 0 {
+		fp.auth = newPipe(k, p.AuthIntrospect, fp.submit.push)
+		if p.AuthRatePerSec > 0 {
+			fp.authLane = newLane(k, time.Duration(float64(time.Second)/p.AuthRatePerSec), fp.auth.push)
+		}
 	}
-	s := newFirstSystemBase(k, p, done)
-	for i := 0; i < instances; i++ {
-		s.engines = append(s.engines, MustEngineSim(k, model, gpu, 0, s.onEngineComplete))
-	}
-	return s
 }
 
-// newFirstSystemBase wires every stage to the next but builds no engines
-// (NewFirstSystem allocates them; NewFirstSystemIn draws them from an arena).
-func newFirstSystemBase(k *sim.Kernel, p FirstParams, done func(*Req)) *FirstSystem {
-	s := &FirstSystem{k: k, p: p, done: done, rng: sim.NewRNG(1)}
-	s.observe = newPipe(k, 0, s.observed)
-	s.ret = newPipe(k, p.ResultReturn, s.complete)
-	s.relay = newLane(k, p.HubRelayCost, s.ret.push)
-	s.pickup = newPipe(k, p.EndpointPickup, s.submitToEngine)
-	s.dispatch = newLane(k, p.HubDispatchCost, s.dispatched)
-	s.submit = newPipe(k, p.GatewayOverhead+p.HubSubmit, s.dispatch.enqueue)
-	s.auth = newPipe(k, p.AuthIntrospect, s.submit.push)
-	if p.AuthRatePerSec > 0 {
-		s.authLane = newLane(k, time.Duration(float64(time.Second)/p.AuthRatePerSec), s.auth.push)
-	}
-	return s
-}
+func (fp *firstPath) wired() bool { return fp.k != nil }
 
-// Arrive is the client attempting to send a request at the current virtual
+// arrive is the client attempting to send a request at the current virtual
 // time. When the gateway's worker window is exhausted, the request waits in
 // the client's connection pool; per the benchmark script's convention,
 // end-to-end latency is measured from the actual send (ArrivalAt), while
 // benchmark duration covers the whole run.
 //
 //first:hotpath pinned by TestSystemsCarryZeroAlloc (stage_test.go)
-func (s *FirstSystem) Arrive(r *Req) {
-	w := s.p.window()
-	if w > 0 && s.inFlight >= w {
-		s.backlog.push(r)
-		if s.backlog.n > s.maxBacklog {
-			s.maxBacklog = s.backlog.n
+func (fp *firstPath) arrive(r *Req) {
+	if fp.window > 0 && fp.inFlight >= fp.window {
+		fp.backlog.push(r)
+		if fp.backlog.n > fp.maxBacklog {
+			fp.maxBacklog = fp.backlog.n
 		}
 		return
 	}
-	s.admit(r)
+	fp.admit(r)
 }
 
-func (s *FirstSystem) admit(r *Req) {
-	s.inFlight++
-	r.ArrivalAt = s.k.Now()
+func (fp *firstPath) admit(r *Req) {
+	fp.inFlight++
+	r.ArrivalAt = fp.k.Now()
 	r.GatewayAt = r.ArrivalAt
 	switch {
-	case s.p.AuthIntrospect <= 0:
-		s.submit.push(r)
-	case s.authLane != nil:
-		s.authLane.enqueue(r)
+	case fp.auth == nil:
+		fp.submit.push(r)
+	case fp.authLane != nil:
+		fp.authLane.enqueue(r)
 	default:
-		s.auth.push(r)
+		fp.auth.push(r)
 	}
 }
 
-// dispatched is the hub routing a task: the instance chosen as it leaves the
-// dispatch lane rides on the request until the endpoint has picked it up.
-func (s *FirstSystem) dispatched(r *Req) {
-	r.inst = s.pick()
-	s.pickup.push(r)
-}
-
-func (s *FirstSystem) submitToEngine(r *Req) {
-	r.EngineAt = s.k.Now()
+// toEngine is the endpoint picking the task up: the instance the pool chose
+// as the task left the dispatch lane rode on the request until now.
+func (fp *firstPath) toEngine(r *Req) {
+	r.EngineAt = fp.k.Now()
 	r.inst.Submit(r.PromptTok, r.OutputTok, r)
 }
 
-func (s *FirstSystem) pick() *EngineSim {
-	switch s.p.Routing {
-	case RouteRoundRobin:
-		e := s.engines[s.rrNext%len(s.engines)]
-		s.rrNext++
-		return e
-	case RouteRandom:
-		return s.engines[s.rng.Intn(len(s.engines))]
-	default:
-		best := s.engines[0]
-		for _, e := range s.engines[1:] {
-			if e.Depth() < best.Depth() {
-				best = e
-			}
-		}
-		return best
-	}
-}
-
-func (s *FirstSystem) onEngineComplete(seq *serving.Sequence) {
-	s.relay.enqueue(seq.Ctx.(*Req))
-}
-
-func (s *FirstSystem) complete(r *Req) {
-	r.CompletedAt = s.k.Now()
+// complete is the result back at the gateway. Nothing upstream stamps it: a
+// request on the relay or return hop when a bounded run stops reads unobserved.
+func (fp *firstPath) complete(r *Req) {
+	r.CompletedAt = fp.k.Now()
 	r.ObservedAt = r.CompletedAt
-	if s.p.PollInterval > 0 {
+	if fp.poll > 0 {
 		// The poller anchored at gateway admission only notices the
 		// result on the next grid point. Each request has its own grid,
 		// so this wait is not FIFO and keeps a closure (Opt1-off only).
 		elapsed := r.CompletedAt - r.GatewayAt
-		ticks := elapsed/s.p.PollInterval + 1
-		r.ObservedAt = r.GatewayAt + ticks*s.p.PollInterval
-		s.k.At(r.ObservedAt, func() { s.observed(r) })
+		ticks := elapsed/fp.poll + 1
+		r.ObservedAt = r.GatewayAt + ticks*fp.poll
+		fp.k.At(r.ObservedAt, func() { fp.observed(r) })
 		return
 	}
-	s.observe.push(r)
+	fp.observe.push(r)
 }
 
 // observed is the client seeing the result: the worker slot frees and the
 // longest-waiting backlogged request takes it.
-func (s *FirstSystem) observed(r *Req) {
-	s.inFlight--
-	if s.backlog.n > 0 {
-		s.admit(s.backlog.pop())
+func (fp *firstPath) observed(r *Req) {
+	fp.inFlight--
+	if fp.backlog.n > 0 {
+		fp.admit(fp.backlog.pop())
 	}
-	if s.done != nil {
-		s.done(r)
+	if fp.done != nil {
+		fp.done(r)
 	}
-}
-
-// HubQueueDepth reports tasks queued at the hub's dispatch lane (the
-// Artillery experiment's ">8000 tasks queued at Globus" observable).
-func (s *FirstSystem) HubQueueDepth() int { return s.dispatch.Depth() }
-
-// MaxBacklog reports the gateway backlog high-water mark.
-func (s *FirstSystem) MaxBacklog() int { return s.maxBacklog }
-
-// PeakBatch returns the largest running batch across instances.
-func (s *FirstSystem) PeakBatch() int {
-	peak := 0
-	for _, e := range s.engines {
-		if st := e.Stats(); st.PeakBatch > peak {
-			peak = st.PeakBatch
-		}
-	}
-	return peak
-}
-
-// InFlight reports current admitted requests.
-func (s *FirstSystem) InFlight() int { return s.inFlight }
-
-// EmittedTokensBy returns output tokens generated across all instances up
-// to virtual time t (the streaming throughput view).
-func (s *FirstSystem) EmittedTokensBy(t sim.Time) int64 {
-	var sum int64
-	for _, e := range s.engines {
-		sum += e.EmittedBy(t)
-	}
-	return sum
 }

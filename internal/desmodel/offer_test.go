@@ -20,14 +20,14 @@ import (
 
 // bothWays runs a scenario with the offer taken and with it ignored, requires
 // the same digest, and returns the kernel events each way took.
-func bothWays(t *testing.T, run func(k *sim.Kernel) string) (taken, ignored uint64) {
+func bothWays(t *testing.T, run func(a *Arena, k *sim.Kernel) string) (taken, ignored uint64) {
 	t.Helper()
 	once := func(ignore bool) (string, uint64) {
 		ignoreOffer = ignore
 		defer func() { ignoreOffer = false }()
-		k := sim.NewKernel()
+		a, k := testArena(sim.QueueCalendar)
 		k.MaxEvents = 50_000_000
-		return run(k), k.Processed
+		return run(a, k), k.Processed
 	}
 	a, taken := once(false)
 	b, ignored := once(true)
@@ -63,7 +63,7 @@ func TestEngineSimHarvestMidRun(t *testing.T) {
 		iter * 50, iter*50 + model.PrefillTime(40, perfmodel.A100_40), 3 * time.Second,
 	}
 	for _, at := range kills {
-		taken, ignored := bothWays(t, func(k *sim.Kernel) string {
+		taken, ignored := bothWays(t, func(_ *Arena, k *sim.Kernel) string {
 			e := MustEngineSim(k, model, perfmodel.A100_40, 4, func(*serving.Sequence) {})
 			// Admission order 1..4 is not completion order (2, 4, 3, 1); two wait.
 			for i, out := range []int{500, 100, 300, 200, 50, 60} {
@@ -122,10 +122,10 @@ func TestFederationKillAndDrainMidRun(t *testing.T) {
 		return sb.String()
 	}
 	t.Run("hard kill", func(t *testing.T) {
-		taken, ignored := bothWays(t, func(k *sim.Kernel) string {
+		taken, ignored := bothWays(t, func(a *Arena, k *sim.Kernel) string {
 			p := fedTestParams(2)
 			p.DrainGrace = 5 * time.Second
-			f := NewFederation(k, p, nil)
+			f := NewFederationIn(a, p, nil)
 			reqs := []*Req{fedReq(1, 0, 32, 8), fedReq(2, 0, 64, 5_000)}
 			k.Schedule(0, func() { f.Arrive(reqs[0]) })
 			k.Schedule(88*time.Second, func() { f.Arrive(reqs[1]) })
@@ -140,12 +140,12 @@ func TestFederationKillAndDrainMidRun(t *testing.T) {
 		}
 	})
 	t.Run("drain", func(t *testing.T) {
-		taken, ignored := bothWays(t, func(k *sim.Kernel) string {
+		taken, ignored := bothWays(t, func(a *Arena, k *sim.Kernel) string {
 			p := fedTestParams(2)
 			p.ServeWalltime = 20 * time.Second
 			p.Models = DefaultFederationModels()[:1]
 			p.Models[0].MaxBatch = 2 // the queue waits behind a full batch
-			f := NewFederation(k, p, nil)
+			f := NewFederationIn(a, p, nil)
 			var reqs []*Req
 			for i := 0; i < 12; i++ {
 				r := fedReq(i+1, 0, 64, 900+100*(i%3))
@@ -270,38 +270,34 @@ func TestEngineSimEmittedByMatchesPerIterationLog(t *testing.T) {
 func TestFirstSystemStopMidRun(t *testing.T) {
 	model := perfmodel.Default.MustLookup(perfmodel.Llama8B)
 	until := 10 * time.Second
-	taken, ignored := bothWays(t, func(k *sim.Kernel) string {
-		s := NewFirstSystem(k, DefaultFirstParams(), model, perfmodel.A100_40, 1, nil)
+	taken, ignored := bothWays(t, func(a *Arena, k *sim.Kernel) string {
+		s := NewFederationIn(a, FirstPathParams(DefaultFirstParams(), model, perfmodel.A100_40, 1), nil)
 		k.Schedule(0, func() { s.Arrive(&Req{ID: 1, PromptTok: 100, OutputTok: 4000}) })
 		k.Schedule(2*time.Second, func() { s.Arrive(&Req{ID: 2, PromptTok: 100, OutputTok: 3000}) })
 		if end := k.Run(until); end != until || s.InFlight() != 2 {
 			t.Fatalf("run ended at %v with %d in flight, want a stop at %v mid-generation", end, s.InFlight(), until)
 		}
-		return fmt.Sprintf("%+v emitted %d then, %d a second earlier", s.engines[0].Stats(), s.EmittedTokensBy(until), s.EmittedTokensBy(until-time.Second))
+		return fmt.Sprintf("%+v emitted %d then, %d a second earlier", s.clusters[0].deps[0].insts[0].eng.Stats(), s.EmittedTokensBy(until), s.EmittedTokensBy(until-time.Second))
 	})
 	if taken*10 > ignored {
 		t.Errorf("%d events with the offer taken, %d without: nothing was skipped", taken, ignored)
 	}
 }
 
-// TestFederationKeepsNoEmissionLog pins the log off where nothing reads it.
+// TestFederationKeepsNoEmissionLog pins who keeps an emission log: not an
+// incarnation the scheduler started — the log would die with it — but a hot
+// instance, which never dies; EmittedTokensBy reads those monotonically.
 func TestFederationKeepsNoEmissionLog(t *testing.T) {
-	for name, build := range map[string]func(*sim.Kernel, FederationParams) *Federation{
-		"bare": func(k *sim.Kernel, p FederationParams) *Federation { return NewFederation(k, p, nil) },
-		"arena": func(_ *sim.Kernel, p FederationParams) *Federation {
-			a := NewArena(sim.QueueCalendar)
-			a.Begin()
-			return NewFederationIn(a, p, nil)
-		},
-	} {
-		k := sim.NewKernel()
-		f := build(k, fedTestParams(2))
-		k = f.k
+	for _, hot := range []int{0, 2} {
+		a, k := testArena(sim.QueueCalendar)
+		p := fedTestParams(2)
+		p.Hot = hot
+		f := NewFederationIn(a, p, nil)
 		for i := 0; i < 40; i++ {
 			r := fedReq(i+1, i%3, 64, 400)
 			k.Schedule(time.Duration(i)*100*time.Millisecond, func() { f.Arrive(r) })
 		}
-		k.Run(50 * time.Second) // every deployment serving, batches mid-flight
+		end := k.Run(50 * time.Second) // every deployment serving, batches mid-flight
 		engines := 0
 		for _, c := range f.clusters {
 			for _, d := range c.deps {
@@ -309,15 +305,30 @@ func TestFederationKeepsNoEmissionLog(t *testing.T) {
 					if in.eng == nil {
 						continue
 					}
+					st := in.eng.Stats()
+					if st.Iterations == 0 {
+						continue
+					}
 					engines++
-					if st := in.eng.Stats(); st.Iterations == 0 || len(in.eng.emitLog) != 0 || in.eng.EmittedBy(k.Now()) != 0 {
-						t.Errorf("%s: instance after %d iterations holds %d emission records", name, st.Iterations, len(in.eng.emitLog))
+					if logged := len(in.eng.emitLog); (logged != 0) != (in.job == nil) {
+						t.Errorf("hot=%d: instance with job %v holds %d emission records after %d iterations", hot, in.job != nil, logged, st.Iterations)
 					}
 				}
 			}
 		}
 		if engines == 0 {
-			t.Errorf("%s: no live engine to inspect", name)
+			t.Errorf("hot=%d: no engine has served anything", hot)
+		}
+		var last int64
+		for at := sim.Time(0); at <= end; at += end / 100 {
+			got := f.EmittedTokensBy(at)
+			if got < last || (hot == 0 && got != 0) {
+				t.Fatalf("hot=%d: EmittedTokensBy(%v) = %d after %d", hot, at, got, last)
+			}
+			last = got
+		}
+		if hot > 0 && (last == 0 || f.EmittedTokensBy(0) != 0) {
+			t.Errorf("hot instances emitted %d tokens by %v and %d by t=0", last, end, f.EmittedTokensBy(0))
 		}
 	}
 }

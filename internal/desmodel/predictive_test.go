@@ -12,10 +12,10 @@ import (
 // requests on it — a steady state the tests can drive scaleTick against.
 func warmPoolAtDepth(t *testing.T, maxInst, insts, depth int) (*sim.Kernel, *Federation, *fedDep) {
 	t.Helper()
-	k := sim.NewKernel()
+	a, k := testArena(sim.QueueCalendar)
 	p := scaleTestParams(1, maxInst)
 	p.Scale.HiWater = 1e9 // the warm-up backlog must not trip the scaler itself
-	f := NewFederation(k, p, nil)
+	f := NewFederationIn(a, p, nil)
 	d := f.clusters[0].deps[0]
 	// Disarm the lo band for the warm-up too (post-construction, since
 	// withDefaults would clamp a zero back up): an idle pool must survive
@@ -141,7 +141,7 @@ func TestScaleStreakResetOnPoolChange(t *testing.T) {
 // scenario and returns the run's stats plus the total sojourn time.
 func predictiveRampRun(t *testing.T, predictive bool) (FedClusterStats, time.Duration, int64) {
 	t.Helper()
-	k := sim.NewKernel()
+	a, k := testArena(sim.QueueCalendar)
 	k.MaxEvents = 50_000_000
 	p := scaleTestParams(1, 4)
 	// Room for the whole pool: the default 2×4-GPU inventory fits only two
@@ -153,7 +153,7 @@ func predictiveRampRun(t *testing.T, predictive bool) (FedClusterStats, time.Dur
 	n := 600
 	done := 0
 	var total time.Duration
-	f := NewFederation(k, p, func(r *Req) {
+	f := NewFederationIn(a, p, func(r *Req) {
 		total += time.Duration(r.CompletedAt - r.ArrivalAt)
 		if done++; done == n {
 			k.Stop()
@@ -214,11 +214,11 @@ func TestPredictiveOffIsByteIdenticalPath(t *testing.T) {
 	if reactive.PreWarms != 0 {
 		t.Fatalf("PreWarms = %d with Predictive off", reactive.PreWarms)
 	}
-	k := sim.NewKernel()
+	a, k := testArena(sim.QueueCalendar)
 	p := scaleTestParams(1, 4)
 	n := 40
 	done := 0
-	f := NewFederation(k, p, func(*Req) {
+	f := NewFederationIn(a, p, func(*Req) {
 		if done++; done == n {
 			k.Stop()
 		}
@@ -243,12 +243,12 @@ func TestPredictiveOffIsByteIdenticalPath(t *testing.T) {
 // still place the request (capacity/cordoned fallback) — drain-awareness
 // never parks or loses work.
 func TestCordonStopsRoutingBeforeDrain(t *testing.T) {
-	k := sim.NewKernel()
+	ar, k := testArena(sim.QueueCalendar)
 	p := DefaultFederationParams(2)
 	p.BGPeriod = 0
 	p.ServeWalltime = 1e6 * time.Second
 	served := 0
-	f := NewFederation(k, p, func(*Req) { served++ })
+	f := NewFederationIn(ar, p, func(*Req) { served++ })
 	a, b := f.clusters[0], f.clusters[1]
 	k.Schedule(0, func() { a.deps[0].startInstance(); b.deps[0].startInstance() })
 	k.Run(10 * time.Minute)
@@ -261,8 +261,8 @@ func TestCordonStopsRoutingBeforeDrain(t *testing.T) {
 	r1 := &Req{ID: 1, Model: 0, PromptTok: 64, OutputTok: 4}
 	k.Schedule(0, func() { f.Arrive(r1) })
 	k.Run(11 * time.Minute) // Run takes an absolute horizon
-	if a.routed != 1 || b.routed != 0 {
-		t.Fatalf("baseline routing went A=%d B=%d, want 1/0", a.routed, b.routed)
+	if a.stats.Routed != 1 || b.stats.Routed != 0 {
+		t.Fatalf("baseline routing went A=%d B=%d, want 1/0", a.stats.Routed, b.stats.Routed)
 	}
 
 	// Cordon all of A's serving capacity: the next arrival must go to B.
@@ -278,8 +278,8 @@ func TestCordonStopsRoutingBeforeDrain(t *testing.T) {
 	r2 := &Req{ID: 2, Model: 0, PromptTok: 64, OutputTok: 4}
 	k.Schedule(0, func() { f.Arrive(r2) })
 	k.Run(12 * time.Minute)
-	if b.routed != 1 {
-		t.Fatalf("arrival after cordoning A routed to A (A=%d B=%d): ladder ignored the cordon", a.routed, b.routed)
+	if b.stats.Routed != 1 {
+		t.Fatalf("arrival after cordoning A routed to A (A=%d B=%d): ladder ignored the cordon", a.stats.Routed, b.stats.Routed)
 	}
 
 	// Cordon B as well: the request must still land somewhere and serve —
@@ -305,11 +305,11 @@ func TestCordonStopsRoutingBeforeDrain(t *testing.T) {
 // of its walltime drain, and in-pool selection prefers an uncordoned
 // sibling from that moment on.
 func TestCordonLeadFiresBeforeDrain(t *testing.T) {
-	k := sim.NewKernel()
+	a, k := testArena(sim.QueueCalendar)
 	p := scaleTestParams(1, 2)
 	p.ServeWalltime = 300 * time.Second
 	p.CordonLead = 60 * time.Second
-	f := NewFederation(k, p, nil)
+	f := NewFederationIn(a, p, nil)
 	d := f.clusters[0].deps[0]
 	// Disarm the lo band for the warm-up too (post-construction, since
 	// withDefaults would clamp a zero back up): an idle pool must survive

@@ -66,6 +66,11 @@ func newFedReplay(f *Federation, p ReplayParams) *fedReplay {
 	if p.MaxAttempts < 1 {
 		p.MaxAttempts = 1
 	}
+	if len(f.clusters) > 64 {
+		// routeReplay's avoided set is one uint64: a shift past bit 63
+		// would silently avoid nothing.
+		panic("desmodel: a replayed federation has at most 64 clusters")
+	}
 	rp := &fedReplay{
 		f:      f,
 		p:      p,
@@ -232,7 +237,7 @@ func (f *Federation) routeReplay(r *Req) {
 		placed := len(c.deps[m].insts) > 0 && !faulty
 		rp.breakers[ci].Record(now, placed)
 		if placed {
-			c.routed++
+			c.stats.Routed++
 			c.deps[m].offer(r)
 			return
 		}

@@ -65,10 +65,10 @@ type replaySummary struct {
 
 func runReplayOnce(t *testing.T, s chaosnet.Schedule) replaySummary {
 	t.Helper()
-	k := sim.NewKernel()
+	a, k := testArena(sim.QueueCalendar)
 	n := s.Requests
 	completed := 0
-	f := NewFederation(k, replayTestParams(s.Endpoints, s), func(*Req) { completed++ })
+	f := NewFederationIn(a, replayTestParams(s.Endpoints, s), func(*Req) { completed++ })
 	reqs := make([]*Req, n)
 	for i := 0; i < n; i++ {
 		i := i
@@ -137,8 +137,8 @@ func TestReplayEventsGateOnIndex(t *testing.T) {
 		},
 	}
 	s.Sort()
-	k := sim.NewKernel()
-	f := NewFederation(k, replayTestParams(2, s), func(*Req) {})
+	a, k := testArena(sim.QueueCalendar)
+	f := NewFederationIn(a, replayTestParams(2, s), func(*Req) {})
 	// Bounded horizons: k.Run(0) would drain the pre-started pools' far-
 	// future serve-walltime expiries too and tear everything down.
 	k.Run(time.Minute) // let the pre-started pools boot

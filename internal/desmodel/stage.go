@@ -78,10 +78,16 @@ type lane struct {
 }
 
 func newLane(k *sim.Kernel, cost time.Duration, out func(*Req)) *lane {
-	l := &lane{k: k, cost: cost, out: out}
+	l := new(lane)
+	l.init(k, cost, out)
+	return l
+}
+
+// init wires a lane where it lies, for an owner that holds it by value.
+func (l *lane) init(k *sim.Kernel, cost time.Duration, out func(*Req)) {
+	*l = lane{k: k, cost: cost, out: out}
 	l.serveFn = l.serve
 	l.doneFn = l.done
-	return l
 }
 
 //first:hotpath pinned by TestStageStepsZeroAlloc (stage_test.go)
@@ -114,9 +120,6 @@ func (l *lane) done() {
 	l.serve()
 }
 
-// Depth returns the current queue length (excluding the in-service request).
-func (l *lane) Depth() int { return l.q.n }
-
 // pipe is a constant-delay stage: a request pushed at t is handed to out at
 // t+delay. push schedules the one bound popFn; the delay is constant and the
 // kernel orders events by (time, sequence number), so the k-th firing belongs
@@ -131,10 +134,16 @@ type pipe struct {
 }
 
 func newPipe(k *sim.Kernel, delay time.Duration, out func(*Req)) *pipe {
-	// The kernel clamps a negative delay to zero; so must the due instant.
-	p := &pipe{k: k, delay: max(delay, 0), out: out}
-	p.popFn = p.pop
+	p := new(pipe)
+	p.init(k, delay, out)
 	return p
+}
+
+// init wires a pipe where it lies, for an owner that holds it by value.
+func (p *pipe) init(k *sim.Kernel, delay time.Duration, out func(*Req)) {
+	// The kernel clamps a negative delay to zero; so must the due instant.
+	*p = pipe{k: k, delay: max(delay, 0), out: out}
+	p.popFn = p.pop
 }
 
 //first:hotpath pinned by TestStageStepsZeroAlloc (stage_test.go)

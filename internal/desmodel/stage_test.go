@@ -77,8 +77,8 @@ func TestStageStepsZeroAlloc(t *testing.T) {
 	if allocs := testing.AllocsPerRun(200, carry); allocs != 0 {
 		t.Errorf("lane + pipe + ring steps allocs = %v, want 0", allocs)
 	}
-	if delivered != 202 || ln.busy || ln.Depth() != 0 || p.q.n != 0 {
-		t.Errorf("delivered %d of 202, lane busy=%v depth=%d, pipe holds %d", delivered, ln.busy, ln.Depth(), p.q.n)
+	if delivered != 202 || ln.busy || ln.q.n != 0 || p.q.n != 0 {
+		t.Errorf("delivered %d of 202, lane busy=%v depth=%d, pipe holds %d", delivered, ln.busy, ln.q.n, p.q.n)
 	}
 }
 
@@ -93,7 +93,7 @@ func TestSystemsCarryZeroAlloc(t *testing.T) {
 	for i := range reqs {
 		reqs[i] = Req{ID: i + 1, PromptTok: 40 + i, OutputTok: 4 + i%5}
 	}
-	k := sim.NewKernel()
+	a, k := testArena(sim.QueueCalendar)
 	completed := 0
 	done := func(*Req) {
 		if completed++; completed%n == 0 {
@@ -124,21 +124,24 @@ func TestSystemsCarryZeroAlloc(t *testing.T) {
 	// instance the pick; the auth arm adds the limiter lane and its pipe.
 	fp := DefaultFirstParams()
 	fp.Window = 8
-	first := NewFirstSystem(k, fp, model, gpu, 2, done)
+	first := NewFederationIn(a, FirstPathParams(fp, model, gpu, 2), done)
 	fp.AuthIntrospect, fp.AuthRatePerSec = 50*time.Millisecond, 100
-	firstAuth := NewFirstSystem(k, fp, model, gpu, 1, done)
-	for _, e := range append(first.engines, firstAuth.engines...) {
-		e.withoutEmitLog() // a log grows by design
+	firstAuth := NewFederationIn(a, FirstPathParams(fp, model, gpu, 1), done)
+	for _, in := range append(first.clusters[0].deps[0].insts, firstAuth.clusters[0].deps[0].insts...) {
+		in.eng.withoutEmitLog() // a hot instance's log grows by design
 	}
-	pin("FirstSystem", first)
+	pin("FIRST path", first)
 	if first.MaxBacklog() != n-8 {
-		t.Errorf("FirstSystem backlog peaked at %d, want %d", first.MaxBacklog(), n-8)
+		t.Errorf("FIRST path: backlog peaked at %d, want %d", first.MaxBacklog(), n-8)
 	}
-	pin("FirstSystem with auth lane", firstAuth)
+	if first.Arrivals() != first.Completions() || first.InFlight() != 0 {
+		t.Errorf("FIRST path: %d arrivals, %d completions, %d in flight", first.Arrivals(), first.Completions(), first.InFlight())
+	}
+	pin("FIRST path with auth lane", firstAuth)
 
 	pin("GatewayFE", NewGatewayFE(k, DefaultGatewayFEParams(4), done))
 
-	direct := NewDirectSystem(k, DefaultDirectParams(), model, gpu, done)
+	direct := NewDirectSystemIn(a, DefaultDirectParams(), model, gpu, done)
 	direct.engine.withoutEmitLog()
 	pin("DirectSystem", direct)
 
@@ -146,7 +149,7 @@ func TestSystemsCarryZeroAlloc(t *testing.T) {
 	// PostWork pipe → route → offer → engine is the whole path.
 	p := fedTestParams(2)
 	p.ServeWalltime = 1000 * time.Hour
-	fed := NewFederation(k, p, done)
+	fed := NewFederationIn(a, p, done)
 	pin("Federation", fed)
 	if fed.Arrivals() != fed.Completions() {
 		t.Errorf("Federation: %d arrivals, %d completions", fed.Arrivals(), fed.Completions())

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"sort"
 	"time"
 
 	"github.com/argonne-first/first/internal/desmodel"
@@ -45,17 +46,20 @@ type ablationArm struct {
 func runAblationArms(f Fleet, arms []ablationArm, genTrace func() []workload.Request, model perfmodel.ModelSpec, window time.Duration) []AblationRow {
 	rows := make([]AblationRow, len(arms))
 	f.RunArena(len(arms), func(i int, a *desmodel.Arena) {
-		k := a.Begin()
-		sys := desmodel.NewFirstSystemIn(a, arms[i].params, model, perfmodel.A100_40, 1, nil)
-		reqs := driveOpenLoop(k, genTrace(), sys)
-		if window > 0 {
-			k.Run(window)
-			m := desmodel.Collect(onlyObserved(reqs, window))
-			rows[i] = AblationRow{Config: arms[i].label, M: m, HubQueuePeak: sys.InFlight() + sys.MaxBacklog()}
+		trace := genTrace()
+		if window <= 0 {
+			rows[i] = AblationRow{Config: arms[i].label, M: firstOpenLoop(a, arms[i].label, arms[i].params, model, 1, trace)}
 			return
 		}
-		k.Run(0)
-		rows[i] = AblationRow{Config: arms[i].label, M: desmodel.Collect(reqs)}
+		k := a.Begin()
+		sys := desmodel.NewFederationIn(a, desmodel.FirstPathParams(arms[i].params, model, perfmodel.A100_40, 1), nil)
+		reqs := driveOpenLoop(k, trace, sys)
+		k.Run(window)
+		// Whatever was sent by the end of the window may still be in flight.
+		sent := sort.Search(len(trace), func(i int) bool { return trace[i].ArrivalAt > window })
+		auditConservation(arms[i].label, sys, sent, sent)
+		m := desmodel.Collect(onlyObserved(reqs, window))
+		rows[i] = AblationRow{Config: arms[i].label, M: m, HubQueuePeak: sys.InFlight() + sys.MaxBacklog()}
 	})
 	return rows
 }

@@ -7,7 +7,6 @@ import (
 
 	"github.com/argonne-first/first/internal/desmodel"
 	"github.com/argonne-first/first/internal/sim"
-	"github.com/argonne-first/first/internal/workload"
 )
 
 // The autoscale experiment family reproduces Fig4's elastic-deployment story
@@ -51,18 +50,7 @@ type AutoScaleCell struct {
 
 // params resolves the cell's federation parameters.
 func (c AutoScaleCell) params() desmodel.FederationParams {
-	p := desmodel.DefaultFederationParams(c.Clusters)
-	if c.ServeWalltimeS > 0 {
-		p.ServeWalltime = time.Duration(c.ServeWalltimeS) * time.Second
-	}
-	if c.DrainGraceS > 0 {
-		p.DrainGrace = time.Duration(c.DrainGraceS) * time.Second
-	}
-	if c.BGPeriodS > 0 {
-		p.BGPeriod = time.Duration(c.BGPeriodS) * time.Second
-		p.BGStagger = p.BGPeriod / 5
-		p.BGWalltime = p.BGPeriod * 2 / 3
-	}
+	p := churnParams(c.Clusters, c.ServeWalltimeS, c.DrainGraceS, c.BGPeriodS)
 	s := desmodel.DefaultAutoScaleParams()
 	s.MaxInstances = c.MaxInstances
 	if c.ScaleIntervalS > 0 {
@@ -141,11 +129,7 @@ type AutoScaleRow struct {
 	PreWarms int
 	// PeakInstances is the deepest any single cluster's pools grew.
 	PeakInstances int
-	ColdStarts    int
-	Drains        int
-	HardKills     int
-	UtilMeanPct   float64
-	UtilMaxPct    float64
+	ClusterTotals
 }
 
 // RunAutoScaleOn regenerates the full family on f.
@@ -192,44 +176,18 @@ func (c AutoScaleCell) shapeFns(models int) (mult func(sim.Time) float64, hot fu
 // on the rotating hot model, so pools must grow under each wave and shrink
 // behind it.
 func autoScaleRun(a *desmodel.Arena, c AutoScaleCell, seed int64) AutoScaleRow {
-	k := a.Begin()
-	k.MaxEvents = federateEventBudget
-	defer func() { k.MaxEvents = 0 }()
 	p := c.params()
 	n := c.Reqs
-	completed := 0
-	sys := desmodel.NewFederationIn(a, p, func(*desmodel.Req) {
-		completed++
-		if completed == n {
-			k.Stop()
-		}
-	})
-	spec := workload.FederateOpen()
 	rng := sim.NewRNG(seed + int64(c.Clusters)*1_000_003 + int64(n) + int64(len(c.Shape)))
 	models := len(p.Models)
 	mult, hot := c.shapeFns(models)
-	baseGap := float64(time.Second) / c.BaseRatePerSec
-	reqs := make([]*desmodel.Req, n)
-	idx := 0
-	var step func()
-	step = func() {
-		now := k.Now()
-		pt, ot := spec.SampleLengths(rng)
-		m := hot(now)
-		if rng.Float64() >= 0.8 {
-			m = rng.Intn(models)
-		}
-		r := &desmodel.Req{ID: idx + 1, PromptTok: pt, OutputTok: ot, Model: m}
-		reqs[idx] = r
-		sys.Arrive(r)
-		idx++
-		if idx < n {
-			k.Schedule(time.Duration(rng.Exp(baseGap/mult(now))), step)
-		}
-	}
-	k.Schedule(time.Duration(rng.Exp(baseGap)), step)
-	end := k.Run(openLoopHorizon(n, c.BaseRatePerSec))
-	auditConservation(fmt.Sprintf("autoscale %s cell c%d predictive=%v", c.Shape, c.Clusters, c.Predictive), sys, n, 0)
+	sys, reqs, end := driveFederation(a, fmt.Sprintf("autoscale %s cell c%d predictive=%v", c.Shape, c.Clusters, c.Predictive),
+		p, n, c.BaseRatePerSec, rng, func(now sim.Time) int {
+			if rng.Float64() >= 0.8 {
+				return rng.Intn(models)
+			}
+			return hot(now)
+		}, mult)
 	return autoScaleRow(sys, c, n, reqs, end)
 }
 
@@ -243,30 +201,14 @@ func autoScaleRow(sys *desmodel.Federation, c AutoScaleCell, offered int, reqs [
 		Rungs:      sys.Rungs(),
 		Migrations: sys.Migrations(),
 	}
-	horizon := sim.Sec(end)
-	var utilSum float64
-	for _, cs := range sys.ClusterStats() {
+	stats := sys.ClusterStats()
+	row.ClusterTotals = foldClusters(stats, end)
+	for _, cs := range stats {
 		row.ScaleUps += cs.ScaleUps
 		row.ScaleDowns += cs.ScaleDowns
 		row.ScaleRefused += cs.ScaleRefused
 		row.PreWarms += cs.PreWarms
-		if cs.PeakInstances > row.PeakInstances {
-			row.PeakInstances = cs.PeakInstances
-		}
-		row.ColdStarts += cs.ColdStarts
-		row.Drains += cs.Drains
-		row.HardKills += cs.HardKills
-		util := 0.0
-		if horizon > 0 && cs.TotalGPUs > 0 {
-			util = 100 * cs.BusyGPUSeconds / (float64(cs.TotalGPUs) * horizon)
-		}
-		utilSum += util
-		if util > row.UtilMaxPct {
-			row.UtilMaxPct = util
-		}
-	}
-	if c.Clusters > 0 {
-		row.UtilMeanPct = utilSum / float64(c.Clusters)
+		row.PeakInstances = max(row.PeakInstances, cs.PeakInstances)
 	}
 	return row
 }

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"github.com/argonne-first/first/internal/desmodel"
+	"github.com/argonne-first/first/internal/perfmodel"
 	"github.com/argonne-first/first/internal/sim"
 	"github.com/argonne-first/first/internal/workload"
 )
@@ -43,6 +44,18 @@ func driveOpenLoop(k *sim.Kernel, trace []workload.Request, sys arriver) []*desm
 	return reqs
 }
 
+// firstOpenLoop runs one open-loop cell of the paper's own deployment
+// (desmodel.FirstPathParams, on A100-40s) until nothing is left to happen,
+// audits it, and returns its metrics.
+func firstOpenLoop(a *desmodel.Arena, cell string, p desmodel.FirstParams, model perfmodel.ModelSpec, instances int, trace []workload.Request) desmodel.Metrics {
+	k := a.Begin()
+	sys := desmodel.NewFederationIn(a, desmodel.FirstPathParams(p, model, perfmodel.A100_40, instances), nil)
+	reqs := driveOpenLoop(k, trace, sys)
+	k.Run(0)
+	auditConservation(cell, sys, len(trace), 0)
+	return desmodel.Collect(reqs)
+}
+
 // driveClosedLoop runs `sessions` concurrent closed-loop clients: each
 // session issues a request, waits for completion (plus thinkTime), and
 // immediately issues the next, up to total requests (0 = unbounded; the
@@ -50,7 +63,7 @@ func driveOpenLoop(k *sim.Kernel, trace []workload.Request, sys arriver) []*desm
 // must invoke is returned for wiring before construction; use it like:
 //
 //	loop := newClosedLoop(k, spec, seed, sessions, thinkTime)
-//	sys := desmodel.NewFirstSystem(k, p, model, gpu, n, loop.onDone)
+//	sys := desmodel.NewFederationIn(a, desmodel.FirstPathParams(p, model, gpu, n), loop.onDone)
 //	loop.start(sys)
 type closedLoop struct {
 	k         *sim.Kernel
@@ -136,16 +149,13 @@ func (c *closedLoop) onDone(r *desmodel.Req) {
 	}
 }
 
-// completedWithin filters completions observed inside the window and
-// returns (requests, output tokens).
-func (c *closedLoop) completedWithin(window time.Duration) (int, int64) {
-	var n int
-	var tok int64
+// completedWithin counts the completions observed inside the window.
+func (c *closedLoop) completedWithin(window time.Duration) int {
+	n := 0
 	for _, r := range c.finished {
 		if r.ObservedAt <= window {
 			n++
-			tok += int64(r.OutputTok)
 		}
 	}
-	return n, tok
+	return n
 }

@@ -56,20 +56,27 @@ type FederateCell struct {
 	MaxAttempts     int
 }
 
-// params resolves the cell's federation parameters.
-func (c FederateCell) params() desmodel.FederationParams {
-	p := desmodel.DefaultFederationParams(c.Clusters)
-	if c.ServeWalltimeS > 0 {
-		p.ServeWalltime = time.Duration(c.ServeWalltimeS) * time.Second
+// churnParams is DefaultFederationParams with a cell's churn tempo overrides
+// applied, in seconds (0 = keep the default).
+func churnParams(clusters, serveWalltimeS, drainGraceS, bgPeriodS int) desmodel.FederationParams {
+	p := desmodel.DefaultFederationParams(clusters)
+	if serveWalltimeS > 0 {
+		p.ServeWalltime = time.Duration(serveWalltimeS) * time.Second
 	}
-	if c.DrainGraceS > 0 {
-		p.DrainGrace = time.Duration(c.DrainGraceS) * time.Second
+	if drainGraceS > 0 {
+		p.DrainGrace = time.Duration(drainGraceS) * time.Second
 	}
-	if c.BGPeriodS > 0 {
-		p.BGPeriod = time.Duration(c.BGPeriodS) * time.Second
+	if bgPeriodS > 0 {
+		p.BGPeriod = time.Duration(bgPeriodS) * time.Second
 		p.BGStagger = p.BGPeriod / 5
 		p.BGWalltime = p.BGPeriod * 2 / 3
 	}
+	return p
+}
+
+// params resolves the cell's federation parameters.
+func (c FederateCell) params() desmodel.FederationParams {
+	p := churnParams(c.Clusters, c.ServeWalltimeS, c.DrainGraceS, c.BGPeriodS)
 	if c.CordonLeadS > 0 {
 		p.CordonLead = time.Duration(c.CordonLeadS) * time.Second
 	}
@@ -135,13 +142,7 @@ type FederateRow struct {
 	// MigratedMedianS is the median end-to-end latency of migrated requests
 	// (the churn penalty clients actually observe).
 	MigratedMedianS float64
-	ColdStarts      int
-	Drains          int
-	HardKills       int
-	// UtilMeanPct / UtilMaxPct are cluster GPU-busy utilization over the
-	// horizon (mean and busiest cluster).
-	UtilMeanPct float64
-	UtilMaxPct  float64
+	ClusterTotals
 	// SchedQueuedPeak is the deepest scheduler queue across clusters.
 	SchedQueuedPeak int
 	// ReplayTrips counts twin breaker trips under a replayed schedule
@@ -167,14 +168,59 @@ func openLoopHorizon(n int, ratePerSec float64) sim.Time {
 
 // auditConservation aborts a cell whose federation lost or double-counted a
 // request: every offered request must have arrived, and at most maxInFlight
-// of them (0 for the open-loop drivers, which stop on the last completion)
-// may be unfinished when the run ends.
+// of them (0 for cells that run to their last completion) may be unfinished
+// — at an engine, or past the fabric's worker window and not yet observed —
+// when the run ends.
 func auditConservation(cell string, sys *desmodel.Federation, offered, maxInFlight int) {
 	arr, comp := sys.Arrivals(), sys.Completions()
-	if arr != int64(offered) || comp > arr || arr-comp > int64(maxInFlight) {
-		panic(fmt.Sprintf("experiments: %s: conservation violated (offered %d, arrivals %d, completions %d, at most %d may be in flight)",
-			cell, offered, arr, comp, maxInFlight))
+	if arr != int64(offered) || comp > arr || arr-comp > int64(maxInFlight) || sys.InFlight() > maxInFlight {
+		panic(fmt.Sprintf("experiments: %s: conservation violated (offered %d, arrivals %d, completions %d, %d inside the window, at most %d may be in flight)",
+			cell, offered, arr, comp, sys.InFlight(), maxInFlight))
 	}
+}
+
+// driveFederation runs one open-loop cell of n requests against p: arrivals
+// self-schedule so the kernel never holds the whole trace — each draws its
+// lengths, then its model from pick, then the gap to the next as an
+// exponential of mean 1/(rate·mult(now)) — the run stops at the last
+// completion (background churn and the scaler would otherwise run forever)
+// or at openLoopHorizon, and is audited before anything is reported.
+func driveFederation(a *desmodel.Arena, cell string, p desmodel.FederationParams, n int, rate float64, rng *sim.RNG,
+	pick func(now sim.Time) int, mult func(now sim.Time) float64) (*desmodel.Federation, []*desmodel.Req, sim.Time) {
+	k := a.Begin()
+	k.MaxEvents = federateEventBudget
+	defer func() { k.MaxEvents = 0 }()
+	completed := 0
+	sys := desmodel.NewFederationIn(a, p, func(*desmodel.Req) {
+		completed++
+		if completed == n {
+			k.Stop()
+		}
+	})
+	spec := workload.FederateOpen()
+	baseGap := float64(time.Second) / rate
+	reqs := make([]*desmodel.Req, n)
+	idx := 0
+	var step func()
+	step = func() {
+		now := k.Now()
+		pt, ot := spec.SampleLengths(rng)
+		r := &desmodel.Req{ID: idx + 1, PromptTok: pt, OutputTok: ot, Model: pick(now)}
+		reqs[idx] = r
+		// Under replay this fires the schedule's churn events due at this
+		// index before the arrival routes — the same ordering the live
+		// driver uses (kill/restart/claim, then issue). No-op otherwise.
+		sys.ReplayAdvance(idx)
+		sys.Arrive(r)
+		idx++
+		if idx < n {
+			k.Schedule(time.Duration(rng.Exp(baseGap/mult(now))), step)
+		}
+	}
+	k.Schedule(time.Duration(rng.Exp(baseGap)), step)
+	end := k.Run(openLoopHorizon(n, rate))
+	auditConservation(cell, sys, n, 0)
+	return sys, reqs, end
 }
 
 // RunFederateOn regenerates the full family on f.
@@ -198,46 +244,14 @@ func RunFederateCellsOn(f Fleet, seed int64, cells []FederateCell) []FederateRow
 	return rows
 }
 
-// federateOpen drives an open-loop Poisson trace; arrivals self-schedule so
-// the kernel never holds the whole trace, and the run stops at the last
-// completion (background churn events would otherwise run forever).
+// federateOpen drives an open-loop Poisson trace, models drawn uniformly.
 func federateOpen(a *desmodel.Arena, c FederateCell, seed int64) FederateRow {
-	k := a.Begin()
-	k.MaxEvents = federateEventBudget
-	defer func() { k.MaxEvents = 0 }()
 	p := c.params()
 	n := c.OpenLoopReqs
-	completed := 0
-	sys := desmodel.NewFederationIn(a, p, func(*desmodel.Req) {
-		completed++
-		if completed == n {
-			k.Stop()
-		}
-	})
-	spec := workload.FederateOpen()
 	rng := sim.NewRNG(seed + int64(c.Clusters)*1_000_003 + int64(n))
-	models := len(p.Models)
-	gapMean := float64(time.Second) / c.RatePerSec
-	reqs := make([]*desmodel.Req, n)
-	idx := 0
-	var step func()
-	step = func() {
-		pt, ot := spec.SampleLengths(rng)
-		r := &desmodel.Req{ID: idx + 1, PromptTok: pt, OutputTok: ot, Model: rng.Intn(models)}
-		reqs[idx] = r
-		// Under replay this fires the schedule's churn events due at this
-		// index before the arrival routes — the same ordering the live
-		// driver uses (kill/restart/claim, then issue). No-op otherwise.
-		sys.ReplayAdvance(idx)
-		sys.Arrive(r)
-		idx++
-		if idx < n {
-			k.Schedule(time.Duration(rng.Exp(gapMean)), step)
-		}
-	}
-	k.Schedule(time.Duration(rng.Exp(gapMean)), step)
-	end := k.Run(openLoopHorizon(n, c.RatePerSec))
-	auditConservation(fmt.Sprintf("federate %s cell c%d", openMode(c), c.Clusters), sys, n, 0)
+	sys, reqs, end := driveFederation(a, fmt.Sprintf("federate %s cell c%d", openMode(c), c.Clusters), p, n, c.RatePerSec, rng,
+		func(sim.Time) int { return rng.Intn(len(p.Models)) },
+		func(sim.Time) float64 { return 1 })
 	return federateRow(sys, c, openMode(c), n, reqs, end)
 }
 
@@ -280,6 +294,8 @@ func federateRow(sys *desmodel.Federation, c FederateCell, mode string, offered 
 		Migrations:  sys.Migrations(),
 		ReplayTrips: sys.ReplayBreakerTrips(),
 	}
+	stats := sys.ClusterStats()
+	row.ClusterTotals = foldClusters(stats, end)
 	var migrated []float64
 	for _, r := range reqs {
 		if r != nil && r.Migrations > 0 && !r.Failed && r.ObservedAt > 0 {
@@ -290,26 +306,40 @@ func federateRow(sys *desmodel.Federation, c FederateCell, mode string, offered 
 		sort.Float64s(migrated)
 		row.MigratedMedianS = migrated[len(migrated)/2]
 	}
+	for _, cs := range stats {
+		row.SchedQueuedPeak = max(row.SchedQueuedPeak, cs.SchedQueuedPeak)
+	}
+	return row
+}
+
+// ClusterTotals is what a federation row reports of its clusters' accounts:
+// lifecycle counts summed over clusters, and GPU-busy utilization over the
+// horizon as the mean over clusters and the busiest one.
+type ClusterTotals struct {
+	ColdStarts  int
+	Drains      int
+	HardKills   int
+	UtilMeanPct float64
+	UtilMaxPct  float64
+}
+
+func foldClusters(stats []desmodel.FedClusterStats, end sim.Time) ClusterTotals {
+	var t ClusterTotals
 	horizon := sim.Sec(end)
 	var utilSum float64
-	for _, cs := range sys.ClusterStats() {
-		row.ColdStarts += cs.ColdStarts
-		row.Drains += cs.Drains
-		row.HardKills += cs.HardKills
-		if cs.SchedQueuedPeak > row.SchedQueuedPeak {
-			row.SchedQueuedPeak = cs.SchedQueuedPeak
-		}
+	for _, cs := range stats {
+		t.ColdStarts += cs.ColdStarts
+		t.Drains += cs.Drains
+		t.HardKills += cs.HardKills
 		util := 0.0
 		if horizon > 0 && cs.TotalGPUs > 0 {
 			util = 100 * cs.BusyGPUSeconds / (float64(cs.TotalGPUs) * horizon)
 		}
 		utilSum += util
-		if util > row.UtilMaxPct {
-			row.UtilMaxPct = util
-		}
+		t.UtilMaxPct = max(t.UtilMaxPct, util)
 	}
-	if c.Clusters > 0 {
-		row.UtilMeanPct = utilSum / float64(c.Clusters)
+	if len(stats) > 0 {
+		t.UtilMeanPct = utilSum / float64(len(stats))
 	}
-	return row
+	return t
 }

@@ -44,7 +44,6 @@ func RunFig3On(f Fleet, seed int64) []Fig3Row {
 	}
 
 	model := perfmodel.Default.MustLookup(perfmodel.Llama70B)
-	gpu := perfmodel.A100_40
 	systems := []string{"FIRST", "vLLM-Direct"}
 	rows := make([]Fig3Row, len(rates)*len(systems))
 	f.RunArena(len(rows), func(i int, a *desmodel.Arena) {
@@ -56,16 +55,15 @@ func RunFig3On(f Fleet, seed int64) []Fig3Row {
 		}
 		trace := workload.Generate(Fig3Requests, workload.ShareGPT(), arrival, seed)
 
-		k := a.Begin()
-		var sys arriver
+		row := Fig3Row{Rate: rc.label, System: system}
 		if system == "FIRST" {
-			sys = desmodel.NewFirstSystemIn(a, desmodel.DefaultFirstParams(), model, gpu, 1, nil)
+			row.M = firstOpenLoop(a, "fig3 rate "+rc.label, desmodel.DefaultFirstParams(), model, 1, trace)
 		} else {
-			sys = desmodel.NewDirectSystemIn(a, desmodel.DefaultDirectParams(), model, gpu, nil)
+			k := a.Begin()
+			reqs := driveOpenLoop(k, trace, desmodel.NewDirectSystemIn(a, desmodel.DefaultDirectParams(), model, perfmodel.A100_40, nil))
+			k.Run(0)
+			row.M = desmodel.Collect(reqs)
 		}
-		reqs := driveOpenLoop(k, trace, sys)
-		k.Run(0)
-		row := Fig3Row{Rate: rc.label, System: system, M: desmodel.Collect(reqs)}
 		if p, ok := paper[rc.label+"/"+system]; ok {
 			row.PaperReqPS, row.PaperTokPS, row.PaperMedianS = p.PaperReqPS, p.PaperTokPS, p.PaperMedianS
 		}

@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"fmt"
+
 	"github.com/argonne-first/first/internal/desmodel"
 	"github.com/argonne-first/first/internal/perfmodel"
 	"github.com/argonne-first/first/internal/workload"
@@ -33,17 +35,13 @@ func RunFig4On(f Fleet, seed int64) []Fig4Row {
 		4: {PaperReqPS: 23.9, PaperTokPS: 4131, PaperMedianS: 16.0, PaperScale: 2.88},
 	}
 	model := perfmodel.Default.MustLookup(perfmodel.Llama70B)
-	gpu := perfmodel.A100_40
 
 	rows := make([]Fig4Row, 4)
 	f.RunArena(len(rows), func(i int, a *desmodel.Arena) {
 		n := i + 1
 		trace := workload.Generate(Fig4Requests, workload.ShareGPT(), workload.Infinite(), seed)
-		k := a.Begin()
-		sys := desmodel.NewFirstSystemIn(a, desmodel.DefaultFirstParams(), model, gpu, n, nil)
-		reqs := driveOpenLoop(k, trace, sys)
-		k.Run(0)
-		row := Fig4Row{Instances: n, M: desmodel.Collect(reqs)}
+		cell := fmt.Sprintf("fig4 with %d instances", n)
+		row := Fig4Row{Instances: n, M: firstOpenLoop(a, cell, desmodel.DefaultFirstParams(), model, n, trace)}
 		p := paper[n]
 		row.PaperReqPS, row.PaperTokPS, row.PaperMedianS, row.PaperScale =
 			p.PaperReqPS, p.PaperTokPS, p.PaperMedianS, p.PaperScale

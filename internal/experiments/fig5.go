@@ -26,7 +26,6 @@ const Fig5Requests = 1000
 // the concurrency the provider's rate limits allow (the paper notes its
 // OpenAI numbers are rate-limited).
 func RunFig5On(f Fleet, seed int64) []Fig5Row {
-	gpu := perfmodel.A100_40
 	model8b := perfmodel.Default.MustLookup(perfmodel.Llama8B)
 
 	rows := make([]Fig5Row, 2)
@@ -34,13 +33,9 @@ func RunFig5On(f Fleet, seed int64) []Fig5Row {
 		switch i {
 		case 0: // FIRST / Llama-3.1-8B.
 			trace := workload.Generate(Fig5Requests, workload.ShareGPTShort(), workload.Infinite(), seed)
-			k := a.Begin()
-			sys := desmodel.NewFirstSystemIn(a, desmodel.DefaultFirstParams(), model8b, gpu, 1, nil)
-			reqs := driveOpenLoop(k, trace, sys)
-			k.Run(0)
 			rows[i] = Fig5Row{
 				System:       "FIRST (Llama-3.1-8B)",
-				M:            desmodel.Collect(reqs),
+				M:            firstOpenLoop(a, "fig5 FIRST arm", desmodel.DefaultFirstParams(), model8b, 1, trace),
 				PaperReqPS:   25.1,
 				PaperTokPS:   3283,
 				PaperMedianS: 16.3,

@@ -31,17 +31,13 @@ func RunAblationRoutingOn(f Fleet, seed int64) []RoutingRow {
 	f.RunArena(len(rows), func(i int, a *desmodel.Arena) {
 		pol := policies[i]
 		trace := workload.Generate(2000, spec, workload.Infinite(), seed)
-		k := a.Begin()
 		p := desmodel.DefaultFirstParams()
 		p.Routing = pol
 		// Moderate concurrency: at full saturation every policy keeps all
 		// engines busy; imbalance costs show when the window is near the
 		// fleet's batch capacity.
 		p.Window = 160
-		sys := desmodel.NewFirstSystemIn(a, p, model, perfmodel.A100_40, 4, nil)
-		reqs := driveOpenLoop(k, trace, sys)
-		k.Run(0)
-		rows[i] = RoutingRow{Policy: pol.String(), M: desmodel.Collect(reqs)}
+		rows[i] = RoutingRow{Policy: pol.String(), M: firstOpenLoop(a, "routing ablation "+pol.String(), p, model, 4, trace)}
 	})
 	return rows
 }

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"fmt"
 	"time"
 
 	"github.com/argonne-first/first/internal/desmodel"
@@ -28,22 +29,17 @@ var Table1Concurrencies = []int{50, 100, 300, 500, 700}
 // Table1Windows are the paper's run lengths in seconds.
 var Table1Windows = []int{60, 120}
 
-// table1Models maps the paper's three models to deployment instance counts
-// (the WebUI deployment auto-scales the 70B model to a second instance at
-// high session counts; smaller models stay single-instance).
+// table1Models maps the paper's three models to deployment instance counts:
+// the WebUI deployment auto-scales the 70B model to a second instance from
+// secondAt sessions up; smaller models stay single-instance (secondAt 0).
 var table1Models = []struct {
-	name      string
-	display   string
-	instances func(conc int) int
+	name     string
+	display  string
+	secondAt int
 }{
-	{perfmodel.Llama8B, "Llama-3.1-8B", func(int) int { return 1 }},
-	{perfmodel.Gemma27B, "Gemma-27B", func(int) int { return 1 }},
-	{perfmodel.Llama70B, "Llama-3.3-70B", func(c int) int {
-		if c >= 500 {
-			return 2
-		}
-		return 1
-	}},
+	{perfmodel.Llama8B, "Llama-3.1-8B", 0},
+	{perfmodel.Gemma27B, "Gemma-27B", 0},
+	{perfmodel.Llama70B, "Llama-3.3-70B", 500},
 }
 
 // paperTable1[model][conc][window] = (tok/s, req/s) from Table 1.
@@ -75,7 +71,6 @@ var paperTable1 = map[string]map[int]map[int][2]float64{
 // (model, concurrency, window) combination — 30 independent simulations,
 // each seeded from the experiment seed plus its cell coordinates.
 func RunTable1On(f Fleet, seed int64) []Table1Cell {
-	gpu := perfmodel.A100_40
 	nConc := len(Table1Concurrencies)
 	nWin := len(Table1Windows)
 	cells := make([]Table1Cell, len(table1Models)*nConc*nWin)
@@ -93,10 +88,14 @@ func RunTable1On(f Fleet, seed int64) []Table1Cell {
 		// the concurrency control here.
 		params := desmodel.DefaultFirstParams()
 		params.Window = 0
-		sys := desmodel.NewFirstSystemIn(a, params, model, gpu, mc.instances(conc), loop.onDone)
+		instances := 1
+		if mc.secondAt > 0 && conc >= mc.secondAt {
+			instances = 2
+		}
+		sys := desmodel.NewFederationIn(a, desmodel.FirstPathParams(params, model, perfmodel.A100_40, instances), loop.onDone)
 		loop.start(sys)
 		k.Run(window)
-		n, _ := loop.completedWithin(window)
+		auditConservation(fmt.Sprintf("table1 %s c%d %ds", mc.display, conc, windowS), sys, loop.issued, conc)
 		cell := Table1Cell{
 			Model:       mc.display,
 			Concurrency: conc,
@@ -104,7 +103,7 @@ func RunTable1On(f Fleet, seed int64) []Table1Cell {
 			// Sessions stream, so token throughput counts tokens
 			// as generated within the window.
 			TokPS: float64(sys.EmittedTokensBy(window)) / window.Seconds(),
-			ReqPS: float64(n) / window.Seconds(),
+			ReqPS: float64(loop.completedWithin(window)) / window.Seconds(),
 		}
 		if p, ok := paperTable1[mc.display][conc][windowS]; ok {
 			cell.PaperTokPS, cell.PaperReqPS = p[0], p[1]
