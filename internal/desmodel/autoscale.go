@@ -141,46 +141,6 @@ func (d *fedDep) liveCount() int {
 	return n
 }
 
-// pickServing is the one instance picker: the least-loaded serving instance
-// (earliest pool member wins ties), or nil when nothing serves. A cordoned instance —
-// one flagged ahead of its imminent walltime drain (CordonLead) — is
-// passed over while any uncordoned sibling serves, and used only as the
-// last resort: capacity that exists must never park a request. With no
-// cordons (the zero-value config) the selection is unchanged.
-// Allocation-free: this is the per-request instance-selection hot path.
-//
-//first:hotpath pinned by the scaler AllocsPerRun sweep (autoscale_test.go)
-func (d *fedDep) pickServing() *fedInstance {
-	switch d.f.p.First.Routing {
-	// The ablations of least-loaded dispatch. Only a wired fabric hop sets
-	// one, and its pools are hot instances (mustBeBuildable): all serve.
-	case RouteRoundRobin:
-		d.rrNext++
-		return d.insts[(d.rrNext-1)%len(d.insts)]
-	case RouteRandom:
-		return d.insts[d.rng.Intn(len(d.insts))]
-	}
-	var best, cordoned *fedInstance
-	for _, in := range d.insts {
-		if in.state != instServing {
-			continue
-		}
-		if in.cordoned {
-			if cordoned == nil || in.eng.Depth() < cordoned.eng.Depth() {
-				cordoned = in
-			}
-			continue
-		}
-		if best == nil || in.eng.Depth() < best.eng.Depth() {
-			best = in
-		}
-	}
-	if best != nil {
-		return best
-	}
-	return cordoned
-}
-
 // notePool records pool growth against the per-dep and per-cluster peaks
 // (the property suite's [1, MaxInstances] bound and the report's
 // peak-instances column).

@@ -8,7 +8,6 @@ import (
 	"github.com/argonne-first/first/internal/federation"
 	"github.com/argonne-first/first/internal/perfmodel"
 	"github.com/argonne-first/first/internal/scheduler"
-	"github.com/argonne-first/first/internal/serving"
 	"github.com/argonne-first/first/internal/sim"
 )
 
@@ -193,79 +192,6 @@ type FedClusterStats struct {
 	// SchedQueuedPeak is the deepest scheduler queue observed at submit
 	// time (serving restarts stacking behind background jobs).
 	SchedQueuedPeak int
-}
-
-// instState is one instance incarnation's lifecycle position.
-type instState uint8
-
-const (
-	instQueued   instState = iota // job submitted, waiting for nodes/prologue
-	instLoading                   // nodes granted, weights loading
-	instServing                   // accepting and serving traffic
-	instDraining                  // no new work; running batch finishing
-	instDead                      // terminal; detached from the pool
-)
-
-// fedInstance is one engine incarnation inside a deployment's pool: its own
-// scheduler job (paying the real Queued→Starting→Running cold-start path),
-// its own serve-walltime drain, and — when the auto-scaler shrinks the pool —
-// a policy-driven early drain through the same machinery.
-type fedInstance struct {
-	d *fedDep
-
-	state     instState
-	job       *scheduler.Job
-	eng       *EngineSim
-	drainDone bool // a zero-delay drain-completion event is queued
-
-	// cordoned marks a serving incarnation inside its CordonLead window:
-	// the walltime drain is imminent, so in-pool selection passes it over
-	// and the routing ladder is told when every serving sibling is in the
-	// same state. drainAt is the kernel time the serve-walltime drain was
-	// armed for (EndpointInfo.DrainingAt observability).
-	cordoned bool
-	drainAt  sim.Time
-}
-
-// fedDep is one (cluster, model) deployment: a pool of 1..MaxInstances
-// engine incarnations plus the requests parked while none of them serves.
-type fedDep struct {
-	f     *Federation
-	c     *fedCluster
-	model int
-
-	insts   []*fedInstance // pool members (dead incarnations are removed)
-	pending []*Req         // parked until an instance serves
-	// RouteRoundRobin's cursor and RouteRandom's draws (pickServing).
-	rrNext int
-	rng    *sim.RNG
-
-	// Auto-scaler hysteresis state (see autoscale.go).
-	hiStreak int
-	loStreak int
-	peakPool int
-	// lastLive is the live count seen by the previous scaleTick; a change
-	// through any path resets both streaks (the watermarks are
-	// per-instance, so a streak is only meaningful at one denominator).
-	lastLive int
-	// hiRefused latches one ScaleRefused count per sustained at-cap
-	// episode. The episode ends — and the latch clears — only after the
-	// hi condition has been absent for HiSustain consecutive ticks
-	// (hiBreak counts those), mirroring the sustain needed to enter it:
-	// a one-tick flap from pool churn is the same standing episode.
-	hiRefused bool
-	hiBreak   int
-
-	// Predictive-scaler state (autoscale.go, forecast.go): the Holt
-	// arrival forecaster, the service-rate EWMA, the per-tick sample
-	// accumulators they consume, and the deployment's cached cold-start
-	// duration (prologue + weights load — the forecast horizon). Samples
-	// are counted where offer/onServed run.
-	fcArrive    Forecast
-	fcServe     Forecast
-	arrivedTick int
-	servedTick  int
-	coldStart   time.Duration
 }
 
 // fedCluster is one simulated cluster: real inventory, real scheduler, one
@@ -494,404 +420,6 @@ func (f *Federation) Arrive(r *Req) {
 	r.ArrivalAt = f.k.Now()
 	f.arrivals++
 	f.arrive(r)
-}
-
-// route applies the real federation.Select priority ladder over live
-// snapshots of every cluster's deployment and inventory state.
-func (f *Federation) route(r *Req) {
-	if f.replay != nil {
-		f.routeReplay(r)
-		return
-	}
-	m := r.Model
-	n := len(f.clusters)
-	spec := &f.p.Models[m]
-	infos := f.scratch[:0]
-	for i := 0; i < n; i++ {
-		c := f.clusters[(m+i)%n]
-		infos = append(infos, c.endpointInfo(m, spec))
-	}
-	f.scratch = infos[:0]
-	idx, reason, err := federation.Select(infos)
-	if err != nil {
-		panic(err) // unreachable: the candidate list is never empty
-	}
-	switch reason {
-	case federation.ReasonActive:
-		f.rungs.Active++
-	case federation.ReasonCapacity:
-		f.rungs.Capacity++
-	default:
-		f.rungs.FirstConf++
-	}
-	target := f.clusters[(m+idx)%n]
-	target.stats.Routed++
-	target.deps[m].offer(r)
-}
-
-// endpointInfo is one cluster's routing-ladder candidate row, read from the
-// cluster's live state at the routing instant.
-func (c *fedCluster) endpointInfo(m int, spec *perfmodel.ModelSpec) federation.EndpointInfo {
-	d := c.deps[m]
-	serving, cordoned, drainingAt := d.routingView()
-	return federation.EndpointInfo{
-		ID:         c.name,
-		ModelState: d.modelState(),
-		FreeGPUs:   c.cl.Status().FreeGPUs,
-		NeededGPUs: spec.TensorParallel,
-		Depth:      d.depth(),
-		Instances:  serving,
-		Cordoned:   cordoned,
-		DrainingAt: drainingAt,
-	}
-}
-
-// routingView is one pass over the pool collecting what the routing ladder
-// is told: the uncordoned serving count (the capacity worth advertising — a
-// queued or loading incarnation is minutes of prologue and load away from
-// helping), whether serving capacity exists but all of it is cordoned ahead
-// of an imminent drain, and how far away the soonest cordoned drain is. With
-// CordonLead unset no instance ever cordons, so the view reduces exactly to
-// the serving count / false / 0 — the drain-blind ladder inputs.
-func (d *fedDep) routingView() (serving int, cordoned bool, drainingAt time.Duration) {
-	total := 0
-	var soonest sim.Time = -1
-	for _, in := range d.insts {
-		if in.state != instServing {
-			continue
-		}
-		total++
-		if in.cordoned {
-			if soonest < 0 || in.drainAt < soonest {
-				soonest = in.drainAt
-			}
-			continue
-		}
-		serving++
-	}
-	cordoned = total > 0 && serving == 0
-	if soonest >= 0 {
-		if dt := soonest - d.f.k.Now(); dt > 0 {
-			drainingAt = time.Duration(dt)
-		}
-	}
-	return serving, cordoned, drainingAt
-}
-
-// migrateFrom re-routes a request whose placement on this cluster died.
-func (c *fedCluster) migrateFrom(r *Req) {
-	r.Migrations++
-	c.f.migrations++
-	c.f.route(r)
-}
-
-// modelState aggregates the pool's lifecycle onto the paper's §4.3 states:
-// serving anywhere beats loading beats queued. Draining instances report
-// nothing — they must not attract new work, and their held GPUs keep the
-// capacity rung honest.
-func (d *fedDep) modelState() string {
-	anyLoading, anyQueued := false, false
-	var queued *fedInstance
-	for _, in := range d.insts {
-		switch in.state {
-		case instServing:
-			return "running"
-		case instLoading:
-			anyLoading = true
-		case instQueued:
-			if !anyQueued {
-				queued = in
-			}
-			anyQueued = true
-		}
-	}
-	if anyLoading {
-		return "starting"
-	}
-	if anyQueued {
-		if queued.job != nil && queued.job.State() == scheduler.Starting {
-			return "starting"
-		}
-		return "queued"
-	}
-	return "cold"
-}
-
-// depth is the deployment's total queue depth (federation tie-break input):
-// parked requests plus the waiting+running load of every instance still
-// accepting work. Draining incarnations are excluded — their remaining batch
-// occupies no capacity a new request could wait for.
-func (d *fedDep) depth() int {
-	n := len(d.pending)
-	for _, in := range d.insts {
-		if in.state == instServing {
-			n += in.eng.Depth()
-		}
-	}
-	return n
-}
-
-// offer delivers a routed request: straight into the least-loaded serving
-// instance when one exists, parked (cold-starting the pool's first instance
-// if it is empty) otherwise.
-func (d *fedDep) offer(r *Req) {
-	d.arrivedTick++ // forecast sample: arrivals since the last scaler tick
-	if in := d.pickServing(); in != nil {
-		d.f.place(in, r)
-		return
-	}
-	d.pending = append(d.pending, r)
-	if len(d.insts) == 0 && d.f.replay == nil {
-		// Under replay, a dead pool revives only at its scheduled restart
-		// event — a demand-driven cold start here would self-heal faster
-		// than the live system it is calibrated against.
-		d.startInstance()
-	}
-}
-
-// place is the one way a request enters an engine pool: onto the fabric's
-// pickup pipe, the picked instance riding on it, or straight into the engine.
-func (f *Federation) place(in *fedInstance, r *Req) {
-	if f.first.wired() {
-		r.inst = in.eng
-		f.first.pickup.push(r)
-		return
-	}
-	r.EngineAt = f.k.Now()
-	in.eng.Submit(r.PromptTok, r.OutputTok, r)
-}
-
-// startHot opens one instance that serves from t = 0 outside the scheduler.
-// An incarnation's emission log dies with it, so only these, which never
-// die, keep one (EmittedTokensBy reads them).
-func (d *fedDep) startHot() {
-	f := d.f
-	in := &fedInstance{d: d, state: instServing}
-	in.eng = f.a.EngineSimIn(f.p.Models[d.model], f.p.GPU, 0, func(seq *serving.Sequence) { in.onServed(nil, seq) })
-	d.insts = append(d.insts, in)
-	d.notePool()
-}
-
-// startInstance submits one serving job: the incarnation enters the
-// scheduler's real Queued→Starting→Running lifecycle, competing with
-// background jobs. Both the demand-driven first instance and every
-// auto-scaler growth step pay this same cold-start path.
-func (d *fedDep) startInstance() {
-	f := d.f
-	spec := f.p.Models[d.model]
-	load := spec.LoadTime(f.p.GPU)
-	in := &fedInstance{d: d, state: instQueued}
-	d.insts = append(d.insts, in)
-	d.c.stats.ColdStarts++
-	d.notePool()
-	job, err := d.c.sched.Submit(scheduler.JobSpec{
-		Name:      spec.Name,
-		User:      "first-serve",
-		GPUs:      spec.TensorParallel,
-		Walltime:  load + f.p.ServeWalltime + f.p.DrainGrace,
-		OnRunning: func(j *scheduler.Job) { in.onJobRunning(j, load) },
-		OnEnd:     func(j *scheduler.Job, st scheduler.State) { in.onJobEnd(j, st) },
-	})
-	if err != nil {
-		panic(err) // unreachable: GPUs > 0 and the scheduler is never closed
-	}
-	in.job = job
-	d.c.noteQueued()
-}
-
-// onJobRunning fires when the scheduler grants nodes (Starting→Running):
-// the instance boots and loads weights before it can serve.
-func (in *fedInstance) onJobRunning(j *scheduler.Job, load time.Duration) {
-	if in.job != j || in.state != instQueued {
-		return
-	}
-	in.state = instLoading
-	in.d.f.k.Schedule(load, func() { in.onLoaded(j) })
-}
-
-// onLoaded opens the instance for traffic: the engine incarnation is
-// created, parked requests flush into the pool, and the serve-walltime drain
-// is armed.
-func (in *fedInstance) onLoaded(j *scheduler.Job) {
-	if in.job != j || in.state != instLoading {
-		return
-	}
-	d := in.d
-	f := d.f
-	spec := f.p.Models[d.model]
-	in.state = instServing
-	in.eng = f.a.EngineSimIn(spec, f.p.GPU, 0, func(seq *serving.Sequence) { in.onServed(j, seq) }).withoutEmitLog()
-	pend := d.pending
-	d.pending = nil
-	for _, r := range pend {
-		// Flush least-loaded across the pool: sibling instances may have
-		// come up at the same instant.
-		f.place(d.pickServing(), r)
-	}
-	in.drainAt = f.k.Now() + f.p.ServeWalltime
-	f.k.Schedule(f.p.ServeWalltime, func() { in.beginDrain(j, false) })
-	if lead := f.p.CordonLead; lead > 0 {
-		// Cordon one lead ahead of the drain: selection and the routing
-		// ladder stop sending new work here while the remaining walltime
-		// is too short to be worth queueing behind.
-		f.k.Schedule(f.p.ServeWalltime-lead, func() {
-			if in.job == j && in.state == instServing {
-				in.cordoned = true
-			}
-		})
-	}
-	if f.p.Scale.Predictive {
-		// Arm the replacement pre-warm one cold start before the drain;
-		// the guard re-checks demand and pool room when it fires.
-		lead := d.coldStart
-		if lead > f.p.ServeWalltime {
-			lead = f.p.ServeWalltime
-		}
-		f.k.Schedule(f.p.ServeWalltime-lead, func() { d.preWarmReplacement(j, in) })
-	}
-}
-
-// onServed counts one request served and sends it on — into the fabric's
-// relay lane (it is complete and observed only at the far end), or complete
-// and observed now — and, while draining, watches for the batch to empty.
-func (in *fedInstance) onServed(j *scheduler.Job, seq *serving.Sequence) {
-	r := seq.Ctx.(*Req)
-	d := in.d
-	f := d.f
-	d.c.stats.Served++
-	d.servedTick++ // forecast sample: completions since the last scaler tick
-	if f.first.wired() {
-		f.first.relay.enqueue(r)
-	} else {
-		finish(f.k, r, f.done)
-	}
-	if in.state == instDraining && in.job == j {
-		in.maybeFinishDrain(j)
-	}
-}
-
-// maybeFinishDrain schedules the drain completion once the instance has
-// nothing live: no queued or running work and no in-flight delivery (a miss
-// on the latter would tear the job down with completions undelivered). Runs
-// on a zero-delay event so every completion delivered by the current engine
-// iteration reaches the client before the job is released.
-func (in *fedInstance) maybeFinishDrain(j *scheduler.Job) {
-	if in.drainDone || in.eng.Depth() != 0 || in.eng.DeliveryPending() {
-		return
-	}
-	in.drainDone = true
-	in.d.f.k.Schedule(0, func() { in.finishDrain(j) })
-}
-
-// beginDrain stops the instance accepting work: its engine-waiting requests
-// are pulled back and migrated, and the running batch finishes before the
-// job is released. Two callers share it: the serve-walltime expiring
-// (scaleDown=false, with DrainGrace before the scheduler's walltime timer
-// hard-kills the job) and the auto-scaler shrinking an underused pool
-// (scaleDown=true — the same machinery, counted separately).
-func (in *fedInstance) beginDrain(j *scheduler.Job, scaleDown bool) {
-	if in.job != j || in.state != instServing {
-		return
-	}
-	d := in.d
-	in.state = instDraining
-	if scaleDown {
-		d.c.stats.ScaleDowns++
-	} else {
-		d.c.stats.Drains++
-	}
-	// Pull engine-waiting sequences back: collect first (Abort mutates the
-	// ring), then tombstone, then re-route. With sibling instances still
-	// serving, the ladder's active rung lands them right back on the pool.
-	type waiting struct {
-		id int64
-		r  *Req
-	}
-	var ws []waiting
-	in.eng.EachWaiting(func(s *serving.Sequence) {
-		ws = append(ws, waiting{s.ID, s.Ctx.(*Req)})
-	})
-	for _, w := range ws {
-		in.eng.Abort(w.id)
-	}
-	for _, w := range ws {
-		d.c.migrateFrom(w.r)
-	}
-	in.maybeFinishDrain(j)
-}
-
-// finishDrain releases the drained job back to the scheduler (Completed).
-func (in *fedInstance) finishDrain(j *scheduler.Job) {
-	if in.job != j || in.state != instDraining {
-		return
-	}
-	in.d.c.sched.Complete(j.ID)
-}
-
-// onJobEnd is the scheduler's terminal callback: graceful drain completion
-// (Completed), an auto-scaler cancel of a still-queued incarnation
-// (Cancelled), or the real walltime timer firing with a live batch
-// (TimedOut). Either way the incarnation is harvested and leaves the pool;
-// survivors migrate, and pending demand with no pool left re-routes (which
-// cold-restarts the deployment if the ladder sends it back).
-func (in *fedInstance) onJobEnd(j *scheduler.Job, terminal scheduler.State) {
-	if in.job != j || in.state == instDead {
-		return
-	}
-	d := in.d
-	f := d.f
-	spec := f.p.Models[d.model]
-	// TimedOut is the walltime timer firing on a live batch; Failed is a
-	// replayed kill event through scheduler.Fail. Both die hard: waiting,
-	// running, and undelivered work is orphaned and must migrate.
-	hardKill := terminal == scheduler.TimedOut || terminal == scheduler.Failed
-	in.state = instDead
-	in.job = nil
-	var orphans []*Req
-	if in.eng != nil {
-		d.c.busyGPU += time.Duration(int64(in.eng.Stats().BusyTime) * int64(spec.TensorParallel))
-		if hardKill {
-			in.eng.EachWaiting(func(s *serving.Sequence) { orphans = append(orphans, s.Ctx.(*Req)) })
-			in.eng.EachRunning(func(s *serving.Sequence) { orphans = append(orphans, s.Ctx.(*Req)) })
-			// Completions of the iteration in flight at kill time never
-			// finished on the dead node: they are live work too, invisible
-			// to both iterators above (Step already removed them from the
-			// batch, Halt will drop their delivery).
-			in.eng.EachUndelivered(func(s *serving.Sequence) { orphans = append(orphans, s.Ctx.(*Req)) })
-			d.c.stats.HardKills++
-		}
-		in.eng.Halt()
-		// The halted sim's remaining events are no-ops that never touch the
-		// inner engine, and every live sequence has been harvested above, so
-		// the engine itself can go back to the arena pool for the next
-		// incarnation instead of waiting for cell teardown.
-		f.a.Reclaim(in.eng.eng)
-		in.eng = nil
-	}
-	d.removeInstance(in)
-	if len(d.insts) == 0 {
-		pend := d.pending
-		d.pending = nil
-		for _, r := range pend {
-			d.c.migrateFrom(r)
-		}
-	}
-	for _, r := range orphans {
-		d.c.migrateFrom(r)
-	}
-}
-
-// removeInstance detaches a dead incarnation, preserving pool order (order
-// is a tie-break input for instance selection, so it must be deterministic).
-func (d *fedDep) removeInstance(in *fedInstance) {
-	for i, x := range d.insts {
-		if x == in {
-			copy(d.insts[i:], d.insts[i+1:])
-			d.insts[len(d.insts)-1] = nil
-			d.insts = d.insts[:len(d.insts)-1]
-			return
-		}
-	}
 }
 
 // Rungs returns the per-rung routing decision counts.
