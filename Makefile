@@ -40,8 +40,10 @@ lint:
 # frames), the gateway config file, the chaosnet.Schedule JSON, and the
 # fabric's task/result payloads (FuzzUnmarshalPayload: no panic, and what
 # decodes survives a re-marshal), the store's four JSONL journals
-# (FuzzStoreLoad: no panic, and a store Load accepts survives Save → Load) —
-# and one state machine: FuzzEngineOffer decodes bytes into a
+# (FuzzStoreLoad: no panic, and a store Load accepts survives Save → Load),
+# the gateway's batch-create and tool-call bodies (FuzzDecodeCreateBatch,
+# FuzzDecodeToolRequest: no panic, a decoded body re-encodes stably) — and
+# one state machine: FuzzEngineOffer decodes bytes into a
 # submit/abort/wait schedule and checks serving.Engine's offer/settle path
 # against the per-iteration reference engine. Every func Fuzz… under
 # internal/ is listed here; `make fuzzlist` fails otherwise.
@@ -52,6 +54,8 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzSchedule$$' -fuzztime $(FUZZTIME) ./internal/chaosnet
 	$(GO) test -run '^$$' -fuzz '^FuzzUnmarshalPayload$$' -fuzztime $(FUZZTIME) ./internal/fabric
 	$(GO) test -run '^$$' -fuzz '^FuzzStoreLoad$$' -fuzztime $(FUZZTIME) ./internal/store
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeCreateBatch$$' -fuzztime $(FUZZTIME) ./internal/gateway
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeToolRequest$$' -fuzztime $(FUZZTIME) ./internal/gateway
 	$(GO) test -run '^$$' -fuzz '^FuzzEngineOffer$$' -fuzztime $(FUZZTIME) ./internal/serving
 
 # fuzzlist fails when a fuzz target under internal/ is missing from the fuzz
@@ -87,9 +91,12 @@ benchmark-smoke:
 # §8): alternating runs of BENCHMARK.json's command, at its own run_seconds,
 # in a checkout of the parent commit and in this tree, one pair per seed. It
 # prints every run (req_per_s, lat_p50_ms, allocs_per_req, setup_s, correct,
-# modelled-row digest), each side's median and quartiles and the win count,
-# and fails if a run fails or a pair's digests differ. SEEDS has no default:
-# pick ones CHANGES.md does not list as spent, and list them there after.
+# modelled-row digest), then each side's median and quartiles of all four
+# end-to-end metrics and the win count on req_per_s, and fails if a run
+# fails, a pair's digests differ, or the change's median of any of the four
+# is worse than the parent's by more than its bound in BENCHMARK.json.
+# SEEDS has no default: pick ones CHANGES.md does not list as spent, and list
+# them there after.
 #   make pairs PARENT=/root/scratch/parent WORKLOAD=des-autoscale SEEDS="401 402 ..."
 pairs:
 	@test -n "$(PARENT)" -a -n "$(WORKLOAD)" -a -n "$(SEEDS)" || { \

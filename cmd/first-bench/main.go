@@ -17,7 +17,7 @@ func main() {
 	exp := flag.String("exp", "all", "experiment: "+experiments.ExperimentNames())
 	seed := flag.Int64("seed", experiments.DefaultSeed, "workload seed")
 	workers := flag.Int("workers", 0, "fleet goroutines (0 = GOMAXPROCS, 1 = sequential)")
-	queue := flag.String("queue", "calendar", "kernel event queue: calendar|heap (heap is the reference; outputs must be byte-identical)")
+	queue := flag.String("queue", "calendar", "kernel event queue: calendar (the default: a sorted run in front of a 4-ary heap, named after the calendar queue it replaced) | heap (the heap alone, the reference; outputs must be byte-identical)")
 	calibOut := flag.String("calib-out", "", "directory to preserve divergent livefed schedules when the calibration gate trips (-exp livefed)")
 	flag.Parse()
 

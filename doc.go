@@ -12,27 +12,27 @@
 //
 // The evaluation data plane is allocation-free at steady state:
 //
-//   - internal/sim.Kernel schedules through a self-tuning calendar queue: a
-//     power-of-two ring of time buckets (width and count re-tuned from the
-//     observed schedule) with a single-event fast slot for the ping-pong
-//     regime and a 4-ary min-heap as the far-future overflow — O(1)
-//     amortized per event on the near-uniform schedules the figure runs
-//     produce, versus O(log n) for the heap. A bucket is sorted by (time,
-//     seq) at all times and order is paid for once, at insert: an append
-//     that lands in order costs nothing, any other is binary-searched into
-//     place and moved there with one copy, so the scan never sorts. That is
-//     what the federation runs need: a few far-out timers (walltime expiry,
-//     scaler ticks) stretch the width until every live event shares the
-//     cursor's bucket and half the inserts land ahead of its tail. Same-instant
-//     events dispatch as one batch (one cursor position, no re-scan between
-//     callbacks), which is what the saturated open-loop runs hit hardest.
-//     The heap survives as a reference kernel (sim.QueueHeap, first-bench
-//     -queue heap): a differential suite proves both queues produce
-//     byte-identical results on Fig3, Table1, the storm, and the full
-//     rendered report, plus randomized schedule/pop property tests and
-//     three directed shapes (stretched, late insert ahead of a same-instant
-//     flood across two ring rotations, every kind of rebuild under
-//     disorder).
+//   - internal/sim.Kernel keeps its earliest events in a short sorted run
+//     (at most 64, descending, the next one last, so a pop shrinks a slice)
+//     in front of a 4-ary min-heap. An insert later than the heap's minimum
+//     goes to the heap; any other is placed in the run by a scan from its
+//     earliest end. An overfull run spills its later half to the heap and an
+//     empty one refills from it. This stays cheap because the kernel's
+//     population scales with the number of stages, not with the requests in
+//     flight: Kernel.Reserve hands out the sequence number a Schedule made
+//     now would take, and Kernel.AtSeq queues an event under it later, where
+//     that Schedule would have put it. A constant-delay desmodel pipe
+//     reserves a number per entrant and keeps only its head's event queued,
+//     and an open-loop trace keeps one arrival queued under numbers reserved
+//     for all of it up front, so every (time, seq) order and every result is
+//     what one event per request gives. The heap alone survives as a
+//     reference kernel (sim.QueueHeap, first-bench -queue heap): a
+//     differential suite proves both queues produce byte-identical results
+//     on Fig3, Table1, the storm, and the full rendered report, plus
+//     randomized schedule/pop property tests, a Reserve/AtSeq-versus-Schedule
+//     differential, each move of the run (spill, refill, an empty run in
+//     front of a non-empty heap, bounded runs, Reset), and a same-instant
+//     flood of 10⁵ events with late inserts ahead of it.
 //   - internal/serving.Engine keeps its waiting queue in a ring buffer
 //     (never re-slicing a pinned backing array), reuses one scratch buffer
 //     for StepResult.Completed across iterations, recycles Sequence objects

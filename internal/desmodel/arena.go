@@ -11,8 +11,8 @@ import (
 // across the cells one worker executes. Each fleet worker owns one Arena;
 // Begin starts a new cell by resetting the kernel and reclaiming every engine
 // and log the previous cell borrowed, so steady-state cell execution
-// allocates no fresh kernel heaps, calendar buckets, waiting rings, Sequence
-// objects, or emission records. Reset structures are
+// allocates no fresh kernel queues, waiting rings, Sequence objects, or
+// emission records. Reset structures are
 // behaviourally identical to fresh ones, which keeps fleet runs byte-equal
 // to the sequential reference regardless of which worker (and therefore
 // which recycled arena) executes a cell.

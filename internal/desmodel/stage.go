@@ -9,48 +9,52 @@ import (
 
 // Reached by a bug only; checked on every pop.
 var (
-	errRingEmpty = errors.New("desmodel: pop from an empty reqRing")
+	errRingEmpty = errors.New("desmodel: pop from an empty ring")
 	errNotDue    = errors.New("desmodel: a pipe fired for a request that is not due")
 )
 
-// reqRing is a FIFO of requests on a power-of-two ring that doubles when
-// full, so a stage that never drains holds its peak occupancy, not its
-// history, and a popped request is no longer reachable from it.
-type reqRing struct {
-	buf  []*Req
+// ring is a FIFO on a power-of-two ring that doubles when full, so a stage
+// that never drains holds its peak occupancy, not its history, and a popped
+// entry is no longer reachable from it.
+type ring[T any] struct {
+	buf  []T
 	head int // index of the oldest entry
 	n    int
 }
 
+// reqRing is the FIFO of a lane or a backlog.
+type reqRing = ring[*Req]
+
 //first:hotpath pinned by TestStageStepsZeroAlloc (stage_test.go)
-func (q *reqRing) push(r *Req) {
+func (q *ring[T]) push(v T) {
 	if q.n == len(q.buf) {
 		q.grow()
 	}
-	q.buf[(q.head+q.n)&(len(q.buf)-1)] = r
+	q.buf[(q.head+q.n)&(len(q.buf)-1)] = v
 	q.n++
 }
 
 // grow is out of line so its allocation sits in no //first:hotpath body.
 //
 //go:noinline
-func (q *reqRing) grow() {
-	buf := make([]*Req, max(8, 2*len(q.buf)))
+func (q *ring[T]) grow() {
+	buf := make([]T, max(8, 2*len(q.buf)))
 	n := copy(buf, q.buf[q.head:])
 	copy(buf[n:], q.buf[:q.head])
 	q.buf, q.head = buf, 0
 }
 
 //first:hotpath pinned by TestStageStepsZeroAlloc (stage_test.go)
-func (q *reqRing) pop() *Req {
+func (q *ring[T]) pop() T {
 	if q.n == 0 {
 		panic(errRingEmpty)
 	}
-	r := q.buf[q.head]
-	q.buf[q.head] = nil
+	v := q.buf[q.head]
+	var zero T
+	q.buf[q.head] = zero
 	q.head = (q.head + 1) & (len(q.buf) - 1)
 	q.n--
-	return r
+	return v
 }
 
 // lane is a serialized single-server queue: every request charges `cost`
@@ -121,16 +125,27 @@ func (l *lane) done() {
 }
 
 // pipe is a constant-delay stage: a request pushed at t is handed to out at
-// t+delay. push schedules the one bound popFn; the delay is constant and the
-// kernel orders events by (time, sequence number), so the k-th firing belongs
-// to the k-th entrant, which pop verifies against the instant the request
-// carries. A wait whose length differs per request is not FIFO: not a pipe.
+// t+delay. The delay is constant, so requests leave in the order they came,
+// and the pipe keeps one kernel event queued, its head's. push reserves the
+// sequence number a Schedule would have taken and queues the one bound popFn
+// only into an empty pipe; pop queues the next head's event under its number
+// before handing its own request on. So every hand-off fires at the (time,
+// seq) it would have had with an event per request, and pop verifies the
+// instant against the one the request carries. A wait whose length differs
+// per request is not FIFO: not a pipe.
 type pipe struct {
 	k     *sim.Kernel
 	delay time.Duration
-	q     reqRing
+	q     ring[pipeSlot]
 	out   func(*Req)
 	popFn func()
+}
+
+// pipeSlot is a request riding a pipe and the sequence number reserved for
+// its hand-off.
+type pipeSlot struct {
+	r   *Req
+	seq uint64
 }
 
 func newPipe(k *sim.Kernel, delay time.Duration, out func(*Req)) *pipe {
@@ -149,15 +164,22 @@ func (p *pipe) init(k *sim.Kernel, delay time.Duration, out func(*Req)) {
 //first:hotpath pinned by TestStageStepsZeroAlloc (stage_test.go)
 func (p *pipe) push(r *Req) {
 	r.due = p.k.Now() + p.delay
-	p.q.push(r)
-	p.k.Schedule(p.delay, p.popFn)
+	seq := p.k.Reserve()
+	p.q.push(pipeSlot{r, seq})
+	if p.q.n == 1 {
+		p.k.AtSeq(r.due, seq, p.popFn)
+	}
 }
 
 //first:hotpath pinned by TestStageStepsZeroAlloc (stage_test.go)
 func (p *pipe) pop() {
-	r := p.q.pop()
+	r := p.q.pop().r
 	if r.due != p.k.Now() {
 		panic(errNotDue)
+	}
+	if p.q.n > 0 {
+		next := p.q.buf[p.q.head]
+		p.k.AtSeq(next.r.due, next.seq, p.popFn)
 	}
 	p.out(r)
 }

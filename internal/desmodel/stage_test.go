@@ -108,7 +108,7 @@ func TestSystemsCarryZeroAlloc(t *testing.T) {
 			}
 			k.Run(0)
 		}
-		for i := 0; i < 40; i++ { // every calendar bucket and ring reaches its size
+		for i := 0; i < 40; i++ { // the kernel queue and every ring reach their size
 			cycle()
 		}
 		before := completed
@@ -166,11 +166,12 @@ type stageEvent struct {
 // runStageSchedule plays a random schedule against one implementation of a
 // constant-delay stage (enter) and logs every delivery together with the
 // competing events scheduled around it, in the order the kernel ran them.
-// Pushes come in same-instant bursts from several driver events; competitors
-// are scheduled with the stage's own delay before, between and after the
-// pushes, so they tie with deliveries on the instant; every third request
-// goes round a second time, entering from inside a delivery.
-func runStageSchedule(q sim.QueueKind, seed int64, delay time.Duration, build func(k *sim.Kernel, out func(*Req)) (enter func(*Req))) []stageEvent {
+// Pushes come in same-instant bursts of fewer than burst requests from
+// several driver events; competitors are scheduled with the stage's own
+// delay before, between and after the pushes, so they tie with deliveries on
+// the instant; every third request goes round a second time, entering from
+// inside a delivery.
+func runStageSchedule(q sim.QueueKind, seed int64, delay time.Duration, burst int, build func(k *sim.Kernel, out func(*Req)) (enter func(*Req))) []stageEvent {
 	k := sim.NewKernelWith(q)
 	rng := sim.NewRNG(seed)
 	var log []stageEvent
@@ -193,10 +194,10 @@ func runStageSchedule(q sim.QueueKind, seed int64, delay time.Duration, build fu
 			at += time.Duration(rng.Intn(4)) * delay / 2
 			at += time.Duration(rng.Intn(3)) * time.Microsecond
 		}
-		burst := rng.Intn(5)
+		n := rng.Intn(burst)
 		k.Schedule(at, func() {
 			compete(-id)
-			for i := 0; i < burst; i++ {
+			for i := 0; i < n; i++ {
 				id++
 				enter(&Req{ID: id})
 				if i%2 == 0 {
@@ -212,20 +213,25 @@ func runStageSchedule(q sim.QueueKind, seed int64, delay time.Duration, build fu
 // TestPipeMatchesClosures is the differential behind replacing every
 // `Schedule(delay, func() { next(r) })` with pipe.push(r): the same requests
 // are delivered at the same instants in the same global order, ties with
-// other events included, on both queue kinds.
+// other events included, on both queue kinds. The last case holds more than
+// the kernel's sorted run (64 events) in flight at delay 0: one pipe event
+// stands for bursts of up to 150 requests that the closures queue one by one.
 func TestPipeMatchesClosures(t *testing.T) {
 	deliveries := 0
 	for _, q := range []sim.QueueKind{sim.QueueCalendar, sim.QueueHeap} {
-		for _, delay := range []time.Duration{0, 1, 3 * time.Microsecond, 5 * time.Millisecond} {
+		for _, c := range []struct {
+			delay time.Duration
+			burst int
+		}{{0, 5}, {1, 5}, {3 * time.Microsecond, 5}, {5 * time.Millisecond, 5}, {0, 150}} {
 			for seed := int64(1); seed <= 25; seed++ {
-				closures := runStageSchedule(q, seed, delay, func(k *sim.Kernel, out func(*Req)) func(*Req) {
-					return func(r *Req) { k.Schedule(delay, func() { out(r) }) }
+				closures := runStageSchedule(q, seed, c.delay, c.burst, func(k *sim.Kernel, out func(*Req)) func(*Req) {
+					return func(r *Req) { k.Schedule(c.delay, func() { out(r) }) }
 				})
-				piped := runStageSchedule(q, seed, delay, func(k *sim.Kernel, out func(*Req)) func(*Req) {
-					return newPipe(k, delay, out).push
+				piped := runStageSchedule(q, seed, c.delay, c.burst, func(k *sim.Kernel, out func(*Req)) func(*Req) {
+					return newPipe(k, c.delay, out).push
 				})
 				if !reflect.DeepEqual(closures, piped) {
-					t.Fatalf("%v queue, delay %v, seed %d: pipe and closures diverge\nclosures: %v\npipe:     %v", q, delay, seed, closures, piped)
+					t.Fatalf("%v queue, delay %v, bursts below %d, seed %d: pipe and closures diverge\nclosures: %v\npipe:     %v", q, c.delay, c.burst, seed, closures, piped)
 				}
 				deliveries += len(piped)
 			}

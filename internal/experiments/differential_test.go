@@ -1,7 +1,8 @@
 package experiments
 
-// Differential determinism suite: the calendar-queue kernel must reproduce
-// the 4-ary heap reference bit for bit on the real experiment workloads —
+// Differential determinism suite: the default kernel queue (sim.QueueCalendar,
+// the sorted run in front of the heap) must reproduce the 4-ary heap
+// reference bit for bit on the real experiment workloads —
 // same structs, same floats, same rendered report bytes. This is the
 // tentpole acceptance gate for swapping the kernel's event queue.
 

@@ -24,22 +24,40 @@ type arriver interface {
 // driveOpenLoop schedules a trace's arrivals onto a system (the vLLM
 // benchmark script's open-loop mode: fixed request rate, or everything at
 // t=0 for the "infinite" rate). The trace must be in arrival order: the n
-// events then fire in index order and share one callback and one block.
+// arrivals then fire in index order and share one callback and one block,
+// and keep one kernel event queued. Their n sequence numbers are reserved
+// here, where scheduling every arrival up front would have taken them, and
+// each arrival queues the next under its number, so they fire in the same
+// (time, seq) order as n scheduled events would.
 func driveOpenLoop(k *sim.Kernel, trace []workload.Request, sys arriver) []*desmodel.Req {
 	block := make([]desmodel.Req, len(trace))
 	reqs := make([]*desmodel.Req, len(trace))
-	next := 0
-	send := func() {
-		sys.Arrive(reqs[next])
-		next++
-	}
+	start := k.Now()
+	var first uint64
 	for i, t := range trace {
 		if i > 0 && t.ArrivalAt < trace[i-1].ArrivalAt {
 			panic("experiments: open-loop trace is not in arrival order")
 		}
 		block[i] = desmodel.Req{ID: t.ID, PromptTok: t.PromptTok, OutputTok: t.OutputTok}
 		reqs[i] = &block[i]
-		k.Schedule(t.ArrivalAt, send)
+		if seq := k.Reserve(); i == 0 {
+			first = seq
+		}
+	}
+	// queue puts arrival i on the kernel; a negative offset clamps to now,
+	// as Schedule clamps a negative delay.
+	next := 0
+	var send func()
+	queue := func(i int) { k.AtSeq(start+max(trace[i].ArrivalAt, 0), first+uint64(i), send) }
+	send = func() {
+		r := reqs[next]
+		if next++; next < len(trace) {
+			queue(next)
+		}
+		sys.Arrive(r)
+	}
+	if len(trace) > 0 {
+		queue(0)
 	}
 	return reqs
 }

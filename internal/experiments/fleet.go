@@ -27,8 +27,9 @@ type Fleet struct {
 	// sequential path (used by the determinism tests as the reference).
 	Workers int
 	// Queue selects the kernel event-queue implementation for every cell:
-	// the calendar queue by default, the 4-ary heap reference for the
-	// differential determinism suite.
+	// sim.QueueCalendar (the sorted run in front of the 4-ary heap; the name
+	// is the replaced calendar queue's) by default, the heap alone as the
+	// reference for the differential determinism suite.
 	Queue sim.QueueKind
 }
 
@@ -39,8 +40,8 @@ var Sequential = Fleet{Workers: 1}
 var Parallel = Fleet{}
 
 // arenaFree keeps the arenas of finished RunArena calls, by queue kind, for
-// the next call to start warm: Fig. 4 runs on the calendar buckets, engines
-// and emission logs Fig. 3 grew. A recycled arena behaves as a fresh one
+// the next call to start warm: Fig. 4 runs on the kernel queue, engines and
+// emission logs Fig. 3 grew. A recycled arena behaves as a fresh one
 // (Arena.Begin), so results do not depend on what is kept, which is never
 // more arenas than the most workers that ran at once.
 var (

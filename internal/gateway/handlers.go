@@ -517,13 +517,9 @@ func (s *Server) handleCreateBatch(w http.ResponseWriter, r *http.Request, who a
 	if !ok {
 		return
 	}
-	var req openaiapi.CreateBatchRequest
-	if err := json.Unmarshal(body, &req); err != nil {
-		s.writeError(w, http.StatusBadRequest, "invalid_request_error", "malformed JSON: "+err.Error())
-		return
-	}
-	if req.Model == "" {
-		s.writeError(w, http.StatusBadRequest, "invalid_request_error", "model is required")
+	req, err := decodeCreateBatch(body)
+	if err != nil {
+		s.writeError(w, http.StatusBadRequest, "invalid_request_error", err.Error())
 		return
 	}
 	if err := s.policy.Authorize(who, req.Model); err != nil {
@@ -542,6 +538,19 @@ func (s *Server) handleCreateBatch(w http.ResponseWriter, r *http.Request, who a
 	}
 	b, _ := s.st.GetBatch(id)
 	s.writeJSON(w, http.StatusOK, batchToObject(b))
+}
+
+// decodeCreateBatch reads a POST /v1/batches body (FuzzDecodeCreateBatch):
+// malformed JSON and a missing model are the client's errors.
+func decodeCreateBatch(body []byte) (openaiapi.CreateBatchRequest, error) {
+	var req openaiapi.CreateBatchRequest
+	if err := json.Unmarshal(body, &req); err != nil {
+		return req, errors.New("malformed JSON: " + err.Error())
+	}
+	if req.Model == "" {
+		return req, errors.New("model is required")
+	}
+	return req, nil
 }
 
 func batchToObject(b store.Batch) openaiapi.BatchObject {

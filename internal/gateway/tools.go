@@ -2,6 +2,7 @@ package gateway
 
 import (
 	"encoding/json"
+	"errors"
 	"net/http"
 	"sort"
 
@@ -72,12 +73,10 @@ func (s *Server) handleTool(w http.ResponseWriter, r *http.Request, who auth.Tok
 	if !ok {
 		return
 	}
-	var req ToolRequest
-	if len(body) > 0 {
-		if err := json.Unmarshal(body, &req); err != nil {
-			s.writeError(w, http.StatusBadRequest, "invalid_request_error", "malformed JSON: "+err.Error())
-			return
-		}
+	req, err := decodeToolRequest(body)
+	if err != nil {
+		s.writeError(w, http.StatusBadRequest, "invalid_request_error", err.Error())
+		return
 	}
 	var route *ToolRoute
 	for i := range routes {
@@ -123,6 +122,19 @@ func (s *Server) handleTool(w http.ResponseWriter, r *http.Request, who auth.Tok
 		result = quoted
 	}
 	s.writeJSON(w, http.StatusOK, ToolResponse{Tool: name, Endpoint: route.Endpoint.ID(), Result: result})
+}
+
+// decodeToolRequest reads a POST /v1/tools/{name} body
+// (FuzzDecodeToolRequest). An empty body is a call without a payload on the
+// first endpoint exposing the tool.
+func decodeToolRequest(body []byte) (ToolRequest, error) {
+	var req ToolRequest
+	if len(body) > 0 {
+		if err := json.Unmarshal(body, &req); err != nil {
+			return req, errors.New("malformed JSON: " + err.Error())
+		}
+	}
+	return req, nil
 }
 
 // handleListTools serves GET /v1/tools.

@@ -1,15 +1,14 @@
 package sim
 
 // The 4-ary min-heap: the whole event queue in QueueHeap mode (the reference
-// implementation the differential determinism suite compares against) and
-// the calendar queue's sorted overflow structure for far-future events. A
-// 4-ary layout halves the tree depth of a binary heap and keeps parent and
+// implementation the differential determinism suite compares against), and
+// everything behind the sorted run in the default mode. A 4-ary layout halves the tree depth of a binary heap and keeps parent and
 // child slots on the same cache lines; events live by value in the backing
 // array, which doubles as the free list.
 
 // heapPush appends ev and restores the heap property.
 //
-//first:hotpath overflow push, reached through the Schedule pin
+//first:hotpath reached through the Schedule pin
 func (k *Kernel) heapPush(ev event) {
 	k.heap = append(k.heap, ev)
 	h := k.heap
@@ -27,7 +26,7 @@ func (k *Kernel) heapPush(ev event) {
 
 // heapPop removes and returns the root event.
 //
-//first:hotpath overflow pop, reached through the Run pin
+//first:hotpath reached through the Run pin
 func (k *Kernel) heapPop() event {
 	h := k.heap
 	root := h[0]

@@ -2,36 +2,36 @@
 // to regenerate the paper's evaluation on virtual time: events are ordered by
 // (time, sequence number) so identical seeds always produce identical runs.
 //
-// The default event queue is a calendar queue (Brown 1988): a power-of-two
-// ring of time buckets, each holding the events of one bucket-width slot of
-// virtual time, kept sorted by (time, seq) at every insert — an in-order
-// append is free, anything else is binary-searched into place — so the scan
-// never sorts. For the near-uniform schedules the figure runs produce,
-// Schedule and the next-event scan are O(1) amortized — versus O(log n) per
-// event for a heap — and the bucket width and bucket count resize themselves
-// from the observed event-time span; when a few far-out timers stretch that
-// span and every live event shares the cursor's bucket (the federation
-// runs), an insert degrades to the search plus one copy, never to a re-sort.
-// Far-future events (beyond one full ring rotation) fall back to a sorted
-// overflow structure, a 4-ary min-heap, and migrate into the ring as the
-// scan cursor approaches their slot. The same heap doubles as the reference
-// kernel (QueueHeap) for the differential determinism suite.
+// The default event queue is a short sorted run in front of a 4-ary min-heap.
+// The run holds the earliest events, at most runCap of them, in descending
+// order, so the next event is its last element and a pop shrinks the slice.
+// An event later than the heap's minimum goes to the heap; any other is
+// placed in the run by a scan from its earliest end, which shifts the events
+// it passes. A run that overflows spills its later half to the heap, and an
+// empty run refills from the heap, so every event in the run sorts before
+// every event in the heap. The models keep one pending event per stage, not
+// one per request in flight (see Reserve), so the run serves a few dozen
+// events and the heap takes the far-out timers. QueueHeap sends every event
+// through the heap alone: it is the reference the differential suite
+// compares the default against.
 //
-// Events live by value inside bucket slices and the heap's backing array, so
+// Reservation lets one event stand for a FIFO of them. Reserve hands out the
+// sequence number a Schedule made now would take; AtSeq later queues an event
+// under it, and that event sorts exactly where the Schedule would have put
+// it. A constant-delay stage reserves a number for each request as it enters
+// and keeps only its head's event queued: the (time, seq) order of a run, and
+// so every result, is what it would be with one event per request.
+//
+// Events live by value in the run's and the heap's backing arrays, so
 // Schedule performs no per-event allocation and no interface boxing; popped
 // slots are recycled by later pushes, which keeps the Schedule/Run loop
 // allocation-free at steady state (see TestKernelScheduleRunZeroAlloc).
-//
-// Run dispatches same-instant events as one batch: once the scan cursor
-// lands on a bucket, every queued event carrying the same timestamp is
-// executed from that bucket position without re-scanning the ring between
-// callbacks — the saturated open-loop runs (all arrivals at t=0) hit this
-// path hardest.
 package sim
 
 import (
 	"fmt"
 	"math"
+	"slices"
 	"time"
 )
 
@@ -53,16 +53,21 @@ func (e *event) before(o *event) bool {
 	return e.seq < o.seq
 }
 
+// runCap bounds the sorted run: an insert into it costs up to runCap shifts,
+// and one that overflows it moves runCap/2 events to the heap.
+const runCap = 64
+
 // QueueKind selects the kernel's event-queue implementation.
 type QueueKind int
 
 const (
-	// QueueCalendar is the default: O(1) amortized calendar queue with a
-	// heap overflow for far-future events.
+	// QueueCalendar is the default: the sorted run of at most runCap events
+	// in front of the 4-ary heap. It keeps the name of the calendar queue it
+	// replaced because the benchmark module selects it by that name.
 	QueueCalendar QueueKind = iota
-	// QueueHeap is the 4-ary min-heap reference implementation, kept for
-	// the differential determinism suite (both kinds must produce
-	// byte-identical runs).
+	// QueueHeap is the 4-ary min-heap alone, kept as the reference for the
+	// differential determinism suite (both kinds must produce byte-identical
+	// runs).
 	QueueHeap
 )
 
@@ -87,14 +92,14 @@ type Kernel struct {
 
 	useHeap bool
 
-	// heap is the 4-ary min-heap: the whole queue in QueueHeap mode, the
-	// far-future overflow in calendar mode.
+	// run holds the earliest events in descending (time, seq) order, the
+	// next one last; it is always empty in QueueHeap mode.
+	run []event
+	// heap is the 4-ary min-heap of every later event.
 	heap []event
-
-	cal calQueue
 }
 
-// NewKernel returns an empty calendar-queue kernel at time zero.
+// NewKernel returns an empty kernel on the default queue at time zero.
 func NewKernel() *Kernel {
 	return &Kernel{}
 }
@@ -127,17 +132,96 @@ func (k *Kernel) Schedule(delay time.Duration, fn func()) {
 		delay = 0
 	}
 	k.seq++
-	ev := event{at: k.now + delay, seq: k.seq, fn: fn}
-	if k.useHeap {
-		k.heapPush(ev)
-		return
-	}
-	k.calInsert(ev)
+	k.push(event{at: k.now + delay, seq: k.seq, fn: fn})
 }
 
 // At runs fn at absolute virtual time t (clamped to now).
 func (k *Kernel) At(t Time, fn func()) {
 	k.Schedule(t-k.now, fn)
+}
+
+// Reserve hands out the sequence number a Schedule made now would take and
+// consumes it, so later Schedules sort after it at the same instant.
+//
+//first:hotpath pinned by TestKernelAtSeqZeroAlloc (kernel_diff_test.go)
+func (k *Kernel) Reserve() uint64 {
+	k.seq++
+	return k.seq
+}
+
+// AtSeq runs fn at absolute virtual time t under seq, a number Reserve has
+// handed out since the last Reset: the event sorts exactly where a Schedule
+// made at reservation time for t would have. It panics if seq was never
+// handed out or if t is in the past. Each number is for one event; the
+// kernel does not check that.
+//
+//first:hotpath pinned by TestKernelAtSeqZeroAlloc (kernel_diff_test.go)
+func (k *Kernel) AtSeq(t Time, seq uint64, fn func()) {
+	if seq == 0 || seq > k.seq {
+		//firstlint:allow hotpath panic formatting
+		panic(fmt.Sprintf("sim: AtSeq under sequence number %d, which was never reserved (last handed out: %d)", seq, k.seq))
+	}
+	if t < k.now {
+		//firstlint:allow hotpath panic formatting
+		panic(fmt.Sprintf("sim: AtSeq at %v, before now (%v)", t, k.now))
+	}
+	k.push(event{at: t, seq: seq, fn: fn})
+}
+
+// push queues ev: into the heap if it is later than the heap's minimum,
+// otherwise into its place in the run, which spills its later half to the
+// heap when it overflows.
+//
+//first:hotpath reached through the Schedule and AtSeq pins
+func (k *Kernel) push(ev event) {
+	if k.useHeap || len(k.heap) > 0 && k.heap[0].before(&ev) {
+		k.heapPush(ev)
+		return
+	}
+	// Open a slot at the end without writing it, shift up the events ev
+	// sorts after as the scan from the earliest end passes them, and write
+	// ev once.
+	n := len(k.run)
+	if n == cap(k.run) {
+		k.run = append(k.run, event{})
+	}
+	k.run = k.run[:n+1]
+	r := k.run
+	i := n
+	for i > 0 && r[i-1].before(&ev) {
+		r[i] = r[i-1]
+		i--
+	}
+	r[i] = ev
+	if len(r) > runCap {
+		half := len(r) / 2
+		for _, late := range r[:half] {
+			k.heapPush(late)
+		}
+		n := copy(r, r[half:])
+		clear(r[n:])
+		k.run = r[:n]
+	}
+}
+
+// next returns the earliest queued event, refilling an empty run from the
+// heap first, or nil when nothing is queued.
+//
+//first:hotpath reached through the Run pin
+func (k *Kernel) next() *event {
+	if len(k.run) == 0 {
+		if len(k.heap) == 0 {
+			return nil
+		}
+		if k.useHeap {
+			return &k.heap[0]
+		}
+		for len(k.run) < runCap/2 && len(k.heap) > 0 {
+			k.run = append(k.run, k.heapPop())
+		}
+		slices.Reverse(k.run)
+	}
+	return &k.run[len(k.run)-1]
 }
 
 // Stop halts the run loop after the current event returns. A Stop issued
@@ -146,18 +230,13 @@ func (k *Kernel) At(t Time, fn func()) {
 func (k *Kernel) Stop() { k.stopped = true }
 
 // Pending reports the number of queued events.
-func (k *Kernel) Pending() int {
-	n := k.cal.n + len(k.heap)
-	if k.cal.hasOne {
-		n++
-	}
-	return n
-}
+func (k *Kernel) Pending() int { return len(k.run) + len(k.heap) }
 
-// Reset returns the kernel to its initial state (time zero, no events) while
-// keeping the queue kind and the allocated bucket/heap capacity, so fleet
-// arenas can recycle one kernel across experiment cells. Queued closures are
-// released. MaxEvents is preserved (it is configuration, not run state).
+// Reset returns the kernel to its initial state (time zero, no events, no
+// sequence number handed out) while keeping the queue kind and the allocated
+// run and heap capacity, so fleet arenas can recycle one kernel across
+// experiment cells. Queued closures are released. MaxEvents is preserved (it
+// is configuration, not run state).
 //
 //first:hotpath pinned by TestKernelStretchedZeroAlloc (kernel_diff_test.go)
 func (k *Kernel) Reset() {
@@ -165,152 +244,51 @@ func (k *Kernel) Reset() {
 	k.seq = 0
 	k.stopped = false
 	k.Processed = 0
-	for i := range k.heap {
-		k.heap[i] = event{}
-	}
+	clear(k.run)
+	k.run = k.run[:0]
+	clear(k.heap)
 	k.heap = k.heap[:0]
-	k.cal.reset()
 }
 
 // Run executes events until the queue empties, Stop is called, or the next
 // event would exceed until (until <= 0 means run to exhaustion). It returns
-// the virtual time at which the run ended. Same-instant events are dispatched
-// as one batch: the run loop drains every event carrying the current
-// timestamp from its bucket before re-scanning the queue.
+// the virtual time at which the run ended.
 //
 //first:hotpath pinned by TestKernelScheduleRunZeroAlloc (sim_test.go) and TestKernelDeepQueueZeroAlloc (kernel_diff_test.go)
 func (k *Kernel) Run(until Time) Time {
-	// A Stop issued before Run (previously lost — Run cleared the flag on
-	// entry) skips the loop entirely; the flag is consumed either way.
-	if !k.stopped {
-		if k.useHeap {
-			k.runHeap(until)
-		} else {
-			k.runCal(until)
+	// A Stop issued before Run skips the loop; the flag is consumed either
+	// way.
+	for !k.stopped {
+		ev := k.next()
+		if ev == nil {
+			break
 		}
+		if until > 0 && ev.at > until {
+			k.now = until
+			break
+		}
+		if ev.at > k.now {
+			k.now = ev.at
+		}
+		fn := ev.fn
+		if n := len(k.run); n > 0 {
+			k.run[n-1].fn = nil // release the closure
+			k.run = k.run[:n-1]
+		} else {
+			k.heapPop()
+		}
+		k.Processed++
+		if k.MaxEvents > 0 && k.Processed > k.MaxEvents {
+			//firstlint:allow hotpath panic formatting
+			panic(fmt.Sprintf("sim: event budget exceeded (%d events at t=%v)", k.Processed, k.now))
+		}
+		fn()
 	}
 	k.stopped = false
 	if until > 0 && k.now < until && k.Pending() == 0 {
 		k.now = until
 	}
 	return k.now
-}
-
-// runHeap is the reference-mode loop: one heap pop per event.
-func (k *Kernel) runHeap(until Time) {
-	for len(k.heap) > 0 && !k.stopped {
-		if until > 0 && k.heap[0].at > until {
-			k.now = until
-			return
-		}
-		ev := k.heapPop()
-		if ev.at > k.now {
-			k.now = ev.at
-		}
-		k.Processed++
-		if k.MaxEvents > 0 && k.Processed > k.MaxEvents {
-			panic(fmt.Sprintf("sim: event budget exceeded (%d events at t=%v)", k.Processed, k.now))
-		}
-		ev.fn()
-	}
-}
-
-// runCal is the calendar-mode loop: scan the ring for the earliest event,
-// then dispatch every event carrying that timestamp as one batch.
-func (k *Kernel) runCal(until Time) {
-	c := &k.cal
-	for !k.stopped {
-		if c.hasOne {
-			// Fast slot: the queue's only event, dispatched without touching
-			// the ring. Its callback may schedule freely — new events land in
-			// the ring (or back in the slot once it is free again).
-			if until > 0 && c.one.at > until {
-				k.now = until
-				return
-			}
-			fn := c.one.fn
-			if c.one.at > k.now {
-				k.now = c.one.at
-			}
-			c.hasOne = false
-			c.one.fn = nil
-			k.Processed++
-			if k.MaxEvents > 0 && k.Processed > k.MaxEvents {
-				panic(fmt.Sprintf("sim: event budget exceeded (%d events at t=%v)", k.Processed, k.now))
-			}
-			fn()
-			continue
-		}
-		if c.n == 0 && len(k.heap) == 0 {
-			return
-		}
-		// Advance the cursor to the earliest event's bucket.
-		scanned := 0
-		var b *calBucket
-		for {
-			if c.n == 0 {
-				c.cur = c.slotOf(k.heap[0].at) // ring empty: jump to the overflow's min
-			}
-			// Pull overflow events whose slot has entered the ring window.
-			if len(k.heap) > 0 {
-				limit := c.cur + uint64(len(c.buckets))
-				for len(k.heap) > 0 && c.slotOf(k.heap[0].at) < limit {
-					c.bucketInsert(k.heapPop())
-				}
-			}
-			b = &c.buckets[int(c.cur)&(len(c.buckets)-1)]
-			// The slot check skips entries of a later ring rotation (they
-			// can appear after the cursor backs up for a late insert).
-			if b.head < len(b.ev) && c.slotOf(b.ev[b.head].at) == c.cur {
-				break
-			}
-			c.cur++
-			if scanned++; scanned >= calMaxScan {
-				// The width no longer matches the schedule (long idle gap,
-				// or stale later-rotation entries): re-tune and land the
-				// cursor directly on the earliest event.
-				k.calRehash(rehashWiden, 0)
-				scanned = 0
-			}
-		}
-		at := b.ev[b.head].at
-		if until > 0 && at > until {
-			k.now = until
-			return
-		}
-		if at > k.now {
-			k.now = at
-		}
-		// Batched same-instant dispatch: every event at this timestamp sits
-		// consecutively from the bucket head (same slot, sorted by seq), and
-		// callbacks scheduling for the same instant land behind the batch in
-		// sequence order, so re-reading the bucket picks them up without a
-		// ring re-scan.
-		for {
-			fn := b.ev[b.head].fn
-			b.ev[b.head].fn = nil // release the closure
-			b.head++
-			if b.head == len(b.ev) {
-				b.ev = b.ev[:0]
-				b.head = 0
-			}
-			c.n--
-			k.Processed++
-			if k.MaxEvents > 0 && k.Processed > k.MaxEvents {
-				panic(fmt.Sprintf("sim: event budget exceeded (%d events at t=%v)", k.Processed, k.now))
-			}
-			fn()
-			if k.stopped {
-				return
-			}
-			// Re-derive the bucket: the callback may have scheduled into it
-			// or rehashed the ring.
-			b = &c.buckets[int(c.cur)&(len(c.buckets)-1)]
-			if b.head >= len(b.ev) || b.ev[b.head].at != at {
-				break
-			}
-		}
-	}
 }
 
 // Seconds converts a float seconds value to virtual time. Non-finite and

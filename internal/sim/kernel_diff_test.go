@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 	"time"
 )
@@ -10,8 +11,8 @@ import (
 // recordingKernel drives k with a deterministic random schedule derived from
 // seed and returns the full (time, id) execution order. The workload mixes
 // the shapes the experiment suite produces: same-instant floods, near-uniform
-// gaps, far-future events (overflow territory), nested scheduling from
-// callbacks, and partial bounded runs with late inserts between them.
+// gaps, far-future events, nested scheduling from callbacks, and partial
+// bounded runs with late inserts between them.
 func recordingKernel(k *Kernel, seed int64) []struct {
 	at Time
 	id int
@@ -38,7 +39,7 @@ func recordingKernel(k *Kernel, seed int64) []struct {
 			}
 		case 1: // near-uniform short delay
 			k.Schedule(time.Duration(rng.Intn(4000))*time.Microsecond, record())
-		case 2: // far future (calendar overflow)
+		case 2: // far future (the heap, behind the run)
 			k.Schedule(time.Duration(1+rng.Intn(3000))*time.Second, record())
 		case 3: // zero delay (runs this instant, after the current batch)
 			k.Schedule(0, record())
@@ -57,8 +58,8 @@ func recordingKernel(k *Kernel, seed int64) []struct {
 			}
 		})
 	}
-	// Bounded runs with inserts in between: the cursor runs ahead to the
-	// next pending event, then a later insert lands behind it.
+	// Bounded runs with inserts in between: a run stops short of the next
+	// pending event, then later inserts land ahead of it.
 	k.Run(200 * time.Millisecond)
 	for i := 0; i < 100; i++ {
 		schedule()
@@ -72,19 +73,20 @@ func recordingKernel(k *Kernel, seed int64) []struct {
 }
 
 // TestKernelCalendarMatchesHeapReference is the randomized differential
-// property test: the calendar queue and the 4-ary heap reference must
-// produce the exact same execution order (same events, same virtual times)
-// for arbitrary schedules — the strict (time, seq) determinism contract.
+// property test: the default queue (run plus heap) and the 4-ary heap
+// reference must produce the exact same execution order (same events, same
+// virtual times) for arbitrary schedules — the strict (time, seq)
+// determinism contract.
 func TestKernelCalendarMatchesHeapReference(t *testing.T) {
 	for seed := int64(1); seed <= 25; seed++ {
 		cal := recordingKernel(NewKernelWith(QueueCalendar), seed)
 		heap := recordingKernel(NewKernelWith(QueueHeap), seed)
 		if len(cal) != len(heap) {
-			t.Fatalf("seed %d: calendar fired %d events, heap %d", seed, len(cal), len(heap))
+			t.Fatalf("seed %d: default queue fired %d events, heap %d", seed, len(cal), len(heap))
 		}
 		for i := range cal {
 			if cal[i] != heap[i] {
-				t.Fatalf("seed %d: execution diverges at event %d: calendar %+v, heap %+v",
+				t.Fatalf("seed %d: execution diverges at event %d: default %+v, heap %+v",
 					seed, i, cal[i], heap[i])
 			}
 		}
@@ -161,9 +163,9 @@ func TestKernelResetRecyclesAcrossRuns(t *testing.T) {
 	}
 }
 
-// TestKernelBatchedSameInstantDispatch checks the batch loop picks up events
-// a callback schedules for the current instant, in sequence order, within the
-// same dispatch.
+// TestKernelBatchedSameInstantDispatch checks that an event a callback
+// schedules for the current instant runs at that instant, after the events
+// already queued for it.
 func TestKernelBatchedSameInstantDispatch(t *testing.T) {
 	k := NewKernel()
 	var order []int
@@ -187,8 +189,8 @@ func TestKernelBatchedSameInstantDispatch(t *testing.T) {
 
 // TestKernelDeepQueueZeroAlloc pins the arena-reuse steady state at zero
 // allocations: a Reset kernel replaying a deep near-uniform schedule (the
-// fleet-cell recycling pattern) must reuse every bucket's backing array, the
-// overflow heap, and the rehash scratch without growing any of them.
+// fleet-cell recycling pattern) must reuse the run's and the heap's backing
+// arrays without growing either.
 func TestKernelDeepQueueZeroAlloc(t *testing.T) {
 	k := NewKernel()
 	const depth = 512
@@ -208,7 +210,7 @@ func TestKernelDeepQueueZeroAlloc(t *testing.T) {
 		}
 		k.Run(0)
 	}
-	cell(8 * depth) // grow buckets, overflow heap, and scratch to steady state
+	cell(8 * depth) // grow the run and the heap to steady state
 	allocs := testing.AllocsPerRun(10, func() { cell(8 * depth) })
 	if allocs != 0 {
 		t.Errorf("steady-state deep-queue allocs per run = %v, want 0", allocs)
@@ -222,56 +224,331 @@ type stamp struct {
 	who int
 }
 
-// diffStamps fails the test at the first position where the calendar and
+// diffStamps fails the test at the first position where the default and
 // heap kernels' execution orders part.
 func diffStamps(t *testing.T, what string, cal, heap []stamp) {
 	t.Helper()
 	if len(cal) != len(heap) {
-		t.Fatalf("%s: calendar fired %d events, heap %d", what, len(cal), len(heap))
+		t.Fatalf("%s: default queue fired %d events, heap %d", what, len(cal), len(heap))
 	}
 	for i := range cal {
 		if cal[i] != heap[i] {
-			t.Fatalf("%s: execution diverges at event %d: calendar %+v, heap %+v", what, i, cal[i], heap[i])
+			t.Fatalf("%s: execution diverges at event %d: default %+v, heap %+v", what, i, cal[i], heap[i])
 		}
 	}
 }
 
-// landsAheadOfTail reports (white box) whether an event scheduled now for
-// time at would enter a ring bucket ahead of that bucket's last event — the
-// insert the calendar queue has to place rather than append. Always false on
-// the heap kernel.
-func landsAheadOfTail(k *Kernel, at Time) bool {
-	c := &k.cal
-	if k.useHeap || c.buckets == nil || c.hasOne {
-		return false
+// queueInvariant checks the queue's shape: a run of at most runCap events in
+// strictly descending order (none at all on the heap kernel), a 4-ary heap,
+// and every run event before every heap event.
+func queueInvariant(k *Kernel) error {
+	r, h := k.run, k.heap
+	if len(r) > runCap || k.useHeap && len(r) > 0 {
+		return fmt.Errorf("the run holds %d events (cap %d, heap kernel %v)", len(r), runCap, k.useHeap)
 	}
-	s := c.slotOf(at)
-	if s >= c.cur+uint64(len(c.buckets)) {
-		return false // overflow heap
+	for i := 1; i < len(r); i++ {
+		if !r[i].before(&r[i-1]) {
+			return fmt.Errorf("run out of order at %d: %v/%d after %v/%d", i, r[i].at, r[i].seq, r[i-1].at, r[i-1].seq)
+		}
 	}
-	b := &c.buckets[int(s)&(len(c.buckets)-1)]
-	return len(b.ev) > b.head && at < b.ev[len(b.ev)-1].at
+	for i := 1; i < len(h); i++ {
+		if h[i].before(&h[(i-1)/4]) {
+			return fmt.Errorf("heap property broken at %d", i)
+		}
+	}
+	if len(r) > 0 && len(h) > 0 && !r[0].before(&h[0]) {
+		return fmt.Errorf("the run's latest event %v/%d is not before the heap's minimum %v/%d", r[0].at, r[0].seq, h[0].at, h[0].seq)
+	}
+	return nil
+}
+
+// reservingSchedule plays a random schedule on k and returns the order it
+// fired in. A third of its events are reservations. With reserve set, each
+// takes its number from Reserve and reaches the kernel through AtSeq later:
+// at the end of the step that made it, behind whatever that step scheduled
+// after it, or from a carrier event that fires before its time. Without, it
+// is scheduled on the spot. Every random draw and every other Schedule is
+// the same either way, so both must fire identically. Each callback also
+// checks the queue's invariant.
+func reservingSchedule(t *testing.T, k *Kernel, seed int64, reserve bool) []stamp {
+	rng := NewRNG(seed)
+	var fired []stamp
+	var held []func() // AtSeq calls waiting for the end of the step
+	flush := func() {
+		for _, q := range held {
+			q()
+		}
+		held = held[:0]
+	}
+	delay := func() time.Duration {
+		switch rng.Intn(5) {
+		case 0:
+			return 0
+		case 1:
+			return time.Duration(rng.Intn(4000)) * time.Microsecond
+		case 2:
+			return time.Duration(1+rng.Intn(3000)) * time.Second
+		default:
+			return time.Duration(rng.Intn(500)) * time.Millisecond
+		}
+	}
+	id := 0
+	var add func(d time.Duration, spawn int)
+	add = func(d time.Duration, spawn int) {
+		id++
+		who := id
+		fn := func() {
+			if err := queueInvariant(k); err != nil {
+				t.Fatal(err)
+			}
+			fired = append(fired, stamp{k.Now(), who})
+			for i := 0; i < spawn; i++ {
+				add(delay(), 0)
+			}
+			flush()
+		}
+		if rng.Intn(3) > 0 {
+			k.Schedule(d, fn)
+			return
+		}
+		var queue func()
+		if reserve {
+			at, seq := k.Now()+d, k.Reserve()
+			queue = func() { k.AtSeq(at, seq, fn) }
+		} else {
+			k.Schedule(d, fn)
+			queue = func() {}
+		}
+		if d == 0 || rng.Intn(2) == 0 {
+			held = append(held, queue)
+			return
+		}
+		k.Schedule(time.Duration(rng.Int63()%int64(d)), func() {
+			fired = append(fired, stamp{k.Now(), -who})
+			queue()
+		})
+	}
+	step := func(n int) {
+		for i := 0; i < n; i++ {
+			if rng.Intn(6) == 0 { // a same-instant burst
+				d := delay()
+				for j := rng.Intn(8); j >= 0; j-- {
+					add(d, 0)
+				}
+				continue
+			}
+			add(delay(), rng.Intn(4)/3)
+		}
+		flush()
+	}
+	step(300)
+	k.Run(200 * time.Millisecond)
+	step(100)
+	k.Run(900 * time.Millisecond)
+	step(100)
+	k.Run(0)
+	return fired
+}
+
+// TestKernelReserveMatchesSchedule is the differential behind Reserve and
+// AtSeq: an event queued under a reserved number fires exactly where a
+// Schedule at reservation time would have, on both queue kinds.
+func TestKernelReserveMatchesSchedule(t *testing.T) {
+	for seed := int64(1); seed <= 25; seed++ {
+		var ref []stamp
+		for _, q := range []QueueKind{QueueCalendar, QueueHeap} {
+			plain := reservingSchedule(t, NewKernelWith(q), seed, false)
+			reserved := reservingSchedule(t, NewKernelWith(q), seed, true)
+			diffStamps(t, fmt.Sprintf("seed %d, %v queue, reserved vs scheduled", seed, q), reserved, plain)
+			if ref == nil {
+				ref = plain
+			} else {
+				diffStamps(t, fmt.Sprintf("seed %d, default vs heap", seed), ref, plain)
+			}
+			if len(plain) < 500 {
+				t.Fatalf("seed %d: only %d events fired", seed, len(plain))
+			}
+		}
+	}
+}
+
+// TestKernelRunEdgesMatchHeap walks the default queue through each of its
+// moves, asserting from inside that it makes them, and compares the firing
+// order with the heap reference: a spill at the cap, a Run(until) that stops
+// with events in the heap, a refill, inserts into an empty run in front of a
+// non-empty heap, a Stop with the heap non-empty, and a Reset.
+func TestKernelRunEdgesMatchHeap(t *testing.T) {
+	const us = time.Microsecond
+	play := func(q QueueKind) []stamp {
+		k := NewKernelWith(q)
+		var log []stamp
+		check := func(ok bool, format string, args ...any) {
+			t.Helper()
+			if err := queueInvariant(k); err != nil {
+				t.Fatal(err)
+			}
+			if q == QueueCalendar && !ok {
+				t.Fatalf(format, args...)
+			}
+		}
+		rec := func(who int) func() { return func() { log = append(log, stamp{k.Now(), who}) } }
+		spillAndDrain := func(base int) {
+			fnFor := func(i int) func() {
+				switch i {
+				case 65:
+					// The run's last event after the refill: its callback
+					// finds the run empty and the heap not.
+					return func() {
+						rec(base + 65)()
+						check(len(k.run) == 0 && len(k.heap) == 35, "in the last run event: run %d, heap %d, want 0 and 35", len(k.run), len(k.heap))
+						k.Schedule(0, rec(base+102))       // now: into the run
+						k.At(k.Now()+500, rec(base+103))   // ahead of the heap's minimum: into the run
+						k.At(k.Now()+15*us, rec(base+104)) // behind it: into the heap
+						k.At(k.Now()+us, rec(base+105))    // ties the heap's minimum, later by sequence: into the heap
+						check(len(k.run) == 2 && len(k.heap) == 37, "after inserts into an empty run: run %d, heap %d, want 2 and 37", len(k.run), len(k.heap))
+					}
+				case 90:
+					return func() { rec(base + 90)(); k.Stop() }
+				}
+				return rec(base + i)
+			}
+			for i := 1; i <= runCap+1; i++ {
+				k.At(Time(i)*us, fnFor(i))
+				if i <= runCap {
+					check(len(k.run) == i && len(k.heap) == 0, "insert %d: run %d, heap %d", i, len(k.run), len(k.heap))
+				}
+			}
+			check(len(k.run) == runCap/2+1 && len(k.heap) == runCap/2, "spill: run %d, heap %d, want %d and %d", len(k.run), len(k.heap), runCap/2+1, runCap/2)
+			for i := runCap + 2; i <= 100; i++ {
+				k.At(Time(i)*us, fnFor(i)) // behind the heap's minimum: into the heap
+			}
+			check(len(k.run) == 33 && len(k.heap) == 67, "behind the heap's minimum: run %d, heap %d, want 33 and 67", len(k.run), len(k.heap))
+			// Stops at the run's latest event; the peek behind it refills
+			// the run with the heap's earliest runCap/2.
+			k.Run(33 * us)
+			check(k.Pending() == 67 && len(k.run) == runCap/2 && len(k.heap) == 35, "Run(until): pending %d, run %d, heap %d", k.Pending(), len(k.run), len(k.heap))
+			k.At(33*us+1, rec(base+101)) // between runs, ahead of everything
+			check(len(k.run) == runCap/2+1 && k.run[len(k.run)-1].at == 33*us+1, "an insert ahead of everything did not land at the run's end")
+			k.Run(0) // stopped at 90 µs
+			check(k.Now() == 90*us && k.Pending() == 10, "Stop: now %v, pending %d, want 90µs and 10", k.Now(), k.Pending())
+			k.Run(0)
+		}
+		spillAndDrain(0)
+		// Reset with events in the run and the heap.
+		for i := 0; i < 3*runCap; i++ {
+			k.At(Time(3*runCap-i)*us, rec(-1))
+		}
+		check(len(k.heap) > 0, "no event reached the heap before Reset")
+		k.Reset()
+		check(k.Pending() == 0 && cap(k.run) > 0, "Reset: pending %d, run capacity %d", k.Pending(), cap(k.run))
+		spillAndDrain(1000)
+		return log
+	}
+	cal, heap := play(QueueCalendar), play(QueueHeap)
+	diffStamps(t, "edges", cal, heap)
+	if len(cal) != 2*105 {
+		t.Fatalf("fired %d events, want %d", len(cal), 2*105)
+	}
+}
+
+// TestKernelAtSeqPanics: AtSeq refuses a number Reserve never handed out
+// (zero, one past the last, one from before a Reset) and a time in the past.
+func TestKernelAtSeqPanics(t *testing.T) {
+	mustPanic := func(q QueueKind, what, want string, f func()) {
+		t.Helper()
+		defer func() {
+			t.Helper()
+			if msg, _ := recover().(string); !strings.Contains(msg, want) {
+				t.Errorf("%v: AtSeq with %s recovered %q, want a panic mentioning %q", q, what, msg, want)
+			}
+		}()
+		f()
+	}
+	nop := func() {}
+	for _, q := range []QueueKind{QueueCalendar, QueueHeap} {
+		k := NewKernelWith(q)
+		seq := k.Reserve()
+		k.Schedule(time.Second, nop)
+		k.Run(0)
+		last := k.Reserve()
+		mustPanic(q, "sequence number 0", "never reserved", func() { k.AtSeq(2*time.Second, 0, nop) })
+		mustPanic(q, "a number not yet handed out", "never reserved", func() { k.AtSeq(2*time.Second, last+1, nop) })
+		mustPanic(q, "a past time", "before now", func() { k.AtSeq(time.Second-1, seq, nop) })
+		k.AtSeq(time.Second, seq, nop) // now is not the past
+		if k.Pending() != 1 {
+			t.Errorf("%v: %d events pending after a valid AtSeq, want 1", q, k.Pending())
+		}
+		k.Reset()
+		mustPanic(q, "a number from before Reset", "never reserved", func() { k.AtSeq(0, seq, nop) })
+	}
+}
+
+// TestKernelAtSeqZeroAlloc pins Reserve and AtSeq at zero allocations in the
+// pattern a constant-delay stage uses them in: a generator pushes entries
+// onto a FIFO, each reserving its number, and only the head's event is ever
+// queued.
+func TestKernelAtSeqZeroAlloc(t *testing.T) {
+	k := NewKernel()
+	const delay = 5 * time.Microsecond
+	type entry struct {
+		due Time
+		seq uint64
+	}
+	var fifo [64]entry
+	head, n, left := 0, 0, 0
+	var pop, gen func()
+	pop = func() {
+		if fifo[head].due != k.Now() {
+			t.Fatalf("an entry due at %v fired at %v", fifo[head].due, k.Now())
+		}
+		head, n = (head+1)%len(fifo), n-1
+		if n > 0 {
+			k.AtSeq(fifo[head].due, fifo[head].seq, pop)
+		}
+	}
+	gen = func() {
+		e := entry{k.Now() + delay, k.Reserve()}
+		fifo[(head+n)%len(fifo)] = e
+		if n++; n == 1 {
+			k.AtSeq(e.due, e.seq, pop)
+		}
+		if left--; left > 0 {
+			k.Schedule(time.Duration(left%3)*time.Microsecond, gen)
+		}
+	}
+	cell := func() {
+		k.Reset()
+		head, n, left = 0, 1, 1000
+		fifo[0] = entry{delay, k.Reserve()}
+		k.AtSeq(delay, fifo[0].seq, pop)
+		k.Schedule(0, gen)
+		k.Run(0)
+	}
+	cell()
+	if allocs := testing.AllocsPerRun(10, cell); allocs != 0 {
+		t.Errorf("steady-state Reserve/AtSeq allocs per run = %v, want 0", allocs)
+	}
+	if n != 0 || k.Processed != 2001 {
+		t.Errorf("%d entries left, %d events processed, want 0 and 2001", n, k.Processed)
+	}
 }
 
 // stretched drives the des-autoscale regime: a few anchors 10²–10³ s out
 // (walltime expiries) and a score of timers 1–60 s out (scaler ticks, cold
-// starts), all re-arming themselves, hold the bucket width at tens of
-// seconds, so the chains' µs–ms re-arms all share the cursor's bucket — fewer
-// than the 32 that would narrow it — and mostly land ahead of its tail.
-// Chains fire in bursts; a timer that fires into a quiet kernel starts the
-// next one, so the cursor also jumps idle gaps between bursts. Every closure
-// is built once: a run allocates nothing unless fired records.
+// starts), all re-arming themselves, around two dozen chains whose µs–ms
+// re-arms mostly land among each other's pending events. Chains fire in
+// bursts; a timer that fires into a quiet kernel starts the next one, so the
+// kernel also crosses idle gaps between bursts. Every closure is built once:
+// a run allocates nothing unless fired records.
 type stretched struct {
-	k                   *Kernel
-	rng                 *RNG
-	chains, timers      []func()
-	far                 int // timers[:far] are the anchors
-	budget, perBurst    int // chain firings left in this burst / per burst
-	bursts              int // bursts still to start
-	active              int // chains with an event pending
-	fired               func(who int)
-	count               bool // tally inserts and how many land ahead of a tail
-	inserts, disordered int
+	k                *Kernel
+	rng              *RNG
+	chains, timers   []func()
+	far              int // timers[:far] are the anchors
+	budget, perBurst int // chain firings left in this burst / per burst
+	bursts           int // bursts still to start
+	active           int // chains with an event pending
+	fired            func(who int)
 }
 
 func newStretched(k *Kernel, seed int64, far, mid, chains int) *stretched {
@@ -305,22 +582,12 @@ func newStretched(k *Kernel, seed int64, far, mid, chains int) *stretched {
 	return s
 }
 
-func (s *stretched) schedule(d time.Duration, fn func()) {
-	if s.count {
-		s.inserts++
-		if landsAheadOfTail(s.k, s.k.Now()+d) {
-			s.disordered++
-		}
-	}
-	s.k.Schedule(d, fn)
-}
-
 func (s *stretched) armTimer(j int) {
 	d := time.Duration(1+s.rng.Intn(60)) * time.Second
 	if j < s.far {
 		d = time.Duration(100+s.rng.Intn(900)) * time.Second
 	}
-	s.schedule(d, s.timers[j])
+	s.k.Schedule(d, s.timers[j])
 }
 
 // arm re-schedules chain i: two times in three a random 1 µs–2 ms ahead
@@ -332,7 +599,7 @@ func (s *stretched) arm(i int) {
 		d = time.Duration(1+s.rng.Intn(2000)) * time.Microsecond
 	}
 	s.active++
-	s.schedule(d, s.chains[i])
+	s.k.Schedule(d, s.chains[i])
 }
 
 func (s *stretched) burst() {
@@ -355,20 +622,16 @@ func (s *stretched) run(bursts, perBurst int) {
 
 // TestKernelStretchedMatchesHeap is the differential for the shape the
 // randomized suite lacks and des-autoscale lives in: ≈ 50 events pending,
-// all in the cursor's bucket, thousands of inserts landing ahead of its tail.
+// far-out timers in the heap, and thousands of inserts landing among the
+// run's events rather than behind them.
 func TestKernelStretchedMatchesHeap(t *testing.T) {
 	for seed := int64(1); seed <= 6; seed++ {
-		var inserts, disordered int
 		play := func(q QueueKind) []stamp {
 			k := NewKernelWith(q)
 			s := newStretched(k, seed, 3+int(seed)%4, 20, 24)
 			var log []stamp
 			s.fired = func(who int) { log = append(log, stamp{k.Now(), who}) }
-			s.count = q == QueueCalendar
 			s.run(4, 3000)
-			if s.count {
-				inserts, disordered = s.inserts, s.disordered
-			}
 			if k.Pending() != 0 {
 				t.Fatalf("seed %d %v: %d events left pending", seed, q, k.Pending())
 			}
@@ -379,24 +642,20 @@ func TestKernelStretchedMatchesHeap(t *testing.T) {
 		if len(cal) < 4*3000 {
 			t.Fatalf("seed %d: only %d events fired", seed, len(cal))
 		}
-		// The shape must keep exercising the placing insert, or it tests nothing.
-		if disordered*10 < inserts*3 {
-			t.Fatalf("seed %d: %d of %d inserts landed ahead of a bucket tail, want ≥ 30 %%", seed, disordered, inserts)
-		}
 	}
 }
 
-// TestKernelLateInsertAheadOfFlood: 10⁴ events share one instant; bounded
-// runs leave the cursor on their bucket, and later inserts belong ahead of
-// them — in the same slot, and from one ring rotation earlier (the cursor
-// backs up and the bucket holds two rotations, the earlier at its head).
+// TestKernelLateInsertAheadOfFlood: 10⁵ events share one instant, a hundred
+// of them reserved inside the flood and queued only after it. At most runCap
+// of the flood sit in the run and the rest in the heap; bounded runs stop
+// short of it, and later inserts that belong ahead of it must land at the
+// run's end. The flood fires in the order it was scheduled and reserved in.
 func TestKernelLateInsertAheadOfFlood(t *testing.T) {
-	const flood = 10000
+	const flood = 100000
 	const at = time.Second
-	// The ring 10⁴ events grow, at the width a same-instant flood never re-tunes.
-	const rotation = Time(16384) << calInitShift
 	play := func(q QueueKind) []stamp {
 		k := NewKernelWith(q)
+		white := q == QueueCalendar
 		var log []stamp
 		next := 0
 		rec := func() func() {
@@ -404,10 +663,16 @@ func TestKernelLateInsertAheadOfFlood(t *testing.T) {
 			next++
 			return func() { log = append(log, stamp{k.Now(), who}) }
 		}
+		type held struct {
+			seq uint64
+			fn  func()
+		}
+		var reserved []held
 		for i := 0; i < flood; i++ {
-			if i%1000 == 7 {
-				// A few of the flood schedule more from inside the batch: the
-				// same instant (joins the batch) and just behind it.
+			switch i % 1000 {
+			case 7:
+				// Schedules more from inside the flood: the same instant
+				// (behind all of it) and just after it.
 				who := next
 				next++
 				k.At(at, func() {
@@ -415,38 +680,32 @@ func TestKernelLateInsertAheadOfFlood(t *testing.T) {
 					k.Schedule(0, rec())
 					k.Schedule(time.Microsecond, rec())
 				})
-				continue
-			}
-			k.At(at, rec())
-		}
-		k.Run(at / 2) // nothing due: the cursor rests on the flood's bucket
-		cal := q == QueueCalendar
-		var bucket *calBucket
-		var curWas uint64
-		if cal {
-			c := &k.cal
-			curWas = c.cur
-			bucket = &c.buckets[int(c.slotOf(at))&(len(c.buckets)-1)]
-			if live := len(bucket.ev) - bucket.head; curWas != c.slotOf(at) || live != flood {
-				t.Fatalf("setup: cursor %d (flood's slot %d), %d live events in its bucket, want %d", curWas, c.slotOf(at), live, flood)
+			case 500:
+				reserved = append(reserved, held{k.Reserve(), rec()})
+			default:
+				k.At(at, rec())
 			}
 		}
-		// Same slot, earlier: the flood's slot starts 2560 ns before it at the
-		// initial width, which a same-instant flood never re-tunes.
-		k.At(at-time.Microsecond, rec())
-		k.At(at-2*time.Microsecond, rec())
-		// One rotation earlier: same bucket, the cursor must back up.
-		k.At(at-rotation, rec())
-		if cal {
-			c := &k.cal
-			head := bucket.ev[bucket.head].at
-			if Time(len(c.buckets))<<c.shift != rotation || c.cur >= curWas ||
-				c.slotOf(head) != c.cur || c.slotOf(bucket.ev[len(bucket.ev)-1].at) == c.cur {
-				t.Fatalf("cursor %d → %d, bucket head at %v: want the cursor backed up onto an earlier rotation at the head of the flood's bucket", curWas, c.cur, head)
+		for _, h := range reserved {
+			k.AtSeq(at, h.seq, h.fn)
+		}
+		if err := queueInvariant(k); err != nil || k.Pending() != flood {
+			t.Fatalf("flood: %v, %d pending, want %d", err, k.Pending(), flood)
+		}
+		k.Run(at / 2) // nothing due
+		ahead := func(when Time) {
+			t.Helper()
+			run := len(k.run)
+			k.At(when, rec())
+			if white && (len(k.run) != run+1 || k.run[run].at != when) {
+				t.Fatalf("an insert at %v, ahead of the flood, did not land at the run's end", when)
 			}
 		}
-		k.Run(at - 1500*time.Nanosecond) // stops between the two same-slot inserts
-		k.At(at-1200*time.Nanosecond, rec())
+		ahead(at - time.Microsecond)
+		ahead(at - 2*time.Microsecond)
+		ahead(at - at/4)
+		k.Run(at - 1500*time.Nanosecond) // stops between the two microsecond inserts
+		ahead(at - 1200*time.Nanosecond)
 		k.At(at, rec()) // behind the whole flood, by sequence
 		k.At(at+time.Microsecond, rec())
 		k.Run(0)
@@ -460,98 +719,29 @@ func TestKernelLateInsertAheadOfFlood(t *testing.T) {
 	if want := flood + 2*(flood/1000) + 6; len(cal) != want {
 		t.Fatalf("fired %d events, want %d", len(cal), want)
 	}
-}
-
-// TestKernelRehashUnderDisorder rebuilds the ring — grow, narrow, widen —
-// while buckets hold events that arrived out of order: every rebuild has to
-// carry the placed order over. White-box probes on the calendar side count
-// the rebuilds, so the shape cannot stop reaching one unnoticed.
-func TestKernelRehashUnderDisorder(t *testing.T) {
-	for seed := int64(1); seed <= 8; seed++ {
-		var grows, narrows, widens int
-		play := func(q QueueKind) []stamp {
-			k := NewKernelWith(q)
-			rng := NewRNG(seed)
-			c := &k.cal
-			var log []stamp
-			next, disordered := 0, 0
-			shift, buckets := c.shift, len(c.buckets)
-			// observe attributes a change of ring geometry since the last look:
-			// more buckets is a grow; otherwise, from inside an insert a
-			// narrower width is a narrowing, and from the scan (between a pop
-			// and the next callback) any change is a widening.
-			observe := func(inserting bool) {
-				switch {
-				case len(c.buckets) > buckets && buckets > 0:
-					grows++
-				case disordered == 0: // nothing out of order was at stake
-				case inserting && c.shift < shift:
-					narrows++
-				case !inserting && c.shift != shift:
-					widens++
-				}
-				shift, buckets = c.shift, len(c.buckets)
+	last := -1
+	for _, s := range cal {
+		if s.who < flood {
+			if s.at != at || s.who < last {
+				t.Fatalf("flood member %d fired at %v after member %d: want every member at %v in scheduling order", s.who, s.at, last, at)
 			}
-			var at func(t Time, spawn int)
-			at = func(t Time, spawn int) {
-				who := next
-				next++
-				if landsAheadOfTail(k, t) {
-					disordered++
-				}
-				k.At(t, func() {
-					observe(false)
-					log = append(log, stamp{k.Now(), who})
-					for i := 0; i < spawn; i++ {
-						at(k.Now()+time.Duration(rng.Intn(50000)), 0)
-					}
-				})
-				observe(true)
-			}
-			// Far anchors first: the first grow tunes the width to their span,
-			// which packs the near cluster into one bucket until it narrows.
-			for i := 0; i < 5; i++ {
-				at(time.Duration(100+rng.Intn(400))*time.Second, 0)
-			}
-			// A near cluster in random order (it grows the ring twice and
-			// narrows it after each), a second one 1.2 ms on — inside the
-			// narrowed ring but hundreds of empty slots away, so the scan
-			// widens — and a third past the first anchors, small enough not to
-			// grow again.
-			for _, cl := range []struct {
-				base Time
-				n    int
-			}{{0, 700}, {1200 * time.Microsecond, 700}, {600 * time.Second, 300}} {
-				for i := 0; i < cl.n; i++ {
-					at(cl.base+time.Duration(rng.Intn(300000)), rng.Intn(4)/3)
-				}
-			}
-			k.Run(0)
-			if k.Pending() != 0 {
-				t.Fatalf("seed %d %v: %d events left pending", seed, q, k.Pending())
-			}
-			return log
-		}
-		cal, heap := play(QueueCalendar), play(QueueHeap)
-		diffStamps(t, fmt.Sprintf("seed %d", seed), cal, heap)
-		if grows == 0 || narrows == 0 || widens == 0 {
-			t.Fatalf("seed %d: %d grows, %d narrowings, %d widenings under disorder; want each at least once", seed, grows, narrows, widens)
+			last = s.who
 		}
 	}
 }
 
 // TestKernelStretchedZeroAlloc is TestKernelDeepQueueZeroAlloc for the
 // stretched shape: a Reset kernel replaying it places thousands of inserts
-// ahead of a bucket's tail and must not allocate doing so.
+// among the run's events and must not allocate doing so.
 func TestKernelStretchedZeroAlloc(t *testing.T) {
 	k := NewKernel()
 	s := newStretched(k, 1, 4, 20, 24)
 	cell := func() {
 		k.Reset()
-		s.rng.r.Seed(1) // the same schedule every time: no bucket sees a new high-water mark
+		s.rng.r.Seed(1) // the same schedule every time: nothing sees a new high-water mark
 		s.run(3, 2000)
 	}
-	cell() // grow the cursor bucket, overflow heap and scratch to steady state
+	cell() // grow the run and the heap to steady state
 	if allocs := testing.AllocsPerRun(10, cell); allocs != 0 {
 		t.Errorf("steady-state stretched allocs per run = %v, want 0", allocs)
 	}

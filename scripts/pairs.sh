@@ -2,13 +2,17 @@
 # The choosing-metrics §8 protocol behind `make pairs`: alternating runs of
 # BENCHMARK.json's command in a parent checkout and in this one, one pair per
 # seed, the side that goes first swapping every pair. Each run.sh builds from
-# the checkout it sits in. Prints every run, then each side's median and
-# quartiles and the change's win count on req_per_s; exits 1 if a run fails,
-# is not correct, or a pair's modelled-row digests differ (live workloads
-# print none). The run length is the benchmark's own (BENCHMARK.json's
-# run_seconds). The seeds are the caller's to choose and have no default: a
-# claim is judged on seeds not used while writing the change, so every use
-# spends its seeds — record them in CHANGES.md beside the result.
+# the checkout it sits in. Prints every run, then, for each end-to-end metric
+# (req_per_s, lat_p50_ms, allocs_per_req, setup_s), each side's median and
+# quartiles and the change's median against the parent's, and the change's
+# win count on req_per_s. Exits 1 if a run fails, is not correct, or a pair's
+# modelled-row digests differ (live workloads print none), or if the change's
+# median of a metric is worse than the parent's by more than the bound
+# BENCHMARK.json declares for it. The run length is the benchmark's own
+# (BENCHMARK.json's run_seconds). The seeds are the caller's to choose and
+# have no default: a claim is judged on seeds not used while writing the
+# change, so every use spends its seeds — record them in CHANGES.md beside
+# the result.
 #
 #   scripts/pairs.sh <parent-checkout> <workload> <seed> [seed ...]
 set -euo pipefail
@@ -25,7 +29,11 @@ tmp="$change/.bench_build/pairs.$$"
 mkdir -p "$tmp"
 trap 'rm -rf "$tmp"' EXIT
 
-# one <side> <checkout> <seed>: run once, print the row, record "rate digest correct".
+# The metrics one records, in its column order.
+metrics="req_per_s lat_p50_ms allocs_per_req setup_s"
+
+# one <side> <checkout> <seed>: run once, print the row, record
+# "req_per_s lat_p50_ms allocs_per_req setup_s digest correct".
 one() {
 	local out="$tmp/out" status=0
 	(cd "$2" && bash benchmark/run.sh --workload "$workload" --seed "$3" --trace 0) >"$out" || status=$?
@@ -41,7 +49,7 @@ one() {
 			if (correct == "" || status != 0) correct = "FALSE"
 			printf "%-6s seed %-9s req_per_s %12.1f  lat_p50_ms %9.6f  allocs_per_req %8.3f  setup_s %6.3f  correct %-5s digest %s\n",
 				side, seed, rate, p50, allocs, setup, correct, digest
-			print rate + 0, digest, correct > rec
+			print rate + 0, p50 + 0, allocs + 0, setup + 0, digest, correct > rec
 		}' "$out"
 }
 
@@ -58,8 +66,8 @@ for seed in "$@"; do
 		one change "$change" "$seed"
 		one parent "$parent" "$seed"
 	fi
-	read -r prate pdigest pcorrect <"$tmp/parent.$seed"
-	read -r crate cdigest ccorrect <"$tmp/change.$seed"
+	read -r prate _ _ _ pdigest pcorrect <"$tmp/parent.$seed"
+	read -r crate _ _ _ cdigest ccorrect <"$tmp/change.$seed"
 	if awk -v a="$crate" -v b="$prate" 'BEGIN { exit !(a > b) }'; then
 		wins=$((wins + 1))
 	fi
@@ -73,14 +81,54 @@ for seed in "$@"; do
 	fi
 done
 
-# summary <side>: median and quartiles (linear interpolation) of req_per_s.
-summary() {
-	cat "$tmp/$1".* | sort -g | awk -v side="$1" '
+# stats <side> <column>: median and quartiles (linear interpolation) of one
+# recorded column over the side's runs.
+stats() {
+	cat "$tmp/$1".* | awk -v c="$2" '{ print $c }' | sort -g | awk '
 		{ v[NR] = $1 }
 		function q(p,    h, lo) { h = (NR - 1) * p + 1; lo = int(h); return lo >= NR ? v[NR] : v[lo] + (h - lo) * (v[lo + 1] - v[lo]) }
-		END { printf "%-6s req_per_s median %12.1f  quartiles %12.1f / %12.1f  (n = %d)\n", side, q(0.5), q(0.25), q(0.75), NR }'
+		END { print q(0.5), q(0.25), q(0.75) }'
 }
-summary parent
-summary change
+
+# declared <metric>: "better bound" from BENCHMARK.json's end_to_end list,
+# empty if the metric is not declared there.
+declared() {
+	awk -v m="$1" '
+		function field(line, key,    s) {
+			s = line
+			if (!sub(".*\"" key "\": *", "", s)) return ""
+			sub(/[,}].*/, "", s)
+			gsub(/"/, "", s)
+			return s
+		}
+		/"end_to_end"/ { on = 1; next }
+		on && /^ *\]/ { exit }
+		on && field($0, "name") == m { print field($0, "better"), field($0, "bound"); exit }' "$change/BENCHMARK.json"
+}
+
+col=0
+for metric in $metrics; do
+	col=$((col + 1))
+	read -r pmed pq1 pq3 < <(stats parent "$col")
+	read -r cmed cq1 cq3 < <(stats change "$col")
+	read -r better bound < <(declared "$metric") || true
+	# verdict: the change's median relative to the parent's (positive is
+	# better), and whether it is worse by more than the declared bound.
+	verdict="$(awk -v p="$pmed" -v c="$cmed" -v better="${better:-}" -v bound="${bound:-}" 'BEGIN {
+		d = p == 0 ? 0 : (c - p) / p
+		if (better == "lower") d = -d
+		printf "gain %+.1f %%", 100 * d
+		if (bound != "") printf " (bound %.0f %%)", 100 * bound
+		if (bound != "" && -d > bound) printf " WORSE THAN THE BOUND"
+	}')"
+	printf "%-14s parent median %12.6g  quartiles %12.6g / %12.6g   change median %12.6g  quartiles %12.6g / %12.6g   %s\n" \
+		"$metric" "$pmed" "$pq1" "$pq3" "$cmed" "$cq1" "$cq3" "$verdict"
+	case "$verdict" in
+	*WORSE*)
+		echo "$metric: the change's median is worse than the parent's by more than BENCHMARK.json's bound" >&2
+		bad=1
+		;;
+	esac
+done
 echo "change wins $wins of $# pairs on req_per_s"
 exit $bad
