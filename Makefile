@@ -5,7 +5,7 @@ GO ?= go
 # (make fuzz FUZZTIME=60s).
 FUZZTIME ?= 3s
 
-.PHONY: all check fmt vet build test fuzz fuzzlist lint race chaos calibrate benchmark-smoke pairs loc federate-night autoscale-night livefed-night
+.PHONY: all check fmt vet build test fuzz fuzzlist lint race chaos calibrate benchmark-smoke pairs loc livefed-night
 
 all: check
 
@@ -108,21 +108,6 @@ pairs:
 # prints it beside the tests; nothing gates on it.
 loc:
 	@bash scripts/loc.sh
-
-# federate-night runs the full-scale federation determinism suite — 10⁶
-# open-loop requests + 10⁴ WebUI sessions, byte-identical across worker
-# counts and queue kinds. Too slow for per-PR CI; the nightly job runs it.
-federate-night:
-	FIRST_FEDERATE_FULL=1 $(GO) test -run '^TestFederateFullScale' -v -timeout 30m ./internal/experiments
-
-# autoscale-night runs the full-scale auto-scaling determinism suite — the
-# complete diurnal/bursty family (reactive cells plus their predictive
-# twins) with every elasticity assertion and the predictive-vs-reactive
-# sweep (same-trace p99/refused comparison), byte-identical across worker
-# counts and queue kinds. Per-PR CI keeps the scaled-down family as the
-# fast guard; the nightly job runs this one.
-autoscale-night:
-	FIRST_AUTOSCALE_FULL=1 $(GO) test -run '^TestAutoScaleFullScale' -v -timeout 30m ./internal/experiments
 
 # calibrate runs the per-PR calibration gate: the short livefed cell live,
 # its executed schedule replayed into the DES twin, rung shares within

@@ -171,10 +171,10 @@
 // the ladder onto its capacity and first-configured rungs. The experiment
 // reports per-rung routing counts, migration counts and migrated-request
 // latency, cold starts / drains / hard kills, and per-cluster GPU
-// utilization. A differential suite pins the family byte-identical across
-// fleet worker counts and calendar/heap kernels; the full-scale suite runs
-// in the nightly CI job (make federate-night), with a scaled-down family
-// guarding every PR.
+// utilization. Every PR runs the family at full scale in TestFamilies
+// (below): rows equal across fleet worker counts and kernel queues, the
+// churn surface exercised, and the drain-aware c8 twin migrating fewer
+// requests, at a lower migrated median, than its drain-blind baseline.
 //
 // # Auto-scaling inside a federated cluster
 //
@@ -210,11 +210,12 @@
 // the hot model rotates each period, "bursty" fires a 4× square-wave burst
 // each period — over 2-8 clusters, forcing pools to grow under each wave
 // and drain behind it while walltime churn and the priority ladder keep
-// firing. The report shows scale-up/scale-down/refused counts, peak
-// instances, cold starts, drains, kills, migrations, and utilization; a
-// differential suite pins the family byte-identical across fleet worker
-// counts and calendar/heap kernels (scaled-down family per PR, full family
-// nightly via make autoscale-night).
+// firing. Its cells are federate cells with a demand Shape and a
+// MaxInstances cap (experiments.FederateCell; one runner serves both
+// families). The report shows scale-up/scale-down/refused counts, peak
+// instances, cold starts, drains, kills, migrations, and utilization;
+// TestFamilies holds the full family's rows equal across fleet worker
+// counts and kernel queues and checks its elasticity on every PR.
 //
 // # Predictive scaling & drain-aware routing
 //
@@ -249,10 +250,9 @@
 // fabric.Deployment.CordonInfo (instances flagged stopping drop out of the
 // advertised count). All of it is zero-value-off: with Predictive and
 // CordonLead unset, every decision is byte-identical to the reactive
-// policy, pinned by the differential families (the autoscale short family
-// carries one predictive cell through make check, and the full family's
-// predictive twins run reactive-vs-predictive on identical traces in the
-// nightly suite).
+// policy, pinned by the golden report; the autoscale family's predictive
+// twins run reactive-vs-predictive on identical traces in TestFamilies on
+// every PR.
 //
 // # Why one kernel
 //
@@ -268,7 +268,7 @@
 // with their instrument and live in git history). The DES parallelism that
 // is kept is experiments.Fleet: independent cells fan out over Workers
 // goroutines, each with a private kernel, arena and seed, byte-identical to
-// the sequential run (TestFleetDeterminism*, first-bench -workers).
+// the sequential run (TestFamilies, first-bench -workers).
 //
 // # Resilience & failover
 //
@@ -376,9 +376,9 @@
 // logs across the cells it executes (Reset, not reallocate), and a finished
 // call's arenas wait in a pool for the next call, so Fig. 4 runs on what
 // Fig. 3 grew — reset structures are behaviourally identical to fresh ones,
-// so arena reuse never perturbs determinism (the report is rendered twice in
-// one process against the golden), and an arena whose cell panicked is not
-// kept. Everything the desmodel hands the kernel — the engine iteration
+// so arena reuse never perturbs determinism (TestFamilies runs each family's
+// sequential pass on arenas its default-fleet pass left in the pool), and an
+// arena whose cell panicked is not kept. Everything the desmodel hands the kernel — the engine iteration
 // loop, every lane and pipe of every path, the open-loop driver's arrivals —
 // is a callback bound once at construction, so neither a saturated loop nor
 // a request in flight schedules a fresh closure. desmodel.EngineSim takes the engine's offer:
@@ -395,10 +395,19 @@
 // instances (Table 1's EmittedTokensBy), DirectSystem and stand-alone sims —
 // not by an incarnation the scheduler started, whose log would die with it.
 // Tests flip an unexported
-// hook to ignore the offer and require identical rows from every short
-// experiment family, and internal/experiments/testdata/report_all.golden
-// pins the full rendered report across commits (regenerate only with
-// `go test ./internal/experiments -run TestQueueDifferentialReport -update`).
+// hook to ignore the offer and require identical rows from the paper's
+// figures and the full federate and autoscale families.
+//
+// internal/experiments derives every check from one table: experimentTable
+// gives each report family's rows and renderer, and TestFamilies runs every
+// family "all" renders on the default fleet, on Fleet{Workers: 1} and on
+// Fleet{Queue: sim.QueueHeap}, requires the three sets of rows to be equal
+// field for field, runs the family's gate (familyGates: the paper's shapes,
+// the storm's sharding property, federation churn and the cordon twin,
+// elasticity and predictive-vs-reactive), and renders the rows against
+// testdata/report_all.golden, which pins the full report across commits
+// (regenerate only with `go test ./internal/experiments -run TestFamilies
+// -update`). A family without a gate fails the suite.
 //
 // cmd/first-bench renders the paper-vs-measured report (-workers selects
 // the fleet size, -exp one experiment). Performance is recorded by `bash
@@ -418,9 +427,8 @@
 // stable} Go matrix with module/build caching, the race/chaos/calibrate
 // logs uploaded as artifacts; PR pushes cancel superseded runs of the same
 // ref and every job carries a timeout — and a scheduled nightly matrix runs
-// what is too slow per-PR as independent legs with per-leg log artifacts:
-// govulncheck + 60 s of fuzzing per target, the full-scale federate and
-// autoscale determinism suites, and the full livefed chaos sweep, which
+// the two legs too slow per-PR, each with its own log artifact: govulncheck
+// + 60 s of fuzzing per target, and the full livefed chaos sweep, which
 // fails on any calibration-gate trip and uploads divergent schedules.
 //
 // # Static analysis

@@ -8,9 +8,10 @@ import (
 	"github.com/argonne-first/first/internal/experiments"
 )
 
-// TestFamiliesSameWithOfferIgnored runs every short experiment family twice —
-// engines skipping the quiet iterations Step offers, and engines stepping
-// each one — and requires the same rows, field for field.
+// TestFamiliesSameWithOfferIgnored runs the paper's figures and the full
+// federate and autoscale families twice — engines skipping the quiet
+// iterations Step offers, and engines stepping each one — and requires the
+// same rows, field for field.
 func TestFamiliesSameWithOfferIgnored(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment runs are long")
@@ -24,12 +25,8 @@ func TestFamiliesSameWithOfferIgnored(t *testing.T) {
 		{"fig4", func() string { return fmt.Sprintf("%+v", experiments.RunFig4On(experiments.Parallel, seed)) }},
 		{"fig5", func() string { return fmt.Sprintf("%+v", experiments.RunFig5On(experiments.Parallel, seed)) }},
 		{"table1", func() string { return fmt.Sprintf("%+v", experiments.RunTable1On(experiments.Parallel, seed)) }},
-		{"federate", func() string {
-			return fmt.Sprintf("%+v", experiments.RunFederateCellsOn(experiments.Parallel, seed, experiments.FederateCellsShort))
-		}},
-		{"autoscale", func() string {
-			return fmt.Sprintf("%+v", experiments.RunAutoScaleCellsOn(experiments.Parallel, seed, experiments.AutoScaleCellsShort))
-		}},
+		{"federate", func() string { return fmt.Sprintf("%+v", experiments.RunFederateOn(experiments.Parallel, seed)) }},
+		{"autoscale", func() string { return fmt.Sprintf("%+v", experiments.RunAutoScaleOn(experiments.Parallel, seed)) }},
 	}
 	taken := make([]string, len(families))
 	for i, f := range families {

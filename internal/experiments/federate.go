@@ -22,15 +22,18 @@ import (
 // clusters. It is the first scenario where every layer of the reproduction
 // runs inside one simulated system.
 
-// FederateCell is one cell of the family: either an open-loop Poisson trace
-// (OpenLoopReqs > 0) or a closed-loop WebUI session population.
+// FederateCell is one cell of the federate or autoscale family: either an
+// open-loop trace (OpenLoopReqs > 0) or a closed-loop WebUI session
+// population.
 type FederateCell struct {
 	Clusters     int
 	OpenLoopReqs int
-	RatePerSec   float64
-	Sessions     int
-	WindowS      int
-	ThinkS       int
+	// RatePerSec is the open-loop trace's mean offered rate; Shape
+	// modulates around it.
+	RatePerSec float64
+	Sessions   int
+	WindowS    int
+	ThinkS     int
 	// Churn tempo overrides in seconds (0 = DefaultFederationParams): short
 	// horizons need faster walltimes to exercise drains and migration.
 	ServeWalltimeS int
@@ -41,6 +44,21 @@ type FederateCell struct {
 	// work away before the drain fires — the drain-aware twin of a plain
 	// open-loop cell (same trace seed), reported as mode "cordon".
 	CordonLeadS int
+
+	// Shape selects an open-loop trace's demand curve (see demand): "" is a
+	// flat rate with models drawn uniformly, "diurnal" and "bursty" move the
+	// rate and a hot model with virtual time over PeriodS-second cycles.
+	Shape   string
+	PeriodS int
+	// MaxInstances, when positive, turns the auto-scaler on and caps each
+	// deployment pool (≥ 2 lets pools grow).
+	MaxInstances int
+	// Predictive turns on the forecast-driven scaler (Holt level+trend per
+	// deployment) plus a one-interval CordonLead so routing stops feeding
+	// incarnations about to drain. Off — the zero value — keeps the
+	// reactive watermark policy byte-for-byte; predictive cells are twins
+	// of reactive ones (same trace seed) so a report compares them directly.
+	Predictive bool
 
 	// Replay turns the cell into a live-storm calibration twin: all churn
 	// comes from the recorded schedule (kills, cold restarts, background
@@ -56,29 +74,34 @@ type FederateCell struct {
 	MaxAttempts     int
 }
 
-// churnParams is DefaultFederationParams with a cell's churn tempo overrides
-// applied, in seconds (0 = keep the default).
-func churnParams(clusters, serveWalltimeS, drainGraceS, bgPeriodS int) desmodel.FederationParams {
-	p := desmodel.DefaultFederationParams(clusters)
-	if serveWalltimeS > 0 {
-		p.ServeWalltime = time.Duration(serveWalltimeS) * time.Second
+// params resolves the cell's federation parameters.
+func (c FederateCell) params() desmodel.FederationParams {
+	p := desmodel.DefaultFederationParams(c.Clusters)
+	if c.ServeWalltimeS > 0 {
+		p.ServeWalltime = time.Duration(c.ServeWalltimeS) * time.Second
 	}
-	if drainGraceS > 0 {
-		p.DrainGrace = time.Duration(drainGraceS) * time.Second
+	if c.DrainGraceS > 0 {
+		p.DrainGrace = time.Duration(c.DrainGraceS) * time.Second
 	}
-	if bgPeriodS > 0 {
-		p.BGPeriod = time.Duration(bgPeriodS) * time.Second
+	if c.BGPeriodS > 0 {
+		p.BGPeriod = time.Duration(c.BGPeriodS) * time.Second
 		p.BGStagger = p.BGPeriod / 5
 		p.BGWalltime = p.BGPeriod * 2 / 3
 	}
-	return p
-}
-
-// params resolves the cell's federation parameters.
-func (c FederateCell) params() desmodel.FederationParams {
-	p := churnParams(c.Clusters, c.ServeWalltimeS, c.DrainGraceS, c.BGPeriodS)
 	if c.CordonLeadS > 0 {
 		p.CordonLead = time.Duration(c.CordonLeadS) * time.Second
+	}
+	if c.MaxInstances > 0 {
+		s := desmodel.DefaultAutoScaleParams()
+		s.MaxInstances = c.MaxInstances
+		if c.Predictive {
+			s.Predictive = true
+			// One scaler interval of routing lead before each walltime drain:
+			// long enough for Select to steer the next arrivals elsewhere,
+			// short enough not to idle capacity.
+			p.CordonLead = s.Interval
+		}
+		p.Scale = s
 	}
 	if c.Replay != nil {
 		p.Models = []perfmodel.ModelSpec{perfmodel.Default.MustLookup(c.ReplayModel)}
@@ -119,23 +142,15 @@ var FederateCells = []FederateCell{
 		ServeWalltimeS: 120, DrainGraceS: 60, BGPeriodS: 150},
 }
 
-// FederateCellsShort is the scaled-down family for per-PR differential
-// tests; the nightly CI job runs the full one (see TestFederateFullScale).
-var FederateCellsShort = []FederateCell{
-	{Clusters: 2, OpenLoopReqs: 20_000, RatePerSec: 200,
-		ServeWalltimeS: 45, DrainGraceS: 15, BGPeriodS: 80},
-	{Clusters: 4, OpenLoopReqs: 40_000, RatePerSec: 200,
-		ServeWalltimeS: 45, DrainGraceS: 15, BGPeriodS: 80},
-	{Clusters: 3, Sessions: 1_000, WindowS: 120, ThinkS: 30,
-		ServeWalltimeS: 45, DrainGraceS: 15, BGPeriodS: 80},
-}
-
 // FederateRow is one cell's results.
 type FederateRow struct {
 	Clusters int
 	Mode     string // "open", "cordon" (drain-aware open twin), or "webui"
-	Offered  int    // open-loop trace length or issued session turns
-	M        desmodel.Metrics
+	// Shape and Predictive echo the cell's demand curve and scaler.
+	Shape      string
+	Predictive bool
+	Offered    int // open-loop trace length or issued session turns
+	M          desmodel.Metrics
 
 	Rungs      desmodel.FedRungs
 	Migrations int64
@@ -148,6 +163,16 @@ type FederateRow struct {
 	// ReplayTrips counts twin breaker trips under a replayed schedule
 	// (calibration column against the live gateway's trip count).
 	ReplayTrips int64
+	// Scaler activity summed over clusters: pool growth, policy-driven
+	// shrinks, and scale-ups refused at the MaxInstances cap.
+	ScaleUps     int
+	ScaleDowns   int
+	ScaleRefused int
+	// PreWarms counts forecast-driven starts (projected watermark crossings
+	// and walltime replacements) — predictive cells only.
+	PreWarms int
+	// PeakInstances is the deepest any single cluster's pools grew.
+	PeakInstances int
 }
 
 // federateEventBudget aborts a runaway cell: background jobs self-schedule
@@ -179,50 +204,6 @@ func auditConservation(cell string, sys *desmodel.Federation, offered, maxInFlig
 	}
 }
 
-// driveFederation runs one open-loop cell of n requests against p: arrivals
-// self-schedule so the kernel never holds the whole trace — each draws its
-// lengths, then its model from pick, then the gap to the next as an
-// exponential of mean 1/(rate·mult(now)) — the run stops at the last
-// completion (background churn and the scaler would otherwise run forever)
-// or at openLoopHorizon, and is audited before anything is reported.
-func driveFederation(a *desmodel.Arena, cell string, p desmodel.FederationParams, n int, rate float64, rng *sim.RNG,
-	pick func(now sim.Time) int, mult func(now sim.Time) float64) (*desmodel.Federation, []*desmodel.Req, sim.Time) {
-	k := a.Begin()
-	k.MaxEvents = federateEventBudget
-	defer func() { k.MaxEvents = 0 }()
-	completed := 0
-	sys := desmodel.NewFederationIn(a, p, func(*desmodel.Req) {
-		completed++
-		if completed == n {
-			k.Stop()
-		}
-	})
-	spec := workload.FederateOpen()
-	baseGap := float64(time.Second) / rate
-	reqs := make([]*desmodel.Req, n)
-	idx := 0
-	var step func()
-	step = func() {
-		now := k.Now()
-		pt, ot := spec.SampleLengths(rng)
-		r := &desmodel.Req{ID: idx + 1, PromptTok: pt, OutputTok: ot, Model: pick(now)}
-		reqs[idx] = r
-		// Under replay this fires the schedule's churn events due at this
-		// index before the arrival routes — the same ordering the live
-		// driver uses (kill/restart/claim, then issue). No-op otherwise.
-		sys.ReplayAdvance(idx)
-		sys.Arrive(r)
-		idx++
-		if idx < n {
-			k.Schedule(time.Duration(rng.Exp(baseGap/mult(now))), step)
-		}
-	}
-	k.Schedule(time.Duration(rng.Exp(baseGap)), step)
-	end := k.Run(openLoopHorizon(n, rate))
-	auditConservation(cell, sys, n, 0)
-	return sys, reqs, end
-}
-
 // RunFederateOn regenerates the full family on f.
 func RunFederateOn(f Fleet, seed int64) []FederateRow {
 	return RunFederateCellsOn(f, seed, FederateCells)
@@ -244,24 +225,57 @@ func RunFederateCellsOn(f Fleet, seed int64, cells []FederateCell) []FederateRow
 	return rows
 }
 
-// federateOpen drives an open-loop Poisson trace, models drawn uniformly.
+// federateOpen runs one open-loop cell of OpenLoopReqs requests: arrivals
+// self-schedule so the kernel never holds the whole trace — each draws its
+// lengths, then its model from the cell's demand curve, then the gap to the
+// next as an exponential of mean 1/(rate·mult(now)) — the run stops at the
+// last completion (background churn and the scaler would otherwise run
+// forever) or at openLoopHorizon, and is audited before anything is
+// reported. Drain-aware twins report as mode "cordon" so reports keep the
+// drain-blind baseline's keys intact.
 func federateOpen(a *desmodel.Arena, c FederateCell, seed int64) FederateRow {
 	p := c.params()
 	n := c.OpenLoopReqs
-	rng := sim.NewRNG(seed + int64(c.Clusters)*1_000_003 + int64(n))
-	sys, reqs, end := driveFederation(a, fmt.Sprintf("federate %s cell c%d", openMode(c), c.Clusters), p, n, c.RatePerSec, rng,
-		func(sim.Time) int { return rng.Intn(len(p.Models)) },
-		func(sim.Time) float64 { return 1 })
-	return federateRow(sys, c, openMode(c), n, reqs, end)
-}
-
-// openMode labels an open-loop cell: drain-aware twins report as "cordon"
-// so reports and bench records keep the reactive baseline's keys intact.
-func openMode(c FederateCell) string {
+	rng := sim.NewRNG(seed + int64(c.Clusters)*1_000_003 + int64(n) + int64(len(c.Shape)))
+	pick, mult := c.demand(rng, len(p.Models))
+	mode := "open"
 	if c.CordonLeadS > 0 {
-		return "cordon"
+		mode = "cordon"
 	}
-	return "open"
+	k := a.Begin()
+	k.MaxEvents = federateEventBudget
+	defer func() { k.MaxEvents = 0 }()
+	completed := 0
+	sys := desmodel.NewFederationIn(a, p, func(*desmodel.Req) {
+		completed++
+		if completed == n {
+			k.Stop()
+		}
+	})
+	spec := workload.FederateOpen()
+	baseGap := float64(time.Second) / c.RatePerSec
+	reqs := make([]*desmodel.Req, n)
+	idx := 0
+	var step func()
+	step = func() {
+		now := k.Now()
+		pt, ot := spec.SampleLengths(rng)
+		r := &desmodel.Req{ID: idx + 1, PromptTok: pt, OutputTok: ot, Model: pick(now)}
+		reqs[idx] = r
+		// Under replay this fires the schedule's churn events due at this
+		// index before the arrival routes — the same ordering the live
+		// driver uses (kill/restart/claim, then issue). No-op otherwise.
+		sys.ReplayAdvance(idx)
+		sys.Arrive(r)
+		idx++
+		if idx < n {
+			k.Schedule(time.Duration(rng.Exp(baseGap/mult(now))), step)
+		}
+	}
+	k.Schedule(time.Duration(rng.Exp(baseGap)), step)
+	end := k.Run(openLoopHorizon(n, c.RatePerSec))
+	auditConservation(fmt.Sprintf("federate %s cell c%d shape=%q predictive=%v", mode, c.Clusters, c.Shape, c.Predictive), sys, n, 0)
+	return federateRow(sys, c, mode, n, reqs, end)
 }
 
 // federateWebUI drives closed-loop WebUI chat sessions (stateful history,
@@ -288,6 +302,8 @@ func federateRow(sys *desmodel.Federation, c FederateCell, mode string, offered 
 	row := FederateRow{
 		Clusters:    c.Clusters,
 		Mode:        mode,
+		Shape:       c.Shape,
+		Predictive:  c.Predictive,
 		Offered:     offered,
 		M:           desmodel.Collect(reqs),
 		Rungs:       sys.Rungs(),
@@ -308,6 +324,11 @@ func federateRow(sys *desmodel.Federation, c FederateCell, mode string, offered 
 	}
 	for _, cs := range stats {
 		row.SchedQueuedPeak = max(row.SchedQueuedPeak, cs.SchedQueuedPeak)
+		row.ScaleUps += cs.ScaleUps
+		row.ScaleDowns += cs.ScaleDowns
+		row.ScaleRefused += cs.ScaleRefused
+		row.PreWarms += cs.PreWarms
+		row.PeakInstances = max(row.PeakInstances, cs.PeakInstances)
 	}
 	return row
 }

@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"bytes"
-	"reflect"
 	"testing"
 	"time"
 
@@ -42,61 +40,6 @@ func TestFleetRunsEveryCellOnce(t *testing.T) {
 				t.Fatalf("workers=%d: cell %d ran %d times", workers, i, h)
 			}
 		}
-	}
-}
-
-// TestFleetDeterminismFig3 is the tentpole's acceptance check: the parallel
-// fleet must reproduce the sequential reference bit for bit.
-func TestFleetDeterminismFig3(t *testing.T) {
-	seq := RunFig3On(Sequential, DefaultSeed)
-	par := RunFig3On(Fleet{Workers: 8}, DefaultSeed)
-	if !reflect.DeepEqual(seq, par) {
-		t.Errorf("Fig3 parallel results diverge from sequential:\nseq: %+v\npar: %+v", seq, par)
-	}
-}
-
-// TestFleetDeterminismTable1 covers the closed-loop chat-session path,
-// whose per-cell RNGs and history state are the most state-heavy.
-func TestFleetDeterminismTable1(t *testing.T) {
-	seq := RunTable1On(Sequential, DefaultSeed)
-	par := RunTable1On(Fleet{Workers: 8}, DefaultSeed)
-	if !reflect.DeepEqual(seq, par) {
-		t.Errorf("Table1 parallel results diverge from sequential")
-	}
-}
-
-// TestFleetDeterminismReport renders the full report on the sequential
-// reference fleet, twice in one process: experiment by experiment (which also
-// pins "all" as the table in order minus livefed), then "all" at once, which
-// by then runs entirely on arenas the pool kept — no new one may appear. The
-// text output (what first-bench prints) must both times be the golden the
-// parallel fleet is held to, byte for byte: recycling is invisible.
-func TestFleetDeterminismReport(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full report is slow")
-	}
-	var seq bytes.Buffer
-	for _, e := range experimentTable {
-		if e.name == "livefed" {
-			continue
-		}
-		if err := ReportOn(&seq, e.name, DefaultSeed, Sequential); err != nil {
-			t.Fatal(err)
-		}
-	}
-	checkGoldenReport(t, "Fleet{Workers: 1}, one experiment at a time", seq.Bytes())
-
-	warm := pooledArenas()
-	if len(warm) == 0 {
-		t.Fatal("the first render left no arena in the pool")
-	}
-	seq.Reset()
-	if err := ReportOn(&seq, "all", DefaultSeed, Sequential); err != nil {
-		t.Fatal(err)
-	}
-	checkGoldenReport(t, "Fleet{Workers: 1} on pooled arenas", seq.Bytes())
-	if after := pooledArenas(); !reflect.DeepEqual(after, warm) {
-		t.Errorf("the second render changed the pool from %d arenas to %d: it did not run on the ones kept", len(warm), len(after))
 	}
 }
 

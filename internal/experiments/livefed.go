@@ -19,6 +19,7 @@ import (
 	"github.com/argonne-first/first/internal/clock"
 	"github.com/argonne-first/first/internal/core"
 	"github.com/argonne-first/first/internal/fabric"
+	"github.com/argonne-first/first/internal/federation"
 	"github.com/argonne-first/first/internal/gateway"
 	"github.com/argonne-first/first/internal/openaiapi"
 	"github.com/argonne-first/first/internal/perfmodel"
@@ -513,37 +514,29 @@ func RunLiveFedCell(seed int64, c LiveFedCell) LiveFedRow {
 		}
 	}
 
+	// With one worker, request i is issued i-th and the token refresh lands
+	// on the same requests, so the outcome schedule is deterministic.
 	runStart := sys.Clock.Now()
-	if c.Concurrency <= 1 {
-		cli := newClient()
-		for i := 0; i < c.Requests; i++ {
-			if i%tokenRefreshEvery == 0 {
-				refresh(cli)
-			}
-			oneRequest(cli, i)
-		}
-	} else {
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		for w := 0; w < c.Concurrency; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				cli := newClient()
-				for issued := 0; ; issued++ {
-					i := int(next.Add(1)) - 1
-					if i >= c.Requests {
-						return
-					}
-					if issued%tokenRefreshEvery == 0 {
-						refresh(cli)
-					}
-					oneRequest(cli, i)
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < max(c.Concurrency, 1); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			cli := newClient()
+			for issued := 0; ; issued++ {
+				i := int(next.Add(1)) - 1
+				if i >= c.Requests {
+					return
 				}
-			}()
-		}
-		wg.Wait()
+				if issued%tokenRefreshEvery == 0 {
+					refresh(cli)
+				}
+				oneRequest(cli, i)
+			}
+		}()
 	}
+	wg.Wait()
 	// The executed schedule records the measured arrival tempo (requests
 	// per simulated second) so the twin replays the storm at the rate the
 	// live stack actually ran, not a guessed constant.
@@ -561,9 +554,9 @@ func RunLiveFedCell(seed int64, c LiveFedCell) LiveFedRow {
 	row.FailoverSuccess = counterOf(sys, "failover_success")
 	row.LoadShed = counterOf(sys, "load_shed")
 	row.AuthRechecks = counterOf(sys, "auth_rechecks")
-	row.RungActive = counterOf(sys, "route_"+string(federationReasonActive))
-	row.RungCapacity = counterOf(sys, "route_"+string(federationReasonCapacity))
-	row.RungFirstConf = counterOf(sys, "route_"+string(federationReasonFirstConf))
+	row.RungActive = counterOf(sys, "route_"+string(federation.ReasonActive))
+	row.RungCapacity = counterOf(sys, "route_"+string(federation.ReasonCapacity))
+	row.RungFirstConf = counterOf(sys, "route_"+string(federation.ReasonFirstConf))
 	if sys.Gateway.Breakers() != nil {
 		row.Trips = sys.Gateway.Breakers().Trips()
 	}
@@ -575,14 +568,6 @@ func RunLiveFedCell(seed int64, c LiveFedCell) LiveFedRow {
 	row.Chaos = st.Snapshot()
 	return row
 }
-
-// Reason strings are mirrored here rather than imported to keep livefed's
-// import graph identical to the gateway's metric names.
-const (
-	federationReasonActive    = "model-active"
-	federationReasonCapacity  = "cluster-has-capacity"
-	federationReasonFirstConf = "first-configured"
-)
 
 // armLiveFedEndpoint wraps the endpoint's infer function with the cell's
 // fault schedule. Attempt numbers are counted per request index so a

@@ -6,41 +6,58 @@ import (
 	"strings"
 )
 
-// experiment is one row of the report: the name -exp selects it by and the
-// function that runs it on a fleet and renders it.
+// experiment is one family of the report: the name -exp selects it by,
+// whether "all" includes it, its rows on a fleet, and how they render.
 type experiment struct {
-	name  string
-	run   func(w io.Writer, f Fleet, seed int64)
-	inAll bool
+	name   string
+	inAll  bool
+	rows   func(f Fleet, seed int64) any
+	render func(w io.Writer, rows any)
+}
+
+// family builds a table entry from a family's typed row function and
+// renderer.
+func family[R any](name string, inAll bool, rows func(Fleet, int64) R, render func(io.Writer, R)) experiment {
+	return experiment{name, inAll,
+		func(f Fleet, seed int64) any { return rows(f, seed) },
+		func(w io.Writer, r any) { render(w, r.(R)) }}
+}
+
+// batchRows is the batch family's rows: the headline run and the
+// amortization sweep.
+type batchRows struct {
+	Result       BatchResult
+	Amortization []AmortizationPoint
 }
 
 // experimentTable lists every experiment in report order; ReportOn, its
-// error string and first-bench's -exp usage all derive from it.
+// error string, first-bench's -exp usage and the test suite over the
+// families all derive from it.
 var experimentTable = []experiment{
-	{"fig3", func(w io.Writer, f Fleet, seed int64) { ReportFig3(w, RunFig3On(f, seed)) }, true},
-	{"fig4", func(w io.Writer, f Fleet, seed int64) { ReportFig4(w, RunFig4On(f, seed)) }, true},
-	{"fig5", func(w io.Writer, f Fleet, seed int64) { ReportFig5(w, RunFig5On(f, seed)) }, true},
-	{"table1", func(w io.Writer, f Fleet, seed int64) { ReportTable1(w, RunTable1On(f, seed)) }, true},
-	{"batch", func(w io.Writer, f Fleet, seed int64) {
-		ReportBatch(w, RunBatch(seed), RunBatchAmortizationOn(f, seed))
-	}, true},
-	{"opt1", func(w io.Writer, f Fleet, seed int64) {
-		ReportAblation(w, "Optimization 1: result polling vs futures", RunOpt1PollingOn(f, seed), false)
-	}, true},
-	{"opt2", func(w io.Writer, f Fleet, seed int64) {
-		ReportAblation(w, "Optimization 2: per-request introspection vs token cache", RunOpt2AuthCacheOn(f, seed), false)
-	}, true},
-	{"opt3", func(w io.Writer, f Fleet, seed int64) {
-		ReportAblation(w, "Optimization 3: sync (9 workers) vs async gateway — Artillery 100 req/s × 300 s", RunOpt3AsyncGatewayOn(f, seed), true)
-	}, true},
-	{"routing", func(w io.Writer, f Fleet, seed int64) { ReportRouting(w, RunAblationRoutingOn(f, seed)) }, true},
-	{"storm", func(w io.Writer, f Fleet, seed int64) { ReportStorm(w, RunStormOn(f, seed)) }, true},
-	{"federate", func(w io.Writer, f Fleet, seed int64) { ReportFederate(w, RunFederateOn(f, seed)) }, true},
-	{"autoscale", func(w io.Writer, f Fleet, seed int64) { ReportAutoScale(w, RunAutoScaleOn(f, seed)) }, true},
+	family("fig3", true, RunFig3On, ReportFig3),
+	family("fig4", true, RunFig4On, ReportFig4),
+	family("fig5", true, RunFig5On, ReportFig5),
+	family("table1", true, RunTable1On, ReportTable1),
+	family("batch", true, func(f Fleet, seed int64) batchRows {
+		return batchRows{RunBatch(seed), RunBatchAmortizationOn(f, seed)}
+	}, func(w io.Writer, b batchRows) { ReportBatch(w, b.Result, b.Amortization) }),
+	family("opt1", true, RunOpt1PollingOn, func(w io.Writer, rows []AblationRow) {
+		ReportAblation(w, "Optimization 1: result polling vs futures", rows, false)
+	}),
+	family("opt2", true, RunOpt2AuthCacheOn, func(w io.Writer, rows []AblationRow) {
+		ReportAblation(w, "Optimization 2: per-request introspection vs token cache", rows, false)
+	}),
+	family("opt3", true, RunOpt3AsyncGatewayOn, func(w io.Writer, rows []AblationRow) {
+		ReportAblation(w, "Optimization 3: sync (9 workers) vs async gateway — Artillery 100 req/s × 300 s", rows, true)
+	}),
+	family("routing", true, RunAblationRoutingOn, ReportRouting),
+	family("storm", true, RunStormOn, ReportStorm),
+	family("federate", true, RunFederateOn, ReportFederate),
+	family("autoscale", true, RunAutoScaleOn, ReportAutoScale),
 	// livefed is explicit-only: its live cells run on the scaled wall
 	// clock, so the latency columns are not byte-identical across runs and
-	// would break the rendered-report determinism suites that pin "all".
-	{"livefed", func(w io.Writer, f Fleet, seed int64) { ReportLiveFed(w, RunLiveFedOn(f, seed)) }, false},
+	// would break the golden that pins "all".
+	family("livefed", false, RunLiveFedOn, ReportLiveFed),
 }
 
 // ExperimentNames returns every value ReportOn accepts, "|"-separated in
@@ -61,14 +78,14 @@ func ReportOn(w io.Writer, which string, seed int64, f Fleet) error {
 	if which == "" || which == "all" {
 		for _, e := range experimentTable {
 			if e.inAll {
-				e.run(w, f, seed)
+				e.render(w, e.rows(f, seed))
 			}
 		}
 		return nil
 	}
 	for _, e := range experimentTable {
 		if e.name == which {
-			e.run(w, f, seed)
+			e.render(w, e.rows(f, seed))
 			return nil
 		}
 	}
@@ -122,7 +139,7 @@ func rungShares(a, c, f int64) (float64, float64, float64) {
 // ReportAutoScale prints the Fig4-style elastic-deployment family: shifting
 // demand growing and shrinking per-cluster instance pools through the real
 // scheduler cold-start and drain paths.
-func ReportAutoScale(w io.Writer, rows []AutoScaleRow) {
+func ReportAutoScale(w io.Writer, rows []FederateRow) {
 	fmt.Fprintln(w, "== Auto-scaling: elastic instance pools inside federated clusters (Fig4 beyond paper size) ==")
 	fmt.Fprintln(w, "shape       clus  offered   done     req/s  med-lat(s)  p99(s)  up/pre/down/refuse  peak-inst  cold/drain/kill  migr    util mean/max%")
 	for _, r := range rows {
