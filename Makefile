@@ -104,10 +104,12 @@ pairs:
 	bash scripts/pairs.sh "$(PARENT)" "$(WORKLOAD)" $(SEEDS)
 
 # loc prints the line count every size bound in ROADMAP.md quotes: non-test
-# and test Go lines per internal/* package (scripts/loc.sh). The check CI job
-# prints it beside the tests; nothing gates on it.
+# and test Go lines per internal/* package (scripts/loc.sh). BASE=<rev> adds
+# that revision's counts and the change beside each. The check CI job prints
+# it against the PR's base; nothing gates on it.
+#   make loc BASE=origin/main
 loc:
-	@bash scripts/loc.sh
+	@bash scripts/loc.sh $(BASE)
 
 # calibrate runs the per-PR calibration gate: the short livefed cell live,
 # its executed schedule replayed into the DES twin, rung shares within

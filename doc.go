@@ -178,31 +178,47 @@
 //
 // # Auto-scaling inside a federated cluster
 //
-// Each (cluster, model) deployment in the DES federation is a pool of
-// 1..MaxInstances engine incarnations (desmodel.AutoScaleParams; the zero
-// value pins pools at one instance, the pre-autoscaler behaviour). A
-// per-cluster policy tick — one deterministic kernel event per Interval —
-// evaluates every pool against two watermarks on queue depth per live
-// instance: sustained depth above HiWater (HiSustain consecutive ticks)
-// grows the pool, with every growth step paying the scheduler's real
-// Queued→Starting→Running cold-start path and competing with background
-// science jobs for GPUs; sustained depth below LoWater (LoSustain ticks)
-// shrinks it, preferring to cancel an incarnation still waiting in the
-// scheduler queue (free) and otherwise draining the emptiest serving
-// instance through the same drain/migrate machinery walltime churn uses.
-// Growth decisions at the MaxInstances cap are counted as refused. The
-// defaults (DefaultAutoScaleParams) are 10 s ticks, HiWater 16, LoWater 2,
-// sustain 2/4, cap 4. Three liveness rules are load-bearing, found by the
-// randomized property sweep: LoWater is clamped to HiWater/2 (overlapping
-// bands let a scale-up immediately satisfy the shrink condition and the
-// pool oscillates forever, cancelling every incarnation before its prologue
-// completes), a pool with parked demand never shrinks, and a scale-down
-// never targets the pool's only live instance. Routing is instance-aware:
-// federation.EndpointInfo carries the live instance count and Select
-// tie-breaks active endpoints on depth per instance (cross-multiplied, so
-// ties stay exact), while inside a pool requests go to the least-loaded
-// serving instance — both hot paths pinned at 0 allocs/op by AllocsPerRun
-// tests.
+// One scaling policy has two drivers, the way federation.Select serves both
+// routers: fabric.Decide is a pure, allocation-free function (pinned at 0
+// allocs/op) from a fabric.ScalePolicy, a fabric.PoolView of the pool at
+// one tick and the pool's fabric.ScalerState to one action — hold, up,
+// refused at the cap, pre-warm, or down. The policy is two watermarks on
+// queue depth per live (not draining) member: depth above HiWater for
+// HiSustain consecutive ticks grows the pool, depth below LoWater for
+// LoSustain ticks shrinks it, a live-count change restarts both streaks,
+// one refusal is counted per at-cap episode, and a due shrink with nothing
+// the driver may release stays armed for the next tick. Each driver only
+// observes its pool, calls Decide and applies the action.
+//
+// Live, fabric.Deployment's control loop runs §3.2.2 as a parameter set:
+// HiWater = ScaleUpDepth with HiSustain 1, LoWater 1 (under one request per
+// instance) with LoSustain = HotIdleTimeout in control periods, capped at
+// MaxInstances; it releases the least-loaded ready instance, never below
+// MinInstances live instances.
+//
+// In the DES federation each (cluster, model) deployment is a pool of
+// 1..MaxInstances engine incarnations (desmodel.AutoScaleParams, which
+// embeds the ScalePolicy; the zero value pins pools at one instance, the
+// pre-autoscaler behaviour). A per-cluster tick — one deterministic kernel
+// event per Interval — runs Decide for every pool. Every growth step pays
+// the scheduler's real Queued→Starting→Running cold-start path and competes
+// with background science jobs for GPUs; a shrink cancels an incarnation
+// still waiting in the scheduler queue (free) or drains the emptiest
+// serving instance through the same drain/migrate machinery walltime churn
+// uses. The defaults (DefaultAutoScaleParams) are 10 s ticks, HiWater 16,
+// LoWater 2, sustain 2/4, cap 4. Three liveness rules are load-bearing,
+// found by the randomized property sweep: LoWater is clamped to HiWater/2
+// (overlapping bands let a scale-up immediately satisfy the shrink
+// condition and the pool oscillates forever, cancelling every incarnation
+// before its prologue completes), a pool with parked demand never shrinks,
+// and a scale-down never targets the pool's only live instance (the last
+// two make up the DES driver's PoolView.Releasable).
+//
+// Routing is instance-aware: federation.EndpointInfo carries the live
+// instance count and Select tie-breaks active endpoints on depth per
+// instance (cross-multiplied, so ties stay exact), while inside a pool
+// requests go to the least-loaded serving instance — both hot paths pinned
+// at 0 allocs/op by AllocsPerRun tests.
 //
 // The autoscale scenario family (first-bench -exp autoscale) is Fig4 beyond
 // paper size: open-loop traces whose offered rate and hot model are
@@ -223,14 +239,18 @@
 // every wave eats one full cold start (prologue + weights load) before new
 // capacity serves. Setting AutoScaleParams.Predictive arms two
 // forecast-driven pre-warm paths on top of the reactive policy (which keeps
-// running unchanged beneath them). Each deployment feeds a desmodel.Forecast
-// — a Holt double-exponential smoother (level + trend, fixed-size value
-// state, 0 allocs/op on observe and predict, pinned by an AllocsPerRun
-// test) — with per-tick arrival and completion counts. At each tick the
-// scaler projects depth one cold start ahead (PredictSum of arrivals minus
-// the completion level over the horizon): when the projection crosses
-// HiWater×live while current depth has not, the incarnation starts now, so
-// its prologue+load overlaps the wave's rise instead of following it. The
+// running unchanged beneath them). The forecast is an input to
+// fabric.Decide, not a mode inside it (Pronto, PAPERS.md): each DES
+// deployment feeds a desmodel.Forecast — a Holt double-exponential smoother
+// (level + trend, fixed-size value state, 0 allocs/op on observe and
+// predict, pinned by an AllocsPerRun test) — with per-tick arrival and
+// completion counts, and hands Decide the depth projected one cold start
+// ahead (PredictSum of arrivals minus the completion level over the
+// horizon) as PoolView.Projected. When the projection crosses HiWater×live
+// while current depth has not, and no member is already on its way up,
+// Decide answers pre-warm and the incarnation starts now, so its
+// prologue+load overlaps the wave's rise instead of following it. The live
+// driver has no forecast yet (Projected 0), so it never pre-warms. The
 // second path arms a per-incarnation timer one cold start before the
 // serve-walltime drain: a pool with standing work and room starts the
 // replacement early enough to hand over without a gap (a sibling already on

@@ -3,6 +3,7 @@ package desmodel
 import (
 	"time"
 
+	"github.com/argonne-first/first/internal/fabric"
 	"github.com/argonne-first/first/internal/scheduler"
 )
 
@@ -14,47 +15,23 @@ import (
 // drain/migrate machinery (or cancelling an incarnation still queued at the
 // scheduler, which is free).
 //
-// The watermarks are queue depth per live instance — the aggregate
-// utilization proxy the routing layer already exposes: an instance pool with
-// depth below LoWater×instances is mostly idle, one above HiWater×instances
-// is falling behind. Both directions require the condition to hold for a
-// sustained window (HiSustain/LoSustain consecutive Interval ticks) so a
-// single bursty interval cannot thrash the pool.
+// The decision is fabric.Decide over the embedded fabric.ScalePolicy, as in
+// the live deployment's control loop: watermarks on queue depth per live
+// instance, each held for HiSustain/LoSustain consecutive Interval ticks so
+// a single bursty interval cannot thrash the pool. MaxInstances ≤ 1
+// disables the scaler: pools are pinned at one demand-driven instance.
 type AutoScaleParams struct {
-	// MaxInstances caps the pool (counting queued, loading, serving, and
-	// draining incarnations). ≤ 1 disables the scaler: pools are pinned at
-	// one demand-driven instance, the pre-autoscaler behaviour.
-	MaxInstances int
+	fabric.ScalePolicy
 	// Interval is the policy evaluation cadence (one deterministic kernel
 	// event per cluster per interval).
 	Interval time.Duration
-	// HiWater is the queue depth per live instance above which the pool is
-	// falling behind; LoWater the depth below which it is underused.
-	// withDefaults clamps LoWater to HiWater/2: with the bands overlapping,
-	// a scale-up's depth (> HiWater×live) could immediately satisfy the
-	// scale-down condition at live+1 and the pool would oscillate forever,
-	// cancelling every incarnation before its prologue completes — a
-	// livelock the randomized property sweep actually caught.
-	HiWater float64
-	LoWater float64
-	// HiSustain / LoSustain are how many consecutive ticks the condition
-	// must hold before the scaler acts.
-	HiSustain int
-	LoSustain int
-
 	// Predictive arms the forecast-driven pre-warm paths (doc.go
 	// "Predictive scaling & drain-aware routing"): each deployment feeds a
-	// Holt forecaster with per-tick arrival counts and starts an
-	// incarnation early when the projection one cold-start ahead crosses
-	// HiWater — and pre-warms a replacement one cold-start before a
-	// serving incarnation's walltime drain. False (the zero value) keeps
-	// the purely reactive PR 5 policy byte-for-byte.
+	// Holt forecaster with per-tick arrival counts and hands Decide the
+	// projected depth one cold start ahead — and pre-warms a replacement one
+	// cold-start before a serving incarnation's walltime drain. False (the
+	// zero value) keeps the purely reactive PR 5 policy byte-for-byte.
 	Predictive bool
-	// ForecastAlpha / ForecastBeta are the Holt smoothing coefficients
-	// (level / trend) for the arrival forecaster; zero values take the
-	// forecast defaults. Only read when Predictive is set.
-	ForecastAlpha float64
-	ForecastBeta  float64
 }
 
 // DefaultAutoScaleParams are the autoscale experiment family's knobs: grow
@@ -62,12 +39,8 @@ type AutoScaleParams struct {
 // held for 4 ticks, evaluated every 10 s, up to 4 instances per model.
 func DefaultAutoScaleParams() AutoScaleParams {
 	return AutoScaleParams{
-		MaxInstances: 4,
-		Interval:     10 * time.Second,
-		HiWater:      16,
-		LoWater:      2,
-		HiSustain:    2,
-		LoSustain:    4,
+		ScalePolicy: fabric.ScalePolicy{MaxInstances: 4, HiWater: 16, HiSustain: 2, LoWater: 2, LoSustain: 4},
+		Interval:    10 * time.Second,
 	}
 }
 
@@ -92,7 +65,9 @@ func (s AutoScaleParams) withDefaults() AutoScaleParams {
 	// Non-overlapping bands: scale-up lifts depth-per-instance from just
 	// above HiWater at live to HiWater×(live-1)/live ≥ HiWater/2 at live+1,
 	// so LoWater ≤ HiWater/2 guarantees a growth step can never satisfy the
-	// shrink condition on the next tick.
+	// shrink condition on the next tick. Overlapping bands livelock: the
+	// randomized property sweep caught a pool cancelling every incarnation
+	// before its prologue completed.
 	if s.LoWater > s.HiWater/2 {
 		s.LoWater = s.HiWater / 2
 	}
@@ -101,14 +76,6 @@ func (s AutoScaleParams) withDefaults() AutoScaleParams {
 	}
 	if s.LoSustain <= 0 {
 		s.LoSustain = d.LoSustain
-	}
-	if s.Predictive {
-		if s.ForecastAlpha <= 0 || s.ForecastAlpha > 1 {
-			s.ForecastAlpha = defaultForecastAlpha
-		}
-		if s.ForecastBeta <= 0 || s.ForecastBeta > 1 {
-			s.ForecastBeta = defaultForecastBeta
-		}
 	}
 	return s
 }
@@ -157,114 +124,40 @@ func (d *fedDep) notePool() {
 	}
 }
 
-// scaleTick is one policy evaluation for this deployment pool. The decision
-// path is allocation-free; only an actual scale-up allocates (the new
-// incarnation and its scheduler job).
+// scaleTick is one policy evaluation for this deployment pool: observe,
+// fabric.Decide, apply. The decision path is allocation-free; only an
+// actual scale-up allocates (the new incarnation and its scheduler job).
 //
 //first:hotpath pinned by the scaler AllocsPerRun sweep (autoscale_test.go)
 func (d *fedDep) scaleTick() {
 	p := &d.f.p.Scale
-	live := d.liveCount()
-	if live != d.lastLive {
-		// The pool changed size through any path since the last tick — a
-		// drain-driven shrink, a hard kill, a demand-driven start. A streak
-		// measured against the old size must not trigger an immediate
-		// decision against the new one: both watermarks are per-instance,
-		// so the condition has to re-prove itself at the new denominator.
-		// The refusal latch deliberately survives this reset: a pool pinned
-		// at MaxInstances under one standing backlog churns through walltime
-		// drains and replacements without the episode ever ending, and each
-		// churn re-counting the same refusal would inflate ScaleRefused in
-		// proportion to churn rate rather than demand.
-		d.hiStreak, d.loStreak = 0, 0
-		d.lastLive = live
+	v := fabric.PoolView{Members: len(d.insts), Live: d.liveCount(), Depth: d.depth(), Releasable: d.releasable()}
+	for _, in := range d.insts {
+		v.Upcoming = v.Upcoming || in.state == instQueued || in.state == instLoading
 	}
 	if p.Predictive {
 		// One sample per tick: arrivals routed here and completions served
-		// here since the previous evaluation. Observed before any early
-		// return so the forecast state never gaps.
+		// here since the previous evaluation.
 		d.fcArrive.Observe(float64(d.arrivedTick))
 		d.fcServe.Observe(float64(d.servedTick))
 		d.arrivedTick, d.servedTick = 0, 0
+		v.Projected = d.projectedDepth(float64(v.Depth))
 	}
-	if live == 0 {
-		// Nothing running and nothing on the way: demand-driven starts own
-		// this regime; the scaler only resets its hysteresis.
-		d.hiStreak, d.loStreak = 0, 0
-		d.hiRefused, d.hiBreak = false, 0
-		return
-	}
-	depth := float64(d.depth())
-	if depth > p.HiWater*float64(live) {
-		d.loStreak, d.hiBreak = 0, 0
-		if d.hiStreak++; d.hiStreak >= p.HiSustain {
-			d.hiStreak = 0
-			if len(d.insts) < p.MaxInstances {
-				// Deliberately not clearing hiRefused: a walltime drain can
-				// dip a capped pool below MaxInstances mid-peak, and the
-				// refill that follows is the same standing episode, not a
-				// new one. Only the condition breaking ends the episode.
-				d.c.stats.ScaleUps++
-				d.startInstance()
-			} else if !d.hiRefused {
-				// One refusal per sustained episode: the pool is pinned at
-				// MaxInstances and re-counting the same standing condition
-				// every HiSustain window would inflate ScaleRefused without
-				// carrying information. The latch clears only once the
-				// condition has been gone for HiSustain ticks — neither
-				// pool churn at the cap nor a one-tick flap of the
-				// watermark ends the episode.
-				d.hiRefused = true
-				d.c.stats.ScaleRefused++
-			}
-		}
-		return
-	}
-	d.hiStreak = 0
-	if d.hiRefused {
-		// Symmetric hysteresis on the way out: the episode only ends after
-		// the hi condition stays absent as long as it had to stand to act.
-		if d.hiBreak++; d.hiBreak >= p.HiSustain {
-			d.hiRefused, d.hiBreak = false, 0
-		}
-	}
-	if p.Predictive && len(d.insts) < p.MaxInstances && !d.hasUpcoming() &&
-		d.projectedDepth(depth, live) > p.HiWater*float64(live) {
-		// The reactive condition does not hold yet, but the forecast one
-		// cold-start ahead says it will: start the incarnation now so it is
-		// serving — not queued behind a prologue — when the backlog lands.
-		d.loStreak = 0
+	switch fabric.Decide(&p.ScalePolicy, v, &d.scale) {
+	case fabric.Up:
+		d.c.stats.ScaleUps++
+		d.startInstance()
+	case fabric.Refused:
+		d.c.stats.ScaleRefused++
+	case fabric.PreWarm:
+		// The forecast one cold start ahead crosses HiWater: start the
+		// incarnation now so it is serving — not queued behind a prologue —
+		// when the backlog lands.
 		d.c.stats.PreWarms++
 		d.startInstance()
-		return
+	case fabric.Down:
+		d.scaleDown()
 	}
-	if live > 1 && depth < p.LoWater*float64(live) {
-		if d.loStreak++; d.loStreak >= p.LoSustain {
-			if d.tryScaleDown() {
-				d.loStreak = 0
-			} else {
-				// No drainable candidate this tick (everything mid-load):
-				// stay armed and retry next interval.
-				d.loStreak = p.LoSustain
-			}
-		}
-	} else {
-		d.loStreak = 0
-	}
-}
-
-// hasUpcoming reports whether an incarnation is already on its way up
-// (queued at the scheduler or loading weights). The predictive paths
-// refuse to stack a second cold start behind one in flight: the forecast
-// cannot know how much of the projected backlog the upcoming instance
-// will absorb until it serves.
-func (d *fedDep) hasUpcoming() bool {
-	for _, in := range d.insts {
-		if in.state == instQueued || in.state == instLoading {
-			return true
-		}
-	}
-	return false
 }
 
 // projectedDepth is the forecast queue depth one cold-start horizon ahead:
@@ -273,9 +166,8 @@ func (d *fedDep) hasUpcoming() bool {
 // pool to absorb. The horizon is the deployment's full cold-start duration
 // (prologue + weights load) expressed in scaler ticks — exactly the lead
 // time a scale-up decision needs to hide.
-func (d *fedDep) projectedDepth(depth float64, live int) float64 {
-	p := &d.f.p.Scale
-	h := int(d.coldStart / p.Interval)
+func (d *fedDep) projectedDepth(depth float64) float64 {
+	h := int(d.coldStart / d.f.p.Scale.Interval)
 	if h < 1 {
 		h = 1
 	}
@@ -307,31 +199,39 @@ func (d *fedDep) preWarmReplacement(j *scheduler.Job, in *fedInstance) {
 	d.startInstance()
 }
 
-// tryScaleDown shrinks the pool by one: it cancels an incarnation still
-// queued at the scheduler when one exists (free — no GPUs held, no work
-// placed), otherwise drains the emptiest serving instance through the
-// regular drain/migrate machinery. It never targets the pool's only live
-// instance — a model with waiting work keeps at least one incarnation.
-func (d *fedDep) tryScaleDown() bool {
-	if d.liveCount() <= 1 {
+// releasable reports whether scaleDown has a victim now. It never takes the
+// pool's only live instance, and never shrinks a pool with parked demand —
+// nothing serves it yet, so a shrink would only delay the incarnation that
+// will absorb it. While every other member is still mid-start, Decide stays
+// armed and retries next tick.
+func (d *fedDep) releasable() bool {
+	if d.liveCount() <= 1 || len(d.pending) > 0 {
 		return false
 	}
-	if len(d.pending) > 0 {
-		// Parked demand means nothing serves yet: shrinking now would only
-		// delay the incarnation that will absorb it.
-		return false
+	for _, in := range d.insts {
+		if in.state == instServing || in.state == instQueued && in.job.State() == scheduler.Queued {
+			return true
+		}
 	}
+	return false
+}
+
+// scaleDown shrinks the pool by one: it cancels an incarnation still queued
+// at the scheduler when one exists (free — no GPUs held, no work placed),
+// otherwise drains the emptiest serving instance through the regular
+// drain/migrate machinery.
+func (d *fedDep) scaleDown() {
 	for _, in := range d.insts {
 		if in.state == instQueued && in.job.State() == scheduler.Queued {
 			// Only jobs still waiting in the scheduler queue are cancelled;
 			// one that reached Starting holds its allocation and is about to
 			// serve — killing it would forfeit the prologue already paid
 			// (and, under a thrashing config, could starve the model).
-			d.c.stats.ScaleDowns++
 			// Cancel ends the job synchronously: onJobEnd detaches the
 			// incarnation before this returns.
+			d.c.stats.ScaleDowns++
 			d.c.sched.Cancel(in.job.ID)
-			return true
+			return
 		}
 	}
 	var victim *fedInstance
@@ -340,9 +240,5 @@ func (d *fedDep) tryScaleDown() bool {
 			victim = in
 		}
 	}
-	if victim == nil {
-		return false // every live instance is still loading; retry next tick
-	}
 	victim.beginDrain(victim.job, true)
-	return true
 }

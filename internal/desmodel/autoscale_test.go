@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/argonne-first/first/internal/fabric"
 	"github.com/argonne-first/first/internal/sim"
 )
 
@@ -18,12 +19,8 @@ func scaleTestParams(clusters, maxInst int) FederationParams {
 	p.DrainGrace = 20 * time.Second
 	p.BGPeriod = 0
 	p.Scale = AutoScaleParams{
-		MaxInstances: maxInst,
-		Interval:     5 * time.Second,
-		HiWater:      4,
-		LoWater:      1,
-		HiSustain:    2,
-		LoSustain:    2,
+		ScalePolicy: fabric.ScalePolicy{MaxInstances: maxInst, HiWater: 4, HiSustain: 2, LoWater: 1, LoSustain: 2},
+		Interval:    5 * time.Second,
 	}
 	return p
 }
@@ -313,12 +310,14 @@ func TestAutoScalePropertyRandomConfigs(t *testing.T) {
 			p.BGPeriod = 0
 		}
 		p.Scale = AutoScaleParams{
-			MaxInstances: maxInst,
-			Interval:     time.Duration(1+rng.Intn(10)) * time.Second,
-			HiWater:      1 + 20*rng.Float64(),
-			LoWater:      30 * rng.Float64(), // may exceed HiWater: thrash allowed, loss is not
-			HiSustain:    1 + rng.Intn(3),
-			LoSustain:    1 + rng.Intn(3),
+			Interval: time.Duration(1+rng.Intn(10)) * time.Second,
+			ScalePolicy: fabric.ScalePolicy{
+				MaxInstances: maxInst,
+				HiWater:      1 + 20*rng.Float64(),
+				LoWater:      30 * rng.Float64(), // may exceed HiWater: thrash allowed, loss is not
+				HiSustain:    1 + rng.Intn(3),
+				LoSustain:    1 + rng.Intn(3),
+			},
 		}
 		a, k := testArena(sim.QueueCalendar)
 		k.MaxEvents = 30_000_000

@@ -347,8 +347,8 @@ func NewFederationIn(a *Arena, p FederationParams, done func(*Req)) *Federation 
 			d := &fedDep{
 				f: f, c: c, model: m,
 				coldStart: p.Prologue + p.Models[m].LoadTime(p.GPU),
-				fcArrive:  NewForecast(p.Scale.ForecastAlpha, p.Scale.ForecastBeta),
-				fcServe:   NewForecast(p.Scale.ForecastAlpha, 0),
+				fcArrive:  NewForecast(defaultForecastAlpha, defaultForecastBeta),
+				fcServe:   NewForecast(defaultForecastAlpha, 0),
 			}
 			if p.First.Routing == RouteRandom {
 				d.rng = sim.NewRNG(1)

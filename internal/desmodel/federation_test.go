@@ -244,7 +244,7 @@ func makeFedTrial(seed int64, withReplay bool) fedTrial {
 		BGPeriod:      time.Duration(60+rng.Intn(240)) * time.Second,
 	}
 	if rng.Intn(2) == 0 {
-		t.p.Scale = AutoScaleParams{MaxInstances: 2 + rng.Intn(3)}
+		t.p.Scale.MaxInstances = 2 + rng.Intn(3)
 	}
 	models := 3
 	if withReplay {

@@ -169,10 +169,10 @@ func TestFirstPathConstructorGuard(t *testing.T) {
 	}{
 		{"the paper's deployment", func(*FederationParams) {}, false},
 		{"First with Hot == 0", func(p *FederationParams) { p.Hot = 0 }, true},
-		{"First with a scaler", func(p *FederationParams) { p.Scale = AutoScaleParams{MaxInstances: 2} }, true},
+		{"First with a scaler", func(p *FederationParams) { p.Scale.MaxInstances = 2 }, true},
 		{"First with a replay", func(p *FederationParams) { p.Replay = &ReplayParams{} }, true},
 		{"Hot with a scaler, no fabric", func(p *FederationParams) {
-			p.First, p.Scale = FirstParams{}, AutoScaleParams{MaxInstances: 2}
+			p.First, p.Scale.MaxInstances = FirstParams{}, 2
 		}, true},
 		{"Hot alone, no fabric", func(p *FederationParams) { p.First = FirstParams{} }, false},
 	}

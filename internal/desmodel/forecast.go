@@ -27,18 +27,9 @@ type Forecast struct {
 	seeded bool
 }
 
-// NewForecast returns a forecaster with the given smoothing coefficients.
-// Alpha outside (0, 1] is clamped to defaultForecastAlpha; a negative
-// Beta is clamped to 0 (EWMA mode).
-func NewForecast(alpha, beta float64) Forecast {
-	if alpha <= 0 || alpha > 1 {
-		alpha = defaultForecastAlpha
-	}
-	if beta < 0 || beta > 1 {
-		beta = defaultForecastBeta
-	}
-	return Forecast{Alpha: alpha, Beta: beta}
-}
+// NewForecast returns a forecaster with the given smoothing coefficients
+// (Beta 0 for EWMA mode).
+func NewForecast(alpha, beta float64) Forecast { return Forecast{Alpha: alpha, Beta: beta} }
 
 // Default smoothing coefficients for the predictive scaler: level tracks
 // at α=0.5 (half-life about one scaler tick, fast enough to catch a

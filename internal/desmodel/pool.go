@@ -3,6 +3,7 @@ package desmodel
 import (
 	"time"
 
+	"github.com/argonne-first/first/internal/fabric"
 	"github.com/argonne-first/first/internal/scheduler"
 	"github.com/argonne-first/first/internal/serving"
 	"github.com/argonne-first/first/internal/sim"
@@ -53,21 +54,9 @@ type fedDep struct {
 	rrNext int
 	rng    *sim.RNG
 
-	// Auto-scaler hysteresis state (see autoscale.go).
-	hiStreak int
-	loStreak int
+	// Auto-scaler hysteresis (autoscale.go) and the deepest the pool grew.
+	scale    fabric.ScalerState
 	peakPool int
-	// lastLive is the live count seen by the previous scaleTick; a change
-	// through any path resets both streaks (the watermarks are
-	// per-instance, so a streak is only meaningful at one denominator).
-	lastLive int
-	// hiRefused latches one ScaleRefused count per sustained at-cap
-	// episode. The episode ends — and the latch clears — only after the
-	// hi condition has been absent for HiSustain consecutive ticks
-	// (hiBreak counts those), mirroring the sustain needed to enter it:
-	// a one-tick flap from pool churn is the same standing episode.
-	hiRefused bool
-	hiBreak   int
 
 	// Predictive-scaler state (autoscale.go, forecast.go): the Holt
 	// arrival forecaster, the service-rate EWMA, the per-tick sample

@@ -96,8 +96,8 @@ func TestScaleStreakResetOnPoolChange(t *testing.T) {
 		_, f, d := warmPoolAtDepth(t, 4, 2, 32)
 		f.p.Scale.HiWater = 4 // 32 > 4×2 — and 32 > 4×1 after the shrink too
 		d.scaleTick()         // hiStreak 1 of HiSustain 2
-		if d.hiStreak != 1 {
-			t.Fatalf("hiStreak = %d after one hi tick, want 1", d.hiStreak)
+		if d.scale.HiStreak != 1 {
+			t.Fatalf("hiStreak = %d after one hi tick, want 1", d.scale.HiStreak)
 		}
 		// A drain (not the scaler) removes one instance mid-streak.
 		victim := d.pickServing()
@@ -107,8 +107,8 @@ func TestScaleStreakResetOnPoolChange(t *testing.T) {
 		if got := f.ClusterStats()[0].ScaleUps; got != ups {
 			t.Fatalf("scale-up fired on the first tick after a drain-driven shrink (ups %d -> %d): stale streak", ups, got)
 		}
-		if d.hiStreak != 1 {
-			t.Fatalf("hiStreak = %d on the first tick at the new size, want 1", d.hiStreak)
+		if d.scale.HiStreak != 1 {
+			t.Fatalf("hiStreak = %d on the first tick at the new size, want 1", d.scale.HiStreak)
 		}
 		d.scaleTick() // condition re-proven at the new size: now it may act
 		if got := f.ClusterStats()[0].ScaleUps; got != ups+1 {
@@ -119,8 +119,8 @@ func TestScaleStreakResetOnPoolChange(t *testing.T) {
 		_, f, d := warmPoolAtDepth(t, 4, 3, 0) // three idle instances
 		f.p.Scale.LoWater = 1e9                // always underused; LoSustain is 2
 		d.scaleTick()                          // loStreak 1 of 2
-		if d.loStreak != 1 {
-			t.Fatalf("loStreak = %d after one lo tick, want 1", d.loStreak)
+		if d.scale.LoStreak != 1 {
+			t.Fatalf("loStreak = %d after one lo tick, want 1", d.scale.LoStreak)
 		}
 		victim := d.pickServing()
 		victim.beginDrain(victim.job, false) // drain-driven shrink mid lo-streak
@@ -129,8 +129,8 @@ func TestScaleStreakResetOnPoolChange(t *testing.T) {
 		if got := f.ClusterStats()[0].ScaleDowns; got != downs {
 			t.Fatalf("scale-down fired on the first tick after a drain-driven shrink (downs %d -> %d): stale streak", downs, got)
 		}
-		if d.loStreak != 1 {
-			t.Fatalf("loStreak = %d on the first tick at the new size, want 1", d.loStreak)
+		if d.scale.LoStreak != 1 {
+			t.Fatalf("loStreak = %d on the first tick at the new size, want 1", d.scale.LoStreak)
 		}
 	})
 }
@@ -146,7 +146,7 @@ func predictiveRampRun(t *testing.T, predictive bool) (FedClusterStats, time.Dur
 	p := scaleTestParams(1, 4)
 	// Room for the whole pool: the default 2×4-GPU inventory fits only two
 	// TP-4 incarnations, and a scale-up pinned in the scheduler queue
-	// blocks the pre-warm guard (hasUpcoming) for the rest of the run.
+	// blocks the pre-warm guard (PoolView.Upcoming) for the rest of the run.
 	p.NodesPerCluster = 8
 	p.Scale.HiWater = 6
 	p.Scale.Predictive = predictive

@@ -5,10 +5,8 @@ import (
 	"sort"
 	"time"
 
-	"github.com/argonne-first/first/internal/chaosnet"
 	"github.com/argonne-first/first/internal/desmodel"
 	"github.com/argonne-first/first/internal/perfmodel"
-	"github.com/argonne-first/first/internal/resilience"
 	"github.com/argonne-first/first/internal/sim"
 	"github.com/argonne-first/first/internal/workload"
 )
@@ -62,16 +60,9 @@ type FederateCell struct {
 
 	// Replay turns the cell into a live-storm calibration twin: all churn
 	// comes from the recorded schedule (kills, cold restarts, background
-	// GPU claims at the live request indices), the single live model is
-	// served on the live inventory, and the self-scheduled tempo above is
-	// off. Breaker and MaxAttempts mirror the live gateway so avoidance
-	// and failover budgets match.
-	Replay          *chaosnet.Schedule
-	ReplayModel     string
-	NodesPerCluster int
-	GPUsPerNode     int
-	Breaker         resilience.BreakerConfig
-	MaxAttempts     int
+	// GPU claims at the live request indices), the livefed model is served
+	// on the livefed inventory, and the self-scheduled tempo above is off.
+	Replay *desmodel.ReplayParams
 }
 
 // params resolves the cell's federation parameters.
@@ -104,20 +95,16 @@ func (c FederateCell) params() desmodel.FederationParams {
 		p.Scale = s
 	}
 	if c.Replay != nil {
-		p.Models = []perfmodel.ModelSpec{perfmodel.Default.MustLookup(c.ReplayModel)}
-		p.NodesPerCluster = c.NodesPerCluster
-		p.GPUsPerNode = c.GPUsPerNode
+		p.Models = []perfmodel.ModelSpec{perfmodel.Default.MustLookup(liveFedModel)}
+		p.NodesPerCluster = liveFedNodes
+		p.GPUsPerNode = liveFedGPUsPerNode
 		// Walltime churn and periodic background jobs are the replayed
 		// schedule's job now; the self-scheduled tempo would double-count
 		// them. The serve walltime just needs to outlive any horizon.
 		p.ServeWalltime = 100_000_000 * time.Second
 		p.DrainGrace = time.Second
 		p.BGPeriod = 0
-		p.Replay = &desmodel.ReplayParams{
-			Schedule:    *c.Replay,
-			Breaker:     c.Breaker,
-			MaxAttempts: c.MaxAttempts,
-		}
+		p.Replay = c.Replay
 	}
 	return p
 }

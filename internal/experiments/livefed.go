@@ -18,6 +18,7 @@ import (
 	"github.com/argonne-first/first/internal/client"
 	"github.com/argonne-first/first/internal/clock"
 	"github.com/argonne-first/first/internal/core"
+	"github.com/argonne-first/first/internal/desmodel"
 	"github.com/argonne-first/first/internal/fabric"
 	"github.com/argonne-first/first/internal/federation"
 	"github.com/argonne-first/first/internal/gateway"
@@ -231,15 +232,12 @@ func (c LiveFedCell) simTwin(s chaosnet.Schedule) FederateCell {
 		maxAttempts = 1
 	}
 	return FederateCell{
-		Clusters:        c.Clusters,
-		OpenLoopReqs:    c.Requests,
-		RatePerSec:      rate,
-		Replay:          &s,
-		ReplayModel:     liveFedModel,
-		NodesPerCluster: liveFedNodes,
-		GPUsPerNode:     liveFedGPUsPerNode,
-		Breaker:         liveFedBreaker(),
-		MaxAttempts:     maxAttempts,
+		Clusters:     c.Clusters,
+		OpenLoopReqs: c.Requests,
+		RatePerSec:   rate,
+		// Breaker and MaxAttempts mirror the live gateway so avoidance and
+		// failover budgets match.
+		Replay: &desmodel.ReplayParams{Schedule: s, Breaker: liveFedBreaker(), MaxAttempts: maxAttempts},
 	}
 }
 

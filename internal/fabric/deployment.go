@@ -23,12 +23,16 @@ type DeploymentConfig struct {
 	// MaxInstances caps auto-scaling ("the maximum number of nodes an LLM
 	// can scale up to"). Default 1.
 	MaxInstances int
-	// ScaleUpDepth triggers a scale-up when the average waiting+running
-	// depth per ready instance exceeds it. Default 300 (instance saturated
+	// ScaleUpDepth is the policy's HiWater (Decide): a control tick scales up
+	// when waiting+running depth exceeds it per live instance — every
+	// instance not stopping, loading ones included, so cold starts do not
+	// stack behind one that is loading. Default 300 (instance saturated
 	// past its batch).
 	ScaleUpDepth int
-	// HotIdleTimeout releases an idle instance's nodes after this long
-	// (§3.2.2: "currently 2 hours"). Default 2 h.
+	// HotIdleTimeout releases the least-loaded ready instance once the pool
+	// has stayed under one request per live instance for this long (§3.2.2:
+	// "currently 2 hours"), never below MinInstances live instances.
+	// Default 2 h.
 	HotIdleTimeout time.Duration
 	// Walltime for serving jobs (0 = unlimited).
 	Walltime time.Duration
@@ -108,6 +112,8 @@ type Deployment struct {
 	waiting   int // callers blocked in acquire
 	closed    bool
 	stats     DeploymentStats
+	policy    ScalePolicy
+	scale     ScalerState
 
 	stop     chan struct{}
 	stopOnce sync.Once
@@ -121,6 +127,10 @@ func newDeployment(ep *Endpoint, cfg DeploymentConfig, spec perfmodel.ModelSpec)
 		spec:      spec,
 		instances: make(map[int]*instance),
 		stop:      make(chan struct{}),
+		// §3.2.2 as a parameter set: grow on the first saturated tick, release
+		// after HotIdleTimeout's worth of ticks under one request per instance.
+		policy: ScalePolicy{MaxInstances: cfg.MaxInstances, HiWater: float64(cfg.ScaleUpDepth), HiSustain: 1,
+			LoWater: 1, LoSustain: int((cfg.HotIdleTimeout + cfg.AutoScalePeriod - 1) / cfg.AutoScalePeriod)},
 	}
 	for i := 0; i < cfg.MinInstances; i++ {
 		if err := d.launchInstance(); err != nil {
@@ -500,9 +510,8 @@ func (d *Deployment) Embed(ctx context.Context, inputs []string) ([][]float32, e
 	return in.embed.Embed(ctx, inputs)
 }
 
-// autoscaleLoop is the §3.2.2 control loop: scale up when ready instances
-// are saturated, release instances idle past the hot timeout, and keep
-// MinInstances alive.
+// autoscaleLoop is the §3.2.2 control loop: each tick observes the pool,
+// applies Decide's action, and keeps MinInstances alive.
 func (d *Deployment) autoscaleLoop() {
 	for {
 		select {
@@ -520,48 +529,44 @@ func (d *Deployment) controlStep() {
 		d.mu.Unlock()
 		return
 	}
-	total := len(d.instances)
-	ready := 0
-	depth := d.waiting
-	var idleCandidate *instance
+	v := PoolView{Members: len(d.instances), Depth: d.waiting}
+	var victim *instance // the least-loaded ready instance
+	victimDepth := 0
 	for _, in := range d.instances {
-		if in.state != instReady || in.stopping {
+		if in.stopping {
 			continue
 		}
-		ready++
-		if in.live != nil {
-			depth += in.live.Depth()
-			if in.live.IdleFor() >= d.cfg.HotIdleTimeout {
-				idleCandidate = in
-			}
-		} else if in.embed != nil {
-			// Embedding instances are released on the same idle policy
-			// tracked by the deployment-level waiting count only.
-			_ = in
+		v.Live++
+		if in.state != instReady || in.live == nil {
+			continue // an embedding engine's load is not visible here: never a victim
+		}
+		depth := in.live.Depth()
+		v.Depth += depth
+		if victim == nil || depth < victimDepth {
+			victim, victimDepth = in, depth
 		}
 	}
-	scaleUp := total < d.cfg.MaxInstances && ready > 0 && depth > d.cfg.ScaleUpDepth*ready
-	var scaleDown *instance
-	if idleCandidate != nil && total > d.cfg.MinInstances && depth == 0 {
-		scaleDown = idleCandidate
-		scaleDown.stopping = true
+	v.Releasable = victim != nil && v.Live > d.cfg.MinInstances
+	action := Decide(&d.policy, v, &d.scale)
+	switch action {
+	case Up:
+		d.stats.ScaleUps++
+	case Down:
+		victim.stopping = true
 		d.stats.ScaleDowns++
 	}
-	if scaleUp {
-		d.stats.ScaleUps++
-	}
-	belowMin := total < d.cfg.MinInstances
+	belowMin := v.Members < d.cfg.MinInstances
 	d.mu.Unlock()
 
-	if scaleUp {
+	if action == Up {
 		if err := d.launchInstance(); err != nil {
 			d.mu.Lock()
 			d.stats.ScaleUps--
 			d.mu.Unlock()
 		}
 	}
-	if scaleDown != nil && scaleDown.job != nil {
-		d.ep.cfg.Scheduler.Complete(scaleDown.job.ID)
+	if action == Down && victim.job != nil {
+		d.ep.cfg.Scheduler.Complete(victim.job.ID)
 	}
 	if belowMin {
 		d.ensureMin()

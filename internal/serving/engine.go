@@ -236,8 +236,6 @@ type Engine struct {
 	maxBatch      int
 	prefillBudget int
 	stats         Stats
-	// lastBusy is the last time the engine had work; hot-node reapers use it.
-	lastBusy time.Duration
 }
 
 // ErrClosed is returned by Submit after the driver marked the engine closed.
@@ -289,9 +287,6 @@ func (e *Engine) KVUsedTokens() int { return e.kvUsed }
 // KVCapacity returns the KV capacity in tokens.
 func (e *Engine) KVCapacity() int { return e.kvCap }
 
-// LastBusyAt returns the last time the engine had active work.
-func (e *Engine) LastBusyAt() time.Duration { return e.lastBusy }
-
 // Submit enqueues a request at time now and returns its sequence. The driver
 // must ensure now is monotonically consistent with prior calls. Engine time
 // only fast-forwards to now when the engine is idle — a busy engine's
@@ -339,12 +334,6 @@ func (e *Engine) Submit(now time.Duration, promptTok, outputTok int, ctx interfa
 	}
 	e.waiting.push(seq)
 	e.stats.Submitted++
-	if e.now > e.lastBusy {
-		e.lastBusy = e.now
-	}
-	if now > e.lastBusy {
-		e.lastBusy = now
-	}
 	return seq
 }
 
@@ -395,7 +384,6 @@ func (e *Engine) Reset() {
 	e.kvUsed = 0
 	e.kvReserved = 0
 	e.stats = Stats{}
-	e.lastBusy = 0
 }
 
 // Step advances the engine by one iteration starting at virtual time now.
@@ -441,7 +429,6 @@ func (e *Engine) Step(now time.Duration) StepResult {
 		e.stats.OutputTokens += int64(seq.OutputTok)
 	}
 	e.now = end
-	e.lastBusy = end
 
 	res := StepResult{Duration: iter, Busy: true, Completed: e.completedScratch, EmittedTokens: batch}
 	if len(res.Completed) == 0 && !budgetSpent {
@@ -457,10 +444,10 @@ func (e *Engine) Step(now time.Duration) StepResult {
 
 // Settle puts on the books every offered quiet iteration that began before
 // now — Iterations, BusyTime, KV occupancy, one KVRejection each while the
-// queue head is refused, Now and LastBusyAt — so the engine reads exactly as
-// if each had been stepped, and returns when Step is next due. A driver that
-// takes StepResult.Quiet must settle to its clock before every Submit, Abort,
-// Step and read of Stats, KVUsedTokens, Now or LastBusyAt. A Submit or Abort
+// queue head is refused, and Now — so the engine reads exactly as if each
+// had been stepped, and returns when Step is next due. A driver that takes
+// StepResult.Quiet must settle to its clock before every Submit, Abort, Step
+// and read of Stats, KVUsedTokens or Now. A Submit or Abort
 // that could let a sequence in sooner than the offer assumed cuts the run at
 // the first iteration boundary at or after the settled time: Settle's return
 // value moves up to that boundary and the driver must step there. An arrival
@@ -493,7 +480,6 @@ func (e *Engine) settleRun(now time.Duration) time.Duration {
 			e.stats.KVRejections += k
 		}
 		e.now += span
-		e.lastBusy = e.now
 	}
 	return e.now + time.Duration(e.quiet)*each
 }

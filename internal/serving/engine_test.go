@@ -503,7 +503,7 @@ func TestEngineEachRunningEachWaiting(t *testing.T) {
 // tell from a tombstone.
 type refEngine struct {
 	cfg               Config
-	now, lastBusy     time.Duration
+	now               time.Duration
 	nextID            int64
 	waiting, running  []*Sequence
 	kvUsed, kvReserve int
@@ -518,7 +518,6 @@ func (r *refEngine) submit(now time.Duration, promptTok, outputTok int) *Sequenc
 	seq := &Sequence{ID: r.nextID, PromptTok: max(promptTok, 1), OutputTok: max(outputTok, 1), SubmitAt: max(now, 0)}
 	r.waiting = append(r.waiting, seq)
 	r.stats.Submitted++
-	r.lastBusy = max(r.lastBusy, r.now, now)
 	return seq
 }
 
@@ -582,6 +581,5 @@ func (r *refEngine) step(now time.Duration) StepResult {
 	r.stats.Iterations++
 	r.stats.BusyTime += iter
 	r.now += iter
-	r.lastBusy = r.now
 	return res
 }

@@ -103,16 +103,6 @@ func (l *LiveEngine) Stats() Stats {
 	return l.eng.Stats()
 }
 
-// IdleFor reports how long the engine has been without work.
-func (l *LiveEngine) IdleFor() time.Duration {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.eng.Depth() > 0 {
-		return 0
-	}
-	return l.vnow() - l.eng.LastBusyAt()
-}
-
 // Close stops the loop; pending requests complete with ErrClosed.
 func (l *LiveEngine) Close() {
 	l.mu.Lock()

@@ -197,8 +197,8 @@ func (h *offerHarness) check() {
 	if got, want := h.eng.KVUsedTokens(), r.kvUsed; got != want {
 		h.t.Fatalf("at %v: KV used %d, want %d", h.now, got, want)
 	}
-	if h.eng.Now() != r.now || h.eng.LastBusyAt() != r.lastBusy {
-		h.t.Fatalf("at %v: now %v lastBusy %v, want %v %v", h.now, h.eng.Now(), h.eng.LastBusyAt(), r.now, r.lastBusy)
+	if h.eng.Now() != r.now {
+		h.t.Fatalf("at %v: now %v, want %v", h.now, h.eng.Now(), r.now)
 	}
 	if h.engBusy != h.refBusy {
 		h.t.Fatalf("at %v: engine loop busy=%v, reference %v", h.now, h.engBusy, h.refBusy)

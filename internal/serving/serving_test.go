@@ -103,18 +103,6 @@ func TestLiveEngineCloseUnblocksWaiters(t *testing.T) {
 	}
 }
 
-func TestLiveEngineIdleFor(t *testing.T) {
-	eng := newTestEngine(t, perfmodel.Llama8B, 0)
-	clk := clock.NewScaled(50000)
-	live := NewLiveEngine(eng, clk)
-	defer live.Close()
-	live.Generate(context.Background(), 10, 5)
-	time.Sleep(5 * time.Millisecond) // ≈250s virtual
-	if idle := live.IdleFor(); idle < 10*time.Second {
-		t.Errorf("idle = %v, want long virtual idle", idle)
-	}
-}
-
 func TestRunOfflineBatchCalibration(t *testing.T) {
 	// The §5.3.1 anchor: 1000 long-form requests on 70B ⇒ ≈2117 tok/s
 	// overall including cold start, ≈409 s total.
