@@ -23,6 +23,7 @@
 //     now would take, and Kernel.AtSeq queues an event under it later, where
 //     that Schedule would have put it. A constant-delay desmodel pipe
 //     reserves a number per entrant and keeps only its head's event queued,
+//     the shard front-end does the same with one number per busy period,
 //     and an open-loop trace keeps one arrival queued under numbers reserved
 //     for all of it up front, so every (time, seq) order and every result is
 //     what one event per request gives. The heap alone survives as a
@@ -63,16 +64,26 @@
 //     a differential sweep, directed cases and FuzzEngineOffer hold the two
 //     equal at every instant.
 //   - internal/desmodel moves a request through a modelled path without
-//     allocating: every hop is a lane (a serialized server) or a pipe (a
-//     constant delay), both FIFO, both queueing *Req on a power-of-two ring
-//     that doubles when full and both wired once, at construction, to the
-//     next stage's entry point (stage.go). A request is its own event: the
-//     kernel is handed the stage's one bound callback and the ring's head
-//     says whose firing it is — right because the delay is constant and the
-//     kernel orders by (time, seq); pipe.pop checks the head's due instant
-//     against Now on every firing and panics on a mismatch, and a
-//     differential test holds a pipe to the per-request closures it replaced
-//     on both queue kinds. Per-request stage state (the due instant, the
+//     allocating: every hop is a lane (a serialized server), a pipe (a
+//     constant delay) or the gateway's shard stage (a lane of constant cost
+//     and a pipe folded into one), all FIFO, all queueing *Req on a
+//     power-of-two ring that doubles when full and all wired once, at
+//     construction, to the next stage's entry point (stage.go,
+//     gatewayfe.go). A request is its own event: the kernel is handed the
+//     stage's one bound callback and the ring's head says whose firing it
+//     is — right because the delay is constant and the kernel orders by
+//     (time, seq); a pop checks the head's due instant against Now on every
+//     firing and panics on a mismatch, and a differential test holds a pipe
+//     to the per-request closures it replaced on both queue kinds. The shard
+//     stage knows each departure at admission — D = max(arrival, previous
+//     D) + CritSection, handed on at D + PostWork — so a request costs its
+//     arrival and one hand-on event, queued under the number reserved when
+//     its busy period began. Same-nanosecond rule: an event booked during a
+//     busy period for the exact nanosecond of one of its departures runs
+//     after that departure, where the lane → pipe chain it replaced ran it
+//     first; a differential test holds the stage to that chain on every
+//     other schedule, order, instants, stamps and peak depth included.
+//     Per-request stage state (the due instant, the
 //     engine instance the dispatch lane picked) rides on Req. Only the two
 //     waits whose length differs per request, and so are not FIFO, keep a
 //     closure: the Opt1-off poll grid and ExtAPISystem's service time.

@@ -20,10 +20,14 @@
 //     the §5.3.1 bottleneck) → engine.
 //   - ExtAPI: client → rate/concurrency-limited external cloud API (Fig. 5).
 //
-// Every path is a chain of two FIFO stage kinds over *Req wired at
-// construction (stage.go): a lane serializes, a pipe delays by a constant, a
-// request's place in a stage's ring is all the state a hop keeps, and no hop
-// allocates.
+// Every path is a chain of FIFO stages over *Req wired at construction: a
+// lane serializes, a pipe delays by a constant (stage.go), the gateway's
+// shard stage does both in one hop (gatewayfe.go), a request's place in a
+// stage's ring is all the state a hop keeps, and no hop allocates. The shard
+// stage computes each departure at admission and runs it under its busy
+// period's sequence number. Like the engine's quiet-run offer
+// (serving.Engine) it has a same-nanosecond rule: an event booked during a
+// busy period for the exact nanosecond of a departure runs after it.
 //
 // All scenarios consume workload traces from internal/workload and report
 // the paper's §5.1 metrics.
@@ -54,16 +58,17 @@ type Req struct {
 	Migrations int
 
 	ArrivalAt   sim.Time // client send time
-	GatewayAt   sim.Time // admitted into the gateway window
+	GatewayAt   sim.Time // admitted into the gateway window (the shard stage books it at arrival)
 	EngineAt    sim.Time // submitted to an engine
 	CompletedAt sim.Time // engine finished + results relayed
 	ObservedAt  sim.Time // client saw the result (poll grid)
 
 	Failed bool
 
-	// due is when the pipe the request is riding hands it on, and inst the
-	// engine instance the hub's dispatch lane chose for it (see stage.go,
-	// first.go): per-request stage state lives on the request.
+	// due is when the pipe or shard stage the request is riding hands it on,
+	// and inst the engine instance the hub's dispatch lane chose for it (see
+	// stage.go, gatewayfe.go, first.go): per-request stage state lives on the
+	// request.
 	due  sim.Time
 	inst *EngineSim
 }

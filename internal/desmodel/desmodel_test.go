@@ -56,9 +56,6 @@ func TestLaneDepthTracking(t *testing.T) {
 	if l.q.n != 0 {
 		t.Errorf("depth after drain = %d", l.q.n)
 	}
-	if l.maxDepth != 5 {
-		t.Errorf("maxDepth = %d, want 5", l.maxDepth)
-	}
 }
 
 func TestEngineSimSingleRequestTiming(t *testing.T) {

@@ -51,7 +51,7 @@ type FederationParams struct {
 	// model.
 	Models []perfmodel.ModelSpec
 
-	// Gateway front-end: requests hash onto Shards serialized lanes charging
+	// Gateway front-end: requests hash onto Shards serialized locks charging
 	// CritSection each, then PostWork off-lock before the routing decision.
 	// Zero Shards means no front-end stage, as for every FirstParams cost.
 	Shards      int

@@ -36,15 +36,47 @@ func DefaultGatewayFEParams(shards int) GatewayFEParams {
 
 // shardFE is the sharded admission front-end shared by the storm and
 // federation scenarios: requests hash onto one of a power-of-two set of
-// serialized lanes, each charging a critical section per request, are
-// stamped admitted as they leave it, and reach out after PostWork off the
-// lock (one pipe serves every shard: the delay is the same). Shard count is
-// rounded up to a power of two so the hash is a mask, as in the live gateway.
+// shards, each a serialized lock charging a critical section per request,
+// are stamped admitted as they leave it, and reach out after PostWork off the
+// lock. Shard count is rounded up to a power of two so the hash is a mask, as
+// in the live gateway.
 type shardFE struct {
-	k      *sim.Kernel
-	shards []*lane
-	mask   uint64
-	post   *pipe
+	k          *sim.Kernel
+	crit, post time.Duration
+	mask       uint64
+	shards     []feShard
+	out        func(*Req)
+}
+
+// feShard is one lock and the off-lock wait behind it as a single stage. A
+// FIFO server of constant cost followed by a constant delay knows each
+// departure when the request arrives: D = max(arrival, previous D) + crit,
+// handed on at D + post. So admit stamps both, and the shard keeps one kernel
+// event queued, its ring head's hand-on, as a pipe does.
+//
+// It stands in for a lane (serve and done events) feeding a pipe, and keeps
+// that chain's order under two rules. Every hand-on of a busy period is
+// queued under the one number reserved when the period began, at an idle
+// admission, where the lane's serve event would have taken it: among shards
+// departing on the same instants, an older busy period goes first, as the
+// done events chained from it did. A successor due on the same instant as the
+// request just handed on (zero crit) takes a fresh number instead, behind
+// every other shard's head, as the lane's next done event did. Same-nanosecond
+// rule: a departure runs where its busy period's number puts it, so a foreign
+// event queued during the busy period for the exact nanosecond of a departure
+// runs after it — the chain ran it first — and an admission that is such an
+// event finds the shard idle and opens a new busy period.
+type feShard struct {
+	fe *shardFE
+	q  ring[pipeSlot]
+	// last is the departure of the newest admission and seq its busy
+	// period's number.
+	last sim.Time
+	seq  uint64
+	// admitted counts every request in, started those whose service began:
+	// the lane's depth is admitted − started, and peak its high-water mark.
+	admitted, started, peak int
+	popFn                   func()
 }
 
 func newShardFE(k *sim.Kernel, shards int, critSection, postWork time.Duration, out func(*Req)) *shardFE {
@@ -52,38 +84,87 @@ func newShardFE(k *sim.Kernel, shards int, critSection, postWork time.Duration, 
 	for n < shards {
 		n <<= 1
 	}
-	fe := &shardFE{k: k, mask: uint64(n - 1), post: newPipe(k, postWork, out)}
-	for i := 0; i < n; i++ {
-		fe.shards = append(fe.shards, newLane(k, critSection, fe.admitted))
+	// The kernel clamps a negative delay to zero; so must the departures.
+	fe := &shardFE{k: k, crit: max(critSection, 0), post: max(postWork, 0), mask: uint64(n - 1), shards: make([]feShard, n), out: out}
+	for i := range fe.shards {
+		s := &fe.shards[i]
+		s.fe = fe
+		s.popFn = s.pop
 	}
 	return fe
 }
 
-// admit hashes the request's identity onto its shard lane.
+// admit hashes the request's identity onto its shard.
+//
+//first:hotpath pinned by TestSystemsCarryZeroAlloc (stage_test.go)
 func (fe *shardFE) admit(r *Req) {
-	fe.shards[splitmix64(uint64(r.ID))&fe.mask].enqueue(r)
+	fe.shards[splitmix64(uint64(r.ID))&fe.mask].admit(r)
 }
 
-func (fe *shardFE) admitted(r *Req) {
-	r.GatewayAt = fe.k.Now()
-	fe.post.push(r)
+// admit books r's departure and queues its hand-on. A service or departure
+// due on the current instant has happened once the running event sorts after
+// its busy period's number: that decides both which waiting requests have
+// started and whether r opens a new busy period.
+//
+//first:hotpath pinned by TestSystemsCarryZeroAlloc (stage_test.go)
+func (s *feShard) admit(r *Req) {
+	fe := s.fe
+	now, running := fe.k.Now(), fe.k.RunningSeq()
+	popped := s.admitted - s.q.n
+	s.started = max(s.started, popped)
+	for ; s.started < s.admitted; s.started++ {
+		e := s.q.buf[(s.q.head+s.started-popped)&(len(s.q.buf)-1)]
+		if start := e.r.due - fe.post - fe.crit; start > now || start == now && running < e.seq {
+			break
+		}
+	}
+	if s.last < now || s.last == now && running >= s.seq {
+		s.seq = fe.k.Reserve()
+	}
+	s.last = max(s.last, now) + fe.crit
+	r.GatewayAt = s.last
+	r.due = s.last + fe.post
+	s.q.push(pipeSlot{r, s.seq})
+	s.admitted++
+	s.peak = max(s.peak, s.admitted-s.started)
+	if s.q.n == 1 {
+		fe.k.AtSeq(r.due, s.seq, s.popFn)
+	}
 }
 
-// peakShardQueue reports the deepest backlog any shard lane reached — the
+// pop hands on the ring's head and queues the next head's event.
+//
+//first:hotpath pinned by TestSystemsCarryZeroAlloc (stage_test.go)
+func (s *feShard) pop() {
+	k := s.fe.k
+	head := s.q.pop()
+	if head.r.due != k.Now() {
+		panic(errNotDue)
+	}
+	if s.q.n > 0 {
+		next := s.q.buf[s.q.head]
+		seq := next.seq
+		if next.r.due == head.r.due && seq == head.seq {
+			seq = k.Reserve()
+		}
+		k.AtSeq(next.r.due, seq, s.popFn)
+	}
+	s.fe.out(head.r)
+}
+
+// peakShardQueue reports the deepest backlog any shard's lock reached — the
 // observable congestion signal (a single-lock arm's queue grows with the
 // whole storm; sharded arms stay shallow).
 func (fe *shardFE) peakShardQueue() int {
 	peak := 0
-	for _, ln := range fe.shards {
-		if ln.maxDepth > peak {
-			peak = ln.maxDepth
-		}
+	for i := range fe.shards {
+		peak = max(peak, fe.shards[i].peak)
 	}
 	return peak
 }
 
 // GatewayFE is the front-end-only path on a kernel: requests hash to a
-// shard lane (a serialized queue charging CritSection per request) and
+// shard (a serialized lock charging CritSection per request) and
 // complete after PostWork. No engine sits behind it — the scenario isolates
 // admission.
 type GatewayFE struct {

@@ -59,8 +59,9 @@ func (q *ring[T]) pop() T {
 
 // lane is a serialized single-server queue: every request charges `cost`
 // before it is handed to out. It models the hub's routing and relay lanes,
-// the gateway's shard locks and auth limiter, and the direct path's
-// single-threaded API admission.
+// the gateway's auth limiter, and the direct path's single-threaded API
+// admission (the gateway's shard locks are lanes folded into the stage
+// after them: feShard, gatewayfe.go).
 //
 // The service loop runs on two method values bound once at construction
 // (serveFn, doneFn) with the in-service request parked on the struct, so a
@@ -76,9 +77,6 @@ type lane struct {
 	out       func(*Req)
 	serveFn   func()
 	doneFn    func()
-
-	// depth diagnostics
-	maxDepth int
 }
 
 func newLane(k *sim.Kernel, cost time.Duration, out func(*Req)) *lane {
@@ -97,9 +95,6 @@ func (l *lane) init(k *sim.Kernel, cost time.Duration, out func(*Req)) {
 //first:hotpath pinned by TestStageStepsZeroAlloc (stage_test.go)
 func (l *lane) enqueue(r *Req) {
 	l.q.push(r)
-	if l.q.n > l.maxDepth {
-		l.maxDepth = l.q.n
-	}
 	if !l.busy {
 		l.busy = true
 		l.k.Schedule(0, l.serveFn)
@@ -141,8 +136,8 @@ type pipe struct {
 	popFn func()
 }
 
-// pipeSlot is a request riding a pipe and the sequence number reserved for
-// its hand-off.
+// pipeSlot is a request riding a pipe or a shard stage and the sequence
+// number its hand-off is queued under.
 type pipeSlot struct {
 	r   *Req
 	seq uint64

@@ -1,7 +1,9 @@
 package desmodel
 
 import (
+	"fmt"
 	"reflect"
+	"sort"
 	"testing"
 	"time"
 
@@ -156,58 +158,74 @@ func TestSystemsCarryZeroAlloc(t *testing.T) {
 	}
 }
 
-// stageEvent is one line of the differential's log: what ran, for whom, when.
+// stageEvent is one line of the differential's log: what ran, for whom, when,
+// and, for a delivery, the request's admission stamp.
 type stageEvent struct {
 	what string
 	id   int
 	at   sim.Time
+	gw   sim.Time
 }
 
-// runStageSchedule plays a random schedule against one implementation of a
-// constant-delay stage (enter) and logs every delivery together with the
-// competing events scheduled around it, in the order the kernel ran them.
-// Pushes come in same-instant bursts of fewer than burst requests from
-// several driver events; competitors are scheduled with the stage's own
-// delay before, between and after the pushes, so they tie with deliveries on
-// the instant; every third request goes round a second time, entering from
-// inside a delivery.
-func runStageSchedule(q sim.QueueKind, seed int64, delay time.Duration, burst int, build func(k *sim.Kernel, out func(*Req)) (enter func(*Req))) []stageEvent {
+// stageDriver lays a schedule's driver events on k before the run: each
+// calls issue once per request it brings and compete around them. Calls made
+// by the driver itself, outside any event, issue before the run starts.
+type stageDriver func(k *sim.Kernel, rng *sim.RNG, issue, compete func())
+
+// runStageSchedule plays a driver's schedule against one implementation of a
+// stage (enter) and logs every delivery together with the competing events
+// scheduled around it, in the order the kernel ran them. Competitors are
+// scheduled with the stage's own delay, so they tie with deliveries on the
+// instant; with reenter, every third request goes round a second time,
+// entering from inside a delivery.
+func runStageSchedule(q sim.QueueKind, seed int64, delay time.Duration, drive stageDriver, reenter bool, build func(k *sim.Kernel, out func(*Req)) (enter func(*Req))) []stageEvent {
 	k := sim.NewKernelWith(q)
 	rng := sim.NewRNG(seed)
 	var log []stageEvent
 	again := map[int]bool{}
 	var enter func(*Req)
 	enter = build(k, func(r *Req) {
-		log = append(log, stageEvent{"deliver", r.ID, k.Now()})
-		if r.ID%3 == 0 && !again[r.ID] {
+		log = append(log, stageEvent{"deliver", r.ID, k.Now(), r.GatewayAt})
+		if reenter && r.ID%3 == 0 && !again[r.ID] {
 			again[r.ID] = true
 			enter(r)
 		}
 	})
-	compete := func(id int) {
-		k.Schedule(delay, func() { log = append(log, stageEvent{"other", id, k.Now()}) })
-	}
 	id := 0
-	var at sim.Time
-	for d := 0; d < 60; d++ {
-		if rng.Intn(3) > 0 { // one driver in three shares the previous one's instant
-			at += time.Duration(rng.Intn(4)) * delay / 2
-			at += time.Duration(rng.Intn(3)) * time.Microsecond
-		}
-		n := rng.Intn(burst)
-		k.Schedule(at, func() {
-			compete(-id)
-			for i := 0; i < n; i++ {
-				id++
-				enter(&Req{ID: id})
-				if i%2 == 0 {
-					compete(-id)
-				}
-			}
-		})
-	}
+	drive(k, rng, func() {
+		id++
+		enter(&Req{ID: id})
+	}, func() {
+		other := -id
+		k.Schedule(delay, func() { log = append(log, stageEvent{"other", other, k.Now(), 0}) })
+	})
 	k.Run(0)
 	return log
+}
+
+// bursts is 60 driver events, one in three on the previous one's instant,
+// the rest stepped by multiples of half the stage's delay plus whole
+// microseconds, each pushing a burst of fewer than burst requests.
+func bursts(delay time.Duration, burst int) stageDriver {
+	return func(k *sim.Kernel, rng *sim.RNG, issue, compete func()) {
+		var at sim.Time
+		for d := 0; d < 60; d++ {
+			if rng.Intn(3) > 0 {
+				at += time.Duration(rng.Intn(4)) * delay / 2
+				at += time.Duration(rng.Intn(3)) * time.Microsecond
+			}
+			n := rng.Intn(burst)
+			k.Schedule(at, func() {
+				compete()
+				for i := 0; i < n; i++ {
+					issue()
+					if i%2 == 0 {
+						compete()
+					}
+				}
+			})
+		}
+	}
 }
 
 // TestPipeMatchesClosures is the differential behind replacing every
@@ -224,10 +242,10 @@ func TestPipeMatchesClosures(t *testing.T) {
 			burst int
 		}{{0, 5}, {1, 5}, {3 * time.Microsecond, 5}, {5 * time.Millisecond, 5}, {0, 150}} {
 			for seed := int64(1); seed <= 25; seed++ {
-				closures := runStageSchedule(q, seed, c.delay, c.burst, func(k *sim.Kernel, out func(*Req)) func(*Req) {
+				closures := runStageSchedule(q, seed, c.delay, bursts(c.delay, c.burst), true, func(k *sim.Kernel, out func(*Req)) func(*Req) {
 					return func(r *Req) { k.Schedule(c.delay, func() { out(r) }) }
 				})
-				piped := runStageSchedule(q, seed, c.delay, c.burst, func(k *sim.Kernel, out func(*Req)) func(*Req) {
+				piped := runStageSchedule(q, seed, c.delay, bursts(c.delay, c.burst), true, func(k *sim.Kernel, out func(*Req)) func(*Req) {
 					return newPipe(k, c.delay, out).push
 				})
 				if !reflect.DeepEqual(closures, piped) {
@@ -291,5 +309,368 @@ func TestArenaRecyclesEmitLogEmpty(t *testing.T) {
 	}
 	if again != emitted {
 		t.Errorf("the same cell on a recycled log emitted %d tokens, %d on a fresh one", again, emitted)
+	}
+}
+
+// lanePipeFE is the shard front-end as it was before it became one stage,
+// kept as the differential's reference: per shard a lane charging crit,
+// whose leaving request is stamped admitted and pushed into one pipe of
+// delay post that serves every shard. peak reports the deepest lane ring.
+func lanePipeFE(k *sim.Kernel, shards int, crit, post time.Duration, out func(*Req)) (admit func(*Req), peak func() int) {
+	n := 1
+	for n < shards {
+		n <<= 1
+	}
+	p := newPipe(k, post, out)
+	lanes := make([]*lane, n)
+	for i := range lanes {
+		lanes[i] = newLane(k, crit, func(r *Req) {
+			r.GatewayAt = k.Now()
+			p.push(r)
+		})
+	}
+	deepest := 0
+	admit = func(r *Req) {
+		ln := lanes[splitmix64(uint64(r.ID))&uint64(n-1)]
+		ln.enqueue(r)
+		deepest = max(deepest, ln.q.n)
+	}
+	return admit, func() int { return deepest }
+}
+
+// shardScheduleReqs is how many requests each front-end schedule issues.
+const shardScheduleReqs = 240
+
+// poissonArrivals chains arrivals one per event, each booking the next an
+// exponential gap later.
+func poissonArrivals(gap time.Duration) stageDriver {
+	return func(k *sim.Kernel, rng *sim.RNG, issue, compete func()) {
+		left := shardScheduleReqs
+		var step func()
+		step = func() {
+			issue()
+			if left--; left%7 == 0 {
+				compete()
+			}
+			if left > 0 {
+				k.Schedule(time.Duration(rng.Exp(float64(gap))), step)
+			}
+		}
+		k.Schedule(time.Duration(rng.Exp(float64(gap))), step)
+	}
+}
+
+// stormArrivals is the storm driver with zero gaps: each arrival books the
+// next from inside itself, three in four on the same instant.
+func stormArrivals(gap time.Duration) stageDriver {
+	return func(k *sim.Kernel, rng *sim.RNG, issue, compete func()) {
+		left := shardScheduleReqs
+		var step func()
+		step = func() {
+			issue()
+			if left--; left%5 == 0 {
+				compete()
+			}
+			if left > 0 {
+				d := time.Duration(0)
+				if rng.Intn(4) == 0 {
+					d = time.Duration(rng.Exp(float64(gap)))
+				}
+				k.Schedule(d, step)
+			}
+		}
+		k.Schedule(0, step)
+	}
+}
+
+// floodArrivals is the closed loop's start: two floods each issued inside
+// one event, booked first, then a third of the requests issued before the
+// run.
+func floodArrivals(gap time.Duration) stageDriver {
+	return func(k *sim.Kernel, rng *sim.RNG, issue, compete func()) {
+		flood := func() {
+			for i := 0; i < shardScheduleReqs/3; i++ {
+				issue()
+				if i%11 == 0 {
+					compete()
+				}
+			}
+		}
+		k.Schedule(time.Duration(rng.Exp(float64(gap))), flood)
+		k.Schedule(time.Duration(rng.Intn(3))*gap, flood)
+		flood()
+	}
+}
+
+// sameInstantArrivals books every request its own event ahead of the run
+// (think-time issues), on a handful of shared instants.
+func sameInstantArrivals(gap time.Duration) stageDriver {
+	return func(k *sim.Kernel, rng *sim.RNG, issue, compete func()) {
+		for i := 0; i < shardScheduleReqs; i++ {
+			k.Schedule(time.Duration(rng.Intn(6))*gap, func() {
+				issue()
+				compete()
+			})
+		}
+	}
+}
+
+// alignedArrivals books every request its own event ahead of the run on a
+// multiple of unit, so busy periods start, and shards depart, in lockstep,
+// and arrivals land on the exact instant of a departure.
+func alignedArrivals(unit time.Duration) stageDriver {
+	return func(k *sim.Kernel, rng *sim.RNG, issue, compete func()) {
+		for i := 0; i < shardScheduleReqs; i++ {
+			k.Schedule(time.Duration(rng.Intn(shardScheduleReqs/2))*unit, func() {
+				if issue(); rng.Intn(4) == 0 {
+					compete()
+				}
+			})
+		}
+	}
+}
+
+// deliveries drops the competitors from a log: they never touch the stage,
+// and where one ties with a departure the two designs order them apart (see
+// TestShardStageForeignTie).
+func deliveries(log []stageEvent) []stageEvent {
+	var out []stageEvent
+	for _, e := range log {
+		if e.what == "deliver" {
+			out = append(out, e)
+		}
+	}
+	return out
+}
+
+// TestShardStageMatchesLanePipe is the differential behind computing each
+// departure at admission: over every schedule shape the front-end meets, the
+// shard stage hands on the same requests at the same instants in the same
+// order, with the same admission stamps, and reports the lanes' peak depth.
+// Chained arrivals here average at least a microsecond apart and floods are
+// booked before any busy period opens, so a foreign event seldom lands on a
+// departure's nanosecond; the schedules built to do that are
+// TestShardStageTiesMoveNoInstant's.
+func TestShardStageMatchesLanePipe(t *testing.T) {
+	shapes := []struct {
+		name  string
+		drive func(crit time.Duration) stageDriver
+	}{
+		{"poisson", func(c time.Duration) stageDriver { return poissonArrivals(c/2 + time.Microsecond) }},
+		{"storm", func(c time.Duration) stageDriver { return stormArrivals(c/2 + time.Microsecond) }},
+		{"flood", func(c time.Duration) stageDriver { return floodArrivals(c + time.Microsecond) }},
+		{"same-instant", func(c time.Duration) stageDriver { return sameInstantArrivals(2*c + 1) }},
+		{"aligned", func(c time.Duration) stageDriver { return alignedArrivals(max(c, 1)) }},
+	}
+	delivered, deep := 0, 0
+	for _, q := range []sim.QueueKind{sim.QueueCalendar, sim.QueueHeap} {
+		for _, crit := range []time.Duration{0, 1, 4 * time.Microsecond} {
+			for _, post := range []time.Duration{0, 1, 25 * time.Microsecond} {
+				for _, shards := range []int{1, 2, 16} {
+					for _, sh := range shapes {
+						for seed := int64(1); seed <= 25; seed++ {
+							var chainPeak, stagePeak func() int
+							chain := runStageSchedule(q, seed, crit+post, sh.drive(crit), false, func(k *sim.Kernel, out func(*Req)) func(*Req) {
+								admit, peak := lanePipeFE(k, shards, crit, post, out)
+								chainPeak = peak
+								return admit
+							})
+							stage := runStageSchedule(q, seed, crit+post, sh.drive(crit), false, func(k *sim.Kernel, out func(*Req)) func(*Req) {
+								fe := newShardFE(k, shards, crit, post, out)
+								stagePeak = fe.peakShardQueue
+								return fe.admit
+							})
+							want, got := deliveries(chain), deliveries(stage)
+							if !reflect.DeepEqual(want, got) {
+								t.Errorf("%v queue, %s, crit %v, post %v, %d shards, seed %d: stage and chain diverge\nchain: %v\nstage: %v", q, sh.name, crit, post, shards, seed, want, got)
+							}
+							if chainPeak() != stagePeak() {
+								t.Errorf("%v queue, %s, crit %v, post %v, %d shards, seed %d: peak depth %d, the lanes reached %d", q, sh.name, crit, post, shards, seed, stagePeak(), chainPeak())
+							}
+							delivered += len(got)
+							deep = max(deep, stagePeak())
+						}
+					}
+				}
+			}
+		}
+	}
+	if delivered < 2*3*3*3*5*25*shardScheduleReqs || deep < shardScheduleReqs/3 {
+		t.Errorf("the sweep delivered %d requests, deepest queue %d: the schedules are not exercising the stage", delivered, deep)
+	}
+}
+
+// TestShardStageTiesMoveNoInstant plays the schedules that tie foreign
+// events with departures on purpose — arrivals a nanosecond apart at a
+// critical section of at most a nanosecond, and floods booked behind an
+// open busy period — where the stage and the chain may order one instant's
+// hand-ons differently (TestShardStageForeignTie). Every request still
+// leaves at the same instant with the same admission stamp, and the stage
+// never reports a deeper queue than the lanes reached.
+func TestShardStageTiesMoveNoInstant(t *testing.T) {
+	byInstant := func(log []stageEvent) []stageEvent {
+		log = deliveries(log)
+		sort.SliceStable(log, func(i, j int) bool {
+			if log[i].at != log[j].at {
+				return log[i].at < log[j].at
+			}
+			return log[i].id < log[j].id
+		})
+		return log
+	}
+	reordered := 0
+	for _, crit := range []time.Duration{0, 1} {
+		for _, shards := range []int{1, 2, 16} {
+			for _, drive := range []stageDriver{poissonArrivals(1), stormArrivals(1), tiedFloods(crit + 1)} {
+				for seed := int64(1); seed <= 25; seed++ {
+					var chainPeak, stagePeak func() int
+					chain := runStageSchedule(sim.QueueCalendar, seed, crit, drive, false, func(k *sim.Kernel, out func(*Req)) func(*Req) {
+						admit, peak := lanePipeFE(k, shards, crit, 0, out)
+						chainPeak = peak
+						return admit
+					})
+					stage := runStageSchedule(sim.QueueCalendar, seed, crit, drive, false, func(k *sim.Kernel, out func(*Req)) func(*Req) {
+						fe := newShardFE(k, shards, crit, 0, out)
+						stagePeak = fe.peakShardQueue
+						return fe.admit
+					})
+					if !reflect.DeepEqual(byInstant(chain), byInstant(stage)) {
+						t.Fatalf("crit %v, %d shards, seed %d: a tie moved a request's instant or stamp", crit, shards, seed)
+					}
+					if stagePeak() > chainPeak() {
+						t.Fatalf("crit %v, %d shards, seed %d: peak depth %d, the lanes reached only %d", crit, shards, seed, stagePeak(), chainPeak())
+					}
+					if !reflect.DeepEqual(deliveries(chain), deliveries(stage)) || stagePeak() != chainPeak() {
+						reordered++
+					}
+				}
+			}
+		}
+	}
+	if reordered == 0 {
+		t.Error("no schedule tied a foreign event with a departure: the sweep tests nothing")
+	}
+}
+
+// tiedFloods issues a third of the requests before the run and then books
+// two floods, each inside one event, while that busy period is open.
+func tiedFloods(gap time.Duration) stageDriver {
+	return func(k *sim.Kernel, rng *sim.RNG, issue, compete func()) {
+		flood := func() {
+			for i := 0; i < shardScheduleReqs/3; i++ {
+				issue()
+			}
+		}
+		flood()
+		k.Schedule(time.Duration(rng.Intn(2))*gap, flood)
+		k.Schedule(time.Duration(rng.Intn(40))*gap, flood)
+	}
+}
+
+// TestShardStageForeignTie pins the one way the stage departs from the
+// chain: a departure runs under its busy period's number, so an event booked
+// during the busy period for the exact nanosecond of the hand-on now runs
+// after it, where the chain, which booked the hand-on only at the departure,
+// ran it first. An event booked before the busy period began keeps its place
+// ahead of the hand-on in both.
+func TestShardStageForeignTie(t *testing.T) {
+	const crit, post = 4 * time.Microsecond, 25 * time.Microsecond
+	run := func(build func(k *sim.Kernel, out func(*Req)) func(*Req)) []string {
+		k := sim.NewKernel()
+		var log []string
+		note := func(what string) func() {
+			return func() { log = append(log, fmt.Sprintf("%s at %v", what, k.Now())) }
+		}
+		admit := build(k, func(r *Req) { note(fmt.Sprintf("request %d (admitted %v)", r.ID, r.GatewayAt))() })
+		k.Schedule(0, func() {
+			k.Schedule(crit+post, note("booked before"))
+			admit(&Req{ID: 1})
+			k.Schedule(crit+post, note("booked during"))
+		})
+		k.Run(0)
+		return log
+	}
+	chain := run(func(k *sim.Kernel, out func(*Req)) func(*Req) {
+		admit, _ := lanePipeFE(k, 1, crit, post, out)
+		return admit
+	})
+	stage := run(func(k *sim.Kernel, out func(*Req)) func(*Req) { return newShardFE(k, 1, crit, post, out).admit })
+	wantChain := []string{"booked before at 29µs", "booked during at 29µs", "request 1 (admitted 4µs) at 29µs"}
+	wantStage := []string{"booked before at 29µs", "request 1 (admitted 4µs) at 29µs", "booked during at 29µs"}
+	if !reflect.DeepEqual(chain, wantChain) || !reflect.DeepEqual(stage, wantStage) {
+		t.Errorf("chain ran %q, want %q\nstage ran %q, want %q", chain, wantChain, stage, wantStage)
+	}
+}
+
+// TestShardStageDepth: requests admitted before the run wait behind an idle
+// start whose service has not begun, so five of them make a backlog of five,
+// as the lane's ring did; one service later the backlog is four.
+func TestShardStageDepth(t *testing.T) {
+	k := sim.NewKernel()
+	fe := newShardFE(k, 1, time.Second, 0, func(*Req) {})
+	for i := 1; i <= 5; i++ {
+		fe.admit(&Req{ID: i})
+	}
+	k.Schedule(1500*time.Millisecond, func() { fe.admit(&Req{ID: 6}) })
+	k.Run(0)
+	if got := fe.peakShardQueue(); got != 5 {
+		t.Errorf("peak depth = %d, want 5", got)
+	}
+	if s := &fe.shards[0]; s.admitted-s.started != 4 || s.q.n != 0 || s.last != 6*time.Second {
+		t.Errorf("after the run: backlog %d at the last admission, %d held, last departure %v; want 4, 0, 6s", s.admitted-s.started, s.q.n, s.last)
+	}
+}
+
+// TestShardFrontEndEventsPerRequest pins what the front-end costs the
+// kernel: a request's arrival and its hand-on, and nothing else. On both
+// arms of a 10⁴-user storm that is exactly two events per request; on a
+// churn-free Federation it is two per request plus what the paths behind the
+// front-end run (458 events here, the same as with the lane and pipe chain
+// in its place). A stage that puts a hop back fails here.
+func TestShardFrontEndEventsPerRequest(t *testing.T) {
+	const users = 10_000
+	for _, shards := range []int{1, 16} {
+		k := sim.NewKernel()
+		sys := NewGatewayFE(k, DefaultGatewayFEParams(shards), nil)
+		rng := sim.NewRNG(3)
+		issued := 0
+		var step func()
+		step = func() {
+			issued++
+			sys.Arrive(&Req{ID: issued})
+			if issued < users {
+				k.Schedule(time.Duration(rng.Exp(float64(time.Microsecond))), step)
+			}
+		}
+		k.Schedule(0, step)
+		k.Run(0)
+		if k.Processed != 2*users {
+			t.Errorf("storm, %d shards: %d events for %d requests, want exactly 2 per request", shards, k.Processed, users)
+		}
+	}
+
+	const n = 3000
+	a, k := testArena(sim.QueueCalendar)
+	p := fedTestParams(2)
+	p.ServeWalltime = 1000 * time.Hour
+	completed := 0
+	f := NewFederationIn(a, p, func(*Req) {
+		if completed++; completed == n {
+			k.Stop() // the pools' walltime timers stay pending
+		}
+	})
+	issued := 0
+	var step func()
+	step = func() {
+		issued++
+		f.Arrive(&Req{ID: issued, Model: issued % 3, PromptTok: 100 + issued%50, OutputTok: 20 + issued%30})
+		if issued < n {
+			k.Schedule(2*time.Millisecond, step)
+		}
+	}
+	k.Schedule(0, step)
+	k.Run(0)
+	if behind := uint64(458); completed != n || k.Processed != 2*n+behind {
+		t.Errorf("churn-free Federation: %d of %d completed in %d events, want 2 per request + %d", completed, n, k.Processed, behind)
 	}
 }

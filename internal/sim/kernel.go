@@ -83,6 +83,8 @@ type Kernel struct {
 	now     Time
 	seq     uint64
 	stopped bool
+	// running is the sequence number of the event being run, 0 outside Run.
+	running uint64
 
 	// Processed counts executed events (for diagnostics and loop guards).
 	Processed uint64
@@ -152,8 +154,9 @@ func (k *Kernel) Reserve() uint64 {
 // AtSeq runs fn at absolute virtual time t under seq, a number Reserve has
 // handed out since the last Reset: the event sorts exactly where a Schedule
 // made at reservation time for t would have. It panics if seq was never
-// handed out or if t is in the past. Each number is for one event; the
-// kernel does not check that.
+// handed out or if t is in the past. A number may queue several events at
+// distinct instants; two under one number at one instant have no defined
+// order, and the kernel does not check for that.
 //
 //first:hotpath pinned by TestKernelAtSeqZeroAlloc (kernel_diff_test.go)
 func (k *Kernel) AtSeq(t Time, seq uint64, fn func()) {
@@ -224,6 +227,12 @@ func (k *Kernel) next() *event {
 	return &k.run[len(k.run)-1]
 }
 
+// RunningSeq reports the sequence number of the event being run, or 0
+// outside Run. A stage that stands in for events it never queues compares it
+// with a number it reserved: a smaller one belongs to an event that runs
+// before the reserved one, at the same instant.
+func (k *Kernel) RunningSeq() uint64 { return k.running }
+
 // Stop halts the run loop after the current event returns. A Stop issued
 // while no run is active makes the next Run return immediately without
 // executing anything; the flag is consumed by the Run it halts (or skips).
@@ -243,6 +252,7 @@ func (k *Kernel) Reset() {
 	k.now = 0
 	k.seq = 0
 	k.stopped = false
+	k.running = 0
 	k.Processed = 0
 	clear(k.run)
 	k.run = k.run[:0]
@@ -271,6 +281,7 @@ func (k *Kernel) Run(until Time) Time {
 			k.now = ev.at
 		}
 		fn := ev.fn
+		k.running = ev.seq
 		if n := len(k.run); n > 0 {
 			k.run[n-1].fn = nil // release the closure
 			k.run = k.run[:n-1]
@@ -284,6 +295,7 @@ func (k *Kernel) Run(until Time) Time {
 		}
 		fn()
 	}
+	k.running = 0
 	k.stopped = false
 	if until > 0 && k.now < until && k.Pending() == 0 {
 		k.now = until

@@ -378,3 +378,27 @@ func TestKernelScheduleRunZeroAlloc(t *testing.T) {
 		t.Errorf("steady-state Schedule/Run allocs per 1000-event run = %v, want 0", allocs)
 	}
 }
+
+// TestKernelRunningSeq: inside an event RunningSeq is the number the event
+// was queued under, whether Schedule took it or Reserve handed it out, and
+// it is 0 before, after and across a Reset.
+func TestKernelRunningSeq(t *testing.T) {
+	k := NewKernel()
+	var got []uint64
+	record := func() { got = append(got, k.RunningSeq()) }
+	first := k.Reserve()
+	k.Schedule(time.Second, record) // takes first+1
+	k.AtSeq(time.Second, first, record)
+	if k.RunningSeq() != 0 {
+		t.Errorf("RunningSeq before Run = %d, want 0", k.RunningSeq())
+	}
+	k.Run(0)
+	if want := []uint64{first, first + 1}; len(got) != 2 || got[0] != want[0] || got[1] != want[1] || k.RunningSeq() != 0 {
+		t.Errorf("RunningSeq inside events = %v, want %v; after Run %d, want 0", got, want, k.RunningSeq())
+	}
+	k.Schedule(0, func() { k.Reset() })
+	k.Run(0)
+	if k.RunningSeq() != 0 {
+		t.Errorf("RunningSeq after a Reset inside Run = %d, want 0", k.RunningSeq())
+	}
+}

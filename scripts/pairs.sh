@@ -5,7 +5,10 @@
 # the checkout it sits in. Prints every run, then, for each end-to-end metric
 # (req_per_s, lat_p50_ms, allocs_per_req, setup_s), each side's median and
 # quartiles and the change's median against the parent's, and the change's
-# win count on req_per_s. Exits 1 if a run fails, is not correct, or a pair's
+# win count on req_per_s with §8's verdict on it: the claim rule is met when
+# at least ten pairs ran, the change won at least nine tenths of them (ties
+# count for neither) and its median beats the parent's by more than the
+# parent's quartile distance. The verdict does not set the exit status. Exits 1 if a run fails, is not correct, or a pair's
 # modelled-row digests differ (live workloads print none), or if the change's
 # median of a metric is worse than the parent's by more than the bound
 # BENCHMARK.json declares for it. The run length is the benchmark's own
@@ -130,5 +133,10 @@ for metric in $metrics; do
 		;;
 	esac
 done
-echo "change wins $wins of $# pairs on req_per_s"
+read -r pmed pq1 pq3 < <(stats parent 1)
+read -r cmed _ _ < <(stats change 1)
+rule="$(awk -v w="$wins" -v n="$#" -v p="$pmed" -v q1="$pq1" -v q3="$pq3" -v c="$cmed" 'BEGIN {
+	print (n >= 10 && 10 * w >= 9 * n && c - p > q3 - q1) ? "met" : "not met"
+}')"
+echo "change wins $wins of $# pairs on req_per_s; claim rule (>= 10 pairs, >= 9 in 10 won, median gain beyond the parent's quartile distance) $rule"
 exit $bad
