@@ -91,12 +91,16 @@
 //     the real federation.Select, scheduler-backed pools — and the paper's
 //     own system is a configuration of it (FirstPathParams: one cluster,
 //     hot instances, FederationParams.First wiring the fabric's worker
-//     window, hub lanes, pickup and relay around the router and the pool),
-//     so Fig. 3/4/5, Table 1 and the ablations route and place like every
-//     federate cell, and every cell audits arrivals = completions.
-//     AllocsPerRun pins carry pre-allocated requests through that FIRST
-//     configuration (with and without the auth lane), GatewayFE,
-//     DirectSystem and a churn-free Federation at zero allocations.
+//     window, hub lanes, pickup and relay around the router and the pool).
+//     Fig. 3's vLLM-Direct baseline is one more FirstParams set
+//     (VLLMDirectParams: the API server's single-threaded admission on the
+//     dispatch lane, response serialization on the return pipe, every
+//     other stage zero), so Fig. 3/4/5, Table 1 and the ablations route and
+//     place like every federate cell, and every cell audits arrivals =
+//     completions. AllocsPerRun pins carry pre-allocated requests through
+//     that FIRST configuration (with and without the auth lane), the
+//     vLLM-Direct one, GatewayFE and a churn-free Federation at zero
+//     allocations.
 //   - internal/metrics shards its hot instruments: Histogram observations
 //     scatter over independently locked slots (one shared bucket-bounds
 //     table for all histograms) and Counter increments scatter over
@@ -423,7 +427,7 @@
 // its own, so the step→deliver window (DeliveryPending, EachUndelivered)
 // is unchanged. EmittedBy reads one {first, each, count, tokens} record per
 // delivery event, kept only where it can be read: by a Federation's hot
-// instances (Table 1's EmittedTokensBy), DirectSystem and stand-alone sims —
+// instances (Table 1's EmittedTokensBy) and stand-alone sims —
 // not by an incarnation the scheduler started, whose log would die with it.
 // Tests flip an unexported
 // hook to ignore the offer and require identical rows from the paper's

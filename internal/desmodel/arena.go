@@ -109,10 +109,11 @@ func (a *Arena) Reclaim(eng *serving.Engine) {
 }
 
 // EngineSimIn builds a kernel-driven engine instance on the arena's kernel,
-// drawing the engine from the arena pool. It panics on config errors, like
-// MustEngineSim (experiment setup with static catalog entries).
-func (a *Arena) EngineSimIn(model perfmodel.ModelSpec, gpu perfmodel.GPUSpec, maxBatch int, onComplete func(*serving.Sequence)) *EngineSim {
-	eng, err := a.engine(serving.Config{Model: model, GPU: gpu, MaxBatch: maxBatch})
+// drawing the engine from the arena pool, at the engine's default batch cap.
+// It panics on config errors, like MustEngineSim (experiment setup with
+// static catalog entries).
+func (a *Arena) EngineSimIn(model perfmodel.ModelSpec, gpu perfmodel.GPUSpec, onComplete func(*serving.Sequence)) *EngineSim {
+	eng, err := a.engine(serving.Config{Model: model, GPU: gpu})
 	if err != nil {
 		panic(err)
 	}

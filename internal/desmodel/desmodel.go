@@ -12,13 +12,13 @@
 // result relay back (optionally observed on a polling grid — Optimization
 // 1's ablation). FederationParams says which stages exist: the paper's own
 // deployment (FirstPathParams — one cluster, hot instances, the fabric hop
-// of first.go) and the federate/autoscale families (many clusters, churn, a
-// scaler, no fabric hop yet) are configurations of it. Two other systems
-// are modeled beside it:
-//
-//   - Direct: client → vLLM's own API front-end (single-threaded admission,
-//     the §5.3.1 bottleneck) → engine.
-//   - ExtAPI: client → rate/concurrency-limited external cloud API (Fig. 5).
+// of first.go), Fig. 3's vLLM-Direct baseline (VLLMDirectParams — the same
+// hop with only the API server's single-threaded admission and the response
+// serialization left, the §5.3.1 bottleneck) and the federate/autoscale
+// families (many clusters, churn, a scaler, no fabric hop yet) are
+// configurations of it. One other system is modeled beside it: ExtAPI
+// (extapi.go), the rate/concurrency-limited external cloud API of Fig. 5,
+// which has no engine for a pool to hold.
 //
 // Every path is a chain of FIFO stages over *Req wired at construction: a
 // lane serializes, a pipe delays by a constant (stage.go), the gateway's

@@ -172,12 +172,12 @@ func TestFirstSystemSyncWorkersOverrideWindow(t *testing.T) {
 
 func TestDirectSystemAdmissionCap(t *testing.T) {
 	// The single-threaded API server caps request throughput at
-	// 1/APIOverhead regardless of engine capacity (§5.3.1).
+	// 1/HubDispatchCost regardless of engine capacity (§5.3.1).
 	a, k := testArena(sim.QueueCalendar)
 	model := perfmodel.Default.MustLookup(perfmodel.Llama8B) // engine far faster than admission
-	p := DefaultDirectParams()
+	p := VLLMDirectParams()
 	var done []*Req
-	sys := NewDirectSystemIn(a, p, model, perfmodel.A100_40, func(r *Req) { done = append(done, r) })
+	sys := NewFederationIn(a, FirstPathParams(p, model, perfmodel.A100_40, 1), func(r *Req) { done = append(done, r) })
 	const n = 400
 	for i := 0; i < n; i++ {
 		r := &Req{ID: i, PromptTok: 10, OutputTok: 8}
@@ -188,7 +188,7 @@ func TestDirectSystemAdmissionCap(t *testing.T) {
 		t.Fatalf("completed %d/%d", len(done), n)
 	}
 	m := Collect(done)
-	cap := 1.0 / p.APIOverhead.Seconds() // 5.8 req/s
+	cap := 1.0 / p.HubDispatchCost.Seconds() // 5.8 req/s
 	if m.ReqPerSec > cap*1.05 {
 		t.Errorf("throughput %.2f exceeds admission cap %.2f", m.ReqPerSec, cap)
 	}

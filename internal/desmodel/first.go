@@ -92,6 +92,20 @@ func DefaultFirstParams() FirstParams {
 	}
 }
 
+// VLLMDirectParams is Fig. 3's vLLM-Direct baseline as a FIRST path with no
+// fabric hop: the benchmark client talks straight to vLLM's OpenAI-compatible
+// server, whose API front-end historically processed requests on a single
+// thread (§5.3.1, vLLM issue #12705), so admission serializes. That lane is
+// HubDispatchCost: 172 ms reproduces the 5.8 req/s cap the paper measured
+// at saturation. ResultReturn is the pipelined response serialization. Every
+// other stage is zero-delay and the window is unlimited.
+func VLLMDirectParams() FirstParams {
+	return FirstParams{
+		HubDispatchCost: 172 * time.Millisecond,
+		ResultReturn:    25 * time.Millisecond,
+	}
+}
+
 func (p FirstParams) window() int {
 	if p.SyncWorkers > 0 {
 		return p.SyncWorkers

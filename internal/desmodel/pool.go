@@ -90,8 +90,14 @@ func (d *fedDep) offer(r *Req) {
 
 // place is the one way a request enters an engine pool: onto the fabric's
 // pickup pipe, the picked instance riding on it, or straight into the engine.
+// A zero pickup (vLLM-Direct) is no hop: the engine takes the request in
+// the event that routed it. A zero-delay pipe's event would be booked on the
+// instant it fires, behind the engine's event for an iteration boundary
+// there, so an arrival on that boundary would join the iteration starting
+// there while the engine takes the quiet runs Step offers
+// (serving.Engine.Settle) and miss it while it steps every iteration.
 func (f *Federation) place(in *fedInstance, r *Req) {
-	if f.first.wired() {
+	if f.first.wired() && f.p.First.EndpointPickup > 0 {
 		r.inst = in.eng
 		f.first.pickup.push(r)
 		return
@@ -146,7 +152,7 @@ func (d *fedDep) pickServing() *fedInstance {
 func (d *fedDep) startHot() {
 	f := d.f
 	in := &fedInstance{d: d, state: instServing}
-	in.eng = f.a.EngineSimIn(f.p.Models[d.model], f.p.GPU, 0, func(seq *serving.Sequence) { in.onServed(nil, seq) })
+	in.eng = f.a.EngineSimIn(f.p.Models[d.model], f.p.GPU, func(seq *serving.Sequence) { in.onServed(nil, seq) })
 	d.insts = append(d.insts, in)
 	d.notePool()
 }
@@ -199,7 +205,7 @@ func (in *fedInstance) onLoaded(j *scheduler.Job) {
 	f := d.f
 	spec := f.p.Models[d.model]
 	in.state = instServing
-	in.eng = f.a.EngineSimIn(spec, f.p.GPU, 0, func(seq *serving.Sequence) { in.onServed(j, seq) }).withoutEmitLog()
+	in.eng = f.a.EngineSimIn(spec, f.p.GPU, func(seq *serving.Sequence) { in.onServed(j, seq) }).withoutEmitLog()
 	pend := d.pending
 	d.pending = nil
 	for _, r := range pend {

@@ -143,9 +143,11 @@ func TestSystemsCarryZeroAlloc(t *testing.T) {
 
 	pin("GatewayFE", NewGatewayFE(k, DefaultGatewayFEParams(4), done))
 
-	direct := NewDirectSystemIn(a, DefaultDirectParams(), model, gpu, done)
-	direct.engine.withoutEmitLog()
-	pin("DirectSystem", direct)
+	// vLLM-Direct: an unlimited window, zero-delay submit and observe pipes
+	// and a zero-cost relay lane around the admission lane.
+	direct := NewFederationIn(a, FirstPathParams(VLLMDirectParams(), model, gpu, 1), done)
+	direct.clusters[0].deps[0].insts[0].eng.withoutEmitLog()
+	pin("vLLM-Direct", direct)
 
 	// No churn: one incarnation serves every cycle, so Arrive → shard lane →
 	// PostWork pipe → route → offer → engine is the whole path.
@@ -285,7 +287,7 @@ func TestArenaRecyclesEmitLogEmpty(t *testing.T) {
 	a := NewArena(sim.QueueCalendar)
 	cell := func() (*EngineSim, int64) {
 		k := a.Begin()
-		e := a.EngineSimIn(model, perfmodel.A100_40, 0, func(*serving.Sequence) {})
+		e := a.EngineSimIn(model, perfmodel.A100_40, func(*serving.Sequence) {})
 		if got := e.EmittedBy(time.Hour); got != 0 || len(e.emitLog) != 0 {
 			t.Fatalf("a fresh EngineSimIn reports %d tokens emitted from %d log records", got, len(e.emitLog))
 		}

@@ -2,9 +2,12 @@ package experiments
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"flag"
+	"fmt"
 	"os"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -12,14 +15,18 @@ import (
 	"github.com/argonne-first/first/internal/sim"
 )
 
-// updateGolden rewrites goldenReport from this tree's report. Only a change
-// that means to move a reported number passes it, and the golden's diff is
-// then that change's review surface.
-var updateGolden = flag.Bool("update", false, "rewrite testdata/report_all.golden")
+// updateGolden rewrites goldenReport and goldenRows from this tree's rows.
+// Only a change that means to move a reported number passes it, and the
+// goldens' diff is then that change's review surface.
+var updateGolden = flag.Bool("update", false, "rewrite testdata/report_all.golden and testdata/report_all.rows")
 
 // goldenReport is ReportOn("all", DefaultSeed) as the previous commit
 // rendered it.
 const goldenReport = "testdata/report_all.golden"
+
+// goldenRows pins the same rows at full precision, where the report rounds:
+// one line per family, its name and the SHA-256 of fmt.Sprintf("%v", rows).
+const goldenRows = "testdata/report_all.rows"
 
 // familyRun is one family's rows on the default fleet, on the sequential
 // reference and on the 4-ary heap queue, and the arena pool just before and
@@ -85,8 +92,9 @@ func checkFamily(t *testing.T, name string) {
 
 // TestFamilies is the suite over the report's families: each family "all"
 // renders is checked by checkFamily, then their default-fleet rows are
-// rendered in table order and compared byte for byte with the golden. A
-// family without a gate, or a gate without a family, fails it.
+// rendered in table order and compared byte for byte with the golden, and
+// pinned at full precision against goldenRows. A family without a gate, or a
+// gate without a family, fails it.
 func TestFamilies(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment runs are long")
@@ -110,18 +118,38 @@ func TestFamilies(t *testing.T) {
 				e.render(&got, runFamily(t, e.name).def)
 			}
 		}
-		want, err := os.ReadFile(goldenReport)
-		if *updateGolden {
-			want, err = got.Bytes(), os.WriteFile(goldenReport, got.Bytes(), 0o644)
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got.Bytes(), want) {
-			t.Errorf("the report differs from %s; if the change is meant, regenerate with "+
-				"`go test ./internal/experiments -run TestFamilies -update` and review the diff\ngot:\n%s", goldenReport, got.Bytes())
-		}
+		checkGolden(t, goldenReport, got.Bytes())
 	})
+	t.Run("rows", func(t *testing.T) {
+		var got bytes.Buffer
+		for _, e := range experimentTable {
+			if e.inAll {
+				rows := fmt.Sprintf("%v", runFamily(t, e.name).def)
+				if strings.Contains(rows, "0x") {
+					t.Errorf("%s's rows print a pointer address, which no pin can hold:\n%s", e.name, rows)
+				}
+				fmt.Fprintf(&got, "%s %x\n", e.name, sha256.Sum256([]byte(rows)))
+			}
+		}
+		checkGolden(t, goldenRows, got.Bytes())
+	})
+}
+
+// checkGolden compares got with the file at path byte for byte, or rewrites
+// the file under -update.
+func checkGolden(t *testing.T, path string, got []byte) {
+	t.Helper()
+	want, err := os.ReadFile(path)
+	if *updateGolden {
+		want, err = got, os.WriteFile(path, got, 0o644)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("the rows differ from %s; if the change is meant, regenerate with "+
+			"`go test ./internal/experiments -run TestFamilies -update` and review the diff\ngot:\n%s", path, got)
+	}
 }
 
 // The tests TestFamilies replaced keep their names, each checking the family

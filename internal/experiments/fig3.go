@@ -44,7 +44,13 @@ func RunFig3On(f Fleet, seed int64) []Fig3Row {
 	}
 
 	model := perfmodel.Default.MustLookup(perfmodel.Llama70B)
-	systems := []string{"FIRST", "vLLM-Direct"}
+	systems := []struct {
+		name   string
+		params desmodel.FirstParams
+	}{
+		{"FIRST", desmodel.DefaultFirstParams()},
+		{"vLLM-Direct", desmodel.VLLMDirectParams()},
+	}
 	rows := make([]Fig3Row, len(rates)*len(systems))
 	f.RunArena(len(rows), func(i int, a *desmodel.Arena) {
 		rc := rates[i/len(systems)]
@@ -55,16 +61,9 @@ func RunFig3On(f Fleet, seed int64) []Fig3Row {
 		}
 		trace := workload.Generate(Fig3Requests, workload.ShareGPT(), arrival, seed)
 
-		row := Fig3Row{Rate: rc.label, System: system}
-		if system == "FIRST" {
-			row.M = firstOpenLoop(a, "fig3 rate "+rc.label, desmodel.DefaultFirstParams(), model, 1, trace)
-		} else {
-			k := a.Begin()
-			reqs := driveOpenLoop(k, trace, desmodel.NewDirectSystemIn(a, desmodel.DefaultDirectParams(), model, perfmodel.A100_40, nil))
-			k.Run(0)
-			row.M = desmodel.Collect(reqs)
-		}
-		if p, ok := paper[rc.label+"/"+system]; ok {
+		row := Fig3Row{Rate: rc.label, System: system.name}
+		row.M = firstOpenLoop(a, "fig3 "+system.name+" rate "+rc.label, system.params, model, 1, trace)
+		if p, ok := paper[rc.label+"/"+system.name]; ok {
 			row.PaperReqPS, row.PaperTokPS, row.PaperMedianS = p.PaperReqPS, p.PaperTokPS, p.PaperMedianS
 		}
 		rows[i] = row
