@@ -39,7 +39,6 @@ type TokenCache struct {
 	coalesced     int64
 	invalidations int64
 	rechecked     map[string]time.Time
-	recheckEvery  time.Duration
 }
 
 type cachedInfo struct {
@@ -65,12 +64,11 @@ func NewTokenCache(svc *Service, clk clock.Clock, clientID, clientSecret string,
 	return &TokenCache{
 		svc: svc, clk: clk,
 		clientID: clientID, clientSecret: clientSecret,
-		ttl:          ttl,
-		entries:      make(map[string]cachedInfo),
-		maxEntries:   DefaultCacheEntries,
-		flight:       make(map[string]*flightCall),
-		rechecked:    make(map[string]time.Time),
-		recheckEvery: DefaultRecheckCooldown,
+		ttl:        ttl,
+		entries:    make(map[string]cachedInfo),
+		maxEntries: DefaultCacheEntries,
+		flight:     make(map[string]*flightCall),
+		rechecked:  make(map[string]time.Time),
 	}
 }
 
@@ -157,17 +155,6 @@ func (c *TokenCache) Invalidate(token string) {
 // and re-create the rate-limit problem the cache exists to prevent.
 const DefaultRecheckCooldown = 30 * time.Second
 
-// SetRecheckCooldown adjusts the recheck rate limit (d <= 0 restores the
-// default). Tests use a Manual clock plus a short cooldown.
-func (c *TokenCache) SetRecheckCooldown(d time.Duration) {
-	if d <= 0 {
-		d = DefaultRecheckCooldown
-	}
-	c.mu.Lock()
-	c.recheckEvery = d
-	c.mu.Unlock()
-}
-
 // Recheck handles an endpoint-side 401 that arrived after a gateway-side
 // cache hit: the cached introspection may be stale (token revoked upstream
 // mid-TTL). At most once per cooldown window per token it invalidates the
@@ -178,7 +165,7 @@ func (c *TokenCache) SetRecheckCooldown(d time.Duration) {
 func (c *TokenCache) Recheck(token string) (TokenInfo, error) {
 	now := c.clk.Now()
 	c.mu.Lock()
-	if last, ok := c.rechecked[token]; ok && now.Sub(last) < c.recheckEvery {
+	if last, ok := c.rechecked[token]; ok && now.Sub(last) < DefaultRecheckCooldown {
 		c.mu.Unlock()
 		return c.Introspect(token)
 	}
@@ -186,7 +173,7 @@ func (c *TokenCache) Recheck(token string) (TokenInfo, error) {
 	// token population rather than growing per garbage token.
 	if len(c.rechecked) >= c.maxEntries {
 		for t, at := range c.rechecked {
-			if now.Sub(at) >= c.recheckEvery {
+			if now.Sub(at) >= DefaultRecheckCooldown {
 				delete(c.rechecked, t)
 			}
 		}

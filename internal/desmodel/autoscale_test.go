@@ -288,87 +288,6 @@ func TestClusterStatsMidDrainStable(t *testing.T) {
 	}
 }
 
-// TestAutoScalePropertyRandomConfigs is the randomized sweep: for arbitrary
-// arrival shapes and watermark configs (including inverted ones), no request
-// is ever lost or double-completed, pools never leave [1, MaxInstances], and
-// the stats snapshot stays pure.
-func TestAutoScalePropertyRandomConfigs(t *testing.T) {
-	if testing.Short() {
-		t.Skip("property sweep is long")
-	}
-	rng := sim.NewRNG(20251015)
-	for trial := 0; trial < 25; trial++ {
-		maxInst := 1 + rng.Intn(4)
-		p := DefaultFederationParams(1 + rng.Intn(3))
-		p.ServeWalltime = time.Duration(30+rng.Intn(90)) * time.Second
-		p.DrainGrace = time.Duration(5+rng.Intn(25)) * time.Second
-		if rng.Bernoulli(0.5) {
-			p.BGPeriod = time.Duration(40+rng.Intn(80)) * time.Second
-			p.BGStagger = 10 * time.Second
-			p.BGWalltime = 25 * time.Second
-		} else {
-			p.BGPeriod = 0
-		}
-		p.Scale = AutoScaleParams{
-			Interval: time.Duration(1+rng.Intn(10)) * time.Second,
-			ScalePolicy: fabric.ScalePolicy{
-				MaxInstances: maxInst,
-				HiWater:      1 + 20*rng.Float64(),
-				LoWater:      30 * rng.Float64(), // may exceed HiWater: thrash allowed, loss is not
-				HiSustain:    1 + rng.Intn(3),
-				LoSustain:    1 + rng.Intn(3),
-			},
-		}
-		a, k := testArena(sim.QueueCalendar)
-		k.MaxEvents = 30_000_000
-		n := 100 + rng.Intn(300)
-		counts := make(map[*Req]int, n)
-		done := 0
-		f := NewFederationIn(a, p, func(r *Req) {
-			counts[r]++
-			if done++; done == n {
-				k.Stop()
-			}
-		})
-		models := len(p.Models)
-		gapMean := float64(50+rng.Intn(450)) * float64(time.Millisecond)
-		at := time.Duration(0)
-		for i := 0; i < n; i++ {
-			out := 4 + rng.Intn(60)
-			if rng.Bernoulli(0.1) {
-				out = 500 + rng.Intn(3000) // heavy tail forces drain overlap
-			}
-			r := &Req{ID: i + 1, Model: rng.Intn(models), PromptTok: 8 + rng.Intn(120), OutputTok: out}
-			at += time.Duration(rng.Exp(gapMean))
-			k.Schedule(at, func() { f.Arrive(r) })
-		}
-		k.Run(0)
-		if done != n {
-			t.Fatalf("trial %d: completed %d/%d (params %+v)", trial, done, n, p.Scale)
-		}
-		for r, c := range counts {
-			if c != 1 {
-				t.Fatalf("trial %d: request %d completed %d times", trial, r.ID, c)
-			}
-		}
-		if f.Arrivals() != int64(n) || f.Completions() != int64(n) {
-			t.Fatalf("trial %d: conservation broke: arrivals=%d completions=%d want %d",
-				trial, f.Arrivals(), f.Completions(), n)
-		}
-		for _, c := range f.clusters {
-			for _, d := range c.deps {
-				if d.peakPool > maxInst {
-					t.Fatalf("trial %d: pool peaked at %d, cap %d", trial, d.peakPool, maxInst)
-				}
-			}
-		}
-		s1, s2 := f.ClusterStats(), f.ClusterStats()
-		if !reflect.DeepEqual(s1, s2) {
-			t.Fatalf("trial %d: ClusterStats not a pure snapshot", trial)
-		}
-	}
-}
-
 // TestAutoScaleArenaReuse pins arena recycling under the scaler: a scenario
 // whose pools grow, shrink, and recycle engines mid-cell (Arena.Reclaim)
 // must reproduce byte-identical timings and stats when its cell re-runs on

@@ -1,14 +1,9 @@
 package desmodel
 
 import (
-	"fmt"
-	"reflect"
-	"strings"
 	"testing"
 	"time"
 
-	"github.com/argonne-first/first/internal/chaosnet"
-	"github.com/argonne-first/first/internal/resilience"
 	"github.com/argonne-first/first/internal/serving"
 	"github.com/argonne-first/first/internal/sim"
 )
@@ -171,238 +166,36 @@ func TestFederationHardKill(t *testing.T) {
 	}
 }
 
-// TestFederationDeterministicRerun re-runs an identical scenario (fresh
-// kernel, background churn enabled) and requires identical counters and
-// per-request timings — the cell-level property the experiment fleet's
-// differential suite scales up.
-func TestFederationDeterministicRerun(t *testing.T) {
-	run := func(q sim.QueueKind) ([]sim.Time, FedRungs, int64) {
-		a, k := testArena(q)
-		k.MaxEvents = 50_000_000
-		p := fedTestParams(3)
-		p.BGPeriod = 40 * time.Second
-		p.BGStagger = 10 * time.Second
-		p.BGWalltime = 25 * time.Second
-		p.BGGPUs = 4
-		n := 500
-		done := 0
-		// Background jobs self-schedule forever: stop at the last completion
-		// like the open-loop experiment driver does.
-		f := NewFederationIn(a, p, func(*Req) {
-			if done++; done == n {
-				k.Stop()
-			}
-		})
-		rng := sim.NewRNG(7)
-		var reqs []*Req
-		for i := 0; i < n; i++ {
-			r := fedReq(i+1, i%len(p.Models), 16+rng.Intn(64), 4+rng.Intn(24))
-			reqs = append(reqs, r)
-			k.Schedule(time.Duration(i)*200*time.Millisecond, func() { f.Arrive(r) })
-		}
-		k.Run(0)
-		times := make([]sim.Time, len(reqs))
-		for i, r := range reqs {
-			times[i] = r.ObservedAt
-		}
-		return times, f.Rungs(), f.Migrations()
+// TestFederationKillHarvestsUndelivered fails a job the way a replayed kill
+// does, inside an iteration that completes a request: its completion is not
+// yet delivered, the one live sequence neither EachWaiting nor EachRunning
+// sees, and onJobEnd must migrate it with the rest or it is lost.
+func TestFederationKillHarvestsUndelivered(t *testing.T) {
+	a, k := testArena(sim.QueueCalendar)
+	p := fedTestParams(1)
+	p.Shards = 0 // the instance loads at exactly prologue + weights load
+	done := make([]int, 3)
+	f := NewFederationIn(a, p, func(r *Req) { done[r.ID]++ })
+	for _, r := range []*Req{fedReq(1, 0, 8, 1), fedReq(2, 0, 8, 100)} {
+		k.Schedule(0, func() { f.Arrive(r) })
 	}
-	t1, r1, m1 := run(sim.QueueCalendar)
-	t2, r2, m2 := run(sim.QueueCalendar)
-	t3, r3, m3 := run(sim.QueueHeap)
-	if !reflect.DeepEqual(t1, t2) || r1 != r2 || m1 != m2 {
-		t.Error("federation run is not deterministic across reruns")
+	k.Run(p.Prologue + p.Models[0].LoadTime(p.GPU)) // loaded, first iteration stepped
+	c := f.clusters[0]
+	in := c.deps[0].insts[0]
+	undelivered := 0
+	in.eng.EachUndelivered(func(*serving.Sequence) { undelivered++ })
+	if !in.eng.DeliveryPending() || undelivered != 1 {
+		t.Fatalf("kill instant holds %d undelivered completions (delivery pending %v), want 1", undelivered, in.eng.DeliveryPending())
 	}
-	if !reflect.DeepEqual(t1, t3) || r1 != r3 || m1 != m3 {
-		t.Error("federation diverges between calendar and heap kernels")
-	}
-}
-
-// fedTrial is one randomized federation topology: cluster count, churn tempo
-// (walltime drains, hard kills via tight grace, background claims, an
-// optional scaler) and an arrival trace, all drawn from the trial seed.
-type fedTrial struct {
-	p    FederationParams
-	n    int
-	gaps []sim.Time
-	reqs []Req
-}
-
-func makeFedTrial(seed int64, withReplay bool) fedTrial {
-	rng := sim.NewRNG(seed)
-	clusters := 2 + rng.Intn(7) // 2..8
-	t := fedTrial{n: 400 + rng.Intn(400)}
-	t.p = FederationParams{
-		Clusters: clusters,
-		// withDefaults fills no front-end in: zero Shards is no shard lane.
-		Shards: 16, CritSection: 4 * time.Microsecond, PostWork: 25 * time.Microsecond,
-		// Walltimes shorter than the trace (2-4 minutes of arrivals, below)
-		// force drains; a tight grace against generations of up to 1500
-		// tokens forces hard kills mid-batch; both generate migrations.
-		ServeWalltime: time.Duration(40+rng.Intn(120)) * time.Second,
-		DrainGrace:    time.Duration(5+rng.Intn(20)) * time.Second,
-		BGPeriod:      time.Duration(60+rng.Intn(240)) * time.Second,
-	}
-	if rng.Intn(2) == 0 {
-		t.p.Scale.MaxInstances = 2 + rng.Intn(3)
-	}
-	models := 3
-	if withReplay {
-		// Replayed churn mirrors the livefed twin's shape: a single served
-		// model on a 4×4-GPU inventory, so a 4-GPU background claim can
-		// never starve the pool a parked request waits on.
-		models = 1
-		t.p.Models = DefaultFederationModels()[:1]
-		t.p.NodesPerCluster = 4
-		t.p.GPUsPerNode = 4
-	}
-	mean := 300 * float64(time.Millisecond)
-	for i := 0; i < t.n; i++ {
-		t.gaps = append(t.gaps, sim.Time(rng.Exp(mean)))
-		t.reqs = append(t.reqs, Req{
-			ID:        i + 1,
-			Model:     rng.Intn(models),
-			PromptTok: 16 + rng.Intn(256),
-			OutputTok: 4 + rng.Intn(1500),
-		})
-	}
-	if !withReplay {
-		return t
-	}
-	// A replayed churn schedule: random kills, restarts, and GPU claims at
-	// random request indices, plus fault windows feeding the breakers.
-	s := chaosnet.Schedule{
-		Seed:       uint64(seed)*2654435761 + 1,
-		Endpoints:  clusters,
-		Requests:   t.n,
-		RatePerSec: 20,
-		Windows: chaosnet.Windows{
-			BurstEvery:  40 + rng.Intn(100),
-			BurstLen:    5 + rng.Intn(10),
-			PFault:      0.3,
-			PBackground: 0.1,
-		},
-	}
-	claims := make([]int, clusters)
-	for i := 0; i < 8+rng.Intn(16); i++ {
-		ep := rng.Intn(clusters)
-		at := rng.Intn(t.n - 1)
-		switch rng.Intn(4) {
-		case 0:
-			s.Events = append(s.Events, chaosnet.Event{AtIndex: at, Kind: chaosnet.EventKill, Endpoint: ep})
-		case 1:
-			s.Events = append(s.Events, chaosnet.Event{AtIndex: at, Kind: chaosnet.EventRestart, Endpoint: ep})
-		case 2:
-			if claims[ep] == 0 { // at most one outstanding 4-GPU claim per cluster
-				claims[ep]++
-				s.Events = append(s.Events, chaosnet.Event{AtIndex: at, Kind: chaosnet.EventBGClaim, Endpoint: ep, GPUs: 4})
-			}
-		default:
-			if claims[ep] > 0 {
-				claims[ep]--
-				s.Events = append(s.Events, chaosnet.Event{AtIndex: at, Kind: chaosnet.EventBGRelease, Endpoint: ep})
-			}
+	c.sched.Fail(in.job.ID)
+	k.Run(0)
+	for id := 1; id <= 2; id++ {
+		if done[id] != 1 {
+			t.Errorf("req %d completed %d times, want once", id, done[id])
 		}
 	}
-	// Revive every pool at the end of the trace so parked (shed/exhausted)
-	// requests complete and the conservation check can demand all n.
-	for ep := 0; ep < clusters; ep++ {
-		s.Events = append(s.Events, chaosnet.Event{AtIndex: t.n - 1, Kind: chaosnet.EventRestart, Endpoint: ep})
-	}
-	s.Sort()
-	// All churn comes from the schedule: under replay a pool that drains
-	// stays dead until a restart event, so a walltime drain after the last
-	// one would park requests forever. Default (600 s) walltimes outlast
-	// the trace.
-	t.p.ServeWalltime, t.p.DrainGrace = 0, 0
-	t.p.BGPeriod = 0
-	t.p.Scale = AutoScaleParams{}
-	t.p.Replay = &ReplayParams{
-		Schedule: s,
-		Breaker: resilience.BreakerConfig{
-			Window: 60 * time.Second, Buckets: 12, MinSamples: 4,
-			FailureRate: 0.5, OpenFor: 10 * time.Second, HalfOpenProbes: 1,
-		},
-		MaxAttempts: 1 + rng.Intn(3),
-	}
-	return t
-}
-
-// runFedTrial executes one trial on an arena-built federation with queue
-// kind q, checks conservation and exactly-once, and returns a full
-// observable digest: every request's fields, the rung/migration counters
-// and per-cluster stats.
-func runFedTrial(t *testing.T, tr fedTrial, q sim.QueueKind) string {
-	reqs := make([]Req, len(tr.reqs))
-	copy(reqs, tr.reqs)
-	doneCount := make([]int, tr.n+1)
-	doneSeen := 0
-	a := NewArena(q)
-	k := a.Begin()
-	k.MaxEvents = 20_000_000 // hang guard: a request ping-ponging at one instant
-	f := NewFederationIn(a, tr.p, func(r *Req) {
-		doneCount[r.ID]++
-		if doneSeen++; doneSeen == tr.n {
-			k.Stop()
-		}
-	})
-	i := 0
-	var step func()
-	step = func() {
-		f.ReplayAdvance(i)
-		f.Arrive(&reqs[i])
-		if i++; i < tr.n {
-			k.Schedule(tr.gaps[i], step)
-		}
-	}
-	k.Schedule(tr.gaps[0], step)
-	// Background jobs and the scaler self-schedule forever, so a dropped
-	// request would never let the nth completion stop the run: the horizon
-	// (the trace is under a minute of arrivals) ends it for the checks below.
-	end := k.Run(6 * time.Hour)
-
-	if got := f.Arrivals(); got != int64(tr.n) {
-		t.Fatalf("arrivals = %d, want %d", got, tr.n)
-	}
-	if got := f.Completions(); got != int64(tr.n) {
-		t.Fatalf("completions = %d, want %d (conservation violated)", got, tr.n)
-	}
-	for id := 1; id <= tr.n; id++ {
-		if doneCount[id] != 1 {
-			t.Fatalf("request %d completed %d times, want exactly once", id, doneCount[id])
-		}
-		if reqs[id-1].CompletedAt == 0 {
-			t.Fatalf("request %d has no completion timestamp", id)
-		}
-	}
-
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "end=%d rungs=%+v migrations=%d\n", end, f.Rungs(), f.Migrations())
-	for i := range reqs {
-		fmt.Fprintf(&sb, "%+v\n", reqs[i])
-	}
-	for _, cs := range f.ClusterStats() {
-		fmt.Fprintf(&sb, "%+v\n", cs)
-	}
-	return sb.String()
-}
-
-// TestFederationPropertyRandomTopologies is the model's property suite:
-// randomized topologies (2-8 clusters, random drain/kill/background
-// schedules, optional scaler, one replayed-churn trial) must conserve
-// requests, complete each exactly once, and produce byte-identical digests
-// on the calendar and heap queues.
-func TestFederationPropertyRandomTopologies(t *testing.T) {
-	for trial := 0; trial < 4; trial++ {
-		trial := trial
-		t.Run(fmt.Sprintf("trial%d", trial), func(t *testing.T) {
-			tr := makeFedTrial(9000+int64(trial)*7919, trial == 3)
-			cal := runFedTrial(t, tr, sim.QueueCalendar)
-			if heap := runFedTrial(t, tr, sim.QueueHeap); heap != cal {
-				t.Fatalf("digest diverged between calendar and heap queues (clusters=%d)\ncalendar:\n%.2000s\nheap:\n%.2000s",
-					tr.p.Clusters, cal, heap)
-			}
-		})
+	if cs := f.ClusterStats()[0]; cs.HardKills != 1 || f.Migrations() != 2 {
+		t.Errorf("%d hard kills, %d migrations, want 1 and 2", cs.HardKills, f.Migrations())
 	}
 }
 

@@ -88,24 +88,6 @@ func TestEngineSimHarvestMidRun(t *testing.T) {
 	}
 }
 
-// TestFederationChurnSameWithOfferIgnored replays the property suite's random
-// topologies — walltime drains pulling waiters back mid-run, hard kills
-// mid-batch, scaler shrinks, replayed faults — both ways: every request's
-// timestamps and migrations, every cluster's BusyGPUSeconds and the run's end
-// must agree.
-func TestFederationChurnSameWithOfferIgnored(t *testing.T) {
-	for trial := 0; trial < 4; trial++ {
-		tr := makeFedTrial(9000+int64(trial)*7919, trial == 3)
-		taken := runFedTrial(t, tr, sim.QueueCalendar)
-		ignoreOffer = true
-		ignored := runFedTrial(t, tr, sim.QueueCalendar)
-		ignoreOffer = false
-		if taken != ignored {
-			t.Fatalf("trial %d: digest differs between offer taken and offer ignored\ntaken:\n%.2000s\nignored:\n%.2000s", trial, taken, ignored)
-		}
-	}
-}
-
 // TestFederationKillAndDrainMidRun aims the two lifecycle cuts at a promised
 // run: a 5 000-token generation decoding alone is hard-killed, and a batch
 // at its cap with a queue behind it is drained.

@@ -41,51 +41,6 @@ func warmPoolAtDepth(t *testing.T, maxInst, insts, depth int) (*sim.Kernel, *Fed
 	return k, f, d
 }
 
-// TestScaleRefusedOncePerEpisode pins the refused-at-cap accounting fix: a
-// pool pinned at MaxInstances under one standing backlog counts exactly one
-// refusal for the whole episode, where the pre-fix scaler re-counted it
-// every HiSustain ticks — 6 times over the 12 ticks driven here. A second
-// episode (condition breaks, then re-trips) counts a second refusal.
-func TestScaleRefusedOncePerEpisode(t *testing.T) {
-	_, f, d := warmPoolAtDepth(t, 2, 2, 16)
-	f.p.Scale.HiWater = 4 // depth 16 > 4×2: the hi condition now stands
-	for i := 0; i < 12; i++ {
-		d.scaleTick()
-	}
-	cs := f.ClusterStats()[0]
-	if cs.ScaleRefused != 1 {
-		t.Fatalf("ScaleRefused = %d over one sustained at-cap episode, want 1 (pre-fix: 6)", cs.ScaleRefused)
-	}
-	if cs.ScaleUps != 0 || len(d.insts) != 2 {
-		t.Fatalf("pool moved at the cap: ups=%d insts=%d", cs.ScaleUps, len(d.insts))
-	}
-	// A one-tick flap (watermark lifted for a single tick, then re-tripped)
-	// is the same standing episode: the latch clears only after HiSustain
-	// consecutive ticks without the condition, so no second count.
-	f.p.Scale.HiWater = 1e9
-	d.scaleTick()
-	f.p.Scale.HiWater = 4
-	for i := 0; i < 6; i++ {
-		d.scaleTick()
-	}
-	if got := f.ClusterStats()[0].ScaleRefused; got != 1 {
-		t.Fatalf("ScaleRefused = %d after a one-tick flap, want still 1", got)
-	}
-	// Break the episode for HiSustain consecutive ticks, then re-trip it:
-	// the latch re-arms and counts exactly one more.
-	f.p.Scale.HiWater = 1e9
-	for i := 0; i < f.p.Scale.HiSustain; i++ {
-		d.scaleTick()
-	}
-	f.p.Scale.HiWater = 4
-	for i := 0; i < 6; i++ {
-		d.scaleTick()
-	}
-	if got := f.ClusterStats()[0].ScaleRefused; got != 2 {
-		t.Fatalf("ScaleRefused = %d after a second episode, want 2", got)
-	}
-}
-
 // TestScaleStreakResetOnPoolChange pins the stale-streak fix: a streak
 // accumulated against one pool size must not carry over a live-count change
 // that happened through another path (here a walltime-style drain), or the

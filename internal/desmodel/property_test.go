@@ -1,0 +1,306 @@
+package desmodel
+
+// One property harness for Federation: drawTrial draws a scenario anywhere in
+// the buildable FederationParams space (mustBeBuildable) with an arrival
+// trace, runTrial runs it and checks what every run owes, and
+// TestFederationProperty runs each trial three ways — calendar queue, heap
+// queue, calendar queue with the engines' quiet-run offer ignored — and
+// requires one digest. Across the trial set every churn and control path must
+// fire at least once (reachNames), read from the model's own counters.
+
+import (
+	"fmt"
+	"reflect"
+	"strings"
+	"sync"
+	"testing"
+	"time"
+
+	"github.com/argonne-first/first/internal/chaosnet"
+	"github.com/argonne-first/first/internal/fabric"
+	"github.com/argonne-first/first/internal/resilience"
+	"github.com/argonne-first/first/internal/sim"
+)
+
+// propTrial is one drawn scenario and its arrival trace.
+type propTrial struct {
+	p    FederationParams
+	gaps []sim.Time
+	reqs []Req
+}
+
+// drawTrial draws 1-8 clusters at a churn tempo (walltimes shorter than the
+// trace force drains, a tight grace against long generations forces hard
+// kills, background jobs claim GPUs), then one shape of the buildable space —
+// the fabric hop over hot instances, a replayed live schedule, a scaler, or
+// churn alone — and one arrival shape: Poisson, everything at t = 0, or
+// heavy-tailed outputs.
+func drawTrial(seed int64) propTrial {
+	rng := sim.NewRNG(seed)
+	p := DefaultFederationParams(1 + rng.Intn(8))
+	p.ServeWalltime = time.Duration(30+rng.Intn(100)) * time.Second
+	p.DrainGrace = time.Duration(5+rng.Intn(20)) * time.Second
+	p.BGPeriod = time.Duration(rng.Intn(3)*(40+rng.Intn(260))) * time.Second // zero is off
+	p.BGWalltime = time.Duration(20+rng.Intn(280)) * time.Second
+	p.BGStagger = time.Duration(1+rng.Intn(80)) * time.Second
+	p.Shards *= rng.Intn(2)
+	if rng.Intn(4) == 0 {
+		p.CordonLead = time.Duration(5+rng.Intn(40)) * time.Second
+	}
+	n := 100 + rng.Intn(400)
+	switch rng.Intn(4) {
+	case 0: // every knob that changes the fabric hop's path, over hot instances
+		p.First = [...]FirstParams{DefaultFirstParams(), VLLMDirectParams()}[rng.Intn(2)]
+		p.First.Window = []int{0, 3, 40, 428}[rng.Intn(4)]
+		if rng.Intn(3) == 0 {
+			p.First.SyncWorkers = 1 + rng.Intn(9)
+		}
+		if rng.Intn(2) == 0 {
+			p.First.AuthIntrospect = time.Duration(1+rng.Intn(2000)) * time.Millisecond
+			p.First.AuthRatePerSec = float64(rng.Intn(2) * (1 + rng.Intn(50)))
+		}
+		p.First.PollInterval = time.Duration(rng.Intn(2)*(1+rng.Intn(4))) * 500 * time.Millisecond
+		p.First.Routing = RoutingPolicy(rng.Intn(3))
+		p.Hot = 1 + rng.Intn(4)
+		p.Models = p.Models[:1+rng.Intn(3)]
+	case 1: // a replayed live schedule, the livefed twin's one model on 4×4 GPUs
+		p.Models = p.Models[:1]
+		p.NodesPerCluster, p.GPUsPerNode = 4, 4
+		// All churn comes from the schedule: a pool that drains stays dead
+		// until a restart event, so the default walltimes outlast the trace.
+		p.ServeWalltime, p.DrainGrace, p.BGPeriod = 0, 0, 0
+		s := chaosnet.Schedule{
+			Seed: uint64(seed)*2654435761 + 1, Endpoints: p.Clusters, Requests: n, RatePerSec: 20,
+			Windows: chaosnet.Windows{BurstEvery: 40 + rng.Intn(100), BurstLen: 5 + rng.Intn(10), PFault: 0.3, PBackground: 0.1},
+		}
+		claims := make([]int, p.Clusters)
+		for i := 8 + rng.Intn(16); i > 0; i-- {
+			ev := chaosnet.Event{AtIndex: rng.Intn(n - 1), Kind: chaosnet.EventKill, Endpoint: rng.Intn(p.Clusters)}
+			switch rng.Intn(4) {
+			case 1:
+				ev.Kind = chaosnet.EventRestart
+			case 2, 3: // a 4-GPU claim or a release, alternating per cluster
+				ev.Kind, ev.GPUs = chaosnet.EventBGClaim, 4
+				if claims[ev.Endpoint] > 0 {
+					ev.Kind, ev.GPUs = chaosnet.EventBGRelease, 0
+				}
+				claims[ev.Endpoint] ^= 1
+			}
+			s.Events = append(s.Events, ev)
+		}
+		// Revive every pool at the end so parked requests complete.
+		for ep := 0; ep < p.Clusters; ep++ {
+			s.Events = append(s.Events, chaosnet.Event{AtIndex: n - 1, Kind: chaosnet.EventRestart, Endpoint: ep})
+		}
+		s.Sort()
+		p.Replay = &ReplayParams{
+			Schedule: s,
+			Breaker: resilience.BreakerConfig{
+				Window: 60 * time.Second, Buckets: 12, MinSamples: 4,
+				FailureRate: 0.5, OpenFor: 10 * time.Second, HalfOpenProbes: 1,
+			},
+			MaxAttempts: 1 + rng.Intn(3),
+		}
+	case 2: // a scaler; LoWater may exceed HiWater (withDefaults clamps it)
+		p.Scale = AutoScaleParams{
+			ScalePolicy: fabric.ScalePolicy{
+				MaxInstances: 2 + rng.Intn(3),
+				HiWater:      1 + 20*rng.Float64(),
+				LoWater:      30 * rng.Float64(),
+				HiSustain:    1 + rng.Intn(3),
+				LoSustain:    1 + rng.Intn(3),
+			},
+			Interval:   time.Duration(1+rng.Intn(10)) * time.Second,
+			Predictive: rng.Intn(2) == 0,
+		}
+	default: // churn alone, now and then beside a hot instance
+		p.Hot = rng.Intn(4) / 3
+	}
+	tr := propTrial{p: p}
+	// Shape 0 is Poisson over a 2-7 minute trace, 1 everything at t = 0, 2
+	// Poisson with heavy-tailed outputs.
+	shape := rng.Intn(3)
+	mean := float64(time.Duration(120+rng.Intn(300))*time.Second) / float64(n)
+	// Generations that outlive a tight grace; shorter ones on hot instances,
+	// which never die and whose every iteration the offer-ignored way steps.
+	maxOut := 1000
+	if p.Hot > 0 {
+		maxOut = 250
+	}
+	for i := 0; i < n; i++ {
+		out := 4 + rng.Intn(maxOut)
+		if shape == 2 && rng.Bernoulli(0.1) {
+			out = maxOut/2 + rng.Intn(maxOut*5/2)
+		}
+		gap := sim.Time(rng.Exp(mean))
+		if shape == 1 {
+			gap = 0
+		}
+		tr.gaps = append(tr.gaps, gap)
+		tr.reqs = append(tr.reqs, Req{ID: i + 1, Model: rng.Intn(len(p.Models)), PromptTok: 8 + rng.Intn(250), OutputTok: out})
+	}
+	return tr
+}
+
+// reachNames are the paths the trial set must take at least once.
+var reachNames = [...]string{"drain", "hard kill", "migration", "scale-up", "scale-down", "refusal",
+	"replay shed", "exhausted failover budget", "window backlog", "poll-delayed observation",
+	"fabric hop over hot instances on ≥ 2 clusters with background jobs"}
+
+type reach [len(reachNames)]bool
+
+// runTrial runs tr as the next cell on arena a, its engines stepping every
+// iteration when ignore is set. It checks conservation, exactly-once
+// completion, each request's stamp order, pools within MaxInstances (or Hot),
+// a pure ClusterStats, and with the fabric hop the window and backlog bounds;
+// it returns a digest of everything observable and the paths the run took.
+func runTrial(tr propTrial, a *Arena, ignore bool) (digest string, reached reach, err error) {
+	ignoreOffer = ignore
+	defer func() { ignoreOffer = false }()
+	n := len(tr.reqs)
+	reqs := append([]Req(nil), tr.reqs...)
+	done := make([]int, n+1)
+	completed := 0
+	k := a.Begin()
+	k.MaxEvents = 50_000_000 // hang guard: a request ping-ponging at one instant
+	window := tr.p.First.window()
+	var f *Federation
+	f = NewFederationIn(a, tr.p, func(r *Req) {
+		done[r.ID]++
+		if window > 0 && f.InFlight() > window && err == nil {
+			err = fmt.Errorf("%d in flight through a window of %d", f.InFlight(), window)
+		}
+		if completed++; completed == n {
+			k.Stop()
+		}
+	})
+	i := 0
+	var arrive func()
+	arrive = func() {
+		f.ReplayAdvance(i)
+		f.Arrive(&reqs[i])
+		if i++; i < n {
+			k.Schedule(tr.gaps[i], arrive)
+		}
+	}
+	k.Schedule(tr.gaps[0], arrive)
+	// Background jobs and the scaler self-schedule forever, so a lost request
+	// never lets the nth completion stop the run: the horizon ends it.
+	end := k.Run(6 * time.Hour)
+	stats := f.ClusterStats()
+	switch {
+	case err != nil:
+	case f.Arrivals() != int64(n) || f.Completions() != int64(n) || f.InFlight() != 0:
+		err = fmt.Errorf("%d requests: %d arrivals, %d completions, %d in flight", n, f.Arrivals(), f.Completions(), f.InFlight())
+	case !reflect.DeepEqual(stats, f.ClusterStats()):
+		err = fmt.Errorf("ClusterStats is not a pure read")
+	case f.MaxBacklog() > max(n-window, 0) || (window <= 0 && f.MaxBacklog() != 0):
+		err = fmt.Errorf("backlog peaked at %d with %d requests and a window of %d", f.MaxBacklog(), n, window)
+	}
+	for _, c := range f.clusters {
+		for _, d := range c.deps {
+			if limit := max(f.p.Scale.MaxInstances, f.p.Hot); d.peakPool > limit && err == nil {
+				err = fmt.Errorf("cluster %s model %d: pool peaked at %d, limit %d", c.name, d.model, d.peakPool, limit)
+			}
+		}
+	}
+	var sb strings.Builder
+	fmt.Fprintf(&sb, "end=%d rungs=%+v migrations=%d backlog=%d trips=%d\n", end, f.Rungs(), f.Migrations(), f.MaxBacklog(), f.ReplayBreakerTrips())
+	polled := false
+	for i := range reqs {
+		r := &reqs[i]
+		if done[r.ID] != 1 && err == nil {
+			err = fmt.Errorf("request %d completed %d times", r.ID, done[r.ID])
+		}
+		if (max(r.ArrivalAt, r.GatewayAt) > r.EngineAt || r.EngineAt >= r.CompletedAt || r.ObservedAt < r.CompletedAt ||
+			tr.p.First.PollInterval == 0 && r.ObservedAt != r.CompletedAt) && err == nil {
+			err = fmt.Errorf("request %d walked the path out of order: %+v", r.ID, *r)
+		}
+		polled = polled || r.ObservedAt > r.CompletedAt
+		fmt.Fprintf(&sb, "%d %d %d %d %d %d %d\n", r.ID, r.Migrations, r.ArrivalAt, r.GatewayAt, r.EngineAt, r.CompletedAt, r.ObservedAt)
+	}
+	var drains, kills, ups, downs, refused int
+	for _, cs := range stats {
+		drains, kills, ups, downs, refused = drains+cs.Drains, kills+cs.HardKills, ups+cs.ScaleUps, downs+cs.ScaleDowns, refused+cs.ScaleRefused
+		fmt.Fprintf(&sb, "%+v\n", cs)
+	}
+	var sheds, exhausted int64
+	if f.replay != nil {
+		sheds, exhausted = f.replay.sheds, f.replay.exhausted
+	}
+	reached = reach{drains > 0, kills > 0, f.Migrations() > 0, ups > 0, downs > 0, refused > 0, sheds > 0, exhausted > 0,
+		f.MaxBacklog() > 0, polled, f.first.wired() && len(f.clusters) >= 2 && tr.p.BGPeriod > 0 && end > tr.p.BGPeriod/2}
+	return sb.String(), reached, err
+}
+
+type trialResult struct {
+	err     error
+	reached reach
+}
+
+// propertyTrials runs every trial three ways, once per test binary:
+// TestFederationProperty and its aliases read the same results. Each way runs
+// its trials in turn on one arena, as a fleet worker runs its cells.
+var propertyTrials = sync.OnceValue(func() []trialResult {
+	ways := []struct {
+		name   string
+		a      *Arena
+		ignore bool
+	}{
+		{"calendar queue", NewArena(sim.QueueCalendar), false},
+		{"heap queue", NewArena(sim.QueueHeap), false},
+		{"calendar queue, offer ignored", NewArena(sim.QueueCalendar), true},
+	}
+	out := make([]trialResult, 40)
+	for i := range out {
+		tr := drawTrial(9000 + int64(i)*7919)
+		cal, reached, err := runTrial(tr, ways[0].a, false)
+		for _, way := range ways[1:] {
+			if err != nil {
+				break
+			}
+			var d string
+			if d, _, err = runTrial(tr, way.a, way.ignore); err == nil && d != cal {
+				err = fmt.Errorf("the digest on the %s differs\ncalendar queue:\n%.2000s\n%s:\n%.2000s", way.name, cal, way.name, d)
+			}
+		}
+		if err != nil {
+			p := tr.p
+			err = fmt.Errorf("%d clusters, %d requests, scale %+v, first %+v, hot %d, replay %v: %w",
+				p.Clusters, len(tr.reqs), p.Scale, p.First, p.Hot, p.Replay != nil, err)
+		}
+		out[i] = trialResult{err, reached}
+	}
+	return out
+})
+
+// TestFederationProperty is the federation's property test: every trial
+// holds its invariants on all three ways and agrees with itself, and the set
+// reaches every path in reachNames.
+func TestFederationProperty(t *testing.T) {
+	var all reach
+	for i, r := range propertyTrials() {
+		t.Run(fmt.Sprintf("trial%d", i), func(t *testing.T) {
+			if r.err != nil {
+				t.Fatal(r.err)
+			}
+		})
+		for j := range all {
+			all[j] = all[j] || r.reached[j]
+		}
+	}
+	for j, ok := range all {
+		if !ok {
+			t.Errorf("no trial reached a %s", reachNames[j])
+		}
+	}
+}
+
+// The three sweeps and three re-runs the harness replaced keep their names
+// as aliases of it.
+func TestFederationPropertyRandomTopologies(t *testing.T)  { TestFederationProperty(t) }
+func TestAutoScalePropertyRandomConfigs(t *testing.T)      { TestFederationProperty(t) }
+func TestFirstPathConservationSweep(t *testing.T)          { TestFederationProperty(t) }
+func TestFederationChurnSameWithOfferIgnored(t *testing.T) { TestFederationProperty(t) }
+func TestFederationDeterministicRerun(t *testing.T)        { TestFederationProperty(t) }
+func TestScaleRefusedOncePerEpisode(t *testing.T)          { TestFederationProperty(t) }

@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"fmt"
+
 	"github.com/argonne-first/first/internal/desmodel"
 	"github.com/argonne-first/first/internal/perfmodel"
 	"github.com/argonne-first/first/internal/serving"
@@ -52,6 +54,10 @@ func RunFig5On(f Fleet, seed int64) []Fig5Row {
 			})
 			loop.start(sys)
 			k.Run(0)
+			if len(loop.finished) < Fig5Requests || loop.issued-len(loop.finished) > loop.sessions {
+				panic(fmt.Sprintf("experiments: fig5 OpenAI arm: conservation violated (issued %d, finished %d, at most %d may be in flight)",
+					loop.issued, len(loop.finished), loop.sessions))
+			}
 			loop.finished = loop.finished[:min(len(loop.finished), Fig5Requests)]
 			rows[i] = Fig5Row{
 				System:       "OpenAI API (GPT-4o-mini)",

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"fmt"
 	"time"
 
 	"github.com/argonne-first/first/internal/desmodel"
@@ -67,12 +68,11 @@ func RunStormOn(f Fleet, seed int64) []StormRow {
 		}
 		k.Schedule(time.Duration(rng.Exp(gapMean)), step)
 		k.Run(0)
-		rows[i] = StormRow{
-			Users:          c.users,
-			Shards:         c.shards,
-			M:              desmodel.Collect(reqs),
-			PeakShardQueue: sys.PeakShardQueue(),
+		m := desmodel.Collect(reqs)
+		if m.Completed != c.users {
+			panic(fmt.Sprintf("experiments: storm %d users on %d shards: conservation violated (%d completed)", c.users, c.shards, m.Completed))
 		}
+		rows[i] = StormRow{Users: c.users, Shards: c.shards, M: m, PeakShardQueue: sys.PeakShardQueue()}
 	})
 	return rows
 }

@@ -12,12 +12,11 @@ import (
 
 // Hub errors.
 var (
-	ErrBadCredentials    = errors.New("fabric: invalid confidential client credentials")
-	ErrUnknownEndpoint   = errors.New("fabric: unknown endpoint")
-	ErrUnknownFunction   = errors.New("fabric: function not registered on endpoint")
-	ErrHubQueueFull      = errors.New("fabric: hub task queue full")
-	ErrEndpointShutdown  = errors.New("fabric: endpoint shut down")
-	ErrConnectionPending = errors.New("fabric: endpoint connection not established")
+	ErrBadCredentials   = errors.New("fabric: invalid confidential client credentials")
+	ErrUnknownEndpoint  = errors.New("fabric: unknown endpoint")
+	ErrUnknownFunction  = errors.New("fabric: function not registered on endpoint")
+	ErrHubQueueFull     = errors.New("fabric: hub task queue full")
+	ErrEndpointShutdown = errors.New("fabric: endpoint shut down")
 	// ErrUnauthorized is an endpoint-side credential rejection (the
 	// endpoint's own auth disagrees with the gateway's cached view); the
 	// gateway reacts by rechecking its token cache, not by failing over.

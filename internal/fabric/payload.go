@@ -12,7 +12,6 @@ import (
 const (
 	FnInfer = "first.infer"
 	FnEmbed = "first.embed"
-	FnBatch = "first.batch"
 )
 
 // InferRequest is the payload of an FnInfer task.

@@ -8,7 +8,6 @@ package fabric
 
 import (
 	"context"
-	"errors"
 	"sync"
 	"time"
 )
@@ -91,9 +90,6 @@ type Future struct {
 	sleeper  func(time.Duration)
 	now      func() time.Time
 }
-
-// ErrTaskFailed wraps an execution failure.
-var ErrTaskFailed = errors.New("fabric: task failed")
 
 // Wait blocks for the result (honoring the polling grid when the client is
 // configured in ModePolling).

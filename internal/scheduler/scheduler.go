@@ -368,13 +368,6 @@ func (s *Scheduler) QueuedCount() int {
 	return len(s.queue)
 }
 
-// ActiveCount returns Starting+Running jobs.
-func (s *Scheduler) ActiveCount() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.active)
-}
-
 // Close cancels all queued jobs and stops accepting new ones; active jobs
 // are terminated and their allocations released.
 func (s *Scheduler) Close() {

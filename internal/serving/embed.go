@@ -6,7 +6,6 @@ import (
 	"hash/fnv"
 	"math"
 	"sync"
-	"time"
 
 	"github.com/argonne-first/first/internal/clock"
 	"github.com/argonne-first/first/internal/perfmodel"
@@ -73,11 +72,6 @@ func (e *EmbedEngine) Embed(ctx context.Context, inputs []string) ([][]float32, 
 	e.stats.BusyTime += cost
 	e.mu.Unlock()
 	return out, nil
-}
-
-// EmbedCost exposes the latency model for the DES harness.
-func (e *EmbedEngine) EmbedCost(totalTok int) time.Duration {
-	return e.model.EmbedTime(totalTok, e.gpu)
 }
 
 func approxTokens(text string) int {

@@ -284,9 +284,6 @@ func (e *Engine) WaitingCount() int { return e.waiting.len() - e.abortedWaiting 
 // KVUsedTokens returns current KV occupancy in tokens.
 func (e *Engine) KVUsedTokens() int { return e.kvUsed }
 
-// KVCapacity returns the KV capacity in tokens.
-func (e *Engine) KVCapacity() int { return e.kvCap }
-
 // Submit enqueues a request at time now and returns its sequence. The driver
 // must ensure now is monotonically consistent with prior calls. Engine time
 // only fast-forwards to now when the engine is idle — a busy engine's

@@ -9,7 +9,6 @@ package store
 import (
 	"bufio"
 	"encoding/json"
-	"fmt"
 	"os"
 	"path/filepath"
 	"sort"
@@ -332,48 +331,20 @@ func (s *Store) Save(dir string) error {
 // Load restores a snapshot previously written by Save. Missing files are
 // treated as empty tables.
 func (s *Store) Load(dir string) error {
-	var logs []RequestLog
-	if err := readJSONL(filepath.Join(dir, "requests.jsonl"), func(raw []byte) error {
-		var r RequestLog
-		if err := json.Unmarshal(raw, &r); err != nil {
-			return err
-		}
-		logs = append(logs, r)
-		return nil
-	}); err != nil {
+	logs, err := readJSONL[RequestLog](filepath.Join(dir, "requests.jsonl"))
+	if err != nil {
 		return err
 	}
-	var users []User
-	if err := readJSONL(filepath.Join(dir, "users.jsonl"), func(raw []byte) error {
-		var u User
-		if err := json.Unmarshal(raw, &u); err != nil {
-			return err
-		}
-		users = append(users, u)
-		return nil
-	}); err != nil {
+	users, err := readJSONL[User](filepath.Join(dir, "users.jsonl"))
+	if err != nil {
 		return err
 	}
-	var batches []Batch
-	if err := readJSONL(filepath.Join(dir, "batches.jsonl"), func(raw []byte) error {
-		var b Batch
-		if err := json.Unmarshal(raw, &b); err != nil {
-			return err
-		}
-		batches = append(batches, b)
-		return nil
-	}); err != nil {
+	batches, err := readJSONL[Batch](filepath.Join(dir, "batches.jsonl"))
+	if err != nil {
 		return err
 	}
-	var sessions []Session
-	if err := readJSONL(filepath.Join(dir, "sessions.jsonl"), func(raw []byte) error {
-		var sess Session
-		if err := json.Unmarshal(raw, &sess); err != nil {
-			return err
-		}
-		sessions = append(sessions, sess)
-		return nil
-	}); err != nil {
+	sessions, err := readJSONL[Session](filepath.Join(dir, "sessions.jsonl"))
+	if err != nil {
 		return err
 	}
 
@@ -403,7 +374,8 @@ func (s *Store) Load(dir string) error {
 	return nil
 }
 
-func writeJSONL(path string, rows interface{}) error {
+// writeJSONL writes one table, a JSON row per line.
+func writeJSONL[T any](path string, rows []T) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
@@ -411,56 +383,37 @@ func writeJSONL(path string, rows interface{}) error {
 	defer f.Close()
 	w := bufio.NewWriter(f)
 	enc := json.NewEncoder(w)
-	switch typed := rows.(type) {
-	case []RequestLog:
-		for _, r := range typed {
-			if err := enc.Encode(r); err != nil {
-				return err
-			}
+	for _, r := range rows {
+		if err := enc.Encode(r); err != nil {
+			return err
 		}
-	case []User:
-		for _, r := range typed {
-			if err := enc.Encode(r); err != nil {
-				return err
-			}
-		}
-	case []Batch:
-		for _, r := range typed {
-			if err := enc.Encode(r); err != nil {
-				return err
-			}
-		}
-	case []Session:
-		for _, r := range typed {
-			if err := enc.Encode(r); err != nil {
-				return err
-			}
-		}
-	default:
-		return fmt.Errorf("store: unsupported row type %T", rows)
 	}
 	return w.Flush()
 }
 
-func readJSONL(path string, each func([]byte) error) error {
+// readJSONL reads one table written by writeJSONL, skipping blank lines; a
+// missing file is an empty table.
+func readJSONL[T any](path string) ([]T, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		if os.IsNotExist(err) {
-			return nil
+			return nil, nil
 		}
-		return err
+		return nil, err
 	}
 	defer f.Close()
 	sc := bufio.NewScanner(f)
 	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
+	var rows []T
 	for sc.Scan() {
-		line := sc.Bytes()
-		if len(line) == 0 {
+		if len(sc.Bytes()) == 0 {
 			continue
 		}
-		if err := each(line); err != nil {
-			return err
+		var r T
+		if err := json.Unmarshal(sc.Bytes(), &r); err != nil {
+			return nil, err
 		}
+		rows = append(rows, r)
 	}
-	return sc.Err()
+	return rows, sc.Err()
 }
