@@ -89,7 +89,8 @@ benchmark-smoke:
 
 # pairs is the protocol a performance claim is judged by (choosing-metrics
 # §8): alternating runs of BENCHMARK.json's command, at its own run_seconds,
-# in a checkout of the parent commit and in this tree, one pair per seed. It
+# in a checkout of BASE (a temporary git worktree under .bench_build/,
+# removed when the script exits) and in this tree, one pair per seed. It
 # prints every run (req_per_s, lat_p50_ms, allocs_per_req, setup_s, correct,
 # modelled-row digest), then each side's median and quartiles of all four
 # end-to-end metrics and the win count on req_per_s, and fails if a run
@@ -97,11 +98,11 @@ benchmark-smoke:
 # is worse than the parent's by more than its bound in BENCHMARK.json.
 # SEEDS has no default: pick ones CHANGES.md does not list as spent, and list
 # them there after.
-#   make pairs PARENT=/root/scratch/parent WORKLOAD=des-autoscale SEEDS="401 402 ..."
+#   make pairs BASE=HEAD~1 WORKLOAD=des-autoscale SEEDS="401 402 ..."
 pairs:
-	@test -n "$(PARENT)" -a -n "$(WORKLOAD)" -a -n "$(SEEDS)" || { \
-		echo 'usage: make pairs PARENT=<checkout> WORKLOAD=<name> SEEDS="<n> <n> ..."'; exit 2; }
-	bash scripts/pairs.sh "$(PARENT)" "$(WORKLOAD)" $(SEEDS)
+	@test -n "$(BASE)" -a -n "$(WORKLOAD)" -a -n "$(SEEDS)" || { \
+		echo 'usage: make pairs BASE=<rev> WORKLOAD=<name> SEEDS="<n> <n> ..."'; exit 2; }
+	bash scripts/pairs.sh "$(BASE)" "$(WORKLOAD)" $(SEEDS)
 
 # loc prints the line count every size bound in ROADMAP.md quotes: non-test
 # and test Go lines per internal/* package (scripts/loc.sh). BASE=<rev> adds

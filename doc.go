@@ -24,12 +24,15 @@
 //     that Schedule would have put it. A constant-delay desmodel pipe
 //     reserves a number per entrant and keeps only its head's event queued,
 //     the shard front-end does the same with one number per busy period,
-//     and an open-loop trace keeps one arrival queued under numbers reserved
-//     for all of it up front, so every (time, seq) order and every result is
-//     what one event per request gives. The heap alone survives as a
-//     reference kernel (sim.QueueHeap, first-bench -queue heap): a
-//     differential suite proves both queues produce byte-identical results
-//     on Fig3, Table1, the storm, and the full rendered report, plus
+//     and desmodel.OpenLoop, the one open-loop driver (Fig. 3–5's traces,
+//     the federate, autoscale and storm families, the property harness),
+//     keeps one arrival queued under numbers reserved for all of it up
+//     front and carves its requests from one block, so every (time, seq)
+//     order and every result is what one event per request gives. The heap
+//     alone survives as a reference kernel (sim.QueueHeap, first-bench
+//     -queue heap): a differential suite proves both queues produce
+//     byte-identical results on Fig3, Table1, the storm, and the full
+//     rendered report, plus
 //     randomized schedule/pop property tests, a Reserve/AtSeq-versus-Schedule
 //     differential, each move of the run (spill, refill, an empty run in
 //     front of a non-empty heap, bounded runs, Reset), and a same-instant
@@ -384,8 +387,8 @@
 // windows and the arrival rate measured during the live run — and the DES
 // federation twin replays that exact schedule (desmodel.ReplayParams).
 // Index time is the shared time base: the live driver fires every event
-// due at index i before issuing request i, and the twin's open-loop driver
-// calls ReplayAdvance(i) before arrival i. The twin routes with real
+// due at index i before issuing request i, and the twin's Federation.Arrive
+// fires them before it takes its own arrival i. The twin routes with real
 // resilience.Breakers in the live gateway's configuration on the same
 // one-second-per-request logical clock, draws the same pure
 // Windows.Faulty(seed, index, endpoint, attempt) fault function, and
@@ -414,7 +417,7 @@
 // so arena reuse never perturbs determinism (TestFamilies runs each family's
 // sequential pass on arenas its default-fleet pass left in the pool), and an
 // arena whose cell panicked is not kept. Everything the desmodel hands the kernel — the engine iteration
-// loop, every lane and pipe of every path, the open-loop driver's arrivals —
+// loop, every lane and pipe of every path, desmodel.OpenLoop's arrivals —
 // is a callback bound once at construction, so neither a saturated loop nor
 // a request in flight schedules a fresh closure. desmodel.EngineSim takes the engine's offer:
 // it schedules its one delivery event at the end of the quiet run, settles

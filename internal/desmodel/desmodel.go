@@ -85,6 +85,42 @@ func finish(k *sim.Kernel, r *Req, done func(*Req)) {
 	}
 }
 
+// OpenLoop drives n open-loop arrivals (the vLLM benchmark's open-loop mode:
+// a fixed request rate, or everything at t = 0) and returns the requests in
+// index order, carved from one block. next fills request i and returns its
+// arrival instant; it runs when request i−1 fires, before arrive hands that
+// one on. The n sequence numbers are reserved here, where scheduling every
+// arrival up front would have taken them, and each arrival queues the next
+// under its number, so the arrivals fire in the (time, seq) order n
+// scheduled events would — ahead of anything an arrival books for the same
+// instant — while the kernel holds one of them. An instant before the
+// previous one panics (sim.Kernel.AtSeq) when the run reaches it.
+func OpenLoop(k *sim.Kernel, n int, arrive func(*Req), next func(i int, r *Req) sim.Time) []*Req {
+	block := make([]Req, n)
+	reqs := make([]*Req, n)
+	for i := range block {
+		reqs[i] = &block[i]
+	}
+	if n == 0 {
+		return reqs
+	}
+	first := k.Reserve()
+	for range n - 1 {
+		k.Reserve()
+	}
+	// Arrival i runs under number first+i, which is how it knows its index.
+	var send func()
+	send = func() {
+		i := int(k.RunningSeq() - first)
+		if i+1 < n {
+			k.AtSeq(next(i+1, reqs[i+1]), first+uint64(i+1), send)
+		}
+		arrive(reqs[i])
+	}
+	k.AtSeq(next(0, reqs[0]), first, send)
+	return reqs
+}
+
 // Metrics are the paper's §5.1 evaluation metrics for one run.
 type Metrics struct {
 	Requests     int

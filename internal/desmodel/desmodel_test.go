@@ -2,6 +2,9 @@ package desmodel
 
 import (
 	"math"
+	"math/bits"
+	"runtime/debug"
+	"slices"
 	"sort"
 	"testing"
 	"time"
@@ -328,12 +331,17 @@ func TestCollectSelectsLikeSort(t *testing.T) {
 }
 
 // medianOfThreeKiller returns n values on which every partition round of a
-// selection of index k takes the range's second-smallest value as its pivot
-// and so strips two values: McIlroy's adversary, played against partition
-// itself. An undecided value is held as n plus its starting index (larger
-// than every value decided so far, and telling where it started); the values
-// at two of a round's pivot slots are decided, smallest first, just before
-// the round.
+// selection of index k, up to selectNth's round budget, takes the range's
+// second-smallest value as its pivot and so strips two values: McIlroy's
+// adversary, played against partition itself. An undecided value is held as
+// n plus its starting index (larger than every value decided so far, and
+// telling where it started); the values at two of a round's pivot slots are
+// decided, smallest first, just before the round. The rounds compare values
+// only with their pivot, so the values still undecided when the budget runs
+// out may be any that exceed the decided ones: they are dealt in falling
+// order of the slot each then holds, which leaves the range selectNth hands
+// to its fallback sort reversed, and something other than the kth smallest
+// at k.
 func medianOfThreeKiller(t *testing.T, n, k int) []float64 {
 	probe := make([]float64, n)
 	for i := range probe {
@@ -346,7 +354,7 @@ func medianOfThreeKiller(t *testing.T, n, k int) []float64 {
 		probe[slot] = next
 		next++
 	}
-	for lo, hi := 0, n; hi-lo > 16 && k >= lo+2; {
+	for lo, hi, rounds := 0, n, 2*bits.Len(uint(n)); rounds > 0 && hi-lo > 16 && k >= lo+2; rounds-- {
 		q1, mid, _ := pivotSlots(lo, hi)
 		decide(q1)
 		decide(mid)
@@ -355,9 +363,9 @@ func medianOfThreeKiller(t *testing.T, n, k int) []float64 {
 		}
 		lo += 2
 	}
-	for _, v := range probe {
+	for slot, v := range probe {
 		if v >= float64(n) {
-			out[int(v)-n] = v
+			out[int(v)-n] = float64(2*n - slot)
 		}
 	}
 	return out
@@ -402,4 +410,48 @@ func TestLeastLoadedRouting(t *testing.T) {
 		k.Stop()
 	})
 	k.Run(0)
+}
+
+// TestOpenLoopAllocsIndependentOfN: the runner carves its requests from one
+// block, so a run allocates as often for 100 000 arrivals as for 1 000. The
+// collector stays off while it counts: its own bookkeeping after a large
+// block would otherwise show up as a few stray allocations.
+func TestOpenLoopAllocsIndependentOfN(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	k := sim.NewKernel()
+	allocs := func(n int) float64 {
+		return testing.AllocsPerRun(3, func() {
+			k.Reset()
+			OpenLoop(k, n, func(*Req) {}, func(i int, r *Req) sim.Time {
+				r.ID = i + 1
+				return k.Now() + sim.Time(i%3) // ties and gaps
+			})
+			k.Run(0)
+		})
+	}
+	if small, large := allocs(1_000), allocs(100_000); small != large {
+		t.Errorf("OpenLoop allocates %v times for 1 000 arrivals and %v for 100 000", small, large)
+	}
+}
+
+// TestOpenLoopArrivalsPrecedeSameInstantBookings: arrivals at one instant
+// all fire before anything an arrival books for that instant, as they would
+// had every arrival been scheduled up front — the order the runner's
+// reserved sequence numbers exist for.
+func TestOpenLoopArrivalsPrecedeSameInstantBookings(t *testing.T) {
+	for _, q := range []sim.QueueKind{sim.QueueCalendar, sim.QueueHeap} {
+		k := sim.NewKernelWith(q)
+		var order []int
+		OpenLoop(k, 4, func(r *Req) {
+			order = append(order, r.ID)
+			k.Schedule(0, func() { order = append(order, -r.ID) })
+		}, func(i int, r *Req) sim.Time {
+			r.ID = i + 1
+			return time.Second
+		})
+		k.Run(0)
+		if want := []int{1, 2, 3, 4, -1, -2, -3, -4}; !slices.Equal(order, want) {
+			t.Errorf("%v: arrivals and their same-instant bookings ran as %v, want %v", q, order, want)
+		}
+	}
 }

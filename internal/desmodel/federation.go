@@ -106,7 +106,7 @@ type FederationParams struct {
 	// instead of the self-scheduled tempo above (see replay.go). Pools are
 	// pre-started like a live boot, demand-driven cold starts are off, and
 	// kills/restarts/background claims fire at the replayed request
-	// indices via ReplayAdvance.
+	// indices, counted by Arrive.
 	Replay *ReplayParams
 }
 
@@ -415,10 +415,14 @@ func (c *fedCluster) noteQueued() {
 // Arrive is a client request hitting the federation gateway: stamped,
 // counted, and handed to the path's first stage — shard-lane admission
 // (serialized critical section) and PostWork, the fabric's worker window,
-// or the routing decision itself.
+// or the routing decision itself. Under a replay it first fires the
+// schedule's events due at its index, the count of arrivals before it.
 //
 //first:hotpath pinned by TestSystemsCarryZeroAlloc (stage_test.go)
 func (f *Federation) Arrive(r *Req) {
+	if f.replay != nil {
+		f.replay.advance(int(f.arrivals))
+	}
 	r.ArrivalAt = f.k.Now()
 	f.arrivals++
 	f.arrive(r)

@@ -158,7 +158,6 @@ func runTrial(tr propTrial, a *Arena, ignore bool) (digest string, reached reach
 	ignoreOffer = ignore
 	defer func() { ignoreOffer = false }()
 	n := len(tr.reqs)
-	reqs := append([]Req(nil), tr.reqs...)
 	done := make([]int, n+1)
 	completed := 0
 	k := a.Begin()
@@ -174,16 +173,10 @@ func runTrial(tr propTrial, a *Arena, ignore bool) (digest string, reached reach
 			k.Stop()
 		}
 	})
-	i := 0
-	var arrive func()
-	arrive = func() {
-		f.ReplayAdvance(i)
-		f.Arrive(&reqs[i])
-		if i++; i < n {
-			k.Schedule(tr.gaps[i], arrive)
-		}
-	}
-	k.Schedule(tr.gaps[0], arrive)
+	reqs := OpenLoop(k, n, f.Arrive, func(i int, r *Req) sim.Time {
+		*r = tr.reqs[i]
+		return k.Now() + tr.gaps[i]
+	})
 	// Background jobs and the scaler self-schedule forever, so a lost request
 	// never lets the nth completion stop the run: the horizon ends it.
 	end := k.Run(6 * time.Hour)
@@ -207,8 +200,7 @@ func runTrial(tr propTrial, a *Arena, ignore bool) (digest string, reached reach
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "end=%d rungs=%+v migrations=%d backlog=%d trips=%d\n", end, f.Rungs(), f.Migrations(), f.MaxBacklog(), f.ReplayBreakerTrips())
 	polled := false
-	for i := range reqs {
-		r := &reqs[i]
+	for _, r := range reqs {
 		if done[r.ID] != 1 && err == nil {
 			err = fmt.Errorf("request %d completed %d times", r.ID, done[r.ID])
 		}

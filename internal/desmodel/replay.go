@@ -1,19 +1,20 @@
 package desmodel
 
 // Schedule replay: the DES federation executing the *same* recorded churn
-// schedule a live cell ran (ROADMAP's sim-vs-real calibration gap). The
-// contract is index time: the arrival driver calls ReplayAdvance(i) before
-// arrival i, which fires every schedule event due at i — deployment
-// hard-kills and cold restarts through the real scheduler path, background
-// GPU claims and releases — exactly when the live driver fired them before
-// issuing request i. Fault windows need no events: routing draws the same
-// pure Windows.Faulty(seed, index, endpoint, attempt) function the live
-// endpoints drew, and a real resilience.Breaker per cluster (the live
-// gateway's config, on the same logical one-second-per-request clock)
-// turns those draws into the same avoidance decisions the live breaker
-// trace shows. A drawn fault migrates the request to the next ladder
-// candidate the way a live failover re-routes it, so migrations-per-request
-// is the twin of the gateway's failover-attempts-per-request.
+// schedule a live cell ran (ROADMAP's sim-vs-real calibration gap). Its time
+// base is the request index: Federation.Arrive counts its arrivals, and
+// before it takes arrival i it fires every schedule event due at i —
+// deployment hard-kills and cold restarts through the real scheduler path,
+// background GPU claims and releases — exactly when the live driver fired
+// them before issuing request i. Fault windows need no events: routing
+// draws the same pure Windows.Faulty(seed, index, endpoint, attempt)
+// function the live endpoints drew, and a real resilience.Breaker per
+// cluster (the live gateway's config, on the same logical
+// one-second-per-request clock) turns those draws into the same avoidance
+// decisions the live breaker trace shows. A drawn fault migrates the
+// request to the next ladder candidate the way a live failover re-routes
+// it, so migrations-per-request is the twin of the gateway's
+// failover-attempts-per-request.
 
 import (
 	"time"
@@ -97,14 +98,10 @@ func (rp *fedReplay) attempt(idx, ep int) int {
 	return a
 }
 
-// ReplayAdvance fires every scheduled churn event due at or before request
-// index idx and advances the logical clock. The open-loop driver calls it
-// just before each arrival; it is a no-op without a replay schedule.
-func (f *Federation) ReplayAdvance(idx int) {
-	rp := f.replay
-	if rp == nil {
-		return
-	}
+// advance fires every scheduled churn event due at or before request index
+// idx and advances the logical clock. Federation.Arrive calls it with its
+// own arrival count before it stamps the request.
+func (rp *fedReplay) advance(idx int) {
 	rp.nowIdx = idx
 	rp.cur.Advance(idx, rp.fire)
 }

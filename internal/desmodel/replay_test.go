@@ -69,17 +69,12 @@ func runReplayOnce(t *testing.T, s chaosnet.Schedule) replaySummary {
 	n := s.Requests
 	completed := 0
 	f := NewFederationIn(a, replayTestParams(s.Endpoints, s), func(*Req) { completed++ })
-	reqs := make([]*Req, n)
-	for i := 0; i < n; i++ {
-		i := i
-		reqs[i] = &Req{ID: i + 1, Model: 0, PromptTok: 32, OutputTok: 8}
-		// 10 s gaps keep the kill indices well past the pools' ~30 s boot,
-		// so kills land on running instances like the live storm's do.
-		k.Schedule(time.Duration(i)*10*time.Second, func() {
-			f.ReplayAdvance(i)
-			f.Arrive(reqs[i])
-		})
-	}
+	// 10 s gaps keep the kill indices well past the pools' ~30 s boot, so
+	// kills land on running instances like the live storm's do.
+	reqs := OpenLoop(k, n, f.Arrive, func(i int, r *Req) sim.Time {
+		*r = Req{ID: i + 1, PromptTok: 32, OutputTok: 8}
+		return time.Duration(i) * 10 * time.Second
+	})
 	k.Run(0)
 	sum := replaySummary{
 		Completed:  completed,
@@ -126,8 +121,8 @@ func TestReplayConservesAndReruns(t *testing.T) {
 }
 
 // TestReplayEventsGateOnIndex verifies the index time base: a schedule
-// event fires exactly when ReplayAdvance crosses its index, not before —
-// the same ordering the live driver uses (churn first, then issue).
+// event fires at the arrival whose index it names, not before — the same
+// ordering the live driver uses (churn first, then issue).
 func TestReplayEventsGateOnIndex(t *testing.T) {
 	s := chaosnet.Schedule{
 		Seed: 1, Endpoints: 2, Requests: 10,
@@ -146,19 +141,28 @@ func TestReplayEventsGateOnIndex(t *testing.T) {
 	if alive() == 0 {
 		t.Fatal("pool 1 not pre-started")
 	}
-	k.Schedule(0, func() { f.ReplayAdvance(4) })
-	k.Run(2 * time.Minute)
-	if alive() == 0 {
-		t.Fatal("kill fired before its index")
+	arrived := 0
+	arriveUpTo := func(n int, until sim.Time) {
+		for ; arrived < n; arrived++ {
+			r := &Req{ID: arrived + 1, PromptTok: 32, OutputTok: 8}
+			k.Schedule(0, func() { f.Arrive(r) })
+		}
+		k.Run(until)
 	}
-	k.Schedule(0, func() { f.ReplayAdvance(5) })
-	k.Run(3 * time.Minute)
+	arriveUpTo(5, 2*time.Minute)
+	if alive() == 0 {
+		t.Fatal("kill fired before the 6th arrival")
+	}
+	arriveUpTo(6, 3*time.Minute)
 	if alive() != 0 {
-		t.Fatal("kill did not fire at its index")
+		t.Fatal("kill did not fire at the 6th arrival")
 	}
-	k.Schedule(0, func() { f.ReplayAdvance(8) })
-	k.Run(4 * time.Minute)
+	arriveUpTo(8, 4*time.Minute)
+	if alive() != 0 {
+		t.Fatal("restart fired before the 9th arrival")
+	}
+	arriveUpTo(9, 5*time.Minute)
 	if alive() == 0 {
-		t.Fatal("restart did not revive the pool")
+		t.Fatal("restart did not revive the pool at the 9th arrival")
 	}
 }

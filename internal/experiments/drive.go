@@ -21,45 +21,17 @@ type arriver interface {
 	Arrive(*desmodel.Req)
 }
 
-// driveOpenLoop schedules a trace's arrivals onto a system (the vLLM
-// benchmark script's open-loop mode: fixed request rate, or everything at
-// t=0 for the "infinite" rate). The trace must be in arrival order: the n
-// arrivals then fire in index order and share one callback and one block,
-// and keep one kernel event queued. Their n sequence numbers are reserved
-// here, where scheduling every arrival up front would have taken them, and
-// each arrival queues the next under its number, so they fire in the same
-// (time, seq) order as n scheduled events would.
+// driveOpenLoop runs a trace's arrivals through desmodel.OpenLoop, each at
+// its offset from now (a negative offset clamps to now, as Schedule clamps a
+// negative delay). The trace must be in arrival order: the kernel panics
+// when the run reaches an arrival earlier than the one before it.
 func driveOpenLoop(k *sim.Kernel, trace []workload.Request, sys arriver) []*desmodel.Req {
-	block := make([]desmodel.Req, len(trace))
-	reqs := make([]*desmodel.Req, len(trace))
 	start := k.Now()
-	var first uint64
-	for i, t := range trace {
-		if i > 0 && t.ArrivalAt < trace[i-1].ArrivalAt {
-			panic("experiments: open-loop trace is not in arrival order")
-		}
-		block[i] = desmodel.Req{ID: t.ID, PromptTok: t.PromptTok, OutputTok: t.OutputTok}
-		reqs[i] = &block[i]
-		if seq := k.Reserve(); i == 0 {
-			first = seq
-		}
-	}
-	// queue puts arrival i on the kernel; a negative offset clamps to now,
-	// as Schedule clamps a negative delay.
-	next := 0
-	var send func()
-	queue := func(i int) { k.AtSeq(start+max(trace[i].ArrivalAt, 0), first+uint64(i), send) }
-	send = func() {
-		r := reqs[next]
-		if next++; next < len(trace) {
-			queue(next)
-		}
-		sys.Arrive(r)
-	}
-	if len(trace) > 0 {
-		queue(0)
-	}
-	return reqs
+	return desmodel.OpenLoop(k, len(trace), sys.Arrive, func(i int, r *desmodel.Req) sim.Time {
+		t := trace[i]
+		r.ID, r.PromptTok, r.OutputTok = t.ID, t.PromptTok, t.OutputTok
+		return start + max(t.ArrivalAt, 0)
+	})
 }
 
 // firstOpenLoop runs one open-loop cell of the paper's own deployment

@@ -212,14 +212,15 @@ func RunFederateCellsOn(f Fleet, seed int64, cells []FederateCell) []FederateRow
 	return rows
 }
 
-// federateOpen runs one open-loop cell of OpenLoopReqs requests: arrivals
-// self-schedule so the kernel never holds the whole trace — each draws its
-// lengths, then its model from the cell's demand curve, then the gap to the
-// next as an exponential of mean 1/(rate·mult(now)) — the run stops at the
-// last completion (background churn and the scaler would otherwise run
-// forever) or at openLoopHorizon, and is audited before anything is
-// reported. Drain-aware twins report as mode "cordon" so reports keep the
-// drain-blind baseline's keys intact.
+// federateOpen runs one open-loop cell of OpenLoopReqs requests through
+// desmodel.OpenLoop. Request i draws its gap after arrival i−1, an
+// exponential of mean 1/(rate·mult(t)) at that arrival's instant (1/rate
+// for the first), then its lengths, then its model from the cell's demand
+// curve at its own instant. The run stops at the last completion
+// (background churn and the scaler would otherwise run forever) or at
+// openLoopHorizon, and is audited before anything is reported. Drain-aware
+// twins report as mode "cordon" so reports keep the drain-blind baseline's
+// keys intact.
 func federateOpen(a *desmodel.Arena, c FederateCell, seed int64) FederateRow {
 	p := c.params()
 	n := c.OpenLoopReqs
@@ -241,25 +242,16 @@ func federateOpen(a *desmodel.Arena, c FederateCell, seed int64) FederateRow {
 	})
 	spec := workload.FederateOpen()
 	baseGap := float64(time.Second) / c.RatePerSec
-	reqs := make([]*desmodel.Req, n)
-	idx := 0
-	var step func()
-	step = func() {
-		now := k.Now()
-		pt, ot := spec.SampleLengths(rng)
-		r := &desmodel.Req{ID: idx + 1, PromptTok: pt, OutputTok: ot, Model: pick(now)}
-		reqs[idx] = r
-		// Under replay this fires the schedule's churn events due at this
-		// index before the arrival routes — the same ordering the live
-		// driver uses (kill/restart/claim, then issue). No-op otherwise.
-		sys.ReplayAdvance(idx)
-		sys.Arrive(r)
-		idx++
-		if idx < n {
-			k.Schedule(time.Duration(rng.Exp(baseGap/mult(now))), step)
+	reqs := desmodel.OpenLoop(k, n, sys.Arrive, func(i int, r *desmodel.Req) sim.Time {
+		gap := baseGap
+		if i > 0 {
+			gap /= mult(k.Now())
 		}
-	}
-	k.Schedule(time.Duration(rng.Exp(baseGap)), step)
+		t := k.Now() + time.Duration(rng.Exp(gap))
+		pt, ot := spec.SampleLengths(rng)
+		*r = desmodel.Req{ID: i + 1, PromptTok: pt, OutputTok: ot, Model: pick(t)}
+		return t
+	})
 	end := k.Run(openLoopHorizon(n, c.RatePerSec))
 	auditConservation(fmt.Sprintf("federate %s cell c%d shape=%q predictive=%v", mode, c.Clusters, c.Shape, c.Predictive), sys, n, 0)
 	return federateRow(sys, c, mode, n, reqs, end)

@@ -71,7 +71,8 @@ func TestFleetPanicPropagates(t *testing.T) {
 }
 
 // TestDriveOpenLoopRejectsDisorder: one callback for every arrival is only
-// right for a trace in arrival order, so any other trace must be refused.
+// right for a trace in arrival order, so any other trace must be refused,
+// when the run reaches the arrival that goes back in time.
 func TestDriveOpenLoopRejectsDisorder(t *testing.T) {
 	k := sim.NewKernel()
 	sys := desmodel.NewGatewayFE(k, desmodel.DefaultGatewayFEParams(1), nil)
@@ -87,4 +88,5 @@ func TestDriveOpenLoopRejectsDisorder(t *testing.T) {
 		}
 	}()
 	driveOpenLoop(k, trace, sys)
+	k.Run(0)
 }

@@ -629,10 +629,12 @@ func isTypedErr(err error) bool {
 		errors.Is(err, context.Canceled)
 }
 
+// percentileOf reads sorted latencies at the rank desmodel.Collect selects,
+// min(int(q·n), n−1) (n/2 for the median), so a live row and its twin
+// compare the same rank.
 func percentileOf(sorted []float64, q float64) float64 {
 	if len(sorted) == 0 {
 		return 0
 	}
-	i := int(q * float64(len(sorted)-1))
-	return sorted[i]
+	return sorted[min(int(q*float64(len(sorted))), len(sorted)-1)]
 }

@@ -5,8 +5,11 @@ import (
 	"encoding/json"
 	"reflect"
 	"testing"
+	"time"
 
 	"github.com/argonne-first/first/internal/chaosnet"
+	"github.com/argonne-first/first/internal/desmodel"
+	"github.com/argonne-first/first/internal/sim"
 )
 
 // TestLiveFedZeroLost drives the short chaos cell — refused dials, 503
@@ -252,5 +255,23 @@ func TestLiveFedTwinByteIdentity(t *testing.T) {
 	}
 	if a[0].HardKills == 0 || a[0].Migrations == 0 {
 		t.Errorf("replay twin too quiet to trust identity: %+v", a[0])
+	}
+}
+
+// TestPercentileOfMatchesCollect: a live row's p50/p99 read the ranks its
+// twin's desmodel.Collect selects, so "p99 live/sim" compares like with like.
+func TestPercentileOfMatchesCollect(t *testing.T) {
+	for n := 1; n <= 600; n++ {
+		reqs := make([]*desmodel.Req, n)
+		sorted := make([]float64, n)
+		for i := range reqs {
+			d := time.Duration(i+1) * time.Millisecond
+			reqs[i] = &desmodel.Req{ObservedAt: d}
+			sorted[i] = sim.Sec(d)
+		}
+		m := desmodel.Collect(reqs)
+		if p50, p99 := percentileOf(sorted, 0.50), percentileOf(sorted, 0.99); p50 != m.MedianLatS || p99 != m.P99LatS {
+			t.Fatalf("n=%d: percentileOf gives p50 %v, p99 %v; Collect gives %v, %v", n, p50, p99, m.MedianLatS, m.P99LatS)
+		}
 	}
 }

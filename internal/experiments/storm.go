@@ -51,22 +51,11 @@ func RunStormOn(f Fleet, seed int64) []StormRow {
 		k := a.Begin()
 		sys := desmodel.NewGatewayFE(k, desmodel.DefaultGatewayFEParams(c.shards), nil)
 		rng := sim.NewRNG(seed + int64(c.users))
-		reqs := make([]*desmodel.Req, c.users)
-		// Arrivals self-schedule: each one books the next, so the kernel
-		// heap holds one pending arrival instead of the whole storm.
 		gapMean := float64(time.Second) / StormRatePerSec
-		idx := 0
-		var step func()
-		step = func() {
-			r := &desmodel.Req{ID: idx + 1}
-			reqs[idx] = r
-			sys.Arrive(r)
-			idx++
-			if idx < c.users {
-				k.Schedule(time.Duration(rng.Exp(gapMean)), step)
-			}
-		}
-		k.Schedule(time.Duration(rng.Exp(gapMean)), step)
+		reqs := desmodel.OpenLoop(k, c.users, sys.Arrive, func(i int, r *desmodel.Req) sim.Time {
+			r.ID = i + 1
+			return k.Now() + time.Duration(rng.Exp(gapMean))
+		})
 		k.Run(0)
 		m := desmodel.Collect(reqs)
 		if m.Completed != c.users {

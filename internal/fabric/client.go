@@ -1,18 +1,10 @@
 package fabric
 
-import (
-	"context"
-	"time"
-)
+import "context"
 
 // ClientConfig configures a Globus-Compute-SDK-style client.
 type ClientConfig struct {
 	Credentials Credentials
-	// ResultMode selects futures (Optimization 1) or legacy 2 s polling.
-	ResultMode ResultMode
-	// PollInterval applies in ModePolling; default 2 s (the paper's
-	// pre-optimization behaviour).
-	PollInterval time.Duration
 }
 
 // Client is what the Inference Gateway holds: it forwards each request to
@@ -25,15 +17,12 @@ type Client struct {
 
 // NewClient returns a client bound to a hub.
 func NewClient(hub *Hub, cfg ClientConfig) *Client {
-	if cfg.ResultMode == ModePolling && cfg.PollInterval <= 0 {
-		cfg.PollInterval = 2 * time.Second
-	}
 	return &Client{hub: hub, cfg: cfg}
 }
 
 // Submit sends a function invocation and returns a future.
 func (c *Client) Submit(endpointID, function string, payload []byte) (*Future, error) {
-	return c.hub.submit(c.cfg.Credentials, endpointID, function, payload, c.cfg.ResultMode, c.cfg.PollInterval)
+	return c.hub.submit(c.cfg.Credentials, endpointID, function, payload)
 }
 
 // Run submits and waits (the gateway's per-request path).

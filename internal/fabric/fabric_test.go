@@ -262,63 +262,6 @@ func TestDeploymentStatusStates(t *testing.T) {
 	}
 }
 
-func TestPollingModeWorksEndToEnd(t *testing.T) {
-	f := newTestFabric(t, HubConfig{}, 2)
-	f.deploy(t, DeploymentConfig{Model: perfmodel.Llama8B, MinInstances: 1})
-	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
-	defer cancel()
-
-	polling := NewClient(f.hub, ClientConfig{
-		Credentials: Credentials{ClientID: "client-id", ClientSecret: "client-secret"},
-		ResultMode:  ModePolling, // default 2s interval, the pre-Opt.1 cadence
-	})
-	payload := MarshalPayload(InferRequest{Model: perfmodel.Llama8B, PromptTok: 10, OutputTok: 4})
-	if _, err := polling.Run(ctx, "ep-test", FnInfer, payload); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestFuturePollingGridDeterministic(t *testing.T) {
-	// Unit-level check of Optimization 1's ablation semantics: a polling
-	// client only observes the result on the next 2 s boundary after it
-	// lands, measured from submission.
-	base := time.Date(2025, 10, 15, 0, 0, 0, 0, time.UTC)
-	now := base.Add(2700 * time.Millisecond) // result landed 2.7s after submit
-	var slept time.Duration
-	fut := &Future{
-		task:     &Task{SubmittedAt: base},
-		done:     make(chan struct{}),
-		mode:     ModePolling,
-		pollEach: 2 * time.Second,
-		sleeper:  func(d time.Duration) { slept += d; now = now.Add(d) },
-		now:      func() time.Time { return now },
-	}
-	fut.resolve([]byte("ok"), nil)
-	out, err := fut.Wait(context.Background())
-	if err != nil || string(out) != "ok" {
-		t.Fatalf("wait: %v %q", err, out)
-	}
-	// Next grid point after 2.7s is 4.0s → extra 1.3s of waiting.
-	if slept != 1300*time.Millisecond {
-		t.Errorf("poll-grid sleep = %v, want 1.3s", slept)
-	}
-
-	// Futures mode never adds observation delay.
-	var futuresSlept time.Duration
-	f2 := &Future{
-		task:    &Task{SubmittedAt: base},
-		done:    make(chan struct{}),
-		mode:    ModeFutures,
-		sleeper: func(d time.Duration) { futuresSlept += d },
-		now:     func() time.Time { return now },
-	}
-	f2.resolve(nil, nil)
-	f2.Wait(context.Background())
-	if futuresSlept != 0 {
-		t.Errorf("futures mode slept %v", futuresSlept)
-	}
-}
-
 func TestHubQueueFull(t *testing.T) {
 	f := newTestFabric(t, HubConfig{
 		SubmitLatency: 0, DispatchCost: time.Hour, // dispatch lane jammed (virtual)

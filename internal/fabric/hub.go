@@ -145,7 +145,7 @@ func (h *Hub) QueuedTasks() int {
 
 // submit validates and accepts a task from a client SDK. The returned
 // future resolves when the endpoint's result is relayed back.
-func (h *Hub) submit(creds Credentials, endpointID, function string, payload []byte, mode ResultMode, pollEach time.Duration) (*Future, error) {
+func (h *Hub) submit(creds Credentials, endpointID, function string, payload []byte) (*Future, error) {
 	if creds.ClientID != h.clientID || creds.ClientSecret != h.clientSecret {
 		return nil, ErrBadCredentials
 	}
@@ -193,14 +193,7 @@ func (h *Hub) submit(creds Credentials, endpointID, function string, payload []b
 		h.clk.Sleep(h.cfg.SubmitLatency)
 	}
 
-	future := &Future{
-		task:     task,
-		done:     make(chan struct{}),
-		mode:     mode,
-		pollEach: pollEach,
-		sleeper:  h.clk.Sleep,
-		now:      h.clk.Now,
-	}
+	future := &Future{task: task, done: make(chan struct{})}
 	h.met.Counter("hub_tasks_submitted").Inc()
 	select {
 	case h.dispatchCh <- &dispatchItem{task: task, future: future, at: h.clk.Now()}:

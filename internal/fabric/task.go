@@ -68,46 +68,20 @@ func (t *Task) setStatus(s Status) {
 	t.mu.Unlock()
 }
 
-// ResultMode selects how clients learn about completions: the paper's
-// Optimization 1 replaced 2-second status polling with futures.
-type ResultMode int
-
-const (
-	// ModeFutures delivers results as soon as the hub relays them.
-	ModeFutures ResultMode = iota
-	// ModePolling observes results only on a fixed polling grid relative
-	// to submission (the pre-optimization behaviour).
-	ModePolling
-)
-
-// Future resolves to a task result.
+// Future resolves to a task result: the paper's Optimization 1 replaced
+// 2-second status polling with futures, so a waiter learns of the result as
+// soon as the hub relays it.
 type Future struct {
 	task *Task
 	done chan struct{}
-
-	mode     ResultMode
-	pollEach time.Duration
-	sleeper  func(time.Duration)
-	now      func() time.Time
 }
 
-// Wait blocks for the result (honoring the polling grid when the client is
-// configured in ModePolling).
+// Wait blocks for the result.
 func (f *Future) Wait(ctx context.Context) ([]byte, error) {
 	select {
 	case <-f.done:
 	case <-ctx.Done():
 		return nil, ctx.Err()
-	}
-	if f.mode == ModePolling && f.pollEach > 0 {
-		// The poller only notices completion at the next 2 s boundary
-		// after the result landed.
-		elapsed := f.now().Sub(f.task.SubmittedAt)
-		ticks := elapsed / f.pollEach
-		next := f.task.SubmittedAt.Add((ticks + 1) * f.pollEach)
-		if wait := next.Sub(f.now()); wait > 0 {
-			f.sleeper(wait)
-		}
 	}
 	f.task.mu.Lock()
 	defer f.task.mu.Unlock()

@@ -1,8 +1,11 @@
 #!/usr/bin/env bash
 # The choosing-metrics §8 protocol behind `make pairs`: alternating runs of
-# BENCHMARK.json's command in a parent checkout and in this one, one pair per
-# seed, the side that goes first swapping every pair. Each run.sh builds from
-# the checkout it sits in. Prints every run, then, for each end-to-end metric
+# BENCHMARK.json's command in a checkout of a base revision and in this one,
+# one pair per seed, the side that goes first swapping every pair. The base
+# is checked out as a temporary git worktree under .bench_build/, removed on
+# exit; each run.sh builds from the checkout it sits in, so the base side
+# runs the base's committed files and this side the working tree as it is.
+# Prints every run, then, for each end-to-end metric
 # (req_per_s, lat_p50_ms, allocs_per_req, setup_s), each side's median and
 # quartiles and the change's median against the parent's, and the change's
 # win count on req_per_s with §8's verdict on it: the claim rule is met when
@@ -17,20 +20,31 @@
 # change, so every use spends its seeds — record them in CHANGES.md beside
 # the result.
 #
-#   scripts/pairs.sh <parent-checkout> <workload> <seed> [seed ...]
+#   scripts/pairs.sh <base-revision> <workload> <seed> [seed ...]
 set -euo pipefail
 if [ $# -lt 3 ]; then
-	echo "usage: $0 <parent-checkout> <workload> <seed> [seed ...]" >&2
+	echo "usage: $0 <base-revision> <workload> <seed> [seed ...]" >&2
 	exit 2
 fi
-parent="$(cd "$1" && pwd)"
 change="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
+rev="$(git -C "$change" rev-parse --verify --quiet "$1^{commit}")" || {
+	echo "$0: $1 is not a revision of this repository" >&2
+	exit 2
+}
 workload="$2"
 shift 2
-# Scratch stays inside this checkout, beside run.sh's own build output.
+# Scratch, the base's worktree included, stays inside this checkout, beside
+# run.sh's own build output.
 tmp="$change/.bench_build/pairs.$$"
+parent="$tmp/parent"
 mkdir -p "$tmp"
-trap 'rm -rf "$tmp"' EXIT
+cleanup() {
+	git -C "$change" worktree remove --force "$parent" 2>/dev/null || true
+	rm -rf "$tmp"
+	git -C "$change" worktree prune
+}
+trap cleanup EXIT
+git -C "$change" worktree add --quiet --detach "$parent" "$rev"
 
 # The metrics one records, in its column order.
 metrics="req_per_s lat_p50_ms allocs_per_req setup_s"
@@ -56,7 +70,7 @@ one() {
 		}' "$out"
 }
 
-echo "workload $workload, seeds $*, parent $parent"
+echo "workload $workload, seeds $*, parent $rev"
 i=0
 bad=0
 wins=0
