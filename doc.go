@@ -21,9 +21,11 @@
 //     population scales with the number of stages, not with the requests in
 //     flight: Kernel.Reserve hands out the sequence number a Schedule made
 //     now would take, and Kernel.AtSeq queues an event under it later, where
-//     that Schedule would have put it. A constant-delay desmodel pipe
-//     reserves a number per entrant and keeps only its head's event queued,
-//     the shard front-end does the same with one number per busy period,
+//     that Schedule would have put it. A desmodel pipe reserves a number per
+//     entrant and keeps only its head's event queued, the shard front-end
+//     does the same with one number per busy period, a gate books each
+//     head as the one before it leaves, Kernel.Peek reads the earliest
+//     queued instant without reordering anything,
 //     and desmodel.OpenLoop, the one open-loop driver (Fig. 3–5's traces,
 //     the federate, autoscale and storm families, the property harness),
 //     keeps one arrival queued under numbers reserved for all of it up
@@ -67,41 +69,46 @@
 //     a differential sweep, directed cases and FuzzEngineOffer hold the two
 //     equal at every instant.
 //   - internal/desmodel moves a request through a modelled path without
-//     allocating: every hop is a lane (a serialized server), a pipe (a
-//     constant delay) or the gateway's shard stage (a lane of constant cost
-//     and a pipe folded into one), all FIFO, all queueing *Req on a
-//     power-of-two ring that doubles when full and all wired once, at
-//     construction, to the next stage's entry point (stage.go,
-//     gatewayfe.go). A request is its own event: the kernel is handed the
-//     stage's one bound callback and the ring's head says whose firing it
-//     is — right because the delay is constant and the kernel orders by
-//     (time, seq); a pop checks the head's due instant against Now on every
-//     firing and panics on a mismatch, and a differential test holds a pipe
-//     to the per-request closures it replaced on both queue kinds. The shard
-//     stage knows each departure at admission — D = max(arrival, previous
-//     D) + CritSection, handed on at D + PostWork — so a request costs its
-//     arrival and one hand-on event, queued under the number reserved when
-//     its busy period began. Same-nanosecond rule: an event booked during a
-//     busy period for the exact nanosecond of one of its departures runs
-//     after that departure, where the lane → pipe chain it replaced ran it
-//     first; a differential test holds the stage to that chain on every
-//     other schedule, order, instants, stamps and peak depth included.
-//     Per-request stage state (the due instant, the
-//     engine instance the dispatch lane picked) rides on Req. Only the two
-//     waits whose length differs per request, and so are not FIFO, keep a
-//     closure: the Opt1-off poll grid and ExtAPISystem's service time.
+//     allocating: every hop is a serialized server of constant cost (zero
+//     for a plain wait) with a constant delay after it — a pipe, or the
+//     gateway's shard stage, a pipe per shard lock — or before it, a gate,
+//     all FIFO, all queueing *Req on a power-of-two ring that doubles when
+//     full and all wired once, at construction, to the next stage's entry
+//     point (stage.go, gatewayfe.go). Each stage computes a request's
+//     departure as it enters — D = max(arrival + before, previous D) + cost,
+//     handed on at D + after — and keeps one kernel event queued, its
+//     ring head's: the kernel is handed the stage's one bound callback, the
+//     head says whose firing it is, and a pop checks the head's due instant
+//     against Now and panics on a mismatch. A pipe's hand-off runs under the
+//     number reserved as the request entered; a gate books its head's at the
+//     previous departure, after that request is handed on, where the lane it
+//     replaced booked it; the shard stage under the number reserved when its
+//     busy period began. Same-nanosecond rule: an event booked while a
+//     request waits, for the exact nanosecond of its hand-off, may run after
+//     it where the chain of a lane and a pipe ran it first; differential
+//     tests hold each stage to that chain, on both queue kinds, on every
+//     other schedule. On the fabric hop (first.go) a request costs one
+//     event per stage — the hub's submit trip and dispatch are one gate, its
+//     relay and the return trip one pipe — and the client's zero-delay
+//     observe runs inside the relay's hand-off when sim.Kernel.Peek shows
+//     nothing else queued at that instant, which is exact because every
+//     stage keeps its head's event queued. Per-request stage state (the due
+//     instant, the engine instance the hub's dispatch picked) rides on Req.
+//     Only the two waits whose length differs per request, and so are not
+//     FIFO, keep a closure: the Opt1-off poll grid and ExtAPISystem's
+//     service time.
 //     There is one request path: desmodel.Federation — shard front-end,
 //     the real federation.Select, scheduler-backed pools — and the paper's
 //     own system is a configuration of it (FirstPathParams: one cluster,
 //     hot instances, FederationParams.First wiring the fabric's worker
-//     window, hub lanes, pickup and relay around the router and the pool).
-//     Fig. 3's vLLM-Direct baseline is one more FirstParams set
-//     (VLLMDirectParams: the API server's single-threaded admission on the
-//     dispatch lane, response serialization on the return pipe, every
+//     window, hub dispatch, pickup and relay around the router and the
+//     pool). Fig. 3's vLLM-Direct baseline is one more FirstParams set
+//     (VLLMDirectParams: the API server's single-threaded admission as the
+//     dispatch cost, response serialization as the return trip, every
 //     other stage zero), so Fig. 3/4/5, Table 1 and the ablations route and
 //     place like every federate cell, and every cell audits arrivals =
 //     completions. AllocsPerRun pins carry pre-allocated requests through
-//     that FIRST configuration (with and without the auth lane), the
+//     that FIRST configuration (with and without the auth limiter), the
 //     vLLM-Direct one, GatewayFE and a churn-free Federation at zero
 //     allocations.
 //   - internal/metrics shards its hot instruments: Histogram observations
@@ -417,7 +424,7 @@
 // so arena reuse never perturbs determinism (TestFamilies runs each family's
 // sequential pass on arenas its default-fleet pass left in the pool), and an
 // arena whose cell panicked is not kept. Everything the desmodel hands the kernel — the engine iteration
-// loop, every lane and pipe of every path, desmodel.OpenLoop's arrivals —
+// loop, every gate and pipe of every path, desmodel.OpenLoop's arrivals —
 // is a callback bound once at construction, so neither a saturated loop nor
 // a request in flight schedules a fresh closure. desmodel.EngineSim takes the engine's offer:
 // it schedules its one delivery event at the end of the quiet run, settles

@@ -6,7 +6,7 @@
 // FIRST is one request path (§3, §4.5, §5.2.3) and one model, Federation:
 // client → gateway (shard front-end; worker window, processing overhead,
 // optional per-request auth introspection) → Globus-Compute hub (submit
-// latency, serialized dispatch lane) → the real federation.Select ladder over
+// latency, serialized dispatch) → the real federation.Select ladder over
 // N clusters → the chosen deployment's pool (instances started through a
 // real scheduler, or hot) → endpoint pickup → least-loaded engine instance →
 // result relay back (optionally observed on a polling grid — Optimization
@@ -20,14 +20,14 @@
 // (extapi.go), the rate/concurrency-limited external cloud API of Fig. 5,
 // which has no engine for a pool to hold.
 //
-// Every path is a chain of FIFO stages over *Req wired at construction: a
-// lane serializes, a pipe delays by a constant (stage.go), the gateway's
-// shard stage does both in one hop (gatewayfe.go), a request's place in a
-// stage's ring is all the state a hop keeps, and no hop allocates. The shard
-// stage computes each departure at admission and runs it under its busy
-// period's sequence number. Like the engine's quiet-run offer
-// (serving.Engine) it has a same-nanosecond rule: an event booked during a
-// busy period for the exact nanosecond of a departure runs after it.
+// Every path is a chain of FIFO stages over *Req wired at construction
+// (stage.go, gatewayfe.go): a serialized server of constant cost with a
+// constant delay after it (a pipe, the gateway's shard stage) or before it
+// (a gate). Each computes a request's departure as it enters and keeps one
+// kernel event queued, its head's; a request's place in a ring is all the
+// state a hop keeps, and no hop allocates. Like the engine's quiet-run offer
+// (serving.Engine) they have same-nanosecond rules: an event booked while a
+// request waits, for its departure's exact nanosecond, may run after it.
 //
 // All scenarios consume workload traces from internal/workload and report
 // the paper's §5.1 metrics.
@@ -65,10 +65,9 @@ type Req struct {
 
 	Failed bool
 
-	// due is when the pipe or shard stage the request is riding hands it on,
-	// and inst the engine instance the hub's dispatch lane chose for it (see
-	// stage.go, gatewayfe.go, first.go): per-request stage state lives on the
-	// request.
+	// due is when the stage the request is riding hands it on, and inst the
+	// engine instance the hub's dispatch chose for it (see stage.go,
+	// gatewayfe.go, first.go): per-request stage state lives on the request.
 	due  sim.Time
 	inst *EngineSim
 }

@@ -96,7 +96,7 @@ func TestEngineSimEmissionLog(t *testing.T) {
 	}
 }
 
-func TestFirstSystemLowLoadLatency(t *testing.T) {
+func TestFirstPathLowLoadLatency(t *testing.T) {
 	// A single request's end-to-end latency must be the engine cost plus
 	// the calibrated pipelined overheads (Fig. 3's 9.2 s vs 3.0 s gap).
 	a, k := testArena(sim.QueueCalendar)
@@ -121,7 +121,7 @@ func TestFirstSystemLowLoadLatency(t *testing.T) {
 	}
 }
 
-func TestFirstSystemWindowBindsInFlight(t *testing.T) {
+func TestFirstPathWindowBindsInFlight(t *testing.T) {
 	a, k := testArena(sim.QueueCalendar)
 	model := perfmodel.Default.MustLookup(perfmodel.Llama8B)
 	p := DefaultFirstParams()
@@ -142,7 +142,7 @@ func TestFirstSystemWindowBindsInFlight(t *testing.T) {
 	k.Run(0)
 }
 
-func TestFirstSystemPollingGrid(t *testing.T) {
+func TestFirstPathPollingGrid(t *testing.T) {
 	a, k := testArena(sim.QueueCalendar)
 	model := perfmodel.Default.MustLookup(perfmodel.Llama8B)
 	p := DefaultFirstParams()
@@ -161,7 +161,7 @@ func TestFirstSystemPollingGrid(t *testing.T) {
 	}
 }
 
-func TestFirstSystemSyncWorkersOverrideWindow(t *testing.T) {
+func TestFirstPathSyncWorkersOverrideWindow(t *testing.T) {
 	p := DefaultFirstParams()
 	p.SyncWorkers = 9
 	if p.window() != 9 {

@@ -12,7 +12,7 @@ import (
 type ExtAPISystem struct {
 	k     *sim.Kernel
 	m     serving.ExtAPIModel
-	gap   *lane
+	gap   gate
 	inSvc int
 	queue reqRing
 	done  func(*Req)
@@ -21,7 +21,7 @@ type ExtAPISystem struct {
 // NewExtAPISystem builds the external comparator.
 func NewExtAPISystem(k *sim.Kernel, m serving.ExtAPIModel, done func(*Req)) *ExtAPISystem {
 	s := &ExtAPISystem{k: k, m: m, done: done}
-	s.gap = newLane(k, m.AdmissionGap(), s.tryServe)
+	s.gap.init(k, 0, m.AdmissionGap(), s.tryServe)
 	return s
 }
 
@@ -30,7 +30,7 @@ func NewExtAPISystem(k *sim.Kernel, m serving.ExtAPIModel, done func(*Req)) *Ext
 //first:hotpath shares the Arrive pin (stage_test.go); its own path is not pinned: see tryServe
 func (s *ExtAPISystem) Arrive(r *Req) {
 	r.ArrivalAt = s.k.Now()
-	s.gap.enqueue(r)
+	s.gap.push(r)
 }
 
 func (s *ExtAPISystem) tryServe(r *Req) {

@@ -413,8 +413,8 @@ func (c *fedCluster) noteQueued() {
 }
 
 // Arrive is a client request hitting the federation gateway: stamped,
-// counted, and handed to the path's first stage — shard-lane admission
-// (serialized critical section) and PostWork, the fabric's worker window,
+// counted, and handed to the path's first stage — the shard stage
+// (serialized critical section, then PostWork), the fabric's worker window,
 // or the routing decision itself. Under a replay it first fires the
 // schedule's events due at its index, the count of arrivals before it.
 //

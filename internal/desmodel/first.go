@@ -18,8 +18,8 @@ type FirstParams struct {
 	// (Optimization 2 OFF). Zero means the token cache absorbs it.
 	AuthIntrospect time.Duration
 	// AuthRatePerSec caps introspections per second (service-side Globus
-	// rate limiting observed before caching); excess requests queue on a
-	// serialized limiter lane. 0 = unlimited.
+	// rate limiting observed before caching); excess requests queue for a
+	// serialized limiter in front of the round trip. 0 = unlimited.
 	AuthRatePerSec float64
 	// HubSubmit is the gateway→cloud submission round trip.
 	HubSubmit time.Duration
@@ -95,7 +95,7 @@ func DefaultFirstParams() FirstParams {
 // VLLMDirectParams is Fig. 3's vLLM-Direct baseline as a FIRST path with no
 // fabric hop: the benchmark client talks straight to vLLM's OpenAI-compatible
 // server, whose API front-end historically processed requests on a single
-// thread (§5.3.1, vLLM issue #12705), so admission serializes. That lane is
+// thread (§5.3.1, vLLM issue #12705), so admission serializes. That server is
 // HubDispatchCost: 172 ms reproduces the 5.8 req/s cap the paper measured
 // at saturation. ResultReturn is the pipelined response serialization. Every
 // other stage is zero-delay and the window is unlimited.
@@ -129,22 +129,24 @@ func FirstPathParams(p FirstParams, model perfmodel.ModelSpec, gpu perfmodel.GPU
 // stages (stage.go) on either side of the router and the engine pool, which
 // belong to the Federation that wires it and hands served requests to relay —
 //
-//	worker window + backlog → [auth lane → auth pipe] → submit pipe →
-//	dispatch lane → route → pickup pipe → engine → relay lane → return pipe
-//	→ poll grid | observe pipe → release the window → done
+//	worker window + backlog → [auth: limiter, introspection] → dispatch:
+//	submit trip, hub routing → route → pickup → engine → relay: hub relay,
+//	return trip → poll grid | observe → release the window → done
+//
+// Every stage books a request's departure as it enters, so a request costs
+// the kernel one event per stage, and observe runs inside relay's hand-off
+// when nothing else is due at that instant (complete).
 type firstPath struct {
 	k      *sim.Kernel
 	window int
 	poll   time.Duration // PollInterval
 
-	authLane *lane // nil unless AuthRatePerSec caps introspections
-	auth     *pipe // AuthIntrospect; nil while the token cache absorbs it
-	submit   pipe  // GatewayOverhead + HubSubmit
-	dispatch lane  // HubDispatchCost, then route
-	pickup   pipe  // EndpointPickup, then the engine Federation.place chose
-	relay    lane  // HubRelayCost
-	ret      pipe  // ResultReturn
-	observe  pipe  // zero delay: the client sees the result in its own event
+	enter    func(*Req) // auth.push when auth is wired, else dispatch.push
+	auth     pipe       // AuthRatePerSec's limiter, then AuthIntrospect; unwired while the token cache absorbs it
+	dispatch gate       // GatewayOverhead + HubSubmit, then HubDispatchCost; then route
+	pickup   pipe       // EndpointPickup, then the engine Federation.place chose
+	relay    pipe       // HubRelayCost, then ResultReturn
+	observe  pipe       // zero delay: the client sees the result in its own event
 
 	inFlight   int
 	backlog    reqRing
@@ -155,17 +157,17 @@ type firstPath struct {
 // wire builds every stage in place, last stage first.
 func (fp *firstPath) wire(k *sim.Kernel, p FirstParams, route, done func(*Req)) {
 	fp.k, fp.window, fp.poll, fp.done = k, p.window(), p.PollInterval, done
-	fp.observe.init(k, 0, fp.observed)
-	fp.ret.init(k, p.ResultReturn, fp.complete)
-	fp.relay.init(k, p.HubRelayCost, fp.ret.push)
-	fp.pickup.init(k, p.EndpointPickup, fp.toEngine)
-	fp.dispatch.init(k, p.HubDispatchCost, route)
-	fp.submit.init(k, p.GatewayOverhead+p.HubSubmit, fp.dispatch.enqueue)
+	fp.observe.init(k, 0, 0, fp.observed)
+	fp.relay.init(k, p.HubRelayCost, p.ResultReturn, fp.complete)
+	fp.pickup.init(k, 0, p.EndpointPickup, fp.toEngine)
+	fp.dispatch.init(k, p.GatewayOverhead+p.HubSubmit, p.HubDispatchCost, route)
+	fp.enter = fp.dispatch.push
 	if p.AuthIntrospect > 0 {
-		fp.auth = newPipe(k, p.AuthIntrospect, fp.submit.push)
+		fp.auth.init(k, 0, p.AuthIntrospect, fp.dispatch.push)
 		if p.AuthRatePerSec > 0 {
-			fp.authLane = newLane(k, time.Duration(float64(time.Second)/p.AuthRatePerSec), fp.auth.push)
+			fp.auth.cost = time.Duration(float64(time.Second) / p.AuthRatePerSec)
 		}
+		fp.enter = fp.auth.push
 	}
 }
 
@@ -193,18 +195,11 @@ func (fp *firstPath) admit(r *Req) {
 	fp.inFlight++
 	r.ArrivalAt = fp.k.Now()
 	r.GatewayAt = r.ArrivalAt
-	switch {
-	case fp.auth == nil:
-		fp.submit.push(r)
-	case fp.authLane != nil:
-		fp.authLane.enqueue(r)
-	default:
-		fp.auth.push(r)
-	}
+	fp.enter(r)
 }
 
 // toEngine is the endpoint picking the task up: the instance the pool chose
-// as the task left the dispatch lane rode on the request until now.
+// as the task left the hub's dispatch rode on the request until now.
 func (fp *firstPath) toEngine(r *Req) {
 	r.EngineAt = fp.k.Now()
 	r.inst.Submit(r.PromptTok, r.OutputTok, r)
@@ -225,7 +220,16 @@ func (fp *firstPath) complete(r *Req) {
 		fp.k.At(r.ObservedAt, func() { fp.observed(r) })
 		return
 	}
-	fp.observe.push(r)
+	// The client sees the result in an event zero delay after this one,
+	// which runs next when nothing else is queued at this instant: every
+	// stage holding a request keeps its head's event queued (a gate books
+	// its next after its own hand-off, which never reaches here). Then
+	// observed runs here, the last thing the relay's hand-off does.
+	if at, ok := fp.k.Peek(); ok && at == r.CompletedAt {
+		fp.observe.push(r)
+		return
+	}
+	fp.observed(r)
 }
 
 // observed is the client seeing the result: the worker slot frees and the

@@ -246,10 +246,10 @@ func TestEngineSimEmittedByMatchesPerIterationLog(t *testing.T) {
 	}
 }
 
-// TestFirstSystemStopMidRun stops the kernel while an engine is inside a
+// TestFirstPathStopMidRun stops the kernel while an engine is inside a
 // promised run: Stats and EmittedTokensBy at the stop must already count the
 // iterations no event has been spent on.
-func TestFirstSystemStopMidRun(t *testing.T) {
+func TestFirstPathStopMidRun(t *testing.T) {
 	model := perfmodel.Default.MustLookup(perfmodel.Llama8B)
 	until := 10 * time.Second
 	taken, ignored := bothWays(t, func(a *Arena, k *sim.Kernel) string {

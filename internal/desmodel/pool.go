@@ -237,8 +237,9 @@ func (in *fedInstance) onLoaded(j *scheduler.Job) {
 }
 
 // onServed counts one request served and sends it on — into the fabric's
-// relay lane (it is complete and observed only at the far end), or complete
-// and observed now — and, while draining, watches for the batch to empty.
+// relay (the hub's serialized relay and the return trip; it is complete and
+// observed only at the far end), or complete and observed now — and, while
+// draining, watches for the batch to empty.
 func (in *fedInstance) onServed(j *scheduler.Job, seq *serving.Sequence) {
 	r := seq.Ctx.(*Req)
 	d := in.d
@@ -246,7 +247,7 @@ func (in *fedInstance) onServed(j *scheduler.Job, seq *serving.Sequence) {
 	d.c.stats.Served++
 	d.servedTick++ // forecast sample: completions since the last scaler tick
 	if f.first.wired() {
-		f.first.relay.enqueue(r)
+		f.first.relay.push(r)
 	} else {
 		finish(f.k, r, f.done)
 	}

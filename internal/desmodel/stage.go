@@ -10,7 +10,7 @@ import (
 // Reached by a bug only; checked on every pop.
 var (
 	errRingEmpty = errors.New("desmodel: pop from an empty ring")
-	errNotDue    = errors.New("desmodel: a pipe fired for a request that is not due")
+	errNotDue    = errors.New("desmodel: a stage fired for a request that is not due")
 )
 
 // ring is a FIFO on a power-of-two ring that doubles when full, so a stage
@@ -22,7 +22,7 @@ type ring[T any] struct {
 	n    int
 }
 
-// reqRing is the FIFO of a lane or a backlog.
+// reqRing is the FIFO of a gate or a backlog.
 type reqRing = ring[*Req]
 
 //first:hotpath pinned by TestStageStepsZeroAlloc (stage_test.go)
@@ -57,83 +57,22 @@ func (q *ring[T]) pop() T {
 	return v
 }
 
-// lane is a serialized single-server queue: every request charges `cost`
-// before it is handed to out. It models the hub's routing and relay lanes,
-// the gateway's auth limiter, and the direct path's single-threaded API
-// admission (the gateway's shard locks are lanes folded into the stage
-// after them: feShard, gatewayfe.go).
-//
-// The service loop runs on two method values bound once at construction
-// (serveFn, doneFn) with the in-service request parked on the struct, so a
-// lane schedules no fresh closure per request — at hub saturation the lanes
-// are the kernel's densest event source.
-type lane struct {
-	k    *sim.Kernel
-	cost time.Duration
-	busy bool
-
-	q         reqRing
-	inService *Req
-	out       func(*Req)
-	serveFn   func()
-	doneFn    func()
-}
-
-func newLane(k *sim.Kernel, cost time.Duration, out func(*Req)) *lane {
-	l := new(lane)
-	l.init(k, cost, out)
-	return l
-}
-
-// init wires a lane where it lies, for an owner that holds it by value.
-func (l *lane) init(k *sim.Kernel, cost time.Duration, out func(*Req)) {
-	*l = lane{k: k, cost: cost, out: out}
-	l.serveFn = l.serve
-	l.doneFn = l.done
-}
-
-//first:hotpath pinned by TestStageStepsZeroAlloc (stage_test.go)
-func (l *lane) enqueue(r *Req) {
-	l.q.push(r)
-	if !l.busy {
-		l.busy = true
-		l.k.Schedule(0, l.serveFn)
-	}
-}
-
-//first:hotpath pinned by TestStageStepsZeroAlloc (stage_test.go)
-func (l *lane) serve() {
-	if l.q.n == 0 {
-		l.busy = false
-		return
-	}
-	l.inService = l.q.pop()
-	l.k.Schedule(l.cost, l.doneFn)
-}
-
-//first:hotpath pinned by TestStageStepsZeroAlloc (stage_test.go)
-func (l *lane) done() {
-	r := l.inService
-	l.inService = nil
-	l.out(r)
-	l.serve()
-}
-
-// pipe is a constant-delay stage: a request pushed at t is handed to out at
-// t+delay. The delay is constant, so requests leave in the order they came,
-// and the pipe keeps one kernel event queued, its head's. push reserves the
-// sequence number a Schedule would have taken and queues the one bound popFn
-// only into an empty pipe; pop queues the next head's event under its number
-// before handing its own request on. So every hand-off fires at the (time,
-// seq) it would have had with an event per request, and pop verifies the
-// instant against the one the request carries. A wait whose length differs
-// per request is not FIFO: not a pipe.
+// pipe is a FIFO server of constant cost, then a constant delay: a request
+// pushed at t leaves the server at S = max(t, previous S) + cost and is
+// handed to out at S + delay. It keeps one kernel event queued, its head's:
+// push reserves the number a Schedule would have taken and queues popFn only
+// into an empty pipe, and pop queues the next head under its number before
+// handing its own on. With no cost every hand-off thus runs at the (time,
+// seq) an event per request would have. The lane → pipe chain numbered a
+// costed hand-off at S: an event booked between push and S for its
+// nanosecond now runs after it (TestPipeForeignTie).
 type pipe struct {
-	k     *sim.Kernel
-	delay time.Duration
-	q     ring[pipeSlot]
-	out   func(*Req)
-	popFn func()
+	k           *sim.Kernel
+	cost, delay time.Duration
+	last        sim.Time // when the newest request leaves the server
+	q           ring[pipeSlot]
+	out         func(*Req)
+	popFn       func()
 }
 
 // pipeSlot is a request riding a pipe or a shard stage and the sequence
@@ -143,22 +82,17 @@ type pipeSlot struct {
 	seq uint64
 }
 
-func newPipe(k *sim.Kernel, delay time.Duration, out func(*Req)) *pipe {
-	p := new(pipe)
-	p.init(k, delay, out)
-	return p
-}
-
 // init wires a pipe where it lies, for an owner that holds it by value.
-func (p *pipe) init(k *sim.Kernel, delay time.Duration, out func(*Req)) {
+func (p *pipe) init(k *sim.Kernel, cost, delay time.Duration, out func(*Req)) {
 	// The kernel clamps a negative delay to zero; so must the due instant.
-	*p = pipe{k: k, delay: max(delay, 0), out: out}
+	*p = pipe{k: k, cost: max(cost, 0), delay: max(delay, 0), out: out}
 	p.popFn = p.pop
 }
 
 //first:hotpath pinned by TestStageStepsZeroAlloc (stage_test.go)
 func (p *pipe) push(r *Req) {
-	r.due = p.k.Now() + p.delay
+	p.last = max(p.k.Now(), p.last) + p.cost
+	r.due = p.last + p.delay
 	seq := p.k.Reserve()
 	p.q.push(pipeSlot{r, seq})
 	if p.q.n == 1 {
@@ -177,4 +111,54 @@ func (p *pipe) pop() {
 		p.k.AtSeq(next.r.due, next.seq, p.popFn)
 	}
 	p.out(r)
+}
+
+// gate is a constant delay, then a FIFO server of constant cost: a request
+// pushed at t is handed to out at D = max(t+delay, previous D) + cost. It
+// keeps one kernel event queued, its head's, booked as the request becomes
+// the head: on push into an empty gate, else at the previous departure after
+// that request is handed on, where the delay → lane chain booked it behind a
+// busy server. The chain numbered an idle server's departure as the request
+// reached it, at t+delay: an event booked between the gate's booking and
+// then for the departure's nanosecond now runs after it (TestGateForeignTie).
+type gate struct {
+	k           *sim.Kernel
+	delay, cost time.Duration
+	last        sim.Time // the newest request's departure
+	q           reqRing
+	out         func(*Req)
+	popFn       func()
+}
+
+// init wires a gate where it lies, for an owner that holds it by value.
+func (g *gate) init(k *sim.Kernel, delay, cost time.Duration, out func(*Req)) {
+	*g = gate{k: k, delay: max(delay, 0), cost: max(cost, 0), out: out}
+	g.popFn = g.pop
+}
+
+//first:hotpath pinned by TestStageStepsZeroAlloc (stage_test.go)
+func (g *gate) push(r *Req) {
+	now := g.k.Now()
+	g.last = max(now+g.delay, g.last) + g.cost
+	r.due = g.last
+	g.q.push(r)
+	if g.q.n == 1 {
+		g.k.At(r.due, g.popFn)
+	}
+}
+
+// pop hands the head on, then books the next; a push from out into the
+// emptied gate books its own.
+//
+//first:hotpath pinned by TestStageStepsZeroAlloc (stage_test.go)
+func (g *gate) pop() {
+	r := g.q.pop()
+	if r.due != g.k.Now() {
+		panic(errNotDue)
+	}
+	waiting := g.q.n
+	g.out(r)
+	if waiting > 0 {
+		g.k.At(g.q.buf[g.q.head].due, g.popFn)
+	}
 }

@@ -57,30 +57,31 @@ func TestReqRingWrapAndGrow(t *testing.T) {
 	q.pop()
 }
 
-// TestStageStepsZeroAlloc carries one request through a lane and a pipe by
+// TestStageStepsZeroAlloc carries one request through a gate and a pipe by
 // calling each step the way the kernel does, and pins every step at zero
-// allocations once the rings exist.
+// allocations once the rings exist. Costs and delays are zero so every step
+// is due at once; they change the arithmetic, not the path.
 func TestStageStepsZeroAlloc(t *testing.T) {
 	k := sim.NewKernel()
 	delivered := 0
-	p := newPipe(k, 0, func(*Req) { delivered++ })
-	ln := newLane(k, time.Millisecond, p.push)
+	p := newPipe(k, 0, 0, func(*Req) { delivered++ })
+	var g gate
+	g.init(k, 0, 0, p.push)
 	var q reqRing
 	r := &Req{}
 	carry := func() {
 		q.push(r)
-		ln.enqueue(q.pop()) // idle lane: schedules serveFn
-		ln.serve()          // takes r into service: schedules doneFn
-		ln.done()           // hands r to the pipe, which schedules popFn; finds the queue empty
-		p.pop()             // delay 0: r is due now
-		k.Reset()           // the three events were run by hand
+		g.push(q.pop()) // empty gate: books r's departure, due now
+		g.pop()         // hands r to the pipe, which books its hand-off; the gate is left empty
+		p.pop()         // r is due now
+		k.Reset()       // the two events were run by hand
 	}
 	carry()
 	if allocs := testing.AllocsPerRun(200, carry); allocs != 0 {
-		t.Errorf("lane + pipe + ring steps allocs = %v, want 0", allocs)
+		t.Errorf("gate + pipe + ring steps allocs = %v, want 0", allocs)
 	}
-	if delivered != 202 || ln.busy || ln.q.n != 0 || p.q.n != 0 {
-		t.Errorf("delivered %d of 202, lane busy=%v depth=%d, pipe holds %d", delivered, ln.busy, ln.q.n, p.q.n)
+	if delivered != 202 || g.q.n != 0 || p.q.n != 0 {
+		t.Errorf("delivered %d of 202, gate holds %d, pipe holds %d", delivered, g.q.n, p.q.n)
 	}
 }
 
@@ -123,7 +124,8 @@ func TestSystemsCarryZeroAlloc(t *testing.T) {
 	}
 
 	// A window below the burst puts the backlog ring on the path, a second
-	// instance the pick; the auth arm adds the limiter lane and its pipe.
+	// instance the pick; the auth arm adds the limiter and introspection
+	// pipe in front of the dispatch gate.
 	fp := DefaultFirstParams()
 	fp.Window = 8
 	first := NewFederationIn(a, FirstPathParams(fp, model, gpu, 2), done)
@@ -143,14 +145,14 @@ func TestSystemsCarryZeroAlloc(t *testing.T) {
 
 	pin("GatewayFE", NewGatewayFE(k, DefaultGatewayFEParams(4), done))
 
-	// vLLM-Direct: an unlimited window, zero-delay submit and observe pipes
-	// and a zero-cost relay lane around the admission lane.
+	// vLLM-Direct: an unlimited window, a gate with no delay in front of its
+	// admission cost, and a relay pipe with no cost.
 	direct := NewFederationIn(a, FirstPathParams(VLLMDirectParams(), model, gpu, 1), done)
 	direct.clusters[0].deps[0].insts[0].eng.withoutEmitLog()
 	pin("vLLM-Direct", direct)
 
-	// No churn: one incarnation serves every cycle, so Arrive → shard lane →
-	// PostWork pipe → route → offer → engine is the whole path.
+	// No churn: one incarnation serves every cycle, so Arrive → shard stage
+	// → route → offer → engine is the whole path.
 	p := fedTestParams(2)
 	p.ServeWalltime = 1000 * time.Hour
 	fed := NewFederationIn(a, p, done)
@@ -248,7 +250,7 @@ func TestPipeMatchesClosures(t *testing.T) {
 					return func(r *Req) { k.Schedule(c.delay, func() { out(r) }) }
 				})
 				piped := runStageSchedule(q, seed, c.delay, bursts(c.delay, c.burst), true, func(k *sim.Kernel, out func(*Req)) func(*Req) {
-					return newPipe(k, c.delay, out).push
+					return newPipe(k, 0, c.delay, out).push
 				})
 				if !reflect.DeepEqual(closures, piped) {
 					t.Fatalf("%v queue, delay %v, bursts below %d, seed %d: pipe and closures diverge\nclosures: %v\npipe:     %v", q, c.delay, c.burst, seed, closures, piped)
@@ -266,7 +268,7 @@ func TestPipeMatchesClosures(t *testing.T) {
 // the firing meant for it must refuse to deliver.
 func TestPipePopPanicsOnWrongDue(t *testing.T) {
 	k := sim.NewKernel()
-	p := newPipe(k, time.Second, func(*Req) { t.Error("delivered a request that was not due") })
+	p := newPipe(k, 0, time.Second, func(*Req) { t.Error("delivered a request that was not due") })
 	a, b := &Req{ID: 1}, &Req{ID: 2}
 	p.push(a)
 	p.push(b)
@@ -314,6 +316,60 @@ func TestArenaRecyclesEmitLogEmpty(t *testing.T) {
 	}
 }
 
+func newPipe(k *sim.Kernel, cost, delay time.Duration, out func(*Req)) *pipe {
+	p := new(pipe)
+	p.init(k, cost, delay, out)
+	return p
+}
+
+// lane is the serialized single-server queue the stages replaced, kept as
+// the differentials' reference: every request charges `cost` before it is
+// handed to out. An idle lane books a serve event on enqueue; serve books
+// the done event a cost later, and done hands the request on and serves the
+// next.
+type lane struct {
+	k    *sim.Kernel
+	cost time.Duration
+	busy bool
+
+	q         reqRing
+	inService *Req
+	out       func(*Req)
+	serveFn   func()
+	doneFn    func()
+}
+
+func newLane(k *sim.Kernel, cost time.Duration, out func(*Req)) *lane {
+	l := &lane{k: k, cost: cost, out: out}
+	l.serveFn = l.serve
+	l.doneFn = l.done
+	return l
+}
+
+func (l *lane) enqueue(r *Req) {
+	l.q.push(r)
+	if !l.busy {
+		l.busy = true
+		l.k.Schedule(0, l.serveFn)
+	}
+}
+
+func (l *lane) serve() {
+	if l.q.n == 0 {
+		l.busy = false
+		return
+	}
+	l.inService = l.q.pop()
+	l.k.Schedule(l.cost, l.doneFn)
+}
+
+func (l *lane) done() {
+	r := l.inService
+	l.inService = nil
+	l.out(r)
+	l.serve()
+}
+
 // lanePipeFE is the shard front-end as it was before it became one stage,
 // kept as the differential's reference: per shard a lane charging crit,
 // whose leaving request is stamped admitted and pushed into one pipe of
@@ -323,7 +379,7 @@ func lanePipeFE(k *sim.Kernel, shards int, crit, post time.Duration, out func(*R
 	for n < shards {
 		n <<= 1
 	}
-	p := newPipe(k, post, out)
+	p := newPipe(k, 0, post, out)
 	lanes := make([]*lane, n)
 	for i := range lanes {
 		lanes[i] = newLane(k, crit, func(r *Req) {
@@ -674,5 +730,362 @@ func TestShardFrontEndEventsPerRequest(t *testing.T) {
 	k.Run(0)
 	if behind := uint64(458); completed != n || k.Processed != 2*n+behind {
 		t.Errorf("churn-free Federation: %d of %d completed in %d events, want 2 per request + %d", completed, n, k.Processed, behind)
+	}
+}
+
+// chainFabric is the fabric hop as it was before its stages booked each
+// departure at admission, kept as the differential's reference:
+//
+//	[auth lane → auth pipe] → submit pipe → dispatch lane → route
+//	served → relay lane → return pipe → back → observe pipe → done
+//
+// It returns the hop's entry and the relay's, where the engine hands a
+// served request back.
+func chainFabric(k *sim.Kernel, p FirstParams, route, back, done func(*Req)) (admit, served func(*Req)) {
+	observe := newPipe(k, 0, 0, done)
+	ret := newPipe(k, 0, p.ResultReturn, func(r *Req) {
+		back(r)
+		observe.push(r)
+	})
+	relay := newLane(k, p.HubRelayCost, ret.push)
+	dispatch := newLane(k, p.HubDispatchCost, route)
+	submit := newPipe(k, 0, p.GatewayOverhead+p.HubSubmit, dispatch.enqueue)
+	admit = submit.push
+	if p.AuthIntrospect > 0 {
+		auth := newPipe(k, 0, p.AuthIntrospect, admit)
+		admit = auth.push
+		if p.AuthRatePerSec > 0 {
+			admit = newLane(k, time.Duration(float64(time.Second)/p.AuthRatePerSec), auth.push).enqueue
+		}
+	}
+	return admit, relay.enqueue
+}
+
+// stageFabric is the fabric hop under test, firstPath, with the same hooks:
+// back runs as the relay hands a result to complete.
+func stageFabric(k *sim.Kernel, p FirstParams, route, back, done func(*Req)) (admit, served func(*Req)) {
+	fp := new(firstPath)
+	fp.wire(k, p, route, done)
+	complete := fp.relay.out
+	fp.relay.out = func(r *Req) {
+		back(r)
+		complete(r)
+	}
+	return fp.arrive, fp.relay.push
+}
+
+// fabricBuild wires a fabric hop on k: its entry, and the relay's, where the
+// engine hands a served request back. route, back and done are the hooks
+// the log is written from.
+type fabricBuild func(k *sim.Kernel, p FirstParams, route, back, done func(*Req)) (admit, served func(*Req))
+
+// fabricDriver lays a schedule on k: issue admits one more request, other
+// books a foreign event at an instant.
+type fabricDriver func(k *sim.Kernel, rng *sim.RNG, issue func(), other func(at sim.Time))
+
+// runFabricSchedule plays a driver against one fabric hop. Between route and
+// the relay sits an engine stand-in that serves request i after a pickup and
+// i%4 grid steps. Every third request that comes back is issued again, as
+// a closed-loop client would. The log holds every route, engine, back (the
+// relay's hand-off) and done hand-off and every foreign event, in the order
+// the kernel ran them.
+func runFabricSchedule(q sim.QueueKind, seed int64, p FirstParams, drive fabricDriver, build fabricBuild) []stageEvent {
+	k := sim.NewKernelWith(q)
+	rng := sim.NewRNG(seed)
+	var log []stageEvent
+	note := func(what string, id int) { log = append(log, stageEvent{what, id, k.Now(), 0}) }
+	var admit, served func(*Req)
+	id := 0
+	issue := func() {
+		id++
+		admit(&Req{ID: id})
+	}
+	admit, served = build(k, p, func(r *Req) {
+		note("route", r.ID)
+		k.Schedule(p.EndpointPickup+time.Duration(r.ID%4)*fabricUnit, func() {
+			note("engine", r.ID)
+			served(r)
+		})
+	}, func(r *Req) {
+		note("back", r.ID)
+	}, func(r *Req) {
+		note("done", r.ID)
+		if r.ID%3 == 0 && id < 600 {
+			issue()
+		}
+	})
+	drive(k, rng, issue, func(at sim.Time) {
+		k.At(at, func() { note("other", 0) })
+	})
+	k.Run(0)
+	return log
+}
+
+// fabricConfigs are the fabric hops the differential plays: the paper's
+// deployment, vLLM-Direct (no delay before the dispatch server, no relay
+// cost), and every cost and delay on one 25 ms / 2 s grid, with the auth
+// limiter in front or with no relay cost, so departures, pickups, results
+// and foreign events fall on each other's nanoseconds.
+func fabricConfigs() map[string]FirstParams {
+	paper := DefaultFirstParams()
+	paper.Window = 0 // the window is the same code on both sides
+	grid := FirstParams{HubSubmit: 2 * time.Second, HubDispatchCost: fabricUnit, EndpointPickup: 2 * time.Second, HubRelayCost: fabricUnit, ResultReturn: 2 * time.Second}
+	auth := grid
+	auth.AuthIntrospect, auth.AuthRatePerSec = 2*time.Second, 40
+	freeRelay := grid
+	freeRelay.HubRelayCost = 0
+	return map[string]FirstParams{"paper": paper, "vLLM-Direct": VLLMDirectParams(), "grid": grid, "grid+auth": auth, "grid, free relay": freeRelay}
+}
+
+// fabricUnit is the grid every schedule and the grid configurations step on.
+const fabricUnit = 25 * time.Millisecond
+
+// fabricBurst admits 50–200 requests at t = 0, before the run, and books
+// 400 foreign events on the grid: before the run when early, else each from
+// an event of its own on the grid.
+func fabricBurst(early bool) fabricDriver {
+	return func(k *sim.Kernel, rng *sim.RNG, issue func(), other func(sim.Time)) {
+		if early {
+			for i := 0; i < 400; i++ {
+				other(time.Duration(rng.Intn(800)) * fabricUnit)
+			}
+		}
+		for n := 50 + rng.Intn(150); n > 0; n-- {
+			issue()
+		}
+		if !early {
+			for i := 0; i < 400; i++ {
+				at := time.Duration(rng.Intn(800)) * fabricUnit
+				k.Schedule(time.Duration(rng.Intn(800))*fabricUnit, func() { other(k.Now() + at) })
+			}
+		}
+	}
+}
+
+// fabricGrid admits 200 requests, each in an event of its own on the grid,
+// and books a foreign event on the grid per request: before the run when
+// early, else from inside the admitting event.
+func fabricGrid(early bool) fabricDriver {
+	return func(k *sim.Kernel, rng *sim.RNG, issue func(), other func(sim.Time)) {
+		for i := 0; i < 200; i++ {
+			at := time.Duration(rng.Intn(400)) * fabricUnit
+			later := time.Duration(rng.Intn(400)) * fabricUnit
+			if early {
+				other(at + later)
+			}
+			k.Schedule(at, func() {
+				issue()
+				if !early {
+					other(k.Now() + later)
+				}
+			})
+		}
+	}
+}
+
+// sweepFabric calls check once per schedule the fabric differentials play:
+// both queue kinds × every configuration × both drivers × foreign events
+// booked before or during the run × 20 seeds. play runs that schedule on a
+// fabric hop.
+func sweepFabric(check func(name string, play func(fabricBuild) []stageEvent, inRun bool)) {
+	drivers := map[string]func(bool) fabricDriver{"burst": fabricBurst, "grid": fabricGrid}
+	for _, q := range []sim.QueueKind{sim.QueueCalendar, sim.QueueHeap} {
+		for cn, p := range fabricConfigs() {
+			for dn, drive := range drivers {
+				for _, early := range []bool{true, false} {
+					for seed := int64(1); seed <= 20; seed++ {
+						name := fmt.Sprintf("%v queue, %s, %s schedule, foreign events booked early %v, seed %d", q, cn, dn, early, seed)
+						check(name, func(build fabricBuild) []stageEvent {
+							return runFabricSchedule(q, seed, p, drive(early), build)
+						}, !early)
+					}
+				}
+			}
+		}
+	}
+}
+
+// splitBack takes a fabric log apart: the relay's hand-offs sorted by
+// instant, and everything else in the order it ran, without the foreign
+// events when inRun says they were booked during the run.
+func splitBack(log []stageEvent, inRun bool) (back, rest []stageEvent) {
+	for _, e := range log {
+		switch {
+		case e.what == "back":
+			back = append(back, e)
+		case e.what != "other" || !inRun:
+			rest = append(rest, e)
+		}
+	}
+	sort.SliceStable(back, func(i, j int) bool { return back[i].at < back[j].at })
+	return back, rest
+}
+
+// TestFabricStagesMatchChain is the differential behind booking each of the
+// fabric hop's departures as the request enters its stage: over every
+// configuration and schedule shape, on both queue kinds, firstPath routes,
+// serves and completes the same requests at the same instants in the same
+// order as the lane and pipe chain it replaced, and hands every result back
+// at the same instant. Dispatch departures tie the engine stand-in's
+// pickups and the closed loop's re-admissions on the grid, so a departure
+// booked under the wrong number changes that order. Foreign events booked
+// before any request sort where they did in the chain. Two things are left
+// out, as the two designs order them differently on the same nanosecond:
+// foreign events booked during the run (TestGateForeignTie,
+// TestPipeForeignTie), and where the relay's hand-off falls among the
+// events of its instant, since the chain numbered it as the request left the
+// relay server and the pipe numbers it as the request enters.
+func TestFabricStagesMatchChain(t *testing.T) {
+	routed, tied := 0, 0
+	sweepFabric(func(name string, play func(fabricBuild) []stageEvent, inRun bool) {
+		chainBack, chain := splitBack(play(chainFabric), inRun)
+		stageBack, stage := splitBack(play(stageFabric), inRun)
+		if !reflect.DeepEqual(chain, stage) || !reflect.DeepEqual(chainBack, stageBack) {
+			t.Fatalf("%s: firstPath and the chain diverge\nchain: %v\nstage: %v\nchain's results back: %v\nstage's results back: %v", name, chain, stage, chainBack, stageBack)
+		}
+		for i, e := range stage {
+			if e.what == "route" {
+				routed++
+			}
+			if i > 0 && e.at == stage[i-1].at && e.what != stage[i-1].what {
+				tied++
+			}
+		}
+	})
+	if routed < 100_000 || tied < 10_000 {
+		t.Errorf("the sweep routed %d requests with %d same-instant hand-offs of different kinds: the schedules are not exercising the stages", routed, tied)
+	}
+}
+
+// observeEventFabric is firstPath with the client's observe always an event
+// of its own, on the zero-delay pipe complete falls back to.
+func observeEventFabric(k *sim.Kernel, p FirstParams, route, back, done func(*Req)) (admit, served func(*Req)) {
+	fp := new(firstPath)
+	fp.wire(k, p, route, done)
+	fp.relay.out = func(r *Req) {
+		back(r)
+		fp.observe.push(r)
+	}
+	return fp.arrive, fp.relay.push
+}
+
+// TestObserveInsideRelayMatchesEvent holds firstPath, which observes a
+// result inside the relay's hand-off when nothing else is queued at that
+// instant, to the same stages observing it in an event of its own: every
+// hand-off and every foreign event, booked before or during the run, runs
+// in the same order. Results that come back on one instant (no relay cost)
+// and foreign events on the grid put other events at the hand-off's instant.
+func TestObserveInsideRelayMatchesEvent(t *testing.T) {
+	sweepFabric(func(name string, play func(fabricBuild) []stageEvent, _ bool) {
+		if event, inside := play(observeEventFabric), play(stageFabric); !reflect.DeepEqual(event, inside) {
+			t.Fatalf("%s: observing inside the relay's hand-off reorders the run\nevent:  %v\ninside: %v", name, event, inside)
+		}
+	})
+}
+
+// foreignTieLog admits requests 1 and 2 through enter at t = 0 and books a
+// foreign event for each one's hand-off instant right after admitting it,
+// with another booked before request 1 for request 1's. It returns what ran,
+// in order.
+func foreignTieLog(build func(k *sim.Kernel, out func(*Req)) (enter func(*Req)), first, second time.Duration) []string {
+	k := sim.NewKernel()
+	var log []string
+	note := func(what string) func() {
+		return func() { log = append(log, fmt.Sprintf("%s at %v", what, k.Now())) }
+	}
+	enter := build(k, func(r *Req) { note(fmt.Sprintf("request %d", r.ID))() })
+	k.Schedule(0, func() {
+		k.Schedule(first, note("booked before 1"))
+		enter(&Req{ID: 1})
+		k.Schedule(first, note("booked after 1"))
+		enter(&Req{ID: 2})
+		k.Schedule(second, note("booked after 2"))
+	})
+	k.Run(0)
+	return log
+}
+
+// TestGateForeignTie pins the one way a gate departs from the delay → lane
+// chain it replaced. Request 1 finds the server idle: the chain numbered its
+// departure in the lane's serve event, as it reached the server, so an event
+// booked after its admission for its departure's nanosecond ran first; the
+// gate numbered it at admission, so that event runs after it. Request 2
+// waits behind request 1, and both number its departure at request 1's: the
+// event booked after its admission runs first in both.
+func TestGateForeignTie(t *testing.T) {
+	const delay, cost = 2 * time.Second, 25 * time.Millisecond
+	chain := foreignTieLog(func(k *sim.Kernel, out func(*Req)) func(*Req) {
+		return newPipe(k, 0, delay, newLane(k, cost, out).enqueue).push
+	}, delay+cost, delay+2*cost)
+	stage := foreignTieLog(func(k *sim.Kernel, out func(*Req)) func(*Req) {
+		g := new(gate)
+		g.init(k, delay, cost, out)
+		return g.push
+	}, delay+cost, delay+2*cost)
+	wantChain := []string{"booked before 1 at 2.025s", "booked after 1 at 2.025s", "request 1 at 2.025s", "booked after 2 at 2.05s", "request 2 at 2.05s"}
+	wantStage := []string{"booked before 1 at 2.025s", "request 1 at 2.025s", "booked after 1 at 2.025s", "booked after 2 at 2.05s", "request 2 at 2.05s"}
+	if !reflect.DeepEqual(chain, wantChain) || !reflect.DeepEqual(stage, wantStage) {
+		t.Errorf("chain ran %q, want %q\ngate ran %q, want %q", chain, wantChain, stage, wantStage)
+	}
+}
+
+// TestPipeForeignTie pins the one way a pipe with a server in front of its
+// delay departs from the lane → pipe chain it replaced: the chain numbered a
+// hand-off as the request left the server, the pipe numbers it at admission,
+// so an event booked in between for the hand-off's nanosecond runs after it
+// where the chain ran it first — for request 1, served at once, and for
+// request 2, which waits.
+func TestPipeForeignTie(t *testing.T) {
+	const cost, delay = 18 * time.Millisecond, 2200 * time.Millisecond
+	chain := foreignTieLog(func(k *sim.Kernel, out func(*Req)) func(*Req) {
+		return newLane(k, cost, newPipe(k, 0, delay, out).push).enqueue
+	}, cost+delay, 2*cost+delay)
+	stage := foreignTieLog(func(k *sim.Kernel, out func(*Req)) func(*Req) {
+		return newPipe(k, cost, delay, out).push
+	}, cost+delay, 2*cost+delay)
+	wantChain := []string{"booked before 1 at 2.218s", "booked after 1 at 2.218s", "request 1 at 2.218s", "booked after 2 at 2.236s", "request 2 at 2.236s"}
+	wantStage := []string{"booked before 1 at 2.218s", "request 1 at 2.218s", "booked after 1 at 2.218s", "request 2 at 2.236s", "booked after 2 at 2.236s"}
+	if !reflect.DeepEqual(chain, wantChain) || !reflect.DeepEqual(stage, wantStage) {
+		t.Errorf("chain ran %q, want %q\npipe ran %q, want %q", chain, wantChain, stage, wantStage)
+	}
+}
+
+// TestFirstPathEventsPerRequest pins what one uncontended request costs the
+// kernel on the fabric hop: its arrival, one event per stage — the dispatch
+// departure, the pickup (none on vLLM-Direct, whose pickup is zero) and the
+// relay's hand-off, which observes the result inside itself — and the
+// engine's own events for that request, counted on a bare engine (three
+// here). The lane and pipe chain spent nine events beside the engine's on
+// the paper's deployment and eight on vLLM-Direct. A stage that puts a hop
+// back fails here.
+func TestFirstPathEventsPerRequest(t *testing.T) {
+	model := perfmodel.Default.MustLookup(perfmodel.Llama8B)
+	gpu := perfmodel.A100_40
+	const prompt, output = 200, 30
+	a, k := testArena(sim.QueueCalendar)
+	e := a.EngineSimIn(model, gpu, func(*serving.Sequence) {})
+	k.Schedule(0, func() { e.Submit(prompt, output, nil) })
+	k.Run(0)
+	engine := k.Processed - 1
+	if engine < 1 {
+		t.Fatalf("a bare engine served a request in %d events", engine)
+	}
+	for _, c := range []struct {
+		name string
+		p    FirstParams
+		hops uint64
+	}{{"DefaultFirstParams", DefaultFirstParams(), 4}, {"VLLMDirectParams", VLLMDirectParams(), 3}} {
+		a, k := testArena(sim.QueueCalendar)
+		var done []*Req
+		f := NewFederationIn(a, FirstPathParams(c.p, model, gpu, 1), func(r *Req) { done = append(done, r) })
+		r := &Req{ID: 1, PromptTok: prompt, OutputTok: output}
+		k.Schedule(0, func() { f.Arrive(r) })
+		k.Run(0)
+		if len(done) != 1 || r.Latency() <= 0 {
+			t.Fatalf("%s: %d requests done, latency %v", c.name, len(done), r.Latency())
+		}
+		if k.Processed != c.hops+engine {
+			t.Errorf("%s: %d kernel events for one request, want %d (arrival and stages) + %d (engine)", c.name, k.Processed, c.hops, engine)
+		}
 	}
 }

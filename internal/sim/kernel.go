@@ -233,6 +233,20 @@ func (k *Kernel) next() *event {
 // before the reserved one, at the same instant.
 func (k *Kernel) RunningSeq() uint64 { return k.running }
 
+// Peek reports the instant of the earliest queued event, false when none is
+// queued, and reorders nothing. During Run the running event is not queued.
+//
+//first:hotpath pinned by TestKernelPeekZeroAlloc (kernel_diff_test.go)
+func (k *Kernel) Peek() (Time, bool) {
+	if n := len(k.run); n > 0 {
+		return k.run[n-1].at, true
+	}
+	if len(k.heap) > 0 {
+		return k.heap[0].at, true
+	}
+	return 0, false
+}
+
 // Stop halts the run loop after the current event returns. A Stop issued
 // while no run is active makes the next Run return immediately without
 // executing anything; the flag is consumed by the Run it halts (or skips).

@@ -764,3 +764,131 @@ func BenchmarkKernelStretched(b *testing.B) {
 		})
 	}
 }
+
+// peekSchedule plays a random schedule on k — same-instant floods past the
+// run's capacity, far-out timers that sit in the heap, nested scheduling —
+// and returns the order it fired in. With peek set, every event ends by
+// peeking, and the peek must name the next event's instant: the run's last,
+// the heap's root when the run has drained, nothing once the queue is empty.
+// It returns how many peeks found the run empty and the heap not.
+func peekSchedule(t *testing.T, k *Kernel, seed int64, peek bool) (fired []stamp, fromHeap int) {
+	t.Helper()
+	rng := NewRNG(seed)
+	type look struct {
+		at Time
+		ok bool
+	}
+	var looks []look
+	id := 0
+	var schedule func(depth int)
+	event := func(depth int) func() {
+		id++
+		me := id
+		return func() {
+			fired = append(fired, stamp{k.Now(), me})
+			if depth == 0 && rng.Intn(8) == 0 {
+				for i := 0; i < 3; i++ {
+					schedule(depth + 1)
+				}
+			}
+			if peek {
+				pending, run := k.Pending(), len(k.run)
+				if run == 0 && pending > 0 {
+					fromHeap++
+				}
+				at, ok := k.Peek()
+				if k.Pending() != pending || len(k.run) != run {
+					t.Fatalf("Peek moved the queue: %d pending and %d in the run before, %d and %d after", pending, run, k.Pending(), len(k.run))
+				}
+				looks = append(looks, look{at, ok})
+			}
+		}
+	}
+	schedule = func(depth int) {
+		switch rng.Intn(4) {
+		case 0: // a flood on one instant
+			at := k.Now() + time.Duration(rng.Intn(50))*time.Millisecond
+			for n := 1 + rng.Intn(2*runCap); n > 0; n-- {
+				k.At(at, event(depth))
+			}
+		case 1: // far out, behind everything else
+			k.Schedule(time.Duration(1+rng.Intn(100))*time.Second, event(depth))
+		case 2:
+			k.Schedule(0, event(depth))
+		default:
+			k.Schedule(time.Duration(rng.Intn(5000))*time.Microsecond, event(depth))
+		}
+	}
+	for i := 0; i < 40; i++ {
+		schedule(0)
+	}
+	k.Run(0)
+	for i, l := range looks {
+		want := look{}
+		if i+1 < len(fired) {
+			want = look{fired[i+1].at, true}
+		}
+		if l != want {
+			t.Fatalf("seed %d, %v queue: the peek in event %d read (%v, %v), the next event ran at %v", seed, k.Queue(), i, l.at, l.ok, want.at)
+		}
+	}
+	return fired, fromHeap
+}
+
+// TestKernelPeek: on both queue kinds Peek reads the instant of the event
+// Run takes next — from a sorted run, from the heap behind a drained run,
+// and from the heap alone — reports an empty queue as such, and reorders
+// nothing: a peeked schedule fires as the unpeeked one does.
+func TestKernelPeek(t *testing.T) {
+	fromHeap := map[QueueKind]int{}
+	for _, q := range []QueueKind{QueueCalendar, QueueHeap} {
+		k := NewKernelWith(q)
+		if at, ok := k.Peek(); ok || at != 0 {
+			t.Errorf("%v: an empty kernel peeks (%v, %v), want (0, false)", q, at, ok)
+		}
+		k.Schedule(3*time.Second, func() {})
+		k.Schedule(time.Second, func() {})
+		if at, ok := k.Peek(); !ok || at != time.Second {
+			t.Errorf("%v: peeks (%v, %v) before the run, want (1s, true)", q, at, ok)
+		}
+		k.Run(2 * time.Second)
+		if at, ok := k.Peek(); !ok || at != 3*time.Second {
+			t.Errorf("%v: peeks (%v, %v) after a bounded run, want (3s, true)", q, at, ok)
+		}
+		k.Run(0)
+		if at, ok := k.Peek(); ok || at != 0 {
+			t.Errorf("%v: a drained kernel peeks (%v, %v), want (0, false)", q, at, ok)
+		}
+		for seed := int64(1); seed <= 20; seed++ {
+			k.Reset()
+			peeked, n := peekSchedule(t, k, seed, true)
+			k.Reset()
+			plain, _ := peekSchedule(t, k, seed, false)
+			diffStamps(t, fmt.Sprintf("%v queue, seed %d, peeked vs not", q, seed), peeked, plain)
+			fromHeap[q] += n
+		}
+	}
+	if fromHeap[QueueCalendar] == 0 || fromHeap[QueueHeap] == 0 {
+		t.Errorf("peeks behind an empty run: %d on the default queue, %d on the heap: the schedules never reach the heap", fromHeap[QueueCalendar], fromHeap[QueueHeap])
+	}
+}
+
+// TestKernelPeekZeroAlloc pins Peek at zero allocations on a queue that holds
+// events in both the run and the heap.
+func TestKernelPeekZeroAlloc(t *testing.T) {
+	k := NewKernel()
+	for i := 0; i < 2*runCap; i++ {
+		k.Schedule(time.Duration(i)*time.Microsecond, func() {})
+	}
+	var sum Time
+	peek := func() {
+		at, _ := k.Peek()
+		sum += at
+	}
+	if allocs := testing.AllocsPerRun(100, peek); allocs != 0 {
+		t.Errorf("Peek allocs = %v, want 0", allocs)
+	}
+	if len(k.heap) == 0 || sum != 0 {
+		t.Errorf("heap holds %d events, peeks summed to %v: want a spilled queue whose earliest event is at 0", len(k.heap), sum)
+	}
+}

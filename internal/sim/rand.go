@@ -98,6 +98,3 @@ func (g *RNG) Pareto(xm, alpha float64) float64 {
 
 // Bernoulli returns true with probability p.
 func (g *RNG) Bernoulli(p float64) bool { return g.r.Float64() < p }
-
-// Shuffle permutes indices [0,n) in place through swap.
-func (g *RNG) Shuffle(n int, swap func(i, j int)) { g.r.Shuffle(n, swap) }
