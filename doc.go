@@ -45,9 +45,11 @@
 //     through Release/Submit, and resolves Abort by binary search over the
 //     ID-ordered ring plus a lazy tombstone instead of an O(n) scan. Decode
 //     is event-driven: a sequence's last iteration is known when it is
-//     admitted, so the running batch is a min-heap on it and Step costs
-//     O(1) + O(log batch) per completion — it never visits the sequences
-//     that merely keep decoding. When an iteration completes nothing and
+//     admitted, so the running batch is filed on a fixed 1024-bucket wheel
+//     by it (a small heap holds outputs that finish past the wheel until
+//     they come within reach) and Step pops one bucket: O(1) per
+//     completion — it never visits the sequences that merely keep
+//     decoding. When an iteration completes nothing and
 //     nothing can be admitted before the next completion (the queue is
 //     empty, or its head is held by the batch cap or by KV headroom — never
 //     by the prefill budget), Step makes an offer: StepResult.Quiet further

@@ -173,7 +173,7 @@ func TestFirstPathSyncWorkersOverrideWindow(t *testing.T) {
 	}
 }
 
-func TestDirectSystemAdmissionCap(t *testing.T) {
+func TestVLLMDirectAdmissionCap(t *testing.T) {
 	// The single-threaded API server caps request throughput at
 	// 1/HubDispatchCost regardless of engine capacity (§5.3.1).
 	a, k := testArena(sim.QueueCalendar)

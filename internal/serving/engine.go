@@ -11,9 +11,9 @@
 // figure reproductions.
 //
 // A sequence's completion iteration is known the moment it is admitted, so the
-// running batch is a min-heap on it and Step costs O(1) plus O(log batch) per
-// completion; and Step can tell when the iterations after it are certain to
-// change nothing, and offers to skip them (StepResult.Quiet; see Settle).
+// running batch is filed on a wheel by it and Step costs O(1) per completion;
+// and Step can tell when the iterations after it are certain to change
+// nothing, and offers to skip them (StepResult.Quiet; see Settle).
 //
 // The engine's hot path is allocation-free at steady state: the waiting
 // queue is a ring buffer (so admission never re-slices and pins a backing
@@ -25,6 +25,7 @@ package serving
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"time"
 
@@ -45,6 +46,10 @@ type Sequence struct {
 	// Ctx carries driver-private data (e.g. the fabric task).
 	Ctx interface{}
 
+	// finish is the iteration that emits the last token, fixed at admission;
+	// next links a running sequence to the one after it in its wheel bucket.
+	finish int64
+	next   *Sequence
 	// aborted marks a waiting sequence whose client disconnected; admit
 	// drops it lazily when it reaches the queue head.
 	aborted bool
@@ -134,17 +139,17 @@ type StepResult struct {
 	Each  time.Duration
 }
 
-// runEntry is one running sequence keyed by the iteration that emits its last
-// token, fixed at admission (the admitting iteration emits the first). id
-// breaks ties: same-iteration completions stay in admission order.
-type runEntry struct {
-	finish int64
-	id     int64
-	seq    *Sequence
-}
+// wheelSize is the finish wheel's bucket count, a power of two. It is fixed:
+// a request's length never sizes the wheel.
+const wheelSize = 1024
 
-func (a *runEntry) before(b *runEntry) bool {
-	return a.finish < b.finish || (a.finish == b.finish && a.id < b.id)
+// bucket is a FIFO of running sequences, linked through Sequence.next, that
+// share a finish iteration.
+type bucket struct{ head, tail *Sequence }
+
+// before orders the far heap on (finish, ID), keeping ties in admission order.
+func (a *Sequence) before(b *Sequence) bool {
+	return a.finish < b.finish || (a.finish == b.finish && a.ID < b.ID)
 }
 
 // seqRing is a FIFO of waiting sequences backed by a power-of-two ring
@@ -207,9 +212,14 @@ type Engine struct {
 	nextID  int64
 	now     time.Duration
 	waiting seqRing
-	// running is a min-heap on (finish, id): Step pops the sequences whose
-	// last token this iteration emits and never touches the rest.
-	running []runEntry
+	// The running batch (batch sequences): wheel[f&(wheelSize-1)] holds, in
+	// ID order, those whose last token iteration f < Iterations+wheelSize
+	// emits, far is a min-heap on (finish, ID) of the rest, and cursor is at
+	// or before the earliest finish. Step pops one bucket and no other.
+	wheel  []bucket
+	far    []*Sequence
+	batch  int
+	cursor int64
 	// decode[b]: an iteration's decode time at batch b, filled in on first use.
 	decode []time.Duration
 	// quiet is what remains of the run Step last offered: that many iterations
@@ -254,7 +264,8 @@ func NewEngine(cfg Config) (*Engine, error) {
 		return nil, fmt.Errorf("serving: %s does not fit on %d×%s (no KV room)",
 			cfg.Model.Name, cfg.Model.TensorParallel, cfg.GPU.Name)
 	}
-	return &Engine{cfg: cfg, kvCap: kv, maxBatch: cfg.maxBatch(), prefillBudget: cfg.maxPrefillPerIter()}, nil
+	return &Engine{cfg: cfg, kvCap: kv, maxBatch: cfg.maxBatch(), prefillBudget: cfg.maxPrefillPerIter(),
+		wheel: make([]bucket, wheelSize)}, nil
 }
 
 // Model returns the configured model spec.
@@ -273,10 +284,10 @@ func (e *Engine) Stats() Stats { return e.stats }
 // Depth returns waiting+running sequence count (least-loaded routing input).
 //
 //first:hotpath pinned by TestEngineChurnZeroAlloc (engine_test.go)
-func (e *Engine) Depth() int { return e.WaitingCount() + len(e.running) }
+func (e *Engine) Depth() int { return e.WaitingCount() + e.batch }
 
 // RunningBatch returns the current running batch size.
-func (e *Engine) RunningBatch() int { return len(e.running) }
+func (e *Engine) RunningBatch() int { return e.batch }
 
 // WaitingCount returns the number of queued (unadmitted) sequences.
 func (e *Engine) WaitingCount() int { return e.waiting.len() - e.abortedWaiting }
@@ -296,10 +307,10 @@ func (e *Engine) KVUsedTokens() int { return e.kvUsed }
 //
 //first:hotpath pinned by TestEngineChurnZeroAlloc (engine_test.go)
 func (e *Engine) Submit(now time.Duration, promptTok, outputTok int, ctx interface{}) *Sequence {
-	if now > e.now && len(e.running) == 0 && e.waiting.len() == 0 {
+	if now > e.now && e.batch == 0 && e.waiting.len() == 0 {
 		e.now = now
 	}
-	if e.waiting.len() == 0 && len(e.running) < e.maxBatch {
+	if e.waiting.len() == 0 && e.batch < e.maxBatch {
 		e.quiet = 0 // the newcomer is first in line for the next iteration
 	}
 	if promptTok < 1 {
@@ -353,7 +364,7 @@ func (e *Engine) Release(seqs ...*Sequence) {
 
 // Reset returns the engine to its post-NewEngine state while keeping every
 // allocated structure warm: the waiting ring's backing array, the running
-// slice, the completed scratch buffer, and the Sequence free list all
+// wheel and far heap, the completed scratch buffer, and the Sequence free list all
 // survive, with queued/running sequences drained into the free list. A Reset
 // engine is behaviourally indistinguishable from a fresh one (IDs restart at
 // 1, time at zero, stats cleared), which is what lets experiment-fleet
@@ -364,16 +375,15 @@ func (e *Engine) Reset() {
 		*s = Sequence{}
 		e.free = append(e.free, s)
 	}
-	for i, r := range e.running {
-		*r.seq = Sequence{}
-		e.free = append(e.free, r.seq)
-		e.running[i] = runEntry{}
-	}
-	e.running = e.running[:0]
+	e.eachRunning(func(s *Sequence) {
+		*s = Sequence{}
+		e.free = append(e.free, s)
+	})
+	clear(e.wheel)
+	clear(e.far)
+	clear(e.completedScratch)
+	e.far, e.batch, e.cursor = e.far[:0], 0, 0
 	e.quiet, e.kvBlocked = 0, false
-	for i := range e.completedScratch {
-		e.completedScratch[i] = nil
-	}
 	e.completedScratch = e.completedScratch[:0]
 	e.nextID = 0
 	e.now = 0
@@ -397,7 +407,7 @@ func (e *Engine) Step(now time.Duration) StepResult {
 		e.now = now
 	}
 	prefillTok, budgetSpent := e.admit()
-	batch := len(e.running)
+	batch := e.batch
 	if batch == 0 {
 		return StepResult{}
 	}
@@ -414,8 +424,8 @@ func (e *Engine) Step(now time.Duration) StepResult {
 	e.stats.Iterations++
 	e.stats.BusyTime += iter
 	e.kvUsed += batch // one token per running sequence
-	for len(e.running) > 0 && e.running[0].finish == e.stats.Iterations {
-		seq := e.popRunning()
+	b := &e.wheel[e.stats.Iterations&(wheelSize-1)]
+	for seq := b.head; seq != nil; seq.next, seq = nil, seq.next { // unlinking each
 		seq.Emitted = seq.OutputTok
 		seq.FinishAt = end
 		held := seq.PromptTok + seq.OutputTok
@@ -425,13 +435,16 @@ func (e *Engine) Step(now time.Duration) StepResult {
 		e.stats.Completed++
 		e.stats.OutputTokens += int64(seq.OutputTok)
 	}
+	*b = bucket{}
+	e.batch -= len(e.completedScratch)
+	e.pull()
 	e.now = end
 
 	res := StepResult{Duration: iter, Busy: true, Completed: e.completedScratch, EmittedTokens: batch}
 	if len(res.Completed) == 0 && !budgetSpent {
 		// Nothing left and nothing can join before the earliest completion:
 		// every iteration short of that one repeats this one without prefill.
-		if q := e.running[0].finish - e.stats.Iterations - 1; q > 0 {
+		if q := e.earliest() - e.stats.Iterations - 1; q > 0 {
 			e.quiet = q
 			res.Quiet, res.Each = int(q), e.decodeIter(batch)
 		}
@@ -462,7 +475,7 @@ func (e *Engine) Settle(now time.Duration) time.Duration {
 
 //first:hotpath pinned by TestEngineSettleZeroAlloc (offer_test.go)
 func (e *Engine) settleRun(now time.Duration) time.Duration {
-	each := e.decode[len(e.running)] // the batch does not change during a run
+	each := e.decode[e.batch] // the batch does not change during a run
 	if now > e.now {
 		k := int64((now - e.now + each - 1) / each)
 		if k > e.quiet {
@@ -472,11 +485,12 @@ func (e *Engine) settleRun(now time.Duration) time.Duration {
 		e.quiet -= k
 		e.stats.Iterations += k
 		e.stats.BusyTime += span
-		e.kvUsed += int(k) * len(e.running)
+		e.kvUsed += int(k) * e.batch
 		if e.kvBlocked {
 			e.stats.KVRejections += k
 		}
 		e.now += span
+		e.pull()
 	}
 	return e.now + time.Duration(e.quiet)*each
 }
@@ -497,7 +511,7 @@ func (e *Engine) decodeIter(b int) time.Duration {
 func (e *Engine) admit() (admittedPrefill int, budgetSpent bool) {
 	e.kvBlocked = false
 	for e.waiting.len() > 0 {
-		if len(e.running) >= e.maxBatch {
+		if e.batch >= e.maxBatch {
 			break
 		}
 		seq := e.waiting.at(0)
@@ -522,22 +536,63 @@ func (e *Engine) admit() (admittedPrefill int, budgetSpent bool) {
 		e.kvReserved += need
 		e.kvUsed += seq.PromptTok
 		seq.StartAt = e.now
-		e.pushRunning(runEntry{finish: e.stats.Iterations + int64(seq.OutputTok), id: seq.ID, seq: seq})
+		seq.finish = e.stats.Iterations + int64(seq.OutputTok)
+		e.file(seq)
+		e.batch++
 		admittedPrefill += seq.PromptTok
 		e.stats.PrefillTokens += int64(seq.PromptTok)
 	}
-	if len(e.running) > e.stats.PeakBatch {
-		e.stats.PeakBatch = len(e.running)
+	if e.batch > e.stats.PeakBatch {
+		e.stats.PeakBatch = e.batch
 	}
 	return admittedPrefill, budgetSpent
 }
 
-func (e *Engine) pushRunning(r runEntry) {
-	e.running = append(e.running, r)
-	h := e.running
+// file puts a running sequence in the bucket of its finish, or on the far
+// heap when that lies past the wheel's horizon.
+func (e *Engine) file(seq *Sequence) {
+	if seq.finish >= e.stats.Iterations+wheelSize {
+		e.pushFar(seq)
+		return
+	}
+	if b := &e.wheel[seq.finish&(wheelSize-1)]; b.head == nil {
+		b.head, b.tail = seq, seq
+	} else {
+		b.tail.next, b.tail = seq, seq
+	}
+	e.cursor = min(e.cursor, seq.finish)
+}
+
+// pull moves far entries that Iterations has brought inside the horizon into
+// their buckets, in (finish, ID) order. Every advance of Iterations calls it
+// before the next admission can file a newer sequence beside them.
+func (e *Engine) pull() {
+	for len(e.far) > 0 && e.far[0].finish < e.stats.Iterations+wheelSize {
+		e.file(e.popFar())
+	}
+}
+
+// earliest returns the next iteration that completes a sequence (the batch
+// must not be empty). The cursor walks forward over empty buckets and Steps in
+// a row resume its walk; only an admission that finishes sooner moves it back.
+func (e *Engine) earliest() int64 {
+	horizon := e.stats.Iterations + wheelSize
+	c := max(e.cursor, e.stats.Iterations+1)
+	for c < horizon && e.wheel[c&(wheelSize-1)].head == nil {
+		c++
+	}
+	if e.cursor = c; c < horizon {
+		return c
+	}
+	return e.far[0].finish
+}
+
+func (e *Engine) pushFar(s *Sequence) {
+	e.far = append(e.far, s)
+	h := e.far
 	for i := len(h) - 1; i > 0; {
 		p := (i - 1) / 2
-		if !h[i].before(&h[p]) {
+		if !h[i].before(h[p]) {
 			break
 		}
 		h[i], h[p] = h[p], h[i]
@@ -545,35 +600,51 @@ func (e *Engine) pushRunning(r runEntry) {
 	}
 }
 
-func (e *Engine) popRunning() *Sequence {
-	h := e.running
+func (e *Engine) popFar() *Sequence {
+	h := e.far
 	n := len(h) - 1
-	top := h[0].seq
-	h[0], h[n] = h[n], runEntry{}
+	top := h[0]
+	h[0], h[n] = h[n], nil
 	h = h[:n]
 	for i := 0; ; {
 		c := 2*i + 1
-		if c+1 < n && h[c+1].before(&h[c]) {
+		if c+1 < n && h[c+1].before(h[c]) {
 			c++
 		}
-		if c >= n || !h[c].before(&h[i]) {
+		if c >= n || !h[c].before(h[i]) {
 			break
 		}
 		h[i], h[c] = h[c], h[i]
 		i = c
 	}
-	e.running = h
+	e.far = h
 	return top
+}
+
+// eachRunning calls f for every running sequence: the wheel bucket by bucket,
+// then the far heap. f may clear a sequence; the link is read first.
+func (e *Engine) eachRunning(f func(*Sequence)) {
+	for i := range e.wheel {
+		for s := e.wheel[i].head; s != nil; {
+			next := s.next
+			f(s)
+			s = next
+		}
+	}
+	for _, s := range e.far {
+		f(s)
+	}
 }
 
 // EachRunning calls f for every sequence currently in the running batch, in
 // admission order (by ID). The callback must not mutate engine state; drivers
 // use it to identify work lost when an instance's walltime hard-kills it.
 func (e *Engine) EachRunning(f func(*Sequence)) {
-	byID := append([]runEntry(nil), e.running...)
-	sort.Slice(byID, func(i, j int) bool { return byID[i].id < byID[j].id })
-	for _, r := range byID {
-		f(r.seq)
+	byID := make([]*Sequence, 0, e.batch)
+	e.eachRunning(func(s *Sequence) { byID = append(byID, s) })
+	sort.Slice(byID, func(i, j int) bool { return byID[i].ID < byID[j].ID })
+	for _, s := range byID {
+		f(s)
 	}
 }
 
@@ -636,8 +707,8 @@ func (e *Engine) CheckInvariants() error {
 	if e.kvReserved > e.kvCap {
 		return fmt.Errorf("serving: KV reservation over capacity: %d > %d", e.kvReserved, e.kvCap)
 	}
-	if len(e.running) > e.maxBatch {
-		return fmt.Errorf("serving: batch %d exceeds cap %d", len(e.running), e.maxBatch)
+	if e.batch > e.maxBatch {
+		return fmt.Errorf("serving: batch %d exceeds cap %d", e.batch, e.maxBatch)
 	}
 	if e.abortedWaiting < 0 || e.abortedWaiting > e.waiting.len() {
 		return fmt.Errorf("serving: tombstone count %d out of range (queue %d)", e.abortedWaiting, e.waiting.len())
@@ -647,23 +718,41 @@ func (e *Engine) CheckInvariants() error {
 			return fmt.Errorf("serving: waiting ring not ID-ordered at %d", i)
 		}
 	}
-	inFlight := int64(len(e.running) + e.WaitingCount())
+	inFlight := int64(e.batch + e.WaitingCount())
 	if e.stats.Submitted != e.stats.Completed+e.stats.Aborted+inFlight {
 		return fmt.Errorf("serving: sequence conservation violated: submitted=%d completed=%d aborted=%d inflight=%d",
 			e.stats.Submitted, e.stats.Completed, e.stats.Aborted, inFlight)
 	}
-	var kv int
-	for i := range e.running {
-		r := &e.running[i]
-		if i > 0 && r.before(&e.running[(i-1)/2]) {
-			return fmt.Errorf("serving: running heap out of order at %d", i)
+	// Each running sequence is in its finish's bucket inside the horizon (a
+	// bucket is ID-ordered), or on the far heap, in heap order, past it.
+	var kv, n int
+	soonest := int64(math.MaxInt64)
+	e.eachRunning(func(s *Sequence) {
+		kv += s.PromptTok + s.OutputTok - int(s.finish-e.stats.Iterations) // prompt + emitted so far
+		soonest = min(soonest, s.finish)
+		n++
+	})
+	horizon := e.stats.Iterations + wheelSize
+	for i, b := range e.wheel {
+		for s := b.head; s != nil; s = s.next {
+			if s.finish&(wheelSize-1) != int64(i) || s.finish <= e.stats.Iterations || s.finish >= horizon ||
+				(s.next == nil) != (s == b.tail) || s.next != nil && s.next.ID <= s.ID {
+				return fmt.Errorf("serving: bucket %d misfiles sequence %d finishing at %d (iteration %d)", i, s.ID, s.finish, e.stats.Iterations)
+			}
 		}
-		kv += r.seq.PromptTok + r.seq.OutputTok - int(r.finish-e.stats.Iterations) // prompt + emitted so far
+	}
+	for i, s := range e.far {
+		if s.finish < horizon || i > 0 && s.before(e.far[(i-1)/2]) {
+			return fmt.Errorf("serving: far heap misplaces sequence %d finishing at %d (horizon %d)", s.ID, s.finish, horizon)
+		}
+	}
+	if n != e.batch || e.cursor > soonest {
+		return fmt.Errorf("serving: %d sequences filed for a batch of %d; cursor %d, earliest finish %d", n, e.batch, e.cursor, soonest)
 	}
 	if kv != e.kvUsed {
 		return fmt.Errorf("serving: KV accounting drift: computed=%d tracked=%d", kv, e.kvUsed)
 	}
-	if e.quiet > 0 && (len(e.running) == 0 || e.quiet >= e.running[0].finish-e.stats.Iterations) {
+	if e.quiet > 0 && (e.batch == 0 || e.quiet >= soonest-e.stats.Iterations) {
 		return fmt.Errorf("serving: %d quiet iterations promised past a completion", e.quiet)
 	}
 	return nil

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+	"unsafe"
 
 	"github.com/argonne-first/first/internal/perfmodel"
 )
@@ -416,22 +417,53 @@ func TestEngineCompletedScratchReused(t *testing.T) {
 }
 
 // TestEngineStepZeroAlloc pins the saturated Step loop at zero allocations
-// per iteration.
+// per iteration: a full batch, one sequence finishing and one admitted from
+// the queue in its place on almost every measured iteration.
 func TestEngineStepZeroAlloc(t *testing.T) {
 	eng := newTestEngine(t, perfmodel.Llama8B, 0)
-	for i := 0; i < 512; i++ {
-		eng.Submit(0, 100, 1<<20, nil)
+	const full = 256 // Llama-8B's max_num_seqs; 512 KV reservations of ≤ 621 tokens fit
+	for i := 0; i < 2*full; i++ {
+		eng.Submit(0, 100, 10+i, nil)
 	}
 	now := time.Duration(0)
-	// Warm: admit the batch and run a few iterations.
-	for i := 0; i < 10; i++ {
+	// Warm: the prefill budget fills the batch over four iterations, and the
+	// first sequence finishes on the eleventh.
+	for eng.Stats().Completed == 0 {
 		now += eng.Step(now).Duration
 	}
+	done, smallest := eng.Stats().Completed, full
 	allocs := testing.AllocsPerRun(100, func() {
-		now += eng.Step(now).Duration
+		res := eng.Step(now)
+		now += res.Duration
+		smallest = min(smallest, res.EmittedTokens)
 	})
 	if allocs != 0 {
 		t.Errorf("steady-state Step allocs = %v, want 0", allocs)
+	}
+	if n := eng.Stats().Completed - done; smallest != full || n < 90 {
+		t.Errorf("smallest batch %d, %d completions in 101 iterations: want a full batch of %d turning over", smallest, n, full)
+	}
+}
+
+// TestEngineWheelMemoryFixed: the finish wheel is the same size whatever a
+// request's output length; an output past it waits on the far heap.
+func TestEngineWheelMemoryFixed(t *testing.T) {
+	wheelBytes := func(outputTok int) (uintptr, int) {
+		eng := newTestEngine(t, perfmodel.Llama8B, 0)
+		eng.Submit(0, 100, outputTok, nil)
+		eng.Step(0)
+		if err := eng.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
+		return uintptr(cap(eng.wheel)) * unsafe.Sizeof(bucket{}), len(eng.far)
+	}
+	short, nearFar := wheelBytes(16)
+	long, farLen := wheelBytes(1 << 20)
+	if short != long || short != wheelSize*unsafe.Sizeof(bucket{}) {
+		t.Errorf("wheel holds %d bytes after a 16-token request, %d after a 1<<20-token one; want %d both", short, long, wheelSize*unsafe.Sizeof(bucket{}))
+	}
+	if nearFar != 0 || farLen != 1 {
+		t.Errorf("far heap holds %d after a 16-token request, %d after a 1<<20-token one; want 0 and 1", nearFar, farLen)
 	}
 }
 
@@ -498,7 +530,7 @@ func TestEngineEachRunningEachWaiting(t *testing.T) {
 
 // refEngine is the engine as it was before decode became event-driven: Step
 // walks every running sequence every iteration, and nothing is ever offered
-// or settled. It is the oracle the heap-and-offer engine is compared against
+// or settled. It is the oracle the wheel-and-offer engine is compared against
 // (offer_test.go); aborts remove the entry outright, which no observer can
 // tell from a tombstone.
 type refEngine struct {

@@ -37,6 +37,8 @@ type offerHarness struct {
 	settle bool // keep the Settle contract; false only with take never set
 	taken  int  // offers taken
 	cuts   int  // runs cut short by a Submit or Abort
+	far    int  // completions that waited on the far heap (output ≥ wheelSize)
+	joined int  // iterations that completed a far sequence and a wheel one together
 
 	engBusy, refBusy bool // the stepping loop runs (EngineSim.running)
 	inFlight         bool // a stepped iteration or run ends at engDue (EngineSim.deliverPending)
@@ -70,8 +72,18 @@ func (h *offerHarness) stepEng() {
 	if !res.Busy {
 		return
 	}
+	var far, near bool
 	for _, s := range res.Completed {
 		h.engDone = append(h.engDone, finished{s.ID, s.StartAt, s.FinishAt, s.QueueWait(), s.Emitted})
+		if s.OutputTok >= wheelSize {
+			h.far++
+			far = true
+		} else {
+			near = true
+		}
+	}
+	if far && near {
+		h.joined++
 	}
 	h.eng.Release(res.Completed...)
 	h.engDue = at + res.Duration
@@ -235,21 +247,45 @@ const (
 	opBoundary // to the reference's next boundary, exactly
 	opWaitLong // many iterations
 	opToggle   // take the offer / step every iteration
+	opSubmitFar
+	opJoinFar // step to near a far sequence's end, submit one to finish with it
 )
 
 var opTable = [16]byte{
 	opSubmit, opSubmitLong, opAbort, opAbortHead, opWait, opBoundary, opWaitLong, opToggle,
-	opSubmit, opSubmitLong, opSubmitLong, opWait, opWait, opBoundary, opWaitLong, opWaitLong,
+	opSubmitFar, opJoinFar, opSubmitLong, opWait, opWait, opBoundary, opWaitLong, opWaitLong,
+}
+
+// farRoom is KV for one far request at its largest (a 64-token prompt and
+// a wheelSize+61-token output), rounded up.
+const farRoom = 64 + wheelSize + 64
+
+// farRunning returns the reference's running sequence that finishes last,
+// if its output is past the wheel.
+func (h *offerHarness) farRunning() *Sequence {
+	var far *Sequence
+	for _, s := range h.ref.running {
+		if s.OutputTok >= wheelSize && (far == nil || s.OutputTok-s.Emitted > far.OutputTok-far.Emitted) {
+			far = s
+		}
+	}
+	return far
 }
 
 func runOfferSchedule(t testing.TB, data []byte) *offerHarness {
 	for len(data) < 3 {
 		data = append(data, 0)
 	}
-	// Batch caps 1–8; KV for one to four of the largest requests (64+40
-	// tokens, so every request fits an empty engine and the queue always
-	// drains); a prefill budget of 16–128 tokens against prompts up to 64.
-	h := newOfferHarness(t, 1+int(data[0]%8), 104+40*int(data[1]%8), 16+16*int(data[2]%8))
+	// Batch caps 1–8; KV for one to four of the largest short requests
+	// (64+40 tokens), plus farRoom when data[1]'s high bit allows far ones,
+	// so every request fits an empty engine and the queue always drains; a
+	// prefill budget of 16–128 tokens against prompts up to 64.
+	farOK := data[1]&0x80 != 0
+	kv := 104 + 40*int(data[1]%8)
+	if farOK {
+		kv += farRoom
+	}
+	h := newOfferHarness(t, 1+int(data[0]%8), kv, 16+16*int(data[2]%8))
 	if data[2]&0x80 != 0 {
 		// The LiveEngine contract: never take an offer, never settle.
 		h.take, h.settle = false, false
@@ -281,6 +317,23 @@ func runOfferSchedule(t testing.TB, data []byte) *offerHarness {
 			if h.settle {
 				h.take = !h.take
 			}
+		case opSubmitFar: // an output from just inside the wheel to past it
+			if farOK {
+				h.submit(1+a%64, wheelSize-2+b%64)
+			}
+		case opJoinFar:
+			// Step the reference to the boundary where the far sequence has
+			// 1–32 tokens left and submit one that ends with it there: the
+			// far entry must reach its bucket before the newcomer is filed.
+			far := h.farRunning()
+			if far == nil {
+				break
+			}
+			for far.OutputTok-far.Emitted > 1+a%32 {
+				h.stepRef()
+			}
+			h.advance(h.refDue)
+			h.submit(1+b%64, far.OutputTok-far.Emitted)
 		}
 	}
 	h.drain()
@@ -291,20 +344,26 @@ func runOfferSchedule(t testing.TB, data []byte) *offerHarness {
 }
 
 // TestEngineOfferDifferential sweeps random schedules over small KV
-// capacities, batch caps 1–8 and prefill budgets that bite.
+// capacities, batch caps 1–8 and prefill budgets that bite, half of them
+// with outputs past the wheel.
 func TestEngineOfferDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(20251015))
-	var taken, cuts int
+	var taken, cuts, far, joined int
 	for i := 0; i < 2500; i++ {
 		data := make([]byte, 3+3*(10+rng.Intn(80)))
 		rng.Read(data)
 		h := runOfferSchedule(t, data)
 		taken += h.taken
 		cuts += h.cuts
+		far += h.far
+		joined += h.joined
 	}
-	t.Logf("%d offers taken, %d of them cut short", taken, cuts)
+	t.Logf("%d offers taken, %d of them cut short; %d far completions, %d beside a wheel one", taken, cuts, far, joined)
 	if taken < 5000 || cuts < 1000 {
 		t.Errorf("sweep too tame: %d offers taken, %d cut short", taken, cuts)
+	}
+	if far == 0 || joined == 0 {
+		t.Errorf("sweep never reached the far heap: %d far completions, %d beside a wheel one", far, joined)
 	}
 }
 
@@ -319,6 +378,12 @@ var (
 	// behind it, then the head is aborted and the third — smaller — fits.
 	schedBlockedHead = []byte{7, 0, 7, opSubmitLong, 63, 30, opSubmitLong, 63, 39, opWait, 10, 0,
 		opSubmit, 3, 1, opWaitLong, 2, 0, opAbortHead, 0, 0, opWaitLong, 9, 0}
+	// Far room ({7, 0x87, 7}): an output past the wheel decodes beside a
+	// short one, its offered run is cut by two submits that finish with it,
+	// and a second far request queues behind it for KV. Also a file under
+	// testdata/fuzz/FuzzEngineOffer.
+	schedFarJoin = []byte{7, 0x87, 7, opSubmitFar, 9, 10, opSubmit, 9, 4, opWait, 10, 0,
+		opJoinFar, 3, 9, opJoinFar, 3, 20, opSubmitFar, 30, 63, opWaitLong, 5, 0}
 )
 
 func TestEngineOfferDirected(t *testing.T) {
@@ -394,6 +459,9 @@ func TestEngineOfferDirected(t *testing.T) {
 		if h := runOfferSchedule(t, sched); h.cuts == 0 {
 			t.Errorf("schedule %q cut no run", name)
 		}
+	}
+	if h := runOfferSchedule(t, schedFarJoin); h.far != 2 || h.joined != 1 {
+		t.Errorf("far schedule: %d far completions, %d beside a wheel one; want 2 and 1", h.far, h.joined)
 	}
 }
 
