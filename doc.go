@@ -217,11 +217,27 @@
 // the driver may release stays armed for the next tick. Each driver only
 // observes its pool, calls Decide and applies the action.
 //
+// One instance lifecycle has the same two drivers. fabric.Pool is a plain
+// value with no clock, goroutine or lock, holding one deployment's members
+// in launch order and every rule both halves apply: the states (queued,
+// loading, serving, draining, dead) and their guarded transitions; the
+// least-loaded pick with its cordon fallback; the record the router reads
+// (the §4.3 state, depth, uncordoned serving count, cordoned, soonest drain
+// — GET /jobs prints its counts); the PoolView Decide reads, whose floor is
+// an argument (the live MinInstances, 1 in the DES); and the scale-down
+// victim — a member still queued at the scheduler is cancelled first, else
+// the emptiest serving member drains. Launch order breaks every tie, and the
+// pick and the record are pinned at 0 allocs/op. fabric.Deployment carries
+// the answers out on goroutines under its lock, desmodel's deployments as
+// kernel events. Hard kills stay each driver's own: the DES migrates the
+// orphaned requests, and live calls get serving.ErrClosed and retry.
+//
 // Live, fabric.Deployment's control loop runs §3.2.2 as a parameter set:
 // HiWater = ScaleUpDepth with HiSustain 1, LoWater 1 (under one request per
 // instance) with LoSustain = HotIdleTimeout in control periods, capped at
-// MaxInstances; it releases the least-loaded ready instance, never below
-// MinInstances live instances.
+// MaxInstances; it releases the pool's victim, never below MinInstances
+// live instances. A released instance drains: it takes no new work, and its
+// job completes once its last request has returned.
 //
 // In the DES federation each (cluster, model) deployment is a pool of
 // 1..MaxInstances engine incarnations (desmodel.AutoScaleParams, which
@@ -239,13 +255,13 @@
 // condition and the pool oscillates forever, cancelling every incarnation
 // before its prologue completes), a pool with parked demand never shrinks,
 // and a scale-down never targets the pool's only live instance (the last
-// two make up the DES driver's PoolView.Releasable).
+// two are Pool.View's Releasable, with a floor of one).
 //
 // Routing is instance-aware: federation.EndpointInfo carries the live
 // instance count and Select tie-breaks active endpoints on depth per
 // instance (cross-multiplied, so ties stay exact), while inside a pool
-// requests go to the least-loaded serving instance — both hot paths pinned
-// at 0 allocs/op by AllocsPerRun tests.
+// requests go to fabric.Pool's pick, the least-loaded serving instance —
+// both hot paths pinned at 0 allocs/op by AllocsPerRun tests.
 //
 // The autoscale scenario family (first-bench -exp autoscale) is Fig4 beyond
 // paper size: open-loop traces whose offered rate and hot model are
@@ -293,9 +309,10 @@
 // serves; across clusters, federation.EndpointInfo carries Cordoned and
 // DrainingAt, and Select demotes a cordoned endpoint below every other
 // viable candidate — but still above first-configured, so work is never
-// parked while capacity exists. The live router mirrors this through
-// fabric.Deployment.CordonInfo (instances flagged stopping drop out of the
-// advertised count). All of it is zero-value-off: with Predictive and
+// parked while capacity exists. Both routers fill those fields from one
+// fabric.Pool record, the live one through Deployment.Record under a single
+// lock; the live pool never cordons, but a draining instance drops out of
+// its record as in the DES. All of it is zero-value-off: with Predictive and
 // CordonLead unset, every decision is byte-identical to the reactive
 // policy, pinned by the golden report; the autoscale family's predictive
 // twins run reactive-vs-predictive on identical traces in TestFamilies on

@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"github.com/argonne-first/first/internal/fabric"
-	"github.com/argonne-first/first/internal/scheduler"
 )
 
 // AutoScaleParams tune the Fig4-style auto-scaler: each (cluster, model)
@@ -96,28 +95,16 @@ func (c *fedCluster) armScaler() {
 	c.f.k.Schedule(interval, tick)
 }
 
-// liveCount is the pool's accepting-traffic membership: queued, loading, or
-// serving incarnations. Draining ones are on their way out.
-func (d *fedDep) liveCount() int {
-	n := 0
-	for _, in := range d.insts {
-		if in.state != instDraining {
-			n++
-		}
-	}
-	return n
-}
-
 // notePool records pool growth against the per-dep and per-cluster peaks
 // (the property suite's [1, MaxInstances] bound and the report's
 // peak-instances column).
 func (d *fedDep) notePool() {
-	if n := len(d.insts); n > d.peakPool {
+	if n := d.pool.Len(); n > d.peakPool {
 		d.peakPool = n
 	}
 	total := 0
 	for _, dep := range d.c.deps {
-		total += len(dep.insts)
+		total += dep.pool.Len()
 	}
 	if total > d.c.stats.PeakInstances {
 		d.c.stats.PeakInstances = total
@@ -125,16 +112,14 @@ func (d *fedDep) notePool() {
 }
 
 // scaleTick is one policy evaluation for this deployment pool: observe,
-// fabric.Decide, apply. The decision path is allocation-free; only an
-// actual scale-up allocates (the new incarnation and its scheduler job).
+// fabric.Decide, apply. The pool's floor is one live instance. The decision
+// path is allocation-free; only an actual scale-up allocates (the new
+// incarnation and its scheduler job).
 //
 //first:hotpath pinned by the scaler AllocsPerRun sweep (autoscale_test.go)
 func (d *fedDep) scaleTick() {
 	p := &d.f.p.Scale
-	v := fabric.PoolView{Members: len(d.insts), Live: d.liveCount(), Depth: d.depth(), Releasable: d.releasable()}
-	for _, in := range d.insts {
-		v.Upcoming = v.Upcoming || in.state == instQueued || in.state == instLoading
-	}
+	v := d.pool.View(len(d.pending), 1)
 	if p.Predictive {
 		// One sample per tick: arrivals routed here and completions served
 		// here since the previous evaluation.
@@ -156,7 +141,17 @@ func (d *fedDep) scaleTick() {
 		d.c.stats.PreWarms++
 		d.startInstance()
 	case fabric.Down:
-		d.scaleDown()
+		// The pool's victim: an incarnation still queued at the scheduler
+		// is cancelled (free — no GPUs held, no work placed; Cancel ends the
+		// job synchronously), else the emptiest serving one drains through
+		// the regular drain/migrate machinery.
+		in := d.pool.Victim()
+		if in.State() == fabric.Queued {
+			d.c.stats.ScaleDowns++
+			d.c.sched.Cancel(in.Job.ID)
+		} else {
+			in.beginDrain(true)
+		}
 	}
 }
 
@@ -188,57 +183,13 @@ func (d *fedDep) projectedDepth(depth float64) float64 {
 // different dying incarnation, and this drain is certain (walltime), not
 // speculative. Idle pools deliberately ride the drain down: pre-warming a
 // replacement nobody needs would defeat scale-to-cold.
-func (d *fedDep) preWarmReplacement(j *scheduler.Job, in *fedInstance) {
-	if in.job != j || in.state != instServing {
+func (d *fedDep) preWarmReplacement(in *fedInstance) {
+	if in.State() != fabric.Serving {
 		return
 	}
-	if d.depth() == 0 || len(d.insts) >= d.f.p.Scale.MaxInstances {
+	if d.pool.View(len(d.pending), 1).Depth == 0 || d.pool.Len() >= d.f.p.Scale.MaxInstances {
 		return
 	}
 	d.c.stats.PreWarms++
 	d.startInstance()
-}
-
-// releasable reports whether scaleDown has a victim now. It never takes the
-// pool's only live instance, and never shrinks a pool with parked demand —
-// nothing serves it yet, so a shrink would only delay the incarnation that
-// will absorb it. While every other member is still mid-start, Decide stays
-// armed and retries next tick.
-func (d *fedDep) releasable() bool {
-	if d.liveCount() <= 1 || len(d.pending) > 0 {
-		return false
-	}
-	for _, in := range d.insts {
-		if in.state == instServing || in.state == instQueued && in.job.State() == scheduler.Queued {
-			return true
-		}
-	}
-	return false
-}
-
-// scaleDown shrinks the pool by one: it cancels an incarnation still queued
-// at the scheduler when one exists (free — no GPUs held, no work placed),
-// otherwise drains the emptiest serving instance through the regular
-// drain/migrate machinery.
-func (d *fedDep) scaleDown() {
-	for _, in := range d.insts {
-		if in.state == instQueued && in.job.State() == scheduler.Queued {
-			// Only jobs still waiting in the scheduler queue are cancelled;
-			// one that reached Starting holds its allocation and is about to
-			// serve — killing it would forfeit the prologue already paid
-			// (and, under a thrashing config, could starve the model).
-			// Cancel ends the job synchronously: onJobEnd detaches the
-			// incarnation before this returns.
-			d.c.stats.ScaleDowns++
-			d.c.sched.Cancel(in.job.ID)
-			return
-		}
-	}
-	var victim *fedInstance
-	for _, in := range d.insts {
-		if in.state == instServing && (victim == nil || in.eng.Depth() < victim.eng.Depth()) {
-			victim = in
-		}
-	}
-	victim.beginDrain(victim.job, true)
 }

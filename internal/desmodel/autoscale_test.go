@@ -102,7 +102,7 @@ func TestAutoScaleDownWhenIdle(t *testing.T) {
 	}
 	for _, c := range f.clusters {
 		for _, d := range c.deps {
-			if live := d.liveCount(); live > 1 {
+			if live := d.pool.View(0, 1).Live; live > 1 {
 				t.Errorf("cluster %s model %d still holds %d live instances after idling", c.name, d.model, live)
 			}
 			if d.peakPool > p.Scale.MaxInstances {
@@ -189,17 +189,17 @@ func TestScalerAllocs(t *testing.T) {
 	}
 	k.Schedule(time.Second, func() { d.startInstance() })
 	k.Run(10 * time.Minute)
-	if got := len(d.insts); got != 2 {
+	if got := d.pool.Len(); got != 2 {
 		t.Fatalf("warm-up built %d instances, want 2", got)
 	}
-	if d.pickServing() == nil {
+	if d.pool.Pick() == nil {
 		t.Fatal("no serving instance after warm-up")
 	}
 	if allocs := testing.AllocsPerRun(200, func() { d.scaleTick() }); allocs != 0 {
 		t.Errorf("scaleTick allocates %.1f/op, want 0", allocs)
 	}
-	if allocs := testing.AllocsPerRun(200, func() { d.pickServing() }); allocs != 0 {
-		t.Errorf("pickServing allocates %.1f/op, want 0", allocs)
+	if allocs := testing.AllocsPerRun(200, func() { d.pool.Pick() }); allocs != 0 {
+		t.Errorf("Pick allocates %.1f/op, want 0", allocs)
 	}
 }
 
@@ -232,8 +232,8 @@ func TestClusterStatsMidDrainStable(t *testing.T) {
 	d := f.clusters[0].deps[0]
 	var probe func()
 	probe = func() {
-		for _, in := range d.insts {
-			if in.state == instDraining && in.eng.Depth() > 0 {
+		for _, in := range d.pool.Members() {
+			if in.State() == fabric.Draining && in.eng.Depth() > 0 {
 				k.Stop()
 				return
 			}
@@ -256,13 +256,13 @@ func TestClusterStatsMidDrainStable(t *testing.T) {
 	}
 	live := 0
 	draining := 0
-	for _, in := range d.insts {
-		if in.state == instDraining {
+	for _, in := range d.pool.Members() {
+		if in.State() == fabric.Draining {
 			draining++
 		}
 	}
 	for _, dep := range f.clusters[0].deps {
-		live += dep.liveCount()
+		live += dep.pool.View(0, 1).Live
 	}
 	if draining == 0 {
 		t.Fatal("no draining incarnation at stop time")

@@ -7,18 +7,21 @@
 // client → gateway (shard front-end; worker window, processing overhead,
 // optional per-request auth introspection) → Globus-Compute hub (submit
 // latency, serialized dispatch) → the real federation.Select ladder over
-// N clusters → the chosen deployment's pool (instances started through a
-// real scheduler, or hot) → endpoint pickup → least-loaded engine instance →
-// result relay back (optionally observed on a polling grid — Optimization
-// 1's ablation). FederationParams says which stages exist: the paper's own
-// deployment (FirstPathParams — one cluster, hot instances, the fabric hop
-// of first.go), Fig. 3's vLLM-Direct baseline (VLLMDirectParams — the same
-// hop with only the API server's single-threaded admission and the response
-// serialization left, the §5.3.1 bottleneck) and the federate/autoscale
-// families (many clusters, churn, a scaler, no fabric hop yet) are
-// configurations of it. One other system is modeled beside it: ExtAPI
-// (extapi.go), the rate/concurrency-limited external cloud API of Fig. 5,
-// which has no engine for a pool to hold.
+// N clusters → the chosen deployment's fabric.Pool (instances started
+// through a real scheduler, or hot; the lifecycle rules, the pick, the
+// router's record and the scale-down victim are the live
+// fabric.Deployment's own) → endpoint pickup → the pool's least-loaded
+// engine instance → result relay back (optionally observed on a polling
+// grid — Optimization 1's ablation). FederationParams says which stages
+// exist: the paper's own deployment (FirstPathParams — one cluster, hot
+// instances, the fabric hop of first.go), Fig. 3's vLLM-Direct baseline
+// (VLLMDirectParams — the same hop with only the API server's
+// single-threaded admission and the response serialization left, the
+// §5.3.1 bottleneck) and the federate/autoscale families (many clusters,
+// churn, a scaler, no fabric hop yet) are configurations of it. One other
+// system is modeled beside it: ExtAPI (extapi.go), the rate/concurrency-
+// limited external cloud API of Fig. 5, which has no engine for a pool to
+// hold.
 //
 // Every path is a chain of FIFO stages over *Req wired at construction
 // (stage.go, gatewayfe.go): a serialized server of constant cost with a

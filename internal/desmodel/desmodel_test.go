@@ -390,7 +390,7 @@ func TestLeastLoadedRouting(t *testing.T) {
 	}
 	// After dispatch settles, instances should hold balanced loads.
 	k.Schedule(20*time.Second, func() {
-		insts := sys.clusters[0].deps[0].insts
+		insts := sys.clusters[0].deps[0].pool.Members()
 		depths := make([]int, len(insts))
 		for i, in := range insts {
 			depths[i] = in.eng.Depth()

@@ -3,6 +3,7 @@ package desmodel
 import (
 	"time"
 
+	"github.com/argonne-first/first/internal/fabric"
 	"github.com/argonne-first/first/internal/scheduler"
 	"github.com/argonne-first/first/internal/serving"
 )
@@ -12,12 +13,12 @@ import (
 // on the latter would tear the job down with completions undelivered). Runs
 // on a zero-delay event so every completion delivered by the current engine
 // iteration reaches the client before the job is released.
-func (in *fedInstance) maybeFinishDrain(j *scheduler.Job) {
+func (in *fedInstance) maybeFinishDrain() {
 	if in.drainDone || in.eng.Depth() != 0 || in.eng.DeliveryPending() {
 		return
 	}
 	in.drainDone = true
-	in.d.f.k.Schedule(0, func() { in.finishDrain(j) })
+	in.d.f.k.Schedule(0, in.finishDrain)
 }
 
 // beginDrain stops the instance accepting work: its engine-waiting requests
@@ -26,12 +27,11 @@ func (in *fedInstance) maybeFinishDrain(j *scheduler.Job) {
 // (scaleDown=false, with DrainGrace before the scheduler's walltime timer
 // hard-kills the job) and the auto-scaler shrinking an underused pool
 // (scaleDown=true — the same machinery, counted separately).
-func (in *fedInstance) beginDrain(j *scheduler.Job, scaleDown bool) {
-	if in.job != j || in.state != instServing {
+func (in *fedInstance) beginDrain(scaleDown bool) {
+	if !in.Drain() {
 		return
 	}
 	d := in.d
-	in.state = instDraining
 	if scaleDown {
 		d.c.stats.ScaleDowns++
 	} else {
@@ -54,15 +54,14 @@ func (in *fedInstance) beginDrain(j *scheduler.Job, scaleDown bool) {
 	for _, w := range ws {
 		d.c.migrateFrom(w.r)
 	}
-	in.maybeFinishDrain(j)
+	in.maybeFinishDrain()
 }
 
 // finishDrain releases the drained job back to the scheduler (Completed).
-func (in *fedInstance) finishDrain(j *scheduler.Job) {
-	if in.job != j || in.state != instDraining {
-		return
+func (in *fedInstance) finishDrain() {
+	if in.State() == fabric.Draining {
+		in.d.c.sched.Complete(in.Job.ID)
 	}
-	in.d.c.sched.Complete(j.ID)
 }
 
 // onJobEnd is the scheduler's terminal callback: graceful drain completion
@@ -71,19 +70,17 @@ func (in *fedInstance) finishDrain(j *scheduler.Job) {
 // (TimedOut). Either way the incarnation is harvested and leaves the pool;
 // survivors migrate, and pending demand with no pool left re-routes (which
 // cold-restarts the deployment if the ladder sends it back).
-func (in *fedInstance) onJobEnd(j *scheduler.Job, terminal scheduler.State) {
-	if in.job != j || in.state == instDead {
+func (in *fedInstance) onJobEnd(terminal scheduler.State) {
+	d := in.d
+	if !d.pool.Remove(in) {
 		return
 	}
-	d := in.d
 	f := d.f
 	spec := f.p.Models[d.model]
 	// TimedOut is the walltime timer firing on a live batch; Failed is a
 	// replayed kill event through scheduler.Fail. Both die hard: waiting,
 	// running, and undelivered work is orphaned and must migrate.
 	hardKill := terminal == scheduler.TimedOut || terminal == scheduler.Failed
-	in.state = instDead
-	in.job = nil
 	var orphans []*Req
 	if in.eng != nil {
 		d.c.busyGPU += time.Duration(int64(in.eng.Stats().BusyTime) * int64(spec.TensorParallel))
@@ -105,8 +102,7 @@ func (in *fedInstance) onJobEnd(j *scheduler.Job, terminal scheduler.State) {
 		f.a.Reclaim(in.eng.eng)
 		in.eng = nil
 	}
-	d.removeInstance(in)
-	if len(d.insts) == 0 {
+	if d.pool.Len() == 0 {
 		pend := d.pending
 		d.pending = nil
 		for _, r := range pend {

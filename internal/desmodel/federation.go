@@ -350,9 +350,6 @@ func NewFederationIn(a *Arena, p FederationParams, done func(*Req)) *Federation 
 				fcArrive:  NewForecast(defaultForecastAlpha, defaultForecastBeta),
 				fcServe:   NewForecast(defaultForecastAlpha, 0),
 			}
-			if p.First.Routing == RouteRandom {
-				d.rng = sim.NewRNG(1)
-			}
 			c.deps = append(c.deps, d)
 			for h := 0; h < p.Hot; h++ {
 				d.startHot()
@@ -462,7 +459,7 @@ func (f *Federation) EmittedTokensBy(t sim.Time) int64 {
 	var sum int64
 	for _, c := range f.clusters {
 		for _, d := range c.deps {
-			for _, in := range d.insts {
+			for _, in := range d.pool.Members() {
 				if in.eng != nil {
 					sum += in.eng.EmittedBy(t)
 				}
@@ -483,8 +480,8 @@ func (f *Federation) ClusterStats() []FedClusterStats {
 		busy := c.busyGPU
 		live := 0
 		for _, d := range c.deps {
-			live += d.liveCount()
-			for _, in := range d.insts {
+			live += d.pool.View(0, 1).Live
+			for _, in := range d.pool.Members() {
 				if in.eng != nil {
 					busy += time.Duration(int64(in.eng.Stats().BusyTime) * int64(f.p.Models[d.model].TensorParallel))
 				}

@@ -181,13 +181,13 @@ func TestFederationKillHarvestsUndelivered(t *testing.T) {
 	}
 	k.Run(p.Prologue + p.Models[0].LoadTime(p.GPU)) // loaded, first iteration stepped
 	c := f.clusters[0]
-	in := c.deps[0].insts[0]
+	in := c.deps[0].pool.Members()[0]
 	undelivered := 0
 	in.eng.EachUndelivered(func(*serving.Sequence) { undelivered++ })
 	if !in.eng.DeliveryPending() || undelivered != 1 {
 		t.Fatalf("kill instant holds %d undelivered completions (delivery pending %v), want 1", undelivered, in.eng.DeliveryPending())
 	}
-	c.sched.Fail(in.job.ID)
+	c.sched.Fail(in.Job.ID)
 	k.Run(0)
 	for id := 1; id <= 2; id++ {
 		if done[id] != 1 {

@@ -45,36 +45,6 @@ type FirstParams struct {
 	// grid anchored at gateway admission (Optimization 1 OFF; the paper
 	// polled every 2 s).
 	PollInterval time.Duration
-	// Routing selects the multi-instance dispatch policy (ablation of the
-	// design choice): RouteLeastLoaded (default), RouteRoundRobin, or
-	// RouteRandom.
-	Routing RoutingPolicy
-}
-
-// RoutingPolicy selects how the fabric spreads tasks over instances.
-type RoutingPolicy int
-
-const (
-	// RouteLeastLoaded dispatches to the instance with the smallest
-	// waiting+running depth (the production policy).
-	RouteLeastLoaded RoutingPolicy = iota
-	// RouteRoundRobin cycles through instances.
-	RouteRoundRobin
-	// RouteRandom picks uniformly (seeded deterministically).
-	RouteRandom
-)
-
-func (p RoutingPolicy) String() string {
-	switch p {
-	case RouteLeastLoaded:
-		return "least-loaded"
-	case RouteRoundRobin:
-		return "round-robin"
-	case RouteRandom:
-		return "random"
-	default:
-		return "unknown"
-	}
 }
 
 // DefaultFirstParams is the optimized deployment: ~6 s of pipelined fabric

@@ -259,7 +259,7 @@ func TestFirstPathStopMidRun(t *testing.T) {
 		if end := k.Run(until); end != until || s.InFlight() != 2 {
 			t.Fatalf("run ended at %v with %d in flight, want a stop at %v mid-generation", end, s.InFlight(), until)
 		}
-		return fmt.Sprintf("%+v emitted %d then, %d a second earlier", s.clusters[0].deps[0].insts[0].eng.Stats(), s.EmittedTokensBy(until), s.EmittedTokensBy(until-time.Second))
+		return fmt.Sprintf("%+v emitted %d then, %d a second earlier", s.clusters[0].deps[0].pool.Members()[0].eng.Stats(), s.EmittedTokensBy(until), s.EmittedTokensBy(until-time.Second))
 	})
 	if taken*10 > ignored {
 		t.Errorf("%d events with the offer taken, %d without: nothing was skipped", taken, ignored)
@@ -283,7 +283,7 @@ func TestFederationKeepsNoEmissionLog(t *testing.T) {
 		engines := 0
 		for _, c := range f.clusters {
 			for _, d := range c.deps {
-				for _, in := range d.insts {
+				for _, in := range d.pool.Members() {
 					if in.eng == nil {
 						continue
 					}
@@ -292,8 +292,8 @@ func TestFederationKeepsNoEmissionLog(t *testing.T) {
 						continue
 					}
 					engines++
-					if logged := len(in.eng.emitLog); (logged != 0) != (in.job == nil) {
-						t.Errorf("hot=%d: instance with job %v holds %d emission records after %d iterations", hot, in.job != nil, logged, st.Iterations)
+					if logged := len(in.eng.emitLog); (logged != 0) != (in.Job == nil) {
+						t.Errorf("hot=%d: instance with job %v holds %d emission records after %d iterations", hot, in.Job != nil, logged, st.Iterations)
 					}
 				}
 			}

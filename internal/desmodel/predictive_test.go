@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/argonne-first/first/internal/federation"
 	"github.com/argonne-first/first/internal/sim"
 )
 
@@ -35,7 +36,7 @@ func warmPoolAtDepth(t *testing.T, maxInst, insts, depth int) (*sim.Kernel, *Fed
 		k.Schedule(time.Second, func() { d.startInstance() })
 	}
 	k.Run(10 * time.Minute) // past prologue + weights load
-	if got := len(d.insts); got != insts {
+	if got := d.pool.Len(); got != insts {
 		t.Fatalf("warm-up built %d instances, want %d", got, insts)
 	}
 	return k, f, d
@@ -55,8 +56,8 @@ func TestScaleStreakResetOnPoolChange(t *testing.T) {
 			t.Fatalf("hiStreak = %d after one hi tick, want 1", d.scale.HiStreak)
 		}
 		// A drain (not the scaler) removes one instance mid-streak.
-		victim := d.pickServing()
-		victim.beginDrain(victim.job, false)
+		victim := d.pool.Pick()
+		victim.beginDrain(false)
 		ups := f.ClusterStats()[0].ScaleUps
 		d.scaleTick() // pre-fix: streak hits 2 and fires against the new size
 		if got := f.ClusterStats()[0].ScaleUps; got != ups {
@@ -77,8 +78,8 @@ func TestScaleStreakResetOnPoolChange(t *testing.T) {
 		if d.scale.LoStreak != 1 {
 			t.Fatalf("loStreak = %d after one lo tick, want 1", d.scale.LoStreak)
 		}
-		victim := d.pickServing()
-		victim.beginDrain(victim.job, false) // drain-driven shrink mid lo-streak
+		victim := d.pool.Pick()
+		victim.beginDrain(false) // drain-driven shrink mid lo-streak
 		downs := f.ClusterStats()[0].ScaleDowns
 		d.scaleTick() // pre-fix: loStreak hits 2 and shrinks again immediately
 		if got := f.ClusterStats()[0].ScaleDowns; got != downs {
@@ -184,10 +185,8 @@ func TestPredictiveOffIsByteIdenticalPath(t *testing.T) {
 		if d.fcArrive.Seeded() || d.fcServe.Seeded() {
 			t.Fatal("forecast state observed samples with Predictive off")
 		}
-		for _, in := range d.insts {
-			if in.cordoned {
-				t.Fatal("instance cordoned with CordonLead unset")
-			}
+		if rec := d.record(); rec.Ready != rec.Running {
+			t.Fatal("instance cordoned with CordonLead unset")
 		}
 	}
 }
@@ -207,7 +206,7 @@ func TestCordonStopsRoutingBeforeDrain(t *testing.T) {
 	a, b := f.clusters[0], f.clusters[1]
 	k.Schedule(0, func() { a.deps[0].startInstance(); b.deps[0].startInstance() })
 	k.Run(10 * time.Minute)
-	if a.deps[0].pickServing() == nil || b.deps[0].pickServing() == nil {
+	if a.deps[0].pool.Pick() == nil || b.deps[0].pool.Pick() == nil {
 		t.Fatal("warm-up did not bring model 0 up on both clusters")
 	}
 
@@ -221,14 +220,11 @@ func TestCordonStopsRoutingBeforeDrain(t *testing.T) {
 	}
 
 	// Cordon all of A's serving capacity: the next arrival must go to B.
-	for _, in := range a.deps[0].insts {
-		if in.state == instServing {
-			in.cordoned = true
-		}
+	for _, in := range a.deps[0].pool.Members() {
+		in.Cordon(0)
 	}
-	serving, cordoned, _ := a.deps[0].routingView()
-	if serving != 0 || !cordoned {
-		t.Fatalf("routingView after cordon = (%d, %v), want (0, true)", serving, cordoned)
+	if rec := a.deps[0].record(); rec.Ready != 0 || !rec.Cordoned {
+		t.Fatalf("record after cordon = (%d, %v), want (0, true)", rec.Ready, rec.Cordoned)
 	}
 	r2 := &Req{ID: 2, Model: 0, PromptTok: 64, OutputTok: 4}
 	k.Schedule(0, func() { f.Arrive(r2) })
@@ -239,10 +235,8 @@ func TestCordonStopsRoutingBeforeDrain(t *testing.T) {
 
 	// Cordon B as well: the request must still land somewhere and serve —
 	// never refused, never parked behind the drain flag.
-	for _, in := range b.deps[0].insts {
-		if in.state == instServing {
-			in.cordoned = true
-		}
+	for _, in := range b.deps[0].pool.Members() {
+		in.Cordon(0)
 	}
 	r3 := &Req{ID: 3, Model: 0, PromptTok: 64, OutputTok: 4}
 	k.Schedule(0, func() { f.Arrive(r3) })
@@ -280,25 +274,20 @@ func TestCordonLeadFiresBeforeDrain(t *testing.T) {
 	// where exactly one of the two is flagged.
 	k.Run(300 * time.Second)
 
-	first := d.insts[0]
-	if first.state != instServing {
-		t.Fatalf("first instance state = %d, want serving", first.state)
+	// Two serving, one of them cordoned, and the pick is the second: the
+	// first is cordoned inside its lead window, the second not yet.
+	if rec := d.record(); rec.Running != 2 || rec.Ready != 1 {
+		t.Fatalf("record = %+v, want 2 serving of which 1 uncordoned", rec)
 	}
-	if !first.cordoned {
-		t.Fatal("first instance not cordoned inside its CordonLead window")
+	if got := d.pool.Pick(); got != d.pool.Members()[1] {
+		t.Fatal("Pick chose the cordoned first instance over its uncordoned sibling")
 	}
-	second := d.insts[1]
-	if second.cordoned {
-		t.Fatal("second instance cordoned outside its lead window")
+	var e federation.EndpointInfo
+	f.clusters[0].endpointInfo(&e, 0, &f.p.Models[0])
+	if e.Instances != 1 || e.Cordoned {
+		t.Fatalf("ladder row = (%d, %v), want (1, false): one sibling still serves", e.Instances, e.Cordoned)
 	}
-	if got := d.pickServing(); got != second {
-		t.Fatal("pickServing chose the cordoned instance over an uncordoned sibling")
-	}
-	serving, cordoned, drainingAt := d.routingView()
-	if serving != 1 || cordoned {
-		t.Fatalf("routingView = (%d, %v), want (1, false): one sibling still serves", serving, cordoned)
-	}
-	if drainingAt <= 0 || drainingAt > p.CordonLead {
+	if drainingAt := e.DrainingAt; drainingAt <= 0 || drainingAt > p.CordonLead {
 		t.Fatalf("drainingAt = %v, want within (0, %v]", drainingAt, p.CordonLead)
 	}
 }

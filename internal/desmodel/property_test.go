@@ -60,7 +60,7 @@ func drawTrial(seed int64) propTrial {
 			p.First.AuthRatePerSec = float64(rng.Intn(2) * (1 + rng.Intn(50)))
 		}
 		p.First.PollInterval = time.Duration(rng.Intn(2)*(1+rng.Intn(4))) * 500 * time.Millisecond
-		p.First.Routing = RoutingPolicy(rng.Intn(3))
+		rng.Intn(3) // a retired draw (the routing policy): every trial stays the one it was
 		p.Hot = 1 + rng.Intn(4)
 		p.Models = p.Models[:1+rng.Intn(3)]
 	case 1: // a replayed live schedule, the livefed twin's one model on 4×4 GPUs

@@ -131,10 +131,9 @@ func (rp *fedReplay) fire(ev chaosnet.Event) {
 		// migrates them — the twin of Endpoint.Undeploy killing in-flight
 		// work on the live side.
 		for _, d := range c.deps {
-			insts := append([]*fedInstance(nil), d.insts...)
-			for _, in := range insts {
-				if in.job != nil {
-					c.sched.Fail(in.job.ID)
+			for _, in := range append([]*fedInstance(nil), d.pool.Members()...) {
+				if in.Job != nil {
+					c.sched.Fail(in.Job.ID)
 				}
 			}
 		}
@@ -142,7 +141,7 @@ func (rp *fedReplay) fire(ev chaosnet.Event) {
 		// Cold-restart through the real scheduler path, like the live
 		// Endpoint.Deploy → Submit → prologue → load.
 		for _, d := range c.deps {
-			if len(d.insts) == 0 {
+			if d.pool.Len() == 0 {
 				d.startInstance()
 			}
 		}
@@ -231,7 +230,7 @@ func (f *Federation) routeReplay(r *Req) {
 		attempt := rp.attempt(idx, ci)
 		faulty := idx >= 0 &&
 			rp.p.Schedule.Windows.Faulty(rp.p.Schedule.Seed, idx, ci, n, attempt)
-		placed := len(c.deps[m].insts) > 0 && !faulty
+		placed := c.deps[m].pool.Len() > 0 && !faulty
 		rp.breakers[ci].Record(now, placed)
 		if placed {
 			c.stats.Routed++

@@ -137,7 +137,7 @@ func TestReplayEventsGateOnIndex(t *testing.T) {
 	// Bounded horizons: k.Run(0) would drain the pre-started pools' far-
 	// future serve-walltime expiries too and tear everything down.
 	k.Run(time.Minute) // let the pre-started pools boot
-	alive := func() int { return len(f.clusters[1].deps[0].insts) }
+	alive := func() int { return f.clusters[1].deps[0].pool.Len() }
 	if alive() == 0 {
 		t.Fatal("pool 1 not pre-started")
 	}

@@ -131,8 +131,10 @@ func TestSystemsCarryZeroAlloc(t *testing.T) {
 	first := NewFederationIn(a, FirstPathParams(fp, model, gpu, 2), done)
 	fp.AuthIntrospect, fp.AuthRatePerSec = 50*time.Millisecond, 100
 	firstAuth := NewFederationIn(a, FirstPathParams(fp, model, gpu, 1), done)
-	for _, in := range append(first.clusters[0].deps[0].insts, firstAuth.clusters[0].deps[0].insts...) {
-		in.eng.withoutEmitLog() // a hot instance's log grows by design
+	for _, sys := range []*Federation{first, firstAuth} {
+		for _, in := range sys.clusters[0].deps[0].pool.Members() {
+			in.eng.withoutEmitLog() // a hot instance's log grows by design
+		}
 	}
 	pin("FIRST path", first)
 	if first.MaxBacklog() != n-8 {
@@ -148,7 +150,7 @@ func TestSystemsCarryZeroAlloc(t *testing.T) {
 	// vLLM-Direct: an unlimited window, a gate with no delay in front of its
 	// admission cost, and a relay pipe with no cost.
 	direct := NewFederationIn(a, FirstPathParams(VLLMDirectParams(), model, gpu, 1), done)
-	direct.clusters[0].deps[0].insts[0].eng.withoutEmitLog()
+	direct.clusters[0].deps[0].pool.Members()[0].eng.withoutEmitLog()
 	pin("vLLM-Direct", direct)
 
 	// No churn: one incarnation serves every cycle, so Arrive → shard stage

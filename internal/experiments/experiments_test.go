@@ -227,19 +227,6 @@ var familyGates = map[string]func(*testing.T, any){
 		}
 	}),
 
-	// The documented negative result: continuous batching absorbs dispatch
-	// imbalance, so all routing policies land within 10% of each other.
-	"routing": gate(func(t *testing.T, rows []RoutingRow) {
-		if len(rows) != 3 {
-			t.Fatalf("rows = %d", len(rows))
-		}
-		for _, r := range rows[1:] {
-			if ratio := r.M.ReqPerSec / rows[0].M.ReqPerSec; ratio < 0.90 || ratio > 1.10 {
-				t.Errorf("%s diverges from least-loaded by %.0f%%", r.Policy, (ratio-1)*100)
-			}
-		}
-	}),
-
 	// The storm's headline property: at 4× a single lock's admission
 	// capacity, the sharded front-end sustains (close to) the offered storm
 	// while the single lock caps out, visibly in both throughput and tail

@@ -170,7 +170,6 @@ func TestBatchShape(t *testing.T)                              { checkFamily(t, 
 func TestOpt1Shape(t *testing.T)                               { checkFamily(t, "opt1") }
 func TestOpt2Shape(t *testing.T)                               { checkFamily(t, "opt2") }
 func TestOpt3Shape(t *testing.T)                               { checkFamily(t, "opt3") }
-func TestRoutingAblationConverges(t *testing.T)                { checkFamily(t, "routing") }
 func TestStormShardedAbsorbsWhatSingleLockCannot(t *testing.T) { checkFamily(t, "storm") }
 func TestStormArmsFaceIdenticalArrivals(t *testing.T)          { checkFamily(t, "storm") }
 func TestFederateDifferentialWorkers(t *testing.T)             { checkFamily(t, "federate") }

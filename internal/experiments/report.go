@@ -50,7 +50,6 @@ var experimentTable = []experiment{
 	family("opt3", true, RunOpt3AsyncGatewayOn, func(w io.Writer, rows []AblationRow) {
 		ReportAblation(w, "Optimization 3: sync (9 workers) vs async gateway — Artillery 100 req/s × 300 s", rows, true)
 	}),
-	family("routing", true, RunAblationRoutingOn, ReportRouting),
 	family("storm", true, RunStormOn, ReportStorm),
 	family("federate", true, RunFederateOn, ReportFederate),
 	family("autoscale", true, RunAutoScaleOn, ReportAutoScale),
@@ -181,16 +180,6 @@ func ReportStorm(w io.Writer, rows []StormRow) {
 	for _, r := range rows {
 		fmt.Fprintf(w, "%-9d %-6d %10.0f  %11.1f  %11.1f  %12d\n",
 			r.Users, r.Shards, r.M.ReqPerSec, r.M.MedianLatS*1e6, r.M.P99LatS*1e6, r.PeakShardQueue)
-	}
-	fmt.Fprintln(w)
-}
-
-// ReportRouting prints the routing-policy ablation.
-func ReportRouting(w io.Writer, rows []RoutingRow) {
-	fmt.Fprintln(w, "== Design ablation: instance routing policy (4×70B, heavy-tailed load) ==")
-	for _, r := range rows {
-		fmt.Fprintf(w, "%-14s req/s=%6.2f tok/s=%7.0f med-lat=%6.2fs p99=%7.2fs\n",
-			r.Policy, r.M.ReqPerSec, r.M.TokPerSec, r.M.MedianLatS, r.M.P99LatS)
 	}
 	fmt.Fprintln(w)
 }

@@ -14,7 +14,15 @@ import (
 
 // DeploymentConfig describes how an endpoint hosts one model (§3.2.2):
 // bounds on auto-scaling, the hot-node idle timeout, and the batch-scheduler
-// walltime for serving jobs.
+// walltime for serving jobs. The instances form a Pool, whose rules the DES
+// federation's deployments share; where the two differed, the DES rule holds:
+//   - a release drains: the victim takes no new work, and its job completes
+//     once its last request has returned (requests no longer retry elsewhere);
+//   - the victim is a job still queued at the scheduler, cancelled, before
+//     the emptiest serving instance;
+//   - ties, in the pick and the victim, go to the earliest-launched instance;
+//   - callers waiting for an instance block a release;
+//   - a draining instance counts in no depth, state or /jobs count.
 type DeploymentConfig struct {
 	Model string
 	// MinInstances instances are kept alive at all times (0 = fully
@@ -25,11 +33,11 @@ type DeploymentConfig struct {
 	MaxInstances int
 	// ScaleUpDepth is the policy's HiWater (Decide): a control tick scales up
 	// when waiting+running depth exceeds it per live instance — every
-	// instance not stopping, loading ones included, so cold starts do not
+	// instance not draining, loading ones included, so cold starts do not
 	// stack behind one that is loading. Default 300 (instance saturated
 	// past its batch).
 	ScaleUpDepth int
-	// HotIdleTimeout releases the least-loaded ready instance once the pool
+	// HotIdleTimeout releases one instance (Pool.Victim) once the pool
 	// has stayed under one request per live instance for this long (§3.2.2:
 	// "currently 2 hours"), never below MinInstances live instances.
 	// Default 2 h.
@@ -60,22 +68,14 @@ func (c *DeploymentConfig) applyDefaults() {
 	}
 }
 
-type instState int
-
-const (
-	instQueued instState = iota // job submitted, nodes not yet acquired
-	instLoading
-	instReady
-	instDead
-)
-
+// instance is one serving instance: its pool record, its engine, and the
+// requests it has taken and not yet answered.
 type instance struct {
-	id       int
-	state    instState
-	stopping bool // voluntary scale-down in progress
-	job      *scheduler.Job
-	live     *serving.LiveEngine
-	embed    *serving.EmbedEngine
+	Member
+	id    int
+	live  *serving.LiveEngine
+	embed *serving.EmbedEngine
+	calls int
 }
 
 // DeploymentStats counts manager activity.
@@ -99,17 +99,20 @@ type ModelStatus struct {
 	State string `json:"state"`
 }
 
-// Deployment manages the instances serving one model on one endpoint.
+// Deployment manages the instances serving one model on one endpoint. Its
+// Pool holds the instances and answers every lifecycle question; the
+// Deployment carries the answers out on goroutines, the clock and the
+// scheduler, under its lock.
 type Deployment struct {
 	ep   *Endpoint
 	cfg  DeploymentConfig
 	spec perfmodel.ModelSpec
 
 	mu        sync.Mutex
-	instances map[int]*instance
+	pool      Pool[*instance]
 	nextID    int
 	readyWait chan struct{}
-	waiting   int // callers blocked in acquire
+	waiting   int // callers blocked in acquire: the pool's parked demand
 	closed    bool
 	stats     DeploymentStats
 	policy    ScalePolicy
@@ -122,11 +125,10 @@ type Deployment struct {
 func newDeployment(ep *Endpoint, cfg DeploymentConfig, spec perfmodel.ModelSpec) (*Deployment, error) {
 	cfg.applyDefaults()
 	d := &Deployment{
-		ep:        ep,
-		cfg:       cfg,
-		spec:      spec,
-		instances: make(map[int]*instance),
-		stop:      make(chan struct{}),
+		ep:   ep,
+		cfg:  cfg,
+		spec: spec,
+		stop: make(chan struct{}),
 		// §3.2.2 as a parameter set: grow on the first saturated tick, release
 		// after HotIdleTimeout's worth of ticks under one request per instance.
 		policy: ScalePolicy{MaxInstances: cfg.MaxInstances, HiWater: float64(cfg.ScaleUpDepth), HiSustain: 1,
@@ -152,97 +154,39 @@ func (d *Deployment) Stats() DeploymentStats {
 	return d.stats
 }
 
-// InstanceCount returns live (non-dead) instances.
+// InstanceCount returns the instances holding a job, draining ones included.
 func (d *Deployment) InstanceCount() int {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return len(d.instances)
+	return d.pool.Len()
 }
 
 // ReadyCount returns instances currently serving.
 func (d *Deployment) ReadyCount() int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	n := 0
-	for _, in := range d.instances {
-		if in.state == instReady {
-			n++
-		}
-	}
-	return n
+	return d.Record().Running
 }
 
-// CordonInfo splits the ready count for drain-aware routing: ready is the
-// instances accepting new work, stopping the ones flagged for a voluntary
-// scale-down that are finishing their current load. A deployment whose
-// ready capacity is entirely stopping advertises Cordoned through
-// federation.EndpointInfo so the ladder steers new requests elsewhere
-// before the stop lands, instead of after.
-func (d *Deployment) CordonInfo() (ready, stopping int) {
+// Record reads the pool's record under one lock: what the router tells
+// federation.Select and what GET /jobs prints, all from one instant.
+func (d *Deployment) Record() (r PoolRecord) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	for _, in := range d.instances {
-		if in.state != instReady {
-			continue
-		}
-		if in.stopping {
-			stopping++
-		} else {
-			ready++
-		}
-	}
-	return ready, stopping
-}
-
-// Depth returns total waiting+running sequences across ready instances.
-func (d *Deployment) Depth() int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	depth := 0
-	for _, in := range d.instances {
-		if in.state == instReady && in.live != nil {
-			depth += in.live.Depth()
-		}
-	}
-	return depth + d.waiting
+	d.pool.Record(d.waiting, &r)
+	return r
 }
 
 // Status reports the /jobs view.
 func (d *Deployment) Status() ModelStatus {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	st := ModelStatus{
+	r := d.Record()
+	return ModelStatus{
 		Model:    d.cfg.Model,
 		Endpoint: d.ep.ID(),
 		Cluster:  d.ep.ClusterName(),
+		Running:  r.Running,
+		Starting: r.Starting,
+		Queued:   r.Queued,
+		State:    r.State,
 	}
-	for _, in := range d.instances {
-		switch in.state {
-		case instReady:
-			st.Running++
-		case instLoading:
-			st.Starting++
-		case instQueued:
-			// The scheduler's prologue phase counts as "starting"
-			// (nodes acquired); a queued job is "queued".
-			if in.job != nil && in.job.State() == scheduler.Starting {
-				st.Starting++
-			} else {
-				st.Queued++
-			}
-		}
-	}
-	switch {
-	case st.Running > 0:
-		st.State = "running"
-	case st.Starting > 0:
-		st.State = "starting"
-	case st.Queued > 0:
-		st.State = "queued"
-	default:
-		st.State = "cold"
-	}
-	return st
 }
 
 // launchInstance submits a serving job for one more instance.
@@ -252,13 +196,13 @@ func (d *Deployment) launchInstance() error {
 		d.mu.Unlock()
 		return ErrEndpointShutdown
 	}
-	if len(d.instances) >= d.cfg.MaxInstances {
+	if d.pool.Len() >= d.cfg.MaxInstances {
 		d.mu.Unlock()
 		return fmt.Errorf("fabric: %s at max instances (%d)", d.cfg.Model, d.cfg.MaxInstances)
 	}
 	d.nextID++
-	in := &instance{id: d.nextID, state: instQueued}
-	d.instances[in.id] = in
+	in := &instance{id: d.nextID}
+	d.pool.Add(in)
 	d.mu.Unlock()
 
 	job, err := d.ep.cfg.Scheduler.Submit(scheduler.JobSpec{
@@ -273,15 +217,18 @@ func (d *Deployment) launchInstance() error {
 			d.onJobEnd(in, st)
 		},
 	})
+	d.mu.Lock()
 	if err != nil {
-		d.mu.Lock()
-		delete(d.instances, in.id)
+		d.pool.Remove(in)
 		d.mu.Unlock()
 		return err
 	}
-	d.mu.Lock()
-	in.job = job
+	in.Job = job
+	closed := d.closed
 	d.mu.Unlock()
+	if closed {
+		d.ep.cfg.Scheduler.Cancel(job.ID)
+	}
 	return nil
 }
 
@@ -295,11 +242,10 @@ func shortName(model string) string {
 // onJobRunning loads weights and brings the instance into service.
 func (d *Deployment) onJobRunning(in *instance) {
 	d.mu.Lock()
-	if d.closed || in.state == instDead {
+	if d.closed || !in.Load() {
 		d.mu.Unlock()
 		return
 	}
-	in.state = instLoading
 	d.mu.Unlock()
 
 	gpu := d.ep.cfg.Scheduler.Cluster().GPU()
@@ -307,58 +253,50 @@ func (d *Deployment) onJobRunning(in *instance) {
 
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if d.closed || in.state == instDead {
+	if d.closed || in.State() != Loading {
 		return
 	}
+	var err error
 	if d.spec.Kind == perfmodel.KindEmbedding {
-		emb, err := serving.NewEmbedEngine(d.spec, gpu, d.ep.clk)
-		if err != nil {
-			d.mu.Unlock()
-			d.failInstance(in)
-			d.mu.Lock()
-			return
+		if in.embed, err = serving.NewEmbedEngine(d.spec, gpu, d.ep.clk); err == nil {
+			in.Serve(nil) // an embedding engine's load is not visible to the pool
 		}
-		in.embed = emb
 	} else {
-		eng, err := serving.NewEngine(serving.Config{Model: d.spec, GPU: gpu, MaxBatch: d.cfg.MaxBatch})
-		if err != nil {
-			d.mu.Unlock()
-			d.failInstance(in)
-			d.mu.Lock()
-			return
+		var eng *serving.Engine
+		if eng, err = serving.NewEngine(serving.Config{Model: d.spec, GPU: gpu, MaxBatch: d.cfg.MaxBatch}); err == nil {
+			in.live = serving.NewLiveEngine(eng, d.ep.clk)
+			in.Serve(in.live)
 		}
-		in.live = serving.NewLiveEngine(eng, d.ep.clk)
 	}
-	in.state = instReady
+	if err != nil {
+		if job := in.Job; job != nil {
+			d.mu.Unlock()
+			d.ep.cfg.Scheduler.Fail(job.ID)
+			d.mu.Lock()
+		}
+		return
+	}
 	d.broadcastLocked()
 }
 
-func (d *Deployment) failInstance(in *instance) {
-	if in.job != nil {
-		d.ep.cfg.Scheduler.Fail(in.job.ID)
-	}
-}
-
 // onJobEnd removes the instance when its scheduler job terminates for any
-// reason (voluntary release, walltime, failure).
+// reason (drained, cancelled while queued, walltime, failure).
 func (d *Deployment) onJobEnd(in *instance, st scheduler.State) {
 	d.mu.Lock()
-	wasStopping := in.stopping
-	in.state = instDead
-	live := in.live
-	delete(d.instances, in.id)
+	drained := in.State() == Draining
+	d.pool.Remove(in)
 	if st == scheduler.Failed && !d.closed {
 		d.stats.Restarts++
 	}
 	closed := d.closed
 	d.broadcastLocked() // wake waiters so they re-evaluate
 	d.mu.Unlock()
-	if live != nil {
-		live.Close()
+	if in.live != nil {
+		in.live.Close()
 	}
 	// Fault tolerance (§3.2.2): involuntary loss below MinInstances is
 	// replaced immediately rather than waiting for the control loop.
-	if !closed && !wasStopping {
+	if !closed && !drained {
 		go d.ensureMin()
 	}
 }
@@ -366,7 +304,7 @@ func (d *Deployment) onJobEnd(in *instance, st scheduler.State) {
 func (d *Deployment) ensureMin() {
 	for {
 		d.mu.Lock()
-		deficit := d.cfg.MinInstances - len(d.instances)
+		deficit := d.cfg.MinInstances - d.pool.Len()
 		closed := d.closed
 		d.mu.Unlock()
 		if closed || deficit <= 0 {
@@ -385,8 +323,8 @@ func (d *Deployment) broadcastLocked() {
 	}
 }
 
-// acquire returns the least-loaded ready instance, cold-starting one when
-// the deployment is scaled to zero.
+// acquire takes the instance the pool picks for one request, cold-starting
+// one when nothing serves or is on its way; release gives it back.
 func (d *Deployment) acquire(ctx context.Context) (*instance, error) {
 	registered := false
 	defer func() {
@@ -402,37 +340,16 @@ func (d *Deployment) acquire(ctx context.Context) (*instance, error) {
 			d.mu.Unlock()
 			return nil, ErrEndpointShutdown
 		}
-		var best *instance
-		bestDepth := 0
-		for _, in := range d.instances {
-			if in.state != instReady || in.stopping {
-				continue
-			}
-			depth := 0
-			if in.live != nil {
-				depth = in.live.Depth()
-			}
-			if best == nil || depth < bestDepth {
-				best = in
-				bestDepth = depth
-			}
-		}
-		if best != nil {
+		if in := d.pool.Pick(); in != nil {
+			in.calls++
 			d.mu.Unlock()
-			return best, nil
-		}
-		pending := false
-		for _, in := range d.instances {
-			if in.state == instQueued || in.state == instLoading {
-				pending = true
-				break
-			}
+			return in, nil
 		}
 		if !registered {
 			registered = true
 			d.waiting++
 		}
-		needLaunch := !pending && len(d.instances) < d.cfg.MaxInstances
+		needLaunch := !d.pool.View(0, 0).Upcoming && d.pool.Len() < d.cfg.MaxInstances
 		if needLaunch {
 			d.stats.ColdStarts++
 		}
@@ -455,6 +372,18 @@ func (d *Deployment) acquire(ctx context.Context) (*instance, error) {
 	}
 }
 
+// release ends one request's hold on in. A draining instance's job
+// completes with its last request.
+func (d *Deployment) release(in *instance) {
+	d.mu.Lock()
+	in.calls--
+	drained := in.State() == Draining && in.calls == 0
+	d.mu.Unlock()
+	if drained {
+		d.ep.cfg.Scheduler.Complete(in.Job.ID)
+	}
+}
+
 // Generate serves one inference request, retrying on instance loss.
 func (d *Deployment) Generate(ctx context.Context, req InferRequest) (InferResult, error) {
 	if d.spec.Kind == perfmodel.KindEmbedding {
@@ -471,6 +400,7 @@ func (d *Deployment) Generate(ctx context.Context, req InferRequest) (InferResul
 			return InferResult{}, err
 		}
 		comp := in.live.Generate(ctx, req.PromptTok, out)
+		d.release(in)
 		if comp.Err == nil {
 			res := InferResult{
 				Model:      d.cfg.Model,
@@ -507,6 +437,7 @@ func (d *Deployment) Embed(ctx context.Context, inputs []string) ([][]float32, e
 	if err != nil {
 		return nil, err
 	}
+	defer d.release(in)
 	return in.embed.Embed(ctx, inputs)
 }
 
@@ -529,33 +460,25 @@ func (d *Deployment) controlStep() {
 		d.mu.Unlock()
 		return
 	}
-	v := PoolView{Members: len(d.instances), Depth: d.waiting}
-	var victim *instance // the least-loaded ready instance
-	victimDepth := 0
-	for _, in := range d.instances {
-		if in.stopping {
-			continue
-		}
-		v.Live++
-		if in.state != instReady || in.live == nil {
-			continue // an embedding engine's load is not visible here: never a victim
-		}
-		depth := in.live.Depth()
-		v.Depth += depth
-		if victim == nil || depth < victimDepth {
-			victim, victimDepth = in, depth
-		}
-	}
-	v.Releasable = victim != nil && v.Live > d.cfg.MinInstances
+	v := d.pool.View(d.waiting, d.cfg.MinInstances)
+	var cancel, complete *scheduler.Job
 	action := Decide(&d.policy, v, &d.scale)
 	switch action {
 	case Up:
 		d.stats.ScaleUps++
 	case Down:
-		victim.stopping = true
+		// The pool's victim: a job still queued at the scheduler is
+		// cancelled; a serving instance drains, and its job completes with
+		// its last request.
+		in := d.pool.Victim()
 		d.stats.ScaleDowns++
+		switch {
+		case !in.Drain():
+			cancel = in.Job // still queued at the scheduler
+		case in.calls == 0:
+			complete = in.Job // nothing in flight to wait for
+		}
 	}
-	belowMin := v.Members < d.cfg.MinInstances
 	d.mu.Unlock()
 
 	if action == Up {
@@ -565,31 +488,28 @@ func (d *Deployment) controlStep() {
 			d.mu.Unlock()
 		}
 	}
-	if action == Down && victim.job != nil {
-		d.ep.cfg.Scheduler.Complete(victim.job.ID)
+	if cancel != nil {
+		d.ep.cfg.Scheduler.Cancel(cancel.ID)
 	}
-	if belowMin {
+	if complete != nil {
+		d.ep.cfg.Scheduler.Complete(complete.ID)
+	}
+	if v.Members < d.cfg.MinInstances {
 		d.ensureMin()
 	}
 }
 
-// InjectFailure kills an arbitrary ready instance's job (test/failure
-// injection hook exercising the restart path). Returns false if no ready
-// instance exists.
+// InjectFailure kills the instance the pool would pick next (test/failure
+// injection hook exercising the restart path): on an idle pool, the earliest
+// launched. Returns false if nothing serves.
 func (d *Deployment) InjectFailure() bool {
 	d.mu.Lock()
-	var victim *instance
-	for _, in := range d.instances {
-		if in.state == instReady && !in.stopping {
-			victim = in
-			break
-		}
+	var job *scheduler.Job
+	if in := d.pool.Pick(); in != nil {
+		job = in.Job
 	}
 	d.mu.Unlock()
-	if victim == nil || victim.job == nil {
-		return false
-	}
-	return d.ep.cfg.Scheduler.Fail(victim.job.ID)
+	return job != nil && d.ep.cfg.Scheduler.Fail(job.ID)
 }
 
 // Close releases all instances and stops the control loop.
@@ -601,17 +521,18 @@ func (d *Deployment) Close() {
 		return
 	}
 	d.closed = true
-	instances := make([]*instance, 0, len(d.instances))
-	for _, in := range d.instances {
-		in.stopping = true
-		instances = append(instances, in)
+	var jobs []*scheduler.Job
+	for _, in := range d.pool.Members() {
+		if in.Job != nil {
+			jobs = append(jobs, in.Job)
+		}
 	}
 	d.broadcastLocked()
 	d.mu.Unlock()
-	for _, in := range instances {
-		if in.job != nil {
-			d.ep.cfg.Scheduler.Cancel(in.job.ID)
-		}
+	// An instance whose Submit has not returned yet is cancelled by
+	// launchInstance once it has its job.
+	for _, j := range jobs {
+		d.ep.cfg.Scheduler.Cancel(j.ID)
 	}
 }
 

@@ -243,6 +243,131 @@ func TestMinInstancesRestartAfterFailure(t *testing.T) {
 	}
 }
 
+// TestInjectFailureKillsEarliest pins the pick's tie order on the live side:
+// with two idle ready instances, the one launched first is the one
+// InjectFailure kills, on every fresh deployment.
+func TestInjectFailureKillsEarliest(t *testing.T) {
+	for i := 0; i < 20; i++ {
+		f := newTestFabric(t, HubConfig{}, 2)
+		d := f.deploy(t, DeploymentConfig{Model: perfmodel.Llama8B, MinInstances: 2, MaxInstances: 2})
+		deadline := time.Now().Add(10 * time.Second)
+		for d.ReadyCount() < 2 {
+			if time.Now().After(deadline) {
+				t.Fatal("instances never ready")
+			}
+			time.Sleep(time.Millisecond)
+		}
+		d.mu.Lock()
+		first := d.pool.Members()[0].Job
+		d.mu.Unlock()
+		if !d.InjectFailure() {
+			t.Fatal("InjectFailure found nothing")
+		}
+		if st := first.State(); st != scheduler.Failed {
+			t.Fatalf("deployment %d: the first-launched instance's job is %v, want failed", i, st)
+		}
+	}
+}
+
+// TestScaleDownDrainsInFlight drives a voluntary scale-down of a
+// two-instance pool while the victim has requests in flight: the victim takes
+// no new work, every request completes where it runs, with no retry, and the
+// victim's job completes only once its last request has returned.
+func TestScaleDownDrainsInFlight(t *testing.T) {
+	f := newTestFabricScaled(t, HubConfig{}, 2, 200) // 200×: requests stay in flight for wall milliseconds
+	d := f.deploy(t, DeploymentConfig{
+		Model: perfmodel.Llama8B, MinInstances: 1, MaxInstances: 2,
+		AutoScalePeriod: 1000 * time.Hour, // the test runs the control step itself
+	})
+	if err := d.launchInstance(); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(20 * time.Second)
+	for d.ReadyCount() < 2 {
+		if time.Now().After(deadline) {
+			t.Fatal("instances never ready")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), time.Hour)
+	defer cancel()
+	const n = 8
+	results := make([]InferResult, n)
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			results[i], errs[i] = d.Generate(ctx, InferRequest{Model: perfmodel.Llama8B, PromptTok: 50, OutputTok: 4000})
+		}(i)
+	}
+	busy := func() bool { // every request taken, and both instances hold some
+		d.mu.Lock()
+		defer d.mu.Unlock()
+		taken := 0
+		for _, in := range d.pool.Members() {
+			if in.live.Depth() == 0 {
+				return false
+			}
+			taken += in.calls
+		}
+		return taken == n
+	}
+	for !busy() {
+		if time.Now().After(deadline) {
+			t.Fatal("requests never spread over both instances")
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+
+	d.mu.Lock()
+	d.policy.LoWater, d.policy.LoSustain = 1e9, 1 // always underused: the next tick releases
+	d.mu.Unlock()
+	d.controlStep()
+	d.mu.Lock()
+	var victim *instance
+	for _, in := range d.pool.Members() {
+		if in.State() == Draining {
+			victim = in
+		}
+	}
+	calls := 0
+	if victim != nil {
+		calls = victim.calls
+	}
+	d.mu.Unlock()
+	if victim == nil || calls == 0 {
+		t.Fatalf("no instance draining with requests in flight after the scale-down (%+v)", d.Stats())
+	}
+	if st := victim.Job.State(); st != scheduler.Running {
+		t.Fatalf("victim's job is %v while its requests run, want running", st)
+	}
+
+	wg.Wait()
+	served := 0
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("request %d: %v", i, err)
+		}
+		if results[i].InstanceID == victim.id {
+			served++
+		}
+	}
+	if served == 0 {
+		t.Fatal("the victim served none of the requests")
+	}
+	if st := d.Stats(); st.Retries != 0 || st.ScaleDowns != 1 {
+		t.Errorf("stats = %+v, want no retry and one scale-down", st)
+	}
+	if st := victim.Job.State(); st != scheduler.Completed {
+		t.Errorf("victim's job ended %v, want completed", st)
+	}
+	if got := d.InstanceCount(); got != 1 {
+		t.Errorf("instances = %d after the drain, want 1", got)
+	}
+}
+
 func TestDeploymentStatusStates(t *testing.T) {
 	f := newTestFabric(t, HubConfig{}, 2)
 	d := f.deploy(t, DeploymentConfig{Model: perfmodel.Llama8B, MinInstances: 0, MaxInstances: 1})

@@ -14,7 +14,7 @@ type ScalePolicy struct {
 	LoSustain    int
 }
 
-// PoolView is what a driver observes of its pool at one tick.
+// PoolView is what a driver observes of its pool at one tick (Pool.View).
 type PoolView struct {
 	Members int // every member, draining ones included: the cap counts these
 	Live    int // members still accepting work: the watermark denominator
@@ -23,8 +23,8 @@ type PoolView struct {
 	// forecast, and no pre-warm.
 	Projected float64
 	Upcoming  bool // a member is queued or loading
-	// Releasable says the driver has a member it may let go of now, given
-	// its floor and its choice of victim.
+	// Releasable says the pool has a victim it may let go of now: it is
+	// above its floor and no demand is parked.
 	Releasable bool
 }
 

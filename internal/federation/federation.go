@@ -282,15 +282,11 @@ func (r *Router) RouteAvoiding(model string, avoid []string) (Decision, error) {
 		info := &infos[i]
 		info.ID, info.ModelState, info.NeededGPUs = ep.ID(), "cold", spec.TensorParallel
 		if d, ok := ep.Deployment(model); ok {
-			st := d.Status()
-			info.ModelState = st.State
-			info.Depth = d.Depth()
-			// Advertise only the capacity not flagged for a voluntary
-			// stop; a deployment that is all-stopping is cordoned and the
-			// ladder demotes it below every other viable candidate.
-			ready, stopping := d.CordonInfo()
-			info.Instances = ready
-			info.Cordoned = ready == 0 && stopping > 0
+			// One read of the pool's record, under one lock: the state,
+			// the depth and the advertised capacity are of one instant.
+			rec := d.Record()
+			info.ModelState, info.Depth = rec.State, rec.Depth
+			info.Instances, info.Cordoned = rec.Ready, rec.Cordoned
 		}
 		info.FreeGPUs = ep.Scheduler().Cluster().Status().FreeGPUs
 	}

@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/argonne-first/first/internal/clock"
@@ -71,8 +72,10 @@ type Job struct {
 	ID   int64
 	Spec JobSpec
 
-	mu          sync.Mutex
-	state       State
+	mu sync.Mutex
+	// state is a State, written under mu and read without it: the
+	// federation routers read every candidate's job state per request.
+	state       atomic.Int64
 	submittedAt time.Time
 	startedAt   time.Time
 	endedAt     time.Time
@@ -81,11 +84,7 @@ type Job struct {
 }
 
 // State returns the job's current state.
-func (j *Job) State() State {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.state
-}
+func (j *Job) State() State { return State(j.state.Load()) }
 
 // Allocation returns the job's allocation (nil unless Starting/Running).
 func (j *Job) Allocation() *cluster.Allocation {
@@ -167,7 +166,7 @@ func (s *Scheduler) Submit(spec JobSpec) (*Job, error) {
 		return nil, fmt.Errorf("scheduler: closed")
 	}
 	s.nextID++
-	job := &Job{ID: s.nextID, Spec: spec, state: Queued, submittedAt: s.clk.Now()}
+	job := &Job{ID: s.nextID, Spec: spec, submittedAt: s.clk.Now()} // Queued
 	s.queue = append(s.queue, job)
 	s.mu.Unlock()
 	s.trySchedule()
@@ -222,7 +221,7 @@ func (s *Scheduler) finish(id int64, terminal State) bool {
 
 func (s *Scheduler) endLocked(j *Job, terminal State) {
 	j.mu.Lock()
-	j.state = terminal
+	j.state.Store(int64(terminal))
 	j.endedAt = s.clk.Now()
 	j.gen++
 	j.mu.Unlock()
@@ -232,7 +231,7 @@ func (s *Scheduler) endLocked(j *Job, terminal State) {
 func (j *Job) releaseForEnd(terminal State) *cluster.Allocation {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	j.state = terminal
+	j.state.Store(int64(terminal))
 	j.gen++
 	alloc := j.alloc
 	j.alloc = nil
@@ -263,7 +262,7 @@ func (s *Scheduler) trySchedule() {
 				idx = i
 				job.mu.Lock()
 				job.alloc = alloc
-				job.state = Starting
+				job.state.Store(int64(Starting))
 				job.startedAt = s.clk.Now()
 				gen := job.gen
 				job.mu.Unlock()
@@ -289,11 +288,11 @@ func (s *Scheduler) trySchedule() {
 func (s *Scheduler) launch(job *Job, gen uint64) {
 	s.after(s.cfg.Prologue, func() {
 		job.mu.Lock()
-		if job.gen != gen || job.state != Starting {
+		if job.gen != gen || job.State() != Starting {
 			job.mu.Unlock()
 			return
 		}
-		job.state = Running
+		job.state.Store(int64(Running))
 		job.mu.Unlock()
 		if job.Spec.OnRunning != nil {
 			job.Spec.OnRunning(job)
@@ -301,7 +300,7 @@ func (s *Scheduler) launch(job *Job, gen uint64) {
 		if job.Spec.Walltime > 0 {
 			s.after(job.Spec.Walltime, func() {
 				job.mu.Lock()
-				stale := job.gen != gen || job.state != Running
+				stale := job.gen != gen || job.State() != Running
 				job.mu.Unlock()
 				if !stale {
 					s.finish(job.ID, TimedOut)
@@ -333,7 +332,7 @@ func (s *Scheduler) Qstat() []View {
 	var views []View
 	add := func(j *Job) {
 		j.mu.Lock()
-		v := View{ID: j.ID, Name: j.Spec.Name, User: j.Spec.User, GPUs: j.Spec.GPUs, State: j.state.String()}
+		v := View{ID: j.ID, Name: j.Spec.Name, User: j.Spec.User, GPUs: j.Spec.GPUs, State: j.State().String()}
 		if !j.startedAt.IsZero() {
 			v.QueueWait = j.startedAt.Sub(j.submittedAt)
 			if j.endedAt.IsZero() {
@@ -341,7 +340,7 @@ func (s *Scheduler) Qstat() []View {
 			} else {
 				v.Runtime = j.endedAt.Sub(j.startedAt)
 			}
-		} else if j.state == Queued {
+		} else if j.State() == Queued {
 			v.QueueWait = now.Sub(j.submittedAt)
 		}
 		j.mu.Unlock()
