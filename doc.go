@@ -179,9 +179,14 @@
 // simulated system, at beyond-paper scale: 10⁶ open-loop requests plus 10⁴
 // closed-loop WebUI sessions flow through the sharded gateway front-end,
 // are routed by the real federation.Select priority ladder (§4.5: active →
-// capacity → first-configured) over live snapshots, and land on 2-8
-// simulated clusters. Each cluster pairs a real inventory
-// (cluster.Cluster — whose Status, the §4.5 "publicly available status"
+// capacity → first-configured) over rows kept current, and land on 2-8
+// simulated clusters. Each deployment owns its ladder row and publishes
+// its state as it changes — Pronto's pattern: the pool record is re-read
+// after every lifecycle transition (the scheduler's JobSpec.OnStarting
+// names the one a queued job makes on its grant), and the serving engines
+// report each change in their depth — so the router writes only each
+// cluster's free GPUs, which background jobs move, and reads the rest.
+// Each cluster pairs a real inventory (cluster.Cluster — whose Status, the §4.5 "publicly available status"
 // both routers read once per candidate per request, is one atomic load of
 // counts kept current where GPUs are granted and released, not a walk over
 // the nodes under the mutex) with a real PBS-like scheduler — scheduler.Scheduler
@@ -306,8 +311,8 @@
 // FederationParams.CordonLead set, each serving incarnation is flagged
 // cordoned that long before its walltime drain. Inside a pool, least-loaded
 // selection passes over cordoned incarnations while any uncordoned sibling
-// serves; across clusters, federation.EndpointInfo carries Cordoned and
-// DrainingAt, and Select demotes a cordoned endpoint below every other
+// serves; across clusters, federation.EndpointInfo carries Cordoned, and
+// Select demotes a cordoned endpoint below every other
 // viable candidate — but still above first-configured, so work is never
 // parked while capacity exists. Both routers fill those fields from one
 // fabric.Pool record, the live one through Deployment.Record under a single

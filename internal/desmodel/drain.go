@@ -32,6 +32,8 @@ func (in *fedInstance) beginDrain(scaleDown bool) {
 		return
 	}
 	d := in.d
+	in.eng.depthSink = nil // a draining member counts in no depth
+	d.sync()
 	if scaleDown {
 		d.c.stats.ScaleDowns++
 	} else {
@@ -83,6 +85,7 @@ func (in *fedInstance) onJobEnd(terminal scheduler.State) {
 	hardKill := terminal == scheduler.TimedOut || terminal == scheduler.Failed
 	var orphans []*Req
 	if in.eng != nil {
+		in.eng.depthSink = nil
 		d.c.busyGPU += time.Duration(int64(in.eng.Stats().BusyTime) * int64(spec.TensorParallel))
 		if hardKill {
 			in.eng.EachWaiting(func(s *serving.Sequence) { orphans = append(orphans, s.Ctx.(*Req)) })
@@ -102,12 +105,13 @@ func (in *fedInstance) onJobEnd(terminal scheduler.State) {
 		f.a.Reclaim(in.eng.eng)
 		in.eng = nil
 	}
+	var pend []*Req
 	if d.pool.Len() == 0 {
-		pend := d.pending
-		d.pending = nil
-		for _, r := range pend {
-			d.c.migrateFrom(r)
-		}
+		pend, d.pending = d.pending, nil
+	}
+	d.sync()
+	for _, r := range pend {
+		d.c.migrateFrom(r)
 	}
 	for _, r := range orphans {
 		d.c.migrateFrom(r)

@@ -41,6 +41,10 @@ type EngineSim struct {
 
 	emitLog   []emitRun // one record per delivery event, unless noEmitLog
 	noEmitLog bool
+
+	// depthSink, when set, takes every change Submit, step and Abort make
+	// in Depth: a serving federation instance's routing-ladder row.
+	depthSink *int
 }
 
 // emitRun is the emissions one delivery event stands for: count iterations
@@ -97,7 +101,9 @@ func (e *EngineSim) withoutEmitLog() *EngineSim {
 func (e *EngineSim) Submit(promptTok, outputTok int, ctx interface{}) {
 	now := e.k.Now()
 	e.eng.Settle(now)
+	before := e.eng.Depth()
 	e.eng.Submit(now, promptTok, outputTok, ctx)
+	e.noteDepth(before)
 	if !e.running {
 		e.running = true
 		e.k.Schedule(0, e.stepFn)
@@ -120,6 +126,13 @@ func (e *EngineSim) resync() {
 // Depth reports waiting+running load for least-loaded routing.
 func (e *EngineSim) Depth() int { return e.eng.Depth() }
 
+// noteDepth hands the sink the change in Depth since it read before.
+func (e *EngineSim) noteDepth(before int) {
+	if e.depthSink != nil {
+		*e.depthSink += e.eng.Depth() - before
+	}
+}
+
 // Stats exposes the wrapped engine's counters.
 func (e *EngineSim) Stats() serving.Stats {
 	e.eng.Settle(e.k.Now())
@@ -136,7 +149,9 @@ func (e *EngineSim) EachWaiting(f func(*serving.Sequence)) { e.eng.EachWaiting(f
 // pulled back and migrated rather than served on a dying instance).
 func (e *EngineSim) Abort(id int64) bool {
 	e.eng.Settle(e.k.Now())
+	before := e.eng.Depth()
 	ok := e.eng.Abort(id)
+	e.noteDepth(before)
 	e.resync()
 	return ok
 }
@@ -178,7 +193,9 @@ func (e *EngineSim) step() {
 	}
 	now := e.k.Now()
 	e.eng.Settle(now)
+	before := e.eng.Depth()
 	res := e.eng.Step(now)
+	e.noteDepth(before)
 	if !res.Busy {
 		e.running = false
 		return

@@ -36,7 +36,8 @@ func (c kernelClock) After(time.Duration) <-chan time.Time {
 // each with a real inventory (cluster.Cluster) and a real PBS-like scheduler
 // (scheduler.Scheduler driven by the kernel through Config.Timer), serving M
 // models behind the sharded gateway front-end. Every request is routed by the
-// real federation.Select priority ladder (§4.5) over live state snapshots.
+// real federation.Select priority ladder (§4.5) over rows its deployments
+// keep current.
 type FederationParams struct {
 	// Clusters is the federation size (the paper federates Sophia+Polaris;
 	// the scenario family sweeps 2-8).
@@ -213,9 +214,10 @@ type fedCluster struct {
 
 // Federation is the multi-cluster DES scenario: the sharded gateway
 // front-end in front of N cluster+scheduler instances, every request routed
-// by the real federation.Select over live snapshots, with deployment pools
-// churning through the full Queued→Starting→Running→drain/kill lifecycle and
-// the auto-scaler growing and shrinking them with demand.
+// by the real federation.Select, with deployment pools churning through the
+// full Queued→Starting→Running→drain/kill lifecycle and the auto-scaler
+// growing and shrinking them with demand. Each deployment publishes its
+// routing-ladder row as its state changes; the router only reads the rows.
 type Federation struct {
 	// k is the run's only kernel: gateway admission, routing, and every
 	// cluster's events share one timeline, so the router's reads of cluster
@@ -235,9 +237,11 @@ type Federation struct {
 	first  firstPath
 
 	clusters []*fedCluster
-	// scratch holds one routing-ladder row per cluster, rewritten in place
-	// by every routing.
-	scratch []federation.EndpointInfo
+	// rows holds each model's routing-ladder rows in its configuration
+	// order (the cluster list rotated by the model), model after model;
+	// deps[j] is the deployment that keeps rows[j] current.
+	rows []federation.EndpointInfo
+	deps []fedDep
 
 	replay *fedReplay
 
@@ -324,7 +328,9 @@ func NewFederationIn(a *Arena, p FederationParams, done func(*Req)) *Federation 
 	p = p.withDefaults()
 	p.mustBeBuildable()
 	k := a.k
-	f := &Federation{k: k, p: p, a: a, done: done, scratch: make([]federation.EndpointInfo, p.Clusters)}
+	n := p.Clusters
+	f := &Federation{k: k, p: p, a: a, done: done,
+		rows: make([]federation.EndpointInfo, len(p.Models)*n), deps: make([]fedDep, len(p.Models)*n)}
 	f.arrive = f.route
 	if p.First != (FirstParams{}) {
 		f.first.wire(k, p.First, f.route, done)
@@ -334,7 +340,7 @@ func NewFederationIn(a *Arena, p FederationParams, done func(*Req)) *Federation 
 		f.fe = newShardFE(k, p.Shards, p.CritSection, p.PostWork, f.arrive)
 		f.arrive = f.fe.admit
 	}
-	for i := 0; i < p.Clusters; i++ {
+	for i := 0; i < n; i++ {
 		c := &fedCluster{f: f}
 		c.cl = cluster.New(fmt.Sprintf("fed-%d", i), p.NodesPerCluster, p.GPUsPerNode, p.GPU)
 		c.name = c.cl.Name()
@@ -344,12 +350,16 @@ func NewFederationIn(a *Arena, p FederationParams, done func(*Req)) *Federation 
 			Timer:    k.Schedule,
 		})
 		for m := range p.Models {
-			d := &fedDep{
-				f: f, c: c, model: m,
+			j := m*n + ((i-m)%n+n)%n // model m's ladder starts at cluster m mod n
+			d := &f.deps[j]
+			*d = fedDep{
+				f: f, c: c, model: m, row: &f.rows[j],
 				coldStart: p.Prologue + p.Models[m].LoadTime(p.GPU),
 				fcArrive:  NewForecast(defaultForecastAlpha, defaultForecastBeta),
 				fcServe:   NewForecast(defaultForecastAlpha, 0),
 			}
+			*d.row = federation.EndpointInfo{ID: c.name, NeededGPUs: p.Models[m].TensorParallel}
+			d.sync()
 			c.deps = append(c.deps, d)
 			for h := 0; h < p.Hot; h++ {
 				d.startHot()

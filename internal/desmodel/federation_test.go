@@ -343,3 +343,43 @@ func TestFederationRouteZeroAlloc(t *testing.T) {
 		t.Errorf("%d of %d routings took the active rung", got, 51*n)
 	}
 }
+
+// BenchmarkFederationRoute times Federation.route alone, one routing per op,
+// on TestFederationRouteZeroAlloc's warmed four-cluster, three-model
+// federation. The kernel runs each batch of routed requests to completion
+// with the timer stopped, so the engines stay at the test's depths. The row
+// check is off: it is a test of the rows, not part of routing.
+func BenchmarkFederationRoute(b *testing.B) {
+	defer func(on bool) { checkRows = on }(checkRows)
+	checkRows = false
+	a, k := testArena(sim.QueueCalendar)
+	const n = 24
+	completed := 0
+	p := fedTestParams(4)
+	p.ServeWalltime = 1000 * time.Hour
+	f := NewFederationIn(a, p, func(*Req) {
+		if completed++; completed%n == 0 {
+			k.Stop()
+		}
+	})
+	reqs := make([]Req, n)
+	for i := range reqs {
+		reqs[i] = Req{ID: i + 1, Model: i % 3, PromptTok: 40 + i, OutputTok: 4 + i%5}
+	}
+	for c := 0; c < 100; c++ {
+		for i := range reqs {
+			f.route(&reqs[i])
+		}
+		k.Run(0)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		f.route(&reqs[i%n])
+		if i%n == n-1 {
+			b.StopTimer()
+			k.Run(0)
+			b.StartTimer()
+		}
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"github.com/argonne-first/first/internal/fabric"
+	"github.com/argonne-first/first/internal/federation"
 	"github.com/argonne-first/first/internal/scheduler"
 	"github.com/argonne-first/first/internal/serving"
 )
@@ -34,6 +35,11 @@ type fedDep struct {
 
 	pool    fabric.Pool[*fedInstance]
 	pending []*Req // parked until an instance serves
+	// row is d's routing-ladder row in Federation.rows. Every lifecycle
+	// transition re-reads it from the pool record (sync); in between only
+	// its depth moves, by what the serving engines report and by each
+	// request parked or flushed. route writes its FreeGPUs.
+	row *federation.EndpointInfo
 
 	// Auto-scaler hysteresis (autoscale.go) and the deepest the pool grew.
 	scale    fabric.ScalerState
@@ -61,6 +67,7 @@ func (d *fedDep) offer(r *Req) {
 		return
 	}
 	d.pending = append(d.pending, r)
+	d.row.Depth++
 	if d.pool.Len() == 0 && d.f.replay == nil {
 		// Under replay, a dead pool revives only at its scheduled restart
 		// event — a demand-driven cold start here would self-heal faster
@@ -95,6 +102,8 @@ func (d *fedDep) startHot() {
 	in := &fedInstance{d: d}
 	in.eng = f.a.EngineSimIn(f.p.Models[d.model], f.p.GPU, in.onServed)
 	d.pool.AddHot(in, in.eng)
+	in.eng.depthSink = &d.row.Depth
+	d.sync()
 	d.notePool()
 }
 
@@ -108,20 +117,25 @@ func (d *fedDep) startInstance() {
 	load := spec.LoadTime(f.p.GPU)
 	in := &fedInstance{d: d}
 	d.pool.Add(in)
+	d.sync()
 	d.c.stats.ColdStarts++
 	d.notePool()
 	job, err := d.c.sched.Submit(scheduler.JobSpec{
-		Name:      spec.Name,
-		User:      "first-serve",
-		GPUs:      spec.TensorParallel,
-		Walltime:  load + f.p.ServeWalltime + f.p.DrainGrace,
-		OnRunning: func(*scheduler.Job) { in.onJobRunning(load) },
-		OnEnd:     func(_ *scheduler.Job, st scheduler.State) { in.onJobEnd(st) },
+		Name:     spec.Name,
+		User:     "first-serve",
+		GPUs:     spec.TensorParallel,
+		Walltime: load + f.p.ServeWalltime + f.p.DrainGrace,
+		// Granted nodes, the member reads as starting. A grant inside
+		// Submit comes before in.Job is set, so the row is re-read after.
+		OnStarting: func(*scheduler.Job) { d.sync() },
+		OnRunning:  func(*scheduler.Job) { in.onJobRunning(load) },
+		OnEnd:      func(_ *scheduler.Job, st scheduler.State) { in.onJobEnd(st) },
 	})
 	if err != nil {
 		panic(err) // unreachable: GPUs > 0 and the scheduler is never closed
 	}
 	in.Job = job
+	d.sync()
 	d.c.noteQueued()
 }
 
@@ -129,6 +143,7 @@ func (d *fedDep) startInstance() {
 // the instance boots and loads weights before it can serve.
 func (in *fedInstance) onJobRunning(load time.Duration) {
 	if in.Load() {
+		in.d.sync()
 		in.d.f.k.Schedule(load, in.onLoaded)
 	}
 }
@@ -145,8 +160,10 @@ func (in *fedInstance) onLoaded() {
 	spec := f.p.Models[d.model]
 	in.eng = f.a.EngineSimIn(spec, f.p.GPU, in.onServed).withoutEmitLog()
 	in.Serve(in.eng)
+	in.eng.depthSink = &d.row.Depth
 	pend := d.pending
 	d.pending = nil
+	d.sync()
 	for _, r := range pend {
 		// Flush least-loaded across the pool: sibling instances may have
 		// come up at the same instant.
@@ -158,7 +175,7 @@ func (in *fedInstance) onLoaded() {
 		// Cordon one lead ahead of the drain: selection and the routing
 		// ladder stop sending new work here while the remaining walltime
 		// is too short to be worth queueing behind.
-		f.k.Schedule(f.p.ServeWalltime-lead, func() { in.Cordon(drainAt) })
+		f.k.Schedule(f.p.ServeWalltime-lead, func() { in.cordon(drainAt) })
 	}
 	if f.p.Scale.Predictive {
 		// Arm the replacement pre-warm one cold start before the drain;
@@ -168,6 +185,14 @@ func (in *fedInstance) onLoaded() {
 			lead = f.p.ServeWalltime
 		}
 		f.k.Schedule(f.p.ServeWalltime-lead, func() { d.preWarmReplacement(in) })
+	}
+}
+
+// cordon flags the instance one lead ahead of its drain at drainAt; the
+// lead timer and tests cordon through it so the ladder row follows.
+func (in *fedInstance) cordon(drainAt time.Duration) {
+	if in.Cordon(drainAt) {
+		in.d.sync()
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"testing"
 	"time"
 
-	"github.com/argonne-first/first/internal/federation"
 	"github.com/argonne-first/first/internal/sim"
 )
 
@@ -221,7 +220,7 @@ func TestCordonStopsRoutingBeforeDrain(t *testing.T) {
 
 	// Cordon all of A's serving capacity: the next arrival must go to B.
 	for _, in := range a.deps[0].pool.Members() {
-		in.Cordon(0)
+		in.cordon(0)
 	}
 	if rec := a.deps[0].record(); rec.Ready != 0 || !rec.Cordoned {
 		t.Fatalf("record after cordon = (%d, %v), want (0, true)", rec.Ready, rec.Cordoned)
@@ -236,7 +235,7 @@ func TestCordonStopsRoutingBeforeDrain(t *testing.T) {
 	// Cordon B as well: the request must still land somewhere and serve —
 	// never refused, never parked behind the drain flag.
 	for _, in := range b.deps[0].pool.Members() {
-		in.Cordon(0)
+		in.cordon(0)
 	}
 	r3 := &Req{ID: 3, Model: 0, PromptTok: 64, OutputTok: 4}
 	k.Schedule(0, func() { f.Arrive(r3) })
@@ -282,12 +281,10 @@ func TestCordonLeadFiresBeforeDrain(t *testing.T) {
 	if got := d.pool.Pick(); got != d.pool.Members()[1] {
 		t.Fatal("Pick chose the cordoned first instance over its uncordoned sibling")
 	}
-	var e federation.EndpointInfo
-	f.clusters[0].endpointInfo(&e, 0, &f.p.Models[0])
-	if e.Instances != 1 || e.Cordoned {
+	if e := d.row; e.Instances != 1 || e.Cordoned {
 		t.Fatalf("ladder row = (%d, %v), want (1, false): one sibling still serves", e.Instances, e.Cordoned)
 	}
-	if drainingAt := e.DrainingAt; drainingAt <= 0 || drainingAt > p.CordonLead {
+	if drainingAt := d.record().DrainAt - k.Now(); drainingAt <= 0 || drainingAt > p.CordonLead {
 		t.Fatalf("drainingAt = %v, want within (0, %v]", drainingAt, p.CordonLead)
 	}
 }

@@ -58,6 +58,8 @@ type fedReplay struct {
 	// seen counts placement attempts per (request index, endpoint) so a
 	// re-route re-draws, exactly like the live endpoint's attempt counter.
 	seen map[replayKey]int
+	// infos holds the ladder rows one placement attempt may choose from.
+	infos []federation.EndpointInfo
 
 	sheds     int64 // all-breakers-open: live 503s, twin parks
 	exhausted int64 // failover budget spent: live typed errors, twin parks
@@ -78,6 +80,7 @@ func newFedReplay(f *Federation, p ReplayParams) *fedReplay {
 		cur:    p.Schedule.Cursor(),
 		bgJobs: make([][]*scheduler.Job, len(f.clusters)),
 		seen:   make(map[replayKey]int),
+		infos:  make([]federation.EndpointInfo, 0, len(f.clusters)),
 	}
 	for range f.clusters {
 		rp.breakers = append(rp.breakers, resilience.NewBreaker(p.Breaker))
@@ -180,21 +183,20 @@ func (f *Federation) routeReplay(r *Req) {
 	idx := r.ID - 1
 	m := r.Model
 	n := len(f.clusters)
-	spec := &f.p.Models[m]
+	rows, _ := f.ladder(m)
 	now := rp.now()
 	var avoided uint64
 	attempts := 0
 	order := make([]int, 0, n)
 	for {
-		infos := f.scratch[:0]
+		infos := rp.infos[:0]
 		order = order[:0]
 		for i := 0; i < n; i++ {
 			ci := (m + i) % n
 			if avoided&(1<<uint(ci)) != 0 || !rp.breakers[ci].CanAttempt(now) {
 				continue
 			}
-			infos = infos[:len(infos)+1]
-			f.clusters[ci].endpointInfo(&infos[len(infos)-1], m, spec)
+			infos = append(infos, rows[i])
 			order = append(order, ci)
 		}
 		if len(infos) == 0 {

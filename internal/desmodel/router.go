@@ -1,13 +1,20 @@
 package desmodel
 
 import (
+	"fmt"
+
 	"github.com/argonne-first/first/internal/fabric"
 	"github.com/argonne-first/first/internal/federation"
-	"github.com/argonne-first/first/internal/perfmodel"
 )
 
-// route applies the real federation.Select priority ladder over live
-// snapshots of every cluster's deployment and inventory state.
+// checkRows makes every routing compare each kept ladder row with a fresh
+// build from its pool record and panic on a mismatch. Only tests set it.
+var checkRows bool
+
+// route applies the real federation.Select priority ladder to the model's
+// rows. Each deployment keeps its row current as its state changes, so
+// route writes only what moves without the pool seeing — the cluster's free
+// GPUs, which background jobs take and release — and reads the rest.
 //
 //first:hotpath pinned by TestFederationRouteZeroAlloc (federation_test.go)
 func (f *Federation) route(r *Req) {
@@ -15,14 +22,8 @@ func (f *Federation) route(r *Req) {
 		f.routeReplay(r)
 		return
 	}
-	m := r.Model
-	n := len(f.clusters)
-	spec := &f.p.Models[m]
-	infos := f.scratch
-	for i := range infos {
-		f.clusters[(m+i)%n].endpointInfo(&infos[i], m, spec)
-	}
-	idx, reason, err := federation.Select(infos)
+	rows, deps := f.ladder(r.Model)
+	idx, reason, err := federation.Select(rows)
 	if err != nil {
 		panic(err) // unreachable: the candidate list is never empty
 	}
@@ -34,24 +35,41 @@ func (f *Federation) route(r *Req) {
 	default:
 		f.rungs.FirstConf++
 	}
-	target := f.clusters[(m+idx)%n]
-	target.stats.Routed++
-	target.deps[m].offer(r)
+	target := &deps[idx]
+	target.c.stats.Routed++
+	target.offer(r)
 }
 
-// endpointInfo writes one cluster's routing-ladder candidate row into e, read
-// from the cluster's live state at the routing instant: the inventory's
-// status and the deployment pool's record. Every field is written, so e
-// needs no clearing between routings.
-func (c *fedCluster) endpointInfo(e *federation.EndpointInfo, m int, spec *perfmodel.ModelSpec) {
-	d := c.deps[m]
+// ladder is model m's rows in configuration order, free GPUs read now, and
+// the deployments behind them.
+func (f *Federation) ladder(m int) ([]federation.EndpointInfo, []fedDep) {
+	n := len(f.clusters)
+	rows, deps := f.rows[m*n:(m+1)*n], f.deps[m*n:(m+1)*n]
+	for i := range rows {
+		rows[i].FreeGPUs = deps[i].c.cl.Status().FreeGPUs
+	}
+	if checkRows {
+		mustMatchFresh(rows, deps)
+	}
+	return rows, deps
+}
+
+// sync re-reads d's ladder row from its pool record. Every lifecycle
+// transition calls it before anything can route.
+func (d *fedDep) sync() {
 	var rec fabric.PoolRecord
 	d.pool.Record(len(d.pending), &rec)
-	e.ID = c.name
-	e.ModelState = rec.State
-	e.FreeGPUs = c.cl.Status().FreeGPUs
-	e.NeededGPUs = spec.TensorParallel
-	e.Depth = rec.Depth
-	e.Instances, e.Cordoned = rec.Ready, rec.Cordoned
-	e.DrainingAt = max(rec.DrainAt-c.f.k.Now(), 0)
+	d.row.ModelState, d.row.Depth = rec.State, rec.Depth
+	d.row.Instances, d.row.Cordoned = rec.Ready, rec.Cordoned
+}
+
+// mustMatchFresh rebuilds every row from its pool record and panics with
+// both when the kept one differs.
+func mustMatchFresh(rows []federation.EndpointInfo, deps []fedDep) {
+	for i := range rows {
+		kept := rows[i]
+		if deps[i].sync(); rows[i] != kept {
+			panic(fmt.Sprintf("desmodel: ladder row at %v\n kept  %+v\n fresh %+v", deps[i].f.k.Now(), kept, rows[i]))
+		}
+	}
 }

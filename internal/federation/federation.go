@@ -53,10 +53,6 @@ type EndpointInfo struct {
 	// while capacity exists. False (the zero value) keeps the ladder's
 	// drain-blind behaviour exactly.
 	Cordoned bool
-	// DrainingAt is how far away the deployment's soonest flagged drain
-	// is (zero when none is imminent) — observability alongside Cordoned;
-	// Select keys on the boolean only.
-	DrainingAt time.Duration
 }
 
 // Reason explains a routing decision (logged and exposed on the dashboard).

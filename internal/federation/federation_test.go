@@ -521,14 +521,6 @@ func TestSelectCordonedDemotion(t *testing.T) {
 			},
 			wantIdx: 1, wantReason: ReasonActive,
 		},
-		{
-			name: "DrainingAt alone does not demote (Select keys on the bool)",
-			candidates: []EndpointInfo{
-				{ID: "a", ModelState: "running", Depth: 5, DrainingAt: time.Second},
-				{ID: "b", ModelState: "running", Depth: 50},
-			},
-			wantIdx: 0, wantReason: ReasonActive,
-		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -60,6 +60,9 @@ type JobSpec struct {
 	User     string
 	GPUs     int
 	Walltime time.Duration // 0 = unlimited
+	// OnStarting fires (outside the scheduler's lock) when the job is
+	// granted nodes and enters its prologue, before OnRunning.
+	OnStarting func(*Job)
 	// OnRunning fires (on a scheduler goroutine) when the job enters
 	// Running with its allocation live.
 	OnRunning func(*Job)
@@ -284,8 +287,12 @@ func (s *Scheduler) trySchedule() {
 	}
 }
 
-// launch runs the Starting→Running transition and arms the walltime timer.
+// launch announces the Starting state, runs the Starting→Running transition
+// and arms the walltime timer.
 func (s *Scheduler) launch(job *Job, gen uint64) {
+	if job.Spec.OnStarting != nil {
+		job.Spec.OnStarting(job)
+	}
 	s.after(s.cfg.Prologue, func() {
 		job.mu.Lock()
 		if job.gen != gen || job.State() != Starting {

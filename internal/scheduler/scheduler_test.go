@@ -1,6 +1,7 @@
 package scheduler
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -303,5 +304,60 @@ func TestDeterministicTimerCompleteBeatsWalltime(t *testing.T) {
 	}
 	if ends != 1 {
 		t.Errorf("OnEnd fired %d times, want once (walltime timer must go stale)", ends)
+	}
+}
+
+// TestOnStarting pins the Starting callback on the kernel: it fires once per
+// job, at the instant the job is granted nodes (inside Submit for a job that
+// fits, at the release that lets a queued one in), always before OnRunning,
+// never for a job cancelled while still queued, and outside the scheduler's
+// lock, so a callback may read the queue.
+func TestOnStarting(t *testing.T) {
+	k := sim.NewKernel()
+	cl := cluster.New("des", 1, 8, perfmodel.A100_40)
+	s := New(cl, kernelTestClock{k}, Config{Prologue: 10 * time.Second, Timer: k.Schedule})
+	var events []string
+	starts := map[string]int{}
+	submit := func(name string) *Job {
+		job, err := s.Submit(JobSpec{
+			Name: name, GPUs: 8,
+			OnStarting: func(j *Job) {
+				if j.State() != Starting {
+					t.Errorf("%s: OnStarting saw %v, want Starting", name, j.State())
+				}
+				if !s.mu.TryLock() {
+					t.Fatalf("%s: OnStarting runs under the scheduler's lock", name)
+				}
+				s.mu.Unlock()
+				starts[name]++
+				events = append(events, fmt.Sprintf("start %s @%v queued=%d", name, k.Now(), s.QueuedCount()))
+			},
+			OnRunning: func(*Job) { events = append(events, fmt.Sprintf("run %s @%v", name, k.Now())) },
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return job
+	}
+	a := submit("a")
+	if starts["a"] != 1 {
+		t.Fatalf("a fits the cluster: OnStarting fired %d times inside Submit, want 1", starts["a"])
+	}
+	submit("b")
+	c := submit("c")
+	k.Schedule(20*time.Second, func() { s.Cancel(c.ID) })
+	k.Schedule(30*time.Second, func() { s.Complete(a.ID) })
+	k.Run(0)
+	want := []string{
+		"start a @0s queued=0",
+		"run a @10s",
+		"start b @30s queued=0",
+		"run b @40s",
+	}
+	if fmt.Sprint(events) != fmt.Sprint(want) {
+		t.Errorf("events = %q, want %q", events, want)
+	}
+	if starts["a"] != 1 || starts["b"] != 1 || starts["c"] != 0 {
+		t.Errorf("OnStarting counts = %v, want a:1 b:1 and none for the cancelled c", starts)
 	}
 }
