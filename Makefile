@@ -112,11 +112,13 @@ pairs:
 loc:
 	@bash scripts/loc.sh $(BASE)
 
-# calibrate runs the per-PR calibration gate: the short livefed cell live,
-# its executed schedule replayed into the DES twin, rung shares within
-# ±5 pts and the failover-vs-migration ratio within 2× — or the target fails.
+# calibrate runs the per-PR calibration gate: the short livefed cell live
+# and its DES twin (the same closed-loop traffic and churn schedule), rung
+# shares within ±5 pts and the failover-vs-migration ratio within 2× — or
+# the target fails. Beside it, the twin must be a function of the cell and
+# the seed alone: two runs, and the run beside the live cell, byte-identical.
 calibrate:
-	$(GO) test -short -run '^TestLiveFedCalibrationGate$$' -v ./internal/experiments
+	$(GO) test -short -run '^(TestLiveFedCalibrationGate|TestLiveFedTwinByteIdentity)$$' -v ./internal/experiments
 
 # livefed-night regenerates the full live-chaos family (the nightly cells:
 # 2000- and 3000-request storms with their DES calibration twins), prints

@@ -415,17 +415,25 @@
 // Calibration methodology. Each live cell executes a single serializable
 // churn plan — a chaosnet.Schedule: endpoint kills, cold restarts, and
 // background GPU claims/releases keyed by request index, plus the fault
-// windows and the arrival rate measured during the live run — and the DES
-// federation twin replays that exact schedule (desmodel.ReplayParams).
-// Index time is the shared time base: the live driver fires every event
-// due at index i before issuing request i, and the twin's Federation.Arrive
-// fires them before it takes its own arrival i. The twin routes with real
-// resilience.Breakers in the live gateway's configuration on the same
-// one-second-per-request logical clock, draws the same pure
+// windows — built from the cell and the seed, and the DES federation twin
+// replays that exact schedule (desmodel.ReplayParams) under the live
+// cell's own traffic: the live driver's closed loop (one session per live
+// worker, no think time, the cell's request count) with each request's
+// prompt and output lengths as the live engine sees them. The twin is thus
+// a function of the cell and the seed alone; nothing is measured from the
+// live run. Index time is the shared time base: the live driver fires every
+// event due at index i before issuing request i, and the twin's
+// Federation.Arrive fires them before it takes its own arrival i. The twin
+// routes with real resilience.Breakers in the live gateway's configuration
+// on the same one-second-per-request logical clock, draws the same pure
 // Windows.Faulty(seed, index, endpoint, attempt) fault function, and
 // re-routes a faulted placement to the next ladder candidate — so twin
 // migrations-per-request is the DES name for the gateway's
-// failover-attempts-per-request. The comparison is then gated, not
+// failover-attempts-per-request. A request the live gateway would shed
+// (every candidate breaker-open or already tried) or give up on (failover
+// budget spent) fails in the twin too: it reaches the driver unserved, in
+// an event of its own, and the report prints the twin's failures beside
+// the live sheds and typed errors. The comparison is then gated, not
 // eyeballed: every cell's live-vs-twin routing-rung shares must agree
 // within ±5 percentage points and the failover-vs-migration rates within a
 // 2× ratio (experiments.Calibrate; both sides under 0.01/req is vacuously

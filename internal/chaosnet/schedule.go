@@ -8,11 +8,11 @@ import (
 )
 
 // Schedule is the full churn plan of one federation storm, serializable so
-// the live harness and the DES calibration twin execute the *same* storm
-// instead of each inventing its own tempo. Time is counted in request
-// indices — the one clock both sides share exactly: the live driver fires
-// an event just before issuing request AtIndex, and the DES replay fires it
-// just before arrival AtIndex enters the gateway. Fault windows stay a
+// the live harness and the DES calibration twin execute the *same* storm.
+// Time is counted in request indices, the one clock both sides share
+// exactly, so the plan carries no tempo: the live driver fires an event just
+// before issuing request AtIndex, and the DES replay fires it just before
+// arrival AtIndex enters the gateway. Fault windows stay a
 // pure function of (Seed, index, endpoint, attempt) via Windows.Faulty, so
 // they need no events at all; kills, cold restarts, and background GPU
 // claims are discrete actions and get one Event each.
@@ -30,10 +30,6 @@ type Schedule struct {
 	// side only: the gateway reacts by rechecking its token cache, which
 	// has no routing analogue to replay).
 	PUnauthorized float64 `json:"p_unauthorized,omitempty"`
-	// RatePerSec is the live cell's measured arrival rate (requests per
-	// simulated second), recorded after execution so the twin replays the
-	// storm at the tempo the live stack actually ran, not a guessed one.
-	RatePerSec float64 `json:"rate_per_sec,omitempty"`
 	// Events are sorted by (AtIndex, Kind, Endpoint).
 	Events []Event `json:"events"`
 }

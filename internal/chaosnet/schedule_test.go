@@ -16,7 +16,6 @@ func testSchedule() Schedule {
 		Requests:      600,
 		Windows:       Windows{BurstEvery: 100, BurstLen: 20, PFault: 0.85, PBackground: 0.01},
 		PUnauthorized: 0.005,
-		RatePerSec:    0.04,
 		Events: []Event{
 			{AtIndex: 300, Kind: EventKill, Endpoint: 0},
 			{AtIndex: 150, Kind: EventKill, Endpoint: 1},

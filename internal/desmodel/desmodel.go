@@ -66,6 +66,8 @@ type Req struct {
 	CompletedAt sim.Time // engine finished + results relayed
 	ObservedAt  sim.Time // client saw the result (poll grid)
 
+	// Failed marks a request a replayed federation shed or gave up on after
+	// its failover budget (replay.go): it reached done unserved.
 	Failed bool
 
 	// due is when the stage the request is riding hands it on, and inst the

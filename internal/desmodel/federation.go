@@ -105,9 +105,10 @@ type FederationParams struct {
 
 	// Replay, when set, drives all churn from a recorded live schedule
 	// instead of the self-scheduled tempo above (see replay.go). Pools are
-	// pre-started like a live boot, demand-driven cold starts are off, and
+	// pre-started like a live boot, demand-driven cold starts are off,
 	// kills/restarts/background claims fire at the replayed request
-	// indices, counted by Arrive.
+	// indices, counted by Arrive, and a request the live gateway would shed
+	// or give up on fails.
 	Replay *ReplayParams
 }
 
@@ -247,10 +248,10 @@ type Federation struct {
 
 	rungs      FedRungs
 	migrations int64
-	// arrivals is half of the conservation invariant (the other half,
-	// completions, is Σ clusters' served): every request that arrives
-	// completes exactly once, across any number of drains, kills, cancels,
-	// and scale-downs.
+	// arrivals is half of the conservation invariant (the other half is
+	// completions, Σ clusters' served, plus a replay's Failures): every
+	// request that arrives completes or fails exactly once, across any
+	// number of drains, kills, cancels, and scale-downs.
 	arrivals int64
 }
 
@@ -384,7 +385,8 @@ func NewFederationIn(a *Arena, p FederationParams, done func(*Req)) *Federation 
 		}
 	}
 	if p.Replay != nil {
-		f.replay = newFedReplay(f, *p.Replay)
+		f.replay = newFedReplay(f, *p.Replay, done)
+		f.done = f.replay.handoff.push
 		// A live system boots with MinInstances:1 per deployment; the twin
 		// matches by pre-starting every pool at t=0 instead of cold-starting
 		// on first demand. After boot, only replayed restart events revive a

@@ -68,10 +68,7 @@ func (d *fedDep) offer(r *Req) {
 	}
 	d.pending = append(d.pending, r)
 	d.row.Depth++
-	if d.pool.Len() == 0 && d.f.replay == nil {
-		// Under replay, a dead pool revives only at its scheduled restart
-		// event — a demand-driven cold start here would self-heal faster
-		// than the live system it is calibrated against.
+	if d.pool.Len() == 0 {
 		d.startInstance()
 	}
 }

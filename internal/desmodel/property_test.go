@@ -70,7 +70,7 @@ func drawTrial(seed int64) propTrial {
 		// until a restart event, so the default walltimes outlast the trace.
 		p.ServeWalltime, p.DrainGrace, p.BGPeriod = 0, 0, 0
 		s := chaosnet.Schedule{
-			Seed: uint64(seed)*2654435761 + 1, Endpoints: p.Clusters, Requests: n, RatePerSec: 20,
+			Seed: uint64(seed)*2654435761 + 1, Endpoints: p.Clusters, Requests: n,
 			Windows: chaosnet.Windows{BurstEvery: 40 + rng.Intn(100), BurstLen: 5 + rng.Intn(10), PFault: 0.3, PBackground: 0.1},
 		}
 		claims := make([]int, p.Clusters)
@@ -88,7 +88,8 @@ func drawTrial(seed int64) propTrial {
 			}
 			s.Events = append(s.Events, ev)
 		}
-		// Revive every pool at the end so parked requests complete.
+		// Revive every pool before the last arrival, as a live cell's
+		// schedule restarts every kill inside the trace.
 		for ep := 0; ep < p.Clusters; ep++ {
 			s.Events = append(s.Events, chaosnet.Event{AtIndex: n - 1, Kind: chaosnet.EventRestart, Endpoint: ep})
 		}
@@ -151,7 +152,8 @@ type reach [len(reachNames)]bool
 
 // runTrial runs tr as the next cell on arena a, its engines stepping every
 // iteration when ignore is set. It checks conservation, exactly-once
-// completion, each request's stamp order, pools within MaxInstances (or Hot),
+// completion or failure (a failure only under a replay, unserved), each
+// served request's stamp order, pools within MaxInstances (or Hot),
 // a pure ClusterStats, and with the fabric hop the window and backlog bounds;
 // it returns a digest of everything observable and the paths the run took.
 func runTrial(tr propTrial, a *Arena, ignore bool) (digest string, reached reach, err error) {
@@ -183,8 +185,8 @@ func runTrial(tr propTrial, a *Arena, ignore bool) (digest string, reached reach
 	stats := f.ClusterStats()
 	switch {
 	case err != nil:
-	case f.Arrivals() != int64(n) || f.Completions() != int64(n) || f.InFlight() != 0:
-		err = fmt.Errorf("%d requests: %d arrivals, %d completions, %d in flight", n, f.Arrivals(), f.Completions(), f.InFlight())
+	case f.Arrivals() != int64(n) || f.Completions()+f.Failures() != int64(n) || f.InFlight() != 0:
+		err = fmt.Errorf("%d requests: %d arrivals, %d completions, %d failures, %d in flight", n, f.Arrivals(), f.Completions(), f.Failures(), f.InFlight())
 	case !reflect.DeepEqual(stats, f.ClusterStats()):
 		err = fmt.Errorf("ClusterStats is not a pure read")
 	case f.MaxBacklog() > max(n-window, 0) || (window <= 0 && f.MaxBacklog() != 0):
@@ -202,14 +204,20 @@ func runTrial(tr propTrial, a *Arena, ignore bool) (digest string, reached reach
 	polled := false
 	for _, r := range reqs {
 		if done[r.ID] != 1 && err == nil {
-			err = fmt.Errorf("request %d completed %d times", r.ID, done[r.ID])
+			err = fmt.Errorf("request %d reached done %d times", r.ID, done[r.ID])
 		}
-		if (max(r.ArrivalAt, r.GatewayAt) > r.EngineAt || r.EngineAt >= r.CompletedAt || r.ObservedAt < r.CompletedAt ||
+		if r.Failed {
+			// No engine finished it; it carries an engine stamp only from
+			// an engine that died under it before it migrated.
+			if (f.replay == nil || r.CompletedAt != 0 || r.ObservedAt != 0 || r.EngineAt != 0 && r.Migrations == 0) && err == nil {
+				err = fmt.Errorf("request %d failed outside a replay or after an engine served it: %+v", r.ID, *r)
+			}
+		} else if (max(r.ArrivalAt, r.GatewayAt) > r.EngineAt || r.EngineAt >= r.CompletedAt || r.ObservedAt < r.CompletedAt ||
 			tr.p.First.PollInterval == 0 && r.ObservedAt != r.CompletedAt) && err == nil {
 			err = fmt.Errorf("request %d walked the path out of order: %+v", r.ID, *r)
 		}
 		polled = polled || r.ObservedAt > r.CompletedAt
-		fmt.Fprintf(&sb, "%d %d %d %d %d %d %d\n", r.ID, r.Migrations, r.ArrivalAt, r.GatewayAt, r.EngineAt, r.CompletedAt, r.ObservedAt)
+		fmt.Fprintf(&sb, "%d %d %t %d %d %d %d %d\n", r.ID, r.Migrations, r.Failed, r.ArrivalAt, r.GatewayAt, r.EngineAt, r.CompletedAt, r.ObservedAt)
 	}
 	var drains, kills, ups, downs, refused int
 	for _, cs := range stats {

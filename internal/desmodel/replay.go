@@ -14,7 +14,14 @@ package desmodel
 // decisions the live breaker trace shows. A drawn fault migrates the
 // request to the next ladder candidate the way a live failover re-routes
 // it, so migrations-per-request is the twin of the gateway's
-// failover-attempts-per-request.
+// failover-attempts-per-request. A request the live gateway would shed or
+// give up on fails too: it reaches done unserved, with Failed set.
+//
+// Under a replay every request reaches done through the hand-off pipe, in
+// an event of its own. A closed-loop driver issues its next request from
+// done, and that Arrive may fire a kill: inline, it would tear an engine
+// down inside its own delivery, or recurse Arrive → done → Arrive through a
+// run of failures.
 
 import (
 	"time"
@@ -27,16 +34,14 @@ import (
 
 // ReplayParams attach a recorded live churn schedule to a Federation.
 type ReplayParams struct {
-	// Schedule is the executed live plan (sorted events, fault windows,
-	// measured arrival rate).
+	// Schedule is the executed live plan (sorted events, fault windows).
 	Schedule chaosnet.Schedule
 	// Breaker mirrors the live gateway's per-endpoint breaker so the twin
 	// trips, avoids, and re-probes on the same logical clock.
 	Breaker resilience.BreakerConfig
 	// MaxAttempts mirrors the live failover budget: after this many failed
-	// placements the live gateway returns a typed error; the twin stops
-	// routing the request the same way (it still completes — the DES
-	// conserves requests — but counts no further rungs or migrations).
+	// placements the live gateway returns a typed error, and the twin fails
+	// the request.
 	MaxAttempts int
 }
 
@@ -61,11 +66,15 @@ type fedReplay struct {
 	// infos holds the ladder rows one placement attempt may choose from.
 	infos []federation.EndpointInfo
 
-	sheds     int64 // all-breakers-open: live 503s, twin parks
-	exhausted int64 // failover budget spent: live typed errors, twin parks
+	// handoff takes every finished or failed request to the driver's done
+	// in an event of its own.
+	handoff pipe
+
+	sheds     int64 // all-breakers-open: live 503s, twin failures
+	exhausted int64 // failover budget spent: live typed errors, twin failures
 }
 
-func newFedReplay(f *Federation, p ReplayParams) *fedReplay {
+func newFedReplay(f *Federation, p ReplayParams, done func(*Req)) *fedReplay {
 	if p.MaxAttempts < 1 {
 		p.MaxAttempts = 1
 	}
@@ -85,6 +94,10 @@ func newFedReplay(f *Federation, p ReplayParams) *fedReplay {
 	for range f.clusters {
 		rp.breakers = append(rp.breakers, resilience.NewBreaker(p.Breaker))
 	}
+	if done == nil {
+		done = func(*Req) {}
+	}
+	rp.handoff.init(f.k, 0, 0, done)
 	return rp
 }
 
@@ -107,6 +120,15 @@ func (rp *fedReplay) attempt(idx, ep int) int {
 func (rp *fedReplay) advance(idx int) {
 	rp.nowIdx = idx
 	rp.cur.Advance(idx, rp.fire)
+}
+
+// Failures counts the requests a replay failed: sheds plus exhausted
+// failover budgets. Zero without replay.
+func (f *Federation) Failures() int64 {
+	if f.replay == nil {
+		return 0
+	}
+	return f.replay.sheds + f.replay.exhausted
 }
 
 // ReplayBreakerTrips sums breaker trips across clusters (calibration
@@ -177,7 +199,8 @@ func (rp *fedReplay) fire(ev chaosnet.Event) {
 // breakers (RouteAvoiding's CanAttempt scan), the chosen rung is counted,
 // and the shared fault schedule decides whether the placement sticks. A
 // fault — or a dead pool, the live "endpoint does not host" error — votes
-// into the breaker and fails the request over to the next candidate.
+// into the breaker and fails the request over to the next candidate. A
+// request the live gateway would shed or give up on fails.
 func (f *Federation) routeReplay(r *Req) {
 	rp := f.replay
 	idx := r.ID - 1
@@ -186,9 +209,8 @@ func (f *Federation) routeReplay(r *Req) {
 	rows, _ := f.ladder(m)
 	now := rp.now()
 	var avoided uint64
-	attempts := 0
 	order := make([]int, 0, n)
-	for {
+	for attempts := 0; ; {
 		infos := rp.infos[:0]
 		order = order[:0]
 		for i := 0; i < n; i++ {
@@ -202,33 +224,20 @@ func (f *Federation) routeReplay(r *Req) {
 		if len(infos) == 0 {
 			// Every candidate is breaker-open or already failed this
 			// request: the live gateway sheds with a 503 and counts no
-			// rung. The twin conserves requests, so it parks the request
-			// on the first-configured cluster to complete once that pool
-			// revives — also without a rung count.
+			// rung.
 			rp.sheds++
-			f.clusters[m%n].deps[m].offer(r)
-			return
+			break
 		}
 		sel, reason, err := federation.Select(infos)
 		if err != nil {
 			panic(err) // unreachable: infos is non-empty
 		}
-		switch reason {
-		case federation.ReasonActive:
-			f.rungs.Active++
-		case federation.ReasonCapacity:
-			f.rungs.Capacity++
-		default:
-			f.rungs.FirstConf++
-		}
+		f.rungs.count(reason)
 		ci := order[sel]
 		c := f.clusters[ci]
-		if !rp.breakers[ci].Allow(now) {
-			// Lost the half-open probe slot between scan and attempt
-			// (cannot happen single-threaded, kept for safety).
-			avoided |= 1 << uint(ci)
-			continue
-		}
+		// Reserves the half-open probe slot the scan saw free; Record
+		// releases it.
+		rp.breakers[ci].Allow(now)
 		attempt := rp.attempt(idx, ci)
 		faulty := idx >= 0 &&
 			rp.p.Schedule.Windows.Faulty(rp.p.Schedule.Seed, idx, ci, n, attempt)
@@ -239,19 +248,17 @@ func (f *Federation) routeReplay(r *Req) {
 			c.deps[m].offer(r)
 			return
 		}
-		attempts++
 		avoided |= 1 << uint(ci)
-		if attempts >= rp.p.MaxAttempts {
+		if attempts++; attempts >= rp.p.MaxAttempts {
 			// Retry budget spent: the live request comes back as a typed
-			// 502; the twin parks it on the last candidate (it completes
-			// when the pool revives) and stops counting, like the live
-			// census stops routing it.
+			// 502.
 			rp.exhausted++
-			c.deps[m].offer(r)
-			return
+			break
 		}
 		// The live gateway's failover re-route.
 		r.Migrations++
 		f.migrations++
 	}
+	r.Failed = true
+	rp.handoff.push(r)
 }

@@ -93,9 +93,9 @@ func runReplayOnce(t *testing.T, s chaosnet.Schedule) replaySummary {
 }
 
 // TestReplayConservesAndReruns pins the two replay contracts: every
-// replayed request completes even though the schedule kills every pool
-// mid-run (the DES conserves requests), and two replays of the same
-// schedule are identical down to per-request migration counts.
+// replayed request reaches done, completed or failed, even though the
+// schedule kills every pool mid-run, and two replays of the same schedule
+// are identical down to per-request migration counts.
 func TestReplayConservesAndReruns(t *testing.T) {
 	s := replayTestSchedule()
 	a := runReplayOnce(t, s)
@@ -164,5 +164,61 @@ func TestReplayEventsGateOnIndex(t *testing.T) {
 	arriveUpTo(9, 5*time.Minute)
 	if alive() == 0 {
 		t.Fatal("restart did not revive the pool at the 9th arrival")
+	}
+}
+
+// TestReplayClosedLoopThroughDeadPools drives one closed-loop client, each
+// request issued from the previous one's done as the livefed twin issues
+// them, through a replay that kills both pools at index 10 and restarts
+// them at 20. The requests in between fail as the live gateway fails them;
+// a parked one would hold the loop short of the restart index for ever.
+// Every request reaches done in an event of its own, never inside an
+// Arrive, so a run of failures does not recurse.
+func TestReplayClosedLoopThroughDeadPools(t *testing.T) {
+	const n = 40
+	s := chaosnet.Schedule{Seed: 1, Endpoints: 2, Requests: n, Events: []chaosnet.Event{
+		{AtIndex: 10, Kind: chaosnet.EventKill, Endpoint: 0},
+		{AtIndex: 10, Kind: chaosnet.EventKill, Endpoint: 1},
+		{AtIndex: 20, Kind: chaosnet.EventRestart, Endpoint: 0},
+		{AtIndex: 20, Kind: chaosnet.EventRestart, Endpoint: 1},
+	}}
+	s.Sort()
+	a, k := testArena(sim.QueueCalendar)
+	reqs := make([]Req, n)
+	issued, resolved, arriving := 0, 0, false
+	var f *Federation
+	issue := func() {
+		r := &reqs[issued]
+		issued++
+		*r = Req{ID: issued, PromptTok: 3, OutputTok: 16}
+		arriving = true
+		f.Arrive(r)
+		arriving = false
+	}
+	f = NewFederationIn(a, replayTestParams(2, s), func(r *Req) {
+		if arriving {
+			t.Errorf("request %d reached done inside an Arrive", r.ID)
+		}
+		if resolved++; issued < n {
+			issue()
+		} else if resolved == n {
+			k.Stop()
+		}
+	})
+	issue()
+	k.Run(0)
+	if resolved != n || f.Completions()+f.Failures() != n {
+		t.Fatalf("%d of %d requests resolved: %d completions, %d failures", resolved, n, f.Completions(), f.Failures())
+	}
+	for i := range reqs {
+		r := &reqs[i]
+		if down := i >= 10 && i < 20; down && (!r.Failed || r.ObservedAt != 0) {
+			t.Errorf("request %d, issued while both pools were down, did not fail: %+v", r.ID, *r)
+		} else if i < 10 && r.Failed {
+			t.Errorf("request %d failed before the kills: %+v", r.ID, *r)
+		}
+	}
+	if last := reqs[n-1]; last.Failed || last.ObservedAt == 0 {
+		t.Errorf("the last request did not complete after the restart: %+v", last)
 	}
 }

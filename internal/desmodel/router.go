@@ -27,17 +27,22 @@ func (f *Federation) route(r *Req) {
 	if err != nil {
 		panic(err) // unreachable: the candidate list is never empty
 	}
-	switch reason {
-	case federation.ReasonActive:
-		f.rungs.Active++
-	case federation.ReasonCapacity:
-		f.rungs.Capacity++
-	default:
-		f.rungs.FirstConf++
-	}
+	f.rungs.count(reason)
 	target := &deps[idx]
 	target.c.stats.Routed++
 	target.offer(r)
+}
+
+// count tallies one routing decision on its rung.
+func (g *FedRungs) count(reason federation.Reason) {
+	switch reason {
+	case federation.ReasonActive:
+		g.Active++
+	case federation.ReasonCapacity:
+		g.Capacity++
+	default:
+		g.FirstConf++
+	}
 }
 
 // ladder is model m's rows in configuration order, free GPUs read now, and

@@ -94,7 +94,6 @@ func TestWriteCalibArtifact(t *testing.T) {
 	row := calRow(500, 500, 0, 100, 400, 100, 10)
 	row.Clusters = 2
 	row.Schedule = LiveFedCellsShort[0].BuildSchedule(0xabc)
-	row.Schedule.RatePerSec = 0.01
 	cal := row.Calibrate()
 	if cal.Pass {
 		t.Fatal("synthetic divergent row unexpectedly passed")
@@ -133,9 +132,9 @@ func TestLiveFedCalibrationGate(t *testing.T) {
 		if r.Sim.Offered == 0 || r.Sim.M.Completed == 0 {
 			t.Fatalf("c%d: sim twin did not run: %+v", r.Clusters, r.Sim)
 		}
-		if r.Sim.M.Completed != r.Requests {
-			t.Errorf("c%d: twin completed %d of %d replayed requests (conservation broken)",
-				r.Clusters, r.Sim.M.Completed, r.Requests)
+		if r.Sim.Offered != r.Requests || int64(r.Sim.M.Completed)+r.SimFailed != int64(r.Requests) {
+			t.Errorf("c%d: twin offered %d, completed %d and failed %d of %d requests (conservation broken)",
+				r.Clusters, r.Sim.Offered, r.Sim.M.Completed, r.SimFailed, r.Requests)
 		}
 		la, _, _ := rungShares(r.RungActive, r.RungCapacity, r.RungFirstConf)
 		sa, _, _ := rungShares(r.Sim.Rungs.Active, r.Sim.Rungs.Capacity, r.Sim.Rungs.FirstConf)
@@ -155,8 +154,9 @@ func TestLiveFedCalibrationGate(t *testing.T) {
 		if !cal.Pass {
 			t.Errorf("c%d: calibration gate FAILED: %v", r.Clusters, cal.Violations)
 		}
-		t.Logf("c%d: rung gap %.2f pts (≤%.1f), ratio %.2fx (≤%.1fx), live fo/req %.4f vs sim migr/req %.4f",
+		t.Logf("c%d: rung gap %.2f pts (≤%.1f), ratio %.2fx (≤%.1fx), live fo/req %.4f vs sim migr/req %.4f, failed live %d vs sim %d",
 			r.Clusters, cal.RungGapPts, CalibRungTolerancePts,
-			cal.RateRatio, CalibRateRatioMax, cal.LiveFailoverPerReq, cal.SimMigrationsPerReq)
+			cal.RateRatio, CalibRateRatioMax, cal.LiveFailoverPerReq, cal.SimMigrationsPerReq,
+			r.Shed+r.TypedErr, r.SimFailed)
 	}
 }

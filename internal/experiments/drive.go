@@ -46,9 +46,9 @@ func firstOpenLoop(a *desmodel.Arena, cell string, p desmodel.FirstParams, model
 	return desmodel.Collect(reqs)
 }
 
-// driveClosedLoop runs `sessions` concurrent closed-loop clients: each
+// closedLoop runs `sessions` concurrent closed-loop clients: each
 // session issues a request, waits for completion (plus thinkTime), and
-// immediately issues the next, up to total requests (0 = unbounded; the
+// immediately issues the next, up to limit requests (0 = unbounded; the
 // kernel's Run(until) bounds the experiment). The done callback the system
 // must invoke is returned for wiring before construction; use it like:
 //
@@ -62,6 +62,7 @@ type closedLoop struct {
 	sessions  int
 	thinkTime time.Duration
 	sys       arriver
+	limit     int
 	issued    int
 	finished  []*desmodel.Req
 	slab      []desmodel.Req // requests not yet issued, 256 to an allocation
@@ -73,8 +74,9 @@ type closedLoop struct {
 	historyCap  int
 	history     []int
 
-	// assign, when set, stamps scenario-specific routing fields (e.g. the
-	// federate family's per-session model) on each request before Arrive.
+	// assign, when set, stamps scenario-specific fields (e.g. the federate
+	// family's per-session model, the livefed twin's lengths) on each
+	// request before Arrive.
 	assign func(*desmodel.Req)
 }
 
@@ -100,6 +102,9 @@ func (c *closedLoop) start(sys arriver) {
 }
 
 func (c *closedLoop) issue(session int) {
+	if c.limit > 0 && c.issued == c.limit {
+		return
+	}
 	p, o := c.spec.SampleLengths(c.rng)
 	if c.chatHistory {
 		p += c.history[session]

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"github.com/argonne-first/first/internal/desmodel"
-	"github.com/argonne-first/first/internal/perfmodel"
 	"github.com/argonne-first/first/internal/sim"
 	"github.com/argonne-first/first/internal/workload"
 )
@@ -57,12 +56,6 @@ type FederateCell struct {
 	// reactive watermark policy byte-for-byte; predictive cells are twins
 	// of reactive ones (same trace seed) so a report compares them directly.
 	Predictive bool
-
-	// Replay turns the cell into a live-storm calibration twin: all churn
-	// comes from the recorded schedule (kills, cold restarts, background
-	// GPU claims at the live request indices), the livefed model is served
-	// on the livefed inventory, and the self-scheduled tempo above is off.
-	Replay *desmodel.ReplayParams
 }
 
 // params resolves the cell's federation parameters.
@@ -94,18 +87,6 @@ func (c FederateCell) params() desmodel.FederationParams {
 		}
 		p.Scale = s
 	}
-	if c.Replay != nil {
-		p.Models = []perfmodel.ModelSpec{perfmodel.Default.MustLookup(liveFedModel)}
-		p.NodesPerCluster = liveFedNodes
-		p.GPUsPerNode = liveFedGPUsPerNode
-		// Walltime churn and periodic background jobs are the replayed
-		// schedule's job now; the self-scheduled tempo would double-count
-		// them. The serve walltime just needs to outlive any horizon.
-		p.ServeWalltime = 100_000_000 * time.Second
-		p.DrainGrace = time.Second
-		p.BGPeriod = 0
-		p.Replay = c.Replay
-	}
 	return p
 }
 
@@ -132,7 +113,7 @@ var FederateCells = []FederateCell{
 // FederateRow is one cell's results.
 type FederateRow struct {
 	Clusters int
-	Mode     string // "open", "cordon" (drain-aware open twin), or "webui"
+	Mode     string // "open", "cordon" (drain-aware open twin), "webui", or "livefed" (a live cell's twin)
 	// Shape and Predictive echo the cell's demand curve and scaler.
 	Shape      string
 	Predictive bool
@@ -180,14 +161,14 @@ func openLoopHorizon(n int, ratePerSec float64) sim.Time {
 
 // auditConservation aborts a cell whose federation lost or double-counted a
 // request: every offered request must have arrived, and at most maxInFlight
-// of them (0 for cells that run to their last completion) may be unfinished
-// — at an engine, or past the fabric's worker window and not yet observed —
-// when the run ends.
+// of them (0 for cells that run to their last completion) may be neither
+// completed nor failed by a replay — at an engine, or past the fabric's
+// worker window and not yet observed — when the run ends.
 func auditConservation(cell string, sys *desmodel.Federation, offered, maxInFlight int) {
-	arr, comp := sys.Arrivals(), sys.Completions()
-	if arr != int64(offered) || comp > arr || arr-comp > int64(maxInFlight) || sys.InFlight() > maxInFlight {
-		panic(fmt.Sprintf("experiments: %s: conservation violated (offered %d, arrivals %d, completions %d, %d inside the window, at most %d may be in flight)",
-			cell, offered, arr, comp, sys.InFlight(), maxInFlight))
+	arr, comp, fail := sys.Arrivals(), sys.Completions(), sys.Failures()
+	if arr != int64(offered) || comp+fail > arr || arr-comp-fail > int64(maxInFlight) || sys.InFlight() > maxInFlight {
+		panic(fmt.Sprintf("experiments: %s: conservation violated (offered %d, arrivals %d, completions %d, failures %d, %d inside the window, at most %d may be in flight)",
+			cell, offered, arr, comp, fail, sys.InFlight(), maxInFlight))
 	}
 }
 

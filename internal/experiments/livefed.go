@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
-	"math"
 	"net/http"
 	"sort"
 	"strconv"
@@ -26,16 +25,17 @@ import (
 	"github.com/argonne-first/first/internal/perfmodel"
 	"github.com/argonne-first/first/internal/resilience"
 	"github.com/argonne-first/first/internal/scheduler"
+	"github.com/argonne-first/first/internal/workload"
 )
 
 // The livefed family puts the LIVE stack — real client SDK, chaosnet
 // fault-injecting transport, sharded gateway, breaker-aware federation
 // router, fabric hub, and engine instances on a scaled clock — under a
-// seeded failure storm, then runs a DES federation with matching churn as
-// the calibration twin. The invariant under fire: zero lost requests —
-// every issued request resolves as success, failover-success, shed (503 +
-// Retry-After), or a typed client error, never a hang or an untyped
-// failure.
+// seeded failure storm, then runs the cell's DES calibration twin: the same
+// traffic and the same storm through a DES federation. The invariant under
+// fire: zero lost requests — every issued request resolves as success,
+// failover-success, shed (503 + Retry-After), or a typed client error,
+// never a hang or an untyped failure.
 
 // LiveFedCell is one live chaos scenario.
 type LiveFedCell struct {
@@ -142,17 +142,24 @@ type LiveFedRow struct {
 	// failover re-routes of one request do not advance time).
 	LogicalTicks int64
 
-	// Schedule is the executed churn plan, including the measured arrival
-	// rate — the exact storm the DES twin replays.
+	// Schedule is the executed churn plan, a function of the cell and the
+	// seed: the exact storm the DES twin replays.
 	Schedule chaosnet.Schedule
 
 	// Sim twin: the DES federation replaying Schedule, for calibration.
 	Sim FederateRow
+	// SimFailed counts the requests the twin failed (sheds and spent
+	// failover budgets), the twin's side of Shed + TypedErr.
+	SimFailed int64
 }
 
 // liveFedModel is the single served model; every endpoint hosts it so the
 // ladder's active rung dominates until faults knock endpoints out.
 const liveFedModel = perfmodel.Llama8B
+
+// liveFedMaxTokens is every live request's max_tokens, and so the output
+// length of every twin request.
+const liveFedMaxTokens = 16
 
 var errInjectedFault = errors.New("livefed: injected endpoint fault")
 
@@ -183,21 +190,15 @@ func RunLiveFedOn(f Fleet, seed int64) []LiveFedRow {
 	return RunLiveFedCellsOn(f, seed, LiveFedCells)
 }
 
-// RunLiveFedCellsOn runs each live cell, then replays its executed
-// schedule into the DES calibration twin.
+// RunLiveFedCellsOn runs each live cell, then its DES calibration twin.
 func RunLiveFedCellsOn(f Fleet, seed int64, cells []LiveFedCell) []LiveFedRow {
 	rows := make([]LiveFedRow, len(cells))
 	for i, c := range cells {
 		rows[i] = RunLiveFedCell(seed, c)
 	}
-	twins := make([]FederateCell, len(cells))
-	for i, c := range cells {
-		twins[i] = c.simTwin(rows[i].Schedule)
-	}
-	simRows := RunFederateCellsOn(f, seed, twins)
-	for i := range rows {
-		rows[i].Sim = simRows[i]
-	}
+	f.RunArena(len(cells), func(i int, a *desmodel.Arena) {
+		rows[i].Sim, rows[i].SimFailed = cells[i].twin(a, seed)
+	})
 	return rows
 }
 
@@ -218,27 +219,45 @@ func liveFedBreaker() resilience.BreakerConfig {
 	}
 }
 
-// simTwin shapes the DES calibration run from the *executed* schedule:
-// same federation width and inventory, the same trace length at the
-// measured live arrival rate, and every kill, restart, claim, and fault
-// window replayed at its recorded request index — nothing guessed.
-func (c LiveFedCell) simTwin(s chaosnet.Schedule) FederateCell {
-	rate := s.RatePerSec
-	if rate <= 0 {
-		rate = 1
+// twin runs the cell's DES calibration twin, a function of the cell and the
+// seed alone. It drives the live driver's traffic: max(Concurrency, 1)
+// closed-loop sessions with no think time, Requests in all, request i with
+// live request i's prompt and output lengths. They go through a federation
+// of the live inventory serving the live model, under the live gateway's
+// breaker and failover budget, with every kill, restart, claim and fault
+// window of the cell's schedule replayed at its request index. It returns
+// the twin's row and how many requests it failed.
+func (c LiveFedCell) twin(a *desmodel.Arena, seed int64) (FederateRow, int64) {
+	p := desmodel.DefaultFederationParams(c.Clusters)
+	p.Models = []perfmodel.ModelSpec{perfmodel.Default.MustLookup(liveFedModel)}
+	p.NodesPerCluster, p.GPUsPerNode = liveFedNodes, liveFedGPUsPerNode
+	// Walltime churn and periodic background jobs are the schedule's job:
+	// the serve walltime outlives any run, and no background job
+	// self-schedules.
+	p.ServeWalltime, p.DrainGrace, p.BGPeriod = 100_000_000*time.Second, time.Second, 0
+	p.Replay = &desmodel.ReplayParams{
+		Schedule: c.BuildSchedule(c.cellSeed(seed)), Breaker: liveFedBreaker(), MaxAttempts: c.MaxAttempts,
 	}
-	maxAttempts := c.MaxAttempts
-	if maxAttempts < 1 {
-		maxAttempts = 1
+
+	k := a.Begin()
+	k.MaxEvents = federateEventBudget
+	defer func() { k.MaxEvents = 0 }()
+	loop := newClosedLoop(k, workload.LengthSpec{}, seed, max(c.Concurrency, 1), 0)
+	loop.limit = c.Requests
+	loop.assign = func(r *desmodel.Req) {
+		r.PromptTok = workload.EstimateTokens(liveFedPrompt(r.ID - 1))
+		r.OutputTok = liveFedMaxTokens
 	}
-	return FederateCell{
-		Clusters:     c.Clusters,
-		OpenLoopReqs: c.Requests,
-		RatePerSec:   rate,
-		// Breaker and MaxAttempts mirror the live gateway so avoidance and
-		// failover budgets match.
-		Replay: &desmodel.ReplayParams{Schedule: s, Breaker: liveFedBreaker(), MaxAttempts: maxAttempts},
-	}
+	sys := desmodel.NewFederationIn(a, p, func(r *desmodel.Req) {
+		loop.onDone(r)
+		if len(loop.finished) == c.Requests {
+			k.Stop()
+		}
+	})
+	loop.start(sys)
+	end := k.Run(0)
+	auditConservation(fmt.Sprintf("livefed twin c%d", c.Clusters), sys, c.Requests, 0)
+	return federateRow(sys, FederateCell{Clusters: c.Clusters}, "livefed", c.Requests, loop.finished, end), sys.Failures()
 }
 
 // cellSeed folds the entire cell config through FNV + splitmix64: the old
@@ -301,17 +320,6 @@ func (c LiveFedCell) BuildSchedule(cellSeed uint64) chaosnet.Schedule {
 	}
 	s.Sort()
 	return s
-}
-
-// roundRate rounds the measured arrival rate to 3 significant digits: the
-// scaled clock's elapsed time carries host-speed noise, and the twin only
-// needs the tempo, not the jitter.
-func roundRate(x float64) float64 {
-	if x <= 0 {
-		return 0
-	}
-	mag := math.Pow(10, math.Floor(math.Log10(x))-2)
-	return math.Round(x/mag) * mag
 }
 
 // RunLiveFedCell boots a real multi-cluster System, arms the fault
@@ -468,7 +476,7 @@ func RunLiveFedCell(seed int64, c LiveFedCell) LiveFedRow {
 		req := openaiapi.ChatCompletionRequest{
 			Model:     liveFedModel,
 			Messages:  []openaiapi.Message{{Role: "user", Content: liveFedPrompt(i)}},
-			MaxTokens: 16,
+			MaxTokens: liveFedMaxTokens,
 		}
 		failoverBefore := counterOf(sys, "failover_success")
 		start := sys.Clock.Now()
@@ -514,7 +522,6 @@ func RunLiveFedCell(seed int64, c LiveFedCell) LiveFedRow {
 
 	// With one worker, request i is issued i-th and the token refresh lands
 	// on the same requests, so the outcome schedule is deterministic.
-	runStart := sys.Clock.Now()
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < max(c.Concurrency, 1); w++ {
@@ -535,12 +542,6 @@ func RunLiveFedCell(seed int64, c LiveFedCell) LiveFedRow {
 		}()
 	}
 	wg.Wait()
-	// The executed schedule records the measured arrival tempo (requests
-	// per simulated second) so the twin replays the storm at the rate the
-	// live stack actually ran, not a guessed constant.
-	if elapsed := sys.Clock.Since(runStart).Seconds(); elapsed > 0 && c.Requests > 0 {
-		sched.RatePerSec = roundRate(float64(c.Requests) / elapsed)
-	}
 	row.Schedule = sched
 	row.LogicalTicks = logical.Load()
 

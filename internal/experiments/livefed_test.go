@@ -174,7 +174,7 @@ func TestLiveFedLogicalClockInvariant(t *testing.T) {
 // TestLiveFedBuildScheduleInvariants checks the churn-plan builder across
 // every configured cell: events sorted on the (index, kind, endpoint) key,
 // nothing scheduled past the trace (the live driver would never fire it,
-// and a replayed kill with no restart would starve parked twin requests),
+// and a replayed kill with no restart would leave its twin pool dead),
 // kills always paired with a later restart, and no victim killed while
 // still down.
 func TestLiveFedBuildScheduleInvariants(t *testing.T) {
@@ -229,32 +229,54 @@ func TestLiveFedBuildScheduleInvariants(t *testing.T) {
 	}
 }
 
-// TestLiveFedTwinByteIdentity is the acceptance bar for the replay path:
-// the same executed schedule replayed into the DES twin twice produces
-// byte-identical results — the twin is a pure function of the schedule.
+// TestLiveFedTwinByteIdentity pins the twin as a function of the cell and
+// the seed alone: two runs from (cell, seed) give byte-identical rows, and
+// the Sim row RunLiveFedCellsOn reports beside the live run is that row.
 func TestLiveFedTwinByteIdentity(t *testing.T) {
 	c := LiveFedCellsShort[0]
-	s := c.BuildSchedule(c.cellSeed(DefaultSeed))
-	if !bytes.Equal(s.Canonical(), c.BuildSchedule(c.cellSeed(DefaultSeed)).Canonical()) {
+	if !bytes.Equal(c.BuildSchedule(c.cellSeed(DefaultSeed)).Canonical(), c.BuildSchedule(c.cellSeed(DefaultSeed)).Canonical()) {
 		t.Fatal("BuildSchedule is not deterministic")
 	}
-	s.RatePerSec = 0.01 // stand in for the live-measured tempo
-	twin := c.simTwin(s)
-	a := RunFederateCellsOn(Sequential, DefaultSeed, []FederateCell{twin})
-	b := RunFederateCellsOn(Sequential, DefaultSeed, []FederateCell{twin})
-	ja, err := json.Marshal(a)
-	if err != nil {
-		t.Fatal(err)
+	encode := func(r LiveFedRow) []byte {
+		t.Helper()
+		j, err := json.Marshal([]any{r.Sim, r.SimFailed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return j
 	}
-	jb, err := json.Marshal(b)
-	if err != nil {
-		t.Fatal(err)
+	twin := func() LiveFedRow {
+		var r LiveFedRow
+		Sequential.RunArena(1, func(_ int, a *desmodel.Arena) { r.Sim, r.SimFailed = c.twin(a, DefaultSeed) })
+		return r
 	}
+	a := twin()
+	ja, jb := encode(a), encode(twin())
 	if !bytes.Equal(ja, jb) {
-		t.Fatalf("twin replays diverged:\n  a=%s\n  b=%s", ja, jb)
+		t.Fatalf("twin runs diverged:\n  a=%s\n  b=%s", ja, jb)
 	}
-	if a[0].HardKills == 0 || a[0].Migrations == 0 {
-		t.Errorf("replay twin too quiet to trust identity: %+v", a[0])
+	if jl := encode(RunLiveFedCellsOn(Sequential, DefaultSeed, []LiveFedCell{c})[0]); !bytes.Equal(ja, jl) {
+		t.Fatalf("the twin beside the live run differs from the standalone twin:\n  standalone=%s\n  beside live=%s", ja, jl)
+	}
+	if a.Sim.HardKills == 0 || a.Sim.Migrations == 0 || a.SimFailed == 0 {
+		t.Errorf("replay twin too quiet to trust identity: %d failed, %+v", a.SimFailed, a.Sim)
+	}
+}
+
+// TestLiveFedTwinConcurrentSessions runs the short cell's twin with 16
+// closed-loop sessions, so an engine delivery carries several completions
+// and the request issued from one of them may fire a replayed kill of that
+// engine. Done runs in an event of its own under a replay, so the kill never
+// lands inside the delivery, and every request resolves once.
+func TestLiveFedTwinConcurrentSessions(t *testing.T) {
+	c := LiveFedCellsShort[0]
+	c.Concurrency = 16
+	var row FederateRow
+	var failed int64
+	Sequential.RunArena(1, func(_ int, a *desmodel.Arena) { row, failed = c.twin(a, DefaultSeed) })
+	if row.Offered != c.Requests || int64(row.M.Completed)+failed != int64(c.Requests) || row.HardKills == 0 {
+		t.Errorf("16 sessions: offered %d, completed %d, failed %d of %d, %d hard kills",
+			row.Offered, row.M.Completed, failed, c.Requests, row.HardKills)
 	}
 }
 

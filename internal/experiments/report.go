@@ -104,8 +104,8 @@ func ReportLiveFed(w io.Writer, rows []LiveFedRow) {
 			r.RetryAmp, r.Trips, r.AuthRechecks)
 	}
 	fmt.Fprintln(w)
-	fmt.Fprintln(w, "calibration (live vs DES twin replaying the executed schedule):")
-	fmt.Fprintf(w, "clus  rung a/c/f live%%            rung a/c/f sim%%             p99 live/sim(s)   failover-per-req live/sim   gap(pts)  ratio  gate(±%.0fpts, %.0fx)\n",
+	fmt.Fprintln(w, "calibration (live vs DES twin replaying the executed schedule; failed live = shed + typed-err):")
+	fmt.Fprintf(w, "clus  rung a/c/f live%%            rung a/c/f sim%%             p99 live/sim(s)   failed live/sim   failover-per-req live/sim   gap(pts)  ratio  gate(±%.0fpts, %.0fx)\n",
 		CalibRungTolerancePts, CalibRateRatioMax)
 	for _, r := range rows {
 		la, lc, lf := rungShares(r.RungActive, r.RungCapacity, r.RungFirstConf)
@@ -115,9 +115,9 @@ func ReportLiveFed(w io.Writer, rows []LiveFedRow) {
 		if !cal.Pass {
 			verdict = "FAIL"
 		}
-		fmt.Fprintf(w, "%-4d  %5.1f/%5.1f/%5.1f           %5.1f/%5.1f/%5.1f            %6.2f/%6.2f     %8.4f/%8.4f      %7.2f  %5.2f  %s\n",
+		fmt.Fprintf(w, "%-4d  %5.1f/%5.1f/%5.1f           %5.1f/%5.1f/%5.1f            %6.2f/%6.2f     %6d/%-6d     %8.4f/%8.4f      %7.2f  %5.2f  %s\n",
 			r.Clusters, la, lc, lf, sa, sc, sf, r.P99S, r.Sim.M.P99LatS,
-			cal.LiveFailoverPerReq, cal.SimMigrationsPerReq,
+			r.Shed+r.TypedErr, r.SimFailed, cal.LiveFailoverPerReq, cal.SimMigrationsPerReq,
 			cal.RungGapPts, cal.RateRatio, verdict)
 		for _, v := range cal.Violations {
 			fmt.Fprintf(w, "      !! %s\n", v)
