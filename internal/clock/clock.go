@@ -40,11 +40,15 @@
 // deadlines the live stack at 20000× is CPU-bound and its wall time per
 // request follows a shared host's speed drift one to one; that made the
 // live benchmark's rate unrepeatable (see CHANGES.md, PR 14, for the runs).
-// The width is set by the longest such stretch on the request path — some
-// 80 µs of client and gateway code around the hub's 12.5 µs submit wait,
-// two periods with a fifth to spare; at 48 µs that stretch sat 4 µs from
-// its boundary and the rate still followed the host. The price is a mean
-// 28 µs per wait.
+// The width was set by the longest such stretch on the request path — some
+// 80 µs of client and gateway code around what was then the hub's own
+// 12.5 µs submit wait, two periods with a fifth to spare; at 48 µs that
+// stretch sat 4 µs from its boundary and the rate still followed the host.
+// The hub now books submit, dispatch and pickup as one wait of 38.5 µs at
+// 20000×, due from the submit instant (internal/fabric), so that code runs
+// between the serving engine's last wait for one request and that booked
+// wait for the next; the width was not re-tuned for it. The price is a
+// mean 28 µs per wait.
 //
 // Why one spinner per clock: letting each sleeper yield-spin for itself is
 // marginally more precise, but puts as many spinners on the run queue as

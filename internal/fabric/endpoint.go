@@ -169,23 +169,18 @@ func (ep *Endpoint) ModelStatuses() []ModelStatus {
 	return statuses
 }
 
-// execute runs a task (called from the hub's dispatch lane on a fresh
-// goroutine) and reports the result through done.
-func (ep *Endpoint) execute(task *Task, done func([]byte, error)) {
+// execute runs a task on the task's own goroutine, at the pickup instant
+// the hub booked for it.
+func (ep *Endpoint) execute(task *Task) ([]byte, error) {
 	ep.mu.Lock()
 	h, ok := ep.handlers[task.Function]
 	closed := ep.closed
 	ep.mu.Unlock()
 	if closed {
-		done(nil, ErrEndpointShutdown)
-		return
+		return nil, ErrEndpointShutdown
 	}
 	if !ok {
-		done(nil, fmt.Errorf("%w: %s", ErrUnknownFunction, task.Function))
-		return
-	}
-	if ep.cfg.PickupLatency > 0 {
-		ep.clk.Sleep(ep.cfg.PickupLatency)
+		return nil, fmt.Errorf("%w: %s", ErrUnknownFunction, task.Function)
 	}
 	task.setStatus(TaskRunning)
 	ep.met.Counter("endpoint_tasks").Inc()
@@ -193,7 +188,7 @@ func (ep *Endpoint) execute(task *Task, done func([]byte, error)) {
 	if err != nil {
 		ep.met.Counter("endpoint_task_failures").Inc()
 	}
-	done(result, err)
+	return result, err
 }
 
 func (ep *Endpoint) handleInfer(ctx context.Context, payload []byte) ([]byte, error) {

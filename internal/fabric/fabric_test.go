@@ -491,55 +491,242 @@ func TestPayloadRoundtrip(t *testing.T) {
 	}
 }
 
-// A backlogged lane drains at 1/DispatchCost, the Fig. 4 ceiling, not at
-// 1/(DispatchCost + what a sleep overshoots by): 400 tasks queued behind a
-// 20 ms lane leave it 8 s later. At 20000× that is 400 µs of wall with 40 µs
-// of tolerance, which a shared host's hiccups (and the packages go test runs
-// beside this one) exceed now and then — the lane has to hit it once in a
-// few spaced tries; it may never run ahead of the model.
-func TestDispatchLanePacesAgainstAbsoluteDeadline(t *testing.T) {
-	const tasks, cost = 400, 20 * time.Millisecond
-	// 20 ms is 1 µs of wall per task. Where the lane's own work per task
-	// takes longer than that (the race detector), there is no pacing to test.
-	if cpu := min(drainDispatchLane(tasks, 0), drainDispatchLane(tasks, 0), drainDispatchLane(tasks, 0)); cpu >= tasks*cost {
-		t.Skipf("handling %d tasks takes %v of virtual time without any lane cost", tasks, cpu)
+// manualHub is a hub with one endpoint ("ep-m") on a manual clock. The
+// endpoint deploys nothing, so the only waiters on the clock are the hub's
+// tasks and their futures; its "admin.stamp" function reports the instant
+// each task runs at on the returned channel.
+func manualHub(t *testing.T, cfg HubConfig, pickup time.Duration) (*clock.Manual, *Client, <-chan time.Time) {
+	t.Helper()
+	clk := clock.NewManual(time.Unix(1_000_000, 0))
+	sched := scheduler.New(cluster.New("mcl", 1, 1, perfmodel.A100_40), clk, scheduler.Config{})
+	ep, err := NewEndpoint(EndpointConfig{ID: "ep-m", Scheduler: sched, PickupLatency: pickup}, clk, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
-	var got time.Duration
-	for try := 0; try < 20; try++ {
-		time.Sleep(time.Duration(try) * time.Millisecond)
-		got = drainDispatchLane(tasks, cost)
-		t.Logf("try %d: drained in %v", try, got)
-		if got < tasks*cost {
-			t.Fatalf("%d tasks left a %v lane after %v, before the model's %v", tasks, cost, got, tasks*cost)
-		}
-		if got <= tasks*cost*11/10 {
-			return
-		}
-	}
-	t.Errorf("%d tasks left a %v lane after %v, want %v + at most 10 %%", tasks, cost, got, tasks*cost)
+	ran := make(chan time.Time, 64)
+	ep.RegisterFunction("admin.stamp", func(context.Context, []byte) ([]byte, error) {
+		ran <- clk.Now()
+		return []byte("ok"), nil
+	})
+	hub := NewHub(clk, cfg, "id", "secret", nil)
+	hub.RegisterEndpoint(ep)
+	t.Cleanup(func() {
+		hub.Close()
+		ep.Close()
+		sched.Close()
+	})
+	return clk, NewClient(hub, ClientConfig{Credentials: Credentials{ClientID: "id", ClientSecret: "secret"}}), ran
 }
 
-// drainDispatchLane queues n tasks on a fresh hub at one instant and reports
-// the virtual time until the last has left the dispatch lane. The tasks name
-// no registered endpoint, so the lane fails each straight into the (free)
-// relay lane and nothing else competes for the processor.
-func drainDispatchLane(n int, cost time.Duration) time.Duration {
-	clk := clock.NewScaled(20000)
-	hub := NewHub(clk, HubConfig{DispatchCost: cost}, "id", "secret", nil)
-	defer hub.Close()
-	items := make([]*dispatchItem, n)
-	for i := range items {
-		task := &Task{ID: int64(i), EndpointID: "ep-nowhere"}
-		items[i] = &dispatchItem{task: task, future: &Future{task: task, done: make(chan struct{})}}
+// waitPending blocks until n goroutines sleep on clk, so that an Advance
+// reaches every one of them.
+func waitPending(t *testing.T, clk *clock.Manual, n int) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for clk.PendingWaiters() != n {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d waiters on the clock, want %d", clk.PendingWaiters(), n)
+		}
+		time.Sleep(100 * time.Microsecond)
 	}
-	hub.mu.Lock()
-	hub.queued = n
-	hub.mu.Unlock()
-	start := clk.Now()
-	for _, it := range items {
-		it.at = start
-		hub.dispatchCh <- it
+}
+
+func manualSubmit(t *testing.T, c *Client) *Future {
+	t.Helper()
+	f, err := c.Submit("ep-m", "admin.stamp", nil)
+	if err != nil {
+		t.Fatal(err)
 	}
-	<-items[n-1].future.done
-	return clk.Since(start)
+	return f
+}
+
+// resolved blocks until the task's outcome is in, relayed or not.
+func resolved(t *testing.T, f *Future) {
+	t.Helper()
+	select {
+	case <-f.done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the task's outcome never came in")
+	}
+}
+
+// Tasks submitted at one instant leave the dispatch lane at
+// D_i = max(t + SubmitLatency, D_{i-1}) + DispatchCost, the Fig. 4 ceiling,
+// and each runs at D_i + PickupLatency: not a nanosecond before.
+func TestHubBooksDispatchDepartures(t *testing.T) {
+	const n = 6
+	const submit, cost, pickup = 250 * time.Millisecond, 20 * time.Millisecond, 100 * time.Millisecond
+	clk, c, ran := manualHub(t, HubConfig{SubmitLatency: submit, DispatchCost: cost, CacheConnections: true}, pickup)
+	t0 := clk.Now()
+	futs := make([]*Future, n)
+	var d time.Time
+	for i := range futs {
+		futs[i] = manualSubmit(t, c)
+		d = later(t0.Add(submit), d).Add(cost)
+		if got := futs[i].task.dispatchedAt; !got.Equal(d) {
+			t.Fatalf("task %d leaves the dispatch lane at t0+%v, want t0+%v", i, got.Sub(t0), d.Sub(t0))
+		}
+	}
+	waitPending(t, clk, n)
+	for i, f := range futs {
+		at := f.task.dispatchedAt.Add(pickup)
+		clk.Advance(at.Sub(clk.Now()) - 1)
+		if got := clk.PendingWaiters(); got != n-i {
+			t.Fatalf("task %d released before its pickup instant: %d waiters left, want %d", i, got, n-i)
+		}
+		clk.Advance(1)
+		if got := <-ran; !got.Equal(at) {
+			t.Fatalf("task %d ran at t0+%v, want t0+%v", i, got.Sub(t0), at.Sub(t0))
+		}
+	}
+}
+
+// QueuedTasks counts a task until its dispatch departure D, not until its
+// pickup, and the queue bound reads the same count.
+func TestHubQueuedTasksDropsAtDispatch(t *testing.T) {
+	const submit, cost = 250 * time.Millisecond, 20 * time.Millisecond
+	clk, c, _ := manualHub(t, HubConfig{SubmitLatency: submit, DispatchCost: cost, MaxQueuedTasks: 2}, time.Hour)
+	first, second := manualSubmit(t, c), manualSubmit(t, c)
+	if _, err := c.Submit("ep-m", "admin.stamp", nil); !errors.Is(err, ErrHubQueueFull) {
+		t.Fatalf("third submit into a 2-task hub: err = %v, want queue full", err)
+	}
+	for _, step := range []struct {
+		to   time.Time
+		want int
+	}{
+		{first.task.dispatchedAt.Add(-1), 2},
+		{first.task.dispatchedAt, 1},
+		{second.task.dispatchedAt.Add(-1), 1},
+		{second.task.dispatchedAt, 0},
+	} {
+		clk.Advance(step.to.Sub(clk.Now()))
+		if got := c.QueuedTasks(); got != step.want {
+			t.Fatalf("at t0+%v: %d queued, want %d", step.to.Sub(first.task.SubmittedAt), got, step.want)
+		}
+	}
+	if st := first.Task().Status(); st != TaskDispatched {
+		t.Errorf("status past D, before pickup = %v, want dispatched", st)
+	}
+	manualSubmit(t, c)
+	if got := c.QueuedTasks(); got != 1 {
+		t.Errorf("%d queued after a submit into the drained hub, want 1", got)
+	}
+}
+
+// A task booked before Close whose pickup instant passes after it fails with
+// ErrEndpointShutdown, without running, rather than never resolving.
+func TestHubCloseResolvesBookedTasks(t *testing.T) {
+	clk, c, ran := manualHub(t, HubConfig{SubmitLatency: time.Second, DispatchCost: time.Second}, time.Second)
+	f := manualSubmit(t, c)
+	c.hub.Close()
+	waitPending(t, clk, 1)
+	clk.Advance(3 * time.Second)
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if _, err := f.Wait(ctx); !errors.Is(err, ErrEndpointShutdown) {
+		t.Fatalf("Wait = %v, want %v", err, ErrEndpointShutdown)
+	}
+	select {
+	case <-ran:
+		t.Error("the task ran on a closed hub")
+	default:
+	}
+}
+
+// The outcome comes in at the task's finish, its relay departure S is
+// RelayCost later: Done, Status and Wait show it at S and not before.
+func TestFutureReportsAtRelayDeparture(t *testing.T) {
+	const relay = 15 * time.Millisecond
+	clk, c, ran := manualHub(t, HubConfig{RelayCost: relay}, time.Millisecond)
+	f := manualSubmit(t, c)
+	waitPending(t, clk, 1)
+	clk.Advance(time.Millisecond)
+	<-ran
+	resolved(t, f)
+	if f.Done() || f.Task().Status() != TaskRunning {
+		t.Fatalf("before S: Done = %v, status %v; want false, running", f.Done(), f.Task().Status())
+	}
+	got := make(chan time.Time, 1)
+	go func() {
+		if out, err := f.Wait(context.Background()); err != nil || string(out) != "ok" {
+			t.Errorf("Wait = %q, %v", out, err)
+		}
+		got <- clk.Now()
+	}()
+	waitPending(t, clk, 1)
+	clk.Advance(relay - 1)
+	if f.Done() || f.Task().Status() != TaskRunning || clk.PendingWaiters() != 1 {
+		t.Fatalf("1 ns before S: Done = %v, status %v, %d waiters", f.Done(), f.Task().Status(), clk.PendingWaiters())
+	}
+	clk.Advance(1)
+	if at := <-got; !at.Equal(f.task.relayedAt) {
+		t.Errorf("Wait returned at %v, want S = %v", at, f.task.relayedAt)
+	}
+	if !f.Done() || f.Task().Status() != TaskSuccess {
+		t.Errorf("at S: Done = %v, status %v; want true, success", f.Done(), f.Task().Status())
+	}
+}
+
+// A waiter whose context ends while it sleeps out the relay gets ctx.Err().
+func TestFutureWaitCancelledDuringRelay(t *testing.T) {
+	clk, c, ran := manualHub(t, HubConfig{RelayCost: time.Second}, time.Millisecond)
+	f := manualSubmit(t, c)
+	waitPending(t, clk, 1)
+	clk.Advance(time.Millisecond)
+	<-ran
+	resolved(t, f)
+	ctx, cancel := context.WithCancel(context.Background())
+	errc := make(chan error, 1)
+	go func() {
+		_, err := f.Wait(ctx)
+		errc <- err
+	}()
+	waitPending(t, clk, 1)
+	cancel()
+	select {
+	case err := <-errc:
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("Wait = %v, want %v", err, context.Canceled)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Wait ignored its cancelled context")
+	}
+}
+
+// On the scaled clock every request spends at least submit + dispatch +
+// pickup + relay of virtual time in the fabric, alone or in a burst.
+func TestFabricLatencyCoversEveryStage(t *testing.T) {
+	cfg := HubConfig{
+		SubmitLatency: 250 * time.Millisecond, DispatchCost: 20 * time.Millisecond,
+		RelayCost: 15 * time.Millisecond, CacheConnections: true, MaxQueuedTasks: 1024,
+	}
+	f := newTestFabric(t, cfg, 1)
+	f.ep.RegisterFunction("admin.echo", func(_ context.Context, payload []byte) ([]byte, error) {
+		return payload, nil
+	})
+	c := f.client()
+	floor := cfg.SubmitLatency + cfg.DispatchCost + f.ep.cfg.PickupLatency + cfg.RelayCost
+	run := func() time.Duration {
+		start := f.clk.Now()
+		if _, err := c.Run(context.Background(), "ep-test", "admin.echo", nil); err != nil {
+			t.Error(err)
+		}
+		return f.clk.Since(start)
+	}
+	for i := 0; i < 20; i++ {
+		if got := run(); got < floor {
+			t.Fatalf("request %d spent %v in the fabric, below the modelled %v", i, got, floor)
+		}
+	}
+	var wg sync.WaitGroup
+	for i := 0; i < 20; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if got := run(); got < floor {
+				t.Errorf("request in a burst spent %v in the fabric, below the modelled %v", got, floor)
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -59,6 +59,7 @@ func DefaultHubConfig() HubConfig {
 // Hub is the cloud-hosted routing service. All traffic between gateway and
 // endpoints flows through it; endpoints authenticate with the shared
 // confidential client (§3.2.3), so users can never reach endpoints directly.
+// Its dispatch and relay lanes are booked under mu (see the package comment).
 type Hub struct {
 	clk clock.Clock
 	cfg HubConfig
@@ -70,26 +71,12 @@ type Hub struct {
 	mu          sync.Mutex
 	endpoints   map[string]*Endpoint
 	connections map[string]bool // client+endpoint connection cache
-	queued      int
 	nextTaskID  int64
-
-	dispatchCh chan *dispatchItem
-	relayCh    chan *relayItem
-	stop       chan struct{}
-	stopOnce   sync.Once
-}
-
-type dispatchItem struct {
-	task   *Task
-	future *Future
-	at     time.Time // arrival at the lane
-}
-
-type relayItem struct {
-	future *Future
-	result []byte
-	err    error
-	at     time.Time // arrival at the lane
+	dispatched  time.Time   // the newest task's dispatch departure D
+	relayed     time.Time   // the newest result's relay departure S
+	queued      []time.Time // booked dispatch departures, in order; the first passed are past
+	passed      int
+	closed      bool
 }
 
 // NewHub creates a hub bound to the administrators' confidential client.
@@ -97,25 +84,12 @@ func NewHub(clk clock.Clock, cfg HubConfig, clientID, clientSecret string, met *
 	if met == nil {
 		met = metrics.NewRegistry()
 	}
-	h := &Hub{
+	return &Hub{
 		clk: clk, cfg: cfg, met: met,
 		clientID: clientID, clientSecret: clientSecret,
 		endpoints:   make(map[string]*Endpoint),
 		connections: make(map[string]bool),
-		dispatchCh:  make(chan *dispatchItem, maxInt(cfg.MaxQueuedTasks, 1024)),
-		relayCh:     make(chan *relayItem, maxInt(cfg.MaxQueuedTasks, 1024)),
-		stop:        make(chan struct{}),
 	}
-	go h.dispatchLoop()
-	go h.relayLoop()
-	return h
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // RegisterEndpoint attaches an endpoint (administrator action).
@@ -136,15 +110,17 @@ func (h *Hub) Endpoints() []string {
 	return ids
 }
 
-// QueuedTasks reports tasks accepted but not yet handed to an endpoint.
+// QueuedTasks reports tasks accepted but not yet past their dispatch
+// departure D.
 func (h *Hub) QueuedTasks() int {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	return h.queued
+	return h.backlog(h.clk.Now())
 }
 
-// submit validates and accepts a task from a client SDK. The returned
-// future resolves when the endpoint's result is relayed back.
+// submit validates and accepts a task from a client SDK and books its
+// dispatch departure. The returned future resolves when the endpoint's
+// result is relayed back.
 func (h *Hub) submit(creds Credentials, endpointID, function string, payload []byte) (*Future, error) {
 	if creds.ClientID != h.clientID || creds.ClientSecret != h.clientSecret {
 		return nil, ErrBadCredentials
@@ -159,130 +135,108 @@ func (h *Hub) submit(creds Credentials, endpointID, function string, payload []b
 		h.mu.Unlock()
 		return nil, fmt.Errorf("%w: %s on %s", ErrUnknownFunction, function, endpointID)
 	}
-	if h.cfg.MaxQueuedTasks > 0 && h.queued >= h.cfg.MaxQueuedTasks {
+	now := h.clk.Now()
+	if n := h.backlog(now); h.cfg.MaxQueuedTasks > 0 && n >= h.cfg.MaxQueuedTasks {
 		h.mu.Unlock()
 		return nil, ErrHubQueueFull
 	}
-	needConnect := false
+	// D = max(now + SubmitLatency [+ ConnectLatency], previous D) +
+	// DispatchCost: the round trip, and connection setup when not cached, is
+	// latency ahead of the lane, not a throughput bottleneck.
+	arrive := now.Add(max(h.cfg.SubmitLatency, 0))
 	connKey := creds.ClientID + "→" + endpointID
 	if !h.cfg.CacheConnections || !h.connections[connKey] {
-		needConnect = true
+		arrive = arrive.Add(max(h.cfg.ConnectLatency, 0))
 		if h.cfg.CacheConnections {
 			h.connections[connKey] = true
 		}
 	}
+	// The dispatch lane's per-task cost is the fabric-wide ceiling ("our
+	// overall scaling is currently limited by the ability of Globus Compute
+	// to scale and route requests", §5.3.2).
+	h.dispatched = later(arrive, h.dispatched).Add(max(h.cfg.DispatchCost, 0))
+	h.queued = append(h.queued, h.dispatched)
 	h.nextTaskID++
 	task := &Task{
-		ID:          h.nextTaskID,
-		Function:    function,
-		EndpointID:  endpointID,
-		Payload:     payload,
-		SubmittedAt: h.clk.Now(),
-		status:      TaskPending,
+		ID:           h.nextTaskID,
+		Function:     function,
+		EndpointID:   endpointID,
+		Payload:      payload,
+		SubmittedAt:  now,
+		clk:          h.clk,
+		dispatchedAt: h.dispatched,
 	}
-	h.queued++
 	h.mu.Unlock()
-
-	// Charge the submission round trip (and connection setup when not
-	// cached) on the caller's goroutine — this is latency, not a
-	// throughput bottleneck.
-	if needConnect && h.cfg.ConnectLatency > 0 {
-		h.clk.Sleep(h.cfg.ConnectLatency)
-	}
-	if h.cfg.SubmitLatency > 0 {
-		h.clk.Sleep(h.cfg.SubmitLatency)
-	}
 
 	future := &Future{task: task, done: make(chan struct{})}
 	h.met.Counter("hub_tasks_submitted").Inc()
-	select {
-	case h.dispatchCh <- &dispatchItem{task: task, future: future, at: h.clk.Now()}:
-	default:
-		h.mu.Lock()
-		h.queued--
-		h.mu.Unlock()
-		return nil, ErrHubQueueFull
-	}
+	go h.run(ep, future, task.dispatchedAt.Add(max(ep.cfg.PickupLatency, 0)))
 	return future, nil
 }
 
-// dispatchLoop is the serialized routing lane: its per-task cost is the
-// fabric-wide ceiling ("our overall scaling is currently limited by the
-// ability of Globus Compute to scale and route requests", §5.3.2).
-func (h *Hub) dispatchLoop() {
-	var free time.Time
-	for {
-		select {
-		case <-h.stop:
-			return
-		case item := <-h.dispatchCh:
-			h.serve(&free, item.at, h.cfg.DispatchCost)
-			h.mu.Lock()
-			ep := h.endpoints[item.task.EndpointID]
-			h.queued--
-			h.mu.Unlock()
-			item.task.setStatus(TaskDispatched)
-			if ep == nil {
-				h.finish(item.future, nil, ErrUnknownEndpoint)
-				continue
-			}
-			task := item.task
-			fut := item.future
-			go ep.execute(task, func(result []byte, err error) {
-				h.finish(fut, result, err)
-			})
-		}
+// run is a task's one goroutine: it sleeps to the endpoint's pickup instant
+// D + PickupLatency, runs the task there and relays the result.
+func (h *Hub) run(ep *Endpoint, fut *Future, pickup time.Time) {
+	h.clk.Sleep(pickup.Sub(h.clk.Now()))
+	h.mu.Lock()
+	closed := h.closed
+	h.mu.Unlock()
+	result, err := []byte(nil), ErrEndpointShutdown
+	if !closed {
+		result, err = ep.execute(fut.task)
 	}
+	h.finish(fut, result, err)
 }
 
-// serve charges one item's cost on a serialized lane. free is when the lane
-// finishes the item before it; this one starts then, or on arrival if the
-// lane stood idle, and the lane sleeps toward that absolute finish. A sleep
-// that returns late therefore shortens the next one, and a backlogged lane
-// drains at the 1/cost the model states rather than 1/(cost + overshoot).
-func (h *Hub) serve(free *time.Time, arrived time.Time, cost time.Duration) {
-	if cost <= 0 {
-		return
-	}
-	if free.Before(arrived) {
-		*free = arrived
-	}
-	*free = free.Add(cost)
-	if wait := free.Sub(h.clk.Now()); wait > 0 {
-		h.clk.Sleep(wait)
-	}
-}
-
-// finish routes a result through the serialized relay lane.
+// finish books the result's relay departure S = max(now, previous S) +
+// RelayCost and resolves the future with it; a result that finds the hub
+// closed fails at once.
 func (h *Hub) finish(fut *Future, result []byte, err error) {
-	select {
-	case h.relayCh <- &relayItem{future: fut, result: result, err: err, at: h.clk.Now()}:
-	case <-h.stop:
-		fut.resolve(nil, ErrEndpointShutdown)
+	h.mu.Lock()
+	now, closed := h.clk.Now(), h.closed
+	if !closed {
+		h.relayed = later(now, h.relayed).Add(max(h.cfg.RelayCost, 0))
 	}
+	relayed := h.relayed
+	h.mu.Unlock()
+	switch {
+	case closed:
+		fut.resolve(nil, ErrEndpointShutdown, now)
+		return
+	case err != nil:
+		h.met.Counter("hub_tasks_failed").Inc()
+	default:
+		h.met.Counter("hub_tasks_completed").Inc()
+	}
+	fut.resolve(result, err, relayed)
 }
 
-func (h *Hub) relayLoop() {
-	var free time.Time
-	for {
-		select {
-		case <-h.stop:
-			return
-		case item := <-h.relayCh:
-			h.serve(&free, item.at, h.cfg.RelayCost)
-			if item.err != nil {
-				h.met.Counter("hub_tasks_failed").Inc()
-			} else {
-				h.met.Counter("hub_tasks_completed").Inc()
-			}
-			item.future.resolve(item.result, item.err)
-		}
-	}
-}
-
-// Close stops the hub's routing lanes.
+// Close shuts the hub: a task whose pickup instant passes after Close, or
+// whose result comes back after it, fails with ErrEndpointShutdown.
 func (h *Hub) Close() {
-	h.stopOnce.Do(func() { close(h.stop) })
+	h.mu.Lock()
+	h.closed = true
+	h.mu.Unlock()
+}
+
+func later(a, b time.Time) time.Time {
+	if a.After(b) {
+		return a
+	}
+	return b
+}
+
+// backlog drops the dispatch departures at or before now and counts those
+// left; h.mu is held. Departures are booked in order, so the past ones lead,
+// and compacting once they are half the slice keeps both steps amortised O(1).
+func (h *Hub) backlog(now time.Time) int {
+	for h.passed < len(h.queued) && !h.queued[h.passed].After(now) {
+		h.passed++
+	}
+	if h.passed > len(h.queued)/2 {
+		h.queued, h.passed = h.queued[:copy(h.queued, h.queued[h.passed:])], 0
+	}
+	return len(h.queued) - h.passed
 }
 
 // Credentials is the confidential client identity shared by the gateway SDK

@@ -4,12 +4,26 @@
 // functions, and a client SDK returning futures. Endpoints acquire compute
 // through the PBS-like scheduler, keep model instances hot, auto-scale, and
 // restart failed instances — the §3.2.2 feature set.
+//
+// The hub's two serialized lanes, dispatch and relay, are booked rather than
+// run: a task's departure from each is fixed as it enters, by the FIFO
+// recurrence the DES twin's stages use, so a task waits once, on its own
+// goroutine, until its endpoint picks it up, and its waiter at most once
+// more, for what is left of the relay when the result comes in. At submit,
+// the dispatch departure is D = max(now + submit latency, previous D) +
+// dispatch cost and the task runs at D + pickup latency; at finish, the
+// relay departure is S = max(now, previous S) + relay cost. Every modelled
+// cost is charged as when each lane was a goroutine sleeping it out; what
+// booking saves is a wait per lane, which a scaled clock rounds up to its
+// slack grid, and two goroutine hops per request.
 package fabric
 
 import (
 	"context"
 	"sync"
 	"time"
+
+	"github.com/argonne-first/first/internal/clock"
 )
 
 // Status is a task lifecycle state.
@@ -49,16 +63,27 @@ type Task struct {
 
 	SubmittedAt time.Time
 
-	mu     sync.Mutex
-	status Status
-	result []byte
-	err    error
+	clk          clock.Clock
+	dispatchedAt time.Time // D, booked at submit
+
+	mu        sync.Mutex
+	status    Status    // pending, running, or the outcome once it is in
+	relayedAt time.Time // S, booked when the outcome came in
+	result    []byte
+	err       error
 }
 
-// Status returns the task's current status.
+// Status returns the task's current status: dispatched from its dispatch
+// departure, and its outcome only from its relay departure.
 func (t *Task) Status() Status {
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	switch now := t.clk.Now(); {
+	case t.status == TaskPending && !now.Before(t.dispatchedAt):
+		return TaskDispatched
+	case t.status >= TaskSuccess && now.Before(t.relayedAt):
+		return TaskRunning
+	}
 	return t.status
 }
 
@@ -73,41 +98,45 @@ func (t *Task) setStatus(s Status) {
 // soon as the hub relays it.
 type Future struct {
 	task *Task
-	done chan struct{}
+	done chan struct{} // closed once the outcome and its relay departure are in
 }
 
-// Wait blocks for the result.
+// Wait blocks for the result. The outcome comes in before its relay
+// departure S; Wait returns it no earlier than S.
 func (f *Future) Wait(ctx context.Context) ([]byte, error) {
 	select {
 	case <-f.done:
 	case <-ctx.Done():
 		return nil, ctx.Err()
 	}
-	f.task.mu.Lock()
-	defer f.task.mu.Unlock()
-	if f.task.err != nil {
-		return nil, f.task.err
+	t := f.task
+	if rest := t.relayedAt.Sub(t.clk.Now()); rest > 0 {
+		select {
+		case <-t.clk.After(rest):
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		}
 	}
-	return f.task.result, nil
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.err != nil {
+		return nil, t.err
+	}
+	return t.result, nil
 }
 
-// Done reports (non-blocking) whether the result landed.
-func (f *Future) Done() bool {
-	select {
-	case <-f.done:
-		return true
-	default:
-		return false
-	}
-}
+// Done reports (non-blocking) whether the result has been relayed.
+func (f *Future) Done() bool { return f.task.Status() >= TaskSuccess }
 
 // Task exposes the underlying task (status inspection, tests).
 func (f *Future) Task() *Task { return f.task }
 
-func (f *Future) resolve(result []byte, err error) {
+// resolve records the outcome and the instant it is relayed at.
+func (f *Future) resolve(result []byte, err error, relayed time.Time) {
 	f.task.mu.Lock()
 	f.task.result = result
 	f.task.err = err
+	f.task.relayedAt = relayed
 	if err != nil {
 		f.task.status = TaskFailed
 	} else {
