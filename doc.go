@@ -348,19 +348,28 @@
 // client.WithRetry, sleeping through an injectable client.WithSleep so
 // scaled-clock harnesses don't stall on wall time), a per-endpoint circuit
 // Breaker (closed → open → half-open with a sliding-window failure rate,
-// probe admission, and a CanAttempt hot path pinned at 0 allocs/op — the
-// breaker_allow micro series), and a passive health Set fed by every routed
-// response. The gateway consults breakers via federation.Router's
-// RouteAvoiding ladder (open endpoints are skipped; a half-open endpoint
-// admits one probe), fails a request over to the next-best cluster on
-// endpoint error (failover_attempts / failover_success counters), and
-// degrades gracefully when every candidate's breaker is open: 503 + a
-// Retry-After derived from the soonest breaker reopen, counted as
-// load_shed. Endpoint-side 401s trigger one token-cache recheck
-// (auth_rechecks) instead of failover. Everything is time-parameterized
-// (breakers never read a wall clock) and zero-value-inert: a zero Policy is
-// one attempt, a zero BreakerConfig disables breaker bookkeeping, so the
-// resilience layer changes nothing until configured.
+// probe admission, and a closed-state check pinned at 0 allocs/op), and a
+// Set holding one Breaker per routing row. Which endpoint an attempt goes
+// to is one policy, federation.Walk, next to Select: it filters the
+// model's rows through the Set (open endpoints are skipped; a half-open
+// endpoint admits one probe), runs the §4.5 ladder on the rows the request
+// has not failed on, reserves the pick's probe, and spends the attempt
+// budget. Its verdict is a pick, a shed, or "tried everywhere". The
+// gateway drives it through Router.Next (0 allocs/op on closed breakers),
+// failing a request over to the next-best cluster on endpoint error
+// (failover_attempts / failover_success counters), and degrades gracefully
+// when every untried candidate's breaker is open: 503 + a Retry-After
+// derived from the soonest reopening among that model's endpoints, counted
+// as load_shed. Endpoint-side 401s trigger one token-cache recheck
+// (auth_rechecks), whose replay spends no attempt. Router.Route, used by
+// batch admission, only peeks and reserves no probe. The livefed
+// calibration twin (desmodel's schedule replay) drives the same Walk over
+// its ladder rows, with a Set keyed by cluster name. Everything is
+// time-parameterized (breakers never read a wall clock) and
+// zero-value-inert: a zero Policy is one attempt, a zero BreakerConfig
+// disables breaker bookkeeping, so the resilience layer changes nothing
+// until configured. A model may be configured on at most
+// federation.MaxEndpoints (64) clusters; config loading rejects more.
 //
 // The livefed family (first-bench -exp livefed) puts that layer under fire
 // on the LIVE stack — real client SDK, sharded gateway, breaker-aware

@@ -104,6 +104,7 @@ func (fc FileConfig) Validate() error {
 	if len(fc.Models) == 0 {
 		return fmt.Errorf("core: config declares no models")
 	}
+	routes := make(map[string]int)
 	for _, m := range fc.Models {
 		if m.Model == "" {
 			return fmt.Errorf("core: model entry without a name")
@@ -118,6 +119,9 @@ func (fc FileConfig) Validate() error {
 			if !names[cl] {
 				return fmt.Errorf("core: model %s references unknown cluster %q", m.Model, cl)
 			}
+		}
+		if err := countRoutes(routes, m.Model, len(m.Clusters)); err != nil {
+			return err
 		}
 	}
 	if g := fc.Gateway; g.Shards < 0 || g.InFlightLimit < 0 || g.CacheTTLS < 0 {

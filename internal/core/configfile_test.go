@@ -2,13 +2,16 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
 	"github.com/argonne-first/first/internal/client"
 	"github.com/argonne-first/first/internal/clock"
+	"github.com/argonne-first/first/internal/federation"
 	"github.com/argonne-first/first/internal/openaiapi"
 	"github.com/argonne-first/first/internal/perfmodel"
 )
@@ -90,21 +93,22 @@ func TestConfigValidationErrors(t *testing.T) {
 		t.Fatalf("base config of the splice rows rejected: %v", err)
 	}
 	cases := map[string]string{
-		"no clusters":      `{"models":[{"model":"m","clusters":["x"]}]}`,
-		"bad cluster":      `{"clusters":[{"name":"", "nodes":0, "gpus_per_node":0}], "models":[{"model":"m","clusters":["x"]}]}`,
-		"dup cluster":      `{"clusters":[{"name":"a","nodes":1,"gpus_per_node":1},{"name":"a","nodes":1,"gpus_per_node":1}], "models":[{"model":"m","clusters":["a"]}]}`,
-		"no models":        `{"clusters":[{"name":"a","nodes":1,"gpus_per_node":1}]}`,
-		"unknown cluster":  `{"clusters":[{"name":"a","nodes":1,"gpus_per_node":1}], "models":[{"model":"m","clusters":["zzz"]}]}`,
-		"nameless model":   `{"clusters":[{"name":"a","nodes":1,"gpus_per_node":1}], "models":[{"model":"","clusters":["a"]}]}`,
-		"not json":         `{nope`,
-		"trailing data":    validConfigWith(``, ``) + `{}`,
-		"typo gateway key": validConfigWith(``, `"in_flight_limt": 256`),
-		"typo model key":   validConfigWith(`"max_instance": 2`, ``),
-		"negative shards":  validConfigWith(``, `"shards": -1`),
-		"negative limit":   validConfigWith(``, `"in_flight_limit": -1`),
-		"negative ttl":     validConfigWith(``, `"cache_ttl_s": -60`),
-		"negative min":     validConfigWith(`"min_instances": -1`, ``),
-		"negative max":     validConfigWith(`"max_instances": -2`, ``),
+		"no clusters":       `{"models":[{"model":"m","clusters":["x"]}]}`,
+		"bad cluster":       `{"clusters":[{"name":"", "nodes":0, "gpus_per_node":0}], "models":[{"model":"m","clusters":["x"]}]}`,
+		"dup cluster":       `{"clusters":[{"name":"a","nodes":1,"gpus_per_node":1},{"name":"a","nodes":1,"gpus_per_node":1}], "models":[{"model":"m","clusters":["a"]}]}`,
+		"no models":         `{"clusters":[{"name":"a","nodes":1,"gpus_per_node":1}]}`,
+		"unknown cluster":   `{"clusters":[{"name":"a","nodes":1,"gpus_per_node":1}], "models":[{"model":"m","clusters":["zzz"]}]}`,
+		"nameless model":    `{"clusters":[{"name":"a","nodes":1,"gpus_per_node":1}], "models":[{"model":"","clusters":["a"]}]}`,
+		"not json":          `{nope`,
+		"trailing data":     validConfigWith(``, ``) + `{}`,
+		"typo gateway key":  validConfigWith(``, `"in_flight_limt": 256`),
+		"typo model key":    validConfigWith(`"max_instance": 2`, ``),
+		"negative shards":   validConfigWith(``, `"shards": -1`),
+		"negative limit":    validConfigWith(``, `"in_flight_limit": -1`),
+		"negative ttl":      validConfigWith(``, `"cache_ttl_s": -60`),
+		"negative min":      validConfigWith(`"min_instances": -1`, ``),
+		"negative max":      validConfigWith(`"max_instances": -2`, ``),
+		"too many clusters": wideConfig(federation.MaxEndpoints + 1),
 	}
 	for name, content := range cases {
 		t.Run(name, func(t *testing.T) {
@@ -117,6 +121,21 @@ func TestConfigValidationErrors(t *testing.T) {
 	if _, err := LoadConfig("/no/such/file.json"); err == nil {
 		t.Error("missing file accepted")
 	}
+	if _, err := LoadConfig(writeConfig(t, wideConfig(federation.MaxEndpoints))); err != nil {
+		t.Errorf("a model on exactly MaxEndpoints clusters rejected: %v", err)
+	}
+}
+
+// wideConfig declares n one-GPU clusters and one model deployed on all of
+// them.
+func wideConfig(n int) string {
+	clusters := make([]string, n)
+	names := make([]string, n)
+	for i := range clusters {
+		clusters[i] = fmt.Sprintf(`{"name":"c%d","nodes":1,"gpus_per_node":1}`, i)
+		names[i] = fmt.Sprintf(`"c%d"`, i)
+	}
+	return `{"clusters":[` + strings.Join(clusters, ",") + `], "models":[{"model":"m","clusters":[` + strings.Join(names, ",") + `]}]}`
 }
 
 func TestConfigGatewayTunables(t *testing.T) {
@@ -152,6 +171,7 @@ func FuzzLoadConfig(f *testing.F) {
 		validConfigWith(`"max_instance": 2`, `"in_flight_limt": 256`),
 		validConfigWith(`"min_instances": -1, "hot_idle_timeout_s": -9223372036854775808`, `"shards": -1, "user_rate_per_sec": -1e308`),
 		`{"clusters":[{"name":"a","nodes":9223372036854775807,"gpus_per_node":1,"prologue_s":-1}],"models":[{"model":"m","clusters":["a","a"]}]}`,
+		wideConfig(federation.MaxEndpoints + 1),
 	} {
 		f.Add([]byte(s))
 	}
@@ -164,9 +184,13 @@ func FuzzLoadConfig(f *testing.F) {
 		if g := cfg.Gateway; g.Shards < 0 || g.InFlightLimit < 0 || g.CacheTTL < 0 {
 			t.Fatalf("validated config carries a negative gateway tunable: %+v", g)
 		}
+		routes := make(map[string]int)
 		for _, d := range cfg.Deployments {
 			if d.Config.MinInstances < 0 || d.Config.MaxInstances < 0 {
 				t.Fatalf("validated config carries a negative instance count: %+v", d)
+			}
+			if routes[d.Model] += len(d.Clusters); routes[d.Model] > federation.MaxEndpoints {
+				t.Fatalf("validated config deploys %s on %d clusters, more than %d", d.Model, routes[d.Model], federation.MaxEndpoints)
 			}
 		}
 	})

@@ -93,6 +93,12 @@ func NewSystem(cfg Config) (*System, error) {
 	if len(cfg.Clusters) == 0 {
 		return nil, fmt.Errorf("core: no clusters configured")
 	}
+	routes := make(map[string]int)
+	for _, ds := range cfg.Deployments {
+		if err := countRoutes(routes, ds.Model, len(ds.Clusters)); err != nil {
+			return nil, err
+		}
+	}
 	sys := &System{
 		Clock:      cfg.Clock,
 		Catalog:    cfg.Catalog,
@@ -181,6 +187,16 @@ func NewSystem(cfg Config) (*System, error) {
 	}
 	sys.Gateway = gw
 	return sys, nil
+}
+
+// countRoutes adds a deployment's clusters to its model's route count and
+// rejects a model on more clusters than one failover walk can track.
+func countRoutes(routes map[string]int, model string, clusters int) error {
+	routes[model] += clusters
+	if n := routes[model]; n > federation.MaxEndpoints {
+		return fmt.Errorf("core: model %s is deployed on %d clusters, more than the %d a failover walk tracks", model, n, federation.MaxEndpoints)
+	}
+	return nil
 }
 
 // ScopeInference is the base scope the gateway requires.

@@ -2,12 +2,14 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
 
 	"github.com/argonne-first/first/internal/client"
 	"github.com/argonne-first/first/internal/clock"
+	"github.com/argonne-first/first/internal/federation"
 	"github.com/argonne-first/first/internal/openaiapi"
 	"github.com/argonne-first/first/internal/perfmodel"
 )
@@ -271,5 +273,31 @@ func TestSystemFaultToleranceRestart(t *testing.T) {
 	}
 	if d.Stats().Restarts == 0 {
 		t.Error("restart was not counted")
+	}
+}
+
+// TestNewSystemRejectsModelOnTooManyClusters: one failover walk tracks at
+// most federation.MaxEndpoints endpoints per model, so NewSystem refuses a
+// model deployed on more — across all of its deployment entries — before
+// it builds anything.
+func TestNewSystemRejectsModelOnTooManyClusters(t *testing.T) {
+	var cfg Config
+	var names []string
+	for i := 0; i <= federation.MaxEndpoints; i++ {
+		name := fmt.Sprintf("c%d", i)
+		cfg.Clusters = append(cfg.Clusters, ClusterSpec{Name: name, Nodes: 1, GPUsPerNode: 1})
+		names = append(names, name)
+	}
+	cfg.Deployments = []DeploymentSpec{
+		{Model: perfmodel.Llama8B, Clusters: names[:2]},
+		{Model: perfmodel.Llama8B, Clusters: names[2:]},
+	}
+	sys, err := NewSystem(cfg)
+	if err == nil {
+		sys.Close()
+		t.Fatalf("NewSystem accepted %s on %d clusters", perfmodel.Llama8B, len(names))
+	}
+	if !strings.Contains(err.Error(), "more than") {
+		t.Errorf("err = %v, want the route-count error", err)
 	}
 }

@@ -41,9 +41,8 @@ const (
 )
 
 // Observe feeds one sample (e.g. arrivals counted during the last scaler
-// tick). The first sample seeds the level exactly — the same fix as the
-// resilience EWMA seeding bug — so early predictions do not decay up
-// from zero; the trend seeds at zero and only develops from the second
+// tick). The first sample seeds the level exactly, so early predictions
+// do not decay up from zero; the trend seeds at zero and only develops from the second
 // sample on. Non-finite samples (NaN, ±Inf) are dropped so one corrupt
 // observation cannot poison the state forever.
 //

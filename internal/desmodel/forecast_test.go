@@ -11,8 +11,8 @@ import (
 const forecastTol = 1e-9
 
 // TestForecastSeedsWithFirstObservation pins the seeding contract: the
-// first sample becomes the level exactly (no decay up from zero — the same
-// bug class as the resilience EWMA seed) and the trend starts flat.
+// first sample becomes the level exactly (no decay up from zero) and the
+// trend starts flat.
 func TestForecastSeedsWithFirstObservation(t *testing.T) {
 	f := NewForecast(0.5, 0.2)
 	if f.Seeded() {

@@ -6,16 +6,20 @@ package desmodel
 // before it takes arrival i it fires every schedule event due at i —
 // deployment hard-kills and cold restarts through the real scheduler path,
 // background GPU claims and releases — exactly when the live driver fired
-// them before issuing request i. Fault windows need no events: routing
-// draws the same pure Windows.Faulty(seed, index, endpoint, attempt)
-// function the live endpoints drew, and a real resilience.Breaker per
-// cluster (the live gateway's config, on the same logical
-// one-second-per-request clock) turns those draws into the same avoidance
-// decisions the live breaker trace shows. A drawn fault migrates the
-// request to the next ladder candidate the way a live failover re-routes
-// it, so migrations-per-request is the twin of the gateway's
-// failover-attempts-per-request. A request the live gateway would shed or
-// give up on fails too: it reaches done unserved, with Failed set.
+// them before issuing request i. Fault windows need no events: each
+// placement draws the same pure Windows.Faulty(seed, index, endpoint,
+// attempt) function the live endpoints drew.
+//
+// Routing is the live gateway's own failover walk: federation.Walk over the
+// model's ladder rows, filtered through a resilience.Set keyed by cluster
+// name (the live gateway's breaker config, on the same logical
+// one-second-per-request clock), so the twin trips, avoids and re-probes
+// where the live breaker trace does. A drawn fault — or a dead pool, the
+// live "endpoint does not host" error — votes into the breaker and fails
+// the request over to the walk's next pick, so migrations-per-request is
+// the twin of the gateway's failover-attempts-per-request. A request the
+// walk sheds or exhausts fails, as the live gateway's 503 or typed 502
+// does: it reaches done unserved, with Failed set.
 //
 // Under a replay every request reaches done through the hand-off pipe, in
 // an event of its own. A closed-loop driver issues its next request from
@@ -24,6 +28,7 @@ package desmodel
 // run of failures.
 
 import (
+	"errors"
 	"time"
 
 	"github.com/argonne-first/first/internal/chaosnet"
@@ -57,42 +62,37 @@ type fedReplay struct {
 	p        ReplayParams
 	cur      *chaosnet.Cursor
 	nowIdx   int
-	breakers []*resilience.Breaker
+	breakers *resilience.Set // keyed by cluster name, the ladder rows' ID
 	// bgJobs holds outstanding background claims per cluster, oldest first.
 	bgJobs [][]*scheduler.Job
 	// seen counts placement attempts per (request index, endpoint) so a
 	// re-route re-draws, exactly like the live endpoint's attempt counter.
 	seen map[replayKey]int
-	// infos holds the ladder rows one placement attempt may choose from.
-	infos []federation.EndpointInfo
 
 	// handoff takes every finished or failed request to the driver's done
 	// in an event of its own.
 	handoff pipe
 
-	sheds     int64 // all-breakers-open: live 503s, twin failures
-	exhausted int64 // failover budget spent: live typed errors, twin failures
+	sheds     int64 // every untried candidate breaker-open: live 503s, twin failures
+	exhausted int64 // budget spent or every candidate tried: live typed 502s, twin failures
 }
 
 func newFedReplay(f *Federation, p ReplayParams, done func(*Req)) *fedReplay {
 	if p.MaxAttempts < 1 {
 		p.MaxAttempts = 1
 	}
-	if len(f.clusters) > 64 {
-		// routeReplay's avoided set is one uint64: a shift past bit 63
-		// would silently avoid nothing.
-		panic("desmodel: a replayed federation has at most 64 clusters")
+	if len(f.clusters) > federation.MaxEndpoints {
+		// A Walk's tried set is one uint64: a shift past bit 63 would
+		// silently avoid nothing.
+		panic("desmodel: a replayed federation has more clusters than federation.MaxEndpoints")
 	}
 	rp := &fedReplay{
-		f:      f,
-		p:      p,
-		cur:    p.Schedule.Cursor(),
-		bgJobs: make([][]*scheduler.Job, len(f.clusters)),
-		seen:   make(map[replayKey]int),
-		infos:  make([]federation.EndpointInfo, 0, len(f.clusters)),
-	}
-	for range f.clusters {
-		rp.breakers = append(rp.breakers, resilience.NewBreaker(p.Breaker))
+		f:        f,
+		p:        p,
+		cur:      p.Schedule.Cursor(),
+		breakers: resilience.NewSet(p.Breaker),
+		bgJobs:   make([][]*scheduler.Job, len(f.clusters)),
+		seen:     make(map[replayKey]int),
 	}
 	if done == nil {
 		done = func(*Req) {}
@@ -137,11 +137,7 @@ func (f *Federation) ReplayBreakerTrips() int64 {
 	if f.replay == nil {
 		return 0
 	}
-	var n int64
-	for _, b := range f.replay.breakers {
-		n += b.Trips()
-	}
-	return n
+	return f.replay.breakers.Trips()
 }
 
 func (rp *fedReplay) fire(ev chaosnet.Event) {
@@ -194,62 +190,48 @@ func (rp *fedReplay) fire(ev chaosnet.Event) {
 	}
 }
 
-// routeReplay is route() under the replayed storm. Each placement attempt
-// mirrors one live gateway attempt: candidates are filtered through the
-// breakers (RouteAvoiding's CanAttempt scan), the chosen rung is counted,
-// and the shared fault schedule decides whether the placement sticks. A
-// fault — or a dead pool, the live "endpoint does not host" error — votes
-// into the breaker and fails the request over to the next candidate. A
-// request the live gateway would shed or give up on fails.
+// routeReplay is route() under the replayed storm: it drives a
+// federation.Walk with the MaxAttempts budget. Each pick is one live
+// gateway attempt: its rung is counted, and the shared fault schedule
+// decides whether the placement sticks. A fault — or a dead pool, the live
+// "endpoint does not host" error — votes into the breaker and fails the
+// request over. A request the walk sheds or exhausts fails.
 func (f *Federation) routeReplay(r *Req) {
 	rp := f.replay
 	idx := r.ID - 1
 	m := r.Model
 	n := len(f.clusters)
-	rows, _ := f.ladder(m)
+	rows, deps := f.ladder(m)
 	now := rp.now()
-	var avoided uint64
-	order := make([]int, 0, n)
-	for attempts := 0; ; {
-		infos := rp.infos[:0]
-		order = order[:0]
-		for i := 0; i < n; i++ {
-			ci := (m + i) % n
-			if avoided&(1<<uint(ci)) != 0 || !rp.breakers[ci].CanAttempt(now) {
-				continue
-			}
-			infos = append(infos, rows[i])
-			order = append(order, ci)
+	walk := federation.Walk{Budget: rp.p.MaxAttempts}
+	for {
+		i, reason, err := walk.Next(rows, rp.breakers, now)
+		if errors.Is(err, federation.ErrNoCandidates) {
+			// Tried everywhere: the live request comes back as the last
+			// attempt's typed 502.
+			rp.exhausted++
+			break
 		}
-		if len(infos) == 0 {
-			// Every candidate is breaker-open or already failed this
-			// request: the live gateway sheds with a 503 and counts no
-			// rung.
+		if err != nil {
+			// Every untried candidate is breaker-open: the live gateway
+			// sheds with a 503 and counts no rung.
 			rp.sheds++
 			break
 		}
-		sel, reason, err := federation.Select(infos)
-		if err != nil {
-			panic(err) // unreachable: infos is non-empty
-		}
 		f.rungs.count(reason)
-		ci := order[sel]
-		c := f.clusters[ci]
-		// Reserves the half-open probe slot the scan saw free; Record
-		// releases it.
-		rp.breakers[ci].Allow(now)
+		ci := (m + i) % n
+		d := &deps[i]
 		attempt := rp.attempt(idx, ci)
 		faulty := idx >= 0 &&
 			rp.p.Schedule.Windows.Faulty(rp.p.Schedule.Seed, idx, ci, n, attempt)
-		placed := c.deps[m].pool.Len() > 0 && !faulty
-		rp.breakers[ci].Record(now, placed)
+		placed := d.pool.Len() > 0 && !faulty
+		rp.breakers.Record(rows[i].ID, now, placed)
 		if placed {
-			c.stats.Routed++
-			c.deps[m].offer(r)
+			d.c.stats.Routed++
+			d.offer(r)
 			return
 		}
-		avoided |= 1 << uint(ci)
-		if attempts++; attempts >= rp.p.MaxAttempts {
+		if !walk.Fail() {
 			// Retry budget spent: the live request comes back as a typed
 			// 502.
 			rp.exhausted++

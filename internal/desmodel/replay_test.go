@@ -222,3 +222,24 @@ func TestReplayClosedLoopThroughDeadPools(t *testing.T) {
 		t.Errorf("the last request did not complete after the restart: %+v", last)
 	}
 }
+
+// TestReplayTriedEverywhereIsExhausted: a request that has failed on every
+// candidate, with no breaker open and budget left, is a spent failover in
+// the twin as in the live gateway (the last attempt's typed 502), not a
+// shed.
+func TestReplayTriedEverywhereIsExhausted(t *testing.T) {
+	s := chaosnet.Schedule{Seed: 1, Endpoints: 2, Requests: 1, Windows: chaosnet.Windows{PBackground: 1}}
+	a, k := testArena(sim.QueueCalendar)
+	f := NewFederationIn(a, replayTestParams(2, s), func(*Req) {})
+	r := &Req{ID: 1, PromptTok: 32, OutputTok: 8}
+	k.Schedule(0, func() { f.Arrive(r) })
+	k.Run(time.Minute)
+	if got := [2]int64{f.replay.sheds, f.replay.exhausted}; got != [2]int64{0, 1} {
+		t.Errorf("sheds, exhausted = %v, want [0 1]", got)
+	}
+	// Each failure with budget left is a failover, the last one included,
+	// as the live gateway counts it before the walk finds no candidate.
+	if !r.Failed || r.Migrations != 2 || f.Failures() != 1 {
+		t.Errorf("request %+v, failures %d: want two failovers, then a failure", *r, f.Failures())
+	}
+}

@@ -13,7 +13,6 @@
 package federation
 
 import (
-	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -71,6 +70,16 @@ func Select(candidates []EndpointInfo) (int, Reason, error) {
 	if len(candidates) == 0 {
 		return -1, "", fmt.Errorf("federation: no endpoints configured")
 	}
+	i, reason := selectAmong(candidates, 0)
+	return i, reason, nil
+}
+
+// selectAmong is Select over the rows whose configuration position is not
+// set in skip (a Walk's tried and breaker-refused rows); -1 when none is
+// left.
+//
+//first:hotpath reached through the Router.Next pin (walk_test.go)
+func selectAmong(rows []EndpointInfo, skip uint64) (int, Reason) {
 	// 1) Running or queued instance — among those, least depth per live
 	// instance wins (an auto-scaled pool spreads its queue over more
 	// engines). Compared cross-multiplied so the tie-break stays integral.
@@ -78,39 +87,45 @@ func Select(candidates []EndpointInfo) (int, Reason, error) {
 	// tracked separately: they lose to any uncordoned active endpoint and
 	// to any capacity-rung pick, and win only over first-configured —
 	// riding a known-dying instance still beats a blind cold start.
-	best, bestCordoned := -1, -1
-	for i := range candidates {
-		c := &candidates[i]
+	best, bestCordoned, first := -1, -1, -1
+	for i := range rows {
+		if skip&(1<<uint(i)) != 0 {
+			continue
+		}
+		if first == -1 {
+			first = i
+		}
+		c := &rows[i]
 		switch c.ModelState {
 		case "running", "starting", "queued":
 			if c.Cordoned {
-				if bestCordoned == -1 || lessLoaded(c, &candidates[bestCordoned]) {
+				if bestCordoned == -1 || lessLoaded(c, &rows[bestCordoned]) {
 					bestCordoned = i
 				}
 				continue
 			}
-			if best == -1 || lessLoaded(c, &candidates[best]) {
+			if best == -1 || lessLoaded(c, &rows[best]) {
 				best = i
 			}
 		}
 	}
 	if best >= 0 {
-		return best, ReasonActive, nil
+		return best, ReasonActive
 	}
 	// 2) Cluster with available nodes.
-	for i := range candidates {
-		if c := &candidates[i]; c.FreeGPUs >= c.NeededGPUs && c.NeededGPUs > 0 {
-			return i, ReasonCapacity, nil
+	for i := range rows {
+		if c := &rows[i]; skip&(1<<uint(i)) == 0 && c.FreeGPUs >= c.NeededGPUs && c.NeededGPUs > 0 {
+			return i, ReasonCapacity
 		}
 	}
 	// 2b) Every active endpoint is cordoned and nothing has capacity:
 	// take the least-loaded cordoned one rather than a first-configured
 	// guess with no instance at all.
 	if bestCordoned >= 0 {
-		return bestCordoned, ReasonActive, nil
+		return bestCordoned, ReasonActive
 	}
-	// 3) First configured.
-	return 0, ReasonFirstConf, nil
+	// 3) First configured (-1 when every row is skipped).
+	return first, ReasonFirstConf
 }
 
 // lessLoaded reports whether a carries strictly less queue depth per live
@@ -135,11 +150,13 @@ type Router struct {
 	catalog *perfmodel.Catalog
 
 	mu sync.RWMutex
-	// order[model] lists endpoints in configuration-registry order.
+	// order[model] lists endpoints in configuration-registry order. Routes
+	// are only ever appended, so a slice read under the lock stays valid
+	// after it.
 	order map[string][]*fabric.Endpoint
 
-	// breakers, when set via UseBreakers, removes endpoints whose circuit is
-	// open from the candidate set; breakerNow supplies the time base.
+	// breakers, when set via UseBreakers, is the Set a Walk filters
+	// candidates through; breakerNow supplies its time base.
 	breakers   *resilience.Set
 	breakerNow func() time.Time
 }
@@ -153,10 +170,14 @@ func NewRouter(catalog *perfmodel.Catalog) *Router {
 }
 
 // AddRoute appends an endpoint to a model's candidate list (registry order
-// defines priority 3's "first configured").
+// defines priority 3's "first configured"). Configuration loading bounds a
+// model to MaxEndpoints routes; one more is a programming error.
 func (r *Router) AddRoute(model string, ep *fabric.Endpoint) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	if len(r.order[model]) >= MaxEndpoints {
+		panic(fmt.Sprintf("federation: model %q already has %d endpoints", model, MaxEndpoints))
+	}
 	r.order[model] = append(r.order[model], ep)
 }
 
@@ -188,7 +209,7 @@ type Decision struct {
 
 // UseBreakers wires a breaker set into routing: endpoints whose circuit is
 // open at now() drop out of the candidate set, and when every candidate is
-// open Route reports AllOpenError instead of picking a doomed endpoint.
+// open routing reports AllOpenError instead of picking a doomed endpoint.
 // Passing a nil set detaches breakers (plain routing).
 func (r *Router) UseBreakers(set *resilience.Set, now func() time.Time) {
 	r.mu.Lock()
@@ -197,98 +218,58 @@ func (r *Router) UseBreakers(set *resilience.Set, now func() time.Time) {
 	r.breakerNow = now
 }
 
-func (r *Router) breakerView() (*resilience.Set, func() time.Time) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return r.breakers, r.breakerNow
-}
-
-// AllOpenError reports that every configured endpoint for a model currently
-// has an open circuit. RetryAfter is the time until the soonest breaker
-// admits a half-open probe — the gateway surfaces it as a Retry-After
-// header on the 503.
-type AllOpenError struct {
-	Model      string
-	RetryAfter time.Duration
-}
-
-func (e *AllOpenError) Error() string {
-	return fmt.Sprintf("federation: all endpoints for model %q have open circuits (retry in %v)", e.Model, e.RetryAfter)
-}
-
-// ErrNoCandidates reports that the avoid list exhausted a model's endpoint
-// set during failover (distinct from a model with no routes at all).
-var ErrNoCandidates = errors.New("federation: no remaining candidate endpoints")
-
-// Route picks the endpoint for a model request by snapshotting each
-// candidate's deployment state and cluster status.
+// Route picks the endpoint a fresh request would be sent to. It reserves
+// nothing: a half-open probe stays free for the next real attempt, so a
+// caller that reports no outcome (batch admission) cannot wedge a breaker
+// half-open.
 func (r *Router) Route(model string) (Decision, error) {
-	return r.RouteAvoiding(model, nil)
+	w := Walk{peek: true}
+	return r.Next(model, &w)
 }
 
-// RouteAvoiding routes like Route but skips endpoint IDs in avoid — the
-// failover path: after an attempt fails, the gateway re-routes with the
-// failed endpoints excluded so the retry lands on the next-best cluster.
-func (r *Router) RouteAvoiding(model string, avoid []string) (Decision, error) {
-	eps := r.Endpoints(model)
+// Next snapshots each candidate's deployment state and cluster status into
+// a row and asks walk w for its next attempt's endpoint, reserving a
+// half-open probe there. The caller records the outcome in the Set passed
+// to UseBreakers and calls w.Fail before failing over. 0 allocs/op on
+// closed breakers.
+//
+//first:hotpath pinned by TestRouterNextZeroAlloc (walk_test.go)
+func (r *Router) Next(model string, w *Walk) (Decision, error) {
+	r.mu.RLock()
+	eps, set, nowFn := r.order[model], r.breakers, r.breakerNow
+	r.mu.RUnlock()
 	if len(eps) == 0 {
+		//firstlint:allow hotpath a model without routes is an error path
 		return Decision{}, fmt.Errorf("federation: model %q has no configured endpoints", model)
 	}
 	spec, err := r.catalog.Lookup(model)
 	if err != nil {
 		return Decision{}, err
 	}
-	set, nowFn := r.breakerView()
-	var now time.Time
-	if set != nil && nowFn != nil {
-		now = nowFn()
-	}
-	avoided := func(id string) bool {
-		for _, a := range avoid {
-			if a == id {
-				return true
-			}
-		}
-		return false
-	}
-	kept := make([]*fabric.Endpoint, 0, len(eps))
-	blockedByBreaker := 0
+	var buf [8]EndpointInfo // a longer ladder grows onto the heap
+	rows := buf[:0]
 	for _, ep := range eps {
-		if avoided(ep.ID()) {
-			continue
-		}
-		if set != nil && !set.CanAttempt(ep.ID(), now) {
-			blockedByBreaker++
-			continue
-		}
-		kept = append(kept, ep)
-	}
-	if len(kept) == 0 {
-		if blockedByBreaker > 0 {
-			retryAfter := time.Second
-			if d, ok := set.RetryAfter(now); ok {
-				retryAfter = d
-			}
-			return Decision{}, &AllOpenError{Model: model, RetryAfter: retryAfter}
-		}
-		return Decision{}, ErrNoCandidates
-	}
-	infos := make([]EndpointInfo, len(kept))
-	for i, ep := range kept {
-		info := &infos[i]
-		info.ID, info.ModelState, info.NeededGPUs = ep.ID(), "cold", spec.TensorParallel
+		row := EndpointInfo{ID: ep.ID(), ModelState: "cold", NeededGPUs: spec.TensorParallel}
 		if d, ok := ep.Deployment(model); ok {
 			// One read of the pool's record, under one lock: the state,
 			// the depth and the advertised capacity are of one instant.
 			rec := d.Record()
-			info.ModelState, info.Depth = rec.State, rec.Depth
-			info.Instances, info.Cordoned = rec.Ready, rec.Cordoned
+			row.ModelState, row.Depth = rec.State, rec.Depth
+			row.Instances, row.Cordoned = rec.Ready, rec.Cordoned
 		}
-		info.FreeGPUs = ep.Scheduler().Cluster().Status().FreeGPUs
+		row.FreeGPUs = ep.Scheduler().Cluster().Status().FreeGPUs
+		rows = append(rows, row)
 	}
-	idx, reason, err := Select(infos)
+	var now time.Time
+	if set != nil && nowFn != nil {
+		now = nowFn()
+	}
+	i, reason, err := w.Next(rows, set, now)
+	if allOpen, ok := err.(*AllOpenError); ok {
+		allOpen.Model = model
+	}
 	if err != nil {
 		return Decision{}, err
 	}
-	return Decision{Endpoint: kept[idx], Reason: reason}, nil
+	return Decision{Endpoint: eps[i], Reason: reason}, nil
 }

@@ -379,9 +379,9 @@ func TestRouterModelsList(t *testing.T) {
 }
 
 // TestRouterBreakerAwareRouting pins the resilience wiring: tripped
-// endpoints fall out of the candidate set, failover's avoid list reaches
-// the next-best cluster, and an all-open model reports AllOpenError with a
-// Retry-After derived from the soonest half-open probe.
+// endpoints fall out of the candidate set, a walk's failed endpoints send
+// its next attempt to the next-best cluster, and an all-open model reports
+// AllOpenError with a Retry-After derived from the soonest half-open probe.
 func TestRouterBreakerAwareRouting(t *testing.T) {
 	clk := clock.NewScaled(20000)
 	a := newEndpoint(t, "a", 2, 8, clk)
@@ -408,15 +408,27 @@ func TestRouterBreakerAwareRouting(t *testing.T) {
 		t.Fatalf("healthy route = %s, want ep-a", d.Endpoint.ID())
 	}
 
-	// Avoiding every endpoint (failover exhausted the set) is
-	// ErrNoCandidates — distinct from breaker-driven unavailability.
-	if _, err := r.RouteAvoiding(perfmodel.Llama8B, []string{"ep-a", "ep-b"}); !errors.Is(err, ErrNoCandidates) {
-		t.Errorf("avoiding all: err = %v, want ErrNoCandidates", err)
+	// A walk that has failed on every endpoint is ErrNoCandidates —
+	// distinct from breaker-driven unavailability. (Its attempts record
+	// successes so no breaker trips.)
+	w := Walk{Budget: 3}
+	for i := 0; i < 2; i++ {
+		d, err := r.Next(perfmodel.Llama8B, &w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		set.Record(d.Endpoint.ID(), now, true)
+		if !w.Fail() {
+			t.Fatal("budget of 3 spent after", i+1, "attempts")
+		}
+	}
+	if _, err := r.Next(perfmodel.Llama8B, &w); !errors.Is(err, ErrNoCandidates) {
+		t.Errorf("tried everywhere: err = %v, want ErrNoCandidates", err)
 	}
 
-	// Trip ep-a: routing must shift to ep-b without any avoid list.
-	set.Record("ep-a", now, 0, false)
-	set.Record("ep-a", now, 0, false)
+	// Trip ep-a: routing must shift to ep-b on a fresh walk.
+	set.Record("ep-a", now, false)
+	set.Record("ep-a", now, false)
 	d, err = r.Route(perfmodel.Llama8B)
 	if err != nil {
 		t.Fatal(err)
@@ -425,21 +437,27 @@ func TestRouterBreakerAwareRouting(t *testing.T) {
 		t.Errorf("route with ep-a open = %s, want ep-b", d.Endpoint.ID())
 	}
 
-	// Avoiding the last healthy endpoint while the other is open still
+	// Failing on the last healthy endpoint while the other is open still
 	// reports the breaker horizon (the client gets a Retry-After, not a
 	// blind failure).
-	if _, err := r.RouteAvoiding(perfmodel.Llama8B, []string{"ep-b"}); err == nil {
-		t.Error("avoiding last healthy endpoint succeeded")
+	w = Walk{Budget: 3}
+	if d, err = r.Next(perfmodel.Llama8B, &w); err != nil || d.Endpoint.ID() != "ep-b" {
+		t.Fatalf("walk with ep-a open = %v/%v, want ep-b", d, err)
+	}
+	set.Record("ep-b", now, true)
+	w.Fail()
+	if _, err := r.Next(perfmodel.Llama8B, &w); err == nil {
+		t.Error("failing over from the last healthy endpoint succeeded")
 	} else {
 		var ao *AllOpenError
-		if !errors.As(err, &ao) {
-			t.Errorf("err = %v, want AllOpenError", err)
+		if !errors.As(err, &ao) || ao.Model != perfmodel.Llama8B {
+			t.Errorf("err = %v, want AllOpenError for the model", err)
 		}
 	}
 
 	// Trip ep-b too: all open → AllOpenError carrying the soonest probe.
-	set.Record("ep-b", now.Add(time.Second), 0, false)
-	set.Record("ep-b", now.Add(time.Second), 0, false)
+	set.Record("ep-b", now.Add(time.Second), false)
+	set.Record("ep-b", now.Add(time.Second), false)
 	now = base.Add(2 * time.Second)
 	_, err = r.Route(perfmodel.Llama8B)
 	var allOpen *AllOpenError

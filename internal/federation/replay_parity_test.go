@@ -13,7 +13,7 @@ import (
 )
 
 // TestRouterHalfOpenProbeBudget pins the probe budget the calibration twin
-// leans on: once a breaker's OpenFor expires, Acquire admits exactly
+// leans on: once a breaker's OpenFor expires, it admits exactly
 // HalfOpenProbes attempts before rejecting further traffic until the
 // probes' outcomes are recorded.
 func TestRouterHalfOpenProbeBudget(t *testing.T) {
@@ -25,17 +25,19 @@ func TestRouterHalfOpenProbeBudget(t *testing.T) {
 	base := time.Unix(1000, 0)
 
 	// Trip the endpoint.
-	set.Record("ep-x", base, 0, false)
-	set.Record("ep-x", base, 0, false)
-	if set.CanAttempt("ep-x", base.Add(time.Second)) {
+	set.Record("ep-x", base, false)
+	set.Record("ep-x", base, false)
+	if set.Lookup("ep-x").CanAttempt(base.Add(time.Second)) {
 		t.Fatal("breaker admitted traffic while open")
 	}
 
-	// Past OpenFor: exactly HalfOpenProbes acquisitions succeed.
+	// Past OpenFor: exactly HalfOpenProbes walks get the endpoint.
 	probeAt := base.Add(6 * time.Second)
+	rows := []EndpointInfo{{ID: "ep-x", ModelState: "running"}}
 	admitted := 0
 	for i := 0; i < 5; i++ {
-		if set.Acquire("ep-x", probeAt) {
+		w := Walk{Budget: 1}
+		if _, _, err := w.Next(rows, set, probeAt); err == nil {
 			admitted++
 		}
 	}
@@ -44,20 +46,21 @@ func TestRouterHalfOpenProbeBudget(t *testing.T) {
 	}
 
 	// Successful probes close the circuit; traffic flows again.
-	set.Record("ep-x", probeAt, 0, true)
-	set.Record("ep-x", probeAt, 0, true)
-	if !set.Acquire("ep-x", probeAt.Add(time.Second)) {
+	set.Record("ep-x", probeAt, true)
+	set.Record("ep-x", probeAt, true)
+	if !set.Lookup("ep-x").Allow(probeAt.Add(time.Second)) {
 		t.Error("breaker still rejecting after successful probes")
 	}
 }
 
 // TestReplayedWindowAvoidanceParity is the calibration contract at the
-// routing layer: a recorded chaosnet fault window driven through the live
-// Router + breaker Set on the logical clock produces the same
-// decision-by-decision trace as the DES twin's construction — standalone
-// resilience.Breakers filtering candidates ahead of the pure Select — when
-// both draw the same Windows.Faulty schedule. If this drifts, the
-// livefed calibration gate loses its meaning.
+// routing layer: a recorded chaosnet fault window walked through the live
+// Router (live rows, the live breaker Set) on the logical clock produces the
+// same decision-by-decision trace as the DES twin's construction — rows
+// built by hand, a second Set — when both draw the same Windows.Faulty
+// schedule. Both sides drive the one federation.Walk, so this checks that
+// the live rows and the live Set feed it what the twin's do. If this
+// drifts, the livefed calibration gate loses its meaning.
 func TestReplayedWindowAvoidanceParity(t *testing.T) {
 	const (
 		nReqs       = 300
@@ -72,100 +75,78 @@ func TestReplayedWindowAvoidanceParity(t *testing.T) {
 	epoch := time.Unix(1_700_000_000, 0)
 
 	clk := clock.NewScaled(20000)
-	eps := []*endpointStub{
-		{ep: newEndpoint(t, "p0", 2, 8, clk)},
-		{ep: newEndpoint(t, "p1", 2, 8, clk)},
-	}
+	eps := []*fabric.Endpoint{newEndpoint(t, "p0", 2, 8, clk), newEndpoint(t, "p1", 2, 8, clk)}
 	r := NewRouter(nil)
-	for _, e := range eps {
-		r.AddRoute(perfmodel.Llama8B, e.ep)
+	for _, ep := range eps {
+		r.AddRoute(perfmodel.Llama8B, ep)
 	}
 	set := resilience.NewSet(cfg)
 	var now time.Time
 	r.UseBreakers(set, func() time.Time { return now })
-	epIndex := map[string]int{"ep-p0": 0, "ep-p1": 1}
 
-	// Live trace: the gateway's failover loop against the real Router.
-	liveTrace := make([]string, 0, nReqs)
-	for idx := 0; idx < nReqs; idx++ {
-		now = epoch.Add(time.Duration(idx+1) * time.Second)
-		var avoid []string
-		outcome := "exhausted"
-		for attempt := 0; attempt < maxAttempts; attempt++ {
-			d, err := r.RouteAvoiding(perfmodel.Llama8B, avoid)
-			var allOpen *AllOpenError
-			if errors.As(err, &allOpen) {
-				outcome = "shed"
-				break
-			}
-			if err != nil {
-				outcome = "err:" + err.Error()
-				break
-			}
-			id := d.Endpoint.ID()
-			if !set.Acquire(id, now) {
-				avoid = append(avoid, id)
-				continue
-			}
-			faulty := windows.Faulty(seed, idx, epIndex[id], len(eps), attempt)
-			set.Record(id, now, 0, !faulty)
-			if !faulty {
-				outcome = id
-				break
-			}
-			avoid = append(avoid, id)
-		}
-		liveTrace = append(liveTrace, outcome)
-	}
-
-	// Twin trace: standalone breakers + the pure Select, the way
-	// desmodel's replay routes. Candidate snapshots are cold with equal
-	// free GPUs, matching the undeployed live endpoints above.
-	breakers := []*resilience.Breaker{resilience.NewBreaker(cfg), resilience.NewBreaker(cfg)}
-	spec := perfmodel.Default.MustLookup(perfmodel.Llama8B)
-	twinTrace := make([]string, 0, nReqs)
-	for idx := 0; idx < nReqs; idx++ {
-		tnow := epoch.Add(time.Duration(idx+1) * time.Second)
-		avoided := map[int]bool{}
-		outcome := "exhausted"
-		for attempt := 0; attempt < maxAttempts; attempt++ {
-			var infos []EndpointInfo
-			var order []int
-			for i, e := range eps {
-				if avoided[i] || !breakers[i].CanAttempt(tnow) {
-					continue
+	// walkTrace runs nReqs requests through next — one walk attempt — and
+	// returns each request's outcome: the endpoint that took it, "shed" or
+	// "exhausted".
+	walkTrace := func(set *resilience.Set, next func(w *Walk) (int, error)) []string {
+		trace := make([]string, 0, nReqs)
+		for idx := 0; idx < nReqs; idx++ {
+			now = epoch.Add(time.Duration(idx+1) * time.Second)
+			w := Walk{Budget: maxAttempts}
+			outcome := "exhausted"
+			for {
+				i, err := next(&w)
+				var allOpen *AllOpenError
+				if errors.As(err, &allOpen) {
+					outcome = "shed"
+					break
 				}
-				infos = append(infos, EndpointInfo{
-					ID: e.ep.ID(), ModelState: "cold",
-					FreeGPUs:   e.ep.Scheduler().Cluster().Status().FreeGPUs,
-					NeededGPUs: spec.TensorParallel,
-				})
-				order = append(order, i)
+				if err != nil {
+					break // ErrNoCandidates: tried everywhere
+				}
+				id := eps[i].ID()
+				faulty := windows.Faulty(seed, idx, i, len(eps), w.Failed())
+				set.Record(id, now, !faulty)
+				if !faulty {
+					outcome = id
+					break
+				}
+				if !w.Fail() {
+					break
+				}
 			}
-			if len(infos) == 0 {
-				outcome = "shed"
-				break
-			}
-			sel, _, err := Select(infos)
-			if err != nil {
-				outcome = "err:" + err.Error()
-				break
-			}
-			ci := order[sel]
-			if !breakers[ci].Allow(tnow) {
-				avoided[ci] = true
-				continue
-			}
-			faulty := windows.Faulty(seed, idx, ci, len(eps), attempt)
-			breakers[ci].Record(tnow, !faulty)
-			if !faulty {
-				outcome = eps[ci].ep.ID()
-				break
-			}
-			avoided[ci] = true
+			trace = append(trace, outcome)
 		}
-		twinTrace = append(twinTrace, outcome)
+		return trace
 	}
+	liveTrace := walkTrace(set, func(w *Walk) (int, error) {
+		d, err := r.Next(perfmodel.Llama8B, w)
+		if err != nil {
+			return -1, err
+		}
+		for i, ep := range eps {
+			if ep == d.Endpoint {
+				return i, nil
+			}
+		}
+		return -1, errors.New("routed off the ladder")
+	})
+
+	// Twin: rows built the way desmodel's replay keeps them — cold, with
+	// the live endpoints' free GPUs — and a Set of its own.
+	spec := perfmodel.Default.MustLookup(perfmodel.Llama8B)
+	rows := make([]EndpointInfo, len(eps))
+	for i, ep := range eps {
+		rows[i] = EndpointInfo{
+			ID: ep.ID(), ModelState: "cold",
+			FreeGPUs:   ep.Scheduler().Cluster().Status().FreeGPUs,
+			NeededGPUs: spec.TensorParallel,
+		}
+	}
+	twinSet := resilience.NewSet(cfg)
+	twinTrace := walkTrace(twinSet, func(w *Walk) (int, error) {
+		i, _, err := w.Next(rows, twinSet, now)
+		return i, err
+	})
 
 	diverged := 0
 	for i := range liveTrace {
@@ -179,8 +160,7 @@ func TestReplayedWindowAvoidanceParity(t *testing.T) {
 	if diverged > 0 {
 		t.Fatalf("%d of %d decisions diverged between live router and replay twin", diverged, nReqs)
 	}
-	liveTrips := set.Trips()
-	twinTrips := breakers[0].Trips() + breakers[1].Trips()
+	liveTrips, twinTrips := set.Trips(), twinSet.Trips()
 	if liveTrips == 0 {
 		t.Error("fault window never tripped a breaker — storm too quiet to test parity")
 	}
@@ -188,5 +168,3 @@ func TestReplayedWindowAvoidanceParity(t *testing.T) {
 		t.Errorf("breaker trips diverged: live %d vs twin %d", liveTrips, twinTrips)
 	}
 }
-
-type endpointStub struct{ ep *fabric.Endpoint }

@@ -227,3 +227,35 @@ func TestGatewayEndpointUnauthorizedRecheck(t *testing.T) {
 		t.Errorf("persistent endpoint 401: status = %d, want 401", rec.Code)
 	}
 }
+
+// TestGatewayRecheckReplayIsNotAFailover: after a real failover, an
+// endpoint-side 401 whose token still checks out is replayed for free — it
+// is neither counted as a second failover nor backed off a second time.
+func TestGatewayRecheckReplayIsNotAFailover(t *testing.T) {
+	sys, token := twoClusterFixture(t, gateway.Config{
+		Retry: resilience.Policy{MaxAttempts: 2},
+	})
+	sys.Endpoints["ep-polaris"].RegisterFunction(fabric.FnInfer, func(ctx context.Context, payload []byte) ([]byte, error) {
+		return nil, fabric.ErrEndpointShutdown
+	})
+	var calls atomic.Int64
+	sys.Endpoints["ep-sophia"].RegisterFunction(fabric.FnInfer, func(ctx context.Context, payload []byte) ([]byte, error) {
+		if calls.Add(1) == 1 {
+			return nil, fabric.ErrUnauthorized
+		}
+		return fakeInfer("from sophia")(ctx, payload)
+	})
+	if rec := doRaw(t, sys, "GET", "/v1/models", token, ""); rec.Code != 200 {
+		t.Fatalf("prime: %d", rec.Code)
+	}
+
+	rec := doRaw(t, sys, "POST", "/v1/chat/completions", token, chatBody)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("status = %d body = %s", rec.Code, rec.Body.String())
+	}
+	for name, want := range map[string]int64{"failover_attempts": 1, "failover_success": 1, "auth_rechecks": 1} {
+		if got := counterValue(sys, name); got != want {
+			t.Errorf("%s = %d, want %d", name, got, want)
+		}
+	}
+}

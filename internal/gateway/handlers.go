@@ -275,32 +275,27 @@ func (s *Server) infer(r *http.Request, who auth.TokenInfo, model string, req fa
 	return res, meta, err
 }
 
-// routeAndRun is the resilience core of the live path: route → acquire
-// breaker admission → run → record outcome, failing over to the next-best
-// endpoint (failed ones excluded) until the attempt budget runs out. At the
-// zero-value Retry policy this is exactly one route + one run with no
-// breaker bookkeeping — behavior-identical to the historical path.
+// routeAndRun is the resilience core of the live path: it drives a
+// federation.Walk — route, run, record the outcome, fail over to the
+// next-best endpoint — until an attempt succeeds or the walk gives its
+// verdict. At the zero-value Retry policy this is exactly one route + one
+// run with no breaker bookkeeping — behavior-identical to the historical
+// path.
 //
 // An endpoint-side fabric.ErrUnauthorized triggers one token-cache recheck
 // (the cached introspection may be stale) and, when the token proves still
-// valid, one free replay against the same endpoint — an auth disagreement is
-// not an endpoint health signal, so it neither feeds the breaker as a
-// failure vote nor burns the failover budget.
+// valid, one free replay — an auth disagreement is not an endpoint health
+// signal, so it neither feeds the breaker as a failure vote nor spends an
+// attempt, a backoff or a failover count.
 func (s *Server) routeAndRun(r *http.Request, model string, run func(ctx context.Context, endpointID string) error) (routeMeta, error) {
 	var (
 		meta      routeMeta
-		avoid     []string
 		lastErr   error
 		rechecked bool
 	)
-	for attempt := 0; attempt < s.cfg.Retry.Attempts(); attempt++ {
-		if attempt > 0 {
-			s.ins.failoverAttempts.Inc()
-			if d := s.cfg.Retry.Delay(attempt-1, 0); d > 0 {
-				s.clk.Sleep(d)
-			}
-		}
-		decision, err := s.router.RouteAvoiding(model, avoid)
+	walk := federation.Walk{Budget: s.cfg.Retry.Attempts()}
+	for {
+		decision, err := s.router.Next(model, &walk)
 		if err != nil {
 			// Failover exhausted the candidate set: the attempt error is
 			// the story, not the bare routing failure. A first-attempt
@@ -311,14 +306,6 @@ func (s *Server) routeAndRun(r *http.Request, model string, run func(ctx context
 			return meta, err
 		}
 		id := decision.Endpoint.ID()
-		if s.breakers != nil && !s.breakers.Acquire(id, s.breakerNow()) {
-			// Lost the half-open probe race to a concurrent request: this
-			// endpoint is spoken for, look elsewhere without spending an
-			// attempt.
-			avoid = append(avoid, id)
-			attempt--
-			continue
-		}
 		meta = routeMeta{endpoint: id, cluster: decision.Endpoint.ClusterName(), reason: string(decision.Reason)}
 		s.met.Counter("route_" + string(decision.Reason)).Inc()
 		s.ins.inferAttempts.Inc()
@@ -327,7 +314,6 @@ func (s *Server) routeAndRun(r *http.Request, model string, run func(ctx context
 		if s.cfg.Retry.AttemptTimeout > 0 {
 			ctx, cancel = context.WithTimeout(ctx, s.cfg.Retry.AttemptTimeout)
 		}
-		start := s.clk.Now()
 		err = run(ctx, id)
 		if cancel != nil {
 			cancel()
@@ -336,10 +322,10 @@ func (s *Server) routeAndRun(r *http.Request, model string, run func(ctx context
 			// Caller-side cancellation and auth disagreements say nothing
 			// about endpoint health; everything else votes.
 			failure := err != nil && !errors.Is(err, context.Canceled) && !errors.Is(err, fabric.ErrUnauthorized)
-			s.breakers.Record(id, s.breakerNow(), s.clk.Since(start), !failure)
+			s.breakers.Record(id, s.breakerNow(), !failure)
 		}
 		if err == nil {
-			if attempt > 0 {
+			if walk.Failed() > 0 {
 				s.ins.failoverSuccess.Inc()
 			}
 			return meta, nil
@@ -353,17 +339,18 @@ func (s *Server) routeAndRun(r *http.Request, model string, run func(ctx context
 			s.ins.authRechecks.Inc()
 			token := strings.TrimPrefix(r.Header.Get("Authorization"), "Bearer ")
 			if info, rerr := s.tokens.Recheck(token); rerr == nil && info.Active {
-				attempt-- // token still valid: replay, endpoint stays eligible
-				continue
+				continue // token still valid: replay, the endpoint stays eligible
 			}
 			return meta, err
 		}
-		if r.Context().Err() != nil {
+		if r.Context().Err() != nil || !walk.Fail() {
 			return meta, err
 		}
-		avoid = append(avoid, id)
+		s.ins.failoverAttempts.Inc()
+		if d := s.cfg.Retry.Delay(walk.Failed()-1, 0); d > 0 {
+			s.clk.Sleep(d)
+		}
 	}
-	return meta, lastErr
 }
 
 // writeInferError maps a routeAndRun failure onto the wire: all-circuits-

@@ -173,8 +173,7 @@ func (b *Breaker) Record(now time.Time, ok bool) {
 		return
 	case Open:
 		// A response from before the trip landed late: feed the window so
-		// passive health stays truthful, but the state machine is already
-		// decided.
+		// it stays truthful, but the state machine is already decided.
 		b.observeLocked(now, ok)
 		return
 	}

@@ -5,8 +5,10 @@
 // policy): a composable retry Policy (capped exponential backoff with full
 // jitter, per-attempt timeouts, Retry-After honoring), a per-endpoint
 // circuit Breaker (closed → open → half-open with sliding-window failure
-// rate and probe admission), and a Set tracking passive health per
-// endpoint, fed by every response.
+// rate and probe admission), and a Set holding one Breaker per routing
+// row. Which row to try next, and when to shed or give up, is not decided
+// here: federation.Walk reads the Set and is the one failover policy the
+// live gateway and the DES replay share.
 //
 // Everything is time-parameterized: breakers never read a wall clock, the
 // caller supplies `now` on every call. The live gateway passes its

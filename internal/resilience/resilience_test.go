@@ -165,76 +165,38 @@ func TestBreakerClosedCheckZeroAllocs(t *testing.T) {
 		t.Fatalf("closed-path CanAttempt allocates %v/op, want 0", n)
 	}
 	s := NewSet(testCfg())
-	s.Record("ep-a", now, time.Millisecond, true)
-	if n := testing.AllocsPerRun(1000, func() { s.CanAttempt("ep-a", now) }); n != 0 {
-		t.Fatalf("Set.CanAttempt allocates %v/op, want 0", n)
+	s.Record("ep-a", now, true)
+	if n := testing.AllocsPerRun(1000, func() { s.Lookup("ep-a") }); n != 0 {
+		t.Fatalf("Set.Lookup allocates %v/op, want 0", n)
 	}
 }
 
-func TestSetHealthAndRetryAfter(t *testing.T) {
+// TestSetLookupAndCounts pins what the failover walk and /metrics read: an
+// ID with no recorded outcome (or a nil Set) has no breaker, a recorded one
+// has its own, and the set tallies states and trips across IDs.
+func TestSetLookupAndCounts(t *testing.T) {
 	s := NewSet(testCfg())
 	now := time.Unix(1000, 0)
-	if !s.CanAttempt("unknown", now) || !s.Acquire("unknown", now) {
-		t.Fatal("unknown endpoint must be admitted")
+	if s.Lookup("unknown") != nil || (*Set)(nil).Lookup("ep-a") != nil {
+		t.Fatal("an unknown ID or a nil set must have no breaker")
 	}
-	s.Record("ep-a", now, 10*time.Millisecond, true)
+	s.Record("ep-a", now, true)
 	for i := 0; i < 4; i++ {
-		s.Record("ep-b", now, 40*time.Millisecond, false)
+		s.Record("ep-b", now, false)
 	}
-	if s.CanAttempt("ep-a", now) == false {
+	if b := s.Lookup("ep-a"); b == nil || !b.CanAttempt(now) {
 		t.Fatal("healthy endpoint blocked")
 	}
-	if s.CanAttempt("ep-b", now) {
+	if b := s.Lookup("ep-b"); b == nil || b.CanAttempt(now) {
 		t.Fatal("tripped endpoint admitted")
+	}
+	if at := s.Lookup("ep-b").NextProbeAt(); !at.Equal(now.Add(testCfg().OpenFor)) {
+		t.Fatalf("NextProbeAt = %v, want OpenFor after the trip", at)
 	}
 	if open, half := s.StateCounts(); open != 1 || half != 0 {
 		t.Fatalf("StateCounts = %d open %d half, want 1/0", open, half)
 	}
-	d, ok := s.RetryAfter(now.Add(2 * time.Second))
-	if !ok || d != 3*time.Second {
-		t.Fatalf("RetryAfter = %v %v, want 3s true", d, ok)
-	}
-	snap := s.Snapshot()
-	if len(snap) != 2 || snap[0].ID != "ep-a" || snap[1].ID != "ep-b" {
-		t.Fatalf("snapshot = %+v", snap)
-	}
-	if snap[1].Health.ConsecutiveFailures != 4 || snap[1].Health.Failures != 4 {
-		t.Fatalf("ep-b health = %+v", snap[1].Health)
-	}
-	if snap[0].Health.EWMALatency != 10*time.Millisecond {
-		t.Fatalf("ep-a EWMA = %v", snap[0].Health.EWMALatency)
-	}
 	if s.Trips() != 1 {
 		t.Fatalf("trips = %d", s.Trips())
-	}
-}
-
-// TestSetEWMASeedsWithFirstLatency pins the EWMA seeding contract: the
-// first recorded latency becomes the smoothed value exactly. The pre-fix
-// accumulator started at zero and decayed upward by α = 1/8 per sample, so
-// an endpoint with a steady 80 ms latency reported ~10 ms after its first
-// attempt and under-reported for dozens more — health-based decisions saw
-// a phantom fast endpoint.
-func TestSetEWMASeedsWithFirstLatency(t *testing.T) {
-	s := NewSet(testCfg())
-	now := time.Unix(1000, 0)
-	s.Record("ep", now, 80*time.Millisecond, true)
-	snap := s.Snapshot()
-	if got := snap[0].Health.EWMALatency; got != 80*time.Millisecond {
-		t.Fatalf("EWMA after first sample = %v, want exactly 80ms (zero-seeded decay)", got)
-	}
-	// A constant stream must never report below the stream's value: any dip
-	// means the zero seed is still mixed into the average.
-	for i := 0; i < 50; i++ {
-		s.Record("ep", now.Add(time.Duration(i)*time.Second), 80*time.Millisecond, true)
-		if got := s.Snapshot()[0].Health.EWMALatency; got != 80*time.Millisecond {
-			t.Fatalf("EWMA drifted to %v after %d constant 80ms samples", got, i+2)
-		}
-	}
-	// Zero-latency records (callers without a timing) must not clobber the
-	// seed back toward zero.
-	s.Record("ep", now, 0, true)
-	if got := s.Snapshot()[0].Health.EWMALatency; got != 80*time.Millisecond {
-		t.Fatalf("EWMA = %v after a zero-latency record, want 80ms untouched", got)
 	}
 }

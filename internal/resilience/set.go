@@ -1,142 +1,62 @@
 package resilience
 
 import (
-	"sort"
 	"sync"
 	"time"
 )
 
-// Health is the passive per-endpoint health view, fed by every response
-// that crosses the gateway (not just probes): totals, consecutive
-// failures, and an EWMA of attempt latency.
-type Health struct {
-	Successes           int64
-	Failures            int64
-	ConsecutiveFailures int64
-	LastFailureAt       time.Time
-	// EWMALatency smooths attempt latency with α = 1/8.
-	EWMALatency time.Duration
-}
-
-type member struct {
-	b *Breaker
-
-	mu sync.Mutex
-	h  Health
-}
-
-// Set tracks one Breaker plus passive Health per endpoint ID. Lookups for
-// unknown endpoints are admitted (a breaker exists only once an endpoint
-// has produced a response), so the hot path stays allocation-free until
-// there is something to track.
+// Set keeps one Breaker per row ID, all on one configuration: the live
+// gateway keys it by endpoint ID, the DES replay by cluster name. An ID has
+// no breaker until it has recorded an outcome, and an ID without one is
+// admitted, so routing reads stay allocation-free until there is something
+// to track.
 type Set struct {
 	cfg BreakerConfig
 
 	mu sync.RWMutex
-	m  map[string]*member
+	m  map[string]*Breaker
 }
 
 // NewSet builds a breaker set with one shared configuration.
 func NewSet(cfg BreakerConfig) *Set {
-	return &Set{cfg: cfg.withDefaults(), m: make(map[string]*member)}
+	return &Set{cfg: cfg.withDefaults(), m: make(map[string]*Breaker)}
 }
 
-func (s *Set) lookup(id string) *member {
-	s.mu.RLock()
-	e := s.m[id]
-	s.mu.RUnlock()
-	return e
-}
-
-func (s *Set) getOrCreate(id string) *member {
-	if e := s.lookup(id); e != nil {
-		return e
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if e, ok := s.m[id]; ok {
-		return e
-	}
-	e := &member{b: NewBreaker(s.cfg)}
-	s.m[id] = e
-	return e
-}
-
-// CanAttempt reports whether routing may consider endpoint id at time now
-// without reserving a probe. 0 allocs/op on the closed path.
+// Lookup returns id's breaker, or nil when id has recorded nothing yet or
+// the set itself is nil (no breaking): nil admits every attempt. 0 allocs/op.
 //
 //first:hotpath pinned by the breaker AllocsPerRun suite (resilience_test.go)
-func (s *Set) CanAttempt(id string, now time.Time) bool {
-	e := s.lookup(id)
-	if e == nil {
-		return true
+func (s *Set) Lookup(id string) *Breaker {
+	if s == nil {
+		return nil
 	}
-	return e.b.CanAttempt(now)
-}
-
-// Acquire admits an attempt against endpoint id, reserving the half-open
-// probe slot when applicable. The caller must Record the outcome.
-func (s *Set) Acquire(id string, now time.Time) bool {
-	e := s.lookup(id)
-	if e == nil {
-		return true
-	}
-	return e.b.Allow(now)
-}
-
-// Record feeds one attempt outcome into the endpoint's breaker and
-// passive health.
-func (s *Set) Record(id string, now time.Time, latency time.Duration, ok bool) {
-	e := s.getOrCreate(id)
-	e.b.Record(now, ok)
-	e.mu.Lock()
-	if ok {
-		e.h.Successes++
-		e.h.ConsecutiveFailures = 0
-	} else {
-		e.h.Failures++
-		e.h.ConsecutiveFailures++
-		e.h.LastFailureAt = now
-	}
-	if latency > 0 {
-		if e.h.EWMALatency == 0 {
-			e.h.EWMALatency = latency
-		} else {
-			e.h.EWMALatency += (latency - e.h.EWMALatency) / 8
-		}
-	}
-	e.mu.Unlock()
-}
-
-// RetryAfter returns how long until the soonest open breaker admits a
-// probe (false when no breaker is open past now — e.g. all half-open).
-func (s *Set) RetryAfter(now time.Time) (time.Duration, bool) {
 	s.mu.RLock()
-	defer s.mu.RUnlock()
-	var best time.Duration
-	found := false
-	for _, e := range s.m {
-		at := e.b.NextProbeAt()
-		if at.IsZero() {
-			continue
+	b := s.m[id]
+	s.mu.RUnlock()
+	return b
+}
+
+// Record feeds one attempt outcome into id's breaker, creating it on first
+// use. It settles a half-open probe the walk reserved.
+func (s *Set) Record(id string, now time.Time, ok bool) {
+	b := s.Lookup(id)
+	if b == nil {
+		s.mu.Lock()
+		if b = s.m[id]; b == nil {
+			b = NewBreaker(s.cfg)
+			s.m[id] = b
 		}
-		d := at.Sub(now)
-		if d < 0 {
-			d = 0
-		}
-		if !found || d < best {
-			best, found = d, true
-		}
+		s.mu.Unlock()
 	}
-	return best, found
+	b.Record(now, ok)
 }
 
 // StateCounts tallies breakers currently open and half-open (metrics).
 func (s *Set) StateCounts() (open, halfOpen int64) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	for _, e := range s.m {
-		switch e.b.State() {
+	for _, b := range s.m {
+		switch b.State() {
 		case Open:
 			open++
 		case HalfOpen:
@@ -146,38 +66,13 @@ func (s *Set) StateCounts() (open, halfOpen int64) {
 	return open, halfOpen
 }
 
-// Trips sums breaker trips across all endpoints.
+// Trips sums breaker trips across all IDs.
 func (s *Set) Trips() int64 {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	var n int64
-	for _, e := range s.m {
-		n += e.b.Trips()
+	for _, b := range s.m {
+		n += b.Trips()
 	}
 	return n
-}
-
-// EndpointHealth is one endpoint's snapshot row.
-type EndpointHealth struct {
-	ID          string
-	State       State
-	NextProbeAt time.Time
-	Health      Health
-}
-
-// Snapshot returns per-endpoint state and health, sorted by ID.
-func (s *Set) Snapshot() []EndpointHealth {
-	s.mu.RLock()
-	out := make([]EndpointHealth, 0, len(s.m))
-	for id, e := range s.m {
-		e.mu.Lock()
-		h := e.h
-		e.mu.Unlock()
-		out = append(out, EndpointHealth{
-			ID: id, State: e.b.State(), NextProbeAt: e.b.NextProbeAt(), Health: h,
-		})
-	}
-	s.mu.RUnlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
 }
