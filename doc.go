@@ -410,16 +410,21 @@
 // modelled waiting — and its wall time per request follows the shared
 // host's speed drift one to one. With every wait ending on the grid, the
 // tens of microseconds of code between two waits stop adding up: a request
-// takes a whole number of slack periods (five, on the benchmark's live-chat
-// workload) for as long as each stretch of code stays inside the periods
-// it takes now, at a mean cost of 28 µs per wait. On that workload the
+// takes a whole number of slack periods (about four, on the benchmark's
+// live-chat workload) for as long as each stretch of code stays inside the
+// periods it takes now, at a mean cost of 28 µs per wait. On that workload the
 // deployments' control loops re-arm a 250 µs wait without pause, so the
 // pump never leaves its spin window: host.cpu_busy_share reads ~0.6 where
 // it read ~0.18, and the difference is an otherwise idle core polling the
 // clock, not work (clock.cpu_share names it in the profile). The hub's two
-// lanes pace against an absolute virtual deadline, as LiveEngine.loop does,
-// so a backlogged lane drains at the 1/DispatchCost the Fig. 4 model states
-// instead of 1/(DispatchCost + overshoot), slack included.
+// lanes are booked as a task enters them, by the FIFO recurrence of the DES
+// twin's stages, so a backlogged lane drains at the 1/DispatchCost the
+// Fig. 4 model states instead of 1/(DispatchCost + overshoot), slack
+// included. The serving engine takes a task at its booked pickup instant
+// and the hub relays from the engine's finish, so an inference request
+// through the fabric waits on the clock once; a standalone LiveEngine paces
+// its iterations against an absolute virtual deadline, so its overshoot
+// does not add up either.
 //
 // Calibration methodology. Each live cell executes a single serializable
 // churn plan — a chaosnet.Schedule: endpoint kills, cold restarts, and

@@ -45,10 +45,11 @@
 // 12.5 µs submit wait, two periods with a fifth to spare; at 48 µs that
 // stretch sat 4 µs from its boundary and the rate still followed the host.
 // The hub now books submit, dispatch and pickup as one wait of 38.5 µs at
-// 20000×, due from the submit instant (internal/fabric), so that code runs
-// between the serving engine's last wait for one request and that booked
-// wait for the next; the width was not re-tuned for it. The price is a
-// mean 28 µs per wait.
+// 20000×, due from the submit instant, and the serving engine takes a task
+// at its booked pickup instant and the hub relays from the engine's finish
+// (internal/fabric), so a fabric request takes that one wait and that code
+// runs between one request's booked wait and the next's; the width was not
+// re-tuned for it. The price is a mean 28 µs per wait.
 //
 // Why one spinner per clock: letting each sleeper yield-spin for itself is
 // marginally more precise, but puts as many spinners on the run queue as

@@ -384,7 +384,13 @@ func (d *Deployment) release(in *instance) {
 	}
 }
 
-// Generate serves one inference request, retrying on instance loss.
+// Generate serves one inference request, retrying on instance loss. Run as
+// a fabric task, the engine takes the request at the task's pickup instant
+// P, and the task records the engine's finish F for the hub's relay. No
+// engine takes it before the task got its instance: an engine counts an
+// instant before its own start from that start, which is when a task that
+// waited for a cold start or a restart got it, and a retry after an instance
+// loss is taken from the instant of the loss.
 func (d *Deployment) Generate(ctx context.Context, req InferRequest) (InferResult, error) {
 	if d.spec.Kind == perfmodel.KindEmbedding {
 		return InferResult{}, fmt.Errorf("fabric: %s is an embedding model", d.cfg.Model)
@@ -393,15 +399,23 @@ func (d *Deployment) Generate(ctx context.Context, req InferRequest) (InferResul
 	if out <= 0 {
 		out = 128
 	}
+	task, _ := ctx.Value(taskKey{}).(*Task)
+	at := d.ep.clk.Now()
+	if task != nil {
+		at = task.pickupAt
+	}
 	var lastErr error
 	for attempt := 0; attempt < 3; attempt++ {
 		in, err := d.acquire(ctx)
 		if err != nil {
 			return InferResult{}, err
 		}
-		comp := in.live.Generate(ctx, req.PromptTok, out)
+		comp := in.live.GenerateAt(ctx, at, req.PromptTok, out)
 		d.release(in)
 		if comp.Err == nil {
+			if task != nil {
+				task.finishedAt = comp.Finish
+			}
 			res := InferResult{
 				Model:      d.cfg.Model,
 				PromptTok:  comp.PromptTok,
@@ -421,6 +435,7 @@ func (d *Deployment) Generate(ctx context.Context, req InferRequest) (InferResul
 			d.stats.Retries++
 			d.mu.Unlock()
 			lastErr = comp.Err
+			at = d.ep.clk.Now()
 			continue
 		}
 		return InferResult{}, comp.Err

@@ -169,8 +169,9 @@ func (ep *Endpoint) ModelStatuses() []ModelStatus {
 	return statuses
 }
 
-// execute runs a task on the task's own goroutine, at the pickup instant
-// the hub booked for it.
+// execute runs a task on the task's own goroutine, at the pickup instant P
+// the hub booked for it. The handler's context carries the task: a
+// deployment reads P from it and records the engine's finish F on it.
 func (ep *Endpoint) execute(task *Task) ([]byte, error) {
 	ep.mu.Lock()
 	h, ok := ep.handlers[task.Function]
@@ -184,7 +185,7 @@ func (ep *Endpoint) execute(task *Task) ([]byte, error) {
 	}
 	task.setStatus(TaskRunning)
 	ep.met.Counter("endpoint_tasks").Inc()
-	result, err := h(context.Background(), task.Payload)
+	result, err := h(context.WithValue(context.Background(), taskKey{}, task), task.Payload)
 	if err != nil {
 		ep.met.Counter("endpoint_task_failures").Inc()
 	}

@@ -12,6 +12,7 @@ import (
 	"github.com/argonne-first/first/internal/metrics"
 	"github.com/argonne-first/first/internal/perfmodel"
 	"github.com/argonne-first/first/internal/scheduler"
+	"github.com/argonne-first/first/internal/serving"
 )
 
 type testFabric struct {
@@ -491,14 +492,15 @@ func TestPayloadRoundtrip(t *testing.T) {
 	}
 }
 
-// manualHub is a hub with one endpoint ("ep-m") on a manual clock. The
-// endpoint deploys nothing, so the only waiters on the clock are the hub's
-// tasks and their futures; its "admin.stamp" function reports the instant
-// each task runs at on the returned channel.
+// manualHub is a hub with one endpoint ("ep-m", one node of 8 GPUs) on a
+// manual clock. The endpoint deploys nothing unless a test does
+// (manualModel), so the only waiters on the clock are the hub's tasks and
+// their futures; its "admin.stamp" function reports the instant each task
+// runs at on the returned channel.
 func manualHub(t *testing.T, cfg HubConfig, pickup time.Duration) (*clock.Manual, *Client, <-chan time.Time) {
 	t.Helper()
 	clk := clock.NewManual(time.Unix(1_000_000, 0))
-	sched := scheduler.New(cluster.New("mcl", 1, 1, perfmodel.A100_40), clk, scheduler.Config{})
+	sched := scheduler.New(cluster.New("mcl", 1, 8, perfmodel.A100_40), clk, scheduler.Config{})
 	ep, err := NewEndpoint(EndpointConfig{ID: "ep-m", Scheduler: sched, PickupLatency: pickup}, clk, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -693,8 +695,166 @@ func TestFutureWaitCancelledDuringRelay(t *testing.T) {
 	}
 }
 
+// manualModel deploys Llama-8B on manualHub's endpoint with n instances and
+// advances the clock until they serve; its control loop ticks an hour apart,
+// so it holds one waiter on the clock and never runs.
+func manualModel(t *testing.T, clk *clock.Manual, c *Client, n int) *Deployment {
+	t.Helper()
+	d, err := c.hub.endpoints["ep-m"].Deploy(DeploymentConfig{
+		Model: perfmodel.Llama8B, MinInstances: n, MaxInstances: n, AutoScalePeriod: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n > 0 {
+		bootInstances(t, clk, d, n, 1)
+	}
+	return d
+}
+
+// bootInstances advances the clock through the scheduler prologue and the
+// weight load of n instances launched together, while others more goroutines
+// wait on the clock, and returns the instant the instances serve.
+func bootInstances(t *testing.T, clk *clock.Manual, d *Deployment, n, others int) time.Time {
+	t.Helper()
+	waitPending(t, clk, others+n)
+	clk.Advance(30 * time.Second) // the scheduler's default prologue
+	waitPending(t, clk, others+n)
+	clk.Advance(d.spec.LoadTime(perfmodel.A100_40))
+	deadline := time.Now().Add(10 * time.Second)
+	for d.ReadyCount() != n {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d instances serve, want %d", d.ReadyCount(), n)
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+	return clk.Now()
+}
+
+// engineLatency is what an idle engine of d's takes for one request alone.
+func engineLatency(t *testing.T, d *Deployment, promptTok, outputTok int) time.Duration {
+	t.Helper()
+	eng, err := serving.NewEngine(serving.Config{Model: d.spec, GPU: perfmodel.A100_40, MaxBatch: d.cfg.MaxBatch})
+	if err != nil {
+		t.Fatal(err)
+	}
+	seq := eng.Submit(0, promptTok, outputTok, nil)
+	for eng.Depth() > 0 {
+		eng.Step(eng.Now())
+	}
+	return seq.Latency()
+}
+
+// inferManual submits an 8B request of 3 prompt and 16 output tokens, the
+// livefed shape, to manualHub's endpoint.
+func inferManual(t *testing.T, c *Client) *Future {
+	t.Helper()
+	f, err := c.Submit("ep-m", FnInfer, MarshalPayload(InferRequest{Model: perfmodel.Llama8B, PromptTok: 3, OutputTok: 16}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return f
+}
+
+// waitInfer waits, with no further Advance, for the task's result.
+func waitInfer(t *testing.T, f *Future) InferResult {
+	t.Helper()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	raw, err := f.Wait(ctx)
+	if err != nil {
+		t.Fatalf("Wait = %v", err)
+	}
+	var res InferResult
+	if err := UnmarshalPayload(raw, &res); err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// A task whose goroutine wakes long after its pickup instant P still has the
+// engine take it at P, and the hub relays it from the engine's finish F: its
+// ServeTime is the engine's own latency, S = P + ServeTime + RelayCost, and
+// the result is in when the goroutine is done, so neither the engine nor
+// Wait waits on the clock.
+func TestInferHandsOffAtBookedInstants(t *testing.T) {
+	const relay = 15 * time.Millisecond
+	clk, c, _ := manualHub(t, HubConfig{SubmitLatency: 250 * time.Millisecond, DispatchCost: 20 * time.Millisecond,
+		RelayCost: relay, CacheConnections: true}, 100*time.Millisecond)
+	d := manualModel(t, clk, c, 1)
+	f := inferManual(t, c)
+	waitPending(t, clk, 2) // the control loop and the task's pickup
+	p := f.task.pickupAt
+	clk.Advance(p.Sub(clk.Now()) + 10*time.Second)
+	res := waitInfer(t, f)
+	if want := engineLatency(t, d, 3, 16); res.ServeTime != want {
+		t.Errorf("ServeTime = %v, want the engine's own %v", res.ServeTime, want)
+	}
+	if want := p.Add(res.ServeTime + relay); !f.task.relayedAt.Equal(want) {
+		t.Errorf("S = P + %v, want P + ServeTime + RelayCost = P + %v", f.task.relayedAt.Sub(p), want.Sub(p))
+	}
+	if n := clk.PendingWaiters(); n != 1 {
+		t.Errorf("%d waiters on the clock after Wait, want only the control loop's", n)
+	}
+}
+
+// A task that waits for its instance — a cold start on a MinInstances 0
+// deployment — has the engine take it when the instance serves, never at its
+// earlier pickup instant.
+func TestColdStartEngineTakesTaskWhenReady(t *testing.T) {
+	clk, c, _ := manualHub(t, HubConfig{SubmitLatency: time.Millisecond, CacheConnections: true}, time.Millisecond)
+	d := manualModel(t, clk, c, 0)
+	f := inferManual(t, c)
+	waitPending(t, clk, 2) // the control loop and the task's pickup
+	clk.Advance(f.task.pickupAt.Sub(clk.Now()))
+	ready := bootInstances(t, clk, d, 1, 1)
+	waitPending(t, clk, 2) // the control loop and the engine's first iteration
+	clk.Advance(10 * time.Second)
+	res := waitInfer(t, f)
+	if submit := f.task.finishedAt.Add(-res.ServeTime); submit.Before(ready) {
+		t.Errorf("the engine took the task at ready%v, before its instance served", submit.Sub(ready))
+	}
+	if d.Stats().ColdStarts != 1 {
+		t.Errorf("cold starts = %d, want 1", d.Stats().ColdStarts)
+	}
+}
+
+// A task that retries after its instance dies mid-request has the other
+// instance take it at the retry, not at its pickup instant: the first
+// attempt's engine time is not served twice over.
+func TestRetryEngineTakesTaskAtRetry(t *testing.T) {
+	clk, c, _ := manualHub(t, HubConfig{SubmitLatency: time.Millisecond, CacheConnections: true}, time.Millisecond)
+	d := manualModel(t, clk, c, 2)
+	f := inferManual(t, c)
+	waitPending(t, clk, 2) // the control loop and the task's pickup
+	clk.Advance(f.task.pickupAt.Sub(clk.Now()))
+	waitPending(t, clk, 2) // the control loop and the first engine's iteration
+	clk.Advance(time.Millisecond)
+	killed := clk.Now()
+	d.mu.Lock()
+	var job *scheduler.Job
+	for _, in := range d.pool.Members() {
+		if in.calls > 0 {
+			job = in.Job
+		}
+	}
+	d.mu.Unlock()
+	if job == nil || !d.ep.cfg.Scheduler.Fail(job.ID) {
+		t.Fatal("no instance holds the task")
+	}
+	waitPending(t, clk, 4) // the control loop, the dead engine's iteration, the retry's, and the replacement's prologue
+	clk.Advance(10 * time.Second)
+	res := waitInfer(t, f)
+	if submit := f.task.finishedAt.Add(-res.ServeTime); submit.Before(killed) {
+		t.Errorf("the retry's engine took the task at kill%v, before the retry", submit.Sub(killed))
+	}
+	if d.Stats().Retries != 1 {
+		t.Errorf("retries = %d, want 1", d.Stats().Retries)
+	}
+}
+
 // On the scaled clock every request spends at least submit + dispatch +
-// pickup + relay of virtual time in the fabric, alone or in a burst.
+// pickup + relay of virtual time in the fabric, alone or in a burst, and an
+// inference request its own ServeTime on top.
 func TestFabricLatencyCoversEveryStage(t *testing.T) {
 	cfg := HubConfig{
 		SubmitLatency: 250 * time.Millisecond, DispatchCost: 20 * time.Millisecond,
@@ -725,6 +885,31 @@ func TestFabricLatencyCoversEveryStage(t *testing.T) {
 			defer wg.Done()
 			if got := run(); got < floor {
 				t.Errorf("request in a burst spent %v in the fabric, below the modelled %v", got, floor)
+			}
+		}()
+	}
+	wg.Wait()
+
+	f.deploy(t, DeploymentConfig{Model: perfmodel.Llama8B, MinInstances: 1})
+	infer := func() (time.Duration, time.Duration) {
+		start := f.clk.Now()
+		res, err := c.Infer(context.Background(), "ep-test", InferRequest{Model: perfmodel.Llama8B, PromptTok: 3, OutputTok: 16})
+		if err != nil {
+			t.Error(err)
+		}
+		return f.clk.Since(start), floor + res.ServeTime
+	}
+	for i := 0; i < 20; i++ {
+		if got, want := infer(); got < want {
+			t.Fatalf("inference %d spent %v in the fabric, below the modelled %v", i, got, want)
+		}
+	}
+	for i := 0; i < 20; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if got, want := infer(); got < want {
+				t.Errorf("inference in a burst spent %v in the fabric, below the modelled %v", got, want)
 			}
 		}()
 	}

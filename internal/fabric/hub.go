@@ -165,19 +165,20 @@ func (h *Hub) submit(creds Credentials, endpointID, function string, payload []b
 		SubmittedAt:  now,
 		clk:          h.clk,
 		dispatchedAt: h.dispatched,
+		pickupAt:     h.dispatched.Add(max(ep.cfg.PickupLatency, 0)),
 	}
 	h.mu.Unlock()
 
 	future := &Future{task: task, done: make(chan struct{})}
 	h.met.Counter("hub_tasks_submitted").Inc()
-	go h.run(ep, future, task.dispatchedAt.Add(max(ep.cfg.PickupLatency, 0)))
+	go h.run(ep, future)
 	return future, nil
 }
 
 // run is a task's one goroutine: it sleeps to the endpoint's pickup instant
-// D + PickupLatency, runs the task there and relays the result.
-func (h *Hub) run(ep *Endpoint, fut *Future, pickup time.Time) {
-	h.clk.Sleep(pickup.Sub(h.clk.Now()))
+// P = D + PickupLatency, runs the task there and relays the result.
+func (h *Hub) run(ep *Endpoint, fut *Future) {
+	h.clk.Sleep(fut.task.pickupAt.Sub(h.clk.Now()))
 	h.mu.Lock()
 	closed := h.closed
 	h.mu.Unlock()
@@ -188,14 +189,19 @@ func (h *Hub) run(ep *Endpoint, fut *Future, pickup time.Time) {
 	h.finish(fut, result, err)
 }
 
-// finish books the result's relay departure S = max(now, previous S) +
-// RelayCost and resolves the future with it; a result that finds the hub
-// closed fails at once.
+// finish books the result's relay departure S = max(F, previous S) +
+// RelayCost, where F is the instant the handler's engine finished (now, for a
+// handler that reports none), and resolves the future with it; a result that
+// finds the hub closed fails at once.
 func (h *Hub) finish(fut *Future, result []byte, err error) {
 	h.mu.Lock()
 	now, closed := h.clk.Now(), h.closed
 	if !closed {
-		h.relayed = later(now, h.relayed).Add(max(h.cfg.RelayCost, 0))
+		from := fut.task.finishedAt
+		if from.IsZero() {
+			from = now
+		}
+		h.relayed = later(from, h.relayed).Add(max(h.cfg.RelayCost, 0))
 	}
 	relayed := h.relayed
 	h.mu.Unlock()

@@ -7,15 +7,19 @@
 //
 // The hub's two serialized lanes, dispatch and relay, are booked rather than
 // run: a task's departure from each is fixed as it enters, by the FIFO
-// recurrence the DES twin's stages use, so a task waits once, on its own
-// goroutine, until its endpoint picks it up, and its waiter at most once
-// more, for what is left of the relay when the result comes in. At submit,
-// the dispatch departure is D = max(now + submit latency, previous D) +
-// dispatch cost and the task runs at D + pickup latency; at finish, the
-// relay departure is S = max(now, previous S) + relay cost. Every modelled
-// cost is charged as when each lane was a goroutine sleeping it out; what
-// booking saves is a wait per lane, which a scaled clock rounds up to its
-// slack grid, and two goroutine hops per request.
+// recurrence the DES twin's stages use. At submit, the dispatch departure is
+// D = max(now + submit latency, previous D) + dispatch cost, and the task's
+// pickup instant is P = D + pickup latency. The task's one goroutine sleeps
+// to P and runs the handler, which finds P on its context: a deployment hands
+// it to the serving engine, which takes the request at P — inside the wait
+// the goroutine already paid — and reports the instant F its last token was
+// emitted. At finish, the relay departure is S = max(F, previous S) + relay
+// cost, with F = now for a handler that reports none. Every modelled cost is
+// charged as when each lane and the engine's hand-off were waits of their
+// own; what booking saves is those waits, each of which a scaled clock
+// rounds up to its slack grid, and two goroutine hops per request. A waiter
+// waits only for what is left of S when the outcome comes in, which on the
+// inference path is usually nothing.
 package fabric
 
 import (
@@ -65,6 +69,10 @@ type Task struct {
 
 	clk          clock.Clock
 	dispatchedAt time.Time // D, booked at submit
+	pickupAt     time.Time // P = D + the endpoint's pickup latency
+	// finishedAt is F, the instant the handler's engine finished, or zero;
+	// only the task's own goroutine touches it.
+	finishedAt time.Time
 
 	mu        sync.Mutex
 	status    Status    // pending, running, or the outcome once it is in
@@ -93,16 +101,20 @@ func (t *Task) setStatus(s Status) {
 	t.mu.Unlock()
 }
 
+// taskKey keys the running *Task on its handler's context.
+type taskKey struct{}
+
 // Future resolves to a task result: the paper's Optimization 1 replaced
-// 2-second status polling with futures, so a waiter learns of the result as
-// soon as the hub relays it.
+// 2-second status polling with futures, so a waiter learns of the result at
+// its relay departure S, and at once when the outcome comes in after S.
 type Future struct {
 	task *Task
 	done chan struct{} // closed once the outcome and its relay departure are in
 }
 
-// Wait blocks for the result. The outcome comes in before its relay
-// departure S; Wait returns it no earlier than S.
+// Wait blocks for the result and returns it no earlier than its relay
+// departure S. S is booked from the engine's finish F, so it may have passed
+// by the time the outcome comes in; Wait then returns at once.
 func (f *Future) Wait(ctx context.Context) ([]byte, error) {
 	select {
 	case <-f.done:

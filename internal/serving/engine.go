@@ -295,11 +295,13 @@ func (e *Engine) WaitingCount() int { return e.waiting.len() - e.abortedWaiting 
 // KVUsedTokens returns current KV occupancy in tokens.
 func (e *Engine) KVUsedTokens() int { return e.kvUsed }
 
-// Submit enqueues a request at time now and returns its sequence. The driver
-// must ensure now is monotonically consistent with prior calls. Engine time
-// only fast-forwards to now when the engine is idle — a busy engine's
-// iteration pacing is never disturbed by arrivals (live drivers may call
-// with a wall-derived now slightly ahead of the engine's timeline).
+// Submit enqueues a request at time now and returns its sequence. Engine
+// time only fast-forwards to now when the engine is idle, and never moves
+// back: a busy engine's iteration pacing is never disturbed by arrivals, and
+// a request stamped before the engine's clock — a live driver's tasks can
+// reach one engine out of stamp order, or behind an idle engine that already
+// fast-forwarded — is taken at the engine's next iteration boundary, its
+// SubmitAt keeping the stamp. Calls need not be ordered by now.
 //
 // The returned Sequence may come from the free list populated by Release; it
 // is owned by the caller until completion is delivered (or the sequence is

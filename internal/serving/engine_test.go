@@ -467,6 +467,39 @@ func TestEngineWheelMemoryFixed(t *testing.T) {
 	}
 }
 
+// A submission stamped before the engine's clock — two tasks woken in one
+// pass of a clock's pump can reach one engine out of pickup order — never
+// moves that clock back: an idle engine that already fast-forwarded past the
+// stamp, and a busy one, each take it at their next iteration boundary, and
+// its SubmitAt keeps the stamp.
+func TestEngineSubmitEarlierStampKeepsClock(t *testing.T) {
+	const ms = time.Millisecond
+	eng := newTestEngine(t, perfmodel.Llama8B, 0)
+	late := eng.Submit(100*ms, 10, 4, nil)
+	early := eng.Submit(40*ms, 10, 4, nil) // idle, fast-forwarded to 100 ms
+	if eng.Now() != 100*ms {
+		t.Fatalf("engine clock %v after an earlier stamp, want 100ms", eng.Now())
+	}
+	last := eng.Now()
+	eng.Step(eng.Now())
+	if early.StartAt != 100*ms || late.StartAt != 100*ms || early.SubmitAt != 40*ms || early.QueueWait() != 60*ms {
+		t.Errorf("early: start %v submit %v wait %v; late start %v; want both started at 100ms, early waiting 60ms",
+			early.StartAt, early.SubmitAt, early.QueueWait(), late.StartAt)
+	}
+	busy := eng.Submit(last, 10, 4, nil) // stamped at the running iteration's start
+	boundary := eng.Now()
+	for eng.Depth() > 0 {
+		if eng.Now() < last {
+			t.Fatalf("engine clock went back from %v to %v", last, eng.Now())
+		}
+		last = eng.Now()
+		eng.Step(eng.Now())
+	}
+	if busy.StartAt != boundary || busy.SubmitAt != 100*ms {
+		t.Errorf("busy: start %v submit %v, want the next boundary %v and the stamp 100ms", busy.StartAt, busy.SubmitAt, boundary)
+	}
+}
+
 // TestEngineChurnZeroAlloc covers the completion path too: with Release in
 // the loop, even sequence turnover allocates nothing at steady state.
 func TestEngineChurnZeroAlloc(t *testing.T) {

@@ -14,37 +14,59 @@ type Completion struct {
 	OutputTok int
 	QueueWait time.Duration
 	Latency   time.Duration
-	Err       error
+	// Finish is the instant, on the engine's clock, of the iteration that
+	// emitted the last token: F. Zero with an error.
+	Finish time.Time
+	Err    error
 }
 
 // LiveEngine drives an Engine in real (or scaled) time: a background
 // goroutine runs the continuous-batching loop, sleeping for each iteration's
-// duration on the configured clock and delivering completions to the
-// channel each Generate call registered. This is the component a fabric
-// endpoint launches per model instance — the stand-in for "vLLM serve".
+// duration on the configured clock and signalling each caller when its
+// sequence finishes. This is the component a fabric endpoint launches per
+// model instance — the stand-in for "vLLM serve".
+//
+// A caller's record (its completion and wake channel) is recycled through a
+// free list, as clock.Scaled recycles its waiters, and the loop reuses one
+// deliveries slice, so a request allocates nothing at steady state.
 type LiveEngine struct {
 	clk   clock.Clock
 	epoch time.Time
 
 	mu      sync.Mutex
 	eng     *Engine
-	waiters map[int64]chan Completion
+	pending waiter  // sentinel of the ring of callers whose sequence is in the engine
+	free    *waiter // recycled records, linked through next
 	closed  bool
 	wake    chan struct{}
 	done    chan struct{}
+
+	// deliveries is the loop goroutine's scratch: the callers one iteration
+	// finished, signalled once the lock is released.
+	deliveries []*waiter
+}
+
+// waiter is one GenerateAt call's record. It rides on its sequence's Ctx, so
+// the loop finds it without a lookup.
+type waiter struct {
+	c    Completion
+	wake chan struct{} // one value per delivery; lives with the record
+	// prev and next link the record into LiveEngine.pending while its
+	// sequence is in the engine (prev != nil); next alone links the free list.
+	prev, next *waiter
 }
 
 // NewLiveEngine wraps eng (which must not be used elsewhere) and starts the
 // serving loop on clk.
 func NewLiveEngine(eng *Engine, clk clock.Clock) *LiveEngine {
 	l := &LiveEngine{
-		clk:     clk,
-		epoch:   clk.Now(),
-		eng:     eng,
-		waiters: make(map[int64]chan Completion),
-		wake:    make(chan struct{}, 1),
-		done:    make(chan struct{}),
+		clk:   clk,
+		epoch: clk.Now(),
+		eng:   eng,
+		wake:  make(chan struct{}, 1),
+		done:  make(chan struct{}),
 	}
+	l.pending.prev, l.pending.next = &l.pending, &l.pending
 	//firstlint:allow det LiveEngine is the wall-clock wrapper around the deterministic engine; the serving loop goroutine is the live-mode contract
 	go l.loop()
 	return l
@@ -53,20 +75,40 @@ func NewLiveEngine(eng *Engine, clk clock.Clock) *LiveEngine {
 // vnow converts the clock's wall reading into the engine's virtual timeline.
 func (l *LiveEngine) vnow() time.Duration { return l.clk.Since(l.epoch) }
 
-// Generate submits a request and blocks until completion or ctx cancellation.
+// Generate submits a request now and blocks until completion or ctx
+// cancellation.
 func (l *LiveEngine) Generate(ctx context.Context, promptTok, outputTok int) Completion {
+	return l.GenerateAt(ctx, l.clk.Now(), promptTok, outputTok)
+}
+
+// GenerateAt submits a request that reached the engine at instant at and
+// blocks until completion or ctx cancellation. The engine takes it at
+// min(at, now): a driver that booked the arrival before its goroutine got to
+// run hands that instant over, and the engine's work lands inside the wait
+// the driver already paid. An instant before the engine started counts from
+// its start, and one before the engine's own clock is taken at its next
+// iteration boundary (Engine.Submit); no modelled delay gets shorter, and the
+// loop still delivers no earlier than the finish instant it reports.
+//
+//first:hotpath pinned by TestLiveEngineGenerateAtZeroAlloc (serving_test.go)
+func (l *LiveEngine) GenerateAt(ctx context.Context, at time.Time, promptTok, outputTok int) Completion {
 	l.mu.Lock()
 	if l.closed {
 		l.mu.Unlock()
 		return Completion{Err: ErrClosed}
 	}
-	seq := l.eng.Submit(l.vnow(), promptTok, outputTok, nil)
+	w := l.free
+	if w != nil {
+		l.free = w.next
+	} else {
+		w = &waiter{wake: make(chan struct{}, 1)} //firstlint:allow hotpath first touch; records are recycled through l.free
+	}
 	// Capture the ID while holding the lock: once the completion is
 	// delivered the engine may recycle seq for a new request, so the
 	// pointer must not be dereferenced after unlock.
-	id := seq.ID
-	ch := make(chan Completion, 1)
-	l.waiters[id] = ch
+	id := l.eng.Submit(min(at.Sub(l.epoch), l.vnow()), promptTok, outputTok, w).ID
+	w.prev, w.next = l.pending.prev, &l.pending
+	w.prev.next, l.pending.prev = w, w
 	l.mu.Unlock()
 
 	select {
@@ -75,16 +117,29 @@ func (l *LiveEngine) Generate(ctx context.Context, promptTok, outputTok int) Com
 	}
 
 	select {
-	case c := <-ch:
+	case <-w.wake:
+		c := w.c
+		l.mu.Lock()
+		w.next, l.free = l.free, w
+		l.mu.Unlock()
 		return c
 	case <-ctx.Done():
-		l.mu.Lock()
-		if l.eng.Abort(id) {
-			delete(l.waiters, id)
-		}
-		l.mu.Unlock()
-		return Completion{Err: ctx.Err()}
 	}
+	l.mu.Lock()
+	if w.prev != nil && l.eng.Abort(id) {
+		unlink(w)
+		w.next, l.free = l.free, w
+	}
+	// Otherwise the sequence runs on, and the record is left to the
+	// collector: the one signal it still gets lands in its buffer.
+	l.mu.Unlock()
+	return Completion{Err: ctx.Err()}
+}
+
+// unlink takes w out of the pending ring; l.mu is held.
+func unlink(w *waiter) {
+	w.prev.next, w.next.prev = w.next, w.prev
+	w.prev, w.next = nil, nil
 }
 
 // Depth reports waiting+running load for routing decisions.
@@ -111,13 +166,18 @@ func (l *LiveEngine) Close() {
 		return
 	}
 	l.closed = true
-	pending := l.waiters
-	l.waiters = make(map[int64]chan Completion)
+	var answer []*waiter
+	for w := l.pending.next; w != &l.pending; {
+		next := w.next
+		unlink(w)
+		w.c = Completion{Err: ErrClosed}
+		answer = append(answer, w)
+		w = next
+	}
 	l.mu.Unlock()
 	close(l.done)
-	//firstlint:allow det every pending waiter gets the same ErrClosed on its own buffered channel; delivery order is unobservable
-	for _, ch := range pending {
-		ch <- Completion{Err: ErrClosed}
+	for _, w := range answer {
+		w.wake <- struct{}{}
 	}
 }
 
@@ -154,30 +214,30 @@ func (l *LiveEngine) loop() {
 			continue
 		}
 		l.mu.Lock()
-		type delivery struct {
-			ch chan Completion
-			c  Completion
+		if l.closed {
+			l.mu.Unlock() // Close has answered every pending caller
+			return
 		}
-		deliveries := make([]delivery, 0, len(res.Completed))
 		for _, seq := range res.Completed {
-			ch, ok := l.waiters[seq.ID]
-			if !ok {
-				continue
-			}
-			delete(l.waiters, seq.ID)
-			deliveries = append(deliveries, delivery{ch, Completion{
+			w := seq.Ctx.(*waiter)
+			unlink(w)
+			w.c = Completion{
 				PromptTok: seq.PromptTok,
 				OutputTok: seq.Emitted,
 				QueueWait: seq.QueueWait(),
 				Latency:   seq.Latency(),
-			}})
+				Finish:    l.epoch.Add(seq.FinishAt),
+			}
+			l.deliveries = append(l.deliveries, w)
 		}
-		// Everything a waiter needs is copied into deliveries; the finished
+		// Everything a caller needs is copied into its record; the finished
 		// sequences can go back to the engine's free list.
 		l.eng.Release(res.Completed...)
 		l.mu.Unlock()
-		for _, d := range deliveries {
-			d.ch <- d.c
+		for i, w := range l.deliveries {
+			w.wake <- struct{}{}
+			l.deliveries[i] = nil
 		}
+		l.deliveries = l.deliveries[:0]
 	}
 }

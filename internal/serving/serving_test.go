@@ -103,6 +103,134 @@ func TestLiveEngineCloseUnblocksWaiters(t *testing.T) {
 	}
 }
 
+// soloLatency is what an idle engine like eng takes for one request alone.
+func soloLatency(t *testing.T, eng *Engine, promptTok, outputTok int) time.Duration {
+	t.Helper()
+	solo, err := NewEngine(eng.Config())
+	if err != nil {
+		t.Fatal(err)
+	}
+	seq := solo.Submit(0, promptTok, outputTok, nil)
+	for solo.Depth() > 0 {
+		solo.Step(solo.Now())
+	}
+	return seq.Latency()
+}
+
+// waitSleepers blocks until n goroutines sleep on clk.
+func waitSleepers(t *testing.T, clk *clock.Manual, n int) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for clk.PendingWaiters() != n {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d sleepers on the clock, want %d", clk.PendingWaiters(), n)
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+}
+
+// generateAt runs GenerateAt on its own goroutine and fails the test unless
+// it returns with no further Advance of the manual clock.
+func generateAt(t *testing.T, live *LiveEngine, at time.Time) Completion {
+	t.Helper()
+	done := make(chan Completion, 1)
+	go func() { done <- live.GenerateAt(context.Background(), at, 3, 16) }()
+	select {
+	case c := <-done:
+		if c.Err != nil {
+			t.Fatalf("GenerateAt: %v", c.Err)
+		}
+		return c
+	case <-time.After(10 * time.Second):
+		t.Fatal("GenerateAt waited on the clock")
+		return Completion{}
+	}
+}
+
+// GenerateAt takes a request at min(at, now), counting an instant before the
+// engine started from its start, and reports the finish instant F: a request
+// whose work lies inside time that has already passed returns without a wait.
+func TestLiveEngineGenerateAtTakesBookedInstant(t *testing.T) {
+	eng := newTestEngine(t, perfmodel.Llama8B, 0)
+	want := soloLatency(t, eng, 3, 16)
+	clk := clock.NewManual(time.Unix(1_000_000, 0))
+	start := clk.Now()
+	live := NewLiveEngine(eng, clk)
+	defer live.Close()
+	clk.Advance(time.Minute)
+
+	for _, tc := range []struct {
+		name     string
+		at, took time.Time
+	}{
+		{"before the engine started", start.Add(-time.Hour), start},
+		{"in the past", start.Add(10 * time.Second), start.Add(10 * time.Second)},
+	} {
+		c := generateAt(t, live, tc.at)
+		if c.Latency != want || !c.Finish.Equal(tc.took.Add(want)) {
+			t.Errorf("%s: latency %v, finish start+%v; want %v, start+%v",
+				tc.name, c.Latency, c.Finish.Sub(start), want, tc.took.Add(want).Sub(start))
+		}
+	}
+
+	// An instant ahead of the clock is taken now, and the engine sleeps out
+	// its work.
+	now := clk.Now()
+	done := make(chan Completion, 1)
+	go func() { done <- live.GenerateAt(context.Background(), now.Add(time.Hour), 3, 16) }()
+	waitSleepers(t, clk, 1)
+	clk.Advance(time.Minute)
+	if c := <-done; c.Err != nil || !c.Finish.Equal(now.Add(want)) {
+		t.Errorf("future instant: finish now+%v, err %v; want now+%v", c.Finish.Sub(now), c.Err, want)
+	}
+}
+
+// A caller that gives up while its sequence runs gets ctx.Err() at once; the
+// sequence runs on, its delivery to the dropped record blocks nothing, and
+// the engine serves the next request.
+func TestLiveEngineCancelWhileRunning(t *testing.T) {
+	clk := clock.NewManual(time.Unix(1_000_000, 0))
+	live := NewLiveEngine(newTestEngine(t, perfmodel.Llama8B, 0), clk)
+	defer live.Close()
+	ctx, cancel := context.WithCancel(context.Background())
+	errc := make(chan error, 1)
+	go func() { errc <- live.GenerateAt(ctx, clk.Now(), 3, 16).Err }()
+	waitSleepers(t, clk, 1) // the first iteration has the sequence running
+	cancel()
+	if err := <-errc; err != context.Canceled {
+		t.Fatalf("cancelled GenerateAt = %v, want %v", err, context.Canceled)
+	}
+	clk.Advance(time.Minute)
+	generateAt(t, live, clk.Now().Add(-time.Second))
+	if st := live.Stats(); st.Completed != 2 {
+		t.Errorf("completed = %d, want 2", st.Completed)
+	}
+}
+
+// TestLiveEngineGenerateAtZeroAlloc: at steady state a request allocates
+// nothing — its record and wake channel come from the free list, and the
+// loop signals completions from one reused slice.
+func TestLiveEngineGenerateAtZeroAlloc(t *testing.T) {
+	clk := clock.NewScaled(20000)
+	live := NewLiveEngine(newTestEngine(t, perfmodel.Llama8B, 0), clk)
+	defer live.Close()
+	ctx := context.Background()
+	// A method value: the hotpath analyzer matches a pin's callees by bare
+	// name, and Engine.Now is not on this path.
+	now := clk.Now
+	generate := func() {
+		if c := live.GenerateAt(ctx, now(), 3, 16); c.Err != nil {
+			t.Fatal(c.Err)
+		}
+	}
+	for i := 0; i < 20; i++ {
+		generate() // warm the free lists, the deliveries slice and the clock
+	}
+	if allocs := testing.AllocsPerRun(100, generate); allocs != 0 {
+		t.Errorf("steady-state GenerateAt allocs = %v, want 0", allocs)
+	}
+}
+
 func TestRunOfflineBatchCalibration(t *testing.T) {
 	// The §5.3.1 anchor: 1000 long-form requests on 70B ⇒ ≈2117 tok/s
 	// overall including cold start, ≈409 s total.
