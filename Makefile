@@ -37,10 +37,9 @@ lint:
 # fuzz runs every decoder of external bytes for FUZZTIME each (3s in `make
 # check`; the nightly CI job runs 60s): the openaiapi request parser and SSE
 # stream reader (seed corpora under testdata/fuzz; truncation / malformed
-# frames), the gateway config file, the chaosnet.Schedule JSON, and the
-# fabric's task/result payloads (FuzzUnmarshalPayload: no panic, and what
-# decodes survives a re-marshal), the store's four JSONL journals
-# (FuzzStoreLoad: no panic, and a store Load accepts survives Save → Load),
+# frames), the gateway config file, the chaosnet.Schedule JSON, the store's
+# four JSONL journals (FuzzStoreLoad: no panic, and a store Load accepts
+# survives Save → Load),
 # the gateway's batch-create and tool-call bodies (FuzzDecodeCreateBatch,
 # FuzzDecodeToolRequest: no panic, a decoded body re-encodes stably) — and
 # one state machine: FuzzEngineOffer decodes bytes into a
@@ -52,7 +51,6 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadSSE$$' -fuzztime $(FUZZTIME) ./internal/openaiapi
 	$(GO) test -run '^$$' -fuzz '^FuzzLoadConfig$$' -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzSchedule$$' -fuzztime $(FUZZTIME) ./internal/chaosnet
-	$(GO) test -run '^$$' -fuzz '^FuzzUnmarshalPayload$$' -fuzztime $(FUZZTIME) ./internal/fabric
 	$(GO) test -run '^$$' -fuzz '^FuzzStoreLoad$$' -fuzztime $(FUZZTIME) ./internal/store
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeCreateBatch$$' -fuzztime $(FUZZTIME) ./internal/gateway
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeToolRequest$$' -fuzztime $(FUZZTIME) ./internal/gateway

@@ -120,10 +120,10 @@
 //     serializes the data plane on a single mutex or contended cache line.
 //     Getting it in hand does: Registry.Counter/Histogram(name) takes the
 //     registry's one lock and a map look-up, so it is for set-up and tests.
-//     The gateway resolves the request path's constant-name instruments
-//     once, at construction (gateway.New), and only its two computed names
-//     (route_<reason>, requests_<kind>) are looked up per request, on the
-//     cache-miss path.
+//     The gateway resolves the request path's instruments once, at
+//     construction (gateway.New), its two computed families
+//     (route_<reason>, requests_<kind>) included, and the fabric's hub and
+//     endpoints resolve their task counters when they are built.
 //
 // # Sharded gateway front-end
 //
@@ -426,6 +426,19 @@
 // its iterations against an absolute virtual deadline, so its overshoot
 // does not add up either.
 //
+// What is left is host CPU, which the scaled clock multiplies into modelled
+// time the DES twin does not have, so the in-process hops do no work that
+// models nothing. The hub hands a task's payload to the endpoint's handler
+// as the Go value the caller submitted (fabric.Handler takes and returns
+// any) and the result comes back the same way: the Globus Compute hop's
+// cost is the hub's booked constants, not an encode and a decode. Tools are
+// the one byte-level function: the gateway decodes the call's body
+// (FuzzDecodeToolRequest), passes the tool its JSON payload as []byte and
+// answers with the []byte the tool returns; hpc.simulate decodes its
+// request with encoding/json itself. The SDK's in-process transport starts
+// one goroutine per request, the handler's, and registers its cancellation
+// with context.AfterFunc instead of a watcher goroutine.
+//
 // Calibration methodology. Each live cell executes a single serializable
 // churn plan — a chaosnet.Schedule: endpoint kills, cold restarts, and
 // background GPU claims/releases keyed by request index, plus the fault
@@ -509,8 +522,9 @@
 // gate on the same cell; `make benchmark-smoke` vets, tests and lints the
 // benchmark/ module, which the root's ./... does not reach; `make check`
 // includes a brief fuzz pass over the openaiapi request and SSE parsers,
-// the gateway config file, the chaosnet.Schedule JSON, the fabric's
-// payloads, the store's JSONL journals and the serving engine's
+// the gateway config file, the chaosnet.Schedule JSON, the store's JSONL
+// journals, the gateway's batch-create and tool-call bodies and the serving
+// engine's
 // offer/settle state machine (FuzzEngineOffer), and `make fuzzlist` fails
 // when a fuzz target under internal/ is missing from that pass. All of
 // these run as the six required CI jobs (.github/workflows/ci.yml: check, lint,

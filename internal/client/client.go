@@ -116,22 +116,19 @@ func (t handlerTransport) RoundTrip(req *http.Request) (*http.Response, error) {
 	}
 	pr, pw := io.Pipe()
 	rec := &streamRecorder{header: make(http.Header), pw: pw, wroteCh: make(chan struct{})}
-	done := make(chan struct{})
+	// Cancellation mid-body: poison the pipe. Closing the write side hands
+	// the context error to the response reader and fails the handler's next
+	// Write, so both sides unblock. AfterFunc registers that with the
+	// context instead of starting a watcher goroutine per request; the
+	// handler's goroutine disarms it when the body is complete, so a later
+	// cancellation leaves a fully written result standing.
+	ctx := req.Context()
+	stop := context.AfterFunc(ctx, func() { pw.CloseWithError(ctx.Err()) })
 	go func() {
-		defer close(done)
 		t.h.ServeHTTP(rec, req)
 		rec.WriteHeader(http.StatusOK) // finalize status even for empty bodies
+		stop()
 		pw.Close()
-	}()
-	go func() {
-		// Cancellation mid-body: poison the pipe. Closing the write side
-		// hands the context error to the response reader and fails the
-		// handler's next Write, so both sides unblock.
-		select {
-		case <-req.Context().Done():
-			pw.CloseWithError(req.Context().Err())
-		case <-done:
-		}
 	}()
 	select {
 	case <-rec.wroteCh:

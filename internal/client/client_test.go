@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"io"
 	"net/http"
 	"strings"
 	"sync"
@@ -208,6 +209,36 @@ func TestClientCancelMidStream(t *testing.T) {
 	}
 	if text != "first" {
 		t.Errorf("partial text = %q, want deltas delivered before the cut", text)
+	}
+}
+
+// TestClientCancelAfterEOF: once the in-process transport's body has been
+// read to EOF, cancelling the request's context does not poison it — the
+// body keeps reporting a clean EOF and closes without error.
+func TestClientCancelAfterEOF(t *testing.T) {
+	h := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Write([]byte(`{"object":"list","data":[]}`))
+	})
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, "http://first.gateway.local/v1/models", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := HandlerRoundTripper(h).RoundTrip(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	if err != nil || string(body) != `{"object":"list","data":[]}` {
+		t.Fatalf("body = %q, %v", body, err)
+	}
+	cancel()
+	if n, err := resp.Body.Read(make([]byte, 8)); n != 0 || err != io.EOF {
+		t.Errorf("read after cancel = %d, %v; want 0, io.EOF", n, err)
+	}
+	if err := resp.Body.Close(); err != nil {
+		t.Errorf("close after cancel = %v", err)
 	}
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"math"
 	"time"
@@ -17,7 +18,8 @@ import (
 
 // ExposeTool pre-registers a function on a cluster's endpoint and routes it
 // through the gateway at POST /v1/tools/{name}, optionally gated by a
-// Globus group.
+// Globus group. A tool's handler is given the call's JSON payload as []byte
+// and answers with []byte.
 func (s *System) ExposeTool(name, clusterName, group string, handler fabric.Handler) error {
 	ep, ok := s.Endpoints["ep-"+clusterName]
 	if !ok {
@@ -60,10 +62,14 @@ func (s *System) RegisterHPCSimulationTool(clusterName, group string) error {
 	if !ok {
 		return fmt.Errorf("core: unknown cluster %q", clusterName)
 	}
-	handler := func(ctx context.Context, payload []byte) ([]byte, error) {
+	handler := func(ctx context.Context, payload any) (any, error) {
+		raw, ok := payload.([]byte)
+		if !ok {
+			return nil, fmt.Errorf("%w: hpc.simulate takes JSON bytes, not %T", fabric.ErrPayloadType, payload)
+		}
 		var req SimulateRequest
-		if err := fabric.UnmarshalPayload(payload, &req); err != nil {
-			return nil, err
+		if err := json.Unmarshal(raw, &req); err != nil {
+			return nil, fmt.Errorf("hpc.simulate: %w", err)
 		}
 		if req.GridCells <= 0 || req.Steps <= 0 {
 			return nil, fmt.Errorf("hpc.simulate: grid_cells and steps must be positive")
@@ -108,7 +114,7 @@ func (s *System) RegisterHPCSimulationTool(clusterName, group string) error {
 		_ = job
 		select {
 		case res := <-done:
-			return fabric.MarshalPayload(res), nil
+			return json.Marshal(res)
 		case err := <-fail:
 			return nil, err
 		case <-ctx.Done():

@@ -96,7 +96,7 @@ func TestToolValidation(t *testing.T) {
 	if err := sys.RegisterHPCSimulationTool("nowhere", ""); err == nil {
 		t.Error("unknown cluster accepted")
 	}
-	if err := sys.ExposeTool("t", "nowhere", "", func(context.Context, []byte) ([]byte, error) { return nil, nil }); err == nil {
+	if err := sys.ExposeTool("t", "nowhere", "", func(context.Context, any) (any, error) { return nil, nil }); err == nil {
 		t.Error("ExposeTool accepted unknown cluster")
 	}
 }
@@ -104,7 +104,7 @@ func TestToolValidation(t *testing.T) {
 func TestListTools(t *testing.T) {
 	sys, _ := newTestSystem(t)
 	sys.RegisterHPCSimulationTool("sophia", "")
-	sys.ExposeTool("custom.echo", "polaris", "", func(_ context.Context, p []byte) ([]byte, error) {
+	sys.ExposeTool("custom.echo", "polaris", "", func(_ context.Context, p any) (any, error) {
 		return p, nil
 	})
 	grant, _ := sys.Login("alice")
@@ -126,7 +126,7 @@ func TestListTools(t *testing.T) {
 
 func TestCustomToolRawStringResult(t *testing.T) {
 	sys, _ := newTestSystem(t)
-	sys.ExposeTool("raw.echo", "sophia", "", func(_ context.Context, p []byte) ([]byte, error) {
+	sys.ExposeTool("raw.echo", "sophia", "", func(_ context.Context, p any) (any, error) {
 		return []byte("not json at all"), nil
 	})
 	grant, _ := sys.Login("alice")
@@ -144,11 +144,37 @@ func TestCustomToolRawStringResult(t *testing.T) {
 	}
 }
 
+// TestToolTakesAndReturnsBytes: a tool is handed the call's JSON payload as
+// []byte, verbatim, and the JSON it returns is the result; a tool that answers
+// with anything but bytes fails the call with a 502 instead of panicking.
+func TestToolTakesAndReturnsBytes(t *testing.T) {
+	sys, _ := newTestSystem(t)
+	sys.ExposeTool("bytes.echo", "sophia", "", func(_ context.Context, p any) (any, error) {
+		raw, ok := p.([]byte)
+		if !ok || string(raw) != `{"n": [1, 2]}` {
+			t.Errorf("tool payload = %#v, want the call's JSON bytes verbatim", p)
+		}
+		return raw, nil
+	})
+	sys.ExposeTool("value.tool", "sophia", "", func(context.Context, any) (any, error) {
+		return SimulateResult{Name: "not bytes"}, nil
+	})
+	grant, _ := sys.Login("alice")
+	rec := postTool(t, sys, grant.AccessToken, "bytes.echo", `{"payload":{"n": [1, 2]}}`)
+	var resp gateway.ToolResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &resp); rec.Code != 200 || err != nil || string(resp.Result) != `{"n":[1,2]}` {
+		t.Errorf("echo = %d %s", rec.Code, rec.Body.String())
+	}
+	if rec := postTool(t, sys, grant.AccessToken, "value.tool", `{"payload":{}}`); rec.Code != 502 || !strings.Contains(rec.Body.String(), "not bytes") {
+		t.Errorf("tool answering a Go value = %d %s, want 502", rec.Code, rec.Body.String())
+	}
+}
+
 func TestToolContextTimeout(t *testing.T) {
 	sys, _ := newTestSystem(t)
 	block := make(chan struct{})
 	t.Cleanup(func() { close(block) })
-	sys.ExposeTool("slow.tool", "sophia", "", func(ctx context.Context, _ []byte) ([]byte, error) {
+	sys.ExposeTool("slow.tool", "sophia", "", func(ctx context.Context, _ any) (any, error) {
 		select {
 		case <-block:
 		case <-ctx.Done():

@@ -575,10 +575,10 @@ func armLiveFedEndpoint(ep *fabric.Endpoint, epIdx int, c LiveFedCell, cellSeed 
 	var mu sync.Mutex
 	seen := make(map[int]int)
 	nEps := c.Clusters
-	ep.RegisterFunction(fabric.FnInfer, func(ctx context.Context, payload []byte) ([]byte, error) {
-		var req fabric.InferRequest
-		if err := fabric.UnmarshalPayload(payload, &req); err != nil {
-			return nil, err
+	ep.RegisterFunction(fabric.FnInfer, func(ctx context.Context, payload any) (any, error) {
+		req, ok := payload.(fabric.InferRequest)
+		if !ok {
+			return nil, fmt.Errorf("%w: %T", fabric.ErrPayloadType, payload)
 		}
 		if idx := liveFedIndex(req.Prompt); idx >= 0 {
 			mu.Lock()
@@ -599,11 +599,7 @@ func armLiveFedEndpoint(ep *fabric.Endpoint, epIdx int, c LiveFedCell, cellSeed 
 		if !ok {
 			return nil, fmt.Errorf("fabric: endpoint %s does not host %s", ep.ID(), req.Model)
 		}
-		res, err := d.Generate(ctx, req)
-		if err != nil {
-			return nil, err
-		}
-		return fabric.MarshalPayload(res), nil
+		return d.Generate(ctx, req)
 	})
 }
 

@@ -1,6 +1,9 @@
 package fabric
 
-import "context"
+import (
+	"context"
+	"fmt"
+)
 
 // ClientConfig configures a Globus-Compute-SDK-style client.
 type ClientConfig struct {
@@ -21,12 +24,13 @@ func NewClient(hub *Hub, cfg ClientConfig) *Client {
 }
 
 // Submit sends a function invocation and returns a future.
-func (c *Client) Submit(endpointID, function string, payload []byte) (*Future, error) {
+func (c *Client) Submit(endpointID, function string, payload any) (*Future, error) {
 	return c.hub.submit(c.cfg.Credentials, endpointID, function, payload)
 }
 
-// Run submits and waits (the gateway's per-request path).
-func (c *Client) Run(ctx context.Context, endpointID, function string, payload []byte) ([]byte, error) {
+// Run submits and waits (the gateway's per-request path). The payload reaches
+// the function's handler unchanged, and its result comes back unchanged.
+func (c *Client) Run(ctx context.Context, endpointID, function string, payload any) (any, error) {
 	fut, err := c.Submit(endpointID, function, payload)
 	if err != nil {
 		return nil, err
@@ -36,26 +40,25 @@ func (c *Client) Run(ctx context.Context, endpointID, function string, payload [
 
 // Infer is a typed convenience around FnInfer.
 func (c *Client) Infer(ctx context.Context, endpointID string, req InferRequest) (InferResult, error) {
-	raw, err := c.Run(ctx, endpointID, FnInfer, MarshalPayload(req))
-	if err != nil {
-		return InferResult{}, err
-	}
-	var res InferResult
-	if err := UnmarshalPayload(raw, &res); err != nil {
-		return InferResult{}, err
-	}
-	return res, nil
+	return run[InferResult](c, ctx, endpointID, FnInfer, req)
 }
 
 // Embed is a typed convenience around FnEmbed.
 func (c *Client) Embed(ctx context.Context, endpointID string, req EmbedRequest) (EmbedResult, error) {
-	raw, err := c.Run(ctx, endpointID, FnEmbed, MarshalPayload(req))
+	return run[EmbedResult](c, ctx, endpointID, FnEmbed, req)
+}
+
+// run is Run with the result asserted to R; a function that answers with
+// another type fails with ErrPayloadType.
+func run[R any](c *Client, ctx context.Context, endpointID, function string, payload any) (R, error) {
+	var res R
+	out, err := c.Run(ctx, endpointID, function, payload)
 	if err != nil {
-		return EmbedResult{}, err
+		return res, err
 	}
-	var res EmbedResult
-	if err := UnmarshalPayload(raw, &res); err != nil {
-		return EmbedResult{}, err
+	res, ok := out.(R)
+	if !ok {
+		return res, fmt.Errorf("%w: %s answered %T, not %T", ErrPayloadType, function, out, res)
 	}
 	return res, nil
 }

@@ -2,6 +2,7 @@ package fabric
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -13,7 +14,15 @@ import (
 )
 
 // Handler executes one pre-registered function invocation on an endpoint.
-type Handler func(ctx context.Context, payload []byte) ([]byte, error)
+// It is handed the Go value the caller submitted, and what it returns
+// reaches the caller's Future unchanged: the hop's cost is the hub's
+// constants, not host work the clock would multiply. A payload of a type it
+// does not take is an error (ErrPayloadType), not a panic.
+type Handler func(ctx context.Context, payload any) (any, error)
+
+// ErrPayloadType reports a task whose payload is not the type its function
+// takes.
+var ErrPayloadType = errors.New("fabric: payload has the wrong type")
 
 // EndpointConfig configures a Globus-Compute-style endpoint deployed on one
 // cluster by facility administrators.
@@ -32,7 +41,8 @@ type EndpointConfig struct {
 type Endpoint struct {
 	cfg EndpointConfig
 	clk clock.Clock
-	met *metrics.Registry
+
+	tasks, taskFailures *metrics.Counter
 
 	mu          sync.Mutex
 	handlers    map[string]Handler
@@ -58,11 +68,12 @@ func NewEndpoint(cfg EndpointConfig, clk clock.Clock, met *metrics.Registry) (*E
 		met = metrics.NewRegistry()
 	}
 	ep := &Endpoint{
-		cfg:         cfg,
-		clk:         clk,
-		met:         met,
-		handlers:    make(map[string]Handler),
-		deployments: make(map[string]*Deployment),
+		cfg:          cfg,
+		clk:          clk,
+		tasks:        met.Counter("endpoint_tasks"),
+		taskFailures: met.Counter("endpoint_task_failures"),
+		handlers:     make(map[string]Handler),
+		deployments:  make(map[string]*Deployment),
 	}
 	ep.handlers[FnInfer] = ep.handleInfer
 	ep.handlers[FnEmbed] = ep.handleEmbed
@@ -172,7 +183,7 @@ func (ep *Endpoint) ModelStatuses() []ModelStatus {
 // execute runs a task on the task's own goroutine, at the pickup instant P
 // the hub booked for it. The handler's context carries the task: a
 // deployment reads P from it and records the engine's finish F on it.
-func (ep *Endpoint) execute(task *Task) ([]byte, error) {
+func (ep *Endpoint) execute(task *Task) (any, error) {
 	ep.mu.Lock()
 	h, ok := ep.handlers[task.Function]
 	closed := ep.closed
@@ -184,40 +195,32 @@ func (ep *Endpoint) execute(task *Task) ([]byte, error) {
 		return nil, fmt.Errorf("%w: %s", ErrUnknownFunction, task.Function)
 	}
 	task.setStatus(TaskRunning)
-	ep.met.Counter("endpoint_tasks").Inc()
+	ep.tasks.Inc()
 	result, err := h(context.WithValue(context.Background(), taskKey{}, task), task.Payload)
 	if err != nil {
-		ep.met.Counter("endpoint_task_failures").Inc()
+		ep.taskFailures.Inc()
 	}
 	return result, err
 }
 
-func (ep *Endpoint) handleInfer(ctx context.Context, payload []byte) ([]byte, error) {
-	var req InferRequest
-	if err := UnmarshalPayload(payload, &req); err != nil {
-		return nil, err
+func (ep *Endpoint) handleInfer(ctx context.Context, payload any) (any, error) {
+	req, ok := payload.(InferRequest)
+	if !ok {
+		return nil, fmt.Errorf("%w: %s takes an InferRequest, not %T", ErrPayloadType, FnInfer, payload)
 	}
-	ep.mu.Lock()
-	d, ok := ep.deployments[req.Model]
-	ep.mu.Unlock()
+	d, ok := ep.Deployment(req.Model)
 	if !ok {
 		return nil, fmt.Errorf("fabric: endpoint %s does not host %s", ep.cfg.ID, req.Model)
 	}
-	res, err := d.Generate(ctx, req)
-	if err != nil {
-		return nil, err
-	}
-	return MarshalPayload(res), nil
+	return d.Generate(ctx, req)
 }
 
-func (ep *Endpoint) handleEmbed(ctx context.Context, payload []byte) ([]byte, error) {
-	var req EmbedRequest
-	if err := UnmarshalPayload(payload, &req); err != nil {
-		return nil, err
+func (ep *Endpoint) handleEmbed(ctx context.Context, payload any) (any, error) {
+	req, ok := payload.(EmbedRequest)
+	if !ok {
+		return nil, fmt.Errorf("%w: %s takes an EmbedRequest, not %T", ErrPayloadType, FnEmbed, payload)
 	}
-	ep.mu.Lock()
-	d, ok := ep.deployments[req.Model]
-	ep.mu.Unlock()
+	d, ok := ep.Deployment(req.Model)
 	if !ok {
 		return nil, fmt.Errorf("fabric: endpoint %s does not host %s", ep.cfg.ID, req.Model)
 	}
@@ -225,7 +228,7 @@ func (ep *Endpoint) handleEmbed(ctx context.Context, payload []byte) ([]byte, er
 	if err != nil {
 		return nil, err
 	}
-	return MarshalPayload(EmbedResult{Model: req.Model, Dim: d.spec.EmbedDim, Vectors: vectors}), nil
+	return EmbedResult{Model: req.Model, Dim: d.spec.EmbedDim, Vectors: vectors}, nil
 }
 
 // Close shuts down all deployments.

@@ -120,18 +120,18 @@ func TestInferThroughFabric(t *testing.T) {
 
 func TestRegisteredAdminFunction(t *testing.T) {
 	f := newTestFabric(t, HubConfig{}, 2)
-	f.ep.RegisterFunction("admin.echo", func(_ context.Context, payload []byte) ([]byte, error) {
+	f.ep.RegisterFunction("admin.echo", func(_ context.Context, payload any) (any, error) {
 		return payload, nil
 	})
 	c := f.client()
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	out, err := c.Run(ctx, "ep-test", "admin.echo", []byte("ping"))
+	out, err := c.Run(ctx, "ep-test", "admin.echo", "ping")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if string(out) != "ping" {
-		t.Errorf("echo = %q", out)
+	if out != "ping" {
+		t.Errorf("echo = %v", out)
 	}
 }
 
@@ -397,7 +397,7 @@ func TestHubQueueFull(t *testing.T) {
 	c := f.client()
 	var full int
 	for i := 0; i < 20; i++ {
-		if _, err := c.Submit("ep-test", FnInfer, MarshalPayload(InferRequest{Model: perfmodel.Llama8B})); errors.Is(err, ErrHubQueueFull) {
+		if _, err := c.Submit("ep-test", FnInfer, InferRequest{Model: perfmodel.Llama8B}); errors.Is(err, ErrHubQueueFull) {
 			full++
 		}
 	}
@@ -460,7 +460,7 @@ func TestTaskStatusProgression(t *testing.T) {
 	f := newTestFabric(t, HubConfig{}, 2)
 	f.deploy(t, DeploymentConfig{Model: perfmodel.Llama8B, MinInstances: 1})
 	c := f.client()
-	fut, err := c.Submit("ep-test", FnInfer, MarshalPayload(InferRequest{Model: perfmodel.Llama8B, PromptTok: 5, OutputTok: 5}))
+	fut, err := c.Submit("ep-test", FnInfer, InferRequest{Model: perfmodel.Llama8B, PromptTok: 5, OutputTok: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -477,18 +477,56 @@ func TestTaskStatusProgression(t *testing.T) {
 	}
 }
 
+// TestPayloadRoundtrip: the value a caller hands Client.Run is the value
+// its handler receives, and the handler's result is the value Run returns —
+// the hub neither encodes nor copies what it carries.
 func TestPayloadRoundtrip(t *testing.T) {
-	in := InferRequest{Model: "m", PromptTok: 5, OutputTok: 6, Prompt: "p", WantText: true}
-	raw := MarshalPayload(in)
-	var out InferRequest
-	if err := UnmarshalPayload(raw, &out); err != nil {
+	f := newTestFabric(t, HubConfig{}, 2)
+	in := &InferRequest{Model: "m", PromptTok: 5, OutputTok: 6, Prompt: "p", WantText: true}
+	want := *in
+	back := &InferResult{Model: "m", Text: "t"}
+	f.ep.RegisterFunction("admin.swap", func(_ context.Context, payload any) (any, error) {
+		if payload != any(in) || *in != want {
+			t.Errorf("handler got %#v, want the caller's %p unchanged", payload, in)
+		}
+		return back, nil
+	})
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	out, err := f.client().Run(ctx, "ep-test", "admin.swap", in)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if out != in {
-		t.Errorf("roundtrip: %+v != %+v", out, in)
+	if out != any(back) || *back != (InferResult{Model: "m", Text: "t"}) {
+		t.Errorf("Run = %#v, want the handler's %p unchanged", out, back)
 	}
-	if err := UnmarshalPayload([]byte("{broken"), &out); err == nil {
-		t.Error("broken payload accepted")
+}
+
+// TestPayloadTypeMismatch: a built-in handler given a payload of another type
+// fails the task with ErrPayloadType instead of panicking, and Infer fails
+// the same way when its function hands back something other than an
+// InferResult.
+func TestPayloadTypeMismatch(t *testing.T) {
+	f := newTestFabric(t, HubConfig{}, 2)
+	f.deploy(t, DeploymentConfig{Model: perfmodel.Llama8B, MinInstances: 0})
+	c := f.client()
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	for _, payload := range []any{nil, []byte(`{"model":"m"}`), &InferRequest{Model: perfmodel.Llama8B}, EmbedRequest{Model: perfmodel.Llama8B}} {
+		if _, err := c.Run(ctx, "ep-test", FnInfer, payload); !errors.Is(err, ErrPayloadType) {
+			t.Errorf("FnInfer given %T: err = %v, want ErrPayloadType", payload, err)
+		}
+	}
+	if _, err := c.Run(ctx, "ep-test", FnEmbed, InferRequest{Model: perfmodel.Llama8B}); !errors.Is(err, ErrPayloadType) {
+		t.Errorf("FnEmbed given an InferRequest: err = %v, want ErrPayloadType", err)
+	}
+	f.ep.RegisterFunction(FnInfer, f.ep.handleEmbed)
+	if _, err := c.Infer(ctx, "ep-test", InferRequest{Model: perfmodel.Llama8B}); !errors.Is(err, ErrPayloadType) {
+		t.Errorf("Infer through a handler that takes an EmbedRequest: err = %v, want ErrPayloadType", err)
+	}
+	f.ep.RegisterFunction(FnInfer, func(context.Context, any) (any, error) { return []byte("{}"), nil })
+	if _, err := c.Infer(ctx, "ep-test", InferRequest{Model: perfmodel.Llama8B}); !errors.Is(err, ErrPayloadType) {
+		t.Errorf("Infer answered with bytes: err = %v, want ErrPayloadType", err)
 	}
 }
 
@@ -506,9 +544,9 @@ func manualHub(t *testing.T, cfg HubConfig, pickup time.Duration) (*clock.Manual
 		t.Fatal(err)
 	}
 	ran := make(chan time.Time, 64)
-	ep.RegisterFunction("admin.stamp", func(context.Context, []byte) ([]byte, error) {
+	ep.RegisterFunction("admin.stamp", func(context.Context, any) (any, error) {
 		ran <- clk.Now()
-		return []byte("ok"), nil
+		return "ok", nil
 	})
 	hub := NewHub(clk, cfg, "id", "secret", nil)
 	hub.RegisterEndpoint(ep)
@@ -650,8 +688,8 @@ func TestFutureReportsAtRelayDeparture(t *testing.T) {
 	}
 	got := make(chan time.Time, 1)
 	go func() {
-		if out, err := f.Wait(context.Background()); err != nil || string(out) != "ok" {
-			t.Errorf("Wait = %q, %v", out, err)
+		if out, err := f.Wait(context.Background()); err != nil || out != "ok" {
+			t.Errorf("Wait = %v, %v", out, err)
 		}
 		got <- clk.Now()
 	}()
@@ -748,7 +786,7 @@ func engineLatency(t *testing.T, d *Deployment, promptTok, outputTok int) time.D
 // livefed shape, to manualHub's endpoint.
 func inferManual(t *testing.T, c *Client) *Future {
 	t.Helper()
-	f, err := c.Submit("ep-m", FnInfer, MarshalPayload(InferRequest{Model: perfmodel.Llama8B, PromptTok: 3, OutputTok: 16}))
+	f, err := c.Submit("ep-m", FnInfer, InferRequest{Model: perfmodel.Llama8B, PromptTok: 3, OutputTok: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -760,15 +798,11 @@ func waitInfer(t *testing.T, f *Future) InferResult {
 	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	raw, err := f.Wait(ctx)
+	out, err := f.Wait(ctx)
 	if err != nil {
 		t.Fatalf("Wait = %v", err)
 	}
-	var res InferResult
-	if err := UnmarshalPayload(raw, &res); err != nil {
-		t.Fatal(err)
-	}
-	return res
+	return out.(InferResult)
 }
 
 // A task whose goroutine wakes long after its pickup instant P still has the
@@ -861,7 +895,7 @@ func TestFabricLatencyCoversEveryStage(t *testing.T) {
 		RelayCost: 15 * time.Millisecond, CacheConnections: true, MaxQueuedTasks: 1024,
 	}
 	f := newTestFabric(t, cfg, 1)
-	f.ep.RegisterFunction("admin.echo", func(_ context.Context, payload []byte) ([]byte, error) {
+	f.ep.RegisterFunction("admin.echo", func(_ context.Context, payload any) (any, error) {
 		return payload, nil
 	})
 	c := f.client()

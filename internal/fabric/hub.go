@@ -63,7 +63,8 @@ func DefaultHubConfig() HubConfig {
 type Hub struct {
 	clk clock.Clock
 	cfg HubConfig
-	met *metrics.Registry
+
+	submitted, completed, failed *metrics.Counter
 
 	clientID     string
 	clientSecret string
@@ -85,8 +86,11 @@ func NewHub(clk clock.Clock, cfg HubConfig, clientID, clientSecret string, met *
 		met = metrics.NewRegistry()
 	}
 	return &Hub{
-		clk: clk, cfg: cfg, met: met,
+		clk: clk, cfg: cfg,
 		clientID: clientID, clientSecret: clientSecret,
+		submitted:   met.Counter("hub_tasks_submitted"),
+		completed:   met.Counter("hub_tasks_completed"),
+		failed:      met.Counter("hub_tasks_failed"),
 		endpoints:   make(map[string]*Endpoint),
 		connections: make(map[string]bool),
 	}
@@ -121,7 +125,7 @@ func (h *Hub) QueuedTasks() int {
 // submit validates and accepts a task from a client SDK and books its
 // dispatch departure. The returned future resolves when the endpoint's
 // result is relayed back.
-func (h *Hub) submit(creds Credentials, endpointID, function string, payload []byte) (*Future, error) {
+func (h *Hub) submit(creds Credentials, endpointID, function string, payload any) (*Future, error) {
 	if creds.ClientID != h.clientID || creds.ClientSecret != h.clientSecret {
 		return nil, ErrBadCredentials
 	}
@@ -170,7 +174,7 @@ func (h *Hub) submit(creds Credentials, endpointID, function string, payload []b
 	h.mu.Unlock()
 
 	future := &Future{task: task, done: make(chan struct{})}
-	h.met.Counter("hub_tasks_submitted").Inc()
+	h.submitted.Inc()
 	go h.run(ep, future)
 	return future, nil
 }
@@ -182,7 +186,7 @@ func (h *Hub) run(ep *Endpoint, fut *Future) {
 	h.mu.Lock()
 	closed := h.closed
 	h.mu.Unlock()
-	result, err := []byte(nil), ErrEndpointShutdown
+	result, err := any(nil), ErrEndpointShutdown
 	if !closed {
 		result, err = ep.execute(fut.task)
 	}
@@ -193,7 +197,7 @@ func (h *Hub) run(ep *Endpoint, fut *Future) {
 // RelayCost, where F is the instant the handler's engine finished (now, for a
 // handler that reports none), and resolves the future with it; a result that
 // finds the hub closed fails at once.
-func (h *Hub) finish(fut *Future, result []byte, err error) {
+func (h *Hub) finish(fut *Future, result any, err error) {
 	h.mu.Lock()
 	now, closed := h.clk.Now(), h.closed
 	if !closed {
@@ -210,9 +214,9 @@ func (h *Hub) finish(fut *Future, result []byte, err error) {
 		fut.resolve(nil, ErrEndpointShutdown, now)
 		return
 	case err != nil:
-		h.met.Counter("hub_tasks_failed").Inc()
+		h.failed.Inc()
 	default:
-		h.met.Counter("hub_tasks_completed").Inc()
+		h.completed.Inc()
 	}
 	fut.resolve(result, err, relayed)
 }

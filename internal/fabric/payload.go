@@ -1,10 +1,6 @@
 package fabric
 
-import (
-	"encoding/json"
-	"fmt"
-	"time"
-)
+import "time"
 
 // Well-known function names pre-registered on endpoints. Only these can be
 // invoked (§3.2.2 Security: "Only functions that are pre-registered by the
@@ -14,54 +10,38 @@ const (
 	FnEmbed = "first.embed"
 )
 
-// InferRequest is the payload of an FnInfer task.
+// InferRequest is the payload of an FnInfer task. Payloads cross the hub as
+// Go values (see the package comment), so these types carry no wire tags.
 type InferRequest struct {
-	Model     string `json:"model"`
-	PromptTok int    `json:"prompt_tokens"`
-	OutputTok int    `json:"max_tokens"`
-	Prompt    string `json:"prompt,omitempty"`
+	Model     string
+	PromptTok int
+	OutputTok int
+	Prompt    string
 	// WantText asks the serving side to synthesize response text; perf
 	// harnesses leave it false and work with token counts only.
-	WantText bool `json:"want_text,omitempty"`
+	WantText bool
 }
 
 // InferResult is the payload of an FnInfer result.
 type InferResult struct {
-	Model      string        `json:"model"`
-	Text       string        `json:"text,omitempty"`
-	PromptTok  int           `json:"prompt_tokens"`
-	OutputTok  int           `json:"completion_tokens"`
-	QueueWait  time.Duration `json:"queue_wait_ns"`
-	ServeTime  time.Duration `json:"serve_time_ns"`
-	InstanceID int           `json:"instance_id"`
+	Model      string
+	Text       string
+	PromptTok  int
+	OutputTok  int
+	QueueWait  time.Duration
+	ServeTime  time.Duration
+	InstanceID int
 }
 
 // EmbedRequest is the payload of an FnEmbed task.
 type EmbedRequest struct {
-	Model  string   `json:"model"`
-	Inputs []string `json:"inputs"`
+	Model  string
+	Inputs []string
 }
 
 // EmbedResult is the payload of an FnEmbed result.
 type EmbedResult struct {
-	Model   string      `json:"model"`
-	Dim     int         `json:"dim"`
-	Vectors [][]float32 `json:"vectors"`
-}
-
-// MarshalPayload encodes any payload type for the fabric.
-func MarshalPayload(v interface{}) []byte {
-	b, err := json.Marshal(v)
-	if err != nil {
-		panic(fmt.Sprintf("fabric: payload marshal: %v", err)) // payload types are all marshalable
-	}
-	return b
-}
-
-// UnmarshalPayload decodes a payload into v.
-func UnmarshalPayload(data []byte, v interface{}) error {
-	if err := json.Unmarshal(data, v); err != nil {
-		return fmt.Errorf("fabric: payload unmarshal: %w", err)
-	}
-	return nil
+	Model   string
+	Dim     int
+	Vectors [][]float32
 }

@@ -20,6 +20,12 @@
 // rounds up to its slack grid, and two goroutine hops per request. A waiter
 // waits only for what is left of S when the outcome comes in, which on the
 // inference path is usually nothing.
+//
+// A task's payload and its result are Go values: the caller's InferRequest
+// reaches the handler as it was submitted, and the handler's InferResult
+// reaches the caller's Future unchanged. The hop's cost is in the hub's
+// constants above, not in host work — an encode and a decode inside one
+// process — that a scaled clock would multiply into modelled time.
 package fabric
 
 import (
@@ -63,7 +69,7 @@ type Task struct {
 	ID         int64
 	Function   string
 	EndpointID string
-	Payload    []byte
+	Payload    any
 
 	SubmittedAt time.Time
 
@@ -77,7 +83,7 @@ type Task struct {
 	mu        sync.Mutex
 	status    Status    // pending, running, or the outcome once it is in
 	relayedAt time.Time // S, booked when the outcome came in
-	result    []byte
+	result    any
 	err       error
 }
 
@@ -115,7 +121,7 @@ type Future struct {
 // Wait blocks for the result and returns it no earlier than its relay
 // departure S. S is booked from the engine's finish F, so it may have passed
 // by the time the outcome comes in; Wait then returns at once.
-func (f *Future) Wait(ctx context.Context) ([]byte, error) {
+func (f *Future) Wait(ctx context.Context) (any, error) {
 	select {
 	case <-f.done:
 	case <-ctx.Done():
@@ -144,7 +150,7 @@ func (f *Future) Done() bool { return f.task.Status() >= TaskSuccess }
 func (f *Future) Task() *Task { return f.task }
 
 // resolve records the outcome and the instant it is relayed at.
-func (f *Future) resolve(result []byte, err error, relayed time.Time) {
+func (f *Future) resolve(result any, err error, relayed time.Time) {
 	f.task.mu.Lock()
 	f.task.result = result
 	f.task.err = err

@@ -180,22 +180,34 @@ type Server struct {
 	breakerNow func() time.Time
 }
 
-// instruments are the request path's constant-name metrics, resolved once in
-// New: Registry.Counter(name) takes the registry's one mutex and a map
-// look-up per call, which every request would otherwise pay three times. The
-// two computed names ("route_"+reason, "requests_"+kind) stay look-ups on
-// the miss path, and the pull-on-read gauges stay with their refresh
-// functions.
+// instruments are the request path's metrics, resolved once in New:
+// Registry.Counter(name) takes the registry's one mutex and a map look-up
+// per call, which every request would otherwise pay several times. The two
+// computed families, route_<reason> and requests_<kind>, are resolved for
+// every reason the router gives and every kind logRequest logs. The
+// pull-on-read gauges stay with their refresh functions.
 type instruments struct {
 	httpRequests, authRejected, rateLimited, overloaded *metrics.Counter
 	cacheHits, inferAttempts, outputTokens              *metrics.Counter
 	failoverAttempts, failoverSuccess, authRechecks     *metrics.Counter
 	loadShed, streamAborts, toolCalls                   *metrics.Counter
 	requestSeconds                                      *metrics.Histogram
+	routed                                              map[federation.Reason]*metrics.Counter
+	requests                                            map[store.RequestKind]*metrics.Counter
 }
 
 func newInstruments(reg *metrics.Registry) instruments {
+	routed := make(map[federation.Reason]*metrics.Counter)
+	for _, r := range []federation.Reason{federation.ReasonActive, federation.ReasonCapacity, federation.ReasonFirstConf} {
+		routed[r] = reg.Counter("route_" + string(r))
+	}
+	requests := make(map[store.RequestKind]*metrics.Counter)
+	for _, k := range []store.RequestKind{store.KindChat, store.KindCompletion, store.KindEmbedding} {
+		requests[k] = reg.Counter("requests_" + string(k))
+	}
 	return instruments{
+		routed:           routed,
+		requests:         requests,
 		httpRequests:     reg.Counter("http_requests"),
 		authRejected:     reg.Counter("auth_rejected"),
 		rateLimited:      reg.Counter("rate_limited"),

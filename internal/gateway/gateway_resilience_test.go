@@ -50,14 +50,14 @@ func twoClusterFixture(t *testing.T, cfg gateway.Config) (*core.System, string) 
 
 // fakeInfer fabricates an FnInfer handler returning canned text.
 func fakeInfer(text string) fabric.Handler {
-	return func(ctx context.Context, payload []byte) ([]byte, error) {
-		var req fabric.InferRequest
-		if err := fabric.UnmarshalPayload(payload, &req); err != nil {
-			return nil, err
+	return func(ctx context.Context, payload any) (any, error) {
+		req, ok := payload.(fabric.InferRequest)
+		if !ok {
+			return nil, fabric.ErrPayloadType
 		}
-		return fabric.MarshalPayload(fabric.InferResult{
+		return fabric.InferResult{
 			Model: req.Model, Text: text, PromptTok: req.PromptTok, OutputTok: req.OutputTok,
-		}), nil
+		}, nil
 	}
 }
 
@@ -74,7 +74,7 @@ func TestGatewayFailoverToNextCluster(t *testing.T) {
 	sys, token := twoClusterFixture(t, gateway.Config{
 		Retry: resilience.Policy{MaxAttempts: 2},
 	})
-	sys.Endpoints["ep-polaris"].RegisterFunction(fabric.FnInfer, func(ctx context.Context, payload []byte) ([]byte, error) {
+	sys.Endpoints["ep-polaris"].RegisterFunction(fabric.FnInfer, func(ctx context.Context, payload any) (any, error) {
 		return nil, fabric.ErrEndpointShutdown
 	})
 	sys.Endpoints["ep-sophia"].RegisterFunction(fabric.FnInfer, fakeInfer("from sophia"))
@@ -112,7 +112,7 @@ func TestGatewayAllOpenSheds(t *testing.T) {
 		},
 		BreakerClock: logical,
 	})
-	fail := func(ctx context.Context, payload []byte) ([]byte, error) {
+	fail := func(ctx context.Context, payload any) (any, error) {
 		return nil, fabric.ErrEndpointShutdown
 	}
 	sys.Endpoints["ep-polaris"].RegisterFunction(fabric.FnInfer, fail)
@@ -188,7 +188,7 @@ func containsAll(s string, subs ...string) bool {
 func TestGatewayEndpointUnauthorizedRecheck(t *testing.T) {
 	sys, token := gatewayFixture(t, gateway.Config{})
 	var calls atomic.Int64
-	sys.Endpoints["ep-sophia"].RegisterFunction(fabric.FnInfer, func(ctx context.Context, payload []byte) ([]byte, error) {
+	sys.Endpoints["ep-sophia"].RegisterFunction(fabric.FnInfer, func(ctx context.Context, payload any) (any, error) {
 		if calls.Add(1) == 1 {
 			return nil, fabric.ErrUnauthorized
 		}
@@ -219,7 +219,7 @@ func TestGatewayEndpointUnauthorizedRecheck(t *testing.T) {
 
 	// A second endpoint 401 inside the recheck cooldown surfaces as 401 to
 	// the client (bounded: no recheck storm).
-	sys.Endpoints["ep-sophia"].RegisterFunction(fabric.FnInfer, func(ctx context.Context, payload []byte) ([]byte, error) {
+	sys.Endpoints["ep-sophia"].RegisterFunction(fabric.FnInfer, func(ctx context.Context, payload any) (any, error) {
 		return nil, fabric.ErrUnauthorized
 	})
 	rec = doRaw(t, sys, "POST", "/v1/chat/completions", token, chatBody)
@@ -235,11 +235,11 @@ func TestGatewayRecheckReplayIsNotAFailover(t *testing.T) {
 	sys, token := twoClusterFixture(t, gateway.Config{
 		Retry: resilience.Policy{MaxAttempts: 2},
 	})
-	sys.Endpoints["ep-polaris"].RegisterFunction(fabric.FnInfer, func(ctx context.Context, payload []byte) ([]byte, error) {
+	sys.Endpoints["ep-polaris"].RegisterFunction(fabric.FnInfer, func(ctx context.Context, payload any) (any, error) {
 		return nil, fabric.ErrEndpointShutdown
 	})
 	var calls atomic.Int64
-	sys.Endpoints["ep-sophia"].RegisterFunction(fabric.FnInfer, func(ctx context.Context, payload []byte) ([]byte, error) {
+	sys.Endpoints["ep-sophia"].RegisterFunction(fabric.FnInfer, func(ctx context.Context, payload any) (any, error) {
 		if calls.Add(1) == 1 {
 			return nil, fabric.ErrUnauthorized
 		}

@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"net/url"
 	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -463,6 +464,50 @@ func TestChatCacheHitAllocBudget(t *testing.T) {
 	})
 	if got > 1 {
 		t.Errorf("a response-cache hit through ServeHTTP allocates %.0f/op, want ≤ 1 (the body buffer)", got)
+	}
+}
+
+// TestRequestCountersAfterTraffic pins the per-request counters the
+// gateway, hub and endpoint resolve at construction: after one chat and one
+// completion, each is on /metrics under its name with the value traffic
+// gave it.
+func TestRequestCountersAfterTraffic(t *testing.T) {
+	sys, token := gatewayFixture(t, gateway.Config{})
+	for _, call := range []struct{ path, body string }{
+		{"/v1/chat/completions", `{"model":"meta-llama/Meta-Llama-3.1-8B-Instruct","messages":[{"role":"user","content":"count"}],"max_tokens":4}`},
+		{"/v1/completions", `{"model":"meta-llama/Meta-Llama-3.1-8B-Instruct","prompt":"count","max_tokens":4}`},
+	} {
+		if rec := doRaw(t, sys, "POST", call.path, token, call.body); rec.Code != http.StatusOK {
+			t.Fatalf("%s: %d %s", call.path, rec.Code, rec.Body.String())
+		}
+	}
+	exposed := make(map[string]string)
+	for _, line := range strings.Split(doRaw(t, sys, "GET", "/metrics", "", "").Body.String(), "\n") {
+		if name, value, ok := strings.Cut(line, " "); ok {
+			exposed[name] = value
+		}
+	}
+	for name, want := range map[string]string{
+		"first_requests_chat_total": "1", "first_requests_completion_total": "1",
+		"first_requests_embedding_total": "0", "first_hub_tasks_submitted_total": "2", "first_hub_tasks_completed_total": "2",
+		"first_hub_tasks_failed_total": "0", "first_endpoint_tasks_total": "2",
+		"first_endpoint_task_failures_total": "0",
+	} {
+		if got, ok := exposed[name]; !ok || got != want {
+			t.Errorf("%s = %q (exposed %v), want %s", name, got, ok, want)
+		}
+	}
+	// Which rung routed depends on whether the instance was up yet.
+	routed := 0
+	for _, reason := range []string{"model-active", "cluster-has-capacity", "first-configured"} {
+		n, err := strconv.Atoi(exposed["first_route_"+reason+"_total"])
+		if err != nil {
+			t.Errorf("route_%s not exposed: %v", reason, err)
+		}
+		routed += n
+	}
+	if routed != 2 {
+		t.Errorf("route_<reason> counters sum to %d, want 2", routed)
 	}
 }
 

@@ -307,7 +307,7 @@ func (s *Server) routeAndRun(r *http.Request, model string, run func(ctx context
 		}
 		id := decision.Endpoint.ID()
 		meta = routeMeta{endpoint: id, cluster: decision.Endpoint.ClusterName(), reason: string(decision.Reason)}
-		s.met.Counter("route_" + string(decision.Reason)).Inc()
+		s.ins.routed[decision.Reason].Inc()
 		s.ins.inferAttempts.Inc()
 		ctx := r.Context()
 		var cancel context.CancelFunc
@@ -397,7 +397,7 @@ func (s *Server) logRequest(who auth.TokenInfo, model string, meta routeMeta, ki
 	if outputTok > 0 {
 		s.ins.outputTokens.Add(int64(outputTok))
 	}
-	s.met.Counter("requests_" + string(kind)).Inc()
+	s.ins.requests[kind].Inc()
 }
 
 // handleEmbeddings serves POST /v1/embeddings.

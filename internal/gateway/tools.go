@@ -3,6 +3,7 @@ package gateway
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"sort"
 
@@ -24,7 +25,7 @@ type ToolRequest struct {
 	// Endpoint optionally pins a specific endpoint; empty routes to the
 	// first endpoint exposing the tool.
 	Endpoint string `json:"endpoint,omitempty"`
-	// Payload is passed verbatim to the registered function.
+	// Payload is passed verbatim, as []byte, to the registered function.
 	Payload json.RawMessage `json:"payload"`
 }
 
@@ -103,7 +104,13 @@ func (s *Server) handleTool(w http.ResponseWriter, r *http.Request, who auth.Tok
 		}
 	}
 	s.ins.toolCalls.Inc()
-	result, err := s.client.Run(r.Context(), route.Endpoint.ID(), name, req.Payload)
+	// A tool takes and returns bytes: its payload is the caller's JSON,
+	// verbatim, and what it returns is answered as JSON or quoted.
+	out, err := s.client.Run(r.Context(), route.Endpoint.ID(), name, []byte(req.Payload))
+	result, isBytes := out.([]byte)
+	if err == nil && !isBytes && out != nil {
+		err = fmt.Errorf("%w: tool %s answered %T, not bytes", fabric.ErrPayloadType, name, out)
+	}
 	s.st.LogRequest(store.RequestLog{
 		User:      who.Sub,
 		Model:     "tool:" + name,

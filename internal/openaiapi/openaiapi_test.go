@@ -119,6 +119,35 @@ func TestReadSSEIgnoresNonDataLines(t *testing.T) {
 	}
 }
 
+// TestReadSSELongLine: a data line longer than bufio's default buffer and
+// than the 64 KiB one ReadSSE used to preallocate still reaches the
+// consumer whole, and so does a 1 MiB one; a line over the 8 MiB cap fails
+// instead of being split.
+func TestReadSSELongLine(t *testing.T) {
+	for _, n := range []int{64<<10 + 1, 1 << 20} {
+		text := strings.Repeat("x", n)
+		var raw bytes.Buffer
+		WriteSSE(&raw, StreamChunk{Choices: []Choice{{Delta: &Message{Content: text}}}})
+		WriteSSEDone(&raw)
+		var got []string
+		err := ReadSSE(&raw, func(d []byte) error {
+			var c StreamChunk
+			if err := json.Unmarshal(d, &c); err != nil {
+				return err
+			}
+			got = append(got, c.Choices[0].Delta.Content)
+			return nil
+		})
+		if err != nil || len(got) != 1 || got[0] != text {
+			t.Errorf("%d-byte delta: err = %v, %d events", n, err, len(got))
+		}
+	}
+	long := "data: " + strings.Repeat("x", 8<<20) + "\n\n"
+	if err := ReadSSE(strings.NewReader(long), func([]byte) error { return nil }); err == nil || errors.Is(err, ErrStreamTruncated) {
+		t.Errorf("line over the 8 MiB cap: err = %v, want the scanner's too-long error", err)
+	}
+}
+
 // TestReadSSETruncated pins the mid-stream disconnect contract: clean EOF
 // without the [DONE] sentinel is a typed error, never silent success — a
 // cut SSE stream must not be mistaken for a complete answer.

@@ -59,7 +59,9 @@ type StreamChunk struct {
 // partial answer for a complete one.
 func ReadSSE(r io.Reader, onData func(data []byte) error) error {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 8*1024*1024)
+	// No initial buffer: the scanner starts at bufio's default size and
+	// grows only for a longer line, up to the 8 MiB cap.
+	sc.Buffer(nil, 8<<20)
 	for sc.Scan() {
 		line := sc.Bytes()
 		if len(line) == 0 {
