@@ -91,7 +91,8 @@ benchmark-smoke:
 # removed when the script exits) and in this tree, one pair per seed. It
 # prints every run (req_per_s, lat_p50_ms, allocs_per_req, setup_s, correct,
 # modelled-row digest), then each side's median and quartiles of all four
-# end-to-end metrics and the win count on req_per_s, and fails if a run
+# end-to-end metrics, each with the change's win count and claim verdict in
+# the direction BENCHMARK.json's `better` gives it, and fails if a run
 # fails, a pair's digests differ, or the change's median of any of the four
 # is worse than the parent's by more than its bound in BENCHMARK.json.
 # SEEDS has no default: pick ones CHANGES.md does not list as spent, and list

@@ -435,9 +435,21 @@
 // the one byte-level function: the gateway decodes the call's body
 // (FuzzDecodeToolRequest), passes the tool its JSON payload as []byte and
 // answers with the []byte the tool returns; hpc.simulate decodes its
-// request with encoding/json itself. The SDK's in-process transport starts
-// one goroutine per request, the handler's, and registers its cancellation
-// with context.AfterFunc instead of a watcher goroutine.
+// request with encoding/json itself. The SDK's in-process transport
+// (client.HandlerRoundTripper, which WithHandler clients call directly, with
+// no http.Client around it) serves calls on kept connections, as net/http
+// serves a keep-alive connection on one goroutine: a call takes an idle
+// connection goroutine from the transport's stack or starts one, the
+// handler runs there, and the goroutine goes back on the stack when
+// ServeHTTP returns, so the stack the gateway and encoding/json grew serves
+// the next call instead of being grown again. Idle connections reference
+// only that stack, never the handler, and end on CloseIdleConnections or,
+// once the transport is dropped, through a finalizer on it. The response
+// body is a buffer the handler appends to: Write never waits for the
+// reader, each write is readable as soon as it lands, and the buffered
+// memory is the response's size, since in-process there is no
+// backpressure. A cancellation is registered with context.AfterFunc, and
+// only for a context that can end.
 //
 // Calibration methodology. Each live cell executes a single serializable
 // churn plan — a chaosnet.Schedule: endpoint kills, cold restarts, and

@@ -14,7 +14,6 @@ import (
 	"io"
 	"net/http"
 	"strconv"
-	"sync"
 	"time"
 
 	"github.com/argonne-first/first/internal/clock"
@@ -25,11 +24,21 @@ import (
 // Client talks to a FIRST gateway.
 type Client struct {
 	baseURL string
-	token   string
-	httpc   *http.Client
+	auth    []string // the Authorization header's value, built once per token
+	httpc   doer
 	retry   resilience.Policy
 	sleep   func(ctx context.Context, d time.Duration) error
 }
+
+// doer sends one request: an *http.Client, or the in-process transport
+// WithHandler installs.
+type doer interface {
+	Do(req *http.Request) (*http.Response, error)
+}
+
+// jsonContentType is the Content-Type of every request body, shared by all
+// requests: read-only.
+var jsonContentType = []string{"application/json"}
 
 // Option configures a client.
 type Option func(*Client)
@@ -40,10 +49,14 @@ func WithHTTPClient(h *http.Client) Option {
 }
 
 // WithHandler wires the client directly to an http.Handler in-process —
-// requests never touch the network. Ideal for tests and examples.
+// requests never touch the network. Ideal for tests and examples. Calls go
+// straight through HandlerRoundTripper, with no http.Client around it: each
+// is served on a kept connection goroutine and its response body is a
+// buffer the handler appends to, so the buffered memory is the response's
+// size (there is no backpressure in-process).
 func WithHandler(h http.Handler) Option {
 	return func(c *Client) {
-		c.httpc = &http.Client{Transport: HandlerRoundTripper(h)}
+		c.httpc = newHandlerTransport(h)
 		if c.baseURL == "" {
 			c.baseURL = "http://first.gateway.local"
 		}
@@ -68,88 +81,10 @@ func WithSleep(fn func(ctx context.Context, d time.Duration) error) Option {
 	return func(c *Client) { c.sleep = fn }
 }
 
-// HandlerRoundTripper adapts an http.Handler into a RoundTripper whose
-// response body streams through a pipe: the handler runs concurrently, SSE
-// deltas arrive as they are written, and a cancelled request context
-// abandons the body mid-stream instead of blocking until the handler
-// finishes (the old recorder-based transport buffered the entire response
-// and ignored cancellation once ServeHTTP had started).
-func HandlerRoundTripper(h http.Handler) http.RoundTripper {
-	return handlerTransport{h: h}
-}
-
-type handlerTransport struct {
-	h http.Handler
-}
-
-// streamRecorder is the ResponseWriter side of the pipe transport. Status
-// and headers become final at the first WriteHeader/Write (signalled on
-// wroteCh); body bytes flow through the pipe to the response reader.
-type streamRecorder struct {
-	header  http.Header
-	status  int
-	pw      *io.PipeWriter
-	wroteCh chan struct{}
-	once    sync.Once
-}
-
-func (r *streamRecorder) Header() http.Header { return r.header }
-
-func (r *streamRecorder) WriteHeader(status int) {
-	r.once.Do(func() {
-		r.status = status
-		close(r.wroteCh)
-	})
-}
-
-func (r *streamRecorder) Write(p []byte) (int, error) {
-	r.WriteHeader(http.StatusOK)
-	return r.pw.Write(p)
-}
-
-// Flush is a no-op: pipe writes are visible to the reader immediately.
-func (r *streamRecorder) Flush() {}
-
-func (t handlerTransport) RoundTrip(req *http.Request) (*http.Response, error) {
-	if err := req.Context().Err(); err != nil {
-		return nil, err
-	}
-	pr, pw := io.Pipe()
-	rec := &streamRecorder{header: make(http.Header), pw: pw, wroteCh: make(chan struct{})}
-	// Cancellation mid-body: poison the pipe. Closing the write side hands
-	// the context error to the response reader and fails the handler's next
-	// Write, so both sides unblock. AfterFunc registers that with the
-	// context instead of starting a watcher goroutine per request; the
-	// handler's goroutine disarms it when the body is complete, so a later
-	// cancellation leaves a fully written result standing.
-	ctx := req.Context()
-	stop := context.AfterFunc(ctx, func() { pw.CloseWithError(ctx.Err()) })
-	go func() {
-		t.h.ServeHTTP(rec, req)
-		rec.WriteHeader(http.StatusOK) // finalize status even for empty bodies
-		stop()
-		pw.Close()
-	}()
-	select {
-	case <-rec.wroteCh:
-	case <-req.Context().Done():
-		return nil, req.Context().Err()
-	}
-	return &http.Response{
-		Status:     fmt.Sprintf("%d %s", rec.status, http.StatusText(rec.status)),
-		StatusCode: rec.status,
-		Proto:      "HTTP/1.1",
-		ProtoMajor: 1,
-		ProtoMinor: 1,
-		Header:     rec.header,
-		Body:       pr,
-		Request:    req,
-	}, nil
-}
-
 // New returns a client for the gateway at baseURL using the access token.
 func New(baseURL, token string, opts ...Option) *Client {
-	c := &Client{baseURL: baseURL, token: token, httpc: http.DefaultClient}
+	c := &Client{baseURL: baseURL, httpc: http.DefaultClient}
+	c.SetToken(token)
 	for _, o := range opts {
 		o(c)
 	}
@@ -157,7 +92,7 @@ func New(baseURL, token string, opts ...Option) *Client {
 }
 
 // SetToken replaces the bearer token (after a refresh).
-func (c *Client) SetToken(token string) { c.token = token }
+func (c *Client) SetToken(token string) { c.auth = []string{"Bearer " + token} }
 
 // APIError is a non-2xx gateway response.
 type APIError struct {
@@ -278,9 +213,9 @@ func (c *Client) doOnce(ctx context.Context, method, path string, buf []byte, ha
 	if err != nil {
 		return err
 	}
-	req.Header.Set("Authorization", "Bearer "+c.token)
+	req.Header["Authorization"] = c.auth
 	if hasBody {
-		req.Header.Set("Content-Type", "application/json")
+		req.Header["Content-Type"] = jsonContentType
 	}
 	resp, err := c.httpc.Do(req)
 	if err != nil {
@@ -363,8 +298,8 @@ func (c *Client) streamOnce(ctx context.Context, body []byte, onDelta func(strin
 	if err != nil {
 		return "", false, err
 	}
-	httpReq.Header.Set("Authorization", "Bearer "+c.token)
-	httpReq.Header.Set("Content-Type", "application/json")
+	httpReq.Header["Authorization"] = c.auth
+	httpReq.Header["Content-Type"] = jsonContentType
 	resp, err := c.httpc.Do(httpReq)
 	if err != nil {
 		return "", false, err
@@ -458,7 +393,7 @@ func (c *Client) BatchResults(ctx context.Context, id string) ([]openaiapi.Batch
 	if err != nil {
 		return nil, err
 	}
-	req.Header.Set("Authorization", "Bearer "+c.token)
+	req.Header["Authorization"] = c.auth
 	resp, err := c.httpc.Do(req)
 	if err != nil {
 		return nil, err

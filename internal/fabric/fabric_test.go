@@ -653,6 +653,53 @@ func TestHubQueuedTasksDropsAtDispatch(t *testing.T) {
 	}
 }
 
+// ConnectLatency is paid ahead of the dispatch lane by the first task of a
+// (client, endpoint) pair and not by the next one for that pair; a task for
+// another endpoint pays it again, and with CacheConnections off every task
+// pays. Each task enters an empty lane, so its departure shows what it paid.
+func TestHubConnectLatencyPerPair(t *testing.T) {
+	const submit, cost, connect = 250 * time.Millisecond, 20 * time.Millisecond, 900 * time.Millisecond
+	for _, cache := range []bool{true, false} {
+		clk, c, _ := manualHub(t, HubConfig{SubmitLatency: submit, DispatchCost: cost, ConnectLatency: connect, CacheConnections: cache}, time.Hour)
+		sched := scheduler.New(cluster.New("mcl-n", 1, 8, perfmodel.A100_40), clk, scheduler.Config{})
+		other, err := NewEndpoint(EndpointConfig{ID: "ep-n", Scheduler: sched, PickupLatency: time.Hour}, clk, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		other.RegisterFunction("admin.stamp", func(context.Context, any) (any, error) { return "ok", nil })
+		c.hub.RegisterEndpoint(other)
+		t.Cleanup(func() {
+			other.Close()
+			sched.Close()
+		})
+		for i, step := range []struct {
+			endpoint string
+			pays     bool
+		}{
+			{"ep-m", true},
+			{"ep-m", !cache},
+			{"ep-n", true},
+			{"ep-n", !cache},
+			{"ep-m", !cache},
+		} {
+			now := clk.Now()
+			f, err := c.Submit(step.endpoint, "admin.stamp", nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := now.Add(submit + cost)
+			if step.pays {
+				want = want.Add(connect)
+			}
+			if got := f.task.dispatchedAt; !got.Equal(want) {
+				t.Errorf("cache %v, task %d to %s leaves the dispatch lane at now+%v, want now+%v",
+					cache, i, step.endpoint, got.Sub(now), want.Sub(now))
+			}
+			clk.Advance(2 * time.Second) // past the departure, an hour before the pickup
+		}
+	}
+}
+
 // A task booked before Close whose pickup instant passes after it fails with
 // ErrEndpointShutdown, without running, rather than never resolving.
 func TestHubCloseResolvesBookedTasks(t *testing.T) {

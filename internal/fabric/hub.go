@@ -71,7 +71,7 @@ type Hub struct {
 
 	mu          sync.Mutex
 	endpoints   map[string]*Endpoint
-	connections map[string]bool // client+endpoint connection cache
+	connections map[connKey]bool // the (client, endpoint) connection cache
 	nextTaskID  int64
 	dispatched  time.Time   // the newest task's dispatch departure D
 	relayed     time.Time   // the newest result's relay departure S
@@ -79,6 +79,9 @@ type Hub struct {
 	passed      int
 	closed      bool
 }
+
+// connKey names a cached client↔endpoint channel.
+type connKey struct{ client, endpoint string }
 
 // NewHub creates a hub bound to the administrators' confidential client.
 func NewHub(clk clock.Clock, cfg HubConfig, clientID, clientSecret string, met *metrics.Registry) *Hub {
@@ -92,7 +95,7 @@ func NewHub(clk clock.Clock, cfg HubConfig, clientID, clientSecret string, met *
 		completed:   met.Counter("hub_tasks_completed"),
 		failed:      met.Counter("hub_tasks_failed"),
 		endpoints:   make(map[string]*Endpoint),
-		connections: make(map[string]bool),
+		connections: make(map[connKey]bool),
 	}
 }
 
@@ -148,11 +151,11 @@ func (h *Hub) submit(creds Credentials, endpointID, function string, payload any
 	// DispatchCost: the round trip, and connection setup when not cached, is
 	// latency ahead of the lane, not a throughput bottleneck.
 	arrive := now.Add(max(h.cfg.SubmitLatency, 0))
-	connKey := creds.ClientID + "→" + endpointID
-	if !h.cfg.CacheConnections || !h.connections[connKey] {
+	conn := connKey{creds.ClientID, endpointID}
+	if !h.cfg.CacheConnections || !h.connections[conn] {
 		arrive = arrive.Add(max(h.cfg.ConnectLatency, 0))
 		if h.cfg.CacheConnections {
-			h.connections[connKey] = true
+			h.connections[conn] = true
 		}
 	}
 	// The dispatch lane's per-task cost is the fabric-wide ceiling ("our

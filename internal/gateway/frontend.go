@@ -13,7 +13,7 @@ package gateway
 import (
 	"crypto/sha256"
 	"encoding/binary"
-	"fmt"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -143,10 +143,19 @@ func hashKey(k respKey) uint64 {
 func (f *frontend) cacheShard(k respKey) *frontShard { return f.shards[hashKey(k)&f.mask] }
 func (f *frontend) userShard(sub string) *frontShard { return f.shards[hashString(sub)&f.mask] }
 
-// nextID hands out a process-unique response ID. The counter is atomic: ID
-// generation never takes a lock.
+// nextID hands out a process-unique response ID, "<prefix>-" and the
+// counter zero-padded to at least 8 digits. The counter is atomic: ID
+// generation never takes a lock. The ID is built on the stack, so the
+// string is its one allocation.
 func (f *frontend) nextID(prefix string) string {
-	return fmt.Sprintf("%s-%08d", prefix, f.next.Add(1))
+	var buf [48]byte
+	b := append(buf[:0], prefix...)
+	b = append(b, '-')
+	n := f.next.Add(1)
+	for p := int64(10_000_000); p > 1 && n < p; p /= 10 {
+		b = append(b, '0')
+	}
+	return string(strconv.AppendInt(b, n, 10))
 }
 
 // cacheGet returns a fresh cached body and the model it answered for,

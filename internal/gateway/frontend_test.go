@@ -2,6 +2,7 @@ package gateway
 
 import (
 	"crypto/sha256"
+	"fmt"
 	"strconv"
 	"sync"
 	"testing"
@@ -192,6 +193,25 @@ func TestLimiterSweepKeepsDebt(t *testing.T) {
 	}
 	if allowed > 13 {
 		t.Errorf("idling past the TTL re-credited %d tokens, want ≤ ~12 (rate×idle)", allowed)
+	}
+}
+
+// TestNextIDFormat pins the response ID's bytes: the prefix, '-', and the
+// counter zero-padded to 8 digits, unpadded past them.
+func TestNextIDFormat(t *testing.T) {
+	fe := testFrontend(Config{}, clock.NewReal())
+	for _, tc := range []struct {
+		n    int64
+		want string
+	}{
+		{1, "chatcmpl-00000001"},
+		{12345678, "chatcmpl-12345678"},
+		{123456789, "chatcmpl-123456789"},
+	} {
+		fe.next.Store(tc.n - 1)
+		if got := fe.nextID("chatcmpl"); got != tc.want || got != fmt.Sprintf("%s-%08d", "chatcmpl", tc.n) {
+			t.Errorf("ID %d = %q, want %q", tc.n, got, tc.want)
+		}
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"regexp"
 	"runtime"
 	"strconv"
 	"strings"
@@ -497,17 +498,25 @@ func TestRequestCountersAfterTraffic(t *testing.T) {
 			t.Errorf("%s = %q (exposed %v), want %s", name, got, ok, want)
 		}
 	}
-	// Which rung routed depends on whether the instance was up yet.
+	// Which rung routed depends on whether the instance was up yet. The
+	// registry names them route_<federation.Reason>; the exposition maps
+	// the reasons' '-' to '_'.
 	routed := 0
-	for _, reason := range []string{"model-active", "cluster-has-capacity", "first-configured"} {
-		n, err := strconv.Atoi(exposed["first_route_"+reason+"_total"])
+	for _, name := range []string{"first_route_model_active_total", "first_route_cluster_has_capacity_total", "first_route_first_configured_total"} {
+		n, err := strconv.Atoi(exposed[name])
 		if err != nil {
-			t.Errorf("route_%s not exposed: %v", reason, err)
+			t.Errorf("%s not exposed: %v", name, err)
 		}
 		routed += n
 	}
 	if routed != 2 {
 		t.Errorf("route_<reason> counters sum to %d, want 2", routed)
+	}
+	valid := regexp.MustCompile(`^[a-zA-Z_:][a-zA-Z0-9_:]*$`)
+	for name := range exposed {
+		if !valid.MatchString(name) {
+			t.Errorf("/metrics exposes %q, not a valid Prometheus metric name", name)
+		}
 	}
 }
 

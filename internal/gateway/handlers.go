@@ -28,7 +28,7 @@ const (
 	bodyPresize = 64 << 10
 )
 
-// Header values of a response-cache hit, shared by every hit: read-only.
+// Header values shared by every chat response that carries them: read-only.
 var (
 	jsonContentType = []string{"application/json"}
 	cacheHit        = []string{"hit"}
@@ -156,7 +156,7 @@ func (s *Server) handleChat(w http.ResponseWriter, r *http.Request, who auth.Tok
 	}
 	out, _ := json.Marshal(resp)
 	s.fe.cachePut(key, req.Model, out)
-	w.Header().Set("Content-Type", "application/json")
+	w.Header()["Content-Type"] = jsonContentType
 	w.WriteHeader(http.StatusOK)
 	_, _ = w.Write(out)
 }

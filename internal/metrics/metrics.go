@@ -406,7 +406,9 @@ func (r *Registry) Names() (counters, gauges, histograms []string) {
 	return
 }
 
-// Expose renders a Prometheus-flavoured text exposition of the registry. It
+// Expose renders a Prometheus-flavoured text exposition of the registry,
+// each name with every rune a Prometheus metric name does not allow mapped
+// to '_' (the registry's own names, which Snapshot reads, keep theirs). It
 // takes one snapshot up front — the registry lock is held once, not
 // re-acquired per metric name — and builds the output in a single buffer.
 func (r *Registry) Expose() string {
@@ -429,18 +431,29 @@ func (r *Registry) Expose() string {
 
 	var b strings.Builder
 	for _, name := range counters {
-		fmt.Fprintf(&b, "first_%s_total %d\n", name, snap.Counters[name])
+		fmt.Fprintf(&b, "first_%s_total %d\n", promName(name), snap.Counters[name])
 	}
 	for _, name := range gauges {
-		fmt.Fprintf(&b, "first_%s %d\n", name, snap.Gauges[name])
+		fmt.Fprintf(&b, "first_%s %d\n", promName(name), snap.Gauges[name])
 	}
 	for _, name := range hists {
-		s := snap.Histograms[name]
-		fmt.Fprintf(&b, "first_%s_count %d\n", name, s.Count)
-		fmt.Fprintf(&b, "first_%s_mean_seconds %g\n", name, s.Mean)
-		fmt.Fprintf(&b, "first_%s_p50_seconds %g\n", name, s.P50)
-		fmt.Fprintf(&b, "first_%s_p90_seconds %g\n", name, s.P90)
-		fmt.Fprintf(&b, "first_%s_p99_seconds %g\n", name, s.P99)
+		s, pn := snap.Histograms[name], promName(name)
+		fmt.Fprintf(&b, "first_%s_count %d\n", pn, s.Count)
+		fmt.Fprintf(&b, "first_%s_mean_seconds %g\n", pn, s.Mean)
+		fmt.Fprintf(&b, "first_%s_p50_seconds %g\n", pn, s.P50)
+		fmt.Fprintf(&b, "first_%s_p90_seconds %g\n", pn, s.P90)
+		fmt.Fprintf(&b, "first_%s_p99_seconds %g\n", pn, s.P99)
 	}
 	return b.String()
+}
+
+// promName maps every rune outside [a-zA-Z0-9_:] to '_'; a name that needs
+// no change comes back without a copy.
+func promName(name string) string {
+	return strings.Map(func(r rune) rune {
+		if r >= 'a' && r <= 'z' || r >= 'A' && r <= 'Z' || r >= '0' && r <= '9' || r == '_' || r == ':' {
+			return r
+		}
+		return '_'
+	}, name)
 }

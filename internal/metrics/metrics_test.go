@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"math"
+	"regexp"
 	"sort"
 	"strings"
 	"sync"
@@ -180,6 +181,32 @@ func TestRegistryExposeFormat(t *testing.T) {
 	}
 	if !strings.Contains(out, "first_latency_count 1") {
 		t.Errorf("missing histogram count line:\n%s", out)
+	}
+}
+
+// Every exposed name is a valid Prometheus metric name, whatever runes the
+// registry's names hold, and Snapshot still reads the registry's names.
+func TestExposeNamesArePrometheusValid(t *testing.T) {
+	r := NewRegistry()
+	r.Counter("route_model-active").Inc()
+	r.Gauge("breaker.ep→a100").Set(1)
+	r.Histogram("lat ms/req").ObserveSeconds(1)
+	r.Counter("ok_name:sub").Inc()
+	valid := regexp.MustCompile(`^[a-zA-Z_:][a-zA-Z0-9_:]*$`)
+	out := r.Expose()
+	for _, line := range strings.Split(strings.TrimSuffix(out, "\n"), "\n") {
+		name, _, _ := strings.Cut(line, " ")
+		if !valid.MatchString(name) {
+			t.Errorf("exposed name %q is not a valid Prometheus metric name", name)
+		}
+	}
+	for _, want := range []string{"first_route_model_active_total 1", "first_breaker_ep_a100 1", "first_lat_ms_req_count 1", "first_ok_name:sub_total 1"} {
+		if !strings.Contains(out, want+"\n") {
+			t.Errorf("missing %q in:\n%s", want, out)
+		}
+	}
+	if snap := r.Snapshot(); snap.Counters["route_model-active"] != 1 {
+		t.Errorf("Snapshot lost the registry name: %v", snap.Counters)
 	}
 }
 

@@ -8,10 +8,12 @@
 # Prints every run, then, for each end-to-end metric
 # (req_per_s, lat_p50_ms, allocs_per_req, setup_s), each side's median and
 # quartiles and the change's median against the parent's, and the change's
-# win count on req_per_s with §8's verdict on it: the claim rule is met when
-# at least ten pairs ran, the change won at least nine tenths of them (ties
-# count for neither) and its median beats the parent's by more than the
-# parent's quartile distance. The verdict does not set the exit status. Exits 1 if a run fails, is not correct, or a pair's
+# win count with §8's verdict on it, each in the direction BENCHMARK.json's
+# `better` field gives the metric: the claim rule is met when at least ten
+# pairs ran, the change won at least nine tenths of them (ties count for
+# neither) and its median beats the parent's by more than the parent's
+# quartile distance. The verdicts do not set the exit status. Exits 1 if a
+# run fails, is not correct, or a pair's
 # modelled-row digests differ (live workloads print none), or if the change's
 # median of a metric is worse than the parent's by more than the bound
 # BENCHMARK.json declares for it. The run length is the benchmark's own
@@ -73,7 +75,6 @@ one() {
 echo "workload $workload, seeds $*, parent $rev"
 i=0
 bad=0
-wins=0
 for seed in "$@"; do
 	i=$((i + 1))
 	if [ $((i % 2)) -eq 1 ]; then
@@ -83,11 +84,8 @@ for seed in "$@"; do
 		one change "$change" "$seed"
 		one parent "$parent" "$seed"
 	fi
-	read -r prate _ _ _ pdigest pcorrect <"$tmp/parent.$seed"
-	read -r crate _ _ _ cdigest ccorrect <"$tmp/change.$seed"
-	if awk -v a="$crate" -v b="$prate" 'BEGIN { exit !(a > b) }'; then
-		wins=$((wins + 1))
-	fi
+	read -r _ _ _ _ pdigest pcorrect <"$tmp/parent.$seed"
+	read -r _ _ _ _ cdigest ccorrect <"$tmp/change.$seed"
 	if [ "$pdigest" != "$cdigest" ]; then
 		echo "seed $seed: modelled-row digests differ: parent $pdigest, change $cdigest" >&2
 		bad=1
@@ -146,11 +144,22 @@ for metric in $metrics; do
 		bad=1
 		;;
 	esac
+	# The pairs the change won on this metric, in its better direction: a
+	# pair's two six-field records side by side, the change's first.
+	wins=0
+	for seed in "$@"; do
+		if paste -d ' ' "$tmp/change.$seed" "$tmp/parent.$seed" | awk -v c="$col" -v k=6 -v better="${better:-higher}" '{
+			a = $c; b = $(c + k)
+			exit !(better == "lower" ? a < b : a > b)
+		}'; then
+			wins=$((wins + 1))
+		fi
+	done
+	rule="$(awk -v w="$wins" -v n="$#" -v p="$pmed" -v q1="$pq1" -v q3="$pq3" -v c="$cmed" -v better="${better:-higher}" 'BEGIN {
+		gain = better == "lower" ? p - c : c - p
+		print (n >= 10 && 10 * w >= 9 * n && gain > q3 - q1) ? "met" : "not met"
+	}')"
+	printf "%-14s change wins %d of %d pairs; claim rule (>= 10 pairs, >= 9 in 10 won, median gain beyond the parent's quartile distance) %s\n" \
+		"$metric" "$wins" "$#" "$rule"
 done
-read -r pmed pq1 pq3 < <(stats parent 1)
-read -r cmed _ _ < <(stats change 1)
-rule="$(awk -v w="$wins" -v n="$#" -v p="$pmed" -v q1="$pq1" -v q3="$pq3" -v c="$cmed" 'BEGIN {
-	print (n >= 10 && 10 * w >= 9 * n && c - p > q3 - q1) ? "met" : "not met"
-}')"
-echo "change wins $wins of $# pairs on req_per_s; claim rule (>= 10 pairs, >= 9 in 10 won, median gain beyond the parent's quartile distance) $rule"
 exit $bad
