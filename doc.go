@@ -343,10 +343,11 @@
 //
 // The live stack survives endpoint death, network faults, and mid-stream
 // disconnects through internal/resilience: a retry Policy (capped
-// exponential backoff with full jitter, per-attempt timeouts, Retry-After
-// honoring — the client SDK replays JSON calls and unconsumed streams under
-// client.WithRetry, sleeping through an injectable client.WithSleep so
-// scaled-clock harnesses don't stall on wall time), a per-endpoint circuit
+// exponential backoff with full jitter and Retry-After honoring, each
+// attempt under the caller's context alone — the client SDK replays JSON
+// calls and unconsumed streams under client.WithRetry, sleeping through an
+// injectable client.WithSleep so scaled-clock harnesses don't stall on wall
+// time), a per-endpoint circuit
 // Breaker (closed → open → half-open with a sliding-window failure rate,
 // probe admission, and a closed-state check pinned at 0 allocs/op), and a
 // Set holding one Breaker per routing row. Which endpoint an attempt goes
@@ -375,11 +376,11 @@
 // on the LIVE stack — real client SDK, sharded gateway, breaker-aware
 // router, fabric hub, engines on a 20000× scaled clock — via
 // internal/chaosnet, a seeded fault-injecting http.RoundTripper (refused
-// dials, synthesized 503 bursts with Retry-After, latency spikes, SSE cuts
-// mid-stream) plus an endpoint-side fault-burst schedule
-// (chaosnet.Windows) that sweeps failures across endpoints round-robin,
-// credential-rejection lanes, and a hard kill + cold restart of a victim
-// endpoint mid-run through the real scheduler. Every draw is a pure
+// dials, synthesized 503 bursts with Retry-After, SSE cuts mid-stream) plus
+// an endpoint-side fault-burst schedule (chaosnet.Windows) that sweeps
+// failures across endpoints round-robin, credential-rejection lanes, and a
+// hard kill + cold restart of a victim endpoint mid-run through the real
+// scheduler. Every draw is a pure
 // function of (seed, request key, attempt), so the fault schedule — and
 // the whole outcome census — replays identically across runs; breaker
 // timing runs on a logical clock advanced per issued request. The
@@ -389,7 +390,7 @@
 //
 // Scaled-clock precision. Every wait on the live path — hub submit,
 // dispatch and relay, endpoint pickup, the deployment control loop, engine
-// iterations, scheduler timers, the gateway's processing overhead — goes
+// iterations, scheduler timers, the introspection latency — goes
 // through the clock.Clock the layer was built with, and on clock.Scaled a
 // modelled delay costs the wall time it says, to the clock's slack: a wait
 // never returns early and returns at the first multiple of 56 µs (on the

@@ -43,13 +43,10 @@ func TestTokenCacheCoalescesConcurrentMisses(t *testing.T) {
 	// Wait until the leader is blocked in the introspection latency and
 	// every follower is parked on the flight (coalesced == herd-1), then
 	// release the leader.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if clk.PendingWaiters() == 1 && cache.Coalesced() == herd-1 {
-			break
-		}
+	clk.BlockUntil(1)
+	for deadline := time.Now().Add(5 * time.Second); cache.Coalesced() != herd-1; {
 		if time.Now().After(deadline) {
-			t.Fatalf("herd never converged: sleepers=%d coalesced=%d", clk.PendingWaiters(), cache.Coalesced())
+			t.Fatalf("herd never converged: coalesced=%d", cache.Coalesced())
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -286,12 +283,7 @@ func TestTokenCacheRecheckCoalesces(t *testing.T) {
 		_, err := cache.Introspect(tok)
 		fill <- err
 	}()
-	for deadline := time.Now().Add(5 * time.Second); clk.PendingWaiters() != 1; {
-		if time.Now().After(deadline) {
-			t.Fatal("priming introspection never slept")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	clk.BlockUntil(1) // the priming introspection sleeps
 	clk.Advance(2 * time.Second)
 	if err := <-fill; err != nil {
 		t.Fatal(err)
@@ -313,10 +305,10 @@ func TestTokenCacheRecheckCoalesces(t *testing.T) {
 	launched.Wait()
 	// Exactly one leader sleeps through the modeled introspection latency;
 	// the rest park on its flight. Release the leader once everyone joined.
-	deadline := time.Now().Add(5 * time.Second)
-	for clk.PendingWaiters() != 1 || cache.Coalesced() != n-1 {
+	clk.BlockUntil(1)
+	for deadline := time.Now().Add(5 * time.Second); cache.Coalesced() != n-1; {
 		if time.Now().After(deadline) {
-			t.Fatalf("herd never converged: sleepers=%d coalesced=%d", clk.PendingWaiters(), cache.Coalesced())
+			t.Fatalf("herd never converged: coalesced=%d", cache.Coalesced())
 		}
 		time.Sleep(time.Millisecond)
 	}

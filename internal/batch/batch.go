@@ -22,9 +22,8 @@ import (
 
 // Runner executes batch jobs against endpoints' schedulers.
 type Runner struct {
-	clk     clock.Clock
-	st      *store.Store
-	catalog *perfmodel.Catalog
+	clk clock.Clock
+	st  *store.Store
 
 	mu      sync.Mutex
 	nextID  int64
@@ -38,14 +37,10 @@ type batchJob struct {
 }
 
 // NewRunner returns a batch runner logging into st.
-func NewRunner(clk clock.Clock, st *store.Store, catalog *perfmodel.Catalog) *Runner {
-	if catalog == nil {
-		catalog = perfmodel.Default
-	}
+func NewRunner(clk clock.Clock, st *store.Store) *Runner {
 	return &Runner{
 		clk:     clk,
 		st:      st,
-		catalog: catalog,
 		results: make(map[string][]openaiapi.BatchResponseLine),
 		jobs:    make(map[string]batchJob),
 	}
@@ -84,7 +79,7 @@ func ValidateLines(lines []openaiapi.BatchRequestLine) error {
 // endpoint's scheduler, returning the batch ID immediately (the job runs
 // asynchronously; poll via the store).
 func (r *Runner) Submit(user, model string, lines []openaiapi.BatchRequestLine, ep *fabric.Endpoint) (string, error) {
-	spec, err := r.catalog.Lookup(model)
+	spec, err := perfmodel.Default.Lookup(model)
 	if err != nil {
 		return "", err
 	}

@@ -108,7 +108,7 @@ func newBatchEnv(t *testing.T) *batchEnv {
 	}
 	st := store.New(0)
 	t.Cleanup(func() { ep.Close(); sched.Close() })
-	return &batchEnv{runner: NewRunner(clk, st, nil), st: st, ep: ep}
+	return &batchEnv{runner: NewRunner(clk, st), st: st, ep: ep}
 }
 
 func waitBatch(t *testing.T, st *store.Store, id string, want store.BatchState) store.Batch {

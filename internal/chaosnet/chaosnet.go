@@ -22,13 +22,11 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"github.com/argonne-first/first/internal/clock"
 )
 
 // Config sets the per-request fault probabilities. Probabilities are in
-// [0,1] and evaluated independently, in the order: refuse, 5xx, latency,
-// stream cut. The zero value injects nothing (pass-through transport).
+// [0,1] and evaluated independently, in the order: refuse, 5xx, stream cut.
+// The zero value injects nothing (pass-through transport).
 type Config struct {
 	// Seed keys every draw; two transports with the same seed and the
 	// same requests produce the same fault schedule.
@@ -41,11 +39,6 @@ type Config struct {
 	P5xx float64
 	// RetryAfter, when positive, is advertised on synthesized 503s.
 	RetryAfter time.Duration
-	// PLatency is the probability a request is delayed by LatencySpike
-	// (on the injected clock) before being forwarded.
-	PLatency float64
-	// LatencySpike is the added delay for latency faults.
-	LatencySpike time.Duration
 	// PCutStream is the probability a successful response body is
 	// truncated after CutAfterBytes bytes — the reader sees a clean EOF
 	// mid-stream, as when a peer dies between SSE events.
@@ -58,7 +51,6 @@ type Config struct {
 type Stats struct {
 	Refused   atomic.Int64
 	Synth5xx  atomic.Int64
-	Delayed   atomic.Int64
 	CutStream atomic.Int64
 	Passed    atomic.Int64
 }
@@ -68,7 +60,6 @@ func (s *Stats) Snapshot() map[string]int64 {
 	return map[string]int64{
 		"refused":    s.Refused.Load(),
 		"synth_5xx":  s.Synth5xx.Load(),
-		"delayed":    s.Delayed.Load(),
 		"cut_stream": s.CutStream.Load(),
 		"passed":     s.Passed.Load(),
 	}
@@ -87,7 +78,6 @@ func (e *RefusedError) Error() string {
 // Transport is a fault-injecting http.RoundTripper wrapping another one.
 type Transport struct {
 	cfg   Config
-	clk   clock.Clock
 	next  http.RoundTripper
 	stats Stats
 
@@ -95,13 +85,18 @@ type Transport struct {
 	seen map[uint64]uint32
 }
 
-// New wraps next with fault injection. clk defaults to the real clock and
-// is only consulted for latency faults, so simulations can compress spikes.
-func New(cfg Config, clk clock.Clock, next http.RoundTripper) *Transport {
-	if clk == nil {
-		clk = clock.Real{}
+// New wraps next with fault injection.
+func New(cfg Config, next http.RoundTripper) *Transport {
+	return &Transport{cfg: cfg, next: next, seen: make(map[uint64]uint32)}
+}
+
+// CloseIdleConnections closes the inner transport's idle connections when
+// it keeps any (it has a CloseIdleConnections method), so an http.Client
+// around the chaos transport can end them.
+func (t *Transport) CloseIdleConnections() {
+	if c, ok := t.next.(interface{ CloseIdleConnections() }); ok {
+		c.CloseIdleConnections()
 	}
-	return &Transport{cfg: cfg, clk: clk, next: next, seen: make(map[uint64]uint32)}
 }
 
 // Stats exposes the fault counters.
@@ -122,7 +117,8 @@ func RequestKey(method, path string, body []byte) uint64 {
 }
 
 // Draw maps (seed, key, attempt, lane) to a uniform float in [0,1).
-// Each fault kind uses its own lane so probabilities stay independent.
+// Each fault kind uses its own lane so probabilities stay independent:
+// refuse 1, 5xx 2, stream cut 4 (lane 3 is retired, so no lane moved).
 // Exported so scenario drivers can key extra fault lanes (e.g. credential
 // rejections) off the same deterministic schedule.
 func Draw(seed, key uint64, attempt, lane uint32) float64 {
@@ -136,10 +132,10 @@ func draw(seed, key uint64, attempt, lane uint32) float64 {
 
 const attemptHeader = "X-Chaosnet-Attempt"
 
-// RoundTrip draws faults for the request and either refuses, delays,
-// synthesizes a 5xx, forwards, or forwards-then-truncates. The attempt
-// number is read from the X-Chaosnet-Attempt header when the caller sets
-// one (retry loops bump it); absent, every trip is attempt 0.
+// RoundTrip draws faults for the request and either refuses, synthesizes a
+// 5xx, forwards, or forwards-then-truncates. The attempt number is read from
+// the X-Chaosnet-Attempt header when the caller sets one (retry loops bump
+// it); absent, every trip is attempt 0.
 func (t *Transport) RoundTrip(req *http.Request) (*http.Response, error) {
 	var body []byte
 	if req.Body != nil {
@@ -174,11 +170,6 @@ func (t *Transport) RoundTrip(req *http.Request) (*http.Response, error) {
 	if t.cfg.P5xx > 0 && draw(t.cfg.Seed, key, attempt, 2) < t.cfg.P5xx {
 		t.stats.Synth5xx.Add(1)
 		return t.synth503(req), nil
-	}
-	if t.cfg.PLatency > 0 && t.cfg.LatencySpike > 0 &&
-		draw(t.cfg.Seed, key, attempt, 3) < t.cfg.PLatency {
-		t.stats.Delayed.Add(1)
-		t.clk.Sleep(t.cfg.LatencySpike)
 	}
 	resp, err := t.next.RoundTrip(req)
 	if err != nil || resp == nil {

@@ -8,8 +8,6 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"github.com/argonne-first/first/internal/clock"
 )
 
 type okTripper struct {
@@ -47,7 +45,7 @@ func post(t *testing.T, tr http.RoundTripper, path, body string, attempt int) (*
 func TestDeterministicSchedule(t *testing.T) {
 	cfg := Config{Seed: 42, PRefuse: 0.2, P5xx: 0.2, PCutStream: 0.3, CutAfterBytes: 4}
 	run := func() []string {
-		tr := New(cfg, clock.Real{}, &okTripper{body: "0123456789"})
+		tr := New(cfg, &okTripper{body: "0123456789"})
 		var out []string
 		for i := 0; i < 64; i++ {
 			resp, err := post(t, tr, "/v1/chat/completions", "req "+strings.Repeat("x", i), 0)
@@ -91,7 +89,7 @@ func TestDeterministicSchedule(t *testing.T) {
 // retry, because the attempt number feeds the draw.
 func TestAttemptRedraw(t *testing.T) {
 	cfg := Config{Seed: 7, PRefuse: 0.5}
-	tr := New(cfg, clock.Real{}, &okTripper{body: "ok"})
+	tr := New(cfg, &okTripper{body: "ok"})
 	cleared := false
 	for i := 0; i < 64 && !cleared; i++ {
 		body := "probe " + strings.Repeat("y", i)
@@ -112,7 +110,7 @@ func TestAttemptRedraw(t *testing.T) {
 // Retry-After and never reach the underlying transport.
 func TestSynth503RetryAfter(t *testing.T) {
 	next := &okTripper{body: "ok"}
-	tr := New(Config{Seed: 3, P5xx: 1.0, RetryAfter: 2 * time.Second}, clock.Real{}, next)
+	tr := New(Config{Seed: 3, P5xx: 1.0, RetryAfter: 2 * time.Second}, next)
 	resp, err := post(t, tr, "/v1/chat/completions", "x", 0)
 	if err != nil {
 		t.Fatal(err)
@@ -135,7 +133,7 @@ func TestSynth503RetryAfter(t *testing.T) {
 // TestCutStream: a cut body yields exactly CutAfterBytes bytes then a
 // clean EOF, not an error.
 func TestCutStream(t *testing.T) {
-	tr := New(Config{Seed: 1, PCutStream: 1.0, CutAfterBytes: 4}, clock.Real{}, &okTripper{body: "0123456789"})
+	tr := New(Config{Seed: 1, PCutStream: 1.0, CutAfterBytes: 4}, &okTripper{body: "0123456789"})
 	resp, err := post(t, tr, "/v1/chat/completions", "x", 0)
 	if err != nil {
 		t.Fatal(err)
@@ -152,7 +150,7 @@ func TestCutStream(t *testing.T) {
 
 // TestRefusedErrorTyped: refusal is a typed transport error.
 func TestRefusedErrorTyped(t *testing.T) {
-	tr := New(Config{Seed: 9, PRefuse: 1.0}, clock.Real{}, &okTripper{})
+	tr := New(Config{Seed: 9, PRefuse: 1.0}, &okTripper{})
 	_, err := post(t, tr, "/v1/chat/completions", "x", 0)
 	var re *RefusedError
 	if !errors.As(err, &re) {
@@ -163,7 +161,7 @@ func TestRefusedErrorTyped(t *testing.T) {
 // TestZeroConfigPassThrough: the zero config forwards everything intact.
 func TestZeroConfigPassThrough(t *testing.T) {
 	next := &okTripper{body: "hello"}
-	tr := New(Config{}, nil, next)
+	tr := New(Config{}, next)
 	for i := 0; i < 32; i++ {
 		resp, err := post(t, tr, "/v1/chat/completions", strings.Repeat("z", i), 0)
 		if err != nil {
@@ -178,6 +176,28 @@ func TestZeroConfigPassThrough(t *testing.T) {
 	if next.calls != 32 || tr.Stats().Passed.Load() != 32 {
 		t.Errorf("calls = %d passed = %d", next.calls, tr.Stats().Passed.Load())
 	}
+}
+
+// closeRecorder is an inner transport that keeps connections: it counts
+// the CloseIdleConnections calls it gets.
+type closeRecorder struct {
+	okTripper
+	closed int
+}
+
+func (c *closeRecorder) CloseIdleConnections() { c.closed++ }
+
+// TestCloseIdleConnectionsForwarded: the chaos transport hands
+// CloseIdleConnections to an inner transport that keeps connections, so an
+// http.Client around it can end them, and is a no-op over one that keeps
+// none.
+func TestCloseIdleConnectionsForwarded(t *testing.T) {
+	next := &closeRecorder{}
+	(&http.Client{Transport: New(Config{}, next)}).CloseIdleConnections()
+	if next.closed != 1 {
+		t.Errorf("inner transport closed its idle connections %d times, want 1", next.closed)
+	}
+	New(Config{}, &okTripper{}).CloseIdleConnections()
 }
 
 // TestWindowsSchedule: bursts land on rotating endpoints, deterministic

@@ -200,11 +200,6 @@ func (c *Client) do(ctx context.Context, method, path string, in, out interface{
 }
 
 func (c *Client) doOnce(ctx context.Context, method, path string, buf []byte, hasBody bool, out interface{}) error {
-	if c.retry.AttemptTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, c.retry.AttemptTimeout)
-		defer cancel()
-	}
 	var body io.Reader
 	if hasBody {
 		body = bytes.NewReader(buf)

@@ -390,6 +390,7 @@ type Manual struct {
 	mu      sync.Mutex
 	now     time.Time
 	waiters []*manualWaiter
+	parked  sync.Cond // on mu; signalled whenever len(waiters) changes
 }
 
 type manualWaiter struct {
@@ -399,7 +400,9 @@ type manualWaiter struct {
 
 // NewManual returns a manual clock starting at start.
 func NewManual(start time.Time) *Manual {
-	return &Manual{now: start}
+	m := &Manual{now: start}
+	m.parked.L = &m.mu
+	return m
 }
 
 // Now implements Clock.
@@ -427,6 +430,7 @@ func (m *Manual) After(d time.Duration) <-chan time.Time {
 		return w.ch
 	}
 	m.waiters = append(m.waiters, w)
+	m.parked.Broadcast()
 	return w.ch
 }
 
@@ -449,9 +453,20 @@ func (m *Manual) Advance(d time.Duration) {
 		}
 	}
 	m.waiters = remaining
+	m.parked.Broadcast()
 	m.mu.Unlock()
 	for _, w := range fired {
 		w.ch <- now
+	}
+}
+
+// BlockUntil blocks until exactly n sleepers are parked on the clock, so
+// that a test's next Advance reaches every one of them.
+func (m *Manual) BlockUntil(n int) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	for len(m.waiters) != n {
+		m.parked.Wait()
 	}
 }
 

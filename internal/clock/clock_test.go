@@ -268,14 +268,7 @@ func TestManualSleepBlocksUntilAdvance(t *testing.T) {
 		m.Sleep(10 * time.Second)
 		close(woke)
 	}()
-	// Wait until the sleeper registers.
-	deadline := time.Now().Add(2 * time.Second)
-	for m.PendingWaiters() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("sleeper never registered")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	m.BlockUntil(1) // the sleeper registered
 	select {
 	case <-woke:
 		t.Fatal("sleeper woke before Advance")
@@ -314,13 +307,7 @@ func TestManualMultipleWaitersReleaseInOrderOfDeadline(t *testing.T) {
 	got := make(chan int, 2)
 	go func() { m.Sleep(1 * time.Second); got <- 1 }()
 	go func() { m.Sleep(3 * time.Second); got <- 3 }()
-	deadline := time.Now().Add(2 * time.Second)
-	for m.PendingWaiters() < 2 {
-		if time.Now().After(deadline) {
-			t.Fatal("waiters never registered")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	m.BlockUntil(2)
 	m.Advance(2 * time.Second)
 	if v := <-got; v != 1 {
 		t.Fatalf("first waiter released = %d, want 1", v)

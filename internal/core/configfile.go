@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"time"
 
@@ -99,6 +100,9 @@ func (fc FileConfig) Validate() error {
 		if names[c.Name] {
 			return fmt.Errorf("core: duplicate cluster %q", c.Name)
 		}
+		if err := checkSeconds("cluster "+c.Name+" prologue_s", c.PrologueS); err != nil {
+			return err
+		}
 		names[c.Name] = true
 	}
 	if len(fc.Models) == 0 {
@@ -112,8 +116,11 @@ func (fc FileConfig) Validate() error {
 		if len(m.Clusters) == 0 {
 			return fmt.Errorf("core: model %s lists no clusters", m.Model)
 		}
-		if m.MinInstances < 0 || m.MaxInstances < 0 {
-			return fmt.Errorf("core: model %s has a negative min_instances or max_instances", m.Model)
+		if m.MinInstances < 0 || m.MaxInstances < 0 || m.ScaleUpDepth < 0 {
+			return fmt.Errorf("core: model %s has a negative min_instances, max_instances or scale_up_depth", m.Model)
+		}
+		if err := checkSeconds("model "+m.Model+" hot_idle_timeout_s", m.HotIdleTimeoutS); err != nil {
+			return err
 		}
 		for _, cl := range m.Clusters {
 			if !names[cl] {
@@ -124,8 +131,20 @@ func (fc FileConfig) Validate() error {
 			return err
 		}
 	}
-	if g := fc.Gateway; g.Shards < 0 || g.InFlightLimit < 0 || g.CacheTTLS < 0 {
-		return fmt.Errorf("core: gateway shards, in_flight_limit and cache_ttl_s must not be negative")
+	if g := fc.Gateway; g.Shards < 0 || g.InFlightLimit < 0 || g.UserRatePerSec < 0 {
+		return fmt.Errorf("core: gateway shards, in_flight_limit and user_rate_per_sec must not be negative")
+	}
+	return checkSeconds("gateway cache_ttl_s", fc.Gateway.CacheTTLS)
+}
+
+// maxSeconds is the most whole seconds a time.Duration holds.
+const maxSeconds = math.MaxInt64 / int64(time.Second)
+
+// checkSeconds rejects a seconds field that is negative or that would
+// overflow time.Duration when ToSystemConfig converts it.
+func checkSeconds(field string, secs int) error {
+	if secs < 0 || int64(secs) > maxSeconds {
+		return fmt.Errorf("core: %s = %d is outside [0, %d]", field, secs, maxSeconds)
 	}
 	return nil
 }

@@ -108,6 +108,13 @@ func TestConfigValidationErrors(t *testing.T) {
 		"negative ttl":      validConfigWith(``, `"cache_ttl_s": -60`),
 		"negative min":      validConfigWith(`"min_instances": -1`, ``),
 		"negative max":      validConfigWith(`"max_instances": -2`, ``),
+		"negative depth":    validConfigWith(`"scale_up_depth": -1`, ``),
+		"negative idle":     validConfigWith(`"hot_idle_timeout_s": -1`, ``),
+		"negative rate":     validConfigWith(``, `"user_rate_per_sec": -0.5`),
+		"negative prologue": `{"clusters":[{"name":"a","nodes":1,"gpus_per_node":1,"prologue_s":-1}], "models":[{"model":"m","clusters":["a"]}]}`,
+		"idle overflow":     validConfigWith(`"hot_idle_timeout_s": 18446744074`, ``),
+		"ttl overflow":      validConfigWith(``, `"cache_ttl_s": 9223372037`),
+		"prologue overflow": `{"clusters":[{"name":"a","nodes":1,"gpus_per_node":1,"prologue_s":9223372037}], "models":[{"model":"m","clusters":["a"]}]}`,
 		"too many clusters": wideConfig(federation.MaxEndpoints + 1),
 	}
 	for name, content := range cases {
@@ -123,6 +130,14 @@ func TestConfigValidationErrors(t *testing.T) {
 	}
 	if _, err := LoadConfig(writeConfig(t, wideConfig(federation.MaxEndpoints))); err != nil {
 		t.Errorf("a model on exactly MaxEndpoints clusters rejected: %v", err)
+	}
+	fc, err := LoadConfig(writeConfig(t, validConfigWith(`"hot_idle_timeout_s": 9223372036`, `"cache_ttl_s": 9223372036`)))
+	if err != nil {
+		t.Fatalf("the longest durations a time.Duration holds rejected: %v", err)
+	}
+	cfg, _ := fc.ToSystemConfig()
+	if want := 9223372036 * time.Second; cfg.Gateway.CacheTTL != want || cfg.Deployments[0].Config.HotIdleTimeout != want {
+		t.Errorf("cache ttl %v, idle timeout %v, want %v", cfg.Gateway.CacheTTL, cfg.Deployments[0].Config.HotIdleTimeout, want)
 	}
 }
 
@@ -172,6 +187,8 @@ func FuzzLoadConfig(f *testing.F) {
 		validConfigWith(`"min_instances": -1, "hot_idle_timeout_s": -9223372036854775808`, `"shards": -1, "user_rate_per_sec": -1e308`),
 		`{"clusters":[{"name":"a","nodes":9223372036854775807,"gpus_per_node":1,"prologue_s":-1}],"models":[{"model":"m","clusters":["a","a"]}]}`,
 		wideConfig(federation.MaxEndpoints + 1),
+		validConfigWith(`"hot_idle_timeout_s": 18446744074`, ``),
+		validConfigWith(``, `"cache_ttl_s": 9223372037`),
 	} {
 		f.Add([]byte(s))
 	}
@@ -181,14 +198,25 @@ func FuzzLoadConfig(f *testing.F) {
 			return
 		}
 		cfg, _ := fc.ToSystemConfig()
-		if g := cfg.Gateway; g.Shards < 0 || g.InFlightLimit < 0 || g.CacheTTL < 0 {
+		if g := cfg.Gateway; g.Shards < 0 || g.InFlightLimit < 0 || g.UserRatePerSec < 0 {
 			t.Fatalf("validated config carries a negative gateway tunable: %+v", g)
 		}
-		routes := make(map[string]int)
-		for _, d := range cfg.Deployments {
-			if d.Config.MinInstances < 0 || d.Config.MaxInstances < 0 {
-				t.Fatalf("validated config carries a negative instance count: %+v", d)
+		// Every converted duration is non-negative and holds its seconds.
+		converted := func(what string, d time.Duration, secs int) {
+			if d < 0 || int64(d/time.Second) != int64(secs) {
+				t.Fatalf("validated config converts %s = %d s to %v", what, secs, d)
 			}
+		}
+		converted("cache_ttl_s", cfg.Gateway.CacheTTL, fc.Gateway.CacheTTLS)
+		for i, c := range cfg.Clusters {
+			converted("prologue_s", c.Prologue, fc.Clusters[i].PrologueS)
+		}
+		routes := make(map[string]int)
+		for i, d := range cfg.Deployments {
+			if d.Config.MinInstances < 0 || d.Config.MaxInstances < 0 || d.Config.ScaleUpDepth < 0 {
+				t.Fatalf("validated config carries a negative instance count or depth: %+v", d)
+			}
+			converted("hot_idle_timeout_s", d.Config.HotIdleTimeout, fc.Models[i].HotIdleTimeoutS)
 			if routes[d.Model] += len(d.Clusters); routes[d.Model] > federation.MaxEndpoints {
 				t.Fatalf("validated config deploys %s on %d clusters, more than %d", d.Model, routes[d.Model], federation.MaxEndpoints)
 			}

@@ -49,22 +49,13 @@ type Config struct {
 	Clusters    []ClusterSpec
 	Deployments []DeploymentSpec
 	Gateway     gateway.Config
-	Auth        auth.Config
-	Hub         fabric.HubConfig
-	// EndpointPickup overrides endpoint task-pickup latency.
-	EndpointPickup time.Duration
 	// TokenCacheTTL sets introspection-cache freshness (0 = default).
 	TokenCacheTTL time.Duration
-	// DisableTokenCache forces an introspection round trip per request
-	// (the pre-Optimization-2 behaviour, for ablations).
-	DisableTokenCache bool
-	Catalog           *perfmodel.Catalog
 }
 
 // System is a fully wired FIRST installation.
 type System struct {
 	Clock      clock.Clock
-	Catalog    *perfmodel.Catalog
 	Auth       *auth.Service
 	Policy     *auth.Policy
 	Store      *store.Store
@@ -87,9 +78,6 @@ func NewSystem(cfg Config) (*System, error) {
 	if cfg.Clock == nil {
 		cfg.Clock = clock.NewScaled(1000)
 	}
-	if cfg.Catalog == nil {
-		cfg.Catalog = perfmodel.Default
-	}
 	if len(cfg.Clusters) == 0 {
 		return nil, fmt.Errorf("core: no clusters configured")
 	}
@@ -101,7 +89,6 @@ func NewSystem(cfg Config) (*System, error) {
 	}
 	sys := &System{
 		Clock:      cfg.Clock,
-		Catalog:    cfg.Catalog,
 		Store:      store.New(0),
 		Metrics:    metrics.NewRegistry(),
 		Clusters:   make(map[string]*cluster.Cluster),
@@ -110,7 +97,7 @@ func NewSystem(cfg Config) (*System, error) {
 	}
 
 	// Auth: identity providers + the administrators' confidential client.
-	sys.Auth = auth.NewService(cfg.Clock, cfg.Auth)
+	sys.Auth = auth.NewService(cfg.Clock, auth.Config{})
 	sys.Auth.RegisterProvider(auth.Provider{Name: "anl"})
 	sys.Auth.RegisterProvider(auth.Provider{Name: "uchicago"})
 	sys.clientID = "first-gateway"
@@ -118,23 +105,14 @@ func NewSystem(cfg Config) (*System, error) {
 	sys.Policy = auth.NewPolicy(ScopeInference)
 
 	// Fabric hub + per-cluster endpoints.
-	hubCfg := cfg.Hub
-	if hubCfg == (fabric.HubConfig{}) {
-		hubCfg = fabric.DefaultHubConfig()
-	}
-	sys.Hub = fabric.NewHub(cfg.Clock, hubCfg, sys.clientID, sys.clientSecret, sys.Metrics)
+	sys.Hub = fabric.NewHub(cfg.Clock, fabric.DefaultHubConfig(), sys.clientID, sys.clientSecret, sys.Metrics)
 	for _, cs := range cfg.Clusters {
 		if cs.GPU.Name == "" {
 			cs.GPU = perfmodel.A100_40
 		}
 		cl := cluster.New(cs.Name, cs.Nodes, cs.GPUsPerNode, cs.GPU)
 		sched := scheduler.New(cl, cfg.Clock, scheduler.Config{Prologue: cs.Prologue, Backfill: cs.Backfill})
-		ep, err := fabric.NewEndpoint(fabric.EndpointConfig{
-			ID:            "ep-" + cs.Name,
-			Scheduler:     sched,
-			Catalog:       cfg.Catalog,
-			PickupLatency: cfg.EndpointPickup,
-		}, cfg.Clock, sys.Metrics)
+		ep, err := fabric.NewEndpoint(fabric.EndpointConfig{ID: "ep-" + cs.Name, Scheduler: sched}, cfg.Clock, sys.Metrics)
 		if err != nil {
 			return nil, err
 		}
@@ -145,7 +123,7 @@ func NewSystem(cfg Config) (*System, error) {
 	}
 
 	// Deployments + federation routes (registry order = priority).
-	sys.Router = federation.NewRouter(cfg.Catalog)
+	sys.Router = federation.NewRouter()
 	for _, ds := range cfg.Deployments {
 		dcfg := ds.Config
 		dcfg.Model = ds.Model
@@ -165,12 +143,8 @@ func NewSystem(cfg Config) (*System, error) {
 	sys.Client = fabric.NewClient(sys.Hub, fabric.ClientConfig{
 		Credentials: fabric.Credentials{ClientID: sys.clientID, ClientSecret: sys.clientSecret},
 	})
-	ttl := cfg.TokenCacheTTL
-	if cfg.DisableTokenCache {
-		ttl = time.Nanosecond // effectively uncached
-	}
-	tokens := auth.NewTokenCache(sys.Auth, cfg.Clock, sys.clientID, sys.clientSecret, ttl)
-	sys.Batches = batch.NewRunner(cfg.Clock, sys.Store, cfg.Catalog)
+	tokens := auth.NewTokenCache(sys.Auth, cfg.Clock, sys.clientID, sys.clientSecret, cfg.TokenCacheTTL)
+	sys.Batches = batch.NewRunner(cfg.Clock, sys.Store)
 	gw, err := gateway.New(cfg.Gateway, gateway.Deps{
 		Clock:   cfg.Clock,
 		Tokens:  tokens,
@@ -179,7 +153,6 @@ func NewSystem(cfg Config) (*System, error) {
 		Client:  sys.Client,
 		Batches: sys.Batches,
 		Store:   sys.Store,
-		Catalog: cfg.Catalog,
 		Metrics: sys.Metrics,
 	})
 	if err != nil {

@@ -48,7 +48,7 @@ type LiveFedCell struct {
 	// re-routes (both layers get the same budget).
 	MaxAttempts int
 	// Net is the client↔gateway fault schedule (refused dials, synthesized
-	// 503 bursts, latency spikes, SSE cuts).
+	// 503 bursts, SSE cuts).
 	Net chaosnet.Config
 	// Faults is the endpoint-side fault schedule: bursts of infer failures
 	// sweeping across endpoints round-robin.
@@ -268,9 +268,17 @@ func (c LiveFedCell) cellSeed(seed int64) uint64 {
 	h := fnv.New64a()
 	fmt.Fprintf(h, "%d|%d|%d|%d|%+v|%+v|%g|%d|%d|%d|%d|%d",
 		c.Clusters, c.Requests, c.StreamEvery, c.MaxAttempts,
-		c.Net, c.Faults, c.PUnauthorized,
+		netKey(c.Net), c.Faults, c.PUnauthorized,
 		c.KillEvery, c.KillDownFor, c.BGEvery, c.BGGPUs, c.BGHoldFor)
 	return chaosnet.Mix(uint64(seed) ^ h.Sum64())
+}
+
+// netKey renders n the way %+v did while chaosnet.Config still carried a
+// latency fault that no cell set (PLatency, LatencySpike), so every cell
+// keeps its seed and with it its fault and churn schedules.
+func netKey(n chaosnet.Config) string {
+	return fmt.Sprintf("{Seed:%d PRefuse:%v P5xx:%v RetryAfter:%v PLatency:0 LatencySpike:0s PCutStream:%v CutAfterBytes:%d}",
+		n.Seed, n.PRefuse, n.P5xx, n.RetryAfter, n.PCutStream, n.CutAfterBytes)
 }
 
 // BuildSchedule derives the cell's churn plan: rotating kills with
@@ -387,7 +395,10 @@ func RunLiveFedCell(seed int64, c LiveFedCell) LiveFedRow {
 	// Client-side fault arming: chaosnet between the SDK and the gateway.
 	netCfg := c.Net
 	netCfg.Seed = cellSeed ^ 0xc11a05
-	chaos := chaosnet.New(netCfg, sys.Clock, client.HandlerRoundTripper(sys.Gateway))
+	chaos := chaosnet.New(netCfg, client.HandlerRoundTripper(sys.Gateway))
+	// The in-process transport keeps a goroutine per idle connection; end
+	// them with the cell rather than leaving them to a finalizer.
+	defer chaos.CloseIdleConnections()
 	// Backoff waits (including chaosnet's Retry-After hints, which are in
 	// modeled seconds) pass on the scaled clock: a 1 s hint costs 50 µs of
 	// wall time instead of parking the driver — and the simulated clock —

@@ -137,6 +137,18 @@ func TestLiveFedCellSeedDerivation(t *testing.T) {
 	v.Net.PRefuse += 0.001
 	variants["net refuse rate"] = v
 	v = base
+	v.Net.P5xx += 0.001
+	variants["net 5xx rate"] = v
+	v = base
+	v.Net.RetryAfter += time.Second
+	variants["net retry-after"] = v
+	v = base
+	v.Net.PCutStream += 0.001
+	variants["net cut rate"] = v
+	v = base
+	v.Net.CutAfterBytes++
+	variants["net cut length"] = v
+	v = base
 	v.BGGPUs++
 	variants["bg claim width"] = v
 	seen := map[uint64]string{base.cellSeed(DefaultSeed): "base"}
@@ -149,6 +161,15 @@ func TestLiveFedCellSeedDerivation(t *testing.T) {
 	}
 	if s := base.cellSeed(DefaultSeed + 1); seen[s] != "" {
 		t.Errorf("changing the run seed collided with cell %q", seen[s])
+	}
+	// The committed cells' seeds, and so their fault and churn schedules,
+	// do not move when a field the cells leave unset leaves a config type.
+	cells := append(append([]LiveFedCell{}, LiveFedCellsShort...), LiveFedCells...)
+	for i, want := range []uint64{0x989d561c5907a138, 0x7f42d06bb594e296, 0x36736d0b9f49a726} {
+		c := cells[i]
+		if got := c.cellSeed(DefaultSeed); got != want {
+			t.Errorf("cell %d (c%d, %d requests) seed %#x, want %#x", i, c.Clusters, c.Requests, got, want)
+		}
 	}
 }
 

@@ -13,9 +13,11 @@ import (
 )
 
 // DeploymentConfig describes how an endpoint hosts one model (§3.2.2):
-// bounds on auto-scaling, the hot-node idle timeout, and the batch-scheduler
-// walltime for serving jobs. The instances form a Pool, whose rules the DES
-// federation's deployments share; where the two differed, the DES rule holds:
+// bounds on auto-scaling, the scale-up depth, the hot-node idle timeout and
+// the control loop's cadence. Serving jobs hold their nodes with no walltime
+// and run the model's own max_num_seqs. The instances form a Pool, whose
+// rules the DES federation's deployments share; where the two differed, the
+// DES rule holds:
 //   - a release drains: the victim takes no new work, and its job completes
 //     once its last request has returned (requests no longer retry elsewhere);
 //   - the victim is a job still queued at the scheduler, cancelled, before
@@ -42,12 +44,8 @@ type DeploymentConfig struct {
 	// "currently 2 hours"), never below MinInstances live instances.
 	// Default 2 h.
 	HotIdleTimeout time.Duration
-	// Walltime for serving jobs (0 = unlimited).
-	Walltime time.Duration
 	// AutoScalePeriod is the manager's control-loop cadence. Default 5 s.
 	AutoScalePeriod time.Duration
-	// MaxBatch overrides the engine's max_num_seqs.
-	MaxBatch int
 }
 
 func (c *DeploymentConfig) applyDefaults() {
@@ -206,10 +204,9 @@ func (d *Deployment) launchInstance() error {
 	d.mu.Unlock()
 
 	job, err := d.ep.cfg.Scheduler.Submit(scheduler.JobSpec{
-		Name:     "serve:" + shortName(d.cfg.Model),
-		User:     "first-svc",
-		GPUs:     d.spec.TensorParallel,
-		Walltime: d.cfg.Walltime,
+		Name: "serve:" + shortName(d.cfg.Model),
+		User: "first-svc",
+		GPUs: d.spec.TensorParallel,
 		OnRunning: func(j *scheduler.Job) {
 			d.onJobRunning(in)
 		},
@@ -263,7 +260,7 @@ func (d *Deployment) onJobRunning(in *instance) {
 		}
 	} else {
 		var eng *serving.Engine
-		if eng, err = serving.NewEngine(serving.Config{Model: d.spec, GPU: gpu, MaxBatch: d.cfg.MaxBatch}); err == nil {
+		if eng, err = serving.NewEngine(serving.Config{Model: d.spec, GPU: gpu}); err == nil {
 			in.live = serving.NewLiveEngine(eng, d.ep.clk)
 			in.Serve(in.live)
 		}
@@ -384,6 +381,9 @@ func (d *Deployment) release(in *instance) {
 	}
 }
 
+// DefaultOutputTokens is the output length of a request that sets none.
+const DefaultOutputTokens = 128
+
 // Generate serves one inference request, retrying on instance loss. Run as
 // a fabric task, the engine takes the request at the task's pickup instant
 // P, and the task records the engine's finish F for the hub's relay. No
@@ -397,7 +397,7 @@ func (d *Deployment) Generate(ctx context.Context, req InferRequest) (InferResul
 	}
 	out := req.OutputTok
 	if out <= 0 {
-		out = 128
+		out = DefaultOutputTokens
 	}
 	task, _ := ctx.Value(taskKey{}).(*Task)
 	at := d.ep.clk.Now()

@@ -29,7 +29,6 @@ var ErrPayloadType = errors.New("fabric: payload has the wrong type")
 type EndpointConfig struct {
 	ID        string
 	Scheduler *scheduler.Scheduler
-	Catalog   *perfmodel.Catalog
 	// PickupLatency models the endpoint's task-fetch cadence from the hub
 	// (workers poll the cloud queue). Default 500 ms.
 	PickupLatency time.Duration
@@ -57,9 +56,6 @@ func NewEndpoint(cfg EndpointConfig, clk clock.Clock, met *metrics.Registry) (*E
 	}
 	if cfg.Scheduler == nil {
 		return nil, fmt.Errorf("fabric: endpoint %s needs a scheduler", cfg.ID)
-	}
-	if cfg.Catalog == nil {
-		cfg.Catalog = perfmodel.Default
 	}
 	if cfg.PickupLatency == 0 {
 		cfg.PickupLatency = 500 * time.Millisecond
@@ -113,7 +109,7 @@ func (ep *Endpoint) Deploy(cfg DeploymentConfig) (*Deployment, error) {
 	}
 	ep.mu.Unlock()
 
-	spec, err := ep.cfg.Catalog.Lookup(cfg.Model)
+	spec, err := perfmodel.Default.Lookup(cfg.Model)
 	if err != nil {
 		return nil, err
 	}

@@ -47,7 +47,7 @@ func newTestFabricScaled(t *testing.T, hubCfg HubConfig, nodes int, factor int64
 	if hubCfg == (HubConfig{}) {
 		hubCfg = HubConfig{
 			SubmitLatency: time.Millisecond, DispatchCost: time.Millisecond,
-			RelayCost: time.Millisecond, CacheConnections: true, MaxQueuedTasks: 1024,
+			RelayCost: time.Millisecond, MaxQueuedTasks: 1024,
 		}
 	}
 	hub := NewHub(clk, hubCfg, "client-id", "client-secret", metrics.NewRegistry())
@@ -558,19 +558,6 @@ func manualHub(t *testing.T, cfg HubConfig, pickup time.Duration) (*clock.Manual
 	return clk, NewClient(hub, ClientConfig{Credentials: Credentials{ClientID: "id", ClientSecret: "secret"}}), ran
 }
 
-// waitPending blocks until n goroutines sleep on clk, so that an Advance
-// reaches every one of them.
-func waitPending(t *testing.T, clk *clock.Manual, n int) {
-	t.Helper()
-	deadline := time.Now().Add(10 * time.Second)
-	for clk.PendingWaiters() != n {
-		if time.Now().After(deadline) {
-			t.Fatalf("%d waiters on the clock, want %d", clk.PendingWaiters(), n)
-		}
-		time.Sleep(100 * time.Microsecond)
-	}
-}
-
 func manualSubmit(t *testing.T, c *Client) *Future {
 	t.Helper()
 	f, err := c.Submit("ep-m", "admin.stamp", nil)
@@ -596,7 +583,7 @@ func resolved(t *testing.T, f *Future) {
 func TestHubBooksDispatchDepartures(t *testing.T) {
 	const n = 6
 	const submit, cost, pickup = 250 * time.Millisecond, 20 * time.Millisecond, 100 * time.Millisecond
-	clk, c, ran := manualHub(t, HubConfig{SubmitLatency: submit, DispatchCost: cost, CacheConnections: true}, pickup)
+	clk, c, ran := manualHub(t, HubConfig{SubmitLatency: submit, DispatchCost: cost}, pickup)
 	t0 := clk.Now()
 	futs := make([]*Future, n)
 	var d time.Time
@@ -607,7 +594,7 @@ func TestHubBooksDispatchDepartures(t *testing.T) {
 			t.Fatalf("task %d leaves the dispatch lane at t0+%v, want t0+%v", i, got.Sub(t0), d.Sub(t0))
 		}
 	}
-	waitPending(t, clk, n)
+	clk.BlockUntil(n)
 	for i, f := range futs {
 		at := f.task.dispatchedAt.Add(pickup)
 		clk.Advance(at.Sub(clk.Now()) - 1)
@@ -655,48 +642,46 @@ func TestHubQueuedTasksDropsAtDispatch(t *testing.T) {
 
 // ConnectLatency is paid ahead of the dispatch lane by the first task of a
 // (client, endpoint) pair and not by the next one for that pair; a task for
-// another endpoint pays it again, and with CacheConnections off every task
-// pays. Each task enters an empty lane, so its departure shows what it paid.
+// another endpoint pays it again. Each task enters an empty lane, so its
+// departure shows what it paid.
 func TestHubConnectLatencyPerPair(t *testing.T) {
 	const submit, cost, connect = 250 * time.Millisecond, 20 * time.Millisecond, 900 * time.Millisecond
-	for _, cache := range []bool{true, false} {
-		clk, c, _ := manualHub(t, HubConfig{SubmitLatency: submit, DispatchCost: cost, ConnectLatency: connect, CacheConnections: cache}, time.Hour)
-		sched := scheduler.New(cluster.New("mcl-n", 1, 8, perfmodel.A100_40), clk, scheduler.Config{})
-		other, err := NewEndpoint(EndpointConfig{ID: "ep-n", Scheduler: sched, PickupLatency: time.Hour}, clk, nil)
+	clk, c, _ := manualHub(t, HubConfig{SubmitLatency: submit, DispatchCost: cost, ConnectLatency: connect}, time.Hour)
+	sched := scheduler.New(cluster.New("mcl-n", 1, 8, perfmodel.A100_40), clk, scheduler.Config{})
+	other, err := NewEndpoint(EndpointConfig{ID: "ep-n", Scheduler: sched, PickupLatency: time.Hour}, clk, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	other.RegisterFunction("admin.stamp", func(context.Context, any) (any, error) { return "ok", nil })
+	c.hub.RegisterEndpoint(other)
+	t.Cleanup(func() {
+		other.Close()
+		sched.Close()
+	})
+	for i, step := range []struct {
+		endpoint string
+		pays     bool
+	}{
+		{"ep-m", true},
+		{"ep-m", false},
+		{"ep-n", true},
+		{"ep-n", false},
+		{"ep-m", false},
+	} {
+		now := clk.Now()
+		f, err := c.Submit(step.endpoint, "admin.stamp", nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		other.RegisterFunction("admin.stamp", func(context.Context, any) (any, error) { return "ok", nil })
-		c.hub.RegisterEndpoint(other)
-		t.Cleanup(func() {
-			other.Close()
-			sched.Close()
-		})
-		for i, step := range []struct {
-			endpoint string
-			pays     bool
-		}{
-			{"ep-m", true},
-			{"ep-m", !cache},
-			{"ep-n", true},
-			{"ep-n", !cache},
-			{"ep-m", !cache},
-		} {
-			now := clk.Now()
-			f, err := c.Submit(step.endpoint, "admin.stamp", nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want := now.Add(submit + cost)
-			if step.pays {
-				want = want.Add(connect)
-			}
-			if got := f.task.dispatchedAt; !got.Equal(want) {
-				t.Errorf("cache %v, task %d to %s leaves the dispatch lane at now+%v, want now+%v",
-					cache, i, step.endpoint, got.Sub(now), want.Sub(now))
-			}
-			clk.Advance(2 * time.Second) // past the departure, an hour before the pickup
+		want := now.Add(submit + cost)
+		if step.pays {
+			want = want.Add(connect)
 		}
+		if got := f.task.dispatchedAt; !got.Equal(want) {
+			t.Errorf("task %d to %s leaves the dispatch lane at now+%v, want now+%v",
+				i, step.endpoint, got.Sub(now), want.Sub(now))
+		}
+		clk.Advance(2 * time.Second) // past the departure, an hour before the pickup
 	}
 }
 
@@ -706,7 +691,7 @@ func TestHubCloseResolvesBookedTasks(t *testing.T) {
 	clk, c, ran := manualHub(t, HubConfig{SubmitLatency: time.Second, DispatchCost: time.Second}, time.Second)
 	f := manualSubmit(t, c)
 	c.hub.Close()
-	waitPending(t, clk, 1)
+	clk.BlockUntil(1)
 	clk.Advance(3 * time.Second)
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
@@ -726,7 +711,7 @@ func TestFutureReportsAtRelayDeparture(t *testing.T) {
 	const relay = 15 * time.Millisecond
 	clk, c, ran := manualHub(t, HubConfig{RelayCost: relay}, time.Millisecond)
 	f := manualSubmit(t, c)
-	waitPending(t, clk, 1)
+	clk.BlockUntil(1)
 	clk.Advance(time.Millisecond)
 	<-ran
 	resolved(t, f)
@@ -740,7 +725,7 @@ func TestFutureReportsAtRelayDeparture(t *testing.T) {
 		}
 		got <- clk.Now()
 	}()
-	waitPending(t, clk, 1)
+	clk.BlockUntil(1)
 	clk.Advance(relay - 1)
 	if f.Done() || f.Task().Status() != TaskRunning || clk.PendingWaiters() != 1 {
 		t.Fatalf("1 ns before S: Done = %v, status %v, %d waiters", f.Done(), f.Task().Status(), clk.PendingWaiters())
@@ -758,7 +743,7 @@ func TestFutureReportsAtRelayDeparture(t *testing.T) {
 func TestFutureWaitCancelledDuringRelay(t *testing.T) {
 	clk, c, ran := manualHub(t, HubConfig{RelayCost: time.Second}, time.Millisecond)
 	f := manualSubmit(t, c)
-	waitPending(t, clk, 1)
+	clk.BlockUntil(1)
 	clk.Advance(time.Millisecond)
 	<-ran
 	resolved(t, f)
@@ -768,7 +753,7 @@ func TestFutureWaitCancelledDuringRelay(t *testing.T) {
 		_, err := f.Wait(ctx)
 		errc <- err
 	}()
-	waitPending(t, clk, 1)
+	clk.BlockUntil(1)
 	cancel()
 	select {
 	case err := <-errc:
@@ -801,9 +786,9 @@ func manualModel(t *testing.T, clk *clock.Manual, c *Client, n int) *Deployment 
 // wait on the clock, and returns the instant the instances serve.
 func bootInstances(t *testing.T, clk *clock.Manual, d *Deployment, n, others int) time.Time {
 	t.Helper()
-	waitPending(t, clk, others+n)
+	clk.BlockUntil(others + n)
 	clk.Advance(30 * time.Second) // the scheduler's default prologue
-	waitPending(t, clk, others+n)
+	clk.BlockUntil(others + n)
 	clk.Advance(d.spec.LoadTime(perfmodel.A100_40))
 	deadline := time.Now().Add(10 * time.Second)
 	for d.ReadyCount() != n {
@@ -818,7 +803,7 @@ func bootInstances(t *testing.T, clk *clock.Manual, d *Deployment, n, others int
 // engineLatency is what an idle engine of d's takes for one request alone.
 func engineLatency(t *testing.T, d *Deployment, promptTok, outputTok int) time.Duration {
 	t.Helper()
-	eng, err := serving.NewEngine(serving.Config{Model: d.spec, GPU: perfmodel.A100_40, MaxBatch: d.cfg.MaxBatch})
+	eng, err := serving.NewEngine(serving.Config{Model: d.spec, GPU: perfmodel.A100_40})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -860,10 +845,10 @@ func waitInfer(t *testing.T, f *Future) InferResult {
 func TestInferHandsOffAtBookedInstants(t *testing.T) {
 	const relay = 15 * time.Millisecond
 	clk, c, _ := manualHub(t, HubConfig{SubmitLatency: 250 * time.Millisecond, DispatchCost: 20 * time.Millisecond,
-		RelayCost: relay, CacheConnections: true}, 100*time.Millisecond)
+		RelayCost: relay}, 100*time.Millisecond)
 	d := manualModel(t, clk, c, 1)
 	f := inferManual(t, c)
-	waitPending(t, clk, 2) // the control loop and the task's pickup
+	clk.BlockUntil(2) // the control loop and the task's pickup
 	p := f.task.pickupAt
 	clk.Advance(p.Sub(clk.Now()) + 10*time.Second)
 	res := waitInfer(t, f)
@@ -882,13 +867,13 @@ func TestInferHandsOffAtBookedInstants(t *testing.T) {
 // deployment — has the engine take it when the instance serves, never at its
 // earlier pickup instant.
 func TestColdStartEngineTakesTaskWhenReady(t *testing.T) {
-	clk, c, _ := manualHub(t, HubConfig{SubmitLatency: time.Millisecond, CacheConnections: true}, time.Millisecond)
+	clk, c, _ := manualHub(t, HubConfig{SubmitLatency: time.Millisecond}, time.Millisecond)
 	d := manualModel(t, clk, c, 0)
 	f := inferManual(t, c)
-	waitPending(t, clk, 2) // the control loop and the task's pickup
+	clk.BlockUntil(2) // the control loop and the task's pickup
 	clk.Advance(f.task.pickupAt.Sub(clk.Now()))
 	ready := bootInstances(t, clk, d, 1, 1)
-	waitPending(t, clk, 2) // the control loop and the engine's first iteration
+	clk.BlockUntil(2) // the control loop and the engine's first iteration
 	clk.Advance(10 * time.Second)
 	res := waitInfer(t, f)
 	if submit := f.task.finishedAt.Add(-res.ServeTime); submit.Before(ready) {
@@ -903,12 +888,12 @@ func TestColdStartEngineTakesTaskWhenReady(t *testing.T) {
 // instance take it at the retry, not at its pickup instant: the first
 // attempt's engine time is not served twice over.
 func TestRetryEngineTakesTaskAtRetry(t *testing.T) {
-	clk, c, _ := manualHub(t, HubConfig{SubmitLatency: time.Millisecond, CacheConnections: true}, time.Millisecond)
+	clk, c, _ := manualHub(t, HubConfig{SubmitLatency: time.Millisecond}, time.Millisecond)
 	d := manualModel(t, clk, c, 2)
 	f := inferManual(t, c)
-	waitPending(t, clk, 2) // the control loop and the task's pickup
+	clk.BlockUntil(2) // the control loop and the task's pickup
 	clk.Advance(f.task.pickupAt.Sub(clk.Now()))
-	waitPending(t, clk, 2) // the control loop and the first engine's iteration
+	clk.BlockUntil(2) // the control loop and the first engine's iteration
 	clk.Advance(time.Millisecond)
 	killed := clk.Now()
 	d.mu.Lock()
@@ -922,7 +907,7 @@ func TestRetryEngineTakesTaskAtRetry(t *testing.T) {
 	if job == nil || !d.ep.cfg.Scheduler.Fail(job.ID) {
 		t.Fatal("no instance holds the task")
 	}
-	waitPending(t, clk, 4) // the control loop, the dead engine's iteration, the retry's, and the replacement's prologue
+	clk.BlockUntil(4) // the control loop, the dead engine's iteration, the retry's, and the replacement's prologue
 	clk.Advance(10 * time.Second)
 	res := waitInfer(t, f)
 	if submit := f.task.finishedAt.Add(-res.ServeTime); submit.Before(killed) {
@@ -939,7 +924,7 @@ func TestRetryEngineTakesTaskAtRetry(t *testing.T) {
 func TestFabricLatencyCoversEveryStage(t *testing.T) {
 	cfg := HubConfig{
 		SubmitLatency: 250 * time.Millisecond, DispatchCost: 20 * time.Millisecond,
-		RelayCost: 15 * time.Millisecond, CacheConnections: true, MaxQueuedTasks: 1024,
+		RelayCost: 15 * time.Millisecond, MaxQueuedTasks: 1024,
 	}
 	f := newTestFabric(t, cfg, 1)
 	f.ep.RegisterFunction("admin.echo", func(_ context.Context, payload any) (any, error) {

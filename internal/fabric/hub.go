@@ -33,12 +33,9 @@ type HubConfig struct {
 	// RelayCost is the serialized per-result relay cost back to clients.
 	RelayCost time.Duration
 	// ConnectLatency is the cost of establishing a client↔endpoint
-	// channel; cached per (client, endpoint) pair unless caching is
-	// disabled (Optimization 2's second half).
+	// channel, paid once per (client, endpoint) pair: the channel is
+	// cached (Optimization 2's second half).
 	ConnectLatency time.Duration
-	// CacheConnections enables connection reuse (default true via
-	// DefaultHubConfig).
-	CacheConnections bool
 	// MaxQueuedTasks bounds tasks buffered at the hub (paper's Artillery
 	// test observed >8000 queued; default 16384).
 	MaxQueuedTasks int
@@ -47,12 +44,11 @@ type HubConfig struct {
 // DefaultHubConfig returns the calibrated hub model.
 func DefaultHubConfig() HubConfig {
 	return HubConfig{
-		SubmitLatency:    250 * time.Millisecond,
-		DispatchCost:     20 * time.Millisecond,
-		RelayCost:        15 * time.Millisecond,
-		ConnectLatency:   900 * time.Millisecond,
-		CacheConnections: true,
-		MaxQueuedTasks:   16384,
+		SubmitLatency:  250 * time.Millisecond,
+		DispatchCost:   20 * time.Millisecond,
+		RelayCost:      15 * time.Millisecond,
+		ConnectLatency: 900 * time.Millisecond,
+		MaxQueuedTasks: 16384,
 	}
 }
 
@@ -148,15 +144,12 @@ func (h *Hub) submit(creds Credentials, endpointID, function string, payload any
 		return nil, ErrHubQueueFull
 	}
 	// D = max(now + SubmitLatency [+ ConnectLatency], previous D) +
-	// DispatchCost: the round trip, and connection setup when not cached, is
-	// latency ahead of the lane, not a throughput bottleneck.
+	// DispatchCost: the round trip, and connection setup the first time a
+	// pair meets, is latency ahead of the lane, not a throughput bottleneck.
 	arrive := now.Add(max(h.cfg.SubmitLatency, 0))
-	conn := connKey{creds.ClientID, endpointID}
-	if !h.cfg.CacheConnections || !h.connections[conn] {
+	if conn := (connKey{creds.ClientID, endpointID}); !h.connections[conn] {
 		arrive = arrive.Add(max(h.cfg.ConnectLatency, 0))
-		if h.cfg.CacheConnections {
-			h.connections[conn] = true
-		}
+		h.connections[conn] = true
 	}
 	// The dispatch lane's per-task cost is the fabric-wide ceiling ("our
 	// overall scaling is currently limited by the ability of Globus Compute

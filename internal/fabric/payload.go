@@ -15,6 +15,8 @@ const (
 type InferRequest struct {
 	Model     string
 	PromptTok int
+	// OutputTok is the output length; 0 or less asks for
+	// DefaultOutputTokens (a request that omits max_tokens).
 	OutputTok int
 	Prompt    string
 	// WantText asks the serving side to synthesize response text; perf

@@ -147,8 +147,6 @@ func lessLoaded(a, b *EndpointInfo) bool {
 // Router binds the pure policy to live fabric endpoints. It is the
 // "development API URL that does not target any specific cluster" (§4.5).
 type Router struct {
-	catalog *perfmodel.Catalog
-
 	mu sync.RWMutex
 	// order[model] lists endpoints in configuration-registry order. Routes
 	// are only ever appended, so a slice read under the lock stays valid
@@ -162,11 +160,8 @@ type Router struct {
 }
 
 // NewRouter returns an empty router.
-func NewRouter(catalog *perfmodel.Catalog) *Router {
-	if catalog == nil {
-		catalog = perfmodel.Default
-	}
-	return &Router{catalog: catalog, order: make(map[string][]*fabric.Endpoint)}
+func NewRouter() *Router {
+	return &Router{order: make(map[string][]*fabric.Endpoint)}
 }
 
 // AddRoute appends an endpoint to a model's candidate list (registry order
@@ -242,7 +237,7 @@ func (r *Router) Next(model string, w *Walk) (Decision, error) {
 		//firstlint:allow hotpath a model without routes is an error path
 		return Decision{}, fmt.Errorf("federation: model %q has no configured endpoints", model)
 	}
-	spec, err := r.catalog.Lookup(model)
+	spec, err := perfmodel.Default.Lookup(model)
 	if err != nil {
 		return Decision{}, err
 	}

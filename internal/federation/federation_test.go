@@ -315,7 +315,7 @@ func TestRouterAgainstLiveEndpoints(t *testing.T) {
 	big := newEndpoint(t, "big", 4, 8, clk)
 	small := newEndpoint(t, "small", 1, 4, clk)
 
-	r := NewRouter(nil)
+	r := NewRouter()
 	// Registry order: small first (priority for first-configured).
 	r.AddRoute(perfmodel.Llama70B, small)
 	r.AddRoute(perfmodel.Llama70B, big)
@@ -352,7 +352,7 @@ func TestRouterAgainstLiveEndpoints(t *testing.T) {
 }
 
 func TestRouterUnknownModel(t *testing.T) {
-	r := NewRouter(nil)
+	r := NewRouter()
 	if _, err := r.Route("unrouted/model"); err == nil {
 		t.Error("unrouted model accepted")
 	}
@@ -367,7 +367,7 @@ func TestRouterUnknownModel(t *testing.T) {
 func TestRouterModelsList(t *testing.T) {
 	clk := clock.NewScaled(1000)
 	ep := newEndpoint(t, "y", 1, 8, clk)
-	r := NewRouter(nil)
+	r := NewRouter()
 	r.AddRoute(perfmodel.Llama8B, ep)
 	r.AddRoute(perfmodel.Llama70B, ep)
 	if got := len(r.Models()); got != 2 {
@@ -387,7 +387,7 @@ func TestRouterBreakerAwareRouting(t *testing.T) {
 	a := newEndpoint(t, "a", 2, 8, clk)
 	b := newEndpoint(t, "b", 2, 8, clk)
 
-	r := NewRouter(nil)
+	r := NewRouter()
 	r.AddRoute(perfmodel.Llama8B, a)
 	r.AddRoute(perfmodel.Llama8B, b)
 

@@ -76,7 +76,7 @@ func TestReplayedWindowAvoidanceParity(t *testing.T) {
 
 	clk := clock.NewScaled(20000)
 	eps := []*fabric.Endpoint{newEndpoint(t, "p0", 2, 8, clk), newEndpoint(t, "p1", 2, 8, clk)}
-	r := NewRouter(nil)
+	r := NewRouter()
 	for _, ep := range eps {
 		r.AddRoute(perfmodel.Llama8B, ep)
 	}

@@ -21,7 +21,7 @@ var walkBreakers = resilience.BreakerConfig{
 // reopens first.
 func TestRouteRetryAfterIsTheModels(t *testing.T) {
 	clk := clock.NewScaled(20000)
-	r := NewRouter(nil)
+	r := NewRouter()
 	r.AddRoute(perfmodel.Llama8B, newEndpoint(t, "a", 2, 8, clk))
 	r.AddRoute(perfmodel.Llama70B, newEndpoint(t, "b", 2, 8, clk))
 	set := resilience.NewSet(walkBreakers)
@@ -49,7 +49,7 @@ func TestRouteRetryAfterIsTheModels(t *testing.T) {
 // next real attempt — which takes it, and then nothing else gets in.
 func TestRouteReservesNoProbe(t *testing.T) {
 	clk := clock.NewScaled(20000)
-	r := NewRouter(nil)
+	r := NewRouter()
 	r.AddRoute(perfmodel.Llama8B, newEndpoint(t, "a", 2, 8, clk))
 	set := resilience.NewSet(walkBreakers)
 	base := time.Unix(1000, 0)
@@ -81,7 +81,7 @@ func TestRouteReservesNoProbe(t *testing.T) {
 // breakers: rows built on the stack, no survivors slice, no error.
 func TestRouterNextZeroAlloc(t *testing.T) {
 	clk := clock.NewScaled(20000)
-	r := NewRouter(nil)
+	r := NewRouter()
 	for _, name := range []string{"a", "b", "c"} {
 		ep := newEndpoint(t, name, 2, 8, clk)
 		if name == "b" {
@@ -117,7 +117,7 @@ func TestRouterNextZeroAlloc(t *testing.T) {
 // walk's tried set; configuration loading rejects more, so one more here
 // is an internal error.
 func TestAddRoutePastMaxEndpointsPanics(t *testing.T) {
-	r := NewRouter(nil)
+	r := NewRouter()
 	ep := newEndpoint(t, "a", 1, 8, clock.NewScaled(20000))
 	for range MaxEndpoints {
 		r.AddRoute(perfmodel.Llama8B, ep)

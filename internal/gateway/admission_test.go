@@ -41,16 +41,33 @@ func TestAdmissionWindowReleasesSlots(t *testing.T) {
 
 // TestAdmissionSyncLegacyQueues pins the legacy model's semantics: a pool
 // smaller than the client count never 503s — excess requests block until a
-// worker frees, exactly like the nine-worker WSGI deployment.
+// worker frees, exactly like the nine-worker WSGI deployment. The endpoint
+// holds every request until nine are inside at once, so the clients
+// genuinely contend for the pool, and no tenth ever gets in beside them.
 func TestAdmissionSyncLegacyQueues(t *testing.T) {
-	const clients = 8
-	sys, tokens := stressFixture(t, gateway.Config{
-		WorkerModel: gateway.WorkerSyncLegacy,
-		SyncWorkers: 2,
-		// A little gateway-side processing keeps workers busy long enough
-		// that clients genuinely contend for the two slots.
-		ProcessingOverhead: 50 * time.Millisecond,
-	}, 20000, clients)
+	const workers, clients = 9, 12
+	sys, tokens := stressFixture(t, gateway.Config{WorkerModel: gateway.WorkerSyncLegacy}, 20000, clients)
+	var mu sync.Mutex
+	var inside, peak int
+	var fill sync.Once
+	full := make(chan struct{})
+	holdInfer(sys, func(serve func()) {
+		mu.Lock()
+		inside++
+		peak = max(peak, inside)
+		if inside == workers {
+			fill.Do(func() { close(full) })
+		}
+		mu.Unlock()
+		select {
+		case <-full:
+		case <-time.After(10 * time.Second):
+		}
+		serve()
+		mu.Lock()
+		inside--
+		mu.Unlock()
+	})
 	var wg sync.WaitGroup
 	codes := make([]int, clients)
 	wg.Add(clients)
@@ -66,6 +83,9 @@ func TestAdmissionSyncLegacyQueues(t *testing.T) {
 		if code != http.StatusOK {
 			t.Errorf("client %d: code %d, want 200 (sync workers queue, never reject)", u, code)
 		}
+	}
+	if peak != workers {
+		t.Errorf("%d requests inside the gateway at once, want the pool's %d", peak, workers)
 	}
 	if got := sys.Gateway.Metrics().Counter("overloaded").Value(); got != 0 {
 		t.Errorf("overloaded counter = %d, want 0 under the sync model", got)

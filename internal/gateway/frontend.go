@@ -99,7 +99,7 @@ func newFrontend(cfg Config, clk clock.Clock) *frontend {
 	if n < 1 {
 		n = 1
 	}
-	perShard := cfg.CacheEntries / n
+	perShard := cacheEntries / n
 	if perShard < 1 {
 		perShard = 1
 	}

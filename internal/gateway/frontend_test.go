@@ -75,16 +75,16 @@ func TestCacheHotEntriesSurviveChurn(t *testing.T) {
 	}
 }
 
-// TestCacheBoundHoldsAcrossShards checks the bound is global: CacheEntries
+// TestCacheBoundHoldsAcrossShards checks the bound is global: cacheEntries
 // splits over shards and total occupancy never exceeds it.
 func TestCacheBoundHoldsAcrossShards(t *testing.T) {
 	clk := clock.NewManual(time.Unix(0, 0))
-	fe := testFrontend(Config{CacheTTL: time.Hour, Shards: 8, CacheEntries: 1024}, clk)
-	for i := 0; i < 10000; i++ {
+	fe := testFrontend(Config{CacheTTL: time.Hour, Shards: 8}, clk)
+	for i := 0; i < 3*cacheEntries; i++ {
 		fe.cachePut(keyOf(i), "m", []byte("x"))
 	}
-	if n := fe.cacheLen(); n > 1024 {
-		t.Errorf("cache holds %d entries, want ≤ 1024", n)
+	if n := fe.cacheLen(); n > cacheEntries {
+		t.Errorf("cache holds %d entries, want ≤ %d", n, cacheEntries)
 	}
 }
 
@@ -295,7 +295,6 @@ func TestFrontendConcurrentMixedOps(t *testing.T) {
 	fe := testFrontend(Config{
 		CacheTTL:       time.Hour,
 		UserRatePerSec: 50,
-		CacheEntries:   512,
 	}, clock.NewReal())
 	const workers, iters = 16, 2000
 	var wg sync.WaitGroup
@@ -319,7 +318,7 @@ func TestFrontendConcurrentMixedOps(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	if n := fe.cacheLen(); n > 512 {
+	if n := fe.cacheLen(); n > cacheEntries {
 		t.Errorf("cache bound violated under concurrency: %d entries", n)
 	}
 }
@@ -343,8 +342,5 @@ func TestConfigShardRounding(t *testing.T) {
 	}
 	if cfg.LimiterIdleTTL != 15*time.Minute {
 		t.Errorf("default LimiterIdleTTL = %v", cfg.LimiterIdleTTL)
-	}
-	if cfg.CacheEntries != 4096 {
-		t.Errorf("default CacheEntries = %d", cfg.CacheEntries)
 	}
 }

@@ -10,6 +10,10 @@
 // response ID counter) is sharded — see frontend.go — so parallel handlers
 // never serialize on one lock; Config.Shards tunes the split (1 = the
 // historical single-mutex behaviour).
+//
+// The legacy pool's nine workers and the response cache's 4096 entries are
+// constants. A request that omits max_tokens is passed to the fabric as it
+// is, and the deployment generates fabric.DefaultOutputTokens.
 package gateway
 
 import (
@@ -31,7 +35,6 @@ import (
 	"github.com/argonne-first/first/internal/federation"
 	"github.com/argonne-first/first/internal/metrics"
 	"github.com/argonne-first/first/internal/openaiapi"
-	"github.com/argonne-first/first/internal/perfmodel"
 	"github.com/argonne-first/first/internal/resilience"
 	"github.com/argonne-first/first/internal/store"
 )
@@ -58,10 +61,6 @@ type Config struct {
 	// InFlightLimit is the async in-flight window; the deployment default
 	// models Gunicorn's cpu_count×2+1 workers × 4 threads ≈ 428 (§5.2.2).
 	InFlightLimit int
-	// SyncWorkers is the legacy pool size (default 9).
-	SyncWorkers int
-	// ProcessingOverhead is the gateway's per-request CPU cost.
-	ProcessingOverhead time.Duration
 	// UserRatePerSec rate-limits each user (0 = disabled).
 	UserRatePerSec float64
 	// UserBurst is the rate limiter burst (default 2× rate).
@@ -69,17 +68,10 @@ type Config struct {
 	// CacheTTL enables response caching for identical non-streaming
 	// requests when > 0.
 	CacheTTL time.Duration
-	// DefaultMaxTokens applies when requests omit max_tokens.
-	DefaultMaxTokens int
 	// Shards is the front-end shard count: response cache, limiter table,
 	// and their locks split N ways (N rounded up to a power of two).
 	// 0 derives from GOMAXPROCS; 1 reproduces the single-lock front-end.
 	Shards int
-	// CacheEntries bounds the response cache across all shards
-	// (default 4096, the historical bound — but per-shard LRU instead of
-	// wipe-on-overflow). Each shard holds at least one entry, so the
-	// effective bound is max(CacheEntries, Shards).
-	CacheEntries int
 	// LimiterIdleTTL evicts per-user rate-limiter buckets idle longer than
 	// this (default 15 min), so one-shot users don't grow the table forever.
 	LimiterIdleTTL time.Duration
@@ -99,26 +91,26 @@ type Config struct {
 	BreakerClock func() time.Time
 }
 
+// syncWorkers is the legacy synchronous pool: "only nine requests could be
+// processed at a time" (§5.3.1).
+const syncWorkers = 9
+
+// cacheEntries bounds the response cache across all shards: the historical
+// bound, as a per-shard LRU instead of wipe-on-overflow. Each shard holds at
+// least one entry, so the effective bound is max(cacheEntries, Shards).
+const cacheEntries = 4096
+
 func (c *Config) applyDefaults() {
 	if c.InFlightLimit <= 0 {
 		c.InFlightLimit = 428
 	}
-	if c.SyncWorkers <= 0 {
-		c.SyncWorkers = 9
-	}
 	if c.UserBurst <= 0 {
 		c.UserBurst = c.UserRatePerSec * 2
-	}
-	if c.DefaultMaxTokens <= 0 {
-		c.DefaultMaxTokens = 128
 	}
 	if c.Shards <= 0 {
 		c.Shards = defaultShards()
 	}
 	c.Shards = ceilPow2(c.Shards)
-	if c.CacheEntries <= 0 {
-		c.CacheEntries = 4096
-	}
 	if c.LimiterIdleTTL <= 0 {
 		c.LimiterIdleTTL = 15 * time.Minute
 	}
@@ -153,7 +145,6 @@ type Server struct {
 	client  *fabric.Client
 	batches *batch.Runner
 	st      *store.Store
-	catalog *perfmodel.Catalog
 	met     *metrics.Registry
 	ins     instruments
 
@@ -234,7 +225,6 @@ type Deps struct {
 	Client  *fabric.Client
 	Batches *batch.Runner
 	Store   *store.Store
-	Catalog *perfmodel.Catalog
 	Metrics *metrics.Registry
 }
 
@@ -243,9 +233,6 @@ func New(cfg Config, deps Deps) (*Server, error) {
 	cfg.applyDefaults()
 	if deps.Clock == nil || deps.Tokens == nil || deps.Router == nil || deps.Client == nil || deps.Store == nil {
 		return nil, errors.New("gateway: missing dependencies")
-	}
-	if deps.Catalog == nil {
-		deps.Catalog = perfmodel.Default
 	}
 	if deps.Metrics == nil {
 		deps.Metrics = metrics.NewRegistry()
@@ -262,14 +249,13 @@ func New(cfg Config, deps Deps) (*Server, error) {
 		client:  deps.Client,
 		batches: deps.Batches,
 		st:      deps.Store,
-		catalog: deps.Catalog,
 		met:     deps.Metrics,
 		ins:     newInstruments(deps.Metrics),
 		mux:     http.NewServeMux(),
 		fe:      newFrontend(cfg, deps.Clock),
 	}
 	if cfg.WorkerModel == WorkerSyncLegacy {
-		s.syncSem = make(chan struct{}, cfg.SyncWorkers)
+		s.syncSem = make(chan struct{}, syncWorkers)
 	} else {
 		s.inFlightLimit = int64(cfg.InFlightLimit)
 	}
@@ -360,9 +346,6 @@ func (s *Server) withAuth(h authedHandler) http.HandlerFunc {
 				return
 			}
 			defer s.inFlight.Add(-1)
-		}
-		if s.cfg.ProcessingOverhead > 0 {
-			s.clk.Sleep(s.cfg.ProcessingOverhead)
 		}
 		s.ins.httpRequests.Inc()
 		h(w, r, info)

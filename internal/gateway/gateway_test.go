@@ -113,6 +113,29 @@ func TestUnroutedModel404(t *testing.T) {
 	}
 }
 
+// TestDefaultOutputLength sends a chat and a completion request without
+// max_tokens: the gateway passes the omission through, and the deployment
+// generates its one default length.
+func TestDefaultOutputLength(t *testing.T) {
+	sys, token := gatewayFixture(t, gateway.Config{})
+	for _, tc := range []struct{ path, body string }{
+		{"/v1/chat/completions", `{"model":"` + perfmodel.Llama8B + `","messages":[{"role":"user","content":"no length"}]}`},
+		{"/v1/completions", `{"model":"` + perfmodel.Llama8B + `","prompt":"no length"}`},
+	} {
+		rec := doRaw(t, sys, "POST", tc.path, token, tc.body)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("%s: code %d: %s", tc.path, rec.Code, rec.Body)
+		}
+		var resp struct{ Usage openaiapi.Usage }
+		if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+			t.Fatal(err)
+		}
+		if got := resp.Usage.CompletionTokens; got != fabric.DefaultOutputTokens {
+			t.Errorf("%s without max_tokens: %d completion tokens, want %d", tc.path, got, fabric.DefaultOutputTokens)
+		}
+	}
+}
+
 func TestUserRateLimiting(t *testing.T) {
 	sys, token := gatewayFixture(t, gateway.Config{UserRatePerSec: 0.001, UserBurst: 2})
 	var limited int

@@ -16,6 +16,7 @@ import (
 	"github.com/argonne-first/first/internal/federation"
 	"github.com/argonne-first/first/internal/metrics"
 	"github.com/argonne-first/first/internal/openaiapi"
+	"github.com/argonne-first/first/internal/perfmodel"
 	"github.com/argonne-first/first/internal/store"
 	"github.com/argonne-first/first/internal/workload"
 )
@@ -115,15 +116,10 @@ func (s *Server) handleChat(w http.ResponseWriter, r *http.Request, who auth.Tok
 			lastUser = m.Content
 		}
 	}
-	maxTok := req.MaxTokens
-	if maxTok <= 0 {
-		maxTok = s.cfg.DefaultMaxTokens
-	}
-
 	res, meta, err := s.infer(r, who, req.Model, fabric.InferRequest{
 		Model:     req.Model,
 		PromptTok: promptTok,
-		OutputTok: maxTok,
+		OutputTok: req.MaxTokens,
 		Prompt:    lastUser,
 		WantText:  true,
 	})
@@ -232,14 +228,10 @@ func (s *Server) handleCompletion(w http.ResponseWriter, r *http.Request, who au
 		return
 	}
 	promptTok := workload.EstimateTokens(req.Prompt)
-	maxTok := req.MaxTokens
-	if maxTok <= 0 {
-		maxTok = s.cfg.DefaultMaxTokens
-	}
 	res, meta, err := s.infer(r, who, req.Model, fabric.InferRequest{
 		Model:     req.Model,
 		PromptTok: promptTok,
-		OutputTok: maxTok,
+		OutputTok: req.MaxTokens,
 		Prompt:    req.Prompt,
 		WantText:  true,
 	})
@@ -309,15 +301,7 @@ func (s *Server) routeAndRun(r *http.Request, model string, run func(ctx context
 		meta = routeMeta{endpoint: id, cluster: decision.Endpoint.ClusterName(), reason: string(decision.Reason)}
 		s.ins.routed[decision.Reason].Inc()
 		s.ins.inferAttempts.Inc()
-		ctx := r.Context()
-		var cancel context.CancelFunc
-		if s.cfg.Retry.AttemptTimeout > 0 {
-			ctx, cancel = context.WithTimeout(ctx, s.cfg.Retry.AttemptTimeout)
-		}
-		err = run(ctx, id)
-		if cancel != nil {
-			cancel()
-		}
+		err = run(r.Context(), id)
 		if s.breakers != nil {
 			// Caller-side cancellation and auth disagreements say nothing
 			// about endpoint health; everything else votes.
@@ -464,7 +448,7 @@ func (s *Server) handleModels(w http.ResponseWriter, r *http.Request, who auth.T
 	list := openaiapi.ModelList{Object: "list"}
 	for _, n := range names {
 		entry := openaiapi.Model{ID: n, Object: "model", OwnedBy: "first"}
-		if spec, err := s.catalog.Lookup(n); err == nil {
+		if spec, err := perfmodel.Default.Lookup(n); err == nil {
 			entry.Kind = spec.Kind.String()
 		}
 		list.Data = append(list.Data, entry)

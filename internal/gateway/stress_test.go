@@ -2,6 +2,7 @@ package gateway_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -48,6 +49,27 @@ func stressFixture(t *testing.T, cfg gateway.Config, clockScale int64, n int) (*
 		tokens[i] = grant.AccessToken
 	}
 	return sys, tokens
+}
+
+// holdInfer registers FnInfer on every endpoint of sys with a handler that
+// serves the request through the real deployment path, as livefed's armed
+// endpoints do, from inside around: a test holds requests at the endpoint,
+// inside the gateway's admission, for as long as it needs.
+func holdInfer(sys *core.System, around func(serve func())) {
+	for _, ep := range sys.Endpoints {
+		ep.RegisterFunction(fabric.FnInfer, func(ctx context.Context, payload any) (res any, err error) {
+			req, ok := payload.(fabric.InferRequest)
+			if !ok {
+				return nil, fmt.Errorf("%w: %T", fabric.ErrPayloadType, payload)
+			}
+			d, ok := ep.Deployment(req.Model)
+			if !ok {
+				return nil, fmt.Errorf("endpoint %s does not host %s", ep.ID(), req.Model)
+			}
+			around(func() { res, err = d.Generate(ctx, req) })
+			return res, err
+		})
+	}
 }
 
 // TestGatewayParallelStress fires authenticated requests from parallel
@@ -224,13 +246,18 @@ func TestGatewayParallelStress(t *testing.T) {
 
 	t.Run("overload-503", func(t *testing.T) {
 		const workers, perWorker = 16, 6
-		// Scale 1000 with 2 s of virtual per-request overhead = ~2 ms of
-		// wall time holding one of the two in-flight slots.
-		sys, tokens := stressFixture(t, gateway.Config{
-			InFlightLimit:      2,
-			ProcessingOverhead: 2 * time.Second,
-			Shards:             4,
-		}, 1000, workers)
+		sys, tokens := stressFixture(t, gateway.Config{InFlightLimit: 2, Shards: 4}, 1000, workers)
+		// The endpoint holds every request until the first 503, so the two
+		// in-flight slots stay taken while the other clients arrive.
+		var shed sync.Once
+		released := make(chan struct{})
+		holdInfer(sys, func(serve func()) {
+			select {
+			case <-released:
+			case <-time.After(10 * time.Second):
+			}
+			serve()
+		})
 		var mu sync.Mutex
 		var overloaded, ok int
 		var wg sync.WaitGroup
@@ -239,13 +266,15 @@ func TestGatewayParallelStress(t *testing.T) {
 			go func(u int) {
 				defer wg.Done()
 				for i := 0; i < perWorker; i++ {
-					rec := doRaw(t, sys, "GET", "/v1/models", tokens[u], "")
+					body := fmt.Sprintf(`{"model":"%s","messages":[{"role":"user","content":"overload %d %d"}],"max_tokens":4}`, perfmodel.Llama8B, u, i)
+					rec := doRaw(t, sys, "POST", "/v1/chat/completions", tokens[u], body)
 					mu.Lock()
 					switch rec.Code {
 					case http.StatusOK:
 						ok++
 					case http.StatusServiceUnavailable:
 						overloaded++
+						shed.Do(func() { close(released) })
 					default:
 						t.Errorf("user %d: code %d, want 200 or 503", u, rec.Code)
 					}

@@ -3,7 +3,7 @@
 // partitions, and mid-stream disconnects (ROADMAP: "retry/backoff-aware
 // client layer", in the style of soci-snapshotter's util/http retry
 // policy): a composable retry Policy (capped exponential backoff with full
-// jitter, per-attempt timeouts, Retry-After honoring), a per-endpoint
+// jitter, Retry-After honoring), a per-endpoint
 // circuit Breaker (closed → open → half-open with sliding-window failure
 // rate and probe admission), and a Set holding one Breaker per routing
 // row. Which row to try next, and when to shed or give up, is not decided
@@ -16,7 +16,7 @@
 // clock, so breaker decisions replay identically across runs.
 //
 // Zero values are inert by design: a zero Policy performs exactly one
-// attempt with no timeout, and a zero BreakerConfig reports Enabled() ==
+// attempt, and a zero BreakerConfig reports Enabled() ==
 // false so consumers skip breaker bookkeeping entirely. Wiring resilience
 // through a config struct therefore changes nothing until it is switched
 // on.
@@ -29,8 +29,9 @@ import (
 
 // Policy is a retry policy: capped exponential backoff with full jitter.
 //
-// The zero value performs no retries (one attempt, no per-attempt
-// timeout), so embedding a Policy in a config struct is free until set.
+// The zero value performs no retries (one attempt), so embedding a Policy
+// in a config struct is free until set. Each attempt runs under the
+// caller's context alone.
 type Policy struct {
 	// MaxAttempts is the total attempt budget including the first try;
 	// values below 1 mean one attempt (no retries).
@@ -42,9 +43,6 @@ type Policy struct {
 	// MaxDelay caps the backoff ceiling and any server-provided
 	// Retry-After (0 = 64×BaseDelay).
 	MaxDelay time.Duration
-	// AttemptTimeout bounds each individual attempt via context deadline
-	// (0 = only the caller's context applies).
-	AttemptTimeout time.Duration
 	// Rand supplies jitter in [0,1); nil uses the global math/rand
 	// source. Deterministic harnesses inject a seeded source.
 	Rand func() float64

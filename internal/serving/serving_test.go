@@ -117,18 +117,6 @@ func soloLatency(t *testing.T, eng *Engine, promptTok, outputTok int) time.Durat
 	return seq.Latency()
 }
 
-// waitSleepers blocks until n goroutines sleep on clk.
-func waitSleepers(t *testing.T, clk *clock.Manual, n int) {
-	t.Helper()
-	deadline := time.Now().Add(10 * time.Second)
-	for clk.PendingWaiters() != n {
-		if time.Now().After(deadline) {
-			t.Fatalf("%d sleepers on the clock, want %d", clk.PendingWaiters(), n)
-		}
-		time.Sleep(100 * time.Microsecond)
-	}
-}
-
 // generateAt runs GenerateAt on its own goroutine and fails the test unless
 // it returns with no further Advance of the manual clock.
 func generateAt(t *testing.T, live *LiveEngine, at time.Time) Completion {
@@ -178,7 +166,7 @@ func TestLiveEngineGenerateAtTakesBookedInstant(t *testing.T) {
 	now := clk.Now()
 	done := make(chan Completion, 1)
 	go func() { done <- live.GenerateAt(context.Background(), now.Add(time.Hour), 3, 16) }()
-	waitSleepers(t, clk, 1)
+	clk.BlockUntil(1)
 	clk.Advance(time.Minute)
 	if c := <-done; c.Err != nil || !c.Finish.Equal(now.Add(want)) {
 		t.Errorf("future instant: finish now+%v, err %v; want now+%v", c.Finish.Sub(now), c.Err, want)
@@ -195,7 +183,7 @@ func TestLiveEngineCancelWhileRunning(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	errc := make(chan error, 1)
 	go func() { errc <- live.GenerateAt(ctx, clk.Now(), 3, 16).Err }()
-	waitSleepers(t, clk, 1) // the first iteration has the sequence running
+	clk.BlockUntil(1) // the first iteration has the sequence running
 	cancel()
 	if err := <-errc; err != context.Canceled {
 		t.Fatalf("cancelled GenerateAt = %v, want %v", err, context.Canceled)
