@@ -108,7 +108,7 @@ func (fc FileConfig) Validate() error {
 	if len(fc.Models) == 0 {
 		return fmt.Errorf("core: config declares no models")
 	}
-	routes := make(map[string]int)
+	routes := make(map[string][]string)
 	for _, m := range fc.Models {
 		if m.Model == "" {
 			return fmt.Errorf("core: model entry without a name")
@@ -127,7 +127,7 @@ func (fc FileConfig) Validate() error {
 				return fmt.Errorf("core: model %s references unknown cluster %q", m.Model, cl)
 			}
 		}
-		if err := countRoutes(routes, m.Model, len(m.Clusters)); err != nil {
+		if err := countRoutes(routes, m.Model, m.Clusters); err != nil {
 			return err
 		}
 	}

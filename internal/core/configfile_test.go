@@ -116,6 +116,8 @@ func TestConfigValidationErrors(t *testing.T) {
 		"ttl overflow":      validConfigWith(``, `"cache_ttl_s": 9223372037`),
 		"prologue overflow": `{"clusters":[{"name":"a","nodes":1,"gpus_per_node":1,"prologue_s":9223372037}], "models":[{"model":"m","clusters":["a"]}]}`,
 		"too many clusters": wideConfig(federation.MaxEndpoints + 1),
+		"route twice":       `{"clusters":[{"name":"a","nodes":1,"gpus_per_node":1}], "models":[{"model":"m","clusters":["a","a"]}]}`,
+		"route in two rows": `{"clusters":[{"name":"a","nodes":1,"gpus_per_node":1}], "models":[{"model":"m","clusters":["a"]},{"model":"m","clusters":["a"]}]}`,
 	}
 	for name, content := range cases {
 		t.Run(name, func(t *testing.T) {
@@ -189,6 +191,7 @@ func FuzzLoadConfig(f *testing.F) {
 		wideConfig(federation.MaxEndpoints + 1),
 		validConfigWith(`"hot_idle_timeout_s": 18446744074`, ``),
 		validConfigWith(``, `"cache_ttl_s": 9223372037`),
+		`{"clusters":[{"name":"a","nodes":1,"gpus_per_node":1},{"name":"b","nodes":1,"gpus_per_node":1}],"models":[{"model":"m","clusters":["a","b"]},{"model":"m","clusters":["b"]}]}`,
 	} {
 		f.Add([]byte(s))
 	}
@@ -211,14 +214,20 @@ func FuzzLoadConfig(f *testing.F) {
 		for i, c := range cfg.Clusters {
 			converted("prologue_s", c.Prologue, fc.Clusters[i].PrologueS)
 		}
-		routes := make(map[string]int)
+		routes, perModel := make(map[[2]string]bool), make(map[string]int)
 		for i, d := range cfg.Deployments {
 			if d.Config.MinInstances < 0 || d.Config.MaxInstances < 0 || d.Config.ScaleUpDepth < 0 {
 				t.Fatalf("validated config carries a negative instance count or depth: %+v", d)
 			}
 			converted("hot_idle_timeout_s", d.Config.HotIdleTimeout, fc.Models[i].HotIdleTimeoutS)
-			if routes[d.Model] += len(d.Clusters); routes[d.Model] > federation.MaxEndpoints {
-				t.Fatalf("validated config deploys %s on %d clusters, more than %d", d.Model, routes[d.Model], federation.MaxEndpoints)
+			for _, c := range d.Clusters {
+				if routes[[2]string{d.Model, c}] {
+					t.Fatalf("validated config deploys %s on %s twice", d.Model, c)
+				}
+				routes[[2]string{d.Model, c}] = true
+			}
+			if perModel[d.Model] += len(d.Clusters); perModel[d.Model] > federation.MaxEndpoints {
+				t.Fatalf("validated config deploys %s on %d clusters, more than %d", d.Model, perModel[d.Model], federation.MaxEndpoints)
 			}
 		}
 	})

@@ -7,6 +7,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"github.com/argonne-first/first/internal/auth"
@@ -81,9 +82,9 @@ func NewSystem(cfg Config) (*System, error) {
 	if len(cfg.Clusters) == 0 {
 		return nil, fmt.Errorf("core: no clusters configured")
 	}
-	routes := make(map[string]int)
+	routes := make(map[string][]string)
 	for _, ds := range cfg.Deployments {
-		if err := countRoutes(routes, ds.Model, len(ds.Clusters)); err != nil {
+		if err := countRoutes(routes, ds.Model, ds.Clusters); err != nil {
 			return nil, err
 		}
 	}
@@ -162,11 +163,18 @@ func NewSystem(cfg Config) (*System, error) {
 	return sys, nil
 }
 
-// countRoutes adds a deployment's clusters to its model's route count and
-// rejects a model on more clusters than one failover walk can track.
-func countRoutes(routes map[string]int, model string, clusters int) error {
-	routes[model] += clusters
-	if n := routes[model]; n > federation.MaxEndpoints {
+// countRoutes adds a deployment's clusters to its model's routes and rejects
+// a (model, cluster) pair listed twice — the ladder would carry a duplicate
+// row, and a failover walk could retry the endpoint it just failed on — or a
+// model on more clusters than one failover walk can track.
+func countRoutes(routes map[string][]string, model string, clusters []string) error {
+	for _, c := range clusters {
+		if slices.Contains(routes[model], c) {
+			return fmt.Errorf("core: model %s is deployed on cluster %s twice", model, c)
+		}
+		routes[model] = append(routes[model], c)
+	}
+	if n := len(routes[model]); n > federation.MaxEndpoints {
 		return fmt.Errorf("core: model %s is deployed on %d clusters, more than the %d a failover walk tracks", model, n, federation.MaxEndpoints)
 	}
 	return nil

@@ -277,27 +277,33 @@ func TestSystemFaultToleranceRestart(t *testing.T) {
 }
 
 // TestNewSystemRejectsModelOnTooManyClusters: one failover walk tracks at
-// most federation.MaxEndpoints endpoints per model, so NewSystem refuses a
-// model deployed on more — across all of its deployment entries — before
-// it builds anything.
+// most federation.MaxEndpoints endpoints per model, and a ladder row per
+// (model, cluster) pair, so NewSystem refuses a model deployed on more
+// clusters, or on one cluster twice — across all of its deployment entries —
+// before it builds anything.
 func TestNewSystemRejectsModelOnTooManyClusters(t *testing.T) {
-	var cfg Config
+	var clusters []ClusterSpec
 	var names []string
 	for i := 0; i <= federation.MaxEndpoints; i++ {
 		name := fmt.Sprintf("c%d", i)
-		cfg.Clusters = append(cfg.Clusters, ClusterSpec{Name: name, Nodes: 1, GPUsPerNode: 1})
+		clusters = append(clusters, ClusterSpec{Name: name, Nodes: 1, GPUsPerNode: 1})
 		names = append(names, name)
 	}
-	cfg.Deployments = []DeploymentSpec{
-		{Model: perfmodel.Llama8B, Clusters: names[:2]},
-		{Model: perfmodel.Llama8B, Clusters: names[2:]},
-	}
-	sys, err := NewSystem(cfg)
-	if err == nil {
-		sys.Close()
-		t.Fatalf("NewSystem accepted %s on %d clusters", perfmodel.Llama8B, len(names))
-	}
-	if !strings.Contains(err.Error(), "more than") {
-		t.Errorf("err = %v, want the route-count error", err)
+	for _, c := range []struct {
+		deps []DeploymentSpec
+		want string
+	}{
+		{[]DeploymentSpec{{Model: perfmodel.Llama8B, Clusters: names[:2]}, {Model: perfmodel.Llama8B, Clusters: names[2:]}}, "more than"},
+		{[]DeploymentSpec{{Model: perfmodel.Llama8B, Clusters: []string{"c0", "c0"}}}, "twice"},
+		{[]DeploymentSpec{{Model: perfmodel.Llama8B, Clusters: names[:2]}, {Model: perfmodel.Llama8B, Clusters: names[1:2]}}, "twice"},
+	} {
+		sys, err := NewSystem(Config{Clusters: clusters, Deployments: c.deps})
+		if err == nil {
+			sys.Close()
+			t.Fatalf("NewSystem accepted %+v", c.deps)
+		}
+		if !strings.Contains(err.Error(), c.want) {
+			t.Errorf("deployments %+v: err = %v, want the %q route error", c.deps, err, c.want)
+		}
 	}
 }

@@ -36,113 +36,20 @@ func floodModel(k *sim.Kernel, f *Federation, model, n, outputTok int) []*Req {
 	return reqs
 }
 
-// TestAutoScaleUpOnSustainedBacklog pins the grow direction: a sustained
-// backlog past the high-water mark must add instances through the real
-// scheduler cold-start path, and every added instance must serve.
-func TestAutoScaleUpOnSustainedBacklog(t *testing.T) {
-	a, k := testArena(sim.QueueCalendar)
-	p := scaleTestParams(2, 3)
-	n := 120
-	done := 0
-	// Scaler ticks self-schedule forever: stop at the last completion, like
-	// the open-loop experiment drivers.
-	f := NewFederationIn(a, p, func(*Req) {
-		if done++; done == n {
-			k.Stop()
-		}
-	})
-	floodModel(k, f, 0, n, 400)
-	k.Run(0)
-	if done != n {
-		t.Fatalf("completed %d/%d", done, n)
-	}
-	ups, colds, peak := 0, 0, 0
-	for _, cs := range f.ClusterStats() {
-		ups += cs.ScaleUps
-		colds += cs.ColdStarts
-		if cs.PeakInstances > peak {
-			peak = cs.PeakInstances
-		}
-	}
-	if ups == 0 {
-		t.Error("no scale-ups despite a sustained backlog")
-	}
-	if peak < 2 {
-		t.Errorf("peak instances = %d, pool never grew", peak)
-	}
-	if colds <= ups {
-		t.Errorf("cold starts = %d must exceed scale-ups = %d (the first instance is demand-driven)", colds, ups)
-	}
-	if f.Arrivals() != int64(n) || f.Completions() != int64(n) {
-		t.Errorf("conservation: arrivals=%d completions=%d want %d", f.Arrivals(), f.Completions(), n)
-	}
-}
+// TestAutoScaleUpOnSustainedBacklog pins the grow direction: in at least
+// reachNames' count of property trials (propertyTrials) a sustained backlog
+// grows a pool past one instance, and each such trial conserves its requests
+// and starts every added instance cold beside the demand start.
+func TestAutoScaleUpOnSustainedBacklog(t *testing.T) { requireReach(t, reachScaleUp) }
 
-// TestAutoScaleDownWhenIdle pins the shrink direction: once the wave passes,
-// the scaler must drain the pool back — but never below one instance.
-func TestAutoScaleDownWhenIdle(t *testing.T) {
-	a, k := testArena(sim.QueueCalendar)
-	p := scaleTestParams(2, 3)
-	done := 0
-	f := NewFederationIn(a, p, func(*Req) { done++ })
-	n := 120
-	floodModel(k, f, 0, n, 400)
-	// The burst ends; ticks keep firing, so bound the run by wall instead of
-	// exhaustion and give the scaler time to shrink.
-	k.Run(4000 * time.Second)
-	if done != n {
-		t.Fatalf("completed %d/%d", done, n)
-	}
-	downs := 0
-	for _, cs := range f.ClusterStats() {
-		downs += cs.ScaleDowns
-	}
-	if downs == 0 {
-		t.Error("no scale-downs after demand stopped")
-	}
-	for _, c := range f.clusters {
-		for _, d := range c.deps {
-			if live := d.pool.View(0, 1).Live; live > 1 {
-				t.Errorf("cluster %s model %d still holds %d live instances after idling", c.name, d.model, live)
-			}
-			if d.peakPool > p.Scale.MaxInstances {
-				t.Errorf("cluster %s model %d peak pool %d exceeds MaxInstances %d", c.name, d.model, d.peakPool, p.Scale.MaxInstances)
-			}
-		}
-	}
-}
+// TestAutoScaleDownWhenIdle pins the shrink direction: once demand passes,
+// property trials scale pools down, never past MaxInstances on the way; the
+// one-instance floor is TestScaleDownNeverTargetsOnlyInstance's.
+func TestAutoScaleDownWhenIdle(t *testing.T) { requireReach(t, reachScaleDown) }
 
-// TestAutoScaleRefusedAtCap pins the MaxInstances cap: with a hopeless
-// backlog and a pool of 2, further scale-up decisions must be refused and
-// the pool must never exceed the cap.
-func TestAutoScaleRefusedAtCap(t *testing.T) {
-	a, k := testArena(sim.QueueCalendar)
-	p := scaleTestParams(1, 2)
-	n := 200
-	done := 0
-	f := NewFederationIn(a, p, func(*Req) {
-		if done++; done == n {
-			k.Stop()
-		}
-	})
-	floodModel(k, f, 0, n, 600)
-	k.Run(0)
-	if done != n {
-		t.Fatalf("completed %d/%d", done, n)
-	}
-	cs := f.ClusterStats()[0]
-	if cs.ScaleRefused == 0 {
-		t.Error("no refused scale-ups at the cap")
-	}
-	if cs.PeakInstances > 2*len(p.Models) {
-		t.Errorf("peak instances %d exceeds cap × models", cs.PeakInstances)
-	}
-	for _, d := range f.clusters[0].deps {
-		if d.peakPool > 2 {
-			t.Errorf("model %d pool peaked at %d, cap is 2", d.model, d.peakPool)
-		}
-	}
-}
+// TestAutoScaleRefusedAtCap pins the MaxInstances cap: property trials with
+// a hopeless backlog refuse further scale-ups and keep every pool within it.
+func TestAutoScaleRefusedAtCap(t *testing.T) { requireReach(t, reachRefusal) }
 
 // TestScaleDownNeverTargetsOnlyInstance pins the floor: a model whose single
 // instance holds waiting work is never scaled down, no matter how far under

@@ -14,53 +14,6 @@ import (
 	"github.com/argonne-first/first/internal/sim"
 )
 
-func TestLaneSerializesAtCost(t *testing.T) {
-	k := sim.NewKernel()
-	var order []*Req
-	var completions []sim.Time
-	l := newLane(k, 100*time.Millisecond, func(r *Req) {
-		order = append(order, r)
-		completions = append(completions, k.Now())
-	})
-	reqs := make([]Req, 10)
-	for i := range reqs {
-		l.enqueue(&reqs[i])
-	}
-	k.Run(0)
-	if len(completions) != 10 {
-		t.Fatalf("completed %d", len(completions))
-	}
-	for i, at := range completions {
-		want := time.Duration(i+1) * 100 * time.Millisecond
-		if at != want {
-			t.Errorf("item %d at %v, want %v", i, at, want)
-		}
-		if order[i] != &reqs[i] {
-			t.Errorf("item %d is not the %d-th request enqueued", i, i)
-		}
-	}
-}
-
-func TestLaneDepthTracking(t *testing.T) {
-	k := sim.NewKernel()
-	l := newLane(k, time.Second, func(*Req) {})
-	reqs := make([]Req, 5)
-	for i := range reqs {
-		l.enqueue(&reqs[i])
-	}
-	if l.q.n != 5 { // service starts only when the kernel runs
-		t.Errorf("depth = %d, want 5", l.q.n)
-	}
-	k.Run(500 * time.Millisecond) // first item mid-service
-	if l.q.n != 4 {
-		t.Errorf("depth mid-service = %d, want 4", l.q.n)
-	}
-	k.Run(0)
-	if l.q.n != 0 {
-		t.Errorf("depth after drain = %d", l.q.n)
-	}
-}
-
 func TestEngineSimSingleRequestTiming(t *testing.T) {
 	k := sim.NewKernel()
 	model := perfmodel.Default.MustLookup(perfmodel.Llama70B)

@@ -88,64 +88,6 @@ func TestEngineSimHarvestMidRun(t *testing.T) {
 	}
 }
 
-// TestFederationKillAndDrainMidRun aims the two lifecycle cuts at a promised
-// run: a 5 000-token generation decoding alone is hard-killed, and a batch
-// at its cap with a queue behind it is drained.
-func TestFederationKillAndDrainMidRun(t *testing.T) {
-	digest := func(f *Federation, reqs []*Req, end sim.Time) string {
-		var sb strings.Builder
-		fmt.Fprintf(&sb, "end=%d migrations=%d\n", end, f.Migrations())
-		for _, r := range reqs {
-			fmt.Fprintf(&sb, "%+v\n", *r)
-		}
-		for _, cs := range f.ClusterStats() {
-			fmt.Fprintf(&sb, "%+v\n", cs)
-		}
-		return sb.String()
-	}
-	t.Run("hard kill", func(t *testing.T) {
-		taken, ignored := bothWays(t, func(a *Arena, k *sim.Kernel) string {
-			p := fedTestParams(2)
-			p.DrainGrace = 5 * time.Second
-			f := NewFederationIn(a, p, nil)
-			reqs := []*Req{fedReq(1, 0, 32, 8), fedReq(2, 0, 64, 5_000)}
-			k.Schedule(0, func() { f.Arrive(reqs[0]) })
-			k.Schedule(88*time.Second, func() { f.Arrive(reqs[1]) })
-			end := k.Run(0)
-			if kills := f.ClusterStats()[0].HardKills + f.ClusterStats()[1].HardKills; kills == 0 || reqs[1].Migrations == 0 {
-				t.Fatalf("scenario lost its hard kill: %d kills, %d migrations", kills, reqs[1].Migrations)
-			}
-			return digest(f, reqs, end)
-		})
-		if taken*10 > ignored {
-			t.Errorf("%d events with the offer taken, %d without: the killed run was not skipped", taken, ignored)
-		}
-	})
-	t.Run("drain", func(t *testing.T) {
-		taken, ignored := bothWays(t, func(a *Arena, k *sim.Kernel) string {
-			p := fedTestParams(2)
-			p.ServeWalltime = 20 * time.Second
-			p.Models = DefaultFederationModels()[:1]
-			p.Models[0].MaxBatch = 2 // the queue waits behind a full batch
-			f := NewFederationIn(a, p, nil)
-			var reqs []*Req
-			for i := 0; i < 12; i++ {
-				r := fedReq(i+1, 0, 64, 900+100*(i%3))
-				reqs = append(reqs, r)
-				k.Schedule(time.Duration(i)*700*time.Millisecond, func() { f.Arrive(r) })
-			}
-			end := k.Run(0)
-			if f.ClusterStats()[0].Drains+f.ClusterStats()[1].Drains == 0 || f.Migrations() == 0 {
-				t.Fatal("scenario lost its drain: nothing was pulled back")
-			}
-			return digest(f, reqs, end)
-		})
-		if taken*10 > ignored {
-			t.Errorf("%d events with the offer taken, %d without: the drained runs were not skipped", taken, ignored)
-		}
-	})
-}
-
 // TestEngineSimSupersededDelivery lands a legitimate delivery on a superseded
 // event's timestamp: aborting a sequence queued behind a KV-blocked head cuts
 // the run, the early step finds the head still blocked and promises the very

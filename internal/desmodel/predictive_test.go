@@ -190,101 +190,89 @@ func TestPredictiveOffIsByteIdenticalPath(t *testing.T) {
 	}
 }
 
-// TestCordonStopsRoutingBeforeDrain pins drain-aware routing in the DES:
-// with the model serving on two clusters, cordoning all of cluster A's
-// serving capacity steers new arrivals to cluster B; cordoning B too must
-// still place the request (capacity/cordoned fallback) — drain-awareness
-// never parks or loses work.
-func TestCordonStopsRoutingBeforeDrain(t *testing.T) {
-	ar, k := testArena(sim.QueueCalendar)
-	p := DefaultFederationParams(2)
-	p.BGPeriod = 0
-	p.ServeWalltime = 1e6 * time.Second
+// cordonRow is one instance's share of a ladder row: the instances that
+// still serve uncordoned, and whether the row is cordoned.
+type cordonRow struct {
+	instances int
+	cordoned  bool
+}
+
+// cordonCase warms model 0's instances (one per start, on cluster
+// i%clusters), runs to at, cordons the listed clusters' instances by hand,
+// and expects every cluster's ladder row and where one request then serves.
+type cordonCase struct {
+	name            string
+	clusters        int
+	walltime, lead  time.Duration
+	starts          []sim.Time
+	at              sim.Time
+	cordon          []int
+	rows            []cordonRow
+	cluster, member int // where the request serves
+}
+
+// checkCordon plays c: each cluster's ladder row reads as expected, with the
+// CordonLead timer a cordoned row drains within the lead, and the request
+// serves on the expected instance, never parked, refused or migrated.
+func checkCordon(t *testing.T, c cordonCase) {
+	t.Helper()
+	a, k := testArena(sim.QueueCalendar)
+	p := scaleTestParams(c.clusters, 2)
+	p.ServeWalltime, p.CordonLead = c.walltime, c.lead
 	served := 0
-	f := NewFederationIn(ar, p, func(*Req) { served++ })
-	a, b := f.clusters[0], f.clusters[1]
-	k.Schedule(0, func() { a.deps[0].startInstance(); b.deps[0].startInstance() })
-	k.Run(10 * time.Minute)
-	if a.deps[0].pool.Pick() == nil || b.deps[0].pool.Pick() == nil {
-		t.Fatal("warm-up did not bring model 0 up on both clusters")
+	f := NewFederationIn(a, p, func(*Req) { served++ })
+	// Disarm the lo band (post-construction, since withDefaults would
+	// clamp a zero back up): idle pools must survive the warm-up.
+	f.p.Scale.LoWater = 0
+	for i, at := range c.starts {
+		k.Schedule(at, f.clusters[i%c.clusters].deps[0].startInstance)
 	}
+	k.Run(c.at)
+	for _, cl := range c.cordon {
+		for _, in := range f.clusters[cl].deps[0].pool.Members() {
+			in.cordon(0)
+		}
+	}
+	for cl, want := range c.rows {
+		d := f.clusters[cl].deps[0]
+		if got := (cordonRow{d.row.Instances, d.row.Cordoned}); got != want {
+			t.Errorf("%s: cluster %d's ladder row = %+v, want %+v", c.name, cl, got, want)
+		}
+		if _, _, drainingAt := d.routingView(); c.lead > 0 && (drainingAt <= 0 || drainingAt > c.lead) {
+			t.Errorf("%s: cluster %d drains in %v, want within (0, %v]", c.name, cl, drainingAt, c.lead)
+		}
+	}
+	r := fedReq(1, 0, 64, 4)
+	k.Schedule(0, func() { f.Arrive(r) })
+	k.Run(c.at + time.Millisecond) // through the front-end's shard stage
+	placed := f.clusters[c.cluster].deps[0].pool.Members()[c.member].eng.Depth() == 1
+	if k.Run(c.at + time.Minute); !placed || served != 1 || r.Migrations != 0 {
+		t.Errorf("%s: placed on cluster %d's instance %d: %v; then served %d with %d migrations", c.name, c.cluster, c.member, placed, served, r.Migrations)
+	}
+}
 
-	// Baseline: model 0's rotation starts at cluster A, both pools idle and
-	// equal, so the depth tie-break keeps picking A.
-	r1 := &Req{ID: 1, Model: 0, PromptTok: 64, OutputTok: 4}
-	k.Schedule(0, func() { f.Arrive(r1) })
-	k.Run(11 * time.Minute) // Run takes an absolute horizon
-	if a.stats.Routed != 1 || b.stats.Routed != 0 {
-		t.Fatalf("baseline routing went A=%d B=%d, want 1/0", a.stats.Routed, b.stats.Routed)
-	}
-
-	// Cordon all of A's serving capacity: the next arrival must go to B.
-	for _, in := range a.deps[0].pool.Members() {
-		in.cordon(0)
-	}
-	if rec := a.deps[0].record(); rec.Ready != 0 || !rec.Cordoned {
-		t.Fatalf("record after cordon = (%d, %v), want (0, true)", rec.Ready, rec.Cordoned)
-	}
-	r2 := &Req{ID: 2, Model: 0, PromptTok: 64, OutputTok: 4}
-	k.Schedule(0, func() { f.Arrive(r2) })
-	k.Run(12 * time.Minute)
-	if b.stats.Routed != 1 {
-		t.Fatalf("arrival after cordoning A routed to A (A=%d B=%d): ladder ignored the cordon", a.stats.Routed, b.stats.Routed)
-	}
-
-	// Cordon B as well: the request must still land somewhere and serve —
-	// never refused, never parked behind the drain flag.
-	for _, in := range b.deps[0].pool.Members() {
-		in.cordon(0)
-	}
-	r3 := &Req{ID: 3, Model: 0, PromptTok: 64, OutputTok: 4}
-	k.Schedule(0, func() { f.Arrive(r3) })
-	k.Run(13 * time.Minute)
-	if served != 3 {
-		t.Fatalf("served %d/3: a fully-cordoned federation dropped work", served)
-	}
-	if r3.Migrations != 0 {
-		t.Fatalf("fallback placement migrated %d times, want direct service", r3.Migrations)
+// TestCordonStopsRoutingBeforeDrain pins drain-aware routing in the DES with
+// model 0 serving on two clusters: cordoning all of cluster A's serving
+// capacity by hand steers the request to cluster B, and cordoning B too must
+// still place it (the capacity/cordoned fallback) — drain-awareness never
+// parks or loses work.
+func TestCordonStopsRoutingBeforeDrain(t *testing.T) {
+	for _, c := range []cordonCase{
+		{"nothing cordoned: the rotation's first cluster", 2, 1e6 * time.Second, 0, []sim.Time{0, 0}, 10 * time.Minute, nil, []cordonRow{{1, false}, {1, false}}, 0, 0},
+		{"cluster A cordoned by hand", 2, 1e6 * time.Second, 0, []sim.Time{0, 0}, 10 * time.Minute, []int{0}, []cordonRow{{0, true}, {1, false}}, 1, 0},
+		{"both cordoned by hand: the fallback", 2, 1e6 * time.Second, 0, []sim.Time{0, 0}, 10 * time.Minute, []int{0, 1}, []cordonRow{{0, true}, {0, true}}, 0, 0},
+	} {
+		checkCordon(t, c)
 	}
 }
 
 // TestCordonLeadFiresBeforeDrain pins the cordon event itself: with
-// CordonLead set, a serving incarnation flags itself exactly one lead ahead
-// of its walltime drain, and in-pool selection prefers an uncordoned
-// sibling from that moment on.
+// CordonLead set, a serving incarnation flags itself one lead ahead of its
+// walltime drain, and the request goes to the uncordoned sibling.
 func TestCordonLeadFiresBeforeDrain(t *testing.T) {
-	a, k := testArena(sim.QueueCalendar)
-	p := scaleTestParams(1, 2)
-	p.ServeWalltime = 300 * time.Second
-	p.CordonLead = 60 * time.Second
-	f := NewFederationIn(a, p, nil)
-	d := f.clusters[0].deps[0]
-	// Disarm the lo band for the warm-up too (post-construction, since
-	// withDefaults would clamp a zero back up): an idle pool must survive
-	// until the test hands it its own watermarks.
-	f.p.Scale.LoWater = 0
-	k.Schedule(0, func() { d.startInstance() })
-	// A sibling started later: its cordon window opens later, so during the
-	// overlap the first instance is cordoned while the second still serves.
-	k.Schedule(100*time.Second, func() { d.startInstance() })
-	// The first incarnation serves from prologue+load = 43 s, so its walltime
-	// drain lands at 343 s and its cordon flag at 283 s; the second serves
-	// from 143 s and cordons at 383 s. Stop inside the overlap [283 s, 343 s)
-	// where exactly one of the two is flagged.
-	k.Run(300 * time.Second)
-
-	// Two serving, one of them cordoned, and the pick is the second: the
-	// first is cordoned inside its lead window, the second not yet.
-	if rec := d.record(); rec.Running != 2 || rec.Ready != 1 {
-		t.Fatalf("record = %+v, want 2 serving of which 1 uncordoned", rec)
-	}
-	if got := d.pool.Pick(); got != d.pool.Members()[1] {
-		t.Fatal("Pick chose the cordoned first instance over its uncordoned sibling")
-	}
-	if e := d.row; e.Instances != 1 || e.Cordoned {
-		t.Fatalf("ladder row = (%d, %v), want (1, false): one sibling still serves", e.Instances, e.Cordoned)
-	}
-	if drainingAt := d.record().DrainAt - k.Now(); drainingAt <= 0 || drainingAt > p.CordonLead {
-		t.Fatalf("drainingAt = %v, want within (0, %v]", drainingAt, p.CordonLead)
-	}
+	// The first serves from prologue + load = 43 s, so its cordon flag lands
+	// at 283 s and its drain at 343 s; the second serves from 143 s and
+	// cordons at 383 s. At 300 s exactly one is flagged.
+	checkCordon(t, cordonCase{"the first cordoned by its lead timer", 1, 300 * time.Second, 60 * time.Second,
+		[]sim.Time{0, 100 * time.Second}, 300 * time.Second, nil, []cordonRow{{1, false}}, 0, 1})
 }

@@ -2,11 +2,13 @@ package desmodel
 
 // One property harness for Federation: drawTrial draws a scenario anywhere in
 // the buildable FederationParams space (mustBeBuildable) with an arrival
-// trace, runTrial runs it and checks what every run owes, and
+// trace, directedTrials aims a hard kill and a drain at a promised engine
+// run, runTrial runs a trial and checks what every run owes, and
 // TestFederationProperty runs each trial three ways — calendar queue, heap
 // queue, calendar queue with the engines' quiet-run offer ignored — and
 // requires one digest. Across the trial set every churn and control path must
-// fire at least once (reachNames), read from the model's own counters.
+// fire in at least its count of trials (reachNames), read from the model's
+// own counters.
 
 import (
 	"fmt"
@@ -22,11 +24,13 @@ import (
 	"github.com/argonne-first/first/internal/sim"
 )
 
-// propTrial is one drawn scenario and its arrival trace.
+// propTrial is one scenario and its arrival trace; a directed trial names
+// the reach item it aims at, a drawn one has aim −1.
 type propTrial struct {
 	p    FederationParams
 	gaps []sim.Time
 	reqs []Req
+	aim  int
 }
 
 // drawTrial draws 1-8 clusters at a churn tempo (walltimes shorter than the
@@ -117,7 +121,7 @@ func drawTrial(seed int64) propTrial {
 	default: // churn alone, now and then beside a hot instance
 		p.Hot = rng.Intn(4) / 3
 	}
-	tr := propTrial{p: p}
+	tr := propTrial{p: p, aim: -1}
 	// Shape 0 is Poisson over a 2-7 minute trace, 1 everything at t = 0, 2
 	// Poisson with heavy-tailed outputs.
 	shape := rng.Intn(3)
@@ -143,20 +147,58 @@ func drawTrial(seed int64) propTrial {
 	return tr
 }
 
-// reachNames are the paths the trial set must take at least once.
-var reachNames = [...]string{"drain", "hard kill", "migration", "scale-up", "scale-down", "refusal",
-	"replay shed", "exhausted failover budget", "window backlog", "poll-delayed observation",
-	"fabric hop over hot instances on ≥ 2 clusters with background jobs"}
+// reachNames are the paths the trial set must take, each in at least as
+// many trials as its count. A scale-up counts only where a pool grew past one
+// instance.
+var reachNames = [...]struct {
+	name   string
+	trials int
+}{{"drain", 3}, {"hard kill", 3}, {"migration", 3}, {"scale-up", 3}, {"scale-down", 3}, {"refusal", 2},
+	{"replay shed", 2}, {"exhausted failover budget", 2}, {"window backlog", 2}, {"poll-delayed observation", 2},
+	{"fabric hop over hot instances on ≥ 2 clusters with background jobs", 2}}
+
+// The reach items a directed trial aims at, the migration it must make, and
+// the scaler's paths.
+const (
+	reachDrain     = 0
+	reachHardKill  = 1
+	reachMigration = 2
+	reachScaleUp   = 3
+	reachScaleDown = 4
+	reachRefusal   = 5
+)
 
 type reach [len(reachNames)]bool
+
+// directedTrials aim the two lifecycle cuts at a promised engine run: a
+// 5 000-token generation decoding alone is hard-killed, and a batch at its
+// cap with a queue behind it is drained. Each must take the cut it aims at
+// and migrate what it pulls back, and with the offer taken run at most a
+// tenth of the kernel events that stepping every iteration does.
+func directedTrials() []propTrial {
+	kill := propTrial{p: fedTestParams(2), aim: reachHardKill}
+	kill.p.DrainGrace = 5 * time.Second
+	kill.gaps = []sim.Time{0, 88 * time.Second}
+	kill.reqs = []Req{*fedReq(1, 0, 32, 8), *fedReq(2, 0, 64, 5_000)}
+	drain := propTrial{p: fedTestParams(2), aim: reachDrain}
+	drain.p.ServeWalltime = 20 * time.Second
+	drain.p.Models = DefaultFederationModels()[:1]
+	drain.p.Models[0].MaxBatch = 2 // the queue waits behind a full batch
+	for i := 0; i < 12; i++ {
+		drain.gaps = append(drain.gaps, sim.Time(min(i, 1))*700*time.Millisecond)
+		drain.reqs = append(drain.reqs, *fedReq(i+1, 0, 64, 900+100*(i%3)))
+	}
+	return []propTrial{kill, drain}
+}
 
 // runTrial runs tr as the next cell on arena a, its engines stepping every
 // iteration when ignore is set. It checks conservation, exactly-once
 // completion or failure (a failure only under a replay, unserved), each
 // served request's stamp order, pools within MaxInstances (or Hot),
 // a pure ClusterStats, and with the fabric hop the window and backlog bounds;
-// it returns a digest of everything observable and the paths the run took.
-func runTrial(tr propTrial, a *Arena, ignore bool) (digest string, reached reach, err error) {
+// it returns a digest of everything observable, the paths the run took and
+// the kernel events it ran.
+func runTrial(tr propTrial, a *Arena, ignore bool) (digest string, reached reach, events uint64, err error) {
 	ignoreOffer = ignore
 	defer func() { ignoreOffer = false }()
 	n := len(tr.reqs)
@@ -222,15 +264,26 @@ func runTrial(tr propTrial, a *Arena, ignore bool) (digest string, reached reach
 	var drains, kills, ups, downs, refused int
 	for _, cs := range stats {
 		drains, kills, ups, downs, refused = drains+cs.Drains, kills+cs.HardKills, ups+cs.ScaleUps, downs+cs.ScaleDowns, refused+cs.ScaleRefused
+		// Every scale-up and pre-warm is a cold start beside the demand
+		// start that brought its pool up.
+		if grown := cs.ScaleUps + cs.PreWarms; grown > 0 && cs.ColdStarts <= grown && err == nil {
+			err = fmt.Errorf("cluster %s: %d cold starts for %d scale-ups and pre-warms", cs.Name, cs.ColdStarts, grown)
+		}
 		fmt.Fprintf(&sb, "%+v\n", cs)
+	}
+	grew := false
+	for _, c := range f.clusters {
+		for _, d := range c.deps {
+			grew = grew || d.peakPool > 1
+		}
 	}
 	var sheds, exhausted int64
 	if f.replay != nil {
 		sheds, exhausted = f.replay.sheds, f.replay.exhausted
 	}
-	reached = reach{drains > 0, kills > 0, f.Migrations() > 0, ups > 0, downs > 0, refused > 0, sheds > 0, exhausted > 0,
+	reached = reach{drains > 0, kills > 0, f.Migrations() > 0, ups > 0 && grew, downs > 0, refused > 0, sheds > 0, exhausted > 0,
 		f.MaxBacklog() > 0, polled, f.first.wired() && len(f.clusters) >= 2 && tr.p.BGPeriod > 0 && end > tr.p.BGPeriod/2}
-	return sb.String(), reached, err
+	return sb.String(), reached, k.Processed, err
 }
 
 type trialResult struct {
@@ -251,17 +304,26 @@ var propertyTrials = sync.OnceValue(func() []trialResult {
 		{"heap queue", NewArena(sim.QueueHeap), false},
 		{"calendar queue, offer ignored", NewArena(sim.QueueCalendar), true},
 	}
-	out := make([]trialResult, 40)
-	for i := range out {
-		tr := drawTrial(9000 + int64(i)*7919)
-		cal, reached, err := runTrial(tr, ways[0].a, false)
+	var trials []propTrial
+	for i := 0; i < drawnTrials; i++ {
+		trials = append(trials, drawTrial(9000+int64(i)*7919))
+	}
+	trials = append(trials, directedTrials()...)
+	out := make([]trialResult, len(trials))
+	for i, tr := range trials {
+		cal, reached, taken, err := runTrial(tr, ways[0].a, false)
 		for _, way := range ways[1:] {
 			if err != nil {
 				break
 			}
 			var d string
-			if d, _, err = runTrial(tr, way.a, way.ignore); err == nil && d != cal {
+			var events uint64
+			if d, _, events, err = runTrial(tr, way.a, way.ignore); err == nil && d != cal {
 				err = fmt.Errorf("the digest on the %s differs\ncalendar queue:\n%.2000s\n%s:\n%.2000s", way.name, cal, way.name, d)
+			}
+			if err == nil && way.ignore && tr.aim >= 0 && (!reached[tr.aim] || !reached[reachMigration] || taken*10 > events) {
+				err = fmt.Errorf("aimed at a %s: reached %v, migrated %v, %d events with the offer taken, %d without",
+					reachNames[tr.aim].name, reached[tr.aim], reached[reachMigration], taken, events)
 			}
 		}
 		if err != nil {
@@ -274,25 +336,55 @@ var propertyTrials = sync.OnceValue(func() []trialResult {
 	return out
 })
 
-// TestFederationProperty is the federation's property test: every trial
-// holds its invariants on all three ways and agrees with itself, and the set
-// reaches every path in reachNames.
+// drawnTrials is how many drawn trials propertyTrials runs ahead of the
+// directed ones.
+const drawnTrials = 40
+
+// requireReach fails t unless reach item j is taken in at least its count
+// of trials that hold their invariants.
+func requireReach(t *testing.T, j int) {
+	t.Helper()
+	n := 0
+	for _, r := range propertyTrials() {
+		if r.err == nil && r.reached[j] {
+			n++
+		}
+	}
+	if want := reachNames[j].trials; n < want {
+		t.Errorf("%d trials reached a %s, want at least %d", n, reachNames[j].name, want)
+	}
+}
+
+// TestFederationProperty is the federation's property test: every drawn
+// trial holds its invariants on all three ways and agrees with itself, and
+// the trial set reaches every path in reachNames but the scaler's, which the
+// TestAutoScale… tests require.
 func TestFederationProperty(t *testing.T) {
-	var all reach
-	for i, r := range propertyTrials() {
+	for i, r := range propertyTrials()[:drawnTrials] {
 		t.Run(fmt.Sprintf("trial%d", i), func(t *testing.T) {
 			if r.err != nil {
 				t.Fatal(r.err)
 			}
 		})
-		for j := range all {
-			all[j] = all[j] || r.reached[j]
+	}
+	for j := range reachNames {
+		if j < reachScaleUp || j > reachRefusal {
+			requireReach(t, j)
 		}
 	}
-	for j, ok := range all {
-		if !ok {
-			t.Errorf("no trial reached a %s", reachNames[j])
-		}
+}
+
+// TestFederationKillAndDrainMidRun reports the directed trials
+// (directedTrials): a hard kill and a drain aimed at a promised engine run,
+// each run three ways with one digest, taking its cut and migrating with at
+// most a tenth of the kernel events of stepping every iteration.
+func TestFederationKillAndDrainMidRun(t *testing.T) {
+	for i, r := range propertyTrials()[drawnTrials:] {
+		t.Run(reachNames[directedTrials()[i].aim].name, func(t *testing.T) {
+			if r.err != nil {
+				t.Fatal(r.err)
+			}
+		})
 	}
 }
 

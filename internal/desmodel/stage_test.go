@@ -1,9 +1,9 @@
 package desmodel
 
 import (
+	"cmp"
 	"fmt"
-	"reflect"
-	"sort"
+	"slices"
 	"testing"
 	"time"
 
@@ -164,108 +164,6 @@ func TestSystemsCarryZeroAlloc(t *testing.T) {
 	}
 }
 
-// stageEvent is one line of the differential's log: what ran, for whom, when,
-// and, for a delivery, the request's admission stamp.
-type stageEvent struct {
-	what string
-	id   int
-	at   sim.Time
-	gw   sim.Time
-}
-
-// stageDriver lays a schedule's driver events on k before the run: each
-// calls issue once per request it brings and compete around them. Calls made
-// by the driver itself, outside any event, issue before the run starts.
-type stageDriver func(k *sim.Kernel, rng *sim.RNG, issue, compete func())
-
-// runStageSchedule plays a driver's schedule against one implementation of a
-// stage (enter) and logs every delivery together with the competing events
-// scheduled around it, in the order the kernel ran them. Competitors are
-// scheduled with the stage's own delay, so they tie with deliveries on the
-// instant; with reenter, every third request goes round a second time,
-// entering from inside a delivery.
-func runStageSchedule(q sim.QueueKind, seed int64, delay time.Duration, drive stageDriver, reenter bool, build func(k *sim.Kernel, out func(*Req)) (enter func(*Req))) []stageEvent {
-	k := sim.NewKernelWith(q)
-	rng := sim.NewRNG(seed)
-	var log []stageEvent
-	again := map[int]bool{}
-	var enter func(*Req)
-	enter = build(k, func(r *Req) {
-		log = append(log, stageEvent{"deliver", r.ID, k.Now(), r.GatewayAt})
-		if reenter && r.ID%3 == 0 && !again[r.ID] {
-			again[r.ID] = true
-			enter(r)
-		}
-	})
-	id := 0
-	drive(k, rng, func() {
-		id++
-		enter(&Req{ID: id})
-	}, func() {
-		other := -id
-		k.Schedule(delay, func() { log = append(log, stageEvent{"other", other, k.Now(), 0}) })
-	})
-	k.Run(0)
-	return log
-}
-
-// bursts is 60 driver events, one in three on the previous one's instant,
-// the rest stepped by multiples of half the stage's delay plus whole
-// microseconds, each pushing a burst of fewer than burst requests.
-func bursts(delay time.Duration, burst int) stageDriver {
-	return func(k *sim.Kernel, rng *sim.RNG, issue, compete func()) {
-		var at sim.Time
-		for d := 0; d < 60; d++ {
-			if rng.Intn(3) > 0 {
-				at += time.Duration(rng.Intn(4)) * delay / 2
-				at += time.Duration(rng.Intn(3)) * time.Microsecond
-			}
-			n := rng.Intn(burst)
-			k.Schedule(at, func() {
-				compete()
-				for i := 0; i < n; i++ {
-					issue()
-					if i%2 == 0 {
-						compete()
-					}
-				}
-			})
-		}
-	}
-}
-
-// TestPipeMatchesClosures is the differential behind replacing every
-// `Schedule(delay, func() { next(r) })` with pipe.push(r): the same requests
-// are delivered at the same instants in the same global order, ties with
-// other events included, on both queue kinds. The last case holds more than
-// the kernel's sorted run (64 events) in flight at delay 0: one pipe event
-// stands for bursts of up to 150 requests that the closures queue one by one.
-func TestPipeMatchesClosures(t *testing.T) {
-	deliveries := 0
-	for _, q := range []sim.QueueKind{sim.QueueCalendar, sim.QueueHeap} {
-		for _, c := range []struct {
-			delay time.Duration
-			burst int
-		}{{0, 5}, {1, 5}, {3 * time.Microsecond, 5}, {5 * time.Millisecond, 5}, {0, 150}} {
-			for seed := int64(1); seed <= 25; seed++ {
-				closures := runStageSchedule(q, seed, c.delay, bursts(c.delay, c.burst), true, func(k *sim.Kernel, out func(*Req)) func(*Req) {
-					return func(r *Req) { k.Schedule(c.delay, func() { out(r) }) }
-				})
-				piped := runStageSchedule(q, seed, c.delay, bursts(c.delay, c.burst), true, func(k *sim.Kernel, out func(*Req)) func(*Req) {
-					return newPipe(k, 0, c.delay, out).push
-				})
-				if !reflect.DeepEqual(closures, piped) {
-					t.Fatalf("%v queue, delay %v, bursts below %d, seed %d: pipe and closures diverge\nclosures: %v\npipe:     %v", q, c.delay, c.burst, seed, closures, piped)
-				}
-				deliveries += len(piped)
-			}
-		}
-	}
-	if deliveries < 20000 {
-		t.Errorf("the sweep logged %d events: the schedules are not exercising the stage", deliveries)
-	}
-}
-
 // TestPipePopPanicsOnWrongDue tampers with a queued request's due instant:
 // the firing meant for it must refuse to deliver.
 func TestPipePopPanicsOnWrongDue(t *testing.T) {
@@ -324,78 +222,229 @@ func newPipe(k *sim.Kernel, cost, delay time.Duration, out func(*Req)) *pipe {
 	return p
 }
 
-// lane is the serialized single-server queue the stages replaced, kept as
-// the differentials' reference: every request charges `cost` before it is
-// handed to out. An idle lane books a serve event on enqueue; serve books
-// the done event a cost later, and done hands the request on and serves the
-// next.
-type lane struct {
-	k    *sim.Kernel
-	cost time.Duration
-	busy bool
-
-	q         reqRing
-	inService *Req
-	out       func(*Req)
-	serveFn   func()
-	doneFn    func()
+// depart is the recurrence every FIFO stage books by, in plain arithmetic:
+// requests enter at in[i], in (time, seq) order. A gate — a delay, then a
+// server of constant cost — hands request i on at
+// D_i = max(in_i + delay, D_{i-1}) + cost; a pipe — the server, then the
+// delay — at S_i + delay, where S_i = max(in_i, S_{i-1}) + cost. Either hands
+// requests on in the order they entered.
+func depart(in []sim.Time, gate bool, delay, cost time.Duration) []sim.Time {
+	out := make([]sim.Time, len(in))
+	var last sim.Time
+	for i, t := range in {
+		if gate {
+			last = max(t+delay, last) + cost
+			out[i] = last
+		} else {
+			last = max(t, last) + cost
+			out[i] = last + delay
+		}
+	}
+	return out
 }
 
-func newLane(k *sim.Kernel, cost time.Duration, out func(*Req)) *lane {
-	l := &lane{k: k, cost: cost, out: out}
-	l.serveFn = l.serve
-	l.doneFn = l.done
-	return l
+// stageEvent is one line of a run's log: what ran, for whom, when, the
+// request's admission stamp, and the number the kernel ran it under.
+type stageEvent struct {
+	what string
+	id   int
+	at   sim.Time
+	gw   sim.Time
+	seq  uint64
 }
 
-func (l *lane) enqueue(r *Req) {
-	l.q.push(r)
-	if !l.busy {
-		l.busy = true
-		l.k.Schedule(0, l.serveFn)
+// booking is a request entering a stage (id > 0) or a foreign event booked
+// beside it (id ≤ 0): the instant, the number of the event that booked it,
+// and a number reserved just before, so that a number the stage reserves as
+// the request enters is mark + 1.
+type booking struct {
+	id        int
+	at        sim.Time
+	run, mark uint64
+}
+
+// stageDriver lays a schedule's driver events on k before the run: each
+// calls issue once per request it brings and compete around them. Calls made
+// by the driver itself, outside any event, issue before the run starts.
+type stageDriver func(k *sim.Kernel, rng *sim.RNG, issue, compete func())
+
+// runStageSchedule plays a driver's schedule against a stage (enter). It
+// returns every delivery and foreign event in the order the kernel ran them,
+// and every booking in the order it was made. Foreign events are booked with
+// the stage's delay, so they tie with deliveries on the instant; with
+// reenter, every third request goes round a second time, entering from inside
+// its delivery.
+func runStageSchedule(q sim.QueueKind, seed int64, delay time.Duration, drive stageDriver, reenter bool, build func(k *sim.Kernel, out func(*Req)) (enter func(*Req))) (log []stageEvent, bk []booking) {
+	k := sim.NewKernelWith(q)
+	book := func(id int) { bk = append(bk, booking{id, k.Now(), k.RunningSeq(), k.Reserve()}) }
+	again := map[int]bool{}
+	var enter func(*Req)
+	enter = build(k, func(r *Req) {
+		log = append(log, stageEvent{"deliver", r.ID, k.Now(), r.GatewayAt, k.RunningSeq()})
+		if reenter && r.ID%3 == 0 && !again[r.ID] {
+			again[r.ID] = true
+			book(r.ID)
+			enter(r)
+		}
+	})
+	id := 0
+	drive(k, sim.NewRNG(seed), func() {
+		id++
+		book(id)
+		enter(&Req{ID: id})
+	}, func() {
+		other := -id
+		book(other)
+		k.Schedule(delay, func() { log = append(log, stageEvent{"other", other, k.Now(), 0, k.RunningSeq()}) })
+	})
+	k.Run(0)
+	return log, bk
+}
+
+// bursts is 60 driver events, one in three on the previous one's instant,
+// the rest stepped by multiples of half the stage's delay plus whole
+// microseconds, each pushing a burst of fewer than burst requests.
+func bursts(delay time.Duration, burst int) stageDriver {
+	return func(k *sim.Kernel, rng *sim.RNG, issue, compete func()) {
+		var at sim.Time
+		for d := 0; d < 60; d++ {
+			if rng.Intn(3) > 0 {
+				at += time.Duration(rng.Intn(4)) * delay / 2
+				at += time.Duration(rng.Intn(3)) * time.Microsecond
+			}
+			n := rng.Intn(burst)
+			k.Schedule(at, func() {
+				compete()
+				for i := 0; i < n; i++ {
+					issue()
+					if i%2 == 0 {
+						compete()
+					}
+				}
+			})
+		}
 	}
 }
 
-func (l *lane) serve() {
-	if l.q.n == 0 {
-		l.busy = false
-		return
+// TestPipeMatchesClosures holds a pipe to the recurrence and to the order one
+// `Schedule(delay, …)` per request, made as it entered, would run in: every
+// request is handed on at S + delay (depart), and a hand-off and a foreign
+// event on one instant run in the order they were booked, on both queue
+// kinds. The zero-cost cases are the closures the pipe replaced; the last
+// holds more than the kernel's sorted run (64 events) in flight at delay 0:
+// one pipe event stands for bursts of up to 150 requests.
+func TestPipeMatchesClosures(t *testing.T) {
+	deliveries := 0
+	for _, q := range []sim.QueueKind{sim.QueueCalendar, sim.QueueHeap} {
+		for _, c := range []struct {
+			cost, delay time.Duration
+			burst       int
+		}{{0, 0, 5}, {0, 1, 5}, {0, 3 * time.Microsecond, 5}, {0, 5 * time.Millisecond, 5}, {2 * time.Microsecond, 5 * time.Millisecond, 5}, {0, 0, 150}} {
+			for seed := int64(1); seed <= 25; seed++ {
+				log, bk := runStageSchedule(q, seed, c.delay, bursts(c.delay, c.burst), true, func(k *sim.Kernel, out func(*Req)) func(*Req) {
+					return newPipe(k, c.cost, c.delay, out).push
+				})
+				var in []sim.Time
+				for _, b := range bk {
+					if b.id > 0 {
+						in = append(in, b.at)
+					}
+				}
+				due := depart(in, false, c.delay, c.cost)
+				want, got := make([]stageEvent, len(bk)), make([]stageEvent, len(log))
+				for i, b := range bk {
+					if want[i] = (stageEvent{"other", b.id, b.at + c.delay, 0, 0}); b.id > 0 {
+						want[i], due = stageEvent{"deliver", b.id, due[0], 0, 0}, due[1:]
+					}
+				}
+				slices.SortStableFunc(want, func(a, b stageEvent) int { return cmp.Compare(a.at, b.at) })
+				for i, e := range log {
+					got[i] = stageEvent{e.what, e.id, e.at, 0, 0}
+				}
+				if !slices.Equal(want, got) {
+					t.Fatalf("%v queue, %+v, seed %d: the pipe leaves the recurrence's (time, booking) order\nwant: %v\ngot:  %v", q, c, seed, want, got)
+				}
+				deliveries += len(log)
+			}
+		}
 	}
-	l.inService = l.q.pop()
-	l.k.Schedule(l.cost, l.doneFn)
+	if deliveries < 400_000 {
+		t.Errorf("the sweep logged %d events: the schedules are not exercising the stage", deliveries)
+	}
 }
 
-func (l *lane) done() {
-	r := l.inService
-	l.inService = nil
-	l.out(r)
-	l.serve()
+// shardWant is what the recurrence says of one request through the shard
+// stage: its shard, its admission stamp (the lock's departure S), its hand-on
+// (S + post), its busy period's number, and whether its hand-on is queued
+// under a fresh number instead.
+type shardWant struct {
+	shard   int
+	gw, due sim.Time
+	seq     uint64
+	fresh   bool
 }
 
-// lanePipeFE is the shard front-end as it was before it became one stage,
-// kept as the differential's reference: per shard a lane charging crit,
-// whose leaving request is stamped admitted and pushed into one pipe of
-// delay post that serves every shard. peak reports the deepest lane ring.
-func lanePipeFE(k *sim.Kernel, shards int, crit, post time.Duration, out func(*Req)) (admit func(*Req), peak func() int) {
+// shardOracle computes, from the bookings of a run, what the shard stage
+// owes each request: per shard a pipe of cost crit and delay post (depart's
+// recurrence), numbered as the lane → pipe chain it replaced ran — a
+// departure or a service start at an instant has happened once the event
+// running then sorts at or after its busy period's number, an admission to
+// an idle lock opens a busy period under the number it reserves, and a
+// successor due on its predecessor's instant in the same busy period is
+// queued under a fresh number as the predecessor is handed on. It also
+// returns the deepest backlog of a lock (requests in, less those whose
+// service began) and how often each of those ties was met: a departure at
+// the admission's instant that had run and one that had not, a service start
+// likewise, and a fresh number.
+func shardOracle(bk []booking, shards int, crit, post time.Duration) (want map[int]shardWant, peak int, ties [5]int) {
 	n := 1
 	for n < shards {
 		n <<= 1
 	}
-	p := newPipe(k, 0, post, out)
-	lanes := make([]*lane, n)
-	for i := range lanes {
-		lanes[i] = newLane(k, crit, func(r *Req) {
-			r.GatewayAt = k.Now()
-			p.push(r)
-		})
+	type lock struct {
+		last    sim.Time
+		period  uint64
+		start   []sim.Time
+		seq     []uint64
+		started int
+		prev    shardWant
 	}
-	deepest := 0
-	admit = func(r *Req) {
-		ln := lanes[splitmix64(uint64(r.ID))&uint64(n-1)]
-		ln.enqueue(r)
-		deepest = max(deepest, ln.q.n)
+	locks := make([]lock, n)
+	want = map[int]shardWant{}
+	for _, b := range bk {
+		if b.id <= 0 {
+			continue
+		}
+		i := int(splitmix64(uint64(b.id)) & uint64(n-1))
+		l := &locks[i]
+		for ; l.started < len(l.start); l.started++ {
+			if at := l.start[l.started]; at > b.at || at == b.at && b.run < l.seq[l.started] {
+				if at == b.at {
+					ties[3]++
+				}
+				break
+			} else if at == b.at {
+				ties[2]++
+			}
+		}
+		if idle := l.last < b.at || l.last == b.at && b.run >= l.period; idle {
+			if l.last == b.at && len(l.start) > 0 {
+				ties[0]++
+			}
+			l.period = b.mark + 1
+		} else if l.last == b.at {
+			ties[1]++
+		}
+		l.last = max(l.last, b.at) + crit
+		l.start, l.seq = append(l.start, l.last-crit), append(l.seq, l.period)
+		peak = max(peak, len(l.start)-l.started)
+		w := shardWant{i, l.last, l.last + post, l.period, false}
+		if w.fresh = len(l.start) > 1 && w.due == l.prev.due && w.seq == l.prev.seq; w.fresh {
+			ties[4]++
+		}
+		want[b.id], l.prev = w, w
 	}
-	return admit, func() int { return deepest }
+	return want, peak, ties
 }
 
 // shardScheduleReqs is how many requests each front-end schedule issues.
@@ -445,8 +494,9 @@ func stormArrivals(gap time.Duration) stageDriver {
 
 // floodArrivals is the closed loop's start: two floods each issued inside
 // one event, booked first, then a third of the requests issued before the
-// run.
-func floodArrivals(gap time.Duration) stageDriver {
+// run. With open, the two floods are booked after those requests, while
+// their busy period is open.
+func floodArrivals(gap time.Duration, open bool) stageDriver {
 	return func(k *sim.Kernel, rng *sim.RNG, issue, compete func()) {
 		flood := func() {
 			for i := 0; i < shardScheduleReqs/3; i++ {
@@ -456,9 +506,14 @@ func floodArrivals(gap time.Duration) stageDriver {
 				}
 			}
 		}
-		k.Schedule(time.Duration(rng.Exp(float64(gap))), flood)
-		k.Schedule(time.Duration(rng.Intn(3))*gap, flood)
-		flood()
+		if open {
+			flood()
+		}
+		k.Schedule(time.Duration(rng.Intn(2))*gap, flood)
+		k.Schedule(time.Duration(rng.Intn(40))*gap, flood)
+		if !open {
+			flood()
+		}
 	}
 }
 
@@ -490,175 +545,114 @@ func alignedArrivals(unit time.Duration) stageDriver {
 	}
 }
 
-// deliveries drops the competitors from a log: they never touch the stage,
-// and where one ties with a departure the two designs order them apart (see
-// TestShardStageForeignTie).
-func deliveries(log []stageEvent) []stageEvent {
-	var out []stageEvent
-	for _, e := range log {
-		if e.what == "deliver" {
-			out = append(out, e)
-		}
-	}
-	return out
+// shardShape is a front-end schedule shape, drawn for a critical section.
+type shardShape struct {
+	name  string
+	drive func(crit time.Duration) stageDriver
 }
 
-// TestShardStageMatchesLanePipe is the differential behind computing each
-// departure at admission: over every schedule shape the front-end meets, the
-// shard stage hands on the same requests at the same instants in the same
-// order, with the same admission stamps, and reports the lanes' peak depth.
-// Chained arrivals here average at least a microsecond apart and floods are
-// booked before any busy period opens, so a foreign event seldom lands on a
-// departure's nanosecond; the schedules built to do that are
-// TestShardStageTiesMoveNoInstant's.
-func TestShardStageMatchesLanePipe(t *testing.T) {
-	shapes := []struct {
-		name  string
-		drive func(crit time.Duration) stageDriver
-	}{
-		{"poisson", func(c time.Duration) stageDriver { return poissonArrivals(c/2 + time.Microsecond) }},
-		{"storm", func(c time.Duration) stageDriver { return stormArrivals(c/2 + time.Microsecond) }},
-		{"flood", func(c time.Duration) stageDriver { return floodArrivals(c + time.Microsecond) }},
-		{"same-instant", func(c time.Duration) stageDriver { return sameInstantArrivals(2*c + 1) }},
-		{"aligned", func(c time.Duration) stageDriver { return alignedArrivals(max(c, 1)) }},
-	}
-	delivered, deep := 0, 0
+// sweepShardStage holds the shard stage to the lane → pipe chain it
+// replaced, stated as arithmetic (shardOracle): over shapes, on both queue
+// kinds, each request is stamped admitted and handed on at the recurrence's
+// instants, under its busy period's number or a fresh one, and the stage
+// reports the lanes' peak depth. It returns how many requests were handed
+// on, the deepest backlog and how often each of shardOracle's ties was met.
+func sweepShardStage(t *testing.T, shapes []shardShape) (delivered, deep int, met [5]int) {
 	for _, q := range []sim.QueueKind{sim.QueueCalendar, sim.QueueHeap} {
 		for _, crit := range []time.Duration{0, 1, 4 * time.Microsecond} {
 			for _, post := range []time.Duration{0, 1, 25 * time.Microsecond} {
 				for _, shards := range []int{1, 2, 16} {
 					for _, sh := range shapes {
 						for seed := int64(1); seed <= 25; seed++ {
-							var chainPeak, stagePeak func() int
-							chain := runStageSchedule(q, seed, crit+post, sh.drive(crit), false, func(k *sim.Kernel, out func(*Req)) func(*Req) {
-								admit, peak := lanePipeFE(k, shards, crit, post, out)
-								chainPeak = peak
-								return admit
-							})
-							stage := runStageSchedule(q, seed, crit+post, sh.drive(crit), false, func(k *sim.Kernel, out func(*Req)) func(*Req) {
-								fe := newShardFE(k, shards, crit, post, out)
-								stagePeak = fe.peakShardQueue
+							var fe *shardFE
+							log, bk := runStageSchedule(q, seed, crit+post, sh.drive(crit), false, func(k *sim.Kernel, out func(*Req)) func(*Req) {
+								fe = newShardFE(k, shards, crit, post, out)
 								return fe.admit
 							})
-							want, got := deliveries(chain), deliveries(stage)
-							if !reflect.DeepEqual(want, got) {
-								t.Errorf("%v queue, %s, crit %v, post %v, %d shards, seed %d: stage and chain diverge\nchain: %v\nstage: %v", q, sh.name, crit, post, shards, seed, want, got)
+							name := fmt.Sprintf("%v queue, %s, crit %v, post %v, %d shards, seed %d", q, sh.name, crit, post, shards, seed)
+							want, peak, ties := shardOracle(bk, shards, crit, post)
+							last := make([]uint64, len(fe.shards)) // each shard's last hand-on number
+							for _, e := range log {
+								if e.what != "deliver" {
+									continue
+								}
+								w, ok := want[e.id]
+								if delete(want, e.id); !ok || e.at != w.due || e.gw != w.gw || !w.fresh && e.seq != w.seq || w.fresh && e.seq <= last[w.shard] {
+									t.Fatalf("%s: request %d handed on at %v under %d, admitted %v; the recurrence says %+v (known %v), after number %d", name, e.id, e.at, e.seq, e.gw, w, ok, last[w.shard])
+								}
+								last[w.shard] = e.seq
+								delivered++
 							}
-							if chainPeak() != stagePeak() {
-								t.Errorf("%v queue, %s, crit %v, post %v, %d shards, seed %d: peak depth %d, the lanes reached %d", q, sh.name, crit, post, shards, seed, stagePeak(), chainPeak())
+							if len(want) > 0 || fe.peakShardQueue() != peak {
+								t.Fatalf("%s: %d requests never handed on; peak depth %d, the lanes reach %d", name, len(want), fe.peakShardQueue(), peak)
 							}
-							delivered += len(got)
-							deep = max(deep, stagePeak())
+							deep = max(deep, peak)
+							for i := range met {
+								met[i] += ties[i]
+							}
 						}
 					}
 				}
 			}
 		}
 	}
-	if delivered < 2*3*3*3*5*25*shardScheduleReqs || deep < shardScheduleReqs/3 {
+	return delivered, deep, met
+}
+
+// TestShardStageMatchesLanePipe sweeps the shard stage over every schedule
+// shape the front-end meets (sweepShardStage) and fails if the schedules do
+// not fill a lock's backlog.
+func TestShardStageMatchesLanePipe(t *testing.T) {
+	delivered, deep, _ := sweepShardStage(t, []shardShape{
+		{"poisson", func(c time.Duration) stageDriver { return poissonArrivals(c/2 + time.Microsecond) }},
+		{"storm", func(c time.Duration) stageDriver { return stormArrivals(c/2 + time.Microsecond) }},
+		{"flood", func(c time.Duration) stageDriver { return floodArrivals(c+time.Microsecond, false) }},
+		{"same-instant", func(c time.Duration) stageDriver { return sameInstantArrivals(2*c + 1) }},
+		{"aligned", func(c time.Duration) stageDriver { return alignedArrivals(max(c, 1)) }},
+	})
+	if delivered != 2*3*3*3*5*25*shardScheduleReqs || deep < shardScheduleReqs/3 {
 		t.Errorf("the sweep delivered %d requests, deepest queue %d: the schedules are not exercising the stage", delivered, deep)
 	}
 }
 
 // TestShardStageTiesMoveNoInstant plays the schedules that tie foreign
-// events with departures on purpose — arrivals a nanosecond apart at a
-// critical section of at most a nanosecond, and floods booked behind an
-// open busy period — where the stage and the chain may order one instant's
-// hand-ons differently (TestShardStageForeignTie). Every request still
-// leaves at the same instant with the same admission stamp, and the stage
-// never reports a deeper queue than the lanes reached.
+// events with departures on purpose — arrivals a nanosecond apart, and floods
+// booked behind an open busy period — through sweepShardStage: admissions
+// land on departures and service starts both before and after those have
+// run, and every request still leaves at the recurrence's instant with its
+// stamp. The sweep fails if any such tie, or a fresh number, is never met.
 func TestShardStageTiesMoveNoInstant(t *testing.T) {
-	byInstant := func(log []stageEvent) []stageEvent {
-		log = deliveries(log)
-		sort.SliceStable(log, func(i, j int) bool {
-			if log[i].at != log[j].at {
-				return log[i].at < log[j].at
-			}
-			return log[i].id < log[j].id
-		})
-		return log
-	}
-	reordered := 0
-	for _, crit := range []time.Duration{0, 1} {
-		for _, shards := range []int{1, 2, 16} {
-			for _, drive := range []stageDriver{poissonArrivals(1), stormArrivals(1), tiedFloods(crit + 1)} {
-				for seed := int64(1); seed <= 25; seed++ {
-					var chainPeak, stagePeak func() int
-					chain := runStageSchedule(sim.QueueCalendar, seed, crit, drive, false, func(k *sim.Kernel, out func(*Req)) func(*Req) {
-						admit, peak := lanePipeFE(k, shards, crit, 0, out)
-						chainPeak = peak
-						return admit
-					})
-					stage := runStageSchedule(sim.QueueCalendar, seed, crit, drive, false, func(k *sim.Kernel, out func(*Req)) func(*Req) {
-						fe := newShardFE(k, shards, crit, 0, out)
-						stagePeak = fe.peakShardQueue
-						return fe.admit
-					})
-					if !reflect.DeepEqual(byInstant(chain), byInstant(stage)) {
-						t.Fatalf("crit %v, %d shards, seed %d: a tie moved a request's instant or stamp", crit, shards, seed)
-					}
-					if stagePeak() > chainPeak() {
-						t.Fatalf("crit %v, %d shards, seed %d: peak depth %d, the lanes reached only %d", crit, shards, seed, stagePeak(), chainPeak())
-					}
-					if !reflect.DeepEqual(deliveries(chain), deliveries(stage)) || stagePeak() != chainPeak() {
-						reordered++
-					}
-				}
-			}
-		}
-	}
-	if reordered == 0 {
-		t.Error("no schedule tied a foreign event with a departure: the sweep tests nothing")
+	delivered, _, met := sweepShardStage(t, []shardShape{
+		{"poisson at 1 ns", func(time.Duration) stageDriver { return poissonArrivals(1) }},
+		{"flood into an open busy period", func(c time.Duration) stageDriver { return floodArrivals(c+1, true) }},
+	})
+	if delivered != 2*3*3*3*2*25*shardScheduleReqs || slices.Contains(met[:], 0) {
+		t.Errorf("the sweep delivered %d requests, ties met %v: the schedules tie nothing", delivered, met)
 	}
 }
 
-// tiedFloods issues a third of the requests before the run and then books
-// two floods, each inside one event, while that busy period is open.
-func tiedFloods(gap time.Duration) stageDriver {
-	return func(k *sim.Kernel, rng *sim.RNG, issue, compete func()) {
-		flood := func() {
-			for i := 0; i < shardScheduleReqs/3; i++ {
-				issue()
-			}
-		}
-		flood()
-		k.Schedule(time.Duration(rng.Intn(2))*gap, flood)
-		k.Schedule(time.Duration(rng.Intn(40))*gap, flood)
-	}
-}
-
-// TestShardStageForeignTie pins the one way the stage departs from the
-// chain: a departure runs under its busy period's number, so an event booked
-// during the busy period for the exact nanosecond of the hand-on now runs
-// after it, where the chain, which booked the hand-on only at the departure,
-// ran it first. An event booked before the busy period began keeps its place
-// ahead of the hand-on in both.
+// TestShardStageForeignTie pins the one way the stage departs from the lane
+// → pipe chain it replaced: a departure runs under its busy period's number,
+// so an event booked during the busy period for the exact nanosecond of the
+// hand-on runs after it, where the chain, which booked the hand-on only at
+// the departure, ran it first. An event booked before the busy period began
+// keeps its place ahead of the hand-on in both.
 func TestShardStageForeignTie(t *testing.T) {
 	const crit, post = 4 * time.Microsecond, 25 * time.Microsecond
-	run := func(build func(k *sim.Kernel, out func(*Req)) func(*Req)) []string {
-		k := sim.NewKernel()
-		var log []string
-		note := func(what string) func() {
-			return func() { log = append(log, fmt.Sprintf("%s at %v", what, k.Now())) }
-		}
-		admit := build(k, func(r *Req) { note(fmt.Sprintf("request %d (admitted %v)", r.ID, r.GatewayAt))() })
-		k.Schedule(0, func() {
-			k.Schedule(crit+post, note("booked before"))
-			admit(&Req{ID: 1})
-			k.Schedule(crit+post, note("booked during"))
-		})
-		k.Run(0)
-		return log
+	k := sim.NewKernel()
+	var log []string
+	note := func(what string) func() {
+		return func() { log = append(log, fmt.Sprintf("%s at %v", what, k.Now())) }
 	}
-	chain := run(func(k *sim.Kernel, out func(*Req)) func(*Req) {
-		admit, _ := lanePipeFE(k, 1, crit, post, out)
-		return admit
+	fe := newShardFE(k, 1, crit, post, func(r *Req) { note(fmt.Sprintf("request %d (admitted %v)", r.ID, r.GatewayAt))() })
+	k.Schedule(0, func() {
+		k.Schedule(crit+post, note("booked before"))
+		fe.admit(&Req{ID: 1})
+		k.Schedule(crit+post, note("booked during"))
 	})
-	stage := run(func(k *sim.Kernel, out func(*Req)) func(*Req) { return newShardFE(k, 1, crit, post, out).admit })
-	wantChain := []string{"booked before at 29µs", "booked during at 29µs", "request 1 (admitted 4µs) at 29µs"}
-	wantStage := []string{"booked before at 29µs", "request 1 (admitted 4µs) at 29µs", "booked during at 29µs"}
-	if !reflect.DeepEqual(chain, wantChain) || !reflect.DeepEqual(stage, wantStage) {
-		t.Errorf("chain ran %q, want %q\nstage ran %q, want %q", chain, wantChain, stage, wantStage)
+	k.Run(0)
+	if want := []string{"booked before at 29µs", "request 1 (admitted 4µs) at 29µs", "booked during at 29µs"}; !slices.Equal(log, want) {
+		t.Errorf("stage ran %q, want %q", log, want)
 	}
 }
 
@@ -735,36 +729,8 @@ func TestShardFrontEndEventsPerRequest(t *testing.T) {
 	}
 }
 
-// chainFabric is the fabric hop as it was before its stages booked each
-// departure at admission, kept as the differential's reference:
-//
-//	[auth lane → auth pipe] → submit pipe → dispatch lane → route
-//	served → relay lane → return pipe → back → observe pipe → done
-//
-// It returns the hop's entry and the relay's, where the engine hands a
-// served request back.
-func chainFabric(k *sim.Kernel, p FirstParams, route, back, done func(*Req)) (admit, served func(*Req)) {
-	observe := newPipe(k, 0, 0, done)
-	ret := newPipe(k, 0, p.ResultReturn, func(r *Req) {
-		back(r)
-		observe.push(r)
-	})
-	relay := newLane(k, p.HubRelayCost, ret.push)
-	dispatch := newLane(k, p.HubDispatchCost, route)
-	submit := newPipe(k, 0, p.GatewayOverhead+p.HubSubmit, dispatch.enqueue)
-	admit = submit.push
-	if p.AuthIntrospect > 0 {
-		auth := newPipe(k, 0, p.AuthIntrospect, admit)
-		admit = auth.push
-		if p.AuthRatePerSec > 0 {
-			admit = newLane(k, time.Duration(float64(time.Second)/p.AuthRatePerSec), auth.push).enqueue
-		}
-	}
-	return admit, relay.enqueue
-}
-
-// stageFabric is the fabric hop under test, firstPath, with the same hooks:
-// back runs as the relay hands a result to complete.
+// stageFabric is the fabric hop under test, firstPath, with the sweep's
+// hooks: back runs as the relay hands a result to complete.
 func stageFabric(k *sim.Kernel, p FirstParams, route, back, done func(*Req)) (admit, served func(*Req)) {
 	fp := new(firstPath)
 	fp.wire(k, p, route, done)
@@ -788,19 +754,16 @@ type fabricDriver func(k *sim.Kernel, rng *sim.RNG, issue func(), other func(at 
 // runFabricSchedule plays a driver against one fabric hop. Between route and
 // the relay sits an engine stand-in that serves request i after a pickup and
 // i%4 grid steps. Every third request that comes back is issued again, as
-// a closed-loop client would. The log holds every route, engine, back (the
+// a closed-loop client would. It returns every route, engine, back (the
 // relay's hand-off) and done hand-off and every foreign event, in the order
-// the kernel ran them.
-func runFabricSchedule(q sim.QueueKind, seed int64, p FirstParams, drive fabricDriver, build fabricBuild) []stageEvent {
+// the kernel ran them, and every admission in order.
+func runFabricSchedule(q sim.QueueKind, seed int64, p FirstParams, drive fabricDriver, build fabricBuild) (log []stageEvent, adm []booking) {
 	k := sim.NewKernelWith(q)
-	rng := sim.NewRNG(seed)
-	var log []stageEvent
-	note := func(what string, id int) { log = append(log, stageEvent{what, id, k.Now(), 0}) }
+	note := func(what string, id int) { log = append(log, stageEvent{what, id, k.Now(), 0, 0}) }
 	var admit, served func(*Req)
-	id := 0
 	issue := func() {
-		id++
-		admit(&Req{ID: id})
+		adm = append(adm, booking{id: len(adm) + 1, at: k.Now()})
+		admit(&Req{ID: len(adm)})
 	}
 	admit, served = build(k, p, func(r *Req) {
 		note("route", r.ID)
@@ -812,25 +775,88 @@ func runFabricSchedule(q sim.QueueKind, seed int64, p FirstParams, drive fabricD
 		note("back", r.ID)
 	}, func(r *Req) {
 		note("done", r.ID)
-		if r.ID%3 == 0 && id < 600 {
+		if r.ID%3 == 0 && len(adm) < 600 {
 			issue()
 		}
 	})
-	drive(k, rng, issue, func(at sim.Time) {
+	drive(k, sim.NewRNG(seed), issue, func(at sim.Time) {
 		k.At(at, func() { note("other", 0) })
 	})
 	k.Run(0)
-	return log
+	return log, adm
 }
 
-// fabricConfigs are the fabric hops the differential plays: the paper's
-// deployment, vLLM-Direct (no delay before the dispatch server, no relay
-// cost), and every cost and delay on one 25 ms / 2 s grid, with the auth
-// limiter in front or with no relay cost, so departures, pickups, results
-// and foreign events fall on each other's nanoseconds.
+// checkFabric holds a fabric log to the recurrence: from the admissions, in
+// order, the auth pipe when wired (AuthIntrospect after 1/AuthRatePerSec),
+// the dispatch gate (GatewayOverhead + HubSubmit, then HubDispatchCost), the
+// engine stand-in's serve instants — results served on one instant enter the
+// relay in the order they were routed — and the relay pipe (HubRelayCost,
+// then ResultReturn) give each request's route, engine, back and done
+// instant. Every request takes each hand-off once, at that instant; routes
+// and backs run in their stages' FIFO order; and a foreign event booked
+// before the run (early) runs ahead of every hand-off at its instant.
+func checkFabric(p FirstParams, log []stageEvent, adm []booking, early bool) error {
+	in := make([]sim.Time, len(adm))
+	for i, a := range adm {
+		in[i] = a.at
+	}
+	if p.AuthIntrospect > 0 {
+		var cost time.Duration
+		if p.AuthRatePerSec > 0 {
+			cost = time.Duration(float64(time.Second) / p.AuthRatePerSec)
+		}
+		in = depart(in, false, p.AuthIntrospect, cost)
+	}
+	route := depart(in, true, p.GatewayOverhead+p.HubSubmit, p.HubDispatchCost)
+	engine := make([]sim.Time, len(adm))
+	relayed := make([]int, len(adm))
+	for i := range adm {
+		engine[i], relayed[i] = route[i]+p.EndpointPickup+time.Duration(adm[i].id%4)*fabricUnit, i
+	}
+	slices.SortStableFunc(relayed, func(a, b int) int { return cmp.Compare(engine[a], engine[b]) })
+	relayIn := make([]sim.Time, len(adm))
+	for j, i := range relayed {
+		relayIn[j] = engine[i]
+	}
+	back := make([]sim.Time, len(adm))
+	for j, at := range depart(relayIn, false, p.ResultReturn, p.HubRelayCost) {
+		back[relayed[j]] = at
+	}
+	want := map[string][]sim.Time{"route": route, "engine": engine, "back": back, "done": back}
+	order := map[string][]int{}
+	seen := map[stageEvent]bool{}
+	handed := map[sim.Time]bool{}
+	for _, e := range log {
+		if e.what == "other" {
+			if early && handed[e.at] {
+				return fmt.Errorf("a foreign event booked before the run ran after a hand-off at %v", e.at)
+			}
+			continue
+		}
+		if i := e.id - 1; i < 0 || i >= len(adm) || seen[stageEvent{what: e.what, id: e.id}] || e.at != want[e.what][i] {
+			return fmt.Errorf("%s of request %d at %v: not the recurrence's one hand-off", e.what, e.id, e.at)
+		}
+		seen[stageEvent{what: e.what, id: e.id}], handed[e.at] = true, true
+		order[e.what] = append(order[e.what], e.id-1)
+	}
+	routed := make([]int, len(adm))
+	for i := range routed {
+		routed[i] = i
+	}
+	if len(seen) != 4*len(adm) || !slices.Equal(order["route"], routed) || !slices.Equal(order["back"], relayed) {
+		return fmt.Errorf("%d hand-offs for %d requests, routes in order %v, backs in order %v (relay order %v)", len(seen), len(adm), order["route"], order["back"], relayed)
+	}
+	return nil
+}
+
+// fabricConfigs are the fabric hops the sweep plays: the paper's deployment,
+// vLLM-Direct (no delay before the dispatch server, no relay cost), and
+// every cost and delay on one 25 ms / 2 s grid, with the auth limiter in
+// front or with no relay cost, so departures, pickups, results and foreign
+// events fall on each other's nanoseconds.
 func fabricConfigs() map[string]FirstParams {
 	paper := DefaultFirstParams()
-	paper.Window = 0 // the window is the same code on both sides
+	paper.Window = 0 // the window is the property harness's
 	grid := FirstParams{HubSubmit: 2 * time.Second, HubDispatchCost: fabricUnit, EndpointPickup: 2 * time.Second, HubRelayCost: fabricUnit, ResultReturn: 2 * time.Second}
 	auth := grid
 	auth.AuthIntrospect, auth.AuthRatePerSec = 2*time.Second, 40
@@ -885,76 +911,51 @@ func fabricGrid(early bool) fabricDriver {
 	}
 }
 
-// sweepFabric calls check once per schedule the fabric differentials play:
-// both queue kinds × every configuration × both drivers × foreign events
-// booked before or during the run × 20 seeds. play runs that schedule on a
-// fabric hop.
-func sweepFabric(check func(name string, play func(fabricBuild) []stageEvent, inRun bool)) {
+// sweepFabric calls check once per schedule the fabric sweeps play: every
+// configuration × both drivers × foreign events booked before the run
+// (early) or during it × 20 seeds. play runs that schedule on a fabric hop
+// and a queue kind.
+func sweepFabric(check func(name string, p FirstParams, play func(sim.QueueKind, fabricBuild) ([]stageEvent, []booking), early bool)) {
 	drivers := map[string]func(bool) fabricDriver{"burst": fabricBurst, "grid": fabricGrid}
-	for _, q := range []sim.QueueKind{sim.QueueCalendar, sim.QueueHeap} {
-		for cn, p := range fabricConfigs() {
-			for dn, drive := range drivers {
-				for _, early := range []bool{true, false} {
-					for seed := int64(1); seed <= 20; seed++ {
-						name := fmt.Sprintf("%v queue, %s, %s schedule, foreign events booked early %v, seed %d", q, cn, dn, early, seed)
-						check(name, func(build fabricBuild) []stageEvent {
+	for cn, p := range fabricConfigs() {
+		for dn, drive := range drivers {
+			for _, early := range []bool{true, false} {
+				for seed := int64(1); seed <= 20; seed++ {
+					check(fmt.Sprintf("%s, %s schedule, foreign events booked early %v, seed %d", cn, dn, early, seed), p,
+						func(q sim.QueueKind, build fabricBuild) ([]stageEvent, []booking) {
 							return runFabricSchedule(q, seed, p, drive(early), build)
-						}, !early)
-					}
+						}, early)
 				}
 			}
 		}
 	}
 }
 
-// splitBack takes a fabric log apart: the relay's hand-offs sorted by
-// instant, and everything else in the order it ran, without the foreign
-// events when inRun says they were booked during the run.
-func splitBack(log []stageEvent, inRun bool) (back, rest []stageEvent) {
-	for _, e := range log {
-		switch {
-		case e.what == "back":
-			back = append(back, e)
-		case e.what != "other" || !inRun:
-			rest = append(rest, e)
-		}
-	}
-	sort.SliceStable(back, func(i, j int) bool { return back[i].at < back[j].at })
-	return back, rest
-}
-
-// TestFabricStagesMatchChain is the differential behind booking each of the
-// fabric hop's departures as the request enters its stage: over every
-// configuration and schedule shape, on both queue kinds, firstPath routes,
-// serves and completes the same requests at the same instants in the same
-// order as the lane and pipe chain it replaced, and hands every result back
-// at the same instant. Dispatch departures tie the engine stand-in's
-// pickups and the closed loop's re-admissions on the grid, so a departure
-// booked under the wrong number changes that order. Foreign events booked
-// before any request sort where they did in the chain. Two things are left
-// out, as the two designs order them differently on the same nanosecond:
-// foreign events booked during the run (TestGateForeignTie,
-// TestPipeForeignTie), and where the relay's hand-off falls among the
-// events of its instant, since the chain numbered it as the request left the
-// relay server and the pipe numbers it as the request enters.
+// TestFabricStagesMatchChain holds firstPath's fabric hop to the recurrence
+// its stages book by (checkFabric), over every configuration and schedule
+// shape, and requires the same run, hand-off for hand-off and foreign event
+// for foreign event, on both queue kinds. Dispatch departures tie the engine
+// stand-in's pickups and the closed loop's re-admissions on the grid. Where a
+// hand-off falls among foreign events booked during the run on its
+// nanosecond is TestGateForeignTie's and TestPipeForeignTie's.
 func TestFabricStagesMatchChain(t *testing.T) {
 	routed, tied := 0, 0
-	sweepFabric(func(name string, play func(fabricBuild) []stageEvent, inRun bool) {
-		chainBack, chain := splitBack(play(chainFabric), inRun)
-		stageBack, stage := splitBack(play(stageFabric), inRun)
-		if !reflect.DeepEqual(chain, stage) || !reflect.DeepEqual(chainBack, stageBack) {
-			t.Fatalf("%s: firstPath and the chain diverge\nchain: %v\nstage: %v\nchain's results back: %v\nstage's results back: %v", name, chain, stage, chainBack, stageBack)
+	sweepFabric(func(name string, p FirstParams, play func(sim.QueueKind, fabricBuild) ([]stageEvent, []booking), early bool) {
+		log, adm := play(sim.QueueCalendar, stageFabric)
+		if heap, _ := play(sim.QueueHeap, stageFabric); !slices.Equal(log, heap) {
+			t.Fatalf("%s: the calendar and heap queues run the hop differently\ncalendar: %v\nheap:     %v", name, log, heap)
 		}
-		for i, e := range stage {
-			if e.what == "route" {
-				routed++
-			}
-			if i > 0 && e.at == stage[i-1].at && e.what != stage[i-1].what {
+		if err := checkFabric(p, log, adm, early); err != nil {
+			t.Fatalf("%s: %v\nlog: %v", name, err, log)
+		}
+		routed += len(adm)
+		for i := 1; i < len(log); i++ {
+			if log[i].at == log[i-1].at && log[i].what != log[i-1].what {
 				tied++
 			}
 		}
 	})
-	if routed < 100_000 || tied < 10_000 {
+	if routed < 90_000 || tied < 100_000 {
 		t.Errorf("the sweep routed %d requests with %d same-instant hand-offs of different kinds: the schedules are not exercising the stages", routed, tied)
 	}
 }
@@ -975,27 +976,37 @@ func observeEventFabric(k *sim.Kernel, p FirstParams, route, back, done func(*Re
 // result inside the relay's hand-off when nothing else is queued at that
 // instant, to the same stages observing it in an event of its own: every
 // hand-off and every foreign event, booked before or during the run, runs
-// in the same order. Results that come back on one instant (no relay cost)
-// and foreign events on the grid put other events at the hand-off's instant.
+// in the same order, on both queue kinds. Results that come back on one
+// instant (no relay cost) and foreign events on the grid put other events at
+// the hand-off's instant.
 func TestObserveInsideRelayMatchesEvent(t *testing.T) {
-	sweepFabric(func(name string, play func(fabricBuild) []stageEvent, _ bool) {
-		if event, inside := play(observeEventFabric), play(stageFabric); !reflect.DeepEqual(event, inside) {
-			t.Fatalf("%s: observing inside the relay's hand-off reorders the run\nevent:  %v\ninside: %v", name, event, inside)
+	sweepFabric(func(name string, _ FirstParams, play func(sim.QueueKind, fabricBuild) ([]stageEvent, []booking), _ bool) {
+		for _, q := range []sim.QueueKind{sim.QueueCalendar, sim.QueueHeap} {
+			event, _ := play(q, observeEventFabric)
+			if inside, _ := play(q, stageFabric); !slices.Equal(event, inside) {
+				t.Fatalf("%v queue, %s: observing inside the relay's hand-off reorders the run\nevent:  %v\ninside: %v", q, name, event, inside)
+			}
 		}
 	})
 }
 
 // foreignTieLog admits requests 1 and 2 through enter at t = 0 and books a
 // foreign event for each one's hand-off instant right after admitting it,
-// with another booked before request 1 for request 1's. It returns what ran,
-// in order.
+// with another booked before request 1 for request 1's, and one more booked
+// from inside request 1's hand-off for request 2's. It returns what ran, in
+// order.
 func foreignTieLog(build func(k *sim.Kernel, out func(*Req)) (enter func(*Req)), first, second time.Duration) []string {
 	k := sim.NewKernel()
 	var log []string
 	note := func(what string) func() {
 		return func() { log = append(log, fmt.Sprintf("%s at %v", what, k.Now())) }
 	}
-	enter := build(k, func(r *Req) { note(fmt.Sprintf("request %d", r.ID))() })
+	enter := build(k, func(r *Req) {
+		note(fmt.Sprintf("request %d", r.ID))()
+		if r.ID == 1 {
+			k.At(second, note("booked in 1's hand-off"))
+		}
+	})
 	k.Schedule(0, func() {
 		k.Schedule(first, note("booked before 1"))
 		enter(&Req{ID: 1})
@@ -1007,48 +1018,41 @@ func foreignTieLog(build func(k *sim.Kernel, out func(*Req)) (enter func(*Req)),
 	return log
 }
 
-// TestGateForeignTie pins the one way a gate departs from the delay → lane
-// chain it replaced. Request 1 finds the server idle: the chain numbered its
-// departure in the lane's serve event, as it reached the server, so an event
-// booked after its admission for its departure's nanosecond ran first; the
-// gate numbered it at admission, so that event runs after it. Request 2
-// waits behind request 1, and both number its departure at request 1's: the
-// event booked after its admission runs first in both.
+// TestGateForeignTie pins where a gate's departure falls among foreign
+// events on its nanosecond. Request 1 finds the server idle, and the gate
+// numbers its departure at admission, so an event booked after that
+// admission runs after it (the delay → lane chain the gate replaced numbered
+// it as the request reached the server, and ran that event first). Request 2
+// waits behind request 1, and its departure is numbered as request 1 is
+// handed on, after what that hand-off books: the event booked after its
+// admission, and the one booked in request 1's hand-off, run first.
 func TestGateForeignTie(t *testing.T) {
 	const delay, cost = 2 * time.Second, 25 * time.Millisecond
-	chain := foreignTieLog(func(k *sim.Kernel, out func(*Req)) func(*Req) {
-		return newPipe(k, 0, delay, newLane(k, cost, out).enqueue).push
-	}, delay+cost, delay+2*cost)
-	stage := foreignTieLog(func(k *sim.Kernel, out func(*Req)) func(*Req) {
+	log := foreignTieLog(func(k *sim.Kernel, out func(*Req)) func(*Req) {
 		g := new(gate)
 		g.init(k, delay, cost, out)
 		return g.push
 	}, delay+cost, delay+2*cost)
-	wantChain := []string{"booked before 1 at 2.025s", "booked after 1 at 2.025s", "request 1 at 2.025s", "booked after 2 at 2.05s", "request 2 at 2.05s"}
-	wantStage := []string{"booked before 1 at 2.025s", "request 1 at 2.025s", "booked after 1 at 2.025s", "booked after 2 at 2.05s", "request 2 at 2.05s"}
-	if !reflect.DeepEqual(chain, wantChain) || !reflect.DeepEqual(stage, wantStage) {
-		t.Errorf("chain ran %q, want %q\ngate ran %q, want %q", chain, wantChain, stage, wantStage)
+	want := []string{"booked before 1 at 2.025s", "request 1 at 2.025s", "booked after 1 at 2.025s", "booked after 2 at 2.05s", "booked in 1's hand-off at 2.05s", "request 2 at 2.05s"}
+	if !slices.Equal(log, want) {
+		t.Errorf("gate ran %q, want %q", log, want)
 	}
 }
 
-// TestPipeForeignTie pins the one way a pipe with a server in front of its
-// delay departs from the lane → pipe chain it replaced: the chain numbered a
-// hand-off as the request left the server, the pipe numbers it at admission,
-// so an event booked in between for the hand-off's nanosecond runs after it
-// where the chain ran it first — for request 1, served at once, and for
-// request 2, which waits.
+// TestPipeForeignTie pins where a hand-off of a pipe with a server in front
+// of its delay falls among foreign events on its nanosecond: the pipe numbers
+// it at admission, so an event booked after that for the hand-off's
+// nanosecond runs after it — for request 1, served at once, and for request
+// 2, which waits. The lane → pipe chain it replaced numbered a hand-off as
+// the request left the server, and ran such an event first.
 func TestPipeForeignTie(t *testing.T) {
 	const cost, delay = 18 * time.Millisecond, 2200 * time.Millisecond
-	chain := foreignTieLog(func(k *sim.Kernel, out func(*Req)) func(*Req) {
-		return newLane(k, cost, newPipe(k, 0, delay, out).push).enqueue
-	}, cost+delay, 2*cost+delay)
-	stage := foreignTieLog(func(k *sim.Kernel, out func(*Req)) func(*Req) {
+	log := foreignTieLog(func(k *sim.Kernel, out func(*Req)) func(*Req) {
 		return newPipe(k, cost, delay, out).push
 	}, cost+delay, 2*cost+delay)
-	wantChain := []string{"booked before 1 at 2.218s", "booked after 1 at 2.218s", "request 1 at 2.218s", "booked after 2 at 2.236s", "request 2 at 2.236s"}
-	wantStage := []string{"booked before 1 at 2.218s", "request 1 at 2.218s", "booked after 1 at 2.218s", "request 2 at 2.236s", "booked after 2 at 2.236s"}
-	if !reflect.DeepEqual(chain, wantChain) || !reflect.DeepEqual(stage, wantStage) {
-		t.Errorf("chain ran %q, want %q\npipe ran %q, want %q", chain, wantChain, stage, wantStage)
+	want := []string{"booked before 1 at 2.218s", "request 1 at 2.218s", "booked after 1 at 2.218s", "request 2 at 2.236s", "booked after 2 at 2.236s", "booked in 1's hand-off at 2.236s"}
+	if !slices.Equal(log, want) {
+		t.Errorf("pipe ran %q, want %q", log, want)
 	}
 }
 

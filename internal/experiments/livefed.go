@@ -268,7 +268,7 @@ func (c LiveFedCell) cellSeed(seed int64) uint64 {
 	h := fnv.New64a()
 	fmt.Fprintf(h, "%d|%d|%d|%d|%+v|%+v|%g|%d|%d|%d|%d|%d",
 		c.Clusters, c.Requests, c.StreamEvery, c.MaxAttempts,
-		netKey(c.Net), c.Faults, c.PUnauthorized,
+		netKey(c.Net), windowsKey(c.Faults), c.PUnauthorized,
 		c.KillEvery, c.KillDownFor, c.BGEvery, c.BGGPUs, c.BGHoldFor)
 	return chaosnet.Mix(uint64(seed) ^ h.Sum64())
 }
@@ -279,6 +279,12 @@ func (c LiveFedCell) cellSeed(seed int64) uint64 {
 func netKey(n chaosnet.Config) string {
 	return fmt.Sprintf("{Seed:%d PRefuse:%v P5xx:%v RetryAfter:%v PLatency:0 LatencySpike:0s PCutStream:%v CutAfterBytes:%d}",
 		n.Seed, n.PRefuse, n.P5xx, n.RetryAfter, n.PCutStream, n.CutAfterBytes)
+}
+
+// windowsKey renders w field by field as %+v did, so a field added to
+// chaosnet.Windows moves no cell's seed until this derivation names it.
+func windowsKey(w chaosnet.Windows) string {
+	return fmt.Sprintf("{BurstEvery:%d BurstLen:%d PFault:%v PBackground:%v}", w.BurstEvery, w.BurstLen, w.PFault, w.PBackground)
 }
 
 // BuildSchedule derives the cell's churn plan: rotating kills with

@@ -123,36 +123,32 @@ func TestLiveFedCellSeedDerivation(t *testing.T) {
 	if base.cellSeed(DefaultSeed) != base.cellSeed(DefaultSeed) {
 		t.Fatal("cellSeed is not deterministic")
 	}
-	variants := map[string]LiveFedCell{}
-	v := base
-	v.Faults.BurstLen += 5
-	variants["fault burst length"] = v
-	v = base
-	v.KillEvery += 10
-	variants["kill cadence"] = v
-	v = base
-	v.PUnauthorized += 0.001
-	variants["credential lane"] = v
-	v = base
-	v.Net.PRefuse += 0.001
-	variants["net refuse rate"] = v
-	v = base
-	v.Net.P5xx += 0.001
-	variants["net 5xx rate"] = v
-	v = base
-	v.Net.RetryAfter += time.Second
-	variants["net retry-after"] = v
-	v = base
-	v.Net.PCutStream += 0.001
-	variants["net cut rate"] = v
-	v = base
-	v.Net.CutAfterBytes++
-	variants["net cut length"] = v
-	v = base
-	v.BGGPUs++
-	variants["bg claim width"] = v
+	variants := map[string]func(*LiveFedCell){
+		"width":              func(c *LiveFedCell) { c.Clusters++ },
+		"length":             func(c *LiveFedCell) { c.Requests++ },
+		"stream cadence":     func(c *LiveFedCell) { c.StreamEvery++ },
+		"attempt budget":     func(c *LiveFedCell) { c.MaxAttempts++ },
+		"net seed":           func(c *LiveFedCell) { c.Net.Seed++ },
+		"net refuse rate":    func(c *LiveFedCell) { c.Net.PRefuse += 0.001 },
+		"net 5xx rate":       func(c *LiveFedCell) { c.Net.P5xx += 0.001 },
+		"net retry-after":    func(c *LiveFedCell) { c.Net.RetryAfter += time.Second },
+		"net cut rate":       func(c *LiveFedCell) { c.Net.PCutStream += 0.001 },
+		"net cut length":     func(c *LiveFedCell) { c.Net.CutAfterBytes++ },
+		"fault burst period": func(c *LiveFedCell) { c.Faults.BurstEvery++ },
+		"fault burst length": func(c *LiveFedCell) { c.Faults.BurstLen += 5 },
+		"fault burst rate":   func(c *LiveFedCell) { c.Faults.PFault += 0.001 },
+		"fault background":   func(c *LiveFedCell) { c.Faults.PBackground += 0.001 },
+		"credential lane":    func(c *LiveFedCell) { c.PUnauthorized += 0.001 },
+		"kill cadence":       func(c *LiveFedCell) { c.KillEvery += 10 },
+		"kill downtime":      func(c *LiveFedCell) { c.KillDownFor++ },
+		"bg cadence":         func(c *LiveFedCell) { c.BGEvery++ },
+		"bg claim width":     func(c *LiveFedCell) { c.BGGPUs++ },
+		"bg hold":            func(c *LiveFedCell) { c.BGHoldFor++ },
+	}
 	seen := map[uint64]string{base.cellSeed(DefaultSeed): "base"}
-	for name, vc := range variants {
+	for name, vary := range variants {
+		vc := base
+		vary(&vc)
 		s := vc.cellSeed(DefaultSeed)
 		if prev, dup := seen[s]; dup {
 			t.Errorf("cells %q and %q derive the same seed %#x (same width+length must not collide)", name, prev, s)

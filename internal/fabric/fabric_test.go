@@ -3,7 +3,9 @@ package fabric
 import (
 	"context"
 	"errors"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -388,24 +390,6 @@ func TestDeploymentStatusStates(t *testing.T) {
 	}
 }
 
-func TestHubQueueFull(t *testing.T) {
-	f := newTestFabric(t, HubConfig{
-		SubmitLatency: 0, DispatchCost: time.Hour, // dispatch lane jammed (virtual)
-		RelayCost: time.Millisecond, MaxQueuedTasks: 4,
-	}, 2)
-	f.deploy(t, DeploymentConfig{Model: perfmodel.Llama8B, MinInstances: 1})
-	c := f.client()
-	var full int
-	for i := 0; i < 20; i++ {
-		if _, err := c.Submit("ep-test", FnInfer, InferRequest{Model: perfmodel.Llama8B}); errors.Is(err, ErrHubQueueFull) {
-			full++
-		}
-	}
-	if full == 0 {
-		t.Error("hub queue bound never enforced")
-	}
-}
-
 func TestEndpointCloseFailsTasks(t *testing.T) {
 	f := newTestFabric(t, HubConfig{}, 2)
 	f.deploy(t, DeploymentConfig{Model: perfmodel.Llama8B, MinInstances: 1})
@@ -453,27 +437,6 @@ func TestEmbedThroughFabric(t *testing.T) {
 	}
 	if len(res.Vectors) != 3 || res.Dim != 4096 {
 		t.Errorf("embed result shape %dx%d", len(res.Vectors), res.Dim)
-	}
-}
-
-func TestTaskStatusProgression(t *testing.T) {
-	f := newTestFabric(t, HubConfig{}, 2)
-	f.deploy(t, DeploymentConfig{Model: perfmodel.Llama8B, MinInstances: 1})
-	c := f.client()
-	fut, err := c.Submit("ep-test", FnInfer, InferRequest{Model: perfmodel.Llama8B, PromptTok: 5, OutputTok: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-	defer cancel()
-	if _, err := fut.Wait(ctx); err != nil {
-		t.Fatal(err)
-	}
-	if !fut.Done() {
-		t.Error("future not done after Wait")
-	}
-	if st := fut.Task().Status(); st != TaskSuccess {
-		t.Errorf("status = %v", st)
 	}
 }
 
@@ -530,31 +493,33 @@ func TestPayloadTypeMismatch(t *testing.T) {
 	}
 }
 
-// manualHub is a hub with one endpoint ("ep-m", one node of 8 GPUs) on a
-// manual clock. The endpoint deploys nothing unless a test does
-// (manualModel), so the only waiters on the clock are the hub's tasks and
-// their futures; its "admin.stamp" function reports the instant each task
-// runs at on the returned channel.
+// manualHub is a hub with two endpoints, "ep-m" and "ep-n" (one node of 8
+// GPUs each, the same pickup latency), on a manual clock. The endpoints
+// deploy nothing unless a test does (manualModel), so the only waiters on
+// the clock are the hub's tasks and their futures; their "admin.stamp"
+// function reports the instant each task runs at on the returned channel.
 func manualHub(t *testing.T, cfg HubConfig, pickup time.Duration) (*clock.Manual, *Client, <-chan time.Time) {
 	t.Helper()
 	clk := clock.NewManual(time.Unix(1_000_000, 0))
-	sched := scheduler.New(cluster.New("mcl", 1, 8, perfmodel.A100_40), clk, scheduler.Config{})
-	ep, err := NewEndpoint(EndpointConfig{ID: "ep-m", Scheduler: sched, PickupLatency: pickup}, clk, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ran := make(chan time.Time, 64)
-	ep.RegisterFunction("admin.stamp", func(context.Context, any) (any, error) {
-		ran <- clk.Now()
-		return "ok", nil
-	})
 	hub := NewHub(clk, cfg, "id", "secret", nil)
-	hub.RegisterEndpoint(ep)
-	t.Cleanup(func() {
-		hub.Close()
-		ep.Close()
-		sched.Close()
-	})
+	ran := make(chan time.Time, 64)
+	for _, id := range []string{"ep-m", "ep-n"} {
+		sched := scheduler.New(cluster.New("cl-"+id, 1, 8, perfmodel.A100_40), clk, scheduler.Config{})
+		ep, err := NewEndpoint(EndpointConfig{ID: id, Scheduler: sched, PickupLatency: pickup}, clk, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ep.RegisterFunction("admin.stamp", func(context.Context, any) (any, error) {
+			ran <- clk.Now()
+			return "ok", nil
+		})
+		hub.RegisterEndpoint(ep)
+		t.Cleanup(func() {
+			ep.Close()
+			sched.Close()
+		})
+	}
+	t.Cleanup(hub.Close) // first: cleanups run last-registered first
 	return clk, NewClient(hub, ClientConfig{Credentials: Credentials{ClientID: "id", ClientSecret: "secret"}}), ran
 }
 
@@ -577,111 +542,238 @@ func resolved(t *testing.T, f *Future) {
 	}
 }
 
-// Tasks submitted at one instant leave the dispatch lane at
-// D_i = max(t + SubmitLatency, D_{i-1}) + DispatchCost, the Fig. 4 ceiling,
-// and each runs at D_i + PickupLatency: not a nanosecond before.
-func TestHubBooksDispatchDepartures(t *testing.T) {
-	const n = 6
-	const submit, cost, pickup = 250 * time.Millisecond, 20 * time.Millisecond, 100 * time.Millisecond
-	clk, c, ran := manualHub(t, HubConfig{SubmitLatency: submit, DispatchCost: cost}, pickup)
+// booked is the hub's booking in plain arithmetic, for tasks one client
+// submits at offsets sub[i], in order, to endpoints ep[i]: each leaves the
+// dispatch lane at D_i = max(sub_i + SubmitLatency [+ ConnectLatency on the
+// first task to an endpoint], D_{i-1}) + DispatchCost, is picked up at
+// P_i = D_i + pickup, and, its engine finishing serve later, is relayed at
+// S_i = max(P_i + serve, S_{i-1}) + RelayCost.
+func booked(cfg HubConfig, pickup time.Duration, sub []time.Duration, ep []string, serve time.Duration) (d, p, s []time.Duration) {
+	met := map[string]bool{}
+	var dl, sl time.Duration
+	for i, at := range sub {
+		if !met[ep[i]] {
+			at += cfg.ConnectLatency
+			met[ep[i]] = true
+		}
+		dl = max(at+cfg.SubmitLatency, dl) + cfg.DispatchCost
+		sl = max(dl+pickup+serve, sl) + cfg.RelayCost
+		d, p, s = append(d, dl), append(p, dl+pickup), append(s, sl)
+	}
+	return d, p, s
+}
+
+// bookedSubmit is one submit of a booking case: its offset, its endpoint,
+// and whether it is refused because MaxQueuedTasks tasks are before their D.
+type bookedSubmit struct {
+	at   time.Duration
+	ep   string
+	full bool
+}
+
+// hubCosts are the fabric stage costs the booking cases run with.
+var hubCosts = HubConfig{SubmitLatency: 250 * time.Millisecond, DispatchCost: 20 * time.Millisecond, RelayCost: 15 * time.Millisecond}
+
+// burstAt is n submits to "ep-m" at offset at.
+func burstAt(at time.Duration, n int) (subs []bookedSubmit) {
+	for ; n > 0; n-- {
+		subs = append(subs, bookedSubmit{at, "ep-m", false})
+	}
+	return subs
+}
+
+// checkBooking holds the hub to its booking (booked) on a manual clock.
+// The case's tasks are submitted at their offsets; the clock then steps to
+// every submit, D, P and S instant, stopping a nanosecond before each. At
+// every stop each task's status is pending before D, dispatched from D,
+// running from P and success only from S, QueuedTasks counts the tasks still
+// before D — the count the queue bound refuses at — no task has run before
+// its P and no Wait has returned before its S. Each task runs at its P and
+// each Wait returns at its S.
+func checkBooking(t *testing.T, cfg HubConfig, subs []bookedSubmit) {
+	t.Helper()
+	const pickup = 100 * time.Millisecond
+	clk, cl, ran := manualHub(t, cfg, pickup)
+	var at []time.Duration
+	var eps []string
+	for _, sb := range subs {
+		if !sb.full {
+			at, eps = append(at, sb.at), append(eps, sb.ep)
+		}
+	}
+	d, p, s := booked(cfg, pickup, at, eps, 0)
+	walk := slices.Concat(at, d, p, s)
+	slices.Sort(walk)
 	t0 := clk.Now()
-	futs := make([]*Future, n)
-	var d time.Time
-	for i := range futs {
-		futs[i] = manualSubmit(t, c)
-		d = later(t0.Add(submit), d).Add(cost)
-		if got := futs[i].task.dispatchedAt; !got.Equal(d) {
-			t.Fatalf("task %d leaves the dispatch lane at t0+%v, want t0+%v", i, got.Sub(t0), d.Sub(t0))
+	var futs []*Future
+	returned, gotAt := make(chan int, len(at)), make([]time.Time, len(at)) // a task's Wait is back, at gotAt
+	check := func(now time.Duration) {
+		queued := 0
+		for i, f := range futs {
+			want := TaskPending
+			switch {
+			case now >= s[i]:
+				want = TaskSuccess
+			case now >= p[i]:
+				want = TaskRunning
+			case now >= d[i]:
+				want = TaskDispatched
+			default:
+				queued++
+			}
+			if got := f.Task().Status(); got != want || f.Done() != (want == TaskSuccess) {
+				t.Fatalf("at t0+%v: task %d is %v (done %v), want %v", now, i, got, f.Done(), want)
+			}
+		}
+		if got := cl.QueuedTasks(); got != queued || len(ran)+len(returned) > 0 {
+			t.Fatalf("at t0+%v: %d tasks queued, want %d; %d ran before P, %d Waits back before S", now, got, queued, len(ran), len(returned))
 		}
 	}
-	clk.BlockUntil(n)
-	for i, f := range futs {
-		at := f.task.dispatchedAt.Add(pickup)
-		clk.Advance(at.Sub(clk.Now()) - 1)
-		if got := clk.PendingWaiters(); got != n-i {
-			t.Fatalf("task %d released before its pickup instant: %d waiters left, want %d", i, got, n-i)
+	now := time.Duration(0)
+	for _, x := range slices.Compact(walk) {
+		if x > now {
+			parked := 0 // sleeping to P, or waiting for S
+			for i := range futs {
+				if s[i] > now {
+					parked++
+				}
+			}
+			settled := make(chan struct{})
+			go func() {
+				clk.BlockUntil(parked)
+				close(settled)
+			}()
+			select { // a sleeper that never parks fails here, not at the test's deadline
+			case <-settled:
+			case got := <-ran:
+				t.Fatalf("at t0+%v: a task ran at t0+%v, before its P", now, got.Sub(t0))
+			case i := <-returned:
+				t.Fatalf("at t0+%v: task %d's Wait returned before S = t0+%v", now, i, s[i])
+			}
+			clk.Advance(x - now - 1)
+			check(x - 1)
+			clk.Advance(1)
+			now = x
 		}
-		clk.Advance(1)
-		if got := <-ran; !got.Equal(at) {
-			t.Fatalf("task %d ran at t0+%v, want t0+%v", i, got.Sub(t0), at.Sub(t0))
+		for i, f := range futs {
+			if p[i] == x {
+				if got := <-ran; !got.Equal(t0.Add(x)) {
+					t.Fatalf("task %d ran at t0+%v, want P = t0+%v", i, got.Sub(t0), x)
+				}
+				resolved(t, f)
+				go func() {
+					if out, err := f.Wait(context.Background()); err != nil || out != "ok" {
+						t.Errorf("task %d: Wait = %v, %v", i, out, err)
+					}
+					gotAt[i] = clk.Now()
+					returned <- i
+				}()
+			}
 		}
+		for i := range futs {
+			if s[i] == x {
+				if j := <-returned; j != i || !gotAt[j].Equal(t0.Add(x)) {
+					t.Fatalf("task %d's Wait returned at t0+%v, where task %d's S = t0+%v", j, gotAt[j].Sub(t0), i, x)
+				}
+			}
+		}
+		for _, sb := range subs {
+			if sb.at != x {
+				continue
+			}
+			f, err := cl.Submit(sb.ep, "admin.stamp", nil)
+			if sb.full != errors.Is(err, ErrHubQueueFull) || err != nil && !sb.full {
+				t.Fatalf("submit at t0+%v: err = %v, want queue full: %v", x, err, sb.full)
+			}
+			if i := len(futs); f != nil {
+				if !f.task.dispatchedAt.Equal(t0.Add(d[i])) || !f.task.pickupAt.Equal(t0.Add(p[i])) {
+					t.Fatalf("task %d booked D = t0+%v, P = t0+%v; want t0+%v, t0+%v", i, f.task.dispatchedAt.Sub(t0), f.task.pickupAt.Sub(t0), d[i], p[i])
+				}
+				futs = append(futs, f)
+			}
+		}
+		check(x)
 	}
 }
 
-// QueuedTasks counts a task until its dispatch departure D, not until its
-// pickup, and the queue bound reads the same count.
-func TestHubQueuedTasksDropsAtDispatch(t *testing.T) {
-	const submit, cost = 250 * time.Millisecond, 20 * time.Millisecond
-	clk, c, _ := manualHub(t, HubConfig{SubmitLatency: submit, DispatchCost: cost, MaxQueuedTasks: 2}, time.Hour)
-	first, second := manualSubmit(t, c), manualSubmit(t, c)
-	if _, err := c.Submit("ep-m", "admin.stamp", nil); !errors.Is(err, ErrHubQueueFull) {
-		t.Fatalf("third submit into a 2-task hub: err = %v, want queue full", err)
-	}
-	for _, step := range []struct {
-		to   time.Time
-		want int
-	}{
-		{first.task.dispatchedAt.Add(-1), 2},
-		{first.task.dispatchedAt, 1},
-		{second.task.dispatchedAt.Add(-1), 1},
-		{second.task.dispatchedAt, 0},
-	} {
-		clk.Advance(step.to.Sub(clk.Now()))
-		if got := c.QueuedTasks(); got != step.want {
-			t.Fatalf("at t0+%v: %d queued, want %d", step.to.Sub(first.task.SubmittedAt), got, step.want)
-		}
-	}
-	if st := first.Task().Status(); st != TaskDispatched {
-		t.Errorf("status past D, before pickup = %v, want dispatched", st)
-	}
-	manualSubmit(t, c)
-	if got := c.QueuedTasks(); got != 1 {
-		t.Errorf("%d queued after a submit into the drained hub, want 1", got)
-	}
+// TestHubBooksDispatchDepartures: a burst leaves the serialized dispatch lane
+// at its ceiling, one DispatchCost apart, each task run at its P and not a
+// nanosecond before.
+func TestHubBooksDispatchDepartures(t *testing.T) {
+	checkBooking(t, hubCosts, burstAt(0, 6))
 }
 
-// ConnectLatency is paid ahead of the dispatch lane by the first task of a
-// (client, endpoint) pair and not by the next one for that pair; a task for
-// another endpoint pays it again. Each task enters an empty lane, so its
-// departure shows what it paid.
+// TestFutureReportsAtRelayDeparture: with a relay slower than dispatch the
+// results queue for the relay, and each future reports done, and its Wait
+// returns, at its relay departure S, not at its pickup.
+func TestFutureReportsAtRelayDeparture(t *testing.T) {
+	cfg := hubCosts
+	cfg.RelayCost = 45 * time.Millisecond
+	checkBooking(t, cfg, burstAt(0, 4))
+}
+
+// TestHubConnectLatencyPerPair: ConnectLatency is paid once per client and
+// endpoint, on the first task to each.
 func TestHubConnectLatencyPerPair(t *testing.T) {
-	const submit, cost, connect = 250 * time.Millisecond, 20 * time.Millisecond, 900 * time.Millisecond
-	clk, c, _ := manualHub(t, HubConfig{SubmitLatency: submit, DispatchCost: cost, ConnectLatency: connect}, time.Hour)
-	sched := scheduler.New(cluster.New("mcl-n", 1, 8, perfmodel.A100_40), clk, scheduler.Config{})
-	other, err := NewEndpoint(EndpointConfig{ID: "ep-n", Scheduler: sched, PickupLatency: time.Hour}, clk, nil)
-	if err != nil {
-		t.Fatal(err)
+	cfg := hubCosts
+	cfg.ConnectLatency = 900 * time.Millisecond
+	checkBooking(t, cfg, []bookedSubmit{{0, "ep-m", false}, {2 * time.Second, "ep-m", false}, {4 * time.Second, "ep-n", false},
+		{6 * time.Second, "ep-n", false}, {8 * time.Second, "ep-m", false}})
+}
+
+// TestHubQueuedTasksDropsAtDispatch: QueuedTasks counts a task until its D,
+// so the bound refuses a submit while MaxQueuedTasks tasks are before their
+// D and accepts one as soon as a D passes.
+func TestHubQueuedTasksDropsAtDispatch(t *testing.T) {
+	cfg := hubCosts
+	cfg.MaxQueuedTasks = 2
+	checkBooking(t, cfg, []bookedSubmit{{0, "ep-m", false}, {0, "ep-m", false}, {0, "ep-m", true},
+		{270 * time.Millisecond, "ep-m", false}, {270 * time.Millisecond, "ep-m", true}})
+}
+
+// TestHubQueueFull: a jammed dispatch lane refuses every submit past
+// MaxQueuedTasks undispatched tasks.
+func TestHubQueueFull(t *testing.T) {
+	cfg := hubCosts
+	cfg.DispatchCost, cfg.MaxQueuedTasks = time.Hour, 4
+	subs := burstAt(0, 4)
+	for i := 0; i < 4; i++ {
+		subs = append(subs, bookedSubmit{0, "ep-m", true})
 	}
-	other.RegisterFunction("admin.stamp", func(context.Context, any) (any, error) { return "ok", nil })
-	c.hub.RegisterEndpoint(other)
-	t.Cleanup(func() {
-		other.Close()
-		sched.Close()
-	})
-	for i, step := range []struct {
-		endpoint string
-		pays     bool
-	}{
-		{"ep-m", true},
-		{"ep-m", false},
-		{"ep-n", true},
-		{"ep-n", false},
-		{"ep-m", false},
-	} {
-		now := clk.Now()
-		f, err := c.Submit(step.endpoint, "admin.stamp", nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := now.Add(submit + cost)
-		if step.pays {
-			want = want.Add(connect)
-		}
-		if got := f.task.dispatchedAt; !got.Equal(want) {
-			t.Errorf("task %d to %s leaves the dispatch lane at now+%v, want now+%v",
-				i, step.endpoint, got.Sub(now), want.Sub(now))
-		}
-		clk.Advance(2 * time.Second) // past the departure, an hour before the pickup
+	checkBooking(t, cfg, subs)
+}
+
+// TestTaskStatusProgression: a lone task is pending until its D, dispatched
+// until its P, running until its S and a success, its future done, from S.
+func TestTaskStatusProgression(t *testing.T) {
+	checkBooking(t, hubCosts, burstAt(0, 1))
+}
+
+// TestFabricLatencyCoversEveryStage: a request alone spends exactly submit +
+// dispatch + pickup + relay in the fabric, and one in a burst that plus its
+// queueing at the dispatch lane and the relay.
+func TestFabricLatencyCoversEveryStage(t *testing.T) {
+	subs := []bookedSubmit{{0, "ep-m", false}, {time.Second, "ep-m", false}}
+	checkBooking(t, hubCosts, append(subs, burstAt(2*time.Second, 5)...))
+}
+
+// TestInferHandsOffAtBookedInstants lets an inference task's goroutine wake
+// well after its P: the engine still takes it at P, its ServeTime is an idle
+// engine's own, it is relayed at P + ServeTime + RelayCost (booked), and the
+// result is in with nothing left waiting on the clock but the deployment's
+// control loop.
+func TestInferHandsOffAtBookedInstants(t *testing.T) {
+	const pickup = 100 * time.Millisecond
+	clk, cl, _ := manualHub(t, hubCosts, pickup)
+	d := manualModel(t, clk, cl, 1)
+	serve := engineLatency(t, d, 3, 16)
+	t0, f := clk.Now(), inferManual(t, cl)
+	_, p, s := booked(hubCosts, pickup, []time.Duration{0}, []string{"ep-m"}, serve)
+	clk.BlockUntil(2) // the control loop and the task's pickup
+	clk.Advance(p[0] + 10*time.Second)
+	if res := waitInfer(t, f); res.ServeTime != serve || !f.task.relayedAt.Equal(t0.Add(s[0])) || clk.PendingWaiters() != 1 || !f.Done() || f.Task().Status() != TaskSuccess {
+		t.Errorf("ServeTime %v (an idle engine's %v), S = P + %v (want P + %v), %d waiters left (want the control loop's), done %v, %v",
+			res.ServeTime, serve, f.task.relayedAt.Sub(t0.Add(p[0])), s[0]-p[0], clk.PendingWaiters(), f.Done(), f.Task().Status())
 	}
 }
 
@@ -705,37 +797,48 @@ func TestHubCloseResolvesBookedTasks(t *testing.T) {
 	}
 }
 
-// The outcome comes in at the task's finish, its relay departure S is
-// RelayCost later: Done, Status and Wait show it at S and not before.
-func TestFutureReportsAtRelayDeparture(t *testing.T) {
-	const relay = 15 * time.Millisecond
-	clk, c, ran := manualHub(t, HubConfig{RelayCost: relay}, time.Millisecond)
-	f := manualSubmit(t, c)
-	clk.BlockUntil(1)
-	clk.Advance(time.Millisecond)
-	<-ran
-	resolved(t, f)
-	if f.Done() || f.Task().Status() != TaskRunning {
-		t.Fatalf("before S: Done = %v, status %v; want false, running", f.Done(), f.Task().Status())
-	}
-	got := make(chan time.Time, 1)
-	go func() {
-		if out, err := f.Wait(context.Background()); err != nil || out != "ok" {
-			t.Errorf("Wait = %v, %v", out, err)
+// countingClock counts the Sleeps asked of its manual clock, as a wrapping
+// clock that measures sleeps does.
+type countingClock struct {
+	*clock.Manual
+	sleeps atomic.Int64
+}
+
+func (c *countingClock) Sleep(d time.Duration) {
+	c.sleeps.Add(1)
+	c.Manual.Sleep(d)
+}
+
+// A task whose goroutine starts at or after its pickup instant P asks its
+// clock for no Sleep; one whose P lies ahead sleeps once.
+func TestHubSleepsOnlyToPickupAhead(t *testing.T) {
+	for _, pickup := range []time.Duration{0, time.Millisecond} {
+		clk := &countingClock{Manual: clock.NewManual(time.Unix(1_000_000, 0))}
+		sched := scheduler.New(cluster.New("cl", 1, 8, perfmodel.A100_40), clk, scheduler.Config{})
+		ep, err := NewEndpoint(EndpointConfig{ID: "ep", Scheduler: sched, PickupLatency: pickup}, clk, nil)
+		if err != nil {
+			t.Fatal(err)
 		}
-		got <- clk.Now()
-	}()
-	clk.BlockUntil(1)
-	clk.Advance(relay - 1)
-	if f.Done() || f.Task().Status() != TaskRunning || clk.PendingWaiters() != 1 {
-		t.Fatalf("1 ns before S: Done = %v, status %v, %d waiters", f.Done(), f.Task().Status(), clk.PendingWaiters())
-	}
-	clk.Advance(1)
-	if at := <-got; !at.Equal(f.task.relayedAt) {
-		t.Errorf("Wait returned at %v, want S = %v", at, f.task.relayedAt)
-	}
-	if !f.Done() || f.Task().Status() != TaskSuccess {
-		t.Errorf("at S: Done = %v, status %v; want true, success", f.Done(), f.Task().Status())
+		ep.RegisterFunction("admin.echo", func(_ context.Context, payload any) (any, error) { return payload, nil })
+		hub := NewHub(clk, HubConfig{}, "id", "secret", nil) // D = the submit instant
+		hub.RegisterEndpoint(ep)
+		f, err := hub.submit(Credentials{ClientID: "id", ClientSecret: "secret"}, "ep", "admin.echo", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if pickup > 0 {
+			clk.BlockUntil(1)
+		}
+		clk.Advance(time.Second) // P is behind the clock, whether or not the goroutine has started
+		if _, err := f.Wait(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := clk.sleeps.Load(), int64(pickup/time.Millisecond); got != want {
+			t.Errorf("pickup %v: %d Sleeps, want %d", pickup, got, want)
+		}
+		hub.Close()
+		ep.Close()
+		sched.Close()
 	}
 }
 
@@ -790,14 +893,28 @@ func bootInstances(t *testing.T, clk *clock.Manual, d *Deployment, n, others int
 	clk.Advance(30 * time.Second) // the scheduler's default prologue
 	clk.BlockUntil(others + n)
 	clk.Advance(d.spec.LoadTime(perfmodel.A100_40))
-	deadline := time.Now().Add(10 * time.Second)
-	for d.ReadyCount() != n {
-		if time.Now().After(deadline) {
-			t.Fatalf("%d instances serve, want %d", d.ReadyCount(), n)
-		}
-		time.Sleep(100 * time.Microsecond)
-	}
+	waitReady(d, n)
 	return clk.Now()
+}
+
+// waitReady blocks until exactly n of d's instances serve, woken by the
+// channel the deployment closes whenever an instance comes up or goes — the
+// one its callers wait for an instance on — not by polling.
+func waitReady(d *Deployment, n int) {
+	for {
+		d.mu.Lock()
+		var r PoolRecord
+		if d.pool.Record(d.waiting, &r); r.Running == n {
+			d.mu.Unlock()
+			return
+		}
+		if d.readyWait == nil {
+			d.readyWait = make(chan struct{})
+		}
+		ch := d.readyWait
+		d.mu.Unlock()
+		<-ch
+	}
 }
 
 // engineLatency is what an idle engine of d's takes for one request alone.
@@ -835,32 +952,6 @@ func waitInfer(t *testing.T, f *Future) InferResult {
 		t.Fatalf("Wait = %v", err)
 	}
 	return out.(InferResult)
-}
-
-// A task whose goroutine wakes long after its pickup instant P still has the
-// engine take it at P, and the hub relays it from the engine's finish F: its
-// ServeTime is the engine's own latency, S = P + ServeTime + RelayCost, and
-// the result is in when the goroutine is done, so neither the engine nor
-// Wait waits on the clock.
-func TestInferHandsOffAtBookedInstants(t *testing.T) {
-	const relay = 15 * time.Millisecond
-	clk, c, _ := manualHub(t, HubConfig{SubmitLatency: 250 * time.Millisecond, DispatchCost: 20 * time.Millisecond,
-		RelayCost: relay}, 100*time.Millisecond)
-	d := manualModel(t, clk, c, 1)
-	f := inferManual(t, c)
-	clk.BlockUntil(2) // the control loop and the task's pickup
-	p := f.task.pickupAt
-	clk.Advance(p.Sub(clk.Now()) + 10*time.Second)
-	res := waitInfer(t, f)
-	if want := engineLatency(t, d, 3, 16); res.ServeTime != want {
-		t.Errorf("ServeTime = %v, want the engine's own %v", res.ServeTime, want)
-	}
-	if want := p.Add(res.ServeTime + relay); !f.task.relayedAt.Equal(want) {
-		t.Errorf("S = P + %v, want P + ServeTime + RelayCost = P + %v", f.task.relayedAt.Sub(p), want.Sub(p))
-	}
-	if n := clk.PendingWaiters(); n != 1 {
-		t.Errorf("%d waiters on the clock after Wait, want only the control loop's", n)
-	}
 }
 
 // A task that waits for its instance — a cold start on a MinInstances 0
@@ -916,68 +1007,4 @@ func TestRetryEngineTakesTaskAtRetry(t *testing.T) {
 	if d.Stats().Retries != 1 {
 		t.Errorf("retries = %d, want 1", d.Stats().Retries)
 	}
-}
-
-// On the scaled clock every request spends at least submit + dispatch +
-// pickup + relay of virtual time in the fabric, alone or in a burst, and an
-// inference request its own ServeTime on top.
-func TestFabricLatencyCoversEveryStage(t *testing.T) {
-	cfg := HubConfig{
-		SubmitLatency: 250 * time.Millisecond, DispatchCost: 20 * time.Millisecond,
-		RelayCost: 15 * time.Millisecond, MaxQueuedTasks: 1024,
-	}
-	f := newTestFabric(t, cfg, 1)
-	f.ep.RegisterFunction("admin.echo", func(_ context.Context, payload any) (any, error) {
-		return payload, nil
-	})
-	c := f.client()
-	floor := cfg.SubmitLatency + cfg.DispatchCost + f.ep.cfg.PickupLatency + cfg.RelayCost
-	run := func() time.Duration {
-		start := f.clk.Now()
-		if _, err := c.Run(context.Background(), "ep-test", "admin.echo", nil); err != nil {
-			t.Error(err)
-		}
-		return f.clk.Since(start)
-	}
-	for i := 0; i < 20; i++ {
-		if got := run(); got < floor {
-			t.Fatalf("request %d spent %v in the fabric, below the modelled %v", i, got, floor)
-		}
-	}
-	var wg sync.WaitGroup
-	for i := 0; i < 20; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if got := run(); got < floor {
-				t.Errorf("request in a burst spent %v in the fabric, below the modelled %v", got, floor)
-			}
-		}()
-	}
-	wg.Wait()
-
-	f.deploy(t, DeploymentConfig{Model: perfmodel.Llama8B, MinInstances: 1})
-	infer := func() (time.Duration, time.Duration) {
-		start := f.clk.Now()
-		res, err := c.Infer(context.Background(), "ep-test", InferRequest{Model: perfmodel.Llama8B, PromptTok: 3, OutputTok: 16})
-		if err != nil {
-			t.Error(err)
-		}
-		return f.clk.Since(start), floor + res.ServeTime
-	}
-	for i := 0; i < 20; i++ {
-		if got, want := infer(); got < want {
-			t.Fatalf("inference %d spent %v in the fabric, below the modelled %v", i, got, want)
-		}
-	}
-	for i := 0; i < 20; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if got, want := infer(); got < want {
-				t.Errorf("inference in a burst spent %v in the fabric, below the modelled %v", got, want)
-			}
-		}()
-	}
-	wg.Wait()
 }

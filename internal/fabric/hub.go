@@ -176,9 +176,12 @@ func (h *Hub) submit(creds Credentials, endpointID, function string, payload any
 }
 
 // run is a task's one goroutine: it sleeps to the endpoint's pickup instant
-// P = D + PickupLatency, runs the task there and relays the result.
+// P = D + PickupLatency unless it starts at or after P, runs the task there
+// and relays the result.
 func (h *Hub) run(ep *Endpoint, fut *Future) {
-	h.clk.Sleep(fut.task.pickupAt.Sub(h.clk.Now()))
+	if d := fut.task.pickupAt.Sub(h.clk.Now()); d > 0 {
+		h.clk.Sleep(d)
+	}
 	h.mu.Lock()
 	closed := h.closed
 	h.mu.Unlock()
