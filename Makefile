@@ -37,7 +37,9 @@ lint:
 # fuzz runs every decoder of external bytes for FUZZTIME each (3s in `make
 # check`; the nightly CI job runs 60s): the openaiapi request parser and SSE
 # stream reader (seed corpora under testdata/fuzz; truncation / malformed
-# frames), the gateway config file, the chaosnet.Schedule JSON, the store's
+# frames), openaiapi.Unmarshal against json.Unmarshal
+# (FuzzUnmarshalMatchesStdlib: same value and error text, three calls in a
+# row on a pooled decoder), the gateway config file, the chaosnet.Schedule JSON, the store's
 # four JSONL journals (FuzzStoreLoad: no panic, and a store Load accepts
 # survives Save → Load),
 # the gateway's batch-create and tool-call bodies (FuzzDecodeCreateBatch,
@@ -49,6 +51,7 @@ lint:
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseRequest$$' -fuzztime $(FUZZTIME) ./internal/openaiapi
 	$(GO) test -run '^$$' -fuzz '^FuzzReadSSE$$' -fuzztime $(FUZZTIME) ./internal/openaiapi
+	$(GO) test -run '^$$' -fuzz '^FuzzUnmarshalMatchesStdlib$$' -fuzztime $(FUZZTIME) ./internal/openaiapi
 	$(GO) test -run '^$$' -fuzz '^FuzzLoadConfig$$' -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzSchedule$$' -fuzztime $(FUZZTIME) ./internal/chaosnet
 	$(GO) test -run '^$$' -fuzz '^FuzzStoreLoad$$' -fuzztime $(FUZZTIME) ./internal/store

@@ -450,7 +450,16 @@
 // reader, each write is readable as soon as it lands, and the buffered
 // memory is the response's size, since in-process there is no
 // backpressure. A cancellation is registered with context.AfterFunc, and
-// only for a context that can end.
+// only for a context that can end. Neither side rebuilds its scaffolding per
+// call: every wire body — the gateway's chat, completion, embedding, batch
+// and tool requests, the SDK's responses, error envelopes and stream
+// chunks — decodes through openaiapi.Unmarshal, which gives
+// json.Unmarshal's values and errors but reuses a pooled json.Decoder's
+// state (FuzzUnmarshalMatchesStdlib holds the two equal), and the SDK
+// parses its base URL once, at New, and builds each request on a copy of
+// it with a header map of its own over prebuilt values. An in-process
+// request carries no GetBody, which only http.Client's redirect and resend
+// paths read; one sent through an http.Client keeps it.
 //
 // Calibration methodology. Each live cell executes a single serializable
 // churn plan — a chaosnet.Schedule: endpoint kills, cold restarts, and

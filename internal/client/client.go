@@ -13,7 +13,9 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"strconv"
+	"strings"
 	"time"
 
 	"github.com/argonne-first/first/internal/clock"
@@ -24,10 +26,17 @@ import (
 // Client talks to a FIRST gateway.
 type Client struct {
 	baseURL string
+	base    *url.URL // baseURL parsed once, at New; nil when baseErr is set
+	baseErr error    // returned by every call
 	auth    []string // the Authorization header's value, built once per token
 	httpc   doer
-	retry   resilience.Policy
-	sleep   func(ctx context.Context, d time.Duration) error
+	// rewind gives request bodies a GetBody: an *http.Client reads it to
+	// resend a body on a 307/308 redirect or on a kept-alive connection
+	// that died before anything was written. The in-process transport
+	// does neither.
+	rewind bool
+	retry  resilience.Policy
+	sleep  func(ctx context.Context, d time.Duration) error
 }
 
 // doer sends one request: an *http.Client, or the in-process transport
@@ -88,7 +97,68 @@ func New(baseURL, token string, opts ...Option) *Client {
 	for _, o := range opts {
 		o(c)
 	}
+	// After the options: WithHandler fills in a default base URL.
+	c.base, c.baseErr = url.Parse(c.baseURL)
+	if c.baseErr == nil {
+		c.base.Host = strings.TrimSuffix(c.base.Host, ":") // as http.NewRequest does
+	}
+	_, inProcess := c.httpc.(*handlerTransport)
+	c.rewind = !inProcess
 	return c
+}
+
+// newRequest builds one call's request on a copy of the parsed base URL,
+// carrying body (nil for none). The header map is the request's own, over
+// the client's prebuilt value slices: http.Client.send writes a cookie
+// jar's cookies straight into req.Header, so a map shared by concurrent
+// calls would race.
+func (c *Client) newRequest(ctx context.Context, method, path string, body []byte) (*http.Request, error) {
+	if c.baseErr != nil {
+		return nil, c.baseErr
+	}
+	u := *c.base
+	u.Path += path
+	if u.RawPath != "" {
+		u.RawPath += path
+	}
+	req := http.Request{
+		Method: method, URL: &u, Host: u.Host,
+		Proto: "HTTP/1.1", ProtoMajor: 1, ProtoMinor: 1,
+		Header: http.Header{"Authorization": c.auth},
+	}
+	if body != nil {
+		req.Header["Content-Type"] = jsonContentType
+		req.Body = newBody(body)
+		req.ContentLength = int64(len(body))
+		if c.rewind {
+			req.GetBody = func() (io.ReadCloser, error) { return newBody(body), nil }
+		}
+	}
+	return req.WithContext(ctx), nil
+}
+
+// reqBody is a request body over a marshaled buffer; closing it is a no-op.
+type reqBody struct{ bytes.Reader }
+
+func newBody(b []byte) *reqBody {
+	r := new(reqBody)
+	r.Reset(b)
+	return r
+}
+
+func (*reqBody) Close() error { return nil }
+
+// apiError reads a non-2xx response body into an *APIError, from the
+// gateway's error envelope when the body is one.
+func apiError(resp *http.Response, raw []byte) *APIError {
+	e := &APIError{StatusCode: resp.StatusCode, RetryAfter: retryAfterHeader(resp.Header)}
+	var envelope openaiapi.ErrorResponse
+	if openaiapi.Unmarshal(raw, &envelope) == nil && envelope.Error.Message != "" {
+		e.Type, e.Message = envelope.Error.Type, envelope.Error.Message
+	} else {
+		e.Type, e.Message = "http_error", string(raw)
+	}
+	return e
 }
 
 // SetToken replaces the bearer token (after a refresh).
@@ -187,7 +257,7 @@ func (c *Client) do(ctx context.Context, method, path string, in, out interface{
 				return lastErr // context ended during backoff: report the real failure
 			}
 		}
-		err := c.doOnce(ctx, method, path, buf, in != nil, out)
+		err := c.doOnce(ctx, method, path, buf, out)
 		if err == nil {
 			return nil
 		}
@@ -199,18 +269,10 @@ func (c *Client) do(ctx context.Context, method, path string, in, out interface{
 	return lastErr
 }
 
-func (c *Client) doOnce(ctx context.Context, method, path string, buf []byte, hasBody bool, out interface{}) error {
-	var body io.Reader
-	if hasBody {
-		body = bytes.NewReader(buf)
-	}
-	req, err := http.NewRequestWithContext(ctx, method, c.baseURL+path, body)
+func (c *Client) doOnce(ctx context.Context, method, path string, buf []byte, out interface{}) error {
+	req, err := c.newRequest(ctx, method, path, buf)
 	if err != nil {
 		return err
-	}
-	req.Header["Authorization"] = c.auth
-	if hasBody {
-		req.Header["Content-Type"] = jsonContentType
 	}
 	resp, err := c.httpc.Do(req)
 	if err != nil {
@@ -222,17 +284,12 @@ func (c *Client) doOnce(ctx context.Context, method, path string, buf []byte, ha
 		return err
 	}
 	if resp.StatusCode/100 != 2 {
-		retryAfter := retryAfterHeader(resp.Header)
-		var envelope openaiapi.ErrorResponse
-		if json.Unmarshal(raw, &envelope) == nil && envelope.Error.Message != "" {
-			return &APIError{StatusCode: resp.StatusCode, Type: envelope.Error.Type, Message: envelope.Error.Message, RetryAfter: retryAfter}
-		}
-		return &APIError{StatusCode: resp.StatusCode, Type: "http_error", Message: string(raw), RetryAfter: retryAfter}
+		return apiError(resp, raw)
 	}
 	if out == nil {
 		return nil
 	}
-	if err := json.Unmarshal(raw, out); err != nil {
+	if err := openaiapi.Unmarshal(raw, out); err != nil {
 		// A 2xx with an undecodable body means the connection was cut (or
 		// the payload corrupted) mid-response. Surface it as a typed,
 		// retryable error — the JSON call is replayable — rather than a
@@ -289,12 +346,10 @@ func (c *Client) ChatCompletionStream(ctx context.Context, req openaiapi.ChatCom
 // streamOnce runs one streaming attempt. consumed reports whether any delta
 // reached the caller, which makes the attempt non-replayable.
 func (c *Client) streamOnce(ctx context.Context, body []byte, onDelta func(string)) (string, bool, error) {
-	httpReq, err := http.NewRequestWithContext(ctx, http.MethodPost, c.baseURL+"/v1/chat/completions", bytes.NewReader(body))
+	httpReq, err := c.newRequest(ctx, http.MethodPost, "/v1/chat/completions", body)
 	if err != nil {
 		return "", false, err
 	}
-	httpReq.Header["Authorization"] = c.auth
-	httpReq.Header["Content-Type"] = jsonContentType
 	resp, err := c.httpc.Do(httpReq)
 	if err != nil {
 		return "", false, err
@@ -302,18 +357,13 @@ func (c *Client) streamOnce(ctx context.Context, body []byte, onDelta func(strin
 	defer resp.Body.Close()
 	if resp.StatusCode/100 != 2 {
 		raw, _ := io.ReadAll(resp.Body)
-		retryAfter := retryAfterHeader(resp.Header)
-		var envelope openaiapi.ErrorResponse
-		if json.Unmarshal(raw, &envelope) == nil && envelope.Error.Message != "" {
-			return "", false, &APIError{StatusCode: resp.StatusCode, Type: envelope.Error.Type, Message: envelope.Error.Message, RetryAfter: retryAfter}
-		}
-		return "", false, &APIError{StatusCode: resp.StatusCode, Type: "http_error", Message: string(raw), RetryAfter: retryAfter}
+		return "", false, apiError(resp, raw)
 	}
 	var full bytes.Buffer
 	consumed := false
 	err = openaiapi.ReadSSE(resp.Body, func(data []byte) error {
 		var chunk openaiapi.StreamChunk
-		if err := json.Unmarshal(data, &chunk); err != nil {
+		if err := openaiapi.Unmarshal(data, &chunk); err != nil {
 			// A frame cut mid-JSON (chaosnet severs the stream anywhere,
 			// not only on frame boundaries) is a malformed body, not an
 			// anonymous parse error — callers classify on the sentinel.
@@ -384,11 +434,10 @@ func (c *Client) GetBatch(ctx context.Context, id string) (openaiapi.BatchObject
 
 // BatchResults downloads a completed batch's JSONL output.
 func (c *Client) BatchResults(ctx context.Context, id string) ([]openaiapi.BatchResponseLine, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.baseURL+"/v1/batches/"+id+"/results", nil)
+	req, err := c.newRequest(ctx, http.MethodGet, "/v1/batches/"+id+"/results", nil)
 	if err != nil {
 		return nil, err
 	}
-	req.Header["Authorization"] = c.auth
 	resp, err := c.httpc.Do(req)
 	if err != nil {
 		return nil, err

@@ -6,6 +6,8 @@ import (
 	"errors"
 	"io"
 	"net/http"
+	"net/http/cookiejar"
+	"net/url"
 	"strings"
 	"sync"
 	"testing"
@@ -427,4 +429,129 @@ func TestClientStreamNeverReplaysConsumedBody(t *testing.T) {
 	if attempts != 1 {
 		t.Errorf("attempts = %d: consumed stream must never be replayed", attempts)
 	}
+}
+
+// TestClientRequestFromParsedBase: every call's request is built on the base
+// URL New parsed — its path prefix kept, an empty port dropped from the host
+// as http.NewRequest drops it — and a base that does not parse fails every
+// call with the parse error, before anything is sent.
+func TestClientRequestFromParsedBase(t *testing.T) {
+	var paths []string
+	h := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		paths = append(paths, r.Host+" "+r.URL.Path+" "+r.Header.Get("Content-Type"))
+		if r.URL.Path == "/api/v1/batches/b1/results" {
+			return // an empty JSONL body
+		}
+		w.Write([]byte(`{}`))
+	})
+	c := New("http://gw.example:/api", "t", WithHTTPClient(&http.Client{Transport: HandlerRoundTripper(h)}))
+	ctx := context.Background()
+	if _, err := c.Models(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.ChatCompletion(ctx, openaiapi.ChatCompletionRequest{Model: "m"}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.BatchResults(ctx, "b1"); err != nil {
+		t.Fatal(err)
+	}
+	want := []string{
+		"gw.example /api/v1/models ",
+		"gw.example /api/v1/chat/completions application/json",
+		"gw.example /api/v1/batches/b1/results ",
+	}
+	if strings.Join(paths, "|") != strings.Join(want, "|") {
+		t.Errorf("requests = %q, want %q", paths, want)
+	}
+
+	paths = nil
+	bad := New("http://bad host", "t", WithHTTPClient(&http.Client{Transport: HandlerRoundTripper(h)}))
+	calls := map[string]func() error{
+		"Models":         func() error { _, err := bad.Models(ctx); return err },
+		"ChatCompletion": func() error { _, err := bad.ChatCompletion(ctx, openaiapi.ChatCompletionRequest{}); return err },
+		"Stream": func() error {
+			_, err := bad.ChatCompletionStream(ctx, openaiapi.ChatCompletionRequest{}, nil)
+			return err
+		},
+		"BatchResults": func() error { _, err := bad.BatchResults(ctx, "b1"); return err },
+	}
+	for name, call := range calls {
+		var urlErr *url.Error
+		if err := call(); !errors.As(err, &urlErr) || urlErr.Op != "parse" {
+			t.Errorf("%s on an unparsable base: err = %v, want the parse error", name, err)
+		}
+	}
+	if len(paths) != 0 {
+		t.Errorf("an unparsable base sent %q", paths)
+	}
+}
+
+// TestClientRequestBodyRewind: a request through an *http.Client carries a
+// GetBody, so the client's 307 redirect resends the body; an in-process one
+// carries none, since that transport neither redirects nor resends.
+func TestClientRequestBodyRewind(t *testing.T) {
+	var getBody []bool
+	h := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		getBody = append(getBody, r.GetBody != nil)
+		if r.URL.Path == "/v1/chat/completions" && r.URL.RawQuery == "" {
+			http.Redirect(w, r, "/v1/chat/completions?moved", http.StatusTemporaryRedirect)
+			return
+		}
+		var req openaiapi.ChatCompletionRequest
+		if err := json.NewDecoder(r.Body).Decode(&req); err != nil || req.Model != "m1" {
+			w.WriteHeader(http.StatusBadRequest)
+			return
+		}
+		w.Write([]byte(`{"model":"m1"}`))
+	})
+	req := openaiapi.ChatCompletionRequest{Model: "m1"}
+	c := New("http://gw.local", "t", WithHTTPClient(&http.Client{Transport: HandlerRoundTripper(h)}))
+	if resp, err := c.ChatCompletion(context.Background(), req); err != nil || resp.Model != "m1" {
+		t.Fatalf("redirected call: %+v, %v", resp, err)
+	}
+	if len(getBody) != 2 || !getBody[0] {
+		t.Errorf("through an http.Client: GetBody set per hop = %v, want it on the first", getBody)
+	}
+
+	getBody = nil
+	in := New("", "t", WithHandler(h))
+	var apiErr *APIError
+	if _, err := in.ChatCompletion(context.Background(), req); !errors.As(err, &apiErr) || apiErr.StatusCode != http.StatusTemporaryRedirect {
+		t.Errorf("in-process 307: err = %v, want it returned unfollowed", err)
+	}
+	if len(getBody) != 1 || getBody[0] {
+		t.Errorf("in-process: GetBody set = %v, want [false]", getBody)
+	}
+}
+
+// TestClientHeaderMapPerRequest: an http.Client with a cookie jar writes the
+// jar's cookies into each request's own header map, so concurrent calls do
+// not race (run under -race).
+func TestClientHeaderMapPerRequest(t *testing.T) {
+	h := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		http.SetCookie(w, &http.Cookie{Name: "session", Value: "s1"})
+		w.Write([]byte(`{"object":"list"}`))
+	})
+	jar, err := cookiejar.New(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := New("http://gw.local", "t", WithHTTPClient(&http.Client{Jar: jar, Transport: HandlerRoundTripper(h)}))
+	if _, err := c.Models(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for i := 0; i < 8; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for j := 0; j < 20; j++ {
+				if _, err := c.Models(context.Background()); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

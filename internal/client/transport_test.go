@@ -220,12 +220,17 @@ var chatReply = []byte(`{"id":"chatcmpl-00000001","object":"chat.completion","cr
 // An in-process ChatCompletion against a fixed handler costs a pinned
 // number of allocations, the handler's connection goroutine included.
 func TestChatCompletionInProcessAllocs(t *testing.T) {
-	// Measured at 33 on go1.24 linux/amd64: the response decode 13, the
-	// http.Request with its URL, header map and body reader 8, the exchange
-	// with its header map and wake channel 3, the body buffer, the
-	// handler's header and io.ReadAll 1 each, the rest the call's own
-	// values and the request's encode.
-	const budget = 33
+	// Measured at 22 on go1.24 linux/amd64 (33 before the base URL was
+	// parsed once and the decoder state pooled): the response's own values
+	// 6 (its strings, the choices slice, the message), the http.Request with
+	// its URL copy, header map and body 5, the exchange with its header map
+	// and wake channel 3, the request's encode, the body buffer and
+	// io.ReadAll 1 each, the rest the call's own values. The response
+	// decode allocates no state of its own (openaiapi.Unmarshal).
+	budget := 22.0
+	if raceEnabled {
+		budget = 33 // the pooled decoder and scanner are dropped now and then
+	}
 	h := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.Header()["Content-Type"] = jsonContentType
 		w.Write(chatReply)
@@ -239,6 +244,6 @@ func TestChatCompletionInProcessAllocs(t *testing.T) {
 		}
 	})
 	if allocs > budget {
-		t.Errorf("in-process ChatCompletion = %.1f allocs, budget %d", allocs, budget)
+		t.Errorf("in-process ChatCompletion = %.1f allocs, budget %.0f", allocs, budget)
 	}
 }

@@ -224,23 +224,13 @@ func TestAutoScaleUpUnderLoad(t *testing.T) {
 func TestMinInstancesRestartAfterFailure(t *testing.T) {
 	f := newTestFabric(t, HubConfig{}, 2)
 	d := f.deploy(t, DeploymentConfig{Model: perfmodel.Llama8B, MinInstances: 1, MaxInstances: 1})
-	deadline := time.Now().Add(10 * time.Second)
-	for d.ReadyCount() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("initial instance never ready")
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
+	waitReady(d, 1)
+	// The failure's OnEnd runs inside InjectFailure and removes the instance,
+	// so the next ready instance is the restart.
 	if !d.InjectFailure() {
 		t.Fatal("InjectFailure found nothing")
 	}
-	deadline = time.Now().Add(10 * time.Second)
-	for d.ReadyCount() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("instance not restarted")
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
+	waitReady(d, 1)
 	if d.Stats().Restarts == 0 {
 		t.Error("restart not counted")
 	}
@@ -253,13 +243,7 @@ func TestInjectFailureKillsEarliest(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		f := newTestFabric(t, HubConfig{}, 2)
 		d := f.deploy(t, DeploymentConfig{Model: perfmodel.Llama8B, MinInstances: 2, MaxInstances: 2})
-		deadline := time.Now().Add(10 * time.Second)
-		for d.ReadyCount() < 2 {
-			if time.Now().After(deadline) {
-				t.Fatal("instances never ready")
-			}
-			time.Sleep(time.Millisecond)
-		}
+		waitReady(d, 2)
 		d.mu.Lock()
 		first := d.pool.Members()[0].Job
 		d.mu.Unlock()

@@ -31,8 +31,10 @@ const (
 
 // Header values shared by every chat response that carries them: read-only.
 var (
-	jsonContentType = []string{"application/json"}
-	cacheHit        = []string{"hit"}
+	jsonContentType  = []string{"application/json"}
+	cacheHit         = []string{"hit"}
+	eventStreamType  = []string{"text/event-stream"}
+	noCacheDirective = []string{"no-cache"}
 )
 
 // readBody reads the request body (its first maxBodyBytes) once into a
@@ -95,7 +97,7 @@ func (s *Server) handleChat(w http.ResponseWriter, r *http.Request, who auth.Tok
 		}
 	}
 	var req openaiapi.ChatCompletionRequest
-	if err := json.Unmarshal(buf[pre:], &req); err != nil {
+	if err := openaiapi.Unmarshal(buf[pre:], &req); err != nil {
 		s.writeError(w, http.StatusBadRequest, "invalid_request_error", "malformed JSON: "+err.Error())
 		return
 	}
@@ -161,8 +163,9 @@ func (s *Server) handleChat(w http.ResponseWriter, r *http.Request, who auth.Tok
 // (The fabric returns whole results; token-level streaming stops at the
 // gateway boundary — see DESIGN.md.)
 func (s *Server) streamChat(w http.ResponseWriter, resp openaiapi.ChatCompletionResponse) {
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-cache")
+	h := w.Header()
+	h["Content-Type"] = eventStreamType
+	h["Cache-Control"] = noCacheDirective
 	w.WriteHeader(http.StatusOK)
 	flusher, _ := w.(http.Flusher)
 	content := ""
@@ -215,7 +218,7 @@ func (s *Server) handleCompletion(w http.ResponseWriter, r *http.Request, who au
 		return
 	}
 	var req openaiapi.CompletionRequest
-	if err := json.Unmarshal(body, &req); err != nil {
+	if err := openaiapi.Unmarshal(body, &req); err != nil {
 		s.writeError(w, http.StatusBadRequest, "invalid_request_error", "malformed JSON: "+err.Error())
 		return
 	}
@@ -391,7 +394,7 @@ func (s *Server) handleEmbeddings(w http.ResponseWriter, r *http.Request, who au
 		return
 	}
 	var req openaiapi.EmbeddingRequest
-	if err := json.Unmarshal(body, &req); err != nil {
+	if err := openaiapi.Unmarshal(body, &req); err != nil {
 		s.writeError(w, http.StatusBadRequest, "invalid_request_error", "malformed JSON: "+err.Error())
 		return
 	}
@@ -515,7 +518,7 @@ func (s *Server) handleCreateBatch(w http.ResponseWriter, r *http.Request, who a
 // malformed JSON and a missing model are the client's errors.
 func decodeCreateBatch(body []byte) (openaiapi.CreateBatchRequest, error) {
 	var req openaiapi.CreateBatchRequest
-	if err := json.Unmarshal(body, &req); err != nil {
+	if err := openaiapi.Unmarshal(body, &req); err != nil {
 		return req, errors.New("malformed JSON: " + err.Error())
 	}
 	if req.Model == "" {

@@ -9,6 +9,7 @@ import (
 
 	"github.com/argonne-first/first/internal/auth"
 	"github.com/argonne-first/first/internal/fabric"
+	"github.com/argonne-first/first/internal/openaiapi"
 	"github.com/argonne-first/first/internal/store"
 )
 
@@ -137,7 +138,7 @@ func (s *Server) handleTool(w http.ResponseWriter, r *http.Request, who auth.Tok
 func decodeToolRequest(body []byte) (ToolRequest, error) {
 	var req ToolRequest
 	if len(body) > 0 {
-		if err := json.Unmarshal(body, &req); err != nil {
+		if err := openaiapi.Unmarshal(body, &req); err != nil {
 			return req, errors.New("malformed JSON: " + err.Error())
 		}
 	}

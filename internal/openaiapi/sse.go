@@ -48,7 +48,9 @@ type StreamChunk struct {
 }
 
 // ReadSSE consumes an SSE stream, invoking onData for every event payload
-// until [DONE]. Per the SSE specification, the colon after the field name
+// until [DONE]. The payload is lent from the scanner's buffer: it is valid
+// only until onData returns, so onData must not keep it (decode it, or copy
+// what it needs). Per the SSE specification, the colon after the field name
 // may be followed by at most one optional space — `data:payload` is as
 // valid as `data: payload` — so both forms are accepted (our own WriteSSE
 // emits the spaced form, but other servers legitimately do not).
@@ -82,9 +84,7 @@ func ReadSSE(r io.Reader, onData func(data []byte) error) error {
 		if string(payload) == StreamDone {
 			return nil
 		}
-		cp := make([]byte, len(payload))
-		copy(cp, payload)
-		if err := onData(cp); err != nil {
+		if err := onData(payload); err != nil {
 			return err
 		}
 	}
@@ -100,7 +100,7 @@ func CollectStreamText(r io.Reader) (string, error) {
 	var b strings.Builder
 	err := ReadSSE(r, func(data []byte) error {
 		var chunk StreamChunk
-		if err := json.Unmarshal(data, &chunk); err != nil {
+		if err := Unmarshal(data, &chunk); err != nil {
 			return err
 		}
 		for _, c := range chunk.Choices {

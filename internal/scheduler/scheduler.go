@@ -211,12 +211,9 @@ func (s *Scheduler) finish(id int64, terminal State) bool {
 		return false
 	}
 	delete(s.active, id)
-	alloc := j.releaseForEnd(terminal)
+	s.releaseForEnd(j, terminal)
 	s.history = append(s.history, j)
 	s.mu.Unlock()
-	if alloc != nil {
-		s.cl.Release(alloc)
-	}
 	s.notifyEnd(j, terminal)
 	s.trySchedule()
 	return true
@@ -231,14 +228,17 @@ func (s *Scheduler) endLocked(j *Job, terminal State) {
 	s.history = append(s.history, j)
 }
 
-func (j *Job) releaseForEnd(terminal State) *cluster.Allocation {
+// releaseForEnd gives a started job's GPUs back before it stores the
+// terminal state, so a caller that sees the state finds them free.
+func (s *Scheduler) releaseForEnd(j *Job, terminal State) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
+	if j.alloc != nil {
+		s.cl.Release(j.alloc)
+		j.alloc = nil
+	}
 	j.state.Store(int64(terminal))
 	j.gen++
-	alloc := j.alloc
-	j.alloc = nil
-	return alloc
 }
 
 func (s *Scheduler) notifyEnd(j *Job, terminal State) {

@@ -166,6 +166,27 @@ func TestFailTriggersOnEnd(t *testing.T) {
 	}
 }
 
+// TestTerminalStateFollowsRelease: a job's GPUs are back in the cluster by
+// the time its terminal state is visible. The test spins on State while
+// another goroutine fails the running job, then reads the cluster at once;
+// a release that followed the state store would show held GPUs here on
+// nearly every round under the race detector, which widens that window.
+func TestTerminalStateFollowsRelease(t *testing.T) {
+	s, cl := newTestScheduler(t, 1, 8, Config{})
+	for i := 0; i < 100; i++ {
+		j, _ := s.Submit(JobSpec{Name: "f", GPUs: 4})
+		waitState(t, j, Running)
+		done := make(chan struct{})
+		go func() { s.Fail(j.ID); close(done) }()
+		for j.State() != Failed {
+		}
+		if free := cl.Status().FreeGPUs; free != 8 {
+			t.Fatalf("round %d: %d GPUs free once the job reads failed, want 8", i, free)
+		}
+		<-done
+	}
+}
+
 func TestQstatView(t *testing.T) {
 	s, _ := newTestScheduler(t, 1, 8, Config{})
 	j1, _ := s.Submit(JobSpec{Name: "run", User: "u1", GPUs: 8})
