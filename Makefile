@@ -46,7 +46,9 @@ lint:
 # FuzzDecodeToolRequest: no panic, a decoded body re-encodes stably) — and
 # one state machine: FuzzEngineOffer decodes bytes into a
 # submit/abort/wait schedule and checks serving.Engine's offer/settle path
-# against the per-iteration reference engine. Every func Fuzz… under
+# against the per-iteration reference engine — and one rewrite against the
+# body it replaced: FuzzSynthesizeText holds the fabric's response text to
+# the strings.Fields version, byte for byte. Every func Fuzz… under
 # internal/ is listed here; `make fuzzlist` fails otherwise.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseRequest$$' -fuzztime $(FUZZTIME) ./internal/openaiapi
@@ -58,6 +60,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeCreateBatch$$' -fuzztime $(FUZZTIME) ./internal/gateway
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeToolRequest$$' -fuzztime $(FUZZTIME) ./internal/gateway
 	$(GO) test -run '^$$' -fuzz '^FuzzEngineOffer$$' -fuzztime $(FUZZTIME) ./internal/serving
+	$(GO) test -run '^$$' -fuzz '^FuzzSynthesizeText$$' -fuzztime $(FUZZTIME) ./internal/fabric
 
 # fuzzlist fails when a fuzz target under internal/ is missing from the fuzz
 # target above, or when that target names a function that does not exist

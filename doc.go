@@ -145,7 +145,8 @@
 // the sharded paths with parallel stress tests, and AllocsPerRun
 // regression tests pin the admission hot path (limiter check, key hash +
 // cache hit) at zero allocations and a whole response-cache hit through
-// Server.ServeHTTP at one (the buffer the body is read into).
+// Server.ServeHTTP at zero too (the buffer the body is read into comes from
+// a pool).
 //
 // A chat request (POST /v1/chat/completions) is decided from its bytes
 // first. In order: bearer check → token introspection (cached) → per-user
@@ -432,7 +433,14 @@
 // models nothing. The hub hands a task's payload to the endpoint's handler
 // as the Go value the caller submitted (fabric.Handler takes and returns
 // any) and the result comes back the same way: the Globus Compute hop's
-// cost is the hub's booked constants, not an encode and a decode. Tools are
+// cost is the hub's booked constants, not an encode and a decode. Nor does
+// the hop build a task per call: a task is one record — its Task and
+// Future, a one-slot wake channel, the handler's context and the task's
+// goroutine body bound once — that fabric.Client.Run takes from the hub's
+// free list under the lock submit already holds and gives back once its
+// Wait has returned the outcome, so a Run allocates nothing of its own
+// (TestClientRunZeroAlloc); a Run whose context ends first leaves its record
+// to the collector, and a Future from Submit is never recycled. Tools are
 // the one byte-level function: the gateway decodes the call's body
 // (FuzzDecodeToolRequest), passes the tool its JSON payload as []byte and
 // answers with the []byte the tool returns; hpc.simulate decodes its
@@ -457,9 +465,17 @@
 // json.Unmarshal's values and errors but reuses a pooled json.Decoder's
 // state (FuzzUnmarshalMatchesStdlib holds the two equal), and the SDK
 // parses its base URL once, at New, and builds each request on a copy of
-// it with a header map of its own over prebuilt values. An in-process
-// request carries no GetBody, which only http.Client's redirect and resend
-// paths read; one sent through an http.Client keeps it.
+// it with a header map of its own over prebuilt values. The gateway reads a
+// body into a pooled buffer of at most 64 KiB and gives it back once the
+// cache key is taken and the request decoded, so a response-cache hit
+// allocates nothing (TestChatCacheHitAllocBudget); a miss marshals a pooled
+// response whose one choice and message live inside it, and the marshalled
+// bytes, which the cache keeps, are its one fresh value there
+// (TestChatCacheMissAllocs counts the rest). Decode targets are never
+// reused: json.Unmarshal leaves a field the body omits as it was, so a
+// reused request would carry one caller's fields into the next. An
+// in-process request carries no GetBody, which only http.Client's redirect
+// and resend paths read; one sent through an http.Client keeps it.
 //
 // Calibration methodology. Each live cell executes a single serializable
 // churn plan — a chaosnet.Schedule: endpoint kills, cold restarts, and
@@ -584,7 +600,9 @@
 //   - hotpath — cross-checks //first:hotpath annotations four ways: every
 //     function called directly from a 0-alloc AllocsPerRun pin must carry
 //     the annotation, every annotation must be reachable from some pin
-//     through the package's static call graph, an annotation whose note
+//     through the package's static call graph (a method value assigned in a
+//     body, such as a goroutine body bound once, counts as a call), an
+//     annotation whose note
 //     says "pinned by TestXxx" must name a test the package declares (a
 //     renamed test cannot leave the note behind), and the compiler's escape
 //     analysis (go build -gcflags=-m, parsed by the driver) must show no

@@ -23,19 +23,38 @@ func NewClient(hub *Hub, cfg ClientConfig) *Client {
 	return &Client{hub: hub, cfg: cfg}
 }
 
-// Submit sends a function invocation and returns a future.
+// Submit sends a function invocation and returns a future. The future is
+// the caller's for good: its record never goes back to the free list.
 func (c *Client) Submit(endpointID, function string, payload any) (*Future, error) {
-	return c.hub.submit(c.cfg.Credentials, endpointID, function, payload)
-}
-
-// Run submits and waits (the gateway's per-request path). The payload reaches
-// the function's handler unchanged, and its result comes back unchanged.
-func (c *Client) Run(ctx context.Context, endpointID, function string, payload any) (any, error) {
-	fut, err := c.Submit(endpointID, function, payload)
+	rec, err := c.hub.submit(c.cfg.Credentials, endpointID, function, payload)
 	if err != nil {
 		return nil, err
 	}
-	return fut.Wait(ctx)
+	return &rec.fut, nil
+}
+
+// Run submits and waits (the gateway's per-request path). The payload reaches
+// the function's handler unchanged, and its result comes back unchanged. The
+// task is a record from the hub's free list, given back once its outcome is
+// in hand; a Run whose ctx ends first leaves the record to the collector,
+// since the task may still be running.
+//
+//first:hotpath pinned by TestClientRunZeroAlloc (fabric_test.go)
+func (c *Client) Run(ctx context.Context, endpointID, function string, payload any) (any, error) {
+	rec, err := c.hub.submit(c.cfg.Credentials, endpointID, function, payload)
+	if err != nil {
+		return nil, err
+	}
+	select {
+	case <-rec.fut.wake: // the token stays taken: the record goes back empty
+	case <-ctx.Done():
+		return nil, ctx.Err()
+	}
+	res, in, err := rec.fut.outcome(ctx)
+	if in {
+		c.hub.recycle(rec)
+	}
+	return res, err
 }
 
 // Infer is a typed convenience around FnInfer.

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"sync"
 	"time"
+	"unicode"
 
 	"github.com/argonne-first/first/internal/perfmodel"
 	"github.com/argonne-first/first/internal/scheduler"
@@ -457,13 +458,18 @@ func (d *Deployment) Embed(ctx context.Context, inputs []string) ([][]float32, e
 }
 
 // autoscaleLoop is the §3.2.2 control loop: each tick observes the pool,
-// applies Decide's action, and keeps MinInstances alive.
+// applies Decide's action, and keeps MinInstances alive. It sleeps from tick
+// to tick, which on a scaled clock recycles the clock's own waiter, so a
+// tick allocates nothing; Close ends the loop at the first tick after it,
+// at most one AutoScalePeriod later (250 µs of wall at 20000×), and
+// controlStep does nothing once the deployment is closed.
 func (d *Deployment) autoscaleLoop() {
 	for {
+		d.ep.clk.Sleep(d.cfg.AutoScalePeriod)
 		select {
 		case <-d.stop:
 			return
-		case <-d.ep.clk.After(d.cfg.AutoScalePeriod):
+		default:
 		}
 		d.controlStep()
 	}
@@ -551,22 +557,62 @@ func (d *Deployment) Close() {
 	}
 }
 
-// synthesizeText produces deterministic response text of n tokens.
+// synthesizeText produces deterministic response text of n tokens: the
+// prompt's words (as strings.Fields splits it; "analysis" for a prompt with
+// none) repeated in turn, one space apart. It sizes the text exactly from
+// the words' lengths and makes that one allocation.
 func synthesizeText(prompt string, n int) string {
 	if n <= 0 {
 		return ""
 	}
-	seedWords := strings.Fields(prompt)
-	if len(seedWords) == 0 {
-		seedWords = []string{"analysis"}
+	words, total := 0, 0 // the prompt's words and their summed length
+	for i := 0; ; {
+		start, end := nextField(prompt, i)
+		if start == end {
+			break
+		}
+		words, total, i = words+1, total+end-start, end
+	}
+	src := prompt
+	if words == 0 {
+		src, words, total = "analysis", 1, len("analysis")
+	}
+	size := n/words*total + n - 1 // whole rounds, and the spaces between words
+	for i, k := 0, 0; k < n%words; k++ {
+		start, end := nextField(src, i)
+		size, i = size+end-start, end
 	}
 	var b strings.Builder
-	b.Grow(n * 8)
-	for i := 0; i < n; i++ {
-		if i > 0 {
+	b.Grow(size)
+	for k, i := 0, 0; k < n; k++ {
+		start, end := nextField(src, i)
+		if start == end { // past the last word: start the next round
+			start, end = nextField(src, 0)
+		}
+		if k > 0 {
 			b.WriteByte(' ')
 		}
-		b.WriteString(seedWords[i%len(seedWords)])
+		b.WriteString(src[start:end])
+		i = end
 	}
 	return b.String()
+}
+
+// nextField returns the bounds of the first word of s at or after byte i,
+// where, as in strings.Fields, runs of unicode.IsSpace separate words;
+// start == end == len(s) when none is left.
+func nextField(s string, i int) (start, end int) {
+	start = -1
+	for j, r := range s[i:] {
+		switch space := unicode.IsSpace(r); {
+		case start < 0 && !space:
+			start = i + j
+		case start >= 0 && space:
+			return start, i + j
+		}
+	}
+	if start < 0 {
+		return len(s), len(s)
+	}
+	return start, len(s)
 }

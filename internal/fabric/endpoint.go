@@ -179,6 +179,8 @@ func (ep *Endpoint) ModelStatuses() []ModelStatus {
 // execute runs a task on the task's own goroutine, at the pickup instant P
 // the hub booked for it. The handler's context carries the task: a
 // deployment reads P from it and records the engine's finish F on it.
+//
+//first:hotpath reached through the Run pin
 func (ep *Endpoint) execute(task *Task) (any, error) {
 	ep.mu.Lock()
 	h, ok := ep.handlers[task.Function]
@@ -188,11 +190,11 @@ func (ep *Endpoint) execute(task *Task) (any, error) {
 		return nil, ErrEndpointShutdown
 	}
 	if !ok {
-		return nil, fmt.Errorf("%w: %s", ErrUnknownFunction, task.Function)
+		return nil, fmt.Errorf("%w: %s", ErrUnknownFunction, task.Function) //firstlint:allow hotpath a function unregistered since submit is an error path
 	}
 	task.setStatus(TaskRunning)
 	ep.tasks.Inc()
-	result, err := h(context.WithValue(context.Background(), taskKey{}, task), task.Payload)
+	result, err := h(task.ctx, task.Payload)
 	if err != nil {
 		ep.taskFailures.Inc()
 	}

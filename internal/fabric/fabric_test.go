@@ -520,7 +520,8 @@ func manualSubmit(t *testing.T, c *Client) *Future {
 func resolved(t *testing.T, f *Future) {
 	t.Helper()
 	select {
-	case <-f.done:
+	case <-f.wake:
+		f.wake <- struct{}{} // leave the token for the test's Wait
 	case <-time.After(10 * time.Second):
 		t.Fatal("the task's outcome never came in")
 	}
@@ -806,10 +807,11 @@ func TestHubSleepsOnlyToPickupAhead(t *testing.T) {
 		ep.RegisterFunction("admin.echo", func(_ context.Context, payload any) (any, error) { return payload, nil })
 		hub := NewHub(clk, HubConfig{}, "id", "secret", nil) // D = the submit instant
 		hub.RegisterEndpoint(ep)
-		f, err := hub.submit(Credentials{ClientID: "id", ClientSecret: "secret"}, "ep", "admin.echo", nil)
+		rec, err := hub.submit(Credentials{ClientID: "id", ClientSecret: "secret"}, "ep", "admin.echo", nil)
 		if err != nil {
 			t.Fatal(err)
 		}
+		f := &rec.fut
 		if pickup > 0 {
 			clk.BlockUntil(1)
 		}
@@ -991,4 +993,95 @@ func TestRetryEngineTakesTaskAtRetry(t *testing.T) {
 	if d.Stats().Retries != 1 {
 		t.Errorf("retries = %d, want 1", d.Stats().Retries)
 	}
+}
+
+// runFabric is a hub on the live stack's 20000× scaled clock with one
+// endpoint, "ep-r", and no modelled cost but the endpoint's default pickup
+// (500 ms, 25 µs of wall): a Run sleeps once, to P, and its relay departure
+// S has passed by the time its outcome is in.
+func runFabric(t *testing.T, fn string, h Handler) *Client {
+	t.Helper()
+	clk := clock.NewScaled(20000)
+	sched := scheduler.New(cluster.New("cl-r", 1, 8, perfmodel.A100_40), clk, scheduler.Config{})
+	ep, err := NewEndpoint(EndpointConfig{ID: "ep-r", Scheduler: sched}, clk, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ep.RegisterFunction(fn, h)
+	hub := NewHub(clk, HubConfig{}, "id", "secret", nil)
+	hub.RegisterEndpoint(ep)
+	t.Cleanup(func() {
+		hub.Close()
+		ep.Close()
+		sched.Close()
+	})
+	return NewClient(hub, ClientConfig{Credentials: Credentials{ClientID: "id", ClientSecret: "secret"}})
+}
+
+// A Run with a pointer payload whose handler answers with a pointer
+// allocates nothing: its task, future, wake channel, handler context and
+// bound goroutine body are a record from the hub's free list, and the
+// clock's sleep to P recycles its own waiter.
+func TestClientRunZeroAlloc(t *testing.T) {
+	in, back := &InferRequest{Model: "m"}, &InferResult{Model: "m"}
+	c := runFabric(t, "admin.swap", func(_ context.Context, payload any) (any, error) {
+		if payload != any(in) {
+			return nil, ErrPayloadType
+		}
+		return back, nil
+	})
+	ctx := context.Background()
+	got := testing.AllocsPerRun(500, func() {
+		if out, err := c.Run(ctx, "ep-r", "admin.swap", in); err != nil || out != any(back) {
+			t.Fatalf("Run = %v, %v; want the handler's %p", out, err, back)
+		}
+	})
+	if got != 0 {
+		t.Errorf("Client.Run allocates %.1f/op, want 0", got)
+	}
+}
+
+// Concurrent Runs each get their own payload's answer, whichever records
+// they were handed, and Runs whose contexts end mid-flight drop their
+// records without disturbing the others. Run it as go test -race -count=20.
+func TestClientRunRecyclesUnderConcurrency(t *testing.T) {
+	c := runFabric(t, "admin.double", func(_ context.Context, payload any) (any, error) {
+		n, ok := payload.(*int)
+		if !ok {
+			return nil, ErrPayloadType
+		}
+		out := 2 * *n
+		return &out, nil
+	})
+	const workers, calls = 8, 200
+	var wg sync.WaitGroup
+	for w := range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range calls {
+				n := w*calls + i
+				ctx, cancel := context.WithCancel(context.Background())
+				if i%5 == 4 {
+					// Ends while the task sleeps to P or runs: either answer is
+					// fine, but an answer must be this call's.
+					go cancel()
+				}
+				out, err := c.Run(ctx, "ep-r", "admin.double", &n)
+				cancel()
+				switch {
+				case errors.Is(err, context.Canceled):
+				case err != nil:
+					t.Errorf("Run(%d): %v", n, err)
+					return
+				default:
+					if got, ok := out.(*int); !ok || *got != 2*n {
+						t.Errorf("Run(%d) = %v, want %d", n, out, 2*n)
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

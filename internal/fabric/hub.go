@@ -74,6 +74,7 @@ type Hub struct {
 	queued      []time.Time // booked dispatch departures, in order; the first passed are past
 	passed      int
 	closed      bool
+	free        *record // idle records Client.Run takes and gives back
 }
 
 // connKey names a cached client↔endpoint channel.
@@ -121,10 +122,14 @@ func (h *Hub) QueuedTasks() int {
 	return h.backlog(h.clk.Now())
 }
 
-// submit validates and accepts a task from a client SDK and books its
-// dispatch departure. The returned future resolves when the endpoint's
-// result is relayed back.
-func (h *Hub) submit(creds Credentials, endpointID, function string, payload any) (*Future, error) {
+// submit validates and accepts a task from a client SDK, books its
+// dispatch departure and starts its goroutine in an idle record, from the
+// free list when one is there. The record's future resolves when the
+// endpoint's result is relayed back; only Client.Run gives records back
+// (recycle).
+//
+//first:hotpath reached through the Run pin
+func (h *Hub) submit(creds Credentials, endpointID, function string, payload any) (*record, error) {
 	if creds.ClientID != h.clientID || creds.ClientSecret != h.clientSecret {
 		return nil, ErrBadCredentials
 	}
@@ -132,11 +137,11 @@ func (h *Hub) submit(creds Credentials, endpointID, function string, payload any
 	ep, ok := h.endpoints[endpointID]
 	if !ok {
 		h.mu.Unlock()
-		return nil, fmt.Errorf("%w: %s", ErrUnknownEndpoint, endpointID)
+		return nil, fmt.Errorf("%w: %s", ErrUnknownEndpoint, endpointID) //firstlint:allow hotpath an unknown endpoint is an error path
 	}
 	if !ep.hasFunction(function) {
 		h.mu.Unlock()
-		return nil, fmt.Errorf("%w: %s on %s", ErrUnknownFunction, function, endpointID)
+		return nil, fmt.Errorf("%w: %s on %s", ErrUnknownFunction, function, endpointID) //firstlint:allow hotpath an unregistered function is an error path
 	}
 	now := h.clk.Now()
 	if n := h.backlog(now); h.cfg.MaxQueuedTasks > 0 && n >= h.cfg.MaxQueuedTasks {
@@ -157,29 +162,48 @@ func (h *Hub) submit(creds Credentials, endpointID, function string, payload any
 	h.dispatched = later(arrive, h.dispatched).Add(max(h.cfg.DispatchCost, 0))
 	h.queued = append(h.queued, h.dispatched)
 	h.nextTaskID++
-	task := &Task{
-		ID:           h.nextTaskID,
-		Function:     function,
-		EndpointID:   endpointID,
-		Payload:      payload,
-		SubmittedAt:  now,
-		clk:          h.clk,
-		dispatchedAt: h.dispatched,
-		pickupAt:     h.dispatched.Add(max(ep.cfg.PickupLatency, 0)),
+	id, dispatched := h.nextTaskID, h.dispatched
+	rec := h.free
+	if rec != nil {
+		h.free = rec.next
 	}
 	h.mu.Unlock()
 
-	future := &Future{task: task, done: make(chan struct{})}
+	if rec == nil {
+		rec = newRecord(h)
+	}
+	// The record is the submitter's alone until its goroutine starts.
+	rec.ep = ep
+	t := &rec.task
+	t.ID, t.Function, t.EndpointID, t.Payload = id, function, endpointID, payload
+	t.SubmittedAt, t.dispatchedAt = now, dispatched
+	t.pickupAt = dispatched.Add(max(ep.cfg.PickupLatency, 0))
+	t.finishedAt, t.status, t.relayedAt = time.Time{}, TaskPending, time.Time{}
 	h.submitted.Inc()
-	go h.run(ep, future)
-	return future, nil
+	go rec.runFn()
+	return rec, nil
+}
+
+// recycle puts back a record whose Wait has returned its outcome: nothing
+// else holds it any more.
+//
+//first:hotpath reached through the Run pin
+func (h *Hub) recycle(rec *record) {
+	t := &rec.task
+	t.Payload, t.result, t.err = nil, nil, nil // keep no caller's values alive
+	h.mu.Lock()
+	rec.next, h.free = h.free, rec
+	h.mu.Unlock()
 }
 
 // run is a task's one goroutine: it sleeps to the endpoint's pickup instant
 // P = D + PickupLatency unless it starts at or after P, runs the task there
 // and relays the result.
-func (h *Hub) run(ep *Endpoint, fut *Future) {
-	if d := fut.task.pickupAt.Sub(h.clk.Now()); d > 0 {
+//
+//first:hotpath reached through the Run pin
+func (rec *record) run() {
+	h := rec.hub
+	if d := rec.task.pickupAt.Sub(h.clk.Now()); d > 0 {
 		h.clk.Sleep(d)
 	}
 	h.mu.Lock()
@@ -187,15 +211,17 @@ func (h *Hub) run(ep *Endpoint, fut *Future) {
 	h.mu.Unlock()
 	result, err := any(nil), ErrEndpointShutdown
 	if !closed {
-		result, err = ep.execute(fut.task)
+		result, err = rec.ep.execute(&rec.task)
 	}
-	h.finish(fut, result, err)
+	h.finish(&rec.fut, result, err)
 }
 
 // finish books the result's relay departure S = max(F, previous S) +
 // RelayCost, where F is the instant the handler's engine finished (now, for a
 // handler that reports none), and resolves the future with it; a result that
 // finds the hub closed fails at once.
+//
+//first:hotpath reached through the Run pin
 func (h *Hub) finish(fut *Future, result any, err error) {
 	h.mu.Lock()
 	now, closed := h.clk.Now(), h.closed

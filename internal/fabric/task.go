@@ -26,6 +26,25 @@
 // reaches the caller's Future unchanged. The hop's cost is in the hub's
 // constants above, not in host work — an encode and a decode inside one
 // process — that a scaled clock would multiply into modelled time.
+//
+// A task lives in a record: its Task, its Future, a one-slot wake channel,
+// the handler's context (which carries the *Task) and the task's bound run,
+// all made once. Who owns a record, when:
+//   - the hub's free list, under the hub's mu, while it is idle;
+//   - the submitter, from submit until it starts the task's goroutine;
+//   - that goroutine, and the handler it runs, from then until the
+//     outcome's token lands on the wake channel, after which neither
+//     touches the record (a handler keeps neither its context nor the
+//     *Task on it past its return);
+//   - the waiter, from the token on.
+//
+// Every submit takes an idle record from the free list when there is one;
+// Client.Run is the one path that gives records back, and only once its
+// Wait has returned the task's result (or the task's error). A Wait that
+// returns ctx.Err() leaves the record to the collector, since its task may
+// still be running. A Future that Submit returns is its caller's for good
+// and never goes back, so its Task and its Wait read the same values
+// however late they are read.
 package fabric
 
 import (
@@ -74,8 +93,9 @@ type Task struct {
 	SubmittedAt time.Time
 
 	clk          clock.Clock
-	dispatchedAt time.Time // D, booked at submit
-	pickupAt     time.Time // P = D + the endpoint's pickup latency
+	ctx          context.Context // the handler's: carries this *Task, made once per record
+	dispatchedAt time.Time       // D, booked at submit
+	pickupAt     time.Time       // P = D + the endpoint's pickup latency
 	// finishedAt is F, the instant the handler's engine finished, or zero;
 	// only the task's own goroutine touches it.
 	finishedAt time.Time
@@ -115,7 +135,11 @@ type taskKey struct{}
 // its relay departure S, and at once when the outcome comes in after S.
 type Future struct {
 	task *Task
-	done chan struct{} // closed once the outcome and its relay departure are in
+	// wake holds one token once the outcome and its relay departure are in.
+	// Wait puts the token back after taking it, so any number of Waits, in
+	// turn or at once, see the outcome; Client.Run's own wait keeps it, and
+	// its record goes back to the free list with an empty channel.
+	wake chan struct{}
 }
 
 // Wait blocks for the result and returns it no earlier than its relay
@@ -123,24 +147,34 @@ type Future struct {
 // by the time the outcome comes in; Wait then returns at once.
 func (f *Future) Wait(ctx context.Context) (any, error) {
 	select {
-	case <-f.done:
+	case <-f.wake:
+		f.wake <- struct{}{} // the one token: the channel is empty again
 	case <-ctx.Done():
 		return nil, ctx.Err()
 	}
+	res, _, err := f.outcome(ctx)
+	return res, err
+}
+
+// outcome waits out what is left of S once the outcome is in and returns
+// it; in is false when ctx ended first, and err is then ctx.Err().
+//
+//first:hotpath reached through the Run pin
+func (f *Future) outcome(ctx context.Context) (res any, in bool, err error) {
 	t := f.task
 	if rest := t.relayedAt.Sub(t.clk.Now()); rest > 0 {
 		select {
 		case <-t.clk.After(rest):
 		case <-ctx.Done():
-			return nil, ctx.Err()
+			return nil, false, ctx.Err()
 		}
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.err != nil {
-		return nil, t.err
+		return nil, true, t.err
 	}
-	return t.result, nil
+	return t.result, true, nil
 }
 
 // Done reports (non-blocking) whether the result has been relayed.
@@ -149,7 +183,11 @@ func (f *Future) Done() bool { return f.task.Status() >= TaskSuccess }
 // Task exposes the underlying task (status inspection, tests).
 func (f *Future) Task() *Task { return f.task }
 
-// resolve records the outcome and the instant it is relayed at.
+// resolve records the outcome and the instant it is relayed at, and hands
+// the record to its waiter: after the token is sent, the task's goroutine
+// touches nothing of it.
+//
+//first:hotpath reached through the Run pin
 func (f *Future) resolve(result any, err error, relayed time.Time) {
 	f.task.mu.Lock()
 	f.task.result = result
@@ -161,5 +199,28 @@ func (f *Future) resolve(result any, err error, relayed time.Time) {
 		f.task.status = TaskSuccess
 	}
 	f.task.mu.Unlock()
-	close(f.done)
+	f.wake <- struct{}{}
+}
+
+// record is what a task needs, made once and recycled: its Task and
+// Future, and its run bound once, so that starting the task's goroutine
+// allocates nothing. See the package comment for who owns it when.
+type record struct {
+	task  Task
+	fut   Future
+	hub   *Hub
+	ep    *Endpoint // the endpoint of the current task
+	runFn func()    // rec.run
+	next  *record   // the hub's free list
+}
+
+// newRecord makes a record for h's tasks; its context, wake channel and
+// bound run stay with it for life.
+func newRecord(h *Hub) *record {
+	rec := &record{hub: h}
+	rec.task.clk = h.clk
+	rec.task.ctx = context.WithValue(context.Background(), taskKey{}, &rec.task)
+	rec.fut = Future{task: &rec.task, wake: make(chan struct{}, 1)}
+	rec.runFn = rec.run
+	return rec
 }

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"github.com/argonne-first/first/internal/auth"
@@ -37,9 +38,27 @@ var (
 	noCacheDirective = []string{"no-cache"}
 )
 
+// reqBody is a request body read into a buffer from bodies; a handler done
+// with the bytes (the cache key taken, the request decoded) gives it back
+// with putBody, and one that passes the bytes on keeps it.
+type reqBody struct{ b []byte }
+
+// bodies holds read buffers of at most bodyPresize bytes between requests.
+var bodies = sync.Pool{New: func() any { return new(reqBody) }}
+
+// putBody returns bd to bodies; a buffer grown past bodyPresize is left to
+// the collector.
+func putBody(bd *reqBody) {
+	if cap(bd.b) > bodyPresize {
+		bd.b = nil
+	}
+	bodies.Put(bd)
+}
+
 // readBody reads the request body (its first maxBodyBytes) once into a
-// single buffer, behind pre bytes left zeroed for the caller.
-func (s *Server) readBody(w http.ResponseWriter, r *http.Request, pre int) ([]byte, bool) {
+// single buffer drawn from bodies, behind pre bytes left zeroed for the
+// caller.
+func (s *Server) readBody(w http.ResponseWriter, r *http.Request, pre int) (*reqBody, bool) {
 	size := r.ContentLength
 	if size < 0 {
 		size = bytes.MinRead // unknown (chunked): start where io.ReadAll does
@@ -48,7 +67,14 @@ func (s *Server) readBody(w http.ResponseWriter, r *http.Request, pre int) ([]by
 	}
 	// One spare byte: the Read that reports io.EOF after an exactly sized
 	// body must not find the buffer full and grow it.
-	buf := make([]byte, pre, pre+int(size)+1)
+	bd := bodies.Get().(*reqBody)
+	if need := pre + int(size) + 1; cap(bd.b) < need {
+		bd.b = make([]byte, pre, need)
+	} else {
+		bd.b = bd.b[:pre]
+		clear(bd.b)
+	}
+	buf := bd.b
 	lr := io.LimitedReader{R: r.Body, N: maxBodyBytes}
 	for {
 		if len(buf) == cap(buf) {
@@ -57,13 +83,34 @@ func (s *Server) readBody(w http.ResponseWriter, r *http.Request, pre int) ([]by
 		n, err := lr.Read(buf[len(buf):cap(buf)])
 		buf = buf[:len(buf)+n]
 		if err == io.EOF {
-			return buf, true
+			bd.b = buf
+			return bd, true
 		}
 		if err != nil {
+			bd.b = buf
+			putBody(bd)
 			s.writeError(w, http.StatusBadRequest, "invalid_request_error", "cannot read body")
 			return nil, false
 		}
 	}
+}
+
+// chatReply is a miss's response with its one choice and message inside
+// it, drawn from chatReplies; the marshalled bytes are the one fresh value
+// a miss keeps (the cache holds them).
+type chatReply struct {
+	resp   openaiapi.ChatCompletionResponse
+	choice [1]openaiapi.Choice
+	msg    openaiapi.Message
+}
+
+var chatReplies = sync.Pool{New: func() any { return new(chatReply) }}
+
+// putChatReply clears c, so the pool keeps no caller's strings alive, and
+// returns it to chatReplies.
+func putChatReply(c *chatReply) {
+	*c = chatReply{}
+	chatReplies.Put(c)
 }
 
 // handleChat serves POST /v1/chat/completions. It decides from bytes first:
@@ -75,14 +122,16 @@ func (s *Server) handleChat(w http.ResponseWriter, r *http.Request, who auth.Tok
 	if s.fe.cacheTTL > 0 {
 		pre = keyPrefixLen(who.Sub)
 	}
-	buf, ok := s.readBody(w, r, pre)
+	bd, ok := s.readBody(w, r, pre)
 	if !ok {
 		return
 	}
+	buf := bd.b
 	var key respKey
 	if pre > 0 {
 		key = keyInPlace(buf, who.Sub)
 		if cached, model, ok := s.fe.cacheGet(key); ok {
+			putBody(bd)
 			if err := s.policy.Authorize(who, model); err != nil {
 				s.writeError(w, http.StatusForbidden, "permission_error", err.Error())
 				return
@@ -97,7 +146,9 @@ func (s *Server) handleChat(w http.ResponseWriter, r *http.Request, who auth.Tok
 		}
 	}
 	var req openaiapi.ChatCompletionRequest
-	if err := openaiapi.Unmarshal(buf[pre:], &req); err != nil {
+	err := openaiapi.Unmarshal(buf[pre:], &req)
+	putBody(bd) // the decoded request holds copies, not the buffer
+	if err != nil {
 		s.writeError(w, http.StatusBadRequest, "invalid_request_error", "malformed JSON: "+err.Error())
 		return
 	}
@@ -132,16 +183,17 @@ func (s *Server) handleChat(w http.ResponseWriter, r *http.Request, who auth.Tok
 	}
 	s.logRequest(who, req.Model, meta, store.KindChat, res.PromptTok, res.OutputTok, "ok")
 
-	resp := openaiapi.ChatCompletionResponse{
+	reply := chatReplies.Get().(*chatReply)
+	defer putChatReply(reply)
+	reply.msg = openaiapi.Message{Role: "assistant", Content: res.Text}
+	reply.choice[0] = openaiapi.Choice{Index: 0, Message: &reply.msg, FinishReason: "stop"}
+	resp := &reply.resp
+	*resp = openaiapi.ChatCompletionResponse{
 		ID:      s.fe.nextID("chatcmpl"),
 		Object:  "chat.completion",
 		Created: s.clk.Now().Unix(),
 		Model:   req.Model,
-		Choices: []openaiapi.Choice{{
-			Index:        0,
-			Message:      &openaiapi.Message{Role: "assistant", Content: res.Text},
-			FinishReason: "stop",
-		}},
+		Choices: reply.choice[:],
 		Usage: openaiapi.Usage{
 			PromptTokens:     res.PromptTok,
 			CompletionTokens: res.OutputTok,
@@ -161,8 +213,9 @@ func (s *Server) handleChat(w http.ResponseWriter, r *http.Request, who auth.Tok
 
 // streamChat replays a finished completion as OpenAI-style SSE deltas.
 // (The fabric returns whole results; token-level streaming stops at the
-// gateway boundary — see DESIGN.md.)
-func (s *Server) streamChat(w http.ResponseWriter, resp openaiapi.ChatCompletionResponse) {
+// gateway boundary — see DESIGN.md.) Every event is the one chunk, its one
+// choice and delta rewritten in place.
+func (s *Server) streamChat(w http.ResponseWriter, resp *openaiapi.ChatCompletionResponse) {
 	h := w.Header()
 	h["Content-Type"] = eventStreamType
 	h["Cache-Control"] = noCacheDirective
@@ -174,6 +227,19 @@ func (s *Server) streamChat(w http.ResponseWriter, resp openaiapi.ChatCompletion
 	}
 	words := strings.Fields(content)
 	const chunkWords = 16
+	var ev struct { // one allocation for the stream
+		chunk  openaiapi.StreamChunk
+		choice [1]openaiapi.Choice
+		delta  openaiapi.Message
+	}
+	ev.chunk = openaiapi.StreamChunk{
+		ID:      resp.ID,
+		Object:  "chat.completion.chunk",
+		Created: resp.Created,
+		Model:   resp.Model,
+		Choices: ev.choice[:],
+	}
+	ev.choice[0].Delta = &ev.delta
 	for i := 0; i < len(words); i += chunkWords {
 		end := i + chunkWords
 		if end > len(words) {
@@ -183,14 +249,8 @@ func (s *Server) streamChat(w http.ResponseWriter, resp openaiapi.ChatCompletion
 		if i > 0 {
 			piece = " " + piece
 		}
-		chunk := openaiapi.StreamChunk{
-			ID:      resp.ID,
-			Object:  "chat.completion.chunk",
-			Created: resp.Created,
-			Model:   resp.Model,
-			Choices: []openaiapi.Choice{{Index: 0, Delta: &openaiapi.Message{Role: "assistant", Content: piece}}},
-		}
-		if err := openaiapi.WriteSSE(w, chunk); err != nil {
+		ev.delta = openaiapi.Message{Role: "assistant", Content: piece}
+		if err := openaiapi.WriteSSE(w, &ev.chunk); err != nil {
 			// The client went away mid-stream; the missing [DONE] lets the
 			// reader detect the truncation as a typed error.
 			s.ins.streamAborts.Inc()
@@ -200,11 +260,9 @@ func (s *Server) streamChat(w http.ResponseWriter, resp openaiapi.ChatCompletion
 			flusher.Flush()
 		}
 	}
-	final := openaiapi.StreamChunk{
-		ID: resp.ID, Object: "chat.completion.chunk", Created: resp.Created, Model: resp.Model,
-		Choices: []openaiapi.Choice{{Index: 0, Delta: &openaiapi.Message{}, FinishReason: "stop"}},
-	}
-	_ = openaiapi.WriteSSE(w, final)
+	ev.delta = openaiapi.Message{}
+	ev.choice[0].FinishReason = "stop"
+	_ = openaiapi.WriteSSE(w, &ev.chunk)
 	_ = openaiapi.WriteSSEDone(w)
 	if flusher != nil {
 		flusher.Flush()
@@ -213,12 +271,14 @@ func (s *Server) streamChat(w http.ResponseWriter, resp openaiapi.ChatCompletion
 
 // handleCompletion serves POST /v1/completions.
 func (s *Server) handleCompletion(w http.ResponseWriter, r *http.Request, who auth.TokenInfo) {
-	body, ok := s.readBody(w, r, 0)
+	bd, ok := s.readBody(w, r, 0)
 	if !ok {
 		return
 	}
 	var req openaiapi.CompletionRequest
-	if err := openaiapi.Unmarshal(body, &req); err != nil {
+	err := openaiapi.Unmarshal(bd.b, &req)
+	putBody(bd)
+	if err != nil {
 		s.writeError(w, http.StatusBadRequest, "invalid_request_error", "malformed JSON: "+err.Error())
 		return
 	}
@@ -389,12 +449,14 @@ func (s *Server) logRequest(who auth.TokenInfo, model string, meta routeMeta, ki
 
 // handleEmbeddings serves POST /v1/embeddings.
 func (s *Server) handleEmbeddings(w http.ResponseWriter, r *http.Request, who auth.TokenInfo) {
-	body, ok := s.readBody(w, r, 0)
+	bd, ok := s.readBody(w, r, 0)
 	if !ok {
 		return
 	}
 	var req openaiapi.EmbeddingRequest
-	if err := openaiapi.Unmarshal(body, &req); err != nil {
+	err := openaiapi.Unmarshal(bd.b, &req)
+	putBody(bd)
+	if err != nil {
 		s.writeError(w, http.StatusBadRequest, "invalid_request_error", "malformed JSON: "+err.Error())
 		return
 	}
@@ -487,11 +549,11 @@ func (s *Server) handleCreateBatch(w http.ResponseWriter, r *http.Request, who a
 		s.writeError(w, http.StatusNotImplemented, "api_error", "batch mode not configured")
 		return
 	}
-	body, ok := s.readBody(w, r, 0)
+	bd, ok := s.readBody(w, r, 0)
 	if !ok {
 		return
 	}
-	req, err := decodeCreateBatch(body)
+	req, err := decodeCreateBatch(bd.b)
 	if err != nil {
 		s.writeError(w, http.StatusBadRequest, "invalid_request_error", err.Error())
 		return

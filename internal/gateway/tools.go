@@ -71,11 +71,11 @@ func (s *Server) handleTool(w http.ResponseWriter, r *http.Request, who auth.Tok
 		s.writeError(w, http.StatusNotFound, "invalid_request_error", "unknown tool: "+name)
 		return
 	}
-	body, ok := s.readBody(w, r, 0)
+	bd, ok := s.readBody(w, r, 0)
 	if !ok {
 		return
 	}
-	req, err := decodeToolRequest(body)
+	req, err := decodeToolRequest(bd.b)
 	if err != nil {
 		s.writeError(w, http.StatusBadRequest, "invalid_request_error", err.Error())
 		return

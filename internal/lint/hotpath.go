@@ -141,24 +141,30 @@ func posOf(pass *Pass, ann HotpathAnn) token.Pos {
 // reachable closes the pinned-callee set over the package's static call
 // graph (bare-name edges between compiled functions), so helpers like the
 // kernel's heapPush/heapPop — exercised through Schedule/Run pins — count
-// as covered.
+// as covered. A method value assigned in a body (`rec.runFn = rec.run`, a
+// goroutine body bound once so that starting it allocates nothing) is an
+// edge too: the value is called later, through the field it was stored in.
 func reachable(pass *Pass, decls map[string][]*ast.FuncDecl, pinned map[string]token.Pos) map[string]bool {
 	edges := make(map[string][]string)
 	for name, fds := range decls {
 		seen := make(map[string]bool)
+		edge := func(callee string) {
+			if callee != "" && !seen[callee] && len(decls[callee]) > 0 {
+				seen[callee] = true
+				edges[name] = append(edges[name], callee)
+			}
+		}
 		for _, fd := range fds {
 			ast.Inspect(fd.Body, func(n ast.Node) bool {
-				call, ok := n.(*ast.CallExpr)
-				if !ok {
-					return true
-				}
-				callee := calleeName(call)
-				if callee == "" || seen[callee] {
-					return true
-				}
-				if len(decls[callee]) > 0 {
-					seen[callee] = true
-					edges[name] = append(edges[name], callee)
+				switch n := n.(type) {
+				case *ast.CallExpr:
+					edge(calleeName(n))
+				case *ast.AssignStmt:
+					for _, rhs := range n.Rhs {
+						if sel, ok := ast.Unparen(rhs).(*ast.SelectorExpr); ok {
+							edge(sel.Sel.Name)
+						}
+					}
 				}
 				return true
 			})

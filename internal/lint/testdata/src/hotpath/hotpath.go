@@ -19,6 +19,26 @@ func helper() int { // want `says it is pinned by TestZeroAllocDeep, but`
 	return 2
 }
 
+// Binder is pinned; it binds a method value and calls it through the field
+// it stored it in, so no call expression names bound.
+//
+//first:hotpath pinned by TestZeroAlloc (hotpath_test.go)
+func Binder() int {
+	var r runner
+	r.fn = r.bound
+	return r.fn()
+}
+
+type runner struct{ fn func() int }
+
+// bound is reached only through the method value Binder assigns: the
+// assignment is an edge, so its annotation is covered.
+//
+//first:hotpath reached through Binder's method value
+func (r *runner) bound() int {
+	return 9
+}
+
 // Renamed is pinned, but its note still carries the test's old name — the
 // test was renamed and the comment left behind.
 //

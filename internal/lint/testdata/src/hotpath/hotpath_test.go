@@ -8,6 +8,7 @@ func TestZeroAlloc(t *testing.T) {
 		Missing()
 		Renamed()
 		Prose()
+		Binder()
 	}); got != 0 {
 		t.Fatalf("allocs: %v", got)
 	}

@@ -5,9 +5,9 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"io"
 	"strings"
+	"sync"
 )
 
 // SSE (server-sent events) framing for streaming responses (§4.7: "The
@@ -22,19 +22,48 @@ const StreamDone = "[DONE]"
 // were real, but the stream as a whole must not be treated as complete.
 var ErrStreamTruncated = errors.New("openaiapi: SSE stream truncated before [DONE]")
 
-// WriteSSE writes one event carrying v as JSON.
+// sseFrame is one event's bytes and the encoder that writes v into them,
+// drawn from sseFrames: a frame costs no buffer of its own, and the payload
+// is not boxed for a format verb.
+type sseFrame struct {
+	buf bytes.Buffer
+	enc *json.Encoder
+}
+
+var sseFrames = sync.Pool{New: func() any {
+	f := new(sseFrame)
+	f.enc = json.NewEncoder(&f.buf)
+	return f
+}}
+
+// maxPooledFrame is the largest frame buffer sseFrames keeps.
+const maxPooledFrame = 64 << 10
+
+// sseDone is the terminal event, framed once.
+var sseDone = []byte("data: " + StreamDone + "\n\n")
+
+// WriteSSE writes one event carrying v as JSON: "data: ", json.Marshal's
+// bytes and a blank line, in one Write. A v that does not marshal writes
+// nothing and returns json.Marshal's error.
 func WriteSSE(w io.Writer, v interface{}) error {
-	data, err := json.Marshal(v)
-	if err != nil {
-		return err
+	f := sseFrames.Get().(*sseFrame)
+	f.buf.Reset()
+	f.buf.WriteString("data: ")
+	// Encode writes json.Marshal's bytes and one newline, or nothing at all.
+	err := f.enc.Encode(v)
+	if err == nil {
+		f.buf.WriteByte('\n')
+		_, err = w.Write(f.buf.Bytes())
 	}
-	_, err = fmt.Fprintf(w, "data: %s\n\n", data)
+	if f.buf.Cap() <= maxPooledFrame {
+		sseFrames.Put(f)
+	}
 	return err
 }
 
 // WriteSSEDone writes the terminal sentinel.
 func WriteSSEDone(w io.Writer) error {
-	_, err := fmt.Fprintf(w, "data: %s\n\n", StreamDone)
+	_, err := w.Write(sseDone)
 	return err
 }
 
