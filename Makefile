@@ -48,7 +48,8 @@ lint:
 # submit/abort/wait schedule and checks serving.Engine's offer/settle path
 # against the per-iteration reference engine — and one rewrite against the
 # body it replaced: FuzzSynthesizeText holds the fabric's response text to
-# the strings.Fields version, byte for byte. Every func Fuzz… under
+# the strings.Fields version, and FuzzStreamChatPieces the gateway's stream
+# pieces to the strings.Fields/strings.Join split, byte for byte. Every func Fuzz… under
 # internal/ is listed here; `make fuzzlist` fails otherwise.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseRequest$$' -fuzztime $(FUZZTIME) ./internal/openaiapi
@@ -61,6 +62,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeToolRequest$$' -fuzztime $(FUZZTIME) ./internal/gateway
 	$(GO) test -run '^$$' -fuzz '^FuzzEngineOffer$$' -fuzztime $(FUZZTIME) ./internal/serving
 	$(GO) test -run '^$$' -fuzz '^FuzzSynthesizeText$$' -fuzztime $(FUZZTIME) ./internal/fabric
+	$(GO) test -run '^$$' -fuzz '^FuzzStreamChatPieces$$' -fuzztime $(FUZZTIME) ./internal/gateway
 
 # fuzzlist fails when a fuzz target under internal/ is missing from the fuzz
 # target above, or when that target names a function that does not exist
@@ -69,9 +71,12 @@ fuzzlist:
 	@bash scripts/fuzzlist.sh
 
 # race runs the tier-1 suite under the race detector — the gate for the
-# sharded gateway front-end's parallel stress tests.
+# sharded gateway front-end's parallel stress tests — then the record
+# recycling tests twenty times over: the SDK's in-process call records and
+# the fabric's task records, each handed between goroutines and reused.
 race:
 	$(GO) test -race ./...
+	$(GO) test -race -count=20 -run 'Recycles' ./internal/client ./internal/fabric
 
 # chaos drives the short livefed storm — chaosnet fault transport, endpoint
 # fault bursts, a kill + cold restart mid-run — through the live stack under

@@ -440,7 +440,13 @@
 // free list under the lock submit already holds and gives back once its
 // Wait has returned the outcome, so a Run allocates nothing of its own
 // (TestClientRunZeroAlloc); a Run whose context ends first leaves its record
-// to the collector, and a Future from Submit is never recycled. Tools are
+// to the collector, and a Future from Submit is never recycled. An
+// inference's request and answer ride in the record too: Client.Infer
+// copies its InferRequest there and hands the handler a pointer to it, the
+// built-in handler answers with a pointer to the record's InferResult, and
+// Infer copies that out before the record goes back, so neither is boxed
+// into an any (TestClientInferZeroAlloc, through a warm engine); handlers
+// of their own read either form with fabric.InferPayload. Tools are
 // the one byte-level function: the gateway decodes the call's body
 // (FuzzDecodeToolRequest), passes the tool its JSON payload as []byte and
 // answers with the []byte the tool returns; hpc.simulate decodes its
@@ -464,18 +470,35 @@
 // chunks — decodes through openaiapi.Unmarshal, which gives
 // json.Unmarshal's values and errors but reuses a pooled json.Decoder's
 // state (FuzzUnmarshalMatchesStdlib holds the two equal), and the SDK
-// parses its base URL once, at New, and builds each request on a copy of
-// it with a header map of its own over prebuilt values. The gateway reads a
-// body into a pooled buffer of at most 64 KiB and gives it back once the
-// cache key is taken and the request decoded, so a response-cache hit
-// allocates nothing (TestChatCacheHitAllocBudget); a miss marshals a pooled
-// response whose one choice and message live inside it, and the marshalled
-// bytes, which the cache keeps, are its one fresh value there
-// (TestChatCacheMissAllocs counts the rest). Decode targets are never
-// reused: json.Unmarshal leaves a field the body omits as it was, so a
-// reused request would carry one caller's fields into the next. An
-// in-process request carries no GetBody, which only http.Client's redirect
-// and resend paths read; one sent through an http.Client keeps it.
+// parses its base URL once, at New. An SDK call on the in-process
+// transport is one record from the transport's free list, as a fabric task
+// is one from the hub's: the request's URL, header map and body reader, the
+// exchange (the handler's ResponseWriter and the response's Body, with its
+// header map cleared rather than remade, its body buffer and its wake
+// channel), the request's copy and encode buffer — json.Marshal's bytes,
+// which chaosnet's fault draws key on — and the response's decode target.
+// The SDK decodes straight from the exchange's buffer once the handler has
+// returned and gives the record back once nothing of the response is
+// referenced (encoding/json copies every string it decodes); a call whose
+// context ended first leaves its record to the collector, and a response
+// RoundTrip hands an outside caller, such as an http.Client over the
+// transport, is never recycled (TestClientCallRecyclesUnderConcurrency,
+// TestRoundTripResponseOutlivesClose; the ownership rules are in
+// client/transport.go). The gateway reads a body into a pooled buffer of at
+// most 64 KiB and gives it back once the cache key is taken and the request
+// decoded, so a response-cache hit allocates nothing
+// (TestChatCacheHitAllocBudget); a miss decodes into a pooled request that
+// keeps its messages array, marshals a pooled response whose one choice and
+// message live inside it, and reuses a full cache's evicted entry, and the
+// marshalled bytes, which the cache keeps, are its one fresh value there
+// besides the decoded strings (TestChatCacheMissAllocs counts the rest).
+// A reused decode target is zeroed before each decode, its messages and
+// choices included: json.Unmarshal leaves a field the body omits as it
+// was, so a target left as the last call filled it would carry one
+// caller's fields into the next, and a slice decoded into in place would
+// share its array with the last caller's answer. An in-process request
+// carries no GetBody, which only http.Client's redirect and resend paths
+// read; one sent through an http.Client keeps it.
 //
 // Calibration methodology. Each live cell executes a single serializable
 // churn plan — a chaosnet.Schedule: endpoint kills, cold restarts, and

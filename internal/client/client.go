@@ -29,20 +29,16 @@ type Client struct {
 	base    *url.URL // baseURL parsed once, at New; nil when baseErr is set
 	baseErr error    // returned by every call
 	auth    []string // the Authorization header's value, built once per token
-	httpc   doer
-	// rewind gives request bodies a GetBody: an *http.Client reads it to
-	// resend a body on a 307/308 redirect or on a kept-alive connection
-	// that died before anything was written. The in-process transport
-	// does neither.
-	rewind bool
+	httpc   *http.Client
+	// inproc, when set by WithHandler, takes every call in place of httpc,
+	// straight through the in-process transport on recycled call records.
+	// Requests sent through httpc carry a GetBody: an *http.Client reads it
+	// to resend a body on a 307/308 redirect or on a kept-alive connection
+	// that died before anything was written. The in-process transport does
+	// neither.
+	inproc *handlerTransport
 	retry  resilience.Policy
 	sleep  func(ctx context.Context, d time.Duration) error
-}
-
-// doer sends one request: an *http.Client, or the in-process transport
-// WithHandler installs.
-type doer interface {
-	Do(req *http.Request) (*http.Response, error)
 }
 
 // jsonContentType is the Content-Type of every request body, shared by all
@@ -54,7 +50,7 @@ type Option func(*Client)
 
 // WithHTTPClient overrides the HTTP client.
 func WithHTTPClient(h *http.Client) Option {
-	return func(c *Client) { c.httpc = h }
+	return func(c *Client) { c.httpc, c.inproc = h, nil }
 }
 
 // WithHandler wires the client directly to an http.Handler in-process —
@@ -65,7 +61,7 @@ func WithHTTPClient(h *http.Client) Option {
 // size (there is no backpressure in-process).
 func WithHandler(h http.Handler) Option {
 	return func(c *Client) {
-		c.httpc = newHandlerTransport(h)
+		c.inproc = newHandlerTransport(h)
 		if c.baseURL == "" {
 			c.baseURL = "http://first.gateway.local"
 		}
@@ -102,36 +98,47 @@ func New(baseURL, token string, opts ...Option) *Client {
 	if c.baseErr == nil {
 		c.base.Host = strings.TrimSuffix(c.base.Host, ":") // as http.NewRequest does
 	}
-	_, inProcess := c.httpc.(*handlerTransport)
-	c.rewind = !inProcess
 	return c
 }
 
-// newRequest builds one call's request on a copy of the parsed base URL,
-// carrying body (nil for none). The header map is the request's own, over
-// the client's prebuilt value slices: http.Client.send writes a cookie
-// jar's cookies straight into req.Header, so a map shared by concurrent
-// calls would race.
-func (c *Client) newRequest(ctx context.Context, method, path string, body []byte) (*http.Request, error) {
+// newRequest builds one attempt's request on a copy of the parsed base URL,
+// carrying rec's encoded request when body is set. The header map is the
+// request's own, over the client's prebuilt value slices: http.Client.send
+// writes a cookie jar's cookies straight into req.Header, so a map shared by
+// concurrent calls would race. In-process, the URL, header map and body
+// reader are rec's; over the network each attempt gets its own, since an
+// http.Client may still hold an earlier attempt's request.
+func (c *Client) newRequest(ctx context.Context, rec *callRecord, method, path string, body bool) (*http.Request, error) {
 	if c.baseErr != nil {
 		return nil, c.baseErr
 	}
-	u := *c.base
+	u, h, rb := &rec.u, rec.hdr, &rec.body
+	if c.inproc == nil {
+		u, h, rb = new(url.URL), make(http.Header, 2), new(reqBody)
+	} else if h == nil {
+		h = make(http.Header, 2)
+		rec.hdr = h
+	}
+	*u = *c.base
 	u.Path += path
 	if u.RawPath != "" {
 		u.RawPath += path
 	}
+	clear(h)
+	h["Authorization"] = c.auth
 	req := http.Request{
-		Method: method, URL: &u, Host: u.Host,
+		Method: method, URL: u, Host: u.Host,
 		Proto: "HTTP/1.1", ProtoMajor: 1, ProtoMinor: 1,
-		Header: http.Header{"Authorization": c.auth},
+		Header: h,
 	}
-	if body != nil {
-		req.Header["Content-Type"] = jsonContentType
-		req.Body = newBody(body)
-		req.ContentLength = int64(len(body))
-		if c.rewind {
-			req.GetBody = func() (io.ReadCloser, error) { return newBody(body), nil }
+	if body {
+		b := rec.enc.Bytes()
+		h["Content-Type"] = jsonContentType
+		rb.Reset(b)
+		req.Body = rb
+		req.ContentLength = int64(len(b))
+		if c.inproc == nil {
+			req.GetBody = func() (io.ReadCloser, error) { return newBody(b), nil }
 		}
 	}
 	return req.WithContext(ctx), nil
@@ -147,6 +154,59 @@ func newBody(b []byte) *reqBody {
 }
 
 func (*reqBody) Close() error { return nil }
+
+// take hands out the record for one call: from the in-process transport's
+// free list, or a fresh one over the network.
+func (c *Client) take() *callRecord {
+	if c.inproc != nil {
+		return c.inproc.take()
+	}
+	return new(callRecord)
+}
+
+// release gives rec back to the in-process transport once the call is done
+// with it (see HandlerRoundTripper); over the network it is left as is.
+func (c *Client) release(rec *callRecord) {
+	if c.inproc != nil {
+		c.inproc.release(rec)
+	}
+}
+
+// rearm readies rec for another attempt, and reports false when the last
+// attempt's handler is still running in-process and holds it.
+func (c *Client) rearm(rec *callRecord) bool {
+	if c.inproc != nil {
+		if !rec.x.hangUp() {
+			return false
+		}
+		rec.x.reset()
+	}
+	rec.reply = openaiapi.ChatCompletionResponse{}
+	return true
+}
+
+// send sends one attempt and returns once the response's header is in.
+func (c *Client) send(ctx context.Context, rec *callRecord, method, path string, body bool) (*http.Response, error) {
+	req, err := c.newRequest(ctx, rec, method, path, body)
+	if err != nil {
+		return nil, err
+	}
+	if c.inproc != nil {
+		return c.inproc.roundTrip(req, &rec.x)
+	}
+	return c.httpc.Do(req)
+}
+
+// readAll reads a response's whole body. In-process it is the handler's
+// buffer itself, once the handler has returned, valid until rec is given
+// back; over the network it is a copy, and the body is closed.
+func (c *Client) readAll(rec *callRecord, resp *http.Response) ([]byte, error) {
+	if c.inproc != nil {
+		return rec.x.whole()
+	}
+	defer resp.Body.Close()
+	return io.ReadAll(resp.Body)
+}
 
 // apiError reads a non-2xx response body into an *APIError, from the
 // gateway's error envelope when the body is one.
@@ -242,13 +302,19 @@ func sleepCtx(ctx context.Context, d time.Duration) error {
 }
 
 func (c *Client) do(ctx context.Context, method, path string, in, out interface{}) error {
-	var buf []byte
+	rec := c.take()
+	err := c.call(ctx, rec, method, path, in, out)
+	c.release(rec)
+	return err
+}
+
+// call runs a JSON call's attempts on rec: in, when not nil, is encoded
+// once into rec, and out decoded from a 2xx body.
+func (c *Client) call(ctx context.Context, rec *callRecord, method, path string, in, out interface{}) error {
 	if in != nil {
-		b, err := json.Marshal(in)
-		if err != nil {
+		if err := rec.encode(in); err != nil {
 			return err
 		}
-		buf = b
 	}
 	var lastErr error
 	for attempt := 0; attempt < c.retry.Attempts(); attempt++ {
@@ -256,8 +322,11 @@ func (c *Client) do(ctx context.Context, method, path string, in, out interface{
 			if err := c.backoff(ctx, c.retry.Delay(attempt-1, retryAfterOf(lastErr))); err != nil {
 				return lastErr // context ended during backoff: report the real failure
 			}
+			if !c.rearm(rec) {
+				return lastErr
+			}
 		}
-		err := c.doOnce(ctx, method, path, buf, out)
+		err := c.doOnce(ctx, rec, method, path, in != nil, out)
 		if err == nil {
 			return nil
 		}
@@ -269,17 +338,12 @@ func (c *Client) do(ctx context.Context, method, path string, in, out interface{
 	return lastErr
 }
 
-func (c *Client) doOnce(ctx context.Context, method, path string, buf []byte, out interface{}) error {
-	req, err := c.newRequest(ctx, method, path, buf)
+func (c *Client) doOnce(ctx context.Context, rec *callRecord, method, path string, body bool, out interface{}) error {
+	resp, err := c.send(ctx, rec, method, path, body)
 	if err != nil {
 		return err
 	}
-	resp, err := c.httpc.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	raw, err := io.ReadAll(resp.Body)
+	raw, err := c.readAll(rec, resp)
 	if err != nil {
 		return err
 	}
@@ -304,11 +368,16 @@ func (c *Client) doOnce(ctx context.Context, method, path string, buf []byte, ou
 // request buffer is replayed on the next attempt.
 var ErrMalformedResponse = errors.New("client: malformed response body")
 
-// ChatCompletion performs a blocking chat request.
+// ChatCompletion performs a blocking chat request. The request is encoded
+// from the call record's copy of req and the response decoded into the
+// record's target, zeroed first, then copied out, so neither is boxed.
 func (c *Client) ChatCompletion(ctx context.Context, req openaiapi.ChatCompletionRequest) (openaiapi.ChatCompletionResponse, error) {
-	var resp openaiapi.ChatCompletionResponse
-	req.Stream = false
-	err := c.do(ctx, http.MethodPost, "/v1/chat/completions", req, &resp)
+	rec := c.take()
+	rec.chat = req
+	rec.chat.Stream = false
+	err := c.call(ctx, rec, http.MethodPost, "/v1/chat/completions", &rec.chat, &rec.reply)
+	resp := rec.reply
+	c.release(rec)
 	return resp, err
 }
 
@@ -319,9 +388,11 @@ func (c *Client) ChatCompletion(ctx context.Context, req openaiapi.ChatCompletio
 // first delta has been delivered — a consumed stream is never replayed, so
 // the caller never sees duplicated output.
 func (c *Client) ChatCompletionStream(ctx context.Context, req openaiapi.ChatCompletionRequest, onDelta func(string)) (string, error) {
-	req.Stream = true
-	buf, err := json.Marshal(req)
-	if err != nil {
+	rec := c.take()
+	defer func() { c.release(rec) }() // the record the last attempt ran on
+	rec.chat = req
+	rec.chat.Stream = true
+	if err := rec.encode(&rec.chat); err != nil {
 		return "", err
 	}
 	var lastErr error
@@ -330,8 +401,15 @@ func (c *Client) ChatCompletionStream(ctx context.Context, req openaiapi.ChatCom
 			if err := c.backoff(ctx, c.retry.Delay(attempt-1, retryAfterOf(lastErr))); err != nil {
 				return "", lastErr
 			}
+			if !c.rearm(rec) {
+				// The last attempt's handler still holds rec: it keeps it,
+				// and a fresh record carries the encoded request on.
+				next := c.take()
+				next.enc.Write(rec.enc.Bytes())
+				rec = next
+			}
 		}
-		text, consumed, err := c.streamOnce(ctx, buf, onDelta)
+		text, consumed, err := c.streamOnce(ctx, rec, onDelta)
 		if err == nil {
 			return text, nil
 		}
@@ -345,34 +423,32 @@ func (c *Client) ChatCompletionStream(ctx context.Context, req openaiapi.ChatCom
 
 // streamOnce runs one streaming attempt. consumed reports whether any delta
 // reached the caller, which makes the attempt non-replayable.
-func (c *Client) streamOnce(ctx context.Context, body []byte, onDelta func(string)) (string, bool, error) {
-	httpReq, err := c.newRequest(ctx, http.MethodPost, "/v1/chat/completions", body)
+func (c *Client) streamOnce(ctx context.Context, rec *callRecord, onDelta func(string)) (string, bool, error) {
+	resp, err := c.send(ctx, rec, http.MethodPost, "/v1/chat/completions", true)
 	if err != nil {
 		return "", false, err
 	}
-	resp, err := c.httpc.Do(httpReq)
-	if err != nil {
-		return "", false, err
+	if c.inproc == nil {
+		defer resp.Body.Close()
 	}
-	defer resp.Body.Close()
 	if resp.StatusCode/100 != 2 {
-		raw, _ := io.ReadAll(resp.Body)
+		raw, _ := c.readAll(rec, resp)
 		return "", false, apiError(resp, raw)
 	}
-	var full bytes.Buffer
+	full := rec.text[:0]
 	consumed := false
 	err = openaiapi.ReadSSE(resp.Body, func(data []byte) error {
-		var chunk openaiapi.StreamChunk
-		if err := openaiapi.Unmarshal(data, &chunk); err != nil {
+		rec.chunk = openaiapi.StreamChunk{} // a field the frame omits must not carry over
+		if err := openaiapi.Unmarshal(data, &rec.chunk); err != nil {
 			// A frame cut mid-JSON (chaosnet severs the stream anywhere,
 			// not only on frame boundaries) is a malformed body, not an
 			// anonymous parse error — callers classify on the sentinel.
 			return fmt.Errorf("%w: %v", ErrMalformedResponse, err)
 		}
-		for _, ch := range chunk.Choices {
+		for _, ch := range rec.chunk.Choices {
 			if ch.Delta != nil && ch.Delta.Content != "" {
 				consumed = true
-				full.WriteString(ch.Delta.Content)
+				full = append(full, ch.Delta.Content...)
 				if onDelta != nil {
 					onDelta(ch.Delta.Content)
 				}
@@ -380,6 +456,13 @@ func (c *Client) streamOnce(ctx context.Context, body []byte, onDelta func(strin
 		}
 		return nil
 	})
+	rec.text = full
+	if err == nil && c.inproc != nil {
+		// [DONE] is in: read on to the body's end, as a kept-alive
+		// connection is read, so that the record can go back. A
+		// cancellation from here on ends nothing the caller sees.
+		_ = rec.x.wait()
+	}
 	if err != nil && ctx.Err() != nil {
 		// The caller's cancellation races the transport teardown: the body
 		// closing under the reader surfaces as a truncated stream (or a
@@ -387,7 +470,7 @@ func (c *Client) streamOnce(ctx context.Context, body []byte, onDelta func(strin
 		// so callers classify the call as cancelled, not as damaged.
 		err = fmt.Errorf("%w: %v", ctx.Err(), err)
 	}
-	return full.String(), consumed, err
+	return string(full), consumed, err
 }
 
 // Completion performs a text completion.
@@ -434,17 +517,17 @@ func (c *Client) GetBatch(ctx context.Context, id string) (openaiapi.BatchObject
 
 // BatchResults downloads a completed batch's JSONL output.
 func (c *Client) BatchResults(ctx context.Context, id string) ([]openaiapi.BatchResponseLine, error) {
-	req, err := c.newRequest(ctx, http.MethodGet, "/v1/batches/"+id+"/results", nil)
+	rec := c.take()
+	defer c.release(rec)
+	resp, err := c.send(ctx, rec, http.MethodGet, "/v1/batches/"+id+"/results", false)
 	if err != nil {
 		return nil, err
 	}
-	resp, err := c.httpc.Do(req)
-	if err != nil {
-		return nil, err
+	if c.inproc == nil {
+		defer resp.Body.Close()
 	}
-	defer resp.Body.Close()
 	if resp.StatusCode/100 != 2 {
-		raw, _ := io.ReadAll(resp.Body)
+		raw, _ := c.readAll(rec, resp)
 		return nil, &APIError{StatusCode: resp.StatusCode, Type: "http_error", Message: string(raw)}
 	}
 	var lines []openaiapi.BatchResponseLine

@@ -1,13 +1,18 @@
 package client
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"io"
 	"net/http"
+	"net/url"
 	"runtime"
 	"strconv"
 	"sync"
+
+	"github.com/argonne-first/first/internal/openaiapi"
 )
 
 // HandlerRoundTripper adapts an http.Handler into a RoundTripper that serves
@@ -26,6 +31,29 @@ import (
 // context ends the body after the bytes already written and fails the
 // handler's next Write, instead of blocking until the handler finishes; once
 // the handler has returned, a cancellation leaves the body whole.
+//
+// A call's scaffolding — the request's URL, header map and body reader, the
+// exchange that is its ResponseWriter and its response (header map, body
+// buffer and wake channel included), and the SDK's encode buffer, request
+// copy and decode targets — is one callRecord, kept on the transport's free
+// list while idle. Who owns a record, when:
+//   - the free list, under the transport's mu, while it is idle;
+//   - the caller that took it, until it hands the request to a connection;
+//   - from then on the caller and the connection's handler share the
+//     exchange under its mu, and the handler reads the request, until
+//     ServeHTTP returns and the connection marks the exchange done; the
+//     connection sends its last wake under mu as it does so, so once the
+//     caller can see done nothing of the connection's touches the record;
+//   - the caller alone, from done on.
+//
+// Only the SDK's own calls give a record back, and only once the handler
+// has returned and the response is decoded, with nothing of it referenced:
+// an answer's strings are the decoder's copies, never the buffer's bytes.
+// A call whose context ended before the handler returned leaves its record
+// to the collector, since a cancellation's AfterFunc may still be running
+// on it. RoundTrip called from outside (an http.Client over the transport)
+// takes a record that is never given back, so its caller may read the
+// response's header and status after Close, however late.
 func HandlerRoundTripper(h http.Handler) http.RoundTripper {
 	return newHandlerTransport(h)
 }
@@ -33,6 +61,9 @@ func HandlerRoundTripper(h http.Handler) http.RoundTripper {
 type handlerTransport struct {
 	h     http.Handler
 	conns *connStack
+
+	mu   sync.Mutex
+	free *callRecord // idle records; a record never references the transport
 }
 
 func newHandlerTransport(h http.Handler) *handlerTransport {
@@ -47,20 +78,20 @@ func newHandlerTransport(h http.Handler) *handlerTransport {
 // transport stays usable: a later call starts a new one.
 func (t *handlerTransport) CloseIdleConnections() { t.conns.close(false) }
 
-// Do sends req straight through the transport, without http.Client's
-// per-call header clone and redirect scaffolding: the in-process gateway
-// neither redirects nor sets cookies.
-func (t *handlerTransport) Do(req *http.Request) (*http.Response, error) {
-	return t.RoundTrip(req)
+func (t *handlerTransport) RoundTrip(req *http.Request) (*http.Response, error) {
+	if err := req.Context().Err(); err != nil {
+		return nil, err
+	}
+	return t.roundTrip(req, &t.take().x) // never given back
 }
 
-func (t *handlerTransport) RoundTrip(req *http.Request) (*http.Response, error) {
+// roundTrip serves req on a connection with x as its ResponseWriter and
+// returns once the header is written.
+func (t *handlerTransport) roundTrip(req *http.Request, x *exchange) (*http.Response, error) {
 	ctx := req.Context()
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	x := &exchange{wake: make(chan struct{}, 1)}
-	x.resp.Header = make(http.Header)
 	if ctx.Done() != nil {
 		// Cancellation mid-body: AfterFunc registers it with the context
 		// instead of starting a watcher goroutine; the connection disarms it
@@ -87,6 +118,104 @@ func (t *handlerTransport) RoundTrip(req *http.Request) (*http.Response, error) 
 	r.Body = x
 	r.Request = req
 	return r, nil
+}
+
+// maxKeptBuffer bounds the buffers a record keeps for its next call: one
+// huge body would otherwise pin that much memory for the transport's life.
+const maxKeptBuffer = 64 << 10
+
+// callRecord is one call's scaffolding, made once and recycled through the
+// transport's free list (see HandlerRoundTripper for who owns it when). A
+// client over the network makes a fresh one per call and never gives it
+// back.
+type callRecord struct {
+	x    exchange
+	u    url.URL
+	hdr  http.Header // made at the SDK's first call on the record
+	body reqBody
+
+	enc     bytes.Buffer  // the encoded request, json.Marshal's bytes
+	encoder *json.Encoder // over enc, made at the first encode
+	chat    openaiapi.ChatCompletionRequest
+	reply   openaiapi.ChatCompletionResponse // ChatCompletion's decode target
+	chunk   openaiapi.StreamChunk            // a stream's decode target
+	text    []byte                           // a stream's text, as it arrives
+
+	next *callRecord // the free list
+}
+
+func newCallRecord() *callRecord {
+	rec := new(callRecord)
+	rec.x.wake = make(chan struct{}, 1)
+	rec.x.resp.Header = make(http.Header)
+	return rec
+}
+
+// take hands out an idle record, or a new one.
+//
+//first:hotpath pinned by TestCallRecordRecycleZeroAlloc (transport_test.go)
+func (t *handlerTransport) take() *callRecord {
+	t.mu.Lock()
+	rec := t.free
+	if rec != nil {
+		t.free, rec.next = rec.next, nil
+	}
+	t.mu.Unlock()
+	if rec == nil {
+		rec = newCallRecord() //firstlint:allow hotpath an empty free list makes a record once
+	}
+	return rec
+}
+
+// release gives rec back once its handler has returned with no
+// cancellation in flight; otherwise it ends the body as Close does and
+// leaves rec to the collector. The caller holds nothing of rec afterwards.
+//
+//first:hotpath pinned by TestCallRecordRecycleZeroAlloc (transport_test.go)
+func (t *handlerTransport) release(rec *callRecord) {
+	if !rec.x.hangUp() {
+		return
+	}
+	rec.reset()
+	t.mu.Lock()
+	rec.next, t.free = t.free, rec
+	t.mu.Unlock()
+}
+
+// reset clears a record its caller holds alone for its next call, keeping
+// its maps, channel and buffers.
+//
+//first:hotpath reached through the recycle pin
+func (rec *callRecord) reset() {
+	rec.x.reset()
+	rec.u = url.URL{}
+	clear(rec.hdr)
+	rec.body.Reset(nil)
+	rec.enc.Reset()
+	if rec.enc.Cap() > maxKeptBuffer {
+		rec.enc = bytes.Buffer{}
+	}
+	rec.chat = openaiapi.ChatCompletionRequest{}
+	rec.reply = openaiapi.ChatCompletionResponse{}
+	rec.chunk = openaiapi.StreamChunk{}
+	rec.text = rec.text[:0]
+	if cap(rec.text) > maxKeptBuffer {
+		rec.text = nil
+	}
+}
+
+// encode marshals v into the record's buffer: json.Marshal's bytes, without
+// the newline an Encoder ends them with.
+func (rec *callRecord) encode(v any) error {
+	rec.enc.Reset()
+	if rec.encoder == nil {
+		rec.encoder = json.NewEncoder(&rec.enc)
+	}
+	if err := rec.encoder.Encode(v); err != nil {
+		return err
+	}
+	rec.enc.Truncate(rec.enc.Len() - 1)
+	return nil
 }
 
 func statusLine(code int) string {
@@ -174,7 +303,7 @@ var errBodyClosed = errors.New("client: in-process response body closed")
 // exchange is one call's ResponseWriter and its response's Body. The status
 // and header become final at the first WriteHeader or Write; body bytes are
 // appended to buf under mu, and every change wakes the reader through the
-// one-slot wake channel.
+// one-slot wake channel, always under mu.
 type exchange struct {
 	resp http.Response
 	stop func() bool // the AfterFunc registration, nil for a context that never ends
@@ -186,8 +315,12 @@ type exchange struct {
 	off    int   // read offset into buf
 	err    error // ends the body once buf is drained: cancellation or Close
 	done   bool  // ServeHTTP has returned
+	fired  bool  // the cancellation had started when ServeHTTP returned
 }
 
+// signal wakes the reader; x.mu is held.
+//
+//first:hotpath reached through the recycle pin
 func (x *exchange) signal() {
 	select {
 	case x.wake <- struct{}{}:
@@ -202,22 +335,20 @@ func (x *exchange) WriteHeader(status int) {
 	if x.status == 0 {
 		x.status = status
 	}
-	x.mu.Unlock()
 	x.signal()
+	x.mu.Unlock()
 }
 
 func (x *exchange) Write(p []byte) (int, error) {
 	x.mu.Lock()
+	defer x.mu.Unlock()
 	if x.status == 0 {
 		x.status = http.StatusOK
 	}
 	if x.err != nil {
-		err := x.err
-		x.mu.Unlock()
-		return 0, err
+		return 0, x.err
 	}
 	x.buf = append(x.buf, p...)
-	x.mu.Unlock()
 	x.signal()
 	return len(p), nil
 }
@@ -226,18 +357,19 @@ func (x *exchange) Write(p []byte) (int, error) {
 func (x *exchange) Flush() {}
 
 // finish marks the body complete once ServeHTTP has returned, with a 200
-// status if the handler wrote nothing.
+// status if the handler wrote nothing. Its wake goes out under mu, so none
+// is left to land once the reader can see done.
+//
+//first:hotpath pinned by TestCallRecordRecycleZeroAlloc (transport_test.go)
 func (x *exchange) finish() {
-	if x.stop != nil {
-		x.stop()
-	}
+	fired := x.stop != nil && !x.stop()
 	x.mu.Lock()
 	if x.status == 0 {
 		x.status = http.StatusOK
 	}
-	x.done = true
-	x.mu.Unlock()
+	x.done, x.fired = true, fired
 	x.signal()
+	x.mu.Unlock()
 }
 
 // cancel ends an unfinished body with the context's error.
@@ -245,9 +377,70 @@ func (x *exchange) cancel(err error) {
 	x.mu.Lock()
 	if !x.done && x.err == nil {
 		x.err = err
+		x.signal()
 	}
 	x.mu.Unlock()
-	x.signal()
+}
+
+// wait blocks until the handler has returned or the body has ended early,
+// and reports the early end's error.
+func (x *exchange) wait() error {
+	x.mu.Lock()
+	defer x.mu.Unlock()
+	for !x.done && x.err == nil {
+		x.mu.Unlock()
+		<-x.wake
+		x.mu.Lock()
+	}
+	return x.err
+}
+
+// whole waits for the handler to return and gives the unread body in place:
+// the buffer itself, which no write changes any more. A body that ended
+// early gives its error instead.
+func (x *exchange) whole() ([]byte, error) {
+	if err := x.wait(); err != nil {
+		return nil, err
+	}
+	return x.buf[x.off:], nil
+}
+
+// hangUp reports whether the handler has returned with no cancellation in
+// flight, so that nothing but the caller touches x any more; otherwise it
+// ends the body as Close does, failing the handler's later writes.
+//
+//first:hotpath reached through the recycle pin
+func (x *exchange) hangUp() bool {
+	x.mu.Lock()
+	defer x.mu.Unlock()
+	if x.done && !x.fired {
+		return true
+	}
+	if x.err == nil {
+		x.err = errBodyClosed
+	}
+	x.buf, x.off = nil, 0
+	return false
+}
+
+// reset readies an exchange its caller holds alone (hangUp said so) for the
+// next call: the header map is cleared, not remade, and the body buffer and
+// wake channel are kept, emptied.
+//
+//first:hotpath reached through the recycle pin
+func (x *exchange) reset() {
+	clear(x.resp.Header)
+	x.resp = http.Response{Header: x.resp.Header}
+	x.stop = nil
+	select {
+	case <-x.wake: // the last call's final wake
+	default:
+	}
+	x.status, x.off, x.err, x.done, x.fired = 0, 0, nil, false, false
+	x.buf = x.buf[:0]
+	if cap(x.buf) > maxKeptBuffer {
+		x.buf = nil
+	}
 }
 
 // Read returns the bytes written so far, waiting for the next write when

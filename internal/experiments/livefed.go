@@ -593,9 +593,9 @@ func armLiveFedEndpoint(ep *fabric.Endpoint, epIdx int, c LiveFedCell, cellSeed 
 	seen := make(map[int]int)
 	nEps := c.Clusters
 	ep.RegisterFunction(fabric.FnInfer, func(ctx context.Context, payload any) (any, error) {
-		req, ok := payload.(fabric.InferRequest)
-		if !ok {
-			return nil, fmt.Errorf("%w: %T", fabric.ErrPayloadType, payload)
+		req, err := fabric.InferPayload(payload)
+		if err != nil {
+			return nil, err
 		}
 		if idx := liveFedIndex(req.Prompt); idx >= 0 {
 			mu.Lock()

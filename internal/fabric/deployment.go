@@ -6,11 +6,11 @@ import (
 	"strings"
 	"sync"
 	"time"
-	"unicode"
 
 	"github.com/argonne-first/first/internal/perfmodel"
 	"github.com/argonne-first/first/internal/scheduler"
 	"github.com/argonne-first/first/internal/serving"
+	"github.com/argonne-first/first/internal/workload"
 )
 
 // DeploymentConfig describes how an endpoint hosts one model (§3.2.2):
@@ -567,7 +567,7 @@ func synthesizeText(prompt string, n int) string {
 	}
 	words, total := 0, 0 // the prompt's words and their summed length
 	for i := 0; ; {
-		start, end := nextField(prompt, i)
+		start, end := workload.NextField(prompt, i)
 		if start == end {
 			break
 		}
@@ -579,15 +579,15 @@ func synthesizeText(prompt string, n int) string {
 	}
 	size := n/words*total + n - 1 // whole rounds, and the spaces between words
 	for i, k := 0, 0; k < n%words; k++ {
-		start, end := nextField(src, i)
+		start, end := workload.NextField(src, i)
 		size, i = size+end-start, end
 	}
 	var b strings.Builder
 	b.Grow(size)
 	for k, i := 0, 0; k < n; k++ {
-		start, end := nextField(src, i)
+		start, end := workload.NextField(src, i)
 		if start == end { // past the last word: start the next round
-			start, end = nextField(src, 0)
+			start, end = workload.NextField(src, 0)
 		}
 		if k > 0 {
 			b.WriteByte(' ')
@@ -596,23 +596,4 @@ func synthesizeText(prompt string, n int) string {
 		i = end
 	}
 	return b.String()
-}
-
-// nextField returns the bounds of the first word of s at or after byte i,
-// where, as in strings.Fields, runs of unicode.IsSpace separate words;
-// start == end == len(s) when none is left.
-func nextField(s string, i int) (start, end int) {
-	start = -1
-	for j, r := range s[i:] {
-		switch space := unicode.IsSpace(r); {
-		case start < 0 && !space:
-			start = i + j
-		case start >= 0 && space:
-			return start, i + j
-		}
-	}
-	if start < 0 {
-		return len(s), len(s)
-	}
-	return start, len(s)
 }

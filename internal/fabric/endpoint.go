@@ -202,15 +202,24 @@ func (ep *Endpoint) execute(task *Task) (any, error) {
 }
 
 func (ep *Endpoint) handleInfer(ctx context.Context, payload any) (any, error) {
-	req, ok := payload.(InferRequest)
-	if !ok {
-		return nil, fmt.Errorf("%w: %s takes an InferRequest, not %T", ErrPayloadType, FnInfer, payload)
+	req, err := InferPayload(payload)
+	if err != nil {
+		return nil, err
 	}
 	d, ok := ep.Deployment(req.Model)
 	if !ok {
 		return nil, fmt.Errorf("fabric: endpoint %s does not host %s", ep.cfg.ID, req.Model)
 	}
-	return d.Generate(ctx, req)
+	res, err := d.Generate(ctx, req)
+	if err != nil {
+		return nil, err
+	}
+	if t, _ := ctx.Value(taskKey{}).(*Task); t != nil && payload == any(&t.infer) {
+		// Client.Infer's own task: the answer rides in the record too.
+		t.inferred = res
+		return &t.inferred, nil
+	}
+	return res, nil
 }
 
 func (ep *Endpoint) handleEmbed(ctx context.Context, payload any) (any, error) {

@@ -450,16 +450,16 @@ func TestPayloadRoundtrip(t *testing.T) {
 }
 
 // TestPayloadTypeMismatch: a built-in handler given a payload of another type
-// fails the task with ErrPayloadType instead of panicking, and Infer fails
-// the same way when its function hands back something other than an
-// InferResult.
+// (an InferRequest by value or by pointer is FnInfer's own) fails the task
+// with ErrPayloadType instead of panicking, and Infer fails the same way when
+// its function hands back something other than an InferResult.
 func TestPayloadTypeMismatch(t *testing.T) {
 	f := newTestFabric(t, HubConfig{}, 2)
 	f.deploy(t, DeploymentConfig{Model: perfmodel.Llama8B, MinInstances: 0})
 	c := f.client()
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	for _, payload := range []any{nil, []byte(`{"model":"m"}`), &InferRequest{Model: perfmodel.Llama8B}, EmbedRequest{Model: perfmodel.Llama8B}} {
+	for _, payload := range []any{nil, []byte(`{"model":"m"}`), (*InferRequest)(nil), EmbedRequest{Model: perfmodel.Llama8B}} {
 		if _, err := c.Run(ctx, "ep-test", FnInfer, payload); !errors.Is(err, ErrPayloadType) {
 			t.Errorf("FnInfer given %T: err = %v, want ErrPayloadType", payload, err)
 		}
@@ -807,7 +807,7 @@ func TestHubSleepsOnlyToPickupAhead(t *testing.T) {
 		ep.RegisterFunction("admin.echo", func(_ context.Context, payload any) (any, error) { return payload, nil })
 		hub := NewHub(clk, HubConfig{}, "id", "secret", nil) // D = the submit instant
 		hub.RegisterEndpoint(ep)
-		rec, err := hub.submit(Credentials{ClientID: "id", ClientSecret: "secret"}, "ep", "admin.echo", nil)
+		rec, err := hub.submit(Credentials{ClientID: "id", ClientSecret: "secret"}, "ep", "admin.echo", nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -1041,6 +1041,35 @@ func TestClientRunZeroAlloc(t *testing.T) {
 	}
 }
 
+// An Infer through the built-in handler and a warm instance allocates
+// nothing: the request and the answer ride in the task's record, and the
+// serving engine recycles its own. A Run given the same request by value
+// gets an InferResult value back, never a pointer into a record that goes
+// back to the free list.
+func TestClientInferZeroAlloc(t *testing.T) {
+	f := newTestFabric(t, HubConfig{}, 1)
+	waitReady(f.deploy(t, DeploymentConfig{Model: perfmodel.Llama8B, MinInstances: 1}), 1)
+	c := f.client()
+	ctx := context.Background()
+	req := InferRequest{Model: perfmodel.Llama8B, PromptTok: 3, OutputTok: 16}
+	check := func(res InferResult, err error) {
+		if err != nil || res.Model != perfmodel.Llama8B || res.OutputTok != 16 || res.ServeTime <= 0 {
+			t.Fatalf("Infer = %+v, %v", res, err)
+		}
+	}
+	check(c.Infer(ctx, "ep-test", req))
+	got := testing.AllocsPerRun(200, func() { check(c.Infer(ctx, "ep-test", req)) })
+	if got != 0 {
+		t.Errorf("Client.Infer allocates %.1f/op, want 0", got)
+	}
+	out, err := c.Run(ctx, "ep-test", FnInfer, req)
+	res, ok := out.(InferResult)
+	if !ok {
+		t.Fatalf("Run(FnInfer) answered %T, want an InferResult value", out)
+	}
+	check(res, err)
+}
+
 // Concurrent Runs each get their own payload's answer, whichever records
 // they were handed, and Runs whose contexts end mid-flight drop their
 // records without disturbing the others. Run it as go test -race -count=20.
@@ -1079,6 +1108,43 @@ func TestClientRunRecyclesUnderConcurrency(t *testing.T) {
 						t.Errorf("Run(%d) = %v, want %d", n, out, 2*n)
 						return
 					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// Concurrent Infers through the built-in handler each get their own
+// request's answer out of whichever record carried it, and Infers whose
+// contexts end mid-flight leave their records without disturbing the
+// others. Run it as go test -race -count=20.
+func TestClientInferRecyclesUnderConcurrency(t *testing.T) {
+	f := newTestFabric(t, HubConfig{}, 1)
+	waitReady(f.deploy(t, DeploymentConfig{Model: perfmodel.Llama8B, MinInstances: 1}), 1)
+	c := f.client()
+	const workers, calls = 8, 200
+	var wg sync.WaitGroup
+	for w := range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range calls {
+				n := 1 + w*calls + i
+				ctx, cancel := context.WithCancel(context.Background())
+				if i%5 == 4 {
+					go cancel()
+				}
+				res, err := c.Infer(ctx, "ep-test", InferRequest{Model: perfmodel.Llama8B, PromptTok: n, OutputTok: 1 + n%7})
+				cancel()
+				switch {
+				case errors.Is(err, context.Canceled):
+				case err != nil:
+					t.Errorf("Infer(%d): %v", n, err)
+					return
+				case res.PromptTok != n || res.OutputTok != 1+n%7:
+					t.Errorf("Infer(%d) = %+v, want its own token counts", n, res)
+					return
 				}
 			}
 		}()

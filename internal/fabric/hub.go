@@ -124,12 +124,13 @@ func (h *Hub) QueuedTasks() int {
 
 // submit validates and accepts a task from a client SDK, books its
 // dispatch departure and starts its goroutine in an idle record, from the
-// free list when one is there. The record's future resolves when the
-// endpoint's result is relayed back; only Client.Run gives records back
-// (recycle).
+// free list when one is there. The payload is payload, or, when infer is
+// not nil, a pointer to the record's copy of *infer (Client.Infer). The
+// record's future resolves when the endpoint's result is relayed back; only
+// Client.Run and Client.Infer give records back (recycle).
 //
 //first:hotpath reached through the Run pin
-func (h *Hub) submit(creds Credentials, endpointID, function string, payload any) (*record, error) {
+func (h *Hub) submit(creds Credentials, endpointID, function string, payload any, infer *InferRequest) (*record, error) {
 	if creds.ClientID != h.clientID || creds.ClientSecret != h.clientSecret {
 		return nil, ErrBadCredentials
 	}
@@ -176,6 +177,10 @@ func (h *Hub) submit(creds Credentials, endpointID, function string, payload any
 	rec.ep = ep
 	t := &rec.task
 	t.ID, t.Function, t.EndpointID, t.Payload = id, function, endpointID, payload
+	if infer != nil {
+		t.infer = *infer
+		t.Payload = &t.infer
+	}
 	t.SubmittedAt, t.dispatchedAt = now, dispatched
 	t.pickupAt = dispatched.Add(max(ep.cfg.PickupLatency, 0))
 	t.finishedAt, t.status, t.relayedAt = time.Time{}, TaskPending, time.Time{}
@@ -191,6 +196,7 @@ func (h *Hub) submit(creds Credentials, endpointID, function string, payload any
 func (h *Hub) recycle(rec *record) {
 	t := &rec.task
 	t.Payload, t.result, t.err = nil, nil, nil // keep no caller's values alive
+	t.infer, t.inferred = InferRequest{}, InferResult{}
 	h.mu.Lock()
 	rec.next, h.free = h.free, rec
 	h.mu.Unlock()

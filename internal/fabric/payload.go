@@ -1,6 +1,9 @@
 package fabric
 
-import "time"
+import (
+	"fmt"
+	"time"
+)
 
 // Well-known function names pre-registered on endpoints. Only these can be
 // invoked (§3.2.2 Security: "Only functions that are pre-registered by the
@@ -22,6 +25,22 @@ type InferRequest struct {
 	// WantText asks the serving side to synthesize response text; perf
 	// harnesses leave it false and work with token counts only.
 	WantText bool
+}
+
+// InferPayload reads an FnInfer task's payload: the InferRequest a Run or a
+// Submit was given, or the pointer Client.Infer passes, which points into
+// the task's record and is the handler's to read only until it returns.
+// Any other payload fails with ErrPayloadType.
+func InferPayload(payload any) (InferRequest, error) {
+	switch p := payload.(type) {
+	case *InferRequest:
+		if p != nil {
+			return *p, nil
+		}
+	case InferRequest:
+		return p, nil
+	}
+	return InferRequest{}, fmt.Errorf("%w: %s takes an InferRequest, not %T", ErrPayloadType, FnInfer, payload)
 }
 
 // InferResult is the payload of an FnInfer result.

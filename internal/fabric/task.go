@@ -21,30 +21,38 @@
 // waits only for what is left of S when the outcome comes in, which on the
 // inference path is usually nothing.
 //
-// A task's payload and its result are Go values: the caller's InferRequest
-// reaches the handler as it was submitted, and the handler's InferResult
+// A task's payload and its result are Go values: the caller's payload
+// reaches the handler as it was submitted, and the handler's result
 // reaches the caller's Future unchanged. The hop's cost is in the hub's
 // constants above, not in host work — an encode and a decode inside one
 // process — that a scaled clock would multiply into modelled time.
 //
 // A task lives in a record: its Task, its Future, a one-slot wake channel,
 // the handler's context (which carries the *Task) and the task's bound run,
-// all made once. Who owns a record, when:
+// all made once, and room for an inference's request and answer. Who owns a
+// record, when:
 //   - the hub's free list, under the hub's mu, while it is idle;
 //   - the submitter, from submit until it starts the task's goroutine;
 //   - that goroutine, and the handler it runs, from then until the
 //     outcome's token lands on the wake channel, after which neither
-//     touches the record (a handler keeps neither its context nor the
-//     *Task on it past its return);
+//     touches the record (a handler keeps neither its context, nor the
+//     *Task on it, nor a payload pointing into the record past its return);
 //   - the waiter, from the token on.
 //
 // Every submit takes an idle record from the free list when there is one;
-// Client.Run is the one path that gives records back, and only once its
-// Wait has returned the task's result (or the task's error). A Wait that
-// returns ctx.Err() leaves the record to the collector, since its task may
-// still be running. A Future that Submit returns is its caller's for good
-// and never goes back, so its Task and its Wait read the same values
-// however late they are read.
+// Client.Run and Client.Infer are the paths that give records back, and
+// only once their wait has returned the task's result (or the task's
+// error). A wait that returns ctx.Err() leaves the record to the collector,
+// since its task may still be running. A Future that Submit returns is its
+// caller's for good and never goes back, so its Task and its Wait read the
+// same values however late they are read.
+//
+// Client.Infer boxes nothing: it copies its InferRequest into the record
+// and passes the handler a pointer to that copy, the built-in FnInfer
+// handler answers such a task with a pointer to the record's InferResult,
+// and Infer copies the answer out before the record goes back. Any other
+// FnInfer task — a Run or a Submit given the request by value — is
+// answered with an InferResult value, never with a pointer into a record.
 package fabric
 
 import (
@@ -105,6 +113,12 @@ type Task struct {
 	relayedAt time.Time // S, booked when the outcome came in
 	result    any
 	err       error
+
+	// infer and inferred are Client.Infer's request and answer, kept in the
+	// record so that neither is boxed: the payload is &infer, and the
+	// built-in FnInfer handler answers with &inferred.
+	infer    InferRequest
+	inferred InferResult
 }
 
 // Status returns the task's current status: dispatched from its dispatch

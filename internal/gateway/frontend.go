@@ -183,7 +183,11 @@ func (f *frontend) cacheGet(key respKey) (body []byte, model string, ok bool) {
 }
 
 // cachePut inserts or refreshes an entry, evicting the shard's LRU tail when
-// the per-shard bound is exceeded — hot entries survive insertion churn.
+// the shard is full (it holds at least one entry) — hot entries survive
+// insertion churn. The victim becomes the new key's entry, so once the cache
+// is full an insertion allocates nothing.
+//
+//first:hotpath pinned by TestFrontendHotPathAllocs (frontend_test.go)
 func (f *frontend) cachePut(key respKey, model string, body []byte) {
 	if f.cacheTTL <= 0 {
 		return
@@ -198,14 +202,17 @@ func (f *frontend) cachePut(key respKey, model string, body []byte) {
 		sh.toFront(e)
 		return
 	}
-	e := &lruEntry{key: key, model: model, body: body, expires: expires}
+	var e *lruEntry
+	if len(sh.entries) >= sh.capEntries && sh.tail != nil {
+		e = sh.tail
+		sh.unlink(e)
+		delete(sh.entries, e.key)
+		*e = lruEntry{key: key, model: model, body: body, expires: expires}
+	} else {
+		e = &lruEntry{key: key, model: model, body: body, expires: expires} //firstlint:allow hotpath a shard not yet full grows by one entry
+	}
 	sh.entries[key] = e
 	sh.pushFront(e)
-	for len(sh.entries) > sh.capEntries && sh.tail != nil {
-		victim := sh.tail
-		sh.unlink(victim)
-		delete(sh.entries, victim.key)
-	}
 }
 
 // cacheLen reports total cached entries across shards (tests, dashboards).

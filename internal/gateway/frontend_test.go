@@ -286,6 +286,36 @@ func TestFrontendHotPathAllocs(t *testing.T) {
 	}); got != 0 {
 		t.Errorf("keyInPlace+cacheGet allocates %.1f/op, want 0 (hashed in place)", got)
 	}
+
+	// A full cache's insertion reuses its victim's entry.
+	const puts = 1000
+	const fill = 2 * cacheEntries        // enough that every shard is full
+	keys := make([]respKey, fill+puts+1) // AllocsPerRun makes one warm-up call
+	for i := range keys {
+		keys[i] = keyOf(i)
+	}
+	for _, k := range keys[:fill] {
+		fe.cachePut(k, "m", body)
+	}
+	if got := fe.cacheLen(); got != cacheEntries {
+		t.Fatalf("cache holds %d entries after %d insertions, want it full at %d", got, fill, cacheEntries)
+	}
+	n := fill
+	if got := testing.AllocsPerRun(puts, func() {
+		fe.cachePut(keys[n], "m", body)
+		n++
+	}); got != 0 {
+		t.Errorf("cachePut on a full cache allocates %.1f/op, want 0", got)
+	}
+	if got := fe.cacheLen(); got != cacheEntries {
+		t.Errorf("cache holds %d entries after %d insertions into a full cache, want %d", got, puts+1, cacheEntries)
+	}
+	if _, _, ok := fe.cacheGet(keys[n-1]); !ok {
+		t.Error("the newest entry misses")
+	}
+	if _, _, ok := fe.cacheGet(keys[0]); ok {
+		t.Error("the least recently used entry survived a full cache's insertions")
+	}
 }
 
 // TestFrontendConcurrentMixedOps drives every front-end operation from

@@ -51,9 +51,9 @@ func twoClusterFixture(t *testing.T, cfg gateway.Config) (*core.System, string) 
 // fakeInfer fabricates an FnInfer handler returning canned text.
 func fakeInfer(text string) fabric.Handler {
 	return func(ctx context.Context, payload any) (any, error) {
-		req, ok := payload.(fabric.InferRequest)
-		if !ok {
-			return nil, fabric.ErrPayloadType
+		req, err := fabric.InferPayload(payload)
+		if err != nil {
+			return nil, err
 		}
 		return fabric.InferResult{
 			Model: req.Model, Text: text, PromptTok: req.PromptTok, OutputTok: req.OutputTok,

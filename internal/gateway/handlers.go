@@ -113,6 +113,27 @@ func putChatReply(c *chatReply) {
 	chatReplies.Put(c)
 }
 
+// chatRequests holds decoded chat requests between misses, each keeping its
+// Messages array: a decode appends into it instead of growing a new one.
+var chatRequests = sync.Pool{New: func() any { return new(openaiapi.ChatCompletionRequest) }}
+
+// maxPooledMessages bounds the Messages array a pooled request keeps.
+const maxPooledMessages = 64
+
+// putChatRequest clears req, its whole Messages array included — so the
+// pool keeps no caller's strings alive, and a message the next body omits a
+// field of decodes from zero, as into a fresh value — and returns it to
+// chatRequests.
+func putChatRequest(req *openaiapi.ChatCompletionRequest) {
+	msgs := req.Messages[:cap(req.Messages)]
+	clear(msgs)
+	if cap(msgs) > maxPooledMessages {
+		msgs = nil
+	}
+	*req = openaiapi.ChatCompletionRequest{Messages: msgs[:0]}
+	chatRequests.Put(req)
+}
+
 // handleChat serves POST /v1/chat/completions. It decides from bytes first:
 // the response-cache key is a hash of sub and the raw body, so a repeat is
 // recognised — and answered — before the body is decoded (see doc.go,
@@ -145,13 +166,20 @@ func (s *Server) handleChat(w http.ResponseWriter, r *http.Request, who auth.Tok
 			return
 		}
 	}
-	var req openaiapi.ChatCompletionRequest
-	err := openaiapi.Unmarshal(buf[pre:], &req)
+	req := chatRequests.Get().(*openaiapi.ChatCompletionRequest)
+	err := openaiapi.Unmarshal(buf[pre:], req)
 	putBody(bd) // the decoded request holds copies, not the buffer
-	if err != nil {
+	if err == nil {
+		s.answerChat(w, r, who, key, req)
+	} else {
 		s.writeError(w, http.StatusBadRequest, "invalid_request_error", "malformed JSON: "+err.Error())
-		return
 	}
+	putChatRequest(req) // nothing holds req.Messages past answerChat
+}
+
+// answerChat answers a decoded chat request the response cache did not:
+// through the engine, then into the cache under key.
+func (s *Server) answerChat(w http.ResponseWriter, r *http.Request, who auth.TokenInfo, key respKey, req *openaiapi.ChatCompletionRequest) {
 	if err := req.Validate(); err != nil {
 		s.writeError(w, http.StatusBadRequest, "invalid_request_error", err.Error())
 		return
@@ -225,8 +253,6 @@ func (s *Server) streamChat(w http.ResponseWriter, resp *openaiapi.ChatCompletio
 	if len(resp.Choices) > 0 && resp.Choices[0].Message != nil {
 		content = resp.Choices[0].Message.Content
 	}
-	words := strings.Fields(content)
-	const chunkWords = 16
 	var ev struct { // one allocation for the stream
 		chunk  openaiapi.StreamChunk
 		choice [1]openaiapi.Choice
@@ -240,15 +266,12 @@ func (s *Server) streamChat(w http.ResponseWriter, resp *openaiapi.ChatCompletio
 		Choices: ev.choice[:],
 	}
 	ev.choice[0].Delta = &ev.delta
-	for i := 0; i < len(words); i += chunkWords {
-		end := i + chunkWords
-		if end > len(words) {
-			end = len(words)
+	for i, lead := 0, false; ; lead = true {
+		piece, next := streamPiece(content, i, lead)
+		if piece == "" {
+			break
 		}
-		piece := strings.Join(words[i:end], " ")
-		if i > 0 {
-			piece = " " + piece
-		}
+		i = next
 		ev.delta = openaiapi.Message{Role: "assistant", Content: piece}
 		if err := openaiapi.WriteSSE(w, &ev.chunk); err != nil {
 			// The client went away mid-stream; the missing [DONE] lets the
@@ -267,6 +290,51 @@ func (s *Server) streamChat(w http.ResponseWriter, resp *openaiapi.ChatCompletio
 	if flusher != nil {
 		flusher.Flush()
 	}
+}
+
+// chunkWords is how many words of a completion one stream event carries.
+const chunkWords = 16
+
+// streamPiece returns the stream event's text that starts at byte from of
+// content, and where it ends: the next chunkWords words, as strings.Fields
+// splits content, joined by single spaces, after one more space when lead
+// is set (every event but the first). It is "" when no word is left. A
+// piece whose words content already separates by single spaces, as the
+// fabric's synthesized text does, is a slice of content; any other is built.
+func streamPiece(content string, from int, lead bool) (piece string, next int) {
+	start, end := workload.NextField(content, from)
+	if start == end {
+		return "", end
+	}
+	cut, inPlace := start, true
+	if lead {
+		cut, inPlace = from, start == from+1 && content[from] == ' '
+	}
+	for k := 1; k < chunkWords; k++ {
+		s, e := workload.NextField(content, end)
+		if s == e {
+			break
+		}
+		inPlace = inPlace && s == end+1 && content[end] == ' '
+		end = e
+	}
+	if inPlace {
+		return content[cut:end], end
+	}
+	var b strings.Builder
+	b.Grow(end - cut + 1)
+	for k, i := 0, from; k < chunkWords; k++ {
+		s, e := workload.NextField(content, i)
+		if s == e {
+			break
+		}
+		if lead || k > 0 {
+			b.WriteByte(' ')
+		}
+		b.WriteString(content[s:e])
+		i = e
+	}
+	return b.String(), end
 }
 
 // handleCompletion serves POST /v1/completions.

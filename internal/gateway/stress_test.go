@@ -58,9 +58,9 @@ func stressFixture(t *testing.T, cfg gateway.Config, clockScale int64, n int) (*
 func holdInfer(sys *core.System, around func(serve func())) {
 	for _, ep := range sys.Endpoints {
 		ep.RegisterFunction(fabric.FnInfer, func(ctx context.Context, payload any) (res any, err error) {
-			req, ok := payload.(fabric.InferRequest)
-			if !ok {
-				return nil, fmt.Errorf("%w: %T", fabric.ErrPayloadType, payload)
+			req, err := fabric.InferPayload(payload)
+			if err != nil {
+				return nil, err
 			}
 			d, ok := ep.Deployment(req.Model)
 			if !ok {

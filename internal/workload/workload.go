@@ -264,3 +264,22 @@ func EstimateTokens(text string) int {
 	}
 	return n
 }
+
+// NextField returns the bounds of the first word of s at or after byte i,
+// where, as in strings.Fields, runs of unicode.IsSpace separate words;
+// start == end == len(s) when none is left.
+func NextField(s string, i int) (start, end int) {
+	start = -1
+	for j, r := range s[i:] {
+		switch space := unicode.IsSpace(r); {
+		case start < 0 && !space:
+			start = i + j
+		case start >= 0 && space:
+			return start, i + j
+		}
+	}
+	if start < 0 {
+		return len(s), len(s)
+	}
+	return start, len(s)
+}
