@@ -73,10 +73,14 @@ fuzzlist:
 # race runs the tier-1 suite under the race detector — the gate for the
 # sharded gateway front-end's parallel stress tests — then the record
 # recycling tests twenty times over: the SDK's in-process call records and
-# the fabric's task records, each handed between goroutines and reused.
+# the fabric's task records, each handed between goroutines and reused; then
+# the scaled clock's precision contract and the hub's pickup test twenty
+# times over, which run on the host's timing and flake where a bound or a
+# row is wrong.
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=20 -run 'Recycles' ./internal/client ./internal/fabric
+	$(GO) test -race -count=20 -run 'Scaled|HubSleepsOnlyToPickupAhead' ./internal/clock ./internal/fabric
 
 # chaos drives the short livefed storm — chaosnet fault transport, endpoint
 # fault bursts, a kill + cold restart mid-run — through the live stack under

@@ -391,14 +391,15 @@
 //
 // Scaled-clock precision. Every wait on the live path — hub submit,
 // dispatch and relay, endpoint pickup, the deployment control loop, engine
-// iterations, scheduler timers, the introspection latency — goes
-// through the clock.Clock the layer was built with, and on clock.Scaled a
-// modelled delay costs the wall time it says, to the clock's slack: a wait
-// never returns early and returns at the first multiple of 56 µs (on the
-// clock's own wall timeline) at or after delay/factor, where a raw
-// time.Sleep of anything under a millisecond takes ≈ 1.1 ms on Linux. One
-// goroutine per clock, the pump, owns a deadline queue shared by Sleep and
-// After; it sleeps on a runtime timer until 1.2 ms (the host's timer
+// iterations, scheduler timers, the introspection latency — goes through
+// the clock.Clock the layer was built with, and on clock.Scaled a modelled
+// delay costs the wall time it says, plus the pump's reaction: a wait never
+// returns early, its deadline is the wall instant it was armed plus
+// delay/factor, and it returns within the microsecond or so the pump takes
+// to see that instant (a yield, when the pump's processor is busy), where a
+// raw time.Sleep of anything under a millisecond takes ≈ 1.1 ms on Linux.
+// One goroutine per clock, the pump, owns a deadline queue shared by Sleep
+// and After; it sleeps on a runtime timer until 1.2 ms (the host's timer
 // granularity) before the nearest deadline, polls the wall clock from
 // there, yielding its processor after every wake-up and at least every
 // 20 µs, and exits when no waiter is left. Waits of 10 ms of wall or more
@@ -406,27 +407,26 @@
 // use the runtime timer alone. There is exactly one spinner however many
 // goroutines wait, so the cost is bounded at one core and the gateway
 // stress tests do not put hundreds of spinners on the run queue; an idle
-// clock costs nothing. The slack is there for repeatability, not for
-// speed. With exact deadlines the live stack at 20000× is CPU-bound —
-// ~100 µs of gateway, fabric and client code per request against ~35 µs of
-// modelled waiting — and its wall time per request follows the shared
-// host's speed drift one to one. With every wait ending on the grid, the
-// tens of microseconds of code between two waits stop adding up: a request
-// takes a whole number of slack periods (about four, on the benchmark's
-// live-chat workload) for as long as each stretch of code stays inside the
-// periods it takes now, at a mean cost of 28 µs per wait. On that workload the
-// deployments' control loops re-arm a 250 µs wait without pause, so the
-// pump never leaves its spin window: host.cpu_busy_share reads ~0.6 where
-// it read ~0.18, and the difference is an otherwise idle core polling the
-// clock, not work (clock.cpu_share names it in the profile). The hub's two
-// lanes are booked as a task enters them, by the FIFO recurrence of the DES
-// twin's stages, so a backlogged lane drains at the 1/DispatchCost the
-// Fig. 4 model states instead of 1/(DispatchCost + overshoot), slack
-// included. The serving engine takes a task at its booked pickup instant
-// and the hub relays from the engine's finish, so an inference request
-// through the fabric waits on the clock once; a standalone LiveEngine paces
-// its iterations against an absolute virtual deadline, so its overshoot
-// does not add up either.
+// clock costs nothing. With exact deadlines a request through the live
+// stack at 20000× costs its modelled waits plus the stack's own CPU between
+// them — on the benchmark's live-chat workload the hub's one booked wait
+// (38.5 µs), the engine's generation, and the SDK's, gateway's and
+// fabric's code around them — so the live rate reads that CPU, and follows
+// a shared host's speed drift with it: a change is judged on interleaved
+// pairs of runs (make pairs). Deadlines rounded up to a grid would steady
+// the rate but hide that CPU, since every request would then take a whole
+// number of grid periods. On that workload the deployments' control loops
+// re-arm a 250 µs wait without pause, so the pump never leaves its spin
+// window: host.cpu_busy_share reads ~0.6 where it read ~0.18, and the
+// difference is an otherwise idle core polling the clock, not work
+// (clock.cpu_share names it in the profile). The hub's two lanes are booked as a task enters
+// them, by the FIFO recurrence of the DES twin's stages, so a backlogged
+// lane drains at the 1/DispatchCost the Fig. 4 model states instead of
+// 1/(DispatchCost + overshoot). The serving engine takes a task at its
+// booked pickup instant and the hub relays from the engine's finish, so an
+// inference request through the fabric waits on the clock once; a
+// standalone LiveEngine paces its iterations against an absolute virtual
+// deadline, so its overshoot does not add up either.
 //
 // What is left is host CPU, which the scaled clock multiplies into modelled
 // time the DES twin does not have, so the in-process hops do no work that
@@ -468,9 +468,15 @@
 // call: every wire body — the gateway's chat, completion, embedding, batch
 // and tool requests, the SDK's responses, error envelopes and stream
 // chunks — decodes through openaiapi.Unmarshal, which gives
-// json.Unmarshal's values and errors but reuses a pooled json.Decoder's
-// state (FuzzUnmarshalMatchesStdlib holds the two equal), and the SDK
-// parses its base URL once, at New. An SDK call on the in-process
+// json.Unmarshal's values and errors (FuzzUnmarshalMatchesStdlib holds the
+// two equal): the chat request, response and stream chunk on a typed path
+// that reads them without reflection, in a check pass that neither stores
+// nor allocates, then a fill pass for a body it accepted whole, and
+// every other body, or a chat body with anything that path does not take
+// (an escape, a null, an unknown key, a number out of range), on a pooled
+// json.Decoder's state. The SDK parses its base
+// URL once, at New, and reads a stream's lines into a buffer its call
+// record keeps. An SDK call on the in-process
 // transport is one record from the transport's free list, as a fabric task
 // is one from the hub's: the request's URL, header map and body reader, the
 // exchange (the handler's ResponseWriter and the response's Body, with its

@@ -421,6 +421,11 @@ func (c *Client) ChatCompletionStream(ctx context.Context, req openaiapi.ChatCom
 	return "", lastErr
 }
 
+// sseLine is the size of a record's stream line buffer, bufio's default: a
+// gateway frame (16 words of text and the chunk around them) fits, and a
+// longer line is read into a larger buffer for that stream alone.
+const sseLine = 4096
+
 // streamOnce runs one streaming attempt. consumed reports whether any delta
 // reached the caller, which makes the attempt non-replayable.
 func (c *Client) streamOnce(ctx context.Context, rec *callRecord, onDelta func(string)) (string, bool, error) {
@@ -437,7 +442,10 @@ func (c *Client) streamOnce(ctx context.Context, rec *callRecord, onDelta func(s
 	}
 	full := rec.text[:0]
 	consumed := false
-	err = openaiapi.ReadSSE(resp.Body, func(data []byte) error {
+	if rec.sse == nil {
+		rec.sse = make([]byte, sseLine)
+	}
+	err = openaiapi.ReadSSE(resp.Body, rec.sse, func(data []byte) error {
 		rec.chunk = openaiapi.StreamChunk{} // a field the frame omits must not carry over
 		if err := openaiapi.Unmarshal(data, &rec.chunk); err != nil {
 			// A frame cut mid-JSON (chaosnet severs the stream anywhere,

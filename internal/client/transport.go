@@ -140,6 +140,7 @@ type callRecord struct {
 	reply   openaiapi.ChatCompletionResponse // ChatCompletion's decode target
 	chunk   openaiapi.StreamChunk            // a stream's decode target
 	text    []byte                           // a stream's text, as it arrives
+	sse     []byte                           // a stream's line buffer, made at the record's first stream
 
 	next *callRecord // the free list
 }

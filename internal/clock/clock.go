@@ -14,9 +14,11 @@
 // between ~1 µs and 1 ms returns after ≈ 1.1 ms on an idle process, and at
 // 20000× the hub's 250 ms submit latency is 12.5 µs. Scaled therefore keeps
 // its own deadline queue, and its contract is that a Sleep or After never
-// returns early and returns at most its slack (56 µs, below) late, plus the
-// microsecond or so the pump takes to react; the tests hold the median wait
-// to max(64 µs, 10 %) of d/factor.
+// returns early — its deadline is the wall instant it was armed plus
+// d/factor, not rounded — and returns late by at most the pump's reaction:
+// the microsecond or so a poll takes, or up to a yield when the pump's
+// processor is busy. The tests hold the median wait to max(24 µs, 10 %) of
+// d/factor.
 //
 // What is spun, and for how long: one goroutine per Scaled clock, the pump,
 // fires every waiter. While the nearest deadline is more than 1.2 ms away —
@@ -29,27 +31,12 @@
 // Waits that compress to 10 ms or more, of which a millisecond is at most a
 // tenth, stay on the plain runtime timer and never enter the queue.
 //
-// Slack: deadlines are rounded up to the next multiple of 56 µs on the
-// clock's own wall timeline, as the kernel rounds a timer to its slack. Two
-// things come of that. Waiters due close together fire in one pass of the
-// pump and one yield. And the tens of microseconds of CPU the stack spends
-// between two waits, whose length follows the host's speed of the moment,
-// stop adding up along a request: every wait ends on the grid, so a request
-// takes a whole number of slack periods for as long as each stretch of code
-// between two waits stays inside the periods it takes now. With exact
-// deadlines the live stack at 20000× is CPU-bound and its wall time per
-// request follows a shared host's speed drift one to one; that made the
-// live benchmark's rate unrepeatable (see CHANGES.md, PR 14, for the runs).
-// The width was set by the longest such stretch on the request path — some
-// 80 µs of client and gateway code around what was then the hub's own
-// 12.5 µs submit wait, two periods with a fifth to spare; at 48 µs that
-// stretch sat 4 µs from its boundary and the rate still followed the host.
-// The hub now books submit, dispatch and pickup as one wait of 38.5 µs at
-// 20000×, due from the submit instant, and the serving engine takes a task
-// at its booked pickup instant and the hub relays from the engine's finish
-// (internal/fabric), so a fabric request takes that one wait and that code
-// runs between one request's booked wait and the next's; the width was not
-// re-tuned for it. The price is a mean 28 µs per wait.
+// With exact deadlines a request through the live stack at 20000× costs
+// its modelled waits plus the stack's own CPU between them, so its wall
+// time follows the host's speed, and the live benchmark judges a change on
+// interleaved pairs of runs. Rounding deadlines up to a grid would steady
+// the rate but hide that CPU: every request would take a whole number of
+// grid periods, whatever its code cost inside them.
 //
 // Why one spinner per clock: letting each sleeper yield-spin for itself is
 // marginally more precise, but puts as many spinners on the run queue as
@@ -110,8 +97,8 @@ func (Real) Since(t time.Time) time.Duration { return time.Since(t) }
 //
 // Sleep and After share one deadline queue (see the package comment for the
 // precision contract): a waiter is a pooled record in a min-heap keyed by
-// absolute wall deadline on the slack grid, and at most one goroutine per
-// clock, the pump, fires them.
+// absolute wall deadline, and at most one goroutine per clock, the pump,
+// fires them.
 type Scaled struct {
 	factor int64
 	epoch  time.Time // wall time at construction
@@ -145,9 +132,6 @@ const (
 	// coarseWait is the compressed length from which that millisecond is at
 	// most a tenth of the wait; such waits stay on the plain runtime timer.
 	coarseWait = 10 * time.Millisecond
-	// slack is the grid, in wall time since the clock's epoch, that queued
-	// deadlines are rounded up to (see the package comment).
-	slack = 56 * time.Microsecond
 	// yieldEvery is the longest the spinning pump polls without yielding
 	// its processor to whatever else became runnable on it.
 	yieldEvery = 20 * time.Microsecond
@@ -175,8 +159,8 @@ func (s *Scaled) virtual(wall time.Duration) time.Time {
 	return s.origin.Add(wall * time.Duration(s.factor))
 }
 
-// Sleep implements Clock: a virtual duration d costs d/factor wall time, to
-// the slack.
+// Sleep implements Clock: a virtual duration d costs d/factor wall time,
+// plus the pump's reaction.
 //
 //first:hotpath pinned by TestScaledSleepZeroAlloc (clock_test.go)
 func (s *Scaled) Sleep(d time.Duration) {
@@ -219,13 +203,13 @@ func (s *Scaled) compress(d time.Duration) time.Duration {
 	return c
 }
 
-// arm queues a waiter due c of wall time from now, rounded up to the slack
-// grid, and makes sure a pump will fire it: the pump sends on after when that
-// is set, on the record's wake channel otherwise.
+// arm queues a waiter due c of wall time from now and makes sure a pump will
+// fire it: the pump sends on after when that is set, on the record's wake
+// channel otherwise.
 //
 //first:hotpath reached through the Sleep pin
 func (s *Scaled) arm(c time.Duration, after chan time.Time) *waiter {
-	deadline := int64((time.Since(s.epoch) + c + slack - 1) / slack * slack)
+	deadline := int64(time.Since(s.epoch) + c)
 	s.mu.Lock()
 	w := s.free
 	if w != nil {

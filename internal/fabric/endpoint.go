@@ -30,7 +30,8 @@ type EndpointConfig struct {
 	ID        string
 	Scheduler *scheduler.Scheduler
 	// PickupLatency models the endpoint's task-fetch cadence from the hub
-	// (workers poll the cloud queue). Default 500 ms.
+	// (workers poll the cloud queue). Zero means the 500 ms default; a
+	// negative value is a zero pickup, a task runs at its dispatch.
 	PickupLatency time.Duration
 }
 

@@ -795,9 +795,11 @@ func (c *countingClock) Sleep(d time.Duration) {
 }
 
 // A task whose goroutine starts at or after its pickup instant P asks its
-// clock for no Sleep; one whose P lies ahead sleeps once.
+// clock for no Sleep; one whose P lies ahead sleeps once. The first row's
+// pickup is zero (a negative PickupLatency; zero means the 500 ms default),
+// so P is the submit instant and no goroutine can start before it.
 func TestHubSleepsOnlyToPickupAhead(t *testing.T) {
-	for _, pickup := range []time.Duration{0, time.Millisecond} {
+	for _, pickup := range []time.Duration{-1, time.Millisecond} {
 		clk := &countingClock{Manual: clock.NewManual(time.Unix(1_000_000, 0))}
 		sched := scheduler.New(cluster.New("cl", 1, 8, perfmodel.A100_40), clk, scheduler.Config{})
 		ep, err := NewEndpoint(EndpointConfig{ID: "ep", Scheduler: sched, PickupLatency: pickup}, clk, nil)

@@ -17,7 +17,8 @@
 // cost, with F = now for a handler that reports none. Every modelled cost is
 // charged as when each lane and the engine's hand-off were waits of their
 // own; what booking saves is those waits, each of which a scaled clock
-// rounds up to its slack grid, and two goroutine hops per request. A waiter
+// ends a pump's reaction past its deadline, and two goroutine hops per
+// request. A waiter
 // waits only for what is left of S when the outcome comes in, which on the
 // inference path is usually nothing.
 //

@@ -25,9 +25,13 @@ var decoders = sync.Pool{New: func() any {
 }}
 
 // Unmarshal is json.Unmarshal for wire bodies: same values, same errors,
-// but the decoder's own state (its decodeState, the scanner's parse stack,
-// the error context) comes from a pool instead of being built per call, so
-// a decode allocates only the values it stores.
+// but without json.Unmarshal's per-call scaffolding, so a decode allocates
+// only the values it stores. The chat request, response and stream chunk
+// take a typed path that reads them without reflection (fastdecode.go);
+// every other body, and a chat body that path turns away, goes to a pooled
+// json.Decoder, whose own state (its decodeState, the scanner's parse
+// stack, the error context) comes from a pool instead of being built per
+// call.
 //
 // The pooled decoder is handed one JSON object, the body up to the brace
 // that closes its first one, and only when nothing but whitespace follows
@@ -40,6 +44,9 @@ var decoders = sync.Pool{New: func() any {
 // to the pool only after a call with no error — it then consumed all it
 // was given — and at most maxPooledBody bytes.
 func Unmarshal(data []byte, v any) error {
+	if decodeFast(data, v) {
+		return nil
+	}
 	n := objectLen(data)
 	if n == 0 {
 		return json.Unmarshal(data, v)

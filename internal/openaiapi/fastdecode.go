@@ -1,0 +1,586 @@
+package openaiapi
+
+import (
+	"strconv"
+	"unicode/utf8"
+)
+
+// The chat bodies — the request the gateway decodes, the response and the
+// stream chunk the SDK decodes — take a typed path inside Unmarshal that
+// reads them without reflection. It accepts only what it can store exactly
+// as json.Unmarshal would:
+//   - exact-case known keys, each at most once;
+//   - strings with no '\', no byte below 0x20 and valid UTF-8, which
+//     json.Unmarshal copies as they are;
+//   - integers with no fraction or exponent, in the field's range, and
+//     floats on the JSON number grammar below 10^308, read by
+//     strconv.ParseFloat as json.Unmarshal reads them;
+//   - true and false, and no null;
+//   - nothing but whitespace after the object;
+//   - a target whose array elements the body fills are zero: json.Unmarshal
+//     decodes an array into the slice's own elements, up to its capacity,
+//     so a non-zero one would keep the fields the body omits. A zero value
+//     passes, and so does the gateway's pooled request, whose Messages
+//     array is cleared before it goes back.
+//
+// Anything else goes to the reflective path with the target as it was
+// given. The typed path reads a body twice: a check pass that stores and
+// allocates nothing and counts the body's one array, then, for a body it
+// accepted whole, a fill pass that stores, allocating only the values —
+// the strings, the array, a choice's message.
+type fastDec struct {
+	data []byte
+	i    int
+	bad  bool // the body is not one the typed path accepts
+	fill bool // store what is read: false on the check pass
+	n    int  // the length of the body's one array, counted by the check pass
+}
+
+// decodeFast decodes data into v on the typed path and reports whether it
+// did; on false v is untouched.
+//
+//first:hotpath for a body it turns away: pinned by TestTypedPathRejectsWithoutAllocating (decode_test.go)
+func decodeFast(data []byte, v any) bool {
+	d := fastDec{data: data}
+	if !d.body(v) || !d.accepted() {
+		return false
+	}
+	d.i, d.fill = 0, true
+	d.body(v)
+	return true
+}
+
+// body reads data into v once. On the check pass it reports whether v is a
+// chat body whose array elements the data fills are zero.
+func (d *fastDec) body(v any) bool {
+	// A nil pointer is turned away, for json.Unmarshal's InvalidUnmarshalError.
+	switch v := v.(type) {
+	case *ChatCompletionRequest:
+		if v == nil {
+			return false
+		}
+		d.request(v)
+		return zeroPrefix(v.Messages, d.n)
+	case *ChatCompletionResponse:
+		if v == nil {
+			return false
+		}
+		d.completion(&v.ID, &v.Object, &v.Created, &v.Model, &v.Choices, &v.Usage)
+		return zeroPrefix(v.Choices, d.n)
+	case *StreamChunk:
+		if v == nil {
+			return false
+		}
+		d.completion(&v.ID, &v.Object, &v.Created, &v.Model, &v.Choices, nil)
+		return zeroPrefix(v.Choices, d.n)
+	}
+	return false
+}
+
+// accepted reports whether the check pass read one object and nothing but
+// whitespace after it.
+func (d *fastDec) accepted() bool {
+	return !d.bad && skipSpace(d.data, d.i) == len(d.data)
+}
+
+// zeroPrefix reports whether the elements a body of n array elements
+// decodes into, s's own up to its capacity, are all zero.
+func zeroPrefix[T comparable](s []T, n int) bool {
+	var zero T
+	for _, e := range s[:min(n, cap(s))] {
+		if e != zero {
+			return false
+		}
+	}
+	return true
+}
+
+// slots returns the slice an array of n elements fills: s's own array when
+// it has room, as json.Unmarshal uses it, and a new one otherwise. It is
+// never nil, since json.Unmarshal stores an empty array as an empty slice.
+func slots[T any](s []T, n int) []T {
+	if s != nil && cap(s) >= n {
+		return s[:n]
+	}
+	return make([]T, n)
+}
+
+// peek returns the next byte after whitespace, or 0 at the end of the data
+// and once d has failed.
+func (d *fastDec) peek() byte {
+	d.i = skipSpace(d.data, d.i)
+	if d.bad || d.i == len(d.data) {
+		return 0
+	}
+	return d.data[d.i]
+}
+
+// want consumes c, after whitespace.
+func (d *fastDec) want(c byte) {
+	if d.peek() != c {
+		d.bad = true
+		return
+	}
+	d.i++
+}
+
+// member reads the key of the next member of the object whose '{' (first)
+// or previous value d has just consumed, and the ':' after it. It returns
+// nil at the '}' that closes the object, which it consumes, and once d has
+// failed.
+func (d *fastDec) member(first bool) []byte {
+	c := d.peek()
+	if c == '}' {
+		d.i++
+		return nil
+	}
+	if !first {
+		if c != ',' {
+			d.bad = true
+			return nil
+		}
+		d.i++
+	}
+	k := d.raw()
+	d.want(':')
+	if d.bad {
+		return nil
+	}
+	return k
+}
+
+// elem reports whether an element follows in the array whose '[' (first)
+// or previous element d has just consumed; it consumes the ',' before the
+// element, or the ']' that closes the array.
+func (d *fastDec) elem(first bool) bool {
+	c := d.peek()
+	if c == ']' {
+		d.i++
+		return false
+	}
+	if !first {
+		if c != ',' {
+			d.bad = true
+			return false
+		}
+		d.i++
+	}
+	return !d.bad
+}
+
+// raw reads a string that has nothing to unescape and returns its bytes.
+func (d *fastDec) raw() []byte {
+	if d.peek() != '"' {
+		d.bad = true
+		return nil
+	}
+	data, start := d.data, d.i+1
+	ascii := true
+	for j := start; j < len(data); j++ {
+		switch c := data[j]; {
+		case c == '"':
+			str := data[start:j]
+			if !ascii && !utf8.Valid(str) {
+				d.bad = true
+				return nil
+			}
+			d.i = j + 1
+			return str
+		case c == '\\' || c < ' ':
+			d.bad = true
+			return nil
+		case c >= utf8.RuneSelf:
+			ascii = false
+		}
+	}
+	d.bad = true
+	return nil
+}
+
+func (d *fastDec) str(dst *string) {
+	s := d.raw()
+	if d.fill {
+		*dst = string(s)
+	}
+}
+
+func (d *fastDec) bool(dst *bool) {
+	var lit string
+	switch d.peek() {
+	case 't':
+		lit = "true"
+	case 'f':
+		lit = "false"
+	default:
+		d.bad = true
+		return
+	}
+	if len(d.data)-d.i < len(lit) || string(d.data[d.i:d.i+len(lit)]) != lit {
+		d.bad = true
+		return
+	}
+	d.i += len(lit)
+	if d.fill {
+		*dst = lit == "true"
+	}
+}
+
+// number reads a number on the JSON grammar and reports whether it is an
+// integer: no fraction and no exponent.
+func (d *fastDec) number() (num []byte, integer bool) {
+	d.peek()
+	data, start := d.data, d.i
+	j := start
+	if j < len(data) && data[j] == '-' {
+		j++
+	}
+	if j < len(data) && data[j] == '0' {
+		j++
+	} else if j = digits(data, j); j == -1 {
+		d.bad = true
+		return nil, false
+	}
+	integer = true
+	if j < len(data) && data[j] == '.' {
+		integer = false
+		if j = digits(data, j+1); j == -1 {
+			d.bad = true
+			return nil, false
+		}
+	}
+	if j < len(data) && (data[j] == 'e' || data[j] == 'E') {
+		integer = false
+		if j++; j < len(data) && (data[j] == '+' || data[j] == '-') {
+			j++
+		}
+		if j = digits(data, j); j == -1 {
+			d.bad = true
+			return nil, false
+		}
+	}
+	d.i = j
+	return data[start:j], integer
+}
+
+// digits returns the index past the run of decimal digits at data[j], or -1
+// when there is none.
+func digits(data []byte, j int) int {
+	k := j
+	for k < len(data) && '0' <= data[k] && data[k] <= '9' {
+		k++
+	}
+	if k == j {
+		return -1
+	}
+	return k
+}
+
+// integer reads an integer that fits in bits. It converts the digits
+// itself: strconv would allocate its error for one out of range.
+func (d *fastDec) integer(bits int) int64 {
+	num, integer := d.number()
+	if d.bad || !integer {
+		d.bad = true
+		return 0
+	}
+	neg := num[0] == '-'
+	if neg {
+		num = num[1:]
+	}
+	limit := uint64(1)<<(bits-1) - 1 // the largest magnitude that fits
+	if neg {
+		limit++
+	}
+	var u uint64
+	for _, c := range num {
+		if u > limit/10 || u*10 > limit-uint64(c-'0') {
+			d.bad = true
+			return 0
+		}
+		u = u*10 + uint64(c-'0')
+	}
+	if neg {
+		return -int64(u)
+	}
+	return int64(u)
+}
+
+func (d *fastDec) int(dst *int) {
+	n := d.integer(strconv.IntSize)
+	if d.fill {
+		*dst = int(n)
+	}
+}
+
+func (d *fastDec) int64(dst *int64) {
+	n := d.integer(64)
+	if d.fill {
+		*dst = n
+	}
+}
+
+func (d *fastDec) float(dst *float64) {
+	num, _ := d.number()
+	// Longer than any float64 needs, converting it would allocate; a number
+	// that may overflow would make strconv allocate its error.
+	if d.bad || len(num) > 32 || !belowOverflow(num) {
+		d.bad = true
+		return
+	}
+	f, err := strconv.ParseFloat(string(num), 64)
+	if err != nil {
+		d.bad = true
+	}
+	if d.fill {
+		*dst = f
+	}
+}
+
+// belowOverflow reports whether num, a number on the JSON grammar, is below
+// 10^308 in magnitude, so that strconv.ParseFloat cannot overflow on it. It
+// bounds the value by its integer digits and its exponent alone, so a few
+// numbers in range, such as 0.1e309, are turned away too.
+func belowOverflow(num []byte) bool {
+	i, ints := 0, 0
+	if num[0] == '-' {
+		i++
+	}
+	for ; i < len(num) && '0' <= num[i] && num[i] <= '9'; i++ {
+		ints++
+	}
+	for i < len(num) && num[i] != 'e' && num[i] != 'E' {
+		i++
+	}
+	exp, sign := 0, 1
+	if i < len(num) {
+		i++
+		if num[i] == '-' {
+			sign = -1
+		}
+		if num[i] == '+' || num[i] == '-' {
+			i++
+		}
+		for ; i < len(num); i++ {
+			exp = min(exp*10+int(num[i]-'0'), 1000)
+		}
+	}
+	return ints+sign*exp <= 308
+}
+
+// seen marks bit as read in the object's set, failing on a repeated key.
+func (d *fastDec) seen(set *uint, bit uint) {
+	if *set&bit != 0 {
+		d.bad = true
+	}
+	*set |= bit
+}
+
+func (d *fastDec) request(r *ChatCompletionRequest) {
+	d.want('{')
+	var set uint
+	for first := true; ; first = false {
+		k := d.member(first)
+		if k == nil {
+			return
+		}
+		switch string(k) {
+		case "model":
+			d.seen(&set, 1<<0)
+			d.str(&r.Model)
+		case "messages":
+			d.seen(&set, 1<<1)
+			d.messages(&r.Messages)
+		case "max_tokens":
+			d.seen(&set, 1<<2)
+			d.int(&r.MaxTokens)
+		case "temperature":
+			d.seen(&set, 1<<3)
+			d.float(&r.Temperature)
+		case "top_p":
+			d.seen(&set, 1<<4)
+			d.float(&r.TopP)
+		case "n":
+			d.seen(&set, 1<<5)
+			d.int(&r.N)
+		case "stream":
+			d.seen(&set, 1<<6)
+			d.bool(&r.Stream)
+		case "user":
+			d.seen(&set, 1<<7)
+			d.str(&r.User)
+		default:
+			d.bad = true
+		}
+	}
+}
+
+func (d *fastDec) messages(dst *[]Message) {
+	var ms []Message
+	if d.fill {
+		ms = slots(*dst, d.n)
+	}
+	var scratch Message // the check pass's target, never written
+	d.want('[')
+	n := 0
+	for ; d.elem(n == 0); n++ {
+		m := &scratch
+		if d.fill {
+			m = &ms[n]
+		}
+		d.message(m)
+	}
+	if d.fill {
+		*dst = ms
+	} else {
+		d.n = n
+	}
+}
+
+func (d *fastDec) message(m *Message) {
+	d.want('{')
+	var set uint
+	for first := true; ; first = false {
+		k := d.member(first)
+		if k == nil {
+			return
+		}
+		switch string(k) {
+		case "role":
+			d.seen(&set, 1<<0)
+			d.str(&m.Role)
+		case "content":
+			d.seen(&set, 1<<1)
+			d.str(&m.Content)
+		default:
+			d.bad = true
+		}
+	}
+}
+
+// messageRef reads a message into a new Message, as json.Unmarshal does for
+// a nil pointer.
+func (d *fastDec) messageRef(dst **Message) {
+	if !d.fill {
+		var scratch Message
+		d.message(&scratch)
+		return
+	}
+	m := new(Message)
+	d.message(m)
+	*dst = m
+}
+
+// completion reads a chat response's fields, or a stream chunk's, which are
+// the same but usage, when u is nil.
+func (d *fastDec) completion(id, object *string, created *int64, model *string, choices *[]Choice, u *Usage) {
+	d.want('{')
+	var set uint
+	for first := true; ; first = false {
+		k := d.member(first)
+		if k == nil {
+			return
+		}
+		switch string(k) {
+		case "id":
+			d.seen(&set, 1<<0)
+			d.str(id)
+		case "object":
+			d.seen(&set, 1<<1)
+			d.str(object)
+		case "created":
+			d.seen(&set, 1<<2)
+			d.int64(created)
+		case "model":
+			d.seen(&set, 1<<3)
+			d.str(model)
+		case "choices":
+			d.seen(&set, 1<<4)
+			d.choices(choices)
+		case "usage":
+			d.seen(&set, 1<<5)
+			if u == nil {
+				d.bad = true
+				return
+			}
+			d.usage(u)
+		default:
+			d.bad = true
+		}
+	}
+}
+
+func (d *fastDec) choices(dst *[]Choice) {
+	var cs []Choice
+	if d.fill {
+		cs = slots(*dst, d.n)
+	}
+	var scratch Choice
+	d.want('[')
+	n := 0
+	for ; d.elem(n == 0); n++ {
+		c := &scratch
+		if d.fill {
+			c = &cs[n]
+		}
+		d.choice(c)
+	}
+	if d.fill {
+		*dst = cs
+	} else {
+		d.n = n
+	}
+}
+
+func (d *fastDec) choice(c *Choice) {
+	d.want('{')
+	var set uint
+	for first := true; ; first = false {
+		k := d.member(first)
+		if k == nil {
+			return
+		}
+		switch string(k) {
+		case "index":
+			d.seen(&set, 1<<0)
+			d.int(&c.Index)
+		case "message":
+			d.seen(&set, 1<<1)
+			d.messageRef(&c.Message)
+		case "text":
+			d.seen(&set, 1<<2)
+			d.str(&c.Text)
+		case "delta":
+			d.seen(&set, 1<<3)
+			d.messageRef(&c.Delta)
+		case "finish_reason":
+			d.seen(&set, 1<<4)
+			d.str(&c.FinishReason)
+		default:
+			d.bad = true
+		}
+	}
+}
+
+func (d *fastDec) usage(u *Usage) {
+	d.want('{')
+	var set uint
+	for first := true; ; first = false {
+		k := d.member(first)
+		if k == nil {
+			return
+		}
+		switch string(k) {
+		case "prompt_tokens":
+			d.seen(&set, 1<<0)
+			d.int(&u.PromptTokens)
+		case "completion_tokens":
+			d.seen(&set, 1<<1)
+			d.int(&u.CompletionTokens)
+		case "total_tokens":
+			d.seen(&set, 1<<2)
+			d.int(&u.TotalTokens)
+		default:
+			d.bad = true
+		}
+	}
+}

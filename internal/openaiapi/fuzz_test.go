@@ -3,6 +3,7 @@ package openaiapi
 import (
 	"encoding/json"
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -71,7 +72,8 @@ func FuzzParseRequest(f *testing.F) {
 // particular streams cut mid-event, which chaos testing produces on purpose.
 // Properties: never panic; a stream containing a [DONE] sentinel before the
 // cut returns nil; any clean EOF without [DONE] returns ErrStreamTruncated
-// (never silent success); delivered payloads are never empty.
+// (never silent success); delivered payloads are never empty; and a
+// caller's small line buffer changes nothing.
 func FuzzReadSSE(f *testing.F) {
 	seeds := []string{
 		"",
@@ -106,12 +108,24 @@ func FuzzReadSSE(f *testing.F) {
 				break
 			}
 		}
-		err := ReadSSE(strings.NewReader(string(data)), func(payload []byte) error {
+		var payloads []string
+		err := ReadSSE(strings.NewReader(string(data)), nil, func(payload []byte) error {
 			if len(payload) == 0 {
 				t.Error("empty payload delivered")
 			}
+			payloads = append(payloads, string(payload))
 			return nil
 		})
+		// A caller's kept buffer, smaller than most lines, reads the same
+		// stream the same way.
+		var again []string
+		errAgain := ReadSSE(strings.NewReader(string(data)), make([]byte, 7), func(payload []byte) error {
+			again = append(again, string(payload))
+			return nil
+		})
+		if errText(errAgain) != errText(err) || !slices.Equal(again, payloads) {
+			t.Errorf("with a 7-byte buffer: %q, %v; with none: %q, %v", again, errAgain, payloads, err)
+		}
 		if sawDone && err != nil {
 			t.Errorf("stream with [DONE] returned %v", err)
 		}

@@ -96,7 +96,7 @@ func TestSSERoundtrip(t *testing.T) {
 func TestReadSSEStopsAtDone(t *testing.T) {
 	raw := "data: {\"x\":1}\n\ndata: [DONE]\n\ndata: {\"x\":2}\n\n"
 	var seen int
-	err := ReadSSE(strings.NewReader(raw), func(data []byte) error {
+	err := ReadSSE(strings.NewReader(raw), nil, func(data []byte) error {
 		seen++
 		return nil
 	})
@@ -111,7 +111,7 @@ func TestReadSSEStopsAtDone(t *testing.T) {
 func TestReadSSEIgnoresNonDataLines(t *testing.T) {
 	raw := ": comment\nevent: x\ndata: {\"a\":1}\n\ndata: [DONE]\n\n"
 	var seen int
-	if err := ReadSSE(strings.NewReader(raw), func([]byte) error { seen++; return nil }); err != nil {
+	if err := ReadSSE(strings.NewReader(raw), nil, func([]byte) error { seen++; return nil }); err != nil {
 		t.Fatal(err)
 	}
 	if seen != 1 {
@@ -130,7 +130,7 @@ func TestReadSSELongLine(t *testing.T) {
 		WriteSSE(&raw, StreamChunk{Choices: []Choice{{Delta: &Message{Content: text}}}})
 		WriteSSEDone(&raw)
 		var got []string
-		err := ReadSSE(&raw, func(d []byte) error {
+		err := ReadSSE(&raw, nil, func(d []byte) error {
 			var c StreamChunk
 			if err := json.Unmarshal(d, &c); err != nil {
 				return err
@@ -143,7 +143,7 @@ func TestReadSSELongLine(t *testing.T) {
 		}
 	}
 	long := "data: " + strings.Repeat("x", 8<<20) + "\n\n"
-	if err := ReadSSE(strings.NewReader(long), func([]byte) error { return nil }); err == nil || errors.Is(err, ErrStreamTruncated) {
+	if err := ReadSSE(strings.NewReader(long), nil, func([]byte) error { return nil }); err == nil || errors.Is(err, ErrStreamTruncated) {
 		t.Errorf("line over the 8 MiB cap: err = %v, want the scanner's too-long error", err)
 	}
 }
@@ -159,14 +159,14 @@ func TestReadSSETruncated(t *testing.T) {
 		"data: [DON",
 	}
 	for _, raw := range cases {
-		err := ReadSSE(strings.NewReader(raw), func([]byte) error { return nil })
+		err := ReadSSE(strings.NewReader(raw), nil, func([]byte) error { return nil })
 		if !errors.Is(err, ErrStreamTruncated) {
 			t.Errorf("ReadSSE(%q) = %v, want ErrStreamTruncated", raw, err)
 		}
 	}
 	// Deltas before the cut still reach the consumer; the error comes after.
 	var got []string
-	err := ReadSSE(strings.NewReader("data: {\"a\":1}\n\ndata: {\"b\":2}"), func(d []byte) error {
+	err := ReadSSE(strings.NewReader("data: {\"a\":1}\n\ndata: {\"b\":2}"), nil, func(d []byte) error {
 		got = append(got, string(d))
 		return nil
 	})
@@ -193,7 +193,7 @@ func TestReadSSETruncated(t *testing.T) {
 func TestReadSSENoSpaceAfterColon(t *testing.T) {
 	raw := "data:{\"a\":1}\n\ndata: {\"b\":2}\n\ndata:[DONE]\n\ndata:{\"c\":3}\n\n"
 	var payloads []string
-	if err := ReadSSE(strings.NewReader(raw), func(data []byte) error {
+	if err := ReadSSE(strings.NewReader(raw), nil, func(data []byte) error {
 		payloads = append(payloads, string(data))
 		return nil
 	}); err != nil {
@@ -217,7 +217,7 @@ func TestReadSSENoSpaceAfterColon(t *testing.T) {
 	// Bare `data:` / `data: ` heartbeats are skipped, not delivered: an
 	// empty payload would abort JSON consumers mid-stream.
 	var events int
-	if err := ReadSSE(strings.NewReader("data:\n\ndata: \n\ndata: {\"ok\":1}\n\ndata: [DONE]\n\n"), func(data []byte) error {
+	if err := ReadSSE(strings.NewReader("data:\n\ndata: \n\ndata: {\"ok\":1}\n\ndata: [DONE]\n\n"), nil, func(data []byte) error {
 		events++
 		if len(data) == 0 {
 			t.Error("empty payload delivered")

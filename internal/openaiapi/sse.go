@@ -77,7 +77,10 @@ type StreamChunk struct {
 }
 
 // ReadSSE consumes an SSE stream, invoking onData for every event payload
-// until [DONE]. The payload is lent from the scanner's buffer: it is valid
+// until [DONE]. buf is the line buffer, which a caller that reads stream
+// after stream keeps from one to the next; a line longer than buf is read
+// into a larger buffer ReadSSE makes, up to 8 MiB, and a nil buf starts at
+// bufio's default size. The payload is lent from that buffer: it is valid
 // only until onData returns, so onData must not keep it (decode it, or copy
 // what it needs). Per the SSE specification, the colon after the field name
 // may be followed by at most one optional space — `data:payload` is as
@@ -88,11 +91,9 @@ type StreamChunk struct {
 // (endpoint death, dropped connection): ReadSSE returns ErrStreamTruncated
 // rather than silently reporting success, so callers never mistake a
 // partial answer for a complete one.
-func ReadSSE(r io.Reader, onData func(data []byte) error) error {
+func ReadSSE(r io.Reader, buf []byte, onData func(data []byte) error) error {
 	sc := bufio.NewScanner(r)
-	// No initial buffer: the scanner starts at bufio's default size and
-	// grows only for a longer line, up to the 8 MiB cap.
-	sc.Buffer(nil, 8<<20)
+	sc.Buffer(buf, 8<<20)
 	for sc.Scan() {
 		line := sc.Bytes()
 		if len(line) == 0 {
@@ -127,7 +128,7 @@ func ReadSSE(r io.Reader, onData func(data []byte) error) error {
 // stream.
 func CollectStreamText(r io.Reader) (string, error) {
 	var b strings.Builder
-	err := ReadSSE(r, func(data []byte) error {
+	err := ReadSSE(r, nil, func(data []byte) error {
 		var chunk StreamChunk
 		if err := Unmarshal(data, &chunk); err != nil {
 			return err
