@@ -402,9 +402,13 @@
 // and After; it sleeps on a runtime timer until 1.2 ms (the host's timer
 // granularity) before the nearest deadline, polls the wall clock from
 // there, yielding its processor after every wake-up and at least every
-// 20 µs, and exits when no waiter is left. Waits of 10 ms of wall or more
-// never enter the queue — a millisecond is at most a tenth of them — and
-// use the runtime timer alone. There is exactly one spinner however many
+// 20 µs — after each idle 20 µs its OS thread too (sched_yield), since a
+// thread that never blocks makes a thread the kernel queued on its CPU, one
+// woken to run a goroutine the pump released, wait out the 4 ms scheduler
+// tick (on live-chat the client time in such > 1 ms stalls fell from ≈ 16 %
+// to ≈ 3 % with the yield) — and exits when no waiter is left. Waits of
+// 10 ms of wall or more never enter the queue — a millisecond is at most a
+// tenth of them — and use the runtime timer alone. There is exactly one spinner however many
 // goroutines wait, so the cost is bounded at one core and the gateway
 // stress tests do not put hundreds of spinners on the run queue; an idle
 // clock costs nothing. With exact deadlines a request through the live

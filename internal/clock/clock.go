@@ -25,11 +25,14 @@
 // the timer granularity plus margin — the pump waits on a runtime timer set
 // that much short of it; inside the last 1.2 ms it polls the wall clock,
 // yielding its processor whenever it has woken somebody and otherwise every
-// 20 µs, so that a runnable goroutine waits for the pump at most that long.
-// It exits when the queue is empty, so a clock nobody waits on has no
-// goroutine and uses no CPU, and a single wait spins for at most 1.2 ms.
-// Waits that compress to 10 ms or more, of which a millisecond is at most a
-// tenth, stay on the plain runtime timer and never enter the queue.
+// 20 µs, so that a runnable goroutine waits for the pump at most that long,
+// and after each idle 20 µs its OS thread too (sched_yield on Linux): a thread
+// that never blocks makes one the kernel queued on its CPU, such as one woken
+// to run a goroutine the pump released, wait out the scheduler tick (4 ms on a
+// common host). It exits when the queue is empty, so a clock nobody waits on
+// has no goroutine and uses no CPU, and a single wait spins for at most
+// 1.2 ms. Waits that compress to 10 ms or more, of which a millisecond is at
+// most a tenth, stay on the plain runtime timer and never enter the queue.
 //
 // With exact deadlines a request through the live stack at 20000× costs
 // its modelled waits plus the stack's own CPU between them, so its wall
@@ -48,7 +51,8 @@
 //
 // What it looks like from outside: a process whose clock always has a
 // sub-millisecond waiter pending (a deployment control loop at 20000×)
-// shows one core busy polling. That is an otherwise idle core, not work.
+// shows one core busy polling. That is an otherwise idle core, not work,
+// and on Linux any other thread queued on it gets it within 20 µs.
 package clock
 
 import (
@@ -136,6 +140,9 @@ const (
 	// its processor to whatever else became runnable on it.
 	yieldEvery = 20 * time.Microsecond
 )
+
+// yieldThread is osYield; a test swaps it for a counter.
+var yieldThread = osYield
 
 // NewScaled returns a clock running factor× faster than wall time.
 // factor must be >= 1.
@@ -244,7 +251,7 @@ func (s *Scaled) arm(c time.Duration, after chan time.Time) *waiter {
 // timer (cut short by arm when an earlier deadline arrives); inside the
 // window it polls the wall clock without taking the lock, and yields the
 // processor before each stretch of polling: right after it has woken
-// somebody, and every yieldEvery while nothing is due.
+// somebody, and every yieldEvery while nothing is due, its OS thread too.
 func (s *Scaled) pump() {
 	for {
 		s.mu.Lock()
@@ -274,7 +281,11 @@ func (s *Scaled) pump() {
 			runtime.Gosched()
 			for start := time.Since(s.epoch); ; {
 				n := time.Since(s.epoch)
-				if int64(n) >= s.nearest.Load() || n-start >= yieldEvery {
+				if int64(n) >= s.nearest.Load() {
+					break
+				}
+				if n-start >= yieldEvery {
+					yieldThread()
 					break
 				}
 			}

@@ -3,6 +3,7 @@ package clock
 import (
 	"runtime"
 	"sort"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -239,6 +240,122 @@ func TestScaledAbandonedAfterLeavesNoGoroutine(t *testing.T) {
 	if len(c.heap) != 0 {
 		t.Errorf("%d waiters left in the queue", len(c.heap))
 	}
+}
+
+// The pump gives its OS thread up after each stretch of polling with nothing
+// due, or a thread the kernel queued on its CPU waits for the next tick; a
+// wait due at once is fired without polling, and a pump gone yields no more.
+func TestScaledPumpYieldsThreadWhileIdle(t *testing.T) {
+	var yields atomic.Int64
+	saved := yieldThread
+	yieldThread = func() { yields.Add(1) }
+	t.Cleanup(func() { yieldThread = saved })
+
+	c := NewScaled(1000)
+	for i := 0; i < 5; i++ {
+		c.Sleep(500 * time.Millisecond) // 500 µs of wall, inside spinWindow: polled throughout
+	}
+	waitPumpGone(t, c)
+	n := yields.Load()
+	if n < 1 {
+		t.Errorf("five polled 500 µs waits cost %d thread yields, want at least one", n)
+	}
+	time.Sleep(2 * time.Millisecond)
+	if m := yields.Load(); m != n {
+		t.Errorf("%d thread yields after the pump exited, want none", m-n)
+	}
+
+	yields.Store(0)
+	for i := 0; i < 5; i++ {
+		<-c.arm(0, nil).wake // due at once
+	}
+	waitPumpGone(t, c)
+	if n := yields.Load(); n != 0 {
+		t.Errorf("five waits due at once cost %d thread yields, want 0", n)
+	}
+}
+
+// BenchmarkScaledHandoffStalls reads the pump's cost to the goroutines it
+// wakes, in the live stack's shape at 20000×: GOMAXPROCS closed-loop clients
+// each hand a request to a worker of their own, which sleeps 800 ms of
+// virtual time (40 µs of wall) and spins 10 µs; the client spins 10 µs after
+// the reply. One more goroutine sleeps 5 s in a loop, as a deployment control
+// loop does, so a waiter is always pending and the pump never blocks. An
+// iteration is one client round, reply spin included; stall_pct is the share
+// of the clients' wall time spent in iterations over 1 ms.
+//
+//	go test -run '^$' -bench ScaledHandoffStalls ./internal/clock
+func BenchmarkScaledHandoffStalls(b *testing.B) {
+	spin := func(d time.Duration) {
+		for start := time.Now(); time.Since(start) < d; {
+		}
+	}
+	c := NewScaled(20000)
+	stop := make(chan struct{})
+	ticked := make(chan struct{})
+	go func() {
+		defer close(ticked)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				c.Sleep(5 * time.Second)
+			}
+		}
+	}()
+	clients := runtime.GOMAXPROCS(0)
+	var left atomic.Int64
+	left.Store(int64(b.N))
+	lats := make([][]time.Duration, clients)
+	for i := range lats {
+		lats[i] = make([]time.Duration, 0, b.N/clients+1)
+	}
+	done := make(chan struct{})
+	b.ResetTimer()
+	for i := range lats {
+		go func() {
+			defer func() { done <- struct{}{} }()
+			req, reply := make(chan struct{}), make(chan struct{})
+			defer close(req)
+			go func() {
+				for range req {
+					c.Sleep(800 * time.Millisecond)
+					spin(10 * time.Microsecond)
+					reply <- struct{}{}
+				}
+			}()
+			for left.Add(-1) >= 0 {
+				start := time.Now()
+				req <- struct{}{}
+				<-reply
+				spin(10 * time.Microsecond)
+				lats[i] = append(lats[i], time.Since(start))
+			}
+		}()
+	}
+	for range lats {
+		<-done
+	}
+	b.StopTimer()
+	close(stop)
+	<-ticked
+	var all []time.Duration
+	var total, stalled time.Duration
+	for _, l := range lats {
+		for _, d := range l {
+			all = append(all, d)
+			total += d
+			if d > time.Millisecond {
+				stalled += d
+			}
+		}
+	}
+	sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
+	us := func(q float64) float64 { return float64(all[int(q*float64(len(all)-1))]) / 1e3 }
+	b.ReportMetric(us(0.5), "p50_us")
+	b.ReportMetric(us(0.999), "p999_us")
+	b.ReportMetric(100*float64(stalled)/float64(total), "stall_pct")
 }
 
 func TestScaledNowMonotonic(t *testing.T) {
