@@ -52,8 +52,10 @@ lint:
 # submit/abort/wait schedule and checks serving.Engine's offer/settle path
 # against the per-iteration reference engine — and one rewrite against the
 # body it replaced: FuzzSynthesizeText holds the fabric's response text to
-# the strings.Fields version, and FuzzStreamChatPieces the gateway's stream
-# pieces to the strings.Fields/strings.Join split, byte for byte. Every func Fuzz… under
+# the strings.Fields version, FuzzStreamChatPieces the gateway's stream
+# pieces to the strings.Fields/strings.Join split, byte for byte, and
+# FuzzEstimateTokens and FuzzNextField the workload's ASCII fast paths to
+# the rune loops they replaced. Every func Fuzz… under
 # internal/ is listed here; `make fuzzlist` fails otherwise.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseRequest$$' -fuzztime $(FUZZTIME) ./internal/openaiapi
@@ -67,6 +69,8 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzEngineOffer$$' -fuzztime $(FUZZTIME) ./internal/serving
 	$(GO) test -run '^$$' -fuzz '^FuzzSynthesizeText$$' -fuzztime $(FUZZTIME) ./internal/fabric
 	$(GO) test -run '^$$' -fuzz '^FuzzStreamChatPieces$$' -fuzztime $(FUZZTIME) ./internal/gateway
+	$(GO) test -run '^$$' -fuzz '^FuzzEstimateTokens$$' -fuzztime $(FUZZTIME) ./internal/workload
+	$(GO) test -run '^$$' -fuzz '^FuzzNextField$$' -fuzztime $(FUZZTIME) ./internal/workload
 
 # fuzzlist fails when a fuzz target under internal/ is missing from the fuzz
 # target above, or when that target names a function that does not exist
@@ -80,11 +84,13 @@ fuzzlist:
 # the fabric's task records, each handed between goroutines and reused; then
 # the scaled clock's precision contract and the hub's pickup test twenty
 # times over, which run on the host's timing and flake where a bound or a
-# row is wrong.
+# row is wrong; then the serving engine's LiveEngine tests twenty times,
+# where a caller and the loop hand the engine between them.
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=20 -run 'Recycles' ./internal/client ./internal/fabric
 	$(GO) test -race -count=20 -run 'Scaled|HubSleepsOnlyToPickupAhead' ./internal/clock ./internal/fabric
+	$(GO) test -race -count=20 -run LiveEngine ./internal/serving
 
 # chaos drives the short livefed storm — chaosnet fault transport, endpoint
 # fault bursts, a kill + cold restart mid-run — through the live stack under

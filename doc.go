@@ -55,7 +55,10 @@
 //     by the prefill budget), Step makes an offer: StepResult.Quiet further
 //     iterations of StepResult.Each are certain to change nothing. A driver
 //     that ignores the offer and steps at the end of Duration gets exactly
-//     the per-iteration engine; LiveEngine does. A driver that takes it
+//     the per-iteration engine. LiveEngine takes it only for a run whose
+//     every iteration began before the clock, settling it in the lock hold
+//     that stepped it, and ignores it otherwise, so it leaves no offer open
+//     and owes Settle nothing more. A driver that takes it
 //     steps next at Duration + Quiet·Each and owes the engine a
 //     Settle(now) before every Submit, Abort, Step and read of Stats or KV
 //     occupancy: Settle books the skipped iterations that began before now
@@ -428,9 +431,14 @@
 // lane drains at the 1/DispatchCost the Fig. 4 model states instead of
 // 1/(DispatchCost + overshoot). The serving engine takes a task at its
 // booked pickup instant and the hub relays from the engine's finish, so an
-// inference request through the fabric waits on the clock once; a
-// standalone LiveEngine paces its iterations against an absolute virtual
-// deadline, so its overshoot does not add up either.
+// inference request through the fabric waits on the clock once. The
+// task's goroutine hands the request to an idle engine by driving it
+// itself: the iterations that lie before the clock — the task picked up
+// late — are stepped, and a quiet run wholly past them settled, inside the
+// lock hold that submits, with no hop to another goroutine, and only an
+// iteration that ends ahead of the clock goes to the engine's loop, the one
+// goroutine that sleeps. The loop paces its iterations against an absolute
+// virtual deadline, so its overshoot does not add up either.
 //
 // What is left is host CPU, which the scaled clock multiplies into modelled
 // time the DES twin does not have, so the in-process hops do no work that

@@ -6,6 +6,8 @@ import (
 	"strings"
 	"sync"
 	"time"
+	"unicode"
+	"unicode/utf8"
 
 	"github.com/argonne-first/first/internal/perfmodel"
 	"github.com/argonne-first/first/internal/scheduler"
@@ -559,12 +561,24 @@ func (d *Deployment) Close() {
 
 // synthesizeText produces deterministic response text of n tokens: the
 // prompt's words (as strings.Fields splits it; "analysis" for a prompt with
-// none) repeated in turn, one space apart. It sizes the text exactly from
-// the words' lengths and makes that one allocation.
+// none) repeated in turn, one space apart. When the prompt opens with n
+// words one space apart, that opening is the text, and it allocates
+// nothing; otherwise buildText makes it.
+//
+//first:hotpath for a text that opens the prompt: pinned by TestSynthesizeTextExactOrNoAllocation (synth_test.go)
 func synthesizeText(prompt string, n int) string {
 	if n <= 0 {
 		return ""
 	}
+	if text, ok := leadingWords(prompt, n); ok {
+		return text
+	}
+	return buildText(prompt, n)
+}
+
+// buildText makes synthesizeText's text of n > 0 words in one allocation,
+// sized exactly from the words' lengths.
+func buildText(prompt string, n int) string {
 	words, total := 0, 0 // the prompt's words and their summed length
 	for i := 0; ; {
 		start, end := workload.NextField(prompt, i)
@@ -596,4 +610,46 @@ func synthesizeText(prompt string, n int) string {
 		i = end
 	}
 	return b.String()
+}
+
+// leadingWords returns prompt up to the end of its n-th word when its first
+// n words open it one space apart, with nothing before the first; ok is
+// false when the prompt has fewer words, or any other space before the n-th
+// word ends. ASCII is tested a byte at a time, and a rune is decoded only
+// at a byte of a multi-byte sequence.
+//
+//first:hotpath pinned by TestSynthesizeTextExactOrNoAllocation (synth_test.go)
+func leadingWords(prompt string, n int) (text string, ok bool) {
+	words, inWord := 0, false
+	for i := 0; i < len(prompt); {
+		c := prompt[i]
+		if ' ' < c && c < utf8.RuneSelf { // the common byte: ASCII inside a word
+			inWord = true
+			i++
+			continue
+		}
+		size, space := 1, c == ' ' || '\t' <= c && c <= '\r'
+		if c >= utf8.RuneSelf {
+			var r rune
+			r, size = utf8.DecodeRuneInString(prompt[i:])
+			space = unicode.IsSpace(r)
+		}
+		switch {
+		case !space:
+			inWord = true
+		case !inWord: // a leading space, or a second one in a row
+			return "", false
+		case words+1 == n:
+			return prompt[:i], true
+		case c != ' ':
+			return "", false
+		default:
+			words, inWord = words+1, false
+		}
+		i += size
+	}
+	if inWord && words+1 == n {
+		return prompt, true
+	}
+	return "", false
 }

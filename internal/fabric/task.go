@@ -13,7 +13,10 @@
 // to P and runs the handler, which finds P on its context: a deployment hands
 // it to the serving engine, which takes the request at P — inside the wait
 // the goroutine already paid — and reports the instant F its last token was
-// emitted. At finish, the relay departure is S = max(F, previous S) + relay
+// emitted. When the engine is idle the task's goroutine drives it itself
+// (serving.LiveEngine), so the engine's work that lies before the clock, as
+// much of it does once the goroutine wakes past P, costs no hop, and only
+// what lies ahead is slept out by the engine's loop. At finish, the relay departure is S = max(F, previous S) + relay
 // cost, with F = now for a handler that reports none. Every modelled cost is
 // charged as when each lane and the engine's hand-off were waits of their
 // own; what booking saves is those waits, each of which a scaled clock

@@ -66,6 +66,13 @@ var unmarshalCases = []struct{ name, body, typed string }{
 	{"trailing comma", `{"model":"m1",}`, ""},
 	{"cut literal", `{"stream":tru}`, ""},
 	{"string for number", `{"created":"1"}`, ""},
+	{"escaped quote at 1", `{"model":"m1","messages":[{"role":"user","content":"x\"y"}]}`, ""},
+	{"escaped quote at 9", `{"model":"012345678\"z"}`, ""},
+	{"escaped quote at 70", `{"model":"m1","messages":[{"role":"user","content":"` + strings.Repeat("x", 70) + `\"y"}]}`, ""},
+	{"control byte before eight", "{\"model\":\"ab\x1fcdefghij\"}", ""},
+	{"control byte after eight", "{\"model\":\"abcdefghij\x00k\"}", ""},
+	{"non-ASCII before the quote", `{"model":"m1","messages":[{"role":"user","content":"naïve café"}]}`, "request"},
+	{"cut rune before the quote", "{\"model\":\"caf\xc3\"}", ""},
 }
 
 // sameAsStdlib decodes data into a zero T through Unmarshal and through

@@ -1,6 +1,7 @@
 package openaiapi
 
 import (
+	"bytes"
 	"strconv"
 	"unicode/utf8"
 )
@@ -168,33 +169,55 @@ func (d *fastDec) elem(first bool) bool {
 	return !d.bad
 }
 
-// raw reads a string that has nothing to unescape and returns its bytes.
+// strClass classes the bytes of a string's span: strBad for '\\' and the
+// control bytes, which json.Unmarshal unescapes or rejects, strWide for a
+// byte of a multi-byte sequence, 0 for the rest.
+var strClass = func() (t [256]uint8) {
+	for c := range ' ' {
+		t[c] = strBad
+	}
+	t['\\'] = strBad
+	for c := utf8.RuneSelf; c < len(t); c++ {
+		t[c] = strWide
+	}
+	return t
+}()
+
+const (
+	strBad = 1 << iota
+	strWide
+)
+
+// raw reads a string that has nothing to unescape and returns its bytes. It
+// takes the span up to the next '"'; an escaped quote ends it early, on a
+// '\\' the check fails. The check pass tests the span's bytes, and the fill
+// pass, which runs only on a body the check pass accepted whole, takes the
+// span as found.
 func (d *fastDec) raw() []byte {
 	if d.peek() != '"' {
 		d.bad = true
 		return nil
 	}
-	data, start := d.data, d.i+1
-	ascii := true
-	for j := start; j < len(data); j++ {
-		switch c := data[j]; {
-		case c == '"':
-			str := data[start:j]
-			if !ascii && !utf8.Valid(str) {
-				d.bad = true
-				return nil
-			}
-			d.i = j + 1
-			return str
-		case c == '\\' || c < ' ':
-			d.bad = true
-			return nil
-		case c >= utf8.RuneSelf:
-			ascii = false
-		}
+	start := d.i + 1
+	n := bytes.IndexByte(d.data[start:], '"')
+	if n < 0 {
+		d.bad = true
+		return nil
 	}
-	d.bad = true
-	return nil
+	str := d.data[start : start+n]
+	d.i = start + n + 1
+	if d.fill {
+		return str
+	}
+	var class uint8
+	for _, c := range str {
+		class |= strClass[c]
+	}
+	if class&strBad != 0 || class&strWide != 0 && !utf8.Valid(str) {
+		d.bad = true
+		return nil
+	}
+	return str
 }
 
 func (d *fastDec) str(dst *string) {

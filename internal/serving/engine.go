@@ -4,8 +4,9 @@
 // the Fig. 5 comparison.
 //
 // The generation engine is a pure state machine over a virtual timeline
-// (time.Duration offsets): drivers — the live goroutine loop in this package
-// or the discrete-event harness in internal/desmodel — call Step repeatedly
+// (time.Duration offsets): drivers — LiveEngine in this package, stepped by
+// its callers and its loop goroutine, or the discrete-event harness in
+// internal/desmodel — call Step repeatedly
 // and deliver the completions it reports. Keeping the engine pure lets the
 // exact same batching logic power both the real HTTP stack and the paper's
 // figure reproductions.

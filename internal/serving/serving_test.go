@@ -196,8 +196,9 @@ func TestLiveEngineCancelWhileRunning(t *testing.T) {
 }
 
 // TestLiveEngineGenerateAtZeroAlloc: at steady state a request allocates
-// nothing — its record and wake channel come from the free list, and the
-// loop signals completions from one reused slice.
+// nothing — its record and wake channel come from the free list, and a
+// driver, the caller or the loop, links the records it finished through
+// their own next fields.
 func TestLiveEngineGenerateAtZeroAlloc(t *testing.T) {
 	clk := clock.NewScaled(20000)
 	live := NewLiveEngine(newTestEngine(t, perfmodel.Llama8B, 0), clk)

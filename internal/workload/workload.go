@@ -10,6 +10,7 @@ import (
 	"strings"
 	"time"
 	"unicode"
+	"unicode/utf8"
 
 	"github.com/argonne-first/first/internal/sim"
 )
@@ -239,11 +240,18 @@ func (s Stats) String() string {
 		s.N, s.MeanPrompt, s.MeanOutput, s.TotalOutput)
 }
 
+// asciiSpace marks the bytes below utf8.RuneSelf that unicode.IsSpace
+// accepts; every byte from utf8.RuneSelf up starts or continues a
+// multi-byte sequence and needs the rune loop.
+var asciiSpace = [utf8.RuneSelf]bool{'\t': true, '\n': true, '\v': true, '\f': true, '\r': true, ' ': true}
+
 // EstimateTokens approximates the token count of a text the way the gateway
 // does for logging and rate accounting (≈1 token per whitespace-separated
 // word plus punctuation slack). It equals len(strings.Fields(text)) — same
 // unicode.IsSpace rule, non-empty text of only spaces counting 1 — but counts
-// the fields in place instead of building the slice.
+// the fields in place instead of building the slice. It walks bytes against
+// asciiSpace and decodes runes only from the first byte of a multi-byte
+// sequence on.
 //
 //first:hotpath pinned by TestEstimateTokensMatchesFields (workload_test.go)
 func EstimateTokens(text string) int {
@@ -251,8 +259,13 @@ func EstimateTokens(text string) int {
 		return 0
 	}
 	n, inField := 0, false
-	for _, r := range text {
-		if unicode.IsSpace(r) {
+	for i := 0; i < len(text); i++ {
+		c := text[i]
+		if c >= utf8.RuneSelf {
+			n = countFields(text[i:], n, inField)
+			break
+		}
+		if asciiSpace[c] {
 			inField = false
 		} else if !inField {
 			inField = true
@@ -265,11 +278,47 @@ func EstimateTokens(text string) int {
 	return n
 }
 
+// countFields adds to n the fields that begin in s, which continues a text
+// whose last rune before s was inside a field when inField is set.
+func countFields(s string, n int, inField bool) int {
+	for _, r := range s {
+		if unicode.IsSpace(r) {
+			inField = false
+		} else if !inField {
+			inField = true
+			n++
+		}
+	}
+	return n
+}
+
 // NextField returns the bounds of the first word of s at or after byte i,
 // where, as in strings.Fields, runs of unicode.IsSpace separate words;
-// start == end == len(s) when none is left.
+// start == end == len(s) when none is left. Like EstimateTokens it walks
+// bytes until the first of a multi-byte sequence, then runes.
 func NextField(s string, i int) (start, end int) {
 	start = -1
+	for j := i; j < len(s); j++ {
+		c := s[j]
+		if c >= utf8.RuneSelf {
+			return nextFieldRunes(s, j, start)
+		}
+		switch space := asciiSpace[c]; {
+		case start < 0 && !space:
+			start = j
+		case start >= 0 && space:
+			return start, j
+		}
+	}
+	if start < 0 {
+		return len(s), len(s)
+	}
+	return start, len(s)
+}
+
+// nextFieldRunes is NextField's rune loop from byte i on, start being the
+// word's first byte when one has begun before i and -1 otherwise.
+func nextFieldRunes(s string, i, start int) (int, int) {
 	for j, r := range s[i:] {
 		switch space := unicode.IsSpace(r); {
 		case start < 0 && !space:

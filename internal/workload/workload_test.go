@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+	"unicode"
 
 	"github.com/argonne-first/first/internal/sim"
 )
@@ -213,4 +214,78 @@ func TestSummarizeEmpty(t *testing.T) {
 	if st.String() == "" {
 		t.Error("String() should render")
 	}
+}
+
+// runeEstimateTokens and runeNextField are EstimateTokens and NextField as
+// they were before their ASCII fast paths: one rune loop each. They are the
+// oracles the current ones must match.
+func runeEstimateTokens(text string) int {
+	if text == "" {
+		return 0
+	}
+	n, inField := 0, false
+	for _, r := range text {
+		if unicode.IsSpace(r) {
+			inField = false
+		} else if !inField {
+			inField = true
+			n++
+		}
+	}
+	if n == 0 {
+		n = 1
+	}
+	return n
+}
+
+func runeNextField(s string, i int) (start, end int) {
+	start = -1
+	for j, r := range s[i:] {
+		switch space := unicode.IsSpace(r); {
+		case start < 0 && !space:
+			start = i + j
+		case start >= 0 && space:
+			return start, i + j
+		}
+	}
+	if start < 0 {
+		return len(s), len(s)
+	}
+	return start, len(s)
+}
+
+// fieldSeeds switch from bytes to runes at every place they can: a
+// multi-byte rune first, last, inside a word, right after one, as a space
+// (NEL, NBSP, ideographic space) and cut short or invalid.
+var fieldSeeds = []string{
+	"", " ", "one two three", "  lead and trail  ", "tab\tsep\nnl\v\f\r",
+	"é", "café au lait", "a b", "a\u0085b", "word　word", "x\xff y",
+	"ascii then \xc2", "\xc2\xa0lead", "end é", "日本語 text", "\x00 \x7f",
+}
+
+func FuzzEstimateTokens(f *testing.F) {
+	for _, s := range fieldSeeds {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		if got, want := EstimateTokens(s), runeEstimateTokens(s); got != want {
+			t.Fatalf("EstimateTokens(%q) = %d, the rune loop counts %d", s, got, want)
+		}
+	})
+}
+
+func FuzzNextField(f *testing.F) {
+	for i, s := range fieldSeeds {
+		f.Add(s, i%5)
+	}
+	f.Fuzz(func(t *testing.T, s string, i int) {
+		if i %= len(s) + 1; i < 0 { // any byte offset, mid-rune ones included
+			i += len(s) + 1
+		}
+		gs, ge := NextField(s, i)
+		ws, we := runeNextField(s, i)
+		if gs != ws || ge != we {
+			t.Fatalf("NextField(%q, %d) = %d, %d; the rune loop finds %d, %d", s, i, gs, ge, ws, we)
+		}
+	})
 }
