@@ -43,7 +43,9 @@ lint:
 # stream reader (seed corpora under testdata/fuzz; truncation / malformed
 # frames), openaiapi.Unmarshal against json.Unmarshal
 # (FuzzUnmarshalMatchesStdlib: same value and error text, three calls in a
-# row on a pooled decoder), the gateway config file, the chaosnet.Schedule JSON, the store's
+# row on a pooled decoder), openaiapi.AppendJSON against json.Marshal
+# (FuzzAppendJSONMatchesStdlib: the chat bodies built from fuzz bytes, same
+# bytes or error text, the caller's prefix untouched), the gateway config file, the chaosnet.Schedule JSON, the store's
 # four JSONL journals (FuzzStoreLoad: no panic, and a store Load accepts
 # survives Save → Load),
 # the gateway's batch-create and tool-call bodies (FuzzDecodeCreateBatch,
@@ -61,6 +63,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseRequest$$' -fuzztime $(FUZZTIME) ./internal/openaiapi
 	$(GO) test -run '^$$' -fuzz '^FuzzReadSSE$$' -fuzztime $(FUZZTIME) ./internal/openaiapi
 	$(GO) test -run '^$$' -fuzz '^FuzzUnmarshalMatchesStdlib$$' -fuzztime $(FUZZTIME) ./internal/openaiapi
+	$(GO) test -run '^$$' -fuzz '^FuzzAppendJSONMatchesStdlib$$' -fuzztime $(FUZZTIME) ./internal/openaiapi
 	$(GO) test -run '^$$' -fuzz '^FuzzLoadConfig$$' -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzSchedule$$' -fuzztime $(FUZZTIME) ./internal/chaosnet
 	$(GO) test -run '^$$' -fuzz '^FuzzStoreLoad$$' -fuzztime $(FUZZTIME) ./internal/store

@@ -486,15 +486,22 @@
 // nor allocates, then a fill pass for a body it accepted whole, and
 // every other body, or a chat body with anything that path does not take
 // (an escape, a null, an unknown key, a number out of range), on a pooled
-// json.Decoder's state. The SDK parses its base
-// URL once, at New, and reads a stream's lines into a buffer its call
+// json.Decoder's state. The writers mirror it: the SDK's chat request, the
+// gateway's reply on a miss and its stream chunks are written by
+// openaiapi.AppendJSON, which appends json.Marshal's bytes, on a typed path
+// without reflection for the three chat types and through json.Marshal for
+// a value with anything that path does not write unchanged (a string
+// json.Marshal escapes, a NaN or ±Inf), so the bytes stay json.Marshal's
+// (FuzzAppendJSONMatchesStdlib holds the two equal). The SDK parses its
+// base URL once, at New, and reads a stream's lines into a buffer its call
 // record keeps. An SDK call on the in-process
 // transport is one record from the transport's free list, as a fabric task
 // is one from the hub's: the request's URL, header map and body reader, the
 // exchange (the handler's ResponseWriter and the response's Body, with its
 // header map cleared rather than remade, its body buffer and its wake
 // channel), the request's copy and encode buffer — json.Marshal's bytes,
-// which chaosnet's fault draws key on — and the response's decode target.
+// which chaosnet's fault draws key on, written there by AppendJSON — and
+// the response's decode target.
 // The SDK decodes straight from the exchange's buffer once the handler has
 // returned and gives the record back once nothing of the response is
 // referenced (encoding/json copies every string it decodes); a call whose
@@ -507,9 +514,12 @@
 // decoded, so a response-cache hit allocates nothing
 // (TestChatCacheHitAllocBudget); a miss decodes into a pooled request that
 // keeps its messages array, marshals a pooled response whose one choice and
-// message live inside it, and reuses a full cache's evicted entry, and the
-// marshalled bytes, which the cache keeps, are its one fresh value there
-// besides the decoded strings (TestChatCacheMissAllocs counts the rest).
+// message live inside it through the typed writer, into one buffer sized
+// for the reply, and reuses a full cache's evicted entry, and that buffer,
+// which the cache keeps, is its one fresh value there besides the decoded
+// strings (TestChatCacheMissAllocs counts the rest). The request row it
+// logs goes into the store's window, a ring that overwrites its oldest row
+// once full, so logging copies no row.
 // A reused decode target is zeroed before each decode, its messages and
 // choices included: json.Unmarshal leaves a field the body omits as it
 // was, so a target left as the last call filled it would carry one

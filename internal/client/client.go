@@ -132,7 +132,7 @@ func (c *Client) newRequest(ctx context.Context, rec *callRecord, method, path s
 		Header: h,
 	}
 	if body {
-		b := rec.enc.Bytes()
+		b := rec.enc
 		h["Content-Type"] = jsonContentType
 		rb.Reset(b)
 		req.Body = rb
@@ -405,7 +405,7 @@ func (c *Client) ChatCompletionStream(ctx context.Context, req openaiapi.ChatCom
 				// The last attempt's handler still holds rec: it keeps it,
 				// and a fresh record carries the encoded request on.
 				next := c.take()
-				next.enc.Write(rec.enc.Bytes())
+				next.enc = append(next.enc[:0], rec.enc...)
 				rec = next
 			}
 		}

@@ -1,9 +1,7 @@
 package client
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"io"
 	"net/http"
@@ -134,13 +132,12 @@ type callRecord struct {
 	hdr  http.Header // made at the SDK's first call on the record
 	body reqBody
 
-	enc     bytes.Buffer  // the encoded request, json.Marshal's bytes
-	encoder *json.Encoder // over enc, made at the first encode
-	chat    openaiapi.ChatCompletionRequest
-	reply   openaiapi.ChatCompletionResponse // ChatCompletion's decode target
-	chunk   openaiapi.StreamChunk            // a stream's decode target
-	text    []byte                           // a stream's text, as it arrives
-	sse     []byte                           // a stream's line buffer, made at the record's first stream
+	enc   []byte // the encoded request, json.Marshal's bytes
+	chat  openaiapi.ChatCompletionRequest
+	reply openaiapi.ChatCompletionResponse // ChatCompletion's decode target
+	chunk openaiapi.StreamChunk            // a stream's decode target
+	text  []byte                           // a stream's text, as it arrives
+	sse   []byte                           // a stream's line buffer, made at the record's first stream
 
 	next *callRecord // the free list
 }
@@ -192,9 +189,9 @@ func (rec *callRecord) reset() {
 	rec.u = url.URL{}
 	clear(rec.hdr)
 	rec.body.Reset(nil)
-	rec.enc.Reset()
-	if rec.enc.Cap() > maxKeptBuffer {
-		rec.enc = bytes.Buffer{}
+	rec.enc = rec.enc[:0]
+	if cap(rec.enc) > maxKeptBuffer {
+		rec.enc = nil
 	}
 	rec.chat = openaiapi.ChatCompletionRequest{}
 	rec.reply = openaiapi.ChatCompletionResponse{}
@@ -205,18 +202,14 @@ func (rec *callRecord) reset() {
 	}
 }
 
-// encode marshals v into the record's buffer: json.Marshal's bytes, without
-// the newline an Encoder ends them with.
+// encode marshals v into the record's buffer: json.Marshal's bytes,
+// written by openaiapi.AppendJSON.
+//
+//first:hotpath for a chat request: pinned by TestCallRecordEncodeZeroAlloc (transport_test.go)
 func (rec *callRecord) encode(v any) error {
-	rec.enc.Reset()
-	if rec.encoder == nil {
-		rec.encoder = json.NewEncoder(&rec.enc)
-	}
-	if err := rec.encoder.Encode(v); err != nil {
-		return err
-	}
-	rec.enc.Truncate(rec.enc.Len() - 1)
-	return nil
+	b, err := openaiapi.AppendJSON(rec.enc[:0], v)
+	rec.enc = b
+	return err
 }
 
 func statusLine(code int) string {

@@ -279,6 +279,33 @@ func TestCallRecordRecycleZeroAlloc(t *testing.T) {
 	}
 }
 
+// A recycled record encodes its chat request into the buffer it kept: the
+// bytes are json.Marshal's, and writing them allocates nothing.
+func TestCallRecordEncodeZeroAlloc(t *testing.T) {
+	tr := newHandlerTransport(http.NotFoundHandler())
+	rec := tr.take()
+	rec.chat = openaiapi.ChatCompletionRequest{
+		Model:     "meta-llama/Meta-Llama-3.1-8B-Instruct",
+		Messages:  []openaiapi.Message{{Role: "user", Content: "bench c1 q0000007 the quick brown fox"}},
+		MaxTokens: 16,
+	}
+	want, err := json.Marshal(&rec.chat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if err := rec.encode(&rec.chat); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("encode on a recycled record = %.1f allocs, want 0", allocs)
+	}
+	if !bytes.Equal(rec.enc, want) {
+		t.Errorf("encoded %q, want json.Marshal's %q", rec.enc, want)
+	}
+}
+
 // echoCalls is a chat handler whose every answer carries only what its own
 // request sent: the first message's content as the response ID, and that
 // tag repeated to a length of its own as the text. A request whose tag is in

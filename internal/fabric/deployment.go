@@ -577,8 +577,28 @@ func synthesizeText(prompt string, n int) string {
 }
 
 // buildText makes synthesizeText's text of n > 0 words in one allocation,
-// sized exactly from the words' lengths.
+// sized exactly from the words' lengths. A prompt of printable ASCII words
+// one space apart, with no space at either end, is its own rounds: the text
+// is whole copies of it, one space apart, and then the opening of as many
+// words as are left over. Any other prompt is walked a word at a time.
 func buildText(prompt string, n int) string {
+	if w := plainWords(prompt); w > 0 {
+		rounds, pieces := n/w, (n+w-1)/w
+		lead, _ := leadingWords(prompt, n%w) // "" when no words are left over
+		var b strings.Builder
+		b.Grow(rounds*len(prompt) + len(lead) + pieces - 1)
+		for k := 0; k < pieces; k++ {
+			if k > 0 {
+				b.WriteByte(' ')
+			}
+			if k < rounds {
+				b.WriteString(prompt)
+			} else {
+				b.WriteString(lead)
+			}
+		}
+		return b.String()
+	}
 	words, total := 0, 0 // the prompt's words and their summed length
 	for i := 0; ; {
 		start, end := workload.NextField(prompt, i)
@@ -610,6 +630,29 @@ func buildText(prompt string, n int) string {
 		i = end
 	}
 	return b.String()
+}
+
+// plainWords returns the number of words in prompt when it is printable
+// ASCII words one space apart, with no space at either end, and 0
+// otherwise.
+func plainWords(prompt string) int {
+	words := 0
+	for i := 0; i < len(prompt); i++ {
+		switch c := prompt[i]; {
+		case c == ' ':
+			if i == 0 || prompt[i-1] == ' ' {
+				return 0
+			}
+		case c < '!' || c > '~':
+			return 0
+		case i == 0 || prompt[i-1] == ' ':
+			words++
+		}
+	}
+	if words == 0 || prompt[len(prompt)-1] == ' ' {
+		return 0
+	}
+	return words
 }
 
 // leadingWords returns prompt up to the end of its n-th word when its first

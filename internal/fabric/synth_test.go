@@ -55,12 +55,27 @@ var openingSeeds = []struct {
 	{"one two\tthree", 3}, {"one two\u00a0three", 3}, {"one two\tthree", 2}, {"one\u00a0two", 1},
 }
 
+// roundPrompts are prompts shorter than the text, given n = w+1, 2w and
+// 2w+1 for their w words: single-spaced printable ASCII, which buildText
+// writes as whole rounds of the prompt, then the same with a trailing
+// space, a double space, a tab or a DEL in it, and a one-word prompt.
+var roundPrompts = []string{
+	"one two three", "one two three ", "one  two three", "one\ttwo three", "one two\x7fthree", "\x7f one two",
+	"solo", "solo ", "\x7f",
+}
+
 func FuzzSynthesizeText(f *testing.F) {
 	for i, p := range synthPrompts {
 		f.Add(p, i*7-3)
 	}
 	for _, s := range openingSeeds {
 		f.Add(s.prompt, s.n)
+	}
+	for _, p := range roundPrompts {
+		w := len(strings.Fields(p))
+		for _, n := range []int{w + 1, 2 * w, 2*w + 1} {
+			f.Add(p, n)
+		}
 	}
 	f.Fuzz(func(t *testing.T, prompt string, n int) {
 		n %= 4096 // a long answer, and n <= 0

@@ -95,6 +95,10 @@ func (s *Server) readBody(w http.ResponseWriter, r *http.Request, pre int) (*req
 	}
 }
 
+// replyFrame is a miss's reply as json.Marshal writes it, less its ID,
+// model, text and four integers.
+const replyFrame = `{"id":"","object":"chat.completion","created":,"model":"","choices":[{"index":0,"message":{"role":"assistant","content":""},"finish_reason":"stop"}],"usage":{"prompt_tokens":,"completion_tokens":,"total_tokens":}}`
+
 // chatReply is a miss's response with its one choice and message inside
 // it, drawn from chatReplies; the marshalled bytes are the one fresh value
 // a miss keeps (the cache holds them).
@@ -232,7 +236,9 @@ func (s *Server) answerChat(w http.ResponseWriter, r *http.Request, who auth.Tok
 		s.streamChat(w, resp)
 		return
 	}
-	out, _ := json.Marshal(resp)
+	// One buffer with room for the whole reply, which the cache keeps.
+	size := len(replyFrame) + len(resp.ID) + len(resp.Model) + len(res.Text) + 4*len("-9223372036854775808")
+	out, _ := openaiapi.AppendJSON(make([]byte, 0, size), resp)
 	s.fe.cachePut(key, req.Model, out)
 	w.Header()["Content-Type"] = jsonContentType
 	w.WriteHeader(http.StatusOK)

@@ -206,11 +206,11 @@ func TestUnmarshalIntoPooledRequest(t *testing.T) {
 	}
 }
 
-// The live stack's chat bodies never leave the typed path: the SDK's
-// request (json.Encoder, one message, a prompt of topic words, streaming or
-// not), the gateway's response (json.Marshal of what answerChat builds) and
-// its stream chunks (WriteSSE, read back through ReadSSE), on prompts of
-// every length the benchmark draws.
+// The live stack's chat bodies never leave the typed paths, written or
+// read: the SDK's request (one message, a prompt of topic words, streaming
+// or not), the gateway's response (what answerChat builds) and its stream
+// chunks (WriteSSE, read back through ReadSSE), on prompts of every length
+// the benchmark draws.
 func TestLiveChatBodiesTakeTypedPath(t *testing.T) {
 	var fc fallbackCounter
 	bodies := 0
@@ -218,15 +218,15 @@ func TestLiveChatBodiesTakeTypedPath(t *testing.T) {
 	for i := 1; i <= 40; i++ {
 		prompt := fmt.Sprintf("bench c%d q%07d %s", i%2, i, workload.SyntheticPrompt(rng, 6+rng.Intn(24)))
 		model := "meta-llama/Meta-Llama-3.1-8B-Instruct"
-		var enc bytes.Buffer
-		if err := json.NewEncoder(&enc).Encode(ChatCompletionRequest{
+		enc, typed := appendFast(nil, &ChatCompletionRequest{
 			Model: model, Messages: []Message{{Role: "user", Content: prompt}}, MaxTokens: 16, Stream: i%5 == 0,
-		}); err != nil {
-			t.Fatal(err)
+		})
+		if !typed {
+			t.Fatalf("the request for %q left the typed writer", prompt)
 		}
 		var req ChatCompletionRequest
 		bodies++
-		if err := fc.unmarshal(enc.Bytes(), &req); err != nil {
+		if err := fc.unmarshal(enc, &req); err != nil {
 			t.Fatal(err)
 		}
 
@@ -236,9 +236,9 @@ func TestLiveChatBodiesTakeTypedPath(t *testing.T) {
 			Choices: []Choice{{Index: 0, Message: &msg, FinishReason: "stop"}},
 			Usage:   Usage{PromptTokens: 20, CompletionTokens: 16, TotalTokens: 36},
 		}
-		out, err := json.Marshal(&resp)
-		if err != nil {
-			t.Fatal(err)
+		out, typed := appendFast(nil, &resp)
+		if !typed {
+			t.Fatalf("the response to %q left the typed writer", prompt)
 		}
 		var got ChatCompletionResponse
 		bodies++
@@ -250,6 +250,9 @@ func TestLiveChatBodiesTakeTypedPath(t *testing.T) {
 		delta := Message{Role: "assistant", Content: prompt}
 		chunk := StreamChunk{ID: resp.ID, Object: "chat.completion.chunk", Created: resp.Created, Model: model,
 			Choices: []Choice{{Delta: &delta}}}
+		if _, typed := appendFast(nil, &chunk); !typed {
+			t.Fatalf("the chunk of %q left the typed writer", prompt)
+		}
 		WriteSSE(&stream, &chunk)
 		delta, chunk.Choices[0].FinishReason = Message{}, "stop"
 		WriteSSE(&stream, &chunk)

@@ -169,9 +169,11 @@ func (d *fastDec) elem(first bool) bool {
 	return !d.bad
 }
 
-// strClass classes the bytes of a string's span: strBad for '\\' and the
-// control bytes, which json.Unmarshal unescapes or rejects, strWide for a
-// byte of a multi-byte sequence, 0 for the rest.
+// strClass classes the bytes of a string: strBad for '\\' and the control
+// bytes, which json.Unmarshal unescapes or rejects and json.Marshal
+// escapes, strWide for a byte of a multi-byte sequence, strEscaped for the
+// other bytes json.Marshal escapes ('"', '<', '>', '&'), which a span the
+// decoder reads may hold but the typed writer may not, 0 for the rest.
 var strClass = func() (t [256]uint8) {
 	for c := range ' ' {
 		t[c] = strBad
@@ -180,12 +182,16 @@ var strClass = func() (t [256]uint8) {
 	for c := utf8.RuneSelf; c < len(t); c++ {
 		t[c] = strWide
 	}
+	for _, c := range `"<>&` {
+		t[c] = strEscaped
+	}
 	return t
 }()
 
 const (
 	strBad = 1 << iota
 	strWide
+	strEscaped
 )
 
 // raw reads a string that has nothing to unescape and returns its bytes. It

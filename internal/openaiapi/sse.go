@@ -3,7 +3,6 @@ package openaiapi
 import (
 	"bufio"
 	"bytes"
-	"encoding/json"
 	"errors"
 	"io"
 	"strings"
@@ -22,19 +21,13 @@ const StreamDone = "[DONE]"
 // were real, but the stream as a whole must not be treated as complete.
 var ErrStreamTruncated = errors.New("openaiapi: SSE stream truncated before [DONE]")
 
-// sseFrame is one event's bytes and the encoder that writes v into them,
-// drawn from sseFrames: a frame costs no buffer of its own, and the payload
-// is not boxed for a format verb.
+// sseFrame is one event's bytes, drawn from sseFrames: a frame costs no
+// buffer of its own, and the payload is not boxed for a format verb.
 type sseFrame struct {
-	buf bytes.Buffer
-	enc *json.Encoder
+	b []byte
 }
 
-var sseFrames = sync.Pool{New: func() any {
-	f := new(sseFrame)
-	f.enc = json.NewEncoder(&f.buf)
-	return f
-}}
+var sseFrames = sync.Pool{New: func() any { return new(sseFrame) }}
 
 // maxPooledFrame is the largest frame buffer sseFrames keeps.
 const maxPooledFrame = 64 << 10
@@ -43,19 +36,20 @@ const maxPooledFrame = 64 << 10
 var sseDone = []byte("data: " + StreamDone + "\n\n")
 
 // WriteSSE writes one event carrying v as JSON: "data: ", json.Marshal's
-// bytes and a blank line, in one Write. A v that does not marshal writes
-// nothing and returns json.Marshal's error.
+// bytes (AppendJSON's, which are the same) and a blank line, in one Write.
+// A v that does not marshal writes nothing and returns json.Marshal's
+// error.
+//
+//first:hotpath on a pooled frame: pinned by TestWriteSSEZeroAlloc (encode_test.go)
 func WriteSSE(w io.Writer, v interface{}) error {
 	f := sseFrames.Get().(*sseFrame)
-	f.buf.Reset()
-	f.buf.WriteString("data: ")
-	// Encode writes json.Marshal's bytes and one newline, or nothing at all.
-	err := f.enc.Encode(v)
+	b, err := AppendJSON(append(f.b[:0], "data: "...), v)
 	if err == nil {
-		f.buf.WriteByte('\n')
-		_, err = w.Write(f.buf.Bytes())
+		b = append(b, "\n\n"...)
+		_, err = w.Write(b)
 	}
-	if f.buf.Cap() <= maxPooledFrame {
+	f.b = b
+	if cap(b) <= maxPooledFrame {
 		sseFrames.Put(f)
 	}
 	return err

@@ -94,15 +94,19 @@ type Session struct {
 
 // Store is the database.
 type Store struct {
-	mu       sync.Mutex
-	nextLog  int64
-	logs     []RequestLog
-	users    map[string]*User
-	batches  map[string]*Batch
-	sessions map[string]*Session
-	// maxLogs bounds the retained log window (older entries are summarized
-	// into totals, like a rolled-up partition).
+	mu      sync.Mutex
+	nextLog int64
+	// logs is the retained request window, a ring of at most maxLogs rows:
+	// below maxLogs it grows by append, oldest first; once full, a new row
+	// overwrites the oldest, logs[head], and head moves on. Rows that leave
+	// the window are summarized into the rolled counters, like a rolled-up
+	// partition, so no row is copied once the window is full.
+	logs          []RequestLog
+	head          int
 	maxLogs       int
+	users         map[string]*User
+	batches       map[string]*Batch
+	sessions      map[string]*Session
 	rolledReqs    int64
 	rolledTokens  int64
 	rolledByModel map[string]int64
@@ -124,27 +128,59 @@ func New(maxLogs int) *Store {
 }
 
 // LogRequest appends a request row and updates the user's aggregates.
+//
+//first:hotpath once the window is full: pinned by TestLogRequestZeroAllocOnFullRing (ring_test.go)
 func (s *Store) LogRequest(r RequestLog) int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.nextLog++
 	r.ID = s.nextLog
-	s.logs = append(s.logs, r)
-	if len(s.logs) > s.maxLogs {
-		drop := s.logs[0]
-		s.logs = s.logs[1:]
-		s.rolledReqs++
-		s.rolledTokens += int64(drop.OutputTok)
-		s.rolledByModel[drop.Model]++
-	}
+	s.appendLog(r)
 	u, ok := s.users[r.User]
 	if !ok {
-		u = &User{Sub: r.User, Username: r.User, FirstSeen: r.CreatedAt}
+		u = &User{Sub: r.User, Username: r.User, FirstSeen: r.CreatedAt} //firstlint:allow hotpath a user's first row registers them once
 		s.users[r.User] = u
 	}
 	u.Requests++
 	u.Tokens += int64(r.OutputTok)
 	return r.ID
+}
+
+// appendLog adds r as the newest row of the window: by append below
+// maxLogs, growing the array to at most maxLogs rows, and over the oldest
+// row, rolled up first, once the window is full.
+//
+//first:hotpath reached through LogRequest's pin
+func (s *Store) appendLog(r RequestLog) {
+	if n := len(s.logs); n < s.maxLogs {
+		if n == cap(s.logs) {
+			grown := make([]RequestLog, n, min(max(2*n, 16), s.maxLogs)) //firstlint:allow hotpath the window grows to maxLogs rows once
+			copy(grown, s.logs)
+			s.logs = grown
+		}
+		s.logs = append(s.logs, r)
+		return
+	}
+	s.rollUp(&s.logs[s.head])
+	s.logs[s.head] = r
+	s.head++
+	if s.head == len(s.logs) {
+		s.head = 0
+	}
+}
+
+// rollUp counts a row that leaves the window into the rolled counters.
+//
+//first:hotpath reached through LogRequest's pin
+func (s *Store) rollUp(r *RequestLog) {
+	s.rolledReqs++
+	s.rolledTokens += int64(r.OutputTok)
+	s.rolledByModel[r.Model]++
+}
+
+// window returns the retained rows oldest first, as the ring's two runs.
+func (s *Store) window() (older, newer []RequestLog) {
+	return s.logs[s.head:], s.logs[:s.head]
 }
 
 // EnsureUser registers a user record (login path).
@@ -164,8 +200,13 @@ func (s *Store) RecentRequests(n int) []RequestLog {
 		n = len(s.logs)
 	}
 	out := make([]RequestLog, n)
-	for i := 0; i < n; i++ {
-		out[i] = s.logs[len(s.logs)-1-i]
+	for i := range out {
+		// The i-th newest row sits i places behind the newest, logs[head-1].
+		j := s.head - 1 - i
+		if j < 0 {
+			j += len(s.logs)
+		}
+		out[i] = s.logs[j]
 	}
 	return out
 }
@@ -200,10 +241,13 @@ func (s *Store) Totals() Totals {
 	for m, n := range s.rolledByModel {
 		t.ByModel[m] = n
 	}
-	for _, r := range s.logs {
-		t.OutputTokens += int64(r.OutputTok)
-		t.ByModel[r.Model]++
-		t.ByKind[string(r.Kind)]++
+	older, newer := s.window()
+	for _, run := range [2][]RequestLog{older, newer} {
+		for _, r := range run {
+			t.OutputTokens += int64(r.OutputTok)
+			t.ByModel[r.Model]++
+			t.ByKind[string(r.Kind)]++
+		}
 	}
 	return t
 }
@@ -298,7 +342,8 @@ type snapshot struct {
 // Save writes a JSONL snapshot (one table per file) under dir.
 func (s *Store) Save(dir string) error {
 	s.mu.Lock()
-	snap := snapshot{Logs: append([]RequestLog(nil), s.logs...)}
+	older, newer := s.window()
+	snap := snapshot{Logs: append(append(make([]RequestLog, 0, len(s.logs)), older...), newer...)}
 	for _, u := range s.users {
 		snap.Users = append(snap.Users, *u)
 	}
@@ -329,7 +374,9 @@ func (s *Store) Save(dir string) error {
 }
 
 // Load restores a snapshot previously written by Save. Missing files are
-// treated as empty tables.
+// treated as empty tables. Of more request rows than the window holds, the
+// newest maxLogs are kept and the rest rolled up into the counters, so
+// Totals reads as if the store had logged them all.
 func (s *Store) Load(dir string) error {
 	logs, err := readJSONL[RequestLog](filepath.Join(dir, "requests.jsonl"))
 	if err != nil {
@@ -350,11 +397,22 @@ func (s *Store) Load(dir string) error {
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.logs = logs
 	for _, r := range logs {
 		if r.ID > s.nextLog {
 			s.nextLog = r.ID
 		}
+	}
+	// Rows beyond the window are rolled up as LogRequest would have rolled
+	// them, oldest first, and the newest maxLogs rows become the window, in
+	// an array of their own.
+	drop := max(len(logs)-s.maxLogs, 0)
+	for i := range logs[:drop] {
+		s.rollUp(&logs[i])
+	}
+	s.logs, s.head = logs[drop:], 0
+	if drop > 0 || cap(s.logs) > s.maxLogs {
+		s.logs = make([]RequestLog, len(logs)-drop)
+		copy(s.logs, logs[drop:])
 	}
 	s.users = make(map[string]*User, len(users))
 	for i := range users {
