@@ -43,13 +43,13 @@ lint:
 # stream reader (seed corpora under testdata/fuzz; truncation / malformed
 # frames), openaiapi.Unmarshal against json.Unmarshal
 # (FuzzUnmarshalMatchesStdlib: same value and error text, three calls in a
-# row on a pooled decoder), openaiapi.AppendJSON against json.Marshal
+# row, each into a zero value), openaiapi.AppendJSON against json.Marshal
 # (FuzzAppendJSONMatchesStdlib: the chat bodies built from fuzz bytes, same
 # bytes or error text, the caller's prefix untouched), the gateway config file, the chaosnet.Schedule JSON, the store's
 # four JSONL journals (FuzzStoreLoad: no panic, and a store Load accepts
 # survives Save → Load),
-# the gateway's batch-create and tool-call bodies (FuzzDecodeCreateBatch,
-# FuzzDecodeToolRequest: no panic, a decoded body re-encodes stably) — and
+# the gateway's batch-create body (FuzzDecodeCreateBatch: no panic, a
+# decoded body re-encodes stably) — and
 # one state machine: FuzzEngineOffer decodes bytes into a
 # submit/abort/wait schedule and checks serving.Engine's offer/settle path
 # against the per-iteration reference engine — and one rewrite against the
@@ -68,7 +68,6 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzSchedule$$' -fuzztime $(FUZZTIME) ./internal/chaosnet
 	$(GO) test -run '^$$' -fuzz '^FuzzStoreLoad$$' -fuzztime $(FUZZTIME) ./internal/store
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeCreateBatch$$' -fuzztime $(FUZZTIME) ./internal/gateway
-	$(GO) test -run '^$$' -fuzz '^FuzzDecodeToolRequest$$' -fuzztime $(FUZZTIME) ./internal/gateway
 	$(GO) test -run '^$$' -fuzz '^FuzzEngineOffer$$' -fuzztime $(FUZZTIME) ./internal/serving
 	$(GO) test -run '^$$' -fuzz '^FuzzSynthesizeText$$' -fuzztime $(FUZZTIME) ./internal/fabric
 	$(GO) test -run '^$$' -fuzz '^FuzzStreamChatPieces$$' -fuzztime $(FUZZTIME) ./internal/gateway

@@ -42,13 +42,6 @@ func main() {
 		log.Fatalf("building installation: %v", err)
 	}
 	defer sys.Close()
-	// Expose the §7 future-work HPC-simulation tool on the first cluster.
-	for name := range sys.Clusters {
-		if err := sys.RegisterHPCSimulationTool(name, ""); err != nil {
-			log.Printf("warning: simulation tool: %v", err)
-		}
-		break
-	}
 
 	if *persist != "" {
 		if err := sys.Store.Load(*persist); err != nil {

@@ -458,13 +458,10 @@
 // built-in handler answers with a pointer to the record's InferResult, and
 // Infer copies that out before the record goes back, so neither is boxed
 // into an any (TestClientInferZeroAlloc, through a warm engine); handlers
-// of their own read either form with fabric.InferPayload. Tools are
-// the one byte-level function: the gateway decodes the call's body
-// (FuzzDecodeToolRequest), passes the tool its JSON payload as []byte and
-// answers with the []byte the tool returns; hpc.simulate decodes its
-// request with encoding/json itself. The SDK's in-process transport
-// (client.HandlerRoundTripper, which WithHandler clients call directly, with
-// no http.Client around it) serves calls on kept connections, as net/http
+// of their own read either form with fabric.InferPayload. The SDK's
+// in-process transport (client.HandlerRoundTripper, which WithHandler
+// clients call directly, with no http.Client around it) serves calls on
+// kept connections, as net/http
 // serves a keep-alive connection on one goroutine: a call takes an idle
 // connection goroutine from the transport's stack or starts one, the
 // handler runs there, and the goroutine goes back on the stack when
@@ -477,16 +474,16 @@
 // memory is the response's size, since in-process there is no
 // backpressure. A cancellation is registered with context.AfterFunc, and
 // only for a context that can end. Neither side rebuilds its scaffolding per
-// call: every wire body — the gateway's chat, completion, embedding, batch
-// and tool requests, the SDK's responses, error envelopes and stream
+// call: every wire body — the gateway's chat, completion, embedding and
+// batch requests, the SDK's responses, error envelopes and stream
 // chunks — decodes through openaiapi.Unmarshal, which gives
 // json.Unmarshal's values and errors (FuzzUnmarshalMatchesStdlib holds the
 // two equal): the chat request, response and stream chunk on a typed path
 // that reads them without reflection, in a check pass that neither stores
 // nor allocates, then a fill pass for a body it accepted whole, and
 // every other body, or a chat body with anything that path does not take
-// (an escape, a null, an unknown key, a number out of range), on a pooled
-// json.Decoder's state. The writers mirror it: the SDK's chat request, the
+// (an escape, a null, an unknown key, a number out of range), to
+// json.Unmarshal. The writers mirror it: the SDK's chat request, the
 // gateway's reply on a miss and its stream chunks are written by
 // openaiapi.AppendJSON, which appends json.Marshal's bytes, on a typed path
 // without reflection for the three chat types and through json.Marshal for
@@ -612,8 +609,7 @@
 // benchmark/ module, which the root's ./... does not reach; `make check`
 // includes a brief fuzz pass over the openaiapi request and SSE parsers,
 // the gateway config file, the chaosnet.Schedule JSON, the store's JSONL
-// journals, the gateway's batch-create and tool-call bodies and the serving
-// engine's
+// journals, the gateway's batch-create body and the serving engine's
 // offer/settle state machine (FuzzEngineOffer), and `make fuzzlist` fails
 // when a fuzz target under internal/ is missing from that pass. All of
 // these run as the six required CI jobs (.github/workflows/ci.yml: check, lint,

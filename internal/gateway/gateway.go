@@ -24,7 +24,6 @@ import (
 	"net/http"
 	"runtime"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -162,9 +161,6 @@ type Server struct {
 	syncSem chan struct{}
 	fe      *frontend // sharded mutable front-end state
 
-	toolsMu sync.Mutex // tools registration is control-plane, not sharded
-	tools   map[string][]ToolRoute
-
 	// breakers is non-nil only when cfg.Breaker.Enabled(); breakerNow is
 	// always callable (cfg.BreakerClock or the gateway clock).
 	breakers   *resilience.Set
@@ -181,7 +177,7 @@ type instruments struct {
 	httpRequests, authRejected, rateLimited, overloaded *metrics.Counter
 	cacheHits, inferAttempts, outputTokens              *metrics.Counter
 	failoverAttempts, failoverSuccess, authRechecks     *metrics.Counter
-	loadShed, streamAborts, toolCalls                   *metrics.Counter
+	loadShed, streamAborts                              *metrics.Counter
 	requestSeconds                                      *metrics.Histogram
 	routed                                              map[federation.Reason]*metrics.Counter
 	requests                                            map[store.RequestKind]*metrics.Counter
@@ -211,7 +207,6 @@ func newInstruments(reg *metrics.Registry) instruments {
 		authRechecks:     reg.Counter("auth_rechecks"),
 		loadShed:         reg.Counter("load_shed"),
 		streamAborts:     reg.Counter("stream_aborts"),
-		toolCalls:        reg.Counter("tool_calls"),
 		requestSeconds:   reg.Histogram("http_request_seconds"),
 	}
 }
@@ -286,8 +281,6 @@ func (s *Server) routes() {
 	s.mux.HandleFunc("GET /v1/batches/{id}", s.withAuth(s.handleGetBatch))
 	s.mux.HandleFunc("GET /v1/batches/{id}/results", s.withAuth(s.handleBatchResults))
 	s.mux.HandleFunc("POST /v1/batches/{id}/cancel", s.withAuth(s.handleCancelBatch))
-	s.mux.HandleFunc("POST /v1/tools/{name}", s.withAuth(s.handleTool))
-	s.mux.HandleFunc("GET /v1/tools", s.withAuth(s.handleListTools))
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
 	s.mux.HandleFunc("GET /dashboard", s.handleDashboard)
 	s.mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {

@@ -25,10 +25,11 @@ type slidingLog struct {
 	rolledReqs    int64
 	rolledTokens  int64
 	rolledByModel map[string]int64
+	rolledByKind  map[string]int64
 }
 
 func newSlidingLog(maxLogs int) *slidingLog {
-	return &slidingLog{maxLogs: maxLogs, users: map[string]bool{}, rolledByModel: map[string]int64{}}
+	return &slidingLog{maxLogs: maxLogs, users: map[string]bool{}, rolledByModel: map[string]int64{}, rolledByKind: map[string]int64{}}
 }
 
 func (o *slidingLog) LogRequest(r RequestLog) {
@@ -41,6 +42,7 @@ func (o *slidingLog) LogRequest(r RequestLog) {
 		o.rolledReqs++
 		o.rolledTokens += int64(drop.OutputTok)
 		o.rolledByModel[drop.Model]++
+		o.rolledByKind[string(drop.Kind)]++
 	}
 	o.users[r.User] = true
 }
@@ -66,6 +68,9 @@ func (o *slidingLog) Totals() Totals {
 	}
 	for m, n := range o.rolledByModel {
 		t.ByModel[m] = n
+	}
+	for k, n := range o.rolledByKind {
+		t.ByKind[k] = n
 	}
 	for _, r := range o.logs {
 		t.OutputTokens += int64(r.OutputTok)
@@ -216,7 +221,8 @@ func TestLoadBeyondWindowRollsUp(t *testing.T) {
 		t.Errorf("Totals %+v, want the logging store's %+v", got, want)
 	}
 	all := wide.Totals()
-	if got.Requests != all.Requests || got.OutputTokens != all.OutputTokens || got.Users != all.Users || !reflect.DeepEqual(got.ByModel, all.ByModel) {
+	if got.Requests != all.Requests || got.OutputTokens != all.OutputTokens || got.Users != all.Users ||
+		!reflect.DeepEqual(got.ByModel, all.ByModel) || !reflect.DeepEqual(got.ByKind, all.ByKind) {
 		t.Errorf("Totals %+v, want the saving store's counters %+v", got, all)
 	}
 	if id := loaded.LogRequest(randomRow(rng, 40)); id != 41 {

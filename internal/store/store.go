@@ -110,6 +110,7 @@ type Store struct {
 	rolledReqs    int64
 	rolledTokens  int64
 	rolledByModel map[string]int64
+	rolledByKind  map[string]int64
 }
 
 // New returns an empty store retaining up to maxLogs recent request rows
@@ -124,6 +125,7 @@ func New(maxLogs int) *Store {
 		sessions:      make(map[string]*Session),
 		maxLogs:       maxLogs,
 		rolledByModel: make(map[string]int64),
+		rolledByKind:  make(map[string]int64),
 	}
 }
 
@@ -176,6 +178,7 @@ func (s *Store) rollUp(r *RequestLog) {
 	s.rolledReqs++
 	s.rolledTokens += int64(r.OutputTok)
 	s.rolledByModel[r.Model]++
+	s.rolledByKind[string(r.Kind)]++
 }
 
 // window returns the retained rows oldest first, as the ring's two runs.
@@ -240,6 +243,9 @@ func (s *Store) Totals() Totals {
 	}
 	for m, n := range s.rolledByModel {
 		t.ByModel[m] = n
+	}
+	for k, n := range s.rolledByKind {
+		t.ByKind[k] = n
 	}
 	older, newer := s.window()
 	for _, run := range [2][]RequestLog{older, newer} {

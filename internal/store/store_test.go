@@ -1,6 +1,7 @@
 package store
 
 import (
+	"reflect"
 	"testing"
 	"time"
 )
@@ -28,7 +29,11 @@ func TestLogRequestAndTotals(t *testing.T) {
 func TestLogRollupBeyondWindow(t *testing.T) {
 	s := New(10)
 	for i := 0; i < 25; i++ {
-		s.LogRequest(RequestLog{User: "u", Model: "m", OutputTok: 10, CreatedAt: ts(i)})
+		kind := KindChat
+		if i%2 == 1 {
+			kind = KindCompletion
+		}
+		s.LogRequest(RequestLog{User: "u", Model: "m", Kind: kind, OutputTok: 10, CreatedAt: ts(i)})
 	}
 	if got := len(s.RecentRequests(0)); got != 10 {
 		t.Errorf("retained = %d, want 10", got)
@@ -40,6 +45,9 @@ func TestLogRollupBeyondWindow(t *testing.T) {
 	}
 	if tot.ByModel["m"] != 25 {
 		t.Errorf("by-model after rollup = %v", tot.ByModel)
+	}
+	if want := map[string]int64{"chat": 13, "completion": 12}; !reflect.DeepEqual(tot.ByKind, want) {
+		t.Errorf("by-kind after rollup = %v, want %v", tot.ByKind, want)
 	}
 }
 
