@@ -46,7 +46,7 @@ lint:
 # row, each into a zero value), openaiapi.AppendJSON against json.Marshal
 # (FuzzAppendJSONMatchesStdlib: the chat bodies built from fuzz bytes, same
 # bytes or error text, the caller's prefix untouched), the gateway config file, the chaosnet.Schedule JSON, the store's
-# four JSONL journals (FuzzStoreLoad: no panic, and a store Load accepts
+# five JSONL journals (FuzzStoreLoad: no panic, and a store Load accepts
 # survives Save → Load),
 # the gateway's batch-create body (FuzzDecodeCreateBatch: no panic, a
 # decoded body re-encodes stably) — and

@@ -5,8 +5,8 @@
 // PBS-like schedulers over simulated GPU clusters, vLLM-style continuous-
 // batching serving engines, federation-aware routing and batch mode — plus
 // a discrete-event harness that regenerates every table and figure in the
-// paper's evaluation. See README.md, DESIGN.md and
-// EXPERIMENTS.md.
+// paper's evaluation. The sections below walk the layers; benchmark/README.md
+// describes the benchmark, and ROADMAP.md what is open.
 //
 // # Simulation substrate
 //
@@ -489,7 +489,13 @@
 // without reflection for the three chat types and through json.Marshal for
 // a value with anything that path does not write unchanged (a string
 // json.Marshal escapes, a NaN or ±Inf), so the bytes stay json.Marshal's
-// (FuzzAppendJSONMatchesStdlib holds the two equal). The SDK parses its
+// (FuzzAppendJSONMatchesStdlib holds the two equal). Both typed paths walk
+// one field list per chat type (openaiapi/wire.go), read at init from the
+// types' json tags: each field's key, kind, omitempty and offset, from a
+// closed set of nine kinds, with a panic at init on any other field. The
+// tags are the one description of the wire format; no code is written per
+// type, and the gateway sizes its reply buffer from a frame AppendJSON
+// writes at init. The SDK parses its
 // base URL once, at New, and reads a stream's lines into a buffer its call
 // record keeps. An SDK call on the in-process
 // transport is one record from the transport's free list, as a fabric task

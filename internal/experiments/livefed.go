@@ -620,8 +620,11 @@ func armLiveFedEndpoint(ep *fabric.Endpoint, epIdx int, c LiveFedCell, cellSeed 
 	})
 }
 
+// counterOf reads one of the gateway's counters, which it registers at
+// boot; a cell reads one twice per request, so it takes no snapshot of
+// the whole registry.
 func counterOf(sys *core.System, name string) int64 {
-	return sys.Metrics.Snapshot().Counters[name]
+	return sys.Metrics.Counter(name).Value()
 }
 
 // isShed: the request was load-shed with a 503 (gateway all-breakers-open

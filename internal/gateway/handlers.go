@@ -95,9 +95,15 @@ func (s *Server) readBody(w http.ResponseWriter, r *http.Request, pre int) (*req
 	}
 }
 
-// replyFrame is a miss's reply as json.Marshal writes it, less its ID,
-// model, text and four integers.
-const replyFrame = `{"id":"","object":"chat.completion","created":,"model":"","choices":[{"index":0,"message":{"role":"assistant","content":""},"finish_reason":"stop"}],"usage":{"prompt_tokens":,"completion_tokens":,"total_tokens":}}`
+// replyFrame is the length of a miss's reply with its ID, model and text
+// empty and its four integers 0, as AppendJSON writes it.
+var replyFrame = func() int {
+	msg := openaiapi.Message{Role: "assistant"}
+	b, _ := openaiapi.AppendJSON(nil, &openaiapi.ChatCompletionResponse{
+		Object: "chat.completion", Choices: []openaiapi.Choice{{Message: &msg, FinishReason: "stop"}},
+	})
+	return len(b)
+}()
 
 // chatReply is a miss's response with its one choice and message inside
 // it, drawn from chatReplies; the marshalled bytes are the one fresh value
@@ -236,8 +242,10 @@ func (s *Server) answerChat(w http.ResponseWriter, r *http.Request, who auth.Tok
 		s.streamChat(w, resp)
 		return
 	}
-	// One buffer with room for the whole reply, which the cache keeps.
-	size := len(replyFrame) + len(resp.ID) + len(resp.Model) + len(res.Text) + 4*len("-9223372036854775808")
+	// One buffer with room for the whole reply, which the cache keeps: the
+	// frame, its strings, and four integers as long as an int64 gets, less
+	// the frame's 0 for each.
+	size := replyFrame + len(resp.ID) + len(resp.Model) + len(res.Text) + 4*(len("-9223372036854775808")-1)
 	out, _ := openaiapi.AppendJSON(make([]byte, 0, size), resp)
 	s.fe.cachePut(key, req.Model, out)
 	w.Header()["Content-Type"] = jsonContentType
@@ -246,9 +254,9 @@ func (s *Server) answerChat(w http.ResponseWriter, r *http.Request, who auth.Tok
 }
 
 // streamChat replays a finished completion as OpenAI-style SSE deltas.
-// (The fabric returns whole results; token-level streaming stops at the
-// gateway boundary — see DESIGN.md.) Every event is the one chunk, its one
-// choice and delta rewritten in place.
+// (The fabric returns whole results, so token-level streaming stops at the
+// gateway boundary.) Every event is the one chunk, its one choice and delta
+// rewritten in place.
 func (s *Server) streamChat(w http.ResponseWriter, resp *openaiapi.ChatCompletionResponse) {
 	h := w.Header()
 	h["Content-Type"] = eventStreamType

@@ -42,46 +42,18 @@ type fastDec struct {
 //
 //first:hotpath for a body it turns away: pinned by TestTypedPathRejectsWithoutAllocating (decode_test.go)
 func decodeFast(data []byte, v any) bool {
+	fs, p := wireOf(v)
+	if fs == nil {
+		return false
+	}
+	// The check pass must read one object and nothing but whitespace after.
 	d := fastDec{data: data}
-	if !d.body(v) || !d.accepted() {
+	if d.object(fs, p); d.bad || skipSpace(data, d.i) != len(data) {
 		return false
 	}
 	d.i, d.fill = 0, true
-	d.body(v)
+	d.object(fs, p)
 	return true
-}
-
-// body reads data into v once. On the check pass it reports whether v is a
-// chat body whose array elements the data fills are zero.
-func (d *fastDec) body(v any) bool {
-	// A nil pointer is turned away, for json.Unmarshal's InvalidUnmarshalError.
-	switch v := v.(type) {
-	case *ChatCompletionRequest:
-		if v == nil {
-			return false
-		}
-		d.request(v)
-		return zeroPrefix(v.Messages, d.n)
-	case *ChatCompletionResponse:
-		if v == nil {
-			return false
-		}
-		d.completion(&v.ID, &v.Object, &v.Created, &v.Model, &v.Choices, &v.Usage)
-		return zeroPrefix(v.Choices, d.n)
-	case *StreamChunk:
-		if v == nil {
-			return false
-		}
-		d.completion(&v.ID, &v.Object, &v.Created, &v.Model, &v.Choices, nil)
-		return zeroPrefix(v.Choices, d.n)
-	}
-	return false
-}
-
-// accepted reports whether the check pass read one object and nothing but
-// whitespace after it.
-func (d *fastDec) accepted() bool {
-	return !d.bad && skipSpace(d.data, d.i) == len(d.data)
 }
 
 // zeroPrefix reports whether the elements a body of n array elements
@@ -394,222 +366,4 @@ func belowOverflow(num []byte) bool {
 		}
 	}
 	return ints+sign*exp <= 308
-}
-
-// seen marks bit as read in the object's set, failing on a repeated key.
-func (d *fastDec) seen(set *uint, bit uint) {
-	if *set&bit != 0 {
-		d.bad = true
-	}
-	*set |= bit
-}
-
-func (d *fastDec) request(r *ChatCompletionRequest) {
-	d.want('{')
-	var set uint
-	for first := true; ; first = false {
-		k := d.member(first)
-		if k == nil {
-			return
-		}
-		switch string(k) {
-		case "model":
-			d.seen(&set, 1<<0)
-			d.str(&r.Model)
-		case "messages":
-			d.seen(&set, 1<<1)
-			d.messages(&r.Messages)
-		case "max_tokens":
-			d.seen(&set, 1<<2)
-			d.int(&r.MaxTokens)
-		case "temperature":
-			d.seen(&set, 1<<3)
-			d.float(&r.Temperature)
-		case "top_p":
-			d.seen(&set, 1<<4)
-			d.float(&r.TopP)
-		case "n":
-			d.seen(&set, 1<<5)
-			d.int(&r.N)
-		case "stream":
-			d.seen(&set, 1<<6)
-			d.bool(&r.Stream)
-		case "user":
-			d.seen(&set, 1<<7)
-			d.str(&r.User)
-		default:
-			d.bad = true
-		}
-	}
-}
-
-func (d *fastDec) messages(dst *[]Message) {
-	var ms []Message
-	if d.fill {
-		ms = slots(*dst, d.n)
-	}
-	var scratch Message // the check pass's target, never written
-	d.want('[')
-	n := 0
-	for ; d.elem(n == 0); n++ {
-		m := &scratch
-		if d.fill {
-			m = &ms[n]
-		}
-		d.message(m)
-	}
-	if d.fill {
-		*dst = ms
-	} else {
-		d.n = n
-	}
-}
-
-func (d *fastDec) message(m *Message) {
-	d.want('{')
-	var set uint
-	for first := true; ; first = false {
-		k := d.member(first)
-		if k == nil {
-			return
-		}
-		switch string(k) {
-		case "role":
-			d.seen(&set, 1<<0)
-			d.str(&m.Role)
-		case "content":
-			d.seen(&set, 1<<1)
-			d.str(&m.Content)
-		default:
-			d.bad = true
-		}
-	}
-}
-
-// messageRef reads a message into a new Message, as json.Unmarshal does for
-// a nil pointer.
-func (d *fastDec) messageRef(dst **Message) {
-	if !d.fill {
-		var scratch Message
-		d.message(&scratch)
-		return
-	}
-	m := new(Message)
-	d.message(m)
-	*dst = m
-}
-
-// completion reads a chat response's fields, or a stream chunk's, which are
-// the same but usage, when u is nil.
-func (d *fastDec) completion(id, object *string, created *int64, model *string, choices *[]Choice, u *Usage) {
-	d.want('{')
-	var set uint
-	for first := true; ; first = false {
-		k := d.member(first)
-		if k == nil {
-			return
-		}
-		switch string(k) {
-		case "id":
-			d.seen(&set, 1<<0)
-			d.str(id)
-		case "object":
-			d.seen(&set, 1<<1)
-			d.str(object)
-		case "created":
-			d.seen(&set, 1<<2)
-			d.int64(created)
-		case "model":
-			d.seen(&set, 1<<3)
-			d.str(model)
-		case "choices":
-			d.seen(&set, 1<<4)
-			d.choices(choices)
-		case "usage":
-			d.seen(&set, 1<<5)
-			if u == nil {
-				d.bad = true
-				return
-			}
-			d.usage(u)
-		default:
-			d.bad = true
-		}
-	}
-}
-
-func (d *fastDec) choices(dst *[]Choice) {
-	var cs []Choice
-	if d.fill {
-		cs = slots(*dst, d.n)
-	}
-	var scratch Choice
-	d.want('[')
-	n := 0
-	for ; d.elem(n == 0); n++ {
-		c := &scratch
-		if d.fill {
-			c = &cs[n]
-		}
-		d.choice(c)
-	}
-	if d.fill {
-		*dst = cs
-	} else {
-		d.n = n
-	}
-}
-
-func (d *fastDec) choice(c *Choice) {
-	d.want('{')
-	var set uint
-	for first := true; ; first = false {
-		k := d.member(first)
-		if k == nil {
-			return
-		}
-		switch string(k) {
-		case "index":
-			d.seen(&set, 1<<0)
-			d.int(&c.Index)
-		case "message":
-			d.seen(&set, 1<<1)
-			d.messageRef(&c.Message)
-		case "text":
-			d.seen(&set, 1<<2)
-			d.str(&c.Text)
-		case "delta":
-			d.seen(&set, 1<<3)
-			d.messageRef(&c.Delta)
-		case "finish_reason":
-			d.seen(&set, 1<<4)
-			d.str(&c.FinishReason)
-		default:
-			d.bad = true
-		}
-	}
-}
-
-func (d *fastDec) usage(u *Usage) {
-	d.want('{')
-	var set uint
-	for first := true; ; first = false {
-		k := d.member(first)
-		if k == nil {
-			return
-		}
-		switch string(k) {
-		case "prompt_tokens":
-			d.seen(&set, 1<<0)
-			d.int(&u.PromptTokens)
-		case "completion_tokens":
-			d.seen(&set, 1<<1)
-			d.int(&u.CompletionTokens)
-		case "total_tokens":
-			d.seen(&set, 1<<2)
-			d.int(&u.TotalTokens)
-		default:
-			d.bad = true
-		}
-	}
 }

@@ -52,33 +52,16 @@ type fastEnc struct {
 //
 //first:hotpath reached through AppendJSON's pin
 func appendFast(dst []byte, v any) ([]byte, bool) {
-	e := fastEnc{b: dst}
-	switch v := v.(type) {
-	case *ChatCompletionRequest:
-		if v == nil {
-			return dst, false
-		}
-		e.request(v)
-	case *ChatCompletionResponse:
-		if v == nil {
-			return dst, false
-		}
-		e.completion(v.ID, v.Object, v.Created, v.Model, v.Choices, &v.Usage)
-	case *StreamChunk:
-		if v == nil {
-			return dst, false
-		}
-		e.completion(v.ID, v.Object, v.Created, v.Model, v.Choices, nil)
-	default:
+	fs, p := wireOf(v)
+	if fs == nil {
 		return dst, false
 	}
-	if e.bad {
+	e := fastEnc{b: dst}
+	if e.object(fs, p); e.bad {
 		return dst, false
 	}
 	return e.b, true
 }
-
-func (e *fastEnc) lit(s string) { e.b = append(e.b, s...) }
 
 // str writes s quoted when json.Marshal would write its bytes unchanged.
 func (e *fastEnc) str(s string) {
@@ -101,8 +84,6 @@ func plainWide(s string) bool {
 	return utf8.ValidString(s) && !strings.Contains(s, "\u2028") && !strings.Contains(s, "\u2029")
 }
 
-func (e *fastEnc) int(n int64) { e.b = strconv.AppendInt(e.b, n, 10) }
-
 // float writes f as encoding/json's float encoder writes a float64.
 func (e *fastEnc) float(f float64) {
 	if math.IsInf(f, 0) || math.IsNaN(f) {
@@ -118,112 +99,4 @@ func (e *fastEnc) float(f float64) {
 		e.b[n-2] = e.b[n-1] // e-07 is written e-7
 		e.b = e.b[:n-1]
 	}
-}
-
-func (e *fastEnc) request(r *ChatCompletionRequest) {
-	e.lit(`{"model":`)
-	e.str(r.Model)
-	e.lit(`,"messages":`)
-	if r.Messages == nil {
-		e.lit("null")
-	} else {
-		e.b = append(e.b, '[')
-		for i := range r.Messages {
-			if i > 0 {
-				e.b = append(e.b, ',')
-			}
-			e.message(&r.Messages[i])
-		}
-		e.b = append(e.b, ']')
-	}
-	if r.MaxTokens != 0 {
-		e.lit(`,"max_tokens":`)
-		e.int(int64(r.MaxTokens))
-	}
-	if r.Temperature != 0 {
-		e.lit(`,"temperature":`)
-		e.float(r.Temperature)
-	}
-	if r.TopP != 0 {
-		e.lit(`,"top_p":`)
-		e.float(r.TopP)
-	}
-	if r.N != 0 {
-		e.lit(`,"n":`)
-		e.int(int64(r.N))
-	}
-	if r.Stream {
-		e.lit(`,"stream":true`)
-	}
-	if r.User != "" {
-		e.lit(`,"user":`)
-		e.str(r.User)
-	}
-	e.b = append(e.b, '}')
-}
-
-func (e *fastEnc) message(m *Message) {
-	e.lit(`{"role":`)
-	e.str(m.Role)
-	e.lit(`,"content":`)
-	e.str(m.Content)
-	e.b = append(e.b, '}')
-}
-
-// completion writes the fields a response and a stream chunk share; a
-// response has usage, a chunk none.
-func (e *fastEnc) completion(id, object string, created int64, model string, choices []Choice, u *Usage) {
-	e.lit(`{"id":`)
-	e.str(id)
-	e.lit(`,"object":`)
-	e.str(object)
-	e.lit(`,"created":`)
-	e.int(created)
-	e.lit(`,"model":`)
-	e.str(model)
-	e.lit(`,"choices":`)
-	if choices == nil {
-		e.lit("null")
-	} else {
-		e.b = append(e.b, '[')
-		for i := range choices {
-			if i > 0 {
-				e.b = append(e.b, ',')
-			}
-			e.choice(&choices[i])
-		}
-		e.b = append(e.b, ']')
-	}
-	if u != nil {
-		e.lit(`,"usage":{"prompt_tokens":`)
-		e.int(int64(u.PromptTokens))
-		e.lit(`,"completion_tokens":`)
-		e.int(int64(u.CompletionTokens))
-		e.lit(`,"total_tokens":`)
-		e.int(int64(u.TotalTokens))
-		e.b = append(e.b, '}')
-	}
-	e.b = append(e.b, '}')
-}
-
-func (e *fastEnc) choice(c *Choice) {
-	e.lit(`{"index":`)
-	e.int(int64(c.Index))
-	if c.Message != nil {
-		e.lit(`,"message":`)
-		e.message(c.Message)
-	}
-	if c.Text != "" {
-		e.lit(`,"text":`)
-		e.str(c.Text)
-	}
-	if c.Delta != nil {
-		e.lit(`,"delta":`)
-		e.message(c.Delta)
-	}
-	if c.FinishReason != "" {
-		e.lit(`,"finish_reason":`)
-		e.str(c.FinishReason)
-	}
-	e.b = append(e.b, '}')
 }

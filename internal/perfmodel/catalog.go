@@ -10,7 +10,8 @@ import (
 // The model catalog mirrors §4.2 of the paper: Qwen2.5 (7/14/32B),
 // Meta-Llama 3/3.1/3.3 (8/70/405B), Mistral/Mixtral, the AuroraGPT suite,
 // vision models, and NV-Embed-v2 for embeddings. Cost-model constants are
-// calibrated per DESIGN.md §4; models not used in the evaluation carry
+// calibrated to the targets in the package comment (perfmodel.go; their
+// provenance is ROADMAP.md item 17); models not used in the evaluation carry
 // size-scaled estimates.
 
 func chatModel(name string, paramsB float64, tp int, base, slope, prefillUS float64, maxBatch int) ModelSpec {

@@ -4,10 +4,11 @@
 // — weight-load times, prefill and decode iteration costs, VRAM footprints —
 // comes from this package, so the calibration lives in exactly one place.
 //
-// Calibration targets (see DESIGN.md §4): Llama-3.3-70B on 8×A100 produces
-// ~15 ms/token at batch 1 (≈3.0 s end-to-end for a 182-token completion,
-// matching Fig. 3's direct-vLLM point at 1 req/s) and saturates around
-// 1700+ output tok/s at the engine's 256-sequence batch cap.
+// Calibration targets (their provenance is ROADMAP.md item 17):
+// Llama-3.3-70B on 8×A100 produces ~15 ms/token at batch 1 (≈3.0 s
+// end-to-end for a 182-token completion, matching Fig. 3's direct-vLLM
+// point at 1 req/s) and saturates around 1700+ output tok/s at the
+// engine's 256-sequence batch cap.
 package perfmodel
 
 import (

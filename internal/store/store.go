@@ -9,6 +9,8 @@ package store
 import (
 	"bufio"
 	"encoding/json"
+	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
 	"sort"
@@ -101,16 +103,22 @@ type Store struct {
 	// overwrites the oldest, logs[head], and head moves on. Rows that leave
 	// the window are summarized into the rolled counters, like a rolled-up
 	// partition, so no row is copied once the window is full.
-	logs          []RequestLog
-	head          int
-	maxLogs       int
-	users         map[string]*User
-	batches       map[string]*Batch
-	sessions      map[string]*Session
-	rolledReqs    int64
-	rolledTokens  int64
-	rolledByModel map[string]int64
-	rolledByKind  map[string]int64
+	logs     []RequestLog
+	head     int
+	maxLogs  int
+	users    map[string]*User
+	batches  map[string]*Batch
+	sessions map[string]*Session
+	rolled   rollup
+}
+
+// rollup counts the rows that left the window; Save writes it as a journal
+// of one row.
+type rollup struct {
+	Requests     int64            `json:"requests"`
+	OutputTokens int64            `json:"output_tokens"`
+	ByModel      map[string]int64 `json:"by_model"`
+	ByKind       map[string]int64 `json:"by_kind"`
 }
 
 // New returns an empty store retaining up to maxLogs recent request rows
@@ -120,12 +128,11 @@ func New(maxLogs int) *Store {
 		maxLogs = 100000
 	}
 	return &Store{
-		users:         make(map[string]*User),
-		batches:       make(map[string]*Batch),
-		sessions:      make(map[string]*Session),
-		maxLogs:       maxLogs,
-		rolledByModel: make(map[string]int64),
-		rolledByKind:  make(map[string]int64),
+		users:    make(map[string]*User),
+		batches:  make(map[string]*Batch),
+		sessions: make(map[string]*Session),
+		maxLogs:  maxLogs,
+		rolled:   rollup{ByModel: make(map[string]int64), ByKind: make(map[string]int64)},
 	}
 }
 
@@ -175,10 +182,10 @@ func (s *Store) appendLog(r RequestLog) {
 //
 //first:hotpath reached through LogRequest's pin
 func (s *Store) rollUp(r *RequestLog) {
-	s.rolledReqs++
-	s.rolledTokens += int64(r.OutputTok)
-	s.rolledByModel[r.Model]++
-	s.rolledByKind[string(r.Kind)]++
+	s.rolled.Requests++
+	s.rolled.OutputTokens += int64(r.OutputTok)
+	s.rolled.ByModel[r.Model]++
+	s.rolled.ByKind[string(r.Kind)]++
 }
 
 // window returns the retained rows oldest first, as the ring's two runs.
@@ -235,17 +242,11 @@ func (s *Store) Totals() Totals {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	t := Totals{
-		Requests:     s.rolledReqs + int64(len(s.logs)),
-		OutputTokens: s.rolledTokens,
+		Requests:     s.rolled.Requests + int64(len(s.logs)),
+		OutputTokens: s.rolled.OutputTokens,
 		Users:        len(s.users),
-		ByModel:      make(map[string]int64),
-		ByKind:       make(map[string]int64),
-	}
-	for m, n := range s.rolledByModel {
-		t.ByModel[m] = n
-	}
-	for k, n := range s.rolledByKind {
-		t.ByKind[k] = n
+		ByModel:      maps.Clone(s.rolled.ByModel),
+		ByKind:       maps.Clone(s.rolled.ByKind),
 	}
 	older, newer := s.window()
 	for _, run := range [2][]RequestLog{older, newer} {
@@ -343,13 +344,16 @@ type snapshot struct {
 	Users    []User       `json:"users"`
 	Batches  []Batch      `json:"batches"`
 	Sessions []Session    `json:"sessions"`
+	Rolled   rollup       `json:"rolled"`
 }
 
-// Save writes a JSONL snapshot (one table per file) under dir.
+// Save writes a JSONL snapshot (one table per file) under dir, and the
+// counters of the rows that left the window as a fifth journal.
 func (s *Store) Save(dir string) error {
 	s.mu.Lock()
 	older, newer := s.window()
 	snap := snapshot{Logs: append(append(make([]RequestLog, 0, len(s.logs)), older...), newer...)}
+	snap.Rolled = rollup{s.rolled.Requests, s.rolled.OutputTokens, maps.Clone(s.rolled.ByModel), maps.Clone(s.rolled.ByKind)}
 	for _, u := range s.users {
 		snap.Users = append(snap.Users, *u)
 	}
@@ -376,13 +380,17 @@ func (s *Store) Save(dir string) error {
 	if err := writeJSONL(filepath.Join(dir, "batches.jsonl"), snap.Batches); err != nil {
 		return err
 	}
-	return writeJSONL(filepath.Join(dir, "sessions.jsonl"), snap.Sessions)
+	if err := writeJSONL(filepath.Join(dir, "sessions.jsonl"), snap.Sessions); err != nil {
+		return err
+	}
+	return writeJSONL(filepath.Join(dir, "rolled.jsonl"), []rollup{snap.Rolled})
 }
 
 // Load restores a snapshot previously written by Save. Missing files are
-// treated as empty tables. Of more request rows than the window holds, the
-// newest maxLogs are kept and the rest rolled up into the counters, so
-// Totals reads as if the store had logged them all.
+// treated as empty tables, and a missing rolled.jsonl as counters at zero.
+// The rolled counters are replaced by the journal's; of more request rows
+// than the window holds, the newest maxLogs are kept and the rest rolled up
+// on top, so Totals reads as if the store had logged them all.
 func (s *Store) Load(dir string) error {
 	logs, err := readJSONL[RequestLog](filepath.Join(dir, "requests.jsonl"))
 	if err != nil {
@@ -400,9 +408,18 @@ func (s *Store) Load(dir string) error {
 	if err != nil {
 		return err
 	}
+	rolls, err := readJSONL[rollup](filepath.Join(dir, "rolled.jsonl"))
+	if err != nil {
+		return err
+	}
+	rolled, err := loadRollup(rolls)
+	if err != nil {
+		return err
+	}
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.rolled = rolled
 	for _, r := range logs {
 		if r.ID > s.nextLog {
 			s.nextLog = r.ID
@@ -438,13 +455,43 @@ func (s *Store) Load(dir string) error {
 	return nil
 }
 
-// writeJSONL writes one table, a JSON row per line.
-func writeJSONL[T any](path string, rows []T) error {
+// loadRollup returns the counters a rolled.jsonl of at most one row holds,
+// zero for none; more rows or a negative count are an error.
+func loadRollup(rows []rollup) (rollup, error) {
+	r := rollup{ByModel: make(map[string]int64), ByKind: make(map[string]int64)}
+	if len(rows) > 1 {
+		return r, fmt.Errorf("store: rolled.jsonl holds %d rows, want at most 1", len(rows))
+	}
+	if len(rows) == 1 {
+		r.Requests, r.OutputTokens = rows[0].Requests, rows[0].OutputTokens
+		maps.Copy(r.ByModel, rows[0].ByModel)
+		maps.Copy(r.ByKind, rows[0].ByKind)
+	}
+	negative := r.Requests < 0 || r.OutputTokens < 0
+	for _, counts := range []map[string]int64{r.ByModel, r.ByKind} {
+		for _, n := range counts {
+			negative = negative || n < 0
+		}
+	}
+	if negative {
+		return r, fmt.Errorf("store: rolled.jsonl holds a negative count")
+	}
+	return r, nil
+}
+
+// writeJSONL writes one table, a JSON row per line, and reports an error
+// closing the file too, so that a table not written whole is not taken for
+// saved.
+func writeJSONL[T any](path string, rows []T) (err error) {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	defer f.Close()
+	defer func() {
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+	}()
 	w := bufio.NewWriter(f)
 	enc := json.NewEncoder(w)
 	for _, r := range rows {

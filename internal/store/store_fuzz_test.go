@@ -8,10 +8,11 @@ import (
 	"time"
 )
 
-// journals are the four JSONL files Load replays, one table each.
-var journals = []string{"requests.jsonl", "users.jsonl", "batches.jsonl", "sessions.jsonl"}
+// journals are the five JSONL files Load replays: a table each, and the
+// rolled-up counters.
+var journals = []string{"requests.jsonl", "users.jsonl", "batches.jsonl", "sessions.jsonl", "rolled.jsonl"}
 
-// FuzzStoreLoad writes arbitrary bytes as each of the four journals Load
+// FuzzStoreLoad writes arbitrary bytes as each of the five journals Load
 // replays: Load never panics, and a store it accepts survives Save → Load
 // unchanged — saved again, it writes the same bytes.
 func FuzzStoreLoad(f *testing.F) {
@@ -22,12 +23,14 @@ func FuzzStoreLoad(f *testing.F) {
 		`{"sub":"a"}` + "\n" + `{"sub":"a","requests":2}`,
 		`{"id":"s","models":null}` + "\r\n" + `{"id":"t","models":[]}`,
 		"{\"user\":\"\xff\xfe\"}",
+		`{"requests":3,"output_tokens":-1}`, `{"by_kind":{"chat":-2}}`, `{"by_model":{"m":1}}` + "\n" + `{"requests":1}`,
 	} {
 		f.Add([]byte(s))
 	}
-	// One row of every table as Save writes it.
-	seed := New(0)
+	// One row of every table as Save writes it, and a row rolled out.
+	seed := New(1)
 	seed.LogRequest(RequestLog{User: "alice", Model: "m1", Kind: KindChat, OutputTok: 10, Latency: time.Second, Status: "ok", CreatedAt: ts(1)})
+	seed.LogRequest(RequestLog{User: "bob", Model: "m2", Kind: KindCompletion, OutputTok: 3, Status: "error", CreatedAt: ts(2)})
 	seed.PutBatch(Batch{ID: "b1", User: "alice", Model: "m1", State: BatchFailed, Total: 5, Error: "boom", CreatedAt: ts(1), FinishedAt: ts(3)})
 	seed.PutSession(Session{ID: "s1", User: "bob", Title: "t", Models: []string{"m2"}, Turns: 3, CreatedAt: ts(1), UpdatedAt: ts(2)})
 	dir := f.TempDir()

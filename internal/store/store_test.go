@@ -1,6 +1,8 @@
 package store
 
 import (
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 	"time"
@@ -48,6 +50,28 @@ func TestLogRollupBeyondWindow(t *testing.T) {
 	}
 	if want := map[string]int64{"chat": 13, "completion": 12}; !reflect.DeepEqual(tot.ByKind, want) {
 		t.Errorf("by-kind after rollup = %v, want %v", tot.ByKind, want)
+	}
+
+	// The rolled-up counters survive Save → Load, and loading again
+	// replaces them rather than adding to them.
+	dir := t.TempDir()
+	if err := s.Save(dir); err != nil {
+		t.Fatal(err)
+	}
+	loaded := New(10)
+	for range 2 {
+		if err := loaded.Load(dir); err != nil {
+			t.Fatal(err)
+		}
+		if got := loaded.Totals(); !reflect.DeepEqual(got, tot) {
+			t.Errorf("loaded Totals %+v, want %+v", got, tot)
+		}
+	}
+	if err := os.WriteFile(filepath.Join(dir, "rolled.jsonl"), []byte(`{"by_model":{"m":-1}}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := New(10).Load(dir); err == nil {
+		t.Error("a negative rolled count loaded")
 	}
 }
 
