@@ -46,7 +46,7 @@ lint:
 # row, each into a zero value), openaiapi.AppendJSON against json.Marshal
 # (FuzzAppendJSONMatchesStdlib: the chat bodies built from fuzz bytes, same
 # bytes or error text, the caller's prefix untouched), the gateway config file, the chaosnet.Schedule JSON, the store's
-# five JSONL journals (FuzzStoreLoad: no panic, and a store Load accepts
+# four JSONL journals (FuzzStoreLoad: no panic, and a store Load accepts
 # survives Save → Load),
 # the gateway's batch-create body (FuzzDecodeCreateBatch: no panic, a
 # decoded body re-encodes stably) — and
@@ -83,14 +83,16 @@ fuzzlist:
 # race runs the tier-1 suite under the race detector — the gate for the
 # sharded gateway front-end's parallel stress tests — then the record
 # recycling tests twenty times over: the SDK's in-process call records and
-# the fabric's task records, each handed between goroutines and reused; then
+# the fabric's task records, each handed between goroutines and reused, and
+# beside them the fabric's multi-Wait test, whose Waits on one future order
+# their reads of its outcome by the wake token alone; then
 # the scaled clock's precision contract and the hub's pickup test twenty
 # times over, which run on the host's timing and flake where a bound or a
 # row is wrong; then the serving engine's LiveEngine tests twenty times,
 # where a caller and the loop hand the engine between them.
 race:
 	$(GO) test -race ./...
-	$(GO) test -race -count=20 -run 'Recycles' ./internal/client ./internal/fabric
+	$(GO) test -race -count=20 -run 'Recycles|MultiWait' ./internal/client ./internal/fabric
 	$(GO) test -race -count=20 -run 'Scaled|HubSleepsOnlyToPickupAhead' ./internal/clock ./internal/fabric
 	$(GO) test -race -count=20 -run LiveEngine ./internal/serving
 

@@ -452,7 +452,12 @@
 // free list under the lock submit already holds and gives back once its
 // Wait has returned the outcome, so a Run allocates nothing of its own
 // (TestClientRunZeroAlloc); a Run whose context ends first leaves its record
-// to the collector, and a Future from Submit is never recycled. An
+// to the collector, and a Future from Submit is never recycled. The record
+// carries no lock and no pollable status — the wait on the future replaced
+// the paper's 2-second status polling, and nothing reads one: the task's
+// goroutine writes the outcome before it sends the wake token, and a waiter
+// reads it only once it has taken the token, which a Submit future's Waits
+// pass from one to the next (TestFutureMultiWaitSharesOutcome). An
 // inference's request and answer ride in the record too: Client.Infer
 // copies its InferRequest there and hands the handler a pointer to it, the
 // built-in handler answers with a pointer to the record's InferResult, and
@@ -522,7 +527,9 @@
 // which the cache keeps, is its one fresh value there besides the decoded
 // strings (TestChatCacheMissAllocs counts the rest). The request row it
 // logs goes into the store's window, a ring that overwrites its oldest row
-// once full, so logging copies no row.
+// once full, so logging copies no row. The store keeps request rows, users
+// and batches, and no chat sessions: no route reads them, and Load ignores
+// the sessions.jsonl an older snapshot holds.
 // A reused decode target is zeroed before each decode, its messages and
 // choices included: json.Unmarshal leaves a field the body omits as it
 // was, so a target left as the last call filled it would carry one

@@ -193,7 +193,6 @@ func (ep *Endpoint) execute(task *Task) (any, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrUnknownFunction, task.Function) //firstlint:allow hotpath a function unregistered since submit is an error path
 	}
-	task.setStatus(TaskRunning)
 	ep.tasks.Inc()
 	result, err := h(task.ctx, task.Payload)
 	if err != nil {

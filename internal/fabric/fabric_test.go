@@ -157,14 +157,18 @@ func TestColdStartOnDemand(t *testing.T) {
 	}
 }
 
+// TestHotNodeIdleRelease: an instance left idle is held for HotIdleTimeout's
+// worth of control steps and released on the next, its GPUs freed. The
+// periods are thousands of hours, so the loop never ticks on its own and
+// the test runs each step itself.
 func TestHotNodeIdleRelease(t *testing.T) {
 	f := newTestFabric(t, HubConfig{}, 2)
 	d := f.deploy(t, DeploymentConfig{
 		Model:           perfmodel.Llama8B,
 		MinInstances:    0,
 		MaxInstances:    1,
-		HotIdleTimeout:  30 * time.Second, // virtual
-		AutoScalePeriod: 5 * time.Second,
+		HotIdleTimeout:  6000 * time.Hour, // LoSustain = 6 steps
+		AutoScalePeriod: 1000 * time.Hour,
 	})
 	c := f.client()
 	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
@@ -172,19 +176,21 @@ func TestHotNodeIdleRelease(t *testing.T) {
 	if _, err := c.Infer(ctx, "ep-test", InferRequest{Model: perfmodel.Llama8B, PromptTok: 10, OutputTok: 8}); err != nil {
 		t.Fatal(err)
 	}
-	// Wait (in scaled wall time) for the idle timeout to release the node.
-	deadline := time.Now().Add(10 * time.Second)
-	for d.InstanceCount() != 0 {
-		if time.Now().After(deadline) {
-			t.Fatalf("hot node never released; instances=%d", d.InstanceCount())
+	for step := 1; step <= 5; step++ {
+		d.controlStep()
+		if n := d.InstanceCount(); n != 1 {
+			t.Fatalf("after %d idle steps: %d instances, want the hot one held", step, n)
 		}
-		time.Sleep(2 * time.Millisecond)
 	}
-	if d.Stats().ScaleDowns == 0 {
-		t.Error("scale-down not counted")
+	d.controlStep()
+	if n := d.InstanceCount(); n != 0 {
+		t.Fatalf("after 6 idle steps: %d instances, want it released", n)
 	}
-	if f.cl.Status().FreeGPUs != 16 {
-		t.Errorf("GPUs not returned: %d", f.cl.Status().FreeGPUs)
+	if st := d.Stats(); st.ScaleDowns != 1 {
+		t.Errorf("scale-downs = %d, want 1", st.ScaleDowns)
+	}
+	if free := f.cl.Status().FreeGPUs; free != 16 {
+		t.Errorf("GPUs not returned: %d free, want 16", free)
 	}
 }
 
@@ -269,13 +275,7 @@ func TestScaleDownDrainsInFlight(t *testing.T) {
 	if err := d.launchInstance(); err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.Now().Add(20 * time.Second)
-	for d.ReadyCount() < 2 {
-		if time.Now().After(deadline) {
-			t.Fatal("instances never ready")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitReady(d, 2)
 	ctx, cancel := context.WithTimeout(context.Background(), time.Hour)
 	defer cancel()
 	const n = 8
@@ -301,6 +301,7 @@ func TestScaleDownDrainsInFlight(t *testing.T) {
 		}
 		return taken == n
 	}
+	deadline := time.Now().Add(20 * time.Second)
 	for !busy() {
 		if time.Now().After(deadline) {
 			t.Fatal("requests never spread over both instances")
@@ -570,11 +571,10 @@ func burstAt(at time.Duration, n int) (subs []bookedSubmit) {
 // checkBooking holds the hub to its booking (booked) on a manual clock.
 // The case's tasks are submitted at their offsets; the clock then steps to
 // every submit, D, P and S instant, stopping a nanosecond before each. At
-// every stop each task's status is pending before D, dispatched from D,
-// running from P and success only from S, QueuedTasks counts the tasks still
-// before D — the count the queue bound refuses at — no task has run before
-// its P and no Wait has returned before its S. Each task runs at its P and
-// each Wait returns at its S.
+// every stop QueuedTasks counts the tasks still before D — the count the
+// queue bound refuses at — no task has run before its P and no Wait has
+// returned before its S. Each task runs at its P and each Wait returns at
+// its S.
 func checkBooking(t *testing.T, cfg HubConfig, subs []bookedSubmit) {
 	t.Helper()
 	const pickup = 100 * time.Millisecond
@@ -594,20 +594,9 @@ func checkBooking(t *testing.T, cfg HubConfig, subs []bookedSubmit) {
 	returned, gotAt := make(chan int, len(at)), make([]time.Time, len(at)) // a task's Wait is back, at gotAt
 	check := func(now time.Duration) {
 		queued := 0
-		for i, f := range futs {
-			want := TaskPending
-			switch {
-			case now >= s[i]:
-				want = TaskSuccess
-			case now >= p[i]:
-				want = TaskRunning
-			case now >= d[i]:
-				want = TaskDispatched
-			default:
+		for i := range futs {
+			if now < d[i] {
 				queued++
-			}
-			if got := f.Task().Status(); got != want || f.Done() != (want == TaskSuccess) {
-				t.Fatalf("at t0+%v: task %d is %v (done %v), want %v", now, i, got, f.Done(), want)
 			}
 		}
 		if got := cl.QueuedTasks(); got != queued || len(ran)+len(returned) > 0 {
@@ -671,8 +660,8 @@ func checkBooking(t *testing.T, cfg HubConfig, subs []bookedSubmit) {
 				t.Fatalf("submit at t0+%v: err = %v, want queue full: %v", x, err, sb.full)
 			}
 			if i := len(futs); f != nil {
-				if !f.task.dispatchedAt.Equal(t0.Add(d[i])) || !f.task.pickupAt.Equal(t0.Add(p[i])) {
-					t.Fatalf("task %d booked D = t0+%v, P = t0+%v; want t0+%v, t0+%v", i, f.task.dispatchedAt.Sub(t0), f.task.pickupAt.Sub(t0), d[i], p[i])
+				if !f.task.pickupAt.Equal(t0.Add(p[i])) {
+					t.Fatalf("task %d booked P = t0+%v, want t0+%v", i, f.task.pickupAt.Sub(t0), p[i])
 				}
 				futs = append(futs, f)
 			}
@@ -689,8 +678,8 @@ func TestHubBooksDispatchDepartures(t *testing.T) {
 }
 
 // TestFutureReportsAtRelayDeparture: with a relay slower than dispatch the
-// results queue for the relay, and each future reports done, and its Wait
-// returns, at its relay departure S, not at its pickup.
+// results queue for the relay, and each future's Wait returns at its relay
+// departure S, not at its pickup.
 func TestFutureReportsAtRelayDeparture(t *testing.T) {
 	cfg := hubCosts
 	cfg.RelayCost = 45 * time.Millisecond
@@ -728,8 +717,8 @@ func TestHubQueueFull(t *testing.T) {
 	checkBooking(t, cfg, subs)
 }
 
-// TestTaskStatusProgression: a lone task is pending until its D, dispatched
-// until its P, running until its S and a success, its future done, from S.
+// TestTaskStatusProgression: a lone task is queued until its D, runs at its
+// P and its Wait returns its result at its S.
 func TestTaskStatusProgression(t *testing.T) {
 	checkBooking(t, hubCosts, burstAt(0, 1))
 }
@@ -756,9 +745,9 @@ func TestInferHandsOffAtBookedInstants(t *testing.T) {
 	_, p, s := booked(hubCosts, pickup, []time.Duration{0}, []string{"ep-m"}, serve)
 	clk.BlockUntil(2) // the control loop and the task's pickup
 	clk.Advance(p[0] + 10*time.Second)
-	if res := waitInfer(t, f); res.ServeTime != serve || !f.task.relayedAt.Equal(t0.Add(s[0])) || clk.PendingWaiters() != 1 || !f.Done() || f.Task().Status() != TaskSuccess {
-		t.Errorf("ServeTime %v (an idle engine's %v), S = P + %v (want P + %v), %d waiters left (want the control loop's), done %v, %v",
-			res.ServeTime, serve, f.task.relayedAt.Sub(t0.Add(p[0])), s[0]-p[0], clk.PendingWaiters(), f.Done(), f.Task().Status())
+	if res := waitInfer(t, f); res.ServeTime != serve || !f.task.relayedAt.Equal(t0.Add(s[0])) || clk.PendingWaiters() != 1 {
+		t.Errorf("ServeTime %v (an idle engine's %v), S = P + %v (want P + %v), %d waiters left (want the control loop's)",
+			res.ServeTime, serve, f.task.relayedAt.Sub(t0.Add(p[0])), s[0]-p[0], clk.PendingWaiters())
 	}
 }
 
@@ -853,6 +842,77 @@ func TestFutureWaitCancelledDuringRelay(t *testing.T) {
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("Wait ignored its cancelled context")
+	}
+}
+
+// TestFutureMultiWaitSharesOutcome: several goroutines Wait on one Submit
+// future. The wake token passes from Wait to Wait, and it alone orders their
+// reads of the outcome the task's goroutine wrote: each returns the task's
+// result at its relay departure S and none a nanosecond before, a Wait
+// cancelled while it sleeps out the relay leaves the others' outcome
+// intact, and a Wait made after S returns it at once.
+func TestFutureMultiWaitSharesOutcome(t *testing.T) {
+	const waiters = 4
+	const pickup = time.Millisecond
+	cfg := HubConfig{SubmitLatency: time.Millisecond, RelayCost: time.Second}
+	clk, c, ran := manualHub(t, cfg, pickup)
+	t0, f := clk.Now(), manualSubmit(t, c)
+	_, p, s := booked(cfg, pickup, []time.Duration{0}, []string{"ep-m"}, 0)
+	type back struct {
+		i   int
+		at  time.Time
+		out any
+		err error
+	}
+	returned := make(chan back, waiters)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	for i := 0; i < waiters; i++ {
+		wctx := context.Background()
+		if i == 0 {
+			wctx = ctx
+		}
+		go func() {
+			out, err := f.Wait(wctx)
+			returned <- back{i, clk.Now(), out, err}
+		}()
+	}
+	clk.BlockUntil(1) // the task, sleeping to P
+	clk.Advance(p[0])
+	if got := <-ran; !got.Equal(t0.Add(p[0])) {
+		t.Fatalf("the task ran at t0+%v, want P = t0+%v", got.Sub(t0), p[0])
+	}
+	settled := make(chan struct{}) // every Wait has taken the token and sleeps to S
+	go func() {
+		clk.BlockUntil(waiters)
+		close(settled)
+	}()
+	// A Wait that returns before S fails here at once; one that never takes
+	// the token fails after 10 s.
+	select {
+	case <-settled:
+	case b := <-returned:
+		t.Fatalf("Wait %d returned %v, %v at t0+%v, before S = t0+%v", b.i, b.out, b.err, b.at.Sub(t0), s[0])
+	case <-time.After(10 * time.Second):
+		t.Fatal("the Waits never all took the token")
+	}
+	cancel()
+	if b := <-returned; b.i != 0 || !errors.Is(b.err, context.Canceled) {
+		t.Fatalf("Wait %d returned %v, %v first; want Wait 0 cancelled", b.i, b.out, b.err)
+	}
+	clk.Advance(s[0] - p[0] - 1)
+	if n := clk.PendingWaiters(); n != waiters || len(returned) > 0 {
+		t.Fatalf("a nanosecond before S: %d Waits still sleep (want %d), %d returned", n, waiters, len(returned))
+	}
+	clk.Advance(1)
+	for range waiters - 1 {
+		b := <-returned
+		if b.i == 0 || b.out != "ok" || b.err != nil || !b.at.Equal(t0.Add(s[0])) {
+			t.Errorf("Wait %d returned %v, %v at t0+%v; want ok at S = t0+%v", b.i, b.out, b.err, b.at.Sub(t0), s[0])
+		}
+	}
+	if out, err := f.Wait(context.Background()); out != "ok" || err != nil || clk.PendingWaiters() != 0 {
+		t.Errorf("a Wait after S returned %v, %v and left %d waiters on the clock", out, err, clk.PendingWaiters())
 	}
 }
 

@@ -68,10 +68,9 @@ type Hub struct {
 	mu          sync.Mutex
 	endpoints   map[string]*Endpoint
 	connections map[connKey]bool // the (client, endpoint) connection cache
-	nextTaskID  int64
-	dispatched  time.Time   // the newest task's dispatch departure D
-	relayed     time.Time   // the newest result's relay departure S
-	queued      []time.Time // booked dispatch departures, in order; the first passed are past
+	dispatched  time.Time        // the newest task's dispatch departure D
+	relayed     time.Time        // the newest result's relay departure S
+	queued      []time.Time      // booked dispatch departures, in order; the first passed are past
 	passed      int
 	closed      bool
 	free        *record // idle records Client.Run takes and gives back
@@ -101,17 +100,6 @@ func (h *Hub) RegisterEndpoint(ep *Endpoint) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	h.endpoints[ep.ID()] = ep
-}
-
-// Endpoints lists registered endpoint IDs.
-func (h *Hub) Endpoints() []string {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	ids := make([]string, 0, len(h.endpoints))
-	for id := range h.endpoints {
-		ids = append(ids, id)
-	}
-	return ids
 }
 
 // QueuedTasks reports tasks accepted but not yet past their dispatch
@@ -162,8 +150,7 @@ func (h *Hub) submit(creds Credentials, endpointID, function string, payload any
 	// to scale and route requests", §5.3.2).
 	h.dispatched = later(arrive, h.dispatched).Add(max(h.cfg.DispatchCost, 0))
 	h.queued = append(h.queued, h.dispatched)
-	h.nextTaskID++
-	id, dispatched := h.nextTaskID, h.dispatched
+	dispatched := h.dispatched
 	rec := h.free
 	if rec != nil {
 		h.free = rec.next
@@ -176,14 +163,13 @@ func (h *Hub) submit(creds Credentials, endpointID, function string, payload any
 	// The record is the submitter's alone until its goroutine starts.
 	rec.ep = ep
 	t := &rec.task
-	t.ID, t.Function, t.EndpointID, t.Payload = id, function, endpointID, payload
+	t.Function, t.Payload = function, payload
 	if infer != nil {
 		t.infer = *infer
 		t.Payload = &t.infer
 	}
-	t.SubmittedAt, t.dispatchedAt = now, dispatched
 	t.pickupAt = dispatched.Add(max(ep.cfg.PickupLatency, 0))
-	t.finishedAt, t.status, t.relayedAt = time.Time{}, TaskPending, time.Time{}
+	t.finishedAt = time.Time{} // relayedAt is written with the outcome
 	h.submitted.Inc()
 	go rec.runFn()
 	return rec, nil

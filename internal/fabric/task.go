@@ -33,23 +33,27 @@
 //
 // A task lives in a record: its Task, its Future, a one-slot wake channel,
 // the handler's context (which carries the *Task) and the task's bound run,
-// all made once, and room for an inference's request and answer. Who owns a
-// record, when:
+// all made once, and room for an inference's request and answer. The record
+// has no lock: the wake channel is its one hand-off. Who owns a record,
+// when:
 //   - the hub's free list, under the hub's mu, while it is idle;
 //   - the submitter, from submit until it starts the task's goroutine;
 //   - that goroutine, and the handler it runs, from then until the
 //     outcome's token lands on the wake channel, after which neither
 //     touches the record (a handler keeps neither its context, nor the
 //     *Task on it, nor a payload pointing into the record past its return);
-//   - the waiter, from the token on.
+//   - the waiter, from the token on. A Future's Waits pass the token from
+//     one to the next, and each reads the outcome only once it has taken
+//     the token, so every Wait reads what the goroutine wrote before its
+//     send.
 //
 // Every submit takes an idle record from the free list when there is one;
 // Client.Run and Client.Infer are the paths that give records back, and
 // only once their wait has returned the task's result (or the task's
 // error). A wait that returns ctx.Err() leaves the record to the collector,
 // since its task may still be running. A Future that Submit returns is its
-// caller's for good and never goes back, so its Task and its Wait read the
-// same values however late they are read.
+// caller's for good and never goes back, so its Waits read the same outcome
+// however late they are made.
 //
 // Client.Infer boxes nothing: it copies its InferRequest into the record
 // and passes the handler a pointer to that copy, the built-in FnInfer
@@ -61,59 +65,25 @@ package fabric
 
 import (
 	"context"
-	"sync"
 	"time"
 
 	"github.com/argonne-first/first/internal/clock"
 )
 
-// Status is a task lifecycle state.
-type Status int
-
-const (
-	TaskPending Status = iota
-	TaskDispatched
-	TaskRunning
-	TaskSuccess
-	TaskFailed
-)
-
-func (s Status) String() string {
-	switch s {
-	case TaskPending:
-		return "pending"
-	case TaskDispatched:
-		return "dispatched"
-	case TaskRunning:
-		return "running"
-	case TaskSuccess:
-		return "success"
-	case TaskFailed:
-		return "failed"
-	default:
-		return "unknown"
-	}
-}
-
 // Task is one function invocation traveling through the fabric.
 type Task struct {
-	ID         int64
-	Function   string
-	EndpointID string
-	Payload    any
+	Function string
+	Payload  any
 
-	SubmittedAt time.Time
-
-	clk          clock.Clock
-	ctx          context.Context // the handler's: carries this *Task, made once per record
-	dispatchedAt time.Time       // D, booked at submit
-	pickupAt     time.Time       // P = D + the endpoint's pickup latency
+	clk      clock.Clock
+	ctx      context.Context // the handler's: carries this *Task, made once per record
+	pickupAt time.Time       // P = D + the endpoint's pickup latency, booked at submit
 	// finishedAt is F, the instant the handler's engine finished, or zero;
 	// only the task's own goroutine touches it.
 	finishedAt time.Time
 
-	mu        sync.Mutex
-	status    Status    // pending, running, or the outcome once it is in
+	// The outcome: written by the task's goroutine before it sends the wake
+	// token, and read only by a waiter once it has taken the token.
 	relayedAt time.Time // S, booked when the outcome came in
 	result    any
 	err       error
@@ -123,26 +93,6 @@ type Task struct {
 	// built-in FnInfer handler answers with &inferred.
 	infer    InferRequest
 	inferred InferResult
-}
-
-// Status returns the task's current status: dispatched from its dispatch
-// departure, and its outcome only from its relay departure.
-func (t *Task) Status() Status {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	switch now := t.clk.Now(); {
-	case t.status == TaskPending && !now.Before(t.dispatchedAt):
-		return TaskDispatched
-	case t.status >= TaskSuccess && now.Before(t.relayedAt):
-		return TaskRunning
-	}
-	return t.status
-}
-
-func (t *Task) setStatus(s Status) {
-	t.mu.Lock()
-	t.status = s
-	t.mu.Unlock()
 }
 
 // taskKey keys the running *Task on its handler's context.
@@ -187,19 +137,11 @@ func (f *Future) outcome(ctx context.Context) (res any, in bool, err error) {
 			return nil, false, ctx.Err()
 		}
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	if t.err != nil {
 		return nil, true, t.err
 	}
 	return t.result, true, nil
 }
-
-// Done reports (non-blocking) whether the result has been relayed.
-func (f *Future) Done() bool { return f.task.Status() >= TaskSuccess }
-
-// Task exposes the underlying task (status inspection, tests).
-func (f *Future) Task() *Task { return f.task }
 
 // resolve records the outcome and the instant it is relayed at, and hands
 // the record to its waiter: after the token is sent, the task's goroutine
@@ -207,16 +149,7 @@ func (f *Future) Task() *Task { return f.task }
 //
 //first:hotpath reached through the Run pin
 func (f *Future) resolve(result any, err error, relayed time.Time) {
-	f.task.mu.Lock()
-	f.task.result = result
-	f.task.err = err
-	f.task.relayedAt = relayed
-	if err != nil {
-		f.task.status = TaskFailed
-	} else {
-		f.task.status = TaskSuccess
-	}
-	f.task.mu.Unlock()
+	f.task.result, f.task.err, f.task.relayedAt = result, err, relayed
 	f.wake <- struct{}{}
 }
 

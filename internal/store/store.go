@@ -1,9 +1,8 @@
 // Package store is the PostgreSQL substitute backing the Inference Gateway
-// (§3.1): it persists user activity logs, user records, batch jobs, and chat
-// sessions in typed in-memory tables with optional JSON-lines snapshots on
-// disk. The aggregate queries feed the dashboard's summary metrics (the
-// paper's headline "8.7 million requests / 76 users / 10 billion tokens"
-// counters).
+// (§3.1): it persists user activity logs, user records and batch jobs in
+// typed in-memory tables with optional JSON-lines snapshots on disk. The
+// aggregate queries feed the dashboard's summary metrics (the paper's
+// headline "8.7 million requests / 76 users / 10 billion tokens" counters).
 package store
 
 import (
@@ -83,17 +82,6 @@ type Batch struct {
 	FinishedAt   time.Time  `json:"finished_at,omitempty"`
 }
 
-// Session is a WebUI chat session record (§4.7).
-type Session struct {
-	ID        string    `json:"id"`
-	User      string    `json:"user"`
-	Title     string    `json:"title"`
-	Models    []string  `json:"models"`
-	CreatedAt time.Time `json:"created_at"`
-	UpdatedAt time.Time `json:"updated_at"`
-	Turns     int       `json:"turns"`
-}
-
 // Store is the database.
 type Store struct {
 	mu      sync.Mutex
@@ -103,13 +91,12 @@ type Store struct {
 	// overwrites the oldest, logs[head], and head moves on. Rows that leave
 	// the window are summarized into the rolled counters, like a rolled-up
 	// partition, so no row is copied once the window is full.
-	logs     []RequestLog
-	head     int
-	maxLogs  int
-	users    map[string]*User
-	batches  map[string]*Batch
-	sessions map[string]*Session
-	rolled   rollup
+	logs    []RequestLog
+	head    int
+	maxLogs int
+	users   map[string]*User
+	batches map[string]*Batch
+	rolled  rollup
 }
 
 // rollup counts the rows that left the window; Save writes it as a journal
@@ -128,11 +115,10 @@ func New(maxLogs int) *Store {
 		maxLogs = 100000
 	}
 	return &Store{
-		users:    make(map[string]*User),
-		batches:  make(map[string]*Batch),
-		sessions: make(map[string]*Session),
-		maxLogs:  maxLogs,
-		rolled:   rollup{ByModel: make(map[string]int64), ByKind: make(map[string]int64)},
+		users:   make(map[string]*User),
+		batches: make(map[string]*Batch),
+		maxLogs: maxLogs,
+		rolled:  rollup{ByModel: make(map[string]int64), ByKind: make(map[string]int64)},
 	}
 }
 
@@ -305,50 +291,16 @@ func (s *Store) ListBatches(sub string) []Batch {
 	return out
 }
 
-// PutSession inserts or updates a chat session.
-func (s *Store) PutSession(sess Session) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	cp := sess
-	s.sessions[sess.ID] = &cp
-}
-
-// GetSession fetches a session.
-func (s *Store) GetSession(id string) (Session, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	sess, ok := s.sessions[id]
-	if !ok {
-		return Session{}, false
-	}
-	return *sess, true
-}
-
-// ListSessions returns a user's sessions, most recently updated first.
-func (s *Store) ListSessions(sub string) []Session {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var out []Session
-	for _, sess := range s.sessions {
-		if sub == "" || sess.User == sub {
-			out = append(out, *sess)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].UpdatedAt.After(out[j].UpdatedAt) })
-	return out
-}
-
 // snapshot is the on-disk format.
 type snapshot struct {
-	Logs     []RequestLog `json:"logs"`
-	Users    []User       `json:"users"`
-	Batches  []Batch      `json:"batches"`
-	Sessions []Session    `json:"sessions"`
-	Rolled   rollup       `json:"rolled"`
+	Logs    []RequestLog `json:"logs"`
+	Users   []User       `json:"users"`
+	Batches []Batch      `json:"batches"`
+	Rolled  rollup       `json:"rolled"`
 }
 
 // Save writes a JSONL snapshot (one table per file) under dir, and the
-// counters of the rows that left the window as a fifth journal.
+// counters of the rows that left the window as a fourth journal.
 func (s *Store) Save(dir string) error {
 	s.mu.Lock()
 	older, newer := s.window()
@@ -360,13 +312,9 @@ func (s *Store) Save(dir string) error {
 	for _, b := range s.batches {
 		snap.Batches = append(snap.Batches, *b)
 	}
-	for _, sess := range s.sessions {
-		snap.Sessions = append(snap.Sessions, *sess)
-	}
 	s.mu.Unlock()
 	sort.Slice(snap.Users, func(i, j int) bool { return snap.Users[i].Sub < snap.Users[j].Sub })
 	sort.Slice(snap.Batches, func(i, j int) bool { return snap.Batches[i].ID < snap.Batches[j].ID })
-	sort.Slice(snap.Sessions, func(i, j int) bool { return snap.Sessions[i].ID < snap.Sessions[j].ID })
 
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
@@ -380,9 +328,6 @@ func (s *Store) Save(dir string) error {
 	if err := writeJSONL(filepath.Join(dir, "batches.jsonl"), snap.Batches); err != nil {
 		return err
 	}
-	if err := writeJSONL(filepath.Join(dir, "sessions.jsonl"), snap.Sessions); err != nil {
-		return err
-	}
 	return writeJSONL(filepath.Join(dir, "rolled.jsonl"), []rollup{snap.Rolled})
 }
 
@@ -390,7 +335,9 @@ func (s *Store) Save(dir string) error {
 // treated as empty tables, and a missing rolled.jsonl as counters at zero.
 // The rolled counters are replaced by the journal's; of more request rows
 // than the window holds, the newest maxLogs are kept and the rest rolled up
-// on top, so Totals reads as if the store had logged them all.
+// on top, so Totals reads as if the store had logged them all. Any other
+// file under dir, such as the sessions.jsonl of an older snapshot, is
+// ignored.
 func (s *Store) Load(dir string) error {
 	logs, err := readJSONL[RequestLog](filepath.Join(dir, "requests.jsonl"))
 	if err != nil {
@@ -401,10 +348,6 @@ func (s *Store) Load(dir string) error {
 		return err
 	}
 	batches, err := readJSONL[Batch](filepath.Join(dir, "batches.jsonl"))
-	if err != nil {
-		return err
-	}
-	sessions, err := readJSONL[Session](filepath.Join(dir, "sessions.jsonl"))
 	if err != nil {
 		return err
 	}
@@ -446,11 +389,6 @@ func (s *Store) Load(dir string) error {
 	for i := range batches {
 		b := batches[i]
 		s.batches[b.ID] = &b
-	}
-	s.sessions = make(map[string]*Session, len(sessions))
-	for i := range sessions {
-		sess := sessions[i]
-		s.sessions[sess.ID] = &sess
 	}
 	return nil
 }

@@ -8,11 +8,11 @@ import (
 	"time"
 )
 
-// journals are the five JSONL files Load replays: a table each, and the
+// journals are the four JSONL files Load replays: a table each, and the
 // rolled-up counters.
-var journals = []string{"requests.jsonl", "users.jsonl", "batches.jsonl", "sessions.jsonl", "rolled.jsonl"}
+var journals = []string{"requests.jsonl", "users.jsonl", "batches.jsonl", "rolled.jsonl"}
 
-// FuzzStoreLoad writes arbitrary bytes as each of the five journals Load
+// FuzzStoreLoad writes arbitrary bytes as each of the four journals Load
 // replays: Load never panics, and a store it accepts survives Save → Load
 // unchanged — saved again, it writes the same bytes.
 func FuzzStoreLoad(f *testing.F) {
@@ -32,7 +32,6 @@ func FuzzStoreLoad(f *testing.F) {
 	seed.LogRequest(RequestLog{User: "alice", Model: "m1", Kind: KindChat, OutputTok: 10, Latency: time.Second, Status: "ok", CreatedAt: ts(1)})
 	seed.LogRequest(RequestLog{User: "bob", Model: "m2", Kind: KindCompletion, OutputTok: 3, Status: "error", CreatedAt: ts(2)})
 	seed.PutBatch(Batch{ID: "b1", User: "alice", Model: "m1", State: BatchFailed, Total: 5, Error: "boom", CreatedAt: ts(1), FinishedAt: ts(3)})
-	seed.PutSession(Session{ID: "s1", User: "bob", Title: "t", Models: []string{"m2"}, Turns: 3, CreatedAt: ts(1), UpdatedAt: ts(2)})
 	dir := f.TempDir()
 	if err := seed.Save(dir); err != nil {
 		f.Fatal(err)

@@ -139,31 +139,19 @@ func TestListBatchesFiltersAndSorts(t *testing.T) {
 	}
 }
 
-func TestSessionCRUD(t *testing.T) {
-	s := New(0)
-	s.PutSession(Session{ID: "s1", User: "alice", Models: []string{"m"}, UpdatedAt: ts(1)})
-	s.PutSession(Session{ID: "s2", User: "alice", UpdatedAt: ts(5)})
-	sess, ok := s.GetSession("s1")
-	if !ok || sess.User != "alice" {
-		t.Errorf("session = %+v", sess)
-	}
-	list := s.ListSessions("alice")
-	if len(list) != 2 || list[0].ID != "s2" {
-		t.Errorf("sessions = %+v", list)
-	}
-	if _, ok := s.GetSession("nope"); ok {
-		t.Error("phantom session")
-	}
-}
-
 func TestSaveLoadRoundtrip(t *testing.T) {
 	dir := t.TempDir()
 	s := New(0)
 	s.LogRequest(RequestLog{User: "alice", Model: "m1", Kind: KindChat, OutputTok: 10, Latency: time.Second, CreatedAt: ts(1)})
 	s.LogRequest(RequestLog{User: "bob", Model: "m2", Kind: KindBatch, OutputTok: 20, CreatedAt: ts(2)})
 	s.PutBatch(Batch{ID: "b1", User: "alice", Model: "m1", State: BatchCompleted, Total: 5, Completed: 5, CreatedAt: ts(1)})
-	s.PutSession(Session{ID: "s1", User: "bob", Models: []string{"m2"}, Turns: 3, CreatedAt: ts(1), UpdatedAt: ts(2)})
 	if err := s.Save(dir); err != nil {
+		t.Fatal(err)
+	}
+	// A snapshot from before the session table was dropped holds a
+	// sessions.jsonl too; Load ignores it.
+	old := `{"id":"s1","user":"bob","title":"","models":["m2"],"created_at":"1970-01-01T00:00:01Z","updated_at":"1970-01-01T00:00:02Z","turns":3}` + "\n"
+	if err := os.WriteFile(filepath.Join(dir, "sessions.jsonl"), []byte(old), 0o644); err != nil {
 		t.Fatal(err)
 	}
 
@@ -178,10 +166,6 @@ func TestSaveLoadRoundtrip(t *testing.T) {
 	b, ok := s2.GetBatch("b1")
 	if !ok || b.State != BatchCompleted || b.Completed != 5 {
 		t.Errorf("restored batch = %+v", b)
-	}
-	sess, ok := s2.GetSession("s1")
-	if !ok || sess.Turns != 3 {
-		t.Errorf("restored session = %+v", sess)
 	}
 	// New writes must not collide with restored IDs.
 	id := s2.LogRequest(RequestLog{User: "c", Model: "m", CreatedAt: ts(9)})
