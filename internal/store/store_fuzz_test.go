@@ -43,6 +43,9 @@ func FuzzStoreLoad(f *testing.F) {
 		}
 		f.Add(b)
 	}
+	// A row of the session table older snapshots kept, written into a
+	// journal Load still replays.
+	f.Add([]byte(`{"id":"s1","user":"bob","title":"t","models":["m2"],"created_at":"2025-01-01T00:00:01Z","updated_at":"2025-01-01T00:00:02Z","turns":3}` + "\n"))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, name := range journals {
